@@ -18,7 +18,6 @@ use crate::types::{Edge, EdgeCodec};
 use gsd_integrity::{IntegritySection, ObjectEntry};
 use gsd_io::Storage;
 use gsd_trace::Stopwatch;
-use rayon::prelude::*;
 use std::io::BufRead;
 use std::time::Duration;
 
@@ -179,7 +178,7 @@ pub fn preprocess(
     }
     report.partition = t.elapsed();
 
-    // --- sort each sub-block (parallel across blocks) ---
+    // --- sort each sub-block ---
     // The weight-bits tiebreak makes the order a *canonical total order*
     // on edge records: the sorted payload depends only on the edge
     // multiset, never on input order or sort stability. The delta merge
@@ -188,13 +187,13 @@ pub fn preprocess(
     if config.sort_blocks {
         let t = Stopwatch::start();
         let by_dst = config.sort_by_dst;
-        blocks.par_iter_mut().for_each(|block| {
+        for block in &mut blocks {
             if by_dst {
                 block.sort_unstable_by_key(|e| (e.dst, e.src, e.weight.to_bits()));
             } else {
                 block.sort_unstable_by_key(|e| (e.src, e.dst, e.weight.to_bits()));
             }
-        });
+        }
         report.sort = t.elapsed();
     }
 

@@ -107,9 +107,9 @@ impl EdgeCodec {
     /// Decodes a whole buffer of edges; panics if `bytes` is not a multiple
     /// of the edge size.
     pub fn decode_all(&self, bytes: &[u8]) -> Vec<Edge> {
-        let sz = self.edge_bytes();
-        assert_eq!(bytes.len() % sz, 0, "buffer is not a whole number of edges");
-        bytes.chunks_exact(sz).map(|c| self.decode(c)).collect()
+        let mut out = Vec::new();
+        self.decode_all_into(bytes, &mut out);
+        out
     }
 
     /// Decodes into a caller-provided buffer (cleared first), avoiding an
@@ -118,9 +118,22 @@ impl EdgeCodec {
         let sz = self.edge_bytes();
         assert_eq!(bytes.len() % sz, 0, "buffer is not a whole number of edges");
         out.clear();
-        out.reserve(bytes.len() / sz);
-        for c in bytes.chunks_exact(sz) {
-            out.push(self.decode(c));
+        // Constant chunk sizes let the compiler drop the per-field bounds
+        // checks; `extend` reserves once from the exact length.
+        let word =
+            |c: &[u8], at: usize| u32::from_le_bytes([c[at], c[at + 1], c[at + 2], c[at + 3]]);
+        if self.weighted {
+            out.extend(bytes.chunks_exact(12).map(|c| Edge {
+                src: word(c, 0),
+                dst: word(c, 4),
+                weight: f32::from_bits(word(c, 8)),
+            }));
+        } else {
+            out.extend(bytes.chunks_exact(8).map(|c| Edge {
+                src: word(c, 0),
+                dst: word(c, 4),
+                weight: 1.0,
+            }));
         }
     }
 }

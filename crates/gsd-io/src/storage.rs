@@ -25,7 +25,8 @@ pub type SharedStorage = Arc<dyn Storage>;
 /// sequential/random classification.
 ///
 /// All methods take `&self`; implementations are internally synchronized so
-/// engines can issue requests from rayon worker threads directly.
+/// the prefetch workers, the serve daemon's connection threads and the
+/// compute thread can issue requests against one handle.
 pub trait Storage: Send + Sync {
     /// Creates (or atomically replaces) the object `key` with `data`.
     fn create(&self, key: &str, data: &[u8]) -> crate::Result<()>;

@@ -52,13 +52,13 @@
 //! This crate is the workspace's **designated concurrency module**:
 //! `std::thread::spawn`, `mpsc`-style channels and `Mutex`/`Condvar`
 //! construction are fenced here by lint rule GSD009 (see `lint.toml`).
-//! The upcoming parallel scatter/apply worker pool lives behind the
-//! same fence — engine and kernel crates must consume parallelism
-//! through this crate's deterministic executors, never spawn their own
-//! threads, so the per-interval deterministic-merge discipline stays
-//! auditable in one place. All shared state below is keyed or queued in
-//! deterministic order (`Vec`/`VecDeque` indexed by worker and schedule
-//! position — deliberately no hash-ordered containers).
+//! Scatter/apply themselves are sequential: `gsd-runtime`'s value arrays
+//! and frontiers are `!Sync`, so the compute thread is their only writer
+//! and this crate's workers hand it decoded blocks, never vertex state.
+//! Engine and kernel crates never spawn their own threads. All shared
+//! state below is keyed or queued in deterministic order
+//! (`Vec`/`VecDeque` indexed by worker and schedule position —
+//! deliberately no hash-ordered containers).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,40 +1,66 @@
-//! Atomic bitset frontiers — the `V_active`, `Out` and `OutNI` sets of the
+//! Bitset frontiers — the `V_active`, `Out` and `OutNI` sets of the
 //! paper's Algorithm 1.
 //!
-//! Insertions are thread-safe (`Relaxed` fetch-or: pure data, synchronized
-//! by the surrounding phase barriers); iteration and counting take `&self`
-//! and observe whatever has been published, which engines only do between
-//! phases.
+//! Words are `Cell<u64>`: every method takes `&self` (an engine holds
+//! several frontiers and passes them to the kernels side by side), and the
+//! type is `!Sync`, so insertion is a plain read-modify-write with one
+//! writer by construction:
+//!
+//! ```compile_fail
+//! let f = gsd_runtime::Frontier::empty(64);
+//! std::thread::scope(|s| {
+//!     s.spawn(|| f.insert(3)); // `Cell<u64>` cannot be shared between threads
+//! });
+//! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::ops::Range;
 
-/// A fixed-universe set of vertex ids backed by an atomic bitset.
+/// A fixed-universe set of vertex ids backed by a single-writer bitset
+/// (`!Sync`).
+#[derive(Clone)]
 pub struct Frontier {
-    words: Vec<AtomicU64>,
+    words: Vec<Cell<u64>>,
     universe: u32,
+}
+
+/// Bits of word `wi` that fall inside `range`.
+#[inline]
+fn word_mask(wi: usize, range: &Range<u32>) -> u64 {
+    let base = wi as u64 * 64;
+    let lo = (range.start as u64).saturating_sub(base).min(64);
+    let hi = (range.end as u64).saturating_sub(base).min(64);
+    let below = |n: u64| ((1u128 << n) - 1) as u64;
+    below(hi) & !below(lo)
+}
+
+/// Set bits of `bits`, ascending, as vertex ids of word `wi`.
+#[inline]
+fn word_members(wi: usize, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            return None;
+        }
+        let tz = bits.trailing_zeros();
+        bits &= bits - 1;
+        Some(wi as u32 * 64 + tz)
+    })
 }
 
 impl Frontier {
     /// Empty frontier over `0..universe`.
     pub fn empty(universe: u32) -> Self {
-        let words = (universe as usize).div_ceil(64);
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || AtomicU64::new(0));
-        Frontier { words: v, universe }
+        Frontier {
+            words: vec![Cell::new(0); (universe as usize).div_ceil(64)],
+            universe,
+        }
     }
 
     /// Full frontier over `0..universe`.
     pub fn full(universe: u32) -> Self {
         let f = Frontier::empty(universe);
-        for (w, word) in f.words.iter().enumerate() {
-            let base = (w * 64) as u32;
-            let bits_in_word = (universe.saturating_sub(base)).min(64);
-            let mask = if bits_in_word == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits_in_word) - 1
-            };
-            word.store(mask, Ordering::Relaxed);
+        for (wi, word) in f.words.iter().enumerate() {
+            word.set(word_mask(wi, &(0..universe)));
         }
         f
     }
@@ -62,7 +88,9 @@ impl Frontier {
             self.universe
         );
         let bit = 1u64 << (v % 64);
-        let prev = self.words[v as usize / 64].fetch_or(bit, Ordering::Relaxed);
+        let word = &self.words[v as usize / 64];
+        let prev = word.get();
+        word.set(prev | bit);
         prev & bit == 0
     }
 
@@ -71,7 +99,9 @@ impl Frontier {
     pub fn remove(&self, v: u32) -> bool {
         debug_assert!(v < self.universe);
         let bit = 1u64 << (v % 64);
-        let prev = self.words[v as usize / 64].fetch_and(!bit, Ordering::Relaxed);
+        let word = &self.words[v as usize / 64];
+        let prev = word.get();
+        word.set(prev & !bit);
         prev & bit != 0
     }
 
@@ -79,68 +109,58 @@ impl Frontier {
     #[inline]
     pub fn contains(&self, v: u32) -> bool {
         debug_assert!(v < self.universe);
-        self.words[v as usize / 64].load(Ordering::Relaxed) & (1u64 << (v % 64)) != 0
+        self.words[v as usize / 64].get() & (1u64 << (v % 64)) != 0
     }
 
     /// Number of members (popcount scan, `O(universe/64)`).
     pub fn count(&self) -> u64 {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as u64)
-            .sum()
+        self.words.iter().map(|w| w.get().count_ones() as u64).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| w.load(Ordering::Relaxed) == 0)
+        self.words.iter().all(|w| w.get() == 0)
     }
 
     /// Clears all bits.
     pub fn clear(&self) {
         for w in &self.words {
-            w.store(0, Ordering::Relaxed);
+            w.set(0);
         }
     }
 
     /// Copies all bits from `other` (same universe required).
     pub fn copy_from(&self, other: &Frontier) {
         assert_eq!(self.universe, other.universe);
-        for (dst, src) in self.words.iter().zip(other.words.iter()) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
+        for (dst, src) in self.words.iter().zip(&other.words) {
+            dst.set(src.get());
         }
     }
 
     /// Adds every member of `other` (same universe required).
     pub fn union_with(&self, other: &Frontier) {
         assert_eq!(self.universe, other.universe);
-        for (dst, src) in self.words.iter().zip(other.words.iter()) {
-            dst.fetch_or(src.load(Ordering::Relaxed), Ordering::Relaxed);
+        for (dst, src) in self.words.iter().zip(&other.words) {
+            dst.set(dst.get() | src.get());
         }
     }
 
-    /// Iterates members in ascending order. The set must not be mutated
-    /// concurrently for a consistent view.
+    /// Iterates members in ascending order. Each word is read when the
+    /// iterator reaches it, so members inserted behind the cursor are not
+    /// seen.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, word)| {
-            let mut bits = word.load(Ordering::Relaxed);
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros();
-                bits &= bits - 1;
-                Some(wi as u32 * 64 + tz)
-            })
-        })
+        self.iter_range(0..self.universe)
     }
 
-    /// Members restricted to `range`, ascending.
-    pub fn iter_range(&self, range: std::ops::Range<u32>) -> impl Iterator<Item = u32> + '_ {
-        let start = range.start;
-        let end = range.end;
-        self.iter()
-            .skip_while(move |&v| v < start)
-            .take_while(move |&v| v < end)
+    /// Members restricted to `range`, ascending. Costs
+    /// `O(range.len() / 64 + members)`: only the words overlapping `range`
+    /// are read, the two edge words masked.
+    pub fn iter_range(&self, range: Range<u32>) -> impl Iterator<Item = u32> + '_ {
+        let range = range.start..range.end.min(self.universe);
+        let first = range.start as usize / 64;
+        let last = (range.end as usize).div_ceil(64).max(first);
+        (first..last)
+            .flat_map(move |wi| word_members(wi, self.words[wi].get() & word_mask(wi, &range)))
     }
 
     /// Collects members into a vector (ascending).
@@ -155,14 +175,6 @@ impl std::fmt::Debug for Frontier {
             .field("universe", &self.universe)
             .field("count", &self.count())
             .finish()
-    }
-}
-
-impl Clone for Frontier {
-    fn clone(&self) -> Self {
-        let f = Frontier::empty(self.universe);
-        f.copy_from(self);
-        f
     }
 }
 
@@ -220,30 +232,6 @@ mod tests {
         let c = Frontier::empty(100);
         c.copy_from(&a);
         assert_eq!(c.to_vec(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn concurrent_inserts_count_once() {
-        let f = std::sync::Arc::new(Frontier::empty(64));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let f = f.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut new = 0;
-                for v in 0..64 {
-                    if f.insert(v) {
-                        new += 1;
-                    }
-                }
-                new
-            }));
-        }
-        let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(
-            total, 64,
-            "each bit newly inserted exactly once across threads"
-        );
-        assert_eq!(f.count(), 64);
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! Parallel scatter/apply kernels shared by every out-of-core engine.
+//! Sequential scatter/apply kernels shared by every out-of-core engine.
 //!
-//! Both kernels are rayon data-parallel loops over shared atomic state
-//! ([`ValueArray`], [`Frontier`]); correctness under any schedule follows
-//! from the [`crate::VertexProgram`] contract (commutative/associative
-//! `combine`) and the CAS combine loop. The rayon joins at the end of each
-//! call are the happens-before edges that publish the results to the next
-//! phase.
+//! Both kernels are plain loops over single-writer state ([`ValueArray`],
+//! [`Frontier`] — `Cell`-backed and `!Sync`, so no other thread can hold
+//! them). Edges are visited in slice order and vertices in ascending id
+//! order; together with the engines' fixed block visit order that fixes
+//! the float combine order, which is what keeps value fingerprints
+//! bit-identical across runs and engines.
 
 use crate::context::ProgramContext;
 use crate::frontier::Frontier;
 use crate::program::VertexProgram;
 use crate::values::ValueArray;
 use gsd_graph::Edge;
-use rayon::prelude::*;
 
 /// Re-exported clock primitives: this module is the designated timing
 /// module of the engine layer (`gsd-lint` GSD002) — engines route every
@@ -20,10 +19,6 @@ use rayon::prelude::*;
 /// [`apply_range_timed`] rather than reading `std::time::Instant` directly,
 /// so a grep for raw clock access in engine code comes up empty.
 pub use gsd_trace::clock::{timed, Stopwatch};
-
-/// Edges per rayon task; large enough to amortize scheduling, small enough
-/// to balance skewed blocks.
-const EDGE_CHUNK: usize = 4096;
 
 /// Scatters `edges` (the paper's `UserFunction` / `CrossIterUpdate` inner
 /// loop): for every edge whose source passes `source_filter`, produce a
@@ -39,26 +34,33 @@ pub fn scatter_edges<P: VertexProgram>(
     accum: &ValueArray<P::Accum>,
     touched: &Frontier,
 ) -> u64 {
-    edges
-        .par_chunks(EDGE_CHUNK)
-        .map(|chunk| {
-            let mut delivered = 0u64;
-            for e in chunk {
-                if let Some(filter) = source_filter {
-                    if !filter.contains(e.src) {
-                        continue;
-                    }
-                }
-                let value = source_values.get(e.src);
-                if let Some(msg) = program.scatter(e.src, value, e.weight, ctx) {
-                    accum.combine(e.dst, msg, |a, b| program.combine(a, b));
-                    touched.insert(e.dst);
-                    delivered += 1;
+    let deliver = |e: &Edge| -> u64 {
+        let value = source_values.get(e.src);
+        match program.scatter(e.src, value, e.weight, ctx) {
+            Some(msg) => {
+                accum.combine(e.dst, msg, |a, b| program.combine(a, b));
+                touched.insert(e.dst);
+                1
+            }
+            None => 0,
+        }
+    };
+    let mut delivered = 0u64;
+    match source_filter {
+        None => {
+            for e in edges {
+                delivered += deliver(e);
+            }
+        }
+        Some(filter) => {
+            for e in edges {
+                if filter.contains(e.src) {
+                    delivered += deliver(e);
                 }
             }
-            delivered
-        })
-        .sum()
+        }
+    }
+    delivered
 }
 
 /// [`scatter_edges`] with its wall time accumulated into `elapsed`.
@@ -106,25 +108,29 @@ pub fn apply_range<P: VertexProgram>(
     out: &Frontier,
 ) -> u64 {
     let zero = program.zero_accum();
-    range
-        .into_par_iter()
-        .with_min_len(1024)
-        .map(|v| {
-            if !apply_all && !touched.contains(v) {
-                return 0u64;
+    let apply_one = |v: u32| -> u64 {
+        let a = accum.get(v);
+        accum.set(v, zero);
+        match program.apply(v, values.get(v), a, ctx) {
+            Some(new) => {
+                values.set(v, new);
+                out.insert(v);
+                1
             }
-            let a = accum.get(v);
-            accum.set(v, zero);
-            match program.apply(v, values.get(v), a, ctx) {
-                Some(new) => {
-                    values.set(v, new);
-                    out.insert(v);
-                    1
-                }
-                None => 0,
-            }
-        })
-        .sum()
+            None => 0,
+        }
+    };
+    let mut changed = 0u64;
+    if apply_all {
+        for v in range {
+            changed += apply_one(v);
+        }
+    } else {
+        for v in touched.iter_range(range) {
+            changed += apply_one(v);
+        }
+    }
+    changed
 }
 
 /// [`apply_range`] with its wall time accumulated into `elapsed` (the

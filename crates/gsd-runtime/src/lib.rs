@@ -10,12 +10,12 @@
 //!   whether the vertex activates). `CrossIterUpdate(u, v, OutNI)` is the
 //!   same `scatter`/`combine` pair executed against the *next* iteration's
 //!   accumulator with the source's *freshly applied* value.
-//! * [`ValueArray`] — dense per-vertex state in `AtomicU64` cells with a
-//!   CAS-loop `combine`, giving data-race-free parallel scatter from rayon
-//!   workers (orderings are `Relaxed`: all cross-thread hand-off happens at
-//!   the phase barriers, see module docs).
-//! * [`Frontier`] — atomic bitset frontiers (`V_active`, `Out`, `OutNI` of
-//!   Algorithm 1).
+//! * [`ValueArray`] — dense per-vertex state in `Cell<u64>` cells:
+//!   `&self` everywhere, `!Sync`, so the compiler proves the compute
+//!   thread is the only writer and `combine` is load → `f` → store.
+//! * [`Frontier`] — bitset frontiers (`V_active`, `Out`, `OutNI` of
+//!   Algorithm 1), `Cell`-backed under the same single-writer rule.
+//! * [`kernels`] — the sequential scatter/apply loops every engine calls.
 //! * [`ReferenceEngine`] — an in-memory, strictly-BSP executor used as the
 //!   oracle: every out-of-core engine must produce the same per-iteration
 //!   committed values on every program (the repo's central property test).

@@ -1,15 +1,16 @@
 //! Bit-packable vertex values.
 //!
-//! Vertex values and accumulators live in shared `AtomicU64` arrays (see
+//! Vertex values and accumulators live in arrays of 64-bit cells (see
 //! [`crate::values::ValueArray`]); any type that round-trips through 64
 //! bits can be stored. Programs define their own packed types (e.g.
 //! PageRank-Delta packs `(rank: f32, delta: f32)`).
 
-/// A value storable in one `AtomicU64` cell.
+/// A value storable in one 64-bit cell.
 ///
 /// `from_bits(to_bits(v)) == v` must hold for every `v` the program
-/// produces. Equality is *bit-level* for the purposes of CAS loops, so
-/// `f32::NAN` values should be avoided (programs here never produce NaN).
+/// produces. `ValueArray::combine` reports a change by comparing *bits*,
+/// so `f32::NAN` values should be avoided (programs here never produce
+/// NaN).
 pub trait Value: Copy + Send + Sync + PartialEq + std::fmt::Debug + 'static {
     /// Packs the value into 64 bits.
     fn to_bits(self) -> u64;

@@ -1,51 +1,47 @@
-//! Dense per-vertex state in atomic cells.
+//! Dense per-vertex state in plain memory cells.
 //!
-//! A [`ValueArray`] holds one [`Value`] per vertex in an `AtomicU64`. The
-//! `combine` CAS loop is the concurrency primitive behind parallel scatter:
-//! many rayon workers merge messages into the same destination without
-//! locks, and because every program's `combine` is commutative and
-//! associative (a documented [`crate::VertexProgram`] contract), the result
-//! is schedule-independent for discrete values (bit-exact) and
-//! rounding-order-dependent only for float sums.
+//! A [`ValueArray`] holds one [`Value`] per vertex, packed into a
+//! `Cell<u64>`. Every method takes `&self` so engines can hold several
+//! arrays (values, accumulators, next-iteration accumulators) side by side
+//! without threading `&mut` through the kernels, but `Cell` makes the type
+//! `!Sync`: a `&ValueArray` cannot cross a thread boundary, so there is
+//! exactly one writer and `combine` is a plain load → `f` → store. The
+//! compiler enforces the single-writer rule:
 //!
-//! **Memory ordering.** All operations use `Relaxed`. The cells are pure
-//! data: within a scatter phase only `combine` touches them, and the
-//! scatter→apply hand-off happens at a rayon join, which is already a
-//! synchronization point (see "Rust Atomics and Locks", ch. 3 — the join
-//! creates the happens-before edge; the cells themselves need only
-//! atomicity).
+//! ```compile_fail
+//! let arr = gsd_runtime::ValueArray::<u32>::new(4, 0);
+//! std::thread::scope(|s| {
+//!     s.spawn(|| arr.set(0, 1)); // `Cell<u64>` cannot be shared between threads
+//! });
+//! ```
+//!
+//! A parallel kernel, if one is ever added, must own its destination range
+//! as a `&mut` slice (one worker per sub-block column) rather than share
+//! these cells.
 
 use crate::value::Value;
-use rayon::prelude::*;
+use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fixed-length array of atomically updatable values.
+/// A fixed-length array of single-writer value cells (`!Sync`).
 pub struct ValueArray<V: Value> {
-    cells: Vec<AtomicU64>,
+    cells: Vec<Cell<u64>>,
     _marker: PhantomData<V>,
 }
 
 impl<V: Value> ValueArray<V> {
     /// Creates an array of `len` cells, all `init`.
     pub fn new(len: usize, init: V) -> Self {
-        let bits = init.to_bits();
-        let mut cells = Vec::with_capacity(len);
-        cells.resize_with(len, || AtomicU64::new(bits));
         ValueArray {
-            cells,
+            cells: vec![Cell::new(init.to_bits()); len],
             _marker: PhantomData,
         }
     }
 
     /// Creates an array initialized per-vertex.
     pub fn from_fn(len: usize, mut f: impl FnMut(u32) -> V) -> Self {
-        let mut cells = Vec::with_capacity(len);
-        for v in 0..len {
-            cells.push(AtomicU64::new(f(v as u32).to_bits()));
-        }
         ValueArray {
-            cells,
+            cells: (0..len).map(|v| Cell::new(f(v as u32).to_bits())).collect(),
             _marker: PhantomData,
         }
     }
@@ -63,60 +59,45 @@ impl<V: Value> ValueArray<V> {
     /// Reads cell `v`.
     #[inline]
     pub fn get(&self, v: u32) -> V {
-        V::from_bits(self.cells[v as usize].load(Ordering::Relaxed))
+        V::from_bits(self.cells[v as usize].get())
     }
 
     /// Overwrites cell `v`.
     #[inline]
     pub fn set(&self, v: u32, value: V) {
-        self.cells[v as usize].store(value.to_bits(), Ordering::Relaxed);
+        self.cells[v as usize].set(value.to_bits());
     }
 
-    /// Merges `msg` into cell `v` with `f(current, msg)` via a CAS loop.
-    /// Returns `true` when the stored bits changed. `f` must be pure; it
-    /// may run multiple times under contention.
+    /// Merges `msg` into cell `v` with `f(current, msg)`. Returns `true`
+    /// when the stored bits changed.
     #[inline]
-    pub fn combine(&self, v: u32, msg: V, f: impl Fn(V, V) -> V) -> bool {
+    pub fn combine(&self, v: u32, msg: V, f: impl FnOnce(V, V) -> V) -> bool {
         let cell = &self.cells[v as usize];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let old = V::from_bits(cur);
-            let new = f(old, msg);
-            let new_bits = new.to_bits();
-            if new_bits == cur {
-                return false;
-            }
-            match cell.compare_exchange_weak(cur, new_bits, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
+        let cur = cell.get();
+        let new = f(V::from_bits(cur), msg).to_bits();
+        cell.set(new);
+        new != cur
     }
 
     /// Copies all values out.
     pub fn snapshot(&self) -> Vec<V> {
-        self.cells
-            .iter()
-            .map(|c| V::from_bits(c.load(Ordering::Relaxed)))
-            .collect()
+        self.cells.iter().map(|c| V::from_bits(c.get())).collect()
     }
 
-    /// Resets every cell to `value` (parallel).
+    /// Resets every cell to `value`.
     pub fn fill(&self, value: V) {
         let bits = value.to_bits();
-        self.cells
-            .par_iter()
-            .for_each(|c| c.store(bits, Ordering::Relaxed));
+        for c in &self.cells {
+            c.set(bits);
+        }
     }
 
-    /// Copies every cell from `other` (parallel). Panics on length
-    /// mismatch.
+    /// Copies every cell from `other`. Panics on length mismatch.
     pub fn copy_from(&self, other: &ValueArray<V>) {
         assert_eq!(self.len(), other.len());
-        self.cells
-            .par_iter()
-            .zip(other.cells.par_iter())
-            .for_each(|(dst, src)| dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed));
+        for (dst, src) in self.cells.iter().zip(&other.cells) {
+            dst.set(src.get());
+        }
     }
 }
 
@@ -155,42 +136,6 @@ mod tests {
         assert_eq!(arr.get(0), 50);
         assert!(!arr.combine(0, 70, u32::min), "no change when min loses");
         assert_eq!(arr.get(0), 50);
-    }
-
-    #[test]
-    fn parallel_min_combine_is_deterministic() {
-        let arr = std::sync::Arc::new(ValueArray::<u32>::new(1, u32::MAX));
-        let mut handles = Vec::new();
-        for t in 0..8u32 {
-            let arr = arr.clone();
-            handles.push(std::thread::spawn(move || {
-                for k in 0..1000u32 {
-                    arr.combine(0, t * 1000 + k, u32::min);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(arr.get(0), 0);
-    }
-
-    #[test]
-    fn parallel_integer_sum_loses_nothing() {
-        let arr = std::sync::Arc::new(ValueArray::<u64>::new(4, 0));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let arr = arr.clone();
-            handles.push(std::thread::spawn(move || {
-                for k in 0..1000u64 {
-                    arr.combine((k % 4) as u32, 1, |a, b| a + b);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(arr.snapshot().iter().sum::<u64>(), 8000);
     }
 
     #[test]

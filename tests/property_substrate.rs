@@ -1,6 +1,6 @@
 //! Model-based property tests for the substrate data structures: the
-//! frontier bitset against a `BTreeSet` model, the atomic value array
-//! against a plain vector, the storage backends' sequential/random
+//! frontier bitset against a `BTreeSet` model, the value array against a
+//! plain vector, the storage backends' sequential/random
 //! classification, and the I/O cost model's monotonicity.
 
 use gsd_io::{DiskModel, IoCostModel, MemStorage, OnDemandCostInputs, SimDisk, Storage};
@@ -76,6 +76,39 @@ proptest! {
             model[i as usize] = new;
         }
         prop_assert_eq!(arr.snapshot(), model);
+    }
+
+    #[test]
+    fn value_array_sum_combine_matches_sequential_model(
+        updates in proptest::collection::vec((0u32..16, 0u64..1000), 0..300)
+    ) {
+        let arr = ValueArray::<u64>::new(16, 0);
+        let mut model = vec![0u64; 16];
+        for (i, v) in updates {
+            let changed = arr.combine(i, v, |a, b| a + b);
+            prop_assert_eq!(changed, v != 0);
+            model[i as usize] += v;
+        }
+        prop_assert_eq!(arr.snapshot(), model);
+    }
+
+    #[test]
+    fn frontier_remove_then_union_matches_set_model(
+        a in proptest::collection::btree_set(0u32..300, 0..80),
+        gone in proptest::collection::btree_set(0u32..300, 0..40),
+        b in proptest::collection::btree_set(0u32..300, 0..80),
+    ) {
+        let fa = Frontier::from_seeds(300, &a.iter().copied().collect::<Vec<_>>());
+        let fb = Frontier::from_seeds(300, &b.iter().copied().collect::<Vec<_>>());
+        let mut model = a;
+        for v in gone {
+            prop_assert_eq!(fa.remove(v), model.remove(&v));
+        }
+        fa.union_with(&fb);
+        model.extend(b.iter().copied());
+        prop_assert_eq!(fa.count(), model.len() as u64);
+        prop_assert_eq!(fa.to_vec(), model.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(fb.to_vec(), b.into_iter().collect::<Vec<_>>(), "source unchanged");
     }
 
     #[test]
@@ -168,4 +201,21 @@ proptest! {
         let ratio = large.as_nanos() as f64 / small.as_nanos().max(1) as f64;
         prop_assert!((ratio - extra as f64).abs() < 0.05 * extra as f64 + 1.0);
     }
+}
+
+/// Bounds that are not multiples of 64, a start past word 0, members in
+/// the masked-off parts of both edge words, and a range that stays inside
+/// one word.
+#[test]
+fn frontier_iter_range_masks_edge_words() {
+    let f = Frontier::from_seeds(
+        300,
+        &[0, 63, 64, 69, 70, 71, 127, 128, 191, 192, 200, 201, 299],
+    );
+    let got: Vec<u32> = f.iter_range(70..201).collect();
+    assert_eq!(got, vec![70, 71, 127, 128, 191, 192, 200]);
+    assert_eq!(f.iter_range(65..70).collect::<Vec<_>>(), vec![69]);
+    assert_eq!(f.iter_range(128..128).count(), 0);
+    assert_eq!(f.iter_range(250..1000).collect::<Vec<_>>(), vec![299]);
+    assert_eq!(f.iter_range(300..400).count(), 0);
 }
