@@ -18,20 +18,27 @@
 //! bandwidth-calibrated cost model — just the volume ratio — and there is
 //! no cross-iteration propagation, which is exactly the gap the paper's
 //! Figures 5/7 measure.
+//!
+//! As a policy over the shared driver: ROP is a selective pass over runs
+//! planned from the row copy's per-block indexes, without cross-iteration
+//! serving; COP is a stream round over the column copy, without
+//! cross-iteration propagation.
 
-use crate::recover::BaselineCkpt;
+use gsd_core::driver::{self, coalesce_runs, Driver, Frame};
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
-use gsd_io::{IoStatsSnapshot, Storage};
-use gsd_recover::{CheckpointData, RecoveryConfig};
-use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed};
+use gsd_io::Storage;
+use gsd_pipeline::PrefetchRequest;
+use gsd_recover::RecoveryConfig;
 use gsd_runtime::{
-    Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions,
-    RunResult, RunStats, Value, ValueArray, VertexProgram, VertexValueFile,
+    Capabilities, Engine, Frontier, IoAccessModel, RunOptions, RunResult, VertexProgram,
 };
-use gsd_trace::Stopwatch;
-use gsd_trace::{TraceEvent, TraceSink};
+use gsd_trace::TraceSink;
 use std::sync::Arc;
-use std::time::Duration;
+
+/// ROP is chosen when `active_edge_bytes * ROP_AMPLIFICATION <
+/// total_edge_bytes` — a coarse stand-in for the random/sequential
+/// bandwidth gap.
+const ROP_AMPLIFICATION: u64 = 16;
 
 /// The two on-disk copies HUS-Graph maintains.
 pub struct HusFormat {
@@ -58,7 +65,6 @@ pub fn build_hus_format(
     let mut row_config = PreprocessConfig::graphsd(&row_prefix);
     row_config.num_intervals = Some(1);
     row_config.degree_balanced = true;
-    let _ = p;
     let (_, row_report) = preprocess(graph, storage.as_ref(), &row_config)?;
     let mut col_config = PreprocessConfig {
         sort_by_dst: true,
@@ -86,10 +92,7 @@ pub fn build_hus_format(
 pub struct HusGraphEngine {
     format: HusFormat,
     degrees: Arc<Vec<u32>>,
-    /// ROP is chosen when `active_edge_bytes * rop_amplification <
-    /// total_edge_bytes` — a coarse stand-in for the random/sequential
-    /// bandwidth gap.
-    pub rop_amplification: u64,
+    /// Max id gap bridged within one index-span request.
     index_gap: u32,
     trace: Arc<dyn TraceSink>,
     checkpoint: Option<RecoveryConfig>,
@@ -100,12 +103,11 @@ impl HusGraphEngine {
     pub fn new(format: HusFormat) -> std::io::Result<Self> {
         let degrees = Arc::new(format.row.load_out_degrees()?);
         let disk = format.row.storage().disk_model().unwrap_or_default();
-        let index_gap = ((disk.seek_latency.as_secs_f64() * disk.seq_read_bps / 4.0) as u64)
-            .clamp(1, u32::MAX as u64) as u32;
+        let break_even = (disk.seek_latency.as_secs_f64() * disk.seq_read_bps / 4.0) as u64;
+        let index_gap = gsd_graph::narrow::saturating_u32(break_even.max(1));
         Ok(HusGraphEngine {
             format,
             degrees,
-            rop_amplification: 16,
             index_gap,
             trace: gsd_trace::null_sink(),
             checkpoint: RecoveryConfig::from_env(),
@@ -143,6 +145,35 @@ impl HusGraphEngine {
             .map(|v| self.degrees[v as usize] as u64 * per_edge)
             .sum()
     }
+
+    /// The coalesced runs of the active edge lists in the row copy, one
+    /// index request per sub-block and active cluster.
+    fn plan_rop_runs<P: VertexProgram>(
+        &self,
+        d: &mut Driver<'_, P>,
+    ) -> std::io::Result<Vec<PrefetchRequest>> {
+        let row = &self.format.row;
+        let mut runs = Vec::new();
+        for i in 0..row.p() {
+            let active: Vec<u32> = d.frontier().iter_range(row.intervals().range(i)).collect();
+            let clusters = gsd_graph::cluster_vertex_spans(&active, self.index_gap);
+            for j in 0..row.p() {
+                if row.meta().block_edge_count(i, j) == 0 {
+                    continue;
+                }
+                for span in &clusters {
+                    let cluster = &active[span.clone()];
+                    let (Some(&first), Some(&last)) = (cluster.first(), cluster.last()) else {
+                        continue; // clusters over a non-empty active set are non-empty
+                    };
+                    let index = d.io(|| row.read_index_span(i, j, first, last))?;
+                    let ranges = cluster.iter().map(|&v| index.edge_range(v));
+                    coalesce_runs(i, j, ranges, &mut runs);
+                }
+            }
+        }
+        Ok(runs)
+    }
 }
 
 impl Engine for HusGraphEngine {
@@ -163,371 +194,33 @@ impl Engine for HusGraphEngine {
         program: &P,
         options: &RunOptions,
     ) -> std::io::Result<RunResult<P::Value>> {
-        let row = &self.format.row;
-        let col = &self.format.col;
-        let storage = row.storage().clone();
-        let n = row.num_vertices();
-        let rop_p = row.p();
-        let cop_p = col.p();
-        let ctx = ProgramContext::new(n, self.degrees.clone());
-        let limit = options.limit_for(program);
+        let HusFormat { row, col } = &self.format;
         let total_edge_bytes = row.meta().total_edge_bytes();
-        let mut stats = RunStats::new(self.name(), program.name());
-
-        if n == 0 {
-            return Ok(RunResult {
-                values: Vec::new(),
-                stats,
-            });
-        }
-
-        let values_prev = ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx));
-        let values_cur = ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx));
-        let accum = ValueArray::new(n as usize, program.zero_accum());
-        let touched = Frontier::empty(n);
-        let mut frontier = program.initial_frontier(&ctx).build(n)?;
-        let mut vfile = VertexValueFile::ensure(
-            storage.as_ref(),
-            format!(
-                "{}runtime/values_{}.bin",
-                row.prefix(),
-                program.value_bytes()
-            ),
-            n as u64 * program.value_bytes(),
-        )?;
-
-        let mut scratch = Vec::new();
-        let mut edges: Vec<gsd_graph::Edge> = Vec::new();
-        let per_edge = row.codec().edge_bytes() as u64;
-        let value_file_bytes = n as u64 * program.value_bytes();
-        row.set_verify_sink(self.trace.clone());
-        col.set_verify_sink(self.trace.clone());
-        if self.trace.enabled() {
-            self.trace.emit(&TraceEvent::RunStart {
-                engine: "hus-graph",
-                algorithm: program.name().to_string(),
-            });
-        }
-
-        // Recovery runs before `run_snap` is taken so checkpoint reads do
-        // not count toward the run's reported I/O. HUS iterations leave
-        // the accumulator carrying stale (never re-read) residue from
-        // earlier scatters; it is checkpointed and restored verbatim so a
-        // resumed run is bit-identical in every observable.
-        let mut start = 1u32;
-        let mut base_io = IoStatsSnapshot::default();
-        let mut ckpt: Option<BaselineCkpt> = None;
-        if let Some(cfg) = &self.checkpoint {
-            let (driver, resumed) = BaselineCkpt::open(
-                cfg,
-                &storage,
-                row.prefix(),
-                "hus-graph",
-                program.name(),
-                program.value_bytes(),
-                n,
-                self.trace.clone(),
-            )?;
-            if let Some(data) = resumed {
-                for (v, &bits) in (0u32..).zip(&data.values) {
-                    values_prev.set(v, P::Value::from_bits(bits));
-                }
-                values_cur.copy_from(&values_prev);
-                for (v, &bits) in (0u32..).zip(&data.accum) {
-                    accum.set(v, P::Accum::from_bits(bits));
-                }
-                frontier = Frontier::from_seeds(n, &data.frontier);
-                stats = data.stats.clone();
-                base_io = data.stats.io;
-                start = data.iteration + 1;
-            }
-            ckpt = Some(driver);
-        }
-        let run_snap = storage.stats().snapshot();
-        // Taken after restore so resume-machinery verification is excluded.
-        let verify_snap_row = row.verify_counters();
-        let verify_snap_col = col.verify_counters();
-
-        for iter in start..=limit {
-            if frontier.is_empty() {
-                break;
-            }
-            if self.trace.enabled() {
-                self.trace
-                    .emit(&TraceEvent::IterationStart { iteration: iter });
-            }
-            let frontier_size = frontier.count();
-            let iter_snap = storage.stats().snapshot();
-            let mut io_wall = Duration::ZERO;
-            let mut compute = Duration::ZERO;
-            let mut scatter_t = Duration::ZERO;
-            let mut apply_t = Duration::ZERO;
-
+        let frame = Frame {
+            engine: self.name(),
+            grid: row,
+            also_verified: &[col],
+            degrees: &self.degrees,
+            trace: &self.trace,
+            prefetch: None,
+            checkpoint: self.checkpoint.as_ref(),
+            // Baselines have no result-relevant configuration.
+            config_hash: 0,
+        };
+        let mut policy = |d: &mut Driver<'_, P>| {
             // Hybrid decision: coarse volume threshold (no seq/ran split,
             // no calibrated bandwidths — GraphSD's refinement over this).
-            let active_bytes = self.active_edge_bytes(&frontier);
-            let use_rop = active_bytes.saturating_mul(self.rop_amplification) < total_edge_bytes;
-
-            let t = Stopwatch::start();
-            vfile.read_all(storage.as_ref())?;
-            io_wall += t.elapsed();
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::ValueFlush {
-                    bytes: value_file_bytes,
-                    write: false,
-                });
+            let active_bytes = self.active_edge_bytes(d.frontier());
+            if active_bytes.saturating_mul(ROP_AMPLIFICATION) >= total_edge_bytes {
+                return d.stream_round(col, false, &mut ());
             }
-
-            let t = Stopwatch::start();
-            values_cur.copy_from(&values_prev);
-            compute += t.elapsed();
-
-            let out = Frontier::empty(n);
-            if use_rop {
-                // --- ROP: selective loads from the row copy ---
-                edges.clear();
-                for i in 0..rop_p {
-                    let active: Vec<u32> = frontier.iter_range(row.intervals().range(i)).collect();
-                    if active.is_empty() {
-                        continue;
-                    }
-                    let clusters = gsd_graph::cluster_vertex_spans(&active, self.index_gap);
-                    for j in 0..rop_p {
-                        if row.meta().block_edge_count(i, j) == 0 {
-                            continue;
-                        }
-                        let t = Stopwatch::start();
-                        for span in &clusters {
-                            let cluster = &active[span.clone()];
-                            let index =
-                                row.read_index_span(i, j, cluster[0], *cluster.last().unwrap())?;
-                            let mut run_start = 0u32;
-                            let mut run_len = 0u32;
-                            for &v in cluster {
-                                let r = index.edge_range(v);
-                                let len = r.end - r.start;
-                                if len == 0 {
-                                    continue;
-                                }
-                                if run_len > 0 && r.start == run_start + run_len {
-                                    run_len += len;
-                                } else {
-                                    if run_len > 0 {
-                                        row.read_edge_run(
-                                            i,
-                                            j,
-                                            run_start,
-                                            run_len,
-                                            &mut scratch,
-                                            &mut edges,
-                                        )?;
-                                        if self.trace.enabled() {
-                                            self.trace.emit(&TraceEvent::BlockLoad {
-                                                i,
-                                                j,
-                                                bytes: run_len as u64 * per_edge,
-                                                seq: false,
-                                            });
-                                        }
-                                    }
-                                    run_start = r.start;
-                                    run_len = len;
-                                }
-                            }
-                            if run_len > 0 {
-                                row.read_edge_run(
-                                    i,
-                                    j,
-                                    run_start,
-                                    run_len,
-                                    &mut scratch,
-                                    &mut edges,
-                                )?;
-                                if self.trace.enabled() {
-                                    self.trace.emit(&TraceEvent::BlockLoad {
-                                        i,
-                                        j,
-                                        bytes: run_len as u64 * per_edge,
-                                        seq: false,
-                                    });
-                                }
-                            }
-                        }
-                        io_wall += t.elapsed();
-                    }
-                }
-                let t = Stopwatch::start();
-                scatter_edges_timed(
-                    program,
-                    &ctx,
-                    &edges,
-                    None,
-                    &values_prev,
-                    &accum,
-                    &touched,
-                    &mut scatter_t,
-                );
-                apply_range_timed(
-                    program,
-                    &ctx,
-                    0..n,
-                    program.apply_all(),
-                    &touched,
-                    &accum,
-                    &values_cur,
-                    &out,
-                    &mut apply_t,
-                );
-                compute += t.elapsed();
-            } else {
-                // --- COP: stream the column copy, interval by interval ---
-                for j in 0..cop_p {
-                    for i in 0..cop_p {
-                        if col.meta().block_edge_count(i, j) == 0 {
-                            continue;
-                        }
-                        let t = Stopwatch::start();
-                        col.read_block_into(i, j, &mut scratch, &mut edges)?;
-                        io_wall += t.elapsed();
-                        if self.trace.enabled() {
-                            self.trace.emit(&TraceEvent::BlockLoad {
-                                i,
-                                j,
-                                bytes: col.meta().block_bytes(i, j),
-                                seq: true,
-                            });
-                        }
-                        let t = Stopwatch::start();
-                        scatter_edges_timed(
-                            program,
-                            &ctx,
-                            &edges,
-                            Some(&frontier),
-                            &values_prev,
-                            &accum,
-                            &touched,
-                            &mut scatter_t,
-                        );
-                        compute += t.elapsed();
-                    }
-                    let t = Stopwatch::start();
-                    apply_range_timed(
-                        program,
-                        &ctx,
-                        col.intervals().range(j),
-                        program.apply_all(),
-                        &touched,
-                        &accum,
-                        &values_cur,
-                        &out,
-                        &mut apply_t,
-                    );
-                    compute += t.elapsed();
-                }
-            }
-
-            let t = Stopwatch::start();
-            vfile.write_all(storage.as_ref())?;
-            io_wall += t.elapsed();
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::ValueFlush {
-                    bytes: value_file_bytes,
-                    write: true,
-                });
-            }
-
-            values_prev.copy_from(&values_cur);
-            touched.clear();
-            frontier = out;
-
-            let model = if use_rop {
-                IoAccessModel::OnDemand
-            } else {
-                IoAccessModel::Full
-            };
-            let io = storage.stats().snapshot().since(&iter_snap);
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::IterationEnd {
-                    iteration: iter,
-                    model: crate::trace_model(model),
-                    frontier: frontier_size,
-                    bytes_read: io.read_bytes(),
-                    scatter_us: scatter_t.as_micros() as u64,
-                    apply_us: apply_t.as_micros() as u64,
-                    io_wait_us: io_wall.as_micros() as u64,
-                });
-            }
-            stats.push_iteration(IterationStats {
-                iteration: iter,
-                model,
-                frontier: frontier_size,
-                io,
-                io_time: if io.sim_nanos > 0 {
-                    Duration::from_nanos(io.sim_nanos)
-                } else {
-                    io_wall
-                },
-                compute_time: compute,
-                scatter_time: scatter_t,
-                apply_time: apply_t,
-                io_wait_time: io_wall,
-                prefetch_stall_time: Duration::ZERO,
-                cross_iteration: false,
-            });
-            if let Some(driver) = ckpt.as_mut() {
-                if driver.due(iter) {
-                    let mut ckpt_stats = stats.clone();
-                    ckpt_stats.io = base_io.plus(
-                        &storage
-                            .stats()
-                            .snapshot()
-                            .since(&run_snap)
-                            .since(&driver.store.io()),
-                    );
-                    for vd in [
-                        row.verify_counters().since(&verify_snap_row),
-                        col.verify_counters().since(&verify_snap_col),
-                    ] {
-                        ckpt_stats.fold_verify(&vd);
-                    }
-                    driver.commit(&CheckpointData {
-                        iteration: iter,
-                        values: values_prev
-                            .snapshot()
-                            .into_iter()
-                            .map(Value::to_bits)
-                            .collect(),
-                        accum: accum.snapshot().into_iter().map(Value::to_bits).collect(),
-                        frontier: frontier.to_vec(),
-                        touched: touched.to_vec(),
-                        stats: ckpt_stats,
-                        extra: Vec::new(),
-                    })?;
-                }
-            }
-        }
-
-        if self.trace.enabled() {
-            self.trace.emit(&TraceEvent::RunEnd {
-                engine: "hus-graph",
-                iterations: stats.iterations,
-            });
-        }
-        let mut delta = storage.stats().snapshot().since(&run_snap);
-        if let Some(driver) = &ckpt {
-            delta = delta.since(&driver.store.io());
-        }
-        stats.io = base_io.plus(&delta);
-        for vd in [
-            row.verify_counters().since(&verify_snap_row),
-            col.verify_counters().since(&verify_snap_col),
-        ] {
-            stats.fold_verify(&vd);
-        }
-        Ok(RunResult {
-            values: values_prev.snapshot(),
-            stats,
-        })
+            d.iteration(IoAccessModel::OnDemand, false, |d| {
+                let runs = self.plan_rop_runs(d)?;
+                d.selective_pass(row, runs, false)?;
+                Ok(())
+            })
+        };
+        driver::run(frame, program, options, &mut policy)
     }
 }
 

@@ -23,6 +23,15 @@
 //! All three run the exact BSP semantics of the
 //! [`gsd_runtime::ReferenceEngine`]; they differ from GraphSD only in
 //! *which bytes they read* — which is precisely what the paper measures.
+//!
+//! That "only" is structural, not a convention: each engine here is a
+//! [`gsd_core::driver::Policy`] over the same [`gsd_core::driver`] the
+//! GraphSD engine runs — one copy of value-file streaming, prefetch,
+//! checkpoint/resume, accounting and trace events — and contributes
+//! nothing but its choice of passes per round (GridGraph: stream all;
+//! Lumos: stream all with cross-iteration scatter, then the secondary
+//! sub-blocks; HUS-Graph: volume threshold → its own ROP run planner plus
+//! a selective pass, or a stream pass over its column copy).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,16 +39,6 @@
 pub mod gridstream;
 pub mod hus;
 pub mod lumos;
-mod recover;
-
-/// Maps the runtime's access-model enum onto the trace schema's (the
-/// trace crate sits below `gsd-runtime` and cannot name it).
-pub(crate) fn trace_model(model: gsd_runtime::IoAccessModel) -> gsd_trace::AccessModel {
-    match model {
-        gsd_runtime::IoAccessModel::OnDemand => gsd_trace::AccessModel::OnDemand,
-        gsd_runtime::IoAccessModel::Full => gsd_trace::AccessModel::Full,
-    }
-}
 
 pub use gridstream::GridStreamEngine;
 pub use hus::{build_hus_format, HusFormat, HusGraphEngine};

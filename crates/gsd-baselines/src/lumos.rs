@@ -9,21 +9,19 @@
 //! (the inactive-edge traffic the paper's Figure 7 attributes to Lumos) —
 //! and its on-disk format is a single **unsorted** copy without per-vertex
 //! indexes, giving it the cheapest preprocessing in Figure 8.
+//!
+//! As a policy over the shared driver, Lumos is the stream round with
+//! cross-iteration propagation — the same two passes GraphSD's FCIU
+//! runs, with no scheduler in front and no sub-block buffer between them.
 
-use crate::recover::BaselineCkpt;
+use gsd_core::driver::{self, Driver, Frame};
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
-use gsd_io::{IoStatsSnapshot, Storage};
-use gsd_pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest};
-use gsd_recover::{CheckpointData, RecoveryConfig};
-use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed};
-use gsd_runtime::{
-    Capabilities, Engine, Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions,
-    RunResult, RunStats, Value, ValueArray, VertexProgram, VertexValueFile,
-};
-use gsd_trace::Stopwatch;
-use gsd_trace::{TraceEvent, TraceSink};
+use gsd_io::Storage;
+use gsd_pipeline::PipelineConfig;
+use gsd_recover::RecoveryConfig;
+use gsd_runtime::{Capabilities, Engine, RunOptions, RunResult, VertexProgram};
+use gsd_trace::TraceSink;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Builds the Lumos on-disk layout (unsorted, unindexed grid) under
 /// `prefix` and returns its handle plus the preprocessing breakdown.
@@ -91,90 +89,6 @@ impl LumosEngine {
     }
 }
 
-/// Consumes one scheduled block from the pipeline, folding the wait into
-/// the pass's wall/stall timers and the outcome into the hit counters.
-fn take_scheduled(
-    exec: &mut PrefetchExecutor,
-    io_wall: &mut Duration,
-    stall: &mut Duration,
-    hits: &mut u64,
-    misses: &mut u64,
-) -> std::io::Result<Vec<gsd_graph::Edge>> {
-    let t = Stopwatch::start();
-    let taken = exec.take();
-    *io_wall += t.elapsed();
-    let taken = taken?;
-    if taken.outcome.is_hit() {
-        *hits += 1;
-    } else {
-        *misses += 1;
-    }
-    *stall += taken.outcome.stall();
-    Ok(taken.edges)
-}
-
-struct LumosState<V: gsd_runtime::Value, A: gsd_runtime::Value> {
-    values_prev: ValueArray<V>,
-    values_cur: ValueArray<V>,
-    accum_cur: ValueArray<A>,
-    accum_next: ValueArray<A>,
-    touched_cur: Frontier,
-    touched_next: Frontier,
-    frontier: Frontier,
-}
-
-impl<V: gsd_runtime::Value, A: gsd_runtime::Value> LumosState<V, A> {
-    fn rotate(&mut self, out: Frontier, zero: A) {
-        std::mem::swap(&mut self.values_prev, &mut self.values_cur);
-        std::mem::swap(&mut self.accum_cur, &mut self.accum_next);
-        self.accum_next.fill(zero);
-        std::mem::swap(&mut self.touched_cur, &mut self.touched_next);
-        self.touched_next.clear();
-        self.frontier = out;
-    }
-}
-
-/// Boundary snapshot of a Lumos round. Rounds always end with the
-/// cross-iteration accumulator drained (a two-pass round consumes it in
-/// the secondary pass; a single-pass final round never fills it), but the
-/// accumulator and touched set are captured anyway so restore is a pure
-/// copy of the boundary state. `io` is what an uninterrupted run would
-/// report at this boundary (checkpoint traffic already excluded).
-fn lumos_ckpt_data<V: Value, A: Value>(
-    committed: u32,
-    st: &LumosState<V, A>,
-    stats: &RunStats,
-    cross_iter_edges: u64,
-    prefetch_hits: u64,
-    prefetch_misses: u64,
-    io: IoStatsSnapshot,
-) -> CheckpointData {
-    let mut stats = stats.clone();
-    stats.cross_iter_edges = cross_iter_edges;
-    stats.prefetch_hits = prefetch_hits;
-    stats.prefetch_misses = prefetch_misses;
-    stats.io = io;
-    CheckpointData {
-        iteration: committed,
-        values: st
-            .values_prev
-            .snapshot()
-            .into_iter()
-            .map(Value::to_bits)
-            .collect(),
-        accum: st
-            .accum_cur
-            .snapshot()
-            .into_iter()
-            .map(Value::to_bits)
-            .collect(),
-        frontier: st.frontier.to_vec(),
-        touched: st.touched_cur.to_vec(),
-        stats,
-        extra: Vec::new(),
-    }
-}
-
 impl Engine for LumosEngine {
     fn name(&self) -> &'static str {
         "lumos"
@@ -193,486 +107,20 @@ impl Engine for LumosEngine {
         program: &P,
         options: &RunOptions,
     ) -> std::io::Result<RunResult<P::Value>> {
-        let grid = &self.grid;
-        let storage = grid.storage().clone();
-        let n = grid.num_vertices();
-        let p = grid.p();
-        let ctx = ProgramContext::new(n, self.degrees.clone());
-        let limit = options.limit_for(program);
-        let zero = program.zero_accum();
-        let mut stats = RunStats::new(self.name(), program.name());
-
-        if n == 0 {
-            return Ok(RunResult {
-                values: Vec::new(),
-                stats,
-            });
-        }
-
-        let mut st = LumosState {
-            values_prev: ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx)),
-            values_cur: ValueArray::from_fn(n as usize, |v| program.init_value(v, &ctx)),
-            accum_cur: ValueArray::new(n as usize, zero),
-            accum_next: ValueArray::new(n as usize, zero),
-            touched_cur: Frontier::empty(n),
-            touched_next: Frontier::empty(n),
-            frontier: program.initial_frontier(&ctx).build(n)?,
+        let frame = Frame {
+            engine: self.name(),
+            grid: &self.grid,
+            also_verified: &[],
+            degrees: &self.degrees,
+            trace: &self.trace,
+            prefetch: self.prefetch,
+            checkpoint: self.checkpoint.as_ref(),
+            // Baselines have no result-relevant configuration.
+            config_hash: 0,
         };
-        let mut vfile = VertexValueFile::ensure(
-            storage.as_ref(),
-            format!(
-                "{}runtime/values_{}.bin",
-                grid.prefix(),
-                program.value_bytes()
-            ),
-            n as u64 * program.value_bytes(),
-        )?;
-
-        let mut scratch = Vec::new();
-        let mut edges = Vec::new();
-        let mut cross_iter_edges = 0u64;
-        let mut prefetch_hits = 0u64;
-        let mut prefetch_misses = 0u64;
-        let value_file_bytes = n as u64 * program.value_bytes();
-        let mut pipeline = match self.prefetch {
-            Some(sizing) => {
-                let mut exec = PrefetchExecutor::new(grid.clone(), sizing)?;
-                exec.set_trace(self.trace.clone());
-                Some(exec)
-            }
-            None => None,
-        };
-        grid.set_verify_sink(self.trace.clone());
-        if self.trace.enabled() {
-            self.trace.emit(&TraceEvent::RunStart {
-                engine: "lumos",
-                algorithm: program.name().to_string(),
-            });
-        }
-
-        // Recovery runs before `run_snap` is taken so checkpoint reads do
-        // not count toward the run's reported I/O.
-        let mut iter = 1u32;
-        let mut base_io = IoStatsSnapshot::default();
-        let mut ckpt: Option<BaselineCkpt> = None;
-        if let Some(cfg) = &self.checkpoint {
-            let (driver, resumed) = BaselineCkpt::open(
-                cfg,
-                &storage,
-                grid.prefix(),
-                "lumos",
-                program.name(),
-                program.value_bytes(),
-                n,
-                self.trace.clone(),
-            )?;
-            if let Some(data) = resumed {
-                for (v, &bits) in (0u32..).zip(&data.values) {
-                    st.values_prev.set(v, P::Value::from_bits(bits));
-                }
-                st.values_cur.copy_from(&st.values_prev);
-                for (v, &bits) in (0u32..).zip(&data.accum) {
-                    st.accum_cur.set(v, P::Accum::from_bits(bits));
-                }
-                st.frontier = Frontier::from_seeds(n, &data.frontier);
-                st.touched_cur = Frontier::from_seeds(n, &data.touched);
-                stats = data.stats.clone();
-                cross_iter_edges = stats.cross_iter_edges;
-                prefetch_hits = stats.prefetch_hits;
-                prefetch_misses = stats.prefetch_misses;
-                base_io = data.stats.io;
-                iter = data.iteration + 1;
-            }
-            ckpt = Some(driver);
-        }
-        let run_snap = storage.stats().snapshot();
-        let verify_snap = grid.verify_counters();
-
-        while iter <= limit && !st.frontier.is_empty() {
-            let two_pass = iter < limit;
-
-            // ---------------- pass 1: iteration `iter` ----------------
-            if self.trace.enabled() {
-                self.trace
-                    .emit(&TraceEvent::IterationStart { iteration: iter });
-            }
-            let frontier_size = st.frontier.count();
-            let iter_snap = storage.stats().snapshot();
-            let mut io_wall = Duration::ZERO;
-            let mut compute = Duration::ZERO;
-            let mut scatter_t = Duration::ZERO;
-            let mut apply_t = Duration::ZERO;
-            let mut stall_t = Duration::ZERO;
-            let mut pass_edges_served = 0u64;
-
-            // Lumos is state-oblivious: every non-empty block streams,
-            // so the whole pass is one prefetch schedule in visit order.
-            if let Some(exec) = pipeline.as_mut() {
-                let mut schedule = Vec::new();
-                for j in 0..p {
-                    for i in 0..p {
-                        if grid.meta().block_edge_count(i, j) > 0 {
-                            schedule.push(PrefetchRequest::Block { i, j });
-                        }
-                    }
-                }
-                exec.begin_schedule(schedule);
-            }
-
-            let t = Stopwatch::start();
-            vfile.read_all(storage.as_ref())?;
-            io_wall += t.elapsed();
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::ValueFlush {
-                    bytes: value_file_bytes,
-                    write: false,
-                });
-            }
-
-            let t = Stopwatch::start();
-            st.values_cur.copy_from(&st.values_prev);
-            compute += t.elapsed();
-
-            let out = Frontier::empty(n);
-            for j in 0..p {
-                let mut diag: Option<Vec<gsd_graph::Edge>> = None;
-                for i in 0..p {
-                    if grid.meta().block_edge_count(i, j) == 0 {
-                        continue;
-                    }
-                    if let Some(exec) = pipeline.as_mut() {
-                        edges = take_scheduled(
-                            exec,
-                            &mut io_wall,
-                            &mut stall_t,
-                            &mut prefetch_hits,
-                            &mut prefetch_misses,
-                        )?;
-                    } else {
-                        let t = Stopwatch::start();
-                        grid.read_block_into(i, j, &mut scratch, &mut edges)?;
-                        io_wall += t.elapsed();
-                    }
-                    if self.trace.enabled() {
-                        self.trace.emit(&TraceEvent::BlockLoad {
-                            i,
-                            j,
-                            bytes: grid.meta().block_bytes(i, j),
-                            seq: true,
-                        });
-                    }
-
-                    let t = Stopwatch::start();
-                    scatter_edges_timed(
-                        program,
-                        &ctx,
-                        &edges,
-                        Some(&st.frontier),
-                        &st.values_prev,
-                        &st.accum_cur,
-                        &st.touched_cur,
-                        &mut scatter_t,
-                    );
-                    if two_pass {
-                        if i < j {
-                            let served = scatter_edges_timed(
-                                program,
-                                &ctx,
-                                &edges,
-                                Some(&out),
-                                &st.values_cur,
-                                &st.accum_next,
-                                &st.touched_next,
-                                &mut scatter_t,
-                            );
-                            cross_iter_edges += served;
-                            pass_edges_served += served;
-                        } else if i == j {
-                            diag = Some(edges.clone());
-                        }
-                    }
-                    compute += t.elapsed();
-                }
-                let t = Stopwatch::start();
-                apply_range_timed(
-                    program,
-                    &ctx,
-                    grid.intervals().range(j),
-                    program.apply_all(),
-                    &st.touched_cur,
-                    &st.accum_cur,
-                    &st.values_cur,
-                    &out,
-                    &mut apply_t,
-                );
-                if let Some(diag) = diag {
-                    let served = scatter_edges_timed(
-                        program,
-                        &ctx,
-                        &diag,
-                        Some(&out),
-                        &st.values_cur,
-                        &st.accum_next,
-                        &st.touched_next,
-                        &mut scatter_t,
-                    );
-                    cross_iter_edges += served;
-                    pass_edges_served += served;
-                }
-                compute += t.elapsed();
-            }
-            if two_pass && self.trace.enabled() {
-                self.trace.emit(&TraceEvent::FciuPass {
-                    iteration: iter,
-                    edges_served: pass_edges_served,
-                });
-            }
-
-            let t = Stopwatch::start();
-            vfile.write_all(storage.as_ref())?;
-            io_wall += t.elapsed();
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::ValueFlush {
-                    bytes: value_file_bytes,
-                    write: true,
-                });
-            }
-
-            st.rotate(out, zero);
-            let io = storage.stats().snapshot().since(&iter_snap);
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::IterationEnd {
-                    iteration: iter,
-                    model: crate::trace_model(IoAccessModel::Full),
-                    frontier: frontier_size,
-                    bytes_read: io.read_bytes(),
-                    scatter_us: scatter_t.as_micros() as u64,
-                    apply_us: apply_t.as_micros() as u64,
-                    io_wait_us: io_wall.as_micros() as u64,
-                });
-            }
-            stats.push_iteration(IterationStats {
-                iteration: iter,
-                model: IoAccessModel::Full,
-                frontier: frontier_size,
-                io,
-                io_time: if io.sim_nanos > 0 {
-                    Duration::from_nanos(io.sim_nanos)
-                } else {
-                    io_wall
-                },
-                compute_time: compute,
-                scatter_time: scatter_t,
-                apply_time: apply_t,
-                io_wait_time: io_wall,
-                prefetch_stall_time: stall_t,
-                cross_iteration: false,
-            });
-
-            if !two_pass || st.frontier.is_empty() {
-                if let Some(driver) = ckpt.as_mut() {
-                    if driver.due(iter) {
-                        let io = base_io.plus(
-                            &storage
-                                .stats()
-                                .snapshot()
-                                .since(&run_snap)
-                                .since(&driver.store.io()),
-                        );
-                        driver.commit(&lumos_ckpt_data(
-                            iter,
-                            &st,
-                            &stats,
-                            cross_iter_edges,
-                            prefetch_hits,
-                            prefetch_misses,
-                            io,
-                        ))?;
-                    }
-                }
-                iter += 1;
-                continue;
-            }
-
-            // ------------- pass 2: iteration `iter + 1` -------------
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::IterationStart {
-                    iteration: iter + 1,
-                });
-            }
-            let frontier_size = st.frontier.count();
-            let iter_snap = storage.stats().snapshot();
-            let mut io_wall = Duration::ZERO;
-            let mut compute = Duration::ZERO;
-            let mut scatter_t = Duration::ZERO;
-            let mut apply_t = Duration::ZERO;
-            let mut stall_t = Duration::ZERO;
-
-            // The secondary pass streams only the lower triangle.
-            if let Some(exec) = pipeline.as_mut() {
-                let mut schedule = Vec::new();
-                for j in 0..p {
-                    for i in (j + 1)..p {
-                        if grid.meta().block_edge_count(i, j) > 0 {
-                            schedule.push(PrefetchRequest::Block { i, j });
-                        }
-                    }
-                }
-                exec.begin_schedule(schedule);
-            }
-
-            let t = Stopwatch::start();
-            vfile.read_all(storage.as_ref())?;
-            io_wall += t.elapsed();
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::ValueFlush {
-                    bytes: value_file_bytes,
-                    write: false,
-                });
-            }
-
-            let t = Stopwatch::start();
-            st.values_cur.copy_from(&st.values_prev);
-            compute += t.elapsed();
-
-            let out = Frontier::empty(n);
-            for j in 0..p {
-                for i in (j + 1)..p {
-                    if grid.meta().block_edge_count(i, j) == 0 {
-                        continue;
-                    }
-                    if let Some(exec) = pipeline.as_mut() {
-                        edges = take_scheduled(
-                            exec,
-                            &mut io_wall,
-                            &mut stall_t,
-                            &mut prefetch_hits,
-                            &mut prefetch_misses,
-                        )?;
-                    } else {
-                        let t = Stopwatch::start();
-                        grid.read_block_into(i, j, &mut scratch, &mut edges)?;
-                        io_wall += t.elapsed();
-                    }
-                    if self.trace.enabled() {
-                        self.trace.emit(&TraceEvent::BlockLoad {
-                            i,
-                            j,
-                            bytes: grid.meta().block_bytes(i, j),
-                            seq: true,
-                        });
-                    }
-                    let t = Stopwatch::start();
-                    scatter_edges_timed(
-                        program,
-                        &ctx,
-                        &edges,
-                        Some(&st.frontier),
-                        &st.values_prev,
-                        &st.accum_cur,
-                        &st.touched_cur,
-                        &mut scatter_t,
-                    );
-                    compute += t.elapsed();
-                }
-                let t = Stopwatch::start();
-                apply_range_timed(
-                    program,
-                    &ctx,
-                    grid.intervals().range(j),
-                    program.apply_all(),
-                    &st.touched_cur,
-                    &st.accum_cur,
-                    &st.values_cur,
-                    &out,
-                    &mut apply_t,
-                );
-                compute += t.elapsed();
-            }
-
-            let t = Stopwatch::start();
-            vfile.write_all(storage.as_ref())?;
-            io_wall += t.elapsed();
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::ValueFlush {
-                    bytes: value_file_bytes,
-                    write: true,
-                });
-            }
-
-            st.rotate(out, zero);
-            let io = storage.stats().snapshot().since(&iter_snap);
-            if self.trace.enabled() {
-                self.trace.emit(&TraceEvent::IterationEnd {
-                    iteration: iter + 1,
-                    model: crate::trace_model(IoAccessModel::Full),
-                    frontier: frontier_size,
-                    bytes_read: io.read_bytes(),
-                    scatter_us: scatter_t.as_micros() as u64,
-                    apply_us: apply_t.as_micros() as u64,
-                    io_wait_us: io_wall.as_micros() as u64,
-                });
-            }
-            stats.push_iteration(IterationStats {
-                iteration: iter + 1,
-                model: IoAccessModel::Full,
-                frontier: frontier_size,
-                io,
-                io_time: if io.sim_nanos > 0 {
-                    Duration::from_nanos(io.sim_nanos)
-                } else {
-                    io_wall
-                },
-                compute_time: compute,
-                scatter_time: scatter_t,
-                apply_time: apply_t,
-                io_wait_time: io_wall,
-                prefetch_stall_time: stall_t,
-                cross_iteration: true,
-            });
-            if let Some(driver) = ckpt.as_mut() {
-                if driver.due(iter + 1) {
-                    let io = base_io.plus(
-                        &storage
-                            .stats()
-                            .snapshot()
-                            .since(&run_snap)
-                            .since(&driver.store.io()),
-                    );
-                    driver.commit(&lumos_ckpt_data(
-                        iter + 1,
-                        &st,
-                        &stats,
-                        cross_iter_edges,
-                        prefetch_hits,
-                        prefetch_misses,
-                        io,
-                    ))?;
-                }
-            }
-            iter += 2;
-        }
-
-        if self.trace.enabled() {
-            self.trace.emit(&TraceEvent::RunEnd {
-                engine: "lumos",
-                iterations: stats.iterations,
-            });
-        }
-        let mut delta = storage.stats().snapshot().since(&run_snap);
-        if let Some(driver) = &ckpt {
-            delta = delta.since(&driver.store.io());
-        }
-        stats.io = base_io.plus(&delta);
-        let vd = grid.verify_counters().since(&verify_snap);
-        stats.fold_verify(&vd);
-        stats.cross_iter_edges = cross_iter_edges;
-        stats.prefetch_hits = prefetch_hits;
-        stats.prefetch_misses = prefetch_misses;
-        Ok(RunResult {
-            values: st.values_prev.snapshot(),
-            stats,
-        })
+        // State-oblivious: every non-empty block streams, every round.
+        let mut policy = |d: &mut Driver<'_, P>| d.stream_round(&self.grid, true, &mut ());
+        driver::run(frame, program, options, &mut policy)
     }
 }
 
@@ -683,6 +131,7 @@ mod tests {
     use gsd_graph::{GeneratorConfig, GraphKind};
     use gsd_io::{DiskModel, SharedStorage, SimDisk};
     use gsd_runtime::ReferenceEngine;
+    use std::time::Duration;
 
     fn setup(g: &Graph, p: u32) -> LumosEngine {
         let storage: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));

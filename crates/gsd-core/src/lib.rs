@@ -9,13 +9,18 @@
 //!   per iteration it computes the sequential/random split of the active
 //!   edge lists in `O(|A|)` and compares the paper's cost estimates `C_r`
 //!   vs `C_s` to choose the on-demand or the full I/O model.
-//! * [`engine`] — the two adaptive update models of §4.2 driven by that
-//!   choice: **SCIU** (selective cross-iteration update, Algorithm 2) reads
-//!   only active edge lists and pre-scatters the next iteration's messages
-//!   for re-activated vertices; **FCIU** (full cross-iteration update,
-//!   Algorithm 3) streams the grid destination-major and covers two BSP
-//!   iterations per full pass, re-reading only the lower-triangle
-//!   "secondary" sub-blocks.
+//! * [`driver`] — the one out-of-core iteration driver every engine of
+//!   the evaluation runs (GraphSD here, the three baselines in
+//!   `gsd-baselines`): state arrays, value-file streaming, prefetch,
+//!   checkpoint/resume, accounting and the trace frame, plus the two pass
+//!   primitives of §4.2 — the destination-major **stream pass** whose
+//!   cross-iteration pair covers two BSP iterations per full sweep,
+//!   re-reading only the lower-triangle "secondary" sub-blocks (FCIU,
+//!   Algorithm 3), and the **selective pass** that reads only active edge
+//!   lists and pre-scatters the next iteration's messages for re-activated
+//!   vertices (SCIU, Algorithm 2).
+//! * [`engine`] — GraphSD as a policy over that driver: per round, the
+//!   scheduler's choice picks SCIU or FCIU.
 //! * [`buffer`] — the priority buffer of §4.3 that caches secondary
 //!   sub-blocks between the two FCIU passes (priority = active edges).
 //! * [`config`] — engine options, including the ablation switches used by
@@ -31,6 +36,7 @@
 
 pub mod buffer;
 pub mod config;
+pub mod driver;
 pub mod engine;
 pub mod scheduler;
 pub mod session;

@@ -320,12 +320,26 @@ impl Shared {
     }
 }
 
+/// Smallest decoded buffer a worker hands to the consumer, in edges.
+///
+/// The consumer frees the buffer on its own thread, and glibc parks a
+/// freed chunk of up to 1 032 bytes in the *freeing* thread's cache
+/// whatever arena it came from. The consumer's next small `Vec` then
+/// starts life in that chunk, and every growth `realloc` keeps it in the
+/// worker's arena: after an on-demand run with a few tiny prefetched
+/// runs, whatever the process builds next grows there, on top of a main
+/// heap that stays as large as it was (measured on `mutate_cycle`:
+/// compaction's per-block buffers, +8 to +18 MB peak RSS — EXPERIMENTS.md,
+/// "One driver"). 128 edges are 1 536 bytes: such a buffer goes back to
+/// the arena it came from.
+const MIN_HANDOFF_EDGES: usize = 128;
+
 fn read_request(
     grid: &GridGraph,
     request: &PrefetchRequest,
     scratch: &mut Vec<u8>,
 ) -> std::io::Result<Vec<Edge>> {
-    let mut edges = Vec::new();
+    let mut edges = Vec::with_capacity(MIN_HANDOFF_EDGES);
     match *request {
         PrefetchRequest::Block { i, j } => grid.read_block_into(i, j, scratch, &mut edges)?,
         PrefetchRequest::Run {

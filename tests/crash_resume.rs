@@ -21,7 +21,10 @@ use graphsd::baselines::{
     build_hus_format, build_lumos_format, HusFormat, HusGraphEngine, LumosEngine,
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig, RecoveryConfig};
-use graphsd::graph::{preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig};
+use graphsd::graph::{
+    preprocess, CorruptionResponse, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig,
+    VerifyPolicy,
+};
 use graphsd::io::{DiskModel, FileStorage, SharedStorage, SimDisk, TempDir};
 use graphsd::recover::{FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage};
 use graphsd::runtime::{Engine, RunOptions, RunResult, VertexProgram};
@@ -31,7 +34,7 @@ use std::sync::Arc;
 /// Everything a run produces except wall-clock durations: committed
 /// values, iteration count, run-level and per-iteration I/O accounting,
 /// buffer and cross-iteration counters (mirrors the prefetch
-/// equivalence suite).
+/// equivalence suite), plus the verify-on-read counters.
 fn fingerprint<V: Clone + PartialEq + std::fmt::Debug>(
     r: &RunResult<V>,
 ) -> impl PartialEq + std::fmt::Debug {
@@ -42,6 +45,11 @@ fn fingerprint<V: Clone + PartialEq + std::fmt::Debug>(
         r.stats.buffer_hits,
         r.stats.buffer_hit_bytes,
         r.stats.cross_iter_edges,
+        (
+            r.stats.verify_bytes,
+            r.stats.corrupt_blocks,
+            r.stats.repaired_blocks,
+        ),
         r.stats
             .per_iteration
             .iter()
@@ -63,8 +71,24 @@ fn sim_grid(graph: &Graph, p: u32) -> SharedStorage {
     storage
 }
 
+/// Opens the grid under `prefix` with verify-on-read set to `verify`.
+fn open_grid(storage: &SharedStorage, prefix: &str, verify: VerifyPolicy) -> GridGraph {
+    let mut grid = GridGraph::open_with_prefix(storage.clone(), prefix).unwrap();
+    grid.set_verification(verify, CorruptionResponse::FailFast)
+        .unwrap();
+    grid
+}
+
 fn graphsd_on(storage: &SharedStorage, config: GraphSdConfig) -> GraphSdEngine {
-    GraphSdEngine::new(GridGraph::open(storage.clone()).unwrap(), config).unwrap()
+    graphsd_verified(storage, config, VerifyPolicy::Off)
+}
+
+fn graphsd_verified(
+    storage: &SharedStorage,
+    config: GraphSdConfig,
+    verify: VerifyPolicy,
+) -> GraphSdEngine {
+    GraphSdEngine::new(open_grid(storage, "", verify), config).unwrap()
 }
 
 /// Kills a run at every reachable checkpoint boundary `>= k` for
@@ -74,6 +98,7 @@ fn assert_crash_resume_matches<P: VertexProgram>(
     graph: &Graph,
     p: u32,
     config: &GraphSdConfig,
+    verify: VerifyPolicy,
     program: &P,
     want: &RunResult<P::Value>,
 ) where
@@ -86,7 +111,7 @@ fn assert_crash_resume_matches<P: VertexProgram>(
         let crash_cfg = config
             .clone()
             .with_checkpoint(RecoveryConfig::every(1).with_halt_after(k));
-        let err = graphsd_on(&storage, crash_cfg)
+        let err = graphsd_verified(&storage, crash_cfg, verify)
             .run(program, &opts)
             .expect_err("halt_after must abort the run");
         assert_eq!(
@@ -96,7 +121,7 @@ fn assert_crash_resume_matches<P: VertexProgram>(
         );
 
         let resume_cfg = config.clone().with_checkpoint(RecoveryConfig::every(1));
-        let resumed = graphsd_on(&storage, resume_cfg)
+        let resumed = graphsd_verified(&storage, resume_cfg, verify)
             .run(program, &opts)
             .unwrap();
         assert_eq!(
@@ -134,13 +159,20 @@ fn crash_resume_pagerank_rmat() {
     // FCIU-heavy: full frontiers, two committed iterations per round.
     let g = GeneratorConfig::new(GraphKind::RMat, 800, 6400, 23).generate();
     let cfg = GraphSdConfig::full();
-    let want = graphsd_on(
-        &sim_grid(&g, 4),
-        cfg.clone().with_checkpoint(RecoveryConfig::every(1)),
-    )
-    .run(&PageRank::paper(), &RunOptions::default())
-    .unwrap();
-    assert_crash_resume_matches(&g, 4, &cfg, &PageRank::paper(), &want);
+    // Verified too: PageRank reads whole sub-blocks, which `Full` checks on
+    // every read. (Ranged SCIU reads verify an object once per process,
+    // so a resumed run legitimately re-verifies what the killed one had.)
+    for verify in [VerifyPolicy::Off, VerifyPolicy::Full] {
+        let want = graphsd_verified(
+            &sim_grid(&g, 4),
+            cfg.clone().with_checkpoint(RecoveryConfig::every(1)),
+            verify,
+        )
+        .run(&PageRank::paper(), &RunOptions::default())
+        .unwrap();
+        assert_eq!(want.stats.verify_bytes > 0, verify == VerifyPolicy::Full);
+        assert_crash_resume_matches(&g, 4, &cfg, verify, &PageRank::paper(), &want);
+    }
 }
 
 #[test]
@@ -155,7 +187,7 @@ fn crash_resume_bfs_web_locality() {
     .run(&Bfs::new(0), &RunOptions::default())
     .unwrap();
     assert!(want.stats.iterations > 2, "graph must need several levels");
-    assert_crash_resume_matches(&g, 4, &cfg, &Bfs::new(0), &want);
+    assert_crash_resume_matches(&g, 4, &cfg, VerifyPolicy::Off, &Bfs::new(0), &want);
 }
 
 #[test]
@@ -170,7 +202,7 @@ fn crash_resume_cc_symmetrized() {
     )
     .run(&ConnectedComponents, &RunOptions::default())
     .unwrap();
-    assert_crash_resume_matches(&g, 3, &cfg, &ConnectedComponents, &want);
+    assert_crash_resume_matches(&g, 3, &cfg, VerifyPolicy::Off, &ConnectedComponents, &want);
 }
 
 #[test]
@@ -185,7 +217,7 @@ fn crash_resume_sssp_weighted() {
     )
     .run(&Sssp::new(0), &RunOptions::default())
     .unwrap();
-    assert_crash_resume_matches(&g, 3, &cfg, &Sssp::new(0), &want);
+    assert_crash_resume_matches(&g, 3, &cfg, VerifyPolicy::Off, &Sssp::new(0), &want);
 }
 
 #[test]
@@ -201,7 +233,7 @@ fn crash_resume_with_prefetch_enabled() {
     )
     .run(&PageRank::paper(), &RunOptions::default())
     .unwrap();
-    assert_crash_resume_matches(&g, 4, &cfg, &PageRank::paper(), &want);
+    assert_crash_resume_matches(&g, 4, &cfg, VerifyPolicy::Off, &PageRank::paper(), &want);
 
     let sync = graphsd_on(
         &sim_grid(&g, 4),
@@ -436,43 +468,46 @@ fn crash_resume_lumos() {
     let g = GeneratorConfig::new(GraphKind::RMat, 800, 6400, 41).generate();
     let opts = RunOptions::default();
     let program = PageRank::paper();
-    let build = |storage: &SharedStorage, recovery: Option<RecoveryConfig>| {
-        let grid = GridGraph::open_with_prefix(storage.clone(), "").unwrap();
-        let mut e = LumosEngine::new(grid).unwrap();
-        e.set_prefetch(None);
-        e.set_checkpoint(recovery);
-        e
-    };
     let lumos_storage = || -> SharedStorage {
         let storage: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
         build_lumos_format(&g, &storage, "", Some(4)).unwrap();
         storage
     };
 
-    let clean = lumos_storage();
-    let want = build(&clean, Some(RecoveryConfig::every(1)))
-        .run(&program, &opts)
-        .unwrap();
-    let unprotected = build(&lumos_storage(), None).run(&program, &opts).unwrap();
-    assert_eq!(
-        fingerprint(&unprotected),
-        fingerprint(&want),
-        "checkpointing must be result-neutral for Lumos"
-    );
+    for verify in [VerifyPolicy::Off, VerifyPolicy::Full] {
+        let build = |storage: &SharedStorage, recovery: Option<RecoveryConfig>| {
+            let mut e = LumosEngine::new(open_grid(storage, "", verify)).unwrap();
+            e.set_prefetch(None);
+            e.set_checkpoint(recovery);
+            e
+        };
 
-    for k in [1, want.stats.iterations] {
-        let storage = lumos_storage();
-        build(&storage, Some(RecoveryConfig::every(1).with_halt_after(k)))
-            .run(&program, &opts)
-            .expect_err("halt_after must abort");
-        let resumed = build(&storage, Some(RecoveryConfig::every(1)))
+        let clean = lumos_storage();
+        let want = build(&clean, Some(RecoveryConfig::every(1)))
             .run(&program, &opts)
             .unwrap();
+        assert_eq!(want.stats.verify_bytes > 0, verify == VerifyPolicy::Full);
+        let unprotected = build(&lumos_storage(), None).run(&program, &opts).unwrap();
         assert_eq!(
+            fingerprint(&unprotected),
             fingerprint(&want),
-            fingerprint(&resumed),
-            "Lumos resume after crash at boundary >= {k}"
+            "checkpointing must be result-neutral for Lumos"
         );
+
+        for k in [1, want.stats.iterations] {
+            let storage = lumos_storage();
+            build(&storage, Some(RecoveryConfig::every(1).with_halt_after(k)))
+                .run(&program, &opts)
+                .expect_err("halt_after must abort");
+            let resumed = build(&storage, Some(RecoveryConfig::every(1)))
+                .run(&program, &opts)
+                .unwrap();
+            assert_eq!(
+                fingerprint(&want),
+                fingerprint(&resumed),
+                "Lumos resume after crash at boundary >= {k} ({verify:?})"
+            );
+        }
     }
 }
 
@@ -489,41 +524,45 @@ fn crash_resume_hus() {
         build_hus_format(&g, &storage, "", Some(3)).unwrap();
         storage
     };
-    let build = |storage: &SharedStorage, recovery: Option<RecoveryConfig>| {
-        let format = HusFormat {
-            row: GridGraph::open_with_prefix(storage.clone(), "row/").unwrap(),
-            col: GridGraph::open_with_prefix(storage.clone(), "col/").unwrap(),
+
+    for verify in [VerifyPolicy::Off, VerifyPolicy::Full] {
+        let build = |storage: &SharedStorage, recovery: Option<RecoveryConfig>| {
+            let format = HusFormat {
+                row: open_grid(storage, "row/", verify),
+                col: open_grid(storage, "col/", verify),
+            };
+            let mut e = HusGraphEngine::new(format).unwrap();
+            e.set_checkpoint(recovery);
+            e
         };
-        let mut e = HusGraphEngine::new(format).unwrap();
-        e.set_checkpoint(recovery);
-        e
-    };
 
-    let clean = hus_storage();
-    let want = build(&clean, Some(RecoveryConfig::every(1)))
-        .run(&ConnectedComponents, &opts)
-        .unwrap();
-    let unprotected = build(&hus_storage(), None)
-        .run(&ConnectedComponents, &opts)
-        .unwrap();
-    assert_eq!(
-        fingerprint(&unprotected),
-        fingerprint(&want),
-        "checkpointing must be result-neutral for HUS"
-    );
-
-    for k in [1, (want.stats.iterations / 2).max(1), want.stats.iterations] {
-        let storage = hus_storage();
-        build(&storage, Some(RecoveryConfig::every(1).with_halt_after(k)))
+        let clean = hus_storage();
+        let want = build(&clean, Some(RecoveryConfig::every(1)))
             .run(&ConnectedComponents, &opts)
-            .expect_err("halt_after must abort");
-        let resumed = build(&storage, Some(RecoveryConfig::every(1)))
+            .unwrap();
+        assert_eq!(want.stats.verify_bytes > 0, verify == VerifyPolicy::Full);
+        let unprotected = build(&hus_storage(), None)
             .run(&ConnectedComponents, &opts)
             .unwrap();
         assert_eq!(
+            fingerprint(&unprotected),
             fingerprint(&want),
-            fingerprint(&resumed),
-            "HUS resume after crash at boundary >= {k}"
+            "checkpointing must be result-neutral for HUS"
         );
+
+        for k in [1, (want.stats.iterations / 2).max(1), want.stats.iterations] {
+            let storage = hus_storage();
+            build(&storage, Some(RecoveryConfig::every(1).with_halt_after(k)))
+                .run(&ConnectedComponents, &opts)
+                .expect_err("halt_after must abort");
+            let resumed = build(&storage, Some(RecoveryConfig::every(1)))
+                .run(&ConnectedComponents, &opts)
+                .unwrap();
+            assert_eq!(
+                fingerprint(&want),
+                fingerprint(&resumed),
+                "HUS resume after crash at boundary >= {k} ({verify:?})"
+            );
+        }
     }
 }
