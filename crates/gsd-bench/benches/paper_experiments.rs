@@ -1,6 +1,7 @@
 //! `cargo bench` target that regenerates every table and figure of the
-//! paper (scaled stand-ins, simulated HDD). Not a criterion harness — the
-//! experiments are end-to-end runs whose output *is* the result.
+//! paper (scaled stand-ins, simulated HDD). A plain `main`, not a timing
+//! harness — the experiments are end-to-end runs whose output *is* the
+//! result.
 
 use gsd_bench::experiments::{run_by_id, ALL_IDS};
 use gsd_bench::{Datasets, Scale};

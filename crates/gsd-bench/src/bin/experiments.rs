@@ -45,10 +45,7 @@
 //! iff at least one experiment failed.
 
 use gsd_bench::experiments::{run_by_id, ALL_IDS};
-use gsd_bench::trace::{install_trace_sink, VerboseSink};
-use gsd_bench::{Datasets, Scale};
-use gsd_trace::{FanoutSink, JsonlWriter, TraceSink};
-use std::sync::Arc;
+use gsd_bench::{Datasets, Observability, Scale};
 
 /// `e<N>` shorthand for the figure/extension experiments, in paper order.
 const ALIASES: [(&str, &str); 10] = [
@@ -163,32 +160,14 @@ fn main() {
         std::env::set_var("GSD_VERIFY", spec);
     }
 
-    let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
-    if let Some(path) = trace_path {
-        match JsonlWriter::create(path) {
-            Ok(w) => sinks.push(Arc::new(w)),
-            Err(e) => {
-                eprintln!("# cannot create trace file {path}: {e}");
-                std::process::exit(2);
-            }
+    let obs = match Observability::from_flags(trace_path, metrics_out, metrics_every, verbose) {
+        Ok(obs) => obs,
+        Err(e) => {
+            eprintln!("# {e}");
+            std::process::exit(2);
         }
-    }
-    let metrics: Option<Arc<gsd_metrics::MetricsSink>> = metrics_out
-        .map(|path| Arc::new(gsd_metrics::MetricsSink::with_output(path, metrics_every)));
-    if let Some(m) = &metrics {
-        sinks.push(m.clone());
-    }
-    if verbose {
-        sinks.push(Arc::new(VerboseSink::new()));
-    }
-    let sink: Option<Arc<dyn TraceSink>> = match sinks.len() {
-        0 => None,
-        1 => sinks.pop(),
-        _ => Some(Arc::new(FanoutSink::new(sinks))),
     };
-    if let Some(sink) = &sink {
-        install_trace_sink(sink.clone());
-    }
+    obs.install();
 
     let scale = Scale::from_env();
     eprintln!("# GraphSD paper experiments — scale {scale:?} (set GSD_SCALE=tiny|small|medium)");
@@ -207,16 +186,8 @@ fn main() {
             }
         }
     }
-    if let Some(sink) = &sink {
-        sink.flush();
-    }
-    if let Some(m) = &metrics {
-        if m.write_errors() > 0 {
-            eprintln!(
-                "# warning: {} metrics snapshot write(s) failed",
-                m.write_errors()
-            );
-        }
+    if let Err(e) = obs.finish() {
+        eprintln!("# warning: {e}");
     }
     if !failures.is_empty() {
         eprintln!("# {} experiment(s) failed:", failures.len());

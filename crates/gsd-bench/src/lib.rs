@@ -1,7 +1,17 @@
-//! # gsd-bench — the experiment harness
+//! # gsd-bench — paper tables and the counters gate
 //!
-//! Regenerates every table and figure of the paper's evaluation (§5) on
-//! the scaled-down stand-in datasets, across the GraphSD engine, its §5.4
+//! Two measuring jobs live here, each with one entry point. Wall time,
+//! RSS, the serve and delta paths and the per-layer numbers are the
+//! repository-root `benchmark/` package's job, not this crate's.
+//!
+//! **Counters gate** — [`wall::run_wall`], reached through `gsd bench`:
+//! every (system, algorithm, dataset) cell on real files, gated by
+//! [`gsd_metrics::BenchReport::compare_deterministic`] on iterations,
+//! bytes moved and prefetch totals against `ci/bench_baseline.json`.
+//!
+//! **Paper tables** — [`experiments`], on the simulated disk's virtual
+//! clock: every table and figure of the paper's evaluation (§5) on the
+//! scaled-down stand-in datasets, across the GraphSD engine, its §5.4
 //! ablations, and the HUS-Graph-like / Lumos-like baselines:
 //!
 //! | id | paper item | harness |
@@ -27,17 +37,13 @@
 #![warn(missing_docs)]
 
 pub mod datasets;
-pub mod delta;
 pub mod experiments;
 pub mod runner;
-pub mod serve;
 pub mod table;
 pub mod trace;
 pub mod wall;
 
 pub use datasets::{Dataset, Datasets, Scale};
-pub use delta::run_delta;
 pub use runner::{Algo, RunOutcome, SystemKind};
-pub use serve::{queries_per_second, run_serve};
-pub use trace::{current_sink, install_trace_sink, VerboseSink};
+pub use trace::{current_sink, install_trace_sink, Observability, VerboseSink};
 pub use wall::{run_wall, WallOptions};

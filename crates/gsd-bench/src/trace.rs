@@ -1,4 +1,6 @@
-//! Process-wide trace-sink installation for the harness.
+//! The CLIs' trace-sink plumbing: the `--trace`/`--metrics-out`/
+//! `--verbose` fan-out ([`Observability`]) and the process-wide sink the
+//! harness runs under.
 //!
 //! The experiment entry points ([`crate::runner`]) construct engines deep
 //! inside `run_system`, far from the CLI that knows whether the user asked
@@ -8,7 +10,8 @@
 //! installed) is the disabled [`gsd_trace::NullSink`], so library users and
 //! tests that never call [`install_trace_sink`] pay nothing.
 
-use gsd_trace::{TraceEvent, TraceSink};
+use gsd_metrics::MetricsSink;
+use gsd_trace::{FanoutSink, JsonlWriter, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
@@ -25,6 +28,75 @@ pub fn current_sink() -> Arc<dyn TraceSink> {
         .unwrap_or_else(PoisonError::into_inner)
         .clone()
         .unwrap_or_else(gsd_trace::null_sink)
+}
+
+/// The observability side-channels of one CLI invocation: a JSONL event
+/// trace, a metrics snapshot and the live `--verbose` table behind one
+/// sink. All are strictly observational — results and accounted I/O are
+/// bit-identical with or without them.
+pub struct Observability {
+    /// The sink engines emit into; `None` when no flag asked for one.
+    pub sink: Option<Arc<dyn TraceSink>>,
+    /// Path of the metrics snapshot, when one was asked for.
+    pub metrics_out: Option<String>,
+    metrics: Option<Arc<MetricsSink>>,
+}
+
+impl Observability {
+    /// Builds the sinks behind `--trace FILE`, `--metrics-out FILE`
+    /// (rewritten every `metrics_every` iterations; 0 = at the end only)
+    /// and `--verbose`.
+    pub fn from_flags(
+        trace: Option<&str>,
+        metrics_out: Option<&str>,
+        metrics_every: u64,
+        verbose: bool,
+    ) -> Result<Observability, String> {
+        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
+        if let Some(path) = trace {
+            let writer = JsonlWriter::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
+            sinks.push(Arc::new(writer));
+        }
+        let metrics =
+            metrics_out.map(|path| Arc::new(MetricsSink::with_output(path, metrics_every)));
+        if let Some(m) = &metrics {
+            sinks.push(m.clone());
+        }
+        if verbose {
+            sinks.push(Arc::new(VerboseSink::new()));
+        }
+        let sink: Option<Arc<dyn TraceSink>> = match sinks.len() {
+            0 => None,
+            1 => sinks.pop(),
+            _ => Some(Arc::new(FanoutSink::new(sinks))),
+        };
+        Ok(Observability {
+            sink,
+            metrics_out: metrics_out.map(str::to_string),
+            metrics,
+        })
+    }
+
+    /// Makes the sink the process-wide one the harness runs under.
+    pub fn install(&self) {
+        if let Some(sink) = &self.sink {
+            install_trace_sink(sink.clone());
+        }
+    }
+
+    /// Flushes the sinks and fails if any metrics snapshot write failed.
+    pub fn finish(&self) -> Result<(), String> {
+        if let Some(s) = &self.sink {
+            s.flush();
+        }
+        match &self.metrics {
+            Some(m) if m.write_errors() > 0 => Err(format!(
+                "{} metrics snapshot write(s) failed",
+                m.write_errors()
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A sink that prints a live per-iteration table to stderr (`--verbose`).

@@ -1,9 +1,17 @@
-//! Wall-time benchmark harness: the `BENCH_*.json` trajectory.
+//! The counters gate behind `gsd bench`: every engine × algorithm ×
+//! dataset cell on real files, reported as `BENCH_<label>.json`.
+//!
+//! What gates is timing-free: [`BenchReport::compare_deterministic`]
+//! holds each cell's iterations, bytes read, bytes written and prefetch
+//! hits + misses equal to `ci/bench_baseline.json` (CI over all cells,
+//! `tests/bench_gate.rs` over the `twitter_sim` ones). The wall times,
+//! phase times and RSS in the same report are informational — tiny cells
+//! run for milliseconds; the repository-root `benchmark/` package is the
+//! clock.
 //!
 //! Unlike [`crate::runner`], which prices runs on the simulated disk's
-//! virtual clock, this module measures **wall time** on real files
-//! ([`gsd_io::FileStorage`] in a self-deleting temp directory) with the
-//! usual benchmarking discipline:
+//! virtual clock, the cells run on [`gsd_io::FileStorage`] in a
+//! self-deleting temp directory:
 //!
 //! * each `(system, algorithm, dataset)` cell preprocesses its on-disk
 //!   format **once**, then rebuilds the engine from the files for every
@@ -15,11 +23,7 @@
 //!
 //! Every timed repeat emits a [`TraceEvent::BenchRepeat`] into the
 //! process-wide sink, so a `--trace` of a bench run records the raw
-//! trajectory next to the per-iteration events. The deterministic
-//! counters of the resulting [`BenchReport`] (iterations, bytes moved,
-//! prefetch totals) gate CI via
-//! [`gsd_metrics::BenchReport::compare_deterministic`]; wall times and
-//! RSS are informational.
+//! samples next to the per-iteration events.
 
 use crate::datasets::{Dataset, Datasets, Scale};
 use crate::runner::{paper_budget, paper_p, prepare_format, reopen_engine, Algo, SystemKind};
@@ -30,7 +34,7 @@ use gsd_runtime::RunStats;
 use gsd_trace::{Stopwatch, TraceEvent};
 use std::sync::Arc;
 
-/// Wall-time harness configuration.
+/// Which cells [`run_wall`] measures, and how often.
 #[derive(Debug, Clone)]
 pub struct WallOptions {
     /// Report label — the `<label>` in `BENCH_<label>.json`.

@@ -180,7 +180,7 @@ impl GraphSdConfig {
             self.seq_run_threshold,
             self.disk_model,
         );
-        gsd_recover::fnv64(semantic.as_bytes())
+        gsd_integrity::fnv64(semantic.as_bytes())
     }
 }
 

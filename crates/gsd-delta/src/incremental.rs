@@ -280,15 +280,7 @@ mod tests {
     use gsd_graph::preprocess::{preprocess, PreprocessConfig};
     use gsd_graph::{GeneratorConfig, GraphKind};
     use gsd_io::{MemStorage, SharedStorage};
-    use gsd_runtime::Value;
-
-    fn fingerprint<V: Value>(values: &[V]) -> u64 {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        gsd_integrity::fnv64(&bytes)
-    }
+    use gsd_runtime::value_fingerprint as fingerprint;
 
     fn setup() -> SharedStorage {
         let g = GeneratorConfig::new(GraphKind::RMat, 160, 900, 11).generate();

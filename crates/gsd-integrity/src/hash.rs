@@ -7,9 +7,8 @@
 //! bit-rotted reads; FNV-1a/64 fingerprints small identity blobs (graph
 //! metadata, config strings) and drives deterministic per-key sampling.
 //!
-//! These originated in `gsd-recover`; they moved here so the grid format
-//! can depend on them without pulling in the checkpoint machinery, and
-//! `gsd-recover` re-exports them unchanged.
+//! They live in this crate so the grid format can depend on them without
+//! pulling in the checkpoint machinery.
 
 /// CRC32 (IEEE, reflected, polynomial `0xEDB88320`) of `data`.
 /// Matches zlib's `crc32(0, data)`, so grids and snapshots remain

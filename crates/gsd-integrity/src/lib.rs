@@ -5,8 +5,8 @@
 //! silently wrong vertex values. This crate provides the pieces that make
 //! the on-disk grid *checkable*:
 //!
-//! - [`crc32`] / [`fnv64`]: the workspace's hand-rolled checksums (also
-//!   re-exported by `gsd-recover`, which introduced them for snapshots).
+//! - [`crc32`] / [`fnv64`]: the workspace's hand-rolled checksums (the
+//!   checkpoint snapshot format uses them too).
 //! - [`IntegritySection`]: the checksummed per-object manifest embedded in
 //!   a grid format v2 `meta.json`.
 //! - [`GridVerifier`]: verify-on-read for engine decode paths, behind a

@@ -1,14 +1,15 @@
-//! The schema-versioned `BENCH_*.json` wall-time benchmark report.
+//! The schema-versioned `BENCH_*.json` report of `gsd bench`.
 //!
-//! The wall-time harness (`gsd bench` / the `bench` runner in
-//! `gsd-bench`) measures each engine × algorithm × dataset cell with
+//! `gsd bench` (`gsd_bench::wall::run_wall`) measures each engine ×
+//! algorithm × dataset cell of one analytic run with
 //! warmup/repeat/median-of-N discipline on real storage and serializes
-//! the result here. Reports are committed at the repo root
-//! (`BENCH_<label>.json`) so the performance trajectory is tracked in
-//! git history; [`BenchReport::compare_deterministic`] gates CI on the
-//! counters that are reproducible across machines (bytes moved,
-//! iteration counts, prefetch totals) while leaving wall times and RSS
-//! as informational.
+//! the result here. One report is committed, `ci/bench_baseline.json`;
+//! [`BenchReport::compare_deterministic`] gates CI and
+//! `tests/bench_gate.rs` against it on the counters that are
+//! reproducible across machines (bytes moved, iteration counts, prefetch
+//! totals) while leaving wall times and RSS as informational. Every
+//! field holds what its name says, for an analytic run; nothing else
+//! writes this schema.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 

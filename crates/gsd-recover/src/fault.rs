@@ -24,7 +24,7 @@
 //! accounting and sequential/random cursors untouched: a faulty run that
 //! eventually succeeds has bit-identical I/O statistics to a clean one.
 
-use crate::hash::fnv64;
+use gsd_integrity::fnv64;
 use gsd_io::{DiskModel, IoStats, SharedStorage, Storage};
 use gsd_trace::CounterRegistry;
 use parking_lot::Mutex;

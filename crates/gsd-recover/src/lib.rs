@@ -30,7 +30,6 @@
 
 pub mod config;
 pub mod fault;
-pub mod hash;
 pub mod manifest;
 pub mod retry;
 pub mod snapshot;
@@ -38,7 +37,6 @@ pub mod store;
 
 pub use config::RecoveryConfig;
 pub use fault::{corrupt_object, CorruptionMode, FaultConfig, FaultTarget, FaultyStorage};
-pub use hash::{crc32, fnv64};
 pub use manifest::{Manifest, ManifestTag, MANIFEST_VERSION};
 pub use retry::{RetryPolicy, RetryingStorage};
 pub use snapshot::CheckpointData;

@@ -51,7 +51,7 @@ fn push_section(out: &mut Vec<u8>, name: &str, payload: &[u8]) {
     out.extend_from_slice(&(name.len() as u32).to_le_bytes());
     out.extend_from_slice(name.as_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crate::hash::crc32(payload).to_le_bytes());
+    out.extend_from_slice(&gsd_integrity::crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
@@ -166,7 +166,7 @@ impl CheckpointData {
             let cb = take(&mut at, 4)?;
             let want_crc = u32::from_le_bytes([cb[0], cb[1], cb[2], cb[3]]);
             let payload = take(&mut at, payload_len)?;
-            if crate::hash::crc32(payload) != want_crc {
+            if gsd_integrity::crc32(payload) != want_crc {
                 return Err(corrupt(&format!("crc mismatch in section {name}")));
             }
             match name.as_str() {

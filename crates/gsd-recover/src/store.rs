@@ -1,9 +1,9 @@
 //! Checkpoint persistence: commit protocol, discovery, validation and
 //! retention.
 
-use crate::hash::{crc32, fnv64};
 use crate::manifest::{Manifest, ManifestTag, MANIFEST_VERSION};
 use crate::snapshot::CheckpointData;
+use gsd_integrity::{crc32, fnv64};
 use gsd_io::{IoStatsSnapshot, SharedStorage, Storage};
 use gsd_trace::{TraceEvent, TraceSink};
 use std::io::{Error, ErrorKind};

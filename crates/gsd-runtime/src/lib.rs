@@ -41,6 +41,6 @@ pub use frontier::Frontier;
 pub use program::{InitialFrontier, VertexProgram};
 pub use reference::ReferenceEngine;
 pub use stats::{IoAccessModel, IterationStats, RunStats};
-pub use value::Value;
+pub use value::{value_fingerprint, Value};
 pub use values::ValueArray;
 pub use vertex_store::VertexValueFile;

@@ -93,6 +93,20 @@ impl Value for (u32, u32) {
     }
 }
 
+/// FNV-1a/64 over the committed values' bits, eight little-endian bytes
+/// per vertex — the one value fingerprint the system prints and compares
+/// (`Response::RunSummary`, `gsd ingest --recompute`, the equivalence
+/// suites). Bit-identical results hash identically, so a fingerprint is
+/// comparable across engines, across an incremental recompute and a
+/// from-scratch run, and across the wire.
+pub fn value_fingerprint<V: Value>(values: &[V]) -> u64 {
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    gsd_integrity::fnv64(&bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +128,14 @@ mod tests {
         roundtrip(-0.0f32);
         roundtrip(f32::INFINITY);
         roundtrip(core::f64::consts::PI);
+    }
+
+    #[test]
+    fn fingerprint_is_fnv64_of_the_little_endian_cells() {
+        assert_eq!(value_fingerprint::<u32>(&[]), gsd_integrity::fnv64(b""));
+        let want = gsd_integrity::fnv64(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]);
+        assert_eq!(value_fingerprint(&[1u64, 2 << 32]), want);
+        assert_ne!(value_fingerprint(&[2 << 32, 1u64]), want);
     }
 
     #[test]

@@ -137,19 +137,6 @@ fn err(message: impl Into<String>) -> Response {
     }
 }
 
-/// FNV-1a over a stream of u64 words (the committed value bits) — the
-/// run fingerprint carried by [`Response::RunSummary`].
-fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
 impl ServeCore {
     /// Builds the executor over an already-open session, with a
     /// sub-block cache of `cache_bytes`. Loads the out-degree table
@@ -616,8 +603,8 @@ impl ServeCore {
     /// Full analytic run via a fresh engine over the shared session.
     /// `GraphSdConfig::default()` resolves the prefetch and checkpoint
     /// configuration from the environment, so a daemon started under
-    /// `GSD_CHECKPOINT*` restarts runs through `gsd-recover` exactly
-    /// like `gsd run` does.
+    /// `GSD_CKPT_EVERY` / `GSD_CKPT_DIR` / `GSD_CKPT_RESUME` restarts
+    /// runs through `gsd-recover` exactly like `gsd run` does.
     fn run_analytic(&mut self, algo: &str, source: u32, iterations: u32) -> Response {
         let q = self.accept("run");
         let options = RunOptions {
@@ -661,7 +648,7 @@ impl ServeCore {
             let result = run.map_err(|e| format!("run failed: {e}"))?;
             Ok((
                 result.stats.iterations,
-                fnv1a(result.values.iter().map(|v| v.to_bits())),
+                gsd_runtime::value_fingerprint(&result.values),
                 result.stats.io.read_bytes(),
             ))
         }

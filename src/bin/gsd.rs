@@ -10,7 +10,8 @@
 //! gsd compact <data-dir> [--trace FILE]
 //! gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b]
 //!           [--algos a,b] [--datasets a,b] [--scale tiny|small|medium]
-//!           [--no-prefetch] [--baseline FILE] [--serve] [--delta]
+//!           [--no-prefetch] [--baseline FILE] [--trace FILE] [--metrics-out FILE]
+//!           [--metrics-every N] [--verbose]
 //! gsd bench --check FILE
 //! gsd report <trace.jsonl> [--top N]
 //! gsd serve <data-dir> [--port N] [--cache-mb M] [--verify ...] [--on-corruption ...]
@@ -28,11 +29,14 @@
 //!
 //! `run --metrics-out` aggregates the run's trace events into a labeled
 //! metrics registry and writes a snapshot file (Prometheus text format
-//! for `.prom`/`.txt` paths, JSON otherwise). `bench` measures wall time
-//! per (system, algorithm, dataset) cell on real files and writes a
-//! schema-versioned `BENCH_<label>.json`; `report` replays a JSONL trace
-//! into per-phase breakdowns, I/O histograms, hottest sub-blocks and
-//! scheduler decision explanations.
+//! for `.prom`/`.txt` paths, JSON otherwise). `bench` is the counters
+//! gate: it runs every (system, algorithm, dataset) cell on real files,
+//! writes a schema-versioned `BENCH_<label>.json` and, with `--baseline`,
+//! fails when iterations, bytes moved or prefetch totals differ from the
+//! committed report (its wall times are informational; `benchmark/` is
+//! the clock). `report` replays a JSONL trace into per-phase breakdowns,
+//! I/O histograms, hottest sub-blocks and scheduler decision
+//! explanations.
 //!
 //! `ingest` commits a mutation batch (`+ src dst [w]` / `- src dst`,
 //! one op per line) against a preprocessed grid as one delta epoch;
@@ -40,7 +44,7 @@
 //! footprint and prints the incremental value fingerprint. `compact`
 //! folds the live delta segments back into the base sub-blocks,
 //! byte-verified against a full re-preprocess before anything is
-//! written. `bench --delta` times the whole cycle.
+//! written.
 //!
 //! `serve` opens the grid once and answers queries from many clients
 //! until one sends `shutdown`; `query` is the matching client. Query
@@ -50,7 +54,7 @@
 
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
-use graphsd::bench::{Algo, Scale, SystemKind};
+use graphsd::bench::{Algo, Observability, Scale, SystemKind};
 use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession};
 use graphsd::delta::MutationBatch;
 use graphsd::graph::delta::DeltaOp;
@@ -59,10 +63,12 @@ use graphsd::graph::{
     GeneratorConfig, GraphKind, GridGraph, PreprocessConfig, VerifyPolicy,
 };
 use graphsd::io::{FileStorage, SharedStorage};
-use graphsd::metrics::{BenchReport, MetricsSink, TraceReport};
-use graphsd::runtime::{Engine, RunOptions, RunResult, RunStats, Value, VertexProgram};
+use graphsd::metrics::{BenchReport, TraceReport};
+use graphsd::runtime::{
+    value_fingerprint, Engine, RunOptions, RunResult, RunStats, Value, VertexProgram,
+};
 use graphsd::serve::{serve_tcp, MutateOp, Request, Response, ServeCore, Server, TcpClient};
-use graphsd::trace::{FanoutSink, JsonlWriter, TraceSink};
+use graphsd::trace::TraceSink;
 use std::io::BufReader;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -74,7 +80,7 @@ fn usage() -> ExitCode {
          gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf] [--top K] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--trace FILE] [--metrics-out FILE] [--metrics-every N]\n  \
          gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|cc|sssp|bfs>] [--source V] [--iterations N] [--trace FILE]\n  \
          gsd compact <data-dir> [--trace FILE]\n  \
-         gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--scale tiny|small|medium] [--no-prefetch] [--baseline FILE] [--serve] [--delta]\n  \
+         gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--scale tiny|small|medium] [--no-prefetch] [--baseline FILE] [--trace FILE] [--metrics-out FILE] [--metrics-every N] [--verbose]\n  \
          gsd bench --check FILE\n  \
          gsd serve <data-dir> [--port N] [--cache-mb M] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--trace FILE] [--metrics-out FILE] [--metrics-every N]\n  \
          gsd query <host:port> <ping|stats|degree|neighbors|khop|ppr|run|mutate|compact|shutdown> [args...] [--alpha A] [--iterations N] [--source V]\n  \
@@ -225,63 +231,24 @@ fn verification_flags(args: &Args) -> Result<(VerifyPolicy, CorruptionResponse),
     Ok((verify, response))
 }
 
-/// Observability side-channels: a JSONL event trace and/or a metrics
-/// snapshot. Both are strictly observational — results and accounted
-/// I/O are bit-identical with or without them.
-struct Observability {
-    sink: Option<Arc<dyn TraceSink>>,
-    metrics: Option<Arc<MetricsSink>>,
-    metrics_out: Option<String>,
+/// The `--trace` / `--metrics-out` / `--metrics-every` side-channels of a
+/// verb (plus `bench`'s `--verbose` table).
+fn observability(args: &Args, verbose: bool) -> Result<Observability, String> {
+    Observability::from_flags(
+        args.flag_value::<String>("trace")?.as_deref(),
+        args.flag_value::<String>("metrics-out")?.as_deref(),
+        args.flag_value("metrics-every")?.unwrap_or(0),
+        verbose,
+    )
 }
 
-impl Observability {
-    fn from_flags(args: &Args) -> Result<Observability, String> {
-        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
-        if let Some(path) = args.flag_value::<String>("trace")? {
-            let writer = JsonlWriter::create(&path).map_err(|e| format!("--trace {path}: {e}"))?;
-            sinks.push(Arc::new(writer));
-        }
-        let metrics_out = args.flag_value::<String>("metrics-out")?;
-        let metrics: Option<Arc<MetricsSink>> = match &metrics_out {
-            Some(path) => {
-                let every: u64 = args.flag_value("metrics-every")?.unwrap_or(0);
-                Some(Arc::new(MetricsSink::with_output(path, every)))
-            }
-            None => None,
-        };
-        if let Some(m) = &metrics {
-            sinks.push(m.clone());
-        }
-        let sink: Option<Arc<dyn TraceSink>> = match sinks.len() {
-            0 => None,
-            1 => sinks.pop(),
-            _ => Some(Arc::new(FanoutSink::new(sinks))),
-        };
-        Ok(Observability {
-            sink,
-            metrics,
-            metrics_out,
-        })
+/// Flushes the side-channels; fails if a metrics snapshot write did.
+fn finish(obs: &Observability) -> Result<(), String> {
+    obs.finish()?;
+    if let Some(path) = &obs.metrics_out {
+        println!("metrics snapshot written to {path}");
     }
-
-    /// Flushes the sinks and fails if any metrics snapshot write failed.
-    fn finish(&self) -> Result<(), String> {
-        if let Some(s) = &self.sink {
-            s.flush();
-        }
-        if let Some(m) = &self.metrics {
-            if m.write_errors() > 0 {
-                return Err(format!(
-                    "{} metrics snapshot write(s) failed",
-                    m.write_errors()
-                ));
-            }
-            if let Some(path) = &self.metrics_out {
-                println!("metrics snapshot written to {path}");
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
@@ -300,7 +267,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     )?;
     let mut engine = session.engine(config).map_err(|e| e.to_string())?;
 
-    let obs = Observability::from_flags(args)?;
+    let obs = observability(args, false)?;
     if let Some(s) = &obs.sink {
         engine.set_trace(s.clone());
     }
@@ -345,7 +312,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown algorithm {other:?}")),
     }
-    obs.finish()
+    finish(&obs)
 }
 
 fn cmd_ingest(args: &Args) -> Result<(), String> {
@@ -356,7 +323,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let batch = MutationBatch::parse(&text).map_err(|e| format!("{batch_path}: {e}"))?;
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let obs = Observability::from_flags(args)?;
+    let obs = observability(args, false)?;
     let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
     match args.flag_value::<String>("recompute")?.as_deref() {
         None => {
@@ -381,7 +348,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
             }
         }
     }
-    obs.finish()
+    finish(&obs)
 }
 
 fn print_ingest(report: &graphsd::delta::IngestReport) {
@@ -440,27 +407,13 @@ fn ingest_recompute<P: VertexProgram>(
     Ok(())
 }
 
-/// FNV-1a/64 over the committed value bits — comparable across an
-/// incremental recompute and a from-scratch `gsd run` of the same
-/// algorithm (bit-identical results hash identically).
-fn value_fingerprint<V: Value>(values: &[V]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
 fn cmd_compact(args: &Args) -> Result<(), String> {
     let [dir] = args.positional.as_slice() else {
         return Err("compact needs <data-dir>".into());
     };
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let obs = Observability::from_flags(args)?;
+    let obs = observability(args, false)?;
     let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
     match graphsd::delta::compact(&storage, "", sink.as_ref()).map_err(|e| e.to_string())? {
         Some(r) => println!(
@@ -473,7 +426,7 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
         ),
         None => println!("{dir}: no live delta segments; nothing to compact"),
     }
-    obs.finish()
+    finish(&obs)
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
@@ -485,7 +438,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let (verify, response) = verification_flags(args)?;
     let session =
         GridSession::open(storage, verify, response).map_err(|e| format!("{dir}: {e}"))?;
-    let obs = Observability::from_flags(args)?;
+    let obs = observability(args, false)?;
     let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
     let cache_mb: u64 = args.flag_value("cache-mb")?.unwrap_or(64);
     let core = ServeCore::new(session, cache_mb << 20, sink).map_err(|e| e.to_string())?;
@@ -520,7 +473,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         c.batch_passes,
         c.batched_queries,
     );
-    obs.finish()
+    finish(&obs)
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
@@ -863,42 +816,21 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         opts.prefetch = false;
     }
 
-    // `--serve` swaps the analytic-run matrix for the daemon's query
-    // workload: queries/sec and cache hit rate instead of run breakdowns,
-    // same report schema. `--delta` swaps it for the streaming-mutation
-    // cycle (ingest, incremental recompute, compact).
-    let report = if args.has("serve") {
-        graphsd::bench::run_serve(&opts).map_err(|e| e.to_string())?
-    } else if args.has("delta") {
-        graphsd::bench::run_delta(&opts).map_err(|e| e.to_string())?
-    } else {
-        run_wall(&opts).map_err(|e| e.to_string())?
-    };
+    let obs = observability(args, args.has("verbose"))?;
+    obs.install();
+    let report = run_wall(&opts).map_err(|e| e.to_string())?;
+    finish(&obs)?;
     for e in &report.entries {
-        if args.has("serve") {
-            println!(
-                "{:>12} {:>5} {:>12}  {} queries, median {} us ({:.0} q/s)  cache {:.1}% of {}",
-                e.system,
-                e.algorithm,
-                e.dataset,
-                e.iterations,
-                e.wall_us_median,
-                graphsd::bench::queries_per_second(e),
-                100.0 * e.prefetch_hit_rate,
-                e.prefetch_hits + e.prefetch_misses,
-            );
-        } else {
-            println!(
-                "{:>12} {:>5} {:>12}  median {:>9} us  read {:>11} B  pf {}h/{}m",
-                e.system,
-                e.algorithm,
-                e.dataset,
-                e.wall_us_median,
-                e.bytes_read,
-                e.prefetch_hits,
-                e.prefetch_misses
-            );
-        }
+        println!(
+            "{:>12} {:>5} {:>12}  median {:>9} us  read {:>11} B  pf {}h/{}m",
+            e.system,
+            e.algorithm,
+            e.dataset,
+            e.wall_us_median,
+            e.bytes_read,
+            e.prefetch_hits,
+            e.prefetch_misses
+        );
     }
     let out = args
         .flag_value::<String>("out")?

@@ -1,0 +1,31 @@
+//! The counters gate under tier-1: the timing-free counters of every
+//! `twitter_sim` cell — iterations, bytes read, bytes written, prefetch
+//! hits + misses — must equal `ci/bench_baseline.json` exactly. This is
+//! the `gsd bench --baseline` check CI runs over all five datasets, cut
+//! to one so it fits `cargo test -q`; a block read added to any engine
+//! moves `bytes_read` and fails it.
+
+use graphsd::bench::wall::{run_wall, WallOptions};
+use graphsd::bench::Scale;
+use graphsd::metrics::BenchReport;
+
+#[test]
+fn twitter_sim_counters_match_the_committed_baseline() {
+    let mut baseline = BenchReport::from_json(include_str!("../ci/bench_baseline.json")).unwrap();
+    baseline.entries.retain(|e| e.dataset == "twitter_sim");
+    assert_eq!(baseline.scale, "tiny");
+    assert!(baseline.prefetch, "the baseline was recorded prefetch-on");
+
+    // Default systems and algorithms: all four of each.
+    let report = run_wall(&WallOptions {
+        warmup: 0,
+        repeats: 1,
+        prefetch: true,
+        scale: Scale::Tiny,
+        datasets: vec!["twitter_sim".to_string()],
+        ..WallOptions::default()
+    })
+    .unwrap();
+    assert_eq!(report.entries.len(), 16);
+    assert_eq!(report.compare_deterministic(&baseline), Ok(16));
+}

@@ -42,12 +42,7 @@ fn fingerprint<V: Clone + PartialEq + std::fmt::Debug>(r: &RunResult<V>) -> u64 
                 .collect::<Vec<_>>(),
         )
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rendered.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    graphsd::integrity::fnv64(rendered.as_bytes())
 }
 
 fn run<P: VertexProgram>(graph: &Graph, p: u32, config: GraphSdConfig, program: &P) -> u64

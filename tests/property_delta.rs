@@ -15,7 +15,7 @@ use graphsd::core::{GraphSdConfig, GraphSdEngine};
 use graphsd::delta::{compact, incremental_run, ingest, MutationBatch};
 use graphsd::graph::{preprocess, Edge, Graph, GridGraph, PreprocessConfig};
 use graphsd::io::{MemStorage, SharedStorage};
-use graphsd::runtime::{Engine, RunOptions, Value, VertexProgram};
+use graphsd::runtime::{value_fingerprint as fingerprint, Engine, RunOptions, VertexProgram};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -80,17 +80,6 @@ fn fresh_grid(graph: &Graph, p: u32) -> (SharedStorage, GridGraph) {
     .unwrap();
     let grid = GridGraph::open(storage.clone()).unwrap();
     (storage, grid)
-}
-
-fn fingerprint<V: Value>(values: &[V]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 fn scratch_values<P: VertexProgram>(grid: GridGraph, program: &P) -> Vec<P::Value> {
