@@ -34,6 +34,16 @@
 //! a selective pass, or a stream pass over its column copy).
 
 #![forbid(unsafe_code)]
+// Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
+// leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod gridstream;

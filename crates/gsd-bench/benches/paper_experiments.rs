@@ -12,7 +12,7 @@ fn main() {
     eprintln!("# paper_experiments — scale {scale:?} (set GSD_SCALE=tiny|small|medium)");
     let ds = Datasets::load(scale);
     for id in ALL_IDS {
-        let started = std::time::Instant::now();
+        let started = gsd_trace::Stopwatch::start();
         match run_by_id(id, &ds) {
             Ok(output) => {
                 println!("{output}");

@@ -174,7 +174,7 @@ fn main() {
     let ds = Datasets::load(scale);
     let mut failures: Vec<(&str, std::io::Error)> = Vec::new();
     for id in ids {
-        let started = std::time::Instant::now();
+        let started = gsd_trace::Stopwatch::start();
         match run_by_id(id, &ds) {
             Ok(output) => {
                 println!("{output}");

@@ -14,6 +14,10 @@ use gsd_metrics::MetricsSink;
 use gsd_trace::{FanoutSink, JsonlWriter, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process-wide trace sink slot: written once by install_trace_sink, read at engine construction"
+)]
 static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
 
 /// Installs `sink` as the process-wide trace sink. Every engine built by

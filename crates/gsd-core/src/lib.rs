@@ -32,6 +32,16 @@
 //! is an I/O optimization, never a semantic relaxation.
 
 #![forbid(unsafe_code)]
+// Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
+// leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod buffer;

@@ -23,9 +23,8 @@
 //!   [`gsd_integrity::IntegritySection`]). The preprocessor writes v2;
 //!   readers accept both (a v1 grid simply has nothing to verify
 //!   against).
-//! * **v3** — *reserved* for the planned compressed grid format
-//!   (ROADMAP item 2). No writer exists; readers reject it by name so a
-//!   future compressed grid can never be misread as something else.
+//! * **v3** — never written by anything; readers reject it as any other
+//!   unsupported version.
 //! * **v4** — a v2 grid that has accepted streaming mutations: the meta
 //!   additionally carries a [`DeltaSection`] naming the delta segment
 //!   encoding version and the current mutation epoch, and the store
@@ -99,9 +98,6 @@ pub struct GridMeta {
 pub const FORMAT_VERSION: u32 = 2;
 /// Oldest format version readers still accept.
 pub const MIN_FORMAT_VERSION: u32 = 1;
-/// Reserved for the planned compressed grid format (ROADMAP item 2).
-/// There is no writer yet; readers reject it with a by-name error.
-pub const COMPRESSED_FORMAT_VERSION: u32 = 3;
 /// Meta version of delta-enabled grids: v2 plus a [`DeltaSection`].
 /// Written the first time a grid accepts a mutation batch.
 pub const DELTA_META_FORMAT_VERSION: u32 = 4;
@@ -294,12 +290,6 @@ impl GridMeta {
                     return Err(invalid("format v2 metadata must not carry a delta section"));
                 }
             }
-            COMPRESSED_FORMAT_VERSION => {
-                return Err(invalid(format!(
-                    "grid format version {COMPRESSED_FORMAT_VERSION} is reserved for the \
-                     compressed grid format, which has no implementation yet"
-                )));
-            }
             DELTA_META_FORMAT_VERSION => {
                 if meta.integrity.is_none() {
                     return Err(invalid(
@@ -467,13 +457,14 @@ mod tests {
     }
 
     #[test]
-    fn v3_is_reserved_and_rejected_by_name() {
+    fn v3_has_no_writer_and_is_rejected_as_unsupported() {
         let mut bad = meta_v2();
-        bad.version = COMPRESSED_FORMAT_VERSION;
+        bad.version = 3;
         bad.seal();
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(
-            err.to_string().contains("reserved for the compressed"),
+            err.to_string()
+                .contains("unsupported grid format version 3"),
             "{err}"
         );
     }

@@ -555,7 +555,7 @@ mod tests {
         let intervals = grid.intervals().clone();
         // Adjacency from the raw graph, per (vertex, dst-interval).
         // BTreeMap keeps the removal walk below in deterministic
-        // coordinate order (GSD007 discipline, even in tests).
+        // coordinate order (no hash containers, even in tests).
         let mut expect: std::collections::BTreeMap<(u32, u32), Vec<u32>> = Default::default();
         for e in g.edges() {
             expect

@@ -11,6 +11,11 @@
 //! every figure the experiments report — is bit-identical with
 //! verification on or off.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "designated concurrency module: one verifier is shared by the prefetch workers, the buffer and the engine"
+)]
+
 use crate::error::CorruptionError;
 use crate::hash::crc32;
 use crate::manifest::{IntegritySection, ObjectEntry};
@@ -18,7 +23,7 @@ use crate::verify::{CorruptionResponse, VerifyPolicy};
 use gsd_io::SharedStorage;
 use gsd_trace::{null_sink, TraceEvent, TraceSink};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,7 +67,7 @@ pub struct GridVerifier {
     response: CorruptionResponse,
     sink: Mutex<Arc<dyn TraceSink>>,
     /// Prefix-relative keys already verified this run (partial-read memo).
-    verified: Mutex<HashSet<String>>,
+    verified: Mutex<BTreeSet<String>>,
     /// Prefix-relative keys quarantined so far (sorted for stable output).
     quarantined: Mutex<BTreeSet<String>>,
     verify_bytes: AtomicU64,
@@ -87,7 +92,7 @@ impl GridVerifier {
             policy,
             response,
             sink: Mutex::new(null_sink()),
-            verified: Mutex::new(HashSet::new()),
+            verified: Mutex::new(BTreeSet::new()),
             quarantined: Mutex::new(BTreeSet::new()),
             verify_bytes: AtomicU64::new(0),
             corrupt_blocks: AtomicU64::new(0),

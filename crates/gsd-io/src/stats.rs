@@ -345,6 +345,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test: hammers the counters from eight threads"
+    )]
     fn concurrent_updates_do_not_lose_counts() {
         let s = std::sync::Arc::new(IoStats::new());
         let mut handles = Vec::new();

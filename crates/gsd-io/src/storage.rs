@@ -7,6 +7,11 @@
 //! (the head had to move), feeding the [`IoStats`] counters that all of the
 //! paper's I/O figures are computed from.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "designated concurrency module: SimDisk/FileStorage interior locking (object map, head cursor, handle cache)"
+)]
+
 use crate::model::DiskModel;
 use crate::stats::IoStats;
 use gsd_trace::Stopwatch;
@@ -50,7 +55,7 @@ pub trait Storage: Send + Sync {
     /// All existing keys, in lexicographic order. The ordering is part
     /// of the contract: scrub, recovery-GC and repair walk this list,
     /// and a backend-dependent order would make their trace and repair
-    /// logs differ run to run (GSD007's determinism discipline).
+    /// logs differ run to run (the no-hash-container discipline, DESIGN.md §11).
     fn list_keys(&self) -> Vec<String>;
 
     /// The I/O counters this backend reports into.

@@ -100,6 +100,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test: carries the temp path out of catch_unwind"
+    )]
     fn cleans_up_when_the_owner_panics() {
         let observed = std::sync::Arc::new(std::sync::Mutex::new(PathBuf::new()));
         let observed2 = observed.clone();

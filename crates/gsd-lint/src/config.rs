@@ -3,9 +3,11 @@
 //! gsd-lint is dependency-free, so it ships a tiny TOML-subset parser that
 //! covers exactly what rule configuration needs: `[section]` headers,
 //! `key = "string"`, `key = true/false`, and single- or multi-line string
-//! arrays. Unknown sections or keys are an error — a typo'd rule table
-//! must not silently fall back to defaults.
+//! arrays. `lint.toml` is the only source of scopes: there are no built-in
+//! defaults to fall back to, so unknown sections, keys or rule ids — and a
+//! path-scoped rule without `paths` — are errors, never a silent no-op.
 
+use crate::rules::{is_retired, rule_info, RULES};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,17 +51,17 @@ impl Severity {
 /// under it).
 #[derive(Debug, Clone, Default)]
 pub struct RuleConfig {
-    /// Severity override; `None` means the rule's default.
+    /// Severity; `None` means `error`.
     pub severity: Option<Severity>,
-    /// Paths the rule applies to (empty = rule's built-in default scope).
+    /// Paths the rule applies to (path-scoped rules apply nowhere else).
     pub paths: Vec<String>,
     /// Paths exempt from the rule even when inside `paths`.
     pub allow_paths: Vec<String>,
     /// Identifier allow list (GSD010: counter fields/statics that may use
-    /// `Ordering::Relaxed`). Empty = rule's built-in default list.
+    /// `Ordering::Relaxed`).
     pub idents: Vec<String>,
     /// Enum names the rule applies to (GSD012: enums whose matches must
-    /// be exhaustive). Empty = rule's built-in default list.
+    /// be exhaustive).
     pub enums: Vec<String>,
 }
 
@@ -78,24 +80,8 @@ pub struct LintConfig {
     pub event_enum: String,
 }
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            include: vec!["src".into(), "crates".into()],
-            exclude: vec![
-                "crates/gsd-lint/tests/fixtures".into(),
-                "vendor".into(),
-                "target".into(),
-            ],
-            rules: BTreeMap::new(),
-            event_file: "crates/gsd-trace/src/event.rs".into(),
-            event_enum: "TraceEvent".into(),
-        }
-    }
-}
-
 impl LintConfig {
-    /// Settings for `rule`, or an all-defaults [`RuleConfig`].
+    /// Settings for `rule`; an empty [`RuleConfig`] if it has no table.
     pub fn rule(&self, rule: &str) -> RuleConfig {
         self.rules.get(rule).cloned().unwrap_or_default()
     }
@@ -104,7 +90,13 @@ impl LintConfig {
     /// with 1-based line numbers.
     pub fn parse(text: &str) -> Result<LintConfig, String> {
         let doc = parse_toml_subset(text)?;
-        let mut cfg = LintConfig::default();
+        let mut cfg = LintConfig {
+            include: Vec::new(),
+            exclude: Vec::new(),
+            rules: BTreeMap::new(),
+            event_file: String::new(),
+            event_enum: String::new(),
+        };
         for (section, entries) in &doc {
             match section.as_str() {
                 "lint" => {
@@ -122,6 +114,14 @@ impl LintConfig {
                 }
                 rule if rule.starts_with("rules.") => {
                     let id = rule.trim_start_matches("rules.").to_string();
+                    if is_retired(&id) {
+                        return Err(format!(
+                            "[{rule}]: {id} is retired — the toolchain enforces it (clippy.toml)"
+                        ));
+                    }
+                    if rule_info(&id).is_none() {
+                        return Err(format!("[{rule}]: `{id}` is not a gsd-lint rule"));
+                    }
                     let mut rc = RuleConfig::default();
                     for (key, value) in entries {
                         match key.as_str() {
@@ -140,6 +140,18 @@ impl LintConfig {
                     cfg.rules.insert(id, rc);
                 }
                 other => return Err(format!("unknown section [{other}]")),
+            }
+        }
+        if cfg.include.is_empty() {
+            return Err("[lint] include is missing: nothing would be scanned".to_string());
+        }
+        for info in RULES.iter().filter(|r| r.scoped) {
+            let rc = cfg.rule(info.id);
+            if rc.paths.is_empty() && rc.severity != Some(Severity::Off) {
+                return Err(format!(
+                    "[rules.{}] needs `paths` (or severity = \"off\"): the rule has no built-in scope",
+                    info.id
+                ));
             }
         }
         Ok(cfg)
@@ -263,33 +275,47 @@ fn parse_value(text: &str) -> Result<Value, String> {
 mod tests {
     use super::*;
 
+    /// A minimal valid document: every path-scoped rule has a scope.
+    fn doc(extra: &str) -> String {
+        let mut text = String::from("[lint]\ninclude = [\"src\", \"crates\"]\n");
+        for info in RULES.iter().filter(|r| r.scoped) {
+            text.push_str(&format!("[rules.{}]\npaths = [\"crates\"]\n", info.id));
+        }
+        text + extra
+    }
+
     #[test]
-    fn defaults_stand_alone() {
-        let cfg = LintConfig::default();
-        assert_eq!(cfg.include, vec!["src", "crates"]);
-        assert!(cfg.rule("GSD001").severity.is_none());
+    fn there_is_no_built_in_scope() {
+        let err = LintConfig::parse("[lint]\ninclude = [\"src\"]").unwrap_err();
+        assert!(err.contains("needs `paths`"), "{err}");
+        let err = LintConfig::parse("").unwrap_err();
+        assert!(err.contains("include"), "{err}");
+        assert!(LintConfig::parse(&doc("")).is_ok());
+    }
+
+    #[test]
+    fn retired_and_unknown_rule_tables_are_rejected() {
+        let err = LintConfig::parse(&doc("[rules.GSD001]\nseverity = \"error\"")).unwrap_err();
+        assert!(err.contains("retired"), "{err}");
+        let err = LintConfig::parse(&doc("[rules.GSD0O6]\nseverity = \"error\"")).unwrap_err();
+        assert!(err.contains("not a gsd-lint rule"), "{err}");
     }
 
     #[test]
     fn parses_sections_severities_and_multiline_arrays() {
-        let cfg = LintConfig::parse(
-            r#"
+        let cfg = LintConfig::parse(&doc(r#"
             # comment
-            [lint]
-            include = ["src", "crates"]   # trailing comment
-
-            [rules.GSD002]
-            severity = "warn"
+            [rules.GSD004]
+            severity = "warn"   # trailing comment
             allow_paths = [
                 "crates/gsd-trace/",
                 "crates/gsd-bench/",
             ]
-            "#,
-        )
+            "#))
         .expect("parses");
-        assert_eq!(cfg.rule("GSD002").severity, Some(Severity::Warn));
+        assert_eq!(cfg.rule("GSD004").severity, Some(Severity::Warn));
         assert_eq!(
-            cfg.rule("GSD002").allow_paths,
+            cfg.rule("GSD004").allow_paths,
             vec!["crates/gsd-trace/", "crates/gsd-bench/"]
         );
     }
@@ -302,13 +328,13 @@ mod tests {
 
     #[test]
     fn unknown_severity_is_rejected() {
-        let err = LintConfig::parse("[rules.GSD001]\nseverity = \"fatal\"").unwrap_err();
+        let err = LintConfig::parse("[rules.GSD003]\nseverity = \"fatal\"").unwrap_err();
         assert!(err.contains("fatal"), "{err}");
     }
 
     #[test]
     fn hash_inside_string_is_not_a_comment() {
-        let cfg = LintConfig::parse("[lint]\nevent_enum = \"Has#Hash\"").expect("parses");
+        let cfg = LintConfig::parse(&doc("[lint]\nevent_enum = \"Has#Hash\"")).expect("parses");
         assert_eq!(cfg.event_enum, "Has#Hash");
     }
 }

@@ -1,8 +1,7 @@
-//! A hand-rolled Rust lexer, just deep enough for syntactic analysis.
+//! A hand-rolled Rust lexer, just deep enough for token-pattern rules.
 //!
-//! The lexer produces a flat token stream with source spans (1-based
-//! line/column plus byte offsets) and the list of `gsd-lint:` control
-//! comments. It understands everything that could make a naive text scan
+//! The lexer produces a flat token stream with 1-based line/column
+//! positions and the list of `gsd-lint:` control comments. It understands everything that could make a naive text scan
 //! lie about code structure:
 //!
 //! * line comments and *nested* block comments (Rust block comments nest),
@@ -16,8 +15,8 @@
 //! * identifiers, numeric literals, and single-char punctuation.
 //!
 //! Multi-character operators (`::`, `->`, `=>`, `..`) are emitted as
-//! single-char punctuation tokens; [`crate::parser`] reassembles them,
-//! which keeps the lexer trivially correct about token boundaries.
+//! single-char punctuation tokens; the rules match them as adjacent
+//! tokens, which keeps the lexer trivially correct about token boundaries.
 
 /// What kind of token this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +35,7 @@ pub enum TokKind {
     Punct,
 }
 
-/// One token with its source span.
+/// One token with its source position.
 #[derive(Debug, Clone)]
 pub struct Tok {
     /// Token class.
@@ -47,13 +46,14 @@ pub struct Tok {
     pub line: u32,
     /// 1-based column (in characters) the token starts at.
     pub col: u32,
-    /// Byte offset of the token's first character.
-    pub lo: u32,
-    /// Byte offset one past the token's last character.
-    pub hi: u32,
 }
 
 impl Tok {
+    /// `(line, col)` of the token's first character.
+    pub fn pos(&self) -> (u32, u32) {
+        (self.line, self.col)
+    }
+
     /// True if this token is the given punctuation character.
     pub fn is_punct(&self, ch: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == ch.len_utf8() && self.text.starts_with(ch)
@@ -105,7 +105,6 @@ pub fn lex(src: &str) -> Lexed {
     Lexer {
         chars: src.chars().collect(),
         pos: 0,
-        byte: 0,
         line: 1,
         col: 1,
         line_has_code: false,
@@ -119,14 +118,11 @@ pub fn lex(src: &str) -> Lexed {
 struct Start {
     line: u32,
     col: u32,
-    lo: u32,
 }
 
 struct Lexer {
     chars: Vec<char>,
     pos: usize,
-    /// Byte offset of `chars[pos]` in the original source.
-    byte: u32,
     line: u32,
     col: u32,
     /// Whether a token has already started on the current line — makes a
@@ -147,7 +143,6 @@ impl Lexer {
     fn bump(&mut self) -> Option<char> {
         let ch = self.peek()?;
         self.pos += 1;
-        self.byte += ch.len_utf8() as u32;
         if ch == '\n' {
             self.line += 1;
             self.col = 1;
@@ -162,7 +157,6 @@ impl Lexer {
         Start {
             line: self.line,
             col: self.col,
-            lo: self.byte,
         }
     }
 
@@ -172,8 +166,6 @@ impl Lexer {
             text,
             line: at.line,
             col: at.col,
-            lo: at.lo,
-            hi: self.byte,
         });
     }
 
@@ -245,8 +237,7 @@ impl Lexer {
     ///  */
     /// ```
     ///
-    /// works; the old lexer only looked at the first line and silently
-    /// dropped directives on inner lines.
+    /// works.
     fn block_comment(&mut self) {
         let first_line = self.line;
         let trailing = self.line_has_code;
@@ -629,16 +620,6 @@ mod tests {
             .map(|t| (t.text.as_str(), t.line))
             .collect();
         assert_eq!(lines, vec![("a", 1), ("b", 2), ("c", 4)]);
-    }
-
-    #[test]
-    fn spans_cover_the_source_slice() {
-        let src = "let αβ = \"s\"; // tail\nfoo.bar();";
-        for t in lex(src).tokens {
-            let lo = t.lo as usize;
-            let hi = t.hi as usize;
-            assert_eq!(&src[lo..hi], t.text, "span must slice back to the text");
-        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! `gsd-lint` CLI.
 //!
 //! ```text
-//! gsd-lint check [--root DIR] [--config FILE] [--format human|json|sarif]
+//! gsd-lint check [--root DIR] [--config FILE] [--format human|json]
 //! gsd-lint rules
 //! ```
 //!
 //! Exit codes: `0` clean (or warnings only), `1` at least one error-level
-//! diagnostic, `2` usage or I/O failure.
+//! diagnostic, `2` usage or I/O failure — including a missing config file:
+//! `lint.toml` is the only source of scopes, there is no built-in fallback.
 
 #![forbid(unsafe_code)]
 
@@ -18,13 +19,13 @@ const USAGE: &str = "\
 gsd-lint — GraphSD workspace static analysis
 
 USAGE:
-    gsd-lint check [--root DIR] [--config FILE] [--format human|json|sarif]
+    gsd-lint check [--root DIR] [--config FILE] [--format human|json]
     gsd-lint rules
 
 OPTIONS:
     --root DIR       workspace root to lint (default: .)
-    --config FILE    lint config (default: <root>/lint.toml; defaults if absent)
-    --format FMT     `human` (default), `json`, or `sarif`
+    --config FILE    lint config (default: <root>/lint.toml; required)
+    --format FMT     `human` (default) or `json`
 ";
 
 fn main() -> ExitCode {
@@ -33,8 +34,11 @@ fn main() -> ExitCode {
         Some("check") => run_check(&args[1..]),
         Some("rules") => {
             for r in rules::RULES {
-                println!("{} [{}] {}", r.id, r.default_severity, r.summary);
-                println!("         invariant: {}", r.invariant);
+                println!("{} {}", r.id, r.summary);
+                println!("       invariant: {}", r.invariant);
+            }
+            for (id, lint) in rules::RETIRED {
+                println!("{id} retired — enforced by {lint}");
             }
             ExitCode::SUCCESS
         }
@@ -49,16 +53,10 @@ fn main() -> ExitCode {
     }
 }
 
-enum Format {
-    Human,
-    Json,
-    Sarif,
-}
-
 fn run_check(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
-    let mut format = Format::Human;
+    let mut json = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -71,19 +69,11 @@ fn run_check(args: &[String]) -> ExitCode {
             "--root" => value("--root").map(|v| root = PathBuf::from(v)),
             "--config" => value("--config").map(|v| config_path = Some(PathBuf::from(v))),
             "--format" => value("--format").and_then(|v| match v.as_str() {
-                "human" => {
-                    format = Format::Human;
+                "human" | "json" => {
+                    json = v == "json";
                     Ok(())
                 }
-                "json" => {
-                    format = Format::Json;
-                    Ok(())
-                }
-                "sarif" => {
-                    format = Format::Sarif;
-                    Ok(())
-                }
-                other => Err(format!("unknown format `{other}` (human | json | sarif)")),
+                other => Err(format!("unknown format `{other}` (human | json)")),
             }),
             other => Err(format!("unknown argument `{other}`")),
         };
@@ -95,22 +85,15 @@ fn run_check(args: &[String]) -> ExitCode {
     }
 
     let config_file = config_path.unwrap_or_else(|| root.join("lint.toml"));
-    let cfg = if config_file.is_file() {
-        match std::fs::read_to_string(&config_file) {
-            Ok(text) => match LintConfig::parse(&text) {
-                Ok(cfg) => cfg,
-                Err(err) => {
-                    eprintln!("gsd-lint: {}: {err}", config_file.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(err) => {
-                eprintln!("gsd-lint: {}: {err}", config_file.display());
-                return ExitCode::from(2);
-            }
+    let parsed = std::fs::read_to_string(&config_file)
+        .map_err(|err| err.to_string())
+        .and_then(|text| LintConfig::parse(&text));
+    let cfg = match parsed {
+        Ok(cfg) => cfg,
+        Err(err) => {
+            eprintln!("gsd-lint: {}: {err}", config_file.display());
+            return ExitCode::from(2);
         }
-    } else {
-        LintConfig::default()
     };
 
     let ws = match Workspace::load(&root, &cfg) {
@@ -122,26 +105,19 @@ fn run_check(args: &[String]) -> ExitCode {
     };
     let diags = ws.check(&cfg);
 
-    match format {
-        Format::Json => print!("{}", diagnostics::render_json(&diags)),
-        Format::Sarif => print!("{}", gsd_lint::sarif::render_sarif(&diags)),
-        Format::Human => {
-            for d in &diags {
-                println!("{}", d.render_human());
-            }
-            let errors = diags
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .count();
-            let warnings = diags
-                .iter()
-                .filter(|d| d.severity == Severity::Warn)
-                .count();
-            println!(
-                "gsd-lint: {} file(s) scanned, {errors} error(s), {warnings} warning(s)",
-                ws.files.len()
-            );
+    if json {
+        print!("{}", diagnostics::render_json(&diags));
+    } else {
+        for d in &diags {
+            println!("{}", d.render_human());
         }
+        let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
+        println!(
+            "gsd-lint: {} file(s) scanned, {} error(s), {} warning(s)",
+            ws.files.len(),
+            count(Severity::Error),
+            count(Severity::Warn)
+        );
     }
 
     if gsd_lint::has_errors(&diags) {

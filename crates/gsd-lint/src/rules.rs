@@ -1,257 +1,127 @@
-//! The rule registry and the thirteen checks.
+//! The rule registry and the eight checks.
 //!
-//! Since v2 the rules run on the syntax tree from [`crate::parser`]
-//! (with [`crate::symbols`] for name resolution and [`crate::dataflow`]
-//! for the GSD007/GSD008 order-taint pass) rather than raw token
-//! patterns. Two checks stay lexical on purpose: GSD002 is a name ban
-//! (any mention of `Instant`/`SystemTime` is wrong, whatever the
-//! syntactic position), and the test mask works on token ranges so a
-//! tree node is test code iff its first token is.
+//! Every rule is a pattern over the token stream from [`crate::lexer`]
+//! plus bracket matching — there is no syntax tree, no name resolution and
+//! no dataflow. Whatever can be said as "this type / this function is
+//! banned" is said to the toolchain instead (`clippy.toml` and the
+//! crate-root `deny` blocks; see [`RETIRED`]). What stays here is what no
+//! off-the-shelf lint expresses: a guard *held across* a storage call, a
+//! trace variant nobody constructs, `Relaxed` on anything but a listed
+//! counter, a catch-all over one particular enum.
 //!
-//! Rules are scoped by workspace-relative path prefixes (overridable in
-//! `lint.toml`) and skip *test regions*: `#[cfg(test)]` / `#[test]`
-//! items, and files under `tests/` or `benches/` directories.
+//! Rules are scoped by the workspace-relative path prefixes in `lint.toml`
+//! — the only source of scopes — and skip *test regions*: `#[cfg(test)]` /
+//! `#[test]` items, and files under `tests/` or `benches/` directories.
 
-use crate::config::{LintConfig, RuleConfig, Severity};
-use crate::dataflow;
+use crate::config::{LintConfig, Severity};
 use crate::diagnostics::Diagnostic;
-use crate::lexer::{Tok, TokKind};
-use crate::parser::{
-    Block, Chain, ChainBase, Expr, ExprKind, Item, ItemKind, LetStmt, PostfixKind, SourceTree, Stmt,
-};
-use crate::symbols::SymbolTable;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lexer::{Directive, Tok, TokKind};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Static metadata for one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable id, e.g. `"GSD001"`. Never renumbered.
+    /// Stable id, e.g. `"GSD003"`. Never renumbered.
     pub id: &'static str,
     /// One-line summary for `gsd-lint rules` and docs.
     pub summary: &'static str,
     /// The system invariant the rule protects.
     pub invariant: &'static str,
-    /// Severity when `lint.toml` says nothing.
-    pub default_severity: Severity,
+    /// Whether the rule needs a `paths` scope in `lint.toml`.
+    pub scoped: bool,
 }
 
-/// All rules, in id order. GSD000 is the meta-rule for broken suppression
-/// directives; GSD001–GSD006 are the GraphSD invariants; GSD007–GSD012
-/// are the determinism pack.
+/// The live rules, in id order. Every rule is an error unless `lint.toml`
+/// sets another severity.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "GSD000",
         summary: "malformed or unjustified `gsd-lint:` directive",
         invariant: "a typo'd suppression must never silently mask a real diagnostic",
-        default_severity: Severity::Error,
-    },
-    RuleInfo {
-        id: "GSD001",
-        summary: "no unwrap/expect/panic!/unreachable! in hot-path crates",
-        invariant: "hot-path code propagates typed errors; a panic mid-run corrupts \
-                    partially-flushed vertex state",
-        default_severity: Severity::Error,
-    },
-    RuleInfo {
-        id: "GSD002",
-        summary: "no raw Instant/SystemTime outside the designated timing modules",
-        invariant: "SimDisk runs are priced on a virtual clock; stray wall-clock reads \
-                    make cost-model experiments non-deterministic",
-        default_severity: Severity::Error,
+        scoped: false,
     },
     RuleInfo {
         id: "GSD003",
         summary: "no lock guard held across a storage read/write call",
         invariant: "storage calls can block for a simulated seek; holding a guard across \
                     one serializes unrelated engine threads",
-        default_severity: Severity::Error,
+        scoped: true,
     },
     RuleInfo {
         id: "GSD004",
         summary: "every TraceEvent variant is constructed somewhere outside tests",
         invariant: "dead telemetry variants rot: the JSONL schema advertises events \
                     no run can ever emit",
-        default_severity: Severity::Error,
+        scoped: false,
     },
     RuleInfo {
         id: "GSD005",
         summary: "every crate root carries #![forbid(unsafe_code)]",
         invariant: "the workspace is 100% safe Rust; forbid (not deny) means no module \
                     can quietly opt back in",
-        default_severity: Severity::Error,
+        scoped: false,
     },
     RuleInfo {
         id: "GSD006",
         summary: "no `as u32` truncation in graph/offset arithmetic",
         invariant: "vertex ids and offsets narrow through gsd_graph::narrow so overflow \
                     fails loudly instead of wrapping",
-        default_severity: Severity::Error,
-    },
-    RuleInfo {
-        id: "GSD007",
-        summary: "no unordered HashMap/HashSet iteration flowing into order-sensitive sinks",
-        invariant: "hash iteration order varies run to run; any order-sensitive consumer \
-                    (reduction, output, scheduling) makes runs non-reproducible",
-        default_severity: Severity::Error,
-    },
-    RuleInfo {
-        id: "GSD008",
-        summary: "no float fold/sum over a non-deterministically-ordered source",
-        invariant: "float addition is not associative — reducing in hash order changes \
-                    results bit-for-bit between identical runs",
-        default_severity: Severity::Error,
-    },
-    RuleInfo {
-        id: "GSD009",
-        summary: "thread/channel/lock primitives constructed only in designated modules",
-        invariant: "ad-hoc threading reorders I/O and trace emission; concurrency is \
-                    confined to the pipeline executor and allow-listed modules",
-        default_severity: Severity::Error,
+        scoped: true,
     },
     RuleInfo {
         id: "GSD010",
         summary: "Ordering::Relaxed only on allow-listed statistics counters",
         invariant: "Relaxed is safe only for monotonic counters; on anything else it \
                     licenses reorderings that break cross-thread protocols",
-        default_severity: Severity::Error,
+        scoped: true,
     },
     RuleInfo {
         id: "GSD011",
-        summary: "no unbuffered per-edge File read/write inside kernel loops",
-        invariant: "per-edge syscalls invalidate the block-granular I/O cost model; \
-                    kernels go through buffered or block APIs",
-        default_severity: Severity::Error,
+        summary: "no std::fs / File in the engine and kernel crates",
+        invariant: "all engine I/O goes through gsd_io::Storage, the one place bytes are \
+                    accounted, priced and fault-injected",
+        scoped: true,
     },
     RuleInfo {
         id: "GSD012",
         summary: "no catch-all arm in matches over exhaustiveness-listed enums",
         invariant: "a `_` arm silently swallows newly-added variants; listing them makes \
                     every addition a reviewed decision",
-        default_severity: Severity::Error,
+        scoped: true,
     },
 ];
 
-/// Looks up a rule's metadata by id.
+/// Retired ids and the toolchain lint that took each over. The ids stay
+/// reserved (a directive naming one is well-formed but inert); the bans
+/// live in `clippy.toml` and the crate-root `#![deny(clippy::…)]` blocks.
+pub const RETIRED: &[(&str, &str)] = &[
+    (
+        "GSD001",
+        "crate-root deny(clippy::unwrap_used, expect_used, panic, …)",
+    ),
+    ("GSD002", "clippy::disallowed_types (Instant, SystemTime)"),
+    ("GSD007", "clippy::disallowed_types (HashMap, HashSet)"),
+    ("GSD008", "clippy::disallowed_types (HashMap, HashSet)"),
+    (
+        "GSD009",
+        "clippy::disallowed_methods (thread/channel/lock ctors)",
+    ),
+];
+
+/// Looks up a live rule's metadata by id.
 pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Default path scope per rule, used when `lint.toml` does not override.
-/// Kept here (not in config.rs) so scope and rule logic evolve together.
-fn default_scope(id: &str) -> (Vec<&'static str>, Vec<&'static str>) {
-    match id {
-        "GSD001" => (
-            vec![
-                "crates/gsd-core/src",
-                "crates/gsd-io/src",
-                "crates/gsd-runtime/src",
-            ],
-            vec![],
-        ),
-        "GSD002" => (
-            vec!["src", "crates"],
-            vec![
-                "crates/gsd-trace",
-                "crates/gsd-bench",
-                "crates/gsd-lint",
-                "crates/gsd-runtime/src/kernels.rs",
-            ],
-        ),
-        "GSD003" => (
-            vec![
-                "crates/gsd-core/src",
-                "crates/gsd-io/src",
-                "crates/gsd-runtime/src",
-                "crates/gsd-baselines/src",
-            ],
-            vec![],
-        ),
-        "GSD006" => (
-            vec![
-                "crates/gsd-graph/src",
-                "crates/gsd-core/src",
-                "crates/gsd-io/src",
-            ],
-            vec!["crates/gsd-graph/src/narrow.rs"],
-        ),
-        "GSD007" => (
-            vec![
-                "crates/gsd-core/src",
-                "crates/gsd-io/src",
-                "crates/gsd-runtime/src",
-                "crates/gsd-graph/src",
-                "crates/gsd-pipeline/src",
-                "crates/gsd-baselines/src",
-            ],
-            vec![],
-        ),
-        "GSD008" => (vec!["src", "crates"], vec!["crates/gsd-lint"]),
-        "GSD009" => (
-            vec!["src", "crates"],
-            vec![
-                "crates/gsd-pipeline/src",
-                "crates/gsd-trace/src/sink.rs",
-                "crates/gsd-io/src/storage.rs",
-                "crates/gsd-integrity/src/verifier.rs",
-                "crates/gsd-recover/src/fault.rs",
-                "crates/gsd-lint",
-            ],
-        ),
-        "GSD010" => (
-            vec!["src", "crates"],
-            vec![
-                "crates/gsd-runtime/src/frontier.rs",
-                "crates/gsd-runtime/src/values.rs",
-                "crates/gsd-trace/src/counters.rs",
-                "crates/gsd-lint",
-            ],
-        ),
-        "GSD011" => (
-            vec![
-                "crates/gsd-core/src",
-                "crates/gsd-runtime/src",
-                "crates/gsd-graph/src",
-                "crates/gsd-baselines/src",
-            ],
-            vec![],
-        ),
-        "GSD012" => (vec!["src", "crates"], vec!["crates/gsd-lint"]),
-        _ => (vec![], vec![]),
-    }
+/// True if `id` was a rule once and is now enforced by the toolchain.
+pub fn is_retired(id: &str) -> bool {
+    RETIRED.iter().any(|(r, _)| *r == id)
 }
-
-/// Counters that may legitimately use `Ordering::Relaxed` when
-/// `lint.toml` provides no `idents` list: monotonic statistics counters
-/// whose only cross-thread contract is "eventually counted".
-const DEFAULT_RELAXED_IDENTS: &[&str] = &[
-    "seq_read_bytes",
-    "seq_read_ops",
-    "rand_read_bytes",
-    "rand_read_ops",
-    "write_bytes",
-    "write_ops",
-    "sim_nanos",
-    "retried_ops",
-    "gave_up_ops",
-    "write_errors",
-    "iterations",
-    "verify_bytes",
-    "corrupt_blocks",
-    "repaired_blocks",
-    "injected_transient",
-    "injected_permanent",
-    "injected_corrupt",
-    "dropped",
-    "COUNTER",
-];
-
-/// Enums whose matches must stay exhaustive when `lint.toml` provides no
-/// `enums` list.
-const DEFAULT_EXHAUSTIVE_ENUMS: &[&str] = &["TraceEvent"];
 
 /// True if `path` falls under prefix `p` (exact file match for `.rs`
 /// entries, directory-prefix match otherwise).
-fn matches_prefix(path: &str, p: &str) -> bool {
+pub(crate) fn matches_prefix(path: &str, p: &str) -> bool {
     if p.ends_with(".rs") {
         return path == p;
     }
@@ -259,24 +129,7 @@ fn matches_prefix(path: &str, p: &str) -> bool {
     path == p || (path.starts_with(p) && path.as_bytes().get(p.len()) == Some(&b'/'))
 }
 
-/// Resolves a rule's effective scope from config + defaults and tests
-/// `path` against it.
-fn in_scope(path: &str, id: &str, rc: &RuleConfig) -> bool {
-    let (def_paths, def_allow) = default_scope(id);
-    let included = if rc.paths.is_empty() {
-        def_paths.iter().any(|p| matches_prefix(path, p))
-    } else {
-        rc.paths.iter().any(|p| matches_prefix(path, p))
-    };
-    if !included {
-        return false;
-    }
-    let allowed = rc.allow_paths.iter().any(|p| matches_prefix(path, p))
-        || (rc.allow_paths.is_empty() && def_allow.iter().any(|p| matches_prefix(path, p)));
-    !allowed
-}
-
-/// One analyzed file: tokens, syntax tree, symbols, and per-token facts.
+/// One lexed file plus the per-token test mask.
 pub struct FileCx<'a> {
     /// Workspace-relative, `/`-separated path.
     pub path: &'a str,
@@ -285,37 +138,7 @@ pub struct FileCx<'a> {
     /// `true` where the token sits in test code.
     pub mask: &'a [bool],
     /// Control comments from the lexer.
-    pub directives: &'a [crate::lexer::Directive],
-    /// Parsed syntax tree.
-    pub tree: &'a SourceTree,
-    /// Per-file symbol table.
-    pub syms: &'a SymbolTable,
-}
-
-impl FileCx<'_> {
-    /// A tree node is test code iff its first token is masked.
-    fn masked(&self, tok_index: usize) -> bool {
-        self.mask.get(tok_index).copied().unwrap_or(false)
-    }
-
-    /// Visits every expression of every non-test item: function bodies
-    /// plus const/static initializers.
-    fn walk_nontest_exprs<'b>(&'b self, f: &mut impl FnMut(&'b Expr)) {
-        self.tree.walk_items(&mut |it: &Item| {
-            if self.masked(it.span.lo) {
-                return;
-            }
-            match &it.kind {
-                ItemKind::Fn(fun) => {
-                    if let Some(b) = &fun.body {
-                        b.walk_exprs(f);
-                    }
-                }
-                ItemKind::Const(Some(e)) | ItemKind::Static(Some(e)) => e.walk(f),
-                _ => {}
-            }
-        });
-    }
+    pub directives: &'a [Directive],
 }
 
 /// True if the whole file is test/bench code by location.
@@ -365,54 +188,91 @@ fn is_test_attribute(tokens: &[Tok], i: usize) -> bool {
 }
 
 /// End index (inclusive) of the item a test attribute at `i` applies to:
-/// scan past the attribute, then to the matching `}` of the first
-/// top-level `{` (or to a top-level `;` for brace-less items).
+/// past the attribute, then to the matching `}` of the first top-level `{`
+/// (or to a top-level `;` for brace-less items).
 fn item_end(tokens: &[Tok], i: usize) -> usize {
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    let mut brace = 0i32;
-    let mut seen_open_brace = false;
-    for (k, tok) in tokens.iter().enumerate().skip(i) {
-        if tok.kind != TokKind::Punct {
-            continue;
-        }
-        match tok.text.as_bytes()[0] {
-            b'(' => paren += 1,
-            b')' => paren -= 1,
-            b'[' => bracket += 1,
-            b']' => bracket -= 1,
-            b'{' => {
-                brace += 1;
-                seen_open_brace = true;
-            }
-            b'}' => {
-                brace -= 1;
-                if seen_open_brace && brace == 0 && paren == 0 && bracket == 0 {
-                    return k;
-                }
-            }
-            b';' if !seen_open_brace && brace == 0 && paren == 0 && bracket == 0 => {
+    let attr_end = close_of(tokens, i + 1);
+    match scan_flat(tokens, attr_end + 1, |t, k| {
+        t[k].is_punct('{') || t[k].is_punct(';')
+    }) {
+        Some(k) if tokens[k].is_punct('{') => close_of(tokens, k),
+        Some(k) => k,
+        None => attr_end, // an attribute on a field or expression, not an item
+    }
+}
+
+fn is_open(t: &Tok) -> bool {
+    t.is_punct('(') || t.is_punct('[') || t.is_punct('{')
+}
+
+fn is_close(t: &Tok) -> bool {
+    t.is_punct(')') || t.is_punct(']') || t.is_punct('}')
+}
+
+/// Index of the bracket closing the `(`/`[`/`{` at `open`; the last token
+/// if the file is unbalanced (code mid-edit).
+fn close_of(tokens: &[Tok], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in tokens.iter().enumerate().skip(open) {
+        if is_open(t) {
+            depth += 1;
+        } else if is_close(t) {
+            depth -= 1;
+            if depth == 0 {
                 return k;
             }
-            _ => {}
         }
     }
     tokens.len() - 1
 }
 
+/// First index `>= from` where `stop` holds, stepping over whole bracket
+/// groups; `None` once the bracket enclosing `from` closes first.
+fn scan_flat(tokens: &[Tok], from: usize, stop: impl Fn(&[Tok], usize) -> bool) -> Option<usize> {
+    let mut k = from;
+    while k < tokens.len() {
+        if stop(tokens, k) {
+            return Some(k);
+        }
+        if is_open(&tokens[k]) {
+            k = close_of(tokens, k);
+        } else if is_close(&tokens[k]) {
+            return None;
+        }
+        k += 1;
+    }
+    None
+}
+
+/// `tokens[k]` and `tokens[k + 1]` are both `:` — a path separator.
+fn path_sep_at(tokens: &[Tok], k: usize) -> bool {
+    tokens.get(k).is_some_and(|t| t.is_punct(':'))
+        && tokens.get(k + 1).is_some_and(|t| t.is_punct(':'))
+}
+
+/// `tokens[k]` is the method name of a `.name(` call.
+fn is_method_call(tokens: &[Tok], k: usize) -> bool {
+    k > 0
+        && tokens[k].kind == TokKind::Ident
+        && tokens[k - 1].is_punct('.')
+        && tokens.get(k + 1).is_some_and(|t| t.is_punct('('))
+}
+
+fn severity(id: &str, cfg: &LintConfig) -> Severity {
+    cfg.rule(id).severity.unwrap_or(Severity::Error)
+}
+
+/// A diagnostic for rule `id` at `(line, col)` of `file`.
 fn diag(
-    id: &str,
+    id: &'static str,
     cfg: &LintConfig,
     file: &str,
-    line: u32,
-    col: u32,
+    (line, col): (u32, u32),
     message: String,
 ) -> Diagnostic {
-    let info = rule_info(id).expect("diag() called with a registered rule id");
-    let severity = cfg.rule(id).severity.unwrap_or(info.default_severity);
     Diagnostic {
-        rule: info.id,
-        severity,
+        rule: id,
+        severity: severity(id, cfg),
         file: file.to_string(),
         line,
         col,
@@ -421,18 +281,18 @@ fn diag(
 }
 
 fn rule_enabled(id: &str, cfg: &LintConfig) -> bool {
-    let info = rule_info(id).expect("registered rule id");
-    cfg.rule(id).severity.unwrap_or(info.default_severity) != Severity::Off
+    severity(id, cfg) != Severity::Off
 }
 
-/// `rule_enabled` + `in_scope` in one gate.
-fn rule_applies(id: &str, cx: &FileCx<'_>, cfg: &LintConfig) -> bool {
-    rule_enabled(id, cfg) && in_scope(cx.path, id, &cfg.rule(id))
+/// Is the rule on, and `path` inside its `paths` minus its `allow_paths`?
+fn rule_applies(id: &str, path: &str, cfg: &LintConfig) -> bool {
+    let rc = cfg.rule(id);
+    rule_enabled(id, cfg)
+        && rc.paths.iter().any(|p| matches_prefix(path, p))
+        && !rc.allow_paths.iter().any(|p| matches_prefix(path, p))
 }
 
-// ---------------------------------------------------------------------------
-// GSD000 — malformed directives
-// ---------------------------------------------------------------------------
+// ---- GSD000 — malformed directives ----
 
 /// Emits GSD000 for every malformed or unjustified control comment.
 pub fn check_directives(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
@@ -440,113 +300,18 @@ pub fn check_directives(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnos
         return;
     }
     for d in cx.directives {
-        if let Some(why) = &d.malformed {
-            out.push(diag("GSD000", cfg, cx.path, d.line, 1, why.clone()));
-        } else if rule_info(&d.rule).is_none() {
-            out.push(diag(
-                "GSD000",
-                cfg,
-                cx.path,
-                d.line,
-                1,
-                format!("`{}` is not a registered gsd-lint rule", d.rule),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// GSD001 — panics in hot-path crates
-// ---------------------------------------------------------------------------
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Flags `.unwrap()` / `.expect(…)` method calls and panic-family macro
-/// invocations in non-test code of the hot-path crates.
-pub fn check_gsd001(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD001", cx, cfg) {
-        return;
-    }
-    cx.walk_nontest_exprs(&mut |e| {
-        let ExprKind::Chain(c) = &e.kind else { return };
-        if let ChainBase::Macro(m) = &c.base {
-            if m.path
-                .last()
-                .is_some_and(|p| PANIC_MACROS.contains(&p.as_str()))
-            {
-                out.push(diag(
-                    "GSD001",
-                    cfg,
-                    cx.path,
-                    m.line,
-                    e.span.col(cx.tokens),
-                    format!(
-                        "`{}!` in hot-path code — return a typed error; a panic mid-run \
-                         can leave partially-flushed vertex state behind",
-                        m.path.last().expect("macro path nonempty")
-                    ),
-                ));
+        let why = match &d.malformed {
+            Some(why) => why.clone(),
+            None if rule_info(&d.rule).is_none() && !is_retired(&d.rule) => {
+                format!("`{}` is not a registered gsd-lint rule", d.rule)
             }
-        }
-        for op in &c.ops {
-            if let PostfixKind::Method { name, line, .. } = &op.kind {
-                if name == "unwrap" || name == "expect" {
-                    out.push(diag(
-                        "GSD001",
-                        cfg,
-                        cx.path,
-                        *line,
-                        op.span.col(cx.tokens),
-                        format!(
-                            "`.{name}()` in hot-path code — propagate the error through the \
-                             typed `Result` path instead of panicking"
-                        ),
-                    ));
-                }
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// GSD002 — wall-clock access outside the timing modules
-// ---------------------------------------------------------------------------
-
-const WALL_CLOCK_TYPES: &[&str] = &["Instant", "SystemTime"];
-
-/// Flags raw wall-clock type references outside gsd-trace / gsd-bench and
-/// the designated timing module. This one stays a token scan: it is a name
-/// ban, and an import, a type annotation, or an expression mention are all
-/// equally wrong.
-pub fn check_gsd002(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD002", cx, cfg) {
-        return;
-    }
-    for (i, tok) in cx.tokens.iter().enumerate() {
-        if cx.mask[i] || tok.kind != TokKind::Ident {
-            continue;
-        }
-        if WALL_CLOCK_TYPES.contains(&tok.text.as_str()) {
-            out.push(diag(
-                "GSD002",
-                cfg,
-                cx.path,
-                tok.line,
-                tok.col,
-                format!(
-                    "raw `{}` outside the designated timing modules — measure through \
-                     `gsd_trace::clock::Stopwatch`/`timed` so SimDisk virtual-clock \
-                     runs stay wall-clock-free",
-                    tok.text
-                ),
-            ));
-        }
+            None => continue,
+        };
+        out.push(diag("GSD000", cfg, cx.path, (d.line, 1), why));
     }
 }
 
-// ---------------------------------------------------------------------------
-// GSD003 — lock guard held across storage I/O
-// ---------------------------------------------------------------------------
+// ---- GSD003 — lock guard held across storage I/O ----
 
 /// Storage-layer entry points whose call under a held guard is flagged.
 const IO_METHODS: &[&str] = &[
@@ -564,235 +329,105 @@ const IO_METHODS: &[&str] = &[
 const GUARD_METHODS: &[&str] = &["lock", "read", "write"];
 
 /// Flags `let guard = ….lock()/read()/write();` bindings whose lexical
-/// scope (the rest of the enclosing block, or up to an explicit
-/// `drop(guard)`) contains a storage I/O call.
+/// scope (to the enclosing block's `}` or an explicit `drop(guard)`)
+/// contains a storage I/O call.
 pub fn check_gsd003(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD003", cx, cfg) {
+    if !rule_applies("GSD003", cx.path, cfg) {
         return;
     }
-    cx.tree.walk_items(&mut |it: &Item| {
-        if cx.masked(it.span.lo) {
-            return;
+    let toks = cx.tokens;
+    for i in 0..toks.len() {
+        // `if let` / `while let` bind pattern matches, not guards.
+        if cx.mask[i]
+            || !toks[i].is_ident("let")
+            || (i > 0 && (toks[i - 1].is_ident("if") || toks[i - 1].is_ident("while")))
+        {
+            continue;
         }
-        if let ItemKind::Fn(fun) = &it.kind {
-            if let Some(body) = &fun.body {
-                let mut blocks = Vec::new();
-                collect_blocks(body, &mut blocks);
-                for b in blocks {
-                    scan_guard_block(cx, b, cfg, out);
-                }
-            }
-        }
-    });
-}
-
-/// Collects `b` and every block nested in its statements' expressions.
-fn collect_blocks<'a>(b: &'a Block, out: &mut Vec<&'a Block>) {
-    out.push(b);
-    for s in &b.stmts {
-        match s {
-            Stmt::Let(l) => {
-                if let Some(e) = &l.init {
-                    blocks_of_expr(e, out);
-                }
-                if let Some(eb) = &l.else_block {
-                    collect_blocks(eb, out);
-                }
-            }
-            Stmt::Expr { expr, .. } => blocks_of_expr(expr, out),
-            Stmt::Item(_) => {} // nested items are walked as items
-        }
-    }
-}
-
-fn blocks_of_expr<'a>(e: &'a Expr, out: &mut Vec<&'a Block>) {
-    match &e.kind {
-        ExprKind::If(i) => {
-            blocks_of_expr(&i.cond, out);
-            collect_blocks(&i.then, out);
-            if let Some(els) = &i.els {
-                blocks_of_expr(els, out);
-            }
-        }
-        ExprKind::Match(m) => {
-            blocks_of_expr(&m.scrutinee, out);
-            for a in &m.arms {
-                if let Some(g) = &a.guard {
-                    blocks_of_expr(g, out);
-                }
-                blocks_of_expr(&a.body, out);
-            }
-        }
-        ExprKind::For(f) => {
-            blocks_of_expr(&f.iter, out);
-            collect_blocks(&f.body, out);
-        }
-        ExprKind::While(w) => {
-            blocks_of_expr(&w.cond, out);
-            collect_blocks(&w.body, out);
-        }
-        ExprKind::Loop(b) | ExprKind::Block(b) => collect_blocks(b, out),
-        ExprKind::Closure(c) => blocks_of_expr(&c.body, out),
-        ExprKind::Chain(c) => {
-            match &c.base {
-                ChainBase::Macro(m) => m.args.iter().for_each(|e| blocks_of_expr(e, out)),
-                ChainBase::Struct(s) => {
-                    for (_, fe) in &s.fields {
-                        if let Some(fe) = fe {
-                            blocks_of_expr(fe, out);
-                        }
-                    }
-                    if let Some(r) = &s.rest {
-                        blocks_of_expr(r, out);
-                    }
-                }
-                ChainBase::Paren(inner) => blocks_of_expr(inner, out),
-                ChainBase::Path { .. } | ChainBase::Lit(_) => {}
-            }
-            for op in &c.ops {
-                match &op.kind {
-                    PostfixKind::Method { args, .. } | PostfixKind::Call(args) => {
-                        args.iter().for_each(|e| blocks_of_expr(e, out))
-                    }
-                    PostfixKind::Index(i) => blocks_of_expr(i, out),
-                    _ => {}
-                }
-            }
-        }
-        ExprKind::Unary { expr } | ExprKind::Cast { expr, .. } => blocks_of_expr(expr, out),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs } => {
-            blocks_of_expr(lhs, out);
-            blocks_of_expr(rhs, out);
-        }
-        ExprKind::Range { lo, hi } => {
-            lo.iter().for_each(|e| blocks_of_expr(e, out));
-            hi.iter().for_each(|e| blocks_of_expr(e, out));
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) => es.iter().for_each(|e| blocks_of_expr(e, out)),
-        ExprKind::Return(inner) | ExprKind::Break(inner) => {
-            inner.iter().for_each(|e| blocks_of_expr(e, out))
-        }
-        ExprKind::CondLet { expr, .. } => blocks_of_expr(expr, out),
-        ExprKind::Continue | ExprKind::Verbatim => {}
-    }
-}
-
-/// Scans one block's statement list for guard bindings held across I/O.
-fn scan_guard_block(cx: &FileCx<'_>, b: &Block, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    for (i, s) in b.stmts.iter().enumerate() {
-        let Stmt::Let(l) = s else { continue };
-        let Some(name) = guard_binding(l) else {
+        let Some(stmt_end) = scan_flat(toks, i, |t, k| t[k].is_punct(';')) else {
             continue;
         };
-        if let Some((method, line)) = first_io_call(&b.stmts[i + 1..], &name) {
+        let Some(guard) = guard_binding(toks, i, stmt_end) else {
+            continue;
+        };
+        if let Some(io) = first_io_call_under(toks, stmt_end + 1, guard) {
             out.push(diag(
                 "GSD003",
                 cfg,
                 cx.path,
-                l.span.line(cx.tokens),
-                l.span.col(cx.tokens),
+                toks[i].pos(),
                 format!(
-                    "lock guard `{name}` is held across the storage call `{method}` \
-                     (line {line}) — drop the guard (or copy what you need out \
-                     of it) before touching storage"
+                    "lock guard `{guard}` is held across the storage call `{}` \
+                     (line {}) — drop the guard (or copy what you need out \
+                     of it) before touching storage",
+                    io.text, io.line
                 ),
             ));
         }
     }
 }
 
-/// Does this `let` bind a lock guard? True when the initializer chain's
-/// last substantive op is a zero-argument `.lock()`/`.read()`/`.write()`
-/// call, followed only by guard-preserving ops (`?`, `.unwrap()`,
-/// `.expect(…)`). A longer chain (e.g. `.lock().forget(k)`) consumes the
-/// guard within the statement and is fine.
-fn guard_binding(l: &LetStmt) -> Option<String> {
-    let name = l.pat.binding.clone()?;
-    let init = l.init.as_ref()?;
-    let ExprKind::Chain(c) = &init.kind else {
+/// Does `let …;` over `[start, stmt_end]` bind a lock guard? True when the
+/// statement's last `.lock()` / `.read()` / `.write()` call is followed
+/// only by guard-preserving ops (`?`, `.unwrap()`, `.expect(…)`), so the
+/// guard outlives the statement. A longer chain (`.lock().forget(k)`)
+/// consumes the guard within the statement and is fine. Tuple and struct
+/// patterns are skipped — storage guards are plain bindings.
+fn guard_binding(tokens: &[Tok], start: usize, stmt_end: usize) -> Option<&str> {
+    let n = start + 1 + usize::from(tokens[start + 1].is_ident("mut"));
+    let plain = n < stmt_end
+        && tokens[n].kind == TokKind::Ident
+        && (tokens[n + 1].is_punct('=') || tokens[n + 1].is_punct(':'));
+    if !plain {
         return None;
-    };
-    let mut last_guard = None;
-    for (k, op) in c.ops.iter().enumerate() {
-        if let PostfixKind::Method { name, args, .. } = &op.kind {
-            if GUARD_METHODS.contains(&name.as_str()) && args.is_empty() {
-                last_guard = Some(k);
-            }
+    }
+    let guard_call = (start..stmt_end).rev().find(|&k| {
+        is_method_call(tokens, k)
+            && GUARD_METHODS.contains(&tokens[k].text.as_str())
+            && tokens[k + 2].is_punct(')') // in bounds: `;` follows at stmt_end
+    })?;
+    let mut k = guard_call + 3;
+    while k < stmt_end {
+        if tokens[k].is_punct('?') {
+            k += 1;
+        } else if tokens[k].is_punct('.')
+            && is_method_call(tokens, k + 1)
+            && (tokens[k + 1].is_ident("unwrap") || tokens[k + 1].is_ident("expect"))
+        {
+            k = close_of(tokens, k + 2) + 1;
+        } else {
+            return None;
         }
     }
-    let gi = last_guard?;
-    for op in &c.ops[gi + 1..] {
-        match &op.kind {
-            PostfixKind::Try => {}
-            PostfixKind::Method { name, .. } if name == "unwrap" || name == "expect" => {}
-            _ => return None,
+    Some(&tokens[n].text)
+}
+
+/// First storage I/O method call after `from` while `guard` is alive: the
+/// scan ends where the enclosing block closes or at `drop(guard)`.
+fn first_io_call_under<'a>(tokens: &'a [Tok], from: usize, guard: &str) -> Option<&'a Tok> {
+    let mut depth = 0i32;
+    for k in from..tokens.len() {
+        let t = &tokens[k];
+        if t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct('}') {
+            depth -= 1;
+            if depth < 0 {
+                return None;
+            }
+        } else if t.is_ident("drop")
+            && tokens.get(k + 1).is_some_and(|t| t.is_punct('('))
+            && tokens.get(k + 2).is_some_and(|t| t.is_ident(guard))
+        {
+            return None;
+        } else if is_method_call(tokens, k) && IO_METHODS.contains(&t.text.as_str()) {
+            return Some(t);
         }
     }
-    Some(name)
+    None
 }
 
-/// Per-walk state for [`first_io_call`].
-#[derive(Default)]
-struct IoScan {
-    found: Option<(String, u32)>,
-    stopped: bool,
-}
-
-/// First storage I/O method call in `stmts`, stopping at `drop(guard)`.
-fn first_io_call(stmts: &[Stmt], guard: &str) -> Option<(String, u32)> {
-    let scan = std::cell::RefCell::new(IoScan::default());
-    let mut visit = |e: &Expr| {
-        let mut st = scan.borrow_mut();
-        if st.stopped || st.found.is_some() {
-            return;
-        }
-        let ExprKind::Chain(c) = &e.kind else { return };
-        if let ChainBase::Path { segs, .. } = &c.base {
-            if segs.len() == 1 && segs[0] == "drop" {
-                if let Some(PostfixKind::Call(args)) = c.ops.first().map(|op| &op.kind) {
-                    let names_guard = args.first().is_some_and(|a| {
-                        matches!(&a.kind, ExprKind::Chain(ac)
-                            if ac.ops.is_empty()
-                                && matches!(&ac.base, ChainBase::Path { segs, .. }
-                                    if segs.len() == 1 && segs[0] == guard))
-                    });
-                    if names_guard {
-                        st.stopped = true;
-                        return;
-                    }
-                }
-            }
-        }
-        for op in &c.ops {
-            if let PostfixKind::Method { name, line, .. } = &op.kind {
-                if IO_METHODS.contains(&name.as_str()) {
-                    st.found = Some((name.clone(), *line));
-                    return;
-                }
-            }
-        }
-    };
-    for s in stmts {
-        match s {
-            Stmt::Let(l) => {
-                if let Some(e) = &l.init {
-                    e.walk(&mut visit);
-                }
-            }
-            Stmt::Expr { expr, .. } => expr.walk(&mut visit),
-            Stmt::Item(_) => {}
-        }
-        let st = scan.borrow();
-        if st.stopped || st.found.is_some() {
-            break;
-        }
-    }
-    scan.into_inner().found
-}
-
-// ---------------------------------------------------------------------------
-// GSD004 — dead telemetry (cross-file)
-// ---------------------------------------------------------------------------
+// ---- GSD004 — dead telemetry (cross-file) ----
 
 /// Cross-file check: every variant of the trace-event enum must be
 /// constructed in at least one non-test file other than its definition.
@@ -803,82 +438,105 @@ pub fn check_gsd004(files: &[FileCx<'_>], cfg: &LintConfig, out: &mut Vec<Diagno
     let Some(event_cx) = files.iter().find(|f| f.path == cfg.event_file) else {
         return; // No event file in this workspace view — nothing to check.
     };
-    let mut variants: Vec<(String, u32)> = Vec::new();
-    event_cx.tree.walk_items(&mut |it: &Item| {
-        if it.name == cfg.event_enum {
-            if let ItemKind::Enum(e) = &it.kind {
-                variants = e
-                    .variants
-                    .iter()
-                    .map(|v| (v.name.clone(), v.line))
-                    .collect();
-            }
-        }
-    });
-    if variants.is_empty() {
-        return;
-    }
     let mut constructed: BTreeSet<&str> = BTreeSet::new();
-    for cx in files {
-        if cx.path == cfg.event_file {
-            continue;
-        }
-        cx.walk_nontest_exprs(&mut |e| {
-            if let ExprKind::Chain(c) = &e.kind {
-                if let ChainBase::Struct(s) = &c.base {
-                    if s.path.len() >= 2 && s.path[s.path.len() - 2] == cfg.event_enum {
-                        constructed.insert(s.path.last().expect("path nonempty"));
-                    }
-                }
-            }
-        });
+    for cx in files.iter().filter(|cx| cx.path != cfg.event_file) {
+        collect_constructions(cx, &cfg.event_enum, &mut constructed);
     }
-    for (name, line) in &variants {
-        if !constructed.contains(name.as_str()) {
+    for variant in enum_variants(event_cx.tokens, &cfg.event_enum) {
+        if !constructed.contains(variant.text.as_str()) {
             out.push(diag(
                 "GSD004",
                 cfg,
                 event_cx.path,
-                *line,
-                1,
+                variant.pos(),
                 format!(
-                    "trace event `{}::{name}` is never constructed outside tests — \
+                    "trace event `{}::{}` is never constructed outside tests — \
                      dead telemetry: either emit it or remove the variant",
-                    cfg.event_enum
+                    cfg.event_enum, variant.text
                 ),
             ));
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// GSD005 — forbid(unsafe_code) at every crate root
-// ---------------------------------------------------------------------------
+/// The variant-name tokens of `enum <name> { … }`, empty if not defined
+/// in this file.
+fn enum_variants<'a>(tokens: &'a [Tok], name: &str) -> Vec<&'a Tok> {
+    let Some(open) = (2..tokens.len()).find(|&i| {
+        tokens[i].is_punct('{') && tokens[i - 1].is_ident(name) && tokens[i - 2].is_ident("enum")
+    }) else {
+        return Vec::new();
+    };
+    let close = close_of(tokens, open);
+    let mut out = Vec::new();
+    let mut k = open + 1;
+    while k < close {
+        if tokens[k].is_punct('#') {
+            k = close_of(tokens, k + 1) + 1; // an attribute's bracket group
+        } else if tokens[k].kind == TokKind::Ident {
+            out.push(&tokens[k]);
+            // Skip the payload to the `,` ending the variant.
+            k = scan_flat(tokens, k + 1, |t, j| t[j].is_punct(',')).map_or(close, |c| c + 1);
+        } else {
+            k += 1;
+        }
+    }
+    out
+}
+
+/// Records variants of `enum_name` that this file *constructs* (as opposed
+/// to pattern-matches) in non-test code. `Enum::Variant { … }` is a
+/// pattern when it follows `let`, ends in a bare `..`, or is followed by
+/// `=>`, `|`, `=` or `if`; anything else counts as a construction.
+fn collect_constructions<'a>(cx: &FileCx<'a>, enum_name: &str, out: &mut BTreeSet<&'a str>) {
+    let toks = cx.tokens;
+    for i in 0..toks.len() {
+        let struct_like = !cx.mask[i]
+            && toks[i].is_ident(enum_name)
+            && path_sep_at(toks, i + 1)
+            && toks.get(i + 3).is_some_and(|t| t.kind == TokKind::Ident)
+            && toks.get(i + 4).is_some_and(|t| t.is_punct('{'));
+        if !struct_like {
+            continue; // a bare path is a unit-variant reference or pattern
+        }
+        let close = close_of(toks, i + 4);
+        let is_pattern = (i > 0 && toks[i - 1].is_ident("let"))
+            || (toks[close - 1].is_punct('.') && toks[close - 2].is_punct('.'))
+            || toks
+                .get(close + 1)
+                .is_some_and(|t| t.is_punct('|') || t.is_punct('=') || t.is_ident("if"));
+        if !is_pattern {
+            out.insert(&toks[i + 3].text);
+        }
+    }
+}
+
+// ---- GSD005 — forbid(unsafe_code) at every crate root ----
 
 /// True if `path` is a crate root this rule audits.
 pub fn is_crate_root(path: &str) -> bool {
     path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"))
 }
 
-/// Flags crate roots missing `#![forbid(unsafe_code)]` among their inner
-/// attributes.
+/// Flags crate roots missing `#![forbid(unsafe_code)]`.
 pub fn check_gsd005(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if !rule_enabled("GSD005", cfg) || !is_crate_root(cx.path) {
         return;
     }
-    let found = cx.tree.inner_attrs.iter().any(|a| {
-        let toks = &cx.tokens[a.span.lo.min(cx.tokens.len())..a.span.hi.min(cx.tokens.len())];
-        toks.windows(2)
-            .any(|w| w[0].is_ident("forbid") && w[1].is_punct('('))
-            && toks.iter().any(|t| t.is_ident("unsafe_code"))
+    let found = cx.tokens.windows(6).any(|w| {
+        w[0].is_punct('#')
+            && w[1].is_punct('!')
+            && w[2].is_punct('[')
+            && w[3].is_ident("forbid")
+            && w[4].is_punct('(')
+            && w[5].is_ident("unsafe_code")
     });
     if !found {
         out.push(diag(
             "GSD005",
             cfg,
             cx.path,
-            1,
-            1,
+            (1, 1),
             "crate root is missing `#![forbid(unsafe_code)]` — every first-party \
              crate must statically rule unsafe out"
                 .to_string(),
@@ -886,540 +544,242 @@ pub fn check_gsd005(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>
     }
 }
 
-// ---------------------------------------------------------------------------
-// GSD006 — `as u32` truncation in graph/offset arithmetic
-// ---------------------------------------------------------------------------
+// ---- GSD006 — `as u32` truncation in graph/offset arithmetic ----
 
 /// Flags `as u32` casts in the id/offset-arithmetic crates; narrowing must
 /// go through `gsd_graph::narrow` so truncation fails loudly.
 pub fn check_gsd006(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD006", cx, cfg) {
+    if !rule_applies("GSD006", cx.path, cfg) {
         return;
     }
-    cx.walk_nontest_exprs(&mut |e| {
-        if let ExprKind::Cast { ty, as_line, .. } = &e.kind {
-            if ty.head() == "u32" {
+    for (i, tok) in cx.tokens.iter().enumerate() {
+        if !cx.mask[i]
+            && tok.is_ident("as")
+            && cx.tokens.get(i + 1).is_some_and(|t| t.is_ident("u32"))
+        {
+            out.push(diag(
+                "GSD006",
+                cfg,
+                cx.path,
+                tok.pos(),
+                "`as u32` in graph/offset arithmetic silently truncates — narrow \
+                 through `gsd_graph::narrow` (to_u32/from_usize/…) instead"
+                    .to_string(),
+            ));
+        }
+    }
+}
+
+// ---- GSD010 — Ordering::Relaxed outside allow-listed counters ----
+
+/// Flags every `Relaxed` that is not an argument of a method call on one
+/// of the statistics counters listed under `[rules.GSD010] idents`.
+pub fn check_gsd010(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+    if !rule_applies("GSD010", cx.path, cfg) {
+        return;
+    }
+    let allowed = cfg.rule("GSD010").idents;
+    for (i, tok) in cx.tokens.iter().enumerate() {
+        if cx.mask[i] || !tok.is_ident("Relaxed") {
+            continue;
+        }
+        let recv = relaxed_receiver(cx.tokens, i);
+        if recv.is_some_and(|r| allowed.iter().any(|a| a == r)) {
+            continue;
+        }
+        out.push(diag(
+            "GSD010",
+            cfg,
+            cx.path,
+            tok.pos(),
+            format!(
+                "`Ordering::Relaxed` on `{}` — Relaxed is reserved for the \
+                 allow-listed statistics counters; use Acquire/Release, or \
+                 add the counter to [rules.GSD010] idents in lint.toml",
+                recv.unwrap_or("<expression>")
+            ),
+        ));
+    }
+}
+
+/// The receiver of the method call that the token at `i` is an argument
+/// of: `self.write_ops.fetch_add(1, Ordering::Relaxed)` → `write_ops`.
+/// `None` for a free-function call, a `self.method(…)` call, a receiver
+/// that is itself a call result, or a `Relaxed` outside any call.
+fn relaxed_receiver(tokens: &[Tok], i: usize) -> Option<&str> {
+    let mut depth = 0i32;
+    let open = (0..i).rev().find(|&k| {
+        let t = &tokens[k];
+        if t.is_punct(')') {
+            depth += 1;
+        } else if t.is_punct('(') {
+            depth -= 1;
+        }
+        depth < 0 || t.is_punct(';') || t.is_punct('{') || t.is_punct('}')
+    })?;
+    if !tokens[open].is_punct('(') || open < 3 || !is_method_call(tokens, open - 1) {
+        return None;
+    }
+    // Step left over `[index]` groups: `self.counters[i].fetch_add(…)`.
+    let mut r = open - 3;
+    while tokens[r].is_punct(']') {
+        let mut depth = 0i32;
+        r = (0..=r).rev().find(|&k| {
+            depth += i32::from(tokens[k].is_punct(']')) - i32::from(tokens[k].is_punct('['));
+            depth == 0
+        })?;
+        r = r.checked_sub(1)?;
+    }
+    (tokens[r].kind == TokKind::Ident && !tokens[r].is_ident("self"))
+        .then(|| tokens[r].text.as_str())
+}
+
+// ---- GSD011 — no std::fs / File in the engine and kernel crates ----
+
+/// Flags any mention of `File` or an `fs::` path in non-test code of the
+/// engine and kernel crates: their I/O goes through `gsd_io::Storage`. A
+/// name ban — one finding per line.
+pub fn check_gsd011(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+    if !rule_applies("GSD011", cx.path, cfg) {
+        return;
+    }
+    let toks = cx.tokens;
+    let mut last_line = 0u32;
+    for (i, tok) in toks.iter().enumerate() {
+        let hit = tok.is_ident("File")
+            || (tok.is_ident("fs")
+                && (path_sep_at(toks, i + 1) || (i >= 2 && path_sep_at(toks, i - 2))));
+        if cx.mask[i] || !hit || tok.line == last_line {
+            continue;
+        }
+        last_line = tok.line;
+        out.push(diag(
+            "GSD011",
+            cfg,
+            cx.path,
+            tok.pos(),
+            format!(
+                "`{}` in an engine/kernel crate — raw file I/O bypasses the accounted, \
+                 priced and fault-injected block API; go through `gsd_io::Storage`",
+                tok.text
+            ),
+        ));
+    }
+}
+
+// ---- GSD012 — exhaustive matches over listed enums (cross-file) ----
+
+/// Cross-file check: a `match` whose arms name a variant of an enum listed
+/// under `[rules.GSD012] enums` must not have a catch-all arm while
+/// variants remain uncovered.
+pub fn check_gsd012(files: &[FileCx<'_>], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+    // Variant sets come from whichever file defines each listed enum.
+    let listed: Vec<(String, Vec<&Tok>)> = cfg
+        .rule("GSD012")
+        .enums
+        .into_iter()
+        .filter_map(|name| {
+            let vars = files
+                .iter()
+                .map(|cx| enum_variants(cx.tokens, &name))
+                .find(|v| !v.is_empty())?;
+            Some((name, vars))
+        })
+        .collect();
+    for cx in files {
+        if !rule_applies("GSD012", cx.path, cfg) {
+            continue;
+        }
+        for (i, tok) in cx.tokens.iter().enumerate() {
+            if cx.mask[i] || !tok.is_ident("match") {
+                continue;
+            }
+            let arms = match_arm_patterns(cx.tokens, i);
+            let Some(catch) = arms.iter().find(|a| is_catch_all(&cx.tokens[(*a).clone()])) else {
+                continue;
+            };
+            for (name, variants) in &listed {
+                let covered: BTreeSet<&str> = arms
+                    .iter()
+                    .flat_map(|a| a.clone())
+                    .filter(|&k| cx.tokens[k].is_ident(name) && path_sep_at(cx.tokens, k + 1))
+                    .filter_map(|k| cx.tokens.get(k + 3).map(|t| t.text.as_str()))
+                    .collect();
+                let missing: Vec<&str> = variants
+                    .iter()
+                    .map(|v| v.text.as_str())
+                    .filter(|v| !covered.contains(v))
+                    .collect();
+                if covered.is_empty() || missing.is_empty() {
+                    continue; // not a match over this enum, or fully listed
+                }
                 out.push(diag(
-                    "GSD006",
+                    "GSD012",
                     cfg,
                     cx.path,
-                    *as_line,
-                    1,
-                    "`as u32` in graph/offset arithmetic silently truncates — narrow \
-                     through `gsd_graph::narrow` (to_u32/from_usize/…) instead"
-                        .to_string(),
+                    cx.tokens[catch.start].pos(),
+                    format!(
+                        "catch-all arm in a `match` over `{name}` hides {} unhandled variant(s): \
+                         {} — list them explicitly so adding a variant forces a decision here",
+                        missing.len(),
+                        missing.join(", ")
+                    ),
                 ));
             }
         }
-    });
+    }
 }
 
-// ---------------------------------------------------------------------------
-// GSD007 / GSD008 — unordered iteration order observed (dataflow)
-// ---------------------------------------------------------------------------
-
-/// Runs the dataflow pass over every non-test function and attributes its
-/// findings to GSD007 (order observed) or GSD008 (float reduction), each
-/// under its own scope.
-pub fn check_gsd007_008(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    let on7 = rule_applies("GSD007", cx, cfg);
-    let on8 = rule_applies("GSD008", cx, cfg);
-    if !on7 && !on8 {
-        return;
-    }
-    cx.tree.walk_items(&mut |it: &Item| {
-        if cx.masked(it.span.lo) {
-            return;
-        }
-        let ItemKind::Fn(fun) = &it.kind else { return };
-        if fun.body.is_none() {
-            return;
-        }
-        for f in dataflow::analyze_fn(fun, cx.tokens, cx.syms) {
-            let on = match f.rule {
-                "GSD007" => on7,
-                _ => on8,
-            };
-            if on {
-                out.push(diag(f.rule, cfg, cx.path, f.line, 1, f.message));
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// GSD009 — concurrency primitives outside designated modules
-// ---------------------------------------------------------------------------
-
-/// `(second-to-last, last)` resolved path segments whose call expression
-/// constructs a concurrency primitive.
-const CONCURRENCY_CTORS: &[(&str, &str)] = &[
-    ("thread", "spawn"),
-    ("mpsc", "channel"),
-    ("mpsc", "sync_channel"),
-    ("Mutex", "new"),
-    ("Condvar", "new"),
-    ("Barrier", "new"),
-];
-
-/// Flags construction of thread/channel/lock primitives outside the
-/// designated concurrency modules (pipeline executor + allow list).
-pub fn check_gsd009(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD009", cx, cfg) {
-        return;
-    }
-    cx.walk_nontest_exprs(&mut |e| {
-        let ExprKind::Chain(c) = &e.kind else { return };
-        let ChainBase::Path { segs, .. } = &c.base else {
-            return;
-        };
-        if !matches!(c.ops.first().map(|op| &op.kind), Some(PostfixKind::Call(_))) {
-            return;
-        }
-        let resolved = cx.syms.resolve_path(segs);
-        if resolved.len() < 2 {
-            return;
-        }
-        let pair = (
-            resolved[resolved.len() - 2].as_str(),
-            resolved[resolved.len() - 1].as_str(),
-        );
-        if CONCURRENCY_CTORS.contains(&pair) {
-            out.push(diag(
-                "GSD009",
-                cfg,
-                cx.path,
-                e.span.line(cx.tokens),
-                e.span.col(cx.tokens),
-                format!(
-                    "`{}::{}` constructed outside a designated concurrency module — \
-                     threads, channels and locks are created only in the pipeline \
-                     executor or a module allow-listed under [rules.GSD009] in lint.toml",
-                    pair.0, pair.1
-                ),
-            ));
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// GSD010 — Ordering::Relaxed outside allow-listed counters
-// ---------------------------------------------------------------------------
-
-/// Flags `Ordering::Relaxed` arguments whose receiver is not an
-/// allow-listed statistics counter.
-pub fn check_gsd010(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD010", cx, cfg) {
-        return;
-    }
-    let rc = cfg.rule("GSD010");
-    let allowed: Vec<&str> = if rc.idents.is_empty() {
-        DEFAULT_RELAXED_IDENTS.to_vec()
-    } else {
-        rc.idents.iter().map(String::as_str).collect()
+/// Token ranges of the arm patterns (guards included) of the `match` whose
+/// keyword is at `at`.
+fn match_arm_patterns(tokens: &[Tok], at: usize) -> Vec<Range<usize>> {
+    let Some(open) = scan_flat(tokens, at + 1, |t, k| t[k].is_punct('{')) else {
+        return Vec::new();
     };
-    cx.walk_nontest_exprs(&mut |e| {
-        let ExprKind::Chain(c) = &e.kind else { return };
-        // Receiver name: the base identifier, updated by each `.field`.
-        let mut recv: Option<String> = match &c.base {
-            ChainBase::Path { segs, .. } if segs.len() == 1 && segs[0] != "self" => {
-                Some(segs[0].clone())
-            }
-            _ => None,
-        };
-        for op in &c.ops {
-            if let PostfixKind::Field(f) = &op.kind {
-                recv = Some(f.clone());
-            }
-            if let PostfixKind::Method { args, line, .. } = &op.kind {
-                for a in args {
-                    if is_relaxed_path(a, cx.syms)
-                        && !recv.as_deref().is_some_and(|r| allowed.contains(&r))
-                    {
-                        out.push(diag(
-                            "GSD010",
-                            cfg,
-                            cx.path,
-                            *line,
-                            op.span.col(cx.tokens),
-                            format!(
-                                "`Ordering::Relaxed` on `{}` — Relaxed is reserved for the \
-                                 allow-listed statistics counters; use Acquire/Release, or \
-                                 add the counter to [rules.GSD010] idents in lint.toml",
-                                recv.as_deref().unwrap_or("<expression>")
-                            ),
-                        ));
-                    }
-                }
-            } else if let PostfixKind::Call(args) = &op.kind {
-                for a in args {
-                    if is_relaxed_path(a, cx.syms) {
-                        out.push(diag(
-                            "GSD010",
-                            cfg,
-                            cx.path,
-                            e.span.line(cx.tokens),
-                            e.span.col(cx.tokens),
-                            "`Ordering::Relaxed` passed to a free function — Relaxed is \
-                             reserved for the allow-listed statistics counters"
-                                .to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Is this expression a bare path resolving to `…::Ordering::Relaxed`?
-fn is_relaxed_path(e: &Expr, syms: &SymbolTable) -> bool {
-    let ExprKind::Chain(c) = &e.kind else {
-        return false;
-    };
-    if !c.ops.is_empty() {
-        return false;
-    }
-    let ChainBase::Path { segs, .. } = &c.base else {
-        return false;
-    };
-    let resolved = syms.resolve_path(segs);
-    resolved.len() >= 2
-        && resolved[resolved.len() - 2] == "Ordering"
-        && resolved[resolved.len() - 1] == "Relaxed"
-}
-
-// ---------------------------------------------------------------------------
-// GSD011 — unbuffered per-edge File I/O inside kernel loops
-// ---------------------------------------------------------------------------
-
-/// `File` methods that issue one syscall per call.
-const FILE_IO_METHODS: &[&str] = &["write", "write_all", "read", "read_exact", "write_fmt"];
-
-/// Flags raw `File` read/write calls (and `write!`/`writeln!` to a raw
-/// `File`) inside loop bodies of the kernel crates.
-pub fn check_gsd011(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD011", cx, cfg) {
-        return;
-    }
-    cx.tree.walk_items(&mut |it: &Item| {
-        if cx.masked(it.span.lo) {
-            return;
-        }
-        let ItemKind::Fn(fun) = &it.kind else { return };
-        let Some(body) = &fun.body else { return };
-        // Local type environment: parameter and `let` annotations.
-        let mut env: BTreeMap<&str, &str> = BTreeMap::new();
-        for p in &fun.params {
-            if let (Some(n), Some(t)) = (&p.name, &p.ty) {
-                env.insert(n, t.head());
-            }
-        }
-        let mut blocks = Vec::new();
-        collect_blocks(body, &mut blocks);
-        for b in &blocks {
-            for s in &b.stmts {
-                if let Stmt::Let(l) = s {
-                    if let (Some(n), Some(t)) = (&l.pat.binding, &l.ty) {
-                        env.insert(n, t.head());
-                    }
-                }
-            }
-        }
-        scan_loops_block(cx, cfg, &env, body, false, out);
-    });
-}
-
-fn scan_loops_block(
-    cx: &FileCx<'_>,
-    cfg: &LintConfig,
-    env: &BTreeMap<&str, &str>,
-    b: &Block,
-    in_loop: bool,
-    out: &mut Vec<Diagnostic>,
-) {
-    for s in &b.stmts {
-        match s {
-            Stmt::Let(l) => {
-                if let Some(e) = &l.init {
-                    scan_loops_expr(cx, cfg, env, e, in_loop, out);
-                }
-                if let Some(eb) = &l.else_block {
-                    scan_loops_block(cx, cfg, env, eb, in_loop, out);
-                }
-            }
-            Stmt::Expr { expr, .. } => scan_loops_expr(cx, cfg, env, expr, in_loop, out),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-fn scan_loops_expr(
-    cx: &FileCx<'_>,
-    cfg: &LintConfig,
-    env: &BTreeMap<&str, &str>,
-    e: &Expr,
-    in_loop: bool,
-    out: &mut Vec<Diagnostic>,
-) {
-    match &e.kind {
-        ExprKind::For(f) => {
-            scan_loops_expr(cx, cfg, env, &f.iter, in_loop, out);
-            scan_loops_block(cx, cfg, env, &f.body, true, out);
-        }
-        ExprKind::While(w) => {
-            scan_loops_expr(cx, cfg, env, &w.cond, in_loop, out);
-            scan_loops_block(cx, cfg, env, &w.body, true, out);
-        }
-        ExprKind::Loop(b) => scan_loops_block(cx, cfg, env, b, true, out),
-        ExprKind::Block(b) => scan_loops_block(cx, cfg, env, b, in_loop, out),
-        ExprKind::If(i) => {
-            scan_loops_expr(cx, cfg, env, &i.cond, in_loop, out);
-            scan_loops_block(cx, cfg, env, &i.then, in_loop, out);
-            if let Some(els) = &i.els {
-                scan_loops_expr(cx, cfg, env, els, in_loop, out);
-            }
-        }
-        ExprKind::Match(m) => {
-            scan_loops_expr(cx, cfg, env, &m.scrutinee, in_loop, out);
-            for a in &m.arms {
-                if let Some(g) = &a.guard {
-                    scan_loops_expr(cx, cfg, env, g, in_loop, out);
-                }
-                scan_loops_expr(cx, cfg, env, &a.body, in_loop, out);
-            }
-        }
-        ExprKind::Closure(c) => scan_loops_expr(cx, cfg, env, &c.body, in_loop, out),
-        ExprKind::Chain(c) => {
-            if in_loop {
-                check_file_io_chain(cx, cfg, env, c, out);
-            }
-            match &c.base {
-                ChainBase::Macro(m) => {
-                    m.args
-                        .iter()
-                        .for_each(|a| scan_loops_expr(cx, cfg, env, a, in_loop, out));
-                }
-                ChainBase::Struct(s) => {
-                    for (_, fe) in &s.fields {
-                        if let Some(fe) = fe {
-                            scan_loops_expr(cx, cfg, env, fe, in_loop, out);
-                        }
-                    }
-                    if let Some(r) = &s.rest {
-                        scan_loops_expr(cx, cfg, env, r, in_loop, out);
-                    }
-                }
-                ChainBase::Paren(inner) => scan_loops_expr(cx, cfg, env, inner, in_loop, out),
-                ChainBase::Path { .. } | ChainBase::Lit(_) => {}
-            }
-            for op in &c.ops {
-                match &op.kind {
-                    PostfixKind::Method { args, .. } | PostfixKind::Call(args) => args
-                        .iter()
-                        .for_each(|a| scan_loops_expr(cx, cfg, env, a, in_loop, out)),
-                    PostfixKind::Index(i) => scan_loops_expr(cx, cfg, env, i, in_loop, out),
-                    _ => {}
-                }
-            }
-        }
-        ExprKind::Unary { expr } | ExprKind::Cast { expr, .. } => {
-            scan_loops_expr(cx, cfg, env, expr, in_loop, out)
-        }
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs } => {
-            scan_loops_expr(cx, cfg, env, lhs, in_loop, out);
-            scan_loops_expr(cx, cfg, env, rhs, in_loop, out);
-        }
-        ExprKind::Range { lo, hi } => {
-            lo.iter()
-                .for_each(|x| scan_loops_expr(cx, cfg, env, x, in_loop, out));
-            hi.iter()
-                .for_each(|x| scan_loops_expr(cx, cfg, env, x, in_loop, out));
-        }
-        ExprKind::Tuple(es) | ExprKind::Array(es) => es
-            .iter()
-            .for_each(|x| scan_loops_expr(cx, cfg, env, x, in_loop, out)),
-        ExprKind::Return(inner) | ExprKind::Break(inner) => inner
-            .iter()
-            .for_each(|x| scan_loops_expr(cx, cfg, env, x, in_loop, out)),
-        ExprKind::CondLet { expr, .. } => scan_loops_expr(cx, cfg, env, expr, in_loop, out),
-        ExprKind::Continue | ExprKind::Verbatim => {}
-    }
-}
-
-/// Flags a chain whose receiver is a `File` and which calls a per-syscall
-/// I/O method, and `write!`/`writeln!` macros targeting a `File`.
-fn check_file_io_chain(
-    cx: &FileCx<'_>,
-    cfg: &LintConfig,
-    env: &BTreeMap<&str, &str>,
-    c: &Chain,
-    out: &mut Vec<Diagnostic>,
-) {
-    // write!(f, …) / writeln!(f, …) with a File-typed first argument.
-    if let ChainBase::Macro(m) = &c.base {
-        let is_write = m
-            .path
-            .last()
-            .is_some_and(|p| p == "write" || p == "writeln");
-        if is_write {
-            if let Some(target) = m.args.first() {
-                if expr_is_file(target, env, cx.syms) {
-                    out.push(diag(
-                        "GSD011",
-                        cfg,
-                        cx.path,
-                        m.line,
-                        1,
-                        format!(
-                            "`{}!` to a raw `File` inside a kernel loop — per-edge \
-                             syscalls dominate runtime; wrap the file in `BufWriter` \
-                             or batch through the storage layer's block API",
-                            m.path.last().expect("macro path nonempty")
-                        ),
-                    ));
-                }
-            }
-        }
-        return;
-    }
-    // file.write_all(…) etc. on a File-typed receiver.
-    let mut cur: Option<&str> = match &c.base {
-        ChainBase::Path { segs, .. } if segs.len() == 1 => env.get(segs[0].as_str()).copied(),
-        _ => None,
-    };
-    for op in &c.ops {
-        match &op.kind {
-            PostfixKind::Field(f) => {
-                cur = cx.syms.field_type(f).map(|t| {
-                    // Ty::head returns &str borrowed from syms — fine here.
-                    t.head()
-                });
-            }
-            PostfixKind::Method { name, line, .. } => {
-                if cur == Some("File") && FILE_IO_METHODS.contains(&name.as_str()) {
-                    out.push(diag(
-                        "GSD011",
-                        cfg,
-                        cx.path,
-                        *line,
-                        op.span.col(cx.tokens),
-                        format!(
-                            "`.{name}()` on a raw `File` inside a kernel loop — per-edge \
-                             syscalls dominate runtime; use `BufReader`/`BufWriter` or \
-                             the storage layer's block API"
-                        ),
-                    ));
-                }
-                cur = None;
-            }
-            PostfixKind::Try | PostfixKind::Await => {}
-            _ => cur = None,
-        }
-    }
-}
-
-/// Is this expression a name or field of declared type `File`?
-fn expr_is_file(e: &Expr, env: &BTreeMap<&str, &str>, syms: &SymbolTable) -> bool {
-    let ExprKind::Chain(c) = &e.kind else {
-        return false;
-    };
-    let mut cur: Option<&str> = match &c.base {
-        ChainBase::Path { segs, .. } if segs.len() == 1 => env.get(segs[0].as_str()).copied(),
-        _ => None,
-    };
-    for op in &c.ops {
-        match &op.kind {
-            PostfixKind::Field(f) => cur = syms.field_type(f).map(|t| t.head()),
-            PostfixKind::Try | PostfixKind::Await => {}
-            _ => cur = None,
-        }
-    }
-    cur == Some("File")
-}
-
-// ---------------------------------------------------------------------------
-// GSD012 — exhaustive matches over listed enums (cross-file)
-// ---------------------------------------------------------------------------
-
-/// Cross-file check: matches over enums listed in `lint.toml` must not use
-/// catch-all arms while variants remain uncovered.
-pub fn check_gsd012(files: &[FileCx<'_>], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_enabled("GSD012", cfg) {
-        return;
-    }
-    let rc = cfg.rule("GSD012");
-    let listed: Vec<&str> = if rc.enums.is_empty() {
-        DEFAULT_EXHAUSTIVE_ENUMS.to_vec()
-    } else {
-        rc.enums.iter().map(String::as_str).collect()
-    };
-    // Variant sets come from whichever file defines each listed enum.
-    let mut variant_map: BTreeMap<&str, Vec<String>> = BTreeMap::new();
-    for cx in files {
-        for (name, vars) in &cx.syms.enums {
-            if listed.contains(&name.as_str()) && !variant_map.contains_key(name.as_str()) {
-                variant_map.insert(name, vars.clone());
-            }
-        }
-    }
-    if variant_map.is_empty() {
-        return;
-    }
-    for cx in files {
-        if !in_scope(cx.path, "GSD012", &rc) {
+    let close = close_of(tokens, open);
+    let mut arms = Vec::new();
+    let mut k = open + 1;
+    while k < close {
+        if tokens[k].is_punct('#') {
+            k = close_of(tokens, k + 1) + 1; // an attribute on the arm
             continue;
         }
-        cx.walk_nontest_exprs(&mut |e| {
-            let ExprKind::Match(m) = &e.kind else { return };
-            // Which listed enum (if any) is this match over? Evidence:
-            // an arm pattern path whose second-to-last segment is listed.
-            let mut enum_name: Option<&str> = None;
-            let mut covered: BTreeSet<&str> = BTreeSet::new();
-            for arm in &m.arms {
-                for p in &arm.pat.paths {
-                    if p.len() >= 2 {
-                        let head = p[p.len() - 2].as_str();
-                        if listed.contains(&head) {
-                            enum_name = Some(
-                                variant_map
-                                    .keys()
-                                    .find(|k| **k == head)
-                                    .copied()
-                                    .unwrap_or(head),
-                            );
-                            covered.insert(p.last().expect("path nonempty"));
-                        }
-                    }
-                }
-            }
-            let Some(en) = enum_name else { return };
-            let Some(all) = variant_map.get(en) else {
-                return;
-            };
-            let Some(catch) = m.arms.iter().find(|a| a.pat.catch_all) else {
-                return;
-            };
-            let missing: Vec<&str> = all
-                .iter()
-                .map(String::as_str)
-                .filter(|v| !covered.contains(*v))
-                .collect();
-            if missing.is_empty() {
-                return;
-            }
-            out.push(diag(
-                "GSD012",
-                cfg,
-                cx.path,
-                catch.pat.span.line(cx.tokens),
-                catch.pat.span.col(cx.tokens),
-                format!(
-                    "catch-all arm in a `match` over `{en}` hides {} unhandled variant(s): \
-                     {} — list them explicitly so adding a variant forces a decision here",
-                    missing.len(),
-                    missing.join(", ")
-                ),
-            ));
-        });
+        let Some(arrow) = scan_flat(tokens, k, |t, j| {
+            t[j].is_punct('=') && t.get(j + 1).is_some_and(|n| n.is_punct('>'))
+        }) else {
+            break;
+        };
+        arms.push(k..arrow);
+        // The body is a block, or an expression up to the arm's `,`.
+        let body = arrow + 2;
+        k = if tokens.get(body).is_some_and(|t| t.is_punct('{')) {
+            close_of(tokens, body) + 1
+        } else {
+            scan_flat(tokens, body, |t, j| t[j].is_punct(',')).unwrap_or(close)
+        };
+        if tokens.get(k).is_some_and(|t| t.is_punct(',')) {
+            k += 1;
+        }
+    }
+    arms
+}
+
+/// `_` or a plain lower-case binding (optionally `ref`/`mut`, optionally
+/// guarded) — the arms that swallow variants added later.
+fn is_catch_all(pattern: &[Tok]) -> bool {
+    let end = pattern
+        .iter()
+        .position(|t| t.is_ident("if"))
+        .unwrap_or(pattern.len());
+    let mut words = pattern[..end]
+        .iter()
+        .skip_while(|t| t.is_punct('|') || t.is_ident("ref") || t.is_ident("mut"));
+    match (words.next(), words.next()) {
+        (Some(t), None) if t.kind == TokKind::Ident => {
+            let name = t.ident_text();
+            name.starts_with(|c: char| c.is_lowercase() || c == '_')
+                && !matches!(name, "true" | "false")
+        }
+        _ => false,
     }
 }

@@ -1,14 +1,13 @@
-use std::fs::File;
-use std::io::{BufWriter, Write};
+use gsd_io::Storage;
 
-pub fn flush_edges(file: File, edges: &[u64]) -> std::io::Result<()> {
-    let mut w = BufWriter::new(file);
+pub fn flush_edges(store: &dyn Storage, key: &str, edges: &[u64]) -> gsd_io::Result<()> {
+    let mut buf = Vec::with_capacity(edges.len() * 8);
     for e in edges {
-        w.write_all(&e.to_le_bytes())?;
+        buf.extend_from_slice(&e.to_le_bytes());
     }
-    w.flush()
+    store.create(key, &buf)
 }
 
-pub fn write_header(file: &mut File, header: &[u8]) -> std::io::Result<()> {
-    file.write_all(header)
+pub fn profile(fs: &FrontierStats) -> usize {
+    fs.active
 }

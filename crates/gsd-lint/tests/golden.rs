@@ -1,84 +1,41 @@
 //! Fixture golden tests: every rule fires on its positive fixture and
 //! stays silent on its negative fixture. Fixtures live under
 //! `tests/fixtures/` and are linted under *virtual* paths chosen to put
-//! them in each rule's default scope — they are never compiled.
+//! them in each rule's scope in the checked-in `lint.toml` — the only
+//! source of scopes — and are never compiled.
 
-use gsd_lint::{check_snippet, LintConfig, Workspace};
+use gsd_lint::{check_snippet, LintConfig, Severity, Workspace};
+
+/// The checked-in configuration.
+fn config() -> LintConfig {
+    LintConfig::parse(include_str!("../../../lint.toml")).expect("checked-in lint.toml parses")
+}
+
+/// The checked-in configuration with one rule table edited.
+fn config_with(rule: &str, edit: impl FnOnce(&mut gsd_lint::config::RuleConfig)) -> LintConfig {
+    let mut cfg = config();
+    edit(
+        cfg.rules
+            .get_mut(rule)
+            .expect("rule has a table in lint.toml"),
+    );
+    cfg
+}
+
+/// Lints one fixture under the checked-in configuration.
+fn lint(path: &str, text: &str) -> Vec<gsd_lint::Diagnostic> {
+    check_snippet(path, text, &config())
+}
 
 fn rules_of(diags: &[gsd_lint::Diagnostic]) -> Vec<&'static str> {
     diags.iter().map(|d| d.rule).collect()
 }
 
 #[test]
-fn gsd001_fires_on_every_panic_form() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-io/src/fixture.rs",
-        include_str!("fixtures/gsd001/pos.rs"),
-        &cfg,
-    );
-    assert_eq!(diags.len(), 4, "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == "GSD001"), "{diags:?}");
-    // One per construct: unwrap, panic!, expect, unreachable!.
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![4, 6, 8, 10], "{diags:?}");
-}
-
-#[test]
-fn gsd001_silent_on_propagation_and_tests() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-io/src/fixture.rs",
-        include_str!("fixtures/gsd001/neg.rs"),
-        &cfg,
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn gsd002_fires_on_instant_and_system_time() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd002/pos.rs"),
-        &cfg,
-    );
-    let rules = rules_of(&diags);
-    assert!(
-        rules.iter().filter(|r| **r == "GSD002").count() >= 3,
-        "expected Instant import + Instant::now + SystemTime hits: {diags:?}"
-    );
-}
-
-#[test]
-fn gsd002_silent_on_stopwatch_and_duration() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd002/neg.rs"),
-        &cfg,
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn gsd002_exempts_the_designated_timing_module() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-runtime/src/kernels.rs",
-        include_str!("fixtures/gsd002/pos.rs"),
-        &cfg,
-    );
-    assert!(rules_of(&diags).iter().all(|r| *r != "GSD002"), "{diags:?}");
-}
-
-#[test]
 fn gsd003_fires_on_guard_held_across_io() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-io/src/fixture.rs",
         include_str!("fixtures/gsd003/pos.rs"),
-        &cfg,
     );
     assert_eq!(rules_of(&diags), vec!["GSD003"], "{diags:?}");
     assert_eq!(diags[0].line, 4, "anchored at the guard binding: {diags:?}");
@@ -87,17 +44,15 @@ fn gsd003_fires_on_guard_held_across_io() {
 
 #[test]
 fn gsd003_silent_when_guard_is_scoped_or_dropped() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-io/src/fixture.rs",
         include_str!("fixtures/gsd003/neg.rs"),
-        &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 fn gsd004_workspace(consumer: &str) -> Vec<gsd_lint::Diagnostic> {
-    let cfg = LintConfig::default();
+    let cfg = config();
     Workspace::from_files([
         (
             cfg.event_file.clone(),
@@ -128,11 +83,9 @@ fn gsd004_silent_when_all_variants_are_emitted() {
 
 #[test]
 fn gsd005_fires_on_crate_root_without_forbid() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-example/src/lib.rs",
         include_str!("fixtures/gsd005/pos.rs"),
-        &cfg,
     );
     assert_eq!(rules_of(&diags), vec!["GSD005"], "{diags:?}");
     assert_eq!(diags[0].line, 1);
@@ -140,29 +93,24 @@ fn gsd005_fires_on_crate_root_without_forbid() {
 
 #[test]
 fn gsd005_silent_with_forbid_and_on_non_roots() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-example/src/lib.rs",
         include_str!("fixtures/gsd005/neg.rs"),
-        &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
     // The same forbid-less file is fine when it is not a crate root.
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-example/src/util.rs",
         include_str!("fixtures/gsd005/pos.rs"),
-        &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
 fn gsd006_fires_on_as_u32_truncation() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-graph/src/fixture.rs",
         include_str!("fixtures/gsd006/pos.rs"),
-        &cfg,
     );
     assert_eq!(rules_of(&diags), vec!["GSD006"], "{diags:?}");
     assert_eq!(diags[0].line, 4);
@@ -170,29 +118,24 @@ fn gsd006_fires_on_as_u32_truncation() {
 
 #[test]
 fn gsd006_silent_on_checked_narrowing_and_widening() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-graph/src/fixture.rs",
         include_str!("fixtures/gsd006/neg.rs"),
-        &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
-    // The checked-conversion helper itself is exempt by default.
-    let diags = check_snippet(
+    // The checked-conversion helper itself is exempt.
+    let diags = lint(
         "crates/gsd-graph/src/narrow.rs",
         include_str!("fixtures/gsd006/pos.rs"),
-        &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
 fn gsd000_fires_on_each_malformed_directive() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-graph/src/fixture.rs",
         include_str!("fixtures/gsd000/pos.rs"),
-        &cfg,
     );
     assert_eq!(rules_of(&diags), vec!["GSD000"; 3], "{diags:?}");
     assert_eq!(
@@ -202,114 +145,33 @@ fn gsd000_fires_on_each_malformed_directive() {
 }
 
 #[test]
-fn gsd000_silent_on_justified_directive_which_also_suppresses() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+fn gsd000_silent_on_justified_directive() {
+    let diags = lint(
         "crates/gsd-io/src/fixture.rs",
         include_str!("fixtures/gsd000/neg.rs"),
-        &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
 fn severity_override_demotes_a_rule_to_warning() {
-    let cfg = LintConfig::parse("[rules.GSD006]\nseverity = \"warn\"").expect("parses");
+    let cfg = config_with("GSD006", |rc| rc.severity = Some(Severity::Warn));
     let diags = check_snippet(
         "crates/gsd-graph/src/fixture.rs",
         include_str!("fixtures/gsd006/pos.rs"),
         &cfg,
     );
     assert_eq!(diags.len(), 1);
-    assert_eq!(diags[0].severity, gsd_lint::Severity::Warn);
+    assert_eq!(diags[0].severity, Severity::Warn);
     assert!(!gsd_lint::has_errors(&diags));
 }
 
 #[test]
 fn severity_off_disables_a_rule() {
-    let cfg = LintConfig::parse("[rules.GSD006]\nseverity = \"off\"").expect("parses");
+    let cfg = config_with("GSD006", |rc| rc.severity = Some(Severity::Off));
     let diags = check_snippet(
         "crates/gsd-graph/src/fixture.rs",
         include_str!("fixtures/gsd006/pos.rs"),
-        &cfg,
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn gsd007_fires_on_for_loop_and_terminal_over_hash_iteration() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd007/pos.rs"),
-        &cfg,
-    );
-    assert_eq!(rules_of(&diags), vec!["GSD007", "GSD007"], "{diags:?}");
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![4, 10], "for loop + .next() terminal: {diags:?}");
-}
-
-#[test]
-fn gsd007_silent_on_insensitive_rekeyed_and_sorted_consumption() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd007/neg.rs"),
-        &cfg,
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn gsd008_fires_on_float_sum_and_float_fold() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd008/pos.rs"),
-        &cfg,
-    );
-    assert_eq!(rules_of(&diags), vec!["GSD008", "GSD008"], "{diags:?}");
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![4, 8], "{diags:?}");
-}
-
-#[test]
-fn gsd008_silent_on_int_sum_and_sorted_accumulation() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd008/neg.rs"),
-        &cfg,
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn gsd009_fires_on_each_primitive_construction() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd009/pos.rs"),
-        &cfg,
-    );
-    assert_eq!(rules_of(&diags), vec!["GSD009"; 3], "{diags:?}");
-    let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![6, 7, 8], "channel + Mutex + spawn: {diags:?}");
-}
-
-#[test]
-fn gsd009_silent_on_atomics_and_in_designated_modules() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
-        "crates/gsd-core/src/fixture.rs",
-        include_str!("fixtures/gsd009/neg.rs"),
-        &cfg,
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-    // The same constructions are fine in the pipeline executor.
-    let diags = check_snippet(
-        "crates/gsd-pipeline/src/fixture.rs",
-        include_str!("fixtures/gsd009/pos.rs"),
         &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
@@ -317,11 +179,9 @@ fn gsd009_silent_on_atomics_and_in_designated_modules() {
 
 #[test]
 fn gsd010_fires_on_relaxed_outside_counter_allow_list() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-core/src/fixture.rs",
         include_str!("fixtures/gsd010/pos.rs"),
-        &cfg,
     );
     assert_eq!(rules_of(&diags), vec!["GSD010"], "{diags:?}");
     assert_eq!(diags[0].line, 9, "{diags:?}");
@@ -330,18 +190,16 @@ fn gsd010_fires_on_relaxed_outside_counter_allow_list() {
 
 #[test]
 fn gsd010_silent_on_listed_counters_and_stronger_orderings() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+    let diags = lint(
         "crates/gsd-core/src/fixture.rs",
         include_str!("fixtures/gsd010/neg.rs"),
-        &cfg,
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]
 fn gsd010_config_extends_the_counter_allow_list() {
-    let cfg = LintConfig::parse("[rules.GSD010]\nidents = [\"epoch\"]").expect("parses");
+    let cfg = config_with("GSD010", |rc| rc.idents.push("epoch".to_string()));
     let diags = check_snippet(
         "crates/gsd-core/src/fixture.rs",
         include_str!("fixtures/gsd010/pos.rs"),
@@ -351,25 +209,31 @@ fn gsd010_config_extends_the_counter_allow_list() {
 }
 
 #[test]
-fn gsd011_fires_on_raw_file_writes_inside_loops() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+fn gsd011_fires_on_every_line_naming_fs_or_file() {
+    let diags = lint(
         "crates/gsd-runtime/src/fixture.rs",
         include_str!("fixtures/gsd011/pos.rs"),
-        &cfg,
     );
-    assert_eq!(rules_of(&diags), vec!["GSD011", "GSD011"], "{diags:?}");
+    assert_eq!(rules_of(&diags), vec!["GSD011"; 3], "{diags:?}");
     let lines: Vec<u32> = diags.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![6, 13], "write_all + writeln!: {diags:?}");
+    assert_eq!(
+        lines,
+        vec![1, 4, 11],
+        "the import + both signatures: {diags:?}"
+    );
 }
 
 #[test]
-fn gsd011_silent_on_buffered_writers_and_out_of_loop_io() {
-    let cfg = LintConfig::default();
-    let diags = check_snippet(
+fn gsd011_silent_on_storage_api_and_outside_the_kernel_crates() {
+    let diags = lint(
         "crates/gsd-runtime/src/fixture.rs",
         include_str!("fixtures/gsd011/neg.rs"),
-        &cfg,
+    );
+    assert!(diags.is_empty(), "{diags:?}");
+    // gsd-io is the storage layer: raw files are its job.
+    let diags = lint(
+        "crates/gsd-io/src/fixture.rs",
+        include_str!("fixtures/gsd011/pos.rs"),
     );
     assert!(diags.is_empty(), "{diags:?}");
 }
@@ -377,7 +241,7 @@ fn gsd011_silent_on_buffered_writers_and_out_of_loop_io() {
 fn gsd012_workspace(consumer: &str) -> Vec<gsd_lint::Diagnostic> {
     // The enum lives away from the GSD004 event_file path so only GSD012
     // is exercised here.
-    let cfg = LintConfig::default();
+    let cfg = config();
     Workspace::from_files([
         (
             "crates/gsd-core/src/event.rs".to_string(),
@@ -412,8 +276,7 @@ fn every_shipped_rule_has_fixture_coverage() {
     // Guards the registry against silently growing an untested rule: the
     // ids exercised above must cover the whole registry.
     let covered = [
-        "GSD000", "GSD001", "GSD002", "GSD003", "GSD004", "GSD005", "GSD006", "GSD007", "GSD008",
-        "GSD009", "GSD010", "GSD011", "GSD012",
+        "GSD000", "GSD003", "GSD004", "GSD005", "GSD006", "GSD010", "GSD011", "GSD012",
     ];
     for rule in gsd_lint::RULES {
         assert!(

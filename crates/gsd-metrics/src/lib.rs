@@ -25,6 +25,16 @@
 //! `tests/metrics_neutrality.rs` at the workspace root).
 
 #![forbid(unsafe_code)]
+// Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
+// leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod bench;
 pub mod bridge;

@@ -47,11 +47,12 @@
 //! ([`TakeOutcome::Fallback`], also traced as a stall — the pipeline
 //! provided no overlap for it).
 //!
-//! ## Concurrency fence (GSD009)
+//! ## Concurrency fence
 //!
 //! This crate is the workspace's **designated concurrency module**:
-//! `std::thread::spawn`, `mpsc`-style channels and `Mutex`/`Condvar`
-//! construction are fenced here by lint rule GSD009 (see `lint.toml`).
+//! thread, channel and `Mutex`/`Condvar` construction is banned
+//! workspace-wide (`clippy.toml`, DESIGN.md §11) and excused here by the
+//! crate-root `#![expect(clippy::disallowed_methods)]`.
 //! Scatter/apply themselves are sequential: `gsd-runtime`'s value arrays
 //! and frontiers are `!Sync`, so the compute thread is their only writer
 //! and this crate's workers hand it decoded blocks, never vertex state.
@@ -61,7 +62,21 @@
 //! deliberately no hash-ordered containers).
 
 #![forbid(unsafe_code)]
+// Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
+// leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the designated concurrency crate: the prefetch workers, their queue lock and condvar live here and nowhere else"
+)]
 
 use gsd_graph::{Edge, GridGraph};
 use gsd_trace::{Stopwatch, TraceEvent, TraceSink};

@@ -24,6 +24,11 @@
 //! accounting and sequential/random cursors untouched: a faulty run that
 //! eventually succeeds has bit-identical I/O statistics to a clean one.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "designated concurrency module: the fault injector's op counter is locked so the seeded schedule is draw-order exact"
+)]
+
 use gsd_integrity::fnv64;
 use gsd_io::{DiskModel, IoStats, SharedStorage, Storage};
 use gsd_trace::CounterRegistry;

@@ -13,11 +13,11 @@ use crate::program::VertexProgram;
 use crate::values::ValueArray;
 use gsd_graph::Edge;
 
-/// Re-exported clock primitives: this module is the designated timing
-/// module of the engine layer (`gsd-lint` GSD002) — engines route every
-/// elapsed-time measurement through [`timed`], [`scatter_edges_timed`] or
-/// [`apply_range_timed`] rather than reading `std::time::Instant` directly,
-/// so a grep for raw clock access in engine code comes up empty.
+/// Re-exported clock primitives: this module is the timing module of the
+/// engine layer — engines route every elapsed-time measurement through
+/// [`timed`], [`scatter_edges_timed`] or [`apply_range_timed`];
+/// `std::time::Instant` itself is banned outside `gsd_trace::clock`
+/// (`clippy.toml`, DESIGN.md §11).
 pub use gsd_trace::clock::{timed, Stopwatch};
 
 /// Scatters `edges` (the paper's `UserFunction` / `CrossIterUpdate` inner
@@ -67,7 +67,10 @@ pub fn scatter_edges<P: VertexProgram>(
 /// Engines use this to populate `IterationStats::scatter_time`; nesting
 /// the timer here (inside the engine's own compute timing) keeps
 /// `scatter_time + apply_time <= compute_time` by construction.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "scatter_edges' seven arguments plus the elapsed accumulator"
+)]
 pub fn scatter_edges_timed<P: VertexProgram>(
     program: &P,
     ctx: &ProgramContext,
@@ -96,7 +99,10 @@ pub fn scatter_edges_timed<P: VertexProgram>(
 /// accumulator into their committed value; changed vertices are inserted
 /// into `out`. Accumulators of processed vertices are reset to the
 /// program's zero. Returns the number of changed vertices.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a kernel over the program, its context, the range and the four state arrays it reads and writes; a struct would only rename them"
+)]
 pub fn apply_range<P: VertexProgram>(
     program: &P,
     ctx: &ProgramContext,
@@ -135,7 +141,10 @@ pub fn apply_range<P: VertexProgram>(
 
 /// [`apply_range`] with its wall time accumulated into `elapsed` (the
 /// `IterationStats::apply_time` counterpart of [`scatter_edges_timed`]).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "apply_range's eight arguments plus the elapsed accumulator"
+)]
 pub fn apply_range_timed<P: VertexProgram>(
     program: &P,
     ctx: &ProgramContext,

@@ -1,8 +1,8 @@
 //! The multi-tenant front end: queue, executor thread, clients, TCP.
 //!
 //! This is the **only** module in `gsd-serve` that constructs
-//! concurrency primitives (threads, channels) — `lint.toml` pins that
-//! with a GSD009 allowance. Everything stateful stays inside the
+//! concurrency primitives (threads, channels) — the `#![expect]` below is
+//! its exception to the `clippy.toml` ban. Everything stateful stays inside the
 //! single-threaded [`ServeCore`]; this module merely moves requests to
 //! it and responses back:
 //!
@@ -23,6 +23,11 @@
 //! final stats from it). Acceptor and connection threads are detached —
 //! they die with the process, which exits as soon as the daemon's main
 //! thread gets the core back.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "designated concurrency module: the serve daemon's executor, acceptor and connection threads and their job channel"
+)]
 
 use crate::core::{ServeCore, Traversal};
 use crate::wire::{read_frame, write_frame, Request, Response, HANDSHAKE};

@@ -3,19 +3,24 @@
 //! GraphSD's determinism story depends on knowing exactly where wall-clock
 //! time enters the system: a [`crate::TraceEvent`] stream or an I/O figure
 //! computed from the SimDisk virtual clock must not silently depend on
-//! host timing. `gsd-lint` rule **GSD002** therefore bans
-//! `std::time::Instant`/`SystemTime` outside `gsd-trace`, `gsd-bench`, and
-//! the designated timing module (`gsd_runtime::kernels`); every other crate
+//! host timing. `clippy.toml` therefore bans `std::time::Instant` /
+//! `SystemTime` everywhere (DESIGN.md §11) and this module carries the one
+//! exception; everything else — engines, the bench harness, tests —
 //! measures elapsed time through the [`Stopwatch`] defined here. The
 //! stopwatch only ever produces *durations* — host timestamps never leak
 //! into traced state, so virtual-clock runs stay reproducible while
 //! wall-clock observability (I/O wait, kernel times, request latency
 //! histograms) keeps working.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the workspace's single wall-clock access point; everything else measures through Stopwatch/timed"
+)]
+
 use std::time::{Duration, Instant};
 
-/// A started wall-clock timer; the only way first-party code outside
-/// `gsd-trace`/`gsd-bench` reads the host clock.
+/// A started wall-clock timer; the only way first-party code reads the
+/// host clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: Instant,

@@ -16,9 +16,9 @@
 //!   histograms for request sizes and latencies, recorded by the storage
 //!   backends.
 //! * [`Stopwatch`] / [`timed`] — the workspace's single wall-clock access
-//!   point; everything outside `gsd-trace`/`gsd-bench` measures elapsed
-//!   time through it so `gsd-lint` (GSD002) can prove SimDisk
-//!   virtual-clock runs are wall-clock-free.
+//!   point; everything else measures elapsed time through it, and the
+//!   `clippy.toml` ban on `Instant`/`SystemTime` keeps SimDisk
+//!   virtual-clock runs wall-clock-free.
 //!
 //! The JSONL schema tags each event with an `"ev"` field holding its
 //! snake_case name; all other fields are flat scalars. See DESIGN.md

@@ -7,6 +7,11 @@
 //! for tests and in-process inspection; [`JsonlWriter`] streams one JSON
 //! object per line; [`FanoutSink`] tees to several sinks.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "designated concurrency module: the shared trace sinks serialise emitters behind their own mutex"
+)]
+
 use crate::event::TraceEvent;
 use std::collections::VecDeque;
 use std::fs::File;

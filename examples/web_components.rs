@@ -13,7 +13,7 @@ use graphsd::core::{GraphSdConfig, GraphSdEngine};
 use graphsd::graph::{preprocess, GeneratorConfig, GraphKind, GridGraph, PreprocessConfig};
 use graphsd::io::{DiskModel, SharedStorage, SimDisk};
 use graphsd::runtime::{Engine, RunOptions, RunStats};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn crawl() -> graphsd::graph::Graph {
@@ -71,7 +71,7 @@ fn main() -> std::io::Result<()> {
     assert_eq!(gsd_result.values, lumos_result.values);
 
     // Component census from GraphSD's labels.
-    let mut sizes: HashMap<u32, u32> = HashMap::new();
+    let mut sizes: BTreeMap<u32, u32> = BTreeMap::new();
     for &label in &gsd_result.values {
         *sizes.entry(label).or_default() += 1;
     }

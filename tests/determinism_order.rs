@@ -1,6 +1,6 @@
 //! Iteration-order determinism, pinned end to end.
 //!
-//! The GSD007 remediation converted the engine-visible `HashMap`s
+//! PR 8 converted the engine-visible `HashMap`s
 //! (`MemStorage::objects`, the I/O cursor tables, the sub-block buffer's
 //! residency map) to ordered `BTreeMap`s. These pins prove the
 //! conversion was *fingerprint-neutral*: the hashes below were captured

@@ -225,7 +225,7 @@ fn filestorage_prefetch_improves_wall_time() {
         let mut values = Vec::new();
         for _ in 0..3 {
             let mut engine = file_engine(dir, config.clone());
-            let started = std::time::Instant::now();
+            let started = graphsd::trace::Stopwatch::start();
             let r = engine.run(program, &opts).unwrap();
             best = best.min(started.elapsed());
             values = r.values;

@@ -17,6 +17,11 @@
 //!
 //! [`ReferenceEngine`]: graphsd::runtime::ReferenceEngine
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test: every tenant is its own client thread"
+)]
+
 use graphsd::algos::{Bfs, PageRank, Ppr};
 use graphsd::core::GridSession;
 use graphsd::graph::{
