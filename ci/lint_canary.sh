@@ -2,11 +2,13 @@
 # Negative control for the bans the toolchain enforces (DESIGN.md §11).
 #
 # GSD001/002/007/008/009 are retired: clippy.toml and the crate-root
-# `#![deny(clippy::…)]` blocks took them over. A ban that silently stopped
-# firing (a renamed lint, a dropped `deny`, a clippy.toml that is no
-# longer picked up) would leave the tree "clean" for the wrong reason, so
-# this script drops one module holding the retired rules' former positive
-# fixtures into a scoped crate, requires `cargo clippy -- -D warnings` to
+# `#![deny(clippy::…)]` blocks took them over, and clippy.toml also holds
+# the environment ban (configuration is a value). A ban that silently
+# stopped firing (a renamed lint, a dropped `deny`, a clippy.toml that is
+# no longer picked up) would leave the tree "clean" for the wrong reason,
+# so this script drops one module holding the retired rules' former
+# positive fixtures plus one environment read/write of each kind into a
+# scoped crate, requires `cargo clippy -- -D warnings` to
 # FAIL naming every lint and every banned path, and restores the tree.
 #
 # Usage: bash ci/lint_canary.sh   (from anywhere; needs a clean gsd-core)
@@ -129,6 +131,17 @@ pub mod gsd009 {
         let _ = (rx, locks, h);
     }
 }
+
+/// Configuration is a value: no library reads or writes the environment.
+pub mod ambient_config {
+    pub fn prefetch_from_the_environment() -> bool {
+        std::env::set_var("GSD_PREFETCH", "1");
+        let on = std::env::var("GSD_PREFETCH").is_ok()
+            || std::env::var_os("GSD_PREFETCH").is_some();
+        std::env::remove_var("GSD_PREFETCH");
+        on && std::env::vars().count() > 0
+    }
+}
 EOF
 # The suppression itself is the last canary: an `allow` with no reason.
 printf '#[allow(missing_docs)]\npub mod lint_canary;\n' >> "$root"
@@ -157,11 +170,13 @@ for path in std::collections::HashMap std::collections::HashSet \
     std::thread::spawn std::thread::Builder::spawn std::thread::scope \
     std::sync::mpsc::channel std::sync::mpsc::sync_channel \
     std::sync::Mutex::new std::sync::RwLock::new std::sync::Condvar::new \
-    std::sync::Barrier::new parking_lot::Mutex::new parking_lot::RwLock::new; do
+    std::sync::Barrier::new parking_lot::Mutex::new parking_lot::RwLock::new \
+    std::env::var std::env::var_os std::env::vars std::env::set_var \
+    std::env::remove_var; do
     expect "\`$path\`"
 done
 if [ "$missing" -ne 0 ]; then
     cat "$log"
     exit 1
 fi
-echo "lint_canary: ok — clippy rejected the canary and named all 9 lints and all 15 banned paths"
+echo "lint_canary: ok — clippy rejected the canary and named all 9 lints and all 20 banned paths"

@@ -110,7 +110,7 @@ impl HusGraphEngine {
             degrees,
             index_gap,
             trace: gsd_trace::null_sink(),
-            checkpoint: RecoveryConfig::from_env(),
+            checkpoint: None,
         })
     }
 
@@ -121,9 +121,8 @@ impl HusGraphEngine {
     }
 
     /// Overrides the checkpoint/recovery options (`None` runs
-    /// unprotected). The default consults the `GSD_CKPT_*` environment
-    /// variables. Checkpointing is result-neutral: resumed runs commit
-    /// bit-identical values and I/O accounting.
+    /// unprotected, the default). Checkpointing is result-neutral:
+    /// resumed runs commit bit-identical values and I/O accounting.
     pub fn set_checkpoint(&mut self, checkpoint: Option<RecoveryConfig>) {
         self.checkpoint = checkpoint;
     }

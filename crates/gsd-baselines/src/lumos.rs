@@ -49,17 +49,17 @@ pub struct LumosEngine {
 }
 
 impl LumosEngine {
-    /// Opens the engine over any grid layout (indexes are ignored). The
-    /// prefetch pipeline defaults to the `GSD_PREFETCH*` environment
-    /// switch, matching the GraphSD engine's default.
+    /// Opens the engine over any grid layout (indexes are ignored), with
+    /// synchronous reads and no checkpoints, matching the GraphSD
+    /// engine's default.
     pub fn new(grid: GridGraph) -> std::io::Result<Self> {
         let degrees = Arc::new(grid.load_out_degrees()?);
         Ok(LumosEngine {
             grid,
             degrees,
             trace: gsd_trace::null_sink(),
-            prefetch: PipelineConfig::from_env(),
-            checkpoint: RecoveryConfig::from_env(),
+            prefetch: None,
+            checkpoint: None,
         })
     }
 
@@ -76,9 +76,9 @@ impl LumosEngine {
     }
 
     /// Overrides the checkpoint/recovery options (`None` runs
-    /// unprotected). The default consults the `GSD_CKPT_*` environment
-    /// variables. Like prefetching, checkpointing is result-neutral:
-    /// resumed runs commit bit-identical values and I/O accounting.
+    /// unprotected, the default). Like prefetching, checkpointing is
+    /// result-neutral: resumed runs commit bit-identical values and I/O
+    /// accounting.
     pub fn set_checkpoint(&mut self, checkpoint: Option<RecoveryConfig>) {
         self.checkpoint = checkpoint;
     }

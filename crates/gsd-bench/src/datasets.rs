@@ -11,7 +11,7 @@ use gsd_graph::{GeneratorConfig, Graph, GraphKind};
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
-/// Workload scale, selected via the `GSD_SCALE` environment variable.
+/// Workload scale (`--scale`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Unit-test scale (~1k vertices).
@@ -23,13 +23,13 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `GSD_SCALE` (`tiny` / `small` / `medium`), defaulting to
-    /// `Small`.
-    pub fn from_env() -> Scale {
-        match std::env::var("GSD_SCALE").as_deref() {
-            Ok("tiny") => Scale::Tiny,
-            Ok("medium") => Scale::Medium,
-            _ => Scale::Small,
+    /// Parses `tiny`, `small` or `medium`.
+    pub fn parse(name: &str) -> Option<Scale> {
+        match name {
+            "tiny" => Some(Scale::Tiny),
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
+            _ => None,
         }
     }
 

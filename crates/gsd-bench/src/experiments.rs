@@ -9,6 +9,7 @@
 
 use crate::datasets::{Dataset, Datasets};
 use crate::runner::{run_system, Algo, SystemKind};
+use crate::settings::RunSettings;
 use crate::table::{mib, ratio, secs, Table};
 use std::fmt;
 use std::time::Duration;
@@ -181,12 +182,12 @@ pub struct Table4 {
 }
 
 /// Runs the `table4` experiment.
-pub fn table4(ds: &Datasets) -> std::io::Result<Table4> {
+pub fn table4(ds: &Datasets, settings: &RunSettings) -> std::io::Result<Table4> {
     let mut rows = Vec::new();
     for d in ds.all() {
         let mut times = [Duration::ZERO; 4];
         for (k, algo) in Algo::all().into_iter().enumerate() {
-            times[k] = run_system(SystemKind::GraphSd, d, algo)?.execution_time();
+            times[k] = run_system(SystemKind::GraphSd, d, algo, settings)?.execution_time();
         }
         rows.push((d.name.to_owned(), times));
     }
@@ -275,13 +276,13 @@ impl Fig5 {
 
 /// Runs the `fig5` experiment over `datasets` (pass `ds.all()` for the
 /// full figure).
-pub fn fig5(datasets: &[Dataset]) -> std::io::Result<Fig5> {
+pub fn fig5(datasets: &[Dataset], settings: &RunSettings) -> std::io::Result<Fig5> {
     let mut rows = Vec::new();
     for d in datasets {
         for algo in Algo::all() {
             let mut times = [Duration::ZERO; 3];
             for (k, kind) in SystemKind::main_three().into_iter().enumerate() {
-                times[k] = run_system(kind, d, algo)?.execution_time();
+                times[k] = run_system(kind, d, algo, settings)?.execution_time();
             }
             rows.push(Fig5Row {
                 dataset: d.name.to_owned(),
@@ -354,11 +355,11 @@ pub struct Fig6 {
 }
 
 /// Runs the `fig6` experiment.
-pub fn fig6(d: &Dataset) -> std::io::Result<Fig6> {
+pub fn fig6(d: &Dataset, settings: &RunSettings) -> std::io::Result<Fig6> {
     let mut rows = Vec::new();
     for algo in Algo::all() {
         for kind in SystemKind::main_three() {
-            let outcome = run_system(kind, d, algo)?;
+            let outcome = run_system(kind, d, algo, settings)?;
             rows.push(Fig6Row {
                 algo: algo.label(),
                 system: kind.label(),
@@ -450,12 +451,12 @@ pub struct Fig7 {
 }
 
 /// Runs the `fig7` experiment.
-pub fn fig7(datasets: &[&Dataset]) -> std::io::Result<Fig7> {
+pub fn fig7(datasets: &[&Dataset], settings: &RunSettings) -> std::io::Result<Fig7> {
     let mut rows = Vec::new();
     for d in datasets {
         for algo in Algo::all() {
             for kind in SystemKind::main_three() {
-                let outcome = run_system(kind, d, algo)?;
+                let outcome = run_system(kind, d, algo, settings)?;
                 rows.push(Fig7Row {
                     dataset: d.name.to_owned(),
                     algo: algo.label(),
@@ -548,13 +549,13 @@ pub struct Fig8 {
 }
 
 /// Runs the `fig8` experiment.
-pub fn fig8(ds: &Datasets) -> std::io::Result<Fig8> {
+pub fn fig8(ds: &Datasets, settings: &RunSettings) -> std::io::Result<Fig8> {
     let mut rows = Vec::new();
     for d in ds.all() {
         for kind in SystemKind::main_three() {
             // Preprocessing is algorithm-independent; PR's input (the plain
             // directed graph) is the canonical one.
-            let outcome = run_system(kind, d, Algo::Pr)?;
+            let outcome = run_system(kind, d, Algo::Pr, settings)?;
             rows.push(Fig8Row {
                 dataset: d.name.to_owned(),
                 system: kind.label(),
@@ -619,7 +620,7 @@ pub struct Fig9 {
 }
 
 /// Runs the `fig9` experiment.
-pub fn fig9(d: &Dataset) -> std::io::Result<Fig9> {
+pub fn fig9(d: &Dataset, settings: &RunSettings) -> std::io::Result<Fig9> {
     let mut rows = Vec::new();
     for algo in Algo::all() {
         for kind in [
@@ -627,7 +628,7 @@ pub fn fig9(d: &Dataset) -> std::io::Result<Fig9> {
             SystemKind::GraphSdB1,
             SystemKind::GraphSdB2,
         ] {
-            let outcome = run_system(kind, d, algo)?;
+            let outcome = run_system(kind, d, algo, settings)?;
             rows.push(Fig9Row {
                 algo: algo.label(),
                 system: kind.label(),
@@ -702,10 +703,10 @@ pub struct Fig10 {
 }
 
 /// Runs the `fig10` experiment (CC on the UKUnion stand-in in the paper).
-pub fn fig10(d: &Dataset) -> std::io::Result<Fig10> {
+pub fn fig10(d: &Dataset, settings: &RunSettings) -> std::io::Result<Fig10> {
     let per_iter =
         |kind: SystemKind| -> std::io::Result<(Vec<Duration>, Vec<gsd_runtime::IoAccessModel>)> {
-            let outcome = run_system(kind, d, Algo::Cc)?;
+            let outcome = run_system(kind, d, Algo::Cc, settings)?;
             Ok((
                 outcome
                     .stats
@@ -815,12 +816,12 @@ pub struct Fig11 {
 }
 
 /// Runs the `fig11` experiment.
-pub fn fig11(d: &Dataset) -> std::io::Result<Fig11> {
+pub fn fig11(d: &Dataset, settings: &RunSettings) -> std::io::Result<Fig11> {
     let mut rows = Vec::new();
     for algo in Algo::all() {
-        let adaptive = run_system(SystemKind::GraphSd, d, algo)?;
-        let fixed_full = run_system(SystemKind::GraphSdB3, d, algo)?;
-        let fixed_od = run_system(SystemKind::GraphSdB4, d, algo)?;
+        let adaptive = run_system(SystemKind::GraphSd, d, algo, settings)?;
+        let fixed_full = run_system(SystemKind::GraphSdB3, d, algo, settings)?;
+        let fixed_od = run_system(SystemKind::GraphSdB4, d, algo, settings)?;
         rows.push(Fig11Row {
             algo: algo.label(),
             overhead: adaptive.stats.scheduler_time,
@@ -900,12 +901,12 @@ pub struct Fig12 {
 /// Runs the `fig12` experiment over one or more datasets (the paper uses
 /// UKUnion; we add an R-MAT dataset because the web stand-in's edge mass
 /// is nearly all diagonal, leaving almost no secondary blocks to buffer).
-pub fn fig12(datasets: &[&Dataset]) -> std::io::Result<Fig12> {
+pub fn fig12(datasets: &[&Dataset], settings: &RunSettings) -> std::io::Result<Fig12> {
     let mut rows = Vec::new();
     for d in datasets {
         for algo in Algo::all() {
-            let with_buffer = run_system(SystemKind::GraphSd, d, algo)?;
-            let without = run_system(SystemKind::GraphSdNoBuffer, d, algo)?;
+            let with_buffer = run_system(SystemKind::GraphSd, d, algo, settings)?;
+            let without = run_system(SystemKind::GraphSdNoBuffer, d, algo, settings)?;
             rows.push(Fig12Row {
                 dataset: d.name.to_owned(),
                 algo: algo.label(),
@@ -984,7 +985,7 @@ pub struct ExtStorage {
 /// across three device classes. The paper's conclusion names faster
 /// storage (Optane PMM) as future work; this measures how the update
 /// strategy's advantage responds as random access gets cheaper.
-pub fn ext_storage(d: &Dataset) -> std::io::Result<ExtStorage> {
+pub fn ext_storage(d: &Dataset, settings: &RunSettings) -> std::io::Result<ExtStorage> {
     use crate::runner::run_system_on_device;
     use gsd_io::DiskModel;
     let mut rows = Vec::new();
@@ -996,7 +997,7 @@ pub fn ext_storage(d: &Dataset) -> std::io::Result<ExtStorage> {
         for algo in [Algo::PrD, Algo::Sssp] {
             let mut times = [Duration::ZERO; 3];
             for (k, kind) in SystemKind::main_three().into_iter().enumerate() {
-                times[k] = run_system_on_device(kind, d, algo, model)?.execution_time();
+                times[k] = run_system_on_device(kind, d, algo, model, settings)?.execution_time();
             }
             rows.push(ExtStorageRow {
                 device,
@@ -1060,12 +1061,12 @@ pub struct ExtPsweep {
 /// space around that point. Small `P` = fewer, larger blocks (cheap
 /// streaming, coarse selectivity); large `P` = finer selective reads but
 /// more per-block requests.
-pub fn ext_psweep(d: &Dataset) -> std::io::Result<ExtPsweep> {
+pub fn ext_psweep(d: &Dataset, settings: &RunSettings) -> std::io::Result<ExtPsweep> {
     use crate::runner::run_system_with_p;
     let mut rows = Vec::new();
     for p in [4u32, 10, 20, 40] {
-        let pr = run_system_with_p(SystemKind::GraphSd, d, Algo::Pr, p)?;
-        let sssp = run_system_with_p(SystemKind::GraphSd, d, Algo::Sssp, p)?;
+        let pr = run_system_with_p(SystemKind::GraphSd, d, Algo::Pr, p, settings)?;
+        let sssp = run_system_with_p(SystemKind::GraphSd, d, Algo::Sssp, p, settings)?;
         rows.push(ExtPsweepRow {
             p,
             pr_time: pr.execution_time(),
@@ -1097,28 +1098,29 @@ impl fmt::Display for ExtPsweep {
     }
 }
 
-/// Runs one experiment by id and returns its rendered output.
-pub fn run_by_id(id: &str, ds: &Datasets) -> std::io::Result<String> {
+/// Runs one experiment by id under `settings` and returns its rendered
+/// output.
+pub fn run_by_id(id: &str, ds: &Datasets, settings: &RunSettings) -> std::io::Result<String> {
     Ok(match id {
         "table1" => table1(ds).to_string(),
         "table3" => table3(ds).to_string(),
-        "table4" => table4(ds)?.to_string(),
-        "fig5" => fig5(ds.all())?.to_string(),
-        "fig6" => fig6(ds.get("twitter_sim").unwrap()).map(|x| x.to_string())?,
+        "table4" => table4(ds, settings)?.to_string(),
+        "fig5" => fig5(ds.all(), settings)?.to_string(),
+        "fig6" => fig6(ds.get("twitter_sim").unwrap(), settings)?.to_string(),
         "fig7" => {
             let targets = [ds.get("twitter_sim").unwrap(), ds.get("uk_sim").unwrap()];
-            fig7(&targets)?.to_string()
+            fig7(&targets, settings)?.to_string()
         }
-        "fig8" => fig8(ds)?.to_string(),
-        "fig9" => fig9(ds.get("twitter_sim").unwrap())?.to_string(),
-        "fig10" => fig10(ds.get("ukunion_sim").unwrap())?.to_string(),
-        "fig11" => fig11(ds.get("twitter_sim").unwrap())?.to_string(),
+        "fig8" => fig8(ds, settings)?.to_string(),
+        "fig9" => fig9(ds.get("twitter_sim").unwrap(), settings)?.to_string(),
+        "fig10" => fig10(ds.get("ukunion_sim").unwrap(), settings)?.to_string(),
+        "fig11" => fig11(ds.get("twitter_sim").unwrap(), settings)?.to_string(),
         "fig12" => {
             let targets = [ds.get("ukunion_sim").unwrap(), ds.get("kron_sim").unwrap()];
-            fig12(&targets)?.to_string()
+            fig12(&targets, settings)?.to_string()
         }
-        "ext_storage" => ext_storage(ds.get("uk_sim").unwrap())?.to_string(),
-        "ext_psweep" => ext_psweep(ds.get("uk_sim").unwrap())?.to_string(),
+        "ext_storage" => ext_storage(ds.get("uk_sim").unwrap(), settings)?.to_string(),
+        "ext_psweep" => ext_psweep(ds.get("uk_sim").unwrap(), settings)?.to_string(),
         other => {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,

@@ -28,10 +28,10 @@
 //! | `fig11` | scheduler overhead vs saved I/O | [`experiments::fig11`] |
 //! | `fig12` | buffering effect | [`experiments::fig12`] |
 //!
-//! Run everything with `cargo bench -p gsd-bench --bench paper_experiments`
-//! or a single item with `cargo run --release -p gsd-bench --bin
-//! experiments -- <id>`. The `GSD_SCALE` environment variable selects the
-//! workload scale (`tiny`, `small` — default, `medium`).
+//! Run everything with `cargo run --release -p gsd-bench --bin experiments`
+//! or a single item by appending its `<id>`; `--scale tiny|small|medium`
+//! selects the workload scale (default `small`). Every other setting of a
+//! run is a [`RunSettings`] argument built by [`RunFlags::parse`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,11 +39,13 @@
 pub mod datasets;
 pub mod experiments;
 pub mod runner;
+pub mod settings;
 pub mod table;
 pub mod trace;
 pub mod wall;
 
 pub use datasets::{Dataset, Datasets, Scale};
 pub use runner::{Algo, RunOutcome, SystemKind};
-pub use trace::{current_sink, install_trace_sink, Observability, VerboseSink};
+pub use settings::{RunFlags, RunSettings};
+pub use trace::{Observability, VerboseSink};
 pub use wall::{run_wall, WallOptions};

@@ -3,18 +3,15 @@
 //! collect timing / traffic / preprocessing outcomes.
 
 use crate::datasets::Dataset;
+use crate::settings::RunSettings;
 use gsd_algos::{ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use gsd_baselines::HusFormat;
 use gsd_baselines::{
     build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
 };
-use gsd_core::{GraphSdConfig, GraphSdEngine, GridSession, PipelineConfig, SchedulerDecision};
-use gsd_graph::{
-    preprocess, CorruptionResponse, EdgeCodec, Graph, GridGraph, PreprocessConfig,
-    PreprocessReport, VerifyPolicy,
-};
+use gsd_core::{GraphSdConfig, GraphSdEngine, GridSession, SchedulerDecision};
+use gsd_graph::{preprocess, EdgeCodec, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::{DiskModel, SharedStorage, SimDisk};
-use gsd_recover::{FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage};
 use gsd_runtime::{Engine, RunOptions, RunStats, VertexProgram};
 use std::sync::Arc;
 use std::time::Duration;
@@ -208,24 +205,30 @@ pub fn scaled_disk_from(base: DiskModel, graph: &Graph) -> DiskModel {
     }
 }
 
-fn graphsd_config_of(kind: SystemKind) -> Option<GraphSdConfig> {
-    Some(match kind {
-        SystemKind::GraphSd => GraphSdConfig::full(),
+/// The engine config of a GraphSD variant under `settings`.
+fn graphsd_config_of(kind: SystemKind, budget: u64, settings: &RunSettings) -> GraphSdConfig {
+    let ablation = match kind {
         SystemKind::GraphSdB1 => GraphSdConfig::b1_no_cross_iteration(),
         SystemKind::GraphSdB2 => GraphSdConfig::b2_no_selective(),
         SystemKind::GraphSdB3 => GraphSdConfig::b3_always_full(),
         SystemKind::GraphSdB4 => GraphSdConfig::b4_always_on_demand(),
         SystemKind::GraphSdNoBuffer => GraphSdConfig::without_buffering(),
-        _ => return None,
-    })
+        _ => GraphSdConfig::full(),
+    };
+    settings.graphsd_config(ablation).with_memory_budget(budget)
 }
 
 /// Runs `algo` on `dataset` under `kind`, building the system's on-disk
 /// format on a fresh simulated HDD (the paper's two-HDD, no-page-cache
-/// setup) with the 5 % memory budget.
-pub fn run_system(kind: SystemKind, dataset: &Dataset, algo: Algo) -> std::io::Result<RunOutcome> {
+/// setup) with the 5 % memory budget, under `settings`.
+pub fn run_system(
+    kind: SystemKind,
+    dataset: &Dataset,
+    algo: Algo,
+    settings: &RunSettings,
+) -> std::io::Result<RunOutcome> {
     let graph = algo.input(dataset);
-    run_system_on(kind, graph, algo, dataset.root())
+    run_system_on(kind, graph, algo, dataset.root(), settings)
 }
 
 /// Like [`run_system`], with an explicit interval count instead of the
@@ -235,9 +238,11 @@ pub fn run_system_with_p(
     dataset: &Dataset,
     algo: Algo,
     p: u32,
+    settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
     let graph = algo.input(dataset);
-    run_with_disk_p(kind, graph, algo, dataset.root(), scaled_disk_for(graph), p)
+    let disk = scaled_disk_for(graph);
+    run_with_disk_p(kind, graph, algo, dataset.root(), disk, p, settings)
 }
 
 /// Like [`run_system`], with an explicit base storage device.
@@ -246,14 +251,18 @@ pub fn run_system_on_device(
     dataset: &Dataset,
     algo: Algo,
     base_disk: DiskModel,
+    settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
     let graph = algo.input(dataset);
-    run_with_disk(
+    let disk = scaled_disk_from(base_disk, graph);
+    run_with_disk_p(
         kind,
         graph,
         algo,
         dataset.root(),
-        scaled_disk_from(base_disk, graph),
+        disk,
+        paper_p(graph),
+        settings,
     )
 }
 
@@ -263,56 +272,10 @@ pub fn run_system_on(
     graph: &Graph,
     algo: Algo,
     root: u32,
+    settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
-    run_with_disk(kind, graph, algo, root, scaled_disk_for(graph))
-}
-
-fn run_with_disk(
-    kind: SystemKind,
-    graph: &Graph,
-    algo: Algo,
-    root: u32,
-    disk: DiskModel,
-) -> std::io::Result<RunOutcome> {
-    let p = paper_p(graph);
-    run_with_disk_p(kind, graph, algo, root, disk, p)
-}
-
-/// Builds the simulated disk for a run, honouring `GSD_FAULT_INJECT`
-/// (`"SEED:RATE"`): when set, the disk is wrapped in the deterministic
-/// fault injector plus the bounded-retry layer from `gsd-recover`, so any
-/// experiment doubles as a fault-tolerance exercise. Results are
-/// unchanged — transient faults are retried until the operation passes —
-/// only the `retried_ops` counter and `IoRetry` trace events appear.
-fn bench_storage(disk: DiskModel) -> std::io::Result<SharedStorage> {
-    let sim: SharedStorage = Arc::new(SimDisk::new(disk));
-    match std::env::var("GSD_FAULT_INJECT") {
-        Ok(spec) if !spec.is_empty() => {
-            let cfg = FaultConfig::parse(&spec).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("GSD_FAULT_INJECT must be SEED:RATE with rate in [0, 1], got {spec:?}"),
-                )
-            })?;
-            let faulty: SharedStorage = Arc::new(FaultyStorage::new(sim, cfg));
-            let mut retrying = RetryingStorage::new(faulty, RetryPolicy::default());
-            retrying.set_trace(crate::trace::current_sink());
-            Ok(Arc::new(retrying))
-        }
-        _ => Ok(sim),
-    }
-}
-
-/// Applies the `GSD_VERIFY` / `GSD_ON_CORRUPTION` environment defaults to
-/// a freshly built grid, mirroring `gsd run --verify`. Unset (or `off`)
-/// leaves the grid untouched so default benches stay byte-for-byte
-/// identical to the unverified path.
-fn apply_env_verification(grid: &mut GridGraph) -> std::io::Result<()> {
-    let policy = VerifyPolicy::from_env().unwrap_or(VerifyPolicy::Off);
-    if policy.is_off() {
-        return Ok(());
-    }
-    grid.set_verification(policy, CorruptionResponse::from_env().unwrap_or_default())
+    let disk = scaled_disk_for(graph);
+    run_with_disk_p(kind, graph, algo, root, disk, paper_p(graph), settings)
 }
 
 fn run_with_disk_p(
@@ -322,8 +285,11 @@ fn run_with_disk_p(
     root: u32,
     disk: DiskModel,
     p: u32,
+    settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
-    let storage: SharedStorage = bench_storage(disk)?;
+    // With faults set, any experiment doubles as a fault-tolerance
+    // exercise: preprocessing and the run both go through the injector.
+    let storage = settings.storage(Arc::new(SimDisk::new(disk)));
     let edge_bytes = graph.num_edges() * EdgeCodec::new(graph.is_weighted()).edge_bytes() as u64;
     let budget = (edge_bytes / 20).max(1);
 
@@ -340,32 +306,30 @@ fn run_with_disk_p(
     let (report, mut engine): (PreprocessReport, AnyEngine) = match kind {
         SystemKind::HusGraph => {
             let (mut format, report) = build_hus_format(graph, &storage, "", Some(p))?;
-            apply_env_verification(&mut format.row)?;
-            apply_env_verification(&mut format.col)?;
+            settings.verify_grid(&mut format.row)?;
+            settings.verify_grid(&mut format.col)?;
             (report, AnyEngine::Hus(HusGraphEngine::new(format)?))
         }
         SystemKind::Lumos => {
             let (mut grid, report) = build_lumos_format(graph, &storage, "", Some(p))?;
-            apply_env_verification(&mut grid)?;
+            settings.verify_grid(&mut grid)?;
             (report, AnyEngine::Lumos(LumosEngine::new(grid)?))
         }
         SystemKind::GridStream => {
             let (_, report) = preprocess(graph, storage.as_ref(), &gsd_pre)?;
             let mut grid = GridGraph::open(storage.clone())?;
-            apply_env_verification(&mut grid)?;
+            settings.verify_grid(&mut grid)?;
             (report, AnyEngine::Grid(GridStreamEngine::new(grid)?))
         }
         _ => {
             let (_, report) = preprocess(graph, storage.as_ref(), &gsd_pre)?;
             let mut grid = GridGraph::open(storage.clone())?;
-            apply_env_verification(&mut grid)?;
-            let config = graphsd_config_of(kind)
-                .expect("graphsd variant")
-                .with_memory_budget(budget);
+            settings.verify_grid(&mut grid)?;
+            let config = graphsd_config_of(kind, budget, settings);
             (report, AnyEngine::Gsd(GraphSdEngine::new(grid, config)?))
         }
     };
-    engine.set_trace(crate::trace::current_sink());
+    engine.configure(settings);
     let sim_write_time = storage.stats().sim_time().saturating_sub(sim_before);
     let preprocess_outcome = PreprocessOutcome {
         report,
@@ -392,11 +356,22 @@ pub(crate) enum AnyEngine {
 }
 
 impl AnyEngine {
-    pub(crate) fn set_trace(&mut self, sink: std::sync::Arc<dyn gsd_trace::TraceSink>) {
+    /// Hands the engine what of `settings` it takes after construction:
+    /// the trace sink, and for the baselines the prefetch sizing and
+    /// checkpoint cadence (a GraphSD engine got those in its config).
+    fn configure(&mut self, settings: &RunSettings) {
+        let sink = settings.sink.clone();
         match self {
             AnyEngine::Gsd(e) => e.set_trace(sink),
-            AnyEngine::Hus(e) => e.set_trace(sink),
-            AnyEngine::Lumos(e) => e.set_trace(sink),
+            AnyEngine::Hus(e) => {
+                e.set_trace(sink);
+                e.set_checkpoint(settings.checkpoint.clone());
+            }
+            AnyEngine::Lumos(e) => {
+                e.set_trace(sink);
+                e.set_prefetch(settings.prefetch);
+                e.set_checkpoint(settings.checkpoint.clone());
+            }
             AnyEngine::Grid(e) => e.set_trace(sink),
         }
     }
@@ -471,51 +446,40 @@ pub(crate) fn prepare_format(
 }
 
 /// Opens `kind`'s engine over a format previously written by
-/// [`prepare_format`] into `storage`. `prefetch` explicitly selects the
-/// pipeline sizing (`None` disables it) on the engines that support one
-/// (GraphSD variants, Lumos); `GSD_VERIFY` is honoured as in
-/// [`run_system`].
+/// [`prepare_format`] into `storage`, under `settings`.
 pub(crate) fn reopen_engine(
     kind: SystemKind,
     storage: SharedStorage,
     budget: u64,
-    prefetch: Option<PipelineConfig>,
+    settings: &RunSettings,
 ) -> std::io::Result<AnyEngine> {
-    match kind {
+    let mut engine = match kind {
         SystemKind::HusGraph => {
             let mut row = GridGraph::open_with_prefix(storage.clone(), "row/")?;
             let mut col = GridGraph::open_with_prefix(storage, "col/")?;
-            apply_env_verification(&mut row)?;
-            apply_env_verification(&mut col)?;
-            Ok(AnyEngine::Hus(HusGraphEngine::new(HusFormat { row, col })?))
+            settings.verify_grid(&mut row)?;
+            settings.verify_grid(&mut col)?;
+            AnyEngine::Hus(HusGraphEngine::new(HusFormat { row, col })?)
         }
         SystemKind::Lumos => {
             let mut grid = GridGraph::open(storage)?;
-            apply_env_verification(&mut grid)?;
-            let mut engine = LumosEngine::new(grid)?;
-            engine.set_prefetch(prefetch);
-            Ok(AnyEngine::Lumos(engine))
+            settings.verify_grid(&mut grid)?;
+            AnyEngine::Lumos(LumosEngine::new(grid)?)
         }
         SystemKind::GridStream => {
             let mut grid = GridGraph::open(storage)?;
-            apply_env_verification(&mut grid)?;
-            Ok(AnyEngine::Grid(GridStreamEngine::new(grid)?))
+            settings.verify_grid(&mut grid)?;
+            AnyEngine::Grid(GridStreamEngine::new(grid)?)
         }
         _ => {
             // GraphSD variants go through the same open-once session the
-            // `run` CLI and the serve daemon use; `open_env` honours
-            // `GSD_VERIFY` exactly like `apply_env_verification`.
-            let session = GridSession::open_env(storage)?;
-            let mut config = graphsd_config_of(kind)
-                .expect("graphsd variant")
-                .with_memory_budget(budget);
-            config = match prefetch {
-                Some(sizing) => config.with_prefetch(sizing),
-                None => config.without_prefetch(),
-            };
-            Ok(AnyEngine::Gsd(session.engine(config)?))
+            // `run` CLI and the serve daemon use.
+            let session = GridSession::open(storage, settings.verify, settings.on_corruption)?;
+            AnyEngine::Gsd(session.engine(graphsd_config_of(kind, budget, settings))?)
         }
-    }
+    };
+    engine.configure(settings);
+    Ok(engine)
 }
 
 #[cfg(test)]
@@ -528,7 +492,7 @@ mod tests {
         let ds = Datasets::load(Scale::Tiny);
         let d = ds.get("twitter_sim").unwrap();
         for kind in SystemKind::main_three() {
-            let outcome = run_system(kind, d, Algo::Pr).unwrap();
+            let outcome = run_system(kind, d, Algo::Pr, &RunSettings::default()).unwrap();
             assert_eq!(outcome.stats.iterations, 5, "{}", kind.label());
             assert!(outcome.stats.io.total_traffic() > 0);
             assert!(outcome.execution_time() > Duration::ZERO);
@@ -540,9 +504,9 @@ mod tests {
     fn decisions_only_for_graphsd() {
         let ds = Datasets::load(Scale::Tiny);
         let d = ds.get("uk_sim").unwrap();
-        let gsd = run_system(SystemKind::GraphSd, d, Algo::Sssp).unwrap();
+        let gsd = run_system(SystemKind::GraphSd, d, Algo::Sssp, &RunSettings::default()).unwrap();
         assert!(!gsd.decisions.is_empty());
-        let hus = run_system(SystemKind::HusGraph, d, Algo::Sssp).unwrap();
+        let hus = run_system(SystemKind::HusGraph, d, Algo::Sssp, &RunSettings::default()).unwrap();
         assert!(hus.decisions.is_empty());
     }
 

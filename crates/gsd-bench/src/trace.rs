@@ -1,38 +1,10 @@
 //! The CLIs' trace-sink plumbing: the `--trace`/`--metrics-out`/
-//! `--verbose` fan-out ([`Observability`]) and the process-wide sink the
-//! harness runs under.
-//!
-//! The experiment entry points ([`crate::runner`]) construct engines deep
-//! inside `run_system`, far from the CLI that knows whether the user asked
-//! for a trace. Rather than threading a sink through every call signature,
-//! the binary installs one process-wide sink before running and the runner
-//! hands [`current_sink`] to every engine it builds. The default (nothing
-//! installed) is the disabled [`gsd_trace::NullSink`], so library users and
-//! tests that never call [`install_trace_sink`] pay nothing.
+//! `--verbose` fan-out ([`Observability`]). The sink it builds reaches
+//! the engines as [`crate::RunSettings::sink`].
 
 use gsd_metrics::MetricsSink;
 use gsd_trace::{FanoutSink, JsonlWriter, TraceEvent, TraceSink};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the process-wide trace sink slot: written once by install_trace_sink, read at engine construction"
-)]
-static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
-
-/// Installs `sink` as the process-wide trace sink. Every engine built by
-/// the runner from now on emits into it. Replaces any previous sink.
-pub fn install_trace_sink(sink: Arc<dyn TraceSink>) {
-    *SINK.write().unwrap_or_else(PoisonError::into_inner) = Some(sink);
-}
-
-/// The currently installed sink, or a disabled `NullSink` if none is.
-pub fn current_sink() -> Arc<dyn TraceSink> {
-    SINK.read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-        .unwrap_or_else(gsd_trace::null_sink)
-}
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The observability side-channels of one CLI invocation: a JSONL event
 /// trace, a metrics snapshot and the live `--verbose` table behind one
@@ -79,13 +51,6 @@ impl Observability {
             metrics_out: metrics_out.map(str::to_string),
             metrics,
         })
-    }
-
-    /// Makes the sink the process-wide one the harness runs under.
-    pub fn install(&self) {
-        if let Some(sink) = &self.sink {
-            install_trace_sink(sink.clone());
-        }
     }
 
     /// Flushes the sinks and fails if any metrics snapshot write failed.
@@ -240,23 +205,6 @@ impl TraceSink for VerboseSink {
 mod tests {
     use super::*;
     use gsd_trace::AccessModel;
-
-    #[test]
-    fn default_sink_is_disabled_null() {
-        // Note: relies on no other test in this process having installed a
-        // sink; install_* tests therefore install and never "uninstall".
-        let sink = current_sink();
-        // A RingRecorder installed afterwards must be returned verbatim.
-        let ring = Arc::new(gsd_trace::RingRecorder::new(4));
-        install_trace_sink(ring.clone());
-        let got = current_sink();
-        assert!(got.enabled());
-        got.emit(&TraceEvent::IterationStart { iteration: 1 });
-        assert_eq!(ring.len(), 1);
-        // The pre-install default must have been disabled.
-        assert!(!sink.enabled());
-        install_trace_sink(gsd_trace::null_sink());
-    }
 
     #[test]
     fn verbose_sink_tracks_decisions_and_hits() {

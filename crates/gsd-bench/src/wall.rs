@@ -22,12 +22,12 @@
 //!   median for even counts), so one descheduled run cannot skew it.
 //!
 //! Every timed repeat emits a [`TraceEvent::BenchRepeat`] into the
-//! process-wide sink, so a `--trace` of a bench run records the raw
-//! samples next to the per-iteration events.
+//! settings' sink, so a `--trace` of a bench run records the raw samples
+//! next to the per-iteration events.
 
 use crate::datasets::{Dataset, Datasets, Scale};
 use crate::runner::{paper_budget, paper_p, prepare_format, reopen_engine, Algo, SystemKind};
-use gsd_core::PipelineConfig;
+use crate::settings::RunSettings;
 use gsd_io::{FileStorage, SharedStorage, TempDir};
 use gsd_metrics::{median, BenchEntry, BenchReport, BENCH_SCHEMA_VERSION};
 use gsd_runtime::RunStats;
@@ -43,8 +43,6 @@ pub struct WallOptions {
     pub warmup: u32,
     /// Timed repeats per cell (the median one is reported).
     pub repeats: u32,
-    /// Whether the prefetch pipeline is enabled (GraphSD and Lumos).
-    pub prefetch: bool,
     /// Dataset scale.
     pub scale: Scale,
     /// Systems to measure.
@@ -61,7 +59,6 @@ impl Default for WallOptions {
             label: "local".to_string(),
             warmup: 1,
             repeats: 3,
-            prefetch: true,
             scale: Scale::Tiny,
             systems: vec![
                 SystemKind::GraphSd,
@@ -85,8 +82,9 @@ pub fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
-/// Runs the whole matrix of `opts` and assembles the report.
-pub fn run_wall(opts: &WallOptions) -> std::io::Result<BenchReport> {
+/// Runs the whole matrix of `opts` under `settings` and assembles the
+/// report.
+pub fn run_wall(opts: &WallOptions, settings: &RunSettings) -> std::io::Result<BenchReport> {
     let repeats = opts.repeats.max(1);
     let datasets = Datasets::load(opts.scale);
     let mut entries = Vec::new();
@@ -96,14 +94,7 @@ pub fn run_wall(opts: &WallOptions) -> std::io::Result<BenchReport> {
         }
         for &kind in &opts.systems {
             for &algo in &opts.algos {
-                entries.push(bench_cell(
-                    kind,
-                    ds,
-                    algo,
-                    opts.warmup,
-                    repeats,
-                    opts.prefetch,
-                )?);
+                entries.push(bench_cell(kind, ds, algo, opts.warmup, repeats, settings)?);
             }
         }
     }
@@ -113,7 +104,7 @@ pub fn run_wall(opts: &WallOptions) -> std::io::Result<BenchReport> {
         scale: scale_name(opts.scale).to_string(),
         warmup: opts.warmup,
         repeats,
-        prefetch: opts.prefetch,
+        prefetch: settings.prefetch.is_some(),
         entries,
     })
 }
@@ -125,23 +116,21 @@ fn bench_cell(
     algo: Algo,
     warmup: u32,
     repeats: u32,
-    prefetch: bool,
+    settings: &RunSettings,
 ) -> std::io::Result<BenchEntry> {
     let graph = algo.input(dataset);
     let root = dataset.root();
     let dir = TempDir::new("gsd-wallbench")?;
-    let storage: SharedStorage = Arc::new(FileStorage::open(dir.path())?);
-    prepare_format(kind, graph, &storage, paper_p(graph))?;
-    drop(storage);
+    let open = || -> std::io::Result<SharedStorage> {
+        Ok(settings.storage(Arc::new(FileStorage::open(dir.path())?)))
+    };
+    prepare_format(kind, graph, &open()?, paper_p(graph))?;
 
     let budget = paper_budget(graph);
-    let prefetch_cfg = prefetch.then(|| PipelineConfig::with_depth(2));
-    let sink = crate::trace::current_sink();
+    let sink = &settings.sink;
 
     let run_once = || -> std::io::Result<(u64, RunStats)> {
-        let storage: SharedStorage = Arc::new(FileStorage::open(dir.path())?);
-        let mut engine = reopen_engine(kind, storage, budget, prefetch_cfg)?;
-        engine.set_trace(sink.clone());
+        let mut engine = reopen_engine(kind, open()?, budget, settings)?;
         let watch = Stopwatch::start();
         let (stats, _) = engine.run_algo(algo, root)?;
         Ok((watch.elapsed().as_micros() as u64, stats))
@@ -233,6 +222,14 @@ fn bench_cell(
 mod tests {
     use super::*;
 
+    /// What `gsd bench` runs under when given no flags.
+    fn pipelined() -> RunSettings {
+        RunSettings {
+            prefetch: Some(gsd_core::PipelineConfig::default()),
+            ..RunSettings::default()
+        }
+    }
+
     fn tiny_opts() -> WallOptions {
         WallOptions {
             label: "unit".to_string(),
@@ -242,13 +239,12 @@ mod tests {
             systems: vec![SystemKind::GraphSd],
             algos: vec![Algo::Pr],
             datasets: vec!["twitter_sim".to_string()],
-            ..WallOptions::default()
         }
     }
 
     #[test]
     fn wall_report_is_schema_valid_and_self_consistent() {
-        let report = run_wall(&tiny_opts()).unwrap();
+        let report = run_wall(&tiny_opts(), &pipelined()).unwrap();
         assert_eq!(report.entries.len(), 1);
         let e = &report.entries[0];
         assert_eq!(e.system, "GraphSD");
@@ -265,19 +261,19 @@ mod tests {
 
     #[test]
     fn deterministic_counters_stable_across_harness_invocations() {
-        let a = run_wall(&tiny_opts()).unwrap();
-        let b = run_wall(&tiny_opts()).unwrap();
+        let a = run_wall(&tiny_opts(), &pipelined()).unwrap();
+        let b = run_wall(&tiny_opts(), &pipelined()).unwrap();
         assert_eq!(b.compare_deterministic(&a), Ok(1));
     }
 
     #[test]
     fn prefetch_off_reports_zero_pipeline_activity() {
         let opts = WallOptions {
-            prefetch: false,
             repeats: 1,
             ..tiny_opts()
         };
-        let report = run_wall(&opts).unwrap();
+        let report = run_wall(&opts, &RunSettings::default()).unwrap();
+        assert!(!report.prefetch);
         let e = &report.entries[0];
         assert_eq!(e.prefetch_hits + e.prefetch_misses, 0);
         assert_eq!(e.prefetch_hit_rate, 0.0);
@@ -296,7 +292,7 @@ mod tests {
             ],
             ..tiny_opts()
         };
-        let report = run_wall(&opts).unwrap();
+        let report = run_wall(&opts, &pipelined()).unwrap();
         let systems: Vec<&str> = report.entries.iter().map(|e| e.system.as_str()).collect();
         assert_eq!(systems, vec!["GraphSD", "HUS-Graph", "Lumos", "GridGraph"]);
         for e in &report.entries {

@@ -40,16 +40,13 @@ pub struct GraphSdConfig {
     /// (a simulator knows its own model) and falls back to
     /// [`DiskModel::hdd`].
     pub disk_model: Option<DiskModel>,
-    /// Prefetch pipeline sizing, or `None` for fully synchronous reads.
-    /// The default consults the `GSD_PREFETCH*` environment variables
-    /// (see [`PipelineConfig::from_env`]) so a whole test suite can flip
-    /// prefetching on without code changes. Results are bit-identical
-    /// either way; only wall time changes.
+    /// Prefetch pipeline sizing, or `None` (the default) for fully
+    /// synchronous reads. Results are bit-identical either way; only
+    /// wall time changes.
     pub prefetch: Option<PipelineConfig>,
-    /// Iteration-granular checkpointing and crash recovery, or `None` to
-    /// run unprotected. The default consults the `GSD_CKPT_*` environment
-    /// variables (see [`RecoveryConfig::from_env`]). Like prefetching,
-    /// checkpointing is contractually result-neutral: a run that resumes
+    /// Iteration-granular checkpointing and crash recovery, or `None`
+    /// (the default) to run unprotected. Like prefetching, checkpointing
+    /// is contractually result-neutral: a run that resumes
     /// from a checkpoint commits bit-identical values, iteration counts
     /// and I/O accounting to an uninterrupted run (checkpoint traffic is
     /// excluded from the run's `stats.io`).
@@ -66,8 +63,8 @@ impl Default for GraphSdConfig {
             enable_buffering: true,
             seq_run_threshold: None,
             disk_model: None,
-            prefetch: PipelineConfig::from_env(),
-            checkpoint: RecoveryConfig::from_env(),
+            prefetch: None,
+            checkpoint: None,
         }
     }
 }

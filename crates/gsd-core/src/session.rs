@@ -50,18 +50,6 @@ impl GridSession {
         Ok(GridSession { grid })
     }
 
-    /// Opens the grid at the root of `storage`, resolving the
-    /// verification policy from the `GSD_VERIFY` / `GSD_ON_CORRUPTION`
-    /// environment (the default every CLI path shares). Unset means no
-    /// verification, byte-for-byte identical to the unverified path.
-    pub fn open_env(storage: SharedStorage) -> std::io::Result<Self> {
-        Self::open(
-            storage,
-            VerifyPolicy::from_env().unwrap_or(VerifyPolicy::Off),
-            CorruptionResponse::from_env().unwrap_or_default(),
-        )
-    }
-
     /// Wraps an already-opened grid handle (callers that configured
     /// verification themselves).
     pub fn from_grid(grid: GridGraph) -> Self {

@@ -5,7 +5,7 @@
 //! agree within a tolerance that covers reduction-order differences.
 
 use gsd_algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
-use gsd_core::{GraphSdConfig, GraphSdEngine};
+use gsd_core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use gsd_graph::{preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig};
 use gsd_io::{DiskModel, SharedStorage, SimDisk};
 use gsd_runtime::{Engine, ReferenceEngine, RunOptions, VertexProgram};
@@ -30,6 +30,10 @@ fn configs() -> Vec<(&'static str, GraphSdConfig)> {
         ("b3", GraphSdConfig::b3_always_full()),
         ("b4", GraphSdConfig::b4_always_on_demand()),
         ("no-buffer", GraphSdConfig::without_buffering()),
+        (
+            "prefetch",
+            GraphSdConfig::full().with_prefetch(PipelineConfig::with_depth(2)),
+        ),
     ]
 }
 

@@ -39,15 +39,6 @@ impl VerifyPolicy {
         }
     }
 
-    /// Reads the `GSD_VERIFY` environment default, if set and valid.
-    pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("GSD_VERIFY").ok()?;
-        if spec.is_empty() {
-            return None;
-        }
-        Self::parse(&spec)
-    }
-
     /// True when no verification happens at all.
     pub fn is_off(self) -> bool {
         self == VerifyPolicy::Off
@@ -107,15 +98,6 @@ impl CorruptionResponse {
                 }
             }
         }
-    }
-
-    /// Reads the `GSD_ON_CORRUPTION` environment default, if set and valid.
-    pub fn from_env() -> Option<Self> {
-        let spec = std::env::var("GSD_ON_CORRUPTION").ok()?;
-        if spec.is_empty() {
-            return None;
-        }
-        Self::parse(&spec)
     }
 }
 

@@ -84,9 +84,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Prefetch pipeline sizing. `Default` reads the `GSD_PREFETCH_DEPTH` /
-/// `GSD_PREFETCH_WORKERS` environment variables so a whole test suite can
-/// be re-run with a different window without code changes.
+/// Prefetch pipeline sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// How many scheduled requests past the consumer's position workers
@@ -112,33 +110,6 @@ impl PipelineConfig {
             depth: depth.max(1),
             workers: Self::DEFAULT_WORKERS,
         }
-    }
-
-    /// Reads the process-wide prefetch switch: `None` unless the
-    /// `GSD_PREFETCH` environment variable is set to something other
-    /// than `0`/`false`/`off`/the empty string; depth and workers come
-    /// from `GSD_PREFETCH_DEPTH` / `GSD_PREFETCH_WORKERS` (defaults 2/2).
-    /// This is how the CI suite flips prefetching on for an entire test
-    /// run.
-    pub fn from_env() -> Option<Self> {
-        let enabled = match std::env::var("GSD_PREFETCH") {
-            Ok(v) => !matches!(v.trim(), "" | "0" | "false" | "off"),
-            Err(_) => false,
-        };
-        if !enabled {
-            return None;
-        }
-        let parse = |name: &str, default: usize| -> usize {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(default)
-        };
-        Some(PipelineConfig {
-            depth: parse("GSD_PREFETCH_DEPTH", Self::DEFAULT_DEPTH),
-            workers: parse("GSD_PREFETCH_WORKERS", Self::DEFAULT_WORKERS),
-        })
     }
 }
 
@@ -811,38 +782,6 @@ mod tests {
         assert_eq!(ring.count_kind("prefetch_issued"), schedule.len());
         assert_eq!(ring.count_kind("prefetch_hit") as u64, hits);
         assert_eq!(ring.count_kind("prefetch_stall") as u64, misses);
-    }
-
-    #[test]
-    fn config_from_env_parses_the_switch_and_sizes() {
-        // All env assertions live in one test: the variables are
-        // process-global and nothing else in this crate reads them.
-        std::env::remove_var("GSD_PREFETCH");
-        assert_eq!(PipelineConfig::from_env(), None);
-        std::env::set_var("GSD_PREFETCH", "0");
-        assert_eq!(PipelineConfig::from_env(), None);
-        std::env::set_var("GSD_PREFETCH", "off");
-        assert_eq!(PipelineConfig::from_env(), None);
-        std::env::set_var("GSD_PREFETCH", "1");
-        std::env::remove_var("GSD_PREFETCH_DEPTH");
-        std::env::remove_var("GSD_PREFETCH_WORKERS");
-        assert_eq!(PipelineConfig::from_env(), Some(PipelineConfig::default()));
-        std::env::set_var("GSD_PREFETCH_DEPTH", "5");
-        std::env::set_var("GSD_PREFETCH_WORKERS", "3");
-        assert_eq!(
-            PipelineConfig::from_env(),
-            Some(PipelineConfig {
-                depth: 5,
-                workers: 3
-            })
-        );
-        // Nonsense sizes fall back to the defaults.
-        std::env::set_var("GSD_PREFETCH_DEPTH", "zero");
-        std::env::set_var("GSD_PREFETCH_WORKERS", "0");
-        assert_eq!(PipelineConfig::from_env(), Some(PipelineConfig::default()));
-        std::env::remove_var("GSD_PREFETCH");
-        std::env::remove_var("GSD_PREFETCH_DEPTH");
-        std::env::remove_var("GSD_PREFETCH_WORKERS");
     }
 
     #[test]

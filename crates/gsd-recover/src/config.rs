@@ -1,17 +1,7 @@
-//! Recovery configuration and its environment defaults.
+//! Recovery configuration.
 
-/// Checkpoint/recovery options an engine runs with.
-///
-/// The environment mirrors the prefetch pipeline's pattern: engine config
-/// defaults consult [`RecoveryConfig::from_env`], so a whole test suite
-/// (or CI job) can flip checkpointing on without code changes:
-///
-/// * `GSD_CKPT_EVERY=N` — enable, checkpointing every `N ≥ 1` committed
-///   iterations.
-/// * `GSD_CKPT_DIR=name` — checkpoint key prefix inside the run's storage
-///   (default `ckpt`; resolved relative to the grid prefix, so engines
-///   sharing a store do not collide).
-/// * `GSD_CKPT_RESUME=0` — write checkpoints but never resume from them.
+/// Checkpoint/recovery options an engine runs with. Engines run
+/// unprotected unless handed one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Write a checkpoint every this many committed iterations (≥ 1).
@@ -20,7 +10,8 @@ pub struct RecoveryConfig {
     /// cadence may skip an odd iteration number.
     pub every: u32,
     /// Key prefix for checkpoint objects, relative to the engine's grid
-    /// prefix (no trailing slash).
+    /// prefix (no trailing slash), so engines sharing a store do not
+    /// collide.
     pub dir: String,
     /// Keep the newest `retain` checkpoints; older ones are deleted after
     /// each successful commit.
@@ -46,25 +37,6 @@ impl RecoveryConfig {
             resume: true,
             halt_after: None,
         }
-    }
-
-    /// Reads the `GSD_CKPT_*` environment variables; `None` unless
-    /// `GSD_CKPT_EVERY` is set to a positive integer.
-    pub fn from_env() -> Option<Self> {
-        let every: u32 = std::env::var("GSD_CKPT_EVERY").ok()?.parse().ok()?;
-        if every == 0 {
-            return None;
-        }
-        let mut cfg = RecoveryConfig::every(every);
-        if let Ok(dir) = std::env::var("GSD_CKPT_DIR") {
-            if !dir.is_empty() {
-                cfg.dir = dir;
-            }
-        }
-        if std::env::var("GSD_CKPT_RESUME").as_deref() == Ok("0") {
-            cfg.resume = false;
-        }
-        Some(cfg)
     }
 
     /// Sets the checkpoint key prefix.

@@ -133,7 +133,7 @@ impl FaultConfig {
         }
     }
 
-    /// Parses the `GSD_FAULT_INJECT` environment value, `SEED:RATE`
+    /// Parses an `--inject-faults` spec, `SEED:RATE`
     /// (e.g. `42:0.02` — seed 42, 2% transient faults per attempt).
     pub fn parse(spec: &str) -> Option<Self> {
         let (seed, rate) = spec.split_once(':')?;

@@ -14,10 +14,9 @@
 //!   [`Manifest`] recording graph fingerprint, algorithm id, config hash
 //!   and iteration number is the commit point. Stale checkpoints are
 //!   garbage-collected by a keep-last-K retention policy.
-//! * **Recovery** — engines accept a [`RecoveryConfig`]
-//!   (`GSD_CKPT_EVERY`/`GSD_CKPT_DIR` env defaults) and resume from the
-//!   latest manifest whose fingerprints match, producing bit-identical
-//!   final values to an uninterrupted run.
+//! * **Recovery** — engines accept a [`RecoveryConfig`] and resume from
+//!   the latest manifest whose fingerprints match, producing
+//!   bit-identical final values to an uninterrupted run.
 //! * **Fault injection + retry** — [`FaultyStorage`] injects
 //!   deterministic, seed-driven transient and permanent I/O errors over
 //!   any [`gsd_io::Storage`]; [`RetryingStorage`] retries the retryable

@@ -127,6 +127,7 @@ pub struct ServeCore {
     degrees: Arc<Vec<u32>>,
     cache: SubBlockCache,
     sink: Arc<dyn TraceSink>,
+    run_config: GraphSdConfig,
     next_query: u64,
     counters: ServeCounters,
 }
@@ -161,9 +162,17 @@ impl ServeCore {
             degrees,
             cache,
             sink,
+            run_config: GraphSdConfig::default(),
             next_query: 0,
             counters: ServeCounters::default(),
         })
+    }
+
+    /// Sets the engine configuration `run` queries execute under — how
+    /// `gsd serve --prefetch-depth / --checkpoint-every` reach the
+    /// daemon's analytic runs. The default is [`GraphSdConfig::default`].
+    pub fn set_run_config(&mut self, config: GraphSdConfig) {
+        self.run_config = config;
     }
 
     /// The session the executor serves.
@@ -600,11 +609,10 @@ impl ServeCore {
         }
     }
 
-    /// Full analytic run via a fresh engine over the shared session.
-    /// `GraphSdConfig::default()` resolves the prefetch and checkpoint
-    /// configuration from the environment, so a daemon started under
-    /// `GSD_CKPT_EVERY` / `GSD_CKPT_DIR` / `GSD_CKPT_RESUME` restarts
-    /// runs through `gsd-recover` exactly like `gsd run` does.
+    /// Full analytic run via a fresh engine over the shared session,
+    /// under the configuration [`ServeCore::set_run_config`] installed:
+    /// a daemon started with `--checkpoint-every` restarts runs through
+    /// `gsd-recover` exactly like `gsd run` does.
     fn run_analytic(&mut self, algo: &str, source: u32, iterations: u32) -> Response {
         let q = self.accept("run");
         let options = RunOptions {
@@ -639,7 +647,7 @@ impl ServeCore {
     ) -> Result<(u32, u64, u64), String> {
         let mut engine = self
             .session
-            .engine(GraphSdConfig::default())
+            .engine(self.run_config.clone())
             .map_err(|e| format!("engine setup failed: {e}"))?;
         engine.set_trace(self.sink.clone());
         fn summarize<V: Value>(

@@ -3,19 +3,15 @@
 //! ```text
 //! gsd preprocess <edges.txt> <data-dir> [--intervals N] [--budget-mb M] [--degree-balanced]
 //! gsd run <data-dir> <algorithm> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf]
-//!         [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine]
-//!         [--trace FILE] [--metrics-out FILE] [--metrics-every N]
+//!         [run flags]
 //! gsd ingest <data-dir> <batch.txt> [--recompute <algorithm>] [--source V]
 //!            [--iterations N] [--trace FILE]
 //! gsd compact <data-dir> [--trace FILE]
 //! gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b]
-//!           [--algos a,b] [--datasets a,b] [--scale tiny|small|medium]
-//!           [--no-prefetch] [--baseline FILE] [--trace FILE] [--metrics-out FILE]
-//!           [--metrics-every N] [--verbose]
+//!           [--algos a,b] [--datasets a,b] [--baseline FILE] [run flags]
 //! gsd bench --check FILE
 //! gsd report <trace.jsonl> [--top N]
-//! gsd serve <data-dir> [--port N] [--cache-mb M] [--verify ...] [--on-corruption ...]
-//!           [--trace FILE] [--metrics-out FILE] [--metrics-every N]
+//! gsd serve <data-dir> [--port N] [--cache-mb M] [run flags]
 //! gsd query <host:port> <op> [args...] [--alpha A] [--iterations N] [--source V]
 //! gsd scrub <data-dir> [--repair <edges.txt>]
 //! gsd info <data-dir>
@@ -24,8 +20,15 @@
 //!
 //! Algorithms: `pagerank`, `pagerank-delta`, `cc`, `sssp`, `bfs`.
 //! Graph kinds: `rmat`, `kronecker`, `erdos-renyi`, `web`, `grid`.
-//! `--verify`/`--on-corruption` default from the `GSD_VERIFY` and
-//! `GSD_ON_CORRUPTION` environment variables.
+//! Run flags (one parser, `graphsd::bench::RunFlags`, shared with the
+//! `experiments` binary): `--prefetch-depth N` / `--no-prefetch`,
+//! `--checkpoint-every N`, `--verify off|full|sample:N`,
+//! `--on-corruption fail|retry[:N]|quarantine`, `--inject-faults
+//! SEED:RATE`, `--scale tiny|small|medium` (`bench` datasets),
+//! `--trace FILE`, `--metrics-out FILE`, `--metrics-every N`, `--verbose`.
+//! `bench` prefetches at depth 2 unless told otherwise; `run` and `serve`
+//! read synchronously unless given a depth. Nothing is read from the
+//! environment.
 //!
 //! `run --metrics-out` aggregates the run's trace events into a labeled
 //! metrics registry and writes a snapshot file (Prometheus text format
@@ -54,13 +57,13 @@
 
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
-use graphsd::bench::{Algo, Observability, Scale, SystemKind};
-use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession};
+use graphsd::bench::{Algo, Observability, RunFlags, RunSettings, SystemKind};
+use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession, PipelineConfig};
 use graphsd::delta::MutationBatch;
 use graphsd::graph::delta::DeltaOp;
 use graphsd::graph::{
-    parse_edge_list, preprocess_text, repair_grid, scrub_grid, write_edge_list, CorruptionResponse,
-    GeneratorConfig, GraphKind, GridGraph, PreprocessConfig, VerifyPolicy,
+    parse_edge_list, preprocess_text, repair_grid, scrub_grid, write_edge_list, GeneratorConfig,
+    GraphKind, GridGraph, PreprocessConfig,
 };
 use graphsd::io::{FileStorage, SharedStorage};
 use graphsd::metrics::{BenchReport, TraceReport};
@@ -77,17 +80,18 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          gsd preprocess <edges.txt> <data-dir> [--intervals N] [--budget-mb M] [--degree-balanced]\n  \
-         gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf] [--top K] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--trace FILE] [--metrics-out FILE] [--metrics-every N]\n  \
+         gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf] [--top K] [run flags]\n  \
          gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|cc|sssp|bfs>] [--source V] [--iterations N] [--trace FILE]\n  \
          gsd compact <data-dir> [--trace FILE]\n  \
-         gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--scale tiny|small|medium] [--no-prefetch] [--baseline FILE] [--trace FILE] [--metrics-out FILE] [--metrics-every N] [--verbose]\n  \
+         gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--baseline FILE] [--scale tiny|small|medium] [run flags]\n  \
          gsd bench --check FILE\n  \
-         gsd serve <data-dir> [--port N] [--cache-mb M] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--trace FILE] [--metrics-out FILE] [--metrics-every N]\n  \
+         gsd serve <data-dir> [--port N] [--cache-mb M] [run flags]\n  \
          gsd query <host:port> <ping|stats|degree|neighbors|khop|ppr|run|mutate|compact|shutdown> [args...] [--alpha A] [--iterations N] [--source V]\n  \
          gsd report <trace.jsonl> [--top N]\n  \
          gsd scrub <data-dir> [--repair <edges.txt>]\n  \
          gsd info <data-dir>\n  \
-         gsd generate <rmat|kronecker|erdos-renyi|web|grid> <vertices> <edges> <out.txt> [--seed S] [--weighted] [--symmetrized]"
+         gsd generate <rmat|kronecker|erdos-renyi|web|grid> <vertices> <edges> <out.txt> [--seed S] [--weighted] [--symmetrized]\n\
+         run flags: [--prefetch-depth N] [--no-prefetch] [--checkpoint-every N] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--inject-faults SEED:RATE] [--trace FILE] [--metrics-out FILE] [--metrics-every N] [--verbose]"
     );
     ExitCode::from(2)
 }
@@ -150,9 +154,9 @@ fn main() -> ExitCode {
         "preprocess" => cmd_preprocess(&args),
         "ingest" => cmd_ingest(&args),
         "compact" => cmd_compact(&args),
-        "run" => cmd_run(&args),
-        "bench" => cmd_bench(&args),
-        "serve" => cmd_serve(&args),
+        "run" => cmd_run(&raw[1..]),
+        "bench" => cmd_bench(&raw[1..]),
+        "serve" => cmd_serve(&raw[1..]),
         "query" => cmd_query(&args),
         "report" => cmd_report(&args),
         "scrub" => cmd_scrub(&args),
@@ -213,32 +217,14 @@ fn ablation(name: &str) -> Result<GraphSdConfig, String> {
     })
 }
 
-/// `--verify` / `--on-corruption` with `GSD_VERIFY` / `GSD_ON_CORRUPTION`
-/// environment fallback — shared by `run` and `serve`.
-fn verification_flags(args: &Args) -> Result<(VerifyPolicy, CorruptionResponse), String> {
-    let verify = match args.flag_value::<String>("verify")? {
-        Some(spec) => VerifyPolicy::parse(&spec).ok_or(format!(
-            "--verify: unknown spec {spec:?} (off|full|sample:N)"
-        ))?,
-        None => VerifyPolicy::from_env().unwrap_or(VerifyPolicy::Off),
-    };
-    let response = match args.flag_value::<String>("on-corruption")? {
-        Some(spec) => CorruptionResponse::parse(&spec).ok_or(format!(
-            "--on-corruption: unknown spec {spec:?} (fail|retry[:N]|quarantine)"
-        ))?,
-        None => CorruptionResponse::from_env().unwrap_or_default(),
-    };
-    Ok((verify, response))
-}
-
-/// The `--trace` / `--metrics-out` / `--metrics-every` side-channels of a
-/// verb (plus `bench`'s `--verbose` table).
-fn observability(args: &Args, verbose: bool) -> Result<Observability, String> {
+/// The `--trace` / `--metrics-out` / `--metrics-every` side-channels of
+/// `ingest` and `compact`, which take no other run flag.
+fn observability(args: &Args) -> Result<Observability, String> {
     Observability::from_flags(
         args.flag_value::<String>("trace")?.as_deref(),
         args.flag_value::<String>("metrics-out")?.as_deref(),
         args.flag_value("metrics-every")?.unwrap_or(0),
-        verbose,
+        false,
     )
 }
 
@@ -251,26 +237,32 @@ fn finish(obs: &Observability) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+/// Opens the grid at `dir` the way `settings` say to: behind the fault
+/// injector if one is set, verified as asked.
+fn open_session(dir: &str, settings: &RunSettings) -> Result<GridSession, String> {
+    let files = FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?;
+    let storage = settings.storage(Arc::new(files));
+    GridSession::open(storage, settings.verify, settings.on_corruption)
+        .map_err(|e| format!("{dir}: {e}"))
+}
+
+fn cmd_run(raw: &[String]) -> Result<(), String> {
+    let flags = RunFlags::parse(raw, None)?;
+    let args = Args::parse(&flags.rest);
+    let settings = &flags.settings;
     let [dir, algorithm] = args.positional.as_slice() else {
         return Err("run needs <data-dir> <algorithm>".into());
     };
-    let storage: SharedStorage =
-        Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let (verify, response) = verification_flags(args)?;
-    let session =
-        GridSession::open(storage, verify, response).map_err(|e| format!("{dir}: {e}"))?;
+    let session = open_session(dir, settings)?;
     let config = ablation(
         args.flag_value::<String>("ablation")?
             .as_deref()
             .unwrap_or("full"),
     )?;
-    let mut engine = session.engine(config).map_err(|e| e.to_string())?;
-
-    let obs = observability(args, false)?;
-    if let Some(s) = &obs.sink {
-        engine.set_trace(s.clone());
-    }
+    let mut engine = session
+        .engine(settings.graphsd_config(config))
+        .map_err(|e| e.to_string())?;
+    engine.set_trace(settings.sink.clone());
 
     let options = RunOptions {
         max_iterations: args.flag_value("iterations")?,
@@ -312,7 +304,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown algorithm {other:?}")),
     }
-    finish(&obs)
+    finish(&flags.observability)
 }
 
 fn cmd_ingest(args: &Args) -> Result<(), String> {
@@ -323,7 +315,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let batch = MutationBatch::parse(&text).map_err(|e| format!("{batch_path}: {e}"))?;
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let obs = observability(args, false)?;
+    let obs = observability(args)?;
     let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
     match args.flag_value::<String>("recompute")?.as_deref() {
         None => {
@@ -413,7 +405,7 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
     };
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let obs = observability(args, false)?;
+    let obs = observability(args)?;
     let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
     match graphsd::delta::compact(&storage, "", sink.as_ref()).map_err(|e| e.to_string())? {
         Some(r) => println!(
@@ -429,19 +421,18 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
     finish(&obs)
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(raw: &[String]) -> Result<(), String> {
+    let flags = RunFlags::parse(raw, None)?;
+    let args = Args::parse(&flags.rest);
+    let settings = &flags.settings;
     let [dir] = args.positional.as_slice() else {
         return Err("serve needs <data-dir>".into());
     };
-    let storage: SharedStorage =
-        Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let (verify, response) = verification_flags(args)?;
-    let session =
-        GridSession::open(storage, verify, response).map_err(|e| format!("{dir}: {e}"))?;
-    let obs = observability(args, false)?;
-    let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
+    let session = open_session(dir, settings)?;
     let cache_mb: u64 = args.flag_value("cache-mb")?.unwrap_or(64);
-    let core = ServeCore::new(session, cache_mb << 20, sink).map_err(|e| e.to_string())?;
+    let mut core = ServeCore::new(session, cache_mb << 20, settings.sink.clone())
+        .map_err(|e| e.to_string())?;
+    core.set_run_config(settings.graphsd_config(GraphSdConfig::default()));
     let port: u16 = args.flag_value("port")?.unwrap_or(0);
     let server = Server::start(core).map_err(|e| e.to_string())?;
     let listener = std::net::TcpListener::bind(("127.0.0.1", port))
@@ -473,7 +464,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         c.batch_passes,
         c.batched_queries,
     );
-    finish(&obs)
+    finish(&flags.observability)
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
@@ -724,15 +715,6 @@ fn print_top<V: Value>(
     }
 }
 
-fn parse_scale(name: &str) -> Result<Scale, String> {
-    match name {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "medium" => Ok(Scale::Medium),
-        other => Err(format!("unknown scale {other:?} (tiny|small|medium)")),
-    }
-}
-
 fn parse_system(name: &str) -> Result<SystemKind, String> {
     match name.to_ascii_lowercase().as_str() {
         "graphsd" | "gsd" => Ok(SystemKind::GraphSd),
@@ -768,7 +750,9 @@ fn parse_list<T>(spec: &str, parse: impl Fn(&str) -> Result<T, String>) -> Resul
     Ok(items)
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
+fn cmd_bench(raw: &[String]) -> Result<(), String> {
+    let flags = RunFlags::parse(raw, Some(PipelineConfig::default()))?;
+    let args = Args::parse(&flags.rest);
     if let Some(path) = args.flag_value::<String>("check")? {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
         let report = BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -781,7 +765,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let mut opts = WallOptions {
-        scale: Scale::from_env(),
+        scale: flags.scale,
         ..WallOptions::default()
     };
     if let Some(label) = args.flag_value::<String>("label")? {
@@ -796,9 +780,6 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         }
         opts.repeats = n;
     }
-    if let Some(spec) = args.flag_value::<String>("scale")? {
-        opts.scale = parse_scale(&spec)?;
-    }
     if let Some(spec) = args.flag_value::<String>("systems")? {
         opts.systems = parse_list(&spec, parse_system)?;
     }
@@ -812,14 +793,9 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             .map(str::to_string)
             .collect();
     }
-    if args.has("no-prefetch") {
-        opts.prefetch = false;
-    }
 
-    let obs = observability(args, args.has("verbose"))?;
-    obs.install();
-    let report = run_wall(&opts).map_err(|e| e.to_string())?;
-    finish(&obs)?;
+    let report = run_wall(&opts, &flags.settings).map_err(|e| e.to_string())?;
+    finish(&flags.observability)?;
     for e in &report.entries {
         println!(
             "{:>12} {:>5} {:>12}  median {:>9} us  read {:>11} B  pf {}h/{}m",

@@ -6,7 +6,8 @@
 //! moves `bytes_read` and fails it.
 
 use graphsd::bench::wall::{run_wall, WallOptions};
-use graphsd::bench::Scale;
+use graphsd::bench::{RunSettings, Scale};
+use graphsd::core::PipelineConfig;
 use graphsd::metrics::BenchReport;
 
 #[test]
@@ -16,16 +17,20 @@ fn twitter_sim_counters_match_the_committed_baseline() {
     assert_eq!(baseline.scale, "tiny");
     assert!(baseline.prefetch, "the baseline was recorded prefetch-on");
 
-    // Default systems and algorithms: all four of each.
-    let report = run_wall(&WallOptions {
+    // Default systems and algorithms: all four of each; prefetch as
+    // `gsd bench` runs it without flags.
+    let opts = WallOptions {
         warmup: 0,
         repeats: 1,
-        prefetch: true,
         scale: Scale::Tiny,
         datasets: vec!["twitter_sim".to_string()],
         ..WallOptions::default()
-    })
-    .unwrap();
+    };
+    let settings = RunSettings {
+        prefetch: Some(PipelineConfig::default()),
+        ..RunSettings::default()
+    };
+    let report = run_wall(&opts, &settings).unwrap();
     assert_eq!(report.entries.len(), 16);
     assert_eq!(report.compare_deterministic(&baseline), Ok(16));
 }

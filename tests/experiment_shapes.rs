@@ -1,15 +1,21 @@
 //! Shape assertions for the paper's evaluation claims: not the absolute
 //! numbers (our substrate is a simulator and the datasets are stand-ins)
 //! but the *orderings and crossovers* the paper reports. Runs at tiny
-//! scale so `cargo test` stays fast; `cargo bench` regenerates the full
+//! scale so `cargo test` stays fast; the `experiments` binary regenerates the full
 //! tables at small/medium scale.
 
 use gsd_bench::experiments;
 use gsd_bench::runner::{run_system, Algo, SystemKind};
-use gsd_bench::{Datasets, Scale};
+use gsd_bench::{Datasets, RunSettings, Scale};
 
 fn datasets() -> Datasets {
     Datasets::load(Scale::Tiny)
+}
+
+/// The shapes are asserted on the plain configuration: synchronous reads,
+/// no checkpoints, no verification, no faults, no trace.
+fn plain() -> RunSettings {
+    RunSettings::default()
 }
 
 #[test]
@@ -45,15 +51,15 @@ fn fig5_graphsd_wins_on_frontier_algorithms() {
     for name in ["uk_sim", "ukunion_sim"] {
         let d = ds.get(name).unwrap();
         for algo in [Algo::PrD, Algo::Cc, Algo::Sssp] {
-            let gsd = run_system(SystemKind::GraphSd, d, algo)
+            let gsd = run_system(SystemKind::GraphSd, d, algo, &plain())
                 .unwrap()
                 .stats
                 .io_time;
-            let hus = run_system(SystemKind::HusGraph, d, algo)
+            let hus = run_system(SystemKind::HusGraph, d, algo, &plain())
                 .unwrap()
                 .stats
                 .io_time;
-            let lumos = run_system(SystemKind::Lumos, d, algo)
+            let lumos = run_system(SystemKind::Lumos, d, algo, &plain())
                 .unwrap()
                 .stats
                 .io_time;
@@ -75,7 +81,7 @@ fn fig5_graphsd_wins_on_frontier_algorithms() {
 fn fig6_io_dominates_execution_time() {
     // Paper: disk I/O is 56-91 % of execution time across systems.
     let ds = datasets();
-    let f = experiments::fig6(ds.get("twitter_sim").unwrap()).unwrap();
+    let f = experiments::fig6(ds.get("twitter_sim").unwrap(), &plain()).unwrap();
     for row in &f.rows {
         assert!(
             row.io_fraction > 0.5,
@@ -91,7 +97,7 @@ fn fig6_io_dominates_execution_time() {
 fn fig7_traffic_orderings() {
     let ds = datasets();
     let targets = [ds.get("twitter_sim").unwrap(), ds.get("uk_sim").unwrap()];
-    let f = experiments::fig7(&targets).unwrap();
+    let f = experiments::fig7(&targets, &plain()).unwrap();
     // GraphSD moves the least data overall.
     let gsd = f.total("GraphSD");
     assert!(gsd < f.total("HUS-Graph"));
@@ -123,7 +129,7 @@ fn fig8_preprocessing_ordering() {
     // Paper: HUS-Graph slowest (two sorted copies), Lumos fastest (one
     // unsorted copy), GraphSD in between.
     let ds = datasets();
-    let f = experiments::fig8(&ds).unwrap();
+    let f = experiments::fig8(&ds, &plain()).unwrap();
     for d in ds.all() {
         let gsd = f.time_of(d.name, "GraphSD").unwrap();
         let hus = f.time_of(d.name, "HUS-Graph").unwrap();
@@ -140,7 +146,7 @@ fn fig8_preprocessing_ordering() {
 #[test]
 fn fig9_ablations_never_beat_the_full_system_on_traffic() {
     let ds = datasets();
-    let f = experiments::fig9(ds.get("uk_sim").unwrap()).unwrap();
+    let f = experiments::fig9(ds.get("uk_sim").unwrap(), &plain()).unwrap();
     let (_, full_traffic) = f.totals("GraphSD");
     let (_, b1_traffic) = f.totals("GraphSD-b1");
     let (_, b2_traffic) = f.totals("GraphSD-b2");
@@ -161,7 +167,7 @@ fn fig10_adaptive_tracks_the_better_fixed_model() {
     // more than a small tolerance (apply-barrier noise), and must strictly
     // beat the worse one.
     let ds = datasets();
-    let f = experiments::fig10(ds.get("ukunion_sim").unwrap()).unwrap();
+    let f = experiments::fig10(ds.get("ukunion_sim").unwrap(), &plain()).unwrap();
     let (adaptive, full, on_demand) = f.totals();
     let best = full.min(on_demand);
     let worst = full.max(on_demand);
@@ -181,7 +187,7 @@ fn fig10_adaptive_tracks_the_better_fixed_model() {
 #[test]
 fn fig11_overhead_is_negligible() {
     let ds = datasets();
-    let f = experiments::fig11(ds.get("uk_sim").unwrap()).unwrap();
+    let f = experiments::fig11(ds.get("uk_sim").unwrap(), &plain()).unwrap();
     for row in &f.rows {
         // Sub-millisecond evaluation time at this scale.
         assert!(
@@ -203,7 +209,7 @@ fn fig11_overhead_is_negligible() {
 fn fig12_buffering_never_hurts_much_and_hits_on_rmat() {
     let ds = datasets();
     let targets = [ds.get("kron_sim").unwrap()];
-    let f = experiments::fig12(&targets).unwrap();
+    let f = experiments::fig12(&targets, &plain()).unwrap();
     for row in &f.rows {
         assert!(
             row.improvement() > -0.05,
@@ -220,9 +226,9 @@ fn fig12_buffering_never_hurts_much_and_hits_on_rmat() {
 fn cross_iteration_edges_reported_by_graphsd_and_lumos_only() {
     let ds = datasets();
     let d = ds.get("twitter_sim").unwrap();
-    let gsd = run_system(SystemKind::GraphSd, d, Algo::Pr).unwrap();
-    let lumos = run_system(SystemKind::Lumos, d, Algo::Pr).unwrap();
-    let hus = run_system(SystemKind::HusGraph, d, Algo::Pr).unwrap();
+    let gsd = run_system(SystemKind::GraphSd, d, Algo::Pr, &plain()).unwrap();
+    let lumos = run_system(SystemKind::Lumos, d, Algo::Pr, &plain()).unwrap();
+    let hus = run_system(SystemKind::HusGraph, d, Algo::Pr, &plain()).unwrap();
     assert!(gsd.stats.cross_iter_edges > 0);
     assert!(lumos.stats.cross_iter_edges > 0);
     assert_eq!(hus.stats.cross_iter_edges, 0);
@@ -245,7 +251,7 @@ fn all_systems_agree_on_results() {
             .iterations
     };
     for kind in SystemKind::main_three() {
-        let outcome = run_system(kind, d, Algo::Cc).unwrap();
+        let outcome = run_system(kind, d, Algo::Cc, &plain()).unwrap();
         assert!(
             outcome.stats.iterations >= reference.saturating_sub(1)
                 && outcome.stats.iterations <= reference + 1,

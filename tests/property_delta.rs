@@ -8,10 +8,12 @@
 //! byte-for-byte equal, on the same pinned interval boundaries). On top
 //! of that, warm-starting a converged min-combine program across each
 //! batch ([`graphsd::delta::incremental_run`]) must reach exactly the
-//! fixpoint a from-scratch run reaches.
+//! fixpoint a from-scratch run reaches. Every engine that reads through
+//! the overlay does so under a generated prefetch setting; the
+//! from-scratch references always read synchronously.
 
 use graphsd::algos::{Bfs, ConnectedComponents, Sssp};
-use graphsd::core::{GraphSdConfig, GraphSdEngine};
+use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::delta::{compact, incremental_run, ingest, MutationBatch};
 use graphsd::graph::{preprocess, Edge, Graph, GridGraph, PreprocessConfig};
 use graphsd::io::{MemStorage, SharedStorage};
@@ -22,9 +24,14 @@ use std::sync::Arc;
 /// One generated mutation op: `Ok` inserts, `Err` deletes every copy.
 type Op = Result<(u32, u32, u32), (u32, u32)>;
 
+/// A base graph, batches of ops with a "compact afterwards" switch each,
+/// and the config the engines over the mutated grid run with.
+type Scenario = (Graph, Vec<(Vec<Op>, bool)>, GraphSdConfig);
+
 /// Arbitrary scenario: a base graph, 1–3 batches of ops over its vertex
-/// space, and a per-batch "compact afterwards" switch.
-fn arb_scenario() -> impl Strategy<Value = (Graph, Vec<(Vec<Op>, bool)>)> {
+/// space, a per-batch "compact afterwards" switch, and prefetch off or at
+/// depth 2 for the runs through the overlay.
+fn arb_scenario() -> impl Strategy<Value = Scenario> {
     (4u32..60, 1usize..200).prop_flat_map(|(n, m)| {
         let base =
             proptest::collection::vec((0u32..n, 0u32..n, 1u32..=16), m).prop_map(move |edges| {
@@ -40,7 +47,11 @@ fn arb_scenario() -> impl Strategy<Value = (Graph, Vec<(Vec<Op>, bool)>)> {
         ];
         let batches =
             proptest::collection::vec((proptest::collection::vec(op, 1..20), any::<bool>()), 1..4);
-        (base, batches)
+        let config = any::<bool>().prop_map(|on| GraphSdConfig {
+            prefetch: on.then(|| PipelineConfig::with_depth(2)),
+            ..GraphSdConfig::full()
+        });
+        (base, batches, config)
     })
 }
 
@@ -82,9 +93,17 @@ fn fresh_grid(graph: &Graph, p: u32) -> (SharedStorage, GridGraph) {
     (storage, grid)
 }
 
-fn scratch_values<P: VertexProgram>(grid: GridGraph, program: &P) -> Vec<P::Value> {
-    let mut engine = GraphSdEngine::new(grid, GraphSdConfig::full()).unwrap();
+fn values_under<P: VertexProgram>(
+    grid: GridGraph,
+    program: &P,
+    config: &GraphSdConfig,
+) -> Vec<P::Value> {
+    let mut engine = GraphSdEngine::new(grid, config.clone()).unwrap();
     engine.run(program, &RunOptions::default()).unwrap().values
+}
+
+fn scratch_values<P: VertexProgram>(grid: GridGraph, program: &P) -> Vec<P::Value> {
+    values_under(grid, program, &GraphSdConfig::full())
 }
 
 /// Every non-delta object of the mutated, fully-compacted grid must be
@@ -124,7 +143,7 @@ fn assert_payloads_match(mutated: &SharedStorage, final_graph: &Graph, boundarie
 /// compacted mid-stream, end bit-identical to re-preprocessing — in
 /// analytics (BFS/CC/SSSP value fingerprints through the overlay)
 /// and on disk (after the final compaction).
-fn check_stream(base: Graph, batches: Vec<(Vec<Op>, bool)>) -> Result<(), TestCaseError> {
+fn check_stream((base, batches, config): Scenario) -> Result<(), TestCaseError> {
     let n = base.num_vertices();
     let p = 3u32.min(n);
     let (storage, grid) = fresh_grid(&base, p);
@@ -153,14 +172,15 @@ fn check_stream(base: Graph, batches: Vec<(Vec<Op>, bool)>) -> Result<(), TestCa
     let merged = GridGraph::open(storage.clone()).unwrap();
     prop_assert_eq!(merged.num_edges(), final_graph.num_edges());
     prop_assert_eq!(
-        fingerprint(&scratch_values(
+        fingerprint(&values_under(
             GridGraph::open(storage.clone()).unwrap(),
-            &Bfs::new(0)
+            &Bfs::new(0),
+            &config
         )),
         fingerprint(&scratch_values(fresh_grid(&final_graph, p).1, &Bfs::new(0)))
     );
     prop_assert_eq!(
-        fingerprint(&scratch_values(merged, &ConnectedComponents)),
+        fingerprint(&values_under(merged, &ConnectedComponents, &config)),
         fingerprint(&scratch_values(scratch, &ConnectedComponents))
     );
 
@@ -172,7 +192,7 @@ fn check_stream(base: Graph, batches: Vec<(Vec<Op>, bool)>) -> Result<(), TestCa
 
 /// Warm-started recompute reaches the from-scratch fixpoint for
 /// every min-combine program, across every batch of the stream.
-fn check_incremental(base: Graph, batches: Vec<(Vec<Op>, bool)>) -> Result<(), TestCaseError> {
+fn check_incremental((base, batches, config): Scenario) -> Result<(), TestCaseError> {
     let n = base.num_vertices();
     let p = 3u32.min(n);
     let (storage, grid) = fresh_grid(&base, p);
@@ -199,7 +219,7 @@ fn check_incremental(base: Graph, batches: Vec<(Vec<Op>, bool)>) -> Result<(), T
             &bfs,
             warm_bfs,
             &batch,
-            GraphSdConfig::full(),
+            config.clone(),
             graphsd::trace::null_sink(),
         )
         .unwrap();
@@ -209,7 +229,7 @@ fn check_incremental(base: Graph, batches: Vec<(Vec<Op>, bool)>) -> Result<(), T
             &sssp,
             warm_sssp,
             &batch,
-            GraphSdConfig::full(),
+            config.clone(),
             graphsd::trace::null_sink(),
         )
         .unwrap();
@@ -234,13 +254,11 @@ proptest! {
 
     #[test]
     fn mutation_stream_equals_repreprocessing(scenario in arb_scenario()) {
-        let (base, batches) = scenario;
-        check_stream(base, batches)?;
+        check_stream(scenario)?;
     }
 
     #[test]
     fn incremental_recompute_reaches_scratch_fixpoint(scenario in arb_scenario()) {
-        let (base, batches) = scenario;
-        check_incremental(base, batches)?;
+        check_incremental(scenario)?;
     }
 }

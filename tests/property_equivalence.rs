@@ -3,13 +3,14 @@
 //! oracle, for every program — exactly (min-combine programs) or within
 //! float tolerance (sum programs). This is the repo's strongest guarantee
 //! that SCIU/FCIU cross-iteration propagation is an I/O optimization and
-//! never a semantic change.
+//! never a semantic change. The prefetch pipeline is one more generated
+//! input (off, or depth 2) on the engines that have one.
 
 use gsd_algos::{Bfs, ConnectedComponents, PageRank, Sssp};
 use gsd_baselines::{
     build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
 };
-use gsd_core::{GraphSdConfig, GraphSdEngine};
+use gsd_core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use gsd_graph::{preprocess, Edge, Graph, GridGraph, PreprocessConfig};
 use gsd_io::{DiskModel, SharedStorage, SimDisk};
 use gsd_runtime::{Engine, ReferenceEngine, RunOptions};
@@ -29,6 +30,19 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Prefetch off, or the double-buffered pipeline.
+fn arb_prefetch() -> impl Strategy<Value = Option<PipelineConfig>> {
+    any::<bool>().prop_map(|on| on.then(|| PipelineConfig::with_depth(2)))
+}
+
+/// The full system under a generated prefetch setting.
+fn full_with(prefetch: Option<PipelineConfig>) -> GraphSdConfig {
+    GraphSdConfig {
+        prefetch,
+        ..GraphSdConfig::full()
+    }
+}
+
 fn grid_of(graph: &Graph, p: u32) -> GridGraph {
     let storage: SharedStorage = Arc::new(SimDisk::new(DiskModel::ssd()));
     preprocess(
@@ -43,6 +57,7 @@ fn grid_of(graph: &Graph, p: u32) -> GridGraph {
 fn run_all_engines_u32<P: gsd_runtime::VertexProgram<Value = u32>>(
     graph: &Graph,
     p: u32,
+    prefetch: Option<PipelineConfig>,
     program: &P,
 ) -> Vec<(String, Vec<u32>)> {
     let mut results = Vec::new();
@@ -51,6 +66,7 @@ fn run_all_engines_u32<P: gsd_runtime::VertexProgram<Value = u32>>(
         ("graphsd-b1", GraphSdConfig::b1_no_cross_iteration()),
         ("graphsd-b4", GraphSdConfig::b4_always_on_demand()),
     ] {
+        let config = GraphSdConfig { prefetch, ..config };
         let mut engine = GraphSdEngine::new(grid_of(graph, p), config).unwrap();
         results.push((
             label.to_string(),
@@ -70,6 +86,7 @@ fn run_all_engines_u32<P: gsd_runtime::VertexProgram<Value = u32>>(
         let storage: SharedStorage = Arc::new(SimDisk::new(DiskModel::ssd()));
         let (grid, _) = build_lumos_format(graph, &storage, "", Some(p)).unwrap();
         let mut engine = LumosEngine::new(grid).unwrap();
+        engine.set_prefetch(prefetch);
         results.push((
             "lumos".to_string(),
             engine.run(program, &RunOptions::default()).unwrap().values,
@@ -89,35 +106,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn cc_identical_across_all_engines(graph in arb_graph(), p in 1u32..6) {
+    fn cc_identical_across_all_engines(
+        graph in arb_graph(),
+        p in 1u32..6,
+        prefetch in arb_prefetch(),
+    ) {
         let want = ReferenceEngine::new(&graph)
             .run(&ConnectedComponents, &RunOptions::default())
             .unwrap()
             .values;
-        for (label, got) in run_all_engines_u32(&graph, p, &ConnectedComponents) {
+        for (label, got) in run_all_engines_u32(&graph, p, prefetch, &ConnectedComponents) {
             prop_assert_eq!(&got, &want, "engine {}", label);
         }
     }
 
     #[test]
-    fn bfs_identical_across_all_engines(graph in arb_graph(), p in 1u32..6, src in 0u32..120) {
+    fn bfs_identical_across_all_engines(
+        graph in arb_graph(),
+        p in 1u32..6,
+        src in 0u32..120,
+        prefetch in arb_prefetch(),
+    ) {
         let src = src % graph.num_vertices();
         let want = ReferenceEngine::new(&graph)
             .run(&Bfs::new(src), &RunOptions::default())
             .unwrap()
             .values;
-        for (label, got) in run_all_engines_u32(&graph, p, &Bfs::new(src)) {
+        for (label, got) in run_all_engines_u32(&graph, p, prefetch, &Bfs::new(src)) {
             prop_assert_eq!(&got, &want, "engine {}", label);
         }
     }
 
     #[test]
-    fn sssp_matches_reference_within_epsilon(graph in arb_graph(), p in 1u32..6) {
+    fn sssp_matches_reference_within_epsilon(
+        graph in arb_graph(),
+        p in 1u32..6,
+        prefetch in arb_prefetch(),
+    ) {
         let want = ReferenceEngine::new(&graph)
             .run(&Sssp::new(0), &RunOptions::default())
             .unwrap()
             .values;
-        let mut engine = GraphSdEngine::new(grid_of(&graph, p), GraphSdConfig::full()).unwrap();
+        let mut engine = GraphSdEngine::new(grid_of(&graph, p), full_with(prefetch)).unwrap();
         let got = engine.run(&Sssp::new(0), &RunOptions::default()).unwrap().values;
         for (v, (a, b)) in got.iter().zip(want.iter()).enumerate() {
             if b.is_infinite() {
@@ -129,13 +159,17 @@ proptest! {
     }
 
     #[test]
-    fn pagerank_close_across_engines(graph in arb_graph(), p in 1u32..6) {
+    fn pagerank_close_across_engines(
+        graph in arb_graph(),
+        p in 1u32..6,
+        prefetch in arb_prefetch(),
+    ) {
         let pr = PageRank::with_iterations(4);
         let want = ReferenceEngine::new(&graph)
             .run(&pr, &RunOptions::default())
             .unwrap()
             .values;
-        let mut engine = GraphSdEngine::new(grid_of(&graph, p), GraphSdConfig::full()).unwrap();
+        let mut engine = GraphSdEngine::new(grid_of(&graph, p), full_with(prefetch)).unwrap();
         let got = engine.run(&pr, &RunOptions::default()).unwrap().values;
         for (v, (a, b)) in got.iter().zip(want.iter()).enumerate() {
             prop_assert!((a - b).abs() <= 1e-3 * b.abs().max(1.0), "vertex {}: {} vs {}", v, a, b);
