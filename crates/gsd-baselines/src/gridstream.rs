@@ -72,7 +72,7 @@ impl Engine for GridStreamEngine {
             checkpoint: None,
             config_hash: 0,
         };
-        let mut policy = |d: &mut Driver<'_, P>| d.stream_round(&self.grid, false, &mut ());
+        let mut policy = |d: &mut Driver<'_, P>| d.stream_round(&self.grid, false, false, &mut ());
         driver::run(frame, program, options, &mut policy)
     }
 }

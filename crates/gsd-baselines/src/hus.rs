@@ -21,13 +21,12 @@
 //!
 //! As a policy over the shared driver: ROP is a selective pass over runs
 //! planned from the row copy's per-block indexes, without cross-iteration
-//! serving; COP is a stream round over the column copy, without
-//! cross-iteration propagation.
+//! serving; COP is a stream round over the column copy's sub-blocks with
+//! an active source, without cross-iteration propagation.
 
-use gsd_core::driver::{self, coalesce_runs, Driver, Frame};
+use gsd_core::driver::{self, coalesce_runs, Driver, Frame, SelectiveRun};
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::Storage;
-use gsd_pipeline::PrefetchRequest;
 use gsd_recover::RecoveryConfig;
 use gsd_runtime::{
     Capabilities, Engine, Frontier, IoAccessModel, RunOptions, RunResult, VertexProgram,
@@ -92,7 +91,8 @@ pub fn build_hus_format(
 pub struct HusGraphEngine {
     format: HusFormat,
     degrees: Arc<Vec<u32>>,
-    /// Max id gap bridged within one index-span request.
+    /// Max id gap bridged within one index-span request (a vertex of the
+    /// per-block index costs 4 bytes).
     index_gap: u32,
     trace: Arc<dyn TraceSink>,
     checkpoint: Option<RecoveryConfig>,
@@ -103,8 +103,7 @@ impl HusGraphEngine {
     pub fn new(format: HusFormat) -> std::io::Result<Self> {
         let degrees = Arc::new(format.row.load_out_degrees()?);
         let disk = format.row.storage().disk_model().unwrap_or_default();
-        let break_even = (disk.seek_latency.as_secs_f64() * disk.seq_read_bps / 4.0) as u64;
-        let index_gap = gsd_graph::narrow::saturating_u32(break_even.max(1));
+        let index_gap = disk.bridge_gap(4);
         Ok(HusGraphEngine {
             format,
             degrees,
@@ -146,11 +145,13 @@ impl HusGraphEngine {
     }
 
     /// The coalesced runs of the active edge lists in the row copy, one
-    /// index request per sub-block and active cluster.
+    /// index request per sub-block and active cluster. Adjacent lists
+    /// merge and nothing is bridged (gap 0): as published, ROP reads each
+    /// active vertex's list with an access of its own.
     fn plan_rop_runs<P: VertexProgram>(
         &self,
         d: &mut Driver<'_, P>,
-    ) -> std::io::Result<Vec<PrefetchRequest>> {
+    ) -> std::io::Result<Vec<SelectiveRun>> {
         let row = &self.format.row;
         let mut runs = Vec::new();
         for i in 0..row.p() {
@@ -167,7 +168,7 @@ impl HusGraphEngine {
                     };
                     let index = d.io(|| row.read_index_span(i, j, first, last))?;
                     let ranges = cluster.iter().map(|&v| index.edge_range(v));
-                    coalesce_runs(i, j, ranges, &mut runs);
+                    coalesce_runs(i, j, ranges, 0, &mut runs);
                 }
             }
         }
@@ -211,7 +212,7 @@ impl Engine for HusGraphEngine {
             // no calibrated bandwidths — GraphSD's refinement over this).
             let active_bytes = self.active_edge_bytes(d.frontier());
             if active_bytes.saturating_mul(ROP_AMPLIFICATION) >= total_edge_bytes {
-                return d.stream_round(col, false, &mut ());
+                return d.stream_round(col, false, true, &mut ());
             }
             d.iteration(IoAccessModel::OnDemand, false, |d| {
                 let runs = self.plan_rop_runs(d)?;

@@ -119,7 +119,7 @@ impl Engine for LumosEngine {
             config_hash: 0,
         };
         // State-oblivious: every non-empty block streams, every round.
-        let mut policy = |d: &mut Driver<'_, P>| d.stream_round(&self.grid, true, &mut ());
+        let mut policy = |d: &mut Driver<'_, P>| d.stream_round(&self.grid, true, false, &mut ());
         driver::run(frame, program, options, &mut policy)
     }
 }

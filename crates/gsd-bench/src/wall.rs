@@ -206,6 +206,7 @@ fn bench_cell(
         stall_us: stats.prefetch_stall_time.as_micros() as u64,
         scheduler_us: stats.scheduler_time.as_micros() as u64,
         bytes_read: stats.io.read_bytes(),
+        read_ops: stats.io.seq_read_ops + stats.io.rand_read_ops,
         bytes_written: stats.io.write_bytes,
         prefetch_hits: stats.prefetch_hits,
         prefetch_misses: stats.prefetch_misses,

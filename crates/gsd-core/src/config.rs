@@ -33,8 +33,10 @@ pub struct GraphSdConfig {
     /// Coalesced active-edge runs of at least this many bytes count as
     /// sequential (`S_seq`) in the scheduler's cost inputs. `None` derives
     /// the break-even run size from the disk model
-    /// (`seek_latency × B_sr` — the run length whose transfer time equals
-    /// one seek).
+    /// (`P × seek_latency × B_sr` — the run length whose share in each of
+    /// the up to `P` sub-blocks it splits across takes one seek to
+    /// transfer). Classification only: what a request bridges is the
+    /// device's own break-even, whatever is set here.
     pub seq_run_threshold: Option<u64>,
     /// Disk model for the cost estimates; `None` asks the storage backend
     /// (a simulator knows its own model) and falls back to

@@ -19,7 +19,11 @@
 //!   *stream pass* over all or only the secondary (`i > j`) sub-blocks
 //!   with optional cross-iteration scatter ([`Driver::stream_round`]), and
 //!   a *selective pass* over coalesced edge runs with optional
-//!   cross-iteration serving ([`Driver::selective_pass`]).
+//!   cross-iteration serving ([`Driver::selective_pass`]). Both plan
+//!   their requests from the frontier: the stream pass can leave out the
+//!   sub-blocks no active vertex sends through, the selective pass
+//!   fetches wanted ranges a sub-seek gap apart as one request
+//!   ([`coalesce_runs`]).
 //!
 //! An engine is a [`Policy`]: per round it looks at the frontier and
 //! composes those passes. The driver is generic over program, policy and
@@ -148,34 +152,63 @@ pub trait BlockHook {
 
 impl BlockHook for () {}
 
-/// Coalesces the adjacent, non-empty per-vertex edge ranges of one
-/// sub-block into single [`PrefetchRequest::Run`]s (the `S_seq`/`S_ran`
-/// structure the scheduler prices), appended to `runs` in vertex order.
+/// One storage request of a selective pass: the edge-index range
+/// `edges` of sub-block `(i, j)` is fetched, the sub-ranges `keep`
+/// (ascending, inside `edges`, first and last touching its ends) are
+/// scattered and whatever lies between them is dropped.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SelectiveRun {
+    /// Source interval (grid row).
+    pub i: u32,
+    /// Destination interval (grid column).
+    pub j: u32,
+    /// The requested edge indexes.
+    pub edges: Range<u32>,
+    /// The wanted edge indexes within the request.
+    pub keep: Vec<Range<u32>>,
+}
+
+impl SelectiveRun {
+    fn request(&self) -> PrefetchRequest {
+        PrefetchRequest::Run {
+            i: self.i,
+            j: self.j,
+            edge_start: self.edges.start,
+            edge_count: self.edges.end - self.edges.start,
+        }
+    }
+}
+
+/// Plans the requests for the non-empty per-vertex edge `ranges` of one
+/// sub-block (the `S_seq`/`S_ran` structure the scheduler prices),
+/// appended to `runs` in vertex order. Adjacent ranges become one kept
+/// range; a range at most `max_gap` edges past the previous one joins its
+/// request, because streaming through the gap is cheaper than seeking
+/// over it ([`gsd_io::DiskModel::bridge_gap`]).
 pub fn coalesce_runs(
     i: u32,
     j: u32,
     ranges: impl Iterator<Item = Range<u32>>,
-    runs: &mut Vec<PrefetchRequest>,
+    max_gap: u32,
+    runs: &mut Vec<SelectiveRun>,
 ) {
-    let mut run = 0..0u32;
-    // The empty range at the end flushes the last run.
-    for r in ranges
-        .filter(|r| !r.is_empty())
-        .chain(std::iter::once(0..0))
-    {
-        if !run.is_empty() && r.start == run.end {
-            run.end = r.end;
-            continue;
-        }
-        if !run.is_empty() {
-            runs.push(PrefetchRequest::Run {
+    let first = runs.len();
+    for r in ranges.filter(|r| !r.is_empty()) {
+        match runs[first..].last_mut() {
+            Some(run) if r.start >= run.edges.end && r.start - run.edges.end <= max_gap => {
+                match run.keep.last_mut() {
+                    Some(kept) if kept.end == r.start => kept.end = r.end,
+                    _ => run.keep.push(r.clone()),
+                }
+                run.edges.end = r.end;
+            }
+            _ => runs.push(SelectiveRun {
                 i,
                 j,
-                edge_start: run.start,
-                edge_count: run.end - run.start,
-            });
+                edges: r.clone(),
+                keep: vec![r],
+            }),
         }
-        run = r;
     }
 }
 
@@ -631,15 +664,21 @@ impl<P: VertexProgram> Driver<'_, P> {
     /// (`i > j`) sub-blocks then commits — two iterations for one and a
     /// half reads of the grid (Algorithm 3; Lumos's future-value
     /// computation). `hook` sees the secondary sub-blocks.
+    ///
+    /// `avoids_inactive_data` is the caller's Table 1 bit: when set, a
+    /// sweep reads only the sub-blocks that can deliver a message given
+    /// the frontier at its start; a state-oblivious engine passes `false`
+    /// and streams every non-empty sub-block.
     pub fn stream_round<H: BlockHook>(
         &mut self,
         grid: &GridGraph,
         cross: bool,
+        avoids_inactive_data: bool,
         hook: &mut H,
     ) -> std::io::Result<()> {
         let two_pass = cross && self.next < self.limit;
         self.iteration(IoAccessModel::Full, false, |d| {
-            d.stream_pass(grid, false, two_pass, hook)
+            d.stream_pass(grid, false, two_pass, avoids_inactive_data, hook)
         })?;
         if !two_pass || self.state.frontier.is_empty() {
             // Converged (or single-pass mode): any pre-scattered
@@ -650,8 +689,38 @@ impl<P: VertexProgram> Driver<'_, P> {
         // Contributions along `i ≤ j` edges were pre-scattered and live
         // in `accum_cur` after the rotation.
         self.iteration(IoAccessModel::Full, true, |d| {
-            d.stream_pass(grid, true, false, hook)
+            d.stream_pass(grid, true, false, avoids_inactive_data, hook)
         })
+    }
+
+    /// Which grid rows a stream pass starting now has to read: `.0[i]`,
+    /// every sub-block of row `i`; `.1[i]`, its `i ≤ j` sub-blocks too.
+    ///
+    /// Sub-block `(i, j)` holds the edges out of interval `i`. Its
+    /// scatter delivers only from frontier members, so it is needed when
+    /// the frontier has a vertex in interval `i`. With `cross` it is also
+    /// read (for `i ≤ j`) to scatter ahead from the vertices `apply`
+    /// changes in interval `i`, and `apply` visits only vertices that were
+    /// sent to: those already in `touched_cur`, those an active interval
+    /// `k` reaches through a non-empty `(k, i)`, or all of them under
+    /// `apply_all`. A row that fails both tests has no sender in either
+    /// scatter, so leaving it out drops no message. Everything consulted
+    /// is state a checkpoint restores, so the prefetch plan, the
+    /// synchronous loop and a resumed run agree request for request.
+    fn needed_rows(&self, grid: &GridGraph, cross: bool, skip: bool) -> (Vec<bool>, Vec<bool>) {
+        let p = grid.p();
+        let st = &self.state;
+        let live = |set: &Frontier, i: u32| {
+            let mut members = set.iter_range(grid.intervals().range(i));
+            members.next().is_some()
+        };
+        let act: Vec<bool> = (0..p).map(|i| !skip || live(&st.frontier, i)).collect();
+        let sent_to =
+            |i: u32| (0..p).any(|k| act[k as usize] && grid.meta().block_edge_count(k, i) > 0);
+        let ahead = (0..p)
+            .map(|i| cross && (st.program.apply_all() || live(&st.touched_cur, i) || sent_to(i)))
+            .collect();
+        (act, ahead)
     }
 
     fn stream_pass<H: BlockHook>(
@@ -659,10 +728,16 @@ impl<P: VertexProgram> Driver<'_, P> {
         grid: &GridGraph,
         secondary_only: bool,
         cross: bool,
+        skip_inactive: bool,
         hook: &mut H,
     ) -> std::io::Result<()> {
         let p = grid.p();
         let rows = |j: u32| if secondary_only { j + 1..p } else { 0..p };
+        let (act, ahead) = self.needed_rows(grid, cross, skip_inactive);
+        let streams = |i: u32, j: u32| {
+            grid.meta().block_edge_count(i, j) > 0
+                && (act[i as usize] || (i <= j && ahead[i as usize]))
+        };
 
         // Prefetch plan for the pass: every sub-block that will stream
         // from storage, in visit order. Blocks the hook holds are skipped
@@ -673,7 +748,7 @@ impl<P: VertexProgram> Driver<'_, P> {
         if let Some(exec) = self.pipeline.as_mut() {
             for j in 0..p {
                 for i in rows(j) {
-                    if grid.meta().block_edge_count(i, j) > 0 && !(i > j && hook.resident(i, j)) {
+                    if streams(i, j) && !(i > j && hook.resident(i, j)) {
                         plan.push_back((i, j));
                     }
                 }
@@ -686,7 +761,7 @@ impl<P: VertexProgram> Driver<'_, P> {
         for j in 0..p {
             let mut diagonal: Option<Arc<Vec<Edge>>> = None;
             for i in rows(j) {
-                if grid.meta().block_edge_count(i, j) == 0 {
+                if !streams(i, j) {
                     continue;
                 }
                 let bytes = grid.meta().block_bytes(i, j);
@@ -752,54 +827,46 @@ impl<P: VertexProgram> Driver<'_, P> {
     }
 
     /// The on-demand pass (Algorithm 2; HUS-Graph's row-oriented push):
-    /// loads only `runs` — the active vertices' coalesced edge lists in
-    /// `grid`, through the prefetch pipeline or synchronously — scatters
-    /// them and applies every interval at once. The loaded edges stay in
-    /// memory, so with `cross` the re-activated vertices' next-iteration
-    /// messages are scattered right away and those vertices leave the
-    /// next frontier: their edges need not be read again. Returns the
-    /// edges so served.
+    /// fetches only `runs` — the active vertices' edge lists in `grid`,
+    /// as planned by [`coalesce_runs`], through the prefetch pipeline or
+    /// synchronously — scatters the kept ranges and applies every
+    /// interval at once. The loaded edges stay in memory, so with `cross`
+    /// the re-activated vertices' next-iteration messages are scattered
+    /// right away and those vertices leave the next frontier: their edges
+    /// need not be read again. Returns the edges so served.
     pub fn selective_pass(
         &mut self,
         grid: &GridGraph,
-        runs: Vec<PrefetchRequest>,
+        runs: Vec<SelectiveRun>,
         cross: bool,
     ) -> std::io::Result<u64> {
+        let per_edge = grid.codec().edge_bytes() as u64;
         let mut loaded: Vec<Edge> = Vec::new();
+        // The edges of one request, bridged gaps included.
+        let mut fetched: Vec<Edge> = Vec::new();
         if let Some(exec) = self.pipeline.as_mut() {
-            let scheduled = runs.len();
-            exec.begin_schedule(runs);
-            for _ in 0..scheduled {
-                let taken = self.take_prefetched()?;
-                loaded.extend_from_slice(&taken.edges);
-                self.emit(|| TraceEvent::BlockLoad {
-                    i: taken.i,
-                    j: taken.j,
-                    bytes: taken.bytes,
-                    seq: false,
-                });
-            }
-        } else {
-            let per_edge = grid.codec().edge_bytes() as u64;
-            for request in &runs {
-                let &PrefetchRequest::Run {
-                    i,
-                    j,
-                    edge_start,
-                    edge_count,
-                } = request
-                else {
-                    continue; // selective passes schedule runs only
-                };
+            exec.begin_schedule(runs.iter().map(SelectiveRun::request).collect());
+        }
+        for run in &runs {
+            let (i, j, edges) = (run.i, run.j, &run.edges);
+            let count = edges.end - edges.start;
+            if self.pipeline.is_some() {
+                fetched = self.take_prefetched()?.edges;
+            } else {
+                fetched.clear();
                 timed(&mut self.tracker.io_wall, || {
-                    grid.read_edge_run(i, j, edge_start, edge_count, &mut self.scratch, &mut loaded)
+                    grid.read_edge_run(i, j, edges.start, count, &mut self.scratch, &mut fetched)
                 })?;
-                self.emit(|| TraceEvent::BlockLoad {
-                    i,
-                    j,
-                    bytes: edge_count as u64 * per_edge,
-                    seq: false,
-                });
+            }
+            self.emit(|| TraceEvent::BlockLoad {
+                i,
+                j,
+                bytes: count as u64 * per_edge,
+                seq: false,
+            });
+            for keep in &run.keep {
+                let at = |edge: u32| (edge - edges.start) as usize;
+                loaded.extend_from_slice(&fetched[at(keep.start)..at(keep.end)]);
             }
         }
 

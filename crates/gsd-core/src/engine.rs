@@ -6,14 +6,16 @@
 //! access model (unless the §5.4 ablation switches pin it) and then
 //! composes the driver's passes:
 //!
-//! * **on-demand → SCIU**: plan the active vertices' coalesced edge runs
-//!   from the row-combined index, then one selective pass with
-//!   cross-iteration serving — re-activated vertices whose edges are
-//!   already in memory are pre-scattered and leave the next frontier;
+//! * **on-demand → SCIU**: plan the active vertices' edge runs from the
+//!   row-combined index, one request per sub-seek cluster of them, then
+//!   one selective pass with cross-iteration serving — re-activated
+//!   vertices whose edges are already in memory are pre-scattered and
+//!   leave the next frontier;
 //! * **full → FCIU**: the driver's stream round with cross-iteration
-//!   propagation, with the [`SubBlockBuffer`] plugged in as the
-//!   [`BlockHook`] so secondary sub-blocks read by the first pass can be
-//!   served from memory in the second.
+//!   propagation over the sub-blocks the frontier can send through, with
+//!   the [`SubBlockBuffer`] plugged in as the [`BlockHook`] so secondary
+//!   sub-blocks read by the first pass can be served from memory in the
+//!   second.
 //!
 //! The scheduler's decision log and the buffer's residency ride through
 //! checkpoints as the policy's opaque payload, so a resumed run reports
@@ -24,11 +26,10 @@
 
 use crate::buffer::SubBlockBuffer;
 use crate::config::GraphSdConfig;
-use crate::driver::{self, coalesce_runs, BlockHook, Driver, Frame, Policy};
+use crate::driver::{self, coalesce_runs, BlockHook, Driver, Frame, Policy, SelectiveRun};
 use crate::scheduler::{Scheduler, SchedulerDecision};
 use gsd_graph::{Edge, GridGraph};
 use gsd_io::DiskModel;
-use gsd_pipeline::PrefetchRequest;
 use gsd_recover::CheckpointData;
 use gsd_runtime::{
     Capabilities, Engine, IoAccessModel, RunOptions, RunResult, RunStats, VertexProgram,
@@ -122,15 +123,15 @@ impl Engine for GraphSdEngine {
         let p = grid.p();
         let edge_bytes = grid.meta().total_edge_bytes();
         let per_edge = grid.codec().edge_bytes() as u64;
-        // Break-even run size: a run whose per-sub-block transfer time
-        // equals one seek. A run of R bytes splits across up to P
-        // sub-blocks (the grid fragments each vertex's edge list), so the
-        // conservative default is P x seek x B_sr; callers with locality
-        // knowledge (see the bench runner's calibration) can override.
-        let seq_run_threshold = self.config.seq_run_threshold.unwrap_or_else(|| {
-            (p as f64 * self.disk.seek_latency.as_secs_f64() * self.disk.seq_read_bps).max(1.0)
-                as u64
-        });
+        // `S_seq` classification: a run of R bytes splits across up to P
+        // sub-blocks (the grid fragments each vertex's edge list), so it
+        // streams once its per-sub-block share outlasts a seek — by
+        // default P x seek x B_sr; callers with locality knowledge (see
+        // the bench runner's calibration) can override.
+        let seq_run_threshold = self
+            .config
+            .seq_run_threshold
+            .unwrap_or_else(|| (p as u64 * self.disk.seek_break_even_bytes()).max(1));
         let mut scheduler = Scheduler::new(
             self.disk,
             grid.num_vertices() as u64 * program.value_bytes(),
@@ -162,7 +163,8 @@ impl Engine for GraphSdEngine {
             trace: &self.trace,
             scheduler,
             buffer,
-            index_gap: gsd_graph::narrow::saturating_u32((seq_run_threshold / 4).max(1)),
+            index_gap: index_gap(&self.disk, p),
+            run_gap: self.disk.bridge_gap(per_edge),
         };
         let frame = Frame {
             engine: "graphsd",
@@ -229,37 +231,49 @@ struct GraphSdPolicy<'a> {
     trace: &'a Arc<dyn TraceSink>,
     scheduler: Scheduler,
     buffer: SubBlockBuffer,
-    /// Max id gap bridged within one index-span request
-    /// (`seek · B_sr / 4` — bridging cheaper than seeking beyond this).
+    /// Max id gap bridged within one index-span request.
     index_gap: u32,
+    /// Max edge gap bridged within one edge-run request.
+    run_gap: u32,
+}
+
+/// Vertex ids one row-index request bridges rather than seek over: a
+/// vertex of the row-combined index costs `4·P` bytes.
+fn index_gap(disk: &DiskModel, p: u32) -> u32 {
+    disk.bridge_gap(4 * p as u64)
 }
 
 impl GraphSdPolicy<'_> {
-    /// The coalesced run list of the active edge lists, in the order a
-    /// synchronous reader visits it. The index spans are read here,
-    /// before any run — a run cannot be known before its index arrives.
+    /// The requests for the active edge lists, in the order a synchronous
+    /// reader visits them: row by row, sub-block by sub-block, vertex by
+    /// vertex. The index spans are read here, before any run — a run
+    /// cannot be known before its index arrives.
     fn plan_runs<P: VertexProgram>(
         &self,
         d: &mut Driver<'_, P>,
-    ) -> std::io::Result<Vec<PrefetchRequest>> {
+    ) -> std::io::Result<Vec<SelectiveRun>> {
         let grid = self.grid;
         let mut runs = Vec::new();
         for i in 0..grid.p() {
             let range = grid.intervals().range(i);
             let active: Vec<u32> = d.frontier().iter_range(range).collect();
+            // ONE index request per active cluster resolves the cluster's
+            // edge ranges in every sub-block of the row.
+            let mut clusters = Vec::new();
             for span in gsd_graph::cluster_vertex_spans(&active, self.index_gap) {
                 let cluster = &active[span];
                 let (Some(&first), Some(&last)) = (cluster.first(), cluster.last()) else {
                     continue; // clusters over a non-empty active set are non-empty
                 };
-                // ONE index request per active cluster resolves the
-                // cluster's edge ranges in every sub-block of the row.
                 let index = d.io(|| grid.read_row_index_span(i, first, last))?;
-                for j in 0..grid.p() {
-                    if grid.meta().block_edge_count(i, j) > 0 {
-                        let ranges = cluster.iter().map(|&v| index.edge_range(v, j));
-                        coalesce_runs(i, j, ranges, &mut runs);
-                    }
+                clusters.push((cluster, index));
+            }
+            for j in 0..grid.p() {
+                if grid.meta().block_edge_count(i, j) > 0 {
+                    let ranges = clusters.iter().flat_map(|(cluster, index)| {
+                        cluster.iter().map(move |&v| index.edge_range(v, j))
+                    });
+                    coalesce_runs(i, j, ranges, self.run_gap, &mut runs);
                 }
             }
         }
@@ -276,7 +290,12 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
             None => self.scheduler.select(iteration, d.frontier(), self.degrees),
         };
         if model == IoAccessModel::Full {
-            return d.stream_round(self.grid, self.config.enable_cross_iter, &mut self.buffer);
+            return d.stream_round(
+                self.grid,
+                self.config.enable_cross_iter,
+                self.config.enable_selective,
+                &mut self.buffer,
+            );
         }
         let cross = self.config.enable_cross_iter && iteration < d.limit();
         d.iteration(IoAccessModel::OnDemand, false, |d| {
@@ -337,5 +356,21 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
                 .offer(r.i, r.j, Arc::new(edges), r.bytes, r.priority);
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One row-index request per cluster: 10 000 ids of the P = 20 row
+    /// index are 800 KB — under one HDD seek (1.28 MB), far over one NVMe
+    /// access (45 KB).
+    #[test]
+    fn index_requests_split_where_the_device_seeks_cheaper_than_it_streams() {
+        let active = [100, 10_100];
+        let requests = |disk| gsd_graph::cluster_vertex_spans(&active, index_gap(&disk, 20)).len();
+        assert_eq!(requests(DiskModel::hdd()), 1);
+        assert_eq!(requests(DiskModel::nvme()), 2);
     }
 }

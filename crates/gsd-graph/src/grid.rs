@@ -14,9 +14,10 @@ use std::sync::Arc;
 
 /// Groups a sorted vertex list into clusters whose internal gaps are at
 /// most `max_gap` ids. Selective readers issue one index-span request per
-/// cluster: bridging a gap of `g` vertices costs `4·g` extra index bytes,
-/// so `max_gap` should be about `seek_latency · B_sr / 4` — the point where
-/// bridging beats seeking.
+/// cluster: bridging a gap of `g` vertices costs `g` extra index entries
+/// (4 bytes each in a per-block index, `4·P` in the row-combined one), so
+/// `max_gap` should be [`gsd_io::DiskModel::bridge_gap`] of the entry
+/// size — the point where bridging stops beating a seek.
 pub fn cluster_vertex_spans(sorted: &[VertexId], max_gap: u32) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
     let mut start = 0usize;

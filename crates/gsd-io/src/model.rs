@@ -74,6 +74,23 @@ impl DiskModel {
         }
     }
 
+    /// Bytes this device streams in the time of one seek
+    /// (`seek_latency · B_sr`: 1.28 MB on [`DiskModel::hdd`], 41.6 KB on
+    /// [`DiskModel::ssd`], 45 KB on [`DiskModel::nvme`]). The one
+    /// break-even every request planner derives from: two wanted ranges
+    /// closer than this are cheaper to fetch as one request than as two.
+    pub fn seek_break_even_bytes(&self) -> u64 {
+        (self.seek_latency.as_secs_f64() * self.seq_read_bps) as u64
+    }
+
+    /// The widest gap, counted in units of `unit_bytes` (an index entry,
+    /// an edge), that is cheaper to stream through than to seek over.
+    /// At least 1, so neighbouring units always share a request.
+    pub fn bridge_gap(&self, unit_bytes: u64) -> u32 {
+        let units = self.seek_break_even_bytes() / unit_bytes.max(1);
+        u32::try_from(units.max(1)).unwrap_or(u32::MAX)
+    }
+
     /// Virtual time a read of `bytes` bytes costs on this device.
     /// `discontiguous` is true when the request does not start where the
     /// previous request on the same object ended.
@@ -313,6 +330,21 @@ mod tests {
         let c = d.read_cost(bytes, true);
         let expect = d.seek_latency.as_secs_f64() + bytes as f64 / d.seq_read_bps;
         assert!((c.as_secs_f64() - expect).abs() < 1e-6);
+    }
+
+    #[test]
+    fn break_even_is_one_seek_of_streaming() {
+        let (h, s, n) = (DiskModel::hdd(), DiskModel::ssd(), DiskModel::nvme());
+        assert_eq!(h.seek_break_even_bytes(), 1_280_000);
+        assert_eq!(s.seek_break_even_bytes(), 41_600);
+        assert_eq!(n.seek_break_even_bytes(), 45_000);
+        // A row-combined index entry at P = 20, a per-block index entry,
+        // a weighted edge.
+        assert_eq!(h.bridge_gap(80), 16_000);
+        assert_eq!(n.bridge_gap(80), 562);
+        assert_eq!(h.bridge_gap(4), 320_000);
+        assert_eq!(n.bridge_gap(12), 3_750);
+        assert_eq!(n.bridge_gap(1 << 20), 1, "neighbours always bridge");
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! the result here. One report is committed, `ci/bench_baseline.json`;
 //! [`BenchReport::compare_deterministic`] gates CI and
 //! `tests/bench_gate.rs` against it on the counters that are
-//! reproducible across machines (bytes moved, iteration counts, prefetch
-//! totals) while leaving wall times and RSS as informational. Every
-//! field holds what its name says, for an analytic run; nothing else
-//! writes this schema.
+//! reproducible across machines (bytes moved, read requests, iteration
+//! counts, prefetch totals) while leaving wall times and RSS as
+//! informational. Every field holds what its name says, for an analytic
+//! run; nothing else writes this schema.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Version of the `BENCH_*.json` schema. Bump on any breaking change to
 /// the field set; consumers must reject unknown major versions.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// One benchmark cell: a (system, algorithm, dataset) triple measured
 /// over `wall_us.len()` timed repeats.
@@ -46,6 +46,9 @@ pub struct BenchEntry {
     pub scheduler_us: u64,
     /// Bytes read from storage during one repeat (deterministic).
     pub bytes_read: u64,
+    /// Read requests issued to storage during one repeat (deterministic)
+    /// — what a seeking device charges for besides the bytes.
+    pub read_ops: u64,
     /// Bytes written to storage during one repeat (deterministic).
     pub bytes_written: u64,
     /// Prefetch hits of the median repeat (timing-dependent split).
@@ -93,6 +96,7 @@ impl Serialize for BenchEntry {
             ("stall_us".to_string(), Value::U64(self.stall_us)),
             ("scheduler_us".to_string(), Value::U64(self.scheduler_us)),
             ("bytes_read".to_string(), Value::U64(self.bytes_read)),
+            ("read_ops".to_string(), Value::U64(self.read_ops)),
             ("bytes_written".to_string(), Value::U64(self.bytes_written)),
             ("prefetch_hits".to_string(), Value::U64(self.prefetch_hits)),
             (
@@ -149,6 +153,7 @@ impl Deserialize for BenchEntry {
             stall_us: u64_field(v, "stall_us")?,
             scheduler_us: u64_field(v, "scheduler_us")?,
             bytes_read: u64_field(v, "bytes_read")?,
+            read_ops: u64_field(v, "read_ops")?,
             bytes_written: u64_field(v, "bytes_written")?,
             prefetch_hits: u64_field(v, "prefetch_hits")?,
             prefetch_misses: u64_field(v, "prefetch_misses")?,
@@ -308,8 +313,8 @@ impl BenchReport {
 
     /// Compares the **deterministic** counters of `self` against a
     /// committed `baseline`: per matching (system, algorithm, dataset)
-    /// cell, `iterations`, `bytes_read`, `bytes_written` and the
-    /// prefetch total (`hits + misses`) must be identical. Wall times,
+    /// cell, `iterations`, `bytes_read`, `read_ops`, `bytes_written` and
+    /// the prefetch total (`hits + misses`) must be identical. Wall times,
     /// the hit/miss *split* and RSS are timing-dependent and ignored.
     /// Returns every drifted cell in the error, or `Ok` with the number
     /// of compared cells.
@@ -328,7 +333,7 @@ impl BenchReport {
             let mut drift = |what: &str, got: u64, want: u64| {
                 if got != want {
                     drifts.push(format!(
-                        "{}/{}/{}: {what} {got} != baseline {want}",
+                        "{}/{}/{}: {what} got {got}, want {want}",
                         base.system, base.algorithm, base.dataset
                     ));
                 }
@@ -339,6 +344,7 @@ impl BenchReport {
                 u64::from(base.iterations),
             );
             drift("bytes_read", entry.bytes_read, base.bytes_read);
+            drift("read_ops", entry.read_ops, base.read_ops);
             drift("bytes_written", entry.bytes_written, base.bytes_written);
             drift(
                 "prefetch total (hits+misses)",
@@ -371,6 +377,7 @@ mod tests {
             stall_us: 40,
             scheduler_us: 10,
             bytes_read: 1 << 20,
+            read_ops: 200,
             bytes_written: 1 << 16,
             prefetch_hits: 30,
             prefetch_misses: 10,
@@ -460,6 +467,12 @@ mod tests {
         new.entries[0].bytes_read += 1;
         let err = new.compare_deterministic(&base).unwrap_err();
         assert!(err.contains("bytes_read"));
+        // So is a request drift at equal bytes, reported got/want.
+        new.entries[0].bytes_read -= 1;
+        new.entries[0].read_ops += 3;
+        let err = new.compare_deterministic(&base).unwrap_err();
+        assert!(err.contains("read_ops got 203, want 200"), "{err}");
+        new.entries[0].read_ops -= 3;
         // A missing cell is a failure.
         let empty = BenchReport {
             entries: Vec::new(),

@@ -817,9 +817,14 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
     if let Some(path) = args.flag_value::<String>("baseline")? {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
         let base = BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        let n = report
-            .compare_deterministic(&base)
-            .map_err(|drifts| format!("deterministic counters drifted vs {path}:\n{drifts}"))?;
+        let n = report.compare_deterministic(&base).map_err(|drifts| {
+            format!(
+                "deterministic counters drifted vs {path}:\n{drifts}\n\
+                 if the change means to move them, regenerate the file with\n  \
+                 gsd bench --scale {} --label {} --out {path}",
+                base.scale, base.label
+            )
+        })?;
         println!("baseline {path}: {n} cell(s) match on deterministic counters");
     }
     Ok(())

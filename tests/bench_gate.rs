@@ -1,9 +1,9 @@
 //! The counters gate under tier-1: the timing-free counters of every
-//! `twitter_sim` cell — iterations, bytes read, bytes written, prefetch
-//! hits + misses — must equal `ci/bench_baseline.json` exactly. This is
-//! the `gsd bench --baseline` check CI runs over all five datasets, cut
-//! to one so it fits `cargo test -q`; a block read added to any engine
-//! moves `bytes_read` and fails it.
+//! `twitter_sim` cell — iterations, bytes read, read requests, bytes
+//! written, prefetch hits + misses — must equal `ci/bench_baseline.json`
+//! exactly. This is the `gsd bench --baseline` check CI runs over all
+//! five datasets, cut to one so it fits `cargo test -q`; a block read
+//! added to any engine moves `bytes_read` and `read_ops` and fails it.
 
 use graphsd::bench::wall::{run_wall, WallOptions};
 use graphsd::bench::{RunSettings, Scale};
@@ -32,5 +32,13 @@ fn twitter_sim_counters_match_the_committed_baseline() {
     };
     let report = run_wall(&opts, &settings).unwrap();
     assert_eq!(report.entries.len(), 16);
-    assert_eq!(report.compare_deterministic(&baseline), Ok(16));
+    match report.compare_deterministic(&baseline) {
+        Ok(cells) => assert_eq!(cells, 16),
+        Err(drifts) => panic!(
+            "counters drifted from ci/bench_baseline.json:\n{drifts}\n\
+             if the change means to move them, regenerate the file with\n  \
+             cargo run --release --bin gsd -- bench --scale tiny --label tiny \
+             --out ci/bench_baseline.json"
+        ),
+    }
 }

@@ -2,13 +2,17 @@
 //!
 //! PR 8 converted the engine-visible `HashMap`s
 //! (`MemStorage::objects`, the I/O cursor tables, the sub-block buffer's
-//! residency map) to ordered `BTreeMap`s. These pins prove the
-//! conversion was *fingerprint-neutral*: the hashes below were captured
-//! on the tree **before** the data-structure change and must keep
-//! matching after it — committed values, iteration counts, model
-//! choices, and byte-for-byte I/O accounting (seq/rand classification,
-//! virtual clock) are all folded in. A hash move here means iteration
-//! order leaked into results or `RunStats`.
+//! residency map) to ordered `BTreeMap`s. These pins prove such changes
+//! *fingerprint-neutral*. Each shape carries two:
+//!
+//! * the **answer** pin — committed values, iteration count,
+//!   per-iteration frontier sizes, cross-iteration edges served. A move
+//!   here means iteration order leaked into results; no I/O-planning
+//!   change may touch it.
+//! * the **traffic** pin — byte-for-byte I/O accounting (seq/rand
+//!   classification, virtual clock), buffer hits, per-iteration model
+//!   choice and I/O. It moves when a change intends to read differently,
+//!   and is then re-pinned with the reason next to the constant.
 //!
 //! The shapes deliberately run under a tight memory budget so the
 //! sub-block buffer admits *and evicts* through the converted map, and
@@ -21,31 +25,51 @@ use graphsd::io::{DiskModel, SharedStorage, SimDisk, Storage};
 use graphsd::runtime::{Engine, RunOptions, RunResult, VertexProgram};
 use std::sync::Arc;
 
+/// The two pins of one shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pins {
+    answer: u64,
+    traffic: u64,
+}
+
 /// FNV-1a over the debug rendering of everything a run produces except
-/// wall-clock durations. Debug formatting of `f64` is the shortest
-/// round-trip representation, so identical bit patterns hash
-/// identically and any bit flip moves the hash.
-fn fingerprint<V: Clone + PartialEq + std::fmt::Debug>(r: &RunResult<V>) -> u64 {
-    let rendered = format!(
+/// wall-clock durations, split into what was computed and what was read.
+/// Debug formatting of `f64` is the shortest round-trip representation,
+/// so identical bit patterns hash identically and any bit flip moves the
+/// hash.
+fn fingerprint<V: Clone + PartialEq + std::fmt::Debug>(r: &RunResult<V>) -> Pins {
+    let per_iteration = &r.stats.per_iteration;
+    let answer = format!(
         "{:?}",
         (
             &r.values,
             r.stats.iterations,
-            r.stats.io,
-            r.stats.buffer_hits,
-            r.stats.buffer_hit_bytes,
             r.stats.cross_iter_edges,
-            r.stats
-                .per_iteration
+            per_iteration
                 .iter()
-                .map(|it| (it.iteration, it.model, it.frontier, it.io))
+                .map(|it| (it.iteration, it.frontier))
                 .collect::<Vec<_>>(),
         )
     );
-    graphsd::integrity::fnv64(rendered.as_bytes())
+    let traffic = format!(
+        "{:?}",
+        (
+            r.stats.io,
+            r.stats.buffer_hits,
+            r.stats.buffer_hit_bytes,
+            per_iteration
+                .iter()
+                .map(|it| (it.iteration, it.model, it.io))
+                .collect::<Vec<_>>(),
+        )
+    );
+    Pins {
+        answer: graphsd::integrity::fnv64(answer.as_bytes()),
+        traffic: graphsd::integrity::fnv64(traffic.as_bytes()),
+    }
 }
 
-fn run<P: VertexProgram>(graph: &Graph, p: u32, config: GraphSdConfig, program: &P) -> u64
+fn run<P: VertexProgram>(graph: &Graph, p: u32, config: GraphSdConfig, program: &P) -> Pins
 where
     P::Value: Clone + PartialEq + std::fmt::Debug,
 {
@@ -61,14 +85,14 @@ where
 }
 
 /// One shape, prefetch off and on: both pins must hold, and the two
-/// configurations must also agree with each other.
+/// configurations must also agree with each other on both.
 fn assert_pinned<P: VertexProgram>(
     name: &str,
     graph: &Graph,
     p: u32,
     config: GraphSdConfig,
     program: &P,
-    want: u64,
+    want: Pins,
 ) where
     P::Value: Clone + PartialEq + std::fmt::Debug,
 {
@@ -81,9 +105,14 @@ fn assert_pinned<P: VertexProgram>(
     );
     assert_eq!(sync, piped, "{name}: prefetch must not change the run");
     assert_eq!(
-        sync, want,
-        "{name}: fingerprint moved — iteration order leaked into results \
-         or RunStats (update the pin ONLY for an intended semantic change)"
+        sync.answer, want.answer,
+        "{name}: answer moved — iteration order leaked into results \
+         (update the pin ONLY for an intended semantic change)"
+    );
+    assert_eq!(
+        sync.traffic, want.traffic,
+        "{name}: traffic moved — the run reads differently (re-pin with \
+         the reason if that is what the change intends)"
     );
 }
 
@@ -145,8 +174,21 @@ fn mem_storage_key_listing_is_sorted() {
     assert_eq!(keys, sorted, "list_keys must be deterministic and sorted");
 }
 
-// Captured on the pre-remediation tree (HashMap-based storage cursors,
-// object store and sub-block buffer) — see module docs.
-const PIN_PAGERANK: u64 = 18328943462899757227;
-const PIN_BFS: u64 = 2940861909851439057;
-const PIN_CC: u64 = 13095771009067092910;
+// Answer pins: computed on the tree before PR 19 (request planning)
+// with this file's split fingerprint, equal after it. The traffic pins
+// of PageRank and CC are those of that tree too: PR 19 did not move them.
+const PIN_PAGERANK: Pins = Pins {
+    answer: 8609675645980343636,
+    traffic: 9157009749462319285,
+};
+// Traffic re-pinned in PR 19 (was 15734597810668172377): the full passes
+// skip sub-blocks with no active source and the on-demand runs bridge
+// sub-seek gaps.
+const PIN_BFS: Pins = Pins {
+    answer: 17937542940398426127,
+    traffic: 13376574458534597123,
+};
+const PIN_CC: Pins = Pins {
+    answer: 12410300235809019003,
+    traffic: 2516963325648787409,
+};
