@@ -21,13 +21,7 @@
 //!                             the experiment instead of skewing results)
 //! --on-corruption fail|retry[:N]|quarantine
 //! --trace FILE                stream every trace event as JSONL to FILE
-//! --metrics-out FILE          aggregate every trace event into a labeled
-//!                             metrics registry and write a snapshot to
-//!                             FILE (Prometheus text format for
-//!                             .prom/.txt, JSON otherwise)
-//! --metrics-every N           additionally rewrite the snapshot every N
-//!                             iterations while running (default: at the
-//!                             end only)
+//!                             (`gsd report FILE` folds it into tables)
 //! --verbose                   live per-iteration table on stderr
 //! ```
 //!
@@ -72,7 +66,7 @@ fn usage(error: &str) -> ! {
         "usage: experiments [--scale tiny|small|medium] [--no-prefetch] \
          [--prefetch-depth N] [--checkpoint-every N] [--inject-faults SEED:RATE] \
          [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] \
-         [--trace FILE] [--metrics-out FILE] [--metrics-every N] [--verbose] [ids...]"
+         [--trace FILE] [--verbose] [ids...]"
     );
     eprintln!("known ids: {}", ALL_IDS.join(" "));
     std::process::exit(2);
@@ -109,9 +103,7 @@ fn main() {
             }
         }
     }
-    if let Err(e) = flags.observability.finish() {
-        eprintln!("# warning: {e}");
-    }
+    flags.settings.sink.flush();
     if !failures.is_empty() {
         eprintln!("# {} experiment(s) failed:", failures.len());
         for (id, e) in &failures {

@@ -47,5 +47,5 @@ pub mod wall;
 pub use datasets::{Dataset, Datasets, Scale};
 pub use runner::{Algo, RunOutcome, SystemKind};
 pub use settings::{RunFlags, RunSettings};
-pub use trace::{Observability, VerboseSink};
+pub use trace::{trace_sink, LiveReport, VerboseSink};
 pub use wall::{run_wall, WallOptions};

@@ -9,7 +9,7 @@
 //! is a usage error naming its flag on every entry point.
 
 use crate::datasets::Scale;
-use crate::trace::Observability;
+use crate::trace::trace_sink;
 use gsd_core::{GraphSdConfig, PipelineConfig};
 use gsd_graph::{CorruptionResponse, GridGraph, VerifyPolicy};
 use gsd_io::SharedStorage;
@@ -97,9 +97,6 @@ pub struct RunFlags {
     pub settings: RunSettings,
     /// `--scale` (default `small`): the size of the stand-in datasets.
     pub scale: Scale,
-    /// The `--trace` / `--metrics-out` / `--verbose` side-channels behind
-    /// `settings.sink`, kept for the final [`Observability::finish`].
-    pub observability: Observability,
     /// Every argument the parser does not own, in order.
     pub rest: Vec<String>,
 }
@@ -114,7 +111,7 @@ impl RunFlags {
     /// --on-corruption fail|retry[:N]|quarantine
     /// --inject-faults SEED:RATE              (rate in [0, 1])
     /// --scale tiny|small|medium
-    /// --trace FILE  --metrics-out FILE  --metrics-every N  --verbose
+    /// --trace FILE  --verbose            (→ `settings.sink`; flush it at exit)
     /// ```
     ///
     /// `prefetch` is what the entry point runs with when neither prefetch
@@ -129,8 +126,6 @@ impl RunFlags {
         let mut no_prefetch = false;
         let mut scale = Scale::Small;
         let mut trace = None;
-        let mut metrics_out = None;
-        let mut metrics_every = 0u64;
         let mut verbose = false;
         let mut rest = Vec::new();
 
@@ -178,27 +173,16 @@ impl RunFlags {
                     })?;
                 }
                 "--trace" => trace = Some(value()?),
-                "--metrics-out" => metrics_out = Some(value()?),
-                "--metrics-every" => {
-                    let n = value()?;
-                    metrics_every = n
-                        .parse()
-                        .map_err(|_| format!("{flag}: cannot parse {n:?}"))?;
-                }
                 _ => rest.push(arg.clone()),
             }
         }
         if no_prefetch {
             settings.prefetch = None;
         }
-        let observability = Observability::from_flags(trace, metrics_out, metrics_every, verbose)?;
-        if let Some(sink) = &observability.sink {
-            settings.sink = sink.clone();
-        }
+        settings.sink = trace_sink(trace, verbose)?;
         Ok(RunFlags {
             settings,
             scale,
-            observability,
             rest,
         })
     }
@@ -231,7 +215,6 @@ mod tests {
             ("--inject-faults", "42:1.5"),
             ("--scale", "tinny"),
             ("--on-corruption", "shrug"),
-            ("--metrics-every", "often"),
         ] {
             let err = parse(&[flag, value, "fig7"]).err();
             assert!(

@@ -1,74 +1,56 @@
-//! The CLIs' trace-sink plumbing: the `--trace`/`--metrics-out`/
-//! `--verbose` fan-out ([`Observability`]). The sink it builds reaches
-//! the engines as [`crate::RunSettings::sink`].
+//! The CLIs' trace-sink plumbing: the `--trace`/`--verbose` fan-out
+//! ([`trace_sink`]), which reaches the engines as
+//! [`crate::RunSettings::sink`], and the fold's sink form ([`LiveReport`]).
 
-use gsd_metrics::MetricsSink;
+use gsd_metrics::TraceReport;
 use gsd_trace::{FanoutSink, JsonlWriter, TraceEvent, TraceSink};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The observability side-channels of one CLI invocation: a JSONL event
-/// trace, a metrics snapshot and the live `--verbose` table behind one
-/// sink. All are strictly observational — results and accounted I/O are
-/// bit-identical with or without them.
-pub struct Observability {
-    /// The sink engines emit into; `None` when no flag asked for one.
-    pub sink: Option<Arc<dyn TraceSink>>,
-    /// Path of the metrics snapshot, when one was asked for.
-    pub metrics_out: Option<String>,
-    metrics: Option<Arc<MetricsSink>>,
+/// The sink behind `--trace FILE` (a JSONL event trace) and `--verbose`
+/// (the live per-iteration table): either, both fanned out, or the
+/// disabled sink. Strictly observational — results and accounted I/O are
+/// bit-identical whatever it is. The CLI flushes it before exiting.
+pub fn trace_sink(trace: Option<&str>, verbose: bool) -> Result<Arc<dyn TraceSink>, String> {
+    let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
+    if let Some(path) = trace {
+        let writer = JsonlWriter::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
+        sinks.push(Arc::new(writer));
+    }
+    if verbose {
+        sinks.push(Arc::new(VerboseSink::default()));
+    }
+    Ok(match sinks.len() {
+        0 => gsd_trace::null_sink(),
+        1 => sinks.remove(0),
+        _ => Arc::new(FanoutSink::new(sinks)),
+    })
 }
 
-impl Observability {
-    /// Builds the sinks behind `--trace FILE`, `--metrics-out FILE`
-    /// (rewritten every `metrics_every` iterations; 0 = at the end only)
-    /// and `--verbose`.
-    pub fn from_flags(
-        trace: Option<&str>,
-        metrics_out: Option<&str>,
-        metrics_every: u64,
-        verbose: bool,
-    ) -> Result<Observability, String> {
-        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
-        if let Some(path) = trace {
-            let writer = JsonlWriter::create(path).map_err(|e| format!("--trace {path}: {e}"))?;
-            sinks.push(Arc::new(writer));
-        }
-        let metrics =
-            metrics_out.map(|path| Arc::new(MetricsSink::with_output(path, metrics_every)));
-        if let Some(m) = &metrics {
-            sinks.push(m.clone());
-        }
-        if verbose {
-            sinks.push(Arc::new(VerboseSink::new()));
-        }
-        let sink: Option<Arc<dyn TraceSink>> = match sinks.len() {
-            0 => None,
-            1 => sinks.pop(),
-            _ => Some(Arc::new(FanoutSink::new(sinks))),
-        };
-        Ok(Observability {
-            sink,
-            metrics_out: metrics_out.map(str::to_string),
-            metrics,
-        })
-    }
+/// `gsd report`'s fold attached to a live process: a [`TraceSink`] that
+/// applies every event as it is emitted. Strictly observational — it never
+/// touches engine state or storage, so results and accounted I/O are
+/// bit-identical with or without it.
+#[derive(Default)]
+pub struct LiveReport {
+    fold: Mutex<TraceReport>,
+}
 
-    /// Flushes the sinks and fails if any metrics snapshot write failed.
-    pub fn finish(&self) -> Result<(), String> {
-        if let Some(s) = &self.sink {
-            s.flush();
-        }
-        match &self.metrics {
-            Some(m) if m.write_errors() > 0 => Err(format!(
-                "{} metrics snapshot write(s) failed",
-                m.write_errors()
-            )),
-            _ => Ok(()),
-        }
+impl LiveReport {
+    /// The fold so far. Emitters block while the guard is held.
+    pub fn lock(&self) -> MutexGuard<'_, TraceReport> {
+        self.fold.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A sink that prints a live per-iteration table to stderr (`--verbose`).
+impl TraceSink for LiveReport {
+    fn emit(&self, event: &TraceEvent) {
+        self.lock().apply(event);
+    }
+}
+
+/// A sink that prints a live per-iteration table to stderr (`--verbose`):
+/// every row is the [`gsd_metrics::report::IterRow`] its own live fold
+/// just closed, so the table shows what `gsd report` would replay.
 ///
 /// Columns: iteration, chosen I/O model, frontier size, the scheduler's
 /// `S_seq`/`S_ran` byte estimates (blank for engines without a scheduler),
@@ -78,24 +60,7 @@ impl Observability {
 /// times in microseconds.
 #[derive(Default)]
 pub struct VerboseSink {
-    state: Mutex<VerboseState>,
-}
-
-#[derive(Default)]
-struct VerboseState {
-    s_seq: Option<u64>,
-    s_ran: Option<u64>,
-    buffer_hits: u64,
-    prefetch_hits: u64,
-    prefetch_misses: u64,
-    stall_us: u64,
-}
-
-impl VerboseSink {
-    /// A fresh verbose sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    fold: LiveReport,
 }
 
 fn opt(v: Option<u64>) -> String {
@@ -104,10 +69,11 @@ fn opt(v: Option<u64>) -> String {
 
 impl TraceSink for VerboseSink {
     fn emit(&self, event: &TraceEvent) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut fold = self.fold.lock();
         match event {
             TraceEvent::RunStart { engine, algorithm } => {
-                *st = VerboseState::default();
+                // A row needs only its own run: drop the finished ones.
+                *fold = TraceReport::default();
                 eprintln!("# trace: {engine} / {algorithm}");
                 eprintln!(
                     "# {:>4}  {:>9}  {:>9}  {:>12}  {:>12}  {:>12}  {:>8}  {:>7}  {:>7}  {:>8}  {:>10}  {:>10}  {:>10}",
@@ -125,60 +91,50 @@ impl TraceSink for VerboseSink {
                     "apply_us",
                     "io_us"
                 );
+                fold.apply(event);
             }
-            TraceEvent::SchedulerDecision { s_seq, s_ran, .. } => {
-                st.s_seq = Some(*s_seq);
-                st.s_ran = Some(*s_ran);
-            }
-            TraceEvent::BufferHit { .. } => st.buffer_hits += 1,
-            TraceEvent::PrefetchHit { .. } => st.prefetch_hits += 1,
-            TraceEvent::PrefetchStall { wait_us, .. } => {
-                st.prefetch_misses += 1;
-                st.stall_us += wait_us;
-            }
-            TraceEvent::IterationEnd {
-                iteration,
-                model,
-                frontier,
-                bytes_read,
-                scatter_us,
-                apply_us,
-                io_wait_us,
-            } => {
+            TraceEvent::IterationEnd { .. } => {
+                fold.apply(event);
+                let Some(run) = fold.runs.last() else { return };
+                let Some(row) = run.iterations.last() else {
+                    return;
+                };
+                let decision = run
+                    .decisions
+                    .last()
+                    .filter(|d| d.iteration == row.iteration);
                 eprintln!(
                     "# {:>4}  {:>9}  {:>9}  {:>12}  {:>12}  {:>12}  {:>8}  {:>7}  {:>7}  {:>8}  {:>10}  {:>10}  {:>10}",
-                    iteration,
-                    model.as_str(),
-                    frontier,
-                    opt(st.s_seq),
-                    opt(st.s_ran),
-                    bytes_read,
-                    st.buffer_hits,
-                    st.prefetch_hits,
-                    st.prefetch_misses,
-                    st.stall_us,
-                    scatter_us,
-                    apply_us,
-                    io_wait_us
+                    row.iteration,
+                    row.model.as_str(),
+                    row.frontier,
+                    opt(decision.map(|d| d.s_seq)),
+                    opt(decision.map(|d| d.s_ran)),
+                    row.bytes_read,
+                    row.tally.buffer_hits,
+                    row.tally.prefetch_hits,
+                    row.tally.prefetch_misses,
+                    row.tally.stall_us,
+                    row.scatter_us,
+                    row.apply_us,
+                    row.io_wait_us
                 );
-                st.s_seq = None;
-                st.s_ran = None;
-                st.buffer_hits = 0;
-                st.prefetch_hits = 0;
-                st.prefetch_misses = 0;
-                st.stall_us = 0;
             }
-            // The verbose table only tracks per-iteration I/O behaviour;
-            // the remaining events are intentionally not rendered, listed
-            // explicitly so a new variant forces a decision here (GSD012).
+            // Folded but not rendered: the table tracks per-iteration I/O
+            // behaviour only. Listed explicitly so a new variant forces a
+            // decision here (GSD012).
             TraceEvent::RunEnd { .. }
             | TraceEvent::IterationStart { .. }
             | TraceEvent::BlockLoad { .. }
+            | TraceEvent::SchedulerDecision { .. }
             | TraceEvent::SciuPass { .. }
             | TraceEvent::FciuPass { .. }
+            | TraceEvent::BufferHit { .. }
             | TraceEvent::BufferEviction { .. }
             | TraceEvent::ValueFlush { .. }
             | TraceEvent::PrefetchIssued { .. }
+            | TraceEvent::PrefetchHit { .. }
+            | TraceEvent::PrefetchStall { .. }
             | TraceEvent::CkptWritten { .. }
             | TraceEvent::CkptRestored { .. }
             | TraceEvent::IoRetry { .. }
@@ -187,7 +143,6 @@ impl TraceSink for VerboseSink {
             | TraceEvent::CorruptionDetected { .. }
             | TraceEvent::BlockRepaired { .. }
             | TraceEvent::BenchRepeat { .. }
-            | TraceEvent::MetricsFlush { .. }
             | TraceEvent::ServeStarted { .. }
             | TraceEvent::QueryAccepted { .. }
             | TraceEvent::QueryCompleted { .. }
@@ -196,7 +151,7 @@ impl TraceSink for VerboseSink {
             | TraceEvent::DeltaApplied { .. }
             | TraceEvent::CompactionStarted { .. }
             | TraceEvent::CompactionFinished { .. }
-            | TraceEvent::IncrementalSeeded { .. } => {}
+            | TraceEvent::IncrementalSeeded { .. } => fold.apply(event),
         }
     }
 }
@@ -208,7 +163,7 @@ mod tests {
 
     #[test]
     fn verbose_sink_tracks_decisions_and_hits() {
-        let sink = VerboseSink::new();
+        let sink = VerboseSink::default();
         sink.emit(&TraceEvent::RunStart {
             engine: "graphsd",
             algorithm: "pr".to_string(),
@@ -236,28 +191,40 @@ mod tests {
             j: 1,
             wait_us: 25,
         });
-        {
-            let st = sink.state.lock().unwrap();
-            assert_eq!(st.s_seq, Some(100));
-            assert_eq!(st.buffer_hits, 1);
-            assert_eq!(st.prefetch_hits, 1);
-            assert_eq!(st.prefetch_misses, 1);
-            assert_eq!(st.stall_us, 25);
-        }
-        sink.emit(&TraceEvent::IterationEnd {
-            iteration: 1,
+        let iteration_end = |iteration| TraceEvent::IterationEnd {
+            iteration,
             model: AccessModel::OnDemand,
             frontier: 10,
             bytes_read: 123,
             scatter_us: 5,
             apply_us: 3,
             io_wait_us: 9,
+        };
+        sink.emit(&iteration_end(1));
+        sink.emit(&iteration_end(2));
+        {
+            let fold = sink.fold.lock();
+            let run = &fold.runs[0];
+            assert_eq!(run.decisions[0].s_seq, 100);
+            let tally = run.iterations[0].tally;
+            assert_eq!(
+                (
+                    tally.buffer_hits,
+                    tally.prefetch_hits,
+                    tally.prefetch_misses,
+                    tally.stall_us
+                ),
+                (1, 1, 1, 25)
+            );
+            // The tallies reset with the row they were printed in.
+            assert_eq!(run.iterations[1].tally, Default::default());
+        }
+        // The next run starts the fold over.
+        sink.emit(&TraceEvent::RunStart {
+            engine: "lumos",
+            algorithm: "pr".to_string(),
         });
-        let st = sink.state.lock().unwrap();
-        assert_eq!(st.s_seq, None);
-        assert_eq!(st.buffer_hits, 0);
-        assert_eq!(st.prefetch_hits, 0);
-        assert_eq!(st.prefetch_misses, 0);
-        assert_eq!(st.stall_us, 0);
+        assert_eq!(sink.fold.lock().runs.len(), 1);
+        assert_eq!(sink.fold.lock().runs[0].engine, "lumos");
     }
 }

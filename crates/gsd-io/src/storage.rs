@@ -14,8 +14,7 @@
 
 use crate::model::DiskModel;
 use crate::stats::IoStats;
-use gsd_trace::Stopwatch;
-use gsd_trace::{CounterRegistry, Histogram};
+use gsd_trace::CounterRegistry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fs;
@@ -69,17 +68,17 @@ pub trait Storage: Send + Sync {
         None
     }
 
-    /// Per-request size and latency histograms (`read_bytes`,
-    /// `write_bytes`, `read_nanos`, `write_nanos`, and on a simulator
-    /// `sim_read_nanos`/`sim_write_nanos`), if the backend keeps them.
+    /// No backend keeps request histograms; this default (and
+    /// `gsd_trace::CounterRegistry`) stay only because the frozen
+    /// `benchmark/src/timed_storage.rs` overrides the method.
     fn counters(&self) -> Option<&CounterRegistry> {
         None
     }
 
     /// Reads exactly `buf.len()` bytes starting at `offset` into `buf`
     /// **without touching any accounting**: no [`IoStats`] traffic, no
-    /// sequential/random cursor movement, no request histograms, and on a
-    /// simulator no virtual-clock charge.
+    /// sequential/random cursor movement, and on a simulator no
+    /// virtual-clock charge.
     ///
     /// This exists for *side-channel* reads — integrity verification
     /// re-reading an object to checksum it — that must not perturb the
@@ -176,45 +175,6 @@ impl Cursors {
     }
 }
 
-/// Always-on request-size and latency histograms shared by the concrete
-/// backends. Hot paths record through `Arc<Histogram>` handles cached at
-/// construction; the registry's internal lock is only taken then and at
-/// snapshot time.
-struct RequestCounters {
-    registry: CounterRegistry,
-    read_bytes: Arc<Histogram>,
-    write_bytes: Arc<Histogram>,
-    read_nanos: Arc<Histogram>,
-    write_nanos: Arc<Histogram>,
-}
-
-impl RequestCounters {
-    fn new() -> Self {
-        let registry = CounterRegistry::new();
-        let read_bytes = registry.histogram("read_bytes");
-        let write_bytes = registry.histogram("write_bytes");
-        let read_nanos = registry.histogram("read_nanos");
-        let write_nanos = registry.histogram("write_nanos");
-        RequestCounters {
-            registry,
-            read_bytes,
-            write_bytes,
-            read_nanos,
-            write_nanos,
-        }
-    }
-
-    fn record_read(&self, bytes: u64, started: Stopwatch) {
-        self.read_bytes.record(bytes);
-        self.read_nanos.record(started.elapsed_nanos());
-    }
-
-    fn record_write(&self, bytes: u64, started: Stopwatch) {
-        self.write_bytes.record(bytes);
-        self.write_nanos.record(started.elapsed_nanos());
-    }
-}
-
 // ---------------------------------------------------------------------------
 // MemStorage
 // ---------------------------------------------------------------------------
@@ -224,7 +184,6 @@ pub struct MemStorage {
     objects: RwLock<BTreeMap<String, Arc<Vec<u8>>>>,
     cursors: Mutex<Cursors>,
     stats: Arc<IoStats>,
-    req: RequestCounters,
 }
 
 impl MemStorage {
@@ -234,7 +193,6 @@ impl MemStorage {
             objects: RwLock::new(BTreeMap::new()),
             cursors: Mutex::new(Cursors::default()),
             stats: Arc::new(IoStats::new()),
-            req: RequestCounters::new(),
         }
     }
 }
@@ -247,18 +205,15 @@ impl Default for MemStorage {
 
 impl Storage for MemStorage {
     fn create(&self, key: &str, data: &[u8]) -> crate::Result<()> {
-        let started = Stopwatch::start();
         self.objects
             .write()
             .insert(key.to_owned(), Arc::new(data.to_vec()));
         self.cursors.lock().forget(key);
         self.stats.record_write(data.len() as u64);
-        self.req.record_write(data.len() as u64, started);
         Ok(())
     }
 
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
-        let started = Stopwatch::start();
         let obj = self
             .objects
             .read()
@@ -277,7 +232,6 @@ impl Storage for MemStorage {
         } else {
             self.stats.record_seq_read(buf.len() as u64);
         }
-        self.req.record_read(buf.len() as u64, started);
         Ok(())
     }
 
@@ -303,7 +257,6 @@ impl Storage for MemStorage {
         // snapshots the whole content. Accounting matches the default
         // len-then-read path exactly (one whole-object read at offset 0;
         // empty objects are read for free).
-        let started = Stopwatch::start();
         let obj = self
             .objects
             .read()
@@ -319,12 +272,10 @@ impl Storage for MemStorage {
         } else {
             self.stats.record_seq_read(obj.len() as u64);
         }
-        self.req.record_read(obj.len() as u64, started);
         Ok(obj.as_ref().clone())
     }
 
     fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
-        let started = Stopwatch::start();
         let mut objects = self.objects.write();
         let obj = objects.get_mut(key).ok_or_else(|| not_found(key))?;
         let start = offset as usize;
@@ -338,7 +289,6 @@ impl Storage for MemStorage {
             .lock()
             .note_write(key, offset, data.len() as u64);
         self.stats.record_write(data.len() as u64);
-        self.req.record_write(data.len() as u64, started);
         Ok(())
     }
 
@@ -369,10 +319,6 @@ impl Storage for MemStorage {
     fn stats(&self) -> Arc<IoStats> {
         self.stats.clone()
     }
-
-    fn counters(&self) -> Option<&CounterRegistry> {
-        Some(&self.req.registry)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -386,7 +332,6 @@ pub struct FileStorage {
     root: PathBuf,
     cursors: Mutex<Cursors>,
     stats: Arc<IoStats>,
-    req: RequestCounters,
 }
 
 impl FileStorage {
@@ -398,7 +343,6 @@ impl FileStorage {
             root,
             cursors: Mutex::new(Cursors::default()),
             stats: Arc::new(IoStats::new()),
-            req: RequestCounters::new(),
         })
     }
 
@@ -424,7 +368,6 @@ impl FileStorage {
 
 impl Storage for FileStorage {
     fn create(&self, key: &str, data: &[u8]) -> crate::Result<()> {
-        let started = Stopwatch::start();
         let path = self.path_of(key)?;
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
@@ -440,13 +383,11 @@ impl Storage for FileStorage {
         fs::rename(&tmp, &path)?;
         self.cursors.lock().forget(key);
         self.stats.record_write(data.len() as u64);
-        self.req.record_write(data.len() as u64, started);
         Ok(())
     }
 
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
         use std::os::unix::fs::FileExt;
-        let started = Stopwatch::start();
         let path = self.path_of(key)?;
         let f = fs::File::open(&path).map_err(|_| not_found(key))?;
         f.read_exact_at(buf, offset)?;
@@ -456,7 +397,6 @@ impl Storage for FileStorage {
         } else {
             self.stats.record_seq_read(buf.len() as u64);
         }
-        self.req.record_read(buf.len() as u64, started);
         Ok(())
     }
 
@@ -470,7 +410,6 @@ impl Storage for FileStorage {
 
     fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
         use std::os::unix::fs::FileExt;
-        let started = Stopwatch::start();
         let path = self.path_of(key)?;
         let f = fs::OpenOptions::new()
             .write(true)
@@ -485,7 +424,6 @@ impl Storage for FileStorage {
             .lock()
             .note_write(key, offset, data.len() as u64);
         self.stats.record_write(data.len() as u64);
-        self.req.record_write(data.len() as u64, started);
         Ok(())
     }
 
@@ -539,10 +477,6 @@ impl Storage for FileStorage {
         self.stats.clone()
     }
 
-    fn counters(&self) -> Option<&CounterRegistry> {
-        Some(&self.req.registry)
-    }
-
     fn sync(&self) -> crate::Result<()> {
         // `create` already fsyncs file *data* before the rename; what can
         // still be lost in a crash is a rename (a directory entry) or an
@@ -583,23 +517,15 @@ pub struct SimDisk {
     /// is race-free under concurrent callers (and requests serialize, as
     /// they would on one device).
     cursors: Mutex<Cursors>,
-    /// Priced (virtual) request latencies, cached from the inner registry.
-    sim_read_nanos: Arc<Histogram>,
-    sim_write_nanos: Arc<Histogram>,
 }
 
 impl SimDisk {
     /// Creates a simulated disk with the given performance model.
     pub fn new(disk: DiskModel) -> Self {
-        let inner = MemStorage::new();
-        let sim_read_nanos = inner.req.registry.histogram("sim_read_nanos");
-        let sim_write_nanos = inner.req.registry.histogram("sim_write_nanos");
         SimDisk {
-            inner,
+            inner: MemStorage::new(),
             disk,
             cursors: Mutex::new(Cursors::default()),
-            sim_read_nanos,
-            sim_write_nanos,
         }
     }
 
@@ -616,7 +542,6 @@ impl Storage for SimDisk {
         self.inner.create(key, data)?;
         self.cursors.lock().forget(key);
         self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
-        self.sim_write_nanos.record(cost.as_nanos() as u64);
         Ok(())
     }
 
@@ -633,7 +558,6 @@ impl Storage for SimDisk {
         })?;
         let cost = self.disk.read_cost(buf.len() as u64, discontiguous);
         self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
-        self.sim_read_nanos.record(cost.as_nanos() as u64);
         Ok(())
     }
 
@@ -648,7 +572,6 @@ impl Storage for SimDisk {
         self.inner.write_at(key, offset, data)?;
         let cost = self.disk.write_cost(data.len() as u64, false);
         self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
-        self.sim_write_nanos.record(cost.as_nanos() as u64);
         Ok(())
     }
 
@@ -677,17 +600,12 @@ impl Storage for SimDisk {
         Some(self.disk)
     }
 
-    fn counters(&self) -> Option<&CounterRegistry> {
-        self.inner.counters()
-    }
-
     fn sync(&self) -> crate::Result<()> {
         // A flush is a device command, not a transfer: charge one seek so
         // the checkpoint commit protocol has a deterministic, nonzero
         // virtual-clock cost.
         let cost = self.disk.seek_latency;
         self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
-        self.sim_write_nanos.record(cost.as_nanos() as u64);
         Ok(())
     }
 }

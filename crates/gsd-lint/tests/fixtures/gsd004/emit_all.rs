@@ -12,7 +12,6 @@ pub fn emit(sink: &dyn Sink) {
     sink.emit(TraceEvent::CorruptionDetected { block: 5, expected: 7 });
     sink.emit(TraceEvent::BlockRepaired { block: 5, bytes: 4096 });
     sink.emit(TraceEvent::BenchRepeat { repeat: 1, wall_us: 250 });
-    sink.emit(TraceEvent::MetricsFlush { series: 8, bytes: 1024 });
     sink.emit(TraceEvent::ServeStarted { vertices: 100, p: 4 });
     sink.emit(TraceEvent::QueryAccepted { query: 1 });
     sink.emit(TraceEvent::QueryCompleted { query: 1, bytes: 4096 });

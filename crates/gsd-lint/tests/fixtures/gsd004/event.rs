@@ -26,8 +26,6 @@ pub enum TraceEvent {
     BlockRepaired { block: u32, bytes: u64 },
     /// One timed repeat of a benchmark cell completed.
     BenchRepeat { repeat: u32, wall_us: u64 },
-    /// A metrics snapshot was written to the exposition file.
-    MetricsFlush { series: u64, bytes: u64 },
     /// The query daemon opened its grid and is ready.
     ServeStarted { vertices: u64, p: u64 },
     /// A query was admitted into the scheduler.

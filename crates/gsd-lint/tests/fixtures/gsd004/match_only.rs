@@ -13,7 +13,6 @@ pub fn emit(sink: &dyn Sink) {
     sink.emit(TraceEvent::CorruptionDetected { block: 6, expected: 9 });
     sink.emit(TraceEvent::BlockRepaired { block: 6, bytes: 4096 });
     sink.emit(TraceEvent::BenchRepeat { repeat: 2, wall_us: 900 });
-    sink.emit(TraceEvent::MetricsFlush { series: 9, bytes: 2048 });
     sink.emit(TraceEvent::ServeStarted { vertices: 50, p: 2 });
     sink.emit(TraceEvent::QueryAccepted { query: 3 });
     sink.emit(TraceEvent::QueryCompleted { query: 3, bytes: 1024 });
@@ -42,7 +41,6 @@ pub fn describe(ev: &TraceEvent) -> String {
         }
         TraceEvent::BlockRepaired { block, .. } => format!("repaired {block}"),
         TraceEvent::BenchRepeat { repeat, wall_us } => format!("repeat {repeat} {wall_us}us"),
-        TraceEvent::MetricsFlush { series, bytes } => format!("flush {series} ({bytes} B)"),
         TraceEvent::ServeStarted { vertices, p } => format!("serve {vertices}v p={p}"),
         TraceEvent::QueryAccepted { query } => format!("accepted {query}"),
         TraceEvent::QueryCompleted { query, bytes } => format!("done {query} ({bytes} B)"),

@@ -1,52 +1,34 @@
-//! Post-processing of a JSONL trace into run analytics (`gsd report`).
+//! The one fold over the trace stream, and its text rendering
+//! (`gsd report`).
 //!
-//! A [`TraceReport`] replays a trace file event by event and rebuilds,
-//! per run: the per-phase time breakdown, an I/O request-size histogram,
-//! prefetch hit/stall analysis, the hottest edge sub-blocks, and every
-//! state-aware scheduler decision with its cost terms (`C_s`/`C_r`)
-//! explained. Because the engines emit exactly one event per counted
-//! action (one `BufferHit` per `RunStats::buffer_hits` increment, one
-//! `PrefetchStall` per miss, ...), a replay over a complete trace
-//! reproduces the run's `RunStats` counters **exactly** —
-//! [`RunSection::matches_run_stats`] asserts that and is wired into the
-//! end-to-end tests.
+//! A [`TraceReport`] is an accumulator with a single typed entry point,
+//! [`TraceReport::apply`]: `gsd report` decodes a JSONL file line by line
+//! and applies each event, `gsd_bench::LiveReport` applies the same events
+//! as a process emits them, and `--verbose` prints rows of that live
+//! fold. Because
+//! the engines emit exactly one event per counted action (one `BufferHit`
+//! per `RunStats::buffer_hits` increment, one `PrefetchStall` per miss,
+//! ...), a fold over a complete trace reproduces the run's `RunStats`
+//! counters **exactly** — [`RunSection::matches_run_stats`] asserts that
+//! and is wired into the end-to-end tests — and, the fold being the only
+//! consumer, what it accumulated live equals what it replays from file.
 
 use gsd_runtime::RunStats;
-use gsd_trace::{Histogram, HistogramSnapshot};
-use serde::Value;
+use gsd_trace::{AccessModel, HistogramSnapshot, TraceEvent};
 use std::collections::BTreeMap;
 use std::io::BufRead;
 
-fn get_u64(v: &Value, name: &str) -> Option<u64> {
-    match v.get(name) {
-        Some(Value::U64(n)) => Some(*n),
-        Some(Value::I64(n)) => u64::try_from(*n).ok(),
-        Some(Value::F64(f)) if f.fract() == 0.0 && *f >= 0.0 => Some(*f as u64),
-        _ => None,
-    }
-}
-
-fn get_f64(v: &Value, name: &str) -> Option<f64> {
-    match v.get(name) {
-        Some(Value::F64(f)) => Some(*f),
-        Some(Value::U64(n)) => Some(*n as f64),
-        Some(Value::I64(n)) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-fn get_str<'v>(v: &'v Value, name: &str) -> Option<&'v str> {
-    match v.get(name) {
-        Some(Value::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn get_bool(v: &Value, name: &str) -> Option<bool> {
-    match v.get(name) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
+/// What happened between two `IterationEnd`s, per counted event.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IterTally {
+    /// `BufferHit` events.
+    pub buffer_hits: u64,
+    /// `PrefetchHit` events.
+    pub prefetch_hits: u64,
+    /// `PrefetchStall` events.
+    pub prefetch_misses: u64,
+    /// Total `PrefetchStall` wait, microseconds.
+    pub stall_us: u64,
 }
 
 /// One `IterationEnd` row.
@@ -54,8 +36,8 @@ fn get_bool(v: &Value, name: &str) -> Option<bool> {
 pub struct IterRow {
     /// 1-based iteration number.
     pub iteration: u32,
-    /// Access model (`"on_demand"` or `"full"`).
-    pub model: String,
+    /// Access model the iteration ran under.
+    pub model: AccessModel,
     /// Frontier size at the start of the iteration.
     pub frontier: u64,
     /// Bytes read from storage during the iteration.
@@ -66,6 +48,8 @@ pub struct IterRow {
     pub apply_us: u64,
     /// Microseconds blocked on storage.
     pub io_wait_us: u64,
+    /// The events since the previous row.
+    pub tally: IterTally,
 }
 
 /// One state-aware scheduler decision with its cost-model terms.
@@ -82,7 +66,7 @@ pub struct DecisionRow {
     /// Estimated seconds for the on-demand model (`C_r`).
     pub cost_on_demand: f64,
     /// The model the scheduler picked.
-    pub chosen: String,
+    pub chosen: AccessModel,
 }
 
 impl DecisionRow {
@@ -92,7 +76,7 @@ impl DecisionRow {
     pub fn explain(&self) -> String {
         let active = self.s_seq + self.s_ran;
         let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { f64::INFINITY };
-        if self.chosen == "full" {
+        if self.chosen == AccessModel::Full {
             format!(
                 "iter {}: chose full streaming - C_s {:.4}s <= C_r {:.4}s ({:.1}x cheaper); \
                  {} active vertices ({} clustered / {} scattered) make selective loads seek-bound",
@@ -201,14 +185,11 @@ pub struct RunSection {
     pub repairs: u64,
     /// The exactly-reproducible counters (see [`ReplayedCounters`]).
     pub counters: ReplayedCounters,
+    /// Tallies since the last `IterationEnd`; zero after a complete run.
+    pending: IterTally,
 }
 
 impl RunSection {
-    /// The replayed counters that must equal the run's `RunStats`.
-    pub fn replayed_counters(&self) -> ReplayedCounters {
-        self.counters
-    }
-
     /// Total microseconds per phase across all iterations:
     /// `(scatter, apply, io_wait)`.
     pub fn phase_totals_us(&self) -> (u64, u64, u64) {
@@ -278,88 +259,333 @@ impl RunSection {
     }
 }
 
-/// Accumulators that need a live [`Histogram`] while replaying; folded
-/// into the [`RunSection`] snapshots when the section closes.
-#[derive(Default)]
-struct LiveSection {
-    section: RunSection,
-    io_sizes: Histogram,
-    stalls: Histogram,
+/// Per-op query accounting of a daemon trace.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpActivity {
+    /// `QueryAccepted` events.
+    pub accepted: u64,
+    /// `QueryCompleted` events.
+    pub completed: u64,
+    /// Sub-block reads charged to these queries that hit the shared cache.
+    pub cache_hits: u64,
+    /// Sub-block reads charged to these queries that went to storage.
+    pub cache_misses: u64,
+    /// Bytes read from storage on behalf of these queries.
+    pub bytes_read: u64,
 }
 
-impl LiveSection {
-    fn close(mut self) -> RunSection {
-        self.section.io_size_hist = self.io_sizes.snapshot();
-        self.section.stall_hist = self.stalls.snapshot();
-        self.section
+/// What a `gsd serve` process did, folded from its serve and cache
+/// events wherever in the trace they occur (a `run` query's engine
+/// events land in a [`RunSection`] of their own).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DaemonSection {
+    /// `ServeStarted` events (grid opens).
+    pub starts: u64,
+    /// Vertex count announced by the latest `ServeStarted`.
+    pub vertices: u64,
+    /// Partition count P announced by the latest `ServeStarted`.
+    pub p: u64,
+    /// Query accounting per op tag.
+    pub ops: BTreeMap<&'static str, OpActivity>,
+    /// `CacheAdmit` events and their bytes.
+    pub cache_admits: (u64, u64),
+    /// `CacheEvict` events and their bytes.
+    pub cache_evicts: (u64, u64),
+}
+
+impl DaemonSection {
+    /// The per-op rows summed: what `ServeCounters` reports as `queries`,
+    /// `cache_hits`, `cache_misses` and `bytes_read`.
+    pub fn totals(&self) -> OpActivity {
+        self.ops
+            .values()
+            .fold(OpActivity::default(), |t, op| OpActivity {
+                accepted: t.accepted + op.accepted,
+                completed: t.completed + op.completed,
+                cache_hits: t.cache_hits + op.cache_hits,
+                cache_misses: t.cache_misses + op.cache_misses,
+                bytes_read: t.bytes_read + op.bytes_read,
+            })
     }
 }
 
-/// A replayed trace: one [`RunSection`] per `RunStart` seen, plus
-/// bookkeeping for malformed or out-of-run events.
+/// One committed mutation batch (`DeltaApplied`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochRow {
+    /// The epoch the batch committed.
+    pub epoch: u64,
+    /// Edge insertions in the batch.
+    pub inserts: u64,
+    /// Edge deletions in the batch.
+    pub deletes: u64,
+    /// Delta segment objects the batch appended.
+    pub segments: u64,
+    /// Total segment bytes written.
+    pub bytes: u64,
+}
+
+/// Everything that mutated the grid: batches, compactions and the
+/// incremental recomputes seeded from them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MutationSection {
+    /// One row per committed batch, in trace order.
+    pub epochs: Vec<EpochRow>,
+    /// `CompactionStarted` events.
+    pub compactions: u64,
+    /// Live segment objects those passes set out to fold, and their bytes.
+    pub segments_folded: (u64, u64),
+    /// Base sub-blocks `CompactionFinished` reports rewritten, and their bytes.
+    pub blocks_rewritten: (u64, u64),
+    /// `IncrementalSeeded` events.
+    pub incremental_runs: u64,
+    /// Vertices seeded into incremental frontiers.
+    pub incremental_seeds: u64,
+    /// Vertices reset before incremental runs.
+    pub incremental_resets: u64,
+}
+
+/// The fold: one [`RunSection`] per `RunStart` seen, the daemon and
+/// mutation sections, and bookkeeping for malformed or out-of-run events.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
-    /// Replayed runs, in trace order.
+    /// Folded runs, in trace order; the last one is still open when the
+    /// trace ended (or has so far gone) without its `RunEnd`.
     pub runs: Vec<RunSection>,
-    /// Events seen outside any `RunStart`..`RunEnd` span.
+    /// Serve and cache events.
+    pub daemon: DaemonSection,
+    /// Delta, compaction and incremental events.
+    pub mutations: MutationSection,
+    /// Run-scoped events seen outside any `RunStart`..`RunEnd` span.
     pub unattributed: u64,
-    /// Lines that failed to parse or lacked required fields.
+    /// Lines the decoder rejected (and the fold therefore never saw).
     pub parse_errors: u64,
-    /// Total events parsed (including unattributed ones).
+    /// Events applied (including unattributed ones).
     pub total_events: u64,
+    /// Whether the last run is between its `RunStart` and `RunEnd`.
+    open: bool,
+    /// Where unattributed events fold to; nothing reads it.
+    outside: RunSection,
+}
+
+fn count(slot: &mut (u64, u64), bytes: u64) {
+    slot.0 += 1;
+    slot.1 += bytes;
 }
 
 impl TraceReport {
-    /// Replays a JSONL trace from `reader`.
+    /// The section a run-scoped event folds into: the open run, or — and
+    /// then the event counts as unattributed — the scratch section.
+    fn run(&mut self) -> &mut RunSection {
+        match self.runs.last_mut() {
+            Some(run) if self.open => run,
+            _ => {
+                self.unattributed += 1;
+                &mut self.outside
+            }
+        }
+    }
+
+    /// Folds one event. Serve, cache, delta, compaction and incremental
+    /// events accumulate per trace wherever they occur; everything else
+    /// belongs to the open run.
+    pub fn apply(&mut self, event: &TraceEvent) {
+        self.total_events += 1;
+        match event {
+            TraceEvent::RunStart { engine, algorithm } => {
+                self.runs.push(RunSection {
+                    engine: engine.to_string(),
+                    algorithm: algorithm.clone(),
+                    ..RunSection::default()
+                });
+                self.open = true;
+            }
+            TraceEvent::RunEnd { iterations, .. } => {
+                self.run().run_end_iterations = *iterations;
+                self.open = false;
+            }
+            // Harness-level events carry nothing to fold; `run()` still
+            // counts the ones outside a run as unattributed.
+            TraceEvent::IterationStart { .. } | TraceEvent::BenchRepeat { .. } => {
+                self.run();
+            }
+            TraceEvent::IterationEnd {
+                iteration,
+                model,
+                frontier,
+                bytes_read,
+                scatter_us,
+                apply_us,
+                io_wait_us,
+            } => {
+                let run = self.run();
+                run.counters.iterations = run.counters.iterations.max(*iteration);
+                run.counters.bytes_read += bytes_read;
+                let tally = std::mem::take(&mut run.pending);
+                run.iterations.push(IterRow {
+                    iteration: *iteration,
+                    model: *model,
+                    frontier: *frontier,
+                    bytes_read: *bytes_read,
+                    scatter_us: *scatter_us,
+                    apply_us: *apply_us,
+                    io_wait_us: *io_wait_us,
+                    tally,
+                });
+            }
+            TraceEvent::BlockLoad { i, j, bytes, seq } => {
+                let run = self.run();
+                let act = run.blocks.entry((*i, *j)).or_default();
+                act.loads += 1;
+                act.bytes += bytes;
+                run.io_size_hist.record(*bytes);
+                if *seq {
+                    run.seq_loads += 1;
+                } else {
+                    run.rand_loads += 1;
+                }
+            }
+            TraceEvent::SchedulerDecision {
+                iteration,
+                s_seq,
+                s_ran,
+                cost_full,
+                cost_on_demand,
+                chosen,
+            } => self.run().decisions.push(DecisionRow {
+                iteration: *iteration,
+                s_seq: *s_seq,
+                s_ran: *s_ran,
+                cost_full: *cost_full,
+                cost_on_demand: *cost_on_demand,
+                chosen: *chosen,
+            }),
+            TraceEvent::SciuPass { edges_served, .. }
+            | TraceEvent::FciuPass { edges_served, .. } => {
+                self.run().counters.cross_iter_edges += edges_served;
+            }
+            TraceEvent::BufferHit { bytes, .. } => {
+                let run = self.run();
+                run.counters.buffer_hits += 1;
+                run.counters.buffer_hit_bytes += bytes;
+                run.pending.buffer_hits += 1;
+            }
+            TraceEvent::BufferEviction { bytes, .. } => count(&mut self.run().evictions, *bytes),
+            TraceEvent::ValueFlush { bytes, write: true } => {
+                count(&mut self.run().value_writes, *bytes);
+            }
+            TraceEvent::ValueFlush {
+                bytes,
+                write: false,
+            } => {
+                count(&mut self.run().value_reads, *bytes);
+            }
+            TraceEvent::PrefetchIssued { bytes, .. } => {
+                count(&mut self.run().prefetch_issued, *bytes);
+            }
+            TraceEvent::PrefetchHit { bytes, .. } => {
+                let run = self.run();
+                run.counters.prefetch_hits += 1;
+                run.prefetch_hit_bytes += bytes;
+                run.pending.prefetch_hits += 1;
+            }
+            TraceEvent::PrefetchStall { wait_us, .. } => {
+                let run = self.run();
+                run.counters.prefetch_misses += 1;
+                run.prefetch_stall_us += wait_us;
+                run.stall_hist.record(*wait_us);
+                run.pending.prefetch_misses += 1;
+                run.pending.stall_us += wait_us;
+            }
+            TraceEvent::CkptWritten { bytes, .. } => count(&mut self.run().ckpt_written, *bytes),
+            TraceEvent::CkptRestored { bytes, .. } => count(&mut self.run().ckpt_restored, *bytes),
+            TraceEvent::IoRetry { .. } => self.run().io_retries += 1,
+            TraceEvent::IoGaveUp { .. } => self.run().io_gave_up += 1,
+            TraceEvent::ChecksumOk { bytes, .. } => count(&mut self.run().verify_ok, *bytes),
+            TraceEvent::CorruptionDetected { .. } => self.run().corruptions += 1,
+            TraceEvent::BlockRepaired { .. } => self.run().repairs += 1,
+            TraceEvent::ServeStarted { vertices, p } => {
+                self.daemon.starts += 1;
+                self.daemon.vertices = *vertices;
+                self.daemon.p = *p;
+            }
+            TraceEvent::QueryAccepted { op, .. } => {
+                self.daemon.ops.entry(op).or_default().accepted += 1;
+            }
+            TraceEvent::QueryCompleted {
+                op,
+                cache_hits,
+                cache_misses,
+                bytes_read,
+                ..
+            } => {
+                let row = self.daemon.ops.entry(op).or_default();
+                row.completed += 1;
+                row.cache_hits += cache_hits;
+                row.cache_misses += cache_misses;
+                row.bytes_read += bytes_read;
+            }
+            TraceEvent::CacheAdmit { bytes, .. } => count(&mut self.daemon.cache_admits, *bytes),
+            TraceEvent::CacheEvict { bytes, .. } => count(&mut self.daemon.cache_evicts, *bytes),
+            TraceEvent::DeltaApplied {
+                epoch,
+                inserts,
+                deletes,
+                segments,
+                bytes,
+            } => self.mutations.epochs.push(EpochRow {
+                epoch: *epoch,
+                inserts: *inserts,
+                deletes: *deletes,
+                segments: *segments,
+                bytes: *bytes,
+            }),
+            TraceEvent::CompactionStarted {
+                segments, bytes, ..
+            } => {
+                self.mutations.compactions += 1;
+                self.mutations.segments_folded.0 += segments;
+                self.mutations.segments_folded.1 += bytes;
+            }
+            TraceEvent::CompactionFinished {
+                blocks_rewritten,
+                bytes,
+                ..
+            } => {
+                self.mutations.blocks_rewritten.0 += blocks_rewritten;
+                self.mutations.blocks_rewritten.1 += bytes;
+            }
+            TraceEvent::IncrementalSeeded { seeds, resets } => {
+                self.mutations.incremental_runs += 1;
+                self.mutations.incremental_seeds += seeds;
+                self.mutations.incremental_resets += resets;
+            }
+        }
+    }
+
+    /// Folds a JSONL trace from `reader`: decode line → [`apply`]. A line
+    /// the decoder rejects (not JSON, unknown `ev`, a missing, negative or
+    /// ill-typed field, a truncated tail, bytes that are not UTF-8) is
+    /// skipped and counted in `parse_errors`, so one bad line never
+    /// poisons the fold; only I/O can fail.
+    ///
+    /// [`apply`]: TraceReport::apply
     pub fn from_reader(reader: impl BufRead) -> std::io::Result<TraceReport> {
         let mut report = TraceReport::default();
-        let mut open: Option<LiveSection> = None;
-        for line in reader.lines() {
+        for line in reader.split(b'\n') {
             let line = line?;
-            let line = line.trim();
+            let line = line.trim_ascii();
             if line.is_empty() {
                 continue;
             }
-            let Ok(v) = serde_json::from_str::<Value>(line) else {
-                report.parse_errors += 1;
-                continue;
-            };
-            let Some(kind) = get_str(&v, "ev").map(str::to_string) else {
-                report.parse_errors += 1;
-                continue;
-            };
-            report.total_events += 1;
-            if kind == "run_start" {
-                // An unterminated previous run still gets reported.
-                if let Some(live) = open.take() {
-                    report.runs.push(live.close());
-                }
-                let mut live = LiveSection::default();
-                live.section.engine = get_str(&v, "engine").unwrap_or("?").to_string();
-                live.section.algorithm = get_str(&v, "algorithm").unwrap_or("?").to_string();
-                open = Some(live);
-                continue;
+            match serde_json::from_slice::<TraceEvent>(line) {
+                Ok(event) => report.apply(&event),
+                Err(_) => report.parse_errors += 1,
             }
-            let Some(live) = open.as_mut() else {
-                report.unattributed += 1;
-                continue;
-            };
-            if !replay_event(live, &kind, &v) {
-                report.parse_errors += 1;
-            }
-            if kind == "run_end" {
-                if let Some(live) = open.take() {
-                    report.runs.push(live.close());
-                }
-            }
-        }
-        if let Some(live) = open.take() {
-            report.runs.push(live.close());
         }
         Ok(report)
     }
 
-    /// Replays the trace file at `path`.
+    /// Folds the trace file at `path`.
     pub fn from_path(path: impl AsRef<std::path::Path>) -> std::io::Result<TraceReport> {
         let file = std::fs::File::open(path)?;
         Self::from_reader(std::io::BufReader::new(file))
@@ -379,165 +605,14 @@ impl TraceReport {
         for (idx, run) in self.runs.iter().enumerate() {
             render_run(&mut out, idx, run, top_n);
         }
+        if self.daemon != DaemonSection::default() {
+            render_daemon(&mut out, &self.daemon);
+        }
+        if self.mutations != MutationSection::default() {
+            render_mutations(&mut out, &self.mutations);
+        }
         out
     }
-}
-
-/// Folds one event into the open section. Returns `false` when a
-/// required field is missing (counted as a parse error; the event is
-/// otherwise skipped so one bad line never poisons the replay).
-fn replay_event(live: &mut LiveSection, kind: &str, v: &Value) -> bool {
-    let s = &mut live.section;
-    match kind {
-        "run_end" => {
-            let Some(iterations) = get_u64(v, "iterations") else {
-                return false;
-            };
-            s.run_end_iterations = u32::try_from(iterations).unwrap_or(u32::MAX);
-        }
-        "iteration_start" => {}
-        "iteration_end" => {
-            let (Some(iteration), Some(frontier), Some(bytes_read)) = (
-                get_u64(v, "iteration"),
-                get_u64(v, "frontier"),
-                get_u64(v, "bytes_read"),
-            ) else {
-                return false;
-            };
-            let iteration = u32::try_from(iteration).unwrap_or(u32::MAX);
-            let row = IterRow {
-                iteration,
-                model: get_str(v, "model").unwrap_or("?").to_string(),
-                frontier,
-                bytes_read,
-                scatter_us: get_u64(v, "scatter_us").unwrap_or(0),
-                apply_us: get_u64(v, "apply_us").unwrap_or(0),
-                io_wait_us: get_u64(v, "io_wait_us").unwrap_or(0),
-            };
-            s.counters.iterations = s.counters.iterations.max(iteration);
-            s.counters.bytes_read += bytes_read;
-            s.iterations.push(row);
-        }
-        "block_load" => {
-            let (Some(i), Some(j), Some(bytes)) =
-                (get_u64(v, "i"), get_u64(v, "j"), get_u64(v, "bytes"))
-            else {
-                return false;
-            };
-            let key = (
-                u32::try_from(i).unwrap_or(u32::MAX),
-                u32::try_from(j).unwrap_or(u32::MAX),
-            );
-            let act = s.blocks.entry(key).or_default();
-            act.loads += 1;
-            act.bytes += bytes;
-            live.io_sizes.record(bytes);
-            if get_bool(v, "seq").unwrap_or(true) {
-                s.seq_loads += 1;
-            } else {
-                s.rand_loads += 1;
-            }
-        }
-        "scheduler_decision" => {
-            let (Some(iteration), Some(s_seq), Some(s_ran), Some(cost_full), Some(cost_on_demand)) = (
-                get_u64(v, "iteration"),
-                get_u64(v, "s_seq"),
-                get_u64(v, "s_ran"),
-                get_f64(v, "cost_full"),
-                get_f64(v, "cost_on_demand"),
-            ) else {
-                return false;
-            };
-            s.decisions.push(DecisionRow {
-                iteration: u32::try_from(iteration).unwrap_or(u32::MAX),
-                s_seq,
-                s_ran,
-                cost_full,
-                cost_on_demand,
-                chosen: get_str(v, "chosen").unwrap_or("?").to_string(),
-            });
-        }
-        "sciu_pass" | "fciu_pass" => {
-            let Some(edges) = get_u64(v, "edges_served") else {
-                return false;
-            };
-            s.counters.cross_iter_edges += edges;
-        }
-        "buffer_hit" => {
-            let Some(bytes) = get_u64(v, "bytes") else {
-                return false;
-            };
-            s.counters.buffer_hits += 1;
-            s.counters.buffer_hit_bytes += bytes;
-        }
-        "buffer_eviction" => {
-            let Some(bytes) = get_u64(v, "bytes") else {
-                return false;
-            };
-            s.evictions.0 += 1;
-            s.evictions.1 += bytes;
-        }
-        "value_flush" => {
-            let (Some(bytes), Some(write)) = (get_u64(v, "bytes"), get_bool(v, "write")) else {
-                return false;
-            };
-            let slot = if write {
-                &mut s.value_writes
-            } else {
-                &mut s.value_reads
-            };
-            slot.0 += 1;
-            slot.1 += bytes;
-        }
-        "prefetch_issued" => {
-            let Some(bytes) = get_u64(v, "bytes") else {
-                return false;
-            };
-            s.prefetch_issued.0 += 1;
-            s.prefetch_issued.1 += bytes;
-        }
-        "prefetch_hit" => {
-            let Some(bytes) = get_u64(v, "bytes") else {
-                return false;
-            };
-            s.counters.prefetch_hits += 1;
-            s.prefetch_hit_bytes += bytes;
-        }
-        "prefetch_stall" => {
-            let Some(wait_us) = get_u64(v, "wait_us") else {
-                return false;
-            };
-            s.counters.prefetch_misses += 1;
-            s.prefetch_stall_us += wait_us;
-            live.stalls.record(wait_us);
-        }
-        "ckpt_written" | "ckpt_restored" => {
-            let Some(bytes) = get_u64(v, "bytes") else {
-                return false;
-            };
-            let slot = if kind == "ckpt_written" {
-                &mut s.ckpt_written
-            } else {
-                &mut s.ckpt_restored
-            };
-            slot.0 += 1;
-            slot.1 += bytes;
-        }
-        "io_retry" => s.io_retries += 1,
-        "io_gave_up" => s.io_gave_up += 1,
-        "checksum_ok" => {
-            let Some(bytes) = get_u64(v, "bytes") else {
-                return false;
-            };
-            s.verify_ok.0 += 1;
-            s.verify_ok.1 += bytes;
-        }
-        "corruption_detected" => s.corruptions += 1,
-        "block_repaired" => s.repairs += 1,
-        // Harness-level events inside a run span are fine to ignore.
-        _ => {}
-    }
-    true
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -659,17 +734,79 @@ fn render_run(out: &mut String, idx: usize, run: &RunSection, top_n: usize) {
         }
     }
     out.push_str("per-iteration detail:\n");
-    out.push_str("  iter       model   frontier      read B  scatter us    apply us  io wait us\n");
+    out.push_str(
+        "  iter       model   frontier      read B  scatter us    apply us  io wait us  \
+         buf hits  pf hits  pf miss  stall us\n",
+    );
     for it in &run.iterations {
         out.push_str(&format!(
-            "  {:>4}  {:>10}  {:>9}  {:>10}  {:>10}  {:>10}  {:>10}\n",
+            "  {:>4}  {:>10}  {:>9}  {:>10}  {:>10}  {:>10}  {:>10}  {:>8}  {:>7}  {:>7}  {:>8}\n",
             it.iteration,
-            it.model,
+            it.model.as_str(),
             it.frontier,
             it.bytes_read,
             it.scatter_us,
             it.apply_us,
-            it.io_wait_us
+            it.io_wait_us,
+            it.tally.buffer_hits,
+            it.tally.prefetch_hits,
+            it.tally.prefetch_misses,
+            it.tally.stall_us
+        ));
+    }
+}
+
+fn render_daemon(out: &mut String, d: &DaemonSection) {
+    let t = d.totals();
+    out.push_str(&format!(
+        "\n=== daemon · vertices={} P={} starts={} ===\n",
+        d.vertices, d.p, d.starts
+    ));
+    out.push_str("queries:\n");
+    out.push_str("          op  accepted  completed  cache hits  cache misses      read B\n");
+    let total = ("total", &t);
+    for (op, a) in d.ops.iter().map(|(op, a)| (*op, a)).chain([total]) {
+        out.push_str(&format!(
+            "  {:>10}  {:>8}  {:>9}  {:>10}  {:>12}  {:>10}\n",
+            op, a.accepted, a.completed, a.cache_hits, a.cache_misses, a.bytes_read
+        ));
+    }
+    out.push_str(&format!(
+        "cache: {:.1}% of charged reads hit; {} admits ({} B), {} evicts ({} B)\n",
+        pct(t.cache_hits, t.cache_hits + t.cache_misses),
+        d.cache_admits.0,
+        d.cache_admits.1,
+        d.cache_evicts.0,
+        d.cache_evicts.1
+    ));
+}
+
+fn render_mutations(out: &mut String, m: &MutationSection) {
+    out.push_str("\n=== mutations ===\n");
+    if !m.epochs.is_empty() {
+        out.push_str(&format!("batches ({} committed):\n", m.epochs.len()));
+        out.push_str("  epoch   inserts   deletes  segments   segment B\n");
+        for e in &m.epochs {
+            out.push_str(&format!(
+                "  {:>5}  {:>8}  {:>8}  {:>8}  {:>10}\n",
+                e.epoch, e.inserts, e.deletes, e.segments, e.bytes
+            ));
+        }
+    }
+    if m.compactions > 0 {
+        out.push_str(&format!(
+            "compactions: {} passes folded {} segments ({} B) into {} rewritten blocks ({} B)\n",
+            m.compactions,
+            m.segments_folded.0,
+            m.segments_folded.1,
+            m.blocks_rewritten.0,
+            m.blocks_rewritten.1
+        ));
+    }
+    if m.incremental_runs > 0 {
+        out.push_str(&format!(
+            "incremental: {} recomputes seeded with {} vertices, {} reset\n",
+            m.incremental_runs, m.incremental_seeds, m.incremental_resets
         ));
     }
 }
@@ -677,110 +814,46 @@ fn render_run(out: &mut String, idx: usize, run: &RunSection, top_n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsd_trace::{AccessModel, JsonlWriter, TraceEvent, TraceSink};
+    use gsd_trace::{JsonlWriter, TraceSink};
 
-    fn write_trace(events: &[TraceEvent]) -> Vec<u8> {
-        let mut buf: Vec<u8> = Vec::new();
-        for e in events {
-            buf.extend_from_slice(serde_json::to_string(e).unwrap().as_bytes());
-            buf.push(b'\n');
-        }
-        buf
-    }
+    /// One GraphSD run, then a daemon's queries and a mutation cycle, as
+    /// `--trace` writes them.
+    const SAMPLE: &str = r#"
+{"ev":"run_start","engine":"graphsd","algorithm":"PR"}
+{"ev":"scheduler_decision","iteration":1,"s_seq":10,"s_ran":4,"cost_full":1.5,"cost_on_demand":0.25,"chosen":"on_demand"}
+{"ev":"block_load","i":0,"j":1,"bytes":4096,"seq":false}
+{"ev":"block_load","i":0,"j":1,"bytes":4096,"seq":true}
+{"ev":"block_load","i":1,"j":1,"bytes":100,"seq":true}
+{"ev":"buffer_hit","i":0,"j":1,"bytes":4096}
+{"ev":"prefetch_issued","i":1,"j":1,"bytes":100}
+{"ev":"prefetch_hit","i":1,"j":1,"bytes":100}
+{"ev":"prefetch_stall","i":0,"j":1,"wait_us":250}
+{"ev":"sciu_pass","iteration":1,"edges_served":77}
+{"ev":"value_flush","bytes":800,"write":false}
+{"ev":"value_flush","bytes":800,"write":true}
+{"ev":"iteration_end","iteration":1,"model":"on_demand","frontier":14,"bytes_read":9092,"scatter_us":120,"apply_us":60,"io_wait_us":300}
+{"ev":"iteration_end","iteration":2,"model":"full","frontier":3,"bytes_read":100,"scatter_us":20,"apply_us":10,"io_wait_us":30}
+{"ev":"run_end","engine":"graphsd","iterations":2}
+{"ev":"serve_started","vertices":100,"p":4}
+{"ev":"query_accepted","query":0,"op":"khop"}
+{"ev":"cache_admit","i":0,"j":1,"bytes":512}
+{"ev":"cache_evict","i":0,"j":1,"bytes":512}
+{"ev":"query_completed","query":0,"op":"khop","cache_hits":3,"cache_misses":2,"bytes_read":2048}
+{"ev":"query_accepted","query":1,"op":"mutate"}
+{"ev":"delta_applied","epoch":1,"inserts":10,"deletes":2,"segments":4,"bytes":180}
+{"ev":"query_completed","query":1,"op":"mutate","cache_hits":0,"cache_misses":0,"bytes_read":0}
+{"ev":"incremental_seeded","seeds":12,"resets":7}
+{"ev":"compaction_started","epoch":1,"segments":4,"bytes":180}
+{"ev":"compaction_finished","epoch":1,"blocks_rewritten":6,"bytes":9000}
+"#;
 
-    fn sample_events() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::RunStart {
-                engine: "graphsd",
-                algorithm: "PR".to_string(),
-            },
-            TraceEvent::SchedulerDecision {
-                iteration: 1,
-                s_seq: 10,
-                s_ran: 4,
-                cost_full: 1.5,
-                cost_on_demand: 0.25,
-                chosen: AccessModel::OnDemand,
-            },
-            TraceEvent::BlockLoad {
-                i: 0,
-                j: 1,
-                bytes: 4096,
-                seq: false,
-            },
-            TraceEvent::BlockLoad {
-                i: 0,
-                j: 1,
-                bytes: 4096,
-                seq: true,
-            },
-            TraceEvent::BlockLoad {
-                i: 1,
-                j: 1,
-                bytes: 100,
-                seq: true,
-            },
-            TraceEvent::BufferHit {
-                i: 0,
-                j: 1,
-                bytes: 4096,
-            },
-            TraceEvent::PrefetchIssued {
-                i: 1,
-                j: 1,
-                bytes: 100,
-            },
-            TraceEvent::PrefetchHit {
-                i: 1,
-                j: 1,
-                bytes: 100,
-            },
-            TraceEvent::PrefetchStall {
-                i: 0,
-                j: 1,
-                wait_us: 250,
-            },
-            TraceEvent::SciuPass {
-                iteration: 1,
-                edges_served: 77,
-            },
-            TraceEvent::ValueFlush {
-                bytes: 800,
-                write: false,
-            },
-            TraceEvent::ValueFlush {
-                bytes: 800,
-                write: true,
-            },
-            TraceEvent::IterationEnd {
-                iteration: 1,
-                model: AccessModel::OnDemand,
-                frontier: 14,
-                bytes_read: 9092,
-                scatter_us: 120,
-                apply_us: 60,
-                io_wait_us: 300,
-            },
-            TraceEvent::IterationEnd {
-                iteration: 2,
-                model: AccessModel::Full,
-                frontier: 3,
-                bytes_read: 100,
-                scatter_us: 20,
-                apply_us: 10,
-                io_wait_us: 30,
-            },
-            TraceEvent::RunEnd {
-                engine: "graphsd",
-                iterations: 2,
-            },
-        ]
+    fn sample_report() -> TraceReport {
+        TraceReport::from_reader(SAMPLE.as_bytes()).unwrap()
     }
 
     #[test]
     fn replay_rebuilds_run_counters() {
-        let buf = write_trace(&sample_events());
-        let report = TraceReport::from_reader(buf.as_slice()).unwrap();
+        let report = sample_report();
         assert_eq!(report.runs.len(), 1);
         assert_eq!(report.parse_errors, 0);
         assert_eq!(report.unattributed, 0);
@@ -789,7 +862,7 @@ mod tests {
         assert_eq!(run.algorithm, "PR");
         assert_eq!(run.run_end_iterations, 2);
         assert_eq!(
-            run.replayed_counters(),
+            run.counters,
             ReplayedCounters {
                 iterations: 2,
                 bytes_read: 9192,
@@ -824,8 +897,7 @@ mod tests {
 
     #[test]
     fn decision_explanations_cite_cost_terms() {
-        let buf = write_trace(&sample_events());
-        let report = TraceReport::from_reader(buf.as_slice()).unwrap();
+        let report = sample_report();
         let d = &report.runs[0].decisions[0];
         let text = d.explain();
         assert!(text.contains("on-demand"));
@@ -839,15 +911,14 @@ mod tests {
             s_ran: 900,
             cost_full: 0.5,
             cost_on_demand: 2.0,
-            chosen: "full".to_string(),
+            chosen: AccessModel::Full,
         };
         assert!(full.explain().contains("chose full streaming"));
     }
 
     #[test]
     fn matches_run_stats_detects_drift() {
-        let buf = write_trace(&sample_events());
-        let report = TraceReport::from_reader(buf.as_slice()).unwrap();
+        let report = sample_report();
         let run = &report.runs[0];
         let mut stats = RunStats::new("graphsd", "PR");
         stats.iterations = 2;
@@ -898,7 +969,9 @@ mod tests {
         buf.extend_from_slice(b"{\"no_ev_field\":1}\n");
         // An event before any run_start.
         buf.extend_from_slice(b"{\"ev\":\"buffer_hit\",\"i\":0,\"j\":0,\"bytes\":1}\n");
-        buf.extend_from_slice(b"{\"ev\":\"run_start\",\"engine\":\"hus\",\"algorithm\":\"CC\"}\n");
+        buf.extend_from_slice(
+            b"{\"ev\":\"run_start\",\"engine\":\"hus-graph\",\"algorithm\":\"CC\"}\n",
+        );
         // A well-tagged event missing a required field.
         buf.extend_from_slice(b"{\"ev\":\"buffer_hit\",\"i\":0,\"j\":0}\n");
         let report = TraceReport::from_reader(buf.as_slice()).unwrap();
@@ -906,14 +979,89 @@ mod tests {
         assert_eq!(report.unattributed, 1);
         // The truncated run (no run_end) is still reported.
         assert_eq!(report.runs.len(), 1);
-        assert_eq!(report.runs[0].engine, "hus");
+        assert_eq!(report.runs[0].engine, "hus-graph");
         assert_eq!(report.runs[0].counters.buffer_hits, 0);
     }
 
     #[test]
+    fn a_line_that_drifted_from_the_schema_is_an_error_not_a_default() {
+        const START: &str = r#"{"ev":"run_start","engine":"graphsd","algorithm":"PR"}"#;
+        const GOOD: &str = r#"{"ev":"buffer_hit","i":0,"j":1,"bytes":8}"#;
+        let cases: [(&str, &[u8]); 7] = [
+            (
+                "iteration_end without model and phase times",
+                br#"{"ev":"iteration_end","iteration":1,"frontier":5,"bytes_read":9}"#,
+            ),
+            (
+                "block_load without seq",
+                br#"{"ev":"block_load","i":0,"j":1,"bytes":64}"#,
+            ),
+            ("unknown ev", br#"{"ev":"heartbeat","series":1,"bytes":2}"#),
+            (
+                "negative count",
+                br#"{"ev":"buffer_hit","i":0,"j":1,"bytes":-8}"#,
+            ),
+            (
+                "string where a number belongs",
+                br#"{"ev":"prefetch_stall","i":0,"j":1,"wait_us":"25"}"#,
+            ),
+            (
+                "truncated last line",
+                br#"{"ev":"buffer_hit","i":0,"j":1,"by"#,
+            ),
+            ("bytes that are not UTF-8", b"{\"ev\":\"buffer_hit\xff\xfe"),
+        ];
+        for (what, bad) in cases {
+            let mut buf = format!("{START}\n{GOOD}\n").into_bytes();
+            buf.extend_from_slice(bad);
+            let report = TraceReport::from_reader(buf.as_slice())
+                .unwrap_or_else(|e| panic!("{what}: content must never fail the fold: {e}"));
+            assert_eq!(report.parse_errors, 1, "{what}");
+            assert_eq!(report.total_events, 2, "{what}: the bad line is skipped");
+            let run = &report.runs[0];
+            assert_eq!(run.counters.buffer_hits, 1, "{what}: good lines still fold");
+            assert!(run.iterations.is_empty(), "{what}: no defaulted row");
+            assert_eq!((run.seq_loads, run.rand_loads), (0, 0), "{what}");
+        }
+    }
+
+    #[test]
+    fn serve_and_delta_events_fold_into_their_own_sections() {
+        let report = sample_report();
+        assert_eq!(report.unattributed, 0, "none of them needs a run");
+        assert_eq!(report.total_events, 26);
+        let d = &report.daemon;
+        assert_eq!((d.starts, d.vertices, d.p), (1, 100, 4));
+        assert_eq!(d.ops["khop"].completed, 1);
+        let totals = OpActivity {
+            accepted: 2,
+            completed: 2,
+            cache_hits: 3,
+            cache_misses: 2,
+            bytes_read: 2048,
+        };
+        assert_eq!(d.totals(), totals);
+        assert_eq!((d.cache_admits, d.cache_evicts), ((1, 512), (1, 512)));
+        let m = &report.mutations;
+        assert_eq!(m.epochs.len(), 1);
+        assert_eq!((m.epochs[0].inserts, m.epochs[0].segments), (10, 4));
+        assert_eq!(
+            (m.compactions, m.segments_folded, m.blocks_rewritten),
+            (1, (4, 180), (6, 9000))
+        );
+        assert_eq!(
+            (
+                m.incremental_runs,
+                m.incremental_seeds,
+                m.incremental_resets
+            ),
+            (1, 12, 7)
+        );
+    }
+
+    #[test]
     fn render_text_summarizes_every_section() {
-        let buf = write_trace(&sample_events());
-        let report = TraceReport::from_reader(buf.as_slice()).unwrap();
+        let report = sample_report();
         let text = report.render_text(5);
         assert!(text.contains("engine=graphsd algorithm=PR iterations=2"));
         assert!(text.contains("phase breakdown"));
@@ -921,23 +1069,39 @@ mod tests {
         assert!(text.contains("scheduler decisions"));
         assert!(text.contains("block load size"));
         assert!(text.contains("1 hits / 1 stalls (50.0% hit rate)"));
+        assert!(text.contains("=== daemon · vertices=100 P=4"));
+        assert!(text.contains("=== mutations ==="));
+        assert!(text.contains("6 rewritten blocks (9000 B)"));
     }
 
     #[test]
     fn jsonl_writer_output_replays_cleanly() {
         // End-to-end through the real sink: what JsonlWriter writes,
-        // TraceReport must read.
+        // TraceReport must read — to the same fold as applying the events
+        // directly, per-iteration tallies included.
         let path =
             std::env::temp_dir().join(format!("gsd_report_roundtrip_{}.jsonl", std::process::id()));
+        let mut direct = TraceReport::default();
         {
             let sink = JsonlWriter::create(&path).unwrap();
-            for e in sample_events() {
-                sink.emit(&e);
+            for line in SAMPLE.lines().filter(|l| !l.is_empty()) {
+                let event: TraceEvent = serde_json::from_str(line).unwrap();
+                sink.emit(&event);
+                direct.apply(&event);
             }
         }
         let report = TraceReport::from_path(&path).unwrap();
         assert_eq!(report.parse_errors, 0);
         assert_eq!(report.runs.len(), 1);
+        assert_eq!(report, direct);
+        let tallies: Vec<IterTally> = report.runs[0].iterations.iter().map(|r| r.tally).collect();
+        let first = IterTally {
+            buffer_hits: 1,
+            prefetch_hits: 1,
+            prefetch_misses: 1,
+            stall_us: 250,
+        };
+        assert_eq!(tallies, [first, IterTally::default()]);
         let _ = std::fs::remove_file(&path);
     }
 }

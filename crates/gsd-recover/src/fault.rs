@@ -31,7 +31,6 @@
 
 use gsd_integrity::fnv64;
 use gsd_io::{DiskModel, IoStats, SharedStorage, Storage};
-use gsd_trace::CounterRegistry;
 use parking_lot::Mutex;
 use std::io::{Error, ErrorKind};
 use std::ops::Range;
@@ -437,10 +436,6 @@ impl Storage for FaultyStorage {
 
     fn disk_model(&self) -> Option<DiskModel> {
         self.inner.disk_model()
-    }
-
-    fn counters(&self) -> Option<&CounterRegistry> {
-        self.inner.counters()
     }
 }
 

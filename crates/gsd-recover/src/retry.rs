@@ -12,7 +12,7 @@
 //! `RunStats.io`) and the trace stream (`IoRetry` / `IoGaveUp` events).
 
 use gsd_io::{DiskModel, IoStats, SharedStorage, Storage};
-use gsd_trace::{CounterRegistry, TraceEvent, TraceSink};
+use gsd_trace::{TraceEvent, TraceSink};
 use std::io::ErrorKind;
 use std::sync::Arc;
 use std::time::Duration;
@@ -174,10 +174,6 @@ impl Storage for RetryingStorage {
     fn disk_model(&self) -> Option<DiskModel> {
         self.inner.disk_model()
     }
-
-    fn counters(&self) -> Option<&CounterRegistry> {
-        self.inner.counters()
-    }
 }
 
 #[cfg(test)]
@@ -234,9 +230,19 @@ mod tests {
         let (mut retrying, _) = stack(FaultConfig::transient(1, 1.0), RetryPolicy::attempts(2));
         let sink = Arc::new(RingRecorder::new(16));
         retrying.set_trace(sink.clone());
+        retrying.read_at("k", 0, &mut [0]).unwrap_err();
+        retrying.write_at("k", 0, &[1]).unwrap_err();
         retrying.create("k", &[1]).unwrap_err();
+        retrying.sync().unwrap_err();
         let kinds: Vec<&'static str> = sink.events().iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds, vec!["io_retry", "io_gave_up"]);
+        assert_eq!(kinds, ["io_retry", "io_gave_up"].repeat(4));
+        // Every wrapped operation names itself with a label the trace
+        // decoder knows.
+        let gave_up = sink.events().into_iter().filter_map(|e| match e {
+            TraceEvent::IoGaveUp { op, .. } => Some(op),
+            _ => None,
+        });
+        assert_eq!(gave_up.collect::<Vec<_>>(), gsd_trace::labels::IO_OPS);
     }
 
     #[test]

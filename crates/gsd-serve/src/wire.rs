@@ -744,6 +744,8 @@ mod tests {
         for req in all_requests() {
             let bytes = req.encode().unwrap();
             assert_eq!(Request::decode(&bytes).unwrap(), req, "{req:?}");
+            // The trace decoder only knows the ops of this closed set.
+            assert!(gsd_trace::labels::QUERY_OPS.contains(&req.op()), "{req:?}");
         }
     }
 

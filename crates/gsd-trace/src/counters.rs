@@ -1,9 +1,10 @@
-//! Lock-free histogram counters for request sizes and latencies.
+//! Power-of-two-bucket histograms for sizes and latencies.
 //!
-//! Storage backends record every request into power-of-two-bucket
-//! [`Histogram`]s owned by a [`CounterRegistry`]. Recording is one
-//! relaxed atomic increment per counter — cheap enough to stay always-on
-//! next to the existing `IoStats` counters.
+//! [`Histogram`] is the shared, lock-free form (one relaxed atomic
+//! increment per counter), named and owned by a [`CounterRegistry`];
+//! [`HistogramSnapshot`] is its point-in-time copy and, through
+//! [`HistogramSnapshot::record`], the single-owner form the trace fold
+//! accumulates into.
 
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
@@ -14,6 +15,20 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// length is `k`, i.e. `v == 0` lands in bucket 0 and `v` in
 /// `[2^(k-1), 2^k)` lands in bucket `k`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
+
+/// The bucket a sample lands in: its bit length.
+fn bucket_of(value: u64) -> usize {
+    (64 - value.leading_zeros()) as usize
+}
+
+/// Inclusive upper bound of bucket `k`.
+fn bucket_upper(k: usize) -> u64 {
+    match k {
+        0 => 0,
+        64 => u64::MAX,
+        k => (1u64 << k) - 1,
+    }
+}
 
 /// A fixed-bucket power-of-two histogram over `u64` samples.
 pub struct Histogram {
@@ -34,8 +49,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        let bucket = (64 - value.leading_zeros()) as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -56,15 +70,7 @@ impl Histogram {
         for (k, b) in self.buckets.iter().enumerate() {
             let n = b.load(Ordering::Relaxed);
             if n > 0 {
-                // Inclusive upper bound of bucket k.
-                let upper = if k == 0 {
-                    0
-                } else if k == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << k) - 1
-                };
-                buckets.push((upper, n));
+                buckets.push((bucket_upper(k), n));
             }
         }
         HistogramSnapshot {
@@ -94,6 +100,19 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Adds one sample: the single-owner counterpart of
+    /// [`Histogram::record`], for a fold that owns its distributions.
+    /// Recording the same samples either way gives equal snapshots.
+    pub fn record(&mut self, value: u64) {
+        let upper = bucket_upper(bucket_of(value));
+        match self.buckets.binary_search_by_key(&upper, |&(le, _)| le) {
+            Ok(k) => self.buckets[k].1 += 1,
+            Err(k) => self.buckets.insert(k, (upper, 1)),
+        }
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+    }
+
     /// Upper bound of the bucket containing the `q`-quantile sample
     /// (`0.0 <= q <= 1.0`), or `None` for an empty histogram.
     ///
@@ -236,6 +255,17 @@ mod tests {
         assert_eq!(snap.sum, 1030);
         // 0 -> le 0; 1 -> le 1; 2,3 -> le 3; 1024 -> le 2047.
         assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (3, 2), (2047, 1)]);
+    }
+
+    #[test]
+    fn recording_into_a_snapshot_equals_snapshotting_a_histogram() {
+        let h = Histogram::new();
+        let mut snap = HistogramSnapshot::default();
+        for v in [1024, 0, 3, u64::MAX, 2, 1, u64::MAX, 700] {
+            h.record(v);
+            snap.record(v);
+        }
+        assert_eq!(snap, h.snapshot());
     }
 
     #[test]

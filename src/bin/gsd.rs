@@ -25,21 +25,19 @@
 //! `--checkpoint-every N`, `--verify off|full|sample:N`,
 //! `--on-corruption fail|retry[:N]|quarantine`, `--inject-faults
 //! SEED:RATE`, `--scale tiny|small|medium` (`bench` datasets),
-//! `--trace FILE`, `--metrics-out FILE`, `--metrics-every N`, `--verbose`.
+//! `--trace FILE`, `--verbose`.
 //! `bench` prefetches at depth 2 unless told otherwise; `run` and `serve`
 //! read synchronously unless given a depth. Nothing is read from the
 //! environment.
 //!
-//! `run --metrics-out` aggregates the run's trace events into a labeled
-//! metrics registry and writes a snapshot file (Prometheus text format
-//! for `.prom`/`.txt` paths, JSON otherwise). `bench` is the counters
-//! gate: it runs every (system, algorithm, dataset) cell on real files,
-//! writes a schema-versioned `BENCH_<label>.json` and, with `--baseline`,
-//! fails when iterations, bytes moved or prefetch totals differ from the
-//! committed report (its wall times are informational; `benchmark/` is
-//! the clock). `report` replays a JSONL trace into per-phase breakdowns,
-//! I/O histograms, hottest sub-blocks and scheduler decision
-//! explanations.
+//! `bench` is the counters gate: it runs every (system, algorithm,
+//! dataset) cell on real files, writes a schema-versioned
+//! `BENCH_<label>.json` and, with `--baseline`, fails when iterations,
+//! bytes moved or prefetch totals differ from the committed report (its
+//! wall times are informational; `benchmark/` is the clock). `report` folds a JSONL trace — of a run, a bench, a daemon
+//! or an `ingest`/`compact` — into per-phase breakdowns, I/O histograms,
+//! hottest sub-blocks, scheduler decision explanations, per-op query and
+//! cache tables and per-epoch mutation tables.
 //!
 //! `ingest` commits a mutation batch (`+ src dst [w]` / `- src dst`,
 //! one op per line) against a preprocessed grid as one delta epoch;
@@ -57,7 +55,7 @@
 
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
-use graphsd::bench::{Algo, Observability, RunFlags, RunSettings, SystemKind};
+use graphsd::bench::{trace_sink, Algo, RunFlags, RunSettings, SystemKind};
 use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession, PipelineConfig};
 use graphsd::delta::MutationBatch;
 use graphsd::graph::delta::DeltaOp;
@@ -91,7 +89,7 @@ fn usage() -> ExitCode {
          gsd scrub <data-dir> [--repair <edges.txt>]\n  \
          gsd info <data-dir>\n  \
          gsd generate <rmat|kronecker|erdos-renyi|web|grid> <vertices> <edges> <out.txt> [--seed S] [--weighted] [--symmetrized]\n\
-         run flags: [--prefetch-depth N] [--no-prefetch] [--checkpoint-every N] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--inject-faults SEED:RATE] [--trace FILE] [--metrics-out FILE] [--metrics-every N] [--verbose]"
+         run flags: [--prefetch-depth N] [--no-prefetch] [--checkpoint-every N] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--inject-faults SEED:RATE] [--trace FILE] [--verbose]"
     );
     ExitCode::from(2)
 }
@@ -217,24 +215,10 @@ fn ablation(name: &str) -> Result<GraphSdConfig, String> {
     })
 }
 
-/// The `--trace` / `--metrics-out` / `--metrics-every` side-channels of
-/// `ingest` and `compact`, which take no other run flag.
-fn observability(args: &Args) -> Result<Observability, String> {
-    Observability::from_flags(
-        args.flag_value::<String>("trace")?.as_deref(),
-        args.flag_value::<String>("metrics-out")?.as_deref(),
-        args.flag_value("metrics-every")?.unwrap_or(0),
-        false,
-    )
-}
-
-/// Flushes the side-channels; fails if a metrics snapshot write did.
-fn finish(obs: &Observability) -> Result<(), String> {
-    obs.finish()?;
-    if let Some(path) = &obs.metrics_out {
-        println!("metrics snapshot written to {path}");
-    }
-    Ok(())
+/// The `--trace` sink of `ingest` and `compact`, which take no other run
+/// flag.
+fn ingest_sink(args: &Args) -> Result<Arc<dyn TraceSink>, String> {
+    trace_sink(args.flag_value::<String>("trace")?.as_deref(), false)
 }
 
 /// Opens the grid at `dir` the way `settings` say to: behind the fault
@@ -304,7 +288,8 @@ fn cmd_run(raw: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown algorithm {other:?}")),
     }
-    finish(&flags.observability)
+    flags.settings.sink.flush();
+    Ok(())
 }
 
 fn cmd_ingest(args: &Args) -> Result<(), String> {
@@ -315,8 +300,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let batch = MutationBatch::parse(&text).map_err(|e| format!("{batch_path}: {e}"))?;
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let obs = observability(args)?;
-    let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
+    let sink = ingest_sink(args)?;
     match args.flag_value::<String>("recompute")?.as_deref() {
         None => {
             let report = graphsd::delta::ingest(storage.as_ref(), "", &batch, sink.as_ref())
@@ -331,16 +315,27 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
             };
             match algo {
                 "pagerank" => {
-                    ingest_recompute(storage, &PageRank::paper(), &batch, &options, sink)?
+                    ingest_recompute(storage, &PageRank::paper(), &batch, &options, sink.clone())?
                 }
-                "cc" => ingest_recompute(storage, &ConnectedComponents, &batch, &options, sink)?,
-                "sssp" => ingest_recompute(storage, &Sssp::new(source), &batch, &options, sink)?,
-                "bfs" => ingest_recompute(storage, &Bfs::new(source), &batch, &options, sink)?,
+                "cc" => ingest_recompute(
+                    storage,
+                    &ConnectedComponents,
+                    &batch,
+                    &options,
+                    sink.clone(),
+                )?,
+                "sssp" => {
+                    ingest_recompute(storage, &Sssp::new(source), &batch, &options, sink.clone())?
+                }
+                "bfs" => {
+                    ingest_recompute(storage, &Bfs::new(source), &batch, &options, sink.clone())?
+                }
                 other => return Err(format!("unknown algorithm {other:?}")),
             }
         }
     }
-    finish(&obs)
+    sink.flush();
+    Ok(())
 }
 
 fn print_ingest(report: &graphsd::delta::IngestReport) {
@@ -405,8 +400,7 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
     };
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let obs = observability(args)?;
-    let sink = obs.sink.clone().unwrap_or_else(graphsd::trace::null_sink);
+    let sink = ingest_sink(args)?;
     match graphsd::delta::compact(&storage, "", sink.as_ref()).map_err(|e| e.to_string())? {
         Some(r) => println!(
             "epoch {}: folded {} segment(s) into {} rewritten object(s) ({} KiB); grid fingerprint {:016x}",
@@ -418,7 +412,8 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
         ),
         None => println!("{dir}: no live delta segments; nothing to compact"),
     }
-    finish(&obs)
+    sink.flush();
+    Ok(())
 }
 
 fn cmd_serve(raw: &[String]) -> Result<(), String> {
@@ -464,7 +459,8 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         c.batch_passes,
         c.batched_queries,
     );
-    finish(&flags.observability)
+    flags.settings.sink.flush();
+    Ok(())
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
@@ -795,7 +791,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
     }
 
     let report = run_wall(&opts, &flags.settings).map_err(|e| e.to_string())?;
-    finish(&flags.observability)?;
+    flags.settings.sink.flush();
     for e in &report.entries {
         println!(
             "{:>12} {:>5} {:>12}  median {:>9} us  read {:>11} B  pf {}h/{}m",

@@ -1,27 +1,29 @@
 //! The observability pipeline's neutrality and exactness contracts,
 //! end to end across all four engines:
 //!
-//! 1. **Neutrality** — attaching a [`MetricsSink`] (or any trace sink)
-//!    must leave committed values and accounted I/O bit-identical to a
-//!    run with the default disabled sink, with the prefetch pipeline on
-//!    or off.
+//! 1. **Neutrality** — attaching the live fold ([`LiveReport`], or any
+//!    trace sink) must leave committed values and accounted I/O
+//!    bit-identical to a run with the default disabled sink, with the
+//!    prefetch pipeline on or off.
 //! 2. **Replay exactness** — `gsd report` replaying a JSONL trace of a
 //!    run must reproduce the run's `RunStats` counters exactly
 //!    ([`RunSection::matches_run_stats`]).
-//! 3. **Exposition validity** — the Prometheus rendering of the
-//!    aggregated registry must pass the strict text-format validator.
+//! 3. **Live == replayed** — the [`RunSection`] the fold accumulated
+//!    while the run emitted equals, field for field, the one it replays
+//!    from that run's JSONL.
 
 use graphsd::algos::{ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::baselines::{
     build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
 };
+use graphsd::bench::LiveReport;
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::graph::{preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig};
 use graphsd::io::{DiskModel, SharedStorage, SimDisk, TempDir};
-use graphsd::metrics::expo::validate_prometheus;
-use graphsd::metrics::{ExpoFormat, MetricsSink, TraceReport};
+use graphsd::metrics::report::RunSection;
+use graphsd::metrics::TraceReport;
 use graphsd::runtime::{Engine, RunOptions, RunResult, RunStats, VertexProgram};
-use graphsd::trace::{JsonlWriter, TraceSink};
+use graphsd::trace::{FanoutSink, JsonlWriter, TraceSink};
 use std::sync::Arc;
 
 fn graph() -> Graph {
@@ -120,7 +122,7 @@ fn metrics_sink_is_neutral_across_engines_and_prefetch_modes() {
     for which in ENGINES {
         for prefetch in [false, true] {
             let bare = run_engine(which, &g, prefetch, None, &PageRank::paper());
-            let sink = Arc::new(MetricsSink::new());
+            let sink = Arc::new(LiveReport::default());
             let observed = run_engine(
                 which,
                 &g,
@@ -131,19 +133,31 @@ fn metrics_sink_is_neutral_across_engines_and_prefetch_modes() {
             assert_eq!(
                 fingerprint(&bare),
                 fingerprint(&observed),
-                "{which} prefetch={prefetch}: metrics sink must not perturb the run"
+                "{which} prefetch={prefetch}: the live fold must not perturb the run"
             );
-            let snap = sink.registry().snapshot();
             assert!(
-                snap.series_count() > 0,
-                "{which}: the sink must actually have aggregated events"
+                sink.lock().total_events > 0,
+                "{which}: the sink must actually have folded events"
             );
         }
     }
 }
 
-/// Traces a run to a JSONL file and replays it; the replayed counters
-/// must equal the run's `RunStats` exactly.
+/// `live` with its two float fields as the JSONL prints them — the one
+/// place a live section may legitimately differ from a replayed one.
+fn as_printed(mut live: RunSection) -> RunSection {
+    let printed =
+        |f: f64| serde_json::from_str::<f64>(&serde_json::to_string(&f).unwrap()).unwrap();
+    for d in &mut live.decisions {
+        d.cost_full = printed(d.cost_full);
+        d.cost_on_demand = printed(d.cost_on_demand);
+    }
+    live
+}
+
+/// Traces a run to a JSONL file while folding it live, and replays the
+/// file; the replayed counters must equal the run's `RunStats` exactly,
+/// and the live fold must equal the replayed one.
 fn trace_and_replay<P: VertexProgram>(
     which: &str,
     g: &Graph,
@@ -155,10 +169,20 @@ where
 {
     let dir = TempDir::new("gsd-metrics-e2e").unwrap();
     let path = dir.path().join("trace.jsonl");
-    let sink: Arc<dyn TraceSink> = Arc::new(JsonlWriter::create(&path).unwrap());
+    let live = Arc::new(LiveReport::default());
+    let sink: Arc<dyn TraceSink> = Arc::new(FanoutSink::new(vec![
+        Arc::new(JsonlWriter::create(&path).unwrap()),
+        live.clone(),
+    ]));
     let result = run_engine(which, g, prefetch, Some(sink.clone()), program);
     sink.flush();
     let report = TraceReport::from_path(&path).unwrap();
+    let mut live = live.lock().clone();
+    live.runs = live.runs.into_iter().map(as_printed).collect();
+    assert_eq!(
+        live, report,
+        "{which} prefetch={prefetch}: live fold != replayed fold"
+    );
     (result.stats, report)
 }
 
@@ -166,12 +190,14 @@ where
 fn report_replay_reproduces_run_stats_for_all_engines() {
     let g = graph();
     for which in ENGINES {
-        let (stats, report) = trace_and_replay(which, &g, true, &PageRank::paper());
-        assert_eq!(report.parse_errors, 0, "{which}");
-        assert_eq!(report.runs.len(), 1, "{which}");
-        report.runs[0]
-            .matches_run_stats(&stats)
-            .unwrap_or_else(|e| panic!("{which}: replay mismatch: {e}"));
+        for prefetch in [false, true] {
+            let (stats, report) = trace_and_replay(which, &g, prefetch, &PageRank::paper());
+            assert_eq!(report.parse_errors, 0, "{which}");
+            assert_eq!(report.runs.len(), 1, "{which}");
+            report.runs[0]
+                .matches_run_stats(&stats)
+                .unwrap_or_else(|e| panic!("{which} prefetch={prefetch}: replay mismatch: {e}"));
+        }
     }
 }
 
@@ -193,25 +219,4 @@ fn report_replay_handles_convergence_and_sciu_workloads() {
         .generate();
     let (stats, report) = trace_and_replay("graphsd", &weighted, true, &Sssp::new(0));
     report.runs[0].matches_run_stats(&stats).unwrap();
-}
-
-#[test]
-fn prometheus_exposition_of_a_real_run_is_valid_text_format() {
-    let g = graph();
-    let sink = Arc::new(MetricsSink::new());
-    run_engine(
-        "graphsd",
-        &g,
-        true,
-        Some(sink.clone() as Arc<dyn TraceSink>),
-        &PageRank::paper(),
-    );
-    let snap = sink.registry().snapshot();
-    let text = snap.render(ExpoFormat::Prometheus);
-    let samples = validate_prometheus(&text)
-        .unwrap_or_else(|e| panic!("invalid Prometheus exposition: {e}\n{text}"));
-    assert!(samples > 10, "expected a rich exposition, got {samples}");
-    // JSON rendering parses back as JSON.
-    let json = snap.render(ExpoFormat::Json);
-    assert!(serde_json::value_from_slice(json.as_bytes()).is_ok());
 }

@@ -10,14 +10,19 @@
 //! batch ([`graphsd::delta::incremental_run`]) must reach exactly the
 //! fixpoint a from-scratch run reaches. Every engine that reads through
 //! the overlay does so under a generated prefetch setting; the
-//! from-scratch references always read synchronously.
+//! from-scratch references always read synchronously. One fixed
+//! `ingest` + `compact` additionally pins replay exactness: the trace of
+//! the two, folded by `gsd report`'s fold, equals their own reports.
 
 use graphsd::algos::{Bfs, ConnectedComponents, Sssp};
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::delta::{compact, incremental_run, ingest, MutationBatch};
 use graphsd::graph::{preprocess, Edge, Graph, GridGraph, PreprocessConfig};
 use graphsd::io::{MemStorage, SharedStorage};
+use graphsd::metrics::report::EpochRow;
+use graphsd::metrics::TraceReport;
 use graphsd::runtime::{value_fingerprint as fingerprint, Engine, RunOptions, VertexProgram};
+use graphsd::trace::RingRecorder;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -261,4 +266,60 @@ proptest! {
     fn incremental_recompute_reaches_scratch_fixpoint(scenario in arb_scenario()) {
         check_incremental(scenario)?;
     }
+}
+
+/// The mutation analogue of `RunSection::matches_run_stats`: what an
+/// `ingest --trace` / `compact --trace` file replays to is what the two
+/// commands reported, with nothing left unattributed.
+#[test]
+fn an_ingest_and_a_compaction_replay_as_their_own_reports() {
+    let edges = (0..40u32).map(|v| Edge::weighted(v, (v * 7 + 1) % 40, 1.0));
+    let base = Graph::from_edges(40, edges.collect(), true);
+    let (storage, grid) = fresh_grid(&base, 3);
+    drop(grid);
+    let ops: Vec<Op> = vec![
+        Ok((0, 39, 16)),
+        Ok((17, 2, 8)),
+        Err((1, 8)),
+        Ok((30, 31, 4)),
+    ];
+    let recorder = RingRecorder::new(64);
+    let ingested = ingest(storage.as_ref(), "", &to_batch(&ops), &recorder).unwrap();
+    let compacted = compact(&storage, "", &recorder).unwrap().unwrap();
+
+    let mut jsonl = Vec::new();
+    for e in recorder.events() {
+        jsonl.extend_from_slice(serde_json::to_string(&e).unwrap().as_bytes());
+        jsonl.push(b'\n');
+    }
+    let report = TraceReport::from_reader(jsonl.as_slice()).unwrap();
+    assert_eq!(
+        (
+            report.parse_errors,
+            report.unattributed,
+            report.total_events
+        ),
+        (0, 0, 3),
+        "delta_applied, compaction_started, compaction_finished"
+    );
+    assert_eq!(
+        report.mutations.epochs,
+        [EpochRow {
+            epoch: ingested.epoch,
+            inserts: ingested.inserts,
+            deletes: ingested.deletes,
+            segments: ingested.segments,
+            bytes: ingested.segment_bytes,
+        }]
+    );
+    assert_eq!((ingested.inserts, ingested.deletes), (3, 1));
+    let m = &report.mutations;
+    assert_eq!(
+        (m.compactions, m.segments_folded, m.blocks_rewritten),
+        (
+            1,
+            (compacted.segments_folded, ingested.segment_bytes),
+            (compacted.objects_rewritten, compacted.bytes_rewritten)
+        )
+    );
 }

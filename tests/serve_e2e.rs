@@ -14,6 +14,10 @@
 //!   (with the shared cache disabled, so the saving is attributable to
 //!   frontier batching alone), and the per-query trace events record
 //!   the per-tenant I/O charging.
+//! * **Replay exactness** — those events, written as JSONL and folded
+//!   by `gsd report`'s one fold, give a daemon section equal to the
+//!   executor's own [`ServeCounters`](graphsd::serve::ServeCounters):
+//!   the serve analogue of `RunSection::matches_run_stats`.
 //!
 //! [`ReferenceEngine`]: graphsd::runtime::ReferenceEngine
 
@@ -29,6 +33,7 @@ use graphsd::graph::{
     VerifyPolicy,
 };
 use graphsd::io::{MemStorage, SharedStorage};
+use graphsd::metrics::TraceReport;
 use graphsd::runtime::{Engine, ReferenceEngine, RunOptions};
 use graphsd::serve::{Request, Response, ServeCore, Server, Traversal};
 use graphsd::trace::{RingRecorder, TraceEvent};
@@ -293,4 +298,45 @@ fn batching_merges_concurrent_traversals_into_shared_passes() {
         completions.iter().all(|(_, m, b)| *m > 0 && *b > 0),
         "every tenant paid for some disk reads: {completions:?}"
     );
+
+    // Replay exactness: the same events as `--trace` would write them,
+    // through the fold, equal the executor's counters.
+    let mut jsonl = Vec::new();
+    for e in recorder.events() {
+        jsonl.extend_from_slice(serde_json::to_string(&e).unwrap().as_bytes());
+        jsonl.push(b'\n');
+    }
+    let report = TraceReport::from_reader(jsonl.as_slice()).unwrap();
+    assert_eq!((report.parse_errors, report.unattributed), (0, 0));
+    assert_eq!(report.total_events, recorder.len() as u64);
+    let daemon = &report.daemon;
+    assert_eq!(
+        (daemon.starts, daemon.p),
+        (1, u64::from(core.session().grid().p()))
+    );
+    let replayed = daemon.totals();
+    assert_eq!(
+        (
+            replayed.accepted,
+            replayed.completed,
+            replayed.cache_hits,
+            replayed.cache_misses,
+            replayed.bytes_read,
+        ),
+        (
+            c.queries,
+            c.queries,
+            c.cache_hits,
+            c.cache_misses,
+            c.bytes_read
+        ),
+        "daemon section == ServeCounters"
+    );
+    assert_eq!(
+        (daemon.ops["khop"].completed, daemon.ops["ppr"].completed),
+        (2, 1)
+    );
+    // No event carries `blocks_read`; in a batch every storage block read
+    // is charged as exactly one miss, which ties it to the fold as well.
+    assert_eq!(c.blocks_read, replayed.cache_misses);
 }
