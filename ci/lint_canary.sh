@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Negative control for the bans the toolchain enforces (DESIGN.md §11).
 #
-# GSD001/002/007/008/009 are retired: clippy.toml and the crate-root
-# `#![deny(clippy::…)]` blocks took them over, and clippy.toml also holds
-# the environment ban (configuration is a value). A ban that silently
+# GSD001/002/005/007/008/009 are retired: clippy.toml and the crate-root
+# `#![deny(clippy::…)]` blocks took them over, `[workspace.lints.rust]
+# unsafe_code = "forbid"` in the root Cargo.toml took GSD005, and
+# clippy.toml also holds the environment ban (configuration is a value).
+# A ban that silently
 # stopped firing (a renamed lint, a dropped `deny`, a clippy.toml that is
 # no longer picked up) would leave the tree "clean" for the wrong reason,
 # so this script drops one module holding the retired rules' former
@@ -11,11 +13,14 @@
 # scoped crate, requires `cargo clippy -- -D warnings` to
 # FAIL naming every lint and every banned path, and restores the tree.
 #
-# Usage: bash ci/lint_canary.sh   (from anywhere; needs a clean gsd-core)
+# The scoped crate is gsd-io: it carries the crate-root `deny` block and
+# depends on parking_lot, whose lock constructors are among the bans.
+#
+# Usage: bash ci/lint_canary.sh   (from anywhere; needs a clean gsd-io)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-crate=crates/gsd-core
+crate=crates/gsd-io
 canary=$crate/src/lint_canary.rs
 root=$crate/src/lib.rs
 backup=$(mktemp)
@@ -132,6 +137,13 @@ pub mod gsd009 {
     }
 }
 
+/// Retired GSD005: no first-party crate contains `unsafe`.
+pub mod gsd005 {
+    pub fn first(bytes: &[u8]) -> u8 {
+        unsafe { *bytes.as_ptr() }
+    }
+}
+
 /// Configuration is a value: no library reads or writes the environment.
 pub mod ambient_config {
     pub fn prefetch_from_the_environment() -> bool {
@@ -146,7 +158,7 @@ EOF
 # The suppression itself is the last canary: an `allow` with no reason.
 printf '#[allow(missing_docs)]\npub mod lint_canary;\n' >> "$root"
 
-if cargo clippy -p gsd-core -- -D warnings > "$log" 2>&1; then
+if cargo clippy -p gsd-io -- -D warnings > "$log" 2>&1; then
     cat "$log"
     echo "lint_canary: FAIL — clippy passed a crate holding every banned construct" >&2
     exit 1
@@ -164,6 +176,9 @@ for lint in unwrap_used expect_used panic unreachable todo unimplemented \
     disallowed_types disallowed_methods allow_attributes_without_reason; do
     expect "index.html#$lint"
 done
+# The workspace-level rustc lint, as rustc names it.
+expect "-F unsafe-code"
+expect "usage of an \`unsafe\` block"
 # Every clippy.toml entry, by the resolved path clippy reports.
 for path in std::collections::HashMap std::collections::HashSet \
     std::time::Instant std::time::SystemTime \
@@ -179,4 +194,4 @@ if [ "$missing" -ne 0 ]; then
     cat "$log"
     exit 1
 fi
-echo "lint_canary: ok — clippy rejected the canary and named all 9 lints and all 20 banned paths"
+echo "lint_canary: ok — clippy rejected the canary and named all 10 lints and all 20 banned paths"

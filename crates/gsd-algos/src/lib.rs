@@ -16,7 +16,6 @@
 //! (power-iteration PR, Dijkstra, union-find) the programs are validated
 //! against.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs;

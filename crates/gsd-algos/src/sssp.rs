@@ -67,7 +67,6 @@ mod tests {
     use crate::naive::naive_dijkstra;
     use gsd_graph::{generators, GeneratorConfig, GraphBuilder, GraphKind};
     use gsd_runtime::{Engine, ReferenceEngine};
-    use rand::SeedableRng;
 
     #[test]
     fn matches_dijkstra_on_random_weighted_graph() {
@@ -131,7 +130,7 @@ mod tests {
 
     #[test]
     fn weighted_random_graph_respects_triangle_inequality() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let mut rng = gsd_graph::rng::Xoshiro256::seed_from_u64(5);
         let g = generators::randomize_weights(
             GeneratorConfig::new(GraphKind::RMat, 100, 800, 5).generate(),
             &mut rng,

@@ -25,9 +25,9 @@
 //! an active source, without cross-iteration propagation.
 
 use gsd_core::driver::{self, coalesce_runs, Driver, Frame, SelectiveRun};
+use gsd_core::RecoveryConfig;
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::Storage;
-use gsd_recover::RecoveryConfig;
 use gsd_runtime::{
     Capabilities, Engine, Frontier, IoAccessModel, RunOptions, RunResult, VertexProgram,
 };
@@ -124,16 +124,6 @@ impl HusGraphEngine {
     /// resumed runs commit bit-identical values and I/O accounting.
     pub fn set_checkpoint(&mut self, checkpoint: Option<RecoveryConfig>) {
         self.checkpoint = checkpoint;
-    }
-
-    /// The row copy.
-    pub fn row_grid(&self) -> &GridGraph {
-        &self.format.row
-    }
-
-    /// The column copy.
-    pub fn col_grid(&self) -> &GridGraph {
-        &self.format.col
     }
 
     fn active_edge_bytes(&self, frontier: &Frontier) -> u64 {

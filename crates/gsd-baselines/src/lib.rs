@@ -33,7 +33,6 @@
 //! sub-blocks; HUS-Graph: volume threshold → its own ROP run planner plus
 //! a selective pass, or a stream pass over its column copy).
 
-#![forbid(unsafe_code)]
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
 #![deny(

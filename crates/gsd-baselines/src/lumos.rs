@@ -15,10 +15,10 @@
 //! runs, with no scheduler in front and no sub-block buffer between them.
 
 use gsd_core::driver::{self, Driver, Frame};
+use gsd_core::PipelineConfig;
+use gsd_core::RecoveryConfig;
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::Storage;
-use gsd_pipeline::PipelineConfig;
-use gsd_recover::RecoveryConfig;
 use gsd_runtime::{Capabilities, Engine, RunOptions, RunResult, VertexProgram};
 use gsd_trace::TraceSink;
 use std::sync::Arc;

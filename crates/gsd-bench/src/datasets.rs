@@ -8,7 +8,6 @@
 //! DESIGN.md §3 for the substitution argument.
 
 use gsd_graph::{GeneratorConfig, Graph, GraphKind};
-use rand::SeedableRng;
 use std::sync::OnceLock;
 
 /// Workload scale (`--scale`).
@@ -97,7 +96,7 @@ impl Dataset {
     /// The directed graph with random positive weights (SSSP workload).
     pub fn weighted(&self) -> &Graph {
         self.weighted.get_or_init(|| {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.seed ^ 0x5EED);
+            let mut rng = gsd_graph::rng::Xoshiro256::seed_from_u64(self.seed ^ 0x5EED);
             gsd_graph::generators::randomize_weights(self.directed().clone(), &mut rng)
         })
     }

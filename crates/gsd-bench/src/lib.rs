@@ -1,13 +1,19 @@
-//! # gsd-bench — paper tables and the counters gate
+//! # gsd-bench — paper tables, the counters gate and the trace fold
 //!
-//! Two measuring jobs live here, each with one entry point. Wall time,
+//! Three reading jobs live here, each with one entry point. Wall time,
 //! RSS, the serve and delta paths and the per-layer numbers are the
 //! repository-root `benchmark/` package's job, not this crate's.
 //!
 //! **Counters gate** — [`wall::run_wall`], reached through `gsd bench`:
-//! every (system, algorithm, dataset) cell on real files, gated by
-//! [`gsd_metrics::BenchReport::compare_deterministic`] on iterations,
-//! bytes moved and prefetch totals against `ci/bench_baseline.json`.
+//! every (system, algorithm, dataset) cell once on real files, gated by
+//! [`BenchReport::compare_deterministic`] on iterations, bytes moved,
+//! read requests and prefetch events against `ci/bench_baseline.json`
+//! ([`bench`] is that file's schema).
+//!
+//! **Trace fold** — [`report`]: the one accumulator over the trace
+//! stream ([`TraceReport::apply`]). `gsd report` folds a JSONL file,
+//! [`LiveReport`] a live process; folding is strictly observational
+//! (`tests/metrics_neutrality.rs`).
 //!
 //! **Paper tables** — [`experiments`], on the simulated disk's virtual
 //! clock: every table and figure of the paper's evaluation (§5) on the
@@ -33,18 +39,31 @@
 //! selects the workload scale (default `small`). Every other setting of a
 //! run is a [`RunSettings`] argument built by [`RunFlags::parse`].
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench;
 pub mod datasets;
 pub mod experiments;
+// The fold runs live inside a traced process (`LiveReport`), so it keeps
+// the hot-path crates' panic ban (DESIGN.md §11).
+#[deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+pub mod report;
 pub mod runner;
 pub mod settings;
 pub mod table;
 pub mod trace;
 pub mod wall;
 
+pub use bench::BenchReport;
 pub use datasets::{Dataset, Datasets, Scale};
+pub use report::TraceReport;
 pub use runner::{Algo, RunOutcome, SystemKind};
 pub use settings::{RunFlags, RunSettings};
 pub use trace::{trace_sink, LiveReport, VerboseSink};

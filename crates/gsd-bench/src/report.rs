@@ -3,7 +3,7 @@
 //!
 //! A [`TraceReport`] is an accumulator with a single typed entry point,
 //! [`TraceReport::apply`]: `gsd report` decodes a JSONL file line by line
-//! and applies each event, `gsd_bench::LiveReport` applies the same events
+//! and applies each event, [`crate::LiveReport`] applies the same events
 //! as a process emits them, and `--verbose` prints rows of that live
 //! fold. Because
 //! the engines emit exactly one event per counted action (one `BufferHit`
@@ -403,9 +403,9 @@ impl TraceReport {
                 self.run().run_end_iterations = *iterations;
                 self.open = false;
             }
-            // Harness-level events carry nothing to fold; `run()` still
-            // counts the ones outside a run as unattributed.
-            TraceEvent::IterationStart { .. } | TraceEvent::BenchRepeat { .. } => {
+            // Carries nothing to fold; `run()` still counts one outside a
+            // run as unattributed.
+            TraceEvent::IterationStart { .. } => {
                 self.run();
             }
             TraceEvent::IterationEnd {

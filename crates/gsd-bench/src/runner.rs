@@ -520,24 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn every_system_label_is_one_the_trace_decoder_knows() {
-        use SystemKind::*;
-        let kinds = [
-            GraphSd,
-            GraphSdB1,
-            GraphSdB2,
-            GraphSdB3,
-            GraphSdB4,
-            GraphSdNoBuffer,
-            HusGraph,
-            Lumos,
-            GridStream,
-        ];
-        let labels: Vec<&str> = kinds.iter().map(SystemKind::label).collect();
-        assert_eq!(labels, gsd_trace::labels::SYSTEMS);
-    }
-
-    #[test]
     fn paper_p_is_twenty_for_real_inputs() {
         let ds = Datasets::load(Scale::Tiny);
         assert_eq!(paper_p(ds.get("twitter_sim").unwrap().directed()), 20);

@@ -10,10 +10,11 @@
 
 use crate::datasets::Scale;
 use crate::trace::trace_sink;
+use gsd_core::RecoveryConfig;
 use gsd_core::{GraphSdConfig, PipelineConfig};
 use gsd_graph::{CorruptionResponse, GridGraph, VerifyPolicy};
+use gsd_integrity::{FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage};
 use gsd_io::SharedStorage;
-use gsd_recover::{FaultConfig, FaultyStorage, RecoveryConfig, RetryPolicy, RetryingStorage};
 use gsd_trace::TraceSink;
 use std::sync::Arc;
 

@@ -2,7 +2,7 @@
 //! ([`trace_sink`]), which reaches the engines as
 //! [`crate::RunSettings::sink`], and the fold's sink form ([`LiveReport`]).
 
-use gsd_metrics::TraceReport;
+use crate::report::TraceReport;
 use gsd_trace::{FanoutSink, JsonlWriter, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -49,7 +49,7 @@ impl TraceSink for LiveReport {
 }
 
 /// A sink that prints a live per-iteration table to stderr (`--verbose`):
-/// every row is the [`gsd_metrics::report::IterRow`] its own live fold
+/// every row is the [`crate::report::IterRow`] its own live fold
 /// just closed, so the table shows what `gsd report` would replay.
 ///
 /// Columns: iteration, chosen I/O model, frontier size, the scheduler's
@@ -142,7 +142,6 @@ impl TraceSink for VerboseSink {
             | TraceEvent::ChecksumOk { .. }
             | TraceEvent::CorruptionDetected { .. }
             | TraceEvent::BlockRepaired { .. }
-            | TraceEvent::BenchRepeat { .. }
             | TraceEvent::ServeStarted { .. }
             | TraceEvent::QueryAccepted { .. }
             | TraceEvent::QueryCompleted { .. }

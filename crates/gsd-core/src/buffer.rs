@@ -7,6 +7,11 @@
 //! buffer keeps the blocks with the **most active edges**: an insert that
 //! does not fit evicts the lowest-priority residents, but only while their
 //! priority is strictly lower than the newcomer's.
+//!
+//! That displacement rule lives once, in [`Residency`]. The run buffer
+//! here ([`SubBlockBuffer`], priority = active edges) and the serve
+//! daemon's cache (`gsd_serve::cache`, priority = demand) each wrap it
+//! with their own trace events and their own hit accounting.
 
 use gsd_graph::Edge;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -19,43 +24,26 @@ struct Entry {
     priority: u64,
 }
 
-/// Priority cache of decoded secondary sub-blocks, keyed by `(i, j)`.
-pub struct SubBlockBuffer {
+/// A resident displaced by [`Residency::offer`]: coordinates and payload
+/// bytes.
+pub type Evicted = ((u32, u32), u64);
+
+/// Byte-bounded residency map of decoded sub-blocks, keyed by `(i, j)`,
+/// with the strictly-lower-priority displacement rule.
+pub struct Residency {
     capacity: u64,
     used: u64,
     entries: BTreeMap<(u32, u32), Entry>,
-    trace: Arc<dyn TraceSink>,
-    /// Number of reads served from the buffer.
-    pub hits: u64,
-    /// Bytes of storage reads avoided.
-    pub hit_bytes: u64,
-    /// Residents evicted to make room.
-    pub evictions: u64,
 }
 
-impl SubBlockBuffer {
-    /// A buffer holding at most `capacity` bytes of block payloads.
+impl Residency {
+    /// A map holding at most `capacity` bytes of block payloads.
     pub fn new(capacity: u64) -> Self {
-        SubBlockBuffer {
+        Residency {
             capacity,
             used: 0,
             entries: BTreeMap::new(),
-            trace: gsd_trace::null_sink(),
-            hits: 0,
-            hit_bytes: 0,
-            evictions: 0,
         }
-    }
-
-    /// Routes [`TraceEvent::BufferHit`] / [`TraceEvent::BufferEviction`]
-    /// events to `trace`.
-    pub fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
-        self.trace = trace;
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Bytes currently resident.
@@ -73,35 +61,19 @@ impl SubBlockBuffer {
         self.entries.is_empty()
     }
 
-    /// Looks up block `(i, j)`, counting a hit on success.
-    pub fn get(&mut self, i: u32, j: u32) -> Option<Arc<Vec<Edge>>> {
-        let e = self.entries.get(&(i, j))?;
-        self.hits += 1;
-        self.hit_bytes += e.bytes;
-        if self.trace.enabled() {
-            self.trace.emit(&TraceEvent::BufferHit {
-                i,
-                j,
-                bytes: e.bytes,
-            });
-        }
-        Some(e.edges.clone())
+    /// Block `(i, j)`'s payload and its byte charge, if resident.
+    pub fn get(&self, i: u32, j: u32) -> Option<(&Arc<Vec<Edge>>, u64)> {
+        self.entries.get(&(i, j)).map(|e| (&e.edges, e.bytes))
     }
 
-    /// Looks up without counting a hit (used by tests/diagnostics).
-    pub fn peek(&self, i: u32, j: u32) -> Option<Arc<Vec<Edge>>> {
-        self.entries.get(&(i, j)).map(|e| e.edges.clone())
-    }
-
-    /// Whether block `(i, j)` is resident, without counting a hit (used
-    /// by the engine to plan a pass's prefetch schedule).
+    /// Whether block `(i, j)` is resident.
     pub fn contains(&self, i: u32, j: u32) -> bool {
         self.entries.contains_key(&(i, j))
     }
 
-    /// Offers block `(i, j)` with the given payload size and priority
-    /// (= number of active edges observed in the first FCIU pass).
-    /// Returns `true` if the block is resident afterwards.
+    /// Offers block `(i, j)` with the given payload size and priority.
+    /// Returns whether the block is resident afterwards, and the
+    /// residents evicted on the way, in eviction order.
     ///
     /// A re-offer of a resident block replaces the payload and refreshes
     /// the priority — the caller's decode is newer than what is resident,
@@ -117,19 +89,20 @@ impl SubBlockBuffer {
         edges: Arc<Vec<Edge>>,
         bytes: u64,
         priority: u64,
-    ) -> bool {
+    ) -> (bool, Vec<Evicted>) {
+        let mut evicted = Vec::new();
         if let Some(old) = self.entries.remove(&(i, j)) {
             self.used -= old.bytes;
         }
         if bytes > self.capacity {
-            return false;
+            return (false, evicted);
         }
         while self.used + bytes > self.capacity {
             // The residency map is a `BTreeMap`, so this scan visits
             // candidates in coordinate order and ties on priority break
             // toward the smallest coordinates — a timing-free victim
             // choice is what keeps accounted I/O bit-identical across
-            // repeats (the bench harness gates on it).
+            // repeats (the counters gate depends on it).
             let victim = self
                 .entries
                 .iter()
@@ -139,16 +112,9 @@ impl SubBlockBuffer {
                 Some((k, vprio, vbytes)) if vprio < priority => {
                     self.entries.remove(&k);
                     self.used -= vbytes;
-                    self.evictions += 1;
-                    if self.trace.enabled() {
-                        self.trace.emit(&TraceEvent::BufferEviction {
-                            i: k.0,
-                            j: k.1,
-                            bytes: vbytes,
-                        });
-                    }
+                    evicted.push((k, vbytes));
                 }
-                _ => return false,
+                _ => return (false, evicted),
             }
         }
         self.used += bytes;
@@ -160,7 +126,110 @@ impl SubBlockBuffer {
                 priority,
             },
         );
-        true
+        (true, evicted)
+    }
+
+    /// The resident set as `(i, j, bytes, priority)`, in coordinate order.
+    pub fn residents(&self) -> impl Iterator<Item = (u32, u32, u64, u64)> + '_ {
+        self.entries
+            .iter()
+            .map(|(&(i, j), e)| (i, j, e.bytes, e.priority))
+    }
+
+    /// Drops everything.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.used = 0;
+    }
+}
+
+/// Priority cache of decoded secondary sub-blocks, keyed by `(i, j)`.
+pub struct SubBlockBuffer {
+    map: Residency,
+    trace: Arc<dyn TraceSink>,
+    /// Number of reads served from the buffer.
+    pub hits: u64,
+    /// Bytes of storage reads avoided.
+    pub hit_bytes: u64,
+    /// Residents evicted to make room.
+    pub evictions: u64,
+}
+
+impl SubBlockBuffer {
+    /// A buffer holding at most `capacity` bytes of block payloads.
+    pub fn new(capacity: u64) -> Self {
+        SubBlockBuffer {
+            map: Residency::new(capacity),
+            trace: gsd_trace::null_sink(),
+            hits: 0,
+            hit_bytes: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Routes [`TraceEvent::BufferHit`] / [`TraceEvent::BufferEviction`]
+    /// events to `trace`.
+    pub fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
+        self.trace = trace;
+    }
+
+    /// Bytes currently resident.
+    pub fn used(&self) -> u64 {
+        self.map.used()
+    }
+
+    /// Number of resident blocks.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Whether nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Looks up block `(i, j)`, counting a hit on success.
+    pub fn get(&mut self, i: u32, j: u32) -> Option<Arc<Vec<Edge>>> {
+        let (edges, bytes) = self.map.get(i, j)?;
+        self.hits += 1;
+        self.hit_bytes += bytes;
+        if self.trace.enabled() {
+            self.trace.emit(&TraceEvent::BufferHit { i, j, bytes });
+        }
+        Some(edges.clone())
+    }
+
+    /// Looks up without counting a hit (used by tests/diagnostics).
+    pub fn peek(&self, i: u32, j: u32) -> Option<Arc<Vec<Edge>>> {
+        self.map.get(i, j).map(|(edges, _)| edges.clone())
+    }
+
+    /// Whether block `(i, j)` is resident, without counting a hit (used
+    /// by the engine to plan a pass's prefetch schedule).
+    pub fn contains(&self, i: u32, j: u32) -> bool {
+        self.map.contains(i, j)
+    }
+
+    /// Offers block `(i, j)` with the given payload size and priority
+    /// (= number of active edges observed in the first FCIU pass) under
+    /// [`Residency::offer`]'s displacement rule. Returns `true` if the
+    /// block is resident afterwards.
+    pub fn offer(
+        &mut self,
+        i: u32,
+        j: u32,
+        edges: Arc<Vec<Edge>>,
+        bytes: u64,
+        priority: u64,
+    ) -> bool {
+        let (resident, evicted) = self.map.offer(i, j, edges, bytes, priority);
+        for ((i, j), bytes) in evicted {
+            self.evictions += 1;
+            if self.trace.enabled() {
+                self.trace.emit(&TraceEvent::BufferEviction { i, j, bytes });
+            }
+        }
+        resident
     }
 
     /// Snapshot of the resident set as `(i, j, bytes, priority)`, sorted
@@ -168,30 +237,12 @@ impl SubBlockBuffer {
     /// resumed run rebuilds the same buffer (payloads are re-read from the
     /// grid; only identity, size and priority need to be recorded).
     pub fn residents(&self) -> Vec<(u32, u32, u64, u64)> {
-        let mut out: Vec<(u32, u32, u64, u64)> = self
-            .entries
-            .iter()
-            .map(|(&(i, j), e)| (i, j, e.bytes, e.priority))
-            .collect();
-        out.sort_unstable();
-        out
+        self.map.residents().collect()
     }
 
     /// Drops everything (between runs).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.used = 0;
-    }
-}
-
-impl std::fmt::Debug for SubBlockBuffer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubBlockBuffer")
-            .field("capacity", &self.capacity)
-            .field("used", &self.used)
-            .field("blocks", &self.entries.len())
-            .field("hits", &self.hits)
-            .finish()
+        self.map.clear();
     }
 }
 

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Manifest format version; bump on incompatible layout changes.
-pub const MANIFEST_VERSION: u32 = 1;
+pub(super) const MANIFEST_VERSION: u32 = 1;
 
 /// Identity of the run a checkpoint belongs to. A checkpoint is only
 /// eligible for resume when every field matches the resuming engine.
@@ -26,7 +26,7 @@ pub struct ManifestTag {
     /// Number of vertices.
     pub num_vertices: u32,
     /// FNV-1a/64 of the grid's `meta.json` (see
-    /// [`crate::graph_fingerprint`]) — pins the checkpoint to one
+    /// [`super::graph_fingerprint`]) — pins the checkpoint to one
     /// preprocessed graph.
     pub graph_fingerprint: u64,
     /// Hash of the semantically relevant engine configuration. Knobs that
@@ -37,7 +37,7 @@ pub struct ManifestTag {
 
 /// One committed checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Manifest {
+pub(super) struct Manifest {
     /// Format version ([`MANIFEST_VERSION`]).
     pub version: u32,
     /// Which run this checkpoint belongs to.

@@ -15,6 +15,7 @@
 //! `gsd_runtime::Value::to_bits`, which is what makes resumed runs
 //! *bit-identical* — no float round-trips through text.
 
+use gsd_graph::narrow;
 use gsd_runtime::RunStats;
 use std::io::{Error, ErrorKind};
 
@@ -48,7 +49,7 @@ pub struct CheckpointData {
 }
 
 fn push_section(out: &mut Vec<u8>, name: &str, payload: &[u8]) {
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    out.extend_from_slice(&narrow::from_usize(name.len(), "section name length").to_le_bytes());
     out.extend_from_slice(name.as_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&gsd_integrity::crc32(payload).to_le_bytes());
@@ -113,7 +114,7 @@ impl CheckpointData {
         ];
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        out.extend_from_slice(&narrow::from_usize(sections.len(), "section count").to_le_bytes());
         for (name, payload) in &sections {
             push_section(&mut out, name, payload);
         }

@@ -1,8 +1,8 @@
 //! Checkpoint persistence: commit protocol, discovery, validation and
 //! retention.
 
-use crate::manifest::{Manifest, ManifestTag, MANIFEST_VERSION};
-use crate::snapshot::CheckpointData;
+use super::manifest::{Manifest, ManifestTag, MANIFEST_VERSION};
+use super::snapshot::CheckpointData;
 use gsd_integrity::{crc32, fnv64};
 use gsd_io::{IoStatsSnapshot, SharedStorage, Storage};
 use gsd_trace::{TraceEvent, TraceSink};
@@ -62,20 +62,15 @@ impl CheckpointStore {
     }
 
     /// Routes `CkptWritten`/`CkptRestored` events to `trace`.
-    pub fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
+    pub(crate) fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
         self.trace = trace;
-    }
-
-    /// The run identity checkpoints are tagged with.
-    pub fn tag(&self) -> &ManifestTag {
-        &self.tag
     }
 
     /// Cumulative storage traffic of every [`CheckpointStore::write`] call
     /// so far. Engines subtract this from their run totals so a
     /// checkpointed run reports the same I/O accounting as an
     /// unprotected one (the determinism contract; see DESIGN.md §13).
-    pub fn io(&self) -> IoStatsSnapshot {
+    pub(crate) fn io(&self) -> IoStatsSnapshot {
         self.io
     }
 
@@ -184,7 +179,7 @@ impl CheckpointStore {
 
     /// Validation error for resuming engines: state dimensions must match
     /// the graph being processed.
-    pub fn check_dimensions(&self, data: &CheckpointData, n: u32) -> std::io::Result<()> {
+    pub(crate) fn check_dimensions(&self, data: &CheckpointData, n: u32) -> std::io::Result<()> {
         if data.values.len() != n as usize || data.accum.len() != n as usize {
             return Err(Error::new(
                 ErrorKind::InvalidData,

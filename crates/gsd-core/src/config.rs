@@ -1,8 +1,8 @@
 //! Engine configuration, including the paper's §5.4 ablation switches.
 
+use crate::checkpoint::RecoveryConfig;
+use crate::pipeline::PipelineConfig;
 use gsd_io::DiskModel;
-use gsd_pipeline::PipelineConfig;
-use gsd_recover::RecoveryConfig;
 use gsd_runtime::IoAccessModel;
 
 /// GraphSD engine options.
@@ -164,7 +164,7 @@ impl GraphSdConfig {
 
     /// Fingerprint of the fields that determine a run's committed results
     /// and I/O schedule, used to pin checkpoints to a configuration
-    /// (see [`gsd_recover::ManifestTag::config_hash`]). Knobs that are
+    /// (see [`crate::checkpoint::ManifestTag::config_hash`]). Knobs that are
     /// contractually result-neutral — prefetch sizing and the checkpoint
     /// options themselves — are deliberately excluded: resuming with a
     /// different cadence or with prefetching toggled is sound.

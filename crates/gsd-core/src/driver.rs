@@ -43,12 +43,12 @@
 //! value a normal iteration-`t+1` scatter would read — so committed values
 //! are schedule-identical to the reference executor's.
 
-use gsd_graph::{Edge, GridGraph};
-use gsd_io::{IoStatsSnapshot, SharedStorage};
-use gsd_pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched};
-use gsd_recover::{
+use crate::checkpoint::{
     graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag, RecoveryConfig,
 };
+use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched};
+use gsd_graph::{Edge, GridGraph};
+use gsd_io::{IoStatsSnapshot, SharedStorage};
 use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed, timed};
 use gsd_runtime::{
     Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions, RunResult, RunStats,

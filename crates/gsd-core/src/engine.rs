@@ -25,12 +25,12 @@
 //! driver's, shared with the baselines.
 
 use crate::buffer::SubBlockBuffer;
+use crate::checkpoint::CheckpointData;
 use crate::config::GraphSdConfig;
 use crate::driver::{self, coalesce_runs, BlockHook, Driver, Frame, Policy, SelectiveRun};
 use crate::scheduler::{Scheduler, SchedulerDecision};
 use gsd_graph::{Edge, GridGraph};
 use gsd_io::DiskModel;
-use gsd_recover::CheckpointData;
 use gsd_runtime::{
     Capabilities, Engine, IoAccessModel, RunOptions, RunResult, RunStats, VertexProgram,
 };

@@ -26,12 +26,15 @@
 //! * [`config`] — engine options, including the ablation switches used by
 //!   the paper's §5.4 experiments (`b1` no cross-iteration, `b2`/`b3`
 //!   always-full, `b4` always-on-demand, buffering on/off).
+//! * [`pipeline`] and [`checkpoint`] — the driver's two optional
+//!   attachments, each with the driver as its one caller: the prefetch
+//!   executor that overlaps sub-block reads with compute, and
+//!   iteration-granular checkpoint/resume.
 //!
 //! The engine commits, per BSP iteration, exactly the values the
 //! [`gsd_runtime::ReferenceEngine`] commits — cross-iteration propagation
 //! is an I/O optimization, never a semantic relaxation.
 
-#![forbid(unsafe_code)]
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
 #![deny(
@@ -45,9 +48,11 @@
 #![warn(missing_docs)]
 
 pub mod buffer;
+pub mod checkpoint;
 pub mod config;
 pub mod driver;
 pub mod engine;
+pub mod pipeline;
 pub mod scheduler;
 pub mod session;
 
@@ -61,12 +66,9 @@ pub(crate) fn trace_model(model: gsd_runtime::IoAccessModel) -> gsd_trace::Acces
 }
 
 pub use buffer::SubBlockBuffer;
+pub use checkpoint::RecoveryConfig;
 pub use config::GraphSdConfig;
 pub use engine::GraphSdEngine;
-// Re-exported so callers configuring `GraphSdConfig::prefetch` /
-// `GraphSdConfig::checkpoint` do not need direct `gsd-pipeline` /
-// `gsd-recover` dependencies.
-pub use gsd_pipeline::PipelineConfig;
-pub use gsd_recover::RecoveryConfig;
+pub use pipeline::PipelineConfig;
 pub use scheduler::{Scheduler, SchedulerDecision};
 pub use session::GridSession;

@@ -1,10 +1,11 @@
-//! # gsd-pipeline — the scheduler-driven prefetch executor
+//! The scheduler-driven prefetch executor.
 //!
 //! GraphSD's state-aware scheduler decides *before* each iteration which
 //! sub-blocks (FCIU) or coalesced edge runs (SCIU) will be read, yet a
 //! synchronous engine issues every read on the compute thread: the disk
-//! idles during scatter and the CPU idles during reads. This crate
-//! overlaps the two phases without changing a single byte of what is
+//! idles during scatter and the CPU idles during reads. This module —
+//! which lives next to its one caller, [`crate::driver`] — overlaps the
+//! two phases without changing a single byte of what is
 //! read, in what per-key order, or in what order results are consumed:
 //!
 //! * [`PrefetchExecutor`] owns a fixed pool of background workers over a
@@ -49,33 +50,21 @@
 //!
 //! ## Concurrency fence
 //!
-//! This crate is the workspace's **designated concurrency module**:
+//! This is the workspace's **designated concurrency module**:
 //! thread, channel and `Mutex`/`Condvar` construction is banned
 //! workspace-wide (`clippy.toml`, DESIGN.md §11) and excused here by the
-//! crate-root `#![expect(clippy::disallowed_methods)]`.
+//! module-level `#![expect(clippy::disallowed_methods)]`.
 //! Scatter/apply themselves are sequential: `gsd-runtime`'s value arrays
 //! and frontiers are `!Sync`, so the compute thread is their only writer
-//! and this crate's workers hand it decoded blocks, never vertex state.
+//! and this module's workers hand it decoded blocks, never vertex state.
 //! Engine and kernel crates never spawn their own threads. All shared
 //! state below is keyed or queued in deterministic order
 //! (`Vec`/`VecDeque` indexed by worker and schedule position —
 //! deliberately no hash-ordered containers).
 
-#![forbid(unsafe_code)]
-// Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
-// leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-#![warn(missing_docs)]
 #![expect(
     clippy::disallowed_methods,
-    reason = "the designated concurrency crate: the prefetch workers, their queue lock and condvar live here and nowhere else"
+    reason = "the designated concurrency module: the prefetch workers, their queue lock and condvar live here and nowhere else"
 )]
 
 use gsd_graph::{Edge, GridGraph};
@@ -400,17 +389,12 @@ impl PrefetchExecutor {
 
     /// Routes `prefetch_issued` / `prefetch_hit` / `prefetch_stall`
     /// events to `trace`.
-    pub fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
+    pub(crate) fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
         self.trace = trace;
     }
 
-    /// The effective pipeline sizing.
-    pub fn config(&self) -> PipelineConfig {
-        self.config
-    }
-
     /// Scheduled requests not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         let st = self.shared.lock();
         st.slots.len() - st.consumed
     }

@@ -168,11 +168,6 @@ impl Scheduler {
         });
         model
     }
-
-    /// The underlying cost model.
-    pub fn cost_model(&self) -> &IoCostModel {
-        &self.cost
-    }
 }
 
 #[cfg(test)]

@@ -50,12 +50,6 @@ impl GridSession {
         Ok(GridSession { grid })
     }
 
-    /// Wraps an already-opened grid handle (callers that configured
-    /// verification themselves).
-    pub fn from_grid(grid: GridGraph) -> Self {
-        GridSession { grid }
-    }
-
     /// The session's grid handle.
     pub fn grid(&self) -> &GridGraph {
         &self.grid

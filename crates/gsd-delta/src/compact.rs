@@ -138,10 +138,7 @@ pub fn compact(
     let fingerprint = payloads_fingerprint(rebuilt.iter());
 
     // --- write-back: changed payloads first ---
-    let base_section = disk_meta
-        .integrity
-        .as_ref()
-        .ok_or_else(|| invalid("compaction requires a checksummed grid"))?;
+    let base_section = &disk_meta.integrity;
     let mut objects_rewritten = 0u64;
     let mut bytes_rewritten = 0u64;
     let mut entries = Vec::with_capacity(rebuilt.len());
@@ -166,7 +163,7 @@ pub fn compact(
     storage.sync()?;
 
     // --- the resealed meta: new counts, fresh checksums, same epoch ---
-    new_meta.integrity = Some(IntegritySection::new(entries));
+    new_meta.integrity = IntegritySection::new(entries);
     new_meta.seal();
     storage.create(&format!("{prefix}{META_KEY}"), &new_meta.to_bytes())?;
     storage.sync()?;

@@ -97,12 +97,6 @@ pub fn ingest(
              have no canonical sub-block order to merge into)",
         ));
     }
-    if meta.integrity.is_none() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            "delta ingest requires a checksummed grid (format v2+); re-preprocess first",
-        ));
-    }
 
     // Normalize and validate ops: weights collapse to 1 on unweighted
     // grids (their codec stores none), and every vertex must exist.
@@ -428,13 +422,13 @@ mod tests {
 
     #[test]
     fn ingest_rekeys_checkpoint_identity() {
-        // `gsd-recover` pins checkpoints to the fingerprint of the meta
+        // The checkpoint store pins checkpoints to the fingerprint of the meta
         // bytes. The epoch lives in the resealed meta, so every ingest
         // (and compaction, which reseals counts and checksums) produces
         // a new identity and warm checkpoints cannot resume across a
         // mutation.
         let (_, storage) = setup(2);
-        let fp0 = gsd_recover::graph_fingerprint(storage.as_ref(), "").unwrap();
+        let fp0 = gsd_core::checkpoint::graph_fingerprint(storage.as_ref(), "").unwrap();
         let mut batch = MutationBatch::new();
         batch.insert(0, 9, 1.0);
         ingest(
@@ -444,12 +438,12 @@ mod tests {
             gsd_trace::null_sink().as_ref(),
         )
         .unwrap();
-        let fp1 = gsd_recover::graph_fingerprint(storage.as_ref(), "").unwrap();
+        let fp1 = gsd_core::checkpoint::graph_fingerprint(storage.as_ref(), "").unwrap();
         assert_ne!(fp0, fp1, "epoch 1 must re-key checkpoint identity");
         let mut b2 = MutationBatch::new();
         b2.delete(0, 9);
         ingest(storage.as_ref(), "", &b2, gsd_trace::null_sink().as_ref()).unwrap();
-        let fp2 = gsd_recover::graph_fingerprint(storage.as_ref(), "").unwrap();
+        let fp2 = gsd_core::checkpoint::graph_fingerprint(storage.as_ref(), "").unwrap();
         assert_ne!(fp1, fp2, "epoch 2 must re-key again");
     }
 

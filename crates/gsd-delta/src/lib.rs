@@ -22,7 +22,6 @@
 //! and the serve daemon observe base + delta as one logical grid with no
 //! code changes of their own.
 
-#![forbid(unsafe_code)]
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
 #![deny(

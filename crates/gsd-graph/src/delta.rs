@@ -375,12 +375,10 @@ impl DeltaOverlay {
 }
 
 /// Verifies `payload` against the base integrity section entry for
-/// `rel_key`, when the meta carries one.
+/// `rel_key`.
 fn verify_base_payload(meta: &GridMeta, rel_key: &str, payload: &[u8]) -> std::io::Result<()> {
-    let Some(section) = &meta.integrity else {
-        return Ok(());
-    };
-    let entry = section
+    let entry = meta
+        .integrity
         .lookup(rel_key)
         .ok_or_else(|| invalid(format!("object {rel_key:?} is not in the grid manifest")))?;
     if ObjectEntry::of(rel_key, payload) != *entry {
@@ -651,7 +649,7 @@ mod tests {
             dst_sorted: false,
             boundaries: vec![0, 10],
             block_edge_counts: vec![4],
-            integrity: Some(IntegritySection::new(vec![])),
+            integrity: IntegritySection::new(vec![]),
             delta: Some(meta_delta),
         };
         meta.seal();

@@ -16,13 +16,12 @@
 //!
 //! # Format versions
 //!
-//! * **v1** — the original layout above, no checksums.
+//! * **v1** — the original layout above, no checksums. Nothing writes
+//!   it any more and readers reject it at open: re-run `gsd preprocess`.
 //! * **v2** — identical data objects plus an `integrity` section in
 //!   `meta.json`: one CRC32 + length per data object, a CRC over the
 //!   entry list itself, and a whole-meta self-check CRC (see
-//!   [`gsd_integrity::IntegritySection`]). The preprocessor writes v2;
-//!   readers accept both (a v1 grid simply has nothing to verify
-//!   against).
+//!   [`gsd_integrity::IntegritySection`]). The preprocessor writes v2.
 //! * **v3** — never written by anything; readers reject it as any other
 //!   unsupported version.
 //! * **v4** — a v2 grid that has accepted streaming mutations: the meta
@@ -88,16 +87,14 @@ pub struct GridMeta {
     /// Edge count of each sub-block, row-major: entry `i * P + j` is
     /// sub-block `(i, j)`. Lets engines skip empty blocks without I/O.
     pub block_edge_counts: Vec<u64>,
-    /// Per-object checksum manifest (format v2; `None` on v1 grids).
-    pub integrity: Option<IntegritySection>,
+    /// Per-object checksum manifest.
+    pub integrity: IntegritySection,
     /// Delta-segment negotiation (format v4; `None` below v4).
     pub delta: Option<DeltaSection>,
 }
 
 /// Current format version (written by the preprocessor).
 pub const FORMAT_VERSION: u32 = 2;
-/// Oldest format version readers still accept.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 /// Meta version of delta-enabled grids: v2 plus a [`DeltaSection`].
 /// Written the first time a grid accepts a mutation batch.
 pub const DELTA_META_FORMAT_VERSION: u32 = 4;
@@ -110,7 +107,7 @@ pub const DELTA_FORMAT_VERSION: u32 = 1;
 /// objects use and how many mutation batches the grid has absorbed.
 ///
 /// The epoch is part of the serialized meta, so every ingest changes the
-/// meta bytes — and with them `gsd_recover`'s `graph_fingerprint`, which
+/// meta bytes — and with them `gsd_core::checkpoint::graph_fingerprint`, which
 /// pins checkpoint manifests to one graph state. A checkpoint taken
 /// before a mutation batch can therefore never be resumed against the
 /// mutated graph.
@@ -123,10 +120,10 @@ pub struct DeltaSection {
     pub epoch: u64,
 }
 
-// Hand-written (de)serialization: the `integrity` field is omitted when
-// absent so v1 metas — which predate the field — parse, and v1 output
-// stays byte-identical to what v1 writers produced. (The derived impl
-// would require every field to be present.)
+// Hand-written (de)serialization: the `delta` field is omitted when
+// absent, so a v2 meta's bytes — which `meta_crc`, `graph_fingerprint`
+// and checkpoint identity hash — carry no `delta` key. (The derived impl
+// would write and require every field.)
 impl Serialize for GridMeta {
     fn to_value(&self) -> Value {
         let mut fields = vec![
@@ -143,10 +140,8 @@ impl Serialize for GridMeta {
                 "block_edge_counts".to_string(),
                 self.block_edge_counts.to_value(),
             ),
+            ("integrity".to_string(), self.integrity.to_value()),
         ];
-        if let Some(integrity) = &self.integrity {
-            fields.push(("integrity".to_string(), integrity.to_value()));
-        }
         if let Some(delta) = &self.delta {
             fields.push(("delta".to_string(), delta.to_value()));
         }
@@ -168,10 +163,7 @@ impl Deserialize for GridMeta {
             dst_sorted: bool::from_value(field("dst_sorted")?)?,
             boundaries: Vec::<u32>::from_value(field("boundaries")?)?,
             block_edge_counts: Vec::<u64>::from_value(field("block_edge_counts")?)?,
-            integrity: match v.get("integrity") {
-                Some(value) => Option::<IntegritySection>::from_value(value)?,
-                None => None,
-            },
+            integrity: IntegritySection::from_value(field("integrity")?)?,
             delta: match v.get("delta") {
                 Some(value) => Option::<DeltaSection>::from_value(value)?,
                 None => None,
@@ -182,6 +174,10 @@ impl Deserialize for GridMeta {
 
 fn invalid(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+}
+
+fn unparsable(e: impl std::fmt::Display) -> std::io::Error {
+    invalid(format!("grid metadata failed to parse: {e}"))
 }
 
 impl GridMeta {
@@ -222,80 +218,58 @@ impl GridMeta {
 
     /// Seals the integrity self-check: records the CRC32 of this meta
     /// serialized with `meta_crc` zeroed. Must be the last mutation before
-    /// [`Self::to_bytes`]; a no-op on v1 metas without a section.
+    /// [`Self::to_bytes`].
     pub fn seal(&mut self) {
-        if self.integrity.is_none() {
-            return;
-        }
-        if let Some(section) = &mut self.integrity {
-            section.meta_crc = 0;
-        }
-        let crc = crc32(&self.to_bytes());
-        if let Some(section) = &mut self.integrity {
-            section.meta_crc = crc;
-        }
+        self.integrity.meta_crc = 0;
+        self.integrity.meta_crc = crc32(&self.to_bytes());
     }
 
     /// Self-checks a sealed meta: the integrity section must be internally
     /// consistent and `meta_crc` must match the meta's own serialization
-    /// with that field zeroed. A no-op on v1 metas.
+    /// with that field zeroed.
     pub fn verify_self(&self) -> Result<(), CorruptionError> {
-        let Some(section) = &self.integrity else {
-            return Ok(());
-        };
-        section.verify_section(META_KEY)?;
+        self.integrity.verify_section(META_KEY)?;
         let mut unsealed = self.clone();
-        if let Some(s) = &mut unsealed.integrity {
-            s.meta_crc = 0;
-        }
+        unsealed.integrity.meta_crc = 0;
         let actual = crc32(&unsealed.to_bytes());
-        if actual != section.meta_crc {
+        if actual != self.integrity.meta_crc {
             return Err(CorruptionError::manifest(
                 META_KEY,
                 format!(
                     "meta self-check crc mismatch (recorded {:#010x}, computed {actual:#010x})",
-                    section.meta_crc
+                    self.integrity.meta_crc
                 ),
             ));
         }
         Ok(())
     }
 
-    /// Parses from JSON bytes, negotiating the format version and
-    /// validating shape invariants plus (v2) the integrity self-check.
+    /// Parses from JSON bytes, negotiating the format version (checked
+    /// before anything else is decoded, so an old meta is refused by its
+    /// version rather than by the first field it lacks) and validating
+    /// shape invariants plus the integrity self-check.
     pub fn from_bytes(bytes: &[u8]) -> std::io::Result<Self> {
         if bytes.is_empty() {
             return Err(invalid("grid metadata is empty"));
         }
-        let meta: GridMeta = serde_json::from_slice(bytes)
-            .map_err(|e| invalid(format!("grid metadata failed to parse: {e}")))?;
+        let value: Value = serde_json::from_slice(bytes).map_err(unparsable)?;
+        let version = serde::value_field(&value, "version")
+            .and_then(u32::from_value)
+            .map_err(unparsable)?;
+        if version != FORMAT_VERSION && version != DELTA_META_FORMAT_VERSION {
+            return Err(invalid(format!(
+                "unsupported grid format version {version} (supported: {FORMAT_VERSION} \
+                 and {DELTA_META_FORMAT_VERSION}; re-run `gsd preprocess`)"
+            )));
+        }
+        let meta = GridMeta::from_value(&value).map_err(unparsable)?;
         match meta.version {
-            1 => {
-                if meta.integrity.is_some() {
-                    return Err(invalid(
-                        "format v1 metadata must not carry an integrity section",
-                    ));
-                }
-                if meta.delta.is_some() {
-                    return Err(invalid("format v1 metadata must not carry a delta section"));
-                }
-            }
-            2 => {
-                if meta.integrity.is_none() {
-                    return Err(invalid(
-                        "format v2 metadata is missing its integrity section",
-                    ));
-                }
+            FORMAT_VERSION => {
                 if meta.delta.is_some() {
                     return Err(invalid("format v2 metadata must not carry a delta section"));
                 }
             }
-            DELTA_META_FORMAT_VERSION => {
-                if meta.integrity.is_none() {
-                    return Err(invalid(
-                        "format v4 metadata is missing its integrity section",
-                    ));
-                }
+            _ => {
                 let Some(delta) = &meta.delta else {
                     return Err(invalid("format v4 metadata is missing its delta section"));
                 };
@@ -305,12 +279,6 @@ impl GridMeta {
                         delta.version
                     )));
                 }
-            }
-            v => {
-                return Err(invalid(format!(
-                    "unsupported grid format version {v} (supported: \
-                     {MIN_FORMAT_VERSION}..={FORMAT_VERSION} and {DELTA_META_FORMAT_VERSION})"
-                )));
             }
         }
         if meta.boundaries.len() != meta.p as usize + 1
@@ -356,10 +324,10 @@ mod tests {
     use super::*;
     use gsd_integrity::ObjectEntry;
 
-    /// A v1 meta: no integrity section, as older writers produced.
-    fn meta_v1() -> GridMeta {
-        GridMeta {
-            version: 1,
+    /// A sealed v2 meta with a small manifest.
+    fn meta_v2() -> GridMeta {
+        let mut m = GridMeta {
+            version: FORMAT_VERSION,
             num_vertices: 10,
             num_edges: 6,
             p: 2,
@@ -369,31 +337,28 @@ mod tests {
             dst_sorted: false,
             boundaries: vec![0, 5, 10],
             block_edge_counts: vec![1, 2, 3, 0],
-            integrity: None,
-            delta: None,
-        }
-    }
-
-    /// A sealed v2 meta with a small manifest.
-    fn meta_v2() -> GridMeta {
-        let mut m = GridMeta {
-            version: FORMAT_VERSION,
-            integrity: Some(IntegritySection::new(vec![
+            integrity: IntegritySection::new(vec![
                 ObjectEntry::of("degrees.bin", b"degrees"),
                 ObjectEntry::of("blocks/b_0_0.edges", b"edges"),
-            ])),
-            ..meta_v1()
+            ]),
+            delta: None,
         };
         m.seal();
         m
     }
 
+    /// A v1 meta as its writers produced it (no integrity section) is
+    /// refused by its version, with the way out, not by the field it lacks.
     #[test]
-    fn v1_meta_roundtrips_through_json() {
-        let m = meta_v1();
-        let m2 = GridMeta::from_bytes(&m.to_bytes()).unwrap();
-        assert_eq!(m, m2);
-        assert!(m2.integrity.is_none());
+    fn v1_meta_is_rejected_at_open() {
+        let v1 = br#"{"version": 1, "num_vertices": 10, "num_edges": 6, "p": 2,
+            "weighted": false, "indexed": true, "sorted": true, "dst_sorted": false,
+            "boundaries": [0, 5, 10], "block_edge_counts": [1, 2, 3, 0]}"#;
+        let err = GridMeta::from_bytes(v1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("unsupported grid format version 1"), "{msg}");
+        assert!(msg.contains("re-run `gsd preprocess`"), "{msg}");
     }
 
     #[test]
@@ -401,13 +366,9 @@ mod tests {
         let m = meta_v2();
         let m2 = GridMeta::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(m, m2);
-        assert_eq!(m2.integrity.as_ref().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn v1_serialization_has_no_integrity_field() {
-        let json = String::from_utf8(meta_v1().to_bytes()).unwrap();
-        assert!(!json.contains("integrity"), "{json}");
+        assert_eq!(m2.integrity.len(), 2);
+        let json = String::from_utf8(m.to_bytes()).unwrap();
+        assert!(!json.contains("delta"), "{json}");
     }
 
     #[test]
@@ -427,13 +388,13 @@ mod tests {
 
     #[test]
     fn unknown_version_names_the_supported_range() {
-        let mut bad = meta_v1();
+        let mut bad = meta_v2();
         bad.version = 999;
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(err
             .to_string()
             .contains("unsupported grid format version 999"));
-        assert!(err.to_string().contains("1..=2 and 4"), "{err}");
+        assert!(err.to_string().contains("2 and 4"), "{err}");
     }
 
     /// A sealed v4 meta: v2 plus a delta section at some epoch.
@@ -505,30 +466,29 @@ mod tests {
     }
 
     #[test]
-    fn version_negotiation_requires_matching_integrity() {
-        // v2 without a section: refused.
-        let mut bad = meta_v1();
-        bad.version = 2;
-        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("missing its integrity"), "{err}");
-
-        // v1 with a section: refused (a v1 writer cannot have produced it).
-        let mut bad = meta_v2();
-        bad.version = 1;
-        bad.seal();
-        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("v1"), "{err}");
+    fn a_supported_version_without_its_integrity_section_is_refused() {
+        let json = String::from_utf8(meta_v2().to_bytes()).unwrap();
+        let stripped = json.replacen("\"integrity\"", "\"integrety\"", 1);
+        let err = GridMeta::from_bytes(stripped.as_bytes()).unwrap_err();
+        assert!(
+            err.to_string().contains("missing field `integrity`"),
+            "{err}"
+        );
     }
 
     #[test]
     fn meta_validation_rejects_inconsistencies() {
-        let mut bad = meta_v1();
+        let mut bad = meta_v2();
         bad.block_edge_counts[0] = 99; // sum != num_edges
-        assert!(GridMeta::from_bytes(&bad.to_bytes()).is_err());
+        bad.seal();
+        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("inconsistent"), "{err}");
 
-        let mut bad = meta_v1();
+        let mut bad = meta_v2();
         bad.boundaries = vec![0, 5]; // wrong length
-        assert!(GridMeta::from_bytes(&bad.to_bytes()).is_err());
+        bad.seal();
+        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("inconsistent"), "{err}");
     }
 
     #[test]
@@ -541,7 +501,7 @@ mod tests {
 
         // A manifest entry changed: section crc.
         let mut bad = meta_v2();
-        bad.integrity.as_mut().unwrap().objects[0].crc ^= 1;
+        bad.integrity.objects[0].crc ^= 1;
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("section crc"), "{err}");
 
@@ -554,7 +514,7 @@ mod tests {
 
     #[test]
     fn block_accessors() {
-        let m = meta_v1();
+        let m = meta_v2();
         assert_eq!(m.block_edge_count(0, 1), 2);
         assert_eq!(m.block_edge_count(1, 0), 3);
         assert_eq!(m.block_bytes(1, 0), 24);

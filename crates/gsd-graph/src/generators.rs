@@ -7,12 +7,11 @@
 //! ID-contiguous structure of the web crawls (UK2007, UKUnion) that drives
 //! both the `S_seq`/`S_ran` split and the fraction of `i < j` edges that
 //! cross-iteration propagation exploits. All generators are deterministic
-//! given a seed (ChaCha8).
+//! given a seed ([`crate::rng`]).
 
 use crate::graph::Graph;
+use crate::rng::Xoshiro256;
 use crate::types::Edge;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// Which synthetic family to generate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +69,7 @@ impl GeneratorConfig {
 
     /// Runs the generator.
     pub fn generate(&self) -> Graph {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
+        let mut rng = Xoshiro256::seed_from_u64(self.seed);
         let mut graph = match self.kind {
             GraphKind::RMat => rmat(
                 self.vertices,
@@ -102,7 +101,7 @@ impl GeneratorConfig {
 /// quadrants recursively `log2(n)` times with probabilities `(a,b,c,d)`
 /// (noise-perturbed per level, as in the Graph500 reference, to avoid
 /// pathological staircases).
-pub fn rmat(vertices: u32, edges: u64, probs: [f64; 4], rng: &mut ChaCha8Rng) -> Graph {
+pub fn rmat(vertices: u32, edges: u64, probs: [f64; 4], rng: &mut Xoshiro256) -> Graph {
     assert!(vertices >= 2, "R-MAT needs at least two vertices");
     let scale = 32 - (vertices - 1).leading_zeros(); // ceil(log2(vertices))
     let n = 1u64 << scale;
@@ -150,7 +149,7 @@ pub fn rmat(vertices: u32, edges: u64, probs: [f64; 4], rng: &mut ChaCha8Rng) ->
 }
 
 /// G(n, m): `m` uniformly random directed edges.
-pub fn erdos_renyi(vertices: u32, edges: u64, rng: &mut ChaCha8Rng) -> Graph {
+pub fn erdos_renyi(vertices: u32, edges: u64, rng: &mut Xoshiro256) -> Graph {
     assert!(vertices >= 1);
     let list = (0..edges)
         .map(|_| Edge::new(rng.gen_range(0..vertices), rng.gen_range(0..vertices)))
@@ -169,7 +168,7 @@ pub fn erdos_renyi(vertices: u32, edges: u64, rng: &mut ChaCha8Rng) -> Graph {
 /// runs, i.e. large `S_seq`) and a **large effective diameter** (labels /
 /// distances crawl along chains), which produces the long tail of
 /// small-frontier iterations where selective loading wins.
-pub fn web_locality(vertices: u32, edges: u64, rng: &mut ChaCha8Rng) -> Graph {
+pub fn web_locality(vertices: u32, edges: u64, rng: &mut Xoshiro256) -> Graph {
     assert!(vertices >= 2);
     let host_size = (vertices / 256).clamp(16, 512).min(vertices);
     let num_hosts = vertices.div_ceil(host_size);
@@ -240,7 +239,7 @@ pub fn grid2d(side: u32) -> Graph {
 /// the usual SSSP-benchmark choice (Graph500 SSSP, GAP): they keep the
 /// number of relaxation rounds proportional to the hop diameter instead of
 /// exploding into a near-continuous priority schedule.
-pub fn randomize_weights(graph: Graph, rng: &mut ChaCha8Rng) -> Graph {
+pub fn randomize_weights(graph: Graph, rng: &mut Xoshiro256) -> Graph {
     let n = graph.num_vertices();
     let edges = graph
         .edges()

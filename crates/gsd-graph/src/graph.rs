@@ -103,14 +103,6 @@ impl GraphBuilder {
         Self::default()
     }
 
-    /// New empty builder for a weighted graph.
-    pub fn new_weighted() -> Self {
-        GraphBuilder {
-            weighted: true,
-            ..Self::default()
-        }
-    }
-
     /// Adds an unweighted edge.
     pub fn add_edge(&mut self, src: VertexId, dst: VertexId) -> &mut Self {
         self.push(Edge::new(src, dst))

@@ -160,8 +160,7 @@ impl GridGraph {
     }
 
     /// Turns verify-on-read on (or off, with [`VerifyPolicy::Off`]) for
-    /// this handle and everything cloned from it afterwards. Requires a
-    /// format v2 grid — v1 grids carry no checksums to verify against.
+    /// this handle and everything cloned from it afterwards.
     pub fn set_verification(
         &mut self,
         policy: VerifyPolicy,
@@ -171,19 +170,10 @@ impl GridGraph {
             self.verifier = None;
             return Ok(());
         }
-        let Some(section) = &self.meta.integrity else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                format!(
-                    "grid {:?} is format v{} without checksums; re-preprocess to verify reads",
-                    self.prefix, self.meta.version
-                ),
-            ));
-        };
         self.verifier = Some(Arc::new(GridVerifier::new(
             self.storage.clone(),
             self.prefix.clone(),
-            section.clone(),
+            self.meta.integrity.clone(),
             policy,
             response,
         )));
@@ -252,11 +242,6 @@ impl GridGraph {
     /// The underlying storage (for stats snapshots).
     pub fn storage(&self) -> &SharedStorage {
         &self.storage
-    }
-
-    /// I/O statistics of the underlying storage.
-    pub fn io_stats(&self) -> Arc<gsd_io::IoStats> {
-        self.storage.stats()
     }
 
     /// Storage key of sub-block `(i, j)`'s edges.

@@ -22,32 +22,15 @@ fn invalid(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Reads and self-checks the meta of the grid at `prefix`, requiring a
-/// format with an integrity manifest (v2).
-pub fn load_verifiable_meta(storage: &dyn Storage, prefix: &str) -> std::io::Result<GridMeta> {
-    let bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
-    let meta = GridMeta::from_bytes(&bytes)?;
-    if meta.integrity.is_none() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            format!(
-                "grid {prefix:?} is format v{} without checksums; re-preprocess to scrub it",
-                meta.version
-            ),
-        ));
-    }
-    Ok(meta)
-}
-
 /// Verifies every object of the grid at `prefix` against its manifest.
 /// On a mutated grid (format v4 with a live delta epoch) the pass also
 /// verifies every delta segment against the epoch manifest's own
 /// integrity section, so the report speaks for the whole logical grid.
 /// Read-only; reads are unaccounted (maintenance, not workload I/O).
 pub fn scrub_grid(storage: &dyn Storage, prefix: &str) -> std::io::Result<(GridMeta, ScrubReport)> {
-    let meta = load_verifiable_meta(storage, prefix)?;
-    let section = meta.integrity.as_ref().expect("checked by load");
-    let mut report = scrub_objects(storage, prefix, section);
+    let bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
+    let meta = GridMeta::from_bytes(&bytes)?;
+    let mut report = scrub_objects(storage, prefix, &meta.integrity);
     if meta.delta.is_some() {
         let manifest = crate::delta::read_manifest(storage, prefix, &meta)?;
         report
@@ -79,7 +62,7 @@ pub fn repair_grid(
     graph: &Graph,
 ) -> std::io::Result<RepairOutcome> {
     let (meta, before) = scrub_grid(storage, prefix)?;
-    let section = meta.integrity.as_ref().expect("checked by scrub");
+    let section = &meta.integrity;
     if before.is_clean() {
         return Ok(RepairOutcome {
             after: before.clone(),
@@ -244,7 +227,7 @@ mod tests {
         .unwrap();
         let (meta, report) = scrub_grid(&store, "g/").unwrap();
         assert!(report.is_clean());
-        assert_eq!(report.objects.len(), meta.integrity.as_ref().unwrap().len());
+        assert_eq!(report.objects.len(), meta.integrity.len());
     }
 
     #[test]
@@ -313,7 +296,7 @@ mod tests {
             preprocess(&g, &store, &config).unwrap();
             // Corrupt every object except the meta.
             let (meta, _) = scrub_grid(&store, "x/").unwrap();
-            for entry in &meta.integrity.as_ref().unwrap().objects {
+            for entry in &meta.integrity.objects {
                 if entry.len > 0 {
                     store
                         .write_at(&format!("x/{}", entry.key), entry.len / 2, &[0x5A])
@@ -334,12 +317,16 @@ mod tests {
         let g = source();
         let store = MemStorage::new();
         preprocess(&g, &store, &PreprocessConfig::graphsd("").with_intervals(2)).unwrap();
-        // Rewrite the meta as v1 (strip the section).
-        let mut meta = GridMeta::from_bytes(&store.read_all(META_KEY).unwrap()).unwrap();
-        meta.version = 1;
-        meta.integrity = None;
-        store.create(META_KEY, &meta.to_bytes()).unwrap();
+        // Rewrite the meta as a v1 writer produced it: no section.
+        let v2 = String::from_utf8(store.read_all(META_KEY).unwrap()).unwrap();
+        let body = &v2[..v2.find(",\n  \"integrity\"").unwrap()];
+        let v1 = format!("{body}\n}}").replacen("\"version\": 2", "\"version\": 1", 1);
+        store.create(META_KEY, v1.as_bytes()).unwrap();
         let err = scrub_grid(&store, "").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
+        assert!(
+            err.to_string()
+                .contains("unsupported grid format version 1"),
+            "{err}"
+        );
     }
 }

@@ -13,7 +13,6 @@
 //! Figure 8 experiment) and [`grid`] provides the read-side handle engines
 //! consume.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csr;
@@ -27,6 +26,7 @@ pub mod narrow;
 pub mod parsers;
 pub mod partition;
 pub mod preprocess;
+pub mod rng;
 pub mod types;
 
 pub use csr::Csr;

@@ -258,7 +258,7 @@ pub fn preprocess(
         dst_sorted: config.sort_by_dst,
         boundaries: intervals.boundaries().to_vec(),
         block_edge_counts,
-        integrity: Some(IntegritySection::new(objects)),
+        integrity: IntegritySection::new(objects),
         delta: None,
     };
     meta.seal();

@@ -29,7 +29,7 @@
     reason = "designated concurrency module: the fault injector's op counter is locked so the seeded schedule is draw-order exact"
 )]
 
-use gsd_integrity::fnv64;
+use crate::fnv64;
 use gsd_io::{DiskModel, IoStats, SharedStorage, Storage};
 use parking_lot::Mutex;
 use std::io::{Error, ErrorKind};

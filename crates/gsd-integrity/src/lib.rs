@@ -14,12 +14,16 @@
 //! - [`scrub_objects`]: offline whole-grid verification (the storage-level
 //!   half of `gsd scrub`; re-deriving payloads lives in `gsd-graph`, which
 //!   owns the format).
+//! - [`FaultyStorage`] / [`RetryingStorage`]: the two [`gsd_io::Storage`]
+//!   decorators that exercise the above — deterministic, seed-driven
+//!   transient/permanent/corruption faults, and bounded retry of the
+//!   retryable kinds. They need only keys, bytes and [`fnv64`], so they
+//!   sit here rather than with the checkpoint store in `gsd-core`.
 //!
 //! The crate deliberately sits *below* `gsd-graph`: it knows about keys,
 //! bytes, and checksums, never about edges or blocks, so both the grid
 //! format and the checkpoint store can build on it without a cycle.
 
-#![forbid(unsafe_code)]
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
 #![deny(
@@ -33,15 +37,19 @@
 #![warn(missing_docs)]
 
 mod error;
+mod fault;
 mod hash;
 mod manifest;
+mod retry;
 mod scrub;
 mod verifier;
 mod verify;
 
 pub use error::{CorruptionError, CorruptionKind};
+pub use fault::{corrupt_object, CorruptionMode, FaultConfig, FaultTarget, FaultyStorage};
 pub use hash::{crc32, fnv64};
 pub use manifest::{IntegritySection, ObjectEntry};
+pub use retry::{RetryPolicy, RetryingStorage};
 pub use scrub::{scrub_objects, ObjectReport, ObjectStatus, ScrubReport};
 pub use verifier::{GridVerifier, VerifyCounters, QUARANTINE_KEY};
 pub use verify::{CorruptionResponse, VerifyPolicy};

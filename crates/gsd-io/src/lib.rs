@@ -22,11 +22,9 @@
 //!   (`B_sr`, `B_sw`, `B_rr`, `B_rw` in the paper's Table 2) and the I/O
 //!   cost formulas `C_s` (full I/O model) and `C_r` (on-demand I/O model)
 //!   from §4.1 of the paper, used by GraphSD's state-aware I/O scheduler.
-//! * [`probe`] — an `fio`-like bandwidth probe that derives a [`DiskModel`]
-//!   from an arbitrary [`Storage`] backend, mirroring how the paper
-//!   calibrates the scheduler's bandwidth constants.
+//!   The paper feeds the four bandwidths from an `fio` run; here every
+//!   run uses a [`DiskModel`] preset (`hdd`, `ssd`, `nvme`).
 
-#![forbid(unsafe_code)]
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
 #![deny(
@@ -40,13 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod model;
-pub mod probe;
 pub mod stats;
 pub mod storage;
 pub mod tempdir;
 
 pub use model::{CostBreakdown, DiskModel, IoCostModel, OnDemandCostInputs};
-pub use probe::{probe_disk_model, ProbeConfig, ProbeReport};
 pub use stats::{IoStats, IoStatsSnapshot};
 pub use storage::{FileStorage, MemStorage, SharedStorage, SimDisk, Storage};
 pub use tempdir::TempDir;

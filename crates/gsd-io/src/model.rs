@@ -121,7 +121,7 @@ impl DiskModel {
         // *emergent* effective bandwidths of small seek-dominated requests
         // under this pricing (B_rr ≈ n / (seek + n/B_sr) for request size
         // n), which keeps the scheduler's predictions and the simulator's
-        // charges mutually consistent — see `probe::ProbeReport::into_model`.
+        // charges mutually consistent.
         let transfer = secs_to_duration(bytes as f64 / seq_bps);
         if discontiguous {
             self.seek_latency + transfer

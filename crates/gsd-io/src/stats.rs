@@ -29,7 +29,7 @@ pub struct IoStats {
     /// Virtual nanoseconds charged by a [`crate::SimDisk`] backend.
     /// Always zero for real backends (their cost is wall-clock time).
     sim_nanos: AtomicU64,
-    /// Transient I/O errors retried by a retry layer (gsd-recover).
+    /// Transient I/O errors retried by a retry layer (`gsd_integrity::RetryingStorage`).
     retried_ops: AtomicU64,
     /// Operations abandoned after the retry budget was exhausted.
     gave_up_ops: AtomicU64,
@@ -147,7 +147,7 @@ pub struct IoStatsSnapshot {
     /// Simulated device nanoseconds (zero on real backends).
     pub sim_nanos: u64,
     /// Transient errors retried by a retry layer (zero unless one is
-    /// installed — see gsd-recover).
+    /// installed — see `gsd_integrity::RetryingStorage`).
     pub retried_ops: u64,
     /// Operations abandoned after the retry budget was exhausted.
     pub gave_up_ops: u64,

@@ -63,7 +63,7 @@ pub trait Storage: Send + Sync {
     /// The performance model this backend prices requests with, if it is a
     /// simulator. Engines use it to seed their I/O cost model so scheduler
     /// predictions match the simulator's charges; real backends return
-    /// `None` and callers fall back to a probe or a configured model.
+    /// `None` and callers fall back to a configured model.
     fn disk_model(&self) -> Option<DiskModel> {
         None
     }
@@ -121,7 +121,7 @@ pub trait Storage: Send + Sync {
     }
 
     /// Flushes all buffered state to durable media. The checkpoint commit
-    /// protocol (gsd-recover) calls this between writing a snapshot and
+    /// protocol (`gsd_core::checkpoint`) calls this between writing a snapshot and
     /// publishing its manifest so a crash cannot expose a manifest whose
     /// snapshot is still in the page cache. Backends without buffering
     /// semantics (in-memory, simulated) default to a no-op; `SimDisk`

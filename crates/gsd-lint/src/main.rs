@@ -9,8 +9,6 @@
 //! diagnostic, `2` usage or I/O failure — including a missing config file:
 //! `lint.toml` is the only source of scopes, there is no built-in fallback.
 
-#![forbid(unsafe_code)]
-
 use gsd_lint::{config::LintConfig, diagnostics, rules, Severity, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;

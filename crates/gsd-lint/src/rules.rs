@@ -1,4 +1,4 @@
-//! The rule registry and the eight checks.
+//! The rule registry and the seven checks.
 //!
 //! Every rule is a pattern over the token stream from [`crate::lexer`]
 //! plus bracket matching — there is no syntax tree, no name resolution and
@@ -56,13 +56,6 @@ pub const RULES: &[RuleInfo] = &[
         scoped: false,
     },
     RuleInfo {
-        id: "GSD005",
-        summary: "every crate root carries #![forbid(unsafe_code)]",
-        invariant: "the workspace is 100% safe Rust; forbid (not deny) means no module \
-                    can quietly opt back in",
-        scoped: false,
-    },
-    RuleInfo {
         id: "GSD006",
         summary: "no `as u32` truncation in graph/offset arithmetic",
         invariant: "vertex ids and offsets narrow through gsd_graph::narrow so overflow \
@@ -101,6 +94,10 @@ pub const RETIRED: &[(&str, &str)] = &[
         "crate-root deny(clippy::unwrap_used, expect_used, panic, …)",
     ),
     ("GSD002", "clippy::disallowed_types (Instant, SystemTime)"),
+    (
+        "GSD005",
+        "[workspace.lints.rust] unsafe_code = \"forbid\" (root Cargo.toml)",
+    ),
     ("GSD007", "clippy::disallowed_types (HashMap, HashSet)"),
     ("GSD008", "clippy::disallowed_types (HashMap, HashSet)"),
     (
@@ -508,39 +505,6 @@ fn collect_constructions<'a>(cx: &FileCx<'a>, enum_name: &str, out: &mut BTreeSe
         if !is_pattern {
             out.insert(&toks[i + 3].text);
         }
-    }
-}
-
-// ---- GSD005 — forbid(unsafe_code) at every crate root ----
-
-/// True if `path` is a crate root this rule audits.
-pub fn is_crate_root(path: &str) -> bool {
-    path == "src/lib.rs" || (path.starts_with("crates/") && path.ends_with("/src/lib.rs"))
-}
-
-/// Flags crate roots missing `#![forbid(unsafe_code)]`.
-pub fn check_gsd005(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_enabled("GSD005", cfg) || !is_crate_root(cx.path) {
-        return;
-    }
-    let found = cx.tokens.windows(6).any(|w| {
-        w[0].is_punct('#')
-            && w[1].is_punct('!')
-            && w[2].is_punct('[')
-            && w[3].is_ident("forbid")
-            && w[4].is_punct('(')
-            && w[5].is_ident("unsafe_code")
-    });
-    if !found {
-        out.push(diag(
-            "GSD005",
-            cfg,
-            cx.path,
-            (1, 1),
-            "crate root is missing `#![forbid(unsafe_code)]` — every first-party \
-             crate must statically rule unsafe out"
-                .to_string(),
-        ));
     }
 }
 

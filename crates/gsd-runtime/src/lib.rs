@@ -21,7 +21,6 @@
 //!   committed values on every program (the repo's central property test).
 //! * [`RunStats`] — timing/I/O accounting every experiment reads.
 
-#![forbid(unsafe_code)]
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
 #![deny(

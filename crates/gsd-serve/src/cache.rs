@@ -2,11 +2,11 @@
 //!
 //! Generalizes the §4.3 priority buffer ([`gsd_core::SubBlockBuffer`])
 //! from "one run's secondary blocks" to "every decoded sub-block any
-//! resident query touched": admission and eviction use the same
-//! strictly-lower-priority displacement rule and the same timing-free
-//! BTreeMap victim scan, but the priority is **demand** — how many
-//! concurrent queries used the block in the pass that offered it — so
-//! blocks shared by many tenants outlive single-tenant ones.
+//! resident query touched": admission and eviction are the same
+//! [`Residency`] map with the same strictly-lower-priority displacement
+//! rule, but the priority is **demand** — how many concurrent queries
+//! used the block in the pass that offered it — so blocks shared by many
+//! tenants outlive single-tenant ones.
 //!
 //! Unlike the run buffer, hit/miss accounting lives with the caller
 //! ([`crate::core::ServeCore`]): a hit is charged per *using query*, not
@@ -16,22 +16,14 @@
 //! the core are plain `u64`s — determinism by construction, not by
 //! synchronization.
 
+use gsd_core::buffer::Residency;
 use gsd_graph::Edge;
 use gsd_trace::{TraceEvent, TraceSink};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-struct Entry {
-    edges: Arc<Vec<Edge>>,
-    bytes: u64,
-    priority: u64,
-}
 
 /// Demand-prioritized cache of decoded sub-blocks, keyed by `(i, j)`.
 pub struct SubBlockCache {
-    capacity: u64,
-    used: u64,
-    entries: BTreeMap<(u32, u32), Entry>,
+    map: Residency,
     trace: Arc<dyn TraceSink>,
     /// Blocks admitted since start.
     pub admits: u64,
@@ -43,9 +35,7 @@ impl SubBlockCache {
     /// A cache holding at most `capacity` bytes of decoded payloads.
     pub fn new(capacity: u64) -> Self {
         SubBlockCache {
-            capacity,
-            used: 0,
-            entries: BTreeMap::new(),
+            map: Residency::new(capacity),
             trace: gsd_trace::null_sink(),
             admits: 0,
             evicts: 0,
@@ -58,52 +48,43 @@ impl SubBlockCache {
         self.trace = trace;
     }
 
-    /// Capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently resident.
     pub fn used(&self) -> u64 {
-        self.used
+        self.map.used()
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.map.len()
     }
 
     /// Whether nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.map.is_empty()
     }
 
     /// Looks up block `(i, j)`. Hit/miss accounting is the caller's: the
     /// serve core charges one hit per query that *uses* the block, which
     /// a cache-internal counter could not know.
     pub fn get(&self, i: u32, j: u32) -> Option<Arc<Vec<Edge>>> {
-        self.entries.get(&(i, j)).map(|e| e.edges.clone())
+        self.map.get(i, j).map(|(edges, _)| edges.clone())
     }
 
     /// Whether block `(i, j)` is resident.
     pub fn contains(&self, i: u32, j: u32) -> bool {
-        self.entries.contains_key(&(i, j))
+        self.map.contains(i, j)
     }
 
     /// Drops every resident block. The serve core calls this when the
     /// served grid changes epoch (mutation or compaction): cached decoded
     /// payloads describe the previous epoch's sub-blocks.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.used = 0;
+        self.map.clear();
     }
 
     /// Offers block `(i, j)` with `priority` = the number of queries that
-    /// used it in the offering pass. Returns `true` if resident
-    /// afterwards. Same displacement rule as the §4.3 run buffer: evict
-    /// strictly-lower-priority residents (smallest `(priority, coords)`
-    /// first) while the newcomer does not fit, declining once the
-    /// remaining residents all match or outrank it.
+    /// used it in the offering pass, under [`Residency::offer`]'s
+    /// displacement rule. Returns `true` if resident afterwards.
     pub fn offer(
         &mut self,
         i: u32,
@@ -112,60 +93,20 @@ impl SubBlockCache {
         bytes: u64,
         priority: u64,
     ) -> bool {
-        if let Some(old) = self.entries.remove(&(i, j)) {
-            self.used -= old.bytes;
-        }
-        if bytes > self.capacity {
-            return false;
-        }
-        while self.used + bytes > self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(&k, e)| (e.priority, k))
-                .map(|(&k, e)| (k, e.priority, e.bytes));
-            match victim {
-                Some((k, vprio, vbytes)) if vprio < priority => {
-                    self.entries.remove(&k);
-                    self.used -= vbytes;
-                    self.evicts += 1;
-                    if self.trace.enabled() {
-                        self.trace.emit(&TraceEvent::CacheEvict {
-                            i: k.0,
-                            j: k.1,
-                            bytes: vbytes,
-                        });
-                    }
-                }
-                _ => return false,
+        let (resident, evicted) = self.map.offer(i, j, edges, bytes, priority);
+        for ((i, j), bytes) in evicted {
+            self.evicts += 1;
+            if self.trace.enabled() {
+                self.trace.emit(&TraceEvent::CacheEvict { i, j, bytes });
             }
         }
-        self.used += bytes;
-        self.admits += 1;
-        if self.trace.enabled() {
-            self.trace.emit(&TraceEvent::CacheAdmit { i, j, bytes });
+        if resident {
+            self.admits += 1;
+            if self.trace.enabled() {
+                self.trace.emit(&TraceEvent::CacheAdmit { i, j, bytes });
+            }
         }
-        self.entries.insert(
-            (i, j),
-            Entry {
-                edges,
-                bytes,
-                priority,
-            },
-        );
-        true
-    }
-}
-
-impl std::fmt::Debug for SubBlockCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubBlockCache")
-            .field("capacity", &self.capacity)
-            .field("used", &self.used)
-            .field("blocks", &self.entries.len())
-            .field("admits", &self.admits)
-            .field("evicts", &self.evicts)
-            .finish()
+        resident
     }
 }
 

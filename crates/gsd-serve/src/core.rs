@@ -612,7 +612,7 @@ impl ServeCore {
     /// Full analytic run via a fresh engine over the shared session,
     /// under the configuration [`ServeCore::set_run_config`] installed:
     /// a daemon started with `--checkpoint-every` restarts runs through
-    /// `gsd-recover` exactly like `gsd run` does.
+    /// the checkpoint store exactly like `gsd run` does.
     fn run_analytic(&mut self, algo: &str, source: u32, iterations: u32) -> Response {
         let q = self.accept("run");
         let options = RunOptions {

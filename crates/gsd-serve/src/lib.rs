@@ -29,7 +29,6 @@
 //!
 //! [`GridSession`]: gsd_core::GridSession
 
-#![forbid(unsafe_code)]
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).
 #![deny(

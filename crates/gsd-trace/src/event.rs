@@ -51,7 +51,7 @@ impl Deserialize for AccessModel {
     }
 }
 
-use crate::labels::{ENGINES, IO_OPS, QUERY_OPS, SYSTEMS};
+use crate::labels::{ENGINES, IO_OPS, QUERY_OPS};
 
 /// Decodes the required field `name` of `v`, naming it in the error.
 fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
@@ -346,18 +346,6 @@ trace_events! {
             /// Bytes restored.
             bytes: u64,
         },
-        /// One timed repeat of the wall-time benchmark harness finished
-        /// (warmup runs are not traced).
-        BenchRepeat = "bench_repeat" {
-            /// System label under test (e.g. `"GraphSD"`).
-            system: &'static str [in SYSTEMS],
-            /// Algorithm label.
-            algorithm: String,
-            /// 1-based repeat number within the measurement set.
-            repeat: u32,
-            /// Measured end-to-end wall time of the repeat, in microseconds.
-            wall_us: u64,
-        },
         /// The query daemon opened its grid and is ready to accept queries.
         ServeStarted = "serve_started" {
             /// Vertex count of the resident graph.
@@ -546,21 +534,6 @@ mod tests {
             r#"{"ev":"io_gave_up","op":"read","attempts":4}"#
         );
         assert_eq!(gave_up.kind(), "io_gave_up");
-    }
-
-    #[test]
-    fn metrics_events_serialize_with_stable_tags() {
-        let repeat = TraceEvent::BenchRepeat {
-            system: "GraphSD",
-            algorithm: "PR".to_string(),
-            repeat: 2,
-            wall_us: 1500,
-        };
-        assert_eq!(
-            serde_json::to_string(&repeat).unwrap(),
-            r#"{"ev":"bench_repeat","system":"GraphSD","algorithm":"PR","repeat":2,"wall_us":1500}"#
-        );
-        assert_eq!(repeat.kind(), "bench_repeat");
     }
 
     #[test]
@@ -852,15 +825,6 @@ mod tests {
                     bytes: 800,
                 },
                 r#"{"ev":"block_repaired","key":"blocks/b_0_1.edges","bytes":800}"#,
-            ),
-            (
-                E::BenchRepeat {
-                    system: "GraphSD",
-                    algorithm: "PR".to_string(),
-                    repeat: 2,
-                    wall_us: 1500,
-                },
-                r#"{"ev":"bench_repeat","system":"GraphSD","algorithm":"PR","repeat":2,"wall_us":1500}"#,
             ),
             (
                 E::ServeStarted {

@@ -20,15 +20,3 @@ pub const QUERY_OPS: &[&str] = &[
     "mutate",
     "compact",
 ];
-/// `BenchRepeat::system`: `gsd_bench::SystemKind::label()`.
-pub const SYSTEMS: &[&str] = &[
-    "GraphSD",
-    "GraphSD-b1",
-    "GraphSD-b2",
-    "GraphSD-b3",
-    "GraphSD-b4",
-    "GraphSD-nobuf",
-    "HUS-Graph",
-    "Lumos",
-    "GridGraph",
-];

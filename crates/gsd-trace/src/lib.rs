@@ -27,7 +27,6 @@
 //! snake_case name; all other fields are flat scalars. See DESIGN.md
 //! ("Observability") for the full schema.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -13,13 +13,12 @@ use graphsd::core::{GraphSdConfig, GraphSdEngine};
 use graphsd::graph::{generators, preprocess, GridGraph, PreprocessConfig};
 use graphsd::io::{DiskModel, SharedStorage, SimDisk};
 use graphsd::runtime::{Engine, IoAccessModel, RunOptions};
-use rand::SeedableRng;
 use std::sync::Arc;
 
 fn main() -> std::io::Result<()> {
     // A 300x300 road grid with random segment travel times.
     let side = 300u32;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
+    let mut rng = graphsd::graph::rng::Xoshiro256::seed_from_u64(99);
     let roads = generators::randomize_weights(generators::grid2d(side), &mut rng);
     println!(
         "road network: {} intersections, {} road segments",

@@ -7,8 +7,8 @@
 //! gsd ingest <data-dir> <batch.txt> [--recompute <algorithm>] [--source V]
 //!            [--iterations N] [--trace FILE]
 //! gsd compact <data-dir> [--trace FILE]
-//! gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b]
-//!           [--algos a,b] [--datasets a,b] [--baseline FILE] [run flags]
+//! gsd bench [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b]
+//!           [--baseline FILE] [run flags]
 //! gsd bench --check FILE
 //! gsd report <trace.jsonl> [--top N]
 //! gsd serve <data-dir> [--port N] [--cache-mb M] [run flags]
@@ -31,10 +31,11 @@
 //! environment.
 //!
 //! `bench` is the counters gate: it runs every (system, algorithm,
-//! dataset) cell on real files, writes a schema-versioned
-//! `BENCH_<label>.json` and, with `--baseline`, fails when iterations,
-//! bytes moved or prefetch totals differ from the committed report (its
-//! wall times are informational; `benchmark/` is the clock). `report` folds a JSONL trace — of a run, a bench, a daemon
+//! dataset) cell once on real files, writes a schema-versioned
+//! `BENCH_<scale>.json` and, with `--baseline`, fails when iterations,
+//! bytes moved, read requests or prefetch events differ from the
+//! committed report (it reads no clock; `benchmark/` is the clock).
+//! `report` folds a JSONL trace — of a run, a bench, a daemon
 //! or an `ingest`/`compact` — into per-phase breakdowns, I/O histograms,
 //! hottest sub-blocks, scheduler decision explanations, per-op query and
 //! cache tables and per-epoch mutation tables.
@@ -55,7 +56,9 @@
 
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
-use graphsd::bench::{trace_sink, Algo, RunFlags, RunSettings, SystemKind};
+use graphsd::bench::{
+    trace_sink, Algo, BenchReport, RunFlags, RunSettings, SystemKind, TraceReport,
+};
 use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession, PipelineConfig};
 use graphsd::delta::MutationBatch;
 use graphsd::graph::delta::DeltaOp;
@@ -64,7 +67,6 @@ use graphsd::graph::{
     GraphKind, GridGraph, PreprocessConfig,
 };
 use graphsd::io::{FileStorage, SharedStorage};
-use graphsd::metrics::{BenchReport, TraceReport};
 use graphsd::runtime::{
     value_fingerprint, Engine, RunOptions, RunResult, RunStats, Value, VertexProgram,
 };
@@ -81,7 +83,7 @@ fn usage() -> ExitCode {
          gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf] [--top K] [run flags]\n  \
          gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|cc|sssp|bfs>] [--source V] [--iterations N] [--trace FILE]\n  \
          gsd compact <data-dir> [--trace FILE]\n  \
-         gsd bench [--label S] [--warmup N] [--repeats N] [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--baseline FILE] [--scale tiny|small|medium] [run flags]\n  \
+         gsd bench [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--baseline FILE] [--scale tiny|small|medium] [run flags]\n  \
          gsd bench --check FILE\n  \
          gsd serve <data-dir> [--port N] [--cache-mb M] [run flags]\n  \
          gsd query <host:port> <ping|stats|degree|neighbors|khop|ppr|run|mutate|compact|shutdown> [args...] [--alpha A] [--iterations N] [--source V]\n  \
@@ -764,18 +766,6 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
         scale: flags.scale,
         ..WallOptions::default()
     };
-    if let Some(label) = args.flag_value::<String>("label")? {
-        opts.label = label;
-    }
-    if let Some(n) = args.flag_value::<u32>("warmup")? {
-        opts.warmup = n;
-    }
-    if let Some(n) = args.flag_value::<u32>("repeats")? {
-        if n == 0 {
-            return Err("--repeats must be at least 1".into());
-        }
-        opts.repeats = n;
-    }
     if let Some(spec) = args.flag_value::<String>("systems")? {
         opts.systems = parse_list(&spec, parse_system)?;
     }
@@ -794,19 +784,19 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
     flags.settings.sink.flush();
     for e in &report.entries {
         println!(
-            "{:>12} {:>5} {:>12}  median {:>9} us  read {:>11} B  pf {}h/{}m",
+            "{:>12} {:>5} {:>12}  {:>3} iterations  read {:>11} B in {:>6} requests  {} prefetched",
             e.system,
             e.algorithm,
             e.dataset,
-            e.wall_us_median,
+            e.iterations,
             e.bytes_read,
-            e.prefetch_hits,
-            e.prefetch_misses
+            e.read_ops,
+            e.prefetch_events
         );
     }
     let out = args
         .flag_value::<String>("out")?
-        .unwrap_or_else(|| report.file_name());
+        .unwrap_or_else(|| format!("BENCH_{}.json", report.scale));
     std::fs::write(&out, report.to_json()).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out} ({} entries)", report.entries.len());
 
@@ -817,8 +807,8 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
             format!(
                 "deterministic counters drifted vs {path}:\n{drifts}\n\
                  if the change means to move them, regenerate the file with\n  \
-                 gsd bench --scale {} --label {} --out {path}",
-                base.scale, base.label
+                 gsd bench --scale {} --out {path}",
+                base.scale
             )
         })?;
         println!("baseline {path}: {n} cell(s) match on deterministic counters");
@@ -897,19 +887,13 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     let nonempty = meta.block_edge_counts.iter().filter(|&&c| c > 0).count();
     let largest = meta.block_edge_counts.iter().max().copied().unwrap_or(0);
     println!("  non-empty  {nonempty} blocks, largest {largest} edges");
-    match &meta.integrity {
-        Some(section) => println!(
-            "  integrity  format v{}, {} checksums over {} objects ({} MiB covered)",
-            meta.version,
-            section.algo,
-            section.len(),
-            section.total_bytes() >> 20
-        ),
-        None => println!(
-            "  integrity  format v{}, no checksums (re-preprocess to add them)",
-            meta.version
-        ),
-    }
+    println!(
+        "  integrity  format v{}, {} checksums over {} objects ({} MiB covered)",
+        meta.version,
+        meta.integrity.algo,
+        meta.integrity.len(),
+        meta.integrity.total_bytes() >> 20
+    );
     if let Some(delta) = &meta.delta {
         match grid.overlay() {
             Some(overlay) => println!(

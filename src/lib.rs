@@ -32,23 +32,30 @@
 //! See the workspace `README.md` for more and `DESIGN.md` for the system
 //! inventory.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use gsd_algos as algos;
 pub use gsd_baselines as baselines;
 pub use gsd_bench as bench;
 pub use gsd_core as core;
+pub use gsd_core::pipeline;
 pub use gsd_delta as delta;
 pub use gsd_graph as graph;
 pub use gsd_integrity as integrity;
 pub use gsd_io as io;
-pub use gsd_metrics as metrics;
-pub use gsd_pipeline as pipeline;
-pub use gsd_recover as recover;
 pub use gsd_runtime as runtime;
 pub use gsd_serve as serve;
 pub use gsd_trace as trace;
+
+/// Checkpoint/resume (`gsd_core::checkpoint`) and the fault-injection and
+/// retry storage decorators (`gsd_integrity`), under one path.
+pub mod recover {
+    pub use gsd_core::checkpoint::*;
+    pub use gsd_integrity::{
+        corrupt_object, CorruptionMode, FaultConfig, FaultTarget, FaultyStorage, RetryPolicy,
+        RetryingStorage,
+    };
+}
 
 /// Convenience prelude bringing the most common types into scope.
 pub mod prelude {

@@ -1,14 +1,13 @@
 //! The counters gate under tier-1: the timing-free counters of every
 //! `twitter_sim` cell — iterations, bytes read, read requests, bytes
-//! written, prefetch hits + misses — must equal `ci/bench_baseline.json`
+//! written, prefetch events — must equal `ci/bench_baseline.json`
 //! exactly. This is the `gsd bench --baseline` check CI runs over all
 //! five datasets, cut to one so it fits `cargo test -q`; a block read
 //! added to any engine moves `bytes_read` and `read_ops` and fails it.
 
 use graphsd::bench::wall::{run_wall, WallOptions};
-use graphsd::bench::{RunSettings, Scale};
+use graphsd::bench::{BenchReport, RunSettings, Scale};
 use graphsd::core::PipelineConfig;
-use graphsd::metrics::BenchReport;
 
 #[test]
 fn twitter_sim_counters_match_the_committed_baseline() {
@@ -20,8 +19,6 @@ fn twitter_sim_counters_match_the_committed_baseline() {
     // Default systems and algorithms: all four of each; prefetch as
     // `gsd bench` runs it without flags.
     let opts = WallOptions {
-        warmup: 0,
-        repeats: 1,
         scale: Scale::Tiny,
         datasets: vec!["twitter_sim".to_string()],
         ..WallOptions::default()
@@ -37,7 +34,7 @@ fn twitter_sim_counters_match_the_committed_baseline() {
         Err(drifts) => panic!(
             "counters drifted from ci/bench_baseline.json:\n{drifts}\n\
              if the change means to move them, regenerate the file with\n  \
-             cargo run --release --bin gsd -- bench --scale tiny --label tiny \
+             cargo run --release --bin gsd -- bench --scale tiny \
              --out ci/bench_baseline.json"
         ),
     }

@@ -1,4 +1,5 @@
-//! The fault-tolerance contract of `gsd-recover`, end to end:
+//! The fault-tolerance contract of `gsd_core::checkpoint` and the
+//! `gsd_integrity` storage decorators, end to end:
 //!
 //! * **Result neutrality** — running with checkpointing enabled changes
 //!   no observable of an uninterrupted run: values, iteration structure

@@ -314,37 +314,23 @@ fn quarantine_records_the_object_then_scrub_repair_restores_it() {
 }
 
 #[test]
-fn v1_grids_still_load_and_run_but_refuse_verification() {
-    let g = test_graph();
-    let opts = RunOptions::default();
-    let (_, grid) = grid_on_fresh_disk(&g, 4);
-    let v2 = GraphSdEngine::new(grid, GraphSdConfig::full())
-        .unwrap()
-        .run(&PageRank::paper(), &opts)
-        .unwrap();
-
+fn v1_grids_are_rejected_at_open() {
     // Downgrade the metadata to format v1: no integrity section, no
     // self-check — what a pre-checksum preprocessor wrote.
-    let (storage, grid) = grid_on_fresh_disk(&g, 4);
-    let mut meta = grid.meta().clone();
-    meta.version = 1;
-    meta.integrity = None;
-    storage.create(META_KEY, &meta.to_bytes()).unwrap();
+    let (storage, grid) = grid_on_fresh_disk(&test_graph(), 4);
     drop(grid);
+    let v2 = String::from_utf8(storage.read_all(META_KEY).unwrap()).unwrap();
+    let body = &v2[..v2.find(",\n  \"integrity\"").unwrap()];
+    let v1 = format!("{body}\n}}").replacen("\"version\": 2", "\"version\": 1", 1);
+    storage.create(META_KEY, v1.as_bytes()).unwrap();
 
-    let mut grid = GridGraph::open(storage).unwrap();
-    assert_eq!(grid.meta().version, 1);
-    let err = grid
-        .set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
-    grid.set_verification(VerifyPolicy::Off, CorruptionResponse::FailFast)
-        .unwrap();
-    let v1 = GraphSdEngine::new(grid, GraphSdConfig::full())
-        .unwrap()
-        .run(&PageRank::paper(), &opts)
-        .unwrap();
-    assert_eq!(fingerprint(&v1), fingerprint(&v2), "v1 runs are unchanged");
+    let Err(err) = GridGraph::open(storage) else {
+        panic!("a v1 grid must not open");
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let msg = err.to_string();
+    assert!(msg.contains("unsupported grid format version 1"), "{msg}");
+    assert!(msg.contains("re-run `gsd preprocess`"), "{msg}");
 }
 
 #[test]

@@ -16,12 +16,12 @@ use graphsd::algos::{ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::baselines::{
     build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
 };
+use graphsd::bench::report::RunSection;
 use graphsd::bench::LiveReport;
+use graphsd::bench::TraceReport;
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::graph::{preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig};
 use graphsd::io::{DiskModel, SharedStorage, SimDisk, TempDir};
-use graphsd::metrics::report::RunSection;
-use graphsd::metrics::TraceReport;
 use graphsd::runtime::{Engine, RunOptions, RunResult, RunStats, VertexProgram};
 use graphsd::trace::{FanoutSink, JsonlWriter, TraceSink};
 use std::sync::Arc;

@@ -15,12 +15,12 @@
 //! the two, folded by `gsd report`'s fold, equals their own reports.
 
 use graphsd::algos::{Bfs, ConnectedComponents, Sssp};
+use graphsd::bench::report::EpochRow;
+use graphsd::bench::TraceReport;
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::delta::{compact, incremental_run, ingest, MutationBatch};
 use graphsd::graph::{preprocess, Edge, Graph, GridGraph, PreprocessConfig};
 use graphsd::io::{MemStorage, SharedStorage};
-use graphsd::metrics::report::EpochRow;
-use graphsd::metrics::TraceReport;
 use graphsd::runtime::{value_fingerprint as fingerprint, Engine, RunOptions, VertexProgram};
 use graphsd::trace::RingRecorder;
 use proptest::prelude::*;

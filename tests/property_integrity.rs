@@ -62,7 +62,7 @@ proptest! {
         };
 
         let grid = GridGraph::open(storage.clone()).unwrap();
-        let section = grid.meta().integrity.clone().unwrap();
+        let section = grid.meta().integrity.clone();
         let targets: Vec<(String, u64)> = section
             .objects
             .iter()

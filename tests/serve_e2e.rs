@@ -27,13 +27,13 @@
 )]
 
 use graphsd::algos::{Bfs, PageRank, Ppr};
+use graphsd::bench::TraceReport;
 use graphsd::core::GridSession;
 use graphsd::graph::{
     preprocess, CorruptionResponse, GeneratorConfig, Graph, GraphKind, PreprocessConfig,
     VerifyPolicy,
 };
 use graphsd::io::{MemStorage, SharedStorage};
-use graphsd::metrics::TraceReport;
 use graphsd::runtime::{Engine, ReferenceEngine, RunOptions};
 use graphsd::serve::{Request, Response, ServeCore, Server, Traversal};
 use graphsd::trace::{RingRecorder, TraceEvent};
