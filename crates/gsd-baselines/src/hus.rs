@@ -3,7 +3,7 @@
 //! computation.
 //!
 //! Storage keeps **two sorted copies** of the edge set — a row-oriented
-//! grid (source-sorted, per-source indexes) for selective loading and a
+//! grid (source-sorted, with its row index) for selective loading and a
 //! column-oriented grid (destination-sorted) for full streaming — which is
 //! why HUS-Graph's preprocessing is the slowest in Figure 8. At runtime a
 //! coarse volume threshold switches between:
@@ -20,13 +20,13 @@
 //! Figures 5/7 measure.
 //!
 //! As a policy over the shared driver: ROP is a selective pass over runs
-//! planned from the row copy's per-block indexes, without cross-iteration
+//! planned from the row copy's row index, without cross-iteration
 //! serving; COP is a stream round over the column copy's sub-blocks with
 //! an active source, without cross-iteration propagation.
 
 use gsd_core::driver::{self, coalesce_runs, Driver, Frame, SelectiveRun};
 use gsd_core::RecoveryConfig;
-use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
+use gsd_graph::{preprocess, BlockOrder, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::Storage;
 use gsd_runtime::{
     Capabilities, Engine, Frontier, IoAccessModel, RunOptions, RunResult, VertexProgram,
@@ -41,7 +41,7 @@ const ROP_AMPLIFICATION: u64 = 16;
 
 /// The two on-disk copies HUS-Graph maintains.
 pub struct HusFormat {
-    /// Source-sorted, per-source-indexed grid (for ROP).
+    /// Source-sorted grid with its row index (for ROP).
     pub row: GridGraph,
     /// Destination-sorted grid (for COP).
     pub col: GridGraph,
@@ -60,13 +60,14 @@ pub fn build_hus_format(
     let row_prefix = format!("{prefix}row/");
     let col_prefix = format!("{prefix}col/");
     // HUS-Graph's row unit stores each vertex's edges contiguously
-    // (CSR-like): a single source-sorted, indexed partition.
+    // (CSR-like): a single source-sorted partition, whose row index at
+    // P = 1 is exactly one offset per vertex.
     let mut row_config = PreprocessConfig::graphsd(&row_prefix);
     row_config.num_intervals = Some(1);
     row_config.degree_balanced = true;
     let (_, row_report) = preprocess(graph, storage.as_ref(), &row_config)?;
     let mut col_config = PreprocessConfig {
-        sort_by_dst: true,
+        order: BlockOrder::ByDest,
         ..PreprocessConfig::graphsd(&col_prefix)
     };
     col_config.num_intervals = p;
@@ -92,7 +93,7 @@ pub struct HusGraphEngine {
     format: HusFormat,
     degrees: Arc<Vec<u32>>,
     /// Max id gap bridged within one index-span request (a vertex of the
-    /// per-block index costs 4 bytes).
+    /// row copy's index costs `4·P` bytes).
     index_gap: u32,
     trace: Arc<dyn TraceSink>,
     checkpoint: Option<RecoveryConfig>,
@@ -103,7 +104,7 @@ impl HusGraphEngine {
     pub fn new(format: HusFormat) -> std::io::Result<Self> {
         let degrees = Arc::new(format.row.load_out_degrees()?);
         let disk = format.row.storage().disk_model().unwrap_or_default();
-        let index_gap = disk.bridge_gap(4);
+        let index_gap = disk.bridge_gap(4 * u64::from(format.row.p()));
         Ok(HusGraphEngine {
             format,
             degrees,
@@ -135,9 +136,9 @@ impl HusGraphEngine {
     }
 
     /// The coalesced runs of the active edge lists in the row copy, one
-    /// index request per sub-block and active cluster. Adjacent lists
-    /// merge and nothing is bridged (gap 0): as published, ROP reads each
-    /// active vertex's list with an access of its own.
+    /// index request per row and active cluster. Adjacent lists merge and
+    /// nothing is bridged (gap 0): as published, ROP reads each active
+    /// vertex's list with an access of its own.
     fn plan_rop_runs<P: VertexProgram>(
         &self,
         d: &mut Driver<'_, P>,
@@ -146,18 +147,13 @@ impl HusGraphEngine {
         let mut runs = Vec::new();
         for i in 0..row.p() {
             let active: Vec<u32> = d.frontier().iter_range(row.intervals().range(i)).collect();
-            let clusters = gsd_graph::cluster_vertex_spans(&active, self.index_gap);
+            let clusters = d.read_index_clusters(row, i, &active, self.index_gap)?;
             for j in 0..row.p() {
                 if row.meta().block_edge_count(i, j) == 0 {
                     continue;
                 }
-                for span in &clusters {
-                    let cluster = &active[span.clone()];
-                    let (Some(&first), Some(&last)) = (cluster.first(), cluster.last()) else {
-                        continue; // clusters over a non-empty active set are non-empty
-                    };
-                    let index = d.io(|| row.read_index_span(i, j, first, last))?;
-                    let ranges = cluster.iter().map(|&v| index.edge_range(v));
+                for (cluster, index) in &clusters {
+                    let ranges = cluster.iter().map(|&v| index.edge_range(v, j));
                     coalesce_runs(i, j, ranges, 0, &mut runs);
                 }
             }
@@ -298,8 +294,8 @@ mod tests {
         )
         .unwrap();
         // Two full edge copies, though index overhead differs per layout
-        // (GraphSD's row-combined index is P x 4 bytes per vertex, HUS's
-        // CSR-like row copy only 8).
+        // (GraphSD's row index is P x 4 bytes per vertex, HUS's CSR-like
+        // row copy only 4).
         assert!(
             hus_report.bytes_written as f64 >= 1.5 * gsd_report.bytes_written as f64,
             "HUS writes both copies: {} vs {}",
@@ -334,5 +330,41 @@ mod tests {
             .iter()
             .all(|s| !s.cross_iteration));
         assert!(!engine.capabilities().future_value_computation);
+    }
+
+    /// ROP plans from the row copy's row index, which at P = 1 is the
+    /// one-offset-per-vertex array HUS-Graph describes: same requests,
+    /// same bytes as when it read a per-block index (constants measured
+    /// at the commit before the switch).
+    #[test]
+    fn rop_traffic_is_pinned_across_the_switch_to_the_row_index() {
+        let g = GeneratorConfig::new(GraphKind::ErdosRenyi, 4000, 12000, 31).generate();
+        let mut engine = setup(&g, 4);
+        let result = engine.run(&Bfs::new(0), &RunOptions::default()).unwrap();
+        let traffic: Vec<(u64, u64)> = result
+            .stats
+            .per_iteration
+            .iter()
+            .map(|s| (s.io.seq_read_ops + s.io.rand_read_ops, s.io.read_bytes()))
+            .collect();
+        let full = (17, 112_000);
+        assert_eq!(
+            traffic,
+            [
+                (3, 16_064),
+                (9, 30_528),
+                (24, 28_152),
+                (59, 32_868),
+                (171, 36_504),
+                full,
+                full,
+                full,
+                full,
+                (168, 36_316),
+                (38, 32_000),
+                (8, 29_612),
+                (3, 16_032),
+            ]
+        );
     }
 }

@@ -92,9 +92,11 @@ fn main() {
     let mut failures: Vec<(&str, std::io::Error)> = Vec::new();
     for id in ids {
         let started = gsd_trace::Stopwatch::start();
-        match run_by_id(id, &ds, &flags.settings) {
-            Ok(output) => {
-                println!("{output}");
+        let printed = run_by_id(id, &ds, &flags.settings).and_then(|output| {
+            gsd_bench::stdout_write(format_args!("{output}\n")).map_err(std::io::Error::other)
+        });
+        match printed {
+            Ok(()) => {
                 eprintln!("# [{id}] done in {:.1}s\n", started.elapsed().as_secs_f64());
             }
             Err(e) => {

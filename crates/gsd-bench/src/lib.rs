@@ -68,3 +68,23 @@ pub use runner::{Algo, RunOutcome, SystemKind};
 pub use settings::{RunFlags, RunSettings};
 pub use trace::{trace_sink, LiveReport, VerboseSink};
 pub use wall::{run_wall, WallOptions};
+
+/// Writes to standard output, for both binaries. A reader that closed the
+/// pipe (`gsd info dir | head -3`) has seen enough: the process ends
+/// quietly with status 0 where `println!` would panic. Any other write
+/// error is the caller's to report.
+pub fn stdout_write(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        result => result.map_err(|e| format!("stdout: {e}")),
+    }
+}
+
+/// `println!` through [`stdout_write`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::stdout_write(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}

@@ -13,9 +13,8 @@ use std::sync::Arc;
 /// at (its `meta.json` bytes). Interval boundaries, block layout, codec
 /// and sort order all live in the metadata, so any preprocessing change
 /// that could make a checkpoint unsound changes the fingerprint. The
-/// delta epoch lives there too (format v4 reseals the meta on every
-/// ingest), so mutating the graph conservatively invalidates warm
-/// checkpoints — resuming values computed against the previous epoch's
+/// delta epoch lives there too (every ingest reseals the meta), so
+/// mutating the graph conservatively invalidates warm checkpoints — resuming values computed against the previous epoch's
 /// edge set would be unsound.
 pub fn graph_fingerprint(storage: &dyn Storage, grid_prefix: &str) -> std::io::Result<u64> {
     storage

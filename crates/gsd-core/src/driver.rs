@@ -47,6 +47,7 @@ use crate::checkpoint::{
     graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag, RecoveryConfig,
 };
 use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched};
+use gsd_graph::grid::RowIndexSpan;
 use gsd_graph::{Edge, GridGraph};
 use gsd_io::{IoStatsSnapshot, SharedStorage};
 use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed, timed};
@@ -536,10 +537,30 @@ impl<P: VertexProgram> Driver<'_, P> {
         }
     }
 
-    /// Times a storage call the policy makes itself (an index read while
-    /// planning a selective pass) into the iteration's I/O wait.
-    pub fn io<T>(&mut self, call: impl FnOnce() -> std::io::Result<T>) -> std::io::Result<T> {
-        timed(&mut self.tracker.io_wall, call)
+    /// The index reads a selective planner makes for row `i` of `grid`:
+    /// one row-index span per cluster of `active` (the row's active ids,
+    /// ascending; gaps up to `max_gap` ids are bridged), each timed into
+    /// the iteration's I/O wait. A span resolves its cluster's edge ranges
+    /// in every sub-block of the row.
+    pub fn read_index_clusters<'a>(
+        &mut self,
+        grid: &GridGraph,
+        i: u32,
+        active: &'a [u32],
+        max_gap: u32,
+    ) -> std::io::Result<Vec<(&'a [u32], RowIndexSpan)>> {
+        let mut clusters = Vec::new();
+        for span in gsd_graph::cluster_vertex_spans(active, max_gap) {
+            let cluster = &active[span];
+            let (Some(&first), Some(&last)) = (cluster.first(), cluster.last()) else {
+                continue; // clusters over a non-empty active set are non-empty
+            };
+            let index = timed(&mut self.tracker.io_wall, || {
+                grid.read_row_index_span(i, first, last)
+            })?;
+            clusters.push((cluster, index));
+        }
+        Ok(clusters)
     }
 
     /// Rebuilds the vertex state from a checkpoint taken at a round

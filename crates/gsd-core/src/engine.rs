@@ -7,8 +7,8 @@
 //! composes the driver's passes:
 //!
 //! * **on-demand → SCIU**: plan the active vertices' edge runs from the
-//!   row-combined index, one request per sub-seek cluster of them, then
-//!   one selective pass with cross-iteration serving — re-activated
+//!   row index, one request per sub-seek cluster of them, then one
+//!   selective pass with cross-iteration serving — re-activated
 //!   vertices whose edges are already in memory are pre-scattered and
 //!   leave the next frontier;
 //! * **full → FCIU**: the driver's stream round with cross-iteration
@@ -50,16 +50,16 @@ pub struct GraphSdEngine {
 }
 
 impl GraphSdEngine {
-    /// Opens the engine. If the grid lacks per-vertex indexes (e.g. a
+    /// Opens the engine. If the grid has no row index (e.g. a
     /// Lumos-layout grid), selective loading is disabled automatically —
     /// unless the config *forces* the on-demand model, which is an error.
     pub fn new(grid: GridGraph, config: GraphSdConfig) -> std::io::Result<Self> {
         let mut config = config;
-        if !grid.meta().indexed || !grid.meta().sorted {
+        if !grid.meta().order.has_row_index() {
             if config.force_model == Some(IoAccessModel::OnDemand) {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::Unsupported,
-                    "on-demand I/O requires a sorted, indexed grid format",
+                    "on-demand I/O requires a source-sorted grid format",
                 ));
             }
             config.enable_selective = false;
@@ -238,7 +238,7 @@ struct GraphSdPolicy<'a> {
 }
 
 /// Vertex ids one row-index request bridges rather than seek over: a
-/// vertex of the row-combined index costs `4·P` bytes.
+/// vertex of the row index costs `4·P` bytes.
 fn index_gap(disk: &DiskModel, p: u32) -> u32 {
     disk.bridge_gap(4 * p as u64)
 }
@@ -259,15 +259,7 @@ impl GraphSdPolicy<'_> {
             let active: Vec<u32> = d.frontier().iter_range(range).collect();
             // ONE index request per active cluster resolves the cluster's
             // edge ranges in every sub-block of the row.
-            let mut clusters = Vec::new();
-            for span in gsd_graph::cluster_vertex_spans(&active, self.index_gap) {
-                let cluster = &active[span];
-                let (Some(&first), Some(&last)) = (cluster.first(), cluster.last()) else {
-                    continue; // clusters over a non-empty active set are non-empty
-                };
-                let index = d.io(|| grid.read_row_index_span(i, first, last))?;
-                clusters.push((cluster, index));
-            }
+            let clusters = d.read_index_clusters(grid, i, &active, self.index_gap)?;
             for j in 0..grid.p() {
                 if grid.meta().block_edge_count(i, j) > 0 {
                     let ranges = clusters.iter().flat_map(|(cluster, index)| {

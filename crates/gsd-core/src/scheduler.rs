@@ -10,7 +10,7 @@
 //! separately (`overhead`) because Figure 11 reports it against the I/O
 //! time the decisions save.
 //!
-//! On a mutated grid (format v4, live delta segments) every input the
+//! On a mutated grid (live delta segments) every input the
 //! model consumes is already the **merged** shape: `GridGraph` patches
 //! `num_edges`, the per-block edge counts, and the out-degree table at
 //! open, so `S_seq`/`S_ran` and the `C_r`/`C_s` comparison price the

@@ -26,7 +26,7 @@ pub struct GridSession {
 impl GridSession {
     /// Opens the grid at the root of `storage` with an explicit
     /// verification policy. [`VerifyPolicy::Off`] skips manifest wiring
-    /// entirely; anything else requires a format v2 grid.
+    /// entirely.
     pub fn open(
         storage: SharedStorage,
         policy: VerifyPolicy,

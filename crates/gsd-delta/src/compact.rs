@@ -1,11 +1,14 @@
 //! Compaction: folding live delta segments into rewritten base sub-blocks.
 //!
-//! The merged edge list (read through the overlay) is re-derived into
-//! fresh base payloads with [`gsd_graph::integrity::rebuild_payloads`]
-//! and — before anything is written — **fingerprint-checked against a
-//! full re-preprocess** of the same edge list into scratch memory
-//! storage, pinned to the grid's existing interval boundaries. Byte
-//! inequality anywhere aborts the pass with the grid untouched.
+//! Only rows that hold a merged sub-block change, so the pass walks those
+//! rows one at a time: it reads the row's `P` sub-blocks through the
+//! overlay (merged where segments apply, verified base bytes elsewhere)
+//! and lays the row out again with [`gsd_graph::layout::row_objects`] —
+//! the function `preprocess` writes every row with. There is one
+//! implementation of the layout, so a compacted row *is* what a
+//! from-scratch preprocess of the merged edge list would write for it;
+//! nothing is derived twice and compared. Objects whose bytes did not
+//! change (an untouched sub-block of a touched row) are not rewritten.
 //!
 //! Like `repair_grid`, the write-back is in-place maintenance, not a
 //! crash-atomic commit: a crash mid-pass can leave rewritten payloads
@@ -23,16 +26,12 @@
 
 use gsd_graph::delta::{manifest_key, read_manifest, DeltaManifest};
 use gsd_graph::format::GridMeta;
-use gsd_graph::integrity::rebuild_payloads;
-use gsd_graph::preprocess::{preprocess, PreprocessConfig};
-use gsd_graph::{Graph, GridGraph, META_KEY};
+use gsd_graph::layout::{degrees_object, row_objects};
+use gsd_graph::{CorruptionResponse, Edge, GridGraph, VerifyPolicy, META_KEY};
 use gsd_integrity::{fnv64, IntegritySection, ObjectEntry};
-use gsd_io::{MemStorage, SharedStorage, Storage};
+use gsd_io::SharedStorage;
 use gsd_trace::{TraceEvent, TraceSink};
-
-fn invalid(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
+use std::collections::BTreeMap;
 
 /// What one compaction pass did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,23 +44,11 @@ pub struct CompactReport {
     pub objects_rewritten: u64,
     /// Bytes of rewritten objects.
     pub bytes_rewritten: u64,
-    /// FNV-1a fingerprint over every (key, payload) of the rebuilt grid —
-    /// equal by construction to the fingerprint of a full re-preprocess
-    /// of the merged edge list.
+    /// FNV-1a over the key, length and checksum of every object of the
+    /// compacted grid (the resealed meta's integrity entries) — equal to
+    /// the same hash over a from-scratch preprocess of the merged edge
+    /// list.
     pub fingerprint: u64,
-}
-
-/// Deterministic fingerprint of a rebuilt object set: FNV-1a over
-/// key/len/payload in key order.
-fn payloads_fingerprint<'a>(objects: impl Iterator<Item = (&'a String, &'a Vec<u8>)>) -> u64 {
-    let mut bytes = Vec::new();
-    for (key, payload) in objects {
-        bytes.extend_from_slice(key.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(payload);
-    }
-    fnv64(&bytes)
 }
 
 /// Folds every live delta segment of the grid under `prefix` into
@@ -73,10 +60,13 @@ pub fn compact(
     trace: &dyn TraceSink,
 ) -> std::io::Result<Option<CompactReport>> {
     // The overlay-merged view (meta patched to merged counts)...
-    let grid = GridGraph::open_with_prefix(storage.clone(), prefix)?;
-    if grid.overlay().is_none() {
+    let mut grid = GridGraph::open_with_prefix(storage.clone(), prefix)?;
+    let Some(merged_rows) = grid.overlay().map(|overlay| overlay.merged_rows()) else {
         return Ok(None);
-    }
+    };
+    // Base sub-blocks of a touched row are laid out again from what is
+    // read here, so they are checked against the manifest as they arrive.
+    grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)?;
     // ...and the raw on-disk meta (base counts, the state being replaced).
     let disk_meta = GridMeta::from_bytes(&storage.read_all(&format!("{prefix}{META_KEY}"))?)?;
     let manifest = read_manifest(storage.as_ref(), prefix, &disk_meta)?;
@@ -87,83 +77,50 @@ pub fn compact(
         bytes: manifest.segments.total_bytes(),
     });
 
-    // Collect the merged edge list through the overlay read path.
-    let p = grid.p();
-    let mut edges = Vec::with_capacity(grid.num_edges() as usize);
-    let mut scratch = Vec::new();
-    let mut block = Vec::new();
-    for i in 0..p {
-        for j in 0..p {
-            grid.read_block_into(i, j, &mut scratch, &mut block)?;
-            edges.extend_from_slice(&block);
-        }
-    }
-    let graph = Graph::from_edges(grid.num_vertices(), edges, disk_meta.weighted);
-
-    // Target meta: merged counts become the new base; epoch unchanged.
-    let mut new_meta = disk_meta.clone();
-    new_meta.num_edges = grid.meta().num_edges;
-    new_meta.block_edge_counts = grid.meta().block_edge_counts.clone();
-    let rebuilt = rebuild_payloads(&graph, &new_meta)?;
-
-    // Fingerprint check: a full re-preprocess of the merged edge list,
-    // pinned to the same boundaries and layout flags, must produce the
-    // same bytes for every object. Nothing is written until it does.
-    let mem = MemStorage::new();
-    let scratch_config = PreprocessConfig {
-        key_prefix: String::new(),
-        num_intervals: None,
-        memory_budget_bytes: None,
-        degree_balanced: false,
-        boundaries: Some(disk_meta.boundaries.clone()),
-        sort_blocks: disk_meta.sorted,
-        build_index: disk_meta.indexed,
-        sort_by_dst: disk_meta.dst_sorted,
-    };
-    let (scratch_meta, _) = preprocess(&graph, &mem, &scratch_config)?;
-    if scratch_meta.block_edge_counts != new_meta.block_edge_counts {
-        return Err(invalid(
-            "compaction produced different per-block edge counts than re-preprocessing",
-        ));
-    }
-    for (key, payload) in &rebuilt {
-        let fresh = mem.read_all(key)?;
-        if &fresh != payload {
-            return Err(invalid(format!(
-                "compaction of {key:?} is not byte-identical to re-preprocessing \
-                 the merged edge list; aborting with the grid untouched"
-            )));
-        }
-    }
-    let fingerprint = payloads_fingerprint(rebuilt.iter());
-
-    // --- write-back: changed payloads first ---
-    let base_section = &disk_meta.integrity;
+    // --- write-back: changed payloads first, row by row ---
+    let mut entries: BTreeMap<String, ObjectEntry> = disk_meta
+        .integrity
+        .objects
+        .iter()
+        .map(|entry| (entry.key.clone(), entry.clone()))
+        .collect();
     let mut objects_rewritten = 0u64;
     let mut bytes_rewritten = 0u64;
-    let mut entries = Vec::with_capacity(rebuilt.len());
-    for (key, payload) in &rebuilt {
-        let entry = ObjectEntry::of(key, payload);
-        if base_section.lookup(key) != Some(&entry) {
-            storage.create(&format!("{prefix}{key}"), payload)?;
+    let mut replace = |(rel, payload): (String, Vec<u8>)| {
+        let entry = ObjectEntry::of(rel.as_str(), &payload);
+        if entries.get(&rel) != Some(&entry) {
+            storage.create(&format!("{prefix}{rel}"), &payload)?;
             objects_rewritten += 1;
             bytes_rewritten += payload.len() as u64;
+            entries.insert(rel, entry);
         }
-        entries.push(entry);
+        std::io::Result::Ok(())
+    };
+    let mut scratch = Vec::new();
+    for i in merged_rows {
+        let mut row: Vec<Vec<Edge>> = vec![Vec::new(); grid.p() as usize];
+        for (j, block) in (0..).zip(&mut row) {
+            grid.read_block_into(i, j, &mut scratch, block)?;
+        }
+        row_objects(i, &mut row, disk_meta.order, grid.intervals(), grid.codec())
+            .objects
+            .into_iter()
+            .try_for_each(&mut replace)?;
     }
+    replace(degrees_object(&grid.load_out_degrees()?))?;
     storage.sync()?;
 
     // --- the emptied manifest: merged now equals base ---
-    let empty = DeltaManifest::empty(
-        epoch,
-        new_meta.num_edges,
-        new_meta.block_edge_counts.clone(),
-    );
+    let merged = grid.meta();
+    let empty = DeltaManifest::empty(epoch, merged.num_edges, merged.block_edge_counts.clone());
     storage.create(&manifest_key(prefix, epoch), &empty.to_bytes())?;
     storage.sync()?;
 
     // --- the resealed meta: new counts, fresh checksums, same epoch ---
-    new_meta.integrity = IntegritySection::new(entries);
+    let mut new_meta = disk_meta;
+    new_meta.num_edges = merged.num_edges;
+    new_meta.block_edge_counts = merged.block_edge_counts.clone();
+    new_meta.integrity = IntegritySection::new(entries.into_values().collect());
     new_meta.seal();
     storage.create(&format!("{prefix}{META_KEY}"), &new_meta.to_bytes())?;
     storage.sync()?;
@@ -183,7 +140,7 @@ pub fn compact(
         segments_folded: manifest.segments.len() as u64,
         objects_rewritten,
         bytes_rewritten,
-        fingerprint,
+        fingerprint: fnv64(&new_meta.integrity.canonical_bytes()),
     }))
 }
 
@@ -192,8 +149,9 @@ mod tests {
     use super::*;
     use crate::batch::MutationBatch;
     use crate::ingest::ingest;
-    use gsd_graph::{GeneratorConfig, GraphKind};
-    use gsd_io::Storage;
+    use gsd_graph::preprocess::{preprocess, PreprocessConfig};
+    use gsd_graph::{GeneratorConfig, Graph, GraphKind};
+    use gsd_io::{MemStorage, Storage};
     use std::sync::Arc;
 
     fn setup(p: u32) -> (Graph, SharedStorage) {

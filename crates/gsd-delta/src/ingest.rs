@@ -9,8 +9,8 @@
 //! 2. the cumulative [`DeltaManifest`] under its **epoch-keyed** name
 //!    (`delta/manifest_<epoch>.json`), then sync — a crash here leaves an
 //!    orphan manifest the committed meta never names;
-//! 3. the resealed `meta.json` at format v4 carrying the new epoch, then
-//!    sync — the commit point;
+//! 3. the resealed `meta.json` carrying the new epoch in its delta
+//!    section, then sync — the commit point;
 //! 4. the previous epoch's manifest is deleted (cleanup, not
 //!    correctness).
 //!
@@ -22,10 +22,11 @@
 
 use crate::batch::MutationBatch;
 use gsd_graph::delta::{
-    encode_segment, manifest_key, read_manifest, segment_key, DeltaManifest, DeltaOp,
+    apply_ops, encode_segment, manifest_key, read_live_ops, read_manifest, segment_key,
+    DeltaManifest, DeltaOp,
 };
 use gsd_graph::format::{block_edges_key, decode_u32s, DeltaSection, GridMeta};
-use gsd_graph::{Edge, DEGREES_KEY, DELTA_FORMAT_VERSION, DELTA_META_FORMAT_VERSION, META_KEY};
+use gsd_graph::{BlockOrder, DEGREES_KEY, META_KEY};
 use gsd_integrity::{IntegritySection, ObjectEntry};
 use gsd_io::Storage;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -52,34 +53,11 @@ pub struct IngestReport {
     pub merged_num_edges: u64,
 }
 
-/// Applies `ops` in order to `edges` (insert appends one copy, delete
-/// removes every copy of the pair) without re-sorting — callers that need
-/// canonical order sort afterwards.
-fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) {
-    for op in ops {
-        match op {
-            DeltaOp::Insert(e) => edges.push(*e),
-            DeltaOp::Delete { src, dst } => edges.retain(|e| e.src != *src || e.dst != *dst),
-        }
-    }
-}
-
-/// Per-source edge counts of a block's edge list.
-fn src_counts(edges: &[Edge]) -> BTreeMap<u32, i64> {
-    let mut counts = BTreeMap::new();
-    for e in edges {
-        *counts.entry(e.src).or_insert(0) += 1;
-    }
-    counts
-}
-
 /// Commits `batch` against the grid under `prefix` as one new epoch.
 ///
 /// Requirements: a sorted grid (the merge path relies on the canonical
-/// sub-block order; Lumos-layout unsorted grids are rejected) at format
-/// v2 or v4 (v1 grids carry no checksums — re-preprocess first), and
-/// every op inside the existing vertex universe (mutations never grow
-/// `|V|`).
+/// sub-block order; Lumos-layout unsorted grids are rejected) and every
+/// op inside the existing vertex universe (mutations never grow `|V|`).
 ///
 /// An empty batch is a no-op that reports the current epoch.
 pub fn ingest(
@@ -90,7 +68,7 @@ pub fn ingest(
 ) -> std::io::Result<IngestReport> {
     let meta_bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
     let mut meta = GridMeta::from_bytes(&meta_bytes)?;
-    if !meta.sorted {
+    if meta.order == BlockOrder::Unsorted {
         return Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
             "delta ingest requires a sorted grid format (unsorted Lumos-layout grids \
@@ -120,46 +98,27 @@ pub fn ingest(
         }
     }
 
-    // Prior merged state: live segments + merged counts + degree patch.
-    let (prior_segments, prior_counts, prior_degrees, prior_epoch) = match &meta.delta {
-        Some(section) => {
-            let manifest = read_manifest(storage, prefix, &meta)?;
-            let degrees: BTreeMap<u32, u32> = manifest
-                .degree_vertices
-                .iter()
-                .copied()
-                .zip(manifest.degree_values.iter().copied())
-                .collect();
-            (
-                manifest.segments.objects,
-                manifest.merged_block_edge_counts,
-                degrees,
-                section.epoch,
-            )
-        }
-        None => (
-            Vec::new(),
-            meta.block_edge_counts.clone(),
-            BTreeMap::new(),
-            0,
-        ),
+    // Prior merged state: live segments + merged counts + degree patch
+    // (for a grid never mutated: none, the base counts, none).
+    let prior = match meta.delta {
+        Some(_) => read_manifest(storage, prefix, &meta)?,
+        None => DeltaManifest::empty(0, meta.num_edges, meta.block_edge_counts.clone()),
     };
-
     if batch.is_empty() {
         return Ok(IngestReport {
-            epoch: prior_epoch,
+            epoch: prior.epoch,
             inserts: 0,
             deletes: 0,
             segments: 0,
             segment_bytes: 0,
-            merged_num_edges: prior_counts.iter().sum(),
+            merged_num_edges: prior.merged_num_edges,
         });
     }
 
     let intervals = meta.intervals();
     let codec = meta.codec();
     let p = meta.p;
-    let epoch = prior_epoch + 1;
+    let epoch = prior.epoch + 1;
 
     // Group the batch per sub-block ((src, dst) determines exactly one).
     let mut new_ops: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
@@ -169,28 +128,12 @@ pub fn ingest(
         new_ops.entry((i, j)).or_default().push(*op);
     }
 
-    // Prior live ops grouped per block (entry order is key order, and the
-    // zero-padded epoch in the key makes that epoch order).
-    let mut prior_ops: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
-    for entry in &prior_segments {
-        let payload = storage.read_all(&format!("{prefix}{}", entry.key))?;
-        if ObjectEntry::of(&entry.key, &payload) != *entry {
-            return Err(invalid(format!(
-                "delta segment {:?} failed its manifest checksum",
-                entry.key
-            )));
-        }
-        let (header, segment_ops) = gsd_graph::delta::decode_segment(&payload)?;
-        prior_ops
-            .entry((header.i, header.j))
-            .or_default()
-            .extend(segment_ops);
-    }
+    let prior_ops = read_live_ops(storage, prefix, &prior, p)?;
 
     // Merge each touched block to derive the new merged counts and the
     // out-degree diff of the batch.
     let base_degrees = decode_u32s(&storage.read_all(&format!("{prefix}{DEGREES_KEY}"))?)?;
-    let mut merged_counts = prior_counts;
+    let mut merged_counts = prior.merged_block_edge_counts;
     let mut degree_diff: BTreeMap<u32, i64> = BTreeMap::new();
     for (&(i, j), block_ops) in &new_ops {
         let mut payload = vec![0u8; meta.block_bytes(i, j) as usize];
@@ -201,23 +144,23 @@ pub fn ingest(
         if let Some(prior) = prior_ops.get(&(i, j)) {
             apply_ops(&mut edges, prior);
         }
-        let before = src_counts(&edges);
-        apply_ops(&mut edges, block_ops);
-        let after = src_counts(&edges);
-        merged_counts[(i * p + j) as usize] = edges.len() as u64;
-        let touched: std::collections::BTreeSet<u32> =
-            before.keys().chain(after.keys()).copied().collect();
-        for v in touched {
-            let diff = after.get(&v).copied().unwrap_or(0) - before.get(&v).copied().unwrap_or(0);
-            if diff != 0 {
-                *degree_diff.entry(v).or_insert(0) += diff;
-            }
+        for e in &edges {
+            *degree_diff.entry(e.src).or_insert(0) -= 1;
         }
+        apply_ops(&mut edges, block_ops);
+        for e in &edges {
+            *degree_diff.entry(e.src).or_insert(0) += 1;
+        }
+        merged_counts[(i * p + j) as usize] = edges.len() as u64;
     }
 
     // Absolute merged out-degrees: prior patch extended by this batch.
-    let mut degrees = prior_degrees;
-    for (v, diff) in degree_diff {
+    let mut degrees: BTreeMap<u32, u32> = prior
+        .degree_vertices
+        .into_iter()
+        .zip(prior.degree_values)
+        .collect();
+    for (v, diff) in degree_diff.into_iter().filter(|&(_, diff)| diff != 0) {
         let current = degrees.get(&v).copied().unwrap_or(base_degrees[v as usize]) as i64;
         let merged = current + diff;
         debug_assert!(merged >= 0, "merged out-degree of {v} went negative");
@@ -225,7 +168,7 @@ pub fn ingest(
     }
 
     // --- step 1: segments, durable before anything references them ---
-    let mut entries = prior_segments;
+    let mut entries = prior.segments.objects;
     let mut segment_bytes = 0u64;
     let mut segments_written = 0u64;
     for (&(i, j), block_ops) in &new_ops {
@@ -241,7 +184,6 @@ pub fn ingest(
     // --- step 2: the cumulative manifest under its epoch-keyed name ---
     let merged_num_edges = merged_counts.iter().sum();
     let manifest = DeltaManifest {
-        version: DELTA_FORMAT_VERSION,
         epoch,
         segments: IntegritySection::new(entries),
         merged_num_edges,
@@ -252,19 +194,15 @@ pub fn ingest(
     storage.create(&manifest_key(prefix, epoch), &manifest.to_bytes())?;
     storage.sync()?;
 
-    // --- step 3: the resealed v4 meta — the commit point ---
-    meta.version = DELTA_META_FORMAT_VERSION;
-    meta.delta = Some(DeltaSection {
-        version: DELTA_FORMAT_VERSION,
-        epoch,
-    });
+    // --- step 3: the resealed meta — the commit point ---
+    meta.delta = Some(DeltaSection { epoch });
     meta.seal();
     storage.create(&format!("{prefix}{META_KEY}"), &meta.to_bytes())?;
     storage.sync()?;
 
     // --- step 4: cleanup; the old manifest is now unreferenced ---
-    if prior_epoch > 0 {
-        storage.delete(&manifest_key(prefix, prior_epoch))?;
+    if prior.epoch > 0 {
+        storage.delete(&manifest_key(prefix, prior.epoch))?;
     }
 
     trace.emit(&TraceEvent::DeltaApplied {
@@ -306,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_commits_v4_meta_and_merged_view() {
+    fn ingest_commits_delta_section_and_merged_view() {
         let (g, storage) = setup(3);
         let mut batch = MutationBatch::new();
         batch.insert(0, 5, 1.0).insert(0, 5, 1.0).delete(1, 0);

@@ -7,11 +7,9 @@
 //!   format (`+ src dst [w]` / `- src dst`).
 //! * [`ingest`] — commits a batch as one atomic *epoch*: per-sub-block
 //!   delta segments (append-only, checksummed, LSM-style), an
-//!   epoch-keyed manifest, and a format-v4 meta reseal as the commit
-//!   point. Readers see either the whole epoch or none of it.
-//! * [`compact`] — folds live segments back into base sub-blocks,
-//!   byte-verified against a full re-preprocess of the merged edge list
-//!   before anything is written.
+//!   epoch-keyed manifest, and a meta reseal as the commit point. Readers see either the whole epoch or none of it.
+//! * [`compact`] — folds live segments back into base sub-blocks, one
+//!   grid row at a time, through the preprocessor's own row layout.
 //! * [`incremental`] — warm-starts a converged vertex program across a
 //!   batch, seeding the frontier from the mutation's footprint, with a
 //!   proof obligation (monotone frontier programs only) that makes the

@@ -5,8 +5,7 @@
 //! every sub-block `(i, j)` the batch touches, the writer appends one
 //! segment object holding that block's insert/delete records, then
 //! commits a cumulative [`DeltaManifest`] and finally rewrites the sealed
-//! `meta.json` at format v4 with the new epoch (see
-//! [`crate::format::DeltaSection`]). The meta is the commit point: a
+//! `meta.json` with the new epoch (see [`crate::format::DeltaSection`]). The meta is the commit point: a
 //! crash mid-ingest leaves orphaned segment objects that no committed
 //! manifest references, never a half-applied batch.
 //!
@@ -17,22 +16,23 @@
 //!
 //! # The merging read path
 //!
-//! [`GridGraph::open`](crate::grid::GridGraph) on a v4 meta loads a
-//! [`DeltaOverlay`]: every touched sub-block is materialized in memory as
-//! its **merged** form — base edges with deletes removed and inserts
-//! merged into canonical sort position — together with its recomputed
-//! per-vertex index and the affected rows of the combined row index. All
-//! grid read primitives consult the overlay first, so every engine, the
+//! [`GridGraph::open`](crate::grid::GridGraph) on a meta with a delta
+//! section loads a [`DeltaOverlay`]: every touched sub-block is
+//! materialized in memory as its **merged** form — base edges with
+//! deletes removed and inserts merged into canonical sort position —
+//! together with its recomputed per-vertex offsets. Block and edge-run
+//! reads of a merged sub-block are served from the overlay; a row-index
+//! read fetches the base span as on any grid and replaces the columns of
+//! merged sub-blocks with the overlay's offsets. So every engine, the
 //! prefetch pipeline and the serve daemon see base+delta as one logical
-//! sub-block without any code of their own. Untouched blocks read from
+//! grid without any code of their own, and untouched blocks read from
 //! storage unchanged.
 //!
-//! Because sub-blocks are sorted by the canonical total order
-//! `(src, dst, weight-bits)` (see `preprocess`), the merged payload is
-//! **byte-identical** to what a full re-preprocess of the merged edge
-//! list would write — the property compaction is fingerprint-checked
-//! against, and the reason analytic results on base+delta match a
-//! from-scratch grid bit for bit.
+//! Because sub-blocks are sorted by a canonical total order (see
+//! [`BlockOrder::sort`]), the merged payload is **byte-identical** to
+//! what a full re-preprocess of the merged edge list would write — what
+//! makes compaction a row-by-row rewrite, and the reason analytic results
+//! on base+delta match a from-scratch grid bit for bit.
 //!
 //! # Mutation semantics
 //!
@@ -49,9 +49,8 @@
 //! Overlay loading verifies every segment and every base payload it
 //! merges, and `scrub` extends to segments (see [`crate::integrity`]).
 
-use crate::format::{
-    block_edges_key, block_index_key, decode_u32s, GridMeta, DELTA_FORMAT_VERSION,
-};
+use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION};
+use crate::layout::{build_index, BlockOrder};
 use crate::types::{Edge, VertexId};
 use gsd_integrity::{IntegritySection, ObjectEntry};
 use gsd_io::Storage;
@@ -107,11 +106,10 @@ impl DeltaOp {
     }
 }
 
-/// Decoded header of one segment payload.
+/// Decoded header of one segment payload (whose version, once decoded, is
+/// [`FORMAT_VERSION`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
-    /// Segment encoding version ([`DELTA_FORMAT_VERSION`]).
-    pub version: u32,
     /// Epoch the segment belongs to.
     pub epoch: u64,
     /// Source interval of the sub-block.
@@ -127,7 +125,7 @@ pub struct SegmentHeader {
 pub fn encode_segment(epoch: u64, i: u32, j: u32, ops: &[DeltaOp]) -> Vec<u8> {
     let mut out = Vec::with_capacity(24 + ops.len() * 13);
     out.extend_from_slice(SEGMENT_MAGIC);
-    out.extend_from_slice(&DELTA_FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&i.to_le_bytes());
     out.extend_from_slice(&j.to_le_bytes());
@@ -174,9 +172,9 @@ pub fn decode_segment(bytes: &[u8]) -> std::io::Result<(SegmentHeader, Vec<Delta
         return Err(invalid("delta segment magic mismatch"));
     }
     let version = take_u32(bytes, &mut pos, "version")?;
-    if version != DELTA_FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(invalid(format!(
-            "unsupported delta segment version {version} (supported: {DELTA_FORMAT_VERSION})"
+            "unsupported delta segment version {version} (supported: {FORMAT_VERSION})"
         )));
     }
     let epoch = u64::from_le_bytes(
@@ -206,15 +204,7 @@ pub fn decode_segment(bytes: &[u8]) -> std::io::Result<(SegmentHeader, Vec<Delta
             t => return Err(invalid(format!("unknown delta op tag {t}"))),
         });
     }
-    Ok((
-        SegmentHeader {
-            version,
-            epoch,
-            i,
-            j,
-        },
-        ops,
-    ))
+    Ok((SegmentHeader { epoch, i, j }, ops))
 }
 
 /// The cumulative delta manifest: every live segment with its checksum,
@@ -228,8 +218,6 @@ pub fn decode_segment(bytes: &[u8]) -> std::io::Result<(SegmentHeader, Vec<Delta
 /// epoch's manifest authoritative.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeltaManifest {
-    /// Segment encoding version ([`DELTA_FORMAT_VERSION`]).
-    pub version: u32,
     /// Epoch this manifest commits (== `meta.delta.epoch`).
     pub epoch: u64,
     /// Checksums of every live segment (prefix-relative keys). Empty
@@ -250,7 +238,6 @@ impl DeltaManifest {
     /// A manifest with no live segments: merged equals base.
     pub fn empty(epoch: u64, num_edges: u64, block_edge_counts: Vec<u64>) -> Self {
         DeltaManifest {
-            version: DELTA_FORMAT_VERSION,
             epoch,
             segments: IntegritySection::new(Vec::new()),
             merged_num_edges: num_edges,
@@ -265,31 +252,23 @@ impl DeltaManifest {
         serde_json::to_vec_pretty(self).expect("DeltaManifest serializes")
     }
 
-    /// Parses and validates a manifest against the meta that names it.
-    pub fn from_bytes(bytes: &[u8], meta: &GridMeta) -> std::io::Result<Self> {
+    /// Parses a manifest and validates it against the `epoch` and grid
+    /// size `p` of the sealed meta that names it (whose format version is
+    /// the manifest's too).
+    pub fn from_bytes(bytes: &[u8], epoch: u64, p: u32) -> std::io::Result<Self> {
         let manifest: DeltaManifest = serde_json::from_slice(bytes)
             .map_err(|e| invalid(format!("delta manifest failed to parse: {e}")))?;
-        let section = meta
-            .delta
-            .as_ref()
-            .ok_or_else(|| invalid("delta manifest present but meta has no delta section"))?;
-        if manifest.version != DELTA_FORMAT_VERSION {
+        if manifest.epoch != epoch {
             return Err(invalid(format!(
-                "unsupported delta manifest version {}",
-                manifest.version
-            )));
-        }
-        if manifest.epoch != section.epoch {
-            return Err(invalid(format!(
-                "delta manifest epoch {} does not match the sealed meta epoch {}",
-                manifest.epoch, section.epoch
+                "delta manifest epoch {} does not match the sealed meta epoch {epoch}",
+                manifest.epoch
             )));
         }
         manifest
             .segments
             .verify_section(&manifest_key("", manifest.epoch))
             .map_err(|e| e.into_io())?;
-        if manifest.merged_block_edge_counts.len() != (meta.p * meta.p) as usize
+        if manifest.merged_block_edge_counts.len() != (p * p) as usize
             || manifest.merged_block_edge_counts.iter().sum::<u64>() != manifest.merged_num_edges
             || manifest.degree_vertices.len() != manifest.degree_values.len()
         {
@@ -311,7 +290,7 @@ pub fn read_manifest(
         .as_ref()
         .ok_or_else(|| invalid("grid has no delta section"))?;
     let bytes = storage.read_all(&manifest_key(prefix, section.epoch))?;
-    DeltaManifest::from_bytes(&bytes, meta)
+    DeltaManifest::from_bytes(&bytes, section.epoch, meta.p)
 }
 
 /// One merged (base + delta) sub-block held in memory by the overlay.
@@ -320,10 +299,9 @@ pub struct OverlayBlock {
     /// Encoded merged edge payload — byte-identical to what a full
     /// re-preprocess of the merged edge list would write for this block.
     pub bytes: Vec<u8>,
-    /// Merged per-vertex CSR offsets (empty on unindexed formats).
+    /// Merged per-source CSR offsets — this sub-block's column of its
+    /// row's index (empty on formats without one).
     pub offsets: Vec<u32>,
-    /// Merged edge count.
-    pub edge_count: u64,
 }
 
 /// In-memory merge of all live delta segments over their base sub-blocks.
@@ -334,9 +312,6 @@ pub struct OverlayBlock {
 #[derive(Debug, Default)]
 pub struct DeltaOverlay {
     blocks: BTreeMap<(u32, u32), OverlayBlock>,
-    /// Recomputed combined row indexes (decoded), for rows with >= 1
-    /// merged block (source-sorted indexed formats only).
-    rows: BTreeMap<u32, Vec<u32>>,
     /// Sparse merged out-degree patch over `degrees.bin`.
     degrees: BTreeMap<u32, u32>,
     /// Bytes held across merged payloads + indexes (for cost accounting).
@@ -349,10 +324,18 @@ impl DeltaOverlay {
         self.blocks.get(&(i, j))
     }
 
-    /// The recomputed combined row index of interval `i`, if any block
-    /// of the row is merged.
-    pub fn row(&self, i: u32) -> Option<&[u32]> {
-        self.rows.get(&i).map(|v| v.as_slice())
+    /// The merged sub-blocks of row `i` as `(j, block)`, by column.
+    pub fn row_blocks(&self, i: u32) -> impl Iterator<Item = (u32, &OverlayBlock)> {
+        self.blocks
+            .range((i, 0)..=(i, u32::MAX))
+            .map(|(&(_, j), block)| (j, block))
+    }
+
+    /// The rows holding at least one merged sub-block, ascending.
+    pub fn merged_rows(&self) -> Vec<u32> {
+        let mut rows: Vec<u32> = self.blocks.keys().map(|&(i, _)| i).collect();
+        rows.dedup();
+        rows
     }
 
     /// Applies the merged out-degree patch to a freshly loaded base
@@ -374,38 +357,58 @@ impl DeltaOverlay {
     }
 }
 
-/// Verifies `payload` against the base integrity section entry for
-/// `rel_key`.
-fn verify_base_payload(meta: &GridMeta, rel_key: &str, payload: &[u8]) -> std::io::Result<()> {
-    let entry = meta
-        .integrity
-        .lookup(rel_key)
-        .ok_or_else(|| invalid(format!("object {rel_key:?} is not in the grid manifest")))?;
-    if ObjectEntry::of(rel_key, payload) != *entry {
-        return Err(invalid(format!(
-            "base object {rel_key:?} failed its checksum while merging delta segments"
-        )));
-    }
-    Ok(())
-}
-
-/// Applies `ops` (in order) to the sorted base edges of one sub-block and
-/// returns the merged edges in canonical `(src, dst, weight-bits)` order
-/// (or `(dst, src, weight-bits)` on dst-sorted formats).
-fn merge_block_edges(base: &[Edge], ops: &[DeltaOp], dst_sorted: bool) -> Vec<Edge> {
-    let mut edges = base.to_vec();
+/// Applies `ops` in order to `edges`: an insert appends one copy, a delete
+/// removes every copy of its pair. The result is in no particular order.
+pub fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) {
     for op in ops {
         match op {
             DeltaOp::Insert(e) => edges.push(*e),
             DeltaOp::Delete { src, dst } => edges.retain(|e| e.src != *src || e.dst != *dst),
         }
     }
-    if dst_sorted {
-        edges.sort_unstable_by_key(|e| (e.dst, e.src, e.weight.to_bits()));
-    } else {
-        edges.sort_unstable_by_key(|e| (e.src, e.dst, e.weight.to_bits()));
-    }
+}
+
+/// Applies `ops` (in order) to the base edges of one sub-block and
+/// returns the merged edges in the grid's canonical `order`.
+fn merge_block_edges(base: &[Edge], ops: &[DeltaOp], order: BlockOrder) -> Vec<Edge> {
+    let mut edges = base.to_vec();
+    apply_ops(&mut edges, ops);
+    order.sort(&mut edges);
     edges
+}
+
+/// Reads, verifies and decodes every live segment `manifest` names and
+/// groups the ops per sub-block of a `P × P` grid, in epoch order
+/// (manifest entries are key-sorted; the zero-padded epoch in the key
+/// makes that epoch order).
+pub fn read_live_ops(
+    storage: &dyn Storage,
+    prefix: &str,
+    manifest: &DeltaManifest,
+    p: u32,
+) -> std::io::Result<BTreeMap<(u32, u32), Vec<DeltaOp>>> {
+    let mut per_block: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
+    for entry in &manifest.segments.objects {
+        let payload = storage.read_all(&format!("{prefix}{}", entry.key))?;
+        if ObjectEntry::of(&entry.key, &payload) != *entry {
+            return Err(invalid(format!(
+                "delta segment {:?} failed its manifest checksum",
+                entry.key
+            )));
+        }
+        let (header, ops) = decode_segment(&payload)?;
+        if header.i >= p || header.j >= p || header.epoch > manifest.epoch {
+            return Err(invalid(format!(
+                "delta segment {:?} names sub-block ({}, {}) epoch {} outside the grid",
+                entry.key, header.i, header.j, header.epoch
+            )));
+        }
+        per_block
+            .entry((header.i, header.j))
+            .or_default()
+            .extend(ops);
+    }
+    Ok(per_block)
 }
 
 /// Loads the delta overlay named by `meta` and patches the in-memory meta
@@ -434,31 +437,7 @@ pub(crate) fn load_overlay(
     let intervals = meta.intervals();
     let p = meta.p;
 
-    // Verify + decode every live segment, grouping ops per sub-block in
-    // epoch order (manifest entries are key-sorted; the zero-padded epoch
-    // in the key makes that epoch order).
-    let mut per_block: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
-    for entry in &manifest.segments.objects {
-        let key = format!("{prefix}{}", entry.key);
-        let payload = storage.read_all(&key)?;
-        if ObjectEntry::of(&entry.key, &payload) != *entry {
-            return Err(invalid(format!(
-                "delta segment {:?} failed its manifest checksum",
-                entry.key
-            )));
-        }
-        let (header, ops) = decode_segment(&payload)?;
-        if header.i >= p || header.j >= p || header.epoch > manifest.epoch {
-            return Err(invalid(format!(
-                "delta segment {:?} names sub-block ({}, {}) epoch {} outside the grid",
-                entry.key, header.i, header.j, header.epoch
-            )));
-        }
-        per_block
-            .entry((header.i, header.j))
-            .or_default()
-            .extend(ops);
-    }
+    let per_block = read_live_ops(storage, prefix, &manifest, p)?;
 
     let mut overlay = DeltaOverlay::default();
     let mut scratch_counts = meta.block_edge_counts.clone();
@@ -469,8 +448,13 @@ pub(crate) fn load_overlay(
         if base_bytes > 0 {
             storage.read_at(&key, 0, &mut payload)?;
         }
-        verify_base_payload(meta, &block_edges_key("", i, j), &payload)?;
-        let merged = merge_block_edges(&codec.decode_all(&payload), ops, meta.dst_sorted);
+        let rel_key = block_edges_key("", i, j);
+        if meta.integrity.lookup(&rel_key) != Some(&ObjectEntry::of(rel_key.as_str(), &payload)) {
+            return Err(invalid(format!(
+                "base object {rel_key:?} failed its checksum while merging delta segments"
+            )));
+        }
+        let merged = merge_block_edges(&codec.decode_all(&payload), ops, meta.order);
         let want = manifest.merged_block_edge_counts[(i * p + j) as usize];
         if merged.len() as u64 != want {
             return Err(invalid(format!(
@@ -478,13 +462,8 @@ pub(crate) fn load_overlay(
                 merged.len()
             )));
         }
-        let offsets = if meta.indexed {
-            let indexed_interval = if meta.dst_sorted { j } else { i };
-            crate::preprocess::build_index(
-                &merged,
-                intervals.range(indexed_interval),
-                meta.dst_sorted,
-            )
+        let offsets = if meta.order.has_row_index() {
+            build_index(&merged, intervals.range(i))
         } else {
             Vec::new()
         };
@@ -492,51 +471,9 @@ pub(crate) fn load_overlay(
         let index_bytes = (offsets.len() * 4) as u64;
         overlay.resident_bytes += bytes.len() as u64 + index_bytes;
         scratch_counts[(i * p + j) as usize] = want;
-        overlay.blocks.insert(
-            (i, j),
-            OverlayBlock {
-                bytes,
-                offsets,
-                edge_count: want,
-            },
-        );
-    }
-
-    // Recompute the combined row index of every row with a merged block:
-    // merged blocks contribute their fresh offsets, untouched blocks
-    // their on-disk (verified) index payloads.
-    if meta.indexed && !meta.dst_sorted {
-        let touched_rows: Vec<u32> = {
-            let mut rows: Vec<u32> = overlay.blocks.keys().map(|&(i, _)| i).collect();
-            rows.dedup();
-            rows
-        };
-        for i in touched_rows {
-            let row_len = intervals.len(i) as usize;
-            let mut row_index = vec![0u32; (row_len + 1) * p as usize];
-            for j in 0..p {
-                let offsets = match overlay.blocks.get(&(i, j)) {
-                    Some(block) => block.offsets.clone(),
-                    None => {
-                        let rel = block_index_key("", i, j);
-                        let payload = storage.read_all(&block_index_key(prefix, i, j))?;
-                        verify_base_payload(meta, &rel, &payload)?;
-                        decode_u32s(&payload)?
-                    }
-                };
-                if offsets.len() != row_len + 1 {
-                    return Err(invalid(format!(
-                        "sub-block ({i}, {j}) index covers {} vertices, expected {row_len}",
-                        offsets.len().saturating_sub(1)
-                    )));
-                }
-                for (k, &off) in offsets.iter().enumerate() {
-                    row_index[k * p as usize + j as usize] = off;
-                }
-            }
-            overlay.resident_bytes += row_index.len() as u64 * 4;
-            overlay.rows.insert(i, row_index);
-        }
+        overlay
+            .blocks
+            .insert((i, j), OverlayBlock { bytes, offsets });
     }
 
     for (&v, &d) in manifest.degree_vertices.iter().zip(&manifest.degree_values) {
@@ -558,7 +495,6 @@ pub(crate) fn load_overlay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::DeltaSection;
 
     #[test]
     fn segment_roundtrip() {
@@ -572,7 +508,6 @@ mod tests {
         assert_eq!(
             header,
             SegmentHeader {
-                version: DELTA_FORMAT_VERSION,
                 epoch: 5,
                 i: 1,
                 j: 2
@@ -609,7 +544,7 @@ mod tests {
             DeltaOp::Insert(Edge::new(4, 4)),
             DeltaOp::Delete { src: 4, dst: 4 },
         ];
-        let merged = merge_block_edges(&base, &ops, false);
+        let merged = merge_block_edges(&base, &ops, BlockOrder::BySource);
         assert_eq!(
             merged,
             vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(2, 1)]
@@ -619,7 +554,11 @@ mod tests {
     #[test]
     fn merge_delete_removes_every_copy_and_reinsert_restores() {
         let base = vec![Edge::new(5, 6), Edge::new(5, 6)];
-        let merged = merge_block_edges(&base, &[DeltaOp::Delete { src: 5, dst: 6 }], false);
+        let merged = merge_block_edges(
+            &base,
+            &[DeltaOp::Delete { src: 5, dst: 6 }],
+            BlockOrder::BySource,
+        );
         assert!(merged.is_empty());
         let merged = merge_block_edges(
             &base,
@@ -627,34 +566,14 @@ mod tests {
                 DeltaOp::Delete { src: 5, dst: 6 },
                 DeltaOp::Insert(Edge::new(5, 6)),
             ],
-            false,
+            BlockOrder::BySource,
         );
         assert_eq!(merged, vec![Edge::new(5, 6)]);
     }
 
     #[test]
     fn manifest_roundtrip_and_validation() {
-        let meta_delta = DeltaSection {
-            version: DELTA_FORMAT_VERSION,
-            epoch: 2,
-        };
-        let mut meta = GridMeta {
-            version: crate::format::DELTA_META_FORMAT_VERSION,
-            num_vertices: 10,
-            num_edges: 4,
-            p: 1,
-            weighted: false,
-            indexed: true,
-            sorted: true,
-            dst_sorted: false,
-            boundaries: vec![0, 10],
-            block_edge_counts: vec![4],
-            integrity: IntegritySection::new(vec![]),
-            delta: Some(meta_delta),
-        };
-        meta.seal();
         let manifest = DeltaManifest {
-            version: DELTA_FORMAT_VERSION,
             epoch: 2,
             segments: IntegritySection::new(vec![ObjectEntry::of(
                 segment_key("", 2, 0, 0),
@@ -665,19 +584,19 @@ mod tests {
             degree_vertices: vec![3],
             degree_values: vec![2],
         };
-        let back = DeltaManifest::from_bytes(&manifest.to_bytes(), &meta).unwrap();
+        let back = DeltaManifest::from_bytes(&manifest.to_bytes(), 2, 1).unwrap();
         assert_eq!(back, manifest);
 
         // Epoch mismatch against the sealed meta: refused.
         let mut stale = manifest.clone();
         stale.epoch = 1;
-        let err = DeltaManifest::from_bytes(&stale.to_bytes(), &meta).unwrap_err();
+        let err = DeltaManifest::from_bytes(&stale.to_bytes(), 2, 1).unwrap_err();
         assert!(err.to_string().contains("epoch"), "{err}");
 
         // Merged counts that do not sum: refused.
         let mut bad = manifest;
         bad.merged_num_edges = 99;
-        assert!(DeltaManifest::from_bytes(&bad.to_bytes(), &meta).is_err());
+        assert!(DeltaManifest::from_bytes(&bad.to_bytes(), 2, 1).is_err());
     }
 
     #[test]

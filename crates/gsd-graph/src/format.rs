@@ -5,31 +5,30 @@
 //! ```text
 //! <prefix>meta.json               — GridMeta (JSON)
 //! <prefix>degrees.bin             — out-degree per vertex, u32 LE
-//! <prefix>blocks/b_<i>_<j>.edges  — sub-block (i,j) edges, sorted by (src,dst)
-//! <prefix>blocks/b_<i>_<j>.idx    — CSR offsets per source vertex, u32 LE
+//! <prefix>blocks/b_<i>_<j>.edges  — sub-block (i,j) edges, in the meta's BlockOrder
+//! <prefix>blocks/r_<i>.ridx       — row i's vertex-major index, u32 LE (BySource only)
+//! <prefix>delta/…                 — segments + manifest of a mutated grid (crate::delta)
 //! ```
 //!
-//! The `.idx` file realizes the paper's `index(i, j)` structure: entry `k`
-//! is the first edge (by index, not byte) of vertex `range(i).start + k`
-//! within the sub-block, so one vertex's edge list is a single contiguous
-//! byte range — the property GraphSD's on-demand I/O model relies on.
+//! The row index realizes the paper's `index(i, j)` structure: column `j`
+//! of row `i`'s index holds, for each vertex of interval `i`, its first
+//! edge (by index, not byte) within sub-block `(i, j)`, so one vertex's
+//! edge list in a sub-block is a single contiguous byte range — the
+//! property GraphSD's on-demand I/O model relies on — and one request
+//! resolves it in every sub-block of the row. Which objects a row
+//! consists of is decided in one place, [`crate::layout`].
 //!
-//! # Format versions
+//! # Format version
 //!
-//! * **v1** — the original layout above, no checksums. Nothing writes
-//!   it any more and readers reject it at open: re-run `gsd preprocess`.
-//! * **v2** — identical data objects plus an `integrity` section in
-//!   `meta.json`: one CRC32 + length per data object, a CRC over the
-//!   entry list itself, and a whole-meta self-check CRC (see
-//!   [`gsd_integrity::IntegritySection`]). The preprocessor writes v2.
-//! * **v3** — never written by anything; readers reject it as any other
-//!   unsupported version.
-//! * **v4** — a v2 grid that has accepted streaming mutations: the meta
-//!   additionally carries a [`DeltaSection`] naming the delta segment
-//!   encoding version and the current mutation epoch, and the store
-//!   holds `delta/` objects (segments + manifest) layered over the base
-//!   sub-blocks. See `crate::delta`.
+//! One [`FORMAT_VERSION`] names the layout above, the `integrity` section
+//! of `meta.json` (one CRC32 + length per data object, a CRC over the
+//! entry list and a whole-meta self-check CRC, see
+//! [`gsd_integrity::IntegritySection`]) and the delta segment and manifest
+//! encodings. Readers refuse any other value at open — re-run
+//! `gsd preprocess`; there is no migrator. A mutated grid is one whose
+//! meta carries a [`DeltaSection`].
 
+use crate::layout::BlockOrder;
 use crate::partition::Intervals;
 use gsd_integrity::{crc32, CorruptionError, IntegritySection};
 use serde::{Deserialize, Serialize, Value};
@@ -44,11 +43,6 @@ pub fn block_edges_key(prefix: &str, i: u32, j: u32) -> String {
     format!("{prefix}blocks/b_{i}_{j}.edges")
 }
 
-/// Key of sub-block `(i, j)`'s per-vertex index under `prefix`.
-pub fn block_index_key(prefix: &str, i: u32, j: u32) -> String {
-    format!("{prefix}blocks/b_{i}_{j}.idx")
-}
-
 /// Key of row `i`'s combined vertex-major index under `prefix`.
 ///
 /// Layout: for each vertex `v` of interval `i` (plus one terminator row),
@@ -61,8 +55,20 @@ pub fn row_index_key(prefix: &str, i: u32) -> String {
     format!("{prefix}blocks/r_{i}.ridx")
 }
 
+/// The class of a grid object, by its prefix-relative key: what `gsd info`
+/// and `gsd scrub` count objects by.
+pub fn object_class(rel_key: &str) -> &'static str {
+    match rel_key {
+        DEGREES_KEY => "degrees",
+        key if key.ends_with(".edges") => "edges",
+        key if key.ends_with(".ridx") => "row index",
+        key if key.starts_with("delta/") => "delta segments",
+        _ => "other",
+    }
+}
+
 /// Serialized description of a preprocessed grid graph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridMeta {
     /// Format version (bumped on incompatible changes).
     pub version: u32,
@@ -74,14 +80,9 @@ pub struct GridMeta {
     pub p: u32,
     /// Whether edges carry 4-byte weights on disk.
     pub weighted: bool,
-    /// Whether per-vertex `.idx` files were written (GraphSD and HUS need
-    /// them; the Lumos-like format does not sort and has no index).
-    pub indexed: bool,
-    /// Whether each sub-block's edges are sorted by `(src, dst)`.
-    pub sorted: bool,
-    /// Whether blocks are sorted/indexed by destination instead of source
-    /// (the HUS-Graph column copy).
-    pub dst_sorted: bool,
+    /// How each sub-block's edges are ordered; rows carry a row index
+    /// exactly when this is [`BlockOrder::BySource`].
+    pub order: BlockOrder,
     /// Interval boundaries (`P + 1` entries).
     pub boundaries: Vec<u32>,
     /// Edge count of each sub-block, row-major: entry `i * P + j` is
@@ -89,22 +90,16 @@ pub struct GridMeta {
     pub block_edge_counts: Vec<u64>,
     /// Per-object checksum manifest.
     pub integrity: IntegritySection,
-    /// Delta-segment negotiation (format v4; `None` below v4).
+    /// `null` until the grid accepts its first mutation batch.
     pub delta: Option<DeltaSection>,
 }
 
-/// Current format version (written by the preprocessor).
-pub const FORMAT_VERSION: u32 = 2;
-/// Meta version of delta-enabled grids: v2 plus a [`DeltaSection`].
-/// Written the first time a grid accepts a mutation batch.
-pub const DELTA_META_FORMAT_VERSION: u32 = 4;
-/// Version of the delta segment *encoding* under `delta/`. Independent
-/// of the meta version and negotiated via [`DeltaSection::version`], so
-/// the segment layout can evolve without burning meta version numbers.
-pub const DELTA_FORMAT_VERSION: u32 = 1;
+/// The format version: written into every meta, delta segment and delta
+/// manifest, and the only value readers accept.
+pub const FORMAT_VERSION: u32 = 5;
 
-/// The `delta` section of a v4 meta: which segment encoding the `delta/`
-/// objects use and how many mutation batches the grid has absorbed.
+/// The `delta` section of a mutated grid's meta: how many mutation
+/// batches the grid has absorbed.
 ///
 /// The epoch is part of the serialized meta, so every ingest changes the
 /// meta bytes — and with them `gsd_core::checkpoint::graph_fingerprint`, which
@@ -113,63 +108,9 @@ pub const DELTA_FORMAT_VERSION: u32 = 1;
 /// mutated graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaSection {
-    /// Delta segment encoding version ([`DELTA_FORMAT_VERSION`]).
-    pub version: u32,
     /// Mutation epoch: number of ingested batches (0 = freshly
     /// preprocessed; compaction folds segments but keeps the epoch).
     pub epoch: u64,
-}
-
-// Hand-written (de)serialization: the `delta` field is omitted when
-// absent, so a v2 meta's bytes — which `meta_crc`, `graph_fingerprint`
-// and checkpoint identity hash — carry no `delta` key. (The derived impl
-// would write and require every field.)
-impl Serialize for GridMeta {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("version".to_string(), self.version.to_value()),
-            ("num_vertices".to_string(), self.num_vertices.to_value()),
-            ("num_edges".to_string(), self.num_edges.to_value()),
-            ("p".to_string(), self.p.to_value()),
-            ("weighted".to_string(), self.weighted.to_value()),
-            ("indexed".to_string(), self.indexed.to_value()),
-            ("sorted".to_string(), self.sorted.to_value()),
-            ("dst_sorted".to_string(), self.dst_sorted.to_value()),
-            ("boundaries".to_string(), self.boundaries.to_value()),
-            (
-                "block_edge_counts".to_string(),
-                self.block_edge_counts.to_value(),
-            ),
-            ("integrity".to_string(), self.integrity.to_value()),
-        ];
-        if let Some(delta) = &self.delta {
-            fields.push(("delta".to_string(), delta.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
-impl Deserialize for GridMeta {
-    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-        let field = |name| serde::value_field(v, name);
-        Ok(GridMeta {
-            version: u32::from_value(field("version")?)?,
-            num_vertices: u32::from_value(field("num_vertices")?)?,
-            num_edges: u64::from_value(field("num_edges")?)?,
-            p: u32::from_value(field("p")?)?,
-            weighted: bool::from_value(field("weighted")?)?,
-            indexed: bool::from_value(field("indexed")?)?,
-            sorted: bool::from_value(field("sorted")?)?,
-            dst_sorted: bool::from_value(field("dst_sorted")?)?,
-            boundaries: Vec::<u32>::from_value(field("boundaries")?)?,
-            block_edge_counts: Vec::<u64>::from_value(field("block_edge_counts")?)?,
-            integrity: IntegritySection::from_value(field("integrity")?)?,
-            delta: match v.get("delta") {
-                Some(value) => Option::<DeltaSection>::from_value(value)?,
-                None => None,
-            },
-        })
-    }
 }
 
 fn invalid(msg: impl Into<String>) -> std::io::Error {
@@ -244,7 +185,45 @@ impl GridMeta {
         Ok(())
     }
 
-    /// Parses from JSON bytes, negotiating the format version (checked
+    /// The shape invariants every reader indexes by: a meta that passes
+    /// can be handed to [`Intervals::from_boundaries`] and
+    /// [`Self::block_edge_count`] without a panic, whatever wrote it.
+    fn check_shape(&self) -> Result<(), String> {
+        let blocks = match self.p.checked_mul(self.p) {
+            Some(blocks) if self.p >= 1 => blocks as usize,
+            _ => return Err(format!("{p}x{p} is not a grid", p = self.p)),
+        };
+        if self.boundaries.len() != self.p as usize + 1 {
+            return Err(format!(
+                "{} boundaries for {} intervals",
+                self.boundaries.len(),
+                self.p
+            ));
+        }
+        if self.boundaries[0] != 0
+            || self.boundaries.last() != Some(&self.num_vertices)
+            || self.boundaries.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(format!(
+                "boundaries do not rise from 0 to {} vertices",
+                self.num_vertices
+            ));
+        }
+        let counted = self
+            .block_edge_counts
+            .iter()
+            .try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if self.block_edge_counts.len() != blocks || counted != Some(self.num_edges) {
+            return Err(format!(
+                "{} sub-block edge counts do not add up to {} edges in {blocks} sub-blocks",
+                self.block_edge_counts.len(),
+                self.num_edges
+            ));
+        }
+        Ok(())
+    }
+
+    /// Parses from JSON bytes, checking the format version (checked
     /// before anything else is decoded, so an old meta is refused by its
     /// version rather than by the first field it lacks) and validating
     /// shape invariants plus the integrity self-check.
@@ -256,44 +235,21 @@ impl GridMeta {
         let version = serde::value_field(&value, "version")
             .and_then(u32::from_value)
             .map_err(unparsable)?;
-        if version != FORMAT_VERSION && version != DELTA_META_FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(invalid(format!(
-                "unsupported grid format version {version} (supported: {FORMAT_VERSION} \
-                 and {DELTA_META_FORMAT_VERSION}; re-run `gsd preprocess`)"
+                "unsupported grid format version {version} (supported: {FORMAT_VERSION}; \
+                 re-run `gsd preprocess`)"
             )));
         }
         let meta = GridMeta::from_value(&value).map_err(unparsable)?;
-        match meta.version {
-            FORMAT_VERSION => {
-                if meta.delta.is_some() {
-                    return Err(invalid("format v2 metadata must not carry a delta section"));
-                }
-            }
-            _ => {
-                let Some(delta) = &meta.delta else {
-                    return Err(invalid("format v4 metadata is missing its delta section"));
-                };
-                if delta.version != DELTA_FORMAT_VERSION {
-                    return Err(invalid(format!(
-                        "unsupported delta segment version {} (supported: {DELTA_FORMAT_VERSION})",
-                        delta.version
-                    )));
-                }
-            }
-        }
-        if meta.boundaries.len() != meta.p as usize + 1
-            || meta.block_edge_counts.len() != (meta.p * meta.p) as usize
-            || meta.boundaries.last().copied() != Some(meta.num_vertices)
-            || meta.block_edge_counts.iter().sum::<u64>() != meta.num_edges
-        {
-            return Err(invalid("inconsistent grid metadata"));
-        }
+        meta.check_shape()
+            .map_err(|why| invalid(format!("inconsistent grid metadata: {why}")))?;
         meta.verify_self().map_err(CorruptionError::into_io)?;
         Ok(meta)
     }
 }
 
-/// Encodes a `u32` slice little-endian (degree tables and `.idx` files).
+/// Encodes a `u32` slice little-endian (degree tables and row indexes).
 pub fn encode_u32s(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 4);
     for v in values {
@@ -324,17 +280,15 @@ mod tests {
     use super::*;
     use gsd_integrity::ObjectEntry;
 
-    /// A sealed v2 meta with a small manifest.
-    fn meta_v2() -> GridMeta {
+    /// A sealed meta with a small manifest.
+    fn sealed_meta() -> GridMeta {
         let mut m = GridMeta {
             version: FORMAT_VERSION,
             num_vertices: 10,
             num_edges: 6,
             p: 2,
             weighted: false,
-            indexed: true,
-            sorted: true,
-            dst_sorted: false,
+            order: BlockOrder::BySource,
             boundaries: vec![0, 5, 10],
             block_edge_counts: vec![1, 2, 3, 0],
             integrity: IntegritySection::new(vec![
@@ -347,28 +301,37 @@ mod tests {
         m
     }
 
-    /// A v1 meta as its writers produced it (no integrity section) is
-    /// refused by its version, with the way out, not by the field it lacks.
     #[test]
-    fn v1_meta_is_rejected_at_open() {
+    fn any_other_version_is_refused_with_the_way_out() {
+        for version in [1, 2, 3, 4, FORMAT_VERSION + 1, 999] {
+            let mut old = sealed_meta();
+            old.version = version;
+            old.seal();
+            let err = GridMeta::from_bytes(&old.to_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unsupported grid format version {version}")),
+                "{msg}"
+            );
+            assert!(msg.contains("re-run `gsd preprocess`"), "{msg}");
+        }
+        // The version is read before anything else is decoded: a meta as
+        // an old writer produced it is refused by its version, not by the
+        // first field it lacks.
         let v1 = br#"{"version": 1, "num_vertices": 10, "num_edges": 6, "p": 2,
-            "weighted": false, "indexed": true, "sorted": true, "dst_sorted": false,
+            "weighted": false, "indexed": true, "sorted": true,
             "boundaries": [0, 5, 10], "block_edge_counts": [1, 2, 3, 0]}"#;
-        let err = GridMeta::from_bytes(v1).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        let msg = err.to_string();
+        let msg = GridMeta::from_bytes(v1).unwrap_err().to_string();
         assert!(msg.contains("unsupported grid format version 1"), "{msg}");
-        assert!(msg.contains("re-run `gsd preprocess`"), "{msg}");
     }
 
     #[test]
-    fn v2_meta_roundtrips_through_json() {
-        let m = meta_v2();
+    fn meta_roundtrips_through_json() {
+        let m = sealed_meta();
         let m2 = GridMeta::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(m, m2);
         assert_eq!(m2.integrity.len(), 2);
-        let json = String::from_utf8(m.to_bytes()).unwrap();
-        assert!(!json.contains("delta"), "{json}");
     }
 
     #[test]
@@ -382,92 +345,37 @@ mod tests {
         assert!(err.to_string().contains("failed to parse"), "{err}");
 
         // Valid JSON, wrong shape: names the missing field.
-        let err = GridMeta::from_bytes(b"{\"version\": 2}").unwrap_err();
+        let stub = format!("{{\"version\": {FORMAT_VERSION}}}");
+        let err = GridMeta::from_bytes(stub.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("num_vertices"), "{err}");
     }
 
-    #[test]
-    fn unknown_version_names_the_supported_range() {
-        let mut bad = meta_v2();
-        bad.version = 999;
-        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(err
-            .to_string()
-            .contains("unsupported grid format version 999"));
-        assert!(err.to_string().contains("2 and 4"), "{err}");
-    }
-
-    /// A sealed v4 meta: v2 plus a delta section at some epoch.
-    fn meta_v4(epoch: u64) -> GridMeta {
-        let mut m = meta_v2();
-        m.version = DELTA_META_FORMAT_VERSION;
-        m.delta = Some(DeltaSection {
-            version: DELTA_FORMAT_VERSION,
-            epoch,
-        });
+    /// A sealed mutated meta: a delta section at some epoch.
+    fn mutated_meta(epoch: u64) -> GridMeta {
+        let mut m = sealed_meta();
+        m.delta = Some(DeltaSection { epoch });
         m.seal();
         m
     }
 
     #[test]
-    fn v4_meta_roundtrips_through_json() {
-        let m = meta_v4(3);
+    fn mutated_meta_roundtrips_through_json() {
+        let m = mutated_meta(3);
         let m2 = GridMeta::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(m, m2);
         assert_eq!(m2.delta.unwrap().epoch, 3);
     }
 
     #[test]
-    fn v3_has_no_writer_and_is_rejected_as_unsupported() {
-        let mut bad = meta_v2();
-        bad.version = 3;
-        bad.seal();
-        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unsupported grid format version 3"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn v4_negotiation_requires_delta_and_integrity() {
-        // v4 without a delta section: refused.
-        let mut bad = meta_v2();
-        bad.version = DELTA_META_FORMAT_VERSION;
-        bad.seal();
-        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("missing its delta"), "{err}");
-
-        // v4 with an unknown segment encoding: refused by version number.
-        let mut bad = meta_v4(1);
-        bad.delta.as_mut().unwrap().version = 9;
-        bad.seal();
-        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unsupported delta segment version 9"),
-            "{err}"
-        );
-
-        // v2 carrying a delta section: a v2 writer cannot have produced it.
-        let mut bad = meta_v4(1);
-        bad.version = FORMAT_VERSION;
-        bad.seal();
-        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("v2"), "{err}");
-    }
-
-    #[test]
     fn epoch_changes_the_meta_bytes() {
         // The checkpoint identity fingerprint is FNV over these bytes:
         // two epochs of the same grid must never serialize identically.
-        assert_ne!(meta_v4(1).to_bytes(), meta_v4(2).to_bytes());
+        assert_ne!(mutated_meta(1).to_bytes(), mutated_meta(2).to_bytes());
     }
 
     #[test]
-    fn a_supported_version_without_its_integrity_section_is_refused() {
-        let json = String::from_utf8(meta_v2().to_bytes()).unwrap();
+    fn a_meta_without_its_integrity_section_is_refused() {
+        let json = String::from_utf8(sealed_meta().to_bytes()).unwrap();
         let stripped = json.replacen("\"integrity\"", "\"integrety\"", 1);
         let err = GridMeta::from_bytes(stripped.as_bytes()).unwrap_err();
         assert!(
@@ -478,43 +386,92 @@ mod tests {
 
     #[test]
     fn meta_validation_rejects_inconsistencies() {
-        let mut bad = meta_v2();
+        let mut bad = sealed_meta();
         bad.block_edge_counts[0] = 99; // sum != num_edges
         bad.seal();
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("inconsistent"), "{err}");
 
-        let mut bad = meta_v2();
+        let mut bad = sealed_meta();
         bad.boundaries = vec![0, 5]; // wrong length
         bad.seal();
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("inconsistent"), "{err}");
     }
 
+    /// Correctly re-sealed metas whose shape the readers would index out
+    /// of or assert on: each is a structured error at open, not a panic
+    /// in `Intervals::from_boundaries` or `block_edge_count`. (A fourth
+    /// bad shape the three layout booleans allowed — an index without a
+    /// sort — is not representable as a `BlockOrder`.)
+    #[test]
+    fn hostile_resealed_metas_are_structured_errors_at_open() {
+        use gsd_io::{MemStorage, SharedStorage};
+        type Corrupt = fn(&mut GridMeta);
+        let hostile: [(&str, Corrupt); 5] = [
+            ("p = 0", |m| {
+                m.p = 0;
+                m.boundaries = vec![m.num_vertices];
+                m.block_edge_counts = Vec::new();
+                m.num_edges = 0;
+            }),
+            ("p * p wraps u32", |m| {
+                m.p = 65_536;
+                m.boundaries = vec![m.num_vertices; 65_537];
+                m.boundaries[0] = 0;
+                m.block_edge_counts = Vec::new();
+                m.num_edges = 0;
+            }),
+            ("boundaries[0] != 0", |m| m.boundaries = vec![3, 5, 10]),
+            ("non-monotone boundaries", |m| {
+                m.boundaries = vec![0, 12, 10]
+            }),
+            ("edge counts overflow u64", |m| {
+                m.block_edge_counts = vec![u64::MAX, 7, 0, 0];
+            }),
+        ];
+        for (what, corrupt) in hostile {
+            let mut meta = sealed_meta();
+            corrupt(&mut meta);
+            meta.seal();
+            let storage: SharedStorage = std::sync::Arc::new(MemStorage::new());
+            storage.create(META_KEY, &meta.to_bytes()).unwrap();
+            let err = match crate::grid::GridGraph::open(storage) {
+                Ok(_) => panic!("{what}: opened"),
+                Err(e) => e,
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            assert!(
+                err.to_string().contains("inconsistent grid metadata: "),
+                "{what}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn self_check_catches_post_seal_tampering() {
         // A field changed after sealing (shape still valid): meta crc.
-        let mut bad = meta_v2();
-        bad.sorted = false;
+        let mut bad = sealed_meta();
+        bad.order = BlockOrder::Unsorted;
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("meta self-check"), "{err}");
 
         // A manifest entry changed: section crc.
-        let mut bad = meta_v2();
+        let mut bad = sealed_meta();
         bad.integrity.objects[0].crc ^= 1;
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("section crc"), "{err}");
 
         // Resealing legitimizes the change again.
-        let mut ok = meta_v2();
-        ok.sorted = false;
+        let mut ok = sealed_meta();
+        ok.order = BlockOrder::Unsorted;
         ok.seal();
         GridMeta::from_bytes(&ok.to_bytes()).unwrap();
     }
 
     #[test]
     fn block_accessors() {
-        let m = meta_v2();
+        let m = sealed_meta();
         assert_eq!(m.block_edge_count(0, 1), 2);
         assert_eq!(m.block_edge_count(1, 0), 3);
         assert_eq!(m.block_bytes(1, 0), 24);
@@ -525,7 +482,10 @@ mod tests {
     #[test]
     fn key_naming() {
         assert_eq!(block_edges_key("", 3, 7), "blocks/b_3_7.edges");
-        assert_eq!(block_index_key("gsd/", 0, 0), "gsd/blocks/b_0_0.idx");
+        assert_eq!(row_index_key("gsd/", 0), "gsd/blocks/r_0.ridx");
+        assert_eq!(object_class(&block_edges_key("", 3, 7)), "edges");
+        assert_eq!(object_class(&row_index_key("", 0)), "row index");
+        assert_eq!(object_class(DEGREES_KEY), "degrees");
     }
 
     #[test]

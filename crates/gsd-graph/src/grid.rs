@@ -1,11 +1,9 @@
 //! Read-side handle over a preprocessed grid graph: whole-block streaming,
-//! per-vertex selective reads via the sub-block index, and run coalescing
-//! for the on-demand I/O model.
+//! per-vertex selective reads via the row index, and run coalescing for
+//! the on-demand I/O model.
 
 use crate::delta::DeltaOverlay;
-use crate::format::{
-    block_edges_key, block_index_key, decode_u32s, row_index_key, GridMeta, DEGREES_KEY, META_KEY,
-};
+use crate::format::{block_edges_key, decode_u32s, row_index_key, GridMeta, DEGREES_KEY, META_KEY};
 use crate::partition::Intervals;
 use crate::types::{Edge, EdgeCodec, VertexId};
 use gsd_integrity::{CorruptionResponse, GridVerifier, VerifyPolicy};
@@ -14,10 +12,10 @@ use std::sync::Arc;
 
 /// Groups a sorted vertex list into clusters whose internal gaps are at
 /// most `max_gap` ids. Selective readers issue one index-span request per
-/// cluster: bridging a gap of `g` vertices costs `g` extra index entries
-/// (4 bytes each in a per-block index, `4·P` in the row-combined one), so
-/// `max_gap` should be [`gsd_io::DiskModel::bridge_gap`] of the entry
-/// size — the point where bridging stops beating a seek.
+/// cluster: bridging a gap of `g` vertices costs `g` extra index rows of
+/// `4·P` bytes each, so `max_gap` should be
+/// [`gsd_io::DiskModel::bridge_gap`] of the row size — the point where
+/// bridging stops beating a seek.
 pub fn cluster_vertex_spans(sorted: &[VertexId], max_gap: u32) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
     let mut start = 0usize;
@@ -45,39 +43,10 @@ pub struct SubBlock {
     pub edges: Vec<Edge>,
 }
 
-/// The paper's `index(i, j)` structure: CSR offsets (edge indexes) over the
-/// vertices of the indexed interval, locating each vertex's contiguous edge
-/// range inside the sub-block payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SubBlockIndex {
-    /// First vertex of the indexed interval.
-    pub start_vertex: VertexId,
-    /// `len(interval) + 1` edge offsets.
-    pub offsets: Vec<u32>,
-}
-
-impl SubBlockIndex {
-    /// Edge-index range of vertex `v`'s edges within the sub-block.
-    pub fn edge_range(&self, v: VertexId) -> std::ops::Range<u32> {
-        let k = (v - self.start_vertex) as usize;
-        self.offsets[k]..self.offsets[k + 1]
-    }
-
-    /// Number of edges vertex `v` owns in this sub-block.
-    pub fn edge_count(&self, v: VertexId) -> u32 {
-        let r = self.edge_range(v);
-        r.end - r.start
-    }
-
-    /// Total edges covered by the index.
-    pub fn total_edges(&self) -> u32 {
-        *self.offsets.last().unwrap()
-    }
-}
-
-/// A span of row `i`'s combined vertex-major index: resolves the edge
-/// range of any covered vertex in **every** sub-block of the row from a
-/// single storage request (see [`crate::format::row_index_key`]).
+/// A span of row `i`'s vertex-major index: resolves the edge range of any
+/// covered vertex in **every** sub-block of the row from a single storage
+/// request (see [`crate::format::row_index_key`]). Column `j` is the
+/// paper's `index(i, j)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowIndexSpan {
     /// First covered vertex.
@@ -107,11 +76,11 @@ pub struct GridGraph {
     meta: GridMeta,
     intervals: Intervals,
     codec: EdgeCodec,
-    /// Verify-on-read hook (format v2, policy != Off). Shared across
+    /// Verify-on-read hook (policy != Off). Shared across
     /// cloned handles so pipeline workers and the engine pool one memo of
     /// already-verified objects and one set of counters.
     verifier: Option<Arc<GridVerifier>>,
-    /// Merged delta sub-blocks (format v4 with live segments). Every read
+    /// Merged delta sub-blocks (a mutated grid with live segments). Every read
     /// primitive consults the overlay first, so engines, the prefetch
     /// pipeline and the serve daemon see base+delta as one logical
     /// sub-block. `meta` is patched to the merged shape at open.
@@ -128,7 +97,7 @@ impl GridGraph {
     pub fn open_with_prefix(storage: SharedStorage, prefix: &str) -> std::io::Result<Self> {
         let meta_bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
         let mut meta = GridMeta::from_bytes(&meta_bytes)?;
-        // Format v4: materialize the merged delta sub-blocks and patch the
+        // A mutated grid: materialize the merged delta sub-blocks and patch the
         // in-memory meta to the merged shape. Every segment and every base
         // payload the merge touches is checksum-verified here, once, so
         // the overlay needs no verify-on-read of its own.
@@ -249,11 +218,6 @@ impl GridGraph {
         block_edges_key(&self.prefix, i, j)
     }
 
-    /// Storage key of sub-block `(i, j)`'s index.
-    pub fn index_key(&self, i: u32, j: u32) -> String {
-        block_index_key(&self.prefix, i, j)
-    }
-
     /// Streams the whole sub-block `(i, j)` from storage.
     pub fn read_block(&self, i: u32, j: u32) -> std::io::Result<SubBlock> {
         let mut edges = Vec::new();
@@ -293,123 +257,70 @@ impl GridGraph {
         Ok(())
     }
 
-    /// Reads the per-vertex index of sub-block `(i, j)`. Errors if the
-    /// format was built without indexes.
-    pub fn read_index(&self, i: u32, j: u32) -> std::io::Result<SubBlockIndex> {
-        if !self.meta.indexed {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "this grid format has no per-vertex indexes",
-            ));
-        }
-        let indexed_interval = if self.meta.dst_sorted { j } else { i };
-        let start_vertex = self.intervals.range(indexed_interval).start;
-        if let Some(block) = self.overlay.as_ref().and_then(|o| o.block(i, j)) {
-            return Ok(SubBlockIndex {
-                start_vertex,
-                offsets: block.offsets.clone(),
-            });
-        }
-        let key = self.index_key(i, j);
-        let mut bytes = self.storage.read_all(&key)?;
-        if let Some(v) = &self.verifier {
-            v.verify_owned(&key, &mut bytes)?;
-        }
-        let offsets = decode_u32s(&bytes)?;
-        Ok(SubBlockIndex {
-            start_vertex,
-            offsets,
-        })
-    }
-
-    /// Reads only the index entries covering vertices `lo..=hi` of
-    /// sub-block `(i, j)` — one storage request proportional to the active
-    /// *span* instead of the whole interval. The returned index can
-    /// resolve `edge_range(v)` for any `v` in `lo..=hi`.
-    pub fn read_index_span(
-        &self,
-        i: u32,
-        j: u32,
-        lo: VertexId,
-        hi: VertexId,
-    ) -> std::io::Result<SubBlockIndex> {
-        if !self.meta.indexed {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "this grid format has no per-vertex indexes",
-            ));
-        }
-        let indexed_interval = if self.meta.dst_sorted { j } else { i };
-        let start = self.intervals.range(indexed_interval).start;
-        debug_assert!(lo >= start && hi >= lo);
-        debug_assert!(hi < self.intervals.range(indexed_interval).end);
-        if let Some(block) = self.overlay.as_ref().and_then(|o| o.block(i, j)) {
-            let first = (lo - start) as usize;
-            let count = (hi - lo + 2) as usize;
-            return Ok(SubBlockIndex {
-                start_vertex: lo,
-                offsets: block.offsets[first..first + count].to_vec(),
-            });
-        }
-        let key = self.index_key(i, j);
-        if let Some(v) = &self.verifier {
-            // Partial read: the whole object is side-checked (unaccounted)
-            // on first touch, then trusted for the rest of the run.
-            v.ensure_verified(&key)?;
-        }
-        // Entries lo-start ..= hi-start+1 (the +1 fetches v=hi's end offset).
-        let first = (lo - start) as u64;
-        let count = (hi - lo + 2) as usize;
-        let mut bytes = vec![0u8; count * 4];
-        self.storage.read_at(&key, first * 4, &mut bytes)?;
-        Ok(SubBlockIndex {
-            start_vertex: lo,
-            offsets: decode_u32s(&bytes)?,
-        })
-    }
-
-    /// Reads the rows of the combined row index of interval `i` covering
-    /// vertices `lo..=hi` — a single request that resolves those vertices'
-    /// edge ranges in every sub-block `(i, *)`. Requires a source-sorted,
-    /// indexed format.
+    /// Reads the rows of interval `i`'s row index covering vertices
+    /// `lo..=hi` — a single request that resolves those vertices' edge
+    /// ranges in every sub-block `(i, *)`. Requires a source-sorted
+    /// format.
     pub fn read_row_index_span(
         &self,
         i: u32,
         lo: VertexId,
         hi: VertexId,
     ) -> std::io::Result<RowIndexSpan> {
-        if !self.meta.indexed || self.meta.dst_sorted {
+        let range = self.intervals.range(i);
+        debug_assert!(lo >= range.start && hi >= lo && hi < range.end);
+        // Rows lo ..= hi+1 (the +1 fetches v=hi's end offsets).
+        self.read_row_index_rows(i, lo, (hi - lo + 2) as usize)
+    }
+
+    /// Row `i`'s whole index, which holds sub-block `(i, j)`'s as column
+    /// `j`. A thin wrapper kept for `benchmark/`'s
+    /// `gsd-graph.index_read_us` probe, which asks per sub-block;
+    /// everything else reads spans with [`Self::read_row_index_span`].
+    pub fn read_index(&self, i: u32, _j: u32) -> std::io::Result<RowIndexSpan> {
+        let range = self.intervals.range(i);
+        self.read_row_index_rows(i, range.start, range.len() + 1)
+    }
+
+    /// `rows` rows of row `i`'s index starting at vertex `first`.
+    fn read_row_index_rows(
+        &self,
+        i: u32,
+        first: VertexId,
+        rows: usize,
+    ) -> std::io::Result<RowIndexSpan> {
+        if !self.meta.order.has_row_index() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "row indexes require a source-sorted, indexed grid format",
+                "row indexes require a source-sorted grid format",
             ));
-        }
-        let start = self.intervals.range(i).start;
-        debug_assert!(lo >= start && hi >= lo && hi < self.intervals.range(i).end);
-        if let Some(row) = self.overlay.as_ref().and_then(|o| o.row(i)) {
-            let p = self.meta.p as usize;
-            let first_row = (lo - start) as usize;
-            let rows = (hi - lo + 2) as usize;
-            return Ok(RowIndexSpan {
-                start_vertex: lo,
-                p: self.meta.p,
-                offsets: row[first_row * p..(first_row + rows) * p].to_vec(),
-            });
         }
         let key = row_index_key(&self.prefix, i);
         if let Some(v) = &self.verifier {
+            // Partial read: the whole object is side-checked (unaccounted)
+            // on first touch, then trusted for the rest of the run.
             v.ensure_verified(&key)?;
         }
         let p = self.meta.p as usize;
-        let first_row = (lo - start) as u64;
-        let rows = (hi - lo + 2) as usize;
+        let first_row = (first - self.intervals.range(i).start) as usize;
         let mut bytes = vec![0u8; rows * p * 4];
         self.storage
-            .read_at(&key, first_row * p as u64 * 4, &mut bytes)?;
+            .read_at(&key, (first_row * p * 4) as u64, &mut bytes)?;
+        let mut offsets = decode_u32s(&bytes)?;
+        if let Some(overlay) = &self.overlay {
+            // The stored index describes the base sub-blocks; a merged
+            // sub-block's own offsets replace its column.
+            for (j, block) in overlay.row_blocks(i) {
+                let merged = &block.offsets[first_row..first_row + rows];
+                for (k, &off) in merged.iter().enumerate() {
+                    offsets[k * p + j as usize] = off;
+                }
+            }
+        }
         Ok(RowIndexSpan {
-            start_vertex: lo,
+            start_vertex: first,
             p: self.meta.p,
-            offsets: decode_u32s(&bytes)?,
+            offsets,
         })
     }
 
@@ -455,21 +366,6 @@ impl GridGraph {
         }
         debug_assert_eq!(out.len() - base, edge_count as usize);
         Ok(())
-    }
-
-    /// Reads the edges of a single vertex `v` from sub-block `(i, j)` using
-    /// a previously loaded index.
-    pub fn read_vertex_edges(
-        &self,
-        i: u32,
-        j: u32,
-        index: &SubBlockIndex,
-        v: VertexId,
-        scratch: &mut Vec<u8>,
-        out: &mut Vec<Edge>,
-    ) -> std::io::Result<()> {
-        let range = index.edge_range(v);
-        self.read_edge_run(i, j, range.start, range.end - range.start, scratch, out)
     }
 
     /// Loads the out-degree table.
@@ -555,7 +451,8 @@ mod tests {
                 let idx = grid.read_index(i, j).unwrap();
                 for v in intervals.range(i) {
                     let mut out = Vec::new();
-                    grid.read_vertex_edges(i, j, &idx, v, &mut scratch, &mut out)
+                    let run = idx.edge_range(v, j);
+                    grid.read_edge_run(i, j, run.start, run.len() as u32, &mut scratch, &mut out)
                         .unwrap();
                     let mut got: Vec<u32> = out.iter().map(|e| e.dst).collect();
                     got.sort_unstable();
@@ -595,8 +492,7 @@ mod tests {
     #[test]
     fn read_edge_run_appends() {
         let (_, grid) = setup(1);
-        let idx = grid.read_index(0, 0).unwrap();
-        let total = idx.total_edges();
+        let total = grid.meta().block_edge_count(0, 0) as u32;
         let mut scratch = Vec::new();
         let mut out = Vec::new();
         grid.read_edge_run(0, 0, 0, total / 2, &mut scratch, &mut out)
@@ -621,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn index_span_matches_full_index() {
+    fn row_index_span_matches_whole_index() {
         let (_, grid) = setup(3);
         let intervals = grid.intervals().clone();
         for i in 0..3 {
@@ -629,55 +525,15 @@ mod tests {
             if range.is_empty() {
                 continue;
             }
+            let full = grid.read_index(i, 0).unwrap();
+            let lo = range.start + (range.end - range.start) / 4;
+            let hi = range.end - 1 - (range.end - range.start) / 4;
+            let span = grid.read_row_index_span(i, lo, hi).unwrap();
             for j in 0..3 {
-                let full = grid.read_index(i, j).unwrap();
-                let lo = range.start + (range.end - range.start) / 4;
-                let hi = range.end - 1 - (range.end - range.start) / 4;
-                let span = grid.read_index_span(i, j, lo, hi).unwrap();
                 for v in lo..=hi {
                     assert_eq!(
-                        span.edge_range(v),
-                        full.edge_range(v),
-                        "v={v} block ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn index_span_reads_fewer_bytes_than_full_index() {
-        let (_, grid) = setup(2);
-        let stats = grid.storage().stats();
-        stats.reset();
-        let _ = grid.read_index(0, 0).unwrap();
-        let full_bytes = stats.snapshot().read_bytes();
-        stats.reset();
-        let lo = grid.intervals().range(0).start;
-        let _ = grid.read_index_span(0, 0, lo, lo + 3).unwrap();
-        let span_bytes = stats.snapshot().read_bytes();
-        assert_eq!(span_bytes, 5 * 4);
-        assert!(span_bytes < full_bytes);
-    }
-
-    #[test]
-    fn row_index_span_matches_per_block_indexes() {
-        let (_, grid) = setup(4);
-        let intervals = grid.intervals().clone();
-        for i in 0..4 {
-            let range = intervals.range(i);
-            if range.is_empty() {
-                continue;
-            }
-            let span = grid
-                .read_row_index_span(i, range.start, range.end - 1)
-                .unwrap();
-            for j in 0..4 {
-                let block_idx = grid.read_index(i, j).unwrap();
-                for v in range.clone() {
-                    assert_eq!(
                         span.edge_range(v, j),
-                        block_idx.edge_range(v),
+                        full.edge_range(v, j),
                         "v={v} block ({i},{j})"
                     );
                 }
@@ -698,12 +554,12 @@ mod tests {
     }
 
     #[test]
-    fn row_index_on_dst_sorted_format_errors() {
+    fn row_index_on_by_dest_format_errors() {
         let g = GeneratorConfig::new(GraphKind::ErdosRenyi, 100, 400, 2).generate();
         let storage: SharedStorage = Arc::new(MemStorage::new());
-        let config = crate::preprocess::PreprocessConfig {
-            sort_by_dst: true,
-            ..crate::preprocess::PreprocessConfig::graphsd("")
+        let config = PreprocessConfig {
+            order: crate::layout::BlockOrder::ByDest,
+            ..PreprocessConfig::graphsd("")
         }
         .with_intervals(2);
         preprocess(&g, storage.as_ref(), &config).unwrap();

@@ -3,27 +3,26 @@
 //!
 //! [`scrub_grid`] parses and self-checks the meta, then verifies every
 //! manifest-covered object. [`repair_grid`] goes one step further: given
-//! the original source graph it re-derives the payload of every corrupt
-//! or missing object — preprocessing is deterministic, so a rebuilt
-//! object is byte-identical to what the manifest recorded — and rewrites
-//! only those. A corrupt `meta.json` itself is not repairable (it is the
-//! root of trust); re-preprocess instead.
+//! the original source graph it lays out again (with the preprocessor's
+//! own [`row_objects`]) every row that holds a corrupt or missing object —
+//! the layout is deterministic, so a rebuilt object is byte-identical to
+//! what the manifest recorded — and rewrites only the corrupt ones. A
+//! corrupt `meta.json` itself is not repairable (it is the root of
+//! trust); re-preprocess instead.
 
-use crate::format::{
-    block_edges_key, block_index_key, encode_u32s, row_index_key, GridMeta, DEGREES_KEY, META_KEY,
-};
+use crate::format::{GridMeta, META_KEY};
 use crate::graph::Graph;
-use crate::types::Edge;
+use crate::layout::{bucket_edges, degrees_object, row_keys, row_objects};
 use gsd_integrity::{scrub_objects, ObjectEntry, ScrubReport};
 use gsd_io::Storage;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 fn invalid(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
 }
 
 /// Verifies every object of the grid at `prefix` against its manifest.
-/// On a mutated grid (format v4 with a live delta epoch) the pass also
+/// On a mutated grid (one with a delta section) the pass also
 /// verifies every delta segment against the epoch manifest's own
 /// integrity section, so the report speaks for the whole logical grid.
 /// Read-only; reads are unaccounted (maintenance, not workload I/O).
@@ -71,71 +70,6 @@ pub fn repair_grid(
         });
     }
 
-    let payloads = rebuild_payloads(graph, &meta)?;
-    // The rebuilt object set must be exactly the manifest's object set,
-    // and every payload we are about to write must hash to what the
-    // manifest recorded: anything else means the wrong source graph.
-    if payloads.len() != section.len() {
-        return Err(invalid(format!(
-            "source graph rebuilds {} objects but the manifest covers {}",
-            payloads.len(),
-            section.len()
-        )));
-    }
-    let mut rewritten = Vec::new();
-    for report in before.corrupt() {
-        let entry = section.lookup(&report.key).ok_or_else(|| {
-            invalid(format!(
-                "corrupt object {:?} is a delta segment, which is not derivable \
-                 from the base source graph; re-ingest the batch or re-preprocess \
-                 the merged edge list instead",
-                report.key
-            ))
-        })?;
-        let payload = payloads.get(&report.key).ok_or_else(|| {
-            invalid(format!(
-                "manifest object {:?} is not derivable from the source graph",
-                report.key
-            ))
-        })?;
-        let rebuilt = ObjectEntry::of(report.key.clone(), payload);
-        if rebuilt != *entry {
-            return Err(invalid(format!(
-                "rebuilt object {:?} does not match the manifest \
-                 (len {} crc {:#010x} vs recorded len {} crc {:#010x}): \
-                 the provided source is not this grid's source",
-                report.key, rebuilt.len, rebuilt.crc, entry.len, entry.crc
-            )));
-        }
-        storage.create(&format!("{prefix}{}", report.key), payload)?;
-        rewritten.push(report.key.clone());
-    }
-    storage.sync()?;
-
-    let after = scrub_objects(storage, prefix, section);
-    if !after.is_clean() {
-        return Err(invalid(format!(
-            "grid {prefix:?} still corrupt after repair ({} bad objects)",
-            after.counts().1
-        )));
-    }
-    Ok(RepairOutcome {
-        before,
-        rewritten,
-        after,
-    })
-}
-
-/// Re-derives every data object payload (prefix-relative key → bytes)
-/// the preprocessor would write for `graph` under `meta`'s parameters.
-/// Mirrors `preprocess` exactly — same bucketing order, same sorts — so
-/// output is byte-identical. Repair uses it to rewrite corrupt objects;
-/// compaction (`gsd-delta`) uses it to fold merged edges back into base
-/// sub-blocks.
-pub fn rebuild_payloads(
-    graph: &Graph,
-    meta: &GridMeta,
-) -> std::io::Result<BTreeMap<String, Vec<u8>>> {
     if graph.num_vertices() != meta.num_vertices
         || graph.num_edges() != meta.num_edges
         || graph.is_weighted() != meta.weighted
@@ -151,56 +85,75 @@ pub fn rebuild_payloads(
             meta.weighted
         )));
     }
+    let corrupt: BTreeSet<&str> = before.corrupt().map(|o| o.key.as_str()).collect();
+    if let Some(segment) = corrupt.iter().find(|key| section.lookup(key).is_none()) {
+        return Err(invalid(format!(
+            "corrupt object {segment:?} is a delta segment, which is not derivable \
+             from the base source graph; re-ingest the batch or re-preprocess \
+             the merged edge list instead"
+        )));
+    }
+
+    // Every payload about to be written must hash to what the manifest
+    // recorded: anything else means the wrong source graph.
+    let mut rewritten = Vec::new();
+    let mut restore = |(rel, payload): (String, Vec<u8>)| {
+        if !corrupt.contains(rel.as_str()) {
+            return Ok(());
+        }
+        let rebuilt = ObjectEntry::of(rel.as_str(), &payload);
+        match section.lookup(&rel) {
+            Some(entry) if *entry == rebuilt => {}
+            entry => {
+                return Err(invalid(format!(
+                    "rebuilt object {rel:?} does not match the manifest \
+                     (len {} crc {:#010x} vs recorded {entry:?}): \
+                     the provided source is not this grid's source",
+                    rebuilt.len, rebuilt.crc
+                )))
+            }
+        }
+        storage.create(&format!("{prefix}{rel}"), &payload)?;
+        rewritten.push(rel);
+        Ok(())
+    };
     let p = meta.p;
     let intervals = meta.intervals();
-    let codec = meta.codec();
-    let mut blocks: Vec<Vec<Edge>> = vec![Vec::new(); (p * p) as usize];
-    for e in graph.edges() {
-        let i = intervals.interval_of(e.src);
-        let j = intervals.interval_of(e.dst);
-        blocks[(i * p + j) as usize].push(*e);
-    }
-    if meta.sorted {
-        for block in &mut blocks {
-            if meta.dst_sorted {
-                block.sort_unstable_by_key(|e| (e.dst, e.src, e.weight.to_bits()));
-            } else {
-                block.sort_unstable_by_key(|e| (e.src, e.dst, e.weight.to_bits()));
-            }
+    let mut blocks = bucket_edges(graph.edges(), &intervals);
+    for (i, row) in (0..p).zip(blocks.chunks_mut(p as usize)) {
+        if row_keys(i, p, meta.order)
+            .iter()
+            .any(|key| corrupt.contains(key.as_str()))
+        {
+            row_objects(i, row, meta.order, &intervals, meta.codec())
+                .objects
+                .into_iter()
+                .try_for_each(&mut restore)?;
         }
     }
-    let mut payloads = BTreeMap::new();
-    for i in 0..p {
-        let row_len = intervals.len(i) as usize;
-        let mut row_index = if meta.indexed && !meta.dst_sorted {
-            vec![0u32; (row_len + 1) * p as usize]
-        } else {
-            Vec::new()
-        };
-        for j in 0..p {
-            let block = &blocks[(i * p + j) as usize];
-            payloads.insert(block_edges_key("", i, j), codec.encode_all(block));
-            if meta.indexed {
-                let index_interval = if meta.dst_sorted { j } else { i };
-                let offsets = crate::preprocess::build_index(
-                    block,
-                    intervals.range(index_interval),
-                    meta.dst_sorted,
-                );
-                if !meta.dst_sorted {
-                    for (k, &off) in offsets.iter().enumerate() {
-                        row_index[k * p as usize + j as usize] = off;
-                    }
-                }
-                payloads.insert(block_index_key("", i, j), encode_u32s(&offsets));
-            }
-        }
-        if !row_index.is_empty() {
-            payloads.insert(row_index_key("", i), encode_u32s(&row_index));
-        }
+    restore(degrees_object(&graph.out_degrees()))?;
+    if let Some(key) = corrupt
+        .iter()
+        .find(|&&key| !rewritten.iter().any(|r| r == key))
+    {
+        return Err(invalid(format!(
+            "manifest object {key:?} is not derivable from the source graph"
+        )));
     }
-    payloads.insert(DEGREES_KEY.to_string(), encode_u32s(&graph.out_degrees()));
-    Ok(payloads)
+    storage.sync()?;
+
+    let after = scrub_objects(storage, prefix, section);
+    if !after.is_clean() {
+        return Err(invalid(format!(
+            "grid {prefix:?} still corrupt after repair ({} bad objects)",
+            after.counts().1
+        )));
+    }
+    Ok(RepairOutcome {
+        before,
+        rewritten,
+        after,
+    })
 }
 
 #[cfg(test)]
@@ -286,7 +239,7 @@ mod tests {
             PreprocessConfig::graphsd("x/").with_intervals(2),
             PreprocessConfig::lumos("x/").with_intervals(2),
             PreprocessConfig {
-                sort_by_dst: true,
+                order: crate::layout::BlockOrder::ByDest,
                 ..PreprocessConfig::graphsd("x/")
             }
             .with_intervals(2),
@@ -318,9 +271,10 @@ mod tests {
         let store = MemStorage::new();
         preprocess(&g, &store, &PreprocessConfig::graphsd("").with_intervals(2)).unwrap();
         // Rewrite the meta as a v1 writer produced it: no section.
-        let v2 = String::from_utf8(store.read_all(META_KEY).unwrap()).unwrap();
-        let body = &v2[..v2.find(",\n  \"integrity\"").unwrap()];
-        let v1 = format!("{body}\n}}").replacen("\"version\": 2", "\"version\": 1", 1);
+        let now = String::from_utf8(store.read_all(META_KEY).unwrap()).unwrap();
+        let body = &now[..now.find(",\n  \"integrity\"").unwrap()];
+        let current = format!("\"version\": {}", crate::format::FORMAT_VERSION);
+        let v1 = format!("{body}\n}}").replacen(&current, "\"version\": 1", 1);
         store.create(META_KEY, v1.as_bytes()).unwrap();
         let err = scrub_grid(&store, "").unwrap_err();
         assert!(

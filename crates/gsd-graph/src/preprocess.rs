@@ -1,20 +1,18 @@
 //! The preprocessing phase (§3.2, evaluated in §5.3 / Figure 8): partition
-//! the edge set into the `P × P` grid, sort each sub-block, build the
-//! per-vertex indexes and write everything to storage.
+//! the edge set into the `P × P` grid, then lay every row out (sort, encode,
+//! index — [`crate::layout`]) and write it to storage.
 //!
-//! The same routine, with feature flags, also builds the baseline formats:
-//! the Lumos-like layout disables sorting and indexing (its preprocessing
-//! is the cheapest, as in Figure 8) and the HUS-Graph-like layout runs the
-//! routine twice (row copy + destination-sorted column copy — the most
-//! expensive preprocessing, as in Figure 8).
+//! The same routine, with another [`BlockOrder`], also builds the baseline
+//! formats: the Lumos-like layout neither sorts nor indexes (its
+//! preprocessing is the cheapest, as in Figure 8) and the HUS-Graph-like
+//! layout runs the routine twice (row copy + destination-sorted column
+//! copy — the most expensive preprocessing, as in Figure 8).
 
-use crate::format::{
-    block_edges_key, block_index_key, encode_u32s, row_index_key, GridMeta, DEGREES_KEY,
-    FORMAT_VERSION, META_KEY,
-};
+use crate::format::{GridMeta, FORMAT_VERSION, META_KEY};
 use crate::graph::Graph;
+use crate::layout::{bucket_edges, degrees_object, row_objects, BlockOrder};
 use crate::partition::Intervals;
-use crate::types::{Edge, EdgeCodec};
+use crate::types::EdgeCodec;
 use gsd_integrity::{IntegritySection, ObjectEntry};
 use gsd_io::Storage;
 use gsd_trace::Stopwatch;
@@ -37,16 +35,12 @@ pub struct PreprocessConfig {
     /// Balance intervals by degree mass instead of vertex count.
     pub degree_balanced: bool,
     /// Explicit interval boundaries (`P + 1` entries, overriding
-    /// `num_intervals`/`degree_balanced`). Compaction passes the mutated
-    /// grid's existing boundaries here so its fingerprint check
-    /// re-preprocesses into the *same* partition.
+    /// `num_intervals`/`degree_balanced`), for laying a second edge list
+    /// out in the partition of an existing grid.
     pub boundaries: Option<Vec<u32>>,
-    /// Sort each sub-block (required for indexes; Lumos-like disables it).
-    pub sort_blocks: bool,
-    /// Write per-vertex `.idx` files (requires `sort_blocks`).
-    pub build_index: bool,
-    /// Sort/index by destination instead of source (HUS column copy).
-    pub sort_by_dst: bool,
+    /// Edge order inside each sub-block, and with it whether rows carry
+    /// an index.
+    pub order: BlockOrder,
 }
 
 impl Default for PreprocessConfig {
@@ -57,9 +51,7 @@ impl Default for PreprocessConfig {
             memory_budget_bytes: None,
             degree_balanced: false,
             boundaries: None,
-            sort_blocks: true,
-            build_index: true,
-            sort_by_dst: false,
+            order: BlockOrder::BySource,
         }
     }
 }
@@ -76,10 +68,8 @@ impl PreprocessConfig {
     /// Lumos-like layout: unsorted blocks, no index.
     pub fn lumos(prefix: impl Into<String>) -> Self {
         PreprocessConfig {
-            key_prefix: prefix.into(),
-            sort_blocks: false,
-            build_index: false,
-            ..Self::default()
+            order: BlockOrder::Unsorted,
+            ..Self::graphsd(prefix)
         }
     }
 
@@ -152,10 +142,6 @@ pub fn preprocess(
     storage: &dyn Storage,
     config: &PreprocessConfig,
 ) -> std::io::Result<(GridMeta, PreprocessReport)> {
-    assert!(
-        config.sort_blocks || !config.build_index,
-        "per-vertex indexes require sorted sub-blocks"
-    );
     let mut report = PreprocessReport::default();
     let p = choose_p(graph, config);
     report.p = p;
@@ -170,82 +156,28 @@ pub fn preprocess(
     } else {
         Intervals::uniform(graph.num_vertices(), p)
     };
-    let mut blocks: Vec<Vec<Edge>> = vec![Vec::new(); (p * p) as usize];
-    for e in graph.edges() {
-        let i = intervals.interval_of(e.src);
-        let j = intervals.interval_of(e.dst);
-        blocks[(i * p + j) as usize].push(*e);
-    }
+    let mut blocks = bucket_edges(graph.edges(), &intervals);
     report.partition = t.elapsed();
+    let block_edge_counts: Vec<u64> = blocks.iter().map(|b| b.len() as u64).collect();
 
-    // --- sort each sub-block ---
-    // The weight-bits tiebreak makes the order a *canonical total order*
-    // on edge records: the sorted payload depends only on the edge
-    // multiset, never on input order or sort stability. The delta merge
-    // path (crate::delta) relies on this to reproduce base+delta blocks
-    // byte-identical to a full re-preprocess of the merged edge list.
-    if config.sort_blocks {
-        let t = Stopwatch::start();
-        let by_dst = config.sort_by_dst;
-        for block in &mut blocks {
-            if by_dst {
-                block.sort_unstable_by_key(|e| (e.dst, e.src, e.weight.to_bits()));
-            } else {
-                block.sort_unstable_by_key(|e| (e.src, e.dst, e.weight.to_bits()));
-            }
-        }
-        report.sort = t.elapsed();
-    }
-
-    // --- write blocks, indexes, degrees and meta ---
+    // --- lay out and write every row, then degrees and meta ---
     let t = Stopwatch::start();
     let mut bytes_written = 0u64;
-    let mut block_edge_counts = vec![0u64; (p * p) as usize];
     // Manifest entries use prefix-relative keys so the grid verifies the
     // same when mounted under a different prefix.
     let mut objects: Vec<ObjectEntry> = Vec::new();
-    for i in 0..p {
-        // Row-combined vertex-major index (source-sorted formats only):
-        // `(len_i + 1) × P` offsets, filled column by column below.
-        let row_len = intervals.len(i) as usize;
-        let mut row_index = if config.build_index && !config.sort_by_dst {
-            vec![0u32; (row_len + 1) * p as usize]
-        } else {
-            Vec::new()
-        };
-        for j in 0..p {
-            let block = &blocks[(i * p + j) as usize];
-            block_edge_counts[(i * p + j) as usize] = block.len() as u64;
-            let payload = codec.encode_all(block);
-            bytes_written += payload.len() as u64;
-            objects.push(ObjectEntry::of(block_edges_key("", i, j), &payload));
-            storage.create(&block_edges_key(&config.key_prefix, i, j), &payload)?;
-            if config.build_index {
-                let index_interval = if config.sort_by_dst { j } else { i };
-                let offsets =
-                    build_index(block, intervals.range(index_interval), config.sort_by_dst);
-                if !config.sort_by_dst {
-                    for (k, &off) in offsets.iter().enumerate() {
-                        row_index[k * p as usize + j as usize] = off;
-                    }
-                }
-                let payload = encode_u32s(&offsets);
-                bytes_written += payload.len() as u64;
-                objects.push(ObjectEntry::of(block_index_key("", i, j), &payload));
-                storage.create(&block_index_key(&config.key_prefix, i, j), &payload)?;
-            }
-        }
-        if !row_index.is_empty() {
-            let payload = encode_u32s(&row_index);
-            bytes_written += payload.len() as u64;
-            objects.push(ObjectEntry::of(row_index_key("", i), &payload));
-            storage.create(&row_index_key(&config.key_prefix, i), &payload)?;
-        }
+    let mut write = |(rel, payload): (String, Vec<u8>)| {
+        bytes_written += payload.len() as u64;
+        storage.create(&format!("{}{rel}", config.key_prefix), &payload)?;
+        objects.push(ObjectEntry::of(rel, &payload));
+        std::io::Result::Ok(())
+    };
+    for (i, row) in (0..p).zip(blocks.chunks_mut(p as usize)) {
+        let row = row_objects(i, row, config.order, &intervals, codec);
+        report.sort += row.sort;
+        row.objects.into_iter().try_for_each(&mut write)?;
     }
-    let degrees = encode_u32s(&graph.out_degrees());
-    bytes_written += degrees.len() as u64;
-    objects.push(ObjectEntry::of(DEGREES_KEY, &degrees));
-    storage.create(&format!("{}{}", config.key_prefix, DEGREES_KEY), &degrees)?;
+    write(degrees_object(&graph.out_degrees()))?;
 
     let mut meta = GridMeta {
         version: FORMAT_VERSION,
@@ -253,9 +185,7 @@ pub fn preprocess(
         num_edges: graph.num_edges(),
         p,
         weighted: graph.is_weighted(),
-        indexed: config.build_index,
-        sorted: config.sort_blocks,
-        dst_sorted: config.sort_by_dst,
+        order: config.order,
         boundaries: intervals.boundaries().to_vec(),
         block_edge_counts,
         integrity: IntegritySection::new(objects),
@@ -270,7 +200,7 @@ pub fn preprocess(
     storage.sync()?;
     storage.create(&format!("{}{}", config.key_prefix, META_KEY), &meta_bytes)?;
     storage.sync()?;
-    report.write = t.elapsed();
+    report.write = t.elapsed().saturating_sub(report.sort);
     report.bytes_written = bytes_written;
 
     Ok((meta, report))
@@ -291,27 +221,10 @@ pub fn preprocess_text<R: BufRead>(
     Ok((meta, report))
 }
 
-/// CSR offsets (edge indexes, not bytes) over the vertices of `range` for a
-/// sub-block sorted by source (or destination when `by_dst`). Shared with
-/// the repair path, which must rebuild byte-identical index payloads.
-pub(crate) fn build_index(block: &[Edge], range: std::ops::Range<u32>, by_dst: bool) -> Vec<u32> {
-    let len = (range.end - range.start) as usize;
-    let mut offsets = vec![0u32; len + 1];
-    for e in block {
-        let v = if by_dst { e.dst } else { e.src };
-        debug_assert!(range.contains(&v), "edge endpoint outside its interval");
-        offsets[(v - range.start) as usize + 1] += 1;
-    }
-    for k in 0..len {
-        offsets[k + 1] += offsets[k];
-    }
-    debug_assert_eq!(offsets[len] as usize, block.len());
-    offsets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{block_edges_key, row_index_key};
     use crate::generators::{GeneratorConfig, GraphKind};
     use gsd_io::MemStorage;
 
@@ -329,8 +242,8 @@ mod tests {
         assert_eq!(meta.num_edges, 500);
         assert_eq!(meta.block_edge_counts.iter().sum::<u64>(), 500);
         assert!(report.bytes_written > 0);
-        // 16 edge files + 16 idx files + 4 row indexes + degrees + meta
-        assert_eq!(store.list_keys().len(), 38);
+        // 16 edge files + 4 row indexes + degrees + meta
+        assert_eq!(store.list_keys().len(), 22);
     }
 
     #[test]
@@ -369,14 +282,14 @@ mod tests {
         let intervals = meta.intervals();
         let codec = meta.codec();
         for i in 0..2 {
+            let row = crate::format::decode_u32s(&store.read_all(&row_index_key("", i)).unwrap())
+                .unwrap();
+            let range = intervals.range(i);
+            assert_eq!(row.len(), (range.len() + 1) * 2);
             for j in 0..2 {
                 let edges = codec.decode_all(&store.read_all(&block_edges_key("", i, j)).unwrap());
-                let idx = crate::format::decode_u32s(
-                    &store.read_all(&block_index_key("", i, j)).unwrap(),
-                )
-                .unwrap();
-                let range = intervals.range(i);
-                assert_eq!(idx.len() as u32, range.end - range.start + 1);
+                // Column j of the row index is sub-block (i, j)'s index.
+                let idx: Vec<u32> = row.iter().skip(j as usize).step_by(2).copied().collect();
                 for v in range.clone() {
                     let k = (v - range.start) as usize;
                     let slice = &edges[idx[k] as usize..idx[k + 1] as usize];
@@ -394,24 +307,22 @@ mod tests {
         let store = MemStorage::new();
         let config = PreprocessConfig::lumos("lumos/").with_intervals(2);
         let (meta, report) = preprocess(&g, &store, &config).unwrap();
-        assert!(!meta.indexed);
-        assert!(!meta.sorted);
+        assert_eq!(meta.order, BlockOrder::Unsorted);
         assert_eq!(report.sort, Duration::ZERO);
-        assert!(store.list_keys().iter().all(|k| !k.ends_with(".idx")));
+        assert!(store.list_keys().iter().all(|k| !k.ends_with(".ridx")));
     }
 
     #[test]
-    fn dst_sorted_layout_indexes_destinations() {
+    fn by_dest_layout_sorts_by_destination_and_has_no_index() {
         let g = small_graph();
         let store = MemStorage::new();
         let config = PreprocessConfig {
-            sort_by_dst: true,
+            order: BlockOrder::ByDest,
             ..PreprocessConfig::graphsd("col/")
         }
         .with_intervals(2);
-        let (meta, _) = preprocess(&g, &store, &config).unwrap();
-        let intervals = meta.intervals();
-        let codec = meta.codec();
+        preprocess(&g, &store, &config).unwrap();
+        let codec = EdgeCodec::new(false);
         for i in 0..2 {
             for j in 0..2 {
                 let edges =
@@ -419,19 +330,9 @@ mod tests {
                 assert!(edges
                     .windows(2)
                     .all(|w| (w[0].dst, w[0].src) <= (w[1].dst, w[1].src)));
-                let idx = crate::format::decode_u32s(
-                    &store.read_all(&block_index_key("col/", i, j)).unwrap(),
-                )
-                .unwrap();
-                let range = intervals.range(j);
-                for v in range.clone() {
-                    let k = (v - range.start) as usize;
-                    assert!(edges[idx[k] as usize..idx[k + 1] as usize]
-                        .iter()
-                        .all(|e| e.dst == v));
-                }
             }
         }
+        assert!(store.list_keys().iter().all(|k| !k.ends_with(".ridx")));
     }
 
     #[test]
@@ -466,19 +367,6 @@ mod tests {
         .unwrap();
         assert_eq!(meta.num_edges, 3);
         assert!(report.load > Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "indexes require sorted")]
-    fn index_without_sort_panics() {
-        let g = small_graph();
-        let store = MemStorage::new();
-        let config = PreprocessConfig {
-            sort_blocks: false,
-            build_index: true,
-            ..PreprocessConfig::default()
-        };
-        let _ = preprocess(&g, &store, &config);
     }
 
     #[test]

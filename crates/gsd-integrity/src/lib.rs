@@ -8,7 +8,7 @@
 //! - [`crc32`] / [`fnv64`]: the workspace's hand-rolled checksums (the
 //!   checkpoint snapshot format uses them too).
 //! - [`IntegritySection`]: the checksummed per-object manifest embedded in
-//!   a grid format v2 `meta.json`.
+//!   a grid's `meta.json`.
 //! - [`GridVerifier`]: verify-on-read for engine decode paths, behind a
 //!   [`VerifyPolicy`] with a configurable [`CorruptionResponse`].
 //! - [`scrub_objects`]: offline whole-grid verification (the storage-level

@@ -1,8 +1,7 @@
-//! The checksummed per-object manifest embedded in a grid format v2
-//! `meta.json`.
+//! The checksummed per-object manifest embedded in a grid's `meta.json`.
 //!
-//! Every data object the preprocessor writes (block edges, block index,
-//! row index, degrees) gets an [`ObjectEntry`] recording its length and
+//! Every data object the preprocessor writes (block edges, row index,
+//! degrees) gets an [`ObjectEntry`] recording its length and
 //! CRC32. The entries themselves are guarded by `section_crc` (a CRC32
 //! over a canonical byte encoding of the sorted entry list), and the
 //! whole `meta.json` is guarded by `meta_crc` (a CRC32 of the meta
@@ -40,10 +39,10 @@ impl ObjectEntry {
     }
 }
 
-/// The `integrity` section of a v2 `meta.json`.
+/// The `integrity` section of a grid's `meta.json`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IntegritySection {
-    /// Checksum algorithm id; always `"crc32"` for format v2.
+    /// Checksum algorithm id; always `"crc32"`.
     pub algo: String,
     /// One entry per data object, sorted by key.
     pub objects: Vec<ObjectEntry>,
@@ -82,6 +81,13 @@ impl IntegritySection {
             section_crc,
             meta_crc: 0,
         }
+    }
+
+    /// The canonical byte encoding of the entry list (what `section_crc`
+    /// covers): hashing it names every object's key, length and checksum
+    /// at once.
+    pub fn canonical_bytes(&self) -> Vec<u8> {
+        canonical_bytes(&self.objects)
     }
 
     /// Looks up the entry for a prefix-relative key.
@@ -128,7 +134,7 @@ impl IntegritySection {
                 ));
             }
         }
-        let actual = crc32(&canonical_bytes(&self.objects));
+        let actual = crc32(&self.canonical_bytes());
         if actual != self.section_crc {
             return Err(CorruptionError::manifest(
                 meta_key,
@@ -150,7 +156,7 @@ mod tests {
         IntegritySection::new(vec![
             ObjectEntry::of("degrees.bin", b"degrees"),
             ObjectEntry::of("blocks/b_0_0.edges", b"edges"),
-            ObjectEntry::of("blocks/b_0_0.idx", b"index"),
+            ObjectEntry::of("blocks/r_0.ridx", b"index"),
         ])
     }
 
@@ -160,7 +166,7 @@ mod tests {
         let keys: Vec<&str> = section.objects.iter().map(|o| o.key.as_str()).collect();
         assert_eq!(
             keys,
-            vec!["blocks/b_0_0.edges", "blocks/b_0_0.idx", "degrees.bin"]
+            vec!["blocks/b_0_0.edges", "blocks/r_0.ridx", "degrees.bin"]
         );
         let entry = section.lookup("degrees.bin").unwrap();
         assert_eq!(entry.len, 7);

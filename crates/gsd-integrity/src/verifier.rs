@@ -385,7 +385,7 @@ mod tests {
         let payloads: Vec<(&str, Vec<u8>)> = vec![
             ("degrees.bin", vec![1u8; 64]),
             ("blocks/b_0_0.edges", (0u8..100).collect()),
-            ("blocks/b_0_0.idx", vec![9u8; 16]),
+            ("blocks/r_0.ridx", vec![9u8; 16]),
         ];
         let mut entries = Vec::new();
         for (rel, payload) in &payloads {
@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn missing_object_is_detected() {
         let (storage, section) = setup("");
-        storage.delete("blocks/b_0_0.idx").unwrap();
+        storage.delete("blocks/r_0.ridx").unwrap();
         let v = verifier(
             &storage,
             &section,
@@ -502,7 +502,7 @@ mod tests {
             VerifyPolicy::Full,
             CorruptionResponse::FailFast,
         );
-        let err = v.ensure_verified("blocks/b_0_0.idx").unwrap_err();
+        let err = v.ensure_verified("blocks/r_0.ridx").unwrap_err();
         let c = CorruptionError::from_io(&err).unwrap();
         assert_eq!(c.kind, crate::CorruptionKind::Missing);
     }
@@ -573,8 +573,8 @@ mod tests {
             CorruptionResponse::FailFast,
         );
         let before = storage.stats().snapshot();
-        v.ensure_verified("blocks/b_0_0.idx").unwrap();
-        v.ensure_verified("blocks/b_0_0.idx").unwrap();
+        v.ensure_verified("blocks/r_0.ridx").unwrap();
+        v.ensure_verified("blocks/r_0.ridx").unwrap();
         assert_eq!(
             storage.stats().snapshot(),
             before,
@@ -611,7 +611,7 @@ mod tests {
         );
         let recorder = Arc::new(RingRecorder::new(16));
         v.set_sink(recorder.clone());
-        v.ensure_verified("blocks/b_0_0.idx").unwrap();
+        v.ensure_verified("blocks/r_0.ridx").unwrap();
         let _ = v.ensure_verified("degrees.bin");
         let kinds: Vec<&'static str> = recorder.events().iter().map(|e| e.kind()).collect();
         assert_eq!(kinds, vec!["checksum_ok", "corruption_detected"]);

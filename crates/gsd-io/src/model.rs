@@ -338,8 +338,7 @@ mod tests {
         assert_eq!(h.seek_break_even_bytes(), 1_280_000);
         assert_eq!(s.seek_break_even_bytes(), 41_600);
         assert_eq!(n.seek_break_even_bytes(), 45_000);
-        // A row-combined index entry at P = 20, a per-block index entry,
-        // a weighted edge.
+        // A row-index entry at P = 20, one at P = 1, a weighted edge.
         assert_eq!(h.bridge_gap(80), 16_000);
         assert_eq!(n.bridge_gap(80), 562);
         assert_eq!(h.bridge_gap(4), 320_000);

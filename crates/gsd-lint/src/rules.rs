@@ -310,17 +310,30 @@ pub fn check_directives(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnos
 
 // ---- GSD003 — lock guard held across storage I/O ----
 
-/// Storage-layer entry points whose call under a held guard is flagged.
+/// Storage-layer entry points whose call under a held guard is flagged:
+/// every `Storage` method that touches the store (`len` is left out — it
+/// is every collection's `len` too), `GridGraph`'s read surface, and the
+/// vertex store's flush.
 const IO_METHODS: &[&str] = &[
+    // gsd_io::Storage
+    "create",
     "read_at",
     "write_at",
-    "load_block",
+    "exists",
+    "delete",
+    "list_keys",
+    "read_unaccounted",
     "read_all",
-    "write_all",
+    "sync",
+    // gsd_graph::GridGraph
+    "read_block",
     "read_block_into",
-    "read_edge_run",
     "read_row_index_span",
-    "create",
+    "read_index",
+    "read_edge_run",
+    "load_out_degrees",
+    // gsd_runtime::VertexStore
+    "write_all",
 ];
 
 const GUARD_METHODS: &[&str] = &["lock", "read", "write"];

@@ -43,6 +43,28 @@ fn gsd003_fires_on_guard_held_across_io() {
 }
 
 #[test]
+fn gsd003_covers_the_whole_storage_trait_and_grid_read_surface() {
+    let diags = lint(
+        "crates/gsd-io/src/fixture.rs",
+        include_str!("fixtures/gsd003/pos_surface.rs"),
+    );
+    let names = [
+        "exists",
+        "delete",
+        "list_keys",
+        "read_unaccounted",
+        "sync",
+        "read_block",
+        "read_index",
+        "load_out_degrees",
+    ];
+    assert_eq!(rules_of(&diags), vec!["GSD003"; names.len()], "{diags:?}");
+    for (diag, name) in diags.iter().zip(names) {
+        assert!(diag.message.contains(&format!("`{name}`")), "{diag:?}");
+    }
+}
+
+#[test]
 fn gsd003_silent_when_guard_is_scoped_or_dropped() {
     let diags = lint(
         "crates/gsd-io/src/fixture.rs",

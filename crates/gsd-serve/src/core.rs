@@ -409,10 +409,10 @@ impl ServeCore {
         let mut out = Vec::new();
         let mut scratch = Vec::new();
         let mut edges = Vec::new();
-        // The indexed source-sorted format answers a lookup with one row
-        // of the combined row index plus one edge run per non-empty
-        // sub-block; otherwise scan row i of the grid.
-        let span = if meta.indexed && meta.sorted && !meta.dst_sorted {
+        // The source-sorted format answers a lookup with one row of the
+        // row index plus one edge run per non-empty sub-block; otherwise
+        // scan row i of the grid.
+        let span = if meta.order.has_row_index() {
             match grid.read_row_index_span(i, v, v) {
                 Ok(span) => {
                     // Two index rows of p u32 entries each.
@@ -472,7 +472,7 @@ impl ServeCore {
     pub fn execute_batch(&mut self, queries: &[Traversal]) -> Vec<Response> {
         let meta = self.session.meta();
         let n = meta.num_vertices;
-        let sorted_grid = meta.sorted && !meta.dst_sorted;
+        let sorted_grid = meta.order == gsd_graph::BlockOrder::BySource;
         let mut ids = Vec::with_capacity(queries.len());
         let mut states: Vec<Result<ActiveQuery, String>> = Vec::with_capacity(queries.len());
         for t in queries {

@@ -44,9 +44,8 @@
 //! one op per line) against a preprocessed grid as one delta epoch;
 //! `--recompute` then warm-starts the named algorithm from the batch's
 //! footprint and prints the incremental value fingerprint. `compact`
-//! folds the live delta segments back into the base sub-blocks,
-//! byte-verified against a full re-preprocess before anything is
-//! written.
+//! folds the live delta segments back into the base sub-blocks, one
+//! grid row at a time.
 //!
 //! `serve` opens the grid once and answers queries from many clients
 //! until one sends `shutdown`; `query` is the matching client. Query
@@ -57,11 +56,13 @@
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
 use graphsd::bench::{
-    trace_sink, Algo, BenchReport, RunFlags, RunSettings, SystemKind, TraceReport,
+    out, stdout_write, trace_sink, Algo, BenchReport, RunFlags, RunSettings, SystemKind,
+    TraceReport,
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession, PipelineConfig};
 use graphsd::delta::MutationBatch;
 use graphsd::graph::delta::DeltaOp;
+use graphsd::graph::format::object_class;
 use graphsd::graph::{
     parse_edge_list, preprocess_text, repair_grid, scrub_grid, write_edge_list, GeneratorConfig,
     GraphKind, GridGraph, PreprocessConfig,
@@ -188,20 +189,20 @@ fn cmd_preprocess(args: &Args) -> Result<(), String> {
     config.degree_balanced = args.has("degree-balanced");
     let (meta, report) = preprocess_text(BufReader::new(file), storage.as_ref(), &config)
         .map_err(|e| e.to_string())?;
-    println!(
+    out!(
         "preprocessed {} vertices / {} edges into a {p}x{p} grid at {dir}",
         meta.num_vertices,
         meta.num_edges,
         p = meta.p
-    );
-    println!(
+    )?;
+    out!(
         "  load {:.2}s  partition {:.2}s  sort {:.2}s  write {:.2}s  ({} MiB on disk)",
         report.load.as_secs_f64(),
         report.partition.as_secs_f64(),
         report.sort.as_secs_f64(),
         report.write.as_secs_f64(),
         report.bytes_written >> 20
-    );
+    )?;
     Ok(())
 }
 
@@ -260,7 +261,7 @@ fn cmd_run(raw: &[String]) -> Result<(), String> {
     match algorithm.as_str() {
         "pagerank" => {
             let result = run(&mut engine, &PageRank::paper(), &options)?;
-            print_top(&result, top, |rank: &f32| format!("{rank:.4}"), true);
+            print_top(&result, top, |rank: &f32| format!("{rank:.4}"), true)?;
         }
         "pagerank-delta" => {
             let result = run(&mut engine, &PageRankDelta::paper(), &options)?;
@@ -269,24 +270,24 @@ fn cmd_run(raw: &[String]) -> Result<(), String> {
                 top,
                 |(rank, _): &(f32, f32)| format!("{rank:.4}"),
                 true,
-            );
+            )?;
         }
         "cc" => {
             let result = run(&mut engine, &ConnectedComponents, &options)?;
             let mut labels = result.values.clone();
             labels.sort_unstable();
             labels.dedup();
-            println!("{} components", labels.len());
+            out!("{} components", labels.len())?;
         }
         "sssp" => {
             let result = run(&mut engine, &Sssp::new(source), &options)?;
             let reached = result.values.iter().filter(|d| d.is_finite()).count();
-            println!("{reached} vertices reachable from {source}");
+            out!("{reached} vertices reachable from {source}")?;
         }
         "bfs" => {
             let result = run(&mut engine, &Bfs::new(source), &options)?;
             let reached = result.values.iter().filter(|&&d| d != u32::MAX).count();
-            println!("{reached} vertices reachable from {source}");
+            out!("{reached} vertices reachable from {source}")?;
         }
         other => return Err(format!("unknown algorithm {other:?}")),
     }
@@ -307,7 +308,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
         None => {
             let report = graphsd::delta::ingest(storage.as_ref(), "", &batch, sink.as_ref())
                 .map_err(|e| e.to_string())?;
-            print_ingest(&report);
+            print_ingest(&report)?;
         }
         Some(algo) => {
             let source: u32 = args.flag_value("source")?.unwrap_or(0);
@@ -340,8 +341,8 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn print_ingest(report: &graphsd::delta::IngestReport) {
-    println!(
+fn print_ingest(report: &graphsd::delta::IngestReport) -> Result<(), String> {
+    out!(
         "epoch {}: committed {} insert(s) / {} delete(s) as {} segment(s) ({} KiB); merged graph has {} edges",
         report.epoch,
         report.inserts,
@@ -349,7 +350,7 @@ fn print_ingest(report: &graphsd::delta::IngestReport) {
         report.segments,
         report.segment_bytes >> 10,
         report.merged_num_edges,
-    );
+    )
 }
 
 /// `ingest --recompute`: converge on the pre-batch grid (the warm state
@@ -369,7 +370,7 @@ fn ingest_recompute<P: VertexProgram>(
 
     let report = graphsd::delta::ingest(storage.as_ref(), "", batch, sink.as_ref())
         .map_err(|e| e.to_string())?;
-    print_ingest(&report);
+    print_ingest(&report)?;
 
     let grid = GridGraph::open(storage).map_err(|e| e.to_string())?;
     let (result, inc) = graphsd::delta::incremental_run(
@@ -381,8 +382,8 @@ fn ingest_recompute<P: VertexProgram>(
         sink,
     )
     .map_err(|e| e.to_string())?;
-    print_stats(&result.stats);
-    println!(
+    print_stats(&result.stats)?;
+    out!(
         "incremental recompute: {} seed(s), {} reset(s){}; value fingerprint {:016x}",
         inc.seeds,
         inc.resets,
@@ -392,8 +393,7 @@ fn ingest_recompute<P: VertexProgram>(
             ""
         },
         value_fingerprint(&result.values),
-    );
-    Ok(())
+    )
 }
 
 fn cmd_compact(args: &Args) -> Result<(), String> {
@@ -404,15 +404,15 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
     let sink = ingest_sink(args)?;
     match graphsd::delta::compact(&storage, "", sink.as_ref()).map_err(|e| e.to_string())? {
-        Some(r) => println!(
+        Some(r) => out!(
             "epoch {}: folded {} segment(s) into {} rewritten object(s) ({} KiB); grid fingerprint {:016x}",
             r.epoch,
             r.segments_folded,
             r.objects_rewritten,
             r.bytes_rewritten >> 10,
             r.fingerprint,
-        ),
-        None => println!("{dir}: no live delta segments; nothing to compact"),
+        )?,
+        None => out!("{dir}: no live delta segments; nothing to compact")?,
     }
     sink.flush();
     Ok(())
@@ -436,7 +436,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
     serve_tcp(listener, server.client()).map_err(|e| e.to_string())?;
-    println!("gsd-serve listening on {addr} ({dir}, cache {cache_mb} MiB)");
+    out!("gsd-serve listening on {addr} ({dir}, cache {cache_mb} MiB)")?;
     // Blocks until a client sends `shutdown`; the executor hands its core
     // (and the final counters) back for the exit report.
     let core = server.join().map_err(|e| e.to_string())?;
@@ -446,7 +446,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     std::thread::sleep(std::time::Duration::from_millis(200));
     let c = core.counters();
     let lookups = c.cache_hits + c.cache_misses;
-    println!(
+    out!(
         "served {} queries: {} block reads ({} MiB), cache {}/{} hits ({:.1}%), {} batch passes covering {} batched traversals",
         c.queries,
         c.blocks_read,
@@ -460,7 +460,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         },
         c.batch_passes,
         c.batched_queries,
-    );
+    )?;
     flags.settings.sink.flush();
     Ok(())
 }
@@ -544,64 +544,47 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 }
 
 fn render_response(response: &Response) -> Result<(), String> {
-    // A closed stdout (e.g. `gsd query ... | head`) must not panic the
-    // client, so rendering writes through a fallible handle and treats a
-    // broken pipe as "the reader has seen enough".
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let rendered: std::io::Result<()> = (|| {
-        match response {
-            Response::Pong => writeln!(out, "pong")?,
+    match response {
+            Response::Pong => out!("pong")?,
             Response::Stats(s) => {
-                writeln!(
-                    out,
-                    "graph      {} vertices / {} edges ({p}x{p} grid)",
+                out!("graph      {} vertices / {} edges ({p}x{p} grid)",
                     s.vertices,
                     s.edges,
                     p = s.p
                 )?;
-                writeln!(out, "queries    {}", s.queries)?;
-                writeln!(
-                    out,
-                    "cache      {} hits / {} misses, {} blocks resident ({} KiB)",
+                out!("queries    {}", s.queries)?;
+                out!("cache      {} hits / {} misses, {} blocks resident ({} KiB)",
                     s.cache_hits,
                     s.cache_misses,
                     s.cache_entries,
                     s.cache_bytes >> 10
                 )?;
-                writeln!(
-                    out,
-                    "disk       {} block reads, {} KiB",
+                out!("disk       {} block reads, {} KiB",
                     s.blocks_read,
                     s.bytes_read >> 10
                 )?;
-                writeln!(
-                    out,
-                    "batching   {} passes over {} batched traversals",
+                out!("batching   {} passes over {} batched traversals",
                     s.batch_passes, s.batched_queries
                 )?;
             }
-            Response::Degree { degree } => writeln!(out, "{degree}")?,
+            Response::Degree { degree } => out!("{degree}")?,
             Response::Neighbors { neighbors } => {
                 let rendered: Vec<String> = neighbors.iter().map(u32::to_string).collect();
-                writeln!(
-                    out,
-                    "{} neighbor(s): {}",
+                out!("{} neighbor(s): {}",
                     neighbors.len(),
                     rendered.join(" ")
                 )?;
             }
             Response::Depths { depths } => {
-                writeln!(out, "{} vertices reached:", depths.len())?;
+                out!("{} vertices reached:", depths.len())?;
                 for (v, d) in depths {
-                    writeln!(out, "  {v:>10}  depth {d}")?;
+                    out!("  {v:>10}  depth {d}")?;
                 }
             }
             Response::Scores { scores } => {
-                writeln!(out, "{} vertices scored:", scores.len())?;
+                out!("{} vertices scored:", scores.len())?;
                 for (v, bits) in scores {
-                    writeln!(out, "  {v:>10}  {:.6}", f32::from_bits(*bits))?;
+                    out!("  {v:>10}  {:.6}", f32::from_bits(*bits))?;
                 }
             }
             Response::RunSummary {
@@ -609,18 +592,14 @@ fn render_response(response: &Response) -> Result<(), String> {
                 iterations,
                 fingerprint,
                 bytes_read,
-            } => writeln!(
-                out,
-                "{algorithm}: {iterations} iterations, {} MiB read, fingerprint {fingerprint:016x}",
+            } => out!("{algorithm}: {iterations} iterations, {} MiB read, fingerprint {fingerprint:016x}",
                 bytes_read >> 20
             )?,
             Response::Mutated {
                 epoch,
                 merged_edges,
                 segments,
-            } => writeln!(
-                out,
-                "epoch {epoch} committed ({segments} segment(s)); merged graph has {merged_edges} edges"
+            } => out!("epoch {epoch} committed ({segments} segment(s)); merged graph has {merged_edges} edges"
             )?,
             Response::Compacted {
                 epoch,
@@ -629,26 +608,16 @@ fn render_response(response: &Response) -> Result<(), String> {
                 fingerprint,
             } => {
                 if *segments_folded == 0 {
-                    writeln!(out, "no live delta segments (epoch {epoch}); nothing to compact")?;
+                    out!("no live delta segments (epoch {epoch}); nothing to compact")?;
                 } else {
-                    writeln!(
-                        out,
-                        "epoch {epoch}: folded {segments_folded} segment(s) into {objects_rewritten} rewritten object(s), fingerprint {fingerprint:016x}"
+                    out!("epoch {epoch}: folded {segments_folded} segment(s) into {objects_rewritten} rewritten object(s), fingerprint {fingerprint:016x}"
                     )?;
                 }
             }
-            Response::ShuttingDown => writeln!(out, "server is shutting down")?,
-            Response::Error { .. } => return Ok(()),
+            Response::ShuttingDown => out!("server is shutting down")?,
+            Response::Error { message } => return Err(message.clone()),
         }
-        out.flush()
-    })();
-    if let Response::Error { message } = response {
-        return Err(message.clone());
-    }
-    match rendered {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(e.to_string()),
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 fn run<P: VertexProgram>(
@@ -657,12 +626,12 @@ fn run<P: VertexProgram>(
     options: &RunOptions,
 ) -> Result<RunResult<P::Value>, String> {
     let result = engine.run(program, options).map_err(|e| e.to_string())?;
-    print_stats(&result.stats);
+    print_stats(&result.stats)?;
     Ok(result)
 }
 
-fn print_stats(stats: &RunStats) {
-    println!(
+fn print_stats(stats: &RunStats) -> Result<(), String> {
+    out!(
         "{}: {} iterations, {} MiB read, {} MiB written, io {:.3}s, update {:.3}s, scheduler {:.4}s",
         stats.algorithm,
         stats.iterations,
@@ -671,23 +640,24 @@ fn print_stats(stats: &RunStats) {
         stats.io_time.as_secs_f64(),
         stats.compute_time.as_secs_f64(),
         stats.scheduler_time.as_secs_f64(),
-    );
+    )?;
     if stats.cross_iter_edges > 0 {
-        println!(
+        out!(
             "  cross-iteration served {} edge updates; buffer hits {} ({} KiB)",
             stats.cross_iter_edges,
             stats.buffer_hits,
             stats.buffer_hit_bytes >> 10
-        );
+        )?;
     }
     if stats.verify_bytes > 0 || stats.corrupt_blocks > 0 {
-        println!(
+        out!(
             "  verified {} KiB; {} corrupt object(s) detected, {} repaired by re-read",
             stats.verify_bytes >> 10,
             stats.corrupt_blocks,
             stats.repaired_blocks
-        );
+        )?;
     }
+    Ok(())
 }
 
 fn print_top<V: Value>(
@@ -695,7 +665,7 @@ fn print_top<V: Value>(
     top: usize,
     render: impl Fn(&V) -> String,
     descending_by_bits: bool,
-) {
+) -> Result<(), String> {
     // Values are f32-backed for the rank programs; bit order matches value
     // order for non-negative floats.
     let mut ranked: Vec<(u32, &V)> = result
@@ -707,10 +677,11 @@ fn print_top<V: Value>(
     if descending_by_bits {
         ranked.sort_by_key(|(_, x)| std::cmp::Reverse(x.to_bits()));
     }
-    println!("top {top} vertices:");
+    out!("top {top} vertices:")?;
     for (v, x) in ranked.into_iter().take(top) {
-        println!("  {v:>10}  {}", render(x));
+        out!("  {v:>10}  {}", render(x))?;
     }
+    Ok(())
 }
 
 fn parse_system(name: &str) -> Result<SystemKind, String> {
@@ -754,12 +725,12 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
     if let Some(path) = args.flag_value::<String>("check")? {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
         let report = BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        out!(
             "{path}: valid BENCH schema v{} — {} entries at scale {}",
             report.schema_version,
             report.entries.len(),
             report.scale
-        );
+        )?;
         return Ok(());
     }
     let mut opts = WallOptions {
@@ -783,7 +754,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
     let report = run_wall(&opts, &flags.settings).map_err(|e| e.to_string())?;
     flags.settings.sink.flush();
     for e in &report.entries {
-        println!(
+        out!(
             "{:>12} {:>5} {:>12}  {:>3} iterations  read {:>11} B in {:>6} requests  {} prefetched",
             e.system,
             e.algorithm,
@@ -792,13 +763,13 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
             e.bytes_read,
             e.read_ops,
             e.prefetch_events
-        );
+        )?;
     }
     let out = args
         .flag_value::<String>("out")?
         .unwrap_or_else(|| format!("BENCH_{}.json", report.scale));
     std::fs::write(&out, report.to_json()).map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out} ({} entries)", report.entries.len());
+    out!("wrote {out} ({} entries)", report.entries.len())?;
 
     if let Some(path) = args.flag_value::<String>("baseline")? {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -811,7 +782,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
                 base.scale
             )
         })?;
-        println!("baseline {path}: {n} cell(s) match on deterministic counters");
+        out!("baseline {path}: {n} cell(s) match on deterministic counters")?;
     }
     Ok(())
 }
@@ -822,8 +793,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     };
     let top: usize = args.flag_value("top")?.unwrap_or(10);
     let report = TraceReport::from_path(path).map_err(|e| format!("{path}: {e}"))?;
-    print!("{}", report.render_text(top));
-    Ok(())
+    stdout_write(format_args!("{}", report.render_text(top)))
 }
 
 fn cmd_scrub(args: &Args) -> Result<(), String> {
@@ -836,17 +806,22 @@ fn cmd_scrub(args: &Args) -> Result<(), String> {
     let (_, report) = scrub_grid(storage.as_ref(), "").map_err(|e| e.to_string())?;
     let (ok, corrupt) = report.counts();
     for object in report.corrupt() {
-        println!(
+        out!(
             "  {:<10} {} ({} bytes)",
             object.status.label(),
             object.key,
             object.len
-        );
+        )?;
     }
-    println!(
-        "scrub of {dir}: {ok} object(s) clean, {corrupt} corrupt, {} MiB checked",
-        report.bytes_checked() >> 20
-    );
+    let classes: Vec<String> = inventory(report.objects.iter().map(|o| (o.key.as_str(), o.len)))
+        .iter()
+        .map(|(class, (objects, _))| format!("{class} {objects}"))
+        .collect();
+    out!(
+        "scrub of {dir}: {ok} object(s) clean, {corrupt} corrupt, {} MiB checked ({})",
+        report.bytes_checked() >> 20,
+        classes.join(" · ")
+    )?;
     if report.is_clean() {
         return Ok(());
     }
@@ -858,11 +833,24 @@ fn cmd_scrub(args: &Args) -> Result<(), String> {
     let file = std::fs::File::open(&source).map_err(|e| format!("{source}: {e}"))?;
     let graph = parse_edge_list(BufReader::new(file)).map_err(|e| format!("{source}: {e}"))?;
     let outcome = repair_grid(storage.as_ref(), "", &graph).map_err(|e| e.to_string())?;
-    println!(
+    out!(
         "repaired {} object(s) from {source}; grid is clean again",
         outcome.rewritten.len()
-    );
+    )?;
     Ok(())
+}
+
+/// Object count and bytes per object class.
+fn inventory<'a>(
+    objects: impl Iterator<Item = (&'a str, u64)>,
+) -> std::collections::BTreeMap<&'static str, (u64, u64)> {
+    let mut classes = std::collections::BTreeMap::new();
+    for (key, len) in objects {
+        let (count, bytes) = classes.entry(object_class(key)).or_insert((0, 0));
+        *count += 1;
+        *bytes += len;
+    }
+    classes
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
@@ -873,36 +861,44 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
     let grid = GridGraph::open(storage).map_err(|e| format!("{dir}: {e}"))?;
     let meta = grid.meta();
-    println!("grid graph at {dir}:");
-    println!("  vertices   {}", meta.num_vertices);
-    println!("  edges      {}", meta.num_edges);
-    println!(
+    out!("grid graph at {dir}:")?;
+    out!("  vertices   {}", meta.num_vertices)?;
+    out!("  edges      {}", meta.num_edges)?;
+    out!(
         "  intervals  {p}x{p} = {} sub-blocks",
         meta.p * meta.p,
         p = meta.p
-    );
-    println!("  weighted   {}", meta.weighted);
-    println!("  sorted     {}  indexed {}", meta.sorted, meta.indexed);
-    println!("  edge bytes {} MiB", meta.total_edge_bytes() >> 20);
+    )?;
+    out!("  weighted   {}", meta.weighted)?;
+    out!("  order      {:?}", meta.order)?;
     let nonempty = meta.block_edge_counts.iter().filter(|&&c| c > 0).count();
     let largest = meta.block_edge_counts.iter().max().copied().unwrap_or(0);
-    println!("  non-empty  {nonempty} blocks, largest {largest} edges");
-    println!(
+    out!("  non-empty  {nonempty} blocks, largest {largest} edges")?;
+    out!(
         "  integrity  format v{}, {} checksums over {} objects ({} MiB covered)",
         meta.version,
         meta.integrity.algo,
         meta.integrity.len(),
         meta.integrity.total_bytes() >> 20
-    );
+    )?;
+    let covered = meta.integrity.objects.iter();
+    for (class, (objects, bytes)) in inventory(covered.map(|o| (o.key.as_str(), o.len))) {
+        let mib = bytes as f64 / (1 << 20) as f64;
+        out!("    {class:<10} {objects} objects {mib:.2} MiB")?;
+    }
+    out!(
+        "    bytes/edge {:.1}",
+        meta.integrity.total_bytes() as f64 / meta.num_edges.max(1) as f64
+    )?;
     if let Some(delta) = &meta.delta {
         match grid.overlay() {
-            Some(overlay) => println!(
+            Some(overlay) => out!(
                 "  delta      epoch {}, {} sub-block(s) overlaid ({} KiB resident; `gsd compact` folds them)",
                 delta.epoch,
                 overlay.block_count(),
                 overlay.resident_bytes() >> 10
-            ),
-            None => println!("  delta      epoch {}, no live segments", delta.epoch),
+            )?,
+            None => out!("  delta      epoch {}, no live segments", delta.epoch)?,
         }
     }
     Ok(())
@@ -935,10 +931,10 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     }
     let file = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
     write_edge_list(&graph, file).map_err(|e| e.to_string())?;
-    println!(
+    out!(
         "wrote {} vertices / {} edges to {out}",
         graph.num_vertices(),
         graph.num_edges()
-    );
+    )?;
     Ok(())
 }

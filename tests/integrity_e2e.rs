@@ -1,4 +1,4 @@
-//! End-to-end contract of grid integrity (format v2), across engines:
+//! End-to-end contract of grid integrity, across engines:
 //!
 //! 1. **Clean-data neutrality** — on an uncorrupted grid, turning
 //!    verification on (any policy) changes neither the committed values
@@ -10,8 +10,8 @@
 //!    a silently wrong result.
 //! 3. **Scrub/repair** — the offline pass finds the same corruption and
 //!    restores the exact original bytes from the source edge list.
-//! 4. **Version negotiation** — format v1 grids (no checksums) still
-//!    load and run; only `set_verification` refuses them.
+//! 4. **One format version** — a grid written by an older tree is
+//!    refused at open with the way out.
 
 use graphsd::algos::{Bfs, PageRank};
 use graphsd::baselines::{
@@ -319,9 +319,10 @@ fn v1_grids_are_rejected_at_open() {
     // self-check — what a pre-checksum preprocessor wrote.
     let (storage, grid) = grid_on_fresh_disk(&test_graph(), 4);
     drop(grid);
-    let v2 = String::from_utf8(storage.read_all(META_KEY).unwrap()).unwrap();
-    let body = &v2[..v2.find(",\n  \"integrity\"").unwrap()];
-    let v1 = format!("{body}\n}}").replacen("\"version\": 2", "\"version\": 1", 1);
+    let now = String::from_utf8(storage.read_all(META_KEY).unwrap()).unwrap();
+    let body = &now[..now.find(",\n  \"integrity\"").unwrap()];
+    let current = format!("\"version\": {}", graphsd::graph::FORMAT_VERSION);
+    let v1 = format!("{body}\n}}").replacen(&current, "\"version\": 1", 1);
     storage.create(META_KEY, v1.as_bytes()).unwrap();
 
     let Err(err) = GridGraph::open(storage) else {

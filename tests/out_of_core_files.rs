@@ -120,10 +120,35 @@ fn two_formats_share_one_directory() {
         gsd_baselines::build_lumos_format(&graph, &storage, "lumos/", Some(2)).unwrap();
     let main = GridGraph::open_with_prefix(storage.clone(), "main/").unwrap();
     assert_eq!(main.num_edges(), lumos_grid.num_edges());
-    assert!(main.meta().indexed);
-    assert!(!lumos_grid.meta().indexed);
+    assert!(main.meta().order.has_row_index());
+    assert!(!lumos_grid.meta().order.has_row_index());
     // Keys are disjoint namespaces.
     let keys = storage.list_keys();
     assert!(keys.iter().any(|k| k.starts_with("main/")));
     assert!(keys.iter().any(|k| k.starts_with("lumos/")));
+}
+
+/// A reader that closes the pipe early (`gsd info dir | head -1`) ends
+/// the command quietly; `println!` used to panic on the broken pipe and
+/// exit 101 with a backtrace.
+#[test]
+fn a_closed_stdout_does_not_panic_the_cli() {
+    let dir = TempDir::new("gsd-epipe").unwrap();
+    let storage: SharedStorage = Arc::new(FileStorage::open(dir.path()).unwrap());
+    preprocess_text(
+        sample_edge_list().as_bytes(),
+        storage.as_ref(),
+        &PreprocessConfig::graphsd("").with_intervals(2),
+    )
+    .unwrap();
+    // The read end is gone before the command writes its first line.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_gsd"))
+        .arg("info")
+        .arg(dir.path())
+        .stdout(writer)
+        .status()
+        .unwrap();
+    assert_eq!(status.code(), Some(0), "{status:?}");
 }

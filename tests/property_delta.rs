@@ -254,8 +254,74 @@ fn check_incremental((base, batches, config): Scenario) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// The patch-at-read path: a row-index span read through the overlay
+/// (base span from storage, merged sub-blocks' columns overwritten)
+/// equals the same span of a grid preprocessed from scratch over the
+/// merged edge list. Batches compact as their switch says, except the
+/// last, so the grid read here always has live segments.
+fn check_row_index_spans(
+    (base, batches, _): Scenario,
+    (lo_pick, hi_pick): (u32, u32),
+) -> Result<(), TestCaseError> {
+    let n = base.num_vertices();
+    let p = 3u32.min(n);
+    let (storage, grid) = fresh_grid(&base, p);
+    let boundaries = grid.meta().boundaries.clone();
+    drop(grid);
+
+    let mut mirror = base.edges().to_vec();
+    for (k, (ops, compact_after)) in batches.iter().enumerate() {
+        ingest(
+            storage.as_ref(),
+            "",
+            &to_batch(ops),
+            graphsd::trace::null_sink().as_ref(),
+        )
+        .unwrap();
+        apply_ops(&mut mirror, ops);
+        if *compact_after && k + 1 < batches.len() {
+            compact(&storage, "", graphsd::trace::null_sink().as_ref()).unwrap();
+        }
+    }
+    let reference: SharedStorage = Arc::new(MemStorage::new());
+    preprocess(
+        &Graph::from_edges(n, mirror, true),
+        reference.as_ref(),
+        &PreprocessConfig::graphsd("").with_boundaries(boundaries),
+    )
+    .unwrap();
+
+    let merged = GridGraph::open(storage).unwrap();
+    let scratch = GridGraph::open(reference).unwrap();
+    for i in 0..p {
+        let range = merged.intervals().range(i);
+        if range.is_empty() {
+            continue;
+        }
+        let lo = range.start + lo_pick % (range.end - range.start);
+        let hi = lo + hi_pick % (range.end - lo);
+        prop_assert_eq!(
+            merged.read_row_index_span(i, lo, hi).unwrap(),
+            scratch.read_row_index_span(i, lo, hi).unwrap(),
+            "row {} span {}..={}",
+            i,
+            lo,
+            hi
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn row_index_spans_through_the_overlay_equal_repreprocessing(
+        scenario in arb_scenario(),
+        picks in (any::<u32>(), any::<u32>()),
+    ) {
+        check_row_index_spans(scenario, picks)?;
+    }
 
     #[test]
     fn mutation_stream_equals_repreprocessing(scenario in arb_scenario()) {

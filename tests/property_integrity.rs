@@ -1,4 +1,4 @@
-//! Property: **any** single bit flip anywhere in a format v2 grid is
+//! Property: **any** single bit flip anywhere in a grid is
 //! caught. For data objects, the offline scrub always reports the
 //! damage, and a fully verified run either surfaces a structured
 //! corruption error or — when the flipped object is never read — commits
