@@ -29,10 +29,11 @@
 //! storage unchanged.
 //!
 //! Because sub-blocks are sorted by a canonical total order (see
-//! [`BlockOrder::sort`]), the merged payload is **byte-identical** to
-//! what a full re-preprocess of the merged edge list would write — what
-//! makes compaction a row-by-row rewrite, and the reason analytic results
-//! on base+delta match a from-scratch grid bit for bit.
+//! [`BlockOrder::sort`](crate::layout::BlockOrder::sort)), the merged
+//! payload is **byte-identical** to what a full re-preprocess of the
+//! merged edge list would write — what makes compaction a row-by-row
+//! rewrite, and the reason analytic results on base+delta match a
+//! from-scratch grid bit for bit.
 //!
 //! # Mutation semantics
 //!
@@ -50,7 +51,6 @@
 //! merges, and `scrub` extends to segments (see [`crate::integrity`]).
 
 use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION};
-use crate::layout::{build_index, BlockOrder};
 use crate::types::{Edge, VertexId};
 use gsd_integrity::{IntegritySection, ObjectEntry};
 use gsd_io::Storage;
@@ -368,15 +368,6 @@ pub fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) {
     }
 }
 
-/// Applies `ops` (in order) to the base edges of one sub-block and
-/// returns the merged edges in the grid's canonical `order`.
-fn merge_block_edges(base: &[Edge], ops: &[DeltaOp], order: BlockOrder) -> Vec<Edge> {
-    let mut edges = base.to_vec();
-    apply_ops(&mut edges, ops);
-    order.sort(&mut edges);
-    edges
-}
-
 /// Reads, verifies and decodes every live segment `manifest` names and
 /// groups the ops per sub-block of a `P × P` grid, in epoch order
 /// (manifest entries are key-sorted; the zero-padded epoch in the key
@@ -454,7 +445,11 @@ pub(crate) fn load_overlay(
                 "base object {rel_key:?} failed its checksum while merging delta segments"
             )));
         }
-        let merged = merge_block_edges(&codec.decode_all(&payload), ops, meta.order);
+        // Canonical order again, so the payload and its index column are
+        // the bytes a re-preprocess of the merged edge list would write.
+        let mut merged = codec.decode_all(&payload);
+        apply_ops(&mut merged, ops);
+        let offsets = meta.order.sort(i, j, &intervals, &mut merged);
         let want = manifest.merged_block_edge_counts[(i * p + j) as usize];
         if merged.len() as u64 != want {
             return Err(invalid(format!(
@@ -462,11 +457,6 @@ pub(crate) fn load_overlay(
                 merged.len()
             )));
         }
-        let offsets = if meta.order.has_row_index() {
-            build_index(&merged, intervals.range(i))
-        } else {
-            Vec::new()
-        };
         let bytes = codec.encode_all(&merged);
         let index_bytes = (offsets.len() * 4) as u64;
         overlay.resident_bytes += bytes.len() as u64 + index_bytes;
@@ -495,6 +485,17 @@ pub(crate) fn load_overlay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::BlockOrder;
+    use crate::partition::Intervals;
+
+    /// Merges as `load_overlay` does, into the only sub-block of an
+    /// 8-vertex, one-interval grid.
+    fn merge(base: &[Edge], ops: &[DeltaOp]) -> Vec<Edge> {
+        let mut edges = base.to_vec();
+        apply_ops(&mut edges, ops);
+        BlockOrder::BySource.sort(0, 0, &Intervals::uniform(8, 1), &mut edges);
+        edges
+    }
 
     #[test]
     fn segment_roundtrip() {
@@ -544,7 +545,7 @@ mod tests {
             DeltaOp::Insert(Edge::new(4, 4)),
             DeltaOp::Delete { src: 4, dst: 4 },
         ];
-        let merged = merge_block_edges(&base, &ops, BlockOrder::BySource);
+        let merged = merge(&base, &ops);
         assert_eq!(
             merged,
             vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(2, 1)]
@@ -554,19 +555,14 @@ mod tests {
     #[test]
     fn merge_delete_removes_every_copy_and_reinsert_restores() {
         let base = vec![Edge::new(5, 6), Edge::new(5, 6)];
-        let merged = merge_block_edges(
-            &base,
-            &[DeltaOp::Delete { src: 5, dst: 6 }],
-            BlockOrder::BySource,
-        );
+        let merged = merge(&base, &[DeltaOp::Delete { src: 5, dst: 6 }]);
         assert!(merged.is_empty());
-        let merged = merge_block_edges(
+        let merged = merge(
             &base,
             &[
                 DeltaOp::Delete { src: 5, dst: 6 },
                 DeltaOp::Insert(Edge::new(5, 6)),
             ],
-            BlockOrder::BySource,
         );
         assert_eq!(merged, vec![Edge::new(5, 6)]);
     }

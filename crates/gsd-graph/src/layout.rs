@@ -30,19 +30,22 @@ pub enum BlockOrder {
 }
 
 impl BlockOrder {
-    /// Sorts one sub-block into this order. The weight-bits tiebreak
-    /// makes it a *canonical total order* on edge records: the sorted
-    /// payload depends only on the edge multiset, never on input order or
-    /// sort stability, which is what lets a delta merge reproduce the
-    /// bytes a full re-preprocess of the merged edge list would write.
-    pub fn sort(self, edges: &mut [Edge]) {
+    /// Sorts sub-block `(i, j)` into this order and returns its column of
+    /// row `i`'s index (empty where the order has none).
+    ///
+    /// The order is `(primary, secondary, weight bits)` with the primary
+    /// key `src` for `BySource` and `dst` for `ByDest`. The weight-bits
+    /// tiebreak makes it a *canonical total order* on edge records: the
+    /// sorted payload depends only on the edge multiset, never on input
+    /// order or sort stability, which is what lets a delta merge reproduce
+    /// the bytes a full re-preprocess of the merged edge list would write.
+    pub fn sort(self, i: u32, j: u32, intervals: &Intervals, edges: &mut Vec<Edge>) -> Vec<u32> {
         match self {
-            BlockOrder::Unsorted => {}
-            BlockOrder::BySource => {
-                edges.sort_unstable_by_key(|e| (e.src, e.dst, e.weight.to_bits()))
-            }
+            BlockOrder::Unsorted => Vec::new(),
+            BlockOrder::BySource => counting_sort(edges, intervals.range(i), |e| e.src, |e| e.dst),
             BlockOrder::ByDest => {
-                edges.sort_unstable_by_key(|e| (e.dst, e.src, e.weight.to_bits()))
+                counting_sort(edges, intervals.range(j), |e| e.dst, |e| e.src);
+                Vec::new()
             }
         }
     }
@@ -54,16 +57,64 @@ impl BlockOrder {
     }
 }
 
+/// Sorts `edges` by `(primary, secondary, weight bits)` in time linear in
+/// `edges.len() + range.len()` and returns the CSR offsets (edge indexes,
+/// not bytes) of the primary key over `range`, which must contain it:
+/// count, prefix-sum, scatter, then order the edges that share a primary
+/// key — the only comparisons made.
+fn counting_sort(
+    edges: &mut Vec<Edge>,
+    range: std::ops::Range<u32>,
+    primary: impl Fn(&Edge) -> u32,
+    secondary: impl Fn(&Edge) -> u32,
+) -> Vec<u32> {
+    let len = range.len();
+    let slot = |e: &Edge| (primary(e) - range.start) as usize;
+    // `offsets[k + 1]` is key `k`'s write cursor: it starts where the
+    // key's run starts and ends where the next one does, so once every
+    // edge is placed `offsets[..=len]` are the run starts.
+    let mut offsets = vec![0u32; len + 2];
+    for e in edges.iter() {
+        offsets[slot(e) + 2] += 1;
+    }
+    for k in 2..len + 2 {
+        offsets[k] += offsets[k - 1];
+    }
+    let mut sorted = edges.clone();
+    for e in edges.iter() {
+        let cursor = &mut offsets[slot(e) + 1];
+        sorted[*cursor as usize] = *e;
+        *cursor += 1;
+    }
+    offsets.truncate(len + 1);
+    for run in offsets.windows(2) {
+        let run = &mut sorted[run[0] as usize..run[1] as usize];
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|e| (secondary(e), e.weight.to_bits()));
+        }
+    }
+    *edges = sorted;
+    offsets
+}
+
 /// Buckets `edges` into the `P × P` sub-blocks of `intervals`, row-major
 /// (`blocks[i * P + j]` is sub-block `(i, j)`, so row `i` is the `i`-th
-/// chunk of `P`), each in input order.
+/// chunk of `P`), each in input order and allocated once.
 pub fn bucket_edges(edges: &[Edge], intervals: &Intervals) -> Vec<Vec<Edge>> {
-    let p = intervals.count();
-    let mut blocks: Vec<Vec<Edge>> = vec![Vec::new(); (p * p) as usize];
+    let p = intervals.count() as usize;
+    let mut interval_of = Vec::with_capacity(intervals.num_vertices() as usize);
+    for i in 0..intervals.count() {
+        interval_of.extend(intervals.range(i).map(|_| i));
+    }
+    let block_of =
+        |e: &Edge| interval_of[e.src as usize] as usize * p + interval_of[e.dst as usize] as usize;
+    let mut counts = vec![0usize; p * p];
     for e in edges {
-        let i = intervals.interval_of(e.src);
-        let j = intervals.interval_of(e.dst);
-        blocks[(i * p + j) as usize].push(*e);
+        counts[block_of(e)] += 1;
+    }
+    let mut blocks: Vec<Vec<Edge>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for e in edges {
+        blocks[block_of(e)].push(*e);
     }
     blocks
 }
@@ -84,13 +135,14 @@ pub fn row_keys(i: u32, p: u32, order: BlockOrder) -> Vec<String> {
 pub struct RowObjects {
     /// `(prefix-relative key, payload)`, keyed as [`row_keys`] lists.
     pub objects: Vec<(String, Vec<u8>)>,
-    /// Time spent sorting (zero for [`BlockOrder::Unsorted`]).
+    /// Time spent sorting and indexing (zero for [`BlockOrder::Unsorted`]).
     pub sort: Duration,
 }
 
 /// Lays out row `i` from its `P` sub-blocks (`blocks[j]` holds the edges
 /// of sub-block `(i, j)`, in any order): sorts each block in place into
-/// `order`, encodes it, and builds the row index where the order has one.
+/// `order`, which yields its column of the row index where the order has
+/// one, and encodes it.
 pub fn row_objects(
     i: u32,
     blocks: &mut [Vec<Edge>],
@@ -99,24 +151,28 @@ pub fn row_objects(
     codec: EdgeCodec,
 ) -> RowObjects {
     let p = blocks.len();
-    let mut sort = Duration::ZERO;
-    if order != BlockOrder::Unsorted {
-        let t = Stopwatch::start();
-        for block in blocks.iter_mut() {
-            order.sort(block);
+    // Vertex-major: `(len_i + 1) × P` offsets, filled column by column as
+    // each block's sort returns its own.
+    let index_len = if order.has_row_index() {
+        (intervals.range(i).len() + 1) * p
+    } else {
+        0
+    };
+    let mut row_index = vec![0u32; index_len];
+    let t = Stopwatch::start();
+    for (j, block) in (0..).zip(blocks.iter_mut()) {
+        let column = order.sort(i, j, intervals, block);
+        for (k, off) in column.into_iter().enumerate() {
+            row_index[k * p + j as usize] = off;
         }
-        sort = t.elapsed();
     }
+    let sort = if order == BlockOrder::Unsorted {
+        Duration::ZERO
+    } else {
+        t.elapsed()
+    };
     let mut payloads: Vec<Vec<u8>> = blocks.iter().map(|b| codec.encode_all(b)).collect();
     if order.has_row_index() {
-        // Vertex-major: `(len_i + 1) × P` offsets, filled column by column.
-        let range = intervals.range(i);
-        let mut row_index = vec![0u32; (range.len() + 1) * p];
-        for (j, block) in blocks.iter().enumerate() {
-            for (k, off) in build_index(block, range.clone()).into_iter().enumerate() {
-                row_index[k * p + j] = off;
-            }
-        }
         payloads.push(encode_u32s(&row_index));
     }
     let keys = row_keys(i, crate::narrow::from_usize(p, "interval count"), order);
@@ -129,21 +185,4 @@ pub fn row_objects(
 /// The out-degree table as `(prefix-relative key, payload)`.
 pub fn degrees_object(degrees: &[u32]) -> (String, Vec<u8>) {
     (DEGREES_KEY.to_string(), encode_u32s(degrees))
-}
-
-/// CSR offsets (edge indexes, not bytes) over the source vertices of
-/// `range` for a source-sorted sub-block: column `j` of row `i`'s index
-/// is `build_index(block (i, j), range(i))`.
-pub(crate) fn build_index(block: &[Edge], range: std::ops::Range<u32>) -> Vec<u32> {
-    let len = range.len();
-    let mut offsets = vec![0u32; len + 1];
-    for e in block {
-        debug_assert!(range.contains(&e.src), "edge source outside its interval");
-        offsets[(e.src - range.start) as usize + 1] += 1;
-    }
-    for k in 0..len {
-        offsets[k + 1] += offsets[k];
-    }
-    debug_assert_eq!(offsets[len] as usize, block.len());
-    offsets
 }

@@ -103,7 +103,7 @@ pub struct PreprocessReport {
     pub load: Duration,
     /// Time bucketing edges into sub-blocks.
     pub partition: Duration,
-    /// Time sorting sub-blocks (zero when sorting is disabled).
+    /// Time sorting and indexing sub-blocks (zero when sorting is disabled).
     pub sort: Duration,
     /// Time encoding and writing everything to storage.
     pub write: Duration,
@@ -149,10 +149,11 @@ pub fn preprocess(
 
     // --- partition: bucket every edge into its (i, j) sub-block ---
     let t = Stopwatch::start();
+    let degrees = graph.out_degrees();
     let intervals = if let Some(b) = &config.boundaries {
         Intervals::from_boundaries(b.clone())
     } else if config.degree_balanced {
-        Intervals::degree_balanced(&graph.out_degrees(), p)
+        Intervals::degree_balanced(&degrees, p)
     } else {
         Intervals::uniform(graph.num_vertices(), p)
     };
@@ -177,7 +178,7 @@ pub fn preprocess(
         report.sort += row.sort;
         row.objects.into_iter().try_for_each(&mut write)?;
     }
-    write(degrees_object(&graph.out_degrees()))?;
+    write(degrees_object(&degrees))?;
 
     let mut meta = GridMeta {
         version: FORMAT_VERSION,

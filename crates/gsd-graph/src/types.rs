@@ -73,20 +73,22 @@ impl EdgeCodec {
         }
     }
 
-    /// Appends the encoding of `edge` to `out`.
-    pub fn encode_into(&self, edge: &Edge, out: &mut Vec<u8>) {
-        out.extend_from_slice(&edge.src.to_le_bytes());
-        out.extend_from_slice(&edge.dst.to_le_bytes());
-        if self.weighted {
-            out.extend_from_slice(&edge.weight.to_le_bytes());
-        }
-    }
-
     /// Encodes a whole slice of edges.
     pub fn encode_all(&self, edges: &[Edge]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(edges.len() * self.edge_bytes());
-        for e in edges {
-            self.encode_into(e, &mut out);
+        // Constant chunk sizes, as in `decode_all_into`: one allocation
+        // and no capacity check per field.
+        let mut out = vec![0u8; edges.len() * self.edge_bytes()];
+        if self.weighted {
+            for (c, e) in out.chunks_exact_mut(12).zip(edges) {
+                c[0..4].copy_from_slice(&e.src.to_le_bytes());
+                c[4..8].copy_from_slice(&e.dst.to_le_bytes());
+                c[8..12].copy_from_slice(&e.weight.to_le_bytes());
+            }
+        } else {
+            for (c, e) in out.chunks_exact_mut(8).zip(edges) {
+                c[0..4].copy_from_slice(&e.src.to_le_bytes());
+                c[4..8].copy_from_slice(&e.dst.to_le_bytes());
+            }
         }
         out
     }

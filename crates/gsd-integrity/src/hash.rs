@@ -1,26 +1,68 @@
 //! Checksums and fingerprints shared by the grid manifest and the
 //! checkpoint format.
 //!
-//! Hand-rolled on purpose: the build environment is offline, and both
-//! algorithms are a handful of lines. CRC32 (IEEE 802.3, the zlib
-//! polynomial) guards grid objects and snapshot sections against torn or
-//! bit-rotted reads; FNV-1a/64 fingerprints small identity blobs (graph
-//! metadata, config strings) and drives deterministic per-key sampling.
+//! Hand-rolled on purpose: the build environment is offline. CRC32 (IEEE
+//! 802.3, the zlib polynomial) guards grid objects and snapshot sections
+//! against torn or bit-rotted reads, so it runs over every byte written
+//! and every byte verified: it is slice-by-8 over tables computed at
+//! compile time, eight bytes per step. FNV-1a/64 fingerprints small
+//! identity blobs (graph metadata, config strings) and drives
+//! deterministic per-key sampling; it is a handful of lines.
 //!
 //! They live in this crate so the grid format can depend on them without
 //! pulling in the checkpoint machinery.
+
+/// `CRC_TABLES[k][b]` is the CRC state after byte `b` followed by `k`
+/// zero bytes; `CRC_TABLES[0]` is the classic byte-at-a-time table.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// CRC32 (IEEE, reflected, polynomial `0xEDB88320`) of `data`.
 /// Matches zlib's `crc32(0, data)`, so grids and snapshots remain
 /// checkable by external tooling.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &byte in data {
-        crc ^= byte as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }

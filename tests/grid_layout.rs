@@ -1,13 +1,15 @@
-//! One writer, one index: what a grid consists of on disk, and that the
+//! One writer, one index: what a grid consists of on disk, that the
 //! three programs that produce rows — `preprocess`, `repair_grid` and
-//! `compact` — produce the same ones.
+//! `compact` — produce the same ones, and that the counting layout writes
+//! the bytes the order's definition does.
 
 use graphsd::delta::{compact, ingest, MutationBatch};
 use graphsd::graph::delta::manifest_key;
-use graphsd::graph::layout::row_keys;
+use graphsd::graph::layout::{bucket_edges, row_keys, row_objects};
+use graphsd::graph::rng::Xoshiro256;
 use graphsd::graph::{
-    preprocess, repair_grid, BlockOrder, GeneratorConfig, Graph, GraphKind, GridGraph,
-    PreprocessConfig, META_KEY,
+    preprocess, repair_grid, BlockOrder, Edge, EdgeCodec, GeneratorConfig, Graph, GraphKind,
+    GridGraph, Intervals, PreprocessConfig, META_KEY,
 };
 use graphsd::io::{MemStorage, SharedStorage};
 use std::collections::BTreeMap;
@@ -133,6 +135,131 @@ fn compaction_rewrites_only_the_rows_a_batch_touched() {
     for i in [1, 3] {
         for key in row_keys(i, P, BlockOrder::BySource) {
             assert_eq!(after[&key], before[&key], "{key} of untouched row {i}");
+        }
+    }
+}
+
+/// A multigraph over intervals `{0}`, `1..30`, `30..64`: duplicate
+/// `(src, dst)` pairs under different weights, self-loops, vertex 40
+/// owning most of row 2, and nothing from interval 1 into interval 0.
+fn hostile_edges(seed: u64) -> (Vec<Edge>, Intervals) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    let weights = [0.5f32, 1.0, -2.0, 0.0, -0.0];
+    let mut edges = Vec::new();
+    for _ in 0..600 {
+        let src = if rng.gen_range(0..10) < 4 {
+            40
+        } else {
+            rng.gen_range(0..64)
+        };
+        // A narrow destination range makes repeated pairs the norm.
+        let dst = match rng.gen_range(0..4) {
+            0 => src,
+            1 => rng.gen_range(28..34),
+            _ => rng.gen_range(0..64),
+        };
+        if (1..30).contains(&src) && dst == 0 {
+            continue;
+        }
+        let weight = weights[rng.gen_range(0..5) as usize];
+        edges.push(Edge::weighted(src, dst, weight));
+    }
+    (edges, Intervals::from_boundaries(vec![0, 1, 30, 64]))
+}
+
+/// Row `i` by definition: a comparison sort on the order's full key, the
+/// codec's field order written out, and an index counted edge by edge.
+fn reference_row(
+    i: u32,
+    blocks: &[Vec<Edge>],
+    order: BlockOrder,
+    intervals: &Intervals,
+    weighted: bool,
+) -> Vec<(String, Vec<u8>)> {
+    let p = blocks.len();
+    let mut payloads = Vec::new();
+    let mut sorted_blocks = Vec::new();
+    for block in blocks {
+        let mut sorted = block.clone();
+        match order {
+            BlockOrder::Unsorted => {}
+            BlockOrder::BySource => sorted.sort_by_key(|e| (e.src, e.dst, e.weight.to_bits())),
+            BlockOrder::ByDest => sorted.sort_by_key(|e| (e.dst, e.src, e.weight.to_bits())),
+        }
+        let mut bytes = Vec::new();
+        for e in &sorted {
+            bytes.extend_from_slice(&e.src.to_le_bytes());
+            bytes.extend_from_slice(&e.dst.to_le_bytes());
+            if weighted {
+                bytes.extend_from_slice(&e.weight.to_bits().to_le_bytes());
+            }
+        }
+        payloads.push(bytes);
+        sorted_blocks.push(sorted);
+    }
+    if order == BlockOrder::BySource {
+        // Vertex-major: for each vertex of the interval and then its end,
+        // per column, the edges of that sub-block from smaller sources.
+        let mut index = Vec::new();
+        let range = intervals.range(i);
+        for v in range.start..=range.end {
+            for block in &sorted_blocks {
+                let before = block.iter().filter(|e| e.src < v).count() as u32;
+                index.extend_from_slice(&before.to_le_bytes());
+            }
+        }
+        payloads.push(index);
+    }
+    row_keys(i, p as u32, order)
+        .into_iter()
+        .zip(payloads)
+        .collect()
+}
+
+/// `bucket_edges` keeps input order inside every bucket (the `Unsorted`
+/// layout is that order), and `row_objects` lays each row out to the bytes
+/// of the definition, index included, in every order and both codecs.
+#[test]
+fn rows_are_byte_identical_to_a_comparison_sorted_reference() {
+    for seed in 0..8 {
+        let (edges, intervals) = hostile_edges(seed);
+        let p = intervals.count();
+        let blocks = bucket_edges(&edges, &intervals);
+        for (at, block) in blocks.iter().enumerate() {
+            let (i, j) = (at as u32 / p, at as u32 % p);
+            let in_input_order: Vec<Edge> = edges
+                .iter()
+                .filter(|e| intervals.interval_of(e.src) == i && intervals.interval_of(e.dst) == j)
+                .copied()
+                .collect();
+            assert_eq!(*block, in_input_order, "seed {seed}: bucket ({i}, {j})");
+        }
+        assert!(blocks[p as usize].is_empty(), "sub-block (1, 0) is empty");
+        assert!(
+            blocks[2 * p as usize..]
+                .iter()
+                .any(|b| { b.iter().filter(|e| e.src == 40).count() * 2 > b.len() }),
+            "seed {seed}: vertex 40 owns most of a sub-block"
+        );
+
+        for order in ORDERS {
+            for weighted in [false, true] {
+                let mut laid_out = blocks.clone();
+                for (i, row) in (0..p).zip(laid_out.chunks_mut(p as usize)) {
+                    let want = reference_row(
+                        i,
+                        &blocks[(i * p) as usize..][..p as usize],
+                        order,
+                        &intervals,
+                        weighted,
+                    );
+                    let got = row_objects(i, row, order, &intervals, EdgeCodec::new(weighted));
+                    assert_eq!(
+                        got.objects, want,
+                        "seed {seed} {order:?} weighted {weighted}: row {i}"
+                    );
+                }
+            }
         }
     }
 }

@@ -7,14 +7,19 @@
 //! in insignificant JSON whitespace, in which case the parsed metadata
 //! must be exactly the original. Nothing ever panics and nothing is ever
 //! silently wrong.
+//!
+//! All of that rests on `crc32` computing the IEEE CRC, so the
+//! table-driven implementation is held to the bit-at-a-time definition,
+//! which lives on here as the reference.
 
 use graphsd::algos::PageRank;
 use graphsd::core::{GraphSdConfig, GraphSdEngine};
+use graphsd::graph::rng::Xoshiro256;
 use graphsd::graph::{
     preprocess, scrub_grid, CorruptionResponse, GeneratorConfig, Graph, GraphKind, GridGraph,
     PreprocessConfig, VerifyPolicy, META_KEY,
 };
-use graphsd::integrity::CorruptionError;
+use graphsd::integrity::{crc32, CorruptionError};
 use graphsd::io::{MemStorage, SharedStorage, Storage};
 use graphsd::runtime::Engine;
 use proptest::prelude::*;
@@ -40,6 +45,44 @@ fn flip_bit(storage: &dyn Storage, key: &str, bit: u64) {
     let bit = bit % (bytes.len() as u64 * 8);
     bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
     storage.create(key, &bytes).unwrap();
+}
+
+/// CRC32 by definition: one polynomial division step per bit.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in data {
+        crc ^= byte as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// Every length around the eight-byte step, a spread of large ones, every
+/// start offset within a step (so both an unaligned head and each 1–7-byte
+/// tail occur), and the two constant fills.
+#[test]
+fn table_driven_crc32_equals_the_bitwise_definition() {
+    let mut rng = Xoshiro256::seed_from_u64(23);
+    let mut lens: Vec<usize> = (0..=70).collect();
+    lens.extend([255, 256, 257, 4095, 4096, 4097, 65_535, 65_543, 1 << 20]);
+    let max = *lens.last().unwrap();
+    let random: Vec<u8> = (0..max + 8).map(|_| rng.next_u64() as u8).collect();
+    for fill in [random, vec![0x00; max + 8], vec![0xFF; max + 8]] {
+        for &len in &lens {
+            for start in 0..8 {
+                let slice = &fill[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bitwise(slice),
+                    "len {len} at offset {start}, first byte {:?}",
+                    slice.first()
+                );
+            }
+        }
+    }
 }
 
 proptest! {
