@@ -4,8 +4,7 @@
 //! `rank_k(v) = (1 − α)/|S| · Σ_{t ≤ k} α^t · (walk-probability terms)`,
 //! so a bounded iteration count is a principled bounded traversal — mass
 //! reaches exactly the vertices within `k` hops of the seeds. This is the
-//! `ppr` query the `gsd serve` daemon answers, and the oracle the serve
-//! frontier-batching executor is validated against bit-for-bit.
+//! program the `gsd serve` daemon runs for a `ppr` query.
 
 use gsd_runtime::{InitialFrontier, ProgramContext, VertexProgram};
 
@@ -29,11 +28,16 @@ pub struct Ppr {
 impl Ppr {
     /// PPR with the conventional α = 0.85.
     pub fn new(seeds: Vec<u32>, iterations: u32) -> Self {
-        let mut seeds = seeds;
+        Ppr::with_alpha(seeds, 0.85, iterations)
+    }
+
+    /// PPR with continuation probability `alpha` (the daemon's `ppr`
+    /// query carries its own).
+    pub fn with_alpha(mut seeds: Vec<u32>, alpha: f32, iterations: u32) -> Self {
         seeds.sort_unstable();
         seeds.dedup();
         Ppr {
-            alpha: 0.85,
+            alpha,
             seeds,
             iterations,
         }

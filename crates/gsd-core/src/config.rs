@@ -30,14 +30,6 @@ pub struct GraphSdConfig {
     pub force_model: Option<IoAccessModel>,
     /// Buffer secondary sub-blocks between the two FCIU passes (§4.3).
     pub enable_buffering: bool,
-    /// Coalesced active-edge runs of at least this many bytes count as
-    /// sequential (`S_seq`) in the scheduler's cost inputs. `None` derives
-    /// the break-even run size from the disk model
-    /// (`P × seek_latency × B_sr` — the run length whose share in each of
-    /// the up to `P` sub-blocks it splits across takes one seek to
-    /// transfer). Classification only: what a request bridges is the
-    /// device's own break-even, whatever is set here.
-    pub seq_run_threshold: Option<u64>,
     /// Disk model for the cost estimates; `None` asks the storage backend
     /// (a simulator knows its own model) and falls back to
     /// [`DiskModel::hdd`].
@@ -63,7 +55,6 @@ impl Default for GraphSdConfig {
             enable_cross_iter: true,
             force_model: None,
             enable_buffering: true,
-            seq_run_threshold: None,
             disk_model: None,
             prefetch: None,
             checkpoint: None,
@@ -170,13 +161,12 @@ impl GraphSdConfig {
     /// different cadence or with prefetching toggled is sound.
     pub fn semantic_hash(&self) -> u64 {
         let semantic = format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             self.memory_budget,
             self.enable_selective,
             self.enable_cross_iter,
             self.force_model,
             self.enable_buffering,
-            self.seq_run_threshold,
             self.disk_model,
         );
         gsd_integrity::fnv64(semantic.as_bytes())

@@ -125,13 +125,9 @@ impl Engine for GraphSdEngine {
         let per_edge = grid.codec().edge_bytes() as u64;
         // `S_seq` classification: a run of R bytes splits across up to P
         // sub-blocks (the grid fragments each vertex's edge list), so it
-        // streams once its per-sub-block share outlasts a seek — by
-        // default P x seek x B_sr; callers with locality knowledge (see
-        // the bench runner's calibration) can override.
-        let seq_run_threshold = self
-            .config
-            .seq_run_threshold
-            .unwrap_or_else(|| (p as u64 * self.disk.seek_break_even_bytes()).max(1));
+        // streams once its per-sub-block share outlasts a seek:
+        // P x seek x B_sr.
+        let seq_run_threshold = (p as u64 * self.disk.seek_break_even_bytes()).max(1);
         let mut scheduler = Scheduler::new(
             self.disk,
             grid.num_vertices() as u64 * program.value_bytes(),

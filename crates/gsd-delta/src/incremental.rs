@@ -20,6 +20,8 @@
 //!   closure of the deleted edges' destinations over the union of the
 //!   new grid and the deleted edges themselves (the old edge set is a
 //!   subset of that union, so every stale propagation path is covered).
+//!   The deleted edges themselves need no traversal: their heads are the
+//!   closure's seeds, so only the merged grid is swept.
 //!   Sources of surviving edges entering the reset region are seeded so
 //!   their still-valid values flow back in.
 //!
@@ -120,9 +122,8 @@ impl<P: VertexProgram> VertexProgram for SeededProgram<'_, P> {
 }
 
 /// Forward closure of the deleted edges' destinations over the merged
-/// grid plus the deleted edges, via repeated whole-grid sweeps. Also
-/// returns the in-boundary: sources of surviving edges entering the
-/// region from outside it.
+/// grid, via repeated whole-grid sweeps. Also returns the in-boundary:
+/// sources of surviving edges entering the region from outside it.
 fn affected_region(
     grid: &GridGraph,
     deletes: &[(u32, u32)],
@@ -147,12 +148,6 @@ fn affected_region(
                         grew = true;
                     }
                 }
-            }
-        }
-        for &(s, d) in deletes {
-            if in_region[s as usize] && !in_region[d as usize] {
-                in_region[d as usize] = true;
-                grew = true;
             }
         }
     }

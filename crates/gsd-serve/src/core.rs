@@ -2,23 +2,32 @@
 //!
 //! [`ServeCore`] owns one [`GridSession`] (the grid is opened and
 //! verified exactly once, at daemon start), the shared
-//! [`SubBlockCache`], the out-degree table and all accounting. Every
-//! query — point lookup, bounded traversal, full analytic run or admin
-//! op — flows through [`ServeCore::execute`]; concurrency lives entirely
-//! in `server.rs`, which feeds this executor from a queue. Keeping the
-//! executor single-threaded is what makes the determinism contract
-//! cheap: all counters are plain integers and every response depends
-//! only on the request and the grid, never on arrival interleaving.
+//! [`SubBlockCache`], the program context (vertex count and out-degree
+//! table) and all accounting. Every query — point lookup, bounded
+//! traversal, full analytic run or admin op — flows through
+//! [`ServeCore::execute`]; concurrency lives entirely in `server.rs`,
+//! which feeds this executor from a queue. Keeping the executor
+//! single-threaded is what makes the determinism contract cheap: all
+//! counters are plain integers and every response depends only on the
+//! request and the grid, never on arrival interleaving.
 //!
 //! ## Frontier batching
 //!
-//! [`ServeCore::execute_batch`] runs any number of concurrent bounded
-//! traversals (k-hop BFS, personalized PageRank) as **one** sequence of
-//! BSP passes over the grid: each pass reads every sub-block whose
-//! source interval intersects the *union* of the active queries'
-//! frontiers — once — and scatters it into each query's private
-//! accumulator, filtered by that query's own frontier. Two traversals
-//! that would each read a block solo share a single read batched.
+//! A bounded traversal is a [`VertexProgram`]: `khop(source, k)` is
+//! [`gsd_algos::Bfs`] limited to `k` rounds, `ppr(seeds, α, iterations)`
+//! is [`gsd_algos::Ppr`] with the wire's α. This module holds no
+//! algorithm: per query it keeps the program's values, accumulator and
+//! frontier and calls the runtime's [`scatter_edges`] and
+//! [`apply_range`] on them. What it decides is which bytes each program
+//! runs over.
+//!
+//! [`ServeCore::execute_batch`] runs any number of concurrent traversals
+//! as **one** sequence of BSP passes over the grid: each pass reads
+//! every sub-block whose source interval intersects the *union* of the
+//! active queries' frontiers — once — and scatters it into each query's
+//! private accumulator, filtered by that query's own frontier; every
+//! query applies at the end of the pass. Two traversals that would each
+//! read a block solo share a single read batched.
 //!
 //! ## Per-query I/O charging
 //!
@@ -32,21 +41,27 @@
 //! ## Determinism contract
 //!
 //! Sub-blocks are visited in fixed `(i asc, j asc)` order and the grid
-//! format stores each block's edges source-sorted, so the contributions
+//! format stores each block's edges source-sorted (a grid laid out any
+//! other way is refused at [`ServeCore::new`]), so the contributions
 //! folded into any destination's accumulator arrive in ascending-source
 //! order — the same order [`gsd_runtime::ReferenceEngine`] produces by
-//! scattering frontier vertices in ascending order. Per-query frontier
-//! filtering makes a batched execution's per-query fold sequence
-//! identical to a solo one. Both equalities are bit-exact (f32 included)
-//! and pinned by `tests/serve_e2e.rs`.
+//! scattering frontier vertices in ascending order. Production and
+//! oracle run the same program, so equal fold order is equal bits (f32
+//! included); per-query frontier filtering makes a batched execution's
+//! per-query fold sequence identical to a solo one. `tests/serve_e2e.rs`
+//! pins both, and checks the answers against oracles that share no code
+//! with the programs.
 
 use crate::cache::SubBlockCache;
 use crate::wire::{MutateOp, Request, Response, StatsBody};
-use gsd_algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
-use gsd_core::{GraphSdConfig, GridSession};
+use gsd_algos::{Bfs, Ppr, ProgramVisitor};
+use gsd_core::{GraphSdConfig, GraphSdEngine, GridSession};
 use gsd_delta::MutationBatch;
-use gsd_runtime::{Engine, Frontier, RunOptions, Value};
+use gsd_graph::{BlockOrder, Edge};
+use gsd_runtime::kernels::{apply_range, scatter_edges};
+use gsd_runtime::{Engine, Frontier, ProgramContext, RunOptions, Value, ValueArray, VertexProgram};
 use gsd_trace::{TraceEvent, TraceSink};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A bounded traversal the batching scheduler can coalesce.
@@ -69,6 +84,29 @@ pub enum Traversal {
         /// Propagation rounds.
         iterations: u32,
     },
+}
+
+impl Traversal {
+    /// The traversal `request` asks for, or `None` for every other kind
+    /// of request.
+    pub fn from_request(request: &Request) -> Option<Traversal> {
+        match request {
+            Request::KHop { source, k } => Some(Traversal::KHop {
+                source: *source,
+                k: *k,
+            }),
+            Request::Ppr {
+                seeds,
+                alpha_bits,
+                iterations,
+            } => Some(Traversal::Ppr {
+                seeds: seeds.clone(),
+                alpha: f32::from_bits(*alpha_bits),
+                iterations: *iterations,
+            }),
+            _ => None,
+        }
+    }
 }
 
 /// Cumulative executor counters (all plain integers — the executor is
@@ -99,24 +137,149 @@ struct Charge {
     bytes: u64,
 }
 
-/// Per-query state inside one batched execution.
-enum QueryState {
-    KHop {
-        depth: Vec<u32>,
-        accum: Vec<u32>,
-    },
-    Ppr {
-        rank: Vec<f32>,
-        delta: Vec<f32>,
-        accum: Vec<f32>,
-        alpha: f32,
-    },
+/// What the pass loop needs of one running traversal, whatever its
+/// program — the erasure that lets one batch mix programs.
+trait Running {
+    /// Rounds left and a non-empty frontier.
+    fn live(&self) -> bool;
+    /// Whether any frontier vertex lies in `range`.
+    fn active_in(&self, range: Range<u32>) -> bool;
+    /// Scatters one sub-block, filtered by this query's own frontier.
+    fn scatter(&self, ctx: &ProgramContext, edges: &[Edge]);
+    /// The barrier ending a pass: apply what was scattered, rotate the
+    /// frontier, spend a round.
+    fn apply(&mut self, ctx: &ProgramContext);
+    /// The finished traversal's response.
+    fn reply(&self) -> Response;
 }
 
-struct ActiveQuery {
-    state: QueryState,
+/// One traversal: a program and the state the runtime kernels run it
+/// over. One value array suffices because a pass applies only after
+/// every block has been scattered.
+struct Query<P: VertexProgram> {
+    program: P,
+    values: ValueArray<P::Value>,
+    accum: ValueArray<P::Accum>,
+    touched: Frontier,
     frontier: Frontier,
     rounds_left: u32,
+    render: fn(&ValueArray<P::Value>) -> Response,
+}
+
+impl<P: VertexProgram + 'static> Query<P> {
+    /// Initial state of `program`, to run for at most `rounds` passes.
+    fn start(
+        program: P,
+        rounds: u32,
+        ctx: &ProgramContext,
+        render: fn(&ValueArray<P::Value>) -> Response,
+    ) -> Result<Box<dyn Running>, String> {
+        let n = ctx.num_vertices;
+        let frontier = program
+            .initial_frontier(ctx)
+            .build(n)
+            .map_err(|e| e.to_string())?;
+        Ok(Box::new(Query {
+            values: ValueArray::from_fn(n as usize, |v| program.init_value(v, ctx)),
+            accum: ValueArray::new(n as usize, program.zero_accum()),
+            touched: Frontier::empty(n),
+            frontier,
+            rounds_left: rounds,
+            render,
+            program,
+        }))
+    }
+}
+
+impl<P: VertexProgram> Running for Query<P> {
+    fn live(&self) -> bool {
+        self.rounds_left > 0 && !self.frontier.is_empty()
+    }
+
+    fn active_in(&self, range: Range<u32>) -> bool {
+        self.frontier.iter_range(range).next().is_some()
+    }
+
+    fn scatter(&self, ctx: &ProgramContext, edges: &[Edge]) {
+        scatter_edges(
+            &self.program,
+            ctx,
+            edges,
+            Some(&self.frontier),
+            &self.values,
+            &self.accum,
+            &self.touched,
+        );
+    }
+
+    fn apply(&mut self, ctx: &ProgramContext) {
+        let n = ctx.num_vertices;
+        let next = Frontier::empty(n);
+        apply_range(
+            &self.program,
+            ctx,
+            0..n,
+            self.program.apply_all(),
+            &self.touched,
+            &self.accum,
+            &self.values,
+            &next,
+        );
+        self.touched.clear();
+        self.frontier = next;
+        self.rounds_left -= 1;
+    }
+
+    fn reply(&self) -> Response {
+        (self.render)(&self.values)
+    }
+}
+
+/// `(v, keep(value))` for every vertex `keep` reports, ascending.
+fn reported<V: Value>(values: &ValueArray<V>, keep: fn(V) -> Option<u32>) -> Vec<(u32, u32)> {
+    (0..values.len() as u32)
+        .filter_map(|v| keep(values.get(v)).map(|x| (v, x)))
+        .collect()
+}
+
+/// Validates one traversal and starts its program.
+fn start(t: &Traversal, ctx: &ProgramContext) -> Result<Box<dyn Running>, String> {
+    let n = ctx.num_vertices;
+    match t {
+        Traversal::KHop { source, k } => {
+            if *source >= n {
+                return Err(format!("source {source} out of range"));
+            }
+            Query::start(Bfs::new(*source), *k, ctx, |depths| Response::Depths {
+                depths: reported(depths, |d| (d != u32::MAX).then_some(d)),
+            })
+        }
+        Traversal::Ppr {
+            seeds,
+            alpha,
+            iterations,
+        } => {
+            if seeds.is_empty() {
+                return Err("ppr needs at least one seed".to_string());
+            }
+            if let Some(bad) = seeds.iter().find(|&&s| s >= n) {
+                return Err(format!("seed {bad} out of range"));
+            }
+            if !alpha.is_finite() || *alpha <= 0.0 || *alpha >= 1.0 {
+                return Err(format!("alpha {alpha} outside (0, 1)"));
+            }
+            let program = Ppr::with_alpha(seeds.clone(), *alpha, *iterations);
+            Query::start(program, *iterations, ctx, |ranks| Response::Scores {
+                scores: reported(ranks, |(rank, _)| (rank > 0.0).then(|| rank.to_bits())),
+            })
+        }
+    }
+}
+
+/// One query of a batch: its running traversal (or why it has none)
+/// and its I/O bill.
+struct Active {
+    query: Result<Box<dyn Running>, String>,
     charge: Charge,
 }
 
@@ -124,7 +287,7 @@ struct ActiveQuery {
 /// deterministic responses.
 pub struct ServeCore {
     session: GridSession,
-    degrees: Arc<Vec<u32>>,
+    ctx: ProgramContext,
     cache: SubBlockCache,
     sink: Arc<dyn TraceSink>,
     run_config: GraphSdConfig,
@@ -138,17 +301,41 @@ fn err(message: impl Into<String>) -> Response {
     }
 }
 
+/// The program context of the session's current epoch: one storage read
+/// of the (overlay-merged) out-degree table.
+fn load_context(session: &GridSession) -> std::io::Result<ProgramContext> {
+    let degrees = session.grid().load_out_degrees()?;
+    Ok(ProgramContext::new(
+        session.meta().num_vertices,
+        Arc::new(degrees),
+    ))
+}
+
 impl ServeCore {
     /// Builds the executor over an already-open session, with a
     /// sub-block cache of `cache_bytes`. Loads the out-degree table
-    /// (one storage read for the daemon's whole lifetime) and emits
+    /// (one storage read per epoch served) and emits
     /// [`TraceEvent::ServeStarted`].
+    ///
+    /// Refuses a grid that is not laid out [`BlockOrder::BySource`]:
+    /// lookups need its row index and traversals its source-sorted
+    /// blocks. `gsd preprocess` writes no other layout.
     pub fn new(
         session: GridSession,
         cache_bytes: u64,
         sink: Arc<dyn TraceSink>,
     ) -> std::io::Result<Self> {
-        let degrees = Arc::new(session.grid().load_out_degrees()?);
+        let order = session.meta().order;
+        if order != BlockOrder::BySource {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                format!(
+                    "the serve daemon needs a source-sorted grid (block order BySource); \
+                     this grid is laid out {order:?} — re-run `gsd preprocess`"
+                ),
+            ));
+        }
+        let ctx = load_context(&session)?;
         let mut cache = SubBlockCache::new(cache_bytes);
         cache.set_trace(sink.clone());
         if sink.enabled() {
@@ -159,7 +346,7 @@ impl ServeCore {
         }
         Ok(ServeCore {
             session,
-            degrees,
+            ctx,
             cache,
             sink,
             run_config: GraphSdConfig::default(),
@@ -221,49 +408,44 @@ impl ServeCore {
         }
     }
 
+    /// Accepts a query, runs `work` for it, and completes it with the
+    /// I/O `work` billed — the one accept → answer → complete sequence.
+    fn billed(
+        &mut self,
+        op: &'static str,
+        work: impl FnOnce(&mut Self, &mut Charge) -> Result<Response, String>,
+    ) -> Response {
+        let query = self.accept(op);
+        let mut charge = Charge::default();
+        let result = work(self, &mut charge);
+        self.complete(query, op, charge);
+        result.unwrap_or_else(err)
+    }
+
     /// Executes one request. Traversals become a batch of one; the
     /// server coalesces concurrent traversals itself via
     /// [`ServeCore::execute_batch`].
     pub fn execute(&mut self, request: &Request) -> Response {
+        let op = request.op();
         match request {
-            Request::Ping => {
-                let q = self.accept("ping");
-                self.complete(q, "ping", Charge::default());
-                Response::Pong
-            }
-            Request::Stats => {
-                let q = self.accept("stats");
-                self.complete(q, "stats", Charge::default());
-                self.stats()
-            }
-            Request::Degree { v } => self.degree(*v),
-            Request::Neighbors { v } => self.neighbors(*v),
-            Request::KHop { source, k } => {
-                let mut responses = self.execute_batch(&[Traversal::KHop {
-                    source: *source,
-                    k: *k,
-                }]);
-                responses.pop().unwrap_or_else(|| err("empty batch"))
-            }
-            Request::Ppr {
-                seeds,
-                alpha_bits,
-                iterations,
-            } => {
-                let mut responses = self.execute_batch(&[Traversal::Ppr {
-                    seeds: seeds.clone(),
-                    alpha: f32::from_bits(*alpha_bits),
-                    iterations: *iterations,
-                }]);
+            Request::Ping => self.billed(op, |_, _| Ok(Response::Pong)),
+            Request::Stats => self.billed(op, |core, _| Ok(core.stats())),
+            Request::Degree { v } => self.billed(op, |core, _| core.degree(*v)),
+            Request::Neighbors { v } => self.billed(op, |core, charge| core.neighbors(*v, charge)),
+            Request::KHop { .. } | Request::Ppr { .. } => {
+                let traversal = Traversal::from_request(request);
+                let mut responses = self.execute_batch(traversal.as_slice());
                 responses.pop().unwrap_or_else(|| err("empty batch"))
             }
             Request::Run {
                 algo,
                 source,
                 iterations,
-            } => self.run_analytic(algo, *source, *iterations),
-            Request::Mutate { ops } => self.mutate(ops),
-            Request::Compact => self.compact(),
+            } => self.billed(op, |core, charge| {
+                core.run_analytic(algo, *source, *iterations, charge)
+            }),
+            Request::Mutate { ops } => self.billed(op, |core, _| core.mutate(ops)),
+            Request::Compact => self.billed(op, |core, _| core.compact()),
             Request::Shutdown => Response::ShuttingDown,
         }
     }
@@ -272,14 +454,7 @@ impl ServeCore {
     /// served handle. Because the executor is single-threaded, the commit
     /// happens strictly between queries: every query sees a whole epoch
     /// or none of it.
-    fn mutate(&mut self, ops: &[MutateOp]) -> Response {
-        let q = self.accept("mutate");
-        let result = self.mutate_inner(ops);
-        self.complete(q, "mutate", Charge::default());
-        result.unwrap_or_else(err)
-    }
-
-    fn mutate_inner(&mut self, ops: &[MutateOp]) -> Result<Response, String> {
+    fn mutate(&mut self, ops: &[MutateOp]) -> Result<Response, String> {
         let mut batch = MutationBatch::new();
         for op in ops {
             match op.op {
@@ -312,14 +487,7 @@ impl ServeCore {
 
     /// Folds the served grid's live delta segments into its base
     /// sub-blocks, then refreshes the served handle.
-    fn compact(&mut self) -> Response {
-        let q = self.accept("compact");
-        let result = self.compact_inner();
-        self.complete(q, "compact", Charge::default());
-        result.unwrap_or_else(err)
-    }
-
-    fn compact_inner(&mut self) -> Result<Response, String> {
+    fn compact(&mut self) -> Result<Response, String> {
         let grid = self.session.grid();
         let storage = grid.storage().clone();
         let prefix = grid.prefix().to_owned();
@@ -350,7 +518,7 @@ impl ServeCore {
     /// table and drops every cached sub-block of the previous epoch.
     fn refresh(&mut self) -> std::io::Result<()> {
         self.session.reopen()?;
-        self.degrees = Arc::new(self.session.grid().load_out_degrees()?);
+        self.ctx = load_context(&self.session)?;
         self.cache.clear();
         Ok(())
     }
@@ -375,28 +543,16 @@ impl ServeCore {
         })
     }
 
-    fn degree(&mut self, v: u32) -> Response {
-        let q = self.accept("degree");
-        let Some(&degree) = self.degrees.get(v as usize) else {
-            self.complete(q, "degree", Charge::default());
-            return err(format!("vertex {v} out of range"));
-        };
-        self.complete(q, "degree", Charge::default());
-        Response::Degree { degree }
-    }
-
-    fn neighbors(&mut self, v: u32) -> Response {
-        let q = self.accept("neighbors");
-        let mut charge = Charge::default();
-        let result = self.neighbors_inner(v, &mut charge);
-        self.complete(q, "neighbors", charge);
-        match result {
-            Ok(neighbors) => Response::Neighbors { neighbors },
-            Err(e) => err(e),
+    fn degree(&self, v: u32) -> Result<Response, String> {
+        match self.ctx.out_degrees.get(v as usize) {
+            Some(&degree) => Ok(Response::Degree { degree }),
+            None => Err(format!("vertex {v} out of range")),
         }
     }
 
-    fn neighbors_inner(&mut self, v: u32, charge: &mut Charge) -> Result<Vec<u32>, String> {
+    /// Out-neighbors of `v`, sorted: one row of the row index plus one
+    /// edge run per non-empty sub-block of `v`'s row.
+    fn neighbors(&mut self, v: u32, charge: &mut Charge) -> Result<Response, String> {
         let grid = self.session.grid().clone();
         let meta = grid.meta();
         let n = meta.num_vertices;
@@ -406,24 +562,14 @@ impl ServeCore {
         let p = meta.p;
         let edge_bytes = grid.codec().edge_bytes() as u64;
         let i = grid.intervals().interval_of(v);
-        let mut out = Vec::new();
+        let mut neighbors = Vec::new();
         let mut scratch = Vec::new();
         let mut edges = Vec::new();
-        // The source-sorted format answers a lookup with one row of the
-        // row index plus one edge run per non-empty sub-block; otherwise
-        // scan row i of the grid.
-        let span = if meta.order.has_row_index() {
-            match grid.read_row_index_span(i, v, v) {
-                Ok(span) => {
-                    // Two index rows of p u32 entries each.
-                    charge.bytes += 2 * u64::from(p) * 4;
-                    Some(span)
-                }
-                Err(e) => return Err(format!("row index read failed: {e}")),
-            }
-        } else {
-            None
-        };
+        let span = grid
+            .read_row_index_span(i, v, v)
+            .map_err(|e| format!("row index read failed: {e}"))?;
+        // Two index rows of p u32 entries each.
+        charge.bytes += 2 * u64::from(p) * 4;
         for j in 0..p {
             if meta.block_edge_count(i, j) == 0 {
                 continue;
@@ -433,36 +579,24 @@ impl ServeCore {
             // ride on blocks the traversal scheduler made resident.
             if let Some(block) = self.cache.get(i, j) {
                 charge.hits += 1;
-                out.extend(block.iter().filter(|e| e.src == v).map(|e| e.dst));
+                neighbors.extend(block.iter().filter(|e| e.src == v).map(|e| e.dst));
                 continue;
             }
-            match &span {
-                Some(span) => {
-                    let range = span.edge_range(v, j);
-                    if range.is_empty() {
-                        continue;
-                    }
-                    let count = range.end - range.start;
-                    edges.clear();
-                    grid.read_edge_run(i, j, range.start, count, &mut scratch, &mut edges)
-                        .map_err(|e| format!("edge run read failed: {e}"))?;
-                    charge.misses += 1;
-                    charge.bytes += u64::from(count) * edge_bytes;
-                    out.extend(edges.iter().map(|e| e.dst));
-                }
-                None => {
-                    grid.read_block_into(i, j, &mut scratch, &mut edges)
-                        .map_err(|e| format!("block read failed: {e}"))?;
-                    charge.misses += 1;
-                    charge.bytes += meta.block_bytes(i, j);
-                    self.counters.blocks_read += 1;
-                    out.extend(edges.iter().filter(|e| e.src == v).map(|e| e.dst));
-                }
+            let range = span.edge_range(v, j);
+            if range.is_empty() {
+                continue;
             }
+            let count = range.end - range.start;
+            edges.clear();
+            grid.read_edge_run(i, j, range.start, count, &mut scratch, &mut edges)
+                .map_err(|e| format!("edge run read failed: {e}"))?;
+            charge.misses += 1;
+            charge.bytes += u64::from(count) * edge_bytes;
+            neighbors.extend(edges.iter().map(|e| e.dst));
         }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+        neighbors.sort_unstable();
+        neighbors.dedup();
+        Ok(Response::Neighbors { neighbors })
     }
 
     /// Runs `queries` as one batched sequence of BSP passes over the
@@ -470,33 +604,27 @@ impl ServeCore {
     /// byte-identical to executing each query alone (see the module
     /// docs for why).
     pub fn execute_batch(&mut self, queries: &[Traversal]) -> Vec<Response> {
-        let meta = self.session.meta();
-        let n = meta.num_vertices;
-        let sorted_grid = meta.order == gsd_graph::BlockOrder::BySource;
         let mut ids = Vec::with_capacity(queries.len());
-        let mut states: Vec<Result<ActiveQuery, String>> = Vec::with_capacity(queries.len());
+        let mut batch = Vec::with_capacity(queries.len());
         for t in queries {
             let op = match t {
                 Traversal::KHop { .. } => "khop",
                 Traversal::Ppr { .. } => "ppr",
             };
             ids.push((self.accept(op), op));
-            if !sorted_grid {
-                states.push(Err(
-                    "traversals require a source-sorted grid format".to_string()
-                ));
-                continue;
-            }
-            states.push(init_query(t, n));
+            batch.push(Active {
+                query: start(t, &self.ctx),
+                charge: Charge::default(),
+            });
         }
 
-        self.run_passes(&mut states);
+        self.run_passes(&mut batch);
 
         let mut responses = Vec::with_capacity(queries.len());
-        for ((query, op), state) in ids.into_iter().zip(states) {
-            let (response, charge) = match state {
+        for ((query, op), active) in ids.into_iter().zip(batch) {
+            let (response, charge) = match active.query {
                 Err(message) => (err(message), Charge::default()),
-                Ok(active) => (render(&active), active.charge),
+                Ok(running) => (running.reply(), active.charge),
             };
             self.complete(query, op, charge);
             responses.push(response);
@@ -506,21 +634,21 @@ impl ServeCore {
 
     /// The batching scheduler: repeats union-frontier passes until every
     /// query has exhausted its rounds or gone quiescent.
-    fn run_passes(&mut self, states: &mut [Result<ActiveQuery, String>]) {
+    fn run_passes(&mut self, batch: &mut [Active]) {
         let grid = self.session.grid().clone();
         let meta = grid.meta();
-        let n = meta.num_vertices;
         let p = meta.p;
         let intervals = grid.intervals().clone();
+        let ctx = self.ctx.clone();
         let mut scratch = Vec::new();
         loop {
             // Queries still traversing this pass, in query order (the
             // order also breaks ties for miss charging: lowest id pays).
-            let active: Vec<usize> = states
+            let active: Vec<usize> = batch
                 .iter()
                 .enumerate()
-                .filter_map(|(idx, s)| match s {
-                    Ok(a) if a.rounds_left > 0 && !a.frontier.is_empty() => Some(idx),
+                .filter_map(|(idx, a)| match &a.query {
+                    Ok(q) if q.live() => Some(idx),
                     _ => None,
                 })
                 .collect();
@@ -533,19 +661,19 @@ impl ServeCore {
             }
 
             // Which active queries have frontier vertices in interval i.
-            let users_of_row = |states: &[Result<ActiveQuery, String>], i: u32| -> Vec<usize> {
+            let users_of_row = |batch: &[Active], i: u32| -> Vec<usize> {
                 active
                     .iter()
                     .copied()
-                    .filter(|&idx| match &states[idx] {
-                        Ok(a) => a.frontier.iter_range(intervals.range(i)).next().is_some(),
+                    .filter(|&idx| match &batch[idx].query {
+                        Ok(q) => q.active_in(intervals.range(i)),
                         Err(_) => false,
                     })
                     .collect()
             };
 
             for i in 0..p {
-                let users = users_of_row(states, i);
+                let users = users_of_row(batch, i);
                 if users.is_empty() {
                     continue;
                 }
@@ -557,9 +685,7 @@ impl ServeCore {
                     let block = match self.cache.get(i, j) {
                         Some(block) => {
                             for &idx in &users {
-                                if let Ok(a) = &mut states[idx] {
-                                    a.charge.hits += 1;
-                                }
+                                batch[idx].charge.hits += 1;
                             }
                             block
                         }
@@ -568,7 +694,7 @@ impl ServeCore {
                             if let Err(e) = grid.read_block_into(i, j, &mut scratch, &mut edges) {
                                 let message = format!("block ({i},{j}) read failed: {e}");
                                 for &idx in &users {
-                                    states[idx] = Err(message.clone());
+                                    batch[idx].query = Err(message.clone());
                                 }
                                 continue;
                             }
@@ -577,13 +703,12 @@ impl ServeCore {
                             // lowest-numbered user; everyone else
                             // piggybacks and books a hit.
                             for (rank, &idx) in users.iter().enumerate() {
-                                if let Ok(a) = &mut states[idx] {
-                                    if rank == 0 {
-                                        a.charge.misses += 1;
-                                        a.charge.bytes += bytes;
-                                    } else {
-                                        a.charge.hits += 1;
-                                    }
+                                let charge = &mut batch[idx].charge;
+                                if rank == 0 {
+                                    charge.misses += 1;
+                                    charge.bytes += bytes;
+                                } else {
+                                    charge.hits += 1;
                                 }
                             }
                             let block = Arc::new(edges);
@@ -593,8 +718,8 @@ impl ServeCore {
                         }
                     };
                     for &idx in &users {
-                        if let Ok(a) = &mut states[idx] {
-                            scatter_block(a, &block, &self.degrees);
+                        if let Ok(q) = &batch[idx].query {
+                            q.scatter(&ctx, &block);
                         }
                     }
                 }
@@ -602,8 +727,8 @@ impl ServeCore {
 
             // Apply at the barrier, per query.
             for &idx in &active {
-                if let Ok(a) = &mut states[idx] {
-                    apply_round(a, n);
+                if let Ok(q) = &mut batch[idx].query {
+                    q.apply(&ctx);
                 }
             }
         }
@@ -613,212 +738,56 @@ impl ServeCore {
     /// under the configuration [`ServeCore::set_run_config`] installed:
     /// a daemon started with `--checkpoint-every` restarts runs through
     /// the checkpoint store exactly like `gsd run` does.
-    fn run_analytic(&mut self, algo: &str, source: u32, iterations: u32) -> Response {
-        let q = self.accept("run");
-        let options = RunOptions {
-            max_iterations: (iterations > 0).then_some(iterations),
-            iteration_cap: None,
-        };
-        let result = self.run_analytic_inner(algo, source, &options);
-        let charge = match &result {
-            Ok((_, _, bytes)) => Charge {
-                bytes: *bytes,
-                ..Charge::default()
-            },
-            Err(_) => Charge::default(),
-        };
-        self.complete(q, "run", charge);
-        match result {
-            Ok((iterations, fingerprint, bytes_read)) => Response::RunSummary {
-                algorithm: algo.to_string(),
-                iterations,
-                fingerprint,
-                bytes_read,
-            },
-            Err(message) => err(message),
-        }
-    }
-
-    fn run_analytic_inner(
+    fn run_analytic(
         &mut self,
         algo: &str,
         source: u32,
-        options: &RunOptions,
-    ) -> Result<(u32, u64, u64), String> {
+        iterations: u32,
+        charge: &mut Charge,
+    ) -> Result<Response, String> {
         let mut engine = self
             .session
             .engine(self.run_config.clone())
             .map_err(|e| format!("engine setup failed: {e}"))?;
         engine.set_trace(self.sink.clone());
-        fn summarize<V: Value>(
-            run: std::io::Result<gsd_runtime::RunResult<V>>,
-        ) -> Result<(u32, u64, u64), String> {
-            let result = run.map_err(|e| format!("run failed: {e}"))?;
-            Ok((
-                result.stats.iterations,
-                gsd_runtime::value_fingerprint(&result.values),
-                result.stats.io.read_bytes(),
-            ))
-        }
-        match algo {
-            "pagerank" => summarize(engine.run(&PageRank::paper(), options)),
-            "pagerank-delta" => summarize(engine.run(&PageRankDelta::paper(), options)),
-            "cc" => summarize(engine.run(&ConnectedComponents, options)),
-            "sssp" => summarize(engine.run(&Sssp::new(source), options)),
-            "bfs" => summarize(engine.run(&Bfs::new(source), options)),
-            other => Err(format!(
-                "unknown algorithm {other:?} (pagerank|pagerank-delta|cc|sssp|bfs)"
-            )),
-        }
+        let options = RunOptions {
+            max_iterations: (iterations > 0).then_some(iterations),
+            iteration_cap: None,
+        };
+        let summarize = Summarize {
+            algo,
+            engine,
+            options,
+            charge,
+        };
+        gsd_algos::with_program(algo, source, summarize)?
     }
 }
 
-/// Validates and initializes one traversal's state.
-fn init_query(t: &Traversal, n: u32) -> Result<ActiveQuery, String> {
-    match t {
-        Traversal::KHop { source, k } => {
-            if *source >= n {
-                return Err(format!("source {source} out of range"));
-            }
-            let mut depth = vec![u32::MAX; n as usize];
-            depth[*source as usize] = 0;
-            Ok(ActiveQuery {
-                state: QueryState::KHop {
-                    depth,
-                    accum: vec![u32::MAX; n as usize],
-                },
-                frontier: Frontier::from_seeds(n, &[*source]),
-                rounds_left: *k,
-                charge: Charge::default(),
-            })
-        }
-        Traversal::Ppr {
-            seeds,
-            alpha,
-            iterations,
-        } => {
-            if seeds.is_empty() {
-                return Err("ppr needs at least one seed".to_string());
-            }
-            if let Some(bad) = seeds.iter().find(|&&s| s >= n) {
-                return Err(format!("seed {bad} out of range"));
-            }
-            if !alpha.is_finite() || *alpha <= 0.0 || *alpha >= 1.0 {
-                return Err(format!("alpha {alpha} outside (0, 1)"));
-            }
-            let mut sorted = seeds.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            // Same teleport split as `gsd_algos::Ppr::base`.
-            let base = (1.0 - alpha) / sorted.len().max(1) as f32;
-            let mut rank = vec![0.0f32; n as usize];
-            let mut delta = vec![0.0f32; n as usize];
-            for &s in &sorted {
-                rank[s as usize] = base;
-                delta[s as usize] = base;
-            }
-            Ok(ActiveQuery {
-                state: QueryState::Ppr {
-                    rank,
-                    delta,
-                    accum: vec![0.0f32; n as usize],
-                    alpha: *alpha,
-                },
-                frontier: Frontier::from_seeds(n, &sorted),
-                rounds_left: *iterations,
-                charge: Charge::default(),
-            })
-        }
-    }
+/// The daemon's `run`: one engine run of whichever program the name
+/// resolved to, summarized.
+struct Summarize<'a> {
+    algo: &'a str,
+    engine: GraphSdEngine,
+    options: RunOptions,
+    charge: &'a mut Charge,
 }
 
-/// Scatters one sub-block into `a`'s accumulator, filtered by `a`'s own
-/// frontier. Mirrors `ReferenceEngine`'s scatter formulas exactly:
-/// k-hop is `Bfs` (`depth + 1`, min-combine), ppr is `Ppr`
-/// (`delta / degree`, sum-combine).
-fn scatter_block(a: &mut ActiveQuery, edges: &[gsd_graph::Edge], degrees: &[u32]) {
-    match &mut a.state {
-        QueryState::KHop { depth, accum } => {
-            for e in edges {
-                if a.frontier.contains(e.src) {
-                    let msg = depth[e.src as usize].saturating_add(1);
-                    let cell = &mut accum[e.dst as usize];
-                    *cell = (*cell).min(msg);
-                }
-            }
-        }
-        QueryState::Ppr { delta, accum, .. } => {
-            for e in edges {
-                if a.frontier.contains(e.src) {
-                    let deg = degrees.get(e.src as usize).copied().unwrap_or(0);
-                    accum[e.dst as usize] += delta[e.src as usize] / deg as f32;
-                }
-            }
-        }
-    }
-}
+impl ProgramVisitor for Summarize<'_> {
+    type Output = Result<Response, String>;
 
-/// The apply barrier for one query's round: commit improved values,
-/// rebuild the frontier from them, reset the accumulator. The accum
-/// zero values double as the "untouched" marker, so a plain scan over
-/// all vertices applies exactly where the reference engine applies.
-fn apply_round(a: &mut ActiveQuery, n: u32) {
-    let next = Frontier::empty(n);
-    match &mut a.state {
-        QueryState::KHop { depth, accum } => {
-            for v in 0..n as usize {
-                let acc = std::mem::replace(&mut accum[v], u32::MAX);
-                if acc < depth[v] {
-                    depth[v] = acc;
-                    next.insert(v as u32);
-                }
-            }
-        }
-        QueryState::Ppr {
-            rank,
-            delta,
-            accum,
-            alpha,
-        } => {
-            for v in 0..n as usize {
-                let acc = std::mem::replace(&mut accum[v], 0.0);
-                // `Ppr::apply`: only fresh mass re-activates a vertex.
-                // A stale `delta` on a vertex leaving the frontier is
-                // never read again — scatter only reads frontier
-                // vertices, and re-entering the frontier goes through
-                // this assignment.
-                let fresh = *alpha * acc;
-                if fresh > 0.0 {
-                    rank[v] += fresh;
-                    delta[v] = fresh;
-                    next.insert(v as u32);
-                }
-            }
-        }
-    }
-    a.frontier = next;
-    a.rounds_left -= 1;
-}
-
-/// Renders a finished traversal into its response.
-fn render(a: &ActiveQuery) -> Response {
-    match &a.state {
-        QueryState::KHop { depth, .. } => Response::Depths {
-            depths: depth
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d != u32::MAX)
-                .map(|(v, &d)| (v as u32, d))
-                .collect(),
-        },
-        QueryState::Ppr { rank, .. } => Response::Scores {
-            scores: rank
-                .iter()
-                .enumerate()
-                .filter(|(_, &r)| r > 0.0)
-                .map(|(v, &r)| (v as u32, r.to_bits()))
-                .collect(),
-        },
+    fn visit<P: VertexProgram>(mut self, program: &P) -> Self::Output {
+        let result = self
+            .engine
+            .run(program, &self.options)
+            .map_err(|e| format!("run failed: {e}"))?;
+        self.charge.bytes = result.stats.io.read_bytes();
+        Ok(Response::RunSummary {
+            algorithm: self.algo.to_string(),
+            iterations: result.stats.iterations,
+            fingerprint: gsd_runtime::value_fingerprint(&result.values),
+            bytes_read: self.charge.bytes,
+        })
     }
 }
 
@@ -845,6 +814,23 @@ mod tests {
 
     fn tiny() -> gsd_graph::Graph {
         GeneratorConfig::new(GraphKind::RMat, 120, 900, 5).generate()
+    }
+
+    #[test]
+    fn a_grid_that_is_not_source_sorted_is_refused_at_open() {
+        let storage: SharedStorage = Arc::new(MemStorage::new());
+        preprocess(&tiny(), storage.as_ref(), &PreprocessConfig::lumos("")).unwrap();
+        let session = GridSession::open(
+            storage,
+            VerifyPolicy::Off,
+            gsd_graph::CorruptionResponse::default(),
+        )
+        .unwrap();
+        let Err(e) = ServeCore::new(session, 1 << 20, gsd_trace::null_sink()) else {
+            panic!("a Lumos-layout grid must be refused");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::Unsupported);
+        assert!(e.to_string().contains("Unsorted"), "names the layout: {e}");
     }
 
     #[test]

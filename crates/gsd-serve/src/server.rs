@@ -115,26 +115,14 @@ fn executor(mut core: ServeCore, rx: Receiver<Job>) -> ServeCore {
         let mut traversals: Vec<Traversal> = Vec::new();
         let mut traversal_replies: Vec<Sender<Response>> = Vec::new();
         for job in jobs {
-            match job.request {
-                Request::KHop { source, k } => {
-                    traversals.push(Traversal::KHop { source, k });
+            match Traversal::from_request(&job.request) {
+                Some(traversal) => {
+                    traversals.push(traversal);
                     traversal_replies.push(job.reply);
                 }
-                Request::Ppr {
-                    ref seeds,
-                    alpha_bits,
-                    iterations,
-                } => {
-                    traversals.push(Traversal::Ppr {
-                        seeds: seeds.clone(),
-                        alpha: f32::from_bits(alpha_bits),
-                        iterations,
-                    });
-                    traversal_replies.push(job.reply);
-                }
-                ref request => {
-                    shutdown |= matches!(request, Request::Shutdown);
-                    let response = core.execute(request);
+                None => {
+                    shutdown |= matches!(job.request, Request::Shutdown);
+                    let response = core.execute(&job.request);
                     // A dropped reply channel just means the client went
                     // away mid-flight; the executor keeps serving.
                     let _ = job.reply.send(response);

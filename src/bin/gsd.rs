@@ -53,7 +53,7 @@
 //! `khop <source> <k>`, `ppr <seed,seed,...>`,
 //! `run <algorithm>`, `mutate <batch.txt>`, `compact`, `shutdown`.
 
-use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, Sssp};
+use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, ProgramVisitor, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
 use graphsd::bench::{
     out, stdout_write, trace_sink, Algo, BenchReport, RunFlags, RunSettings, SystemKind,
@@ -82,7 +82,7 @@ fn usage() -> ExitCode {
         "usage:\n  \
          gsd preprocess <edges.txt> <data-dir> [--intervals N] [--budget-mb M] [--degree-balanced]\n  \
          gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf] [--top K] [run flags]\n  \
-         gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|cc|sssp|bfs>] [--source V] [--iterations N] [--trace FILE]\n  \
+         gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|pagerank-delta|cc|sssp|bfs>] [--source V] [--iterations N] [--trace FILE]\n  \
          gsd compact <data-dir> [--trace FILE]\n  \
          gsd bench [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--baseline FILE] [--scale tiny|small|medium] [run flags]\n  \
          gsd bench --check FILE\n  \
@@ -316,25 +316,16 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
                 max_iterations: args.flag_value("iterations")?,
                 iteration_cap: None,
             };
-            match algo {
-                "pagerank" => {
-                    ingest_recompute(storage, &PageRank::paper(), &batch, &options, sink.clone())?
-                }
-                "cc" => ingest_recompute(
+            graphsd::algos::with_program(
+                algo,
+                source,
+                IngestRecompute {
                     storage,
-                    &ConnectedComponents,
-                    &batch,
-                    &options,
-                    sink.clone(),
-                )?,
-                "sssp" => {
-                    ingest_recompute(storage, &Sssp::new(source), &batch, &options, sink.clone())?
-                }
-                "bfs" => {
-                    ingest_recompute(storage, &Bfs::new(source), &batch, &options, sink.clone())?
-                }
-                other => return Err(format!("unknown algorithm {other:?}")),
-            }
+                    batch: &batch,
+                    options: &options,
+                    sink: sink.clone(),
+                },
+            )??;
         }
     }
     sink.flush();
@@ -356,44 +347,56 @@ fn print_ingest(report: &graphsd::delta::IngestReport) -> Result<(), String> {
 /// `ingest --recompute`: converge on the pre-batch grid (the warm state
 /// a long-running service holds), commit the batch, then warm-start the
 /// program from the batch's footprint on the merged grid.
-fn ingest_recompute<P: VertexProgram>(
+struct IngestRecompute<'a> {
     storage: SharedStorage,
-    program: &P,
-    batch: &MutationBatch,
-    options: &RunOptions,
+    batch: &'a MutationBatch,
+    options: &'a RunOptions,
     sink: Arc<dyn TraceSink>,
-) -> Result<(), String> {
-    let grid = GridGraph::open(storage.clone()).map_err(|e| e.to_string())?;
-    let mut engine = GraphSdEngine::new(grid, GraphSdConfig::full()).map_err(|e| e.to_string())?;
-    engine.set_trace(sink.clone());
-    let warm = engine.run(program, options).map_err(|e| e.to_string())?;
+}
 
-    let report = graphsd::delta::ingest(storage.as_ref(), "", batch, sink.as_ref())
+impl ProgramVisitor for IngestRecompute<'_> {
+    type Output = Result<(), String>;
+
+    fn visit<P: VertexProgram>(self, program: &P) -> Result<(), String> {
+        let IngestRecompute {
+            storage,
+            batch,
+            options,
+            sink,
+        } = self;
+        let grid = GridGraph::open(storage.clone()).map_err(|e| e.to_string())?;
+        let mut engine =
+            GraphSdEngine::new(grid, GraphSdConfig::full()).map_err(|e| e.to_string())?;
+        engine.set_trace(sink.clone());
+        let warm = engine.run(program, options).map_err(|e| e.to_string())?;
+
+        let report = graphsd::delta::ingest(storage.as_ref(), "", batch, sink.as_ref())
+            .map_err(|e| e.to_string())?;
+        print_ingest(&report)?;
+
+        let grid = GridGraph::open(storage).map_err(|e| e.to_string())?;
+        let (result, inc) = graphsd::delta::incremental_run(
+            grid,
+            program,
+            warm.values,
+            batch,
+            GraphSdConfig::full(),
+            sink,
+        )
         .map_err(|e| e.to_string())?;
-    print_ingest(&report)?;
-
-    let grid = GridGraph::open(storage).map_err(|e| e.to_string())?;
-    let (result, inc) = graphsd::delta::incremental_run(
-        grid,
-        program,
-        warm.values,
-        batch,
-        GraphSdConfig::full(),
-        sink,
-    )
-    .map_err(|e| e.to_string())?;
-    print_stats(&result.stats)?;
-    out!(
-        "incremental recompute: {} seed(s), {} reset(s){}; value fingerprint {:016x}",
-        inc.seeds,
-        inc.resets,
-        if inc.full_fallback {
-            " (program is not incremental-safe; reran from scratch)"
-        } else {
-            ""
-        },
-        value_fingerprint(&result.values),
-    )
+        print_stats(&result.stats)?;
+        out!(
+            "incremental recompute: {} seed(s), {} reset(s){}; value fingerprint {:016x}",
+            inc.seeds,
+            inc.resets,
+            if inc.full_fallback {
+                " (program is not incremental-safe; reran from scratch)"
+            } else {
+                ""
+            },
+            value_fingerprint(&result.values),
+        )
+    }
 }
 
 fn cmd_compact(args: &Args) -> Result<(), String> {

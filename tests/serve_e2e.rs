@@ -9,6 +9,12 @@
 //!   served concurrently are bit-identical to the in-memory
 //!   [`ReferenceEngine`] running the equivalent vertex programs, and
 //!   analytic `run` summaries fingerprint-match a direct engine run.
+//! * **Independent oracles** — production and `ReferenceEngine` run the
+//!   same `Bfs`/`Ppr` programs, so agreement between them says nothing
+//!   about the formulas. K-hop is also checked against
+//!   [`naive_bfs`](graphsd::algos::naive::naive_bfs) truncated at `k`
+//!   (exact) and `ppr` against a dense f64 power series written here
+//!   (1e-5 relative); neither shares code with the programs.
 //! * **Batching evidence** — a batch of concurrent traversals reads
 //!   strictly fewer blocks than the same traversals served one by one
 //!   (with the shared cache disabled, so the saving is attributable to
@@ -26,6 +32,7 @@
     reason = "test: every tenant is its own client thread"
 )]
 
+use graphsd::algos::naive::naive_bfs;
 use graphsd::algos::{Bfs, PageRank, Ppr};
 use graphsd::bench::TraceReport;
 use graphsd::core::GridSession;
@@ -339,4 +346,116 @@ fn batching_merges_concurrent_traversals_into_shared_passes() {
     // No event carries `blocks_read`; in a batch every storage block read
     // is charged as exactly one miss, which ties it to the fold as well.
     assert_eq!(c.blocks_read, replayed.cache_misses);
+}
+
+#[test]
+fn khop_replies_equal_a_queue_bfs_truncated_at_k() {
+    let graph = graph();
+    let degrees = graph.out_degrees();
+    let hub = (0..200u32).max_by_key(|&v| degrees[v as usize]).unwrap();
+    let mut core = core_over(&graph, 4 << 20);
+    for (source, k) in [
+        (0u32, 0u32),
+        (hub, 0),
+        (hub, 1),
+        (hub, 3),
+        (13, 2),
+        (150, 6),
+    ] {
+        let want: Vec<(u32, u32)> = naive_bfs(&graph, source)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, d)| d <= k)
+            .map(|(v, d)| (v as u32, d))
+            .collect();
+        assert_eq!(
+            core.execute(&Request::KHop { source, k }),
+            Response::Depths { depths: want },
+            "khop({source},{k})"
+        );
+    }
+}
+
+/// `rank_k = (1 − α)/|S| · Σ_{t ≤ k} α^t (Pᵀ)^t e_S` in f64, one dense
+/// vector per term, `P` the out-degree-normalized edge multiset.
+fn dense_ppr(graph: &Graph, seeds: &[u32], alpha: f64, rounds: u32) -> Vec<f64> {
+    let n = graph.num_vertices() as usize;
+    let degrees = graph.out_degrees();
+    let mut term = vec![0.0f64; n];
+    for &s in seeds {
+        term[s as usize] = (1.0 - alpha) / seeds.len() as f64;
+    }
+    let mut rank = term.clone();
+    for _ in 0..rounds {
+        let mut next = vec![0.0f64; n];
+        for e in graph.edges() {
+            next[e.dst as usize] +=
+                alpha * term[e.src as usize] / f64::from(degrees[e.src as usize]);
+        }
+        for (r, t) in rank.iter_mut().zip(&next) {
+            *r += t;
+        }
+        term = next;
+    }
+    rank
+}
+
+#[test]
+fn ppr_replies_agree_with_a_dense_f64_power_series() {
+    let graph = graph();
+    let mut core = core_over(&graph, 4 << 20);
+    for (seeds, alpha, iterations) in [
+        (vec![4u32, 90], 0.85f32, 3u32),
+        (vec![7], 0.5, 5),
+        (vec![0, 1, 2, 199], 0.2, 1),
+        (vec![33], 0.85, 0),
+    ] {
+        let Response::Scores { scores } = core.execute(&Request::Ppr {
+            seeds: seeds.clone(),
+            alpha_bits: alpha.to_bits(),
+            iterations,
+        }) else {
+            panic!("ppr({seeds:?}, {alpha}, {iterations}) did not answer with scores");
+        };
+        let want = dense_ppr(&graph, &seeds, f64::from(alpha), iterations);
+        let reached: Vec<u32> = (0..200).filter(|&v| want[v as usize] > 0.0).collect();
+        assert_eq!(
+            scores.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
+            reached,
+            "ppr({seeds:?}, {alpha}, {iterations}) reports exactly the vertices mass reached"
+        );
+        for (v, bits) in scores {
+            let got = f64::from(f32::from_bits(bits));
+            let want = want[v as usize];
+            assert!(
+                (got - want).abs() <= 1e-5 * want,
+                "ppr({seeds:?}, {alpha}, {iterations}) vertex {v}: {got} vs {want}"
+            );
+        }
+    }
+}
+
+#[test]
+fn ppr_with_a_non_default_alpha_matches_the_reference_engine_bit_for_bit() {
+    let graph = graph();
+    let mut core = core_over(&graph, 4 << 20);
+    let mut reference = ReferenceEngine::new(&graph);
+    for (seeds, alpha, iterations) in [(vec![4u32, 90, 4], 0.5f32, 4u32), (vec![120], 0.97, 3)] {
+        let got = core.execute(&Request::Ppr {
+            seeds: seeds.clone(),
+            alpha_bits: alpha.to_bits(),
+            iterations,
+        });
+        let oracle = reference
+            .run_default(&Ppr::with_alpha(seeds, alpha, iterations))
+            .unwrap();
+        let want: Vec<(u32, u32)> = oracle
+            .values
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.0 > 0.0)
+            .map(|(v, val)| (v as u32, val.0.to_bits()))
+            .collect();
+        assert_eq!(got, Response::Scores { scores: want }, "alpha {alpha}");
+    }
 }
