@@ -1,7 +1,10 @@
 //! Ingest: committing a [`MutationBatch`] as one delta epoch.
 //!
 //! Write protocol (the sealed meta is the commit point — a crash at any
-//! earlier step leaves the previous epoch fully intact):
+//! earlier step leaves the previous epoch fully intact). Everything the
+//! merge reads — live segments, touched base payloads, `degrees.bin` — is
+//! checked against its checksum first, so a corrupt object fails the
+//! batch before step 1 writes anything:
 //!
 //! 1. one segment object per touched sub-block (`Storage::create` =
 //!    write-temp + rename), then [`gsd_io::Storage::sync`] — segments are
@@ -22,11 +25,11 @@
 
 use crate::batch::MutationBatch;
 use gsd_graph::delta::{
-    apply_ops, encode_segment, manifest_key, read_live_ops, read_manifest, segment_key,
-    DeltaManifest, DeltaOp,
+    apply_ops, check_base_object, encode_segment, manifest_key, read_base_block, read_live_ops,
+    read_manifest, segment_key, DeltaManifest, DeltaOp,
 };
-use gsd_graph::format::{block_edges_key, decode_u32s, DeltaSection, GridMeta};
-use gsd_graph::{BlockOrder, DEGREES_KEY, META_KEY};
+use gsd_graph::format::{decode_u32s, DeltaSection, GridMeta};
+use gsd_graph::{BlockOrder, Edge, DEGREES_KEY, META_KEY};
 use gsd_integrity::{IntegritySection, ObjectEntry};
 use gsd_io::Storage;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -116,7 +119,6 @@ pub fn ingest(
     }
 
     let intervals = meta.intervals();
-    let codec = meta.codec();
     let p = meta.p;
     let epoch = prior.epoch + 1;
 
@@ -132,39 +134,59 @@ pub fn ingest(
 
     // Merge each touched block to derive the new merged counts and the
     // out-degree diff of the batch.
-    let base_degrees = decode_u32s(&storage.read_all(&format!("{prefix}{DEGREES_KEY}"))?)?;
+    let degrees_bytes = storage.read_all(&format!("{prefix}{DEGREES_KEY}"))?;
+    check_base_object(&meta, DEGREES_KEY, &degrees_bytes)?;
+    let base_degrees = decode_u32s(&degrees_bytes)?;
     let mut merged_counts = prior.merged_block_edge_counts;
-    let mut degree_diff: BTreeMap<u32, i64> = BTreeMap::new();
-    for (&(i, j), block_ops) in &new_ops {
-        let mut payload = vec![0u8; meta.block_bytes(i, j) as usize];
-        if !payload.is_empty() {
-            storage.read_at(&block_edges_key(prefix, i, j), 0, &mut payload)?;
-        }
-        let mut edges = codec.decode_all(&payload);
-        if let Some(prior) = prior_ops.get(&(i, j)) {
-            apply_ops(&mut edges, prior);
-        }
-        for e in &edges {
-            *degree_diff.entry(e.src).or_insert(0) -= 1;
-        }
-        apply_ops(&mut edges, block_ops);
-        for e in &edges {
-            *degree_diff.entry(e.src).or_insert(0) += 1;
-        }
-        merged_counts[(i * p + j) as usize] = edges.len() as u64;
-    }
-
     // Absolute merged out-degrees: prior patch extended by this batch.
     let mut degrees: BTreeMap<u32, u32> = prior
         .degree_vertices
         .into_iter()
         .zip(prior.degree_values)
         .collect();
-    for (v, diff) in degree_diff.into_iter().filter(|&(_, diff)| diff != 0) {
-        let current = degrees.get(&v).copied().unwrap_or(base_degrees[v as usize]) as i64;
-        let merged = current + diff;
-        debug_assert!(merged >= 0, "merged out-degree of {v} went negative");
-        degrees.insert(v, merged as u32);
+    for i in 0..p {
+        let mut row = new_ops.range((i, 0)..(i + 1, 0)).peekable();
+        if row.peek().is_none() {
+            continue;
+        }
+        // Every source of a row-`i` sub-block lies in interval `i`: its
+        // out-degree changes are counted in an array over that interval.
+        let sources = intervals.range(i);
+        let mut diff = vec![0i64; sources.len()];
+        let mut count = |edges: &[Edge], by: i64| -> std::io::Result<()> {
+            for e in edges {
+                let slot = e
+                    .src
+                    .checked_sub(sources.start)
+                    .and_then(|k| diff.get_mut(k as usize))
+                    .ok_or_else(|| {
+                        invalid(format!(
+                            "row {i} holds an edge from vertex {} outside its interval",
+                            e.src
+                        ))
+                    })?;
+                *slot += by;
+            }
+            Ok(())
+        };
+        for (&(_, j), block_ops) in row {
+            let mut edges = read_base_block(storage, prefix, &meta, i, j)?;
+            if let Some(prior) = prior_ops.get(&(i, j)) {
+                apply_ops(&mut edges, prior);
+            }
+            count(&edges, -1)?;
+            apply_ops(&mut edges, block_ops);
+            count(&edges, 1)?;
+            merged_counts[(i * p + j) as usize] = edges.len() as u64;
+        }
+        for (v, change) in sources.zip(diff).filter(|&(_, change)| change != 0) {
+            let current = degrees.get(&v).copied().unwrap_or(base_degrees[v as usize]);
+            let merged = i64::from(current) + change;
+            let merged = u32::try_from(merged).map_err(|_| {
+                invalid(format!("merged out-degree of vertex {v} would be {merged}"))
+            })?;
+            degrees.insert(v, merged);
+        }
     }
 
     // --- step 1: segments, durable before anything references them ---

@@ -47,8 +47,9 @@
 //! Each segment is covered by an [`ObjectEntry`] (length + CRC32) in the
 //! manifest's [`IntegritySection`]; the manifest's entry list is guarded
 //! by its section CRC and pinned to the sealed meta through the epoch.
-//! Overlay loading verifies every segment and every base payload it
-//! merges, and `scrub` extends to segments (see [`crate::integrity`]).
+//! Overlay loading and `ingest` verify every segment and every base
+//! payload they merge ([`read_base_block`]), and `scrub` extends to
+//! segments (see [`crate::integrity`]).
 
 use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION};
 use crate::types::{Edge, VertexId};
@@ -368,6 +369,37 @@ pub fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) {
     }
 }
 
+/// Checks `payload`, just read from the base object `rel_key`, against
+/// the sealed meta's integrity entry: what every merge of delta ops into
+/// a base object stands on.
+pub fn check_base_object(meta: &GridMeta, rel_key: &str, payload: &[u8]) -> std::io::Result<()> {
+    if meta.integrity.lookup(rel_key) != Some(&ObjectEntry::of(rel_key, payload)) {
+        return Err(invalid(format!(
+            "base object {rel_key:?} failed its checksum while merging delta segments"
+        )));
+    }
+    Ok(())
+}
+
+/// Reads base sub-block `(i, j)` of the grid `meta` (the sealed, on-disk
+/// meta) describes, checks it with [`check_base_object`] and decodes it —
+/// the one way both the overlay loader and `ingest` get the edges they
+/// replay ops over. One whole-object read; the check runs on its bytes.
+pub fn read_base_block(
+    storage: &dyn Storage,
+    prefix: &str,
+    meta: &GridMeta,
+    i: u32,
+    j: u32,
+) -> std::io::Result<Vec<Edge>> {
+    let mut payload = vec![0u8; meta.block_bytes(i, j) as usize];
+    if !payload.is_empty() {
+        storage.read_at(&block_edges_key(prefix, i, j), 0, &mut payload)?;
+    }
+    check_base_object(meta, &block_edges_key("", i, j), &payload)?;
+    Ok(meta.codec().decode_all(&payload))
+}
+
 /// Reads, verifies and decodes every live segment `manifest` names and
 /// groups the ops per sub-block of a `P × P` grid, in epoch order
 /// (manifest entries are key-sorted; the zero-padded epoch in the key
@@ -433,22 +465,10 @@ pub(crate) fn load_overlay(
     let mut overlay = DeltaOverlay::default();
     let mut scratch_counts = meta.block_edge_counts.clone();
     for (&(i, j), ops) in &per_block {
-        let base_bytes = meta.block_bytes(i, j) as usize;
-        let mut payload = vec![0u8; base_bytes];
-        let key = block_edges_key(prefix, i, j);
-        if base_bytes > 0 {
-            storage.read_at(&key, 0, &mut payload)?;
-        }
-        let rel_key = block_edges_key("", i, j);
-        if meta.integrity.lookup(&rel_key) != Some(&ObjectEntry::of(rel_key.as_str(), &payload)) {
-            return Err(invalid(format!(
-                "base object {rel_key:?} failed its checksum while merging delta segments"
-            )));
-        }
+        let mut merged = read_base_block(storage, prefix, meta, i, j)?;
+        apply_ops(&mut merged, ops);
         // Canonical order again, so the payload and its index column are
         // the bytes a re-preprocess of the merged edge list would write.
-        let mut merged = codec.decode_all(&payload);
-        apply_ops(&mut merged, ops);
         let offsets = meta.order.sort(i, j, &intervals, &mut merged);
         let want = manifest.merged_block_edge_counts[(i * p + j) as usize];
         if merged.len() as u64 != want {

@@ -1,16 +1,20 @@
 //! One writer, one index: what a grid consists of on disk, that the
 //! three programs that produce rows — `preprocess`, `repair_grid` and
-//! `compact` — produce the same ones, and that the counting layout writes
-//! the bytes the order's definition does.
+//! `compact` — produce the same ones, that the counting layout writes
+//! the bytes the order's definition does, and that the grid's JSON
+//! metadata round-trips at sizes far past the benchmark's.
 
 use graphsd::delta::{compact, ingest, MutationBatch};
-use graphsd::graph::delta::manifest_key;
+use graphsd::graph::delta::{manifest_key, segment_key, DeltaManifest};
+use graphsd::graph::format::row_index_key;
 use graphsd::graph::layout::{bucket_edges, row_keys, row_objects};
 use graphsd::graph::rng::Xoshiro256;
 use graphsd::graph::{
-    preprocess, repair_grid, BlockOrder, Edge, EdgeCodec, GeneratorConfig, Graph, GraphKind,
-    GridGraph, Intervals, PreprocessConfig, META_KEY,
+    block_edges_key, preprocess, repair_grid, BlockOrder, DeltaSection, Edge, EdgeCodec,
+    GeneratorConfig, Graph, GraphKind, GridGraph, GridMeta, Intervals, PreprocessConfig,
+    DEGREES_KEY, FORMAT_VERSION, META_KEY,
 };
+use graphsd::integrity::{IntegritySection, ObjectEntry};
 use graphsd::io::{MemStorage, SharedStorage};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -262,4 +266,59 @@ fn rows_are_byte_identical_to_a_comparison_sorted_reference() {
             }
         }
     }
+}
+
+/// The two JSON objects every open of a mutated grid parses, at sizes far
+/// past the benchmark's: a P = 64 meta (4 161 integrity entries) and a
+/// manifest naming 20 000 live segments. Both come back equal. A parser
+/// that is quadratic in the document (one UTF-8 validation of the rest
+/// of the input per string character) takes minutes here in a debug
+/// build.
+#[test]
+fn large_metadata_roundtrips() {
+    let p = 64u32;
+    let blocks = (p * p) as u64;
+    let counts: Vec<u64> = (0..blocks).map(|b| b % 7).collect();
+    let num_vertices = p * 1000;
+    let mut objects = vec![ObjectEntry::of(DEGREES_KEY, b"degrees")];
+    for i in 0..p {
+        objects.push(ObjectEntry::of(row_index_key("", i), &i.to_le_bytes()));
+        for j in 0..p {
+            objects.push(ObjectEntry::of(block_edges_key("", i, j), &j.to_le_bytes()));
+        }
+    }
+    let mut meta = GridMeta {
+        version: FORMAT_VERSION,
+        num_vertices,
+        num_edges: counts.iter().sum(),
+        p,
+        weighted: true,
+        order: BlockOrder::BySource,
+        boundaries: (0..=p).map(|k| k * 1000).collect(),
+        block_edge_counts: counts.clone(),
+        integrity: IntegritySection::new(objects),
+        delta: Some(DeltaSection { epoch: 5 }),
+    };
+    meta.seal();
+    assert_eq!(meta.integrity.len(), 64 * 64 + 64 + 1);
+    assert_eq!(GridMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
+
+    let segments = (0..20_000u64)
+        .map(|k| {
+            let (epoch, b) = (1 + k / blocks, (k % blocks) as u32);
+            ObjectEntry::of(segment_key("", epoch, b / p, b % p), &k.to_le_bytes())
+        })
+        .collect();
+    let degree_vertices: Vec<u32> = (0..num_vertices).step_by(3).collect();
+    let manifest = DeltaManifest {
+        epoch: 5,
+        segments: IntegritySection::new(segments),
+        merged_num_edges: counts.iter().sum(),
+        merged_block_edge_counts: counts,
+        degree_values: degree_vertices.iter().map(|v| v % 11).collect(),
+        degree_vertices,
+    };
+    let back = DeltaManifest::from_bytes(&manifest.to_bytes(), 5, p).unwrap();
+    assert_eq!(back.segments.len(), 20_000);
+    assert_eq!(back, manifest);
 }

@@ -12,12 +12,16 @@
 //!    restores the exact original bytes from the source edge list.
 //! 4. **One format version** — a grid written by an older tree is
 //!    refused at open with the way out.
+//! 5. **Nothing built on bad bytes** — `ingest` checks every base object
+//!    it merges against the sealed meta, so a corrupt one fails the batch
+//!    before an epoch is written.
 
 use graphsd::algos::{Bfs, PageRank};
 use graphsd::baselines::{
     build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
+use graphsd::delta::{ingest, MutationBatch};
 use graphsd::graph::{
     block_edges_key, preprocess, repair_grid, scrub_grid, CorruptionResponse, GeneratorConfig,
     Graph, GraphKind, GridGraph, GridMeta, PreprocessConfig, VerifyPolicy, DEGREES_KEY, META_KEY,
@@ -358,4 +362,48 @@ fn scrub_repair_roundtrip_covers_every_corruption_mode() {
             "{mode}: repair restores the exact original bytes"
         );
     }
+}
+
+#[test]
+fn ingest_over_a_corrupt_base_object_fails_and_commits_nothing() {
+    let g = test_graph();
+    let (storage, grid) = grid_on_fresh_disk(&g, 4);
+    let block = busiest_block_key(grid.meta());
+    // A batch whose only op lands in that sub-block.
+    let (i, j) = (0..4u32)
+        .flat_map(|i| (0..4u32).map(move |j| (i, j)))
+        .find(|&(i, j)| block_edges_key("", i, j) == block)
+        .unwrap();
+    let intervals = grid.meta().intervals();
+    let mut batch = MutationBatch::new();
+    batch.insert(intervals.range(i).start, intervals.range(j).start, 1.0);
+    drop(grid);
+
+    for key in [block.as_str(), DEGREES_KEY] {
+        let (storage, _) = grid_on_fresh_disk(&g, 4);
+        let meta_before = storage.read_all(META_KEY).unwrap();
+        corrupt_object(storage.as_ref(), key, CorruptionMode::BitFlip, 13).unwrap();
+        let sink = graphsd::trace::null_sink();
+        let err = ingest(storage.as_ref(), "", &batch, sink.as_ref()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{key}: {err}");
+        assert!(err.to_string().contains(key), "{key}: {err}");
+        assert_eq!(
+            storage.read_all(META_KEY).unwrap(),
+            meta_before,
+            "{key}: the sealed meta names no new epoch"
+        );
+        assert!(
+            storage.list_keys().iter().all(|k| !k.starts_with("delta/")),
+            "{key}: no segment or manifest written"
+        );
+        assert_eq!(GridGraph::open(storage).unwrap().delta_epoch(), 0);
+    }
+    // The same batch over the clean grid commits epoch 1.
+    let sink = graphsd::trace::null_sink();
+    assert_eq!(
+        ingest(storage.as_ref(), "", &batch, sink.as_ref())
+            .unwrap()
+            .epoch,
+        1
+    );
 }
