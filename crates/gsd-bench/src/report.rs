@@ -586,6 +586,10 @@ impl TraceReport {
     }
 
     /// Folds the trace file at `path`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a trace file is the run's own output, not graph data: it bypasses Storage's accounting on purpose"
+    )]
     pub fn from_path(path: impl AsRef<std::path::Path>) -> std::io::Result<TraceReport> {
         let file = std::fs::File::open(path)?;
         Self::from_reader(std::io::BufReader::new(file))
@@ -1075,6 +1079,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test: removes the trace file it wrote"
+    )]
     fn jsonl_writer_output_replays_cleanly() {
         // End-to-end through the real sink: what JsonlWriter writes,
         // TraceReport must read — to the same fold as applying the events

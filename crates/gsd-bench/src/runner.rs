@@ -95,7 +95,7 @@ impl Algo {
         match self {
             Algo::Cc => dataset.symmetric(),
             Algo::Sssp => dataset.weighted(),
-            _ => dataset.directed(),
+            Algo::Pr | Algo::PrD => dataset.directed(),
         }
     }
 }
@@ -213,7 +213,9 @@ fn graphsd_config_of(kind: SystemKind, budget: u64, settings: &RunSettings) -> G
         SystemKind::GraphSdB3 => GraphSdConfig::b3_always_full(),
         SystemKind::GraphSdB4 => GraphSdConfig::b4_always_on_demand(),
         SystemKind::GraphSdNoBuffer => GraphSdConfig::without_buffering(),
-        _ => GraphSdConfig::full(),
+        SystemKind::GraphSd | SystemKind::HusGraph | SystemKind::Lumos | SystemKind::GridStream => {
+            GraphSdConfig::full()
+        }
     };
     settings.graphsd_config(ablation).with_memory_budget(budget)
 }
@@ -321,7 +323,12 @@ fn run_with_disk_p(
             settings.verify_grid(&mut grid)?;
             (report, AnyEngine::Grid(GridStreamEngine::new(grid)?))
         }
-        _ => {
+        SystemKind::GraphSd
+        | SystemKind::GraphSdB1
+        | SystemKind::GraphSdB2
+        | SystemKind::GraphSdB3
+        | SystemKind::GraphSdB4
+        | SystemKind::GraphSdNoBuffer => {
             let (_, report) = preprocess(graph, storage.as_ref(), &gsd_pre)?;
             let mut grid = GridGraph::open(storage.clone())?;
             settings.verify_grid(&mut grid)?;
@@ -433,7 +440,13 @@ pub(crate) fn prepare_format(
             let (_, report) = build_lumos_format(graph, storage, "", Some(p))?;
             Ok(report)
         }
-        _ => {
+        SystemKind::GraphSd
+        | SystemKind::GraphSdB1
+        | SystemKind::GraphSdB2
+        | SystemKind::GraphSdB3
+        | SystemKind::GraphSdB4
+        | SystemKind::GraphSdNoBuffer
+        | SystemKind::GridStream => {
             let config = PreprocessConfig {
                 degree_balanced: true,
                 ..PreprocessConfig::graphsd("")
@@ -471,7 +484,12 @@ pub(crate) fn reopen_engine(
             settings.verify_grid(&mut grid)?;
             AnyEngine::Grid(GridStreamEngine::new(grid)?)
         }
-        _ => {
+        SystemKind::GraphSd
+        | SystemKind::GraphSdB1
+        | SystemKind::GraphSdB2
+        | SystemKind::GraphSdB3
+        | SystemKind::GraphSdB4
+        | SystemKind::GraphSdNoBuffer => {
             // GraphSD variants go through the same open-once session the
             // `run` CLI and the serve daemon use.
             let session = GridSession::open(storage, settings.verify, settings.on_corruption)?;

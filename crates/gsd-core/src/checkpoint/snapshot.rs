@@ -161,9 +161,10 @@ impl CheckpointData {
                 .map_err(|_| corrupt("non-utf8 section name"))?
                 .to_string();
             let lb = take(&mut at, 8)?;
-            let payload_len =
-                u64::from_le_bytes([lb[0], lb[1], lb[2], lb[3], lb[4], lb[5], lb[6], lb[7]])
-                    as usize;
+            let payload_len = usize::try_from(u64::from_le_bytes([
+                lb[0], lb[1], lb[2], lb[3], lb[4], lb[5], lb[6], lb[7],
+            ]))
+            .map_err(|_| corrupt("section length exceeds the address space"))?;
             let cb = take(&mut at, 4)?;
             let want_crc = u32::from_le_bytes([cb[0], cb[1], cb[2], cb[3]]);
             let payload = take(&mut at, payload_len)?;

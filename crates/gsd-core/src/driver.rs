@@ -515,6 +515,11 @@ fn bits_of<V: Value>(values: &ValueArray<V>) -> Vec<u64> {
     values.snapshot().into_iter().map(Value::to_bits).collect()
 }
 
+/// A trace event's `*_us` field: whole microseconds, saturating.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
 impl<P: VertexProgram> Driver<'_, P> {
     /// The iteration the next [`Driver::iteration`] call commits (1-based).
     pub fn next_iteration(&self) -> u32 {
@@ -630,9 +635,9 @@ impl<P: VertexProgram> Driver<'_, P> {
             model: crate::trace_model(model),
             frontier,
             bytes_read: io.read_bytes(),
-            scatter_us: t.scatter.as_micros() as u64,
-            apply_us: t.apply.as_micros() as u64,
-            io_wait_us: t.io_wall.as_micros() as u64,
+            scatter_us: micros(t.scatter),
+            apply_us: micros(t.apply),
+            io_wait_us: micros(t.io_wall),
         });
         self.stats.push_iteration(IterationStats {
             iteration,

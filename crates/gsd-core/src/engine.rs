@@ -309,7 +309,7 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
         let residents = self.buffer.residents().into_iter();
         let extra = CkptExtra {
             decisions: self.scheduler.decisions.clone(),
-            overhead_nanos: self.scheduler.overhead.as_nanos() as u64,
+            overhead_nanos: u64::try_from(self.scheduler.overhead.as_nanos()).unwrap_or(u64::MAX),
             buffer_evictions: self.buffer.evictions,
             residents: residents
                 .map(|(i, j, bytes, priority)| ResidentBlock {

@@ -45,6 +45,9 @@
     clippy::todo,
     clippy::unimplemented
 )]
+// Ids, offsets and sizes never wrap silently: narrow through `try_from`
+// or `gsd_graph::narrow` instead of `as` (retired GSD006 — DESIGN.md §11).
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod buffer;

@@ -164,7 +164,8 @@ impl PrefetchRequest {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        (h % workers as u64) as usize
+        // The remainder is below `workers`, so the conversion cannot fail.
+        usize::try_from(h % workers as u64).unwrap_or(0)
     }
 }
 
@@ -476,7 +477,10 @@ impl PrefetchExecutor {
                     st.slots[seq].state = SlotState::Stealing;
                     Plan::Steal(seq, request, i, j, bytes)
                 }
-                _ => {
+                SlotState::Claimed
+                | SlotState::Stealing
+                | SlotState::Done(_)
+                | SlotState::Consumed => {
                     // Hit if already done, otherwise stall until the
                     // worker lands it.
                     let mut waited = false;
@@ -553,7 +557,7 @@ impl PrefetchExecutor {
                 self.trace.emit(&TraceEvent::PrefetchStall {
                     i,
                     j,
-                    wait_us: sw.elapsed().as_micros() as u64,
+                    wait_us: crate::driver::micros(sw.elapsed()),
                 })
             }
         }

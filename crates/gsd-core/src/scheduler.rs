@@ -230,7 +230,7 @@ mod tests {
 
         let big = Frontier::empty(n);
         for k in 0..300_000 {
-            big.insert(((k * 7) % n as u64) as u32); // scattered, 300k actives
+            big.insert((k * 7) % n); // scattered, 300k actives
         }
         assert_eq!(s.select(2, &big, &degrees), IoAccessModel::Full);
         assert_eq!(s.decisions.len(), 2);

@@ -106,9 +106,11 @@ fn buffer_eviction_events_match_counter() {
     let evicted: Vec<(u32, u32, u64)> = ring
         .events()
         .iter()
-        .filter_map(|ev| match ev {
-            TraceEvent::BufferEviction { i, j, bytes } => Some((*i, *j, *bytes)),
-            _ => None,
+        .filter_map(|ev| {
+            let TraceEvent::BufferEviction { i, j, bytes } = ev else {
+                return None;
+            };
+            Some((*i, *j, *bytes))
         })
         .collect();
     assert_eq!(evicted, vec![(1, 0, 100), (2, 0, 100), (3, 0, 100)]);

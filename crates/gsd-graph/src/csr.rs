@@ -8,7 +8,7 @@ use crate::types::VertexId;
 /// CSR adjacency over the out-edges of a [`Graph`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
-    offsets: Vec<u64>,
+    offsets: Vec<usize>,
     targets: Vec<VertexId>,
     weights: Vec<f32>,
 }
@@ -18,7 +18,7 @@ impl Csr {
     /// keep their relative input order after a counting-sort by source).
     pub fn from_graph(graph: &Graph) -> Self {
         let n = graph.num_vertices() as usize;
-        let mut counts = vec![0u64; n + 1];
+        let mut counts = vec![0usize; n + 1];
         for e in graph.edges() {
             counts[e.src as usize + 1] += 1;
         }
@@ -26,12 +26,12 @@ impl Csr {
             counts[i + 1] += counts[i];
         }
         let offsets = counts.clone();
-        let m = graph.num_edges() as usize;
+        let m = graph.edges().len();
         let mut targets = vec![0 as VertexId; m];
         let mut weights = vec![0f32; m];
         let mut cursor = counts;
         for e in graph.edges() {
-            let at = cursor[e.src as usize] as usize;
+            let at = cursor[e.src as usize];
             targets[at] = e.dst;
             weights[at] = e.weight;
             cursor[e.src as usize] += 1;
@@ -55,7 +55,7 @@ impl Csr {
 
     /// Out-degree of `v`.
     pub fn degree(&self, v: VertexId) -> u32 {
-        crate::narrow::to_u32(
+        crate::narrow::from_usize(
             self.offsets[v as usize + 1] - self.offsets[v as usize],
             "out-degree",
         )
@@ -77,10 +77,7 @@ impl Csr {
     }
 
     fn range(&self, v: VertexId) -> (usize, usize) {
-        (
-            self.offsets[v as usize] as usize,
-            self.offsets[v as usize + 1] as usize,
-        )
+        (self.offsets[v as usize], self.offsets[v as usize + 1])
     }
 }
 

@@ -392,7 +392,7 @@ pub fn read_base_block(
     i: u32,
     j: u32,
 ) -> std::io::Result<Vec<Edge>> {
-    let mut payload = vec![0u8; meta.block_bytes(i, j) as usize];
+    let mut payload = vec![0u8; crate::narrow::to_usize(meta.block_bytes(i, j), "block size")];
     if !payload.is_empty() {
         storage.read_at(&block_edges_key(prefix, i, j), 0, &mut payload)?;
     }

@@ -106,7 +106,7 @@ pub fn rmat(vertices: u32, edges: u64, probs: [f64; 4], rng: &mut Xoshiro256) ->
     let scale = 32 - (vertices - 1).leading_zeros(); // ceil(log2(vertices))
     let n = 1u64 << scale;
     let [a, b, c, _] = probs;
-    let mut list = Vec::with_capacity(edges as usize);
+    let mut list = Vec::with_capacity(crate::narrow::to_usize(edges, "edge count"));
     for _ in 0..edges {
         let (mut x0, mut x1) = (0u64, n);
         let (mut y0, mut y1) = (0u64, n);
@@ -172,7 +172,7 @@ pub fn web_locality(vertices: u32, edges: u64, rng: &mut Xoshiro256) -> Graph {
     assert!(vertices >= 2);
     let host_size = (vertices / 256).clamp(16, 512).min(vertices);
     let num_hosts = vertices.div_ceil(host_size);
-    let mut list = Vec::with_capacity(edges as usize);
+    let mut list = Vec::with_capacity(crate::narrow::to_usize(edges, "edge count"));
     for _ in 0..edges {
         let host = rng.gen_range(0..num_hosts);
         let base = host * host_size;
@@ -186,9 +186,9 @@ pub fn web_locality(vertices: u32, edges: u64, rng: &mut Xoshiro256) -> Graph {
             // effective diameter)
             let pos = page - base;
             let hop = if rng.gen::<f64>() < 0.75 {
-                1 + (rng.gen::<f64>().powi(2) * 7.0) as i64 // forward 1..=8
+                1 + short_hop(rng, 7.0) // forward 1..=8
             } else {
-                -(1 + (rng.gen::<f64>().powi(2) * 3.0) as i64) // back 1..=4
+                -(1 + short_hop(rng, 3.0)) // back 1..=4
             };
             let to = crate::narrow::from_i64((pos as i64 + hop).rem_euclid(len as i64), "page hop");
             (page, base + to)
@@ -196,7 +196,7 @@ pub fn web_locality(vertices: u32, edges: u64, rng: &mut Xoshiro256) -> Graph {
             // cross-link from a page to a nearby host's front page (tight
             // host ring; only ~0.1 cross links per page so they do not
             // collapse the diameter)
-            let delta = 1 + (rng.gen::<f64>().powi(2) * 3.0) as i64;
+            let delta = 1 + short_hop(rng, 3.0);
             let sign = if rng.gen::<bool>() { 1 } else { -1 };
             let other = crate::narrow::from_i64(
                 (host as i64 + sign * delta).rem_euclid(num_hosts as i64),
@@ -210,6 +210,15 @@ pub fn web_locality(vertices: u32, edges: u64, rng: &mut Xoshiro256) -> Graph {
         list.push(Edge::new(src, dst));
     }
     Graph::from_edges(vertices, list, false)
+}
+
+/// A hop length in `0..span` skewed toward short: `⌊u² · span⌋` for a
+/// uniform `u`.
+fn short_hop(rng: &mut Xoshiro256, span: f64) -> i64 {
+    i64::from(crate::narrow::from_f64(
+        rng.gen::<f64>().powi(2) * span,
+        "hop length",
+    ))
 }
 
 /// `side × side` 2-D grid, edges in both directions between 4-neighbors,

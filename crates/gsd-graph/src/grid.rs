@@ -240,7 +240,7 @@ impl GridGraph {
             self.codec.decode_all_into(&block.bytes, out);
             return Ok(());
         }
-        let bytes = self.meta.block_bytes(i, j) as usize;
+        let bytes = crate::narrow::to_usize(self.meta.block_bytes(i, j), "block size");
         if bytes == 0 {
             return Ok(());
         }
@@ -354,14 +354,14 @@ impl GridGraph {
         if let Some(v) = &self.verifier {
             v.ensure_verified(&key)?;
         }
-        let sz = self.codec.edge_bytes() as u64;
+        let sz = self.codec.edge_bytes();
         scratch.clear();
-        scratch.resize(edge_count as usize * sz as usize, 0);
+        scratch.resize(edge_count as usize * sz, 0);
         self.storage
-            .read_at(&key, edge_start as u64 * sz, scratch)?;
+            .read_at(&key, u64::from(edge_start) * sz as u64, scratch)?;
         let base = out.len();
         out.reserve(edge_count as usize);
-        for chunk in scratch.chunks_exact(sz as usize) {
+        for chunk in scratch.chunks_exact(sz) {
             out.push(self.codec.decode(chunk));
         }
         debug_assert_eq!(out.len() - base, edge_count as usize);
@@ -452,8 +452,15 @@ mod tests {
                 for v in intervals.range(i) {
                     let mut out = Vec::new();
                     let run = idx.edge_range(v, j);
-                    grid.read_edge_run(i, j, run.start, run.len() as u32, &mut scratch, &mut out)
-                        .unwrap();
+                    grid.read_edge_run(
+                        i,
+                        j,
+                        run.start,
+                        run.end - run.start,
+                        &mut scratch,
+                        &mut out,
+                    )
+                    .unwrap();
                     let mut got: Vec<u32> = out.iter().map(|e| e.dst).collect();
                     got.sort_unstable();
                     let mut want = expect.remove(&(v, j)).unwrap_or_default();
@@ -492,14 +499,14 @@ mod tests {
     #[test]
     fn read_edge_run_appends() {
         let (_, grid) = setup(1);
-        let total = grid.meta().block_edge_count(0, 0) as u32;
+        let total = u32::try_from(grid.meta().block_edge_count(0, 0)).unwrap();
         let mut scratch = Vec::new();
         let mut out = Vec::new();
         grid.read_edge_run(0, 0, 0, total / 2, &mut scratch, &mut out)
             .unwrap();
         grid.read_edge_run(0, 0, total / 2, total - total / 2, &mut scratch, &mut out)
             .unwrap();
-        assert_eq!(out.len() as u32, total);
+        assert_eq!(out.len(), total as usize);
         let whole = grid.read_block(0, 0).unwrap();
         assert_eq!(out, whole.edges);
     }

@@ -14,6 +14,9 @@
 //! grid row looks like on disk, and [`grid`] provides the read-side handle
 //! engines consume.
 
+// Ids, offsets and sizes never wrap silently: narrow through `try_from`
+// or the `narrow` helpers instead of `as` (retired GSD006 — DESIGN.md §11).
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod csr;

@@ -31,10 +31,10 @@
 
 use crate::fnv64;
 use gsd_io::{DiskModel, IoStats, SharedStorage, Storage};
+use gsd_trace::Counter;
 use parking_lot::Mutex;
 use std::io::{Error, ErrorKind};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Restricts fault injection to a subset of requests.
@@ -197,9 +197,9 @@ pub struct FaultyStorage {
     /// Global attempt counter; the lock also serializes decision order so
     /// a single-threaded caller sees a reproducible decision stream.
     ops: Mutex<u64>,
-    injected_transient: AtomicU64,
-    injected_permanent: AtomicU64,
-    injected_corrupt: AtomicU64,
+    injected_transient: Counter,
+    injected_permanent: Counter,
+    injected_corrupt: Counter,
 }
 
 impl FaultyStorage {
@@ -209,25 +209,25 @@ impl FaultyStorage {
             inner,
             cfg,
             ops: Mutex::new(0),
-            injected_transient: AtomicU64::new(0),
-            injected_permanent: AtomicU64::new(0),
-            injected_corrupt: AtomicU64::new(0),
+            injected_transient: Counter::new(),
+            injected_permanent: Counter::new(),
+            injected_corrupt: Counter::new(),
         }
     }
 
     /// Attempts failed transiently so far.
     pub fn injected_transient(&self) -> u64 {
-        self.injected_transient.load(Ordering::Relaxed)
+        self.injected_transient.get()
     }
 
     /// Attempts failed permanently (bad key) so far.
     pub fn injected_permanent(&self) -> u64 {
-        self.injected_permanent.load(Ordering::Relaxed)
+        self.injected_permanent.get()
     }
 
     /// Reads that succeeded with corrupted bytes so far.
     pub fn injected_corrupt(&self) -> u64 {
-        self.injected_corrupt.load(Ordering::Relaxed)
+        self.injected_corrupt.get()
     }
 
     /// Data operations observed so far (the attempt stream `kill_at_op`
@@ -259,7 +259,7 @@ impl FaultyStorage {
         if self.cfg.permanent_rate > 0.0 {
             let draw = unit(mix(self.cfg.seed ^ fnv64(key.as_bytes()) ^ PERMANENT_SALT));
             if draw < self.cfg.permanent_rate {
-                self.injected_permanent.fetch_add(1, Ordering::Relaxed);
+                self.injected_permanent.add(1);
                 return Err(Error::other(format!(
                     "injected permanent fault on {key} ({op})"
                 )));
@@ -268,7 +268,7 @@ impl FaultyStorage {
         if self.cfg.transient_rate > 0.0 {
             let draw = unit(mix(self.cfg.seed ^ op_index));
             if draw < self.cfg.transient_rate {
-                self.injected_transient.fetch_add(1, Ordering::Relaxed);
+                self.injected_transient.add(1);
                 return Err(Error::new(
                     ErrorKind::Interrupted,
                     format!("injected transient fault on {key} ({op}, attempt stream {op_index})"),
@@ -323,7 +323,7 @@ impl FaultyStorage {
             }
         };
         if changed {
-            self.injected_corrupt.fetch_add(1, Ordering::Relaxed);
+            self.injected_corrupt.add(1);
         }
     }
 }

@@ -238,9 +238,11 @@ mod tests {
         assert_eq!(kinds, ["io_retry", "io_gave_up"].repeat(4));
         // Every wrapped operation names itself with a label the trace
         // decoder knows.
-        let gave_up = sink.events().into_iter().filter_map(|e| match e {
-            TraceEvent::IoGaveUp { op, .. } => Some(op),
-            _ => None,
+        let gave_up = sink.events().into_iter().filter_map(|e| {
+            let TraceEvent::IoGaveUp { op, .. } = e else {
+                return None;
+            };
+            Some(op)
         });
         assert_eq!(gave_up.collect::<Vec<_>>(), gsd_trace::labels::IO_OPS);
     }
@@ -265,6 +267,41 @@ mod tests {
         let mut faulty_snap = mem.stats().snapshot();
         faulty_snap.retried_ops = 0;
         assert_eq!(faulty_snap, clean.stats().snapshot());
+        Ok(())
+    }
+
+    #[test]
+    fn ranges_past_the_end_are_errors_on_every_backend() -> std::io::Result<()> {
+        // Offsets whose end overflows `u64` (and, on files, `i64`) used to
+        // panic on the add; every backend and decorator must answer a
+        // read with `UnexpectedEof` and a write with an error, and change
+        // nothing.
+        let dir = gsd_io::TempDir::new("gsd-retry-ranges")?;
+        let (stacked, _) = stack(FaultConfig::transient(3, 0.0), RetryPolicy::default());
+        let backends: Vec<(&str, SharedStorage)> = vec![
+            ("mem", Arc::new(MemStorage::new())),
+            ("sim", Arc::new(gsd_io::SimDisk::new(DiskModel::hdd()))),
+            ("file", Arc::new(gsd_io::FileStorage::open(dir.path())?)),
+            ("retry+faulty", Arc::new(stacked)),
+        ];
+        for (name, store) in &backends {
+            store.create("k", &[1u8; 16])?;
+            let mut buf = [0u8; 8];
+            for offset in [u64::MAX, u64::MAX - 4, 1 << 63, 12] {
+                let kinds = [
+                    store.read_at("k", offset, &mut buf),
+                    store.read_unaccounted("k", offset, &mut buf),
+                    store.write_at("k", offset, &[9u8; 8]),
+                ]
+                .map(|r| r.map_err(|e| e.kind()));
+                let eof = Err(ErrorKind::UnexpectedEof);
+                assert_eq!(
+                    kinds, [eof; 3],
+                    "{name}: read, side read, write at {offset}"
+                );
+            }
+            assert_eq!(store.read_all("k")?, [1u8; 16], "{name} unchanged");
+        }
         Ok(())
     }
 

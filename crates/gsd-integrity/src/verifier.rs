@@ -21,10 +21,9 @@ use crate::hash::crc32;
 use crate::manifest::{IntegritySection, ObjectEntry};
 use crate::verify::{CorruptionResponse, VerifyPolicy};
 use gsd_io::SharedStorage;
-use gsd_trace::{null_sink, TraceEvent, TraceSink};
+use gsd_trace::{null_sink, Counter, TraceEvent, TraceSink};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Monotonic verification counters, snapshotted by engines at run start
@@ -70,9 +69,9 @@ pub struct GridVerifier {
     verified: Mutex<BTreeSet<String>>,
     /// Prefix-relative keys quarantined so far (sorted for stable output).
     quarantined: Mutex<BTreeSet<String>>,
-    verify_bytes: AtomicU64,
-    corrupt_blocks: AtomicU64,
-    repaired_blocks: AtomicU64,
+    verify_bytes: Counter,
+    corrupt_blocks: Counter,
+    repaired_blocks: Counter,
 }
 
 impl GridVerifier {
@@ -94,9 +93,9 @@ impl GridVerifier {
             sink: Mutex::new(null_sink()),
             verified: Mutex::new(BTreeSet::new()),
             quarantined: Mutex::new(BTreeSet::new()),
-            verify_bytes: AtomicU64::new(0),
-            corrupt_blocks: AtomicU64::new(0),
-            repaired_blocks: AtomicU64::new(0),
+            verify_bytes: Counter::new(),
+            corrupt_blocks: Counter::new(),
+            repaired_blocks: Counter::new(),
         }
     }
 
@@ -120,9 +119,9 @@ impl GridVerifier {
     /// Current counter values.
     pub fn counters(&self) -> VerifyCounters {
         VerifyCounters {
-            verify_bytes: self.verify_bytes.load(Ordering::Relaxed),
-            corrupt_blocks: self.corrupt_blocks.load(Ordering::Relaxed),
-            repaired_blocks: self.repaired_blocks.load(Ordering::Relaxed),
+            verify_bytes: self.verify_bytes.get(),
+            corrupt_blocks: self.corrupt_blocks.get(),
+            repaired_blocks: self.repaired_blocks.get(),
         }
     }
 
@@ -138,7 +137,7 @@ impl GridVerifier {
     }
 
     fn mark_verified(&self, rel_key: &str, bytes: u64, full_key: &str) {
-        self.verify_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.verify_bytes.add(bytes);
         self.verified.lock().insert(rel_key.to_string());
         self.emit(TraceEvent::ChecksumOk {
             key: full_key.to_string(),
@@ -277,14 +276,16 @@ impl GridVerifier {
         mut buf: Option<&mut [u8]>,
         observed_crc: Option<u32>,
     ) -> gsd_io::Result<()> {
-        self.corrupt_blocks.fetch_add(1, Ordering::Relaxed);
+        self.corrupt_blocks.add(1);
         let error = self.corruption_error(key, entry, observed_crc);
         let (expected, actual) = match &error.kind {
             crate::CorruptionKind::ChecksumMismatch { expected, actual } => {
                 (u64::from(*expected), u64::from(*actual))
             }
             crate::CorruptionKind::LengthMismatch { expected, actual } => (*expected, *actual),
-            _ => (u64::from(entry.crc), 0),
+            crate::CorruptionKind::Missing | crate::CorruptionKind::ManifestCorrupt { .. } => {
+                (u64::from(entry.crc), 0)
+            }
         };
         self.emit(TraceEvent::CorruptionDetected {
             key: key.to_string(),
@@ -311,7 +312,7 @@ impl GridVerifier {
                         }
                         buf.copy_from_slice(&clean);
                     }
-                    self.repaired_blocks.fetch_add(1, Ordering::Relaxed);
+                    self.repaired_blocks.add(1);
                     if let Some(rel) = self.rel(key) {
                         self.mark_verified(rel, entry.len, key);
                     }
@@ -369,7 +370,7 @@ impl SideReadError {
     fn observed_crc(&self) -> Option<u32> {
         match self {
             SideReadError::Checksum(crc) => Some(*crc),
-            _ => None,
+            SideReadError::Length | SideReadError::Unreadable => None,
         }
     }
 }

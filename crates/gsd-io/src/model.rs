@@ -80,7 +80,7 @@ impl DiskModel {
     /// break-even every request planner derives from: two wanted ranges
     /// closer than this are cheaper to fetch as one request than as two.
     pub fn seek_break_even_bytes(&self) -> u64 {
-        (self.seek_latency.as_secs_f64() * self.seq_read_bps) as u64
+        whole_u64(self.seek_latency.as_secs_f64() * self.seq_read_bps)
     }
 
     /// The widest gap, counted in units of `unit_bytes` (an index entry,
@@ -138,7 +138,19 @@ impl Default for DiskModel {
 }
 
 fn secs_to_duration(secs: f64) -> Duration {
-    Duration::from_nanos((secs * 1e9).round() as u64)
+    Duration::from_nanos(whole_u64((secs * 1e9).round()))
+}
+
+/// `value` rounded toward zero to a `u64`, saturating exactly like
+/// `value as u64` (NaN and negatives give 0, too-large values
+/// `u64::MAX`) but without a cast: a whole number of seconds converts to
+/// a `Duration` exactly, and `as_secs` reads it back.
+fn whole_u64(value: f64) -> u64 {
+    match Duration::try_from_secs_f64(value.trunc()) {
+        Ok(whole) => whole.as_secs(),
+        Err(_) if value > 0.0 => u64::MAX,
+        Err(_) => 0,
+    }
 }
 
 /// Inputs of the on-demand cost formula `C_r` that depend on the current
@@ -344,6 +356,27 @@ mod tests {
         assert_eq!(h.bridge_gap(4), 320_000);
         assert_eq!(n.bridge_gap(12), 3_750);
         assert_eq!(n.bridge_gap(1 << 20), 1, "neighbours always bridge");
+    }
+
+    #[test]
+    fn whole_u64_saturates_like_a_cast() {
+        let cases = [
+            (0.0, 0),
+            (-0.0, 0),
+            (0.999_999, 0),
+            (1.0, 1),
+            (41_599.999_999_999_99, 41_599),
+            (4.5e15 + 0.5, 4_500_000_000_000_000),
+            (1.8e19, 18_000_000_000_000_000_000),
+            (1.9e19, u64::MAX),
+            (f64::INFINITY, u64::MAX),
+            (-1.5, 0),
+            (f64::NEG_INFINITY, 0),
+            (f64::NAN, 0),
+        ];
+        for (value, want) in cases {
+            assert_eq!(whole_u64(value), want, "{value}");
+        }
     }
 
     #[test]

@@ -11,28 +11,26 @@
 //! rather than trusted from caller hints, so baseline engines cannot
 //! accidentally under-report seeks.
 
+use gsd_trace::Counter;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic I/O counters. All methods use `Relaxed` ordering: the counters
-/// are statistically aggregated, never used to establish happens-before
-/// edges between threads (see "Rust Atomics and Locks" §3 — pure counters
-/// need no synchronization beyond atomicity).
+/// Monotonic I/O counters, each a [`Counter`]: they are statistically
+/// aggregated, never used to order other memory between threads.
 #[derive(Debug, Default)]
 pub struct IoStats {
-    seq_read_bytes: AtomicU64,
-    rand_read_bytes: AtomicU64,
-    write_bytes: AtomicU64,
-    seq_read_ops: AtomicU64,
-    rand_read_ops: AtomicU64,
-    write_ops: AtomicU64,
+    seq_read_bytes: Counter,
+    rand_read_bytes: Counter,
+    write_bytes: Counter,
+    seq_read_ops: Counter,
+    rand_read_ops: Counter,
+    write_ops: Counter,
     /// Virtual nanoseconds charged by a [`crate::SimDisk`] backend.
     /// Always zero for real backends (their cost is wall-clock time).
-    sim_nanos: AtomicU64,
+    sim_nanos: Counter,
     /// Transient I/O errors retried by a retry layer (`gsd_integrity::RetryingStorage`).
-    retried_ops: AtomicU64,
+    retried_ops: Counter,
     /// Operations abandoned after the retry budget was exhausted.
-    gave_up_ops: AtomicU64,
+    gave_up_ops: Counter,
 }
 
 impl IoStats {
@@ -43,45 +41,45 @@ impl IoStats {
 
     /// Records a sequential read of `bytes` bytes.
     pub fn record_seq_read(&self, bytes: u64) {
-        self.seq_read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.seq_read_ops.fetch_add(1, Ordering::Relaxed);
+        self.seq_read_bytes.add(bytes);
+        self.seq_read_ops.add(1);
     }
 
     /// Records a random (seek-preceded) read of `bytes` bytes.
     pub fn record_rand_read(&self, bytes: u64) {
-        self.rand_read_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.rand_read_ops.fetch_add(1, Ordering::Relaxed);
+        self.rand_read_bytes.add(bytes);
+        self.rand_read_ops.add(1);
     }
 
     /// Records a write of `bytes` bytes.
     pub fn record_write(&self, bytes: u64) {
-        self.write_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.write_ops.fetch_add(1, Ordering::Relaxed);
+        self.write_bytes.add(bytes);
+        self.write_ops.add(1);
     }
 
     /// Adds `nanos` of simulated device time to the virtual clock.
     pub fn add_sim_nanos(&self, nanos: u64) {
-        self.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.sim_nanos.add(nanos);
     }
 
     /// Records one retried transient I/O error.
     pub fn record_retry(&self) {
-        self.retried_ops.fetch_add(1, Ordering::Relaxed);
+        self.retried_ops.add(1);
     }
 
     /// Records one operation abandoned after exhausting its retry budget.
     pub fn record_giveup(&self) {
-        self.gave_up_ops.fetch_add(1, Ordering::Relaxed);
+        self.gave_up_ops.add(1);
     }
 
     /// Total bytes read (sequential + random).
     pub fn read_bytes(&self) -> u64 {
-        self.seq_read_bytes.load(Ordering::Relaxed) + self.rand_read_bytes.load(Ordering::Relaxed)
+        self.seq_read_bytes.get() + self.rand_read_bytes.get()
     }
 
     /// Total bytes written.
     pub fn written_bytes(&self) -> u64 {
-        self.write_bytes.load(Ordering::Relaxed)
+        self.write_bytes.get()
     }
 
     /// Total traffic: bytes read + bytes written. This is the quantity the
@@ -92,36 +90,36 @@ impl IoStats {
 
     /// Simulated device time accumulated so far.
     pub fn sim_time(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos(self.sim_nanos.load(Ordering::Relaxed))
+        std::time::Duration::from_nanos(self.sim_nanos.get())
     }
 
     /// Takes an immutable snapshot of all counters.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
-            seq_read_bytes: self.seq_read_bytes.load(Ordering::Relaxed),
-            rand_read_bytes: self.rand_read_bytes.load(Ordering::Relaxed),
-            write_bytes: self.write_bytes.load(Ordering::Relaxed),
-            seq_read_ops: self.seq_read_ops.load(Ordering::Relaxed),
-            rand_read_ops: self.rand_read_ops.load(Ordering::Relaxed),
-            write_ops: self.write_ops.load(Ordering::Relaxed),
-            sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
-            retried_ops: self.retried_ops.load(Ordering::Relaxed),
-            gave_up_ops: self.gave_up_ops.load(Ordering::Relaxed),
+            seq_read_bytes: self.seq_read_bytes.get(),
+            rand_read_bytes: self.rand_read_bytes.get(),
+            write_bytes: self.write_bytes.get(),
+            seq_read_ops: self.seq_read_ops.get(),
+            rand_read_ops: self.rand_read_ops.get(),
+            write_ops: self.write_ops.get(),
+            sim_nanos: self.sim_nanos.get(),
+            retried_ops: self.retried_ops.get(),
+            gave_up_ops: self.gave_up_ops.get(),
         }
     }
 
     /// Resets every counter to zero. Used between experiment phases (e.g.
     /// to separate preprocessing traffic from execution traffic).
     pub fn reset(&self) {
-        self.seq_read_bytes.store(0, Ordering::Relaxed);
-        self.rand_read_bytes.store(0, Ordering::Relaxed);
-        self.write_bytes.store(0, Ordering::Relaxed);
-        self.seq_read_ops.store(0, Ordering::Relaxed);
-        self.rand_read_ops.store(0, Ordering::Relaxed);
-        self.write_ops.store(0, Ordering::Relaxed);
-        self.sim_nanos.store(0, Ordering::Relaxed);
-        self.retried_ops.store(0, Ordering::Relaxed);
-        self.gave_up_ops.store(0, Ordering::Relaxed);
+        self.seq_read_bytes.reset();
+        self.rand_read_bytes.reset();
+        self.write_bytes.reset();
+        self.seq_read_ops.reset();
+        self.rand_read_ops.reset();
+        self.write_ops.reset();
+        self.sim_nanos.reset();
+        self.retried_ops.reset();
+        self.gave_up_ops.reset();
     }
 }
 

@@ -9,7 +9,8 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "designated concurrency module: SimDisk/FileStorage interior locking (object map, head cursor, handle cache)"
+    clippy::disallowed_types,
+    reason = "designated concurrency and file module: SimDisk/FileStorage interior locking (object map, head cursor), and FileStorage is the one place graph data touches std::fs"
 )]
 
 use crate::model::DiskModel;
@@ -19,8 +20,10 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{Error, ErrorKind, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Convenience alias for a shareable dynamic storage handle.
 pub type SharedStorage = Arc<dyn Storage>;
@@ -103,7 +106,12 @@ pub trait Storage: Send + Sync {
     /// backends do.) Backends that can snapshot atomically override this
     /// (`MemStorage` clones the object handle under its lock).
     fn read_all(&self, key: &str) -> crate::Result<Vec<u8>> {
-        let n = self.len(key)? as usize;
+        let n = usize::try_from(self.len(key)?).map_err(|_| {
+            Error::new(
+                ErrorKind::OutOfMemory,
+                format!("object {key} does not fit in memory"),
+            )
+        })?;
         let mut buf = vec![0u8; n];
         if n > 0 {
             self.read_at(key, 0, &mut buf).map_err(|e| {
@@ -136,13 +144,29 @@ fn not_found(key: &str) -> Error {
 }
 
 fn out_of_range(key: &str, offset: u64, len: usize, size: u64) -> Error {
+    // In u128 so the message of a range ending past `u64::MAX` is exact too.
+    let end = u128::from(offset) + len as u128;
     Error::new(
         ErrorKind::UnexpectedEof,
-        format!(
-            "range {offset}..{} out of bounds for object {key} of {size} bytes",
-            offset + len as u64
-        ),
+        format!("range {offset}..{end} out of bounds for object {key} of {size} bytes"),
     )
+}
+
+/// `offset..offset + len` as an index range into an object of `size`
+/// bytes, or the trait's `UnexpectedEof` when the range does not fit —
+/// including a range whose end overflows.
+fn span(key: &str, offset: u64, len: usize, size: usize) -> crate::Result<Range<usize>> {
+    usize::try_from(offset)
+        .ok()
+        .and_then(|start| Some(start..start.checked_add(len)?))
+        .filter(|range| range.end <= size)
+        .ok_or_else(|| out_of_range(key, offset, len, size as u64))
+}
+
+/// A virtual-clock charge in whole nanoseconds (saturating, which only a
+/// price of more than 584 years could reach).
+fn nanos(cost: Duration) -> u64 {
+    u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Tracks, per key, where the previous read and write ended, so requests can
@@ -158,14 +182,14 @@ impl Cursors {
     fn note_read(&mut self, key: &str, offset: u64, len: u64) -> bool {
         let end = self.read_end.entry(key.to_owned()).or_insert(u64::MAX);
         let discontiguous = *end != offset;
-        *end = offset + len;
+        *end = offset.saturating_add(len);
         discontiguous
     }
 
     fn note_write(&mut self, key: &str, offset: u64, len: u64) -> bool {
         let end = self.write_end.entry(key.to_owned()).or_insert(u64::MAX);
         let discontiguous = *end != offset;
-        *end = offset + len;
+        *end = offset.saturating_add(len);
         discontiguous
     }
 
@@ -195,6 +219,15 @@ impl MemStorage {
             stats: Arc::new(IoStats::new()),
         }
     }
+
+    /// The current content of object `key`, or `NotFound`.
+    fn object(&self, key: &str) -> crate::Result<Arc<Vec<u8>>> {
+        self.objects
+            .read()
+            .get(key)
+            .cloned()
+            .ok_or_else(|| not_found(key))
+    }
 }
 
 impl Default for MemStorage {
@@ -214,18 +247,8 @@ impl Storage for MemStorage {
     }
 
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
-        let obj = self
-            .objects
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| not_found(key))?;
-        let start = offset as usize;
-        let end = start + buf.len();
-        if end > obj.len() {
-            return Err(out_of_range(key, offset, buf.len(), obj.len() as u64));
-        }
-        buf.copy_from_slice(&obj[start..end]);
+        let obj = self.object(key)?;
+        buf.copy_from_slice(&obj[span(key, offset, buf.len(), obj.len())?]);
         let discontiguous = self.cursors.lock().note_read(key, offset, buf.len() as u64);
         if discontiguous {
             self.stats.record_rand_read(buf.len() as u64);
@@ -236,18 +259,8 @@ impl Storage for MemStorage {
     }
 
     fn read_unaccounted(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
-        let obj = self
-            .objects
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| not_found(key))?;
-        let start = offset as usize;
-        let end = start + buf.len();
-        if end > obj.len() {
-            return Err(out_of_range(key, offset, buf.len(), obj.len() as u64));
-        }
-        buf.copy_from_slice(&obj[start..end]);
+        let obj = self.object(key)?;
+        buf.copy_from_slice(&obj[span(key, offset, buf.len(), obj.len())?]);
         Ok(())
     }
 
@@ -257,12 +270,7 @@ impl Storage for MemStorage {
         // snapshots the whole content. Accounting matches the default
         // len-then-read path exactly (one whole-object read at offset 0;
         // empty objects are read for free).
-        let obj = self
-            .objects
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| not_found(key))?;
+        let obj = self.object(key)?;
         if obj.is_empty() {
             return Ok(Vec::new());
         }
@@ -278,12 +286,8 @@ impl Storage for MemStorage {
     fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
         let mut objects = self.objects.write();
         let obj = objects.get_mut(key).ok_or_else(|| not_found(key))?;
-        let start = offset as usize;
-        let end = start + data.len();
-        if end > obj.len() {
-            return Err(out_of_range(key, offset, data.len(), obj.len() as u64));
-        }
-        Arc::make_mut(obj)[start..end].copy_from_slice(data);
+        let range = span(key, offset, data.len(), obj.len())?;
+        Arc::make_mut(obj)[range].copy_from_slice(data);
         drop(objects);
         self.cursors
             .lock()
@@ -364,6 +368,18 @@ impl FileStorage {
         }
         Ok(self.root.join(key))
     }
+
+    /// Opens `key` for a read of `len` bytes at `offset`. A range ending
+    /// past `i64::MAX` is no file position (`pread` would fail with
+    /// `EINVAL`), so it is reported as the out-of-range read it is.
+    fn open_for_read(&self, key: &str, offset: u64, len: usize) -> crate::Result<fs::File> {
+        let f = fs::File::open(self.path_of(key)?).map_err(|_| not_found(key))?;
+        let end = offset.checked_add(len as u64);
+        if end.and_then(|end| i64::try_from(end).ok()).is_none() {
+            return Err(out_of_range(key, offset, len, f.metadata()?.len()));
+        }
+        Ok(f)
+    }
 }
 
 impl Storage for FileStorage {
@@ -388,9 +404,8 @@ impl Storage for FileStorage {
 
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
         use std::os::unix::fs::FileExt;
-        let path = self.path_of(key)?;
-        let f = fs::File::open(&path).map_err(|_| not_found(key))?;
-        f.read_exact_at(buf, offset)?;
+        self.open_for_read(key, offset, buf.len())?
+            .read_exact_at(buf, offset)?;
         let discontiguous = self.cursors.lock().note_read(key, offset, buf.len() as u64);
         if discontiguous {
             self.stats.record_rand_read(buf.len() as u64);
@@ -402,9 +417,8 @@ impl Storage for FileStorage {
 
     fn read_unaccounted(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
         use std::os::unix::fs::FileExt;
-        let path = self.path_of(key)?;
-        let f = fs::File::open(&path).map_err(|_| not_found(key))?;
-        f.read_exact_at(buf, offset)?;
+        self.open_for_read(key, offset, buf.len())?
+            .read_exact_at(buf, offset)?;
         Ok(())
     }
 
@@ -416,7 +430,10 @@ impl Storage for FileStorage {
             .open(&path)
             .map_err(|_| not_found(key))?;
         let size = f.metadata()?.len();
-        if offset + data.len() as u64 > size {
+        if offset
+            .checked_add(data.len() as u64)
+            .is_none_or(|end| end > size)
+        {
             return Err(out_of_range(key, offset, data.len(), size));
         }
         f.write_all_at(data, offset)?;
@@ -541,7 +558,7 @@ impl Storage for SimDisk {
         let cost = self.disk.write_cost(data.len() as u64, false);
         self.inner.create(key, data)?;
         self.cursors.lock().forget(key);
-        self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
+        self.inner.stats.add_sim_nanos(nanos(cost));
         Ok(())
     }
 
@@ -557,7 +574,7 @@ impl Storage for SimDisk {
             cursors.forget(key);
         })?;
         let cost = self.disk.read_cost(buf.len() as u64, discontiguous);
-        self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
+        self.inner.stats.add_sim_nanos(nanos(cost));
         Ok(())
     }
 
@@ -571,7 +588,7 @@ impl Storage for SimDisk {
     fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
         self.inner.write_at(key, offset, data)?;
         let cost = self.disk.write_cost(data.len() as u64, false);
-        self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
+        self.inner.stats.add_sim_nanos(nanos(cost));
         Ok(())
     }
 
@@ -605,7 +622,7 @@ impl Storage for SimDisk {
         // the checkpoint commit protocol has a deterministic, nonzero
         // virtual-clock cost.
         let cost = self.disk.seek_latency;
-        self.inner.stats.add_sim_nanos(cost.as_nanos() as u64);
+        self.inner.stats.add_sim_nanos(nanos(cost));
         Ok(())
     }
 }
@@ -669,7 +686,7 @@ mod tests {
         let before = store.stats().snapshot();
         store.sync()?;
         let delta = store.stats().snapshot().since(&before);
-        assert_eq!(delta.sim_nanos, disk.seek_latency.as_nanos() as u64);
+        assert_eq!(delta.sim_nanos, nanos(disk.seek_latency));
         assert_eq!(delta.total_traffic(), 0, "a flush transfers no bytes");
         Ok(())
     }

@@ -8,11 +8,16 @@
 //! under an intermediate parent the guard does not own and would leak on
 //! drop, so it is rejected up front.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a scratch directory is created and removed on the real file system, outside any Storage"
+)]
+
+use gsd_trace::Counter;
 use std::io::{Error, ErrorKind};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static COUNTER: AtomicU64 = AtomicU64::new(0);
+static COUNTER: Counter = Counter::new();
 
 /// A directory under the system temp dir that is removed on drop.
 #[derive(Debug)]
@@ -43,7 +48,7 @@ impl TempDir {
                 format!("temp dir parent is not a directory: {}", parent.display()),
             ));
         }
-        let id = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let id = COUNTER.add(1);
         let path = parent.join(format!("{prefix}-{}-{}", std::process::id(), id));
         std::fs::create_dir(&path)?;
         // From here the guard owns the directory: any later panic in the

@@ -2,88 +2,36 @@
 //!
 //! gsd-lint is dependency-free, so it ships a tiny TOML-subset parser that
 //! covers exactly what rule configuration needs: `[section]` headers,
-//! `key = "string"`, `key = true/false`, and single- or multi-line string
-//! arrays. `lint.toml` is the only source of scopes: there are no built-in
-//! defaults to fall back to, so unknown sections, keys or rule ids — and a
-//! path-scoped rule without `paths` — are errors, never a silent no-op.
+//! `key = "string"`, and single- or multi-line string arrays. `lint.toml`
+//! is the only source of scopes: there are no built-in defaults to fall
+//! back to, so unknown sections, keys or rule ids — and a path-scoped rule
+//! without `paths` — are errors, never a silent no-op.
 
 use crate::rules::{is_retired, rule_info, RULES};
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// How a diagnostic from a rule is treated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Reported and fails the run (exit code 1).
-    Error,
-    /// Reported but does not fail the run.
-    Warn,
-    /// Rule disabled.
-    Off,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Error => "error",
-            Severity::Warn => "warn",
-            Severity::Off => "off",
-        })
-    }
-}
-
-impl Severity {
-    fn parse(text: &str) -> Result<Severity, String> {
-        match text {
-            "error" => Ok(Severity::Error),
-            "warn" => Ok(Severity::Warn),
-            "off" => Ok(Severity::Off),
-            other => Err(format!(
-                "unknown severity `{other}` (expected error | warn | off)"
-            )),
-        }
-    }
-}
-
-/// Per-rule configuration: severity plus the path scoping knobs a rule
-/// consults. Path entries are workspace-relative, `/`-separated prefixes
-/// (a trailing file name matches exactly; a directory matches everything
+/// Full lint configuration: file walking plus each path-scoped rule's
+/// scope. Path entries are workspace-relative, `/`-separated prefixes (a
+/// trailing file name matches exactly; a directory matches everything
 /// under it).
-#[derive(Debug, Clone, Default)]
-pub struct RuleConfig {
-    /// Severity; `None` means `error`.
-    pub severity: Option<Severity>,
-    /// Paths the rule applies to (path-scoped rules apply nowhere else).
-    pub paths: Vec<String>,
-    /// Paths exempt from the rule even when inside `paths`.
-    pub allow_paths: Vec<String>,
-    /// Identifier allow list (GSD010: counter fields/statics that may use
-    /// `Ordering::Relaxed`).
-    pub idents: Vec<String>,
-    /// Enum names the rule applies to (GSD012: enums whose matches must
-    /// be exhaustive).
-    pub enums: Vec<String>,
-}
-
-/// Full lint configuration: file walking plus per-rule settings.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// Top-level directories to walk for `.rs` files.
-    pub include: Vec<String>,
+    pub(crate) include: Vec<String>,
     /// Path prefixes to skip entirely (fixtures, vendor, build output).
-    pub exclude: Vec<String>,
-    /// Per-rule settings keyed by rule id (`"GSD001"`).
-    pub rules: BTreeMap<String, RuleConfig>,
+    pub(crate) exclude: Vec<String>,
+    /// `paths` of each `[rules.GSDnnn]` table, keyed by rule id.
+    paths: BTreeMap<String, Vec<String>>,
     /// File defining the trace-event enum checked by GSD004.
-    pub event_file: String,
+    pub(crate) event_file: String,
     /// Name of the trace-event enum checked by GSD004.
-    pub event_enum: String,
+    pub(crate) event_enum: String,
 }
 
 impl LintConfig {
-    /// Settings for `rule`; an empty [`RuleConfig`] if it has no table.
-    pub fn rule(&self, rule: &str) -> RuleConfig {
-        self.rules.get(rule).cloned().unwrap_or_default()
+    /// The paths `rule` applies to; empty if it has no table.
+    pub(crate) fn paths(&self, rule: &str) -> &[String] {
+        self.paths.get(rule).map_or(&[], Vec::as_slice)
     }
 
     /// Parses a `lint.toml` document. Errors are human-readable strings
@@ -93,7 +41,7 @@ impl LintConfig {
         let mut cfg = LintConfig {
             include: Vec::new(),
             exclude: Vec::new(),
-            rules: BTreeMap::new(),
+            paths: BTreeMap::new(),
             event_file: String::new(),
             event_enum: String::new(),
         };
@@ -122,22 +70,16 @@ impl LintConfig {
                     if rule_info(&id).is_none() {
                         return Err(format!("[{rule}]: `{id}` is not a gsd-lint rule"));
                     }
-                    let mut rc = RuleConfig::default();
+                    let mut paths = Vec::new();
                     for (key, value) in entries {
                         match key.as_str() {
-                            "severity" => {
-                                rc.severity = Some(Severity::parse(&value.as_str(section, key)?)?)
-                            }
-                            "paths" => rc.paths = value.as_list(section, key)?,
-                            "allow_paths" => rc.allow_paths = value.as_list(section, key)?,
-                            "idents" => rc.idents = value.as_list(section, key)?,
-                            "enums" => rc.enums = value.as_list(section, key)?,
+                            "paths" => paths = value.as_list(section, key)?,
                             other => {
                                 return Err(format!("unknown key `{other}` in [{rule}]"));
                             }
                         }
                     }
-                    cfg.rules.insert(id, rc);
+                    cfg.paths.insert(id, paths);
                 }
                 other => return Err(format!("unknown section [{other}]")),
             }
@@ -146,10 +88,9 @@ impl LintConfig {
             return Err("[lint] include is missing: nothing would be scanned".to_string());
         }
         for info in RULES.iter().filter(|r| r.scoped) {
-            let rc = cfg.rule(info.id);
-            if rc.paths.is_empty() && rc.severity != Some(Severity::Off) {
+            if cfg.paths(info.id).is_empty() {
                 return Err(format!(
-                    "[rules.{}] needs `paths` (or severity = \"off\"): the rule has no built-in scope",
+                    "[rules.{}] needs `paths`: the rule has no built-in scope",
                     info.id
                 ));
             }
@@ -295,28 +236,38 @@ mod tests {
 
     #[test]
     fn retired_and_unknown_rule_tables_are_rejected() {
-        let err = LintConfig::parse(&doc("[rules.GSD001]\nseverity = \"error\"")).unwrap_err();
-        assert!(err.contains("retired"), "{err}");
-        let err = LintConfig::parse(&doc("[rules.GSD0O6]\nseverity = \"error\"")).unwrap_err();
+        for id in ["GSD001", "GSD006", "GSD010", "GSD011", "GSD012"] {
+            let err = LintConfig::parse(&doc(&format!("[rules.{id}]\npaths = [\"crates\"]")))
+                .unwrap_err();
+            assert!(err.contains("retired"), "{id}: {err}");
+        }
+        let err = LintConfig::parse(&doc("[rules.GSD0O6]\npaths = [\"crates\"]")).unwrap_err();
         assert!(err.contains("not a gsd-lint rule"), "{err}");
     }
 
     #[test]
-    fn parses_sections_severities_and_multiline_arrays() {
+    fn retired_keys_are_rejected() {
+        for key in ["severity", "allow_paths", "idents", "enums"] {
+            let err =
+                LintConfig::parse(&doc(&format!("[rules.GSD003]\n{key} = \"x\""))).unwrap_err();
+            assert!(err.contains(&format!("unknown key `{key}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn parses_sections_comments_and_multiline_arrays() {
         let cfg = LintConfig::parse(&doc(r#"
             # comment
-            [rules.GSD004]
-            severity = "warn"   # trailing comment
-            allow_paths = [
+            [rules.GSD003]
+            paths = [   # trailing comment
                 "crates/gsd-trace/",
                 "crates/gsd-bench/",
             ]
             "#))
         .expect("parses");
-        assert_eq!(cfg.rule("GSD004").severity, Some(Severity::Warn));
         assert_eq!(
-            cfg.rule("GSD004").allow_paths,
-            vec!["crates/gsd-trace/", "crates/gsd-bench/"]
+            cfg.paths("GSD003"),
+            ["crates/gsd-trace/", "crates/gsd-bench/"]
         );
     }
 
@@ -324,12 +275,6 @@ mod tests {
     fn unknown_key_is_rejected() {
         let err = LintConfig::parse("[lint]\nincluude = [\"src\"]").unwrap_err();
         assert!(err.contains("incluude"), "{err}");
-    }
-
-    #[test]
-    fn unknown_severity_is_rejected() {
-        let err = LintConfig::parse("[rules.GSD003]\nseverity = \"fatal\"").unwrap_err();
-        assert!(err.contains("fatal"), "{err}");
     }
 
     #[test]

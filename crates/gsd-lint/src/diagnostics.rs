@@ -1,82 +1,28 @@
-//! Diagnostic type and the human / JSON renderers.
+//! The diagnostic type and its one rendering.
 
-use crate::config::Severity;
-use std::fmt::Write as _;
-
-/// One finding: a rule violation at a source location.
+/// One finding: a rule violation at a source location. Every finding is
+/// an error.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     /// Stable rule id (`"GSD003"`).
     pub rule: &'static str,
-    /// Effective severity after `lint.toml` overrides.
-    pub severity: Severity,
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// 1-based column number (`1` when the rule has no finer anchor).
-    pub col: u32,
     /// Human-readable explanation ending in the suggested remedy.
     pub message: String,
 }
 
 impl Diagnostic {
-    /// `file:line: severity[RULE] message` — the greppable, editor-
-    /// clickable form.
+    /// `file:line: error[RULE] message` — the greppable, editor-clickable
+    /// form.
     pub fn render_human(&self) -> String {
         format!(
-            "{}:{}: {}[{}] {}",
-            self.file, self.line, self.severity, self.rule, self.message
+            "{}:{}: error[{}] {}",
+            self.file, self.line, self.rule, self.message
         )
     }
-}
-
-/// Renders all diagnostics as a JSON array (hand-rolled: gsd-lint is
-/// dependency-free). Schema per element:
-/// `{"rule","severity","file","line","col","message"}`.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n  {{\"rule\":{},\"severity\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{}}}",
-            json_str(d.rule),
-            json_str(&d.severity.to_string()),
-            json_str(&d.file),
-            d.line,
-            d.col,
-            json_str(&d.message)
-        );
-    }
-    if !diags.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -86,37 +32,14 @@ mod tests {
     #[test]
     fn human_rendering_is_file_line_first() {
         let d = Diagnostic {
-            rule: "GSD001",
-            severity: Severity::Error,
+            rule: "GSD003",
             file: "crates/gsd-io/src/storage.rs".into(),
             line: 42,
-            col: 1,
             message: "bad".into(),
         };
         assert_eq!(
             d.render_human(),
-            "crates/gsd-io/src/storage.rs:42: error[GSD001] bad"
+            "crates/gsd-io/src/storage.rs:42: error[GSD003] bad"
         );
-    }
-
-    #[test]
-    fn json_escapes_quotes_and_newlines() {
-        let d = Diagnostic {
-            rule: "GSD000",
-            severity: Severity::Warn,
-            file: "a.rs".into(),
-            line: 1,
-            col: 1,
-            message: "say \"hi\"\nplease".into(),
-        };
-        let json = render_json(&[d]);
-        assert!(json.contains("\\\"hi\\\""), "{json}");
-        assert!(json.contains("\\n"), "{json}");
-        assert!(json.trim_end().ends_with(']'));
-    }
-
-    #[test]
-    fn empty_diagnostics_render_as_empty_array() {
-        assert_eq!(render_json(&[]), "[]\n");
     }
 }

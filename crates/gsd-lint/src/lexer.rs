@@ -1,7 +1,7 @@
 //! A hand-rolled Rust lexer, just deep enough for token-pattern rules.
 //!
-//! The lexer produces a flat token stream with 1-based line/column
-//! positions and the list of `gsd-lint:` control comments. It understands everything that could make a naive text scan
+//! The lexer produces a flat token stream with 1-based line numbers and
+//! the list of `gsd-lint:` control comments. It understands everything that could make a naive text scan
 //! lie about code structure:
 //!
 //! * line comments and *nested* block comments (Rust block comments nest),
@@ -44,16 +44,9 @@ pub struct Tok {
     pub text: String,
     /// 1-based line the token starts on.
     pub line: u32,
-    /// 1-based column (in characters) the token starts at.
-    pub col: u32,
 }
 
 impl Tok {
-    /// `(line, col)` of the token's first character.
-    pub fn pos(&self) -> (u32, u32) {
-        (self.line, self.col)
-    }
-
     /// True if this token is the given punctuation character.
     pub fn is_punct(&self, ch: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == ch.len_utf8() && self.text.starts_with(ch)
@@ -62,12 +55,6 @@ impl Tok {
     /// True if this token is an identifier with exactly this text.
     pub fn is_ident(&self, text: &str) -> bool {
         self.kind == TokKind::Ident && self.text == text
-    }
-
-    /// Identifier text with any raw-identifier prefix stripped, so
-    /// `r#type` compares equal to the keyword it escapes.
-    pub fn ident_text(&self) -> &str {
-        self.text.strip_prefix("r#").unwrap_or(&self.text)
     }
 }
 
@@ -83,8 +70,6 @@ pub struct Directive {
     /// The rule id inside `allow(…)`, e.g. `"GSD003"`. Empty if the
     /// comment could not be parsed at all.
     pub rule: String,
-    /// The mandatory justification string, if one was given.
-    pub justification: Option<String>,
     /// `None` if well-formed; otherwise why the directive is rejected.
     pub malformed: Option<String>,
 }
@@ -106,25 +91,16 @@ pub fn lex(src: &str) -> Lexed {
         chars: src.chars().collect(),
         pos: 0,
         line: 1,
-        col: 1,
         line_has_code: false,
         out: Lexed::default(),
     }
     .run()
 }
 
-/// Captured position of a token's first character.
-#[derive(Clone, Copy)]
-struct Start {
-    line: u32,
-    col: u32,
-}
-
 struct Lexer {
     chars: Vec<char>,
     pos: usize,
     line: u32,
-    col: u32,
     /// Whether a token has already started on the current line — makes a
     /// `gsd-lint:` comment "trailing" (targets its own line).
     line_has_code: bool,
@@ -145,33 +121,22 @@ impl Lexer {
         self.pos += 1;
         if ch == '\n' {
             self.line += 1;
-            self.col = 1;
             self.line_has_code = false;
-        } else {
-            self.col += 1;
         }
         ch.into()
     }
 
-    fn start(&self) -> Start {
-        Start {
-            line: self.line,
-            col: self.col,
-        }
-    }
-
-    fn push(&mut self, kind: TokKind, text: String, at: Start) {
+    fn push(&mut self, kind: TokKind, text: String, at: u32) {
         self.out.tokens.push(Tok {
             kind,
             text,
-            line: at.line,
-            col: at.col,
+            line: at,
         });
     }
 
     fn run(mut self) -> Lexed {
         while let Some(ch) = self.peek() {
-            let at = self.start();
+            let at = self.line;
             match ch {
                 c if c.is_whitespace() => {
                     self.bump();
@@ -272,7 +237,7 @@ impl Lexer {
         }
     }
 
-    fn string_literal(&mut self, at: Start, prefix: String) {
+    fn string_literal(&mut self, at: u32, prefix: String) {
         let mut text = prefix;
         text.push(self.bump().expect("caller saw an opening quote")); // opening "
         while let Some(ch) = self.bump() {
@@ -291,7 +256,7 @@ impl Lexer {
         self.push(TokKind::Str, text, at);
     }
 
-    fn raw_string_literal(&mut self, at: Start) {
+    fn raw_string_literal(&mut self, at: u32) {
         // r"…", r#"…"#, br#"…"# — already validated by is_raw_string_start.
         let mut text = String::new();
         if self.peek() == Some('b') {
@@ -322,7 +287,7 @@ impl Lexer {
     }
 
     /// `r#ident` — one identifier token, `r#` prefix kept in the text.
-    fn raw_ident(&mut self, at: Start) {
+    fn raw_ident(&mut self, at: u32) {
         let mut text = String::new();
         text.push(self.bump().expect("peeked 'r'"));
         text.push(self.bump().expect("peeked '#'"));
@@ -339,7 +304,7 @@ impl Lexer {
     }
 
     /// A char literal body after an optional already-consumed `b` prefix.
-    fn char_literal(&mut self, at: Start, prefix: String) {
+    fn char_literal(&mut self, at: u32, prefix: String) {
         let mut text = prefix;
         text.push(self.bump().expect("caller saw a tick")); // '
         while let Some(ch) = self.bump() {
@@ -361,7 +326,7 @@ impl Lexer {
     /// `'a` (lifetime) vs `'a'` (char literal). A tick starts a char
     /// literal iff the closing tick follows one scalar (or one escape);
     /// otherwise it is a lifetime / loop label.
-    fn char_or_lifetime(&mut self, at: Start) {
+    fn char_or_lifetime(&mut self, at: u32) {
         let is_char = matches!(
             (self.peek_at(1), self.peek_at(2)),
             (Some('\\'), _) | (Some(_), Some('\''))
@@ -384,7 +349,7 @@ impl Lexer {
         }
     }
 
-    fn ident(&mut self, at: Start) {
+    fn ident(&mut self, at: u32) {
         let mut text = String::new();
         while let Some(ch) = self.peek() {
             if ch == '_' || ch.is_alphanumeric() {
@@ -398,7 +363,7 @@ impl Lexer {
         self.push(TokKind::Ident, text, at);
     }
 
-    fn number(&mut self, at: Start) {
+    fn number(&mut self, at: u32) {
         let mut text = String::new();
         while let Some(ch) = self.peek() {
             // Good enough for linting: digits, underscores, radix/exponent
@@ -469,7 +434,6 @@ fn parse_directive(body: &str, line: u32, trailing: bool) -> Directive {
         line,
         trailing,
         rule: String::new(),
-        justification: None,
         malformed: None,
     };
     let Some(args) = body
@@ -495,11 +459,8 @@ fn parse_directive(body: &str, line: u32, trailing: bool) -> Directive {
     }
     match rest {
         Some(just) if just.len() >= 2 && just.starts_with('"') && just.ends_with('"') => {
-            let inner = &just[1..just.len() - 1];
-            if inner.trim().is_empty() {
+            if just[1..just.len() - 1].trim().is_empty() {
                 d.malformed = Some("justification string is empty".to_string());
-            } else {
-                d.justification = Some(inner.to_string());
             }
         }
         Some(other) => {
@@ -599,7 +560,6 @@ mod tests {
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(ids, vec!["let", "r#type", "r#match", "r#fn"]);
-        assert_eq!(toks.tokens[1].ident_text(), "type");
     }
 
     #[test]
@@ -623,17 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn columns_are_one_based_chars() {
-        let toks = lex("ab cd\n  ef");
-        let cols: Vec<_> = toks
-            .tokens
-            .iter()
-            .map(|t| (t.text.as_str(), t.line, t.col))
-            .collect();
-        assert_eq!(cols, vec![("ab", 1, 1), ("cd", 1, 4), ("ef", 2, 3)]);
-    }
-
-    #[test]
     fn well_formed_directive_parses() {
         let out = lex("// gsd-lint: allow(GSD003, \"the inner read is in-memory\")\nlet x = 1;");
         assert_eq!(out.directives.len(), 1);
@@ -641,10 +590,6 @@ mod tests {
         assert_eq!(d.rule, "GSD003");
         assert!(d.malformed.is_none());
         assert!(!d.trailing);
-        assert_eq!(
-            d.justification.as_deref(),
-            Some("the inner read is in-memory")
-        );
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! `gsd-lint` CLI.
 //!
 //! ```text
-//! gsd-lint check [--root DIR] [--config FILE] [--format human|json]
+//! gsd-lint check [--root DIR] [--config FILE]
 //! gsd-lint rules
 //! ```
 //!
-//! Exit codes: `0` clean (or warnings only), `1` at least one error-level
-//! diagnostic, `2` usage or I/O failure — including a missing config file:
-//! `lint.toml` is the only source of scopes, there is no built-in fallback.
+//! Exit codes: `0` clean, `1` at least one diagnostic, `2` usage or I/O
+//! failure — including a missing or invalid config file: `lint.toml` is the
+//! only source of scopes, there is no built-in fallback.
 
-use gsd_lint::{config::LintConfig, diagnostics, rules, Severity, Workspace};
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the linter reads its config file; it is not graph data behind Storage"
+)]
+
+use gsd_lint::{LintConfig, Workspace, RETIRED, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -17,13 +22,12 @@ const USAGE: &str = "\
 gsd-lint — GraphSD workspace static analysis
 
 USAGE:
-    gsd-lint check [--root DIR] [--config FILE] [--format human|json]
+    gsd-lint check [--root DIR] [--config FILE]
     gsd-lint rules
 
 OPTIONS:
     --root DIR       workspace root to lint (default: .)
     --config FILE    lint config (default: <root>/lint.toml; required)
-    --format FMT     `human` (default) or `json`
 ";
 
 fn main() -> ExitCode {
@@ -31,11 +35,11 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("check") => run_check(&args[1..]),
         Some("rules") => {
-            for r in rules::RULES {
+            for r in RULES {
                 println!("{} {}", r.id, r.summary);
                 println!("       invariant: {}", r.invariant);
             }
-            for (id, lint) in rules::RETIRED {
+            for (id, lint) in RETIRED {
                 println!("{id} retired — enforced by {lint}");
             }
             ExitCode::SUCCESS
@@ -54,7 +58,6 @@ fn main() -> ExitCode {
 fn run_check(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut config_path: Option<PathBuf> = None;
-    let mut json = false;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -66,13 +69,6 @@ fn run_check(args: &[String]) -> ExitCode {
         let result = match arg.as_str() {
             "--root" => value("--root").map(|v| root = PathBuf::from(v)),
             "--config" => value("--config").map(|v| config_path = Some(PathBuf::from(v))),
-            "--format" => value("--format").and_then(|v| match v.as_str() {
-                "human" | "json" => {
-                    json = v == "json";
-                    Ok(())
-                }
-                other => Err(format!("unknown format `{other}` (human | json)")),
-            }),
             other => Err(format!("unknown argument `{other}`")),
         };
         if let Err(msg) = result {
@@ -102,25 +98,17 @@ fn run_check(args: &[String]) -> ExitCode {
         }
     };
     let diags = ws.check(&cfg);
-
-    if json {
-        print!("{}", diagnostics::render_json(&diags));
-    } else {
-        for d in &diags {
-            println!("{}", d.render_human());
-        }
-        let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
-        println!(
-            "gsd-lint: {} file(s) scanned, {} error(s), {} warning(s)",
-            ws.files.len(),
-            count(Severity::Error),
-            count(Severity::Warn)
-        );
+    for d in &diags {
+        println!("{}", d.render_human());
     }
-
-    if gsd_lint::has_errors(&diags) {
-        ExitCode::FAILURE
-    } else {
+    println!(
+        "gsd-lint: {} file(s) scanned, {} error(s)",
+        ws.files.len(),
+        diags.len()
+    );
+    if diags.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

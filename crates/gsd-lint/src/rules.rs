@@ -1,23 +1,23 @@
-//! The rule registry and the seven checks.
+//! The rule registry and the three checks.
 //!
 //! Every rule is a pattern over the token stream from [`crate::lexer`]
 //! plus bracket matching — there is no syntax tree, no name resolution and
-//! no dataflow. Whatever can be said as "this type / this function is
-//! banned" is said to the toolchain instead (`clippy.toml` and the
-//! crate-root `deny` blocks; see [`RETIRED`]). What stays here is what no
-//! off-the-shelf lint expresses: a guard *held across* a storage call, a
-//! trace variant nobody constructs, `Relaxed` on anything but a listed
-//! counter, a catch-all over one particular enum.
+//! no dataflow. Whatever can be said as "this type / this function / this
+//! cast / this arm is banned" is said to the toolchain instead
+//! (`clippy.toml`, the crate-root `deny` blocks and `[workspace.lints]`;
+//! see [`RETIRED`]). What stays here is what no off-the-shelf lint
+//! expresses: a guard *held across* a storage call, and a trace variant
+//! nobody constructs.
 //!
-//! Rules are scoped by the workspace-relative path prefixes in `lint.toml`
-//! — the only source of scopes — and skip *test regions*: `#[cfg(test)]` /
-//! `#[test]` items, and files under `tests/` or `benches/` directories.
+//! GSD003 is scoped by the workspace-relative path prefixes in `lint.toml`
+//! — the only source of scopes — and every rule skips *test regions*:
+//! `#[cfg(test)]` / `#[test]` items, and files under `tests/` or
+//! `benches/` directories.
 
-use crate::config::{LintConfig, Severity};
+use crate::config::LintConfig;
 use crate::diagnostics::Diagnostic;
 use crate::lexer::{Directive, Tok, TokKind};
 use std::collections::BTreeSet;
-use std::ops::Range;
 
 /// Static metadata for one rule.
 #[derive(Debug, Clone, Copy)]
@@ -32,8 +32,7 @@ pub struct RuleInfo {
     pub scoped: bool,
 }
 
-/// The live rules, in id order. Every rule is an error unless `lint.toml`
-/// sets another severity.
+/// The live rules, in id order. Every finding is an error.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "GSD000",
@@ -55,34 +54,6 @@ pub const RULES: &[RuleInfo] = &[
                     no run can ever emit",
         scoped: false,
     },
-    RuleInfo {
-        id: "GSD006",
-        summary: "no `as u32` truncation in graph/offset arithmetic",
-        invariant: "vertex ids and offsets narrow through gsd_graph::narrow so overflow \
-                    fails loudly instead of wrapping",
-        scoped: true,
-    },
-    RuleInfo {
-        id: "GSD010",
-        summary: "Ordering::Relaxed only on allow-listed statistics counters",
-        invariant: "Relaxed is safe only for monotonic counters; on anything else it \
-                    licenses reorderings that break cross-thread protocols",
-        scoped: true,
-    },
-    RuleInfo {
-        id: "GSD011",
-        summary: "no std::fs / File in the engine and kernel crates",
-        invariant: "all engine I/O goes through gsd_io::Storage, the one place bytes are \
-                    accounted, priced and fault-injected",
-        scoped: true,
-    },
-    RuleInfo {
-        id: "GSD012",
-        summary: "no catch-all arm in matches over exhaustiveness-listed enums",
-        invariant: "a `_` arm silently swallows newly-added variants; listing them makes \
-                    every addition a reviewed decision",
-        scoped: true,
-    },
 ];
 
 /// Retired ids and the toolchain lint that took each over. The ids stay
@@ -98,21 +69,37 @@ pub const RETIRED: &[(&str, &str)] = &[
         "GSD005",
         "[workspace.lints.rust] unsafe_code = \"forbid\" (root Cargo.toml)",
     ),
+    (
+        "GSD006",
+        "crate-root deny(clippy::cast_possible_truncation)",
+    ),
     ("GSD007", "clippy::disallowed_types (HashMap, HashSet)"),
     ("GSD008", "clippy::disallowed_types (HashMap, HashSet)"),
     (
         "GSD009",
         "clippy::disallowed_methods (thread/channel/lock ctors)",
     ),
+    (
+        "GSD010",
+        "clippy::disallowed_types (std::sync::atomic::Atomic*; gsd_trace::Counter)",
+    ),
+    (
+        "GSD011",
+        "clippy::disallowed_types / disallowed_methods (std::fs)",
+    ),
+    (
+        "GSD012",
+        "[workspace.lints.clippy] wildcard_enum_match_arm = \"deny\"",
+    ),
 ];
 
 /// Looks up a live rule's metadata by id.
-pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
+pub(crate) fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
 /// True if `id` was a rule once and is now enforced by the toolchain.
-pub fn is_retired(id: &str) -> bool {
+pub(crate) fn is_retired(id: &str) -> bool {
     RETIRED.iter().any(|(r, _)| *r == id)
 }
 
@@ -127,26 +114,26 @@ pub(crate) fn matches_prefix(path: &str, p: &str) -> bool {
 }
 
 /// One lexed file plus the per-token test mask.
-pub struct FileCx<'a> {
+pub(crate) struct FileCx<'a> {
     /// Workspace-relative, `/`-separated path.
-    pub path: &'a str,
+    pub(crate) path: &'a str,
     /// Token stream.
-    pub tokens: &'a [Tok],
+    pub(crate) tokens: &'a [Tok],
     /// `true` where the token sits in test code.
-    pub mask: &'a [bool],
+    pub(crate) mask: &'a [bool],
     /// Control comments from the lexer.
-    pub directives: &'a [Directive],
+    pub(crate) directives: &'a [Directive],
 }
 
 /// True if the whole file is test/bench code by location.
-pub fn path_is_test(path: &str) -> bool {
+fn path_is_test(path: &str) -> bool {
     path.split('/')
         .any(|seg| seg == "tests" || seg == "benches")
 }
 
 /// Computes the per-token test mask: `#[cfg(test)]` / `#[test]` items (the
 /// attribute through the end of the item body) and test-located files.
-pub fn test_mask(path: &str, tokens: &[Tok]) -> Vec<bool> {
+pub(crate) fn test_mask(path: &str, tokens: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     if path_is_test(path) {
         mask.iter_mut().for_each(|m| *m = true);
@@ -255,47 +242,20 @@ fn is_method_call(tokens: &[Tok], k: usize) -> bool {
         && tokens.get(k + 1).is_some_and(|t| t.is_punct('('))
 }
 
-fn severity(id: &str, cfg: &LintConfig) -> Severity {
-    cfg.rule(id).severity.unwrap_or(Severity::Error)
-}
-
-/// A diagnostic for rule `id` at `(line, col)` of `file`.
-fn diag(
-    id: &'static str,
-    cfg: &LintConfig,
-    file: &str,
-    (line, col): (u32, u32),
-    message: String,
-) -> Diagnostic {
+/// A diagnostic for rule `id` at `line` of `file`.
+fn diag(id: &'static str, file: &str, line: u32, message: String) -> Diagnostic {
     Diagnostic {
         rule: id,
-        severity: severity(id, cfg),
         file: file.to_string(),
         line,
-        col,
         message,
     }
-}
-
-fn rule_enabled(id: &str, cfg: &LintConfig) -> bool {
-    severity(id, cfg) != Severity::Off
-}
-
-/// Is the rule on, and `path` inside its `paths` minus its `allow_paths`?
-fn rule_applies(id: &str, path: &str, cfg: &LintConfig) -> bool {
-    let rc = cfg.rule(id);
-    rule_enabled(id, cfg)
-        && rc.paths.iter().any(|p| matches_prefix(path, p))
-        && !rc.allow_paths.iter().any(|p| matches_prefix(path, p))
 }
 
 // ---- GSD000 — malformed directives ----
 
 /// Emits GSD000 for every malformed or unjustified control comment.
-pub fn check_directives(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_enabled("GSD000", cfg) {
-        return;
-    }
+pub(crate) fn check_directives(cx: &FileCx<'_>, out: &mut Vec<Diagnostic>) {
     for d in cx.directives {
         let why = match &d.malformed {
             Some(why) => why.clone(),
@@ -304,7 +264,7 @@ pub fn check_directives(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnos
             }
             None => continue,
         };
-        out.push(diag("GSD000", cfg, cx.path, (d.line, 1), why));
+        out.push(diag("GSD000", cx.path, d.line, why));
     }
 }
 
@@ -341,8 +301,12 @@ const GUARD_METHODS: &[&str] = &["lock", "read", "write"];
 /// Flags `let guard = ….lock()/read()/write();` bindings whose lexical
 /// scope (to the enclosing block's `}` or an explicit `drop(guard)`)
 /// contains a storage I/O call.
-pub fn check_gsd003(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD003", cx.path, cfg) {
+pub(crate) fn check_gsd003(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
+    if !cfg
+        .paths("GSD003")
+        .iter()
+        .any(|p| matches_prefix(cx.path, p))
+    {
         return;
     }
     let toks = cx.tokens;
@@ -363,9 +327,8 @@ pub fn check_gsd003(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>
         if let Some(io) = first_io_call_under(toks, stmt_end + 1, guard) {
             out.push(diag(
                 "GSD003",
-                cfg,
                 cx.path,
-                toks[i].pos(),
+                toks[i].line,
                 format!(
                     "lock guard `{guard}` is held across the storage call `{}` \
                      (line {}) — drop the guard (or copy what you need out \
@@ -441,10 +404,7 @@ fn first_io_call_under<'a>(tokens: &'a [Tok], from: usize, guard: &str) -> Optio
 
 /// Cross-file check: every variant of the trace-event enum must be
 /// constructed in at least one non-test file other than its definition.
-pub fn check_gsd004(files: &[FileCx<'_>], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_enabled("GSD004", cfg) {
-        return;
-    }
+pub(crate) fn check_gsd004(files: &[FileCx<'_>], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     let Some(event_cx) = files.iter().find(|f| f.path == cfg.event_file) else {
         return; // No event file in this workspace view — nothing to check.
     };
@@ -456,9 +416,8 @@ pub fn check_gsd004(files: &[FileCx<'_>], cfg: &LintConfig, out: &mut Vec<Diagno
         if !constructed.contains(variant.text.as_str()) {
             out.push(diag(
                 "GSD004",
-                cfg,
                 event_cx.path,
-                variant.pos(),
+                variant.line,
                 format!(
                     "trace event `{}::{}` is never constructed outside tests — \
                      dead telemetry: either emit it or remove the variant",
@@ -518,245 +477,5 @@ fn collect_constructions<'a>(cx: &FileCx<'a>, enum_name: &str, out: &mut BTreeSe
         if !is_pattern {
             out.insert(&toks[i + 3].text);
         }
-    }
-}
-
-// ---- GSD006 — `as u32` truncation in graph/offset arithmetic ----
-
-/// Flags `as u32` casts in the id/offset-arithmetic crates; narrowing must
-/// go through `gsd_graph::narrow` so truncation fails loudly.
-pub fn check_gsd006(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD006", cx.path, cfg) {
-        return;
-    }
-    for (i, tok) in cx.tokens.iter().enumerate() {
-        if !cx.mask[i]
-            && tok.is_ident("as")
-            && cx.tokens.get(i + 1).is_some_and(|t| t.is_ident("u32"))
-        {
-            out.push(diag(
-                "GSD006",
-                cfg,
-                cx.path,
-                tok.pos(),
-                "`as u32` in graph/offset arithmetic silently truncates — narrow \
-                 through `gsd_graph::narrow` (to_u32/from_usize/…) instead"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-// ---- GSD010 — Ordering::Relaxed outside allow-listed counters ----
-
-/// Flags every `Relaxed` that is not an argument of a method call on one
-/// of the statistics counters listed under `[rules.GSD010] idents`.
-pub fn check_gsd010(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD010", cx.path, cfg) {
-        return;
-    }
-    let allowed = cfg.rule("GSD010").idents;
-    for (i, tok) in cx.tokens.iter().enumerate() {
-        if cx.mask[i] || !tok.is_ident("Relaxed") {
-            continue;
-        }
-        let recv = relaxed_receiver(cx.tokens, i);
-        if recv.is_some_and(|r| allowed.iter().any(|a| a == r)) {
-            continue;
-        }
-        out.push(diag(
-            "GSD010",
-            cfg,
-            cx.path,
-            tok.pos(),
-            format!(
-                "`Ordering::Relaxed` on `{}` — Relaxed is reserved for the \
-                 allow-listed statistics counters; use Acquire/Release, or \
-                 add the counter to [rules.GSD010] idents in lint.toml",
-                recv.unwrap_or("<expression>")
-            ),
-        ));
-    }
-}
-
-/// The receiver of the method call that the token at `i` is an argument
-/// of: `self.write_ops.fetch_add(1, Ordering::Relaxed)` → `write_ops`.
-/// `None` for a free-function call, a `self.method(…)` call, a receiver
-/// that is itself a call result, or a `Relaxed` outside any call.
-fn relaxed_receiver(tokens: &[Tok], i: usize) -> Option<&str> {
-    let mut depth = 0i32;
-    let open = (0..i).rev().find(|&k| {
-        let t = &tokens[k];
-        if t.is_punct(')') {
-            depth += 1;
-        } else if t.is_punct('(') {
-            depth -= 1;
-        }
-        depth < 0 || t.is_punct(';') || t.is_punct('{') || t.is_punct('}')
-    })?;
-    if !tokens[open].is_punct('(') || open < 3 || !is_method_call(tokens, open - 1) {
-        return None;
-    }
-    // Step left over `[index]` groups: `self.counters[i].fetch_add(…)`.
-    let mut r = open - 3;
-    while tokens[r].is_punct(']') {
-        let mut depth = 0i32;
-        r = (0..=r).rev().find(|&k| {
-            depth += i32::from(tokens[k].is_punct(']')) - i32::from(tokens[k].is_punct('['));
-            depth == 0
-        })?;
-        r = r.checked_sub(1)?;
-    }
-    (tokens[r].kind == TokKind::Ident && !tokens[r].is_ident("self"))
-        .then(|| tokens[r].text.as_str())
-}
-
-// ---- GSD011 — no std::fs / File in the engine and kernel crates ----
-
-/// Flags any mention of `File` or an `fs::` path in non-test code of the
-/// engine and kernel crates: their I/O goes through `gsd_io::Storage`. A
-/// name ban — one finding per line.
-pub fn check_gsd011(cx: &FileCx<'_>, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    if !rule_applies("GSD011", cx.path, cfg) {
-        return;
-    }
-    let toks = cx.tokens;
-    let mut last_line = 0u32;
-    for (i, tok) in toks.iter().enumerate() {
-        let hit = tok.is_ident("File")
-            || (tok.is_ident("fs")
-                && (path_sep_at(toks, i + 1) || (i >= 2 && path_sep_at(toks, i - 2))));
-        if cx.mask[i] || !hit || tok.line == last_line {
-            continue;
-        }
-        last_line = tok.line;
-        out.push(diag(
-            "GSD011",
-            cfg,
-            cx.path,
-            tok.pos(),
-            format!(
-                "`{}` in an engine/kernel crate — raw file I/O bypasses the accounted, \
-                 priced and fault-injected block API; go through `gsd_io::Storage`",
-                tok.text
-            ),
-        ));
-    }
-}
-
-// ---- GSD012 — exhaustive matches over listed enums (cross-file) ----
-
-/// Cross-file check: a `match` whose arms name a variant of an enum listed
-/// under `[rules.GSD012] enums` must not have a catch-all arm while
-/// variants remain uncovered.
-pub fn check_gsd012(files: &[FileCx<'_>], cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
-    // Variant sets come from whichever file defines each listed enum.
-    let listed: Vec<(String, Vec<&Tok>)> = cfg
-        .rule("GSD012")
-        .enums
-        .into_iter()
-        .filter_map(|name| {
-            let vars = files
-                .iter()
-                .map(|cx| enum_variants(cx.tokens, &name))
-                .find(|v| !v.is_empty())?;
-            Some((name, vars))
-        })
-        .collect();
-    for cx in files {
-        if !rule_applies("GSD012", cx.path, cfg) {
-            continue;
-        }
-        for (i, tok) in cx.tokens.iter().enumerate() {
-            if cx.mask[i] || !tok.is_ident("match") {
-                continue;
-            }
-            let arms = match_arm_patterns(cx.tokens, i);
-            let Some(catch) = arms.iter().find(|a| is_catch_all(&cx.tokens[(*a).clone()])) else {
-                continue;
-            };
-            for (name, variants) in &listed {
-                let covered: BTreeSet<&str> = arms
-                    .iter()
-                    .flat_map(|a| a.clone())
-                    .filter(|&k| cx.tokens[k].is_ident(name) && path_sep_at(cx.tokens, k + 1))
-                    .filter_map(|k| cx.tokens.get(k + 3).map(|t| t.text.as_str()))
-                    .collect();
-                let missing: Vec<&str> = variants
-                    .iter()
-                    .map(|v| v.text.as_str())
-                    .filter(|v| !covered.contains(v))
-                    .collect();
-                if covered.is_empty() || missing.is_empty() {
-                    continue; // not a match over this enum, or fully listed
-                }
-                out.push(diag(
-                    "GSD012",
-                    cfg,
-                    cx.path,
-                    cx.tokens[catch.start].pos(),
-                    format!(
-                        "catch-all arm in a `match` over `{name}` hides {} unhandled variant(s): \
-                         {} — list them explicitly so adding a variant forces a decision here",
-                        missing.len(),
-                        missing.join(", ")
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Token ranges of the arm patterns (guards included) of the `match` whose
-/// keyword is at `at`.
-fn match_arm_patterns(tokens: &[Tok], at: usize) -> Vec<Range<usize>> {
-    let Some(open) = scan_flat(tokens, at + 1, |t, k| t[k].is_punct('{')) else {
-        return Vec::new();
-    };
-    let close = close_of(tokens, open);
-    let mut arms = Vec::new();
-    let mut k = open + 1;
-    while k < close {
-        if tokens[k].is_punct('#') {
-            k = close_of(tokens, k + 1) + 1; // an attribute on the arm
-            continue;
-        }
-        let Some(arrow) = scan_flat(tokens, k, |t, j| {
-            t[j].is_punct('=') && t.get(j + 1).is_some_and(|n| n.is_punct('>'))
-        }) else {
-            break;
-        };
-        arms.push(k..arrow);
-        // The body is a block, or an expression up to the arm's `,`.
-        let body = arrow + 2;
-        k = if tokens.get(body).is_some_and(|t| t.is_punct('{')) {
-            close_of(tokens, body) + 1
-        } else {
-            scan_flat(tokens, body, |t, j| t[j].is_punct(',')).unwrap_or(close)
-        };
-        if tokens.get(k).is_some_and(|t| t.is_punct(',')) {
-            k += 1;
-        }
-    }
-    arms
-}
-
-/// `_` or a plain lower-case binding (optionally `ref`/`mut`, optionally
-/// guarded) — the arms that swallow variants added later.
-fn is_catch_all(pattern: &[Tok]) -> bool {
-    let end = pattern
-        .iter()
-        .position(|t| t.is_ident("if"))
-        .unwrap_or(pattern.len());
-    let mut words = pattern[..end]
-        .iter()
-        .skip_while(|t| t.is_punct('|') || t.is_ident("ref") || t.is_ident("mut"));
-    match (words.next(), words.next()) {
-        (Some(t), None) if t.kind == TokKind::Ident => {
-            let name = t.ident_text();
-            name.starts_with(|c: char| c.is_lowercase() || c == '_')
-                && !matches!(name, "true" | "false")
-        }
-        _ => false,
     }
 }

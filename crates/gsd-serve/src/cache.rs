@@ -164,11 +164,9 @@ mod tests {
             .into_iter()
             .find(|e| e.kind() == "cache_evict")
             .unwrap();
-        match evict {
-            TraceEvent::CacheEvict { i, j, bytes } => {
-                assert_eq!((i, j, bytes), (0, 1, 100));
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        let TraceEvent::CacheEvict { i, j, bytes } = evict else {
+            panic!("unexpected event {evict:?}");
+        };
+        assert_eq!((i, j, bytes), (0, 1, 100));
     }
 }

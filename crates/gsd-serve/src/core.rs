@@ -104,7 +104,14 @@ impl Traversal {
                 alpha: f32::from_bits(*alpha_bits),
                 iterations: *iterations,
             }),
-            _ => None,
+            Request::Ping
+            | Request::Stats
+            | Request::Degree { .. }
+            | Request::Neighbors { .. }
+            | Request::Run { .. }
+            | Request::Mutate { .. }
+            | Request::Compact
+            | Request::Shutdown => None,
         }
     }
 }
@@ -1001,9 +1008,9 @@ mod tests {
         assert!(!core.cache().is_empty());
 
         // Insert an edge to a vertex nothing else points at uniquely.
-        let before = match core.execute(&Request::Neighbors { v: 5 }) {
-            Response::Neighbors { neighbors } => neighbors,
-            other => panic!("{other:?}"),
+        let resp = core.execute(&Request::Neighbors { v: 5 });
+        let Response::Neighbors { neighbors: before } = resp else {
+            panic!("{resp:?}");
         };
         let ops = vec![
             MutateOp {
@@ -1032,9 +1039,9 @@ mod tests {
         assert_eq!(core.session().grid().delta_epoch(), 1);
 
         // The merged view answers immediately.
-        let after = match core.execute(&Request::Neighbors { v: 5 }) {
-            Response::Neighbors { neighbors } => neighbors,
-            other => panic!("{other:?}"),
+        let resp = core.execute(&Request::Neighbors { v: 5 });
+        let Response::Neighbors { neighbors: after } = resp else {
+            panic!("{resp:?}");
         };
         let mut want = before;
         want.push(99);
@@ -1060,9 +1067,9 @@ mod tests {
         assert_eq!(epoch, 1);
         assert!(segments_folded >= 1);
         assert!(core.session().grid().overlay().is_none());
-        let folded = match core.execute(&Request::Neighbors { v: 5 }) {
-            Response::Neighbors { neighbors } => neighbors,
-            other => panic!("{other:?}"),
+        let resp = core.execute(&Request::Neighbors { v: 5 });
+        let Response::Neighbors { neighbors: folded } = resp else {
+            panic!("{resp:?}");
         };
         assert_eq!(folded, want);
         assert_eq!(rec.count_kind("compaction_finished"), 1);

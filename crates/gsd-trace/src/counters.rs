@@ -1,15 +1,64 @@
-//! Power-of-two-bucket histograms for sizes and latencies.
+//! Shared statistics counters and power-of-two-bucket histograms.
 //!
-//! [`Histogram`] is the shared, lock-free form (one relaxed atomic
-//! increment per counter), named and owned by a [`CounterRegistry`];
+//! [`Counter`] is the workspace's one atomic: every shared statistic (the
+//! I/O, verification and fault-injection counters, the ring recorder's
+//! drop count, the temp-dir sequence, each histogram cell) is one.
+//! [`Histogram`] is the shared, lock-free histogram (one counter
+//! increment per cell), named and owned by a [`CounterRegistry`];
 //! [`HistogramSnapshot`] is its point-in-time copy and, through
 //! [`HistogramSnapshot::record`], the single-owner form the trace fold
 //! accumulates into.
 
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+
+pub use counter::Counter;
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one atomic of the workspace: every shared statistic is a Counter"
+)]
+mod counter {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A shared `u64` statistics counter.
+    ///
+    /// Every access is `Ordering::Relaxed`, and that is enough: the value
+    /// is the counter's only state and publishes no other memory. Relaxed
+    /// read-modify-writes of one atomic are still atomic and totally
+    /// ordered, so no add is lost and [`Counter::add`] hands out distinct
+    /// previous values. What `Relaxed` gives up is ordering against other
+    /// memory, which a statistic never needs: totals are read after the
+    /// measured work is joined, or shown as approximate while it runs. A
+    /// value that must order other memory takes a lock; `clippy.toml`
+    /// bans the raw atomic types everywhere else.
+    #[derive(Debug, Default)]
+    pub struct Counter(AtomicU64);
+
+    impl Counter {
+        /// A counter at zero.
+        pub const fn new() -> Self {
+            Counter(AtomicU64::new(0))
+        }
+
+        /// Adds `n` (wrapping on overflow) and returns the value before
+        /// the add.
+        pub fn add(&self, n: u64) -> u64 {
+            self.0.fetch_add(n, Ordering::Relaxed)
+        }
+
+        /// The current value.
+        pub fn get(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+
+        /// Sets the counter back to zero.
+        pub fn reset(&self) {
+            self.0.store(0, Ordering::Relaxed);
+        }
+    }
+}
 
 /// Number of power-of-two buckets: bucket `k` counts values whose bit
 /// length is `k`, i.e. `v == 0` lands in bucket 0 and `v` in
@@ -32,43 +81,43 @@ fn bucket_upper(k: usize) -> u64 {
 
 /// A fixed-bucket power-of-two histogram over `u64` samples.
 pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+    buckets: [Counter; HISTOGRAM_BUCKETS],
+    count: Counter,
+    sum: Counter,
 }
 
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| Counter::new()),
+            count: Counter::new(),
+            sum: Counter::new(),
         }
     }
 
     /// Records one sample.
     pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.buckets[bucket_of(value)].add(1);
+        self.count.add(1);
+        self.sum.add(value);
     }
 
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count.get()
     }
 
     /// Sum of all recorded samples.
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.sum.get()
     }
 
     /// A point-in-time copy of the non-empty buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         for (k, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
+            let n = b.get();
             if n > 0 {
                 buckets.push((bucket_upper(k), n));
             }

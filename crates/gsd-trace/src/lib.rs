@@ -14,6 +14,8 @@
 //!   [`RingRecorder`] keeps a bounded in-memory window for tests;
 //!   [`JsonlWriter`] streams one JSON object per event; [`FanoutSink`]
 //!   tees to several sinks.
+//! * [`Counter`] — the one shared statistics counter (the only atomic in
+//!   the workspace; `clippy.toml` bans the raw atomic types elsewhere).
 //! * [`Histogram`] / [`HistogramSnapshot`] — power-of-two histograms; the
 //!   trace fold records its I/O-size and stall distributions into
 //!   snapshots. ([`CounterRegistry`] has no in-tree user left: it stays
@@ -36,6 +38,6 @@ pub mod labels;
 pub mod sink;
 
 pub use clock::{timed, Stopwatch};
-pub use counters::{CounterRegistry, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+pub use counters::{Counter, CounterRegistry, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use event::{AccessModel, TraceEvent};
 pub use sink::{null_sink, FanoutSink, JsonlWriter, NullSink, RingRecorder, TraceSink};

@@ -9,15 +9,14 @@
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "designated concurrency module: the shared trace sinks serialise emitters behind their own mutex"
+    reason = "designated concurrency module: the shared trace sinks serialise emitters behind their own mutex (and the JsonlWriter tests read back the file it wrote)"
 )]
 
+use crate::counters::Counter;
 use crate::event::TraceEvent;
 use std::collections::VecDeque;
-use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A consumer of [`TraceEvent`]s. Implementations must be thread-safe:
@@ -59,7 +58,7 @@ pub fn null_sink() -> Arc<dyn TraceSink> {
 pub struct RingRecorder {
     capacity: usize,
     events: Mutex<VecDeque<TraceEvent>>,
-    dropped: AtomicU64,
+    dropped: Counter,
 }
 
 impl RingRecorder {
@@ -68,7 +67,7 @@ impl RingRecorder {
         RingRecorder {
             capacity: capacity.max(1),
             events: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            dropped: AtomicU64::new(0),
+            dropped: Counter::new(),
         }
     }
 
@@ -89,7 +88,7 @@ impl RingRecorder {
 
     /// How many events were dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
     /// Number of recorded events whose [`TraceEvent::kind`] equals `kind`.
@@ -100,7 +99,7 @@ impl RingRecorder {
     /// Discards all recorded events.
     pub fn clear(&self) {
         self.lock().clear();
-        self.dropped.store(0, Ordering::Relaxed);
+        self.dropped.reset();
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceEvent>> {
@@ -113,7 +112,7 @@ impl TraceSink for RingRecorder {
         let mut q = self.lock();
         if q.len() == self.capacity {
             q.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.add(1);
         }
         q.push_back(event.clone());
     }
@@ -126,8 +125,12 @@ pub struct JsonlWriter {
 
 impl JsonlWriter {
     /// Creates (truncating) `path` and streams events into it.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a trace file is the run's own output, not graph data: it bypasses Storage's accounting on purpose"
+    )]
     pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
+        let file = std::fs::File::create(path)?;
         Ok(Self::from_writer(file))
     }
 

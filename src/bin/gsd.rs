@@ -53,6 +53,12 @@
 //! `khop <source> <k>`, `ppr <seed,seed,...>`,
 //! `run <algorithm>`, `mutate <batch.txt>`, `compact`, `shutdown`.
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the CLI's own inputs and outputs (edge lists, batches, reports, baselines) are user files, not graph data behind Storage"
+)]
+
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, ProgramVisitor, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
 use graphsd::bench::{

@@ -288,14 +288,17 @@ fn batching_merges_concurrent_traversals_into_shared_passes() {
     let completions: Vec<(u64, u64, u64)> = recorder
         .events()
         .into_iter()
-        .filter_map(|e| match e {
-            TraceEvent::QueryCompleted {
+        .filter_map(|e| {
+            let TraceEvent::QueryCompleted {
                 cache_hits,
                 cache_misses,
                 bytes_read,
                 ..
-            } => Some((cache_hits, cache_misses, bytes_read)),
-            _ => None,
+            } = e
+            else {
+                return None;
+            };
+            Some((cache_hits, cache_misses, bytes_read))
         })
         .collect();
     assert_eq!(completions.len(), 3);

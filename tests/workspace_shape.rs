@@ -4,6 +4,11 @@
 //! `tests/determinism_order.rs` and `ci/bench_baseline.json` pin — does
 //! not move.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test: reads the checked-in manifests and sources"
+)]
+
 use graphsd::bench::{Datasets, Scale};
 use graphsd::graph::{EdgeCodec, GeneratorConfig, Graph, GraphKind};
 use graphsd::integrity::fnv64;
