@@ -342,7 +342,7 @@ pub struct Fig6Row {
     pub io_fraction: f64,
     /// Prefetch-pipeline hits (scheduled reads served ahead of the ask).
     pub prefetch_hits: u64,
-    /// Prefetch-pipeline misses (stalls + synchronous fallbacks).
+    /// Prefetch-pipeline misses (takes that waited on a reader).
     pub prefetch_misses: u64,
     /// Wall time the engine blocked on scheduled reads.
     pub prefetch_stall_time: Duration,

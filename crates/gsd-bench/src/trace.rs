@@ -55,7 +55,7 @@ impl TraceSink for LiveReport {
 /// Columns: iteration, chosen I/O model, frontier size, the scheduler's
 /// `S_seq`/`S_ran` byte estimates (blank for engines without a scheduler),
 /// bytes read, sub-block buffer hits, prefetch-pipeline hits and misses
-/// (a miss = the consumer stalled on or fell back to a synchronous read),
+/// (a miss = the consumer waited for a reader to deliver the read),
 /// the accumulated stall time, and the scatter / apply / I/O-wait phase
 /// times in microseconds.
 #[derive(Default)]

@@ -9,10 +9,6 @@ pub struct RecoveryConfig {
     /// round commits two iterations between boundaries, so the actual
     /// cadence may skip an odd iteration number.
     pub every: u32,
-    /// Key prefix for checkpoint objects, relative to the engine's grid
-    /// prefix (no trailing slash), so engines sharing a store do not
-    /// collide.
-    pub dir: String,
     /// Keep the newest `retain` checkpoints; older ones are deleted after
     /// each successful commit.
     pub retain: usize,
@@ -27,22 +23,15 @@ pub struct RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// Checkpoint every `n` committed iterations with default dir,
-    /// retention and resume policy.
+    /// Checkpoint every `n` committed iterations with default retention
+    /// and resume policy.
     pub fn every(n: u32) -> Self {
         RecoveryConfig {
             every: n.max(1),
-            dir: "ckpt".to_string(),
             retain: 2,
             resume: true,
             halt_after: None,
         }
-    }
-
-    /// Sets the checkpoint key prefix.
-    pub fn with_dir(mut self, dir: impl Into<String>) -> Self {
-        self.dir = dir.into();
-        self
     }
 
     /// Sets the retention depth (keep the newest `k` checkpoints).
@@ -72,12 +61,10 @@ mod tests {
     #[test]
     fn builders_compose() {
         let c = RecoveryConfig::every(3)
-            .with_dir("alt")
             .with_retain(5)
             .without_resume()
             .with_halt_after(7);
         assert_eq!(c.every, 3);
-        assert_eq!(c.dir, "alt");
         assert_eq!(c.retain, 5);
         assert!(!c.resume);
         assert_eq!(c.halt_after, Some(7));

@@ -46,7 +46,7 @@
 use crate::checkpoint::{
     graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag, RecoveryConfig,
 };
-use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched};
+use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched, TakeOutcome};
 use gsd_graph::grid::RowIndexSpan;
 use gsd_graph::{Edge, GridGraph};
 use gsd_io::{IoStatsSnapshot, SharedStorage};
@@ -301,8 +301,8 @@ struct Tracker {
     compute: Duration,
     scatter: Duration,
     apply: Duration,
-    /// Wall time the consumer spent blocked on the prefetch pipeline
-    /// (stalled behind an in-flight read, or reading a fallback itself).
+    /// Wall time the consumer spent blocked on the prefetch pipeline,
+    /// waiting for a reader to hand over an in-flight read.
     stall: Duration,
 }
 
@@ -417,7 +417,7 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
             };
             let mut store = CheckpointStore::new(
                 storage.clone(),
-                format!("{}{}", grid.prefix(), cfg.dir),
+                format!("{}ckpt", grid.prefix()),
                 cfg.retain,
                 tag,
             );
@@ -673,12 +673,13 @@ impl<P: VertexProgram> Driver<'_, P> {
             ));
         };
         let taken = timed(&mut self.tracker.io_wall, || exec.take())?;
-        if taken.outcome.is_hit() {
-            self.stats.prefetch_hits += 1;
-        } else {
-            self.stats.prefetch_misses += 1;
+        match taken.outcome {
+            TakeOutcome::Hit => self.stats.prefetch_hits += 1,
+            TakeOutcome::Stalled(wait) => {
+                self.stats.prefetch_misses += 1;
+                self.tracker.stall += wait;
+            }
         }
-        self.tracker.stall += taken.outcome.stall();
         Ok(taken)
     }
 

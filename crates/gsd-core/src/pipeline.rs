@@ -1,113 +1,81 @@
 //! The scheduler-driven prefetch executor.
 //!
-//! GraphSD's state-aware scheduler decides *before* each iteration which
-//! sub-blocks (FCIU) or coalesced edge runs (SCIU) will be read, yet a
-//! synchronous engine issues every read on the compute thread: the disk
-//! idles during scatter and the CPU idles during reads. This module —
-//! which lives next to its one caller, [`crate::driver`] — overlaps the
-//! two phases without changing a single byte of what is
-//! read, in what per-key order, or in what order results are consumed:
+//! GraphSD's scheduler fixes each iteration's reads — sub-blocks (FCIU)
+//! or coalesced edge runs (SCIU) — before the iteration starts, so they
+//! can run ahead of compute on background threads. This module, next to
+//! its one caller [`crate::driver`], does so without changing what is
+//! read, in what per-key order, or in what order results are consumed.
 //!
-//! * [`PrefetchExecutor`] owns a fixed pool of background workers over a
-//!   cloned [`GridGraph`] handle (storage backends are `Send + Sync`, so
-//!   workers read concurrently with the engine).
-//! * The engine hands it one iteration's **schedule** — the exact request
-//!   sequence the synchronous path would have issued — via
-//!   [`PrefetchExecutor::begin_schedule`], then consumes results strictly
-//!   in schedule order via [`PrefetchExecutor::take`].
-//! * Lookahead is bounded by [`PipelineConfig::depth`] decoded requests
-//!   (double-buffered slots by default): workers only claim a request
-//!   when it is within `depth` of the consumer's position, so memory use
-//!   is `O(depth)` blocks regardless of schedule length.
+//! [`PrefetchExecutor::begin_schedule`] takes one iteration's schedule —
+//! the exact request sequence the synchronous path would issue — and
+//! routes each request to one of `READERS` reader threads by a hash of
+//! its block coordinates. Each reader reads its share front to back into
+//! its own `sync_channel(depth)`, and [`PrefetchExecutor::take`] receives
+//! from the channel of the reader that owns the next request. Memory is
+//! bounded by `READERS × (depth + 1)` decoded requests: `depth` in each
+//! channel plus one held by a reader blocked on a full channel.
 //!
 //! ## Determinism
 //!
-//! The engines' results must be bit-identical with the pipeline on or
-//! off, and on [`gsd_io::SimDisk`] the virtual-clock accounting must not
-//! change either. Two invariants deliver that:
+//! Values are bit-identical with the pipeline on or off, and
+//! [`gsd_io::SimDisk`]'s virtual-clock accounting does not move:
 //!
-//! 1. **Consumption order** equals schedule order — `take()` returns
-//!    request `k` before request `k + 1`, so scatter processes edges in
-//!    the synchronous order and floating-point accumulation is
-//!    unchanged.
-//! 2. **Per-key request order** equals schedule order — requests are
-//!    routed to workers by a deterministic hash of their block
-//!    coordinates, every request for one storage key lands in the same
-//!    worker's FIFO queue, and a fallback read performed by the consumer
-//!    blocks that queue until it completes. Storage backends classify
-//!    sequential vs random *per key*, so interleaving across keys cannot
-//!    perturb `IoStats` or `SimDisk`'s priced request costs.
+//! 1. **Consumption order** is schedule order, so scatter sees edges in
+//!    the synchronous order and float accumulation is unchanged.
+//! 2. **Per-key request order** is schedule order: every request for one
+//!    storage key goes to one reader, whose share is a FIFO. Backends
+//!    classify sequential vs random *per key*, so interleaving across
+//!    keys cannot perturb `IoStats` or priced request costs.
 //!
-//! ## Backpressure and fallback
+//! ## Backpressure and concurrency
 //!
-//! `take()` has three outcomes, all surfaced to the tracing layer:
-//! the request was already decoded ([`TakeOutcome::Hit`] /
-//! `prefetch_hit`), a worker was mid-read and the consumer waited
-//! ([`TakeOutcome::Stalled`] / `prefetch_stall`), or no worker had
-//! started it and the consumer read it synchronously itself
-//! ([`TakeOutcome::Fallback`], also traced as a stall — the pipeline
-//! provided no overlap for it).
-//!
-//! ## Concurrency fence
-//!
-//! This is the workspace's **designated concurrency module**:
-//! thread, channel and `Mutex`/`Condvar` construction is banned
-//! workspace-wide (`clippy.toml`, DESIGN.md §11) and excused here by the
-//! module-level `#![expect(clippy::disallowed_methods)]`.
-//! Scatter/apply themselves are sequential: `gsd-runtime`'s value arrays
-//! and frontiers are `!Sync`, so the compute thread is their only writer
-//! and this module's workers hand it decoded blocks, never vertex state.
-//! Engine and kernel crates never spawn their own threads. All shared
-//! state below is keyed or queued in deterministic order
-//! (`Vec`/`VecDeque` indexed by worker and schedule position —
-//! deliberately no hash-ordered containers).
+//! `take()` either finds the request waiting ([`TakeOutcome::Hit`],
+//! traced `prefetch_hit`) or blocks until its reader delivers it
+//! ([`TakeOutcome::Stalled`], `prefetch_stall`). A reader idles only on
+//! a full channel, whose front is then the consumer's next request from
+//! it, so the consumer never reads a scheduled request itself. The
+//! designated concurrency module (threads and channels are banned
+//! elsewhere — `clippy.toml`, DESIGN.md §11) holds no lock; readers hand
+//! the compute thread decoded blocks, never vertex state.
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "the designated concurrency module: the prefetch workers, their queue lock and condvar live here and nowhere else"
+    reason = "the designated concurrency module: the prefetch reader threads and their channels live here and nowhere else"
 )]
 
 use gsd_graph::{Edge, GridGraph};
 use gsd_trace::{Stopwatch, TraceEvent, TraceSink};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Background reader threads (requests for one storage key share one).
+const READERS: usize = 2;
 
 /// Prefetch pipeline sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// How many scheduled requests past the consumer's position workers
-    /// may hold decoded at once. The minimum useful value is 1; the
-    /// default of 2 is classic double buffering (one block being
-    /// scattered, two in flight behind it).
+    /// Decoded requests each reader's channel may hold ahead of the
+    /// consumer (at least 1; the default of 2 is double buffering).
     pub depth: usize,
-    /// Background reader threads. More than a few rarely helps: requests
-    /// for one storage key are pinned to one worker to preserve per-key
-    /// order.
-    pub workers: usize,
 }
 
 impl PipelineConfig {
-    /// Default lookahead window (double buffering).
+    /// Default lookahead per reader (double buffering).
     pub const DEFAULT_DEPTH: usize = 2;
-    /// Default worker-pool size.
-    pub const DEFAULT_WORKERS: usize = 2;
 
-    /// A config with the given depth and the default worker count.
+    /// A config with the given depth.
     pub fn with_depth(depth: usize) -> Self {
         PipelineConfig {
             depth: depth.max(1),
-            workers: Self::DEFAULT_WORKERS,
         }
     }
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            depth: Self::DEFAULT_DEPTH,
-            workers: Self::DEFAULT_WORKERS,
-        }
+        PipelineConfig::with_depth(Self::DEFAULT_DEPTH)
     }
 }
 
@@ -153,19 +121,19 @@ impl PrefetchRequest {
         }
     }
 
-    /// Deterministic worker routing: every request for one block (hence
-    /// one storage key) must go to the same worker so per-key request
+    /// Deterministic reader routing: every request for one block (hence
+    /// one storage key) must go to the same reader so per-key request
     /// order is the schedule order. FNV-1a over the coordinates — stable
     /// across runs and platforms, unlike `HashMap`'s seeded hasher.
-    fn route(&self, workers: usize) -> usize {
+    fn route(&self, readers: usize) -> usize {
         let (i, j) = self.coords();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in i.to_le_bytes().into_iter().chain(j.to_le_bytes()) {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        // The remainder is below `workers`, so the conversion cannot fail.
-        usize::try_from(h % workers as u64).unwrap_or(0)
+        // The remainder is below `readers`, so the conversion cannot fail.
+        usize::try_from(h % readers as u64).unwrap_or(0)
     }
 }
 
@@ -174,26 +142,8 @@ impl PrefetchRequest {
 pub enum TakeOutcome {
     /// The request was decoded and waiting: latency fully hidden.
     Hit,
-    /// A worker was mid-read; the consumer blocked for this long.
+    /// The consumer blocked this long for its reader to deliver it.
     Stalled(Duration),
-    /// No worker had started the request; the consumer read it
-    /// synchronously itself, taking this long.
-    Fallback(Duration),
-}
-
-impl TakeOutcome {
-    /// Whether the pipeline had the data ready (a prefetch hit).
-    pub fn is_hit(&self) -> bool {
-        matches!(self, TakeOutcome::Hit)
-    }
-
-    /// Wall time the consumer was blocked acquiring the data.
-    pub fn stall(&self) -> Duration {
-        match *self {
-            TakeOutcome::Hit => Duration::ZERO,
-            TakeOutcome::Stalled(d) | TakeOutcome::Fallback(d) => d,
-        }
-    }
 }
 
 /// One consumed scheduled read.
@@ -211,103 +161,13 @@ pub struct Prefetched {
     pub outcome: TakeOutcome,
 }
 
-enum SlotState {
-    /// Waiting in a worker's queue.
-    Queued,
-    /// A worker is reading it.
-    Claimed,
-    /// The consumer is reading it synchronously (fallback); it stays at
-    /// the front of its worker's queue as a barrier so later same-key
-    /// requests cannot overtake it.
-    Stealing,
-    /// Read finished (worker side); result awaits the consumer.
-    Done(std::io::Result<Vec<Edge>>),
-    /// Handed to the consumer.
-    Consumed,
-}
-
-struct Slot {
-    request: PrefetchRequest,
-    bytes: u64,
-    worker: usize,
-    state: SlotState,
-}
-
-struct State {
-    slots: Vec<Slot>,
-    /// Per-worker FIFO queues of slot indexes, in schedule order.
-    queues: Vec<VecDeque<usize>>,
-    /// Next slot index `take()` will return.
-    consumed: usize,
-    /// Lookahead window: workers only claim slot `s` while
-    /// `s < consumed + depth`.
-    depth: usize,
-    /// Bumped by `begin_schedule` so workers finishing a read for an
-    /// abandoned schedule (consumer errored out mid-iteration) discard
-    /// their result instead of writing into a recycled slot.
-    generation: u64,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    cv: Condvar,
-}
-
-enum WorkerStep {
-    Job(u64, usize, PrefetchRequest),
-    Shutdown,
-}
-
-impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks until worker `w` may start its next queued request (front
-    /// of its queue, inside the lookahead window), or shutdown.
-    fn next_job(&self, w: usize) -> WorkerStep {
-        let mut st = self.lock();
-        loop {
-            if st.shutdown {
-                return WorkerStep::Shutdown;
-            }
-            if let Some(&seq) = st.queues[w].front() {
-                // A slot the consumer is fallback-reading stays at the
-                // front as an ordering barrier; wait until it clears.
-                let stealing = matches!(st.slots[seq].state, SlotState::Stealing);
-                if !stealing && seq < st.consumed + st.depth {
-                    st.queues[w].pop_front();
-                    st.slots[seq].state = SlotState::Claimed;
-                    return WorkerStep::Job(st.generation, seq, st.slots[seq].request);
-                }
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    fn complete(&self, generation: u64, seq: usize, result: std::io::Result<Vec<Edge>>) {
-        let mut st = self.lock();
-        if st.generation == generation {
-            st.slots[seq].state = SlotState::Done(result);
-        }
-        drop(st);
-        self.cv.notify_all();
-    }
-}
-
-/// Smallest decoded buffer a worker hands to the consumer, in edges.
+/// Smallest decoded buffer a reader hands to the consumer, in edges.
 ///
-/// The consumer frees the buffer on its own thread, and glibc parks a
-/// freed chunk of up to 1 032 bytes in the *freeing* thread's cache
-/// whatever arena it came from. The consumer's next small `Vec` then
-/// starts life in that chunk, and every growth `realloc` keeps it in the
-/// worker's arena: after an on-demand run with a few tiny prefetched
-/// runs, whatever the process builds next grows there, on top of a main
-/// heap that stays as large as it was (measured on `mutate_cycle`:
-/// compaction's per-block buffers, +8 to +18 MB peak RSS — EXPERIMENTS.md,
-/// "One driver"). 128 edges are 1 536 bytes: such a buffer goes back to
-/// the arena it came from.
+/// glibc parks a freed chunk of up to 1 032 bytes in the *freeing*
+/// thread's cache, so a tiny buffer freed by the consumer would seed its
+/// next `Vec`s in the reader's arena, on top of a main heap that stays as
+/// large (+8 to +18 MB peak RSS on `mutate_cycle` — EXPERIMENTS.md, "One
+/// driver"). 128 edges are 1 536 bytes: such a buffer goes home.
 const MIN_HANDOFF_EDGES: usize = 128;
 
 fn read_request(
@@ -328,266 +188,143 @@ fn read_request(
     Ok(edges)
 }
 
-/// The background prefetch executor: a fixed worker pool reading one
-/// iteration's scheduled requests ahead of the consumer. See the crate
-/// docs for the ordering and determinism contract.
+/// One reader's share of a schedule, and the channel it delivers through.
+type Job = (Vec<PrefetchRequest>, SyncSender<std::io::Result<Vec<Edge>>>);
+
+/// A reader thread's whole life: read each job's requests in order until
+/// the job's receiver is dropped (an abandoned schedule), then take the
+/// next job; return once the executor drops the job sender.
+fn read_jobs(grid: &GridGraph, jobs: Receiver<Job>) {
+    let mut scratch = Vec::new();
+    for (requests, results) in jobs {
+        for request in &requests {
+            let result = read_request(grid, request, &mut scratch);
+            if results.send(result).is_err() {
+                break;
+            }
+        }
+    }
+}
+
+/// The background prefetch executor: reader threads reading one
+/// iteration's schedule ahead of the consumer (see the module docs).
 pub struct PrefetchExecutor {
-    shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
     grid: GridGraph,
-    config: PipelineConfig,
+    depth: usize,
     trace: Arc<dyn TraceSink>,
-    scratch: Vec<u8>,
+    /// Per reader: where its jobs go, and its thread.
+    readers: Vec<(Sender<Job>, std::thread::JoinHandle<()>)>,
+    /// Per reader: the current schedule's result channel.
+    results: Vec<Receiver<std::io::Result<Vec<Edge>>>>,
+    /// Scheduled requests not yet taken, each with its reader.
+    pending: VecDeque<(PrefetchRequest, usize)>,
 }
 
 impl PrefetchExecutor {
-    /// Spawns the worker pool over a cloned grid handle.
+    /// Spawns the reader threads over a cloned grid handle.
     pub fn new(grid: GridGraph, config: PipelineConfig) -> std::io::Result<Self> {
-        let config = PipelineConfig {
+        let mut exec = PrefetchExecutor {
+            grid: grid.clone(),
             depth: config.depth.max(1),
-            workers: config.workers.max(1),
-        };
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                slots: Vec::new(),
-                queues: (0..config.workers).map(|_| VecDeque::new()).collect(),
-                consumed: 0,
-                depth: config.depth,
-                generation: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        });
-        let mut workers = Vec::with_capacity(config.workers);
-        for w in 0..config.workers {
-            let shared = shared.clone();
-            let grid = grid.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("gsd-prefetch-{w}"))
-                .spawn(move || {
-                    let mut scratch = Vec::new();
-                    loop {
-                        match shared.next_job(w) {
-                            WorkerStep::Shutdown => return,
-                            WorkerStep::Job(generation, seq, request) => {
-                                let result = read_request(&grid, &request, &mut scratch);
-                                shared.complete(generation, seq, result);
-                            }
-                        }
-                    }
-                })?;
-            workers.push(handle);
-        }
-        Ok(PrefetchExecutor {
-            shared,
-            workers,
-            grid,
-            config,
             trace: gsd_trace::null_sink(),
-            scratch: Vec::new(),
-        })
+            readers: Vec::with_capacity(READERS),
+            results: Vec::new(),
+            pending: VecDeque::new(),
+        };
+        for r in 0..READERS {
+            let (jobs, inbox) = mpsc::channel();
+            let grid = grid.clone();
+            // On failure, dropping `exec` stops the readers already started.
+            let handle = std::thread::Builder::new()
+                .name(format!("gsd-prefetch-{r}"))
+                .spawn(move || read_jobs(&grid, inbox))?;
+            exec.readers.push((jobs, handle));
+        }
+        Ok(exec)
     }
 
-    /// Routes `prefetch_issued` / `prefetch_hit` / `prefetch_stall`
-    /// events to `trace`.
+    /// Routes the `prefetch_issued` / `_hit` / `_stall` events to `trace`.
     pub(crate) fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
         self.trace = trace;
     }
 
-    /// Scheduled requests not yet consumed.
-    fn remaining(&self) -> usize {
-        let st = self.shared.lock();
-        st.slots.len() - st.consumed
-    }
-
-    /// Installs one iteration's request schedule and wakes the workers.
-    /// Any unconsumed requests of a previous schedule are abandoned
-    /// (results of reads already in flight are discarded when they
-    /// land); the engine only does this on an error path, since it
-    /// otherwise consumes every request it schedules.
+    /// Installs one iteration's request schedule and starts the readers on
+    /// it. An unconsumed previous schedule is abandoned — its channels are
+    /// dropped, so its reader's next delivery fails and it moves on — which
+    /// the engine only does on an error path.
     pub fn begin_schedule(&mut self, requests: Vec<PrefetchRequest>) {
-        if self.trace.enabled() {
-            for r in &requests {
-                let (i, j) = r.coords();
-                self.trace.emit(&TraceEvent::PrefetchIssued {
-                    i,
-                    j,
-                    bytes: r.bytes(&self.grid),
-                });
+        let mut shares = vec![Vec::new(); READERS];
+        self.pending.clear();
+        for request in requests {
+            if self.trace.enabled() {
+                let (i, j) = request.coords();
+                let bytes = request.bytes(&self.grid);
+                self.trace.emit(&TraceEvent::PrefetchIssued { i, j, bytes });
             }
+            let reader = request.route(READERS);
+            shares[reader].push(request);
+            self.pending.push_back((request, reader));
         }
-        let mut st = self.shared.lock();
-        st.generation += 1;
-        for q in &mut st.queues {
-            q.clear();
+        self.results.clear();
+        for ((jobs, _), share) in self.readers.iter().zip(shares) {
+            let (results, inbox) = mpsc::sync_channel(self.depth);
+            // A reader that exited drops the job; its take() then fails.
+            let _ = jobs.send((share, results));
+            self.results.push(inbox);
         }
-        let workers = st.queues.len();
-        st.slots = requests
-            .into_iter()
-            .map(|request| Slot {
-                bytes: request.bytes(&self.grid),
-                worker: request.route(workers),
-                state: SlotState::Queued,
-                request,
-            })
-            .collect();
-        st.consumed = 0;
-        for seq in 0..st.slots.len() {
-            let w = st.slots[seq].worker;
-            st.queues[w].push_back(seq);
-        }
-        drop(st);
-        self.shared.cv.notify_all();
     }
 
-    /// Returns the next scheduled request's data, in schedule order.
-    ///
-    /// Decoded-and-waiting requests return immediately
-    /// ([`TakeOutcome::Hit`]); a request mid-read blocks until the worker
-    /// finishes ([`TakeOutcome::Stalled`]); a request no worker has
-    /// started is read synchronously by the caller
-    /// ([`TakeOutcome::Fallback`]), with its worker's queue blocked so
-    /// per-key order is preserved.
-    ///
-    /// # Panics
-    /// Never panics; calling with no scheduled request remaining is an
-    /// `InvalidInput` error (an engine bug, surfaced loudly but safely).
+    /// Returns the next scheduled request's data, in schedule order: at
+    /// once if its reader has delivered it ([`TakeOutcome::Hit`]), else
+    /// after blocking until it does ([`TakeOutcome::Stalled`]). A failed
+    /// read is an `Err` at its own take; a take past the end of the
+    /// schedule is an `InvalidInput` error (an engine bug), not a panic.
     pub fn take(&mut self) -> std::io::Result<Prefetched> {
+        use std::io::{Error, ErrorKind};
         let sw = Stopwatch::start();
-        enum Plan {
-            Ready(std::io::Result<Vec<Edge>>, u32, u32, u64, bool),
-            Steal(usize, PrefetchRequest, u32, u32, u64),
-        }
-        let plan = {
-            let mut st = self.shared.lock();
-            let seq = st.consumed;
-            if seq >= st.slots.len() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "prefetch take() past the end of the schedule",
-                ));
-            }
-            let (i, j) = st.slots[seq].request.coords();
-            let bytes = st.slots[seq].bytes;
-            match st.slots[seq].state {
-                SlotState::Queued => {
-                    // Fallback: the consumer reads it itself. The slot
-                    // stays at its queue front as an ordering barrier.
-                    let request = st.slots[seq].request;
-                    st.slots[seq].state = SlotState::Stealing;
-                    Plan::Steal(seq, request, i, j, bytes)
-                }
-                SlotState::Claimed
-                | SlotState::Stealing
-                | SlotState::Done(_)
-                | SlotState::Consumed => {
-                    // Hit if already done, otherwise stall until the
-                    // worker lands it.
-                    let mut waited = false;
-                    while !matches!(st.slots[seq].state, SlotState::Done(_)) {
-                        waited = true;
-                        st = self
-                            .shared
-                            .cv
-                            .wait(st)
-                            .unwrap_or_else(PoisonError::into_inner);
-                    }
-                    let state = std::mem::replace(&mut st.slots[seq].state, SlotState::Consumed);
-                    let SlotState::Done(result) = state else {
-                        // The wait loop above exits only on Done; guard
-                        // against the impossible without panicking in a
-                        // hot-path crate.
-                        return Err(std::io::Error::other("prefetch slot lost its result"));
-                    };
-                    st.consumed += 1;
-                    drop(st);
-                    self.shared.cv.notify_all();
-                    Plan::Ready(result, i, j, bytes, waited)
-                }
-            }
+        let Some((request, reader)) = self.pending.pop_front() else {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                "prefetch schedule exhausted",
+            ));
         };
-        match plan {
-            Plan::Ready(result, i, j, bytes, waited) => {
-                let edges = result?;
-                let outcome = if waited {
-                    TakeOutcome::Stalled(sw.elapsed())
-                } else {
-                    TakeOutcome::Hit
-                };
-                self.emit_take(i, j, bytes, &outcome, sw);
-                Ok(Prefetched {
+        let inbox = &self.results[reader];
+        let (result, outcome) = match inbox.try_recv() {
+            Ok(result) => (Ok(result), TakeOutcome::Hit),
+            Err(_) => (inbox.recv(), TakeOutcome::Stalled(sw.elapsed())),
+        };
+        let edges = result.map_err(|_| Error::other("prefetch reader exited"))??;
+        let (i, j) = request.coords();
+        let bytes = request.bytes(&self.grid);
+        if self.trace.enabled() {
+            self.trace.emit(&match outcome {
+                TakeOutcome::Hit => TraceEvent::PrefetchHit { i, j, bytes },
+                TakeOutcome::Stalled(wait) => TraceEvent::PrefetchStall {
                     i,
                     j,
-                    edges,
-                    bytes,
-                    outcome,
-                })
-            }
-            Plan::Steal(seq, request, i, j, bytes) => {
-                let result = read_request(&self.grid, &request, &mut self.scratch);
-                let mut st = self.shared.lock();
-                let w = st.slots[seq].worker;
-                debug_assert_eq!(st.queues[w].front(), Some(&seq));
-                st.queues[w].pop_front();
-                st.slots[seq].state = SlotState::Consumed;
-                st.consumed += 1;
-                drop(st);
-                self.shared.cv.notify_all();
-                let edges = result?;
-                let outcome = TakeOutcome::Fallback(sw.elapsed());
-                self.emit_take(i, j, bytes, &outcome, sw);
-                Ok(Prefetched {
-                    i,
-                    j,
-                    edges,
-                    bytes,
-                    outcome,
-                })
-            }
+                    wait_us: crate::driver::micros(wait),
+                },
+            });
         }
-    }
-
-    fn emit_take(&self, i: u32, j: u32, bytes: u64, outcome: &TakeOutcome, sw: Stopwatch) {
-        if !self.trace.enabled() {
-            return;
-        }
-        match outcome {
-            TakeOutcome::Hit => self.trace.emit(&TraceEvent::PrefetchHit { i, j, bytes }),
-            TakeOutcome::Stalled(_) | TakeOutcome::Fallback(_) => {
-                self.trace.emit(&TraceEvent::PrefetchStall {
-                    i,
-                    j,
-                    wait_us: crate::driver::micros(sw.elapsed()),
-                })
-            }
-        }
+        Ok(Prefetched {
+            i,
+            j,
+            edges,
+            bytes,
+            outcome,
+        })
     }
 }
 
 impl Drop for PrefetchExecutor {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.lock();
-            st.shutdown = true;
-        }
-        self.shared.cv.notify_all();
-        for handle in self.workers.drain(..) {
-            // A worker that panicked already poisoned nothing we rely on
-            // (all state transitions are lock-scoped); surfacing the
-            // panic here would abort the engine's error path, so join
-            // failures are swallowed.
+        // Dropped channels end every reader's loop. A reader's panic is
+        // swallowed: surfacing it would abort the engine's error path.
+        self.results.clear();
+        for (jobs, handle) in self.readers.drain(..) {
+            drop(jobs);
             let _ = handle.join();
         }
-    }
-}
-
-impl std::fmt::Debug for PrefetchExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrefetchExecutor")
-            .field("depth", &self.config.depth)
-            .field("workers", &self.config.workers)
-            .field("remaining", &self.remaining())
-            .finish()
     }
 }
 
@@ -642,7 +379,7 @@ mod tests {
                 "payload must match sync read"
             );
             assert_eq!(got.bytes, r.bytes(grid));
-            if got.outcome.is_hit() {
+            if got.outcome == TakeOutcome::Hit {
                 hits += 1;
             } else {
                 misses += 1;
@@ -660,7 +397,7 @@ mod tests {
         exec.begin_schedule(schedule.clone());
         let (hits, misses) = drain(&mut exec, &schedule, &grid);
         assert_eq!(hits + misses, schedule.len() as u64);
-        assert_eq!(exec.remaining(), 0);
+        assert!(exec.pending.is_empty());
     }
 
     #[test]
@@ -700,6 +437,29 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
+    /// The whole-block schedule with block (0, 0) also read as four
+    /// back-to-back runs spread through it. Each run is priced sequential
+    /// only if the run before it was read first, so the runs pin per-key
+    /// order while the blocks between them interleave other keys.
+    fn mixed_schedule(grid: &GridGraph) -> Vec<PrefetchRequest> {
+        let count = gsd_graph::narrow::saturating_u32(grid.meta().block_edge_count(0, 0));
+        assert!(count >= 4, "test graph must populate block (0,0)");
+        let mut schedule = full_schedule(grid);
+        let quarter = count / 4;
+        for k in 0..4 {
+            let edge_start = k * quarter;
+            let end = if k == 3 { count } else { edge_start + quarter };
+            let run = PrefetchRequest::Run {
+                i: 0,
+                j: 0,
+                edge_start,
+                edge_count: end - edge_start,
+            };
+            schedule.insert((1 + 3 * k as usize).min(schedule.len()), run);
+        }
+        schedule
+    }
+
     /// The determinism contract: on a SimDisk, running the whole
     /// schedule through the concurrent pipeline must charge exactly the
     /// same virtual-clock time and the same sequential/random split as
@@ -709,19 +469,19 @@ mod tests {
     fn sim_disk_accounting_matches_synchronous_reads() {
         let sync_stats: IoStatsSnapshot = {
             let grid = sim_grid(23, 4);
-            let schedule = full_schedule(&grid);
+            let schedule = mixed_schedule(&grid);
             let before = grid.storage().stats().snapshot();
             for r in &schedule {
                 sync_read(&grid, r);
             }
             grid.storage().stats().snapshot().since(&before)
         };
-        for workers in [1usize, 2, 4] {
+        for depth in [1usize, 2, 4] {
             let grid = sim_grid(23, 4);
-            let schedule = full_schedule(&grid);
+            let schedule = mixed_schedule(&grid);
             let before = grid.storage().stats().snapshot();
             let mut exec =
-                PrefetchExecutor::new(grid.clone(), PipelineConfig { depth: 3, workers }).unwrap();
+                PrefetchExecutor::new(grid.clone(), PipelineConfig::with_depth(depth)).unwrap();
             exec.begin_schedule(schedule.clone());
             for r in &schedule {
                 // No payload re-read here: an extra verification read
@@ -730,7 +490,7 @@ mod tests {
                 assert_eq!((got.i, got.j), r.coords());
             }
             let piped = grid.storage().stats().snapshot().since(&before);
-            assert_eq!(piped, sync_stats, "workers = {workers}");
+            assert_eq!(piped, sync_stats, "depth = {depth}");
         }
     }
 
@@ -752,10 +512,34 @@ mod tests {
         let mut exec = PrefetchExecutor::new(grid.clone(), PipelineConfig::default()).unwrap();
         exec.begin_schedule(schedule.clone());
         // Consume only one request, then install a fresh schedule: the
-        // in-flight remainder must be dropped without corrupting slots.
+        // in-flight remainder must be dropped, not delivered late.
         exec.take().unwrap();
         exec.begin_schedule(schedule.clone());
         drain(&mut exec, &schedule, &grid);
+    }
+
+    #[test]
+    fn failed_read_surfaces_at_its_own_take() {
+        let grid = sim_grid(17, 4);
+        let schedule = full_schedule(&grid);
+        assert!(schedule.len() > 4);
+        let lost = 3;
+        let (i, j) = schedule[lost].coords();
+        grid.storage().delete(&grid.edges_key(i, j)).unwrap();
+        let mut exec = PrefetchExecutor::new(grid.clone(), PipelineConfig::default()).unwrap();
+        exec.begin_schedule(schedule.clone());
+        drain(&mut exec, &schedule[..lost], &grid);
+        assert!(exec.take().is_err(), "the missing block fails its own take");
+        // The executor recovers: a fresh schedule without the lost block
+        // drains completely.
+        let rest: Vec<_> = schedule
+            .iter()
+            .filter(|r| r.coords() != (i, j))
+            .copied()
+            .collect();
+        exec.begin_schedule(rest.clone());
+        drain(&mut exec, &rest, &grid);
+        assert!(exec.pending.is_empty());
     }
 
     #[test]
@@ -781,10 +565,10 @@ mod tests {
             edge_start: 10,
             edge_count: 4,
         };
-        for workers in 1..6 {
-            // Same block => same worker, regardless of request shape.
-            assert_eq!(a.route(workers), b.route(workers));
-            assert!(a.route(workers) < workers);
+        for readers in 1..6 {
+            // Same block => same reader, regardless of request shape.
+            assert_eq!(a.route(readers), b.route(readers));
+            assert!(a.route(readers) < readers);
         }
     }
 }

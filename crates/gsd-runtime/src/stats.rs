@@ -87,8 +87,8 @@ pub struct RunStats {
     /// Scheduled reads the prefetch pipeline finished before the engine
     /// asked for them (zero when prefetching is disabled).
     pub prefetch_hits: u64,
-    /// Scheduled reads the engine had to wait for (or perform itself)
-    /// because the pipeline had not finished them.
+    /// Scheduled reads the engine had to wait for because the pipeline
+    /// had not finished them.
     pub prefetch_misses: u64,
     /// Total wall time the engine blocked on unfinished scheduled reads
     /// (sum of the per-iteration `prefetch_stall_time`).
