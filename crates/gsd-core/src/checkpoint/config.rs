@@ -9,9 +9,6 @@ pub struct RecoveryConfig {
     /// round commits two iterations between boundaries, so the actual
     /// cadence may skip an odd iteration number.
     pub every: u32,
-    /// Keep the newest `retain` checkpoints; older ones are deleted after
-    /// each successful commit.
-    pub retain: usize,
     /// Attempt to resume from the latest valid checkpoint at run start.
     pub resume: bool,
     /// Testing/fault-injection aid: simulate a crash by aborting the run
@@ -23,21 +20,14 @@ pub struct RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// Checkpoint every `n` committed iterations with default retention
-    /// and resume policy.
+    /// Checkpoint every `n` committed iterations, resuming when a
+    /// checkpoint exists.
     pub fn every(n: u32) -> Self {
         RecoveryConfig {
             every: n.max(1),
-            retain: 2,
             resume: true,
             halt_after: None,
         }
-    }
-
-    /// Sets the retention depth (keep the newest `k` checkpoints).
-    pub fn with_retain(mut self, k: usize) -> Self {
-        self.retain = k.max(1);
-        self
     }
 
     /// Writes checkpoints but never resumes from them.
@@ -60,12 +50,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = RecoveryConfig::every(3)
-            .with_retain(5)
-            .without_resume()
-            .with_halt_after(7);
+        let c = RecoveryConfig::every(3).without_resume().with_halt_after(7);
         assert_eq!(c.every, 3);
-        assert_eq!(c.retain, 5);
         assert!(!c.resume);
         assert_eq!(c.halt_after, Some(7));
     }
@@ -73,6 +59,5 @@ mod tests {
     #[test]
     fn every_zero_is_clamped() {
         assert_eq!(RecoveryConfig::every(0).every, 1);
-        assert_eq!(RecoveryConfig::every(0).with_retain(0).retain, 1);
     }
 }

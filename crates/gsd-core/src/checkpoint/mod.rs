@@ -7,14 +7,14 @@
 //!
 //! * **Checkpointing** — [`CheckpointStore`] serializes a
 //!   [`CheckpointData`] (values, accumulator, frontiers, cumulative
-//!   [`gsd_runtime::RunStats`], engine-specific extras) into a versioned,
-//!   per-section CRC32-checksummed snapshot and commits it with
-//!   write-temp + [`gsd_io::Storage::sync`] + atomic rename; a JSON
-//!   manifest recording graph fingerprint, algorithm id, config hash
-//!   and iteration number is the commit point. Stale checkpoints are
-//!   garbage-collected by a keep-last-K retention policy.
+//!   [`gsd_runtime::RunStats`], engine-specific extras) together with
+//!   the run's identity ([`ManifestTag`]: engine, algorithm, graph
+//!   fingerprint, config hash, …) into one object with one trailing
+//!   CRC32. The object commits itself: an atomic `Storage::create`, then
+//!   one [`gsd_io::Storage::sync`]; only then are all but the newest two
+//!   checkpoints deleted.
 //! * **Recovery** — engines accept a [`RecoveryConfig`] and resume from
-//!   the latest manifest whose fingerprints match, producing
+//!   the newest snapshot that decodes for their identity, producing
 //!   bit-identical final values to an uninterrupted run.
 //!
 //! The fault-injection and retry `Storage` decorators that exercise this
@@ -22,11 +22,9 @@
 //! live in `gsd-integrity`.
 
 mod config;
-mod manifest;
 mod snapshot;
 mod store;
 
 pub use config::RecoveryConfig;
-pub use manifest::ManifestTag;
-pub use snapshot::CheckpointData;
+pub use snapshot::{CheckpointData, ManifestTag};
 pub use store::{graph_fingerprint, CheckpointStore};

@@ -1,25 +1,55 @@
-//! The versioned, checksummed snapshot format.
-//!
-//! A snapshot is the complete engine state at a driver-loop boundary:
+//! The checkpoint object: one blob that validates itself.
 //!
 //! ```text
-//! magic "GSDSNAP1" | section_count: u32 LE
-//! per section:
-//!   name_len: u32 | name (utf-8) | payload_len: u64 | crc32: u32 | payload
+//! magic      "GSDSNAP2"
+//! tag        len: u64 | ManifestTag (JSON)
+//! iteration  u32
+//! values     len: u64 | one u64 per vertex
+//! accum      len: u64 | one u64 per vertex
+//! frontier   len: u64 | u32 vertex ids
+//! touched    len: u64 | u32 vertex ids
+//! stats      len: u64 | RunStats (JSON)
+//! extra      len: u64 | engine payload (opaque)
+//! crc32      u32 over every byte before it
 //! ```
 //!
-//! Sections are individually CRC32-checksummed so a torn write or bit rot
-//! anywhere in the object is detected on load, and named so the format
-//! can grow sections without a version bump. Vertex values and
-//! accumulators are stored as the `u64` bit patterns of
-//! `gsd_runtime::Value::to_bits`, which is what makes resumed runs
-//! *bit-identical* — no float round-trips through text.
+//! Integers are little-endian and the sections come in this fixed order.
+//! The one trailing CRC32 detects a torn write or bit rot anywhere in the
+//! object. The tag pins the object to one run, and decode checks every
+//! section against the tag's vertex count, so a snapshot that decodes is
+//! safe to restore. Vertex values and accumulators are stored as the
+//! `u64` bit patterns of `gsd_runtime::Value::to_bits`, which is what
+//! makes resumed runs *bit-identical* — no float round-trips through
+//! text.
 
-use gsd_graph::narrow;
+use gsd_integrity::crc32;
 use gsd_runtime::RunStats;
+use serde::{Deserialize, Serialize};
 use std::io::{Error, ErrorKind};
 
-const MAGIC: &[u8; 8] = b"GSDSNAP1";
+const MAGIC: &[u8; 8] = b"GSDSNAP2";
+
+/// Identity of the run a checkpoint belongs to. A checkpoint is only
+/// eligible for resume when every field matches the resuming engine.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ManifestTag {
+    /// Engine name (`"graphsd"`, `"lumos"`, `"hus-graph"`).
+    pub engine: String,
+    /// Algorithm id as reported by `VertexProgram::name`.
+    pub algorithm: String,
+    /// Bytes per serialized vertex value.
+    pub value_bytes: u64,
+    /// Number of vertices.
+    pub num_vertices: u32,
+    /// FNV-1a/64 of the grid's `meta.json` (see
+    /// [`super::graph_fingerprint`]) — pins the checkpoint to one
+    /// preprocessed graph.
+    pub graph_fingerprint: u64,
+    /// Hash of the semantically relevant engine configuration. Knobs that
+    /// are contractually result-neutral (prefetch, checkpoint cadence)
+    /// must not be folded in.
+    pub config_hash: u64,
+}
 
 /// Complete engine state at one committed iteration boundary.
 ///
@@ -48,172 +78,156 @@ pub struct CheckpointData {
     pub extra: Vec<u8>,
 }
 
-fn push_section(out: &mut Vec<u8>, name: &str, payload: &[u8]) {
-    out.extend_from_slice(&narrow::from_usize(name.len(), "section name length").to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&gsd_integrity::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-fn u64s_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-fn u32s_to_bytes(words: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 4);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
 fn corrupt(what: &str) -> Error {
     Error::new(ErrorKind::InvalidData, format!("corrupt snapshot: {what}"))
 }
 
-fn bytes_to_u64s(bytes: &[u8], section: &str) -> std::io::Result<Vec<u64>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(corrupt(&section_len(section)));
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, words: &[T], le: fn(T) -> [u8; N]) {
+    out.extend_from_slice(&((words.len() * N) as u64).to_le_bytes());
+    for &w in words {
+        out.extend_from_slice(&le(w));
+    }
+}
+
+fn array<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(bytes);
+    out
+}
+
+fn json<T: Deserialize>(bytes: &[u8], section: &str) -> std::io::Result<T> {
+    serde_json::from_slice(bytes).map_err(|e| corrupt(&format!("{section}: {e}")))
+}
+
+/// One bit pattern per vertex of a graph of `n` vertices.
+fn per_vertex(bytes: &[u8], n: u32, section: &str) -> std::io::Result<Vec<u64>> {
+    if bytes.len() != n as usize * 8 {
+        return Err(corrupt(&format!("{section} does not hold {n} values")));
     }
     Ok(bytes
         .chunks_exact(8)
-        .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
+        .map(|c| u64::from_le_bytes(array(c)))
         .collect())
 }
 
-fn bytes_to_u32s(bytes: &[u8], section: &str) -> std::io::Result<Vec<u32>> {
+/// Vertex ids, each below `n`: a restore inserts them into bitmaps of
+/// `n` bits.
+fn vertex_ids(bytes: &[u8], n: u32, section: &str) -> std::io::Result<Vec<u32>> {
     if !bytes.len().is_multiple_of(4) {
-        return Err(corrupt(&section_len(section)));
+        return Err(corrupt(&format!("{section} has a misaligned length")));
     }
-    Ok(bytes
+    let ids: Vec<u32> = bytes
         .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
+        .map(|c| u32::from_le_bytes(array(c)))
+        .collect();
+    if let Some(v) = ids.iter().find(|&&v| v >= n) {
+        return Err(corrupt(&format!(
+            "{section} holds vertex {v} of a graph of {n}"
+        )));
+    }
+    Ok(ids)
 }
 
-fn section_len(section: &str) -> String {
-    format!("section {section} has a misaligned length")
+/// A cursor over a snapshot's body.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> std::io::Result<&'a [u8]> {
+        if n > self.0.len() {
+            return Err(corrupt("truncated"));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The next `len: u64 | bytes` section.
+    fn section(&mut self) -> std::io::Result<&'a [u8]> {
+        let len = u64::from_le_bytes(array(self.take(8)?));
+        self.take(usize::try_from(len).map_err(|_| corrupt("section length overflow"))?)
+    }
 }
 
 impl CheckpointData {
-    /// Serializes the snapshot to its binary form.
-    pub fn encode(&self) -> Vec<u8> {
-        let sections: Vec<(&str, Vec<u8>)> = vec![
-            ("iteration", self.iteration.to_le_bytes().to_vec()),
-            ("values", u64s_to_bytes(&self.values)),
-            ("accum", u64s_to_bytes(&self.accum)),
-            ("frontier", u32s_to_bytes(&self.frontier)),
-            ("touched", u32s_to_bytes(&self.touched)),
-            ("stats", serde_json::to_vec(&self.stats).unwrap_or_default()),
-            ("extra", self.extra.clone()),
-        ];
-        let mut out = Vec::new();
+    /// Serializes the snapshot of the run `tag` to its binary form.
+    pub(super) fn encode(&self, tag: &ManifestTag) -> Vec<u8> {
+        let tag = serde_json::to_vec(tag).unwrap_or_default();
+        let stats = serde_json::to_vec(&self.stats).unwrap_or_default();
+        let words = 8 * (self.values.len() + self.accum.len())
+            + 4 * (self.frontier.len() + self.touched.len());
+        let mut out = Vec::with_capacity(80 + tag.len() + words + stats.len() + self.extra.len());
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&narrow::from_usize(sections.len(), "section count").to_le_bytes());
-        for (name, payload) in &sections {
-            push_section(&mut out, name, payload);
-        }
+        put_bytes(&mut out, &tag);
+        out.extend_from_slice(&self.iteration.to_le_bytes());
+        put_words(&mut out, &self.values, u64::to_le_bytes);
+        put_words(&mut out, &self.accum, u64::to_le_bytes);
+        put_words(&mut out, &self.frontier, u32::to_le_bytes);
+        put_words(&mut out, &self.touched, u32::to_le_bytes);
+        put_bytes(&mut out, &stats);
+        put_bytes(&mut out, &self.extra);
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
-    /// Parses and validates a binary snapshot: magic, section framing and
-    /// every section's CRC32. Any mismatch is `ErrorKind::InvalidData`.
-    pub fn decode(blob: &[u8]) -> std::io::Result<Self> {
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> std::io::Result<&[u8]> {
-            let end = at
-                .checked_add(n)
-                .ok_or_else(|| corrupt("length overflow"))?;
-            if end > blob.len() {
-                return Err(corrupt("truncated"));
-            }
-            let slice = &blob[*at..end];
-            *at = end;
-            Ok(slice)
-        };
-        if take(&mut at, 8)? != MAGIC {
+    /// Parses a binary snapshot and checks it belongs to the run `tag`:
+    /// CRC, magic, tag, and every section's length and ids against
+    /// `tag.num_vertices`. Any mismatch is `ErrorKind::InvalidData`.
+    pub(super) fn decode(blob: &[u8], tag: &ManifestTag) -> std::io::Result<Self> {
+        let body = blob
+            .len()
+            .checked_sub(4)
+            .ok_or_else(|| corrupt("truncated"))?;
+        let (body, crc) = blob.split_at(body);
+        if crc32(body).to_le_bytes() != crc {
+            return Err(corrupt("crc mismatch"));
+        }
+        let mut r = Reader(body);
+        if r.take(MAGIC.len())? != MAGIC {
             return Err(corrupt("bad magic"));
         }
-        let count_bytes = take(&mut at, 4)?;
-        let count = u32::from_le_bytes([
-            count_bytes[0],
-            count_bytes[1],
-            count_bytes[2],
-            count_bytes[3],
-        ]);
-
-        let mut iteration = None;
-        let mut values = None;
-        let mut accum = None;
-        let mut frontier = None;
-        let mut touched = None;
-        let mut stats = None;
-        let mut extra = None;
-        for _ in 0..count {
-            let nb = take(&mut at, 4)?;
-            let name_len = u32::from_le_bytes([nb[0], nb[1], nb[2], nb[3]]) as usize;
-            let name = std::str::from_utf8(take(&mut at, name_len)?)
-                .map_err(|_| corrupt("non-utf8 section name"))?
-                .to_string();
-            let lb = take(&mut at, 8)?;
-            let payload_len = usize::try_from(u64::from_le_bytes([
-                lb[0], lb[1], lb[2], lb[3], lb[4], lb[5], lb[6], lb[7],
-            ]))
-            .map_err(|_| corrupt("section length exceeds the address space"))?;
-            let cb = take(&mut at, 4)?;
-            let want_crc = u32::from_le_bytes([cb[0], cb[1], cb[2], cb[3]]);
-            let payload = take(&mut at, payload_len)?;
-            if gsd_integrity::crc32(payload) != want_crc {
-                return Err(corrupt(&format!("crc mismatch in section {name}")));
-            }
-            match name.as_str() {
-                "iteration" => {
-                    if payload.len() != 4 {
-                        return Err(corrupt(&section_len("iteration")));
-                    }
-                    iteration = Some(u32::from_le_bytes([
-                        payload[0], payload[1], payload[2], payload[3],
-                    ]));
-                }
-                "values" => values = Some(bytes_to_u64s(payload, "values")?),
-                "accum" => accum = Some(bytes_to_u64s(payload, "accum")?),
-                "frontier" => frontier = Some(bytes_to_u32s(payload, "frontier")?),
-                "touched" => touched = Some(bytes_to_u32s(payload, "touched")?),
-                "stats" => {
-                    stats = Some(
-                        serde_json::from_slice(payload)
-                            .map_err(|e| corrupt(&format!("stats section: {e}")))?,
-                    )
-                }
-                "extra" => extra = Some(payload.to_vec()),
-                // Unknown sections from a newer writer are skipped: they
-                // were CRC-validated above, and the known set is complete.
-                _ => {}
-            }
+        if json::<ManifestTag>(r.section()?, "tag")? != *tag {
+            return Err(Error::new(
+                ErrorKind::InvalidData,
+                "snapshot belongs to another run",
+            ));
         }
-        if at != blob.len() {
+        let n = tag.num_vertices;
+        let data = CheckpointData {
+            iteration: u32::from_le_bytes(array(r.take(4)?)),
+            values: per_vertex(r.section()?, n, "values")?,
+            accum: per_vertex(r.section()?, n, "accum")?,
+            frontier: vertex_ids(r.section()?, n, "frontier")?,
+            touched: vertex_ids(r.section()?, n, "touched")?,
+            stats: json(r.section()?, "stats")?,
+            extra: r.section()?.to_vec(),
+        };
+        if !r.0.is_empty() {
             return Err(corrupt("trailing bytes"));
         }
-        Ok(CheckpointData {
-            iteration: iteration.ok_or_else(|| corrupt("missing section iteration"))?,
-            values: values.ok_or_else(|| corrupt("missing section values"))?,
-            accum: accum.ok_or_else(|| corrupt("missing section accum"))?,
-            frontier: frontier.ok_or_else(|| corrupt("missing section frontier"))?,
-            touched: touched.ok_or_else(|| corrupt("missing section touched"))?,
-            stats: stats.ok_or_else(|| corrupt("missing section stats"))?,
-            extra: extra.ok_or_else(|| corrupt("missing section extra"))?,
-        })
+        Ok(data)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tag() -> ManifestTag {
+        ManifestTag {
+            engine: "graphsd".into(),
+            algorithm: "pagerank".into(),
+            value_bytes: 8,
+            num_vertices: 3,
+            graph_fingerprint: 0xdead_beef,
+            config_hash: 42,
+        }
+    }
 
     fn sample() -> CheckpointData {
         let mut stats = RunStats::new("graphsd", "pagerank");
@@ -233,8 +247,8 @@ mod tests {
     #[test]
     fn roundtrips() {
         let data = sample();
-        let blob = data.encode();
-        let back = CheckpointData::decode(&blob).unwrap();
+        let blob = data.encode(&tag());
+        let back = CheckpointData::decode(&blob, &tag()).unwrap();
         assert_eq!(back, data);
     }
 
@@ -249,18 +263,23 @@ mod tests {
             stats: RunStats::new("x", "y"),
             extra: vec![],
         };
-        assert_eq!(CheckpointData::decode(&data.encode()).unwrap(), data);
+        let empty = ManifestTag {
+            num_vertices: 0,
+            ..tag()
+        };
+        let back = CheckpointData::decode(&data.encode(&empty), &empty).unwrap();
+        assert_eq!(back, data);
     }
 
     #[test]
     fn any_flipped_bit_is_detected() {
-        let blob = sample().encode();
+        let blob = sample().encode(&tag());
         // Flip one bit in every byte position; decode must never silently
         // succeed with different content.
         for pos in 0..blob.len() {
             let mut bad = blob.clone();
             bad[pos] ^= 0x40;
-            match CheckpointData::decode(&bad) {
+            match CheckpointData::decode(&bad, &tag()) {
                 Err(e) => assert_eq!(e.kind(), ErrorKind::InvalidData, "pos {pos}"),
                 Ok(decoded) => assert_eq!(decoded, sample(), "pos {pos}"),
             }
@@ -269,12 +288,37 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let blob = sample().encode();
+        let blob = sample().encode(&tag());
         for cut in 0..blob.len() {
             assert!(
-                CheckpointData::decode(&blob[..cut]).is_err(),
+                CheckpointData::decode(&blob[..cut], &tag()).is_err(),
                 "truncated at {cut}"
             );
+        }
+    }
+
+    #[test]
+    fn another_runs_snapshot_is_rejected() {
+        let blob = sample().encode(&tag());
+        let mut other = tag();
+        other.config_hash ^= 1;
+        let err = CheckpointData::decode(&blob, &other).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn state_that_does_not_fit_the_graph_is_rejected() {
+        // CRC-valid, right tag, wrong shape: decode is the only gate
+        // between these and the restore's bitmap and array indexing.
+        let mut short = sample();
+        short.values.pop();
+        let mut outside = sample();
+        outside.frontier.push(3);
+        let mut touched = sample();
+        touched.touched = vec![u32::MAX];
+        for bad in [short, outside, touched] {
+            let err = CheckpointData::decode(&bad.encode(&tag()), &tag()).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{bad:?}");
         }
     }
 }

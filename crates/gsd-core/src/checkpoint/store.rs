@@ -1,12 +1,9 @@
-//! Checkpoint persistence: commit protocol, discovery, validation and
-//! retention.
+//! Checkpoint persistence: commit, discovery and retention.
 
-use super::manifest::{Manifest, ManifestTag, MANIFEST_VERSION};
-use super::snapshot::CheckpointData;
-use gsd_integrity::{crc32, fnv64};
+use super::snapshot::{CheckpointData, ManifestTag};
+use gsd_integrity::fnv64;
 use gsd_io::{IoStatsSnapshot, SharedStorage, Storage};
 use gsd_trace::{TraceEvent, TraceSink};
-use std::io::{Error, ErrorKind};
 use std::sync::Arc;
 
 /// FNV-1a/64 fingerprint of the preprocessed graph a grid prefix points
@@ -25,13 +22,17 @@ pub fn graph_fingerprint(storage: &dyn Storage, grid_prefix: &str) -> std::io::R
 /// Writes, discovers and garbage-collects checkpoints for one run
 /// identity ([`ManifestTag`]) under one key prefix.
 ///
-/// Commit protocol (crash-safe at every step):
-/// 1. snapshot object created (`Storage::create` = write-temp + rename),
-/// 2. [`Storage::sync`] — snapshot durable before it is referenced,
-/// 3. manifest object created (the commit point),
-/// 4. [`Storage::sync`] — manifest durable,
-/// 5. retention: checkpoints beyond the newest `retain` are deleted,
-///    manifest first (un-commit), then snapshot.
+/// A checkpoint is one object, `dir/snap_{iteration:010}.bin`, and it
+/// commits itself:
+/// 1. the snapshot is created — `Storage::create` is atomic on every
+///    backend (write-temp + `sync_data` + rename on files, an `Arc` swap
+///    in memory), so a reader sees the whole object or none of it;
+/// 2. one [`Storage::sync`] makes the rename durable — the commit point;
+/// 3. only then are snapshots beyond the newest `retain` deleted, so a
+///    crash at any step leaves the previous checkpoint in place.
+///
+/// A torn, foreign or stale object fails [`CheckpointData::decode`], and
+/// [`CheckpointStore::latest`] falls back to the next-older one.
 pub struct CheckpointStore {
     storage: SharedStorage,
     dir: String,
@@ -77,20 +78,16 @@ impl CheckpointStore {
         format!("{}/snap_{iteration:010}.bin", self.dir)
     }
 
-    fn manifest_key(&self, iteration: u32) -> String {
-        format!("{}/manifest_{iteration:010}.json", self.dir)
-    }
-
-    /// Iterations that have a (possibly invalid) manifest, newest first.
-    fn manifest_iterations(&self) -> Vec<u32> {
-        let prefix = format!("{}/manifest_", self.dir);
+    /// Iterations that have a (possibly invalid) snapshot, newest first.
+    fn snapshot_iterations(&self) -> Vec<u32> {
+        let prefix = format!("{}/snap_", self.dir);
         let mut iters: Vec<u32> = self
             .storage
             .list_keys()
             .into_iter()
             .filter_map(|key| {
                 key.strip_prefix(&prefix)?
-                    .strip_suffix(".json")?
+                    .strip_suffix(".bin")?
                     .parse()
                     .ok()
             })
@@ -103,25 +100,11 @@ impl CheckpointStore {
     /// applies the retention policy.
     pub fn write(&mut self, data: &CheckpointData) -> std::io::Result<()> {
         let before = self.storage.stats().snapshot();
-        let blob = data.encode();
-        let manifest = Manifest {
-            version: MANIFEST_VERSION,
-            tag: self.tag.clone(),
-            iteration: data.iteration,
-            snapshot_key: self.snapshot_key(data.iteration),
-            snapshot_bytes: blob.len() as u64,
-            snapshot_crc: crc32(&blob),
-        };
-        self.storage.create(&manifest.snapshot_key, &blob)?;
-        self.storage.sync()?;
-        let manifest_json = serde_json::to_vec(&manifest).map_err(Error::other)?;
+        let blob = data.encode(&self.tag);
         self.storage
-            .create(&self.manifest_key(data.iteration), &manifest_json)?;
+            .create(&self.snapshot_key(data.iteration), &blob)?;
         self.storage.sync()?;
-        // Retention: newest `retain` survive; manifests die before their
-        // snapshots so a crash mid-GC never leaves a dangling commit.
-        for stale in self.manifest_iterations().into_iter().skip(self.retain) {
-            self.storage.delete(&self.manifest_key(stale))?;
+        for stale in self.snapshot_iterations().into_iter().skip(self.retain) {
             self.storage.delete(&self.snapshot_key(stale))?;
         }
         self.io = self
@@ -136,35 +119,19 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Loads the newest valid checkpoint matching this store's tag, or
-    /// `None` when no usable checkpoint exists. Checkpoints that fail
-    /// validation (version or tag mismatch, missing/truncated/corrupt
-    /// snapshot) are skipped, falling back to the next-older one —
+    /// Loads the newest snapshot that decodes for this store's tag, or
+    /// `None` when no usable checkpoint exists. Snapshots that fail
+    /// (unreadable, torn, corrupt, another run's, or a shape that does not
+    /// fit the graph) are skipped, falling back to the next-older one —
     /// recovery prefers losing an iteration over failing a run.
     pub fn latest(&self) -> std::io::Result<Option<CheckpointData>> {
-        for iteration in self.manifest_iterations() {
-            let Ok(bytes) = self.storage.read_all(&self.manifest_key(iteration)) else {
+        for iteration in self.snapshot_iterations() {
+            let Ok(blob) = self.storage.read_all(&self.snapshot_key(iteration)) else {
                 continue;
             };
-            let Ok(manifest) = serde_json::from_slice::<Manifest>(&bytes) else {
+            let Ok(data) = CheckpointData::decode(&blob, &self.tag) else {
                 continue;
             };
-            if manifest.version != MANIFEST_VERSION || manifest.tag != self.tag {
-                continue;
-            }
-            let Ok(blob) = self.storage.read_all(&manifest.snapshot_key) else {
-                continue;
-            };
-            if blob.len() as u64 != manifest.snapshot_bytes || crc32(&blob) != manifest.snapshot_crc
-            {
-                continue;
-            }
-            let Ok(data) = CheckpointData::decode(&blob) else {
-                continue;
-            };
-            if data.iteration != manifest.iteration {
-                continue;
-            }
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::CkptRestored {
                     iteration: data.iteration,
@@ -175,29 +142,14 @@ impl CheckpointStore {
         }
         Ok(None)
     }
-
-    /// Validation error for resuming engines: state dimensions must match
-    /// the graph being processed.
-    pub(crate) fn check_dimensions(&self, data: &CheckpointData, n: u32) -> std::io::Result<()> {
-        if data.values.len() != n as usize || data.accum.len() != n as usize {
-            return Err(Error::new(
-                ErrorKind::InvalidData,
-                format!(
-                    "checkpoint holds {} values for a graph of {} vertices",
-                    data.values.len(),
-                    n
-                ),
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsd_io::MemStorage;
+    use gsd_io::{IoStats, MemStorage};
     use gsd_runtime::RunStats;
+    use gsd_trace::Counter;
 
     fn tag() -> ManifestTag {
         ManifestTag {
@@ -226,6 +178,46 @@ mod tests {
         CheckpointStore::new(storage, "ckpt", 2, tag())
     }
 
+    /// A `MemStorage` that counts the calls a commit makes.
+    #[derive(Default)]
+    struct Counting {
+        inner: MemStorage,
+        creates: Counter,
+        syncs: Counter,
+    }
+
+    impl Storage for Counting {
+        fn create(&self, key: &str, data: &[u8]) -> std::io::Result<()> {
+            self.creates.add(1);
+            self.inner.create(key, data)
+        }
+        fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+            self.inner.read_at(key, offset, buf)
+        }
+        fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> std::io::Result<()> {
+            self.inner.write_at(key, offset, data)
+        }
+        fn len(&self, key: &str) -> std::io::Result<u64> {
+            self.inner.len(key)
+        }
+        fn exists(&self, key: &str) -> bool {
+            self.inner.exists(key)
+        }
+        fn delete(&self, key: &str) -> std::io::Result<()> {
+            self.inner.delete(key)
+        }
+        fn list_keys(&self) -> Vec<String> {
+            self.inner.list_keys()
+        }
+        fn stats(&self) -> Arc<IoStats> {
+            self.inner.stats()
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            self.syncs.add(1);
+            self.inner.sync()
+        }
+    }
+
     #[test]
     fn write_then_latest_roundtrips() -> std::io::Result<()> {
         let storage: SharedStorage = Arc::new(MemStorage::new());
@@ -240,18 +232,20 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_the_newest_k() -> std::io::Result<()> {
-        let storage: SharedStorage = Arc::new(MemStorage::new());
-        let mut store = store_on(storage.clone());
+    fn a_checkpoint_is_one_object_and_one_sync() -> std::io::Result<()> {
+        let counting = Arc::new(Counting::default());
+        let mut store = store_on(counting.clone());
         for i in 1..=5 {
+            let (creates, syncs) = (counting.creates.get(), counting.syncs.get());
             store.write(&data(i))?;
+            assert_eq!(counting.creates.get() - creates, 1, "objects created");
+            assert_eq!(counting.syncs.get() - syncs, 1, "syncs");
         }
-        let keys = storage.list_keys();
-        assert!(!keys.iter().any(|k| k.contains("0000000003")), "{keys:?}");
-        assert!(keys.iter().any(|k| k.contains("manifest_0000000004")));
-        assert!(keys.iter().any(|k| k.contains("manifest_0000000005")));
-        assert!(keys.iter().any(|k| k.contains("snap_0000000005")));
-        assert_eq!(keys.len(), 4, "{keys:?}");
+        // Retention keeps the newest two; nothing else lives there.
+        assert_eq!(
+            counting.list_keys(),
+            ["ckpt/snap_0000000004.bin", "ckpt/snap_0000000005.bin"]
+        );
         Ok(())
     }
 
@@ -283,18 +277,13 @@ mod tests {
         assert!(other.latest()?.is_none(), "fingerprint must match");
         let mut other_algo = tag();
         other_algo.algorithm = "bfs".into();
-        let other = CheckpointStore::new(storage, "ckpt", 2, other_algo);
+        let other = CheckpointStore::new(storage.clone(), "ckpt", 2, other_algo);
         assert!(other.latest()?.is_none(), "algorithm must match");
+        let mut bigger = tag();
+        bigger.num_vertices = 4;
+        let other = CheckpointStore::new(storage, "ckpt", 2, bigger);
+        assert!(other.latest()?.is_none(), "vertex count must match");
         Ok(())
-    }
-
-    #[test]
-    fn dimension_check_rejects_wrong_graph_size() {
-        let storage: SharedStorage = Arc::new(MemStorage::new());
-        let store = store_on(storage);
-        assert!(store.check_dimensions(&data(1), 3).is_ok());
-        let err = store.check_dimensions(&data(1), 4).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
     #[test]

@@ -323,6 +323,10 @@ pub struct Driver<'a, P: VertexProgram> {
     scratch: Vec<u8>,
 }
 
+/// Checkpoints a protected run keeps: the newest, plus one to fall back
+/// to if the newest fails to decode.
+const RETAINED_CHECKPOINTS: usize = 2;
+
 /// Per-run checkpoint state: the store plus cadence bookkeeping.
 struct Checkpointer {
     store: CheckpointStore,
@@ -418,13 +422,12 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
             let mut store = CheckpointStore::new(
                 storage.clone(),
                 format!("{}ckpt", grid.prefix()),
-                cfg.retain,
+                RETAINED_CHECKPOINTS,
                 tag,
             );
             store.set_trace(trace.clone());
             let mut last = 0;
             if let Some(data) = if cfg.resume { store.latest()? } else { None } {
-                store.check_dimensions(&data, n)?;
                 driver.restore(&data);
                 policy.restore(&data)?;
                 base_io = data.stats.io;
@@ -582,7 +585,7 @@ impl<P: VertexProgram> Driver<'_, P> {
         st.frontier = Frontier::from_seeds(self.n, &data.frontier);
         st.touched_cur = Frontier::from_seeds(self.n, &data.touched);
         self.stats = data.stats.clone();
-        self.next = data.iteration + 1;
+        self.next = data.iteration.saturating_add(1);
     }
 
     /// The frame of one BSP iteration around `passes`: stream the vertex

@@ -37,7 +37,6 @@ use gsd_runtime::{
 use gsd_trace::{TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The GraphSD out-of-core engine over a preprocessed [`GridGraph`].
 pub struct GraphSdEngine {
@@ -190,14 +189,13 @@ struct ResidentBlock {
 }
 
 /// Engine-private checkpoint payload, carried opaquely in the snapshot's
-/// `extra` section: the scheduler's decision log (Figure 10/11 detail)
-/// and the sub-block buffer's residency, so a resumed run reports the
-/// same decisions and performs the same buffered I/O as an uninterrupted
-/// one.
+/// `extra` section: what `RunStats` does not already carry — the
+/// scheduler's decision log (Figure 10/11 detail), the buffer's eviction
+/// count and its residency — so a resumed run reports the same decisions
+/// and performs the same buffered I/O as an uninterrupted one.
 #[derive(Serialize, Deserialize)]
 struct CkptExtra {
     decisions: Vec<SchedulerDecision>,
-    overhead_nanos: u64,
     buffer_evictions: u64,
     residents: Vec<ResidentBlock>,
 }
@@ -309,7 +307,6 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
         let residents = self.buffer.residents().into_iter();
         let extra = CkptExtra {
             decisions: self.scheduler.decisions.clone(),
-            overhead_nanos: u64::try_from(self.scheduler.overhead.as_nanos()).unwrap_or(u64::MAX),
             buffer_evictions: self.buffer.evictions,
             residents: residents
                 .map(|(i, j, bytes, priority)| ResidentBlock {
@@ -330,8 +327,18 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
                 format!("corrupt engine checkpoint payload: {e}"),
             )
         })?;
+        let p = self.grid.p();
+        if let Some(r) = extra.residents.iter().find(|r| r.i >= p || r.j >= p) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint names resident sub-block ({}, {}) outside the {p}x{p} grid",
+                    r.i, r.j
+                ),
+            ));
+        }
         self.scheduler.decisions = extra.decisions;
-        self.scheduler.overhead = Duration::from_nanos(extra.overhead_nanos);
+        self.scheduler.overhead = data.stats.scheduler_time;
         self.buffer.hits = data.stats.buffer_hits;
         self.buffer.hit_bytes = data.stats.buffer_hit_bytes;
         self.buffer.evictions = extra.buffer_evictions;

@@ -103,7 +103,7 @@ pub const FORMAT_VERSION: u32 = 5;
 ///
 /// The epoch is part of the serialized meta, so every ingest changes the
 /// meta bytes — and with them `gsd_core::checkpoint::graph_fingerprint`, which
-/// pins checkpoint manifests to one graph state. A checkpoint taken
+/// pins checkpoints to one graph state. A checkpoint taken
 /// before a mutation batch can therefore never be resumed against the
 /// mutated graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

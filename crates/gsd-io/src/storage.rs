@@ -129,9 +129,9 @@ pub trait Storage: Send + Sync {
     }
 
     /// Flushes all buffered state to durable media. The checkpoint commit
-    /// protocol (`gsd_core::checkpoint`) calls this between writing a snapshot and
-    /// publishing its manifest so a crash cannot expose a manifest whose
-    /// snapshot is still in the page cache. Backends without buffering
+    /// protocol (`gsd_core::checkpoint`) calls this once after creating a
+    /// snapshot and before deleting older ones, so a crash cannot lose the
+    /// last durable checkpoint to garbage collection. Backends without buffering
     /// semantics (in-memory, simulated) default to a no-op; `SimDisk`
     /// overrides it to charge the flush to the virtual clock.
     fn sync(&self) -> crate::Result<()> {

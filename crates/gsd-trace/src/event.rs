@@ -292,11 +292,11 @@ trace_events! {
             /// Microseconds the engine was blocked acquiring the data.
             wait_us: u64,
         },
-        /// A checkpoint was committed (snapshot durable, manifest published).
+        /// A checkpoint was committed (its snapshot created and synced).
         CkptWritten = "ckpt_written" {
             /// Last committed iteration the checkpoint captures.
             iteration: u32,
-            /// Snapshot size in bytes (manifest excluded).
+            /// Snapshot size in bytes.
             bytes: u64,
         },
         /// A run resumed from a checkpoint instead of starting cold.

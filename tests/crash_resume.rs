@@ -27,7 +27,10 @@ use graphsd::graph::{
     VerifyPolicy,
 };
 use graphsd::io::{DiskModel, FileStorage, SharedStorage, SimDisk, TempDir};
-use graphsd::recover::{FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage};
+use graphsd::recover::{
+    graph_fingerprint, CheckpointData, CheckpointStore, FaultConfig, FaultyStorage, ManifestTag,
+    RetryPolicy, RetryingStorage,
+};
 use graphsd::runtime::{Engine, RunOptions, RunResult, VertexProgram};
 use graphsd::trace::{RingRecorder, TraceEvent};
 use std::sync::Arc;
@@ -265,50 +268,120 @@ fn cold_start_with_resume_enabled_finds_nothing_and_runs_clean() {
     assert_eq!(fingerprint(&base), fingerprint(&cold));
 }
 
-fn manifest_count(storage: &SharedStorage) -> usize {
-    storage
-        .list_keys()
-        .into_iter()
-        .filter(|k| k.starts_with("ckpt/manifest_"))
-        .count()
-}
-
 #[test]
 fn cadence_and_retention_shape_the_checkpoint_set() {
     let g = GeneratorConfig::new(GraphKind::RMat, 600, 4200, 33).generate();
     let opts = RunOptions::default();
+    // Runs PageRank checkpointing every `every` iterations; returns the
+    // checkpoints committed and the keys left under the prefix.
+    let run = |every: u32| {
+        let storage = sim_grid(&g, 3);
+        let recorder = Arc::new(RingRecorder::new(4096));
+        let mut engine = graphsd_on(
+            &storage,
+            GraphSdConfig::full().with_checkpoint(RecoveryConfig::every(every)),
+        );
+        engine.set_trace(recorder.clone());
+        engine.run(&PageRank::paper(), &opts).unwrap();
+        let written = recorder
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::CkptWritten { .. }))
+            .count();
+        let kept: Vec<String> = storage
+            .list_keys()
+            .into_iter()
+            .filter(|k| k.starts_with("ckpt/"))
+            .collect();
+        (written, kept)
+    };
 
-    // Wide retention: every boundary past the cadence keeps a manifest.
-    let dense = sim_grid(&g, 3);
-    graphsd_on(
-        &dense,
-        GraphSdConfig::full().with_checkpoint(RecoveryConfig::every(1).with_retain(100)),
-    )
-    .run(&PageRank::paper(), &opts)
-    .unwrap();
-    let sparse = sim_grid(&g, 3);
-    graphsd_on(
-        &sparse,
-        GraphSdConfig::full().with_checkpoint(RecoveryConfig::every(4).with_retain(100)),
-    )
-    .run(&PageRank::paper(), &opts)
-    .unwrap();
-    let (dense_n, sparse_n) = (manifest_count(&dense), manifest_count(&sparse));
-    assert!(dense_n > 0);
+    let ((dense_n, dense_kept), (sparse_n, sparse_kept)) = (run(1), run(4));
+    assert!(dense_n > 2);
     assert!(
         sparse_n < dense_n,
         "every=4 must commit fewer checkpoints than every=1 ({sparse_n} vs {dense_n})"
     );
 
-    // Default retention: only the newest k survive GC.
-    let pruned = sim_grid(&g, 3);
-    graphsd_on(
-        &pruned,
-        GraphSdConfig::full().with_checkpoint(RecoveryConfig::every(1).with_retain(2)),
-    )
-    .run(&PageRank::paper(), &opts)
-    .unwrap();
-    assert!(manifest_count(&pruned) <= 2);
+    // Retention: only the newest two snapshots survive GC, and a
+    // checkpoint is nothing but its snapshot.
+    for kept in [dense_kept, sparse_kept] {
+        assert!((1..=2).contains(&kept.len()), "{kept:?}");
+        assert!(
+            kept.iter()
+                .all(|k| k.starts_with("ckpt/snap_") && k.ends_with(".bin")),
+            "{kept:?}"
+        );
+    }
+}
+
+#[test]
+fn a_crc_valid_snapshot_that_does_not_fit_the_graph_is_not_restored() {
+    let g = GeneratorConfig::new(GraphKind::RMat, 600, 4200, 45).generate();
+    let opts = RunOptions::default();
+    let program = PageRank::paper();
+    let config = GraphSdConfig::full().with_checkpoint(RecoveryConfig::every(1));
+    let want = graphsd_on(&sim_grid(&g, 3), config.clone())
+        .run(&program, &opts)
+        .unwrap();
+    // A disk holding the valid checkpoint of a run killed at iteration 1,
+    // and a store that writes further snapshots under the same identity.
+    let killed_after_first_checkpoint = || {
+        let storage = sim_grid(&g, 3);
+        graphsd_on(
+            &storage,
+            config
+                .clone()
+                .with_checkpoint(RecoveryConfig::every(1).with_halt_after(1)),
+        )
+        .run(&program, &opts)
+        .expect_err("halt_after must abort");
+        let tag = ManifestTag {
+            engine: "graphsd".into(),
+            algorithm: program.name().into(),
+            value_bytes: program.value_bytes(),
+            num_vertices: open_grid(&storage, "", VerifyPolicy::Off).num_vertices(),
+            graph_fingerprint: graph_fingerprint(storage.as_ref(), "").unwrap(),
+            config_hash: config.semantic_hash(),
+        };
+        let store = CheckpointStore::new(storage.clone(), "ckpt", 2, tag);
+        let valid = store.latest().unwrap().expect("the killed run committed");
+        (storage, store, valid)
+    };
+
+    // Newer and CRC-valid, but its frontier names a vertex past |V|:
+    // resume skips it for the older checkpoint and finishes the run.
+    let (storage, mut store, valid) = killed_after_first_checkpoint();
+    let n = valid.values.len() as u32;
+    store
+        .write(&CheckpointData {
+            iteration: valid.iteration + 1,
+            frontier: vec![n],
+            ..valid
+        })
+        .unwrap();
+    let resumed = graphsd_on(&storage, config.clone())
+        .run(&program, &opts)
+        .unwrap();
+    assert_eq!(fingerprint(&want), fingerprint(&resumed));
+
+    // Right shape, but GraphSD's payload names a resident sub-block
+    // outside the 3×3 grid: the restore refuses it.
+    let (storage, mut store, valid) = killed_after_first_checkpoint();
+    let extra =
+        br#"{"decisions":[],"buffer_evictions":0,"residents":[{"i":3,"j":0,"bytes":1,"priority":1}]}"#;
+    store
+        .write(&CheckpointData {
+            iteration: valid.iteration + 1,
+            extra: extra.to_vec(),
+            ..valid
+        })
+        .unwrap();
+    let err = graphsd_on(&storage, config)
+        .run(&program, &opts)
+        .expect_err("an out-of-grid resident block is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("outside the 3x3 grid"), "{err}");
 }
 
 #[test]
