@@ -16,10 +16,9 @@
 //! --inject-faults SEED:RATE   deterministic transient I/O faults at the
 //!                             given per-operation rate, absorbed by the
 //!                             bounded-retry layer (results unchanged)
-//! --verify off|full|sample:N  checksum grid objects as runs read them
+//! --verify off|full           checksum grid objects as runs read them
 //!                             (default off; detected corruption fails
 //!                             the experiment instead of skewing results)
-//! --on-corruption fail|retry[:N]|quarantine
 //! --trace FILE                stream every trace event as JSONL to FILE
 //!                             (`gsd report FILE` folds it into tables)
 //! --verbose                   live per-iteration table on stderr
@@ -65,8 +64,7 @@ fn usage(error: &str) -> ! {
     eprintln!(
         "usage: experiments [--scale tiny|small|medium] [--no-prefetch] \
          [--prefetch-depth N] [--checkpoint-every N] [--inject-faults SEED:RATE] \
-         [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] \
-         [--trace FILE] [--verbose] [ids...]"
+         [--verify off|full] [--trace FILE] [--verbose] [ids...]"
     );
     eprintln!("known ids: {}", ALL_IDS.join(" "));
     std::process::exit(2);

@@ -181,8 +181,6 @@ pub struct RunSection {
     pub verify_ok: (u64, u64),
     /// `CorruptionDetected` events.
     pub corruptions: u64,
-    /// `BlockRepaired` events.
-    pub repairs: u64,
     /// The exactly-reproducible counters (see [`ReplayedCounters`]).
     pub counters: ReplayedCounters,
     /// Tallies since the last `IterationEnd`; zero after a complete run.
@@ -502,7 +500,6 @@ impl TraceReport {
             TraceEvent::IoGaveUp { .. } => self.run().io_gave_up += 1,
             TraceEvent::ChecksumOk { bytes, .. } => count(&mut self.run().verify_ok, *bytes),
             TraceEvent::CorruptionDetected { .. } => self.run().corruptions += 1,
-            TraceEvent::BlockRepaired { .. } => self.run().repairs += 1,
             TraceEvent::ServeStarted { vertices, p } => {
                 self.daemon.starts += 1;
                 self.daemon.vertices = *vertices;
@@ -712,10 +709,10 @@ fn render_run(out: &mut String, idx: usize, run: &RunSection, top_n: usize) {
             run.io_gave_up
         ));
     }
-    if run.verify_ok.0 + run.corruptions + run.repairs > 0 {
+    if run.verify_ok.0 + run.corruptions > 0 {
         out.push_str(&format!(
-            "integrity: {} verified objects ({} B), {} corruptions, {} repaired\n",
-            run.verify_ok.0, run.verify_ok.1, run.corruptions, run.repairs
+            "integrity: {} verified objects ({} B), {} corruptions\n",
+            run.verify_ok.0, run.verify_ok.1, run.corruptions
         ));
     }
     let hottest = run.hottest_blocks(top_n);

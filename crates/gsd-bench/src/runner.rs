@@ -10,7 +10,9 @@ use gsd_baselines::{
     build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
 };
 use gsd_core::{GraphSdConfig, GraphSdEngine, GridSession, SchedulerDecision};
-use gsd_graph::{preprocess, EdgeCodec, Graph, GridGraph, PreprocessConfig, PreprocessReport};
+use gsd_graph::{
+    preprocess, CorruptionResponse, EdgeCodec, Graph, GridGraph, PreprocessConfig, PreprocessReport,
+};
 use gsd_io::{DiskModel, SharedStorage, SimDisk};
 use gsd_runtime::{Engine, RunOptions, RunStats, VertexProgram};
 use std::sync::Arc;
@@ -308,19 +310,19 @@ fn run_with_disk_p(
     let (report, mut engine): (PreprocessReport, AnyEngine) = match kind {
         SystemKind::HusGraph => {
             let (mut format, report) = build_hus_format(graph, &storage, "", Some(p))?;
-            settings.verify_grid(&mut format.row)?;
-            settings.verify_grid(&mut format.col)?;
+            format.row.set_verification(settings.verify);
+            format.col.set_verification(settings.verify);
             (report, AnyEngine::Hus(HusGraphEngine::new(format)?))
         }
         SystemKind::Lumos => {
             let (mut grid, report) = build_lumos_format(graph, &storage, "", Some(p))?;
-            settings.verify_grid(&mut grid)?;
+            grid.set_verification(settings.verify);
             (report, AnyEngine::Lumos(LumosEngine::new(grid)?))
         }
         SystemKind::GridStream => {
             let (_, report) = preprocess(graph, storage.as_ref(), &gsd_pre)?;
             let mut grid = GridGraph::open(storage.clone())?;
-            settings.verify_grid(&mut grid)?;
+            grid.set_verification(settings.verify);
             (report, AnyEngine::Grid(GridStreamEngine::new(grid)?))
         }
         SystemKind::GraphSd
@@ -331,7 +333,7 @@ fn run_with_disk_p(
         | SystemKind::GraphSdNoBuffer => {
             let (_, report) = preprocess(graph, storage.as_ref(), &gsd_pre)?;
             let mut grid = GridGraph::open(storage.clone())?;
-            settings.verify_grid(&mut grid)?;
+            grid.set_verification(settings.verify);
             let config = graphsd_config_of(kind, budget, settings);
             (report, AnyEngine::Gsd(GraphSdEngine::new(grid, config)?))
         }
@@ -470,18 +472,18 @@ pub(crate) fn reopen_engine(
         SystemKind::HusGraph => {
             let mut row = GridGraph::open_with_prefix(storage.clone(), "row/")?;
             let mut col = GridGraph::open_with_prefix(storage, "col/")?;
-            settings.verify_grid(&mut row)?;
-            settings.verify_grid(&mut col)?;
+            row.set_verification(settings.verify);
+            col.set_verification(settings.verify);
             AnyEngine::Hus(HusGraphEngine::new(HusFormat { row, col })?)
         }
         SystemKind::Lumos => {
             let mut grid = GridGraph::open(storage)?;
-            settings.verify_grid(&mut grid)?;
+            grid.set_verification(settings.verify);
             AnyEngine::Lumos(LumosEngine::new(grid)?)
         }
         SystemKind::GridStream => {
             let mut grid = GridGraph::open(storage)?;
-            settings.verify_grid(&mut grid)?;
+            grid.set_verification(settings.verify);
             AnyEngine::Grid(GridStreamEngine::new(grid)?)
         }
         SystemKind::GraphSd
@@ -492,7 +494,8 @@ pub(crate) fn reopen_engine(
         | SystemKind::GraphSdNoBuffer => {
             // GraphSD variants go through the same open-once session the
             // `run` CLI and the serve daemon use.
-            let session = GridSession::open(storage, settings.verify, settings.on_corruption)?;
+            let session =
+                GridSession::open(storage, settings.verify, CorruptionResponse::FailFast)?;
             AnyEngine::Gsd(session.engine(graphsd_config_of(kind, budget, settings))?)
         }
     };

@@ -12,7 +12,7 @@ use crate::datasets::Scale;
 use crate::trace::trace_sink;
 use gsd_core::RecoveryConfig;
 use gsd_core::{GraphSdConfig, PipelineConfig};
-use gsd_graph::{CorruptionResponse, GridGraph, VerifyPolicy};
+use gsd_graph::VerifyPolicy;
 use gsd_integrity::{FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage};
 use gsd_io::SharedStorage;
 use gsd_trace::TraceSink;
@@ -30,10 +30,9 @@ pub struct RunSettings {
     /// Checkpoint cadence (GraphSD variants, Lumos, HUS-Graph); `None`
     /// runs unprotected.
     pub checkpoint: Option<RecoveryConfig>,
-    /// Which grid objects are checksummed as the run reads them.
+    /// Whether grid objects are checksummed as the run reads them (a
+    /// mismatch fails the run).
     pub verify: VerifyPolicy,
-    /// What a failed checksum does.
-    pub on_corruption: CorruptionResponse,
     /// Seeded transient I/O faults under a bounded-retry layer, or `None`
     /// for the bare storage.
     pub faults: Option<FaultConfig>,
@@ -49,7 +48,6 @@ impl Default for RunSettings {
             prefetch: None,
             checkpoint: None,
             verify: VerifyPolicy::Off,
-            on_corruption: CorruptionResponse::default(),
             faults: None,
             sink: gsd_trace::null_sink(),
         }
@@ -71,15 +69,6 @@ impl RunSettings {
             }
             None => base,
         }
-    }
-
-    /// Wires the verification policy into a freshly opened grid. `Off`
-    /// leaves the grid untouched, byte-for-byte the unverified path.
-    pub fn verify_grid(&self, grid: &mut GridGraph) -> std::io::Result<()> {
-        if self.verify.is_off() {
-            return Ok(());
-        }
-        grid.set_verification(self.verify, self.on_corruption)
     }
 
     /// `config` with this run's prefetch sizing and checkpoint cadence.
@@ -108,8 +97,7 @@ impl RunFlags {
     /// ```text
     /// --no-prefetch | --prefetch-depth N     (N ≥ 1; default: `prefetch`)
     /// --checkpoint-every N                   (N ≥ 1; default: none)
-    /// --verify off|full|sample:N             (default off)
-    /// --on-corruption fail|retry[:N]|quarantine
+    /// --verify off|full                      (default off)
     /// --inject-faults SEED:RATE              (rate in [0, 1])
     /// --scale tiny|small|medium
     /// --trace FILE  --verbose            (→ `settings.sink`; flush it at exit)
@@ -151,15 +139,8 @@ impl RunFlags {
                 }
                 "--verify" => {
                     let spec = value()?;
-                    settings.verify = VerifyPolicy::parse(spec).ok_or_else(|| {
-                        format!("{flag}: unknown spec {spec:?} (off|full|sample:N)")
-                    })?;
-                }
-                "--on-corruption" => {
-                    let spec = value()?;
-                    settings.on_corruption = CorruptionResponse::parse(spec).ok_or_else(|| {
-                        format!("{flag}: unknown spec {spec:?} (fail|retry[:N]|quarantine)")
-                    })?;
+                    settings.verify = VerifyPolicy::parse(spec)
+                        .ok_or_else(|| format!("{flag}: unknown spec {spec:?} (off|full)"))?;
                 }
                 "--inject-faults" => {
                     let spec = value()?;
@@ -211,11 +192,11 @@ mod tests {
     fn a_bad_spec_is_an_error_naming_its_flag() {
         for (flag, value) in [
             ("--verify", "ful"),
+            ("--verify", "sample:4"),
             ("--checkpoint-every", "two"),
             ("--prefetch-depth", "0"),
             ("--inject-faults", "42:1.5"),
             ("--scale", "tinny"),
-            ("--on-corruption", "shrug"),
         ] {
             let err = parse(&[flag, value, "fig7"]).err();
             assert!(
@@ -236,7 +217,7 @@ mod tests {
         let s = &flags.settings;
         assert_eq!(s.prefetch, Some(PipelineConfig::default()));
         assert_eq!(s.checkpoint, None);
-        assert!(s.verify.is_off());
+        assert_eq!(s.verify, VerifyPolicy::Off);
         assert!(s.faults.is_none());
         assert!(!s.sink.enabled());
         assert!(RunFlags::parse(&[], None)
@@ -259,9 +240,7 @@ mod tests {
             "--inject-faults",
             "42:0.01",
             "--verify",
-            "sample:4",
-            "--on-corruption",
-            "retry:3",
+            "full",
             "--verbose",
         ])
         .unwrap();
@@ -270,8 +249,7 @@ mod tests {
         let s = &flags.settings;
         assert_eq!(s.prefetch, Some(PipelineConfig::with_depth(5)));
         assert_eq!(s.checkpoint, Some(RecoveryConfig::every(2)));
-        assert_eq!(s.verify, VerifyPolicy::Sample(4));
-        assert_eq!(s.on_corruption, CorruptionResponse::Retry(3));
+        assert_eq!(s.verify, VerifyPolicy::Full);
         assert!(s.faults.is_some());
         assert!(s.sink.enabled(), "--verbose installs a sink");
 

@@ -141,7 +141,6 @@ impl TraceSink for VerboseSink {
             | TraceEvent::IoGaveUp { .. }
             | TraceEvent::ChecksumOk { .. }
             | TraceEvent::CorruptionDetected { .. }
-            | TraceEvent::BlockRepaired { .. }
             | TraceEvent::ServeStarted { .. }
             | TraceEvent::QueryAccepted { .. }
             | TraceEvent::QueryCompleted { .. }

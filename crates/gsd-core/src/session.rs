@@ -26,7 +26,8 @@ pub struct GridSession {
 impl GridSession {
     /// Opens the grid at the root of `storage` with an explicit
     /// verification policy. [`VerifyPolicy::Off`] skips manifest wiring
-    /// entirely.
+    /// entirely. `response` has one value, `FailFast`: a corrupt object
+    /// fails its read.
     pub fn open(
         storage: SharedStorage,
         policy: VerifyPolicy,
@@ -41,12 +42,10 @@ impl GridSession {
         storage: SharedStorage,
         prefix: &str,
         policy: VerifyPolicy,
-        response: CorruptionResponse,
+        _response: CorruptionResponse,
     ) -> std::io::Result<Self> {
         let mut grid = GridGraph::open_with_prefix(storage, prefix)?;
-        if !policy.is_off() {
-            grid.set_verification(policy, response)?;
-        }
+        grid.set_verification(policy);
         Ok(GridSession { grid })
     }
 
@@ -61,16 +60,15 @@ impl GridSession {
     /// new delta overlay; previously built engines keep the old handle,
     /// which is exactly the epoch-consistency contract.
     pub fn reopen(&mut self) -> std::io::Result<()> {
-        let (policy, response) = match self.grid.verifier() {
-            Some(v) => (v.policy(), v.response()),
-            None => (VerifyPolicy::Off, CorruptionResponse::default()),
+        let policy = if self.grid.verifier().is_some() {
+            VerifyPolicy::Full
+        } else {
+            VerifyPolicy::Off
         };
         let storage = self.grid.storage().clone();
         let prefix = self.grid.prefix().to_owned();
         let mut grid = GridGraph::open_with_prefix(storage, &prefix)?;
-        if !policy.is_off() {
-            grid.set_verification(policy, response)?;
-        }
+        grid.set_verification(policy);
         self.grid = grid;
         Ok(())
     }

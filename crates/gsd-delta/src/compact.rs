@@ -27,7 +27,7 @@
 use gsd_graph::delta::{manifest_key, read_manifest, DeltaManifest};
 use gsd_graph::format::GridMeta;
 use gsd_graph::layout::{degrees_object, row_objects};
-use gsd_graph::{CorruptionResponse, Edge, GridGraph, VerifyPolicy, META_KEY};
+use gsd_graph::{Edge, GridGraph, VerifyPolicy, META_KEY};
 use gsd_integrity::{fnv64, IntegritySection, ObjectEntry};
 use gsd_io::SharedStorage;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -66,7 +66,7 @@ pub fn compact(
     };
     // Base sub-blocks of a touched row are laid out again from what is
     // read here, so they are checked against the manifest as they arrive.
-    grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)?;
+    grid.set_verification(VerifyPolicy::Full);
     // ...and the raw on-disk meta (base counts, the state being replaced).
     let disk_meta = GridMeta::from_bytes(&storage.read_all(&format!("{prefix}{META_KEY}"))?)?;
     let manifest = read_manifest(storage.as_ref(), prefix, &disk_meta)?;

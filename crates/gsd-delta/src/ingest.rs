@@ -135,7 +135,7 @@ pub fn ingest(
     // Merge each touched block to derive the new merged counts and the
     // out-degree diff of the batch.
     let degrees_bytes = storage.read_all(&format!("{prefix}{DEGREES_KEY}"))?;
-    check_base_object(&meta, DEGREES_KEY, &degrees_bytes)?;
+    check_base_object(&meta, prefix, DEGREES_KEY, &degrees_bytes)?;
     let base_degrees = decode_u32s(&degrees_bytes)?;
     let mut merged_counts = prior.merged_block_edge_counts;
     // Absolute merged out-degrees: prior patch extended by this batch.

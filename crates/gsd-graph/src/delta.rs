@@ -44,16 +44,17 @@
 //!
 //! # Integrity
 //!
-//! Each segment is covered by an [`ObjectEntry`] (length + CRC32) in the
+//! Each segment is covered by an `ObjectEntry` (length + CRC32) in the
 //! manifest's [`IntegritySection`]; the manifest's entry list is guarded
 //! by its section CRC and pinned to the sealed meta through the epoch.
-//! Overlay loading and `ingest` verify every segment and every base
-//! payload they merge ([`read_base_block`]), and `scrub` extends to
-//! segments (see [`crate::integrity`]).
+//! Overlay loading and `ingest` check every segment and every base
+//! payload they merge ([`read_base_block`]) with `ObjectEntry::check`, so
+//! a mismatch is a `CorruptionError` naming the object, and `scrub`
+//! extends to segments (see [`crate::integrity`]).
 
-use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION};
+use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION, META_KEY};
 use crate::types::{Edge, VertexId};
-use gsd_integrity::{IntegritySection, ObjectEntry};
+use gsd_integrity::{CorruptionError, IntegritySection};
 use gsd_io::Storage;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -369,16 +370,24 @@ pub fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) {
     }
 }
 
-/// Checks `payload`, just read from the base object `rel_key`, against
-/// the sealed meta's integrity entry: what every merge of delta ops into
-/// a base object stands on.
-pub fn check_base_object(meta: &GridMeta, rel_key: &str, payload: &[u8]) -> std::io::Result<()> {
-    if meta.integrity.lookup(rel_key) != Some(&ObjectEntry::of(rel_key, payload)) {
-        return Err(invalid(format!(
-            "base object {rel_key:?} failed its checksum while merging delta segments"
-        )));
-    }
-    Ok(())
+/// Checks `payload`, just read from the base object `rel_key` of the grid
+/// under `prefix`, against the sealed meta's integrity entry: what every
+/// merge of delta ops into a base object stands on.
+pub fn check_base_object(
+    meta: &GridMeta,
+    prefix: &str,
+    rel_key: &str,
+    payload: &[u8],
+) -> std::io::Result<()> {
+    let key = format!("{prefix}{rel_key}");
+    let checked = match meta.integrity.lookup(rel_key) {
+        Some(entry) => entry.check(&key, payload),
+        None => Err(CorruptionError::manifest(
+            format!("{prefix}{META_KEY}"),
+            format!("no integrity entry for base object {rel_key:?}"),
+        )),
+    };
+    checked.map_err(CorruptionError::into_io)
 }
 
 /// Reads base sub-block `(i, j)` of the grid `meta` (the sealed, on-disk
@@ -396,7 +405,7 @@ pub fn read_base_block(
     if !payload.is_empty() {
         storage.read_at(&block_edges_key(prefix, i, j), 0, &mut payload)?;
     }
-    check_base_object(meta, &block_edges_key("", i, j), &payload)?;
+    check_base_object(meta, prefix, &block_edges_key("", i, j), &payload)?;
     Ok(meta.codec().decode_all(&payload))
 }
 
@@ -412,13 +421,11 @@ pub fn read_live_ops(
 ) -> std::io::Result<BTreeMap<(u32, u32), Vec<DeltaOp>>> {
     let mut per_block: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
     for entry in &manifest.segments.objects {
-        let payload = storage.read_all(&format!("{prefix}{}", entry.key))?;
-        if ObjectEntry::of(&entry.key, &payload) != *entry {
-            return Err(invalid(format!(
-                "delta segment {:?} failed its manifest checksum",
-                entry.key
-            )));
-        }
+        let key = format!("{prefix}{}", entry.key);
+        let payload = storage.read_all(&key)?;
+        entry
+            .check(&key, &payload)
+            .map_err(CorruptionError::into_io)?;
         let (header, ops) = decode_segment(&payload)?;
         if header.i >= p || header.j >= p || header.epoch > manifest.epoch {
             return Err(invalid(format!(
@@ -507,6 +514,7 @@ mod tests {
     use super::*;
     use crate::layout::BlockOrder;
     use crate::partition::Intervals;
+    use gsd_integrity::ObjectEntry;
 
     /// Merges as `load_overlay` does, into the only sub-block of an
     /// 8-vertex, one-interval grid.

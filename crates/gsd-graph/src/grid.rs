@@ -6,7 +6,7 @@ use crate::delta::DeltaOverlay;
 use crate::format::{block_edges_key, decode_u32s, row_index_key, GridMeta, DEGREES_KEY, META_KEY};
 use crate::partition::Intervals;
 use crate::types::{Edge, EdgeCodec, VertexId};
-use gsd_integrity::{CorruptionResponse, GridVerifier, VerifyPolicy};
+use gsd_integrity::{GridVerifier, VerifyPolicy};
 use gsd_io::SharedStorage;
 use std::sync::Arc;
 
@@ -76,7 +76,7 @@ pub struct GridGraph {
     meta: GridMeta,
     intervals: Intervals,
     codec: EdgeCodec,
-    /// Verify-on-read hook (policy != Off). Shared across
+    /// Verify-on-read hook (`Some` under `VerifyPolicy::Full`). Shared across
     /// cloned handles so pipeline workers and the engine pool one memo of
     /// already-verified objects and one set of counters.
     verifier: Option<Arc<GridVerifier>>,
@@ -129,24 +129,17 @@ impl GridGraph {
     }
 
     /// Turns verify-on-read on (or off, with [`VerifyPolicy::Off`]) for
-    /// this handle and everything cloned from it afterwards.
-    pub fn set_verification(
-        &mut self,
-        policy: VerifyPolicy,
-        response: CorruptionResponse,
-    ) -> std::io::Result<()> {
-        if policy.is_off() {
-            self.verifier = None;
-            return Ok(());
-        }
-        self.verifier = Some(Arc::new(GridVerifier::new(
-            self.storage.clone(),
-            self.prefix.clone(),
-            self.meta.integrity.clone(),
-            policy,
-            response,
-        )));
-        Ok(())
+    /// this handle and everything cloned from it afterwards. A corrupt
+    /// object then fails its read with a `CorruptionError`.
+    pub fn set_verification(&mut self, policy: VerifyPolicy) {
+        self.verifier = match policy {
+            VerifyPolicy::Off => None,
+            VerifyPolicy::Full => Some(Arc::new(GridVerifier::new(
+                self.storage.clone(),
+                self.prefix.clone(),
+                self.meta.integrity.clone(),
+            ))),
+        };
     }
 
     /// The active verifier, if verification is on.
@@ -371,9 +364,9 @@ impl GridGraph {
     /// Loads the out-degree table.
     pub fn load_out_degrees(&self) -> std::io::Result<Vec<u32>> {
         let key = format!("{}{}", self.prefix, DEGREES_KEY);
-        let mut bytes = self.storage.read_all(&key)?;
+        let bytes = self.storage.read_all(&key)?;
         if let Some(v) = &self.verifier {
-            v.verify_owned(&key, &mut bytes)?;
+            v.verify_owned(&key, &bytes)?;
         }
         let mut degrees = decode_u32s(&bytes)?;
         if let Some(overlay) = &self.overlay {

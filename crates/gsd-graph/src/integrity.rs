@@ -13,7 +13,7 @@
 use crate::format::{GridMeta, META_KEY};
 use crate::graph::Graph;
 use crate::layout::{bucket_edges, degrees_object, row_keys, row_objects};
-use gsd_integrity::{scrub_objects, ObjectEntry, ScrubReport};
+use gsd_integrity::{scrub_objects, ScrubReport};
 use gsd_io::Storage;
 use std::collections::BTreeSet;
 
@@ -101,19 +101,15 @@ pub fn repair_grid(
         if !corrupt.contains(rel.as_str()) {
             return Ok(());
         }
-        let rebuilt = ObjectEntry::of(rel.as_str(), &payload);
-        match section.lookup(&rel) {
-            Some(entry) if *entry == rebuilt => {}
-            entry => {
-                return Err(invalid(format!(
-                    "rebuilt object {rel:?} does not match the manifest \
-                     (len {} crc {:#010x} vs recorded {entry:?}): \
-                     the provided source is not this grid's source",
-                    rebuilt.len, rebuilt.crc
-                )))
-            }
+        let key = format!("{prefix}{rel}");
+        // `corrupt` holds manifest keys only (segments were refused above).
+        if let Some(Err(mismatch)) = section.lookup(&rel).map(|e| e.check(&key, &payload)) {
+            return Err(invalid(format!(
+                "rebuilt object {rel:?} does not match the manifest ({mismatch}): \
+                 the provided source is not this grid's source"
+            )));
         }
-        storage.create(&format!("{prefix}{rel}"), &payload)?;
+        storage.create(&key, &payload)?;
         rewritten.push(rel);
         Ok(())
     };
@@ -161,7 +157,7 @@ mod tests {
     use super::*;
     use crate::generators::{GeneratorConfig, GraphKind};
     use crate::preprocess::{preprocess, PreprocessConfig};
-    use gsd_integrity::ObjectStatus;
+    use gsd_integrity::CorruptionKind;
     use gsd_io::MemStorage;
 
     fn source() -> Graph {
@@ -260,7 +256,7 @@ mod tests {
             assert!(outcome.after.is_clean());
             assert!(matches!(
                 outcome.before.objects[0].status,
-                ObjectStatus::Ok | ObjectStatus::ChecksumMismatch { .. }
+                None | Some(CorruptionKind::ChecksumMismatch { .. })
             ));
         }
     }

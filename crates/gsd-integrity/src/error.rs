@@ -36,6 +36,19 @@ pub enum CorruptionKind {
     },
 }
 
+impl CorruptionKind {
+    /// Short stable label for reports (`checksum`, `length`, `missing`,
+    /// `manifest`).
+    pub fn label(&self) -> &'static str {
+        match self {
+            CorruptionKind::ChecksumMismatch { .. } => "checksum",
+            CorruptionKind::LengthMismatch { .. } => "length",
+            CorruptionKind::Missing => "missing",
+            CorruptionKind::ManifestCorrupt { .. } => "manifest",
+        }
+    }
+}
+
 /// A detected integrity violation on one grid object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptionError {

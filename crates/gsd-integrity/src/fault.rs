@@ -7,18 +7,11 @@
 //!   retry of the same logical request draws a fresh decision, so a
 //!   bounded retry loop eventually succeeds. Whether attempt *n* fails is
 //!   a pure function of the seed and the global attempt counter.
-//! * **Permanent** faults are a pure function of the seed and the *key*:
-//!   every attempt against a doomed key fails with `ErrorKind::Other`,
-//!   modeling an unreadable sector. Retrying is pointless by design.
-//! * `kill_at_op` hard-fails the N-th data operation regardless of
-//!   rates, for scripting a crash at an exact point in a run.
-//! * **Corruption** faults let an accounted read *succeed with bad
-//!   bytes*: the buffer is deterministically bit-flipped, tail-zeroed
-//!   (truncated transfer) or zero-filled after the inner read. The inner
-//!   store's at-rest content is untouched, so a verifier's unaccounted
-//!   side read still sees clean data — modeling in-flight corruption a
-//!   bounded re-read can recover from. At-rest rot is injected separately
-//!   with [`corrupt_object`].
+//! * `kill_at_op` hard-fails the N-th data operation regardless of the
+//!   rate, for scripting a crash at an exact point in a run.
+//!
+//! At-rest rot, which verification must catch, is planted separately with
+//! [`corrupt_object`].
 //!
 //! Failed attempts never reach the inner backend, so they leave its
 //! accounting and sequential/random cursors untouched: a faulty run that
@@ -34,57 +27,17 @@ use gsd_io::{DiskModel, IoStats, SharedStorage, Storage};
 use gsd_trace::Counter;
 use parking_lot::Mutex;
 use std::io::{Error, ErrorKind};
-use std::ops::Range;
 use std::sync::Arc;
 
-/// Restricts fault injection to a subset of requests.
-#[derive(Debug, Clone, Default)]
-pub struct FaultTarget {
-    /// Only requests whose key contains this substring are eligible.
-    pub key_substring: String,
-    /// For positioned ops, only requests starting inside this byte range
-    /// are eligible (`create`/`sync` count as offset 0).
-    pub offsets: Option<Range<u64>>,
-}
-
-impl FaultTarget {
-    /// Targets requests whose key contains `substring`.
-    pub fn key(substring: impl Into<String>) -> Self {
-        FaultTarget {
-            key_substring: substring.into(),
-            offsets: None,
-        }
-    }
-
-    fn matches(&self, key: &str, offset: u64) -> bool {
-        key.contains(&self.key_substring)
-            && self.offsets.as_ref().is_none_or(|r| r.contains(&offset))
-    }
-}
-
-/// How injected corruption mangles a read buffer (or, via
-/// [`corrupt_object`], an at-rest object).
+/// How [`corrupt_object`] rots an at-rest object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionMode {
     /// Flip one deterministically chosen bit.
     BitFlip,
-    /// Drop the tail: in-flight, the unfilled remainder of the buffer
-    /// reads as zeros; at rest, the object is rewritten strictly shorter.
+    /// Rewrite the object strictly shorter.
     Truncate,
     /// Zero a deterministically chosen span.
     ZeroFill,
-}
-
-impl CorruptionMode {
-    /// Parses `bitflip`, `truncate` or `zerofill`.
-    pub fn parse(spec: &str) -> Option<Self> {
-        match spec.trim() {
-            "bitflip" => Some(CorruptionMode::BitFlip),
-            "truncate" => Some(CorruptionMode::Truncate),
-            "zerofill" => Some(CorruptionMode::ZeroFill),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for CorruptionMode {
@@ -104,15 +57,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Probability in `[0, 1]` that any given attempt fails transiently.
     pub transient_rate: f64,
-    /// Probability in `[0, 1]` that any given *key* is permanently bad.
-    pub permanent_rate: f64,
-    /// Probability in `[0, 1]` that an accounted read succeeds with
-    /// corrupted bytes (requires `corruption_mode`).
-    pub corruption_rate: f64,
-    /// How corrupted reads are mangled.
-    pub corruption_mode: Option<CorruptionMode>,
-    /// Restrict injection to matching requests (`None` = all requests).
-    pub target: Option<FaultTarget>,
     /// Hard-fail the N-th data operation (1-based, counted across all
     /// faultable ops) with a fatal error, simulating a crash point.
     pub kill_at_op: Option<u64>,
@@ -124,10 +68,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             transient_rate: rate.clamp(0.0, 1.0),
-            permanent_rate: 0.0,
-            corruption_rate: 0.0,
-            corruption_mode: None,
-            target: None,
             kill_at_op: None,
         }
     }
@@ -142,27 +82,6 @@ impl FaultConfig {
             return None;
         }
         Some(FaultConfig::transient(seed, rate))
-    }
-
-    /// Marks every key matching `target` as permanently bad instead of
-    /// transiently flaky.
-    pub fn with_permanent(mut self, rate: f64) -> Self {
-        self.permanent_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Corrupts read buffers with probability `rate` per attempt, using
-    /// `mode`. The at-rest object is never touched.
-    pub fn with_corruption(mut self, mode: CorruptionMode, rate: f64) -> Self {
-        self.corruption_rate = rate.clamp(0.0, 1.0);
-        self.corruption_mode = Some(mode);
-        self
-    }
-
-    /// Restricts injection to requests matching `target`.
-    pub fn with_target(mut self, target: FaultTarget) -> Self {
-        self.target = Some(target);
-        self
     }
 
     /// Hard-fails the `n`-th data operation (1-based).
@@ -186,7 +105,6 @@ fn unit(hash: u64) -> f64 {
     (hash >> 11) as f64 / (1u64 << 53) as f64
 }
 
-const PERMANENT_SALT: u64 = 0x70_65_72_6d; // "perm"
 const CORRUPT_SALT: u64 = 0x63_6f_72_72; // "corr"
 
 /// A [`Storage`] decorator that injects deterministic faults (see the
@@ -198,8 +116,6 @@ pub struct FaultyStorage {
     /// a single-threaded caller sees a reproducible decision stream.
     ops: Mutex<u64>,
     injected_transient: Counter,
-    injected_permanent: Counter,
-    injected_corrupt: Counter,
 }
 
 impl FaultyStorage {
@@ -210,24 +126,12 @@ impl FaultyStorage {
             cfg,
             ops: Mutex::new(0),
             injected_transient: Counter::new(),
-            injected_permanent: Counter::new(),
-            injected_corrupt: Counter::new(),
         }
     }
 
     /// Attempts failed transiently so far.
     pub fn injected_transient(&self) -> u64 {
         self.injected_transient.get()
-    }
-
-    /// Attempts failed permanently (bad key) so far.
-    pub fn injected_permanent(&self) -> u64 {
-        self.injected_permanent.get()
-    }
-
-    /// Reads that succeeded with corrupted bytes so far.
-    pub fn injected_corrupt(&self) -> u64 {
-        self.injected_corrupt.get()
     }
 
     /// Data operations observed so far (the attempt stream `kill_at_op`
@@ -238,9 +142,8 @@ impl FaultyStorage {
     }
 
     /// Draws the fault decision for one attempt. Holds only the counter
-    /// lock and returns before any inner storage call. On success yields
-    /// the attempt's index, which also seeds the corruption draw.
-    fn decide(&self, op: &'static str, key: &str, offset: u64) -> std::io::Result<u64> {
+    /// lock and returns before any inner storage call.
+    fn decide(&self, op: &'static str, key: &str) -> std::io::Result<()> {
         let op_index = {
             let mut ops = self.ops.lock();
             *ops += 1;
@@ -250,20 +153,6 @@ impl FaultyStorage {
             return Err(Error::other(format!(
                 "injected crash at op {op_index} ({op} {key})"
             )));
-        }
-        if let Some(target) = &self.cfg.target {
-            if !target.matches(key, offset) {
-                return Ok(op_index);
-            }
-        }
-        if self.cfg.permanent_rate > 0.0 {
-            let draw = unit(mix(self.cfg.seed ^ fnv64(key.as_bytes()) ^ PERMANENT_SALT));
-            if draw < self.cfg.permanent_rate {
-                self.injected_permanent.add(1);
-                return Err(Error::other(format!(
-                    "injected permanent fault on {key} ({op})"
-                )));
-            }
         }
         if self.cfg.transient_rate > 0.0 {
             let draw = unit(mix(self.cfg.seed ^ op_index));
@@ -275,56 +164,7 @@ impl FaultyStorage {
                 ));
             }
         }
-        Ok(op_index)
-    }
-
-    /// Mangles a successfully read buffer with probability
-    /// `corruption_rate`, deterministically in (seed, attempt index). The
-    /// counter advances only when bytes actually changed (zero-filling an
-    /// already-zero span corrupts nothing).
-    fn maybe_corrupt(&self, key: &str, offset: u64, op_index: u64, buf: &mut [u8]) {
-        let Some(mode) = self.cfg.corruption_mode else {
-            return;
-        };
-        if self.cfg.corruption_rate <= 0.0 || buf.is_empty() {
-            return;
-        }
-        if let Some(target) = &self.cfg.target {
-            if !target.matches(key, offset) {
-                return;
-            }
-        }
-        let h = mix(self.cfg.seed ^ op_index ^ CORRUPT_SALT);
-        if unit(h) >= self.cfg.corruption_rate {
-            return;
-        }
-        let pick = mix(h);
-        let len = buf.len();
-        let changed = match mode {
-            CorruptionMode::BitFlip => {
-                let bit = (pick % (len as u64 * 8)) as usize;
-                buf[bit / 8] ^= 1 << (bit % 8);
-                true
-            }
-            CorruptionMode::Truncate => {
-                // The transfer stopped early: the tail was never filled.
-                let keep = (pick % len as u64) as usize;
-                let changed = buf[keep..].iter().any(|&b| b != 0);
-                buf[keep..].fill(0);
-                changed
-            }
-            CorruptionMode::ZeroFill => {
-                let start = (pick % len as u64) as usize;
-                let span = ((pick >> 32) % 64 + 1) as usize;
-                let end = (start + span).min(len);
-                let changed = buf[start..end].iter().any(|&b| b != 0);
-                buf[start..end].fill(0);
-                changed
-            }
-        };
-        if changed {
-            self.injected_corrupt.add(1);
-        }
+        Ok(())
     }
 }
 
@@ -385,32 +225,29 @@ pub fn corrupt_object(
 
 impl Storage for FaultyStorage {
     fn create(&self, key: &str, data: &[u8]) -> gsd_io::Result<()> {
-        self.decide("create", key, 0)?;
+        self.decide("create", key)?;
         self.inner.create(key, data)
     }
 
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> gsd_io::Result<()> {
-        let op_index = self.decide("read", key, offset)?;
-        self.inner.read_at(key, offset, buf)?;
-        self.maybe_corrupt(key, offset, op_index, buf);
-        Ok(())
+        self.decide("read", key)?;
+        self.inner.read_at(key, offset, buf)
     }
 
     fn read_unaccounted(&self, key: &str, offset: u64, buf: &mut [u8]) -> gsd_io::Result<()> {
         // The verification side channel reads the device's true at-rest
-        // bytes: no fault draw, no in-flight corruption. (At-rest rot is
-        // planted with `corrupt_object` and IS visible here.) Forwarding
-        // explicitly also keeps the read off the accounted default path.
+        // bytes without a fault draw. Forwarding explicitly also keeps the
+        // read off the accounted default path.
         self.inner.read_unaccounted(key, offset, buf)
     }
 
     fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> gsd_io::Result<()> {
-        self.decide("write", key, offset)?;
+        self.decide("write", key)?;
         self.inner.write_at(key, offset, data)
     }
 
     fn sync(&self) -> gsd_io::Result<()> {
-        self.decide("sync", "", 0)?;
+        self.decide("sync", "")?;
         self.inner.sync()
     }
 
@@ -514,61 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn permanent_faults_follow_the_key_not_the_attempt() {
-        let (faulty, _) = wrap(FaultConfig::transient(11, 0.0).with_permanent(0.5));
-        // Find one doomed key and one healthy key.
-        let keyname = |i: u32| format!("obj_{i}");
-        let mut doomed = None;
-        let mut healthy = None;
-        for i in 0..64 {
-            let key = keyname(i);
-            match faulty.create(&key, &[0u8; 4]) {
-                Err(_) => doomed = doomed.or(Some(key)),
-                Ok(()) => healthy = healthy.or(Some(key)),
-            }
-        }
-        let (doomed, healthy) = (doomed.expect("rate 0.5"), healthy.expect("rate 0.5"));
-        let mut buf = [0u8; 4];
-        for _ in 0..20 {
-            let err = faulty.read_at(&doomed, 0, &mut buf).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::Other, "permanent = not retryable");
-            faulty
-                .read_at(&healthy, 0, &mut buf)
-                .expect("healthy key stays healthy");
-        }
-        assert!(faulty.injected_permanent() >= 20);
-    }
-
-    #[test]
-    fn target_limits_the_blast_radius() {
-        let cfg = FaultConfig::transient(5, 1.0).with_target(FaultTarget::key("blocks/"));
-        let (faulty, _) = wrap(cfg);
-        faulty
-            .create("meta.json", &[1])
-            .expect("untargeted key is safe");
-        faulty
-            .create("blocks/b_0_0.edges", &[1])
-            .expect_err("targeted key faults");
-    }
-
-    #[test]
-    fn offset_range_limits_positioned_ops() {
-        let cfg = FaultConfig::transient(5, 1.0).with_target(FaultTarget {
-            key_substring: String::new(),
-            offsets: Some(100..200),
-        });
-        let (faulty, inner) = wrap(cfg);
-        inner.create("k", &[0u8; 512]).unwrap();
-        let mut buf = [0u8; 8];
-        faulty
-            .read_at("k", 0, &mut buf)
-            .expect("offset 0 is outside the range");
-        faulty
-            .read_at("k", 150, &mut buf)
-            .expect_err("offset 150 is targeted");
-    }
-
-    #[test]
     fn kill_at_op_fires_exactly_once_at_the_nth_op() {
         let (faulty, _) = wrap(FaultConfig::transient(9, 0.0).with_kill_at_op(3));
         faulty.create("k", &[0u8; 8]).expect("op 1");
@@ -577,54 +359,6 @@ mod tests {
         let err = faulty.read_at("k", 0, &mut buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Other, "op 3 is the kill");
         faulty.read_at("k", 0, &mut buf).expect("op 4 proceeds");
-    }
-
-    #[test]
-    fn corruption_modes_mangle_reads_deterministically() {
-        for mode in [
-            CorruptionMode::BitFlip,
-            CorruptionMode::Truncate,
-            CorruptionMode::ZeroFill,
-        ] {
-            let run = |seed: u64| -> Vec<Vec<u8>> {
-                let cfg = FaultConfig::transient(seed, 0.0).with_corruption(mode, 0.5);
-                let (faulty, _) = wrap(cfg);
-                faulty
-                    .create("k", &(1u8..=64).collect::<Vec<u8>>())
-                    .unwrap();
-                let mut out = Vec::new();
-                for _ in 0..50 {
-                    let mut buf = [0u8; 64];
-                    faulty.read_at("k", 0, &mut buf).unwrap();
-                    out.push(buf.to_vec());
-                }
-                out
-            };
-            let a = run(13);
-            assert_eq!(a, run(13), "same seed, same corruption ({mode})");
-            let clean: Vec<u8> = (1u8..=64).collect();
-            let bad = a.iter().filter(|b| **b != clean).count();
-            assert!(
-                (5..=45).contains(&bad),
-                "rate 0.5 must corrupt some but not all reads ({mode}: {bad}/50)"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupted_reads_leave_at_rest_data_clean() {
-        let cfg = FaultConfig::transient(7, 0.0).with_corruption(CorruptionMode::BitFlip, 1.0);
-        let (faulty, inner) = wrap(cfg);
-        let payload: Vec<u8> = (0u8..32).collect();
-        faulty.create("k", &payload).unwrap();
-        let mut buf = [0u8; 32];
-        faulty.read_at("k", 0, &mut buf).unwrap();
-        assert_ne!(buf.to_vec(), payload, "accounted read is corrupted");
-        assert!(faulty.injected_corrupt() > 0);
-        assert_eq!(inner.read_all("k").unwrap(), payload, "at rest: clean");
-        let mut side = [0u8; 32];
-        faulty.read_unaccounted("k", 0, &mut side).unwrap();
-        assert_eq!(side.to_vec(), payload, "side channel sees true bytes");
     }
 
     #[test]
@@ -674,30 +408,6 @@ mod tests {
         storage.create("zeros", &[0u8; 16]).unwrap();
         assert!(corrupt_object(&storage, "zeros", CorruptionMode::ZeroFill, 1).is_err());
         assert!(corrupt_object(&storage, "missing", CorruptionMode::BitFlip, 1).is_err());
-    }
-
-    #[test]
-    fn corruption_mode_parsing() {
-        assert_eq!(
-            CorruptionMode::parse("bitflip"),
-            Some(CorruptionMode::BitFlip)
-        );
-        assert_eq!(
-            CorruptionMode::parse("truncate"),
-            Some(CorruptionMode::Truncate)
-        );
-        assert_eq!(
-            CorruptionMode::parse("zerofill"),
-            Some(CorruptionMode::ZeroFill)
-        );
-        assert_eq!(CorruptionMode::parse("garble"), None);
-        for mode in [
-            CorruptionMode::BitFlip,
-            CorruptionMode::Truncate,
-            CorruptionMode::ZeroFill,
-        ] {
-            assert_eq!(CorruptionMode::parse(&mode.to_string()), Some(mode));
-        }
     }
 
     #[test]

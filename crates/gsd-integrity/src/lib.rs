@@ -9,16 +9,20 @@
 //!   checkpoint snapshot format uses them too).
 //! - [`IntegritySection`]: the checksummed per-object manifest embedded in
 //!   a grid's `meta.json`.
-//! - [`GridVerifier`]: verify-on-read for engine decode paths, behind a
-//!   [`VerifyPolicy`] with a configurable [`CorruptionResponse`].
+//! - [`ObjectEntry::check`] / [`ObjectEntry::check_stored`]: the one
+//!   length + CRC32 comparison of an object with its entry.
+//! - [`GridVerifier`]: verify-on-read for engine decode paths when the
+//!   [`VerifyPolicy`] is `Full`; a mismatch fails the read with a
+//!   [`CorruptionError`].
 //! - [`scrub_objects`]: offline whole-grid verification (the storage-level
 //!   half of `gsd scrub`; re-deriving payloads lives in `gsd-graph`, which
 //!   owns the format).
 //! - [`FaultyStorage`] / [`RetryingStorage`]: the two [`gsd_io::Storage`]
-//!   decorators that exercise the above — deterministic, seed-driven
-//!   transient/permanent/corruption faults, and bounded retry of the
-//!   retryable kinds. They need only keys, bytes and [`fnv64`], so they
-//!   sit here rather than with the checkpoint store in `gsd-core`.
+//!   decorators the recovery path is tested with — deterministic,
+//!   seed-driven transient faults and crash points, and bounded retry of
+//!   the retryable kinds — plus [`corrupt_object`], which plants at-rest
+//!   rot. They need only keys, bytes and [`fnv64`], so they sit here
+//!   rather than with the checkpoint store in `gsd-core`.
 //!
 //! The crate deliberately sits *below* `gsd-graph`: it knows about keys,
 //! bytes, and checksums, never about edges or blocks, so both the grid
@@ -46,10 +50,10 @@ mod verifier;
 mod verify;
 
 pub use error::{CorruptionError, CorruptionKind};
-pub use fault::{corrupt_object, CorruptionMode, FaultConfig, FaultTarget, FaultyStorage};
+pub use fault::{corrupt_object, CorruptionMode, FaultConfig, FaultyStorage};
 pub use hash::{crc32, fnv64};
 pub use manifest::{IntegritySection, ObjectEntry};
 pub use retry::{RetryPolicy, RetryingStorage};
-pub use scrub::{scrub_objects, ObjectReport, ObjectStatus, ScrubReport};
-pub use verifier::{GridVerifier, VerifyCounters, QUARANTINE_KEY};
+pub use scrub::{scrub_objects, ObjectReport, ScrubReport};
+pub use verifier::{GridVerifier, VerifyCounters};
 pub use verify::{CorruptionResponse, VerifyPolicy};

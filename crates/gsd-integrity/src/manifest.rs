@@ -11,6 +11,7 @@
 
 use crate::error::CorruptionError;
 use crate::hash::crc32;
+use gsd_io::Storage;
 use serde::{Deserialize, Serialize};
 
 /// Checksum record for one grid data object.
@@ -36,6 +37,39 @@ impl ObjectEntry {
             len: payload.len() as u64,
             crc: crc32(payload),
         }
+    }
+
+    /// Checks `bytes`, the whole content of the object stored at `key`
+    /// (the full storage key the error names), against this entry: the
+    /// length first, then the CRC32. The one comparison of an object with
+    /// its entry; verify-on-read, scrub and the delta merge all call it.
+    pub fn check(&self, key: &str, bytes: &[u8]) -> Result<(), CorruptionError> {
+        let len = bytes.len() as u64;
+        if len != self.len {
+            return Err(CorruptionError::length(key, self.len, len));
+        }
+        let crc = crc32(bytes);
+        if crc != self.crc {
+            return Err(CorruptionError::checksum(key, self.crc, crc));
+        }
+        Ok(())
+    }
+
+    /// [`Self::check`] of the object stored at `key`, read whole through
+    /// [`Storage::read_unaccounted`]: a side read that never shows up in
+    /// the workload's I/O figures. An object storage cannot produce is
+    /// `Missing`.
+    pub fn check_stored(&self, storage: &dyn Storage, key: &str) -> Result<(), CorruptionError> {
+        let len = storage
+            .len(key)
+            .map_err(|_| CorruptionError::missing(key))?;
+        let mut bytes = vec![0u8; len as usize];
+        if len > 0 {
+            storage
+                .read_unaccounted(key, 0, &mut bytes)
+                .map_err(|_| CorruptionError::missing(key))?;
+        }
+        self.check(key, &bytes)
     }
 }
 
@@ -174,6 +208,48 @@ mod tests {
         assert!(section.lookup("missing").is_none());
         assert_eq!(section.len(), 3);
         assert_eq!(section.total_bytes(), 5 + 5 + 7);
+    }
+
+    #[test]
+    fn check_compares_length_before_crc() {
+        use crate::CorruptionKind::{ChecksumMismatch, LengthMismatch, Missing};
+        let payload: Vec<u8> = (0u8..32).collect();
+        let entry = ObjectEntry::of("b", &payload);
+        let mut flipped = payload.clone();
+        flipped[7] ^= 0x10;
+        let mut long = payload.clone();
+        long.push(0);
+        let checksum = |bytes: &[u8]| ChecksumMismatch {
+            expected: entry.crc,
+            actual: crc32(bytes),
+        };
+        let length = |actual| LengthMismatch {
+            expected: 32,
+            actual,
+        };
+        // Short and long objects are length mismatches: their CRC would
+        // differ too, so the kind shows which comparison ran first.
+        let cases = [
+            ("clean", Some(&payload[..]), None),
+            ("short", Some(&payload[..31]), Some(length(31))),
+            ("long", Some(&long[..]), Some(length(33))),
+            ("missing", None, Some(Missing)),
+            ("bit flip", Some(&flipped[..]), Some(checksum(&flipped))),
+        ];
+        let storage = gsd_io::MemStorage::new();
+        for (name, stored, want) in cases {
+            let key = format!("g/{name}");
+            if let Some(bytes) = stored {
+                storage.create(&key, bytes).unwrap();
+                let got = entry.check(&key, bytes).err();
+                assert_eq!(got.as_ref().map(|e| &e.kind), want.as_ref(), "{name}");
+                assert!(got.is_none_or(|e| e.key == key), "{name}");
+            }
+            let before = storage.stats().snapshot();
+            let got = entry.check_stored(&storage, &key).err();
+            assert_eq!(got.map(|e| e.kind), want, "{name}: stored");
+            assert_eq!(storage.stats().snapshot(), before, "{name}: unaccounted");
+        }
     }
 
     #[test]

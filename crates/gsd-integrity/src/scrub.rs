@@ -6,50 +6,9 @@
 //! (re-deriving corrupt objects from the source edge list) lives in
 //! `gsd-graph`, which owns the grid format and can rebuild payloads.
 
-use crate::hash::crc32;
+use crate::error::CorruptionKind;
 use crate::manifest::IntegritySection;
 use gsd_io::Storage;
-
-/// Outcome of checking one manifest-covered object.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ObjectStatus {
-    /// Length and checksum both match the manifest.
-    Ok,
-    /// Bytes hash differently than recorded.
-    ChecksumMismatch {
-        /// CRC32 recorded in the manifest.
-        expected: u32,
-        /// CRC32 of the bytes on storage.
-        actual: u32,
-    },
-    /// Object exists with the wrong length.
-    LengthMismatch {
-        /// Length recorded in the manifest.
-        expected: u64,
-        /// Length on storage.
-        actual: u64,
-    },
-    /// Object listed in the manifest does not exist.
-    Missing,
-}
-
-impl ObjectStatus {
-    /// True when the object matched the manifest.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, ObjectStatus::Ok)
-    }
-
-    /// Short stable label for reports (`ok`, `checksum`, `length`,
-    /// `missing`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ObjectStatus::Ok => "ok",
-            ObjectStatus::ChecksumMismatch { .. } => "checksum",
-            ObjectStatus::LengthMismatch { .. } => "length",
-            ObjectStatus::Missing => "missing",
-        }
-    }
-}
 
 /// Scrub result for one object.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,8 +17,8 @@ pub struct ObjectReport {
     pub key: String,
     /// Length recorded in the manifest.
     pub len: u64,
-    /// What the scrub found.
-    pub status: ObjectStatus,
+    /// What disagreed with the manifest; `None` for a clean object.
+    pub status: Option<CorruptionKind>,
 }
 
 /// Scrub result for a whole grid.
@@ -72,26 +31,25 @@ pub struct ScrubReport {
 impl ScrubReport {
     /// True when every object matched.
     pub fn is_clean(&self) -> bool {
-        self.objects.iter().all(|o| o.status.is_ok())
+        self.objects.iter().all(|o| o.status.is_none())
     }
 
     /// The reports of objects that did not match.
     pub fn corrupt(&self) -> impl Iterator<Item = &ObjectReport> {
-        self.objects.iter().filter(|o| !o.status.is_ok())
+        self.objects.iter().filter(|o| o.status.is_some())
     }
 
     /// `(ok, corrupt)` counts.
     pub fn counts(&self) -> (usize, usize) {
-        let ok = self.objects.iter().filter(|o| o.status.is_ok()).count();
+        let ok = self.objects.iter().filter(|o| o.status.is_none()).count();
         (ok, self.objects.len() - ok)
     }
 
-    /// Total bytes checksummed (missing/short objects contribute what was
-    /// actually read).
+    /// Total bytes of the objects that checked clean.
     pub fn bytes_checked(&self) -> u64 {
         self.objects
             .iter()
-            .filter(|o| o.status.is_ok())
+            .filter(|o| o.status.is_none())
             .map(|o| o.len)
             .sum()
     }
@@ -106,44 +64,18 @@ pub fn scrub_objects(
     prefix: &str,
     section: &IntegritySection,
 ) -> ScrubReport {
-    let mut objects = Vec::with_capacity(section.len());
-    for entry in &section.objects {
-        let key = format!("{prefix}{}", entry.key);
-        let status = match storage.len(&key) {
-            Err(_) => ObjectStatus::Missing,
-            Ok(actual) if actual != entry.len => ObjectStatus::LengthMismatch {
-                expected: entry.len,
-                actual,
-            },
-            Ok(_) => {
-                let mut buf = vec![0u8; entry.len as usize];
-                let read = if buf.is_empty() {
-                    Ok(())
-                } else {
-                    storage.read_unaccounted(&key, 0, &mut buf)
-                };
-                match read {
-                    Err(_) => ObjectStatus::Missing,
-                    Ok(()) => {
-                        let actual = crc32(&buf);
-                        if actual == entry.crc {
-                            ObjectStatus::Ok
-                        } else {
-                            ObjectStatus::ChecksumMismatch {
-                                expected: entry.crc,
-                                actual,
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        objects.push(ObjectReport {
+    let objects = section
+        .objects
+        .iter()
+        .map(|entry| ObjectReport {
             key: entry.key.clone(),
             len: entry.len,
-            status,
-        });
-    }
+            status: entry
+                .check_stored(storage, &format!("{prefix}{}", entry.key))
+                .err()
+                .map(|e| e.kind),
+        })
+        .collect();
     ScrubReport { objects }
 }
 
@@ -199,18 +131,16 @@ mod tests {
         };
         assert!(matches!(
             by_key("blocks/b_0_0.edges"),
-            ObjectStatus::ChecksumMismatch { .. }
+            Some(CorruptionKind::ChecksumMismatch { .. })
         ));
         assert_eq!(
             by_key("degrees.bin"),
-            ObjectStatus::LengthMismatch {
+            Some(CorruptionKind::LengthMismatch {
                 expected: 32,
                 actual: 30
-            }
+            })
         );
-        assert_eq!(by_key("blocks/r_0.ridx"), ObjectStatus::Missing);
-        let labels: Vec<&str> = report.corrupt().map(|o| o.status.label()).collect();
-        assert_eq!(labels.len(), 3);
+        assert_eq!(by_key("blocks/r_0.ridx"), Some(CorruptionKind::Missing));
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub fn emit(sink: &dyn Sink) {
     sink.emit(TraceEvent::IoRetry { attempt: 1 });
     sink.emit(TraceEvent::ChecksumOk { block: 5, bytes: 4096 });
     sink.emit(TraceEvent::CorruptionDetected { block: 5, expected: 7 });
-    sink.emit(TraceEvent::BlockRepaired { block: 5, bytes: 4096 });
+    sink.emit(TraceEvent::BlockRewritten { block: 5, bytes: 4096 });
     sink.emit(TraceEvent::BenchRepeat { repeat: 1, wall_us: 250 });
     sink.emit(TraceEvent::ServeStarted { vertices: 100, p: 4 });
     sink.emit(TraceEvent::QueryAccepted { query: 1 });

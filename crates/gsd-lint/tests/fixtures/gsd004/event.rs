@@ -23,7 +23,7 @@ pub enum TraceEvent {
     /// A grid object failed its checksum.
     CorruptionDetected { block: u32, expected: u64 },
     /// A corrupt object was healed by a re-read.
-    BlockRepaired { block: u32, bytes: u64 },
+    BlockRewritten { block: u32, bytes: u64 },
     /// One timed repeat of a benchmark cell completed.
     BenchRepeat { repeat: u32, wall_us: u64 },
     /// The query daemon opened its grid and is ready.

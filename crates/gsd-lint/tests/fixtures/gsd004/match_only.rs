@@ -11,7 +11,7 @@ pub fn emit(sink: &dyn Sink) {
     sink.emit(TraceEvent::IoRetry { attempt: 3 });
     sink.emit(TraceEvent::ChecksumOk { block: 6, bytes: 4096 });
     sink.emit(TraceEvent::CorruptionDetected { block: 6, expected: 9 });
-    sink.emit(TraceEvent::BlockRepaired { block: 6, bytes: 4096 });
+    sink.emit(TraceEvent::BlockRewritten { block: 6, bytes: 4096 });
     sink.emit(TraceEvent::BenchRepeat { repeat: 2, wall_us: 900 });
     sink.emit(TraceEvent::ServeStarted { vertices: 50, p: 2 });
     sink.emit(TraceEvent::QueryAccepted { query: 3 });
@@ -39,7 +39,7 @@ pub fn describe(ev: &TraceEvent) -> String {
         TraceEvent::CorruptionDetected { block, expected } => {
             format!("corrupt {block} (wanted {expected:#x})")
         }
-        TraceEvent::BlockRepaired { block, .. } => format!("repaired {block}"),
+        TraceEvent::BlockRewritten { block, .. } => format!("rewritten {block}"),
         TraceEvent::BenchRepeat { repeat, wall_us } => format!("repeat {repeat} {wall_us}us"),
         TraceEvent::ServeStarted { vertices, p } => format!("serve {vertices}v p={p}"),
         TraceEvent::QueryAccepted { query } => format!("accepted {query}"),

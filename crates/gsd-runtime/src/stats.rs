@@ -99,8 +99,6 @@ pub struct RunStats {
     pub verify_bytes: u64,
     /// Corruption detections during the run.
     pub corrupt_blocks: u64,
-    /// Corrupt reads transparently recovered by bounded re-read.
-    pub repaired_blocks: u64,
     /// Per-iteration detail.
     pub per_iteration: Vec<IterationStats>,
 }
@@ -149,7 +147,6 @@ impl RunStats {
     pub fn fold_verify(&mut self, delta: &gsd_integrity::VerifyCounters) {
         self.verify_bytes += delta.verify_bytes;
         self.corrupt_blocks += delta.corrupt_blocks;
-        self.repaired_blocks += delta.repaired_blocks;
     }
 }
 
@@ -245,18 +242,15 @@ mod tests {
         s.fold_verify(&VerifyCounters {
             verify_bytes: 100,
             corrupt_blocks: 1,
-            repaired_blocks: 1,
         });
         // A second span (e.g. checkpoint traffic) folds on top, never
         // overwrites.
         s.fold_verify(&VerifyCounters {
             verify_bytes: 40,
             corrupt_blocks: 0,
-            repaired_blocks: 2,
         });
         assert_eq!(s.verify_bytes, 140);
         assert_eq!(s.corrupt_blocks, 1);
-        assert_eq!(s.repaired_blocks, 3);
     }
 
     #[test]

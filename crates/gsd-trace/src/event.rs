@@ -338,14 +338,6 @@ trace_events! {
             /// for truncation, mirroring the structured error).
             actual: u64,
         },
-        /// A corrupt read recovered: a bounded re-read returned clean bytes,
-        /// or an offline scrub rewrote the object from the source edge list.
-        BlockRepaired = "block_repaired" {
-            /// Full storage key of the repaired object.
-            key: String,
-            /// Bytes restored.
-            bytes: u64,
-        },
         /// The query daemon opened its grid and is ready to accept queries.
         ServeStarted = "serve_started" {
             /// Vertex count of the resident graph.
@@ -649,15 +641,7 @@ mod tests {
             serde_json::to_string(&detected).unwrap(),
             r#"{"ev":"corruption_detected","key":"degrees.bin","expected":3421780262,"actual":1095738169}"#
         );
-        let repaired = TraceEvent::BlockRepaired {
-            key: "degrees.bin".to_string(),
-            bytes: 800,
-        };
-        assert_eq!(
-            serde_json::to_string(&repaired).unwrap(),
-            r#"{"ev":"block_repaired","key":"degrees.bin","bytes":800}"#
-        );
-        assert_eq!(repaired.kind(), "block_repaired");
+        assert_eq!(detected.kind(), "corruption_detected");
     }
 
     /// One instance of every variant with its pinned JSONL line.
@@ -818,13 +802,6 @@ mod tests {
                     actual: 0x414F_A339,
                 },
                 r#"{"ev":"corruption_detected","key":"blocks/b_0_1.edges","expected":3421780262,"actual":1095738169}"#,
-            ),
-            (
-                E::BlockRepaired {
-                    key: key(),
-                    bytes: 800,
-                },
-                r#"{"ev":"block_repaired","key":"blocks/b_0_1.edges","bytes":800}"#,
             ),
             (
                 E::ServeStarted {

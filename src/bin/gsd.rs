@@ -22,13 +22,12 @@
 //! Graph kinds: `rmat`, `kronecker`, `erdos-renyi`, `web`, `grid`.
 //! Run flags (one parser, `graphsd::bench::RunFlags`, shared with the
 //! `experiments` binary): `--prefetch-depth N` / `--no-prefetch`,
-//! `--checkpoint-every N`, `--verify off|full|sample:N`,
-//! `--on-corruption fail|retry[:N]|quarantine`, `--inject-faults
-//! SEED:RATE`, `--scale tiny|small|medium` (`bench` datasets),
-//! `--trace FILE`, `--verbose`.
+//! `--checkpoint-every N`, `--verify off|full` (a corrupt object fails
+//! the run), `--inject-faults SEED:RATE`, `--scale tiny|small|medium`
+//! (`bench` datasets), `--trace FILE`, `--verbose`.
 //! `bench` prefetches at depth 2 unless told otherwise; `run` and `serve`
 //! read synchronously unless given a depth. Nothing is read from the
-//! environment.
+//! environment, and a flag the verb does not read is a usage error.
 //!
 //! `bench` is the counters gate: it runs every (system, algorithm,
 //! dataset) cell once on real files, writes a schema-versioned
@@ -70,8 +69,8 @@ use graphsd::delta::MutationBatch;
 use graphsd::graph::delta::DeltaOp;
 use graphsd::graph::format::object_class;
 use graphsd::graph::{
-    parse_edge_list, preprocess_text, repair_grid, scrub_grid, write_edge_list, GeneratorConfig,
-    GraphKind, GridGraph, PreprocessConfig,
+    parse_edge_list, preprocess_text, repair_grid, scrub_grid, write_edge_list, CorruptionResponse,
+    GeneratorConfig, GraphKind, GridGraph, PreprocessConfig,
 };
 use graphsd::io::{FileStorage, SharedStorage};
 use graphsd::runtime::{
@@ -98,19 +97,22 @@ fn usage() -> ExitCode {
          gsd scrub <data-dir> [--repair <edges.txt>]\n  \
          gsd info <data-dir>\n  \
          gsd generate <rmat|kronecker|erdos-renyi|web|grid> <vertices> <edges> <out.txt> [--seed S] [--weighted] [--symmetrized]\n\
-         run flags: [--prefetch-depth N] [--no-prefetch] [--checkpoint-every N] [--verify off|full|sample:N] [--on-corruption fail|retry[:N]|quarantine] [--inject-faults SEED:RATE] [--trace FILE] [--verbose]"
+         run flags: [--prefetch-depth N] [--no-prefetch] [--checkpoint-every N] [--verify off|full] [--inject-faults SEED:RATE] [--trace FILE] [--verbose]"
     );
     ExitCode::from(2)
 }
 
-/// Minimal flag parser: positional args plus `--flag [value]` pairs.
+/// Minimal flag parser: positional args plus `--flag [value]` pairs. A
+/// verb names the flags it reads; any other flag is an error, so a typo or
+/// a retired flag fails the command instead of being ignored.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
+    known: &'static [&'static str],
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    fn parse(verb: &str, raw: &[String], known: &'static [&'static str]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = raw.iter().peekable();
@@ -127,10 +129,21 @@ impl Args {
                 positional.push(a.clone());
             }
         }
-        Args { positional, flags }
+        if let Some((name, _)) = flags.iter().find(|(n, _)| !known.contains(&n.as_str())) {
+            return Err(format!("unknown flag --{name} for {verb}"));
+        }
+        Ok(Args {
+            positional,
+            flags,
+            known,
+        })
     }
 
     fn flag(&self, name: &str) -> Option<&Option<String>> {
+        debug_assert!(
+            self.known.contains(&name),
+            "--{name} is read but not declared"
+        );
         self.flags.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
@@ -155,20 +168,19 @@ fn main() -> ExitCode {
     if raw.is_empty() {
         return usage();
     }
-    let command = raw[0].clone();
-    let args = Args::parse(&raw[1..]);
-    let result = match command.as_str() {
-        "preprocess" => cmd_preprocess(&args),
-        "ingest" => cmd_ingest(&args),
-        "compact" => cmd_compact(&args),
-        "run" => cmd_run(&raw[1..]),
-        "bench" => cmd_bench(&raw[1..]),
-        "serve" => cmd_serve(&raw[1..]),
-        "query" => cmd_query(&args),
-        "report" => cmd_report(&args),
-        "scrub" => cmd_scrub(&args),
-        "info" => cmd_info(&args),
-        "generate" => cmd_generate(&args),
+    let rest = &raw[1..];
+    let result = match raw[0].as_str() {
+        "preprocess" => cmd_preprocess(rest),
+        "ingest" => cmd_ingest(rest),
+        "compact" => cmd_compact(rest),
+        "run" => cmd_run(rest),
+        "bench" => cmd_bench(rest),
+        "serve" => cmd_serve(rest),
+        "query" => cmd_query(rest),
+        "report" => cmd_report(rest),
+        "scrub" => cmd_scrub(rest),
+        "info" => cmd_info(rest),
+        "generate" => cmd_generate(rest),
         _ => return usage(),
     };
     match result {
@@ -180,7 +192,12 @@ fn main() -> ExitCode {
     }
 }
 
-fn cmd_preprocess(args: &Args) -> Result<(), String> {
+fn cmd_preprocess(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse(
+        "preprocess",
+        raw,
+        &["intervals", "budget-mb", "degree-balanced"],
+    )?;
     let [input, dir] = args.positional.as_slice() else {
         return Err("preprocess needs <edges.txt> <data-dir>".into());
     };
@@ -235,13 +252,17 @@ fn ingest_sink(args: &Args) -> Result<Arc<dyn TraceSink>, String> {
 fn open_session(dir: &str, settings: &RunSettings) -> Result<GridSession, String> {
     let files = FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?;
     let storage = settings.storage(Arc::new(files));
-    GridSession::open(storage, settings.verify, settings.on_corruption)
+    GridSession::open(storage, settings.verify, CorruptionResponse::FailFast)
         .map_err(|e| format!("{dir}: {e}"))
 }
 
 fn cmd_run(raw: &[String]) -> Result<(), String> {
     let flags = RunFlags::parse(raw, None)?;
-    let args = Args::parse(&flags.rest);
+    let args = Args::parse(
+        "run",
+        &flags.rest,
+        &["ablation", "iterations", "source", "top"],
+    )?;
     let settings = &flags.settings;
     let [dir, algorithm] = args.positional.as_slice() else {
         return Err("run needs <data-dir> <algorithm>".into());
@@ -301,7 +322,12 @@ fn cmd_run(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ingest(args: &Args) -> Result<(), String> {
+fn cmd_ingest(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse(
+        "ingest",
+        raw,
+        &["recompute", "source", "iterations", "trace"],
+    )?;
     let [dir, batch_path] = args.positional.as_slice() else {
         return Err("ingest needs <data-dir> <batch.txt>".into());
     };
@@ -309,7 +335,7 @@ fn cmd_ingest(args: &Args) -> Result<(), String> {
     let batch = MutationBatch::parse(&text).map_err(|e| format!("{batch_path}: {e}"))?;
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let sink = ingest_sink(args)?;
+    let sink = ingest_sink(&args)?;
     match args.flag_value::<String>("recompute")?.as_deref() {
         None => {
             let report = graphsd::delta::ingest(storage.as_ref(), "", &batch, sink.as_ref())
@@ -405,13 +431,14 @@ impl ProgramVisitor for IngestRecompute<'_> {
     }
 }
 
-fn cmd_compact(args: &Args) -> Result<(), String> {
+fn cmd_compact(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse("compact", raw, &["trace"])?;
     let [dir] = args.positional.as_slice() else {
         return Err("compact needs <data-dir>".into());
     };
     let storage: SharedStorage =
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    let sink = ingest_sink(args)?;
+    let sink = ingest_sink(&args)?;
     match graphsd::delta::compact(&storage, "", sink.as_ref()).map_err(|e| e.to_string())? {
         Some(r) => out!(
             "epoch {}: folded {} segment(s) into {} rewritten object(s) ({} KiB); grid fingerprint {:016x}",
@@ -429,7 +456,7 @@ fn cmd_compact(args: &Args) -> Result<(), String> {
 
 fn cmd_serve(raw: &[String]) -> Result<(), String> {
     let flags = RunFlags::parse(raw, None)?;
-    let args = Args::parse(&flags.rest);
+    let args = Args::parse("serve", &flags.rest, &["port", "cache-mb"])?;
     let settings = &flags.settings;
     let [dir] = args.positional.as_slice() else {
         return Err("serve needs <data-dir>".into());
@@ -474,7 +501,8 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(args: &Args) -> Result<(), String> {
+fn cmd_query(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse("query", raw, &["alpha", "iterations", "source"])?;
     let (addr, op, rest) = match args.positional.as_slice() {
         [addr, op, rest @ ..] => (addr, op.as_str(), rest),
         _ => return Err("query needs <host:port> <op> [args...]".into()),
@@ -660,10 +688,9 @@ fn print_stats(stats: &RunStats) -> Result<(), String> {
     }
     if stats.verify_bytes > 0 || stats.corrupt_blocks > 0 {
         out!(
-            "  verified {} KiB; {} corrupt object(s) detected, {} repaired by re-read",
+            "  verified {} KiB; {} corrupt object(s) detected",
             stats.verify_bytes >> 10,
-            stats.corrupt_blocks,
-            stats.repaired_blocks
+            stats.corrupt_blocks
         )?;
     }
     Ok(())
@@ -730,7 +757,11 @@ fn parse_list<T>(spec: &str, parse: impl Fn(&str) -> Result<T, String>) -> Resul
 
 fn cmd_bench(raw: &[String]) -> Result<(), String> {
     let flags = RunFlags::parse(raw, Some(PipelineConfig::default()))?;
-    let args = Args::parse(&flags.rest);
+    let args = Args::parse(
+        "bench",
+        &flags.rest,
+        &["check", "systems", "algos", "datasets", "out", "baseline"],
+    )?;
     if let Some(path) = args.flag_value::<String>("check")? {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
         let report = BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -796,7 +827,8 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_report(args: &Args) -> Result<(), String> {
+fn cmd_report(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse("report", raw, &["top"])?;
     let [path] = args.positional.as_slice() else {
         return Err("report needs <trace.jsonl>".into());
     };
@@ -805,7 +837,8 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     stdout_write(format_args!("{}", report.render_text(top)))
 }
 
-fn cmd_scrub(args: &Args) -> Result<(), String> {
+fn cmd_scrub(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse("scrub", raw, &["repair"])?;
     let [dir] = args.positional.as_slice() else {
         return Err("scrub needs <data-dir>".into());
     };
@@ -814,13 +847,15 @@ fn cmd_scrub(args: &Args) -> Result<(), String> {
         Arc::new(FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?);
     let (_, report) = scrub_grid(storage.as_ref(), "").map_err(|e| e.to_string())?;
     let (ok, corrupt) = report.counts();
-    for object in report.corrupt() {
-        out!(
-            "  {:<10} {} ({} bytes)",
-            object.status.label(),
-            object.key,
-            object.len
-        )?;
+    for object in &report.objects {
+        if let Some(kind) = &object.status {
+            out!(
+                "  {:<10} {} ({} bytes)",
+                kind.label(),
+                object.key,
+                object.len
+            )?;
+        }
     }
     let classes: Vec<String> = inventory(report.objects.iter().map(|o| (o.key.as_str(), o.len)))
         .iter()
@@ -862,7 +897,8 @@ fn inventory<'a>(
     classes
 }
 
-fn cmd_info(args: &Args) -> Result<(), String> {
+fn cmd_info(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse("info", raw, &[])?;
     let [dir] = args.positional.as_slice() else {
         return Err("info needs <data-dir>".into());
     };
@@ -913,7 +949,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(raw: &[String]) -> Result<(), String> {
+    let args = Args::parse("generate", raw, &["seed", "weighted", "symmetrized"])?;
     let [kind, vertices, edges, out] = args.positional.as_slice() else {
         return Err("generate needs <kind> <vertices> <edges> <out.txt>".into());
     };

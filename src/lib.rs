@@ -52,15 +52,14 @@ pub use gsd_trace as trace;
 pub mod recover {
     pub use gsd_core::checkpoint::*;
     pub use gsd_integrity::{
-        corrupt_object, CorruptionMode, FaultConfig, FaultTarget, FaultyStorage, RetryPolicy,
-        RetryingStorage,
+        corrupt_object, CorruptionMode, FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage,
     };
 }
 
 /// Convenience prelude bringing the most common types into scope.
 pub mod prelude {
     pub use gsd_core::{GraphSdConfig, GraphSdEngine, PipelineConfig, RecoveryConfig};
-    pub use gsd_graph::{CorruptionResponse, Graph, GraphBuilder, VerifyPolicy, VertexId};
+    pub use gsd_graph::{Graph, GraphBuilder, VerifyPolicy, VertexId};
     pub use gsd_io::{DiskModel, FileStorage, MemStorage, SimDisk, Storage};
     pub use gsd_runtime::{Engine, RunOptions, RunResult, VertexProgram};
 }

@@ -23,8 +23,7 @@ use graphsd::baselines::{
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig, RecoveryConfig};
 use graphsd::graph::{
-    preprocess, CorruptionResponse, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig,
-    VerifyPolicy,
+    preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig, VerifyPolicy,
 };
 use graphsd::io::{DiskModel, FileStorage, SharedStorage, SimDisk, TempDir};
 use graphsd::recover::{
@@ -49,11 +48,7 @@ fn fingerprint<V: Clone + PartialEq + std::fmt::Debug>(
         r.stats.buffer_hits,
         r.stats.buffer_hit_bytes,
         r.stats.cross_iter_edges,
-        (
-            r.stats.verify_bytes,
-            r.stats.corrupt_blocks,
-            r.stats.repaired_blocks,
-        ),
+        (r.stats.verify_bytes, r.stats.corrupt_blocks),
         r.stats
             .per_iteration
             .iter()
@@ -78,8 +73,7 @@ fn sim_grid(graph: &Graph, p: u32) -> SharedStorage {
 /// Opens the grid under `prefix` with verify-on-read set to `verify`.
 fn open_grid(storage: &SharedStorage, prefix: &str, verify: VerifyPolicy) -> GridGraph {
     let mut grid = GridGraph::open_with_prefix(storage.clone(), prefix).unwrap();
-    grid.set_verification(verify, CorruptionResponse::FailFast)
-        .unwrap();
+    grid.set_verification(verify);
     grid
 }
 

@@ -1,20 +1,21 @@
 //! End-to-end contract of grid integrity, across engines:
 //!
 //! 1. **Clean-data neutrality** — on an uncorrupted grid, turning
-//!    verification on (any policy) changes neither the committed values
+//!    verification on changes neither the committed values
 //!    nor one byte of accounted I/O, with the prefetch pipeline on or
 //!    off; verification totals land in their own `RunStats` fields.
 //! 2. **Detection** — seeded at-rest corruption (bit flip, truncation,
 //!    zero fill) planted in any grid object surfaces as a structured
-//!    corruption error or a transparent repair, never a panic and never
-//!    a silently wrong result.
+//!    corruption error naming the object, never a panic and never a
+//!    silently wrong result.
 //! 3. **Scrub/repair** — the offline pass finds the same corruption and
 //!    restores the exact original bytes from the source edge list.
 //! 4. **One format version** — a grid written by an older tree is
 //!    refused at open with the way out.
 //! 5. **Nothing built on bad bytes** — `ingest` checks every base object
 //!    it merges against the sealed meta, so a corrupt one fails the batch
-//!    before an epoch is written.
+//!    before an epoch is written; opening a mutated grid checks every
+//!    delta segment the same way.
 
 use graphsd::algos::{Bfs, PageRank};
 use graphsd::baselines::{
@@ -23,12 +24,12 @@ use graphsd::baselines::{
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::delta::{ingest, MutationBatch};
 use graphsd::graph::{
-    block_edges_key, preprocess, repair_grid, scrub_grid, CorruptionResponse, GeneratorConfig,
-    Graph, GraphKind, GridGraph, GridMeta, PreprocessConfig, VerifyPolicy, DEGREES_KEY, META_KEY,
+    block_edges_key, preprocess, repair_grid, scrub_grid, GeneratorConfig, Graph, GraphKind,
+    GridGraph, GridMeta, PreprocessConfig, VerifyPolicy, DEGREES_KEY, META_KEY,
 };
-use graphsd::integrity::{CorruptionError, QUARANTINE_KEY};
-use graphsd::io::{DiskModel, SharedStorage, SimDisk};
-use graphsd::recover::{corrupt_object, CorruptionMode, FaultConfig, FaultTarget, FaultyStorage};
+use graphsd::integrity::CorruptionError;
+use graphsd::io::{DiskModel, MemStorage, SharedStorage, SimDisk};
+use graphsd::recover::{corrupt_object, CorruptionMode};
 use graphsd::runtime::{Engine, RunOptions, RunResult};
 use std::sync::Arc;
 
@@ -95,24 +96,20 @@ fn graphsd_is_neutral_under_verification_with_prefetch_on_and_off() {
             .unwrap();
         assert_eq!(baseline.stats.verify_bytes, 0, "off means off");
 
-        for policy in [VerifyPolicy::Full, VerifyPolicy::Sample(3)] {
-            let (_, mut grid) = grid_on_fresh_disk(&g, 4);
-            grid.set_verification(policy, CorruptionResponse::FailFast)
-                .unwrap();
-            let verified = GraphSdEngine::new(grid, config.clone())
-                .unwrap()
-                .run(&PageRank::paper(), &opts)
-                .unwrap();
-            assert_eq!(
-                fingerprint(&baseline),
-                fingerprint(&verified),
-                "policy {policy} with prefetch={} must not perturb the run",
-                pipeline.is_some()
-            );
-            assert!(verified.stats.verify_bytes > 0, "policy {policy} verified");
-            assert_eq!(verified.stats.corrupt_blocks, 0);
-            assert_eq!(verified.stats.repaired_blocks, 0);
-        }
+        let (_, mut grid) = grid_on_fresh_disk(&g, 4);
+        grid.set_verification(VerifyPolicy::Full);
+        let verified = GraphSdEngine::new(grid, config.clone())
+            .unwrap()
+            .run(&PageRank::paper(), &opts)
+            .unwrap();
+        assert_eq!(
+            fingerprint(&baseline),
+            fingerprint(&verified),
+            "verification with prefetch={} must not perturb the run",
+            pipeline.is_some()
+        );
+        assert!(verified.stats.verify_bytes > 0, "verified");
+        assert_eq!(verified.stats.corrupt_blocks, 0);
     }
 }
 
@@ -128,8 +125,7 @@ fn sciu_heavy_bfs_is_neutral_under_verification() {
         .run(&Bfs::new(0), &opts)
         .unwrap();
     let (_, mut grid) = grid_on_fresh_disk(&g, 4);
-    grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-        .unwrap();
+    grid.set_verification(VerifyPolicy::Full);
     let verified = GraphSdEngine::new(grid, GraphSdConfig::full())
         .unwrap()
         .run(&Bfs::new(0), &opts)
@@ -149,8 +145,7 @@ fn baseline_engines_are_neutral_under_full_verification() {
         let storage: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
         let (mut grid, _) = build_lumos_format(&g, &storage, "", Some(4)).unwrap();
         if verify {
-            grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-                .unwrap();
+            grid.set_verification(VerifyPolicy::Full);
         }
         LumosEngine::new(grid).unwrap()
     };
@@ -166,8 +161,7 @@ fn baseline_engines_are_neutral_under_full_verification() {
         let (mut format, _) = build_hus_format(&g, &storage, "", Some(4)).unwrap();
         if verify {
             for grid in [&mut format.row, &mut format.col] {
-                grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-                    .unwrap();
+                grid.set_verification(VerifyPolicy::Full);
             }
         }
         HusGraphEngine::new(format).unwrap()
@@ -181,8 +175,7 @@ fn baseline_engines_are_neutral_under_full_verification() {
     let build_stream = |verify: bool| {
         let (_, mut grid) = grid_on_fresh_disk(&g, 4);
         if verify {
-            grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-                .unwrap();
+            grid.set_verification(VerifyPolicy::Full);
         }
         GridStreamEngine::new(grid).unwrap()
     };
@@ -203,8 +196,7 @@ fn every_at_rest_corruption_mode_fails_fast_with_a_structured_error() {
         let (storage, mut grid) = grid_on_fresh_disk(&g, 4);
         let key = busiest_block_key(grid.meta());
         corrupt_object(storage.as_ref(), &key, mode, 97).unwrap();
-        grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-            .unwrap();
+        grid.set_verification(VerifyPolicy::Full);
         let err = GraphSdEngine::new(grid, GraphSdConfig::full())
             .unwrap()
             .run(&PageRank::paper(), &RunOptions::default())
@@ -222,8 +214,7 @@ fn corrupt_degrees_are_caught_at_engine_construction() {
     let g = test_graph();
     let (storage, mut grid) = grid_on_fresh_disk(&g, 3);
     corrupt_object(storage.as_ref(), DEGREES_KEY, CorruptionMode::BitFlip, 5).unwrap();
-    grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-        .unwrap();
+    grid.set_verification(VerifyPolicy::Full);
     let err = match GraphSdEngine::new(grid, GraphSdConfig::full()) {
         Err(err) => err,
         Ok(_) => panic!("constructing over corrupt degrees must fail"),
@@ -232,50 +223,7 @@ fn corrupt_degrees_are_caught_at_engine_construction() {
 }
 
 #[test]
-fn in_flight_corruption_is_transparently_repaired_by_retry() {
-    // The disk device returns mangled bytes on some accounted block
-    // reads (bad DMA), while the at-rest objects stay clean. With
-    // `Retry`, the verifier's unaccounted re-read recovers the true
-    // bytes, so the run completes with exactly the clean values.
-    let g = test_graph();
-    let opts = RunOptions::default();
-    let (_, grid) = grid_on_fresh_disk(&g, 4);
-    let clean = GraphSdEngine::new(grid, GraphSdConfig::full())
-        .unwrap()
-        .run(&PageRank::paper(), &opts)
-        .unwrap();
-
-    let sim: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
-    preprocess(
-        &g,
-        sim.as_ref(),
-        &PreprocessConfig::graphsd("").with_intervals(4),
-    )
-    .unwrap();
-    let cfg = FaultConfig::transient(23, 0.0)
-        .with_corruption(CorruptionMode::BitFlip, 0.2)
-        .with_target(FaultTarget::key("blocks/"));
-    let faulty: SharedStorage = Arc::new(FaultyStorage::new(sim, cfg));
-    let mut grid = GridGraph::open(faulty).unwrap();
-    grid.set_verification(VerifyPolicy::Full, CorruptionResponse::Retry(3))
-        .unwrap();
-    let repaired = GraphSdEngine::new(grid, GraphSdConfig::full())
-        .unwrap()
-        .run(&PageRank::paper(), &opts)
-        .unwrap();
-    assert_eq!(clean.values, repaired.values, "repair restored true bytes");
-    assert!(
-        repaired.stats.repaired_blocks > 0,
-        "a 20% corruption rate must have triggered repairs"
-    );
-    assert_eq!(
-        repaired.stats.corrupt_blocks, repaired.stats.repaired_blocks,
-        "every detection recovered"
-    );
-}
-
-#[test]
-fn quarantine_records_the_object_then_scrub_repair_restores_it() {
+fn a_corrupt_object_fails_the_run_then_scrub_repair_restores_it() {
     let g = test_graph();
     let opts = RunOptions::default();
     let (_, grid) = grid_on_fresh_disk(&g, 4);
@@ -287,16 +235,12 @@ fn quarantine_records_the_object_then_scrub_repair_restores_it() {
     let (storage, mut grid) = grid_on_fresh_disk(&g, 4);
     let key = busiest_block_key(grid.meta());
     corrupt_object(storage.as_ref(), &key, CorruptionMode::ZeroFill, 31).unwrap();
-    grid.set_verification(VerifyPolicy::Full, CorruptionResponse::Quarantine)
-        .unwrap();
+    grid.set_verification(VerifyPolicy::Full);
     let err = GraphSdEngine::new(grid, GraphSdConfig::full())
         .unwrap()
         .run(&PageRank::paper(), &opts)
         .unwrap_err();
     assert!(CorruptionError::is_corruption(&err));
-    let listed = storage.read_all(QUARANTINE_KEY).unwrap();
-    let quarantined = String::from_utf8(listed).unwrap();
-    assert!(quarantined.contains(&key), "{quarantined}");
 
     // Offline: scrub finds exactly that object, repair restores it from
     // the source edge list, and a fully verified run then succeeds.
@@ -308,8 +252,7 @@ fn quarantine_records_the_object_then_scrub_repair_restores_it() {
     assert!(outcome.after.is_clean());
 
     let mut grid = GridGraph::open(storage).unwrap();
-    grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-        .unwrap();
+    grid.set_verification(VerifyPolicy::Full);
     let healed = GraphSdEngine::new(grid, GraphSdConfig::full())
         .unwrap()
         .run(&PageRank::paper(), &opts)
@@ -406,4 +349,33 @@ fn ingest_over_a_corrupt_base_object_fails_and_commits_nothing() {
             .epoch,
         1
     );
+}
+
+#[test]
+fn a_corrupt_delta_segment_fails_open_with_a_structured_error() {
+    let g = test_graph();
+    let storage: SharedStorage = Arc::new(MemStorage::new());
+    preprocess(
+        &g,
+        storage.as_ref(),
+        &PreprocessConfig::graphsd("").with_intervals(4),
+    )
+    .unwrap();
+    let mut batch = MutationBatch::new();
+    batch.insert(0, 1, 1.0);
+    let sink = graphsd::trace::null_sink();
+    ingest(storage.as_ref(), "", &batch, sink.as_ref()).unwrap();
+    let segment = storage
+        .list_keys()
+        .into_iter()
+        .find(|k| k.starts_with("delta/seg_"))
+        .expect("the batch wrote one segment");
+    corrupt_object(storage.as_ref(), &segment, CorruptionMode::BitFlip, 3).unwrap();
+
+    let Err(err) = GridGraph::open(storage) else {
+        panic!("a mutated grid with a corrupt segment must not open");
+    };
+    let c = CorruptionError::from_io(&err)
+        .unwrap_or_else(|| panic!("expected a structured corruption error, got {err}"));
+    assert_eq!(c.key, segment);
 }

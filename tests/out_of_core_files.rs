@@ -152,3 +152,43 @@ fn a_closed_stdout_does_not_panic_the_cli() {
         .unwrap();
     assert_eq!(status.code(), Some(0), "{status:?}");
 }
+
+/// A flag the verb does not read fails the command before it does any
+/// work: a misspelt `--verfiy full` used to run unverified, and a retired
+/// flag would be accepted and do nothing.
+#[test]
+fn a_flag_the_verb_does_not_read_is_rejected() {
+    let dir = TempDir::new("gsd-flags").unwrap();
+    let storage: SharedStorage = Arc::new(FileStorage::open(dir.path()).unwrap());
+    preprocess_text(
+        sample_edge_list().as_bytes(),
+        storage.as_ref(),
+        &PreprocessConfig::graphsd("").with_intervals(2),
+    )
+    .unwrap();
+    let grid = dir.path().to_str().unwrap();
+    for (args, want) in [
+        (
+            &["run", grid, "pagerank", "--verfiy", "full"][..],
+            "unknown flag --verfiy for run",
+        ),
+        (
+            &["run", grid, "pagerank", "--on-corruption", "retry"],
+            "unknown flag --on-corruption for run",
+        ),
+        (&["info", grid, "--top", "3"], "unknown flag --top for info"),
+        (
+            &["scrub", grid, "--repiar"],
+            "unknown flag --repiar for scrub",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsd"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} did work before failing");
+    }
+}

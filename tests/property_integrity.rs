@@ -16,8 +16,8 @@ use graphsd::algos::PageRank;
 use graphsd::core::{GraphSdConfig, GraphSdEngine};
 use graphsd::graph::rng::Xoshiro256;
 use graphsd::graph::{
-    preprocess, scrub_grid, CorruptionResponse, GeneratorConfig, Graph, GraphKind, GridGraph,
-    PreprocessConfig, VerifyPolicy, META_KEY,
+    preprocess, scrub_grid, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig,
+    VerifyPolicy, META_KEY,
 };
 use graphsd::integrity::{crc32, CorruptionError};
 use graphsd::io::{MemStorage, SharedStorage, Storage};
@@ -126,8 +126,7 @@ proptest! {
         // a structured error, or the flipped object was never read and
         // the values are bit-identical to the clean run.
         let mut grid = GridGraph::open(storage.clone()).unwrap();
-        grid.set_verification(VerifyPolicy::Full, CorruptionResponse::FailFast)
-            .unwrap();
+        grid.set_verification(VerifyPolicy::Full);
         let outcome = GraphSdEngine::new(grid, GraphSdConfig::full())
             .and_then(|mut e| e.run(&PageRank::with_iterations(3), &Default::default()));
         match outcome {
