@@ -47,45 +47,59 @@ pub struct HusFormat {
     pub col: GridGraph,
 }
 
-/// Builds both HUS-Graph copies (`<prefix>row/`, `<prefix>col/`) and
-/// returns the handles plus the **combined** preprocessing breakdown
-/// (both copies are partitioned and sorted — the paper's Figure 8 shows
-/// this costing ≈1.4× GraphSD's preprocessing and ≈1.8× Lumos's).
-pub fn build_hus_format(
+impl HusFormat {
+    /// Opens both copies [`write_hus_format`] wrote under `prefix`.
+    pub fn open(storage: Arc<dyn Storage>, prefix: &str) -> std::io::Result<HusFormat> {
+        Ok(HusFormat {
+            row: GridGraph::open_with_prefix(storage.clone(), &format!("{prefix}row/"))?,
+            col: GridGraph::open_with_prefix(storage, &format!("{prefix}col/"))?,
+        })
+    }
+}
+
+/// Writes both HUS-Graph copies (`<prefix>row/`, `<prefix>col/`) and
+/// returns the **combined** preprocessing breakdown (both copies are
+/// partitioned and sorted — the paper's Figure 8 shows this costing
+/// ≈1.4× GraphSD's preprocessing and ≈1.8× Lumos's). Opens nothing.
+pub fn write_hus_format(
     graph: &Graph,
-    storage: &Arc<dyn Storage>,
+    storage: &dyn Storage,
     prefix: &str,
     p: Option<u32>,
-) -> std::io::Result<(HusFormat, PreprocessReport)> {
-    let row_prefix = format!("{prefix}row/");
-    let col_prefix = format!("{prefix}col/");
+) -> std::io::Result<PreprocessReport> {
     // HUS-Graph's row unit stores each vertex's edges contiguously
     // (CSR-like): a single source-sorted partition, whose row index at
     // P = 1 is exactly one offset per vertex.
-    let mut row_config = PreprocessConfig::graphsd(&row_prefix);
+    let mut row_config = PreprocessConfig::graphsd(format!("{prefix}row/"));
     row_config.num_intervals = Some(1);
     row_config.degree_balanced = true;
-    let (_, row_report) = preprocess(graph, storage.as_ref(), &row_config)?;
+    let (_, row_report) = preprocess(graph, storage, &row_config)?;
     let mut col_config = PreprocessConfig {
         order: BlockOrder::ByDest,
-        ..PreprocessConfig::graphsd(&col_prefix)
+        ..PreprocessConfig::graphsd(format!("{prefix}col/"))
     };
     col_config.num_intervals = p;
     col_config.degree_balanced = true;
-    let (_, col_report) = preprocess(graph, storage.as_ref(), &col_config)?;
-    let format = HusFormat {
-        row: GridGraph::open_with_prefix(storage.clone(), &row_prefix)?,
-        col: GridGraph::open_with_prefix(storage.clone(), &col_prefix)?,
-    };
-    let report = PreprocessReport {
+    let (_, col_report) = preprocess(graph, storage, &col_config)?;
+    Ok(PreprocessReport {
         p: row_report.p,
         load: row_report.load + col_report.load,
         partition: row_report.partition + col_report.partition,
         sort: row_report.sort + col_report.sort,
         write: row_report.write + col_report.write,
         bytes_written: row_report.bytes_written + col_report.bytes_written,
-    };
-    Ok((format, report))
+    })
+}
+
+/// [`write_hus_format`], then [`HusFormat::open`].
+pub fn build_hus_format(
+    graph: &Graph,
+    storage: &Arc<dyn Storage>,
+    prefix: &str,
+    p: Option<u32>,
+) -> std::io::Result<(HusFormat, PreprocessReport)> {
+    let report = write_hus_format(graph, storage.as_ref(), prefix, p)?;
+    Ok((HusFormat::open(storage.clone(), prefix)?, report))
 }
 
 /// The HUS-Graph-like engine.

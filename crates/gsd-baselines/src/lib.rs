@@ -53,5 +53,5 @@ pub mod hus;
 pub mod lumos;
 
 pub use gridstream::GridStreamEngine;
-pub use hus::{build_hus_format, HusFormat, HusGraphEngine};
+pub use hus::{build_hus_format, write_hus_format, HusFormat, HusGraphEngine};
 pub use lumos::{build_lumos_format, LumosEngine};

@@ -22,14 +22,20 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `tiny`, `small` or `medium`.
-    pub fn parse(name: &str) -> Option<Scale> {
-        match name {
-            "tiny" => Some(Scale::Tiny),
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            _ => None,
+    /// The scale's name: `tiny`, `small` or `medium`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Medium => "medium",
         }
+    }
+
+    /// The scale [`Scale::name`] names.
+    pub fn parse(name: &str) -> Option<Scale> {
+        [Scale::Tiny, Scale::Small, Scale::Medium]
+            .into_iter()
+            .find(|scale| scale.name() == name)
     }
 
     /// Base vertex count (the Twitter2010 stand-in's `|V|`).
@@ -63,29 +69,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    fn new(
-        name: &'static str,
-        paper_name: &'static str,
-        kind_desc: &'static str,
-        kind: GraphKind,
-        vertices: u32,
-        edges: u64,
-        seed: u64,
-    ) -> Self {
-        Dataset {
-            name,
-            paper_name,
-            kind_desc,
-            kind,
-            vertices,
-            edges,
-            seed,
-            directed: OnceLock::new(),
-            weighted: OnceLock::new(),
-            symmetric: OnceLock::new(),
-        }
-    }
-
     /// The directed, unweighted graph (PR / PR-D / BFS workloads).
     pub fn directed(&self) -> &Graph {
         self.directed.get_or_init(|| {
@@ -119,6 +102,21 @@ impl Dataset {
     }
 }
 
+/// Table 3's stand-ins: name, paper dataset, type, generator, `|V|` as a
+/// fraction of the base vertex count, edges per base vertex, seed. Sizes
+/// follow Table 3 (Twitter2010 = 1.0×: 42M vertices, 1.5B edges ≈ 36 per
+/// vertex); Kron30's 21× is capped at 6× to stay laptop-sized (DESIGN.md).
+#[rustfmt::skip]
+type StandIn = (&'static str, &'static str, &'static str, GraphKind, (u64, u64), u64, u64);
+#[rustfmt::skip]
+const STANDINS: [StandIn; 5] = [
+    ("twitter_sim", "Twitter2010", "Social network", GraphKind::RMat, (1, 1), 36, 101),
+    ("sk_sim", "SK2005", "Social network", GraphKind::RMat, (6, 5), 45, 202),
+    ("uk_sim", "UK2007", "Web graph", GraphKind::WebLocality, (5, 2), 88, 303),
+    ("ukunion_sim", "UKUnion", "Web graph", GraphKind::WebLocality, (3, 1), 130, 404),
+    ("kron_sim", "Kron30", "Synthetic graph", GraphKind::Kronecker, (6, 1), 190, 505),
+];
+
 /// The five stand-ins of Table 3, at one scale.
 pub struct Datasets {
     /// The chosen scale.
@@ -129,57 +127,24 @@ pub struct Datasets {
 impl Datasets {
     /// Builds the registry at `scale`. Graph generation is lazy.
     pub fn load(scale: Scale) -> Self {
-        let v = scale.base_vertices() as u64;
-        // Relative sizes follow Table 3 (Twitter2010 = 1.0×: 42M vertices,
-        // 1.5B edges ≈ 36 edges/vertex). Kron30's 21× footprint is capped
-        // at 6× to stay laptop-sized (documented in DESIGN.md).
-        let datasets = vec![
-            Dataset::new(
-                "twitter_sim",
-                "Twitter2010",
-                "Social network",
-                GraphKind::RMat,
-                v as u32,
-                v * 36,
-                101,
-            ),
-            Dataset::new(
-                "sk_sim",
-                "SK2005",
-                "Social network",
-                GraphKind::RMat,
-                (v + v / 5) as u32,
-                v * 45,
-                202,
-            ),
-            Dataset::new(
-                "uk_sim",
-                "UK2007",
-                "Web graph",
-                GraphKind::WebLocality,
-                (v * 5 / 2) as u32,
-                v * 88,
-                303,
-            ),
-            Dataset::new(
-                "ukunion_sim",
-                "UKUnion",
-                "Web graph",
-                GraphKind::WebLocality,
-                (v * 3) as u32,
-                v * 130,
-                404,
-            ),
-            Dataset::new(
-                "kron_sim",
-                "Kron30",
-                "Synthetic graph",
-                GraphKind::Kronecker,
-                (v * 6) as u32,
-                v * 190,
-                505,
-            ),
-        ];
+        let v = u64::from(scale.base_vertices());
+        let datasets = STANDINS
+            .iter()
+            .map(
+                |&(name, paper_name, kind_desc, kind, (num, den), per_vertex, seed)| Dataset {
+                    name,
+                    paper_name,
+                    kind_desc,
+                    kind,
+                    vertices: (v * num / den) as u32,
+                    edges: v * per_vertex,
+                    seed,
+                    directed: OnceLock::new(),
+                    weighted: OnceLock::new(),
+                    symmetric: OnceLock::new(),
+                },
+            )
+            .collect();
         Datasets { scale, datasets }
     }
 
@@ -188,9 +153,19 @@ impl Datasets {
         &self.datasets
     }
 
-    /// Looks a dataset up by stand-in name.
-    pub fn get(&self, name: &str) -> Option<&Dataset> {
-        self.datasets.iter().find(|d| d.name == name)
+    /// Looks a dataset up by stand-in name; an unknown name is an
+    /// `InvalidInput` error that lists the five.
+    pub fn get(&self, name: &str) -> std::io::Result<&Dataset> {
+        self.datasets
+            .iter()
+            .find(|d| d.name == name)
+            .ok_or_else(|| {
+                let known: Vec<&str> = self.datasets.iter().map(|d| d.name).collect();
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("unknown dataset {name:?} ({})", known.join("|")),
+                )
+            })
     }
 }
 
@@ -206,8 +181,20 @@ mod tests {
             names,
             vec!["twitter_sim", "sk_sim", "uk_sim", "ukunion_sim", "kron_sim"]
         );
-        assert!(ds.get("uk_sim").is_some());
-        assert!(ds.get("nope").is_none());
+        assert!(ds.get("uk_sim").is_ok());
+        let err = ds.get("nope").err().map(|e| e.to_string());
+        assert_eq!(
+            err.as_deref(),
+            Some("unknown dataset \"nope\" (twitter_sim|sk_sim|uk_sim|ukunion_sim|kron_sim)")
+        );
+    }
+
+    #[test]
+    fn scales_round_trip_through_their_names() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Medium] {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+        }
+        assert_eq!(Scale::parse("large"), None);
     }
 
     #[test]

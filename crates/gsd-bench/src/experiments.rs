@@ -8,10 +8,15 @@
 //! be compared at a glance.
 
 use crate::datasets::{Dataset, Datasets};
-use crate::runner::{run_system, Algo, SystemKind};
+use crate::runner::{
+    open_engine, paper_p, prepare_format, run_cell, run_system, scaled_disk_for, scaled_disk_from,
+    Algo, SystemKind,
+};
 use crate::settings::RunSettings;
 use crate::table::{mib, ratio, secs, Table};
+use gsd_io::{DiskModel, MemStorage, SharedStorage, SimDisk};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
@@ -37,65 +42,30 @@ pub struct Table1 {
     pub rows: Vec<(&'static str, bool, bool, bool)>,
 }
 
-/// Runs the `table1` experiment (reads each engine's capability flags).
-pub fn table1(ds: &Datasets) -> Table1 {
-    use gsd_runtime::Engine;
-    // Capabilities are static per engine; build each once on a trivial
-    // dataset to ask it.
-    let d = &ds.all()[0];
-    let g = d.directed();
-    let storage: gsd_io::SharedStorage =
-        std::sync::Arc::new(gsd_io::SimDisk::new(gsd_io::DiskModel::hdd()));
-    gsd_graph::preprocess(
-        g,
-        storage.as_ref(),
-        &gsd_graph::PreprocessConfig::graphsd("").with_intervals(4),
-    )
-    .unwrap();
-    let grid = gsd_graph::GridGraph::open(storage.clone()).unwrap();
-    let (hus, _) = gsd_baselines::build_hus_format(g, &storage, "hus/", Some(4)).unwrap();
-    let (lumos_grid, _) =
-        gsd_baselines::build_lumos_format(g, &storage, "lumos/", Some(4)).unwrap();
-
-    let engines: Vec<(&'static str, gsd_runtime::Capabilities)> = vec![
-        (
-            "GridGraph (ours)",
-            gsd_baselines::GridStreamEngine::new(grid.clone())
-                .unwrap()
-                .capabilities(),
-        ),
-        (
-            "HUS-Graph (ours)",
-            gsd_baselines::HusGraphEngine::new(hus)
-                .unwrap()
-                .capabilities(),
-        ),
-        (
-            "Lumos (ours)",
-            gsd_baselines::LumosEngine::new(lumos_grid)
-                .unwrap()
-                .capabilities(),
-        ),
-        (
-            "GraphSD",
-            gsd_core::GraphSdEngine::new(grid, gsd_core::GraphSdConfig::full())
-                .unwrap()
-                .capabilities(),
-        ),
-    ];
-    Table1 {
-        rows: engines
-            .into_iter()
-            .map(|(name, c)| {
-                (
-                    name,
-                    c.eliminates_random_accesses,
-                    c.avoids_inactive_data,
-                    c.future_value_computation,
-                )
-            })
-            .collect(),
+/// Runs the `table1` experiment: asks each engine, opened on a small grid.
+pub fn table1(ds: &Datasets) -> std::io::Result<Table1> {
+    let d = ds.get("twitter_sim")?;
+    let mut rows = Vec::new();
+    for (kind, name) in [
+        (SystemKind::GridStream, "GridGraph (ours)"),
+        (SystemKind::HusGraph, "HUS-Graph (ours)"),
+        (SystemKind::Lumos, "Lumos (ours)"),
+        (SystemKind::GraphSd, "GraphSD"),
+    ] {
+        let storage: SharedStorage = Arc::new(MemStorage::new());
+        let opened = prepare_format(kind, d.directed(), storage.as_ref(), 4)
+            .and_then(|_| open_engine(kind, storage, &RunSettings::default()));
+        let c = opened
+            .map_err(|e| std::io::Error::new(e.kind(), format!("table1: {name}: {e}")))?
+            .capabilities();
+        rows.push((
+            name,
+            c.eliminates_random_accesses,
+            c.avoids_inactive_data,
+            c.future_value_computation,
+        ));
     }
+    Ok(Table1 { rows })
 }
 
 impl fmt::Display for Table1 {
@@ -235,13 +205,18 @@ pub struct Fig5Row {
 impl Fig5Row {
     /// HUS-Graph time / GraphSD time.
     pub fn speedup_vs_hus(&self) -> f64 {
-        self.times[1].as_secs_f64() / self.times[0].as_secs_f64().max(1e-12)
+        speedup(&self.times, 1)
     }
 
     /// Lumos time / GraphSD time.
     pub fn speedup_vs_lumos(&self) -> f64 {
-        self.times[2].as_secs_f64() / self.times[0].as_secs_f64().max(1e-12)
+        speedup(&self.times, 2)
     }
+}
+
+/// System `k`'s time over GraphSD's, of [`SystemKind::main_three`] times.
+fn speedup(times: &[Duration; 3], k: usize) -> f64 {
+    times[k].as_secs_f64() / times[0].as_secs_f64().max(1e-12)
 }
 
 /// Figure 5 result.
@@ -704,24 +679,13 @@ pub struct Fig10 {
 
 /// Runs the `fig10` experiment (CC on the UKUnion stand-in in the paper).
 pub fn fig10(d: &Dataset, settings: &RunSettings) -> std::io::Result<Fig10> {
-    let per_iter =
-        |kind: SystemKind| -> std::io::Result<(Vec<Duration>, Vec<gsd_runtime::IoAccessModel>)> {
-            let outcome = run_system(kind, d, Algo::Cc, settings)?;
-            Ok((
-                outcome
-                    .stats
-                    .per_iteration
-                    .iter()
-                    .map(|s| s.io_time + s.compute_time)
-                    .collect(),
-                outcome
-                    .stats
-                    .per_iteration
-                    .iter()
-                    .map(|s| s.model)
-                    .collect(),
-            ))
-        };
+    let per_iter = |kind| -> std::io::Result<(Vec<Duration>, Vec<_>)> {
+        let stats = run_system(kind, d, Algo::Cc, settings)?.stats;
+        let iterations = stats.per_iteration.iter();
+        Ok(iterations
+            .map(|s| (s.io_time + s.compute_time, s.model))
+            .unzip())
+    };
     let (adaptive, chosen) = per_iter(SystemKind::GraphSd)?;
     let (full, _) = per_iter(SystemKind::GraphSdB3)?;
     let (on_demand, _) = per_iter(SystemKind::GraphSdB4)?;
@@ -962,18 +926,6 @@ pub struct ExtStorageRow {
     pub times: [Duration; 3],
 }
 
-impl ExtStorageRow {
-    /// Lumos time / GraphSD time on this device.
-    pub fn speedup_vs_lumos(&self) -> f64 {
-        self.times[2].as_secs_f64() / self.times[0].as_secs_f64().max(1e-12)
-    }
-
-    /// HUS-Graph time / GraphSD time on this device.
-    pub fn speedup_vs_hus(&self) -> f64 {
-        self.times[1].as_secs_f64() / self.times[0].as_secs_f64().max(1e-12)
-    }
-}
-
 /// Extension experiment: the same comparison on progressively faster
 /// storage (HDD -> SATA SSD -> NVMe).
 pub struct ExtStorage {
@@ -986,8 +938,6 @@ pub struct ExtStorage {
 /// storage (Optane PMM) as future work; this measures how the update
 /// strategy's advantage responds as random access gets cheaper.
 pub fn ext_storage(d: &Dataset, settings: &RunSettings) -> std::io::Result<ExtStorage> {
-    use crate::runner::run_system_on_device;
-    use gsd_io::DiskModel;
     let mut rows = Vec::new();
     for (device, model) in [
         ("hdd", DiskModel::hdd()),
@@ -995,9 +945,12 @@ pub fn ext_storage(d: &Dataset, settings: &RunSettings) -> std::io::Result<ExtSt
         ("nvme", DiskModel::nvme()),
     ] {
         for algo in [Algo::PrD, Algo::Sssp] {
+            let g = algo.input(d);
             let mut times = [Duration::ZERO; 3];
             for (k, kind) in SystemKind::main_three().into_iter().enumerate() {
-                times[k] = run_system_on_device(kind, d, algo, model, settings)?.execution_time();
+                let disk = Arc::new(SimDisk::new(scaled_disk_from(model, g)));
+                let outcome = run_cell(kind, g, algo, d.root(), disk, paper_p(g), settings)?;
+                times[k] = outcome.execution_time();
             }
             rows.push(ExtStorageRow {
                 device,
@@ -1025,8 +978,8 @@ impl fmt::Display for ExtStorage {
                 r.device.to_owned(),
                 r.algo.to_owned(),
                 secs(r.times[0]),
-                format!("{:.2}", r.speedup_vs_hus()),
-                format!("{:.2}", r.speedup_vs_lumos()),
+                format!("{:.2}", speedup(&r.times, 1)),
+                format!("{:.2}", speedup(&r.times, 2)),
             ]);
         }
         write!(f, "{t}")
@@ -1062,11 +1015,15 @@ pub struct ExtPsweep {
 /// streaming, coarse selectivity); large `P` = finer selective reads but
 /// more per-block requests.
 pub fn ext_psweep(d: &Dataset, settings: &RunSettings) -> std::io::Result<ExtPsweep> {
-    use crate::runner::run_system_with_p;
+    let run = |algo: Algo, p: u32| {
+        let g = algo.input(d);
+        let disk = Arc::new(SimDisk::new(scaled_disk_for(g)));
+        run_cell(SystemKind::GraphSd, g, algo, d.root(), disk, p, settings)
+    };
     let mut rows = Vec::new();
     for p in [4u32, 10, 20, 40] {
-        let pr = run_system_with_p(SystemKind::GraphSd, d, Algo::Pr, p, settings)?;
-        let sssp = run_system_with_p(SystemKind::GraphSd, d, Algo::Sssp, p, settings)?;
+        let pr = run(Algo::Pr, p)?;
+        let sssp = run(Algo::Sssp, p)?;
         rows.push(ExtPsweepRow {
             p,
             pr_time: pr.execution_time(),
@@ -1098,51 +1055,64 @@ impl fmt::Display for ExtPsweep {
     }
 }
 
+/// How an experiment renders its output from the datasets and settings.
+pub type Runner = fn(&Datasets, &RunSettings) -> std::io::Result<String>;
+
+/// Every experiment, in paper order (plus extensions): its id and its
+/// runner. [`ids`] and [`run_by_id`] both read this one registry.
+pub const EXPERIMENTS: [(&str, Runner); 13] = [
+    ("table1", |ds, _| Ok(table1(ds)?.to_string())),
+    ("table3", |ds, _| Ok(table3(ds).to_string())),
+    ("table4", |ds, s| Ok(table4(ds, s)?.to_string())),
+    ("fig5", |ds, s| Ok(fig5(ds.all(), s)?.to_string())),
+    ("fig6", |ds, s| on(fig6, ds.get("twitter_sim")?, s)),
+    ("fig7", |ds, s| {
+        let targets = [ds.get("twitter_sim")?, ds.get("uk_sim")?];
+        Ok(fig7(&targets, s)?.to_string())
+    }),
+    ("fig8", |ds, s| Ok(fig8(ds, s)?.to_string())),
+    ("fig9", |ds, s| on(fig9, ds.get("twitter_sim")?, s)),
+    ("fig10", |ds, s| on(fig10, ds.get("ukunion_sim")?, s)),
+    ("fig11", |ds, s| on(fig11, ds.get("twitter_sim")?, s)),
+    ("fig12", |ds, s| {
+        let targets = [ds.get("ukunion_sim")?, ds.get("kron_sim")?];
+        Ok(fig12(&targets, s)?.to_string())
+    }),
+    ("ext_storage", |ds, s| on(ext_storage, ds.get("uk_sim")?, s)),
+    ("ext_psweep", |ds, s| on(ext_psweep, ds.get("uk_sim")?, s)),
+];
+
+/// Renders a one-dataset experiment.
+fn on<T: fmt::Display>(
+    experiment: fn(&Dataset, &RunSettings) -> std::io::Result<T>,
+    d: &Dataset,
+    settings: &RunSettings,
+) -> std::io::Result<String> {
+    Ok(experiment(d, settings)?.to_string())
+}
+
+/// All experiment ids, in registry order.
+pub fn ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().map(|(id, _)| *id)
+}
+
+/// The runner of experiment `id`; an unknown id is an `InvalidInput`
+/// error that lists the known ones.
+pub fn runner(id: &str) -> std::io::Result<Runner> {
+    match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
+        Some((_, run)) => Ok(*run),
+        None => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "unknown experiment id {id:?} (known: {})",
+                ids().collect::<Vec<_>>().join(" ")
+            ),
+        )),
+    }
+}
+
 /// Runs one experiment by id under `settings` and returns its rendered
 /// output.
 pub fn run_by_id(id: &str, ds: &Datasets, settings: &RunSettings) -> std::io::Result<String> {
-    Ok(match id {
-        "table1" => table1(ds).to_string(),
-        "table3" => table3(ds).to_string(),
-        "table4" => table4(ds, settings)?.to_string(),
-        "fig5" => fig5(ds.all(), settings)?.to_string(),
-        "fig6" => fig6(ds.get("twitter_sim").unwrap(), settings)?.to_string(),
-        "fig7" => {
-            let targets = [ds.get("twitter_sim").unwrap(), ds.get("uk_sim").unwrap()];
-            fig7(&targets, settings)?.to_string()
-        }
-        "fig8" => fig8(ds, settings)?.to_string(),
-        "fig9" => fig9(ds.get("twitter_sim").unwrap(), settings)?.to_string(),
-        "fig10" => fig10(ds.get("ukunion_sim").unwrap(), settings)?.to_string(),
-        "fig11" => fig11(ds.get("twitter_sim").unwrap(), settings)?.to_string(),
-        "fig12" => {
-            let targets = [ds.get("ukunion_sim").unwrap(), ds.get("kron_sim").unwrap()];
-            fig12(&targets, settings)?.to_string()
-        }
-        "ext_storage" => ext_storage(ds.get("uk_sim").unwrap(), settings)?.to_string(),
-        "ext_psweep" => ext_psweep(ds.get("uk_sim").unwrap(), settings)?.to_string(),
-        other => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("unknown experiment id: {other}"),
-            ))
-        }
-    })
+    runner(id)?(ds, settings)
 }
-
-/// All experiment ids, in paper order (plus extensions).
-pub const ALL_IDS: [&str; 13] = [
-    "table1",
-    "table3",
-    "table4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ext_storage",
-    "ext_psweep",
-];

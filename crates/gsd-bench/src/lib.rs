@@ -15,10 +15,11 @@
 //! [`LiveReport`] a live process; folding is strictly observational
 //! (`tests/metrics_neutrality.rs`).
 //!
-//! **Paper tables** — [`experiments`], on the simulated disk's virtual
-//! clock: every table and figure of the paper's evaluation (§5) on the
-//! scaled-down stand-in datasets, across the GraphSD engine, its §5.4
-//! ablations, and the HUS-Graph-like / Lumos-like baselines:
+//! **Paper tables** — [`experiments`], reached through `gsd
+//! experiments`, on the simulated disk's virtual clock: every table and
+//! figure of the paper's evaluation (§5) on the scaled-down stand-in
+//! datasets, across the GraphSD engine, its §5.4 ablations, and the
+//! HUS-Graph-like / Lumos-like baselines:
 //!
 //! | id | paper item | harness |
 //! |----|------------|---------|
@@ -33,20 +34,21 @@
 //! | `fig10` | per-iteration scheduling (b3/b4) | [`experiments::fig10`] |
 //! | `fig11` | scheduler overhead vs saved I/O | [`experiments::fig11`] |
 //! | `fig12` | buffering effect | [`experiments::fig12`] |
+//! | `ext_storage` | the Fig. 5 comparison on SSD / NVMe (extension) | [`experiments::ext_storage`] |
+//! | `ext_psweep` | interval-count sweep around P = 20 (extension) | [`experiments::ext_psweep`] |
 //!
-//! Run everything with `cargo run --release -p gsd-bench --bin experiments`
-//! or a single item by appending its `<id>`; `--scale tiny|small|medium`
-//! selects the workload scale (default `small`). Every other setting of a
-//! run is a [`RunSettings`] argument built by [`RunFlags::parse`].
+//! Run everything with `gsd experiments`, or single items by appending
+//! their ids ([`experiments::EXPERIMENTS`] is the registry); `--scale
+//! tiny|small|medium` selects the workload scale (default `small`). Every
+//! other setting of a run is a [`RunSettings`] argument built by
+//! [`RunFlags::parse`]. Both harnesses run a system one way,
+//! [`runner::run_cell`].
 
 #![warn(missing_docs)]
-
-pub mod bench;
-pub mod datasets;
-pub mod experiments;
-// The fold runs live inside a traced process (`LiveReport`), so it keeps
-// the hot-path crates' panic ban (DESIGN.md §11).
-#[deny(
+// The fold runs inside a traced process (`LiveReport`) and a harness
+// failure names its dataset or step, so the whole crate keeps the hot-path
+// crates' panic ban (DESIGN.md §11); tests are exempt (`clippy.toml`).
+#![deny(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::panic,
@@ -54,6 +56,10 @@ pub mod experiments;
     clippy::todo,
     clippy::unimplemented
 )]
+
+pub mod bench;
+pub mod datasets;
+pub mod experiments;
 pub mod report;
 pub mod runner;
 pub mod settings;
@@ -69,7 +75,7 @@ pub use settings::{RunFlags, RunSettings};
 pub use trace::{trace_sink, LiveReport, VerboseSink};
 pub use wall::{run_wall, WallOptions};
 
-/// Writes to standard output, for both binaries. A reader that closed the
+/// Writes to standard output, for the `gsd` CLI. A reader that closed the
 /// pipe (`gsd info dir | head -3`) has seen enough: the process ends
 /// quietly with status 0 where `println!` would panic. Any other write
 /// error is the caller's to report.

@@ -1,24 +1,23 @@
-//! Cross-system run machinery: prepare a system's on-disk format on a
-//! fresh simulated disk, run one of the paper's four algorithms, and
-//! collect timing / traffic / preprocessing outcomes.
+//! Cross-system run machinery: the one table of the nine systems, and the
+//! one way to run any of them — write its on-disk format, open it once,
+//! run one of the paper's four algorithms — collecting timing, traffic
+//! and preprocessing outcomes.
 
 use crate::datasets::Dataset;
 use crate::settings::RunSettings;
 use gsd_algos::{ConnectedComponents, PageRank, PageRankDelta, Sssp};
-use gsd_baselines::HusFormat;
-use gsd_baselines::{
-    build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
-};
-use gsd_core::{GraphSdConfig, GraphSdEngine, GridSession, SchedulerDecision};
-use gsd_graph::{
-    preprocess, CorruptionResponse, EdgeCodec, Graph, GridGraph, PreprocessConfig, PreprocessReport,
-};
-use gsd_io::{DiskModel, SharedStorage, SimDisk};
-use gsd_runtime::{Engine, RunOptions, RunStats, VertexProgram};
+use gsd_baselines::{write_hus_format, GridStreamEngine, HusFormat, HusGraphEngine, LumosEngine};
+use gsd_core::{GraphSdConfig, GraphSdEngine, SchedulerDecision};
+use gsd_graph::{preprocess, EdgeCodec, Graph, GridGraph, PreprocessConfig, PreprocessReport};
+use gsd_io::{DiskModel, SharedStorage, SimDisk, Storage};
+use gsd_runtime::{Capabilities, Engine, RunOptions, RunStats, VertexProgram};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which system (or GraphSD ablation) to run.
+/// The nine systems of the paper's evaluation: GraphSD, its §5.4
+/// ablations and the three baselines. This is the one table that names
+/// them ([`SystemKind::label`], [`SystemKind::names`]) and configures the
+/// GraphSD variants ([`SystemKind::graphsd_config`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SystemKind {
     /// Full GraphSD.
@@ -42,6 +41,19 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// All nine, GraphSD variants first.
+    pub const ALL: [SystemKind; 9] = [
+        SystemKind::GraphSd,
+        SystemKind::GraphSdB1,
+        SystemKind::GraphSdB2,
+        SystemKind::GraphSdB3,
+        SystemKind::GraphSdB4,
+        SystemKind::GraphSdNoBuffer,
+        SystemKind::HusGraph,
+        SystemKind::Lumos,
+        SystemKind::GridStream,
+    ];
+
     /// Display label (matches the paper's figure legends).
     pub fn label(&self) -> &'static str {
         match self {
@@ -55,6 +67,45 @@ impl SystemKind {
             SystemKind::Lumos => "Lumos",
             SystemKind::GridStream => "GridGraph",
         }
+    }
+
+    /// The command-line names the system answers to besides its label
+    /// (`gsd run --ablation`, `gsd bench --systems`).
+    pub fn names(&self) -> &'static [&'static str] {
+        match self {
+            SystemKind::GraphSd => &["full", "gsd"],
+            SystemKind::GraphSdB1 => &["b1"],
+            SystemKind::GraphSdB2 => &["b2"],
+            SystemKind::GraphSdB3 => &["b3"],
+            SystemKind::GraphSdB4 => &["b4"],
+            SystemKind::GraphSdNoBuffer => &["nobuf"],
+            SystemKind::HusGraph => &["hus", "husgraph"],
+            SystemKind::Lumos => &[],
+            SystemKind::GridStream => &["gridstream", "grid"],
+        }
+    }
+
+    /// The system a label or command-line name names, ignoring case.
+    pub fn parse(name: &str) -> Option<SystemKind> {
+        SystemKind::ALL.into_iter().find(|kind| {
+            std::iter::once(kind.label())
+                .chain(kind.names().iter().copied())
+                .any(|known| known.eq_ignore_ascii_case(name))
+        })
+    }
+
+    /// The engine configuration of a GraphSD variant (its §5.4 switch),
+    /// or `None` for a baseline.
+    pub fn graphsd_config(&self) -> Option<GraphSdConfig> {
+        Some(match self {
+            SystemKind::GraphSd => GraphSdConfig::full(),
+            SystemKind::GraphSdB1 => GraphSdConfig::b1_no_cross_iteration(),
+            SystemKind::GraphSdB2 => GraphSdConfig::b2_no_selective(),
+            SystemKind::GraphSdB3 => GraphSdConfig::b3_always_full(),
+            SystemKind::GraphSdB4 => GraphSdConfig::b4_always_on_demand(),
+            SystemKind::GraphSdNoBuffer => GraphSdConfig::without_buffering(),
+            SystemKind::HusGraph | SystemKind::Lumos | SystemKind::GridStream => return None,
+        })
     }
 
     /// The three systems of Figures 5–8.
@@ -90,6 +141,18 @@ impl Algo {
             Algo::Cc => "CC",
             Algo::Sssp => "SSSP",
         }
+    }
+
+    /// The algorithm a label or command-line name (`pr|pagerank`,
+    /// `prd|pr-d|pagerank-delta`, `cc`, `sssp`) names, ignoring case.
+    pub fn parse(name: &str) -> Option<Algo> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "pr" | "pagerank" => Algo::Pr,
+            "prd" | "pr-d" | "pagerank-delta" => Algo::PrD,
+            "cc" => Algo::Cc,
+            "sssp" => Algo::Sssp,
+            _ => return None,
+        })
     }
 
     /// The graph variant this algorithm runs on.
@@ -148,23 +211,9 @@ pub fn paper_p(graph: &Graph) -> u32 {
 }
 
 /// Frontier fraction at which the on-demand and full I/O models should
-/// break even (see [`scaled_disk_for`]).
+/// break even (see [`scaled_disk_from`]).
 const CROSSOVER_FRACTION: f64 = 0.10;
 
-/// Builds the simulated disk for a graph of this size.
-///
-/// Scaling argument: experiments run on graphs ~10⁴–10⁵× smaller than the
-/// paper's, but a real HDD's 8 ms seek does not shrink with them — with it,
-/// *every* configuration is seek-bound and the on-demand model can never
-/// win, which is not the regime two 500 GB HDDs with multi-GB datasets are
-/// in. We therefore keep the HDD's bandwidths and scale the seek latency so
-/// that the quantity that actually drives the paper's scheduler — the
-/// ratio between "one seek per active vertex" and "stream the whole edge
-/// set" — places the on-demand/full crossover at a meaningful frontier
-/// fraction ([`CROSSOVER_FRACTION`] of `|V|`). The model's `rand_read_bps`
-/// is derived consistently as the effective bandwidth of reading one
-/// average vertex's edge list, so the scheduler's `C_r` estimates match
-/// what the simulator charges.
 /// Bandwidth slowdown that restores the paper's I/O-dominated regime
 /// (56-91 % of execution time in disk I/O, Figure 6): our graphs are 10^4 x
 /// smaller than the paper's but the CPU is not 10^4 x slower, so unscaled
@@ -178,12 +227,21 @@ pub fn scaled_disk_for(graph: &Graph) -> DiskModel {
     scaled_disk_from(DiskModel::hdd(), graph)
 }
 
-/// [`scaled_disk_for`] generalized over the base device — used by the
-/// storage-sensitivity extension experiment (the paper's future-work
-/// direction: how do the gains change on faster devices?). The seek/sweep
-/// crossover scaling is applied relative to the base device's own
-/// seek-to-bandwidth ratio, so an SSD/NVMe keeps its proportionally
-/// cheaper random access.
+/// The `base` device scaled to `graph`'s size (`ext_storage` passes the
+/// SSD and NVMe presets: how do the gains change on faster devices?).
+///
+/// Experiments run on graphs ~10⁴–10⁵× smaller than the paper's, but a
+/// real HDD's 8 ms seek does not shrink with them — with it, *every*
+/// configuration is seek-bound and the on-demand model can never win,
+/// which is not the regime two 500 GB HDDs with multi-GB datasets are in.
+/// We therefore keep the device's bandwidths and scale the seek latency so
+/// that the quantity that actually drives the paper's scheduler — the
+/// ratio between "one seek per active vertex" and "stream the whole edge
+/// set" — places the on-demand/full crossover at a meaningful frontier
+/// fraction ([`CROSSOVER_FRACTION`] of `|V|`). The model's `rand_read_bps`
+/// is derived consistently as the effective bandwidth of reading one
+/// average vertex's edge list, so the scheduler's `C_r` estimates match
+/// what the simulator charges.
 pub fn scaled_disk_from(base: DiskModel, graph: &Graph) -> DiskModel {
     let seq_read_bps = base.seq_read_bps / BANDWIDTH_SLOWDOWN;
     let seq_write_bps = base.seq_write_bps / BANDWIDTH_SLOWDOWN;
@@ -207,24 +265,9 @@ pub fn scaled_disk_from(base: DiskModel, graph: &Graph) -> DiskModel {
     }
 }
 
-/// The engine config of a GraphSD variant under `settings`.
-fn graphsd_config_of(kind: SystemKind, budget: u64, settings: &RunSettings) -> GraphSdConfig {
-    let ablation = match kind {
-        SystemKind::GraphSdB1 => GraphSdConfig::b1_no_cross_iteration(),
-        SystemKind::GraphSdB2 => GraphSdConfig::b2_no_selective(),
-        SystemKind::GraphSdB3 => GraphSdConfig::b3_always_full(),
-        SystemKind::GraphSdB4 => GraphSdConfig::b4_always_on_demand(),
-        SystemKind::GraphSdNoBuffer => GraphSdConfig::without_buffering(),
-        SystemKind::GraphSd | SystemKind::HusGraph | SystemKind::Lumos | SystemKind::GridStream => {
-            GraphSdConfig::full()
-        }
-    };
-    settings.graphsd_config(ablation).with_memory_budget(budget)
-}
-
-/// Runs `algo` on `dataset` under `kind`, building the system's on-disk
-/// format on a fresh simulated HDD (the paper's two-HDD, no-page-cache
-/// setup) with the 5 % memory budget, under `settings`.
+/// Runs `algo` on `dataset` under `kind` on a fresh simulated HDD scaled
+/// to the input (the paper's two-HDD, no-page-cache setup) at the paper's
+/// interval count, under `settings`.
 pub fn run_system(
     kind: SystemKind,
     dataset: &Dataset,
@@ -232,34 +275,8 @@ pub fn run_system(
     settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
     let graph = algo.input(dataset);
-    run_system_on(kind, graph, algo, dataset.root(), settings)
-}
-
-/// Like [`run_system`], with an explicit interval count instead of the
-/// paper's P = 20 (the `ext_psweep` design-choice ablation).
-pub fn run_system_with_p(
-    kind: SystemKind,
-    dataset: &Dataset,
-    algo: Algo,
-    p: u32,
-    settings: &RunSettings,
-) -> std::io::Result<RunOutcome> {
-    let graph = algo.input(dataset);
-    let disk = scaled_disk_for(graph);
-    run_with_disk_p(kind, graph, algo, dataset.root(), disk, p, settings)
-}
-
-/// Like [`run_system`], with an explicit base storage device.
-pub fn run_system_on_device(
-    kind: SystemKind,
-    dataset: &Dataset,
-    algo: Algo,
-    base_disk: DiskModel,
-    settings: &RunSettings,
-) -> std::io::Result<RunOutcome> {
-    let graph = algo.input(dataset);
-    let disk = scaled_disk_from(base_disk, graph);
-    run_with_disk_p(
+    let disk = Arc::new(SimDisk::new(scaled_disk_for(graph)));
+    run_cell(
         kind,
         graph,
         algo,
@@ -270,60 +287,103 @@ pub fn run_system_on_device(
     )
 }
 
-/// Like [`run_system`], on an explicit graph (used by the shape tests).
-pub fn run_system_on(
+/// Runs `algo` from `root` on `graph` under `kind`, the one way every
+/// harness runs a system: [`prepare_format`] writes the system's format
+/// at `p` intervals into `storage`, [`open_engine`] opens it once, and
+/// the engine runs. `storage` goes behind `settings`' fault injector
+/// first, so preprocessing and the run both see the faults. The
+/// preprocessing outcome's device time spans the writes and the open.
+pub fn run_cell(
     kind: SystemKind,
     graph: &Graph,
     algo: Algo,
     root: u32,
-    settings: &RunSettings,
-) -> std::io::Result<RunOutcome> {
-    let disk = scaled_disk_for(graph);
-    run_with_disk_p(kind, graph, algo, root, disk, paper_p(graph), settings)
-}
-
-fn run_with_disk_p(
-    kind: SystemKind,
-    graph: &Graph,
-    algo: Algo,
-    root: u32,
-    disk: DiskModel,
+    storage: SharedStorage,
     p: u32,
     settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
-    // With faults set, any experiment doubles as a fault-tolerance
-    // exercise: preprocessing and the run both go through the injector.
-    let storage = settings.storage(Arc::new(SimDisk::new(disk)));
-    let edge_bytes = graph.num_edges() * EdgeCodec::new(graph.is_weighted()).edge_bytes() as u64;
-    let budget = (edge_bytes / 20).max(1);
+    let storage = settings.storage(storage);
+    let sim_before = storage.stats().sim_time();
+    let report = prepare_format(kind, graph, storage.as_ref(), p)?;
+    let mut engine = open_engine(kind, storage.clone(), settings)?;
+    let sim_write_time = storage.stats().sim_time().saturating_sub(sim_before);
+    let (stats, decisions) = engine.run_algo(algo, root)?;
+    Ok(RunOutcome {
+        system: kind.label(),
+        stats,
+        preprocess: PreprocessOutcome {
+            report,
+            sim_write_time,
+        },
+        decisions,
+    })
+}
 
-    // --- preprocessing (the system's own format) ---
-    // All systems use degree-balanced intervals so power-law hubs do not
-    // blow up single grid rows (every published system balances its
-    // partitions one way or another).
-    let gsd_pre = PreprocessConfig {
+/// Writes `kind`'s on-disk format for `graph` at `p` intervals into
+/// `storage`, under the empty prefix. Opens nothing.
+pub(crate) fn prepare_format(
+    kind: SystemKind,
+    graph: &Graph,
+    storage: &dyn Storage,
+    p: u32,
+) -> std::io::Result<PreprocessReport> {
+    let layout = match kind {
+        SystemKind::HusGraph => return write_hus_format(graph, storage, "", Some(p)),
+        SystemKind::Lumos => PreprocessConfig::lumos(""),
+        SystemKind::GraphSd
+        | SystemKind::GraphSdB1
+        | SystemKind::GraphSdB2
+        | SystemKind::GraphSdB3
+        | SystemKind::GraphSdB4
+        | SystemKind::GraphSdNoBuffer
+        | SystemKind::GridStream => PreprocessConfig::graphsd(""),
+    };
+    // Degree-balanced like HUS-Graph's copies: power-law hubs must not blow
+    // up single grid rows (every published system balances its partitions).
+    let config = PreprocessConfig {
         degree_balanced: true,
-        ..PreprocessConfig::graphsd("")
+        ..layout
     }
     .with_intervals(p);
-    let sim_before = storage.stats().sim_time();
-    let (report, mut engine): (PreprocessReport, AnyEngine) = match kind {
+    Ok(preprocess(graph, storage, &config)?.1)
+}
+
+/// Opens `kind`'s engine over the format [`prepare_format`] wrote into
+/// `storage`, verified and configured as `settings` say.
+pub(crate) fn open_engine(
+    kind: SystemKind,
+    storage: SharedStorage,
+    settings: &RunSettings,
+) -> std::io::Result<AnyEngine> {
+    let open = |storage| -> std::io::Result<GridGraph> {
+        let mut grid = GridGraph::open(storage)?;
+        grid.set_verification(settings.verify);
+        Ok(grid)
+    };
+    let sink = settings.sink.clone();
+    // A GraphSD engine takes prefetch sizing and checkpoint cadence in its
+    // config; the baselines take them after construction.
+    Ok(match kind {
         SystemKind::HusGraph => {
-            let (mut format, report) = build_hus_format(graph, &storage, "", Some(p))?;
+            let mut format = HusFormat::open(storage, "")?;
             format.row.set_verification(settings.verify);
             format.col.set_verification(settings.verify);
-            (report, AnyEngine::Hus(HusGraphEngine::new(format)?))
+            let mut engine = HusGraphEngine::new(format)?;
+            engine.set_trace(sink);
+            engine.set_checkpoint(settings.checkpoint.clone());
+            AnyEngine::Hus(engine)
         }
         SystemKind::Lumos => {
-            let (mut grid, report) = build_lumos_format(graph, &storage, "", Some(p))?;
-            grid.set_verification(settings.verify);
-            (report, AnyEngine::Lumos(LumosEngine::new(grid)?))
+            let mut engine = LumosEngine::new(open(storage)?)?;
+            engine.set_trace(sink);
+            engine.set_prefetch(settings.prefetch);
+            engine.set_checkpoint(settings.checkpoint.clone());
+            AnyEngine::Lumos(engine)
         }
         SystemKind::GridStream => {
-            let (_, report) = preprocess(graph, storage.as_ref(), &gsd_pre)?;
-            let mut grid = GridGraph::open(storage.clone())?;
-            grid.set_verification(settings.verify);
-            (report, AnyEngine::Grid(GridStreamEngine::new(grid)?))
+            let mut engine = GridStreamEngine::new(open(storage)?)?;
+            engine.set_trace(sink);
+            AnyEngine::Grid(engine)
         }
         SystemKind::GraphSd
         | SystemKind::GraphSdB1
@@ -331,28 +391,11 @@ fn run_with_disk_p(
         | SystemKind::GraphSdB3
         | SystemKind::GraphSdB4
         | SystemKind::GraphSdNoBuffer => {
-            let (_, report) = preprocess(graph, storage.as_ref(), &gsd_pre)?;
-            let mut grid = GridGraph::open(storage.clone())?;
-            grid.set_verification(settings.verify);
-            let config = graphsd_config_of(kind, budget, settings);
-            (report, AnyEngine::Gsd(GraphSdEngine::new(grid, config)?))
+            let config = settings.graphsd_config(kind.graphsd_config().unwrap_or_default());
+            let mut engine = GraphSdEngine::new(open(storage)?, config)?;
+            engine.set_trace(sink);
+            AnyEngine::Gsd(engine)
         }
-    };
-    engine.configure(settings);
-    let sim_write_time = storage.stats().sim_time().saturating_sub(sim_before);
-    let preprocess_outcome = PreprocessOutcome {
-        report,
-        sim_write_time,
-    };
-
-    // --- run ---
-    let (stats, decisions) = engine.run_algo(algo, root)?;
-
-    Ok(RunOutcome {
-        system: kind.label(),
-        stats,
-        preprocess: preprocess_outcome,
-        decisions,
     })
 }
 
@@ -365,23 +408,13 @@ pub(crate) enum AnyEngine {
 }
 
 impl AnyEngine {
-    /// Hands the engine what of `settings` it takes after construction:
-    /// the trace sink, and for the baselines the prefetch sizing and
-    /// checkpoint cadence (a GraphSD engine got those in its config).
-    fn configure(&mut self, settings: &RunSettings) {
-        let sink = settings.sink.clone();
+    /// What the engine's design supports (the `table1` matrix).
+    pub(crate) fn capabilities(&self) -> Capabilities {
         match self {
-            AnyEngine::Gsd(e) => e.set_trace(sink),
-            AnyEngine::Hus(e) => {
-                e.set_trace(sink);
-                e.set_checkpoint(settings.checkpoint.clone());
-            }
-            AnyEngine::Lumos(e) => {
-                e.set_trace(sink);
-                e.set_prefetch(settings.prefetch);
-                e.set_checkpoint(settings.checkpoint.clone());
-            }
-            AnyEngine::Grid(e) => e.set_trace(sink),
+            AnyEngine::Gsd(e) => e.capabilities(),
+            AnyEngine::Hus(e) => e.capabilities(),
+            AnyEngine::Lumos(e) => e.capabilities(),
+            AnyEngine::Grid(e) => e.capabilities(),
         }
     }
 
@@ -416,93 +449,6 @@ impl AnyEngine {
     }
 }
 
-/// The paper's 5 % memory budget for a graph: one twentieth of its edge
-/// bytes.
-pub(crate) fn paper_budget(graph: &Graph) -> u64 {
-    let edge_bytes = graph.num_edges() * EdgeCodec::new(graph.is_weighted()).edge_bytes() as u64;
-    (edge_bytes / 20).max(1)
-}
-
-/// Preprocesses `kind`'s on-disk format for `graph` into `storage`
-/// (under the empty prefix) without building an engine, so wall-time
-/// benchmarks can pay the preprocessing cost once and reopen the format
-/// per repeat with [`reopen_engine`].
-pub(crate) fn prepare_format(
-    kind: SystemKind,
-    graph: &Graph,
-    storage: &SharedStorage,
-    p: u32,
-) -> std::io::Result<PreprocessReport> {
-    match kind {
-        SystemKind::HusGraph => {
-            let (_, report) = build_hus_format(graph, storage, "", Some(p))?;
-            Ok(report)
-        }
-        SystemKind::Lumos => {
-            let (_, report) = build_lumos_format(graph, storage, "", Some(p))?;
-            Ok(report)
-        }
-        SystemKind::GraphSd
-        | SystemKind::GraphSdB1
-        | SystemKind::GraphSdB2
-        | SystemKind::GraphSdB3
-        | SystemKind::GraphSdB4
-        | SystemKind::GraphSdNoBuffer
-        | SystemKind::GridStream => {
-            let config = PreprocessConfig {
-                degree_balanced: true,
-                ..PreprocessConfig::graphsd("")
-            }
-            .with_intervals(p);
-            let (_, report) = preprocess(graph, storage.as_ref(), &config)?;
-            Ok(report)
-        }
-    }
-}
-
-/// Opens `kind`'s engine over a format previously written by
-/// [`prepare_format`] into `storage`, under `settings`.
-pub(crate) fn reopen_engine(
-    kind: SystemKind,
-    storage: SharedStorage,
-    budget: u64,
-    settings: &RunSettings,
-) -> std::io::Result<AnyEngine> {
-    let mut engine = match kind {
-        SystemKind::HusGraph => {
-            let mut row = GridGraph::open_with_prefix(storage.clone(), "row/")?;
-            let mut col = GridGraph::open_with_prefix(storage, "col/")?;
-            row.set_verification(settings.verify);
-            col.set_verification(settings.verify);
-            AnyEngine::Hus(HusGraphEngine::new(HusFormat { row, col })?)
-        }
-        SystemKind::Lumos => {
-            let mut grid = GridGraph::open(storage)?;
-            grid.set_verification(settings.verify);
-            AnyEngine::Lumos(LumosEngine::new(grid)?)
-        }
-        SystemKind::GridStream => {
-            let mut grid = GridGraph::open(storage)?;
-            grid.set_verification(settings.verify);
-            AnyEngine::Grid(GridStreamEngine::new(grid)?)
-        }
-        SystemKind::GraphSd
-        | SystemKind::GraphSdB1
-        | SystemKind::GraphSdB2
-        | SystemKind::GraphSdB3
-        | SystemKind::GraphSdB4
-        | SystemKind::GraphSdNoBuffer => {
-            // GraphSD variants go through the same open-once session the
-            // `run` CLI and the serve daemon use.
-            let session =
-                GridSession::open(storage, settings.verify, CorruptionResponse::FailFast)?;
-            AnyEngine::Gsd(session.engine(graphsd_config_of(kind, budget, settings))?)
-        }
-    };
-    engine.configure(settings);
-    Ok(engine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,6 +475,38 @@ mod tests {
         assert!(!gsd.decisions.is_empty());
         let hus = run_system(SystemKind::HusGraph, d, Algo::Sssp, &RunSettings::default()).unwrap();
         assert!(hus.decisions.is_empty());
+    }
+
+    #[test]
+    fn every_system_round_trips_through_its_label_and_names() {
+        for kind in SystemKind::ALL {
+            assert_eq!(SystemKind::parse(kind.label()), Some(kind));
+            assert_eq!(SystemKind::parse(&kind.label().to_uppercase()), Some(kind));
+            for name in kind.names() {
+                assert_eq!(SystemKind::parse(name), Some(kind), "{name}");
+            }
+        }
+        assert_eq!(SystemKind::parse("nope"), None);
+        for algo in Algo::all() {
+            assert_eq!(Algo::parse(algo.label()), Some(algo));
+        }
+        assert_eq!(Algo::parse("pagerank-delta"), Some(Algo::PrD));
+        assert_eq!(Algo::parse("bfs"), None);
+    }
+
+    #[test]
+    fn ablation_names_resolve_to_the_six_graphsd_kinds_only() {
+        let ablation =
+            |name: &str| SystemKind::parse(name).filter(|k| k.graphsd_config().is_some());
+        let kinds: Vec<_> = ["full", "b1", "b2", "b3", "b4", "nobuf"]
+            .into_iter()
+            .map(|name| ablation(name).unwrap())
+            .collect();
+        assert_eq!(kinds, SystemKind::ALL[..6]);
+        for kind in SystemKind::ALL.into_iter().skip(6) {
+            assert_eq!(ablation(kind.label()), None, "{}", kind.label());
+            assert!(kind.names().iter().all(|name| ablation(name).is_none()));
+        }
     }
 
     #[test]

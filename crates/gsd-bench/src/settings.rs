@@ -5,7 +5,7 @@
 //! [`crate::experiments`] as a [`RunSettings`] argument — never through
 //! the process environment or a global. [`RunFlags::parse`] is the only
 //! place the command-line spelling of those settings is known; `gsd run`,
-//! `gsd serve`, `gsd bench` and `experiments` all call it, so a bad spec
+//! `gsd serve`, `gsd bench` and `gsd experiments` all call it, so a bad spec
 //! is a usage error naming its flag on every entry point.
 
 use crate::datasets::Scale;

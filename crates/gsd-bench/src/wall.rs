@@ -8,16 +8,16 @@
 //! run for milliseconds; wall time, phase times and RSS are measured by
 //! the repository-root `benchmark/` package.
 //!
-//! Unlike [`crate::runner`], which prices runs on the simulated disk's
-//! virtual clock, each cell preprocesses its on-disk format into a
-//! self-deleting temp directory of [`gsd_io::FileStorage`] files and
-//! rebuilds the engine from those files.
+//! Each cell is [`run_cell`] over a self-deleting temp directory of
+//! [`gsd_io::FileStorage`] files instead of the paper tables' simulated
+//! disk: the format is written into the directory, the engine opened once
+//! over those files, and the run's counters recorded.
 
 use crate::bench::{BenchEntry, BenchReport, BENCH_SCHEMA_VERSION};
 use crate::datasets::{Dataset, Datasets, Scale};
-use crate::runner::{paper_budget, paper_p, prepare_format, reopen_engine, Algo, SystemKind};
+use crate::runner::{paper_p, run_cell, Algo, SystemKind};
 use crate::settings::RunSettings;
-use gsd_io::{FileStorage, SharedStorage, TempDir};
+use gsd_io::{FileStorage, TempDir};
 use std::sync::Arc;
 
 /// Which cells [`run_wall`] runs.
@@ -49,20 +49,14 @@ impl Default for WallOptions {
     }
 }
 
-/// Scale name as recorded in the report (`"tiny"`, `"small"`,
-/// `"medium"`).
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Medium => "medium",
-    }
-}
-
 /// Runs the whole matrix of `opts` under `settings` and assembles the
-/// report.
+/// report. A dataset name that is not one of the five stand-ins fails
+/// before any cell runs.
 pub fn run_wall(opts: &WallOptions, settings: &RunSettings) -> std::io::Result<BenchReport> {
     let datasets = Datasets::load(opts.scale);
+    for name in &opts.datasets {
+        datasets.get(name)?;
+    }
     let mut entries = Vec::new();
     for ds in datasets.all() {
         if !opts.datasets.is_empty() && !opts.datasets.iter().any(|n| n == ds.name) {
@@ -76,7 +70,7 @@ pub fn run_wall(opts: &WallOptions, settings: &RunSettings) -> std::io::Result<B
     }
     Ok(BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
-        scale: scale_name(opts.scale).to_string(),
+        scale: opts.scale.name().to_string(),
         prefetch: settings.prefetch.is_some(),
         entries,
     })
@@ -91,12 +85,9 @@ fn bench_cell(
 ) -> std::io::Result<BenchEntry> {
     let graph = algo.input(dataset);
     let dir = TempDir::new("gsd-wallbench")?;
-    let open = || -> std::io::Result<SharedStorage> {
-        Ok(settings.storage(Arc::new(FileStorage::open(dir.path())?)))
-    };
-    prepare_format(kind, graph, &open()?, paper_p(graph))?;
-    let mut engine = reopen_engine(kind, open()?, paper_budget(graph), settings)?;
-    let (stats, _) = engine.run_algo(algo, dataset.root())?;
+    let files = Arc::new(FileStorage::open(dir.path())?);
+    let root = dataset.root();
+    let stats = run_cell(kind, graph, algo, root, files, paper_p(graph), settings)?.stats;
     Ok(BenchEntry {
         system: kind.label().to_string(),
         algorithm: algo.label().to_string(),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! gsd preprocess <edges.txt> <data-dir> [--intervals N] [--budget-mb M] [--degree-balanced]
-//! gsd run <data-dir> <algorithm> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf]
+//! gsd run <data-dir> <algorithm> [--source V] [--iterations N] [--ablation full|b1|b2|b3|b4|nobuf]
 //!         [run flags]
 //! gsd ingest <data-dir> <batch.txt> [--recompute <algorithm>] [--source V]
 //!            [--iterations N] [--trace FILE]
@@ -10,6 +10,7 @@
 //! gsd bench [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b]
 //!           [--baseline FILE] [run flags]
 //! gsd bench --check FILE
+//! gsd experiments [run flags] [ids...]
 //! gsd report <trace.jsonl> [--top N]
 //! gsd serve <data-dir> [--port N] [--cache-mb M] [run flags]
 //! gsd query <host:port> <op> [args...] [--alpha A] [--iterations N] [--source V]
@@ -20,20 +21,28 @@
 //!
 //! Algorithms: `pagerank`, `pagerank-delta`, `cc`, `sssp`, `bfs`.
 //! Graph kinds: `rmat`, `kronecker`, `erdos-renyi`, `web`, `grid`.
-//! Run flags (one parser, `graphsd::bench::RunFlags`, shared with the
-//! `experiments` binary): `--prefetch-depth N` / `--no-prefetch`,
-//! `--checkpoint-every N`, `--verify off|full` (a corrupt object fails
-//! the run), `--inject-faults SEED:RATE`, `--scale tiny|small|medium`
-//! (`bench` datasets), `--trace FILE`, `--verbose`.
-//! `bench` prefetches at depth 2 unless told otherwise; `run` and `serve`
-//! read synchronously unless given a depth. Nothing is read from the
-//! environment, and a flag the verb does not read is a usage error.
+//! Run flags (one parser, `graphsd::bench::RunFlags`, shared by `run`,
+//! `serve`, `bench` and `experiments`): `--prefetch-depth N` /
+//! `--no-prefetch`, `--checkpoint-every N`, `--verify off|full` (a
+//! corrupt object fails the run), `--inject-faults SEED:RATE`, `--scale
+//! tiny|small|medium` (`bench` and `experiments` datasets), `--trace
+//! FILE`, `--verbose`. `bench` and `experiments` prefetch at depth 2
+//! unless told otherwise; `run` and `serve` read synchronously unless
+//! given a depth. Nothing is read from the environment, and a flag the
+//! verb does not read is a usage error.
+//!
+//! `run --ablation` and `bench --systems` read one table of system names,
+//! `graphsd::bench::SystemKind`: a label (`GraphSD-b1`, `HUS-Graph`, …)
+//! or short name (`full`, `b1`–`b4`, `nobuf`, `hus`, `grid`), any case.
 //!
 //! `bench` is the counters gate: it runs every (system, algorithm,
 //! dataset) cell once on real files, writes a schema-versioned
 //! `BENCH_<scale>.json` and, with `--baseline`, fails when iterations,
 //! bytes moved, read requests or prefetch events differ from the
 //! committed report (it reads no clock; `benchmark/` is the clock).
+//! `experiments` prints the paper's tables and figures on the simulated
+//! disk: ids `table1`, `table3`, `table4`, `fig5`–`fig12`, `ext_storage`,
+//! `ext_psweep` (all by default).
 //! `report` folds a JSONL trace — of a run, a bench, a daemon
 //! or an `ingest`/`compact` — into per-phase breakdowns, I/O histograms,
 //! hottest sub-blocks, scheduler decision explanations, per-op query and
@@ -61,8 +70,8 @@
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, PageRankDelta, ProgramVisitor, Sssp};
 use graphsd::bench::wall::{run_wall, WallOptions};
 use graphsd::bench::{
-    out, stdout_write, trace_sink, Algo, BenchReport, RunFlags, RunSettings, SystemKind,
-    TraceReport,
+    experiments, out, stdout_write, trace_sink, Algo, BenchReport, Datasets, RunFlags, RunSettings,
+    SystemKind, TraceReport,
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession, PipelineConfig};
 use graphsd::delta::MutationBatch;
@@ -86,11 +95,12 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          gsd preprocess <edges.txt> <data-dir> [--intervals N] [--budget-mb M] [--degree-balanced]\n  \
-         gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation b1|b2|b3|b4|nobuf] [--top K] [run flags]\n  \
+         gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation full|b1|b2|b3|b4|nobuf] [--top K] [run flags]\n  \
          gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|pagerank-delta|cc|sssp|bfs>] [--source V] [--iterations N] [--trace FILE]\n  \
          gsd compact <data-dir> [--trace FILE]\n  \
          gsd bench [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--baseline FILE] [--scale tiny|small|medium] [run flags]\n  \
          gsd bench --check FILE\n  \
+         gsd experiments [--scale tiny|small|medium] [run flags] [ids...]\n  \
          gsd serve <data-dir> [--port N] [--cache-mb M] [run flags]\n  \
          gsd query <host:port> <ping|stats|degree|neighbors|khop|ppr|run|mutate|compact|shutdown> [args...] [--alpha A] [--iterations N] [--source V]\n  \
          gsd report <trace.jsonl> [--top N]\n  \
@@ -175,6 +185,7 @@ fn main() -> ExitCode {
         "compact" => cmd_compact(rest),
         "run" => cmd_run(rest),
         "bench" => cmd_bench(rest),
+        "experiments" => cmd_experiments(rest),
         "serve" => cmd_serve(rest),
         "query" => cmd_query(rest),
         "report" => cmd_report(rest),
@@ -229,18 +240,6 @@ fn cmd_preprocess(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn ablation(name: &str) -> Result<GraphSdConfig, String> {
-    Ok(match name {
-        "full" => GraphSdConfig::full(),
-        "b1" => GraphSdConfig::b1_no_cross_iteration(),
-        "b2" => GraphSdConfig::b2_no_selective(),
-        "b3" => GraphSdConfig::b3_always_full(),
-        "b4" => GraphSdConfig::b4_always_on_demand(),
-        "nobuf" => GraphSdConfig::without_buffering(),
-        other => return Err(format!("unknown ablation {other:?}")),
-    })
-}
-
 /// The `--trace` sink of `ingest` and `compact`, which take no other run
 /// flag.
 fn ingest_sink(args: &Args) -> Result<Arc<dyn TraceSink>, String> {
@@ -268,11 +267,11 @@ fn cmd_run(raw: &[String]) -> Result<(), String> {
         return Err("run needs <data-dir> <algorithm>".into());
     };
     let session = open_session(dir, settings)?;
-    let config = ablation(
-        args.flag_value::<String>("ablation")?
-            .as_deref()
-            .unwrap_or("full"),
-    )?;
+    let ablation = args.flag_value::<String>("ablation")?;
+    let ablation = ablation.as_deref().unwrap_or("full");
+    let config = SystemKind::parse(ablation)
+        .and_then(|kind| kind.graphsd_config())
+        .ok_or_else(|| format!("unknown ablation {ablation:?} (full|b1|b2|b3|b4|nobuf)"))?;
     let mut engine = session
         .engine(settings.graphsd_config(config))
         .map_err(|e| e.to_string())?;
@@ -720,28 +719,6 @@ fn print_top<V: Value>(
     Ok(())
 }
 
-fn parse_system(name: &str) -> Result<SystemKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "graphsd" | "gsd" => Ok(SystemKind::GraphSd),
-        "hus" | "hus-graph" | "husgraph" => Ok(SystemKind::HusGraph),
-        "lumos" => Ok(SystemKind::Lumos),
-        "gridgraph" | "gridstream" | "grid" => Ok(SystemKind::GridStream),
-        other => Err(format!(
-            "unknown system {other:?} (graphsd|hus|lumos|gridgraph)"
-        )),
-    }
-}
-
-fn parse_algo(name: &str) -> Result<Algo, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "pr" | "pagerank" => Ok(Algo::Pr),
-        "prd" | "pr-d" | "pagerank-delta" => Ok(Algo::PrD),
-        "cc" => Ok(Algo::Cc),
-        "sssp" => Ok(Algo::Sssp),
-        other => Err(format!("unknown algorithm {other:?} (pr|prd|cc|sssp)")),
-    }
-}
-
 fn parse_list<T>(spec: &str, parse: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
     let items: Result<Vec<T>, String> = spec
         .split(',')
@@ -778,10 +755,13 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
         ..WallOptions::default()
     };
     if let Some(spec) = args.flag_value::<String>("systems")? {
-        opts.systems = parse_list(&spec, parse_system)?;
+        let labels: Vec<&str> = SystemKind::ALL.iter().map(SystemKind::label).collect();
+        let unknown = |s: &str| format!("unknown system {s:?} ({})", labels.join("|"));
+        opts.systems = parse_list(&spec, |s| SystemKind::parse(s).ok_or_else(|| unknown(s)))?;
     }
     if let Some(spec) = args.flag_value::<String>("algos")? {
-        opts.algos = parse_list(&spec, parse_algo)?;
+        let unknown = |s: &str| format!("unknown algorithm {s:?} (pr|prd|cc|sssp)");
+        opts.algos = parse_list(&spec, |s| Algo::parse(s).ok_or_else(|| unknown(s)))?;
     }
     if let Some(spec) = args.flag_value::<String>("datasets")? {
         opts.datasets = spec
@@ -825,6 +805,40 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
         out!("baseline {path}: {n} cell(s) match on deterministic counters")?;
     }
     Ok(())
+}
+
+/// Runs the requested experiments (all by default). An unknown id fails
+/// before anything runs; a failed one does not stop the rest.
+fn cmd_experiments(raw: &[String]) -> Result<(), String> {
+    let flags = RunFlags::parse(raw, Some(PipelineConfig::default()))?;
+    let args = Args::parse("experiments", &flags.rest, &[])?;
+    let mut ids: Vec<&str> = args.positional.iter().map(String::as_str).collect();
+    if ids.is_empty() {
+        ids = experiments::ids().collect();
+    }
+    let runners: std::io::Result<Vec<_>> = ids.iter().map(|id| experiments::runner(id)).collect();
+    let runners = runners.map_err(|e| e.to_string())?;
+    eprintln!("# GraphSD paper experiments — scale {}", flags.scale.name());
+    let ds = Datasets::load(flags.scale);
+    let mut failed = Vec::new();
+    for (id, run) in ids.into_iter().zip(runners) {
+        let started = graphsd::trace::Stopwatch::start();
+        match run(&ds, &flags.settings) {
+            Ok(output) => {
+                out!("{output}")?;
+                eprintln!("# [{id}] done in {:.1}s\n", started.elapsed().as_secs_f64());
+            }
+            Err(e) => {
+                eprintln!("# [{id}] FAILED: {e}\n");
+                failed.push(id);
+            }
+        }
+    }
+    flags.settings.sink.flush();
+    match failed.as_slice() {
+        [] => Ok(()),
+        _ => Err(format!("experiment(s) failed: {}", failed.join(" "))),
+    }
 }
 
 fn cmd_report(raw: &[String]) -> Result<(), String> {

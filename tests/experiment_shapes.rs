@@ -1,7 +1,7 @@
 //! Shape assertions for the paper's evaluation claims: not the absolute
 //! numbers (our substrate is a simulator and the datasets are stand-ins)
 //! but the *orderings and crossovers* the paper reports. Runs at tiny
-//! scale so `cargo test` stays fast; the `experiments` binary regenerates the full
+//! scale so `cargo test` stays fast; `gsd experiments` regenerates the full
 //! tables at small/medium scale.
 
 use gsd_bench::experiments;
@@ -20,7 +20,7 @@ fn plain() -> RunSettings {
 
 #[test]
 fn table1_only_graphsd_has_all_three_optimizations() {
-    let t = experiments::table1(&datasets());
+    let t = experiments::table1(&datasets()).unwrap();
     let full: Vec<_> = t
         .rows
         .iter()

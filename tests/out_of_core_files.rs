@@ -192,3 +192,63 @@ fn a_flag_the_verb_does_not_read_is_rejected() {
         assert!(out.stdout.is_empty(), "{args:?} did work before failing");
     }
 }
+
+/// A `--datasets` name that matches no stand-in is a usage error naming
+/// the five; it used to run zero cells, write an empty report and exit 0.
+#[test]
+fn bench_rejects_an_unknown_dataset_name() {
+    let dir = TempDir::new("gsd-bench-datasets").unwrap();
+    let report = dir.path().join("BENCH.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsd"))
+        .args([
+            "bench",
+            "--scale",
+            "tiny",
+            "--datasets",
+            "twiter_sim",
+            "--out",
+        ])
+        .arg(&report)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("twiter_sim")
+            && stderr.contains("twitter_sim|sk_sim|uk_sim|ukunion_sim|kron_sim"),
+        "{stderr}"
+    );
+    assert!(!report.exists(), "a report was written");
+}
+
+/// `gsd experiments` runs the paper harness: known ids print their
+/// tables, an unknown id fails naming itself and the known ones, and a
+/// flag it does not read is rejected.
+#[test]
+fn experiments_verb_runs_known_ids_and_rejects_the_rest() {
+    let gsd = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_gsd"))
+            .arg("experiments")
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let out = gsd(&["--scale", "tiny", "table3"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("== Table 3"));
+
+    let out = gsd(&["--scale", "tiny", "nope"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("\"nope\""), "{stderr}");
+    assert!(stderr.contains("table1 table3 table4 fig5"), "{stderr}");
+    assert!(out.stdout.is_empty(), "an unknown id ran the others first");
+
+    let out = gsd(&["--bogus"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag --bogus for experiments"),
+        "{stderr}"
+    );
+}
