@@ -48,9 +48,11 @@ use crate::checkpoint::{
 };
 use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched, TakeOutcome};
 use gsd_graph::grid::RowIndexSpan;
-use gsd_graph::{Edge, GridGraph};
+use gsd_graph::{BlockOrder, Edge, GridGraph};
 use gsd_io::{IoStatsSnapshot, SharedStorage};
-use gsd_runtime::kernels::{apply_range_timed, scatter_edges_timed, timed};
+use gsd_runtime::kernels::{
+    apply_range_timed, scatter_edges, scatter_sorted, timed, SortedBySource,
+};
 use gsd_runtime::{
     Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions, RunResult, RunStats,
     Value, ValueArray, VertexProgram, VertexValueFile,
@@ -233,33 +235,50 @@ impl<P: VertexProgram> State<'_, P> {
     /// Iteration `t`'s scatter: `val_{t−1}` of the edges' sources (only
     /// the active ones if `filtered`) into `accum_cur`. Returns the
     /// messages delivered.
-    fn scatter(&self, edges: &[Edge], filtered: bool, elapsed: &mut Duration) -> u64 {
-        scatter_edges_timed(
-            self.program,
-            &self.ctx,
-            edges,
-            filtered.then_some(&self.frontier),
-            &self.values_prev,
-            &self.accum_cur,
-            &self.touched_cur,
-            elapsed,
-        )
+    fn scatter(
+        &self,
+        edges: &[Edge],
+        filtered: bool,
+        by_source: bool,
+        elapsed: &mut Duration,
+    ) -> u64 {
+        let filter = filtered.then_some(&self.frontier);
+        self.send(edges, by_source, filter, false, elapsed)
     }
 
     /// Cross-iteration scatter: `val_t` of the sources `apply` has just
     /// re-activated into iteration `t + 1`'s accumulator. Legal only for
     /// edges whose source interval is fully applied.
-    fn scatter_ahead(&self, edges: &[Edge], elapsed: &mut Duration) -> u64 {
-        scatter_edges_timed(
-            self.program,
-            &self.ctx,
-            edges,
-            Some(&self.out),
-            &self.values_cur,
-            &self.accum_next,
-            &self.touched_next,
-            elapsed,
-        )
+    fn scatter_ahead(&self, edges: &[Edge], by_source: bool, elapsed: &mut Duration) -> u64 {
+        self.send(edges, by_source, Some(&self.out), true, elapsed)
+    }
+
+    /// The kernel call of both scatters, into iteration `t + 1`'s arrays
+    /// if `ahead`. A filtered scatter over a `by_source` block (edges
+    /// sorted by source) gallops over the inactive sources
+    /// ([`scatter_sorted`]); any other takes the per-edge loop. Both
+    /// deliver the same messages in the same order.
+    fn send(
+        &self,
+        edges: &[Edge],
+        by_source: bool,
+        filter: Option<&Frontier>,
+        ahead: bool,
+        elapsed: &mut Duration,
+    ) -> u64 {
+        let (values, accum, touched) = if ahead {
+            (&self.values_cur, &self.accum_next, &self.touched_next)
+        } else {
+            (&self.values_prev, &self.accum_cur, &self.touched_cur)
+        };
+        let (program, ctx) = (self.program, &self.ctx);
+        timed(elapsed, || match filter {
+            Some(filter) if by_source => {
+                let sorted = SortedBySource::new(edges);
+                scatter_sorted(program, ctx, sorted, filter, values, accum, touched)
+            }
+            filter => scatter_edges(program, ctx, edges, filter, values, accum, touched),
+        })
     }
 
     /// The apply barrier of `range`.
@@ -741,8 +760,8 @@ impl<P: VertexProgram> Driver<'_, P> {
         let p = grid.p();
         let st = &self.state;
         let live = |set: &Frontier, i: u32| {
-            let mut members = set.iter_range(grid.intervals().range(i));
-            members.next().is_some()
+            let range = grid.intervals().range(i);
+            set.next_member(range.start, range.end).is_some()
         };
         let act: Vec<bool> = (0..p).map(|i| !skip || live(&st.frontier, i)).collect();
         let sent_to =
@@ -764,6 +783,10 @@ impl<P: VertexProgram> Driver<'_, P> {
         let p = grid.p();
         let rows = |j: u32| if secondary_only { j + 1..p } else { 0..p };
         let (act, ahead) = self.needed_rows(grid, cross, skip_inactive);
+        // Every block of a `BySource` grid reaches the scatters sorted by
+        // source — read, prefetched, held by the hook, or merged from the
+        // delta overlay (canonically re-sorted) — so they may gallop.
+        let by_source = grid.meta().order == BlockOrder::BySource;
         let streams = |i: u32, j: u32| {
             grid.meta().block_edge_count(i, j) > 0
                 && (act[i as usize] || (i <= j && ahead[i as usize]))
@@ -822,14 +845,20 @@ impl<P: VertexProgram> Driver<'_, P> {
                 };
 
                 timed(&mut self.tracker.compute, || {
-                    let delivered = self.state.scatter(&edges, true, &mut self.tracker.scatter);
+                    let delivered =
+                        self.state
+                            .scatter(&edges, true, by_source, &mut self.tracker.scatter);
                     match i.cmp(&j) {
                         _ if !cross => {}
                         // Interval i is fully applied (its column came
                         // earlier), so cross-iteration propagation is
                         // legal.
                         Ordering::Less => {
-                            served += self.state.scatter_ahead(&edges, &mut self.tracker.scatter)
+                            served += self.state.scatter_ahead(
+                                &edges,
+                                by_source,
+                                &mut self.tracker.scatter,
+                            )
                         }
                         // Held in memory until interval j is applied.
                         Ordering::Equal => diagonal = Some(edges),
@@ -841,7 +870,9 @@ impl<P: VertexProgram> Driver<'_, P> {
                 self.state
                     .apply(grid.intervals().range(j), &mut self.tracker.apply);
                 if let Some(edges) = diagonal {
-                    served += self.state.scatter_ahead(&edges, &mut self.tracker.scatter);
+                    served +=
+                        self.state
+                            .scatter_ahead(&edges, by_source, &mut self.tracker.scatter);
                 }
             });
         }
@@ -903,12 +934,13 @@ impl<P: VertexProgram> Driver<'_, P> {
         let st = &self.state;
         let served = timed(&mut self.tracker.compute, || {
             // Sources are active by construction, no filter needed.
-            st.scatter(&loaded, false, &mut self.tracker.scatter);
+            st.scatter(&loaded, false, false, &mut self.tracker.scatter);
             st.apply(0..self.n, &mut self.tracker.apply);
             if !cross {
                 return 0;
             }
-            let served = st.scatter_ahead(&loaded, &mut self.tracker.scatter);
+            // `loaded` concatenates runs across sub-blocks: not sorted.
+            let served = st.scatter_ahead(&loaded, false, &mut self.tracker.scatter);
             // Every re-activated vertex (out ∩ V_active) has all its
             // out-edges in `loaded`: its next-iteration scatter has been
             // fully performed.

@@ -32,6 +32,16 @@ pub fn cluster_vertex_spans(sorted: &[VertexId], max_gap: u32) -> Vec<std::ops::
     spans
 }
 
+/// The first `len` bytes of `scratch`, growing it only when it is too
+/// short: every byte handed out is about to be overwritten by a read, so
+/// zeroing it again per request would be wasted work.
+fn grown_to(scratch: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if scratch.len() < len {
+        scratch.resize(len, 0);
+    }
+    &mut scratch[..len]
+}
+
 /// One loaded sub-block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubBlock {
@@ -237,16 +247,15 @@ impl GridGraph {
         if bytes == 0 {
             return Ok(());
         }
-        scratch.clear();
-        scratch.resize(bytes, 0);
+        let buf = grown_to(scratch, bytes);
         let key = self.edges_key(i, j);
         match &self.verifier {
             // Whole-object read: verified in place from the engine's own
             // accounted read — clean data costs zero extra I/O.
-            Some(v) => v.read_whole_verified(&key, scratch)?,
-            None => self.storage.read_at(&key, 0, scratch)?,
+            Some(v) => v.read_whole_verified(&key, buf)?,
+            None => self.storage.read_at(&key, 0, buf)?,
         }
-        self.codec.decode_all_into(scratch, out);
+        self.codec.decode_all_into(buf, out);
         Ok(())
     }
 
@@ -348,13 +357,12 @@ impl GridGraph {
             v.ensure_verified(&key)?;
         }
         let sz = self.codec.edge_bytes();
-        scratch.clear();
-        scratch.resize(edge_count as usize * sz, 0);
+        let buf = grown_to(scratch, edge_count as usize * sz);
         self.storage
-            .read_at(&key, u64::from(edge_start) * sz as u64, scratch)?;
+            .read_at(&key, u64::from(edge_start) * sz as u64, buf)?;
         let base = out.len();
         out.reserve(edge_count as usize);
-        for chunk in scratch.chunks_exact(sz) {
+        for chunk in buf.chunks_exact(sz) {
             out.push(self.codec.decode(chunk));
         }
         debug_assert_eq!(out.len() - base, edge_count as usize);

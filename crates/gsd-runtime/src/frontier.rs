@@ -163,6 +163,35 @@ impl Frontier {
             .flat_map(move |wi| word_members(wi, self.words[wi].get() & word_mask(wi, &range)))
     }
 
+    /// The smallest member `v` with `from <= v < limit` (`limit` clipped
+    /// to the universe). Reads one word per 64 ids skipped; the words are
+    /// read when called, so members inserted since are seen.
+    #[inline]
+    pub fn next_member(&self, from: u32, limit: u32) -> Option<u32> {
+        let range = from..limit.min(self.universe);
+        if range.is_empty() {
+            return None;
+        }
+        let last = (range.end as usize - 1) / 64;
+        (range.start as usize / 64..=last).find_map(|wi| {
+            let bits = self.words[wi].get() & word_mask(wi, &range);
+            (bits != 0).then(|| wi as u32 * 64 + bits.trailing_zeros())
+        })
+    }
+
+    /// Number of members in `range` (clipped to the universe): a popcount
+    /// of the words overlapping it, the two edge words masked.
+    pub fn count_range(&self, range: Range<u32>) -> u64 {
+        let range = range.start..range.end.min(self.universe);
+        if range.is_empty() {
+            return 0;
+        }
+        let words = range.start as usize / 64..(range.end as usize).div_ceil(64);
+        words
+            .map(|wi| (self.words[wi].get() & word_mask(wi, &range)).count_ones() as u64)
+            .sum()
+    }
+
     /// Collects members into a vector (ascending).
     pub fn to_vec(&self) -> Vec<u32> {
         self.iter().collect()
@@ -221,6 +250,66 @@ mod tests {
         let f = Frontier::from_seeds(200, &[1, 50, 100, 150, 199]);
         let got: Vec<u32> = f.iter_range(50..150).collect();
         assert_eq!(got, vec![50, 100]);
+    }
+
+    #[test]
+    fn next_member_crosses_word_edges() {
+        // Universe 150 is not a multiple of 64: the last word is ragged.
+        let f = Frontier::from_seeds(150, &[0, 63, 64, 65, 149]);
+        assert_eq!(f.next_member(0, 150), Some(0));
+        assert_eq!(f.next_member(1, 150), Some(63));
+        assert_eq!(f.next_member(63, 150), Some(63));
+        assert_eq!(f.next_member(64, 150), Some(64));
+        assert_eq!(f.next_member(65, 150), Some(65));
+        assert_eq!(f.next_member(66, 150), Some(149));
+        assert_eq!(f.next_member(150, 150), None);
+        let every: Vec<u32> =
+            std::iter::successors(f.next_member(0, 150), |&v| f.next_member(v + 1, 150)).collect();
+        assert_eq!(every, f.to_vec());
+    }
+
+    #[test]
+    fn next_member_clips_to_limit_and_universe() {
+        let f = Frontier::from_seeds(150, &[10, 64, 149]);
+        assert_eq!(f.next_member(11, 64), None, "limit is exclusive");
+        assert_eq!(f.next_member(11, 65), Some(64));
+        assert_eq!(f.next_member(0, 10), None);
+        assert_eq!(
+            f.next_member(65, u32::MAX),
+            Some(149),
+            "limit past the universe"
+        );
+        assert_eq!(f.next_member(200, 300), None, "start past the universe");
+        assert_eq!(f.next_member(64, 64), None, "empty range");
+        assert_eq!(f.next_member(65, 64), None, "inverted range");
+        assert_eq!(Frontier::empty(0).next_member(0, 1), None);
+    }
+
+    #[test]
+    fn count_range_matches_iter_range() {
+        let seeds = [0, 1, 63, 64, 65, 127, 128, 149];
+        let f = Frontier::from_seeds(150, &seeds);
+        for (lo, hi) in [
+            (0, 150),
+            (0, 64),
+            (63, 65),
+            (64, 65),
+            (65, 129),
+            (1, 63),
+            (149, 150),
+        ] {
+            assert_eq!(
+                f.count_range(lo..hi),
+                f.iter_range(lo..hi).count() as u64,
+                "{lo}..{hi}"
+            );
+        }
+        assert_eq!(f.count_range(0..u32::MAX), seeds.len() as u64);
+        assert_eq!(f.count_range(64..64), 0, "empty range");
+        let inverted = Range { start: 65, end: 64 };
+        assert_eq!(f.count_range(inverted), 0, "inverted range");
+        assert_eq!(f.count_range(150..400), 0, "past the universe");
+        assert_eq!(Frontier::full(150).count_range(60..130), 70);
     }
 
     #[test]

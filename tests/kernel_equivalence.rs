@@ -3,9 +3,20 @@
 //! sub-range. Delivered/changed counts and every resulting array must be
 //! equal — floats bit for bit, since the kernels promise slice-order
 //! combines — and vertices outside `range` must be untouched.
+//!
+//! `scatter_sorted` against `scatter_edges` on source-sorted edge lists:
+//! repeated records, empty and single-source lists, sources at 64-bit
+//! word edges, and filters from empty to full, so both the galloping walk
+//! and its per-edge fallback run. Everything the two deliver must be
+//! bit-identical. Beyond this file, `SortedBySource::new` asserts
+//! sortedness in debug builds on every block a stream pass hands the
+//! kernel, so the debug property suites check it on real blocks:
+//! `property_delta` on overlay-merged blocks, `prefetch_equivalence` on
+//! prefetched ones and `crash_resume` on blocks re-read into the priority
+//! buffer at restore.
 
 use gsd_graph::Edge;
-use gsd_runtime::kernels::{apply_range, scatter_edges};
+use gsd_runtime::kernels::{apply_range, scatter_edges, scatter_sorted, SortedBySource};
 use gsd_runtime::{Frontier, InitialFrontier, ProgramContext, ValueArray, VertexProgram};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -141,5 +152,72 @@ proptest! {
             prop_assert_eq!(accum.get(v).to_bits(), accum_after_scatter[v as usize].to_bits());
             prop_assert!(!out.contains(v));
         }
+    }
+}
+
+/// Sources on and beside the 64-bit word edges of a frontier (`N` is not
+/// a multiple of 64, so `N - 1` sits in a ragged last word).
+const WORD_EDGES: [u32; 8] = [0, 1, 63, 64, 65, 127, 128, N - 1];
+
+/// Whether `v` is in a filter of `density` 64ths (0 = empty, 64 = full).
+fn in_filter(v: u32, density: u64, seed: u64) -> bool {
+    let mut x = (u64::from(v) ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 31;
+    x % 64 < density
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sorted_scatter_matches_per_edge_scatter(
+        raw_edges in proptest::collection::vec((0..N, 0usize..16, 0..N, 1u32..4), 0..300),
+        repeats in proptest::collection::vec(0usize..300, 0..40),
+        single_source in any::<bool>(),
+        density_log in 0u32..8,
+        seed in any::<u64>(),
+        already_touched in proptest::collection::btree_set(0..N, 0..10),
+    ) {
+        let p = DampedSum;
+        let ctx = ProgramContext::new(N, Arc::new(vec![0; N as usize]));
+        // Half the sources snap to a word edge; with `single_source`
+        // every edge leaves the first one.
+        let mut edges: Vec<Edge> = raw_edges
+            .iter()
+            .map(|&(s, snap, d, w)| {
+                let s = WORD_EDGES.get(snap).copied().unwrap_or(s);
+                Edge::weighted(s, d, w as f32 * 0.25)
+            })
+            .collect();
+        for &k in &repeats {
+            if let Some(&e) = edges.get(k) {
+                edges.push(e); // an exact repeat of a record
+            }
+        }
+        if let (true, Some(first)) = (single_source, edges.first().map(|e| e.src)) {
+            edges.iter_mut().for_each(|e| e.src = first);
+        }
+        // Stable: records of one source keep their generated order, which
+        // decides the float combine order.
+        edges.sort_by_key(|e| e.src);
+        // 0, 1, 2, 4, …, 64 in 64ths: empty, sparse enough to gallop, full.
+        let density = (1u64 << density_log) >> 1;
+        let filter: Vec<u32> = (0..N).filter(|&v| in_filter(v, density, seed)).collect();
+        let filter = Frontier::from_seeds(N, &filter);
+        let already_touched: Vec<u32> = already_touched.into_iter().collect();
+
+        let values = ValueArray::from_fn(N as usize, |v| p.init_value(v, &ctx));
+        let run = |sorted: bool| {
+            let accum = ValueArray::new(N as usize, p.zero_accum());
+            let touched = Frontier::from_seeds(N, &already_touched);
+            let delivered = if sorted {
+                let edges = SortedBySource::new(&edges);
+                scatter_sorted(&p, &ctx, edges, &filter, &values, &accum, &touched)
+            } else {
+                scatter_edges(&p, &ctx, &edges, Some(&filter), &values, &accum, &touched)
+            };
+            (delivered, bits(&accum.snapshot()), members(&touched))
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 }
