@@ -173,10 +173,6 @@ pub struct RunSection {
     pub ckpt_written: (u64, u64),
     /// `CkptRestored` events and their bytes.
     pub ckpt_restored: (u64, u64),
-    /// `IoRetry` events.
-    pub io_retries: u64,
-    /// `IoGaveUp` events.
-    pub io_gave_up: u64,
     /// `ChecksumOk` events and their bytes.
     pub verify_ok: (u64, u64),
     /// `CorruptionDetected` events.
@@ -496,8 +492,6 @@ impl TraceReport {
             }
             TraceEvent::CkptWritten { bytes, .. } => count(&mut self.run().ckpt_written, *bytes),
             TraceEvent::CkptRestored { bytes, .. } => count(&mut self.run().ckpt_restored, *bytes),
-            TraceEvent::IoRetry { .. } => self.run().io_retries += 1,
-            TraceEvent::IoGaveUp { .. } => self.run().io_gave_up += 1,
             TraceEvent::ChecksumOk { bytes, .. } => count(&mut self.run().verify_ok, *bytes),
             TraceEvent::CorruptionDetected { .. } => self.run().corruptions += 1,
             TraceEvent::ServeStarted { vertices, p } => {
@@ -699,14 +693,10 @@ fn render_run(out: &mut String, idx: usize, run: &RunSection, top_n: usize) {
             run.counters.cross_iter_edges
         ));
     }
-    if run.ckpt_written.0 + run.ckpt_restored.0 + run.io_retries + run.io_gave_up > 0 {
+    if run.ckpt_written.0 + run.ckpt_restored.0 > 0 {
         out.push_str(&format!(
-            "recovery: {} checkpoints ({} B), {} restores, {} retries, {} gave up\n",
-            run.ckpt_written.0,
-            run.ckpt_written.1,
-            run.ckpt_restored.0,
-            run.io_retries,
-            run.io_gave_up
+            "recovery: {} checkpoints ({} B), {} restores\n",
+            run.ckpt_written.0, run.ckpt_written.1, run.ckpt_restored.0
         ));
     }
     if run.verify_ok.0 + run.corruptions > 0 {

@@ -290,9 +290,8 @@ pub fn run_system(
 /// Runs `algo` from `root` on `graph` under `kind`, the one way every
 /// harness runs a system: [`prepare_format`] writes the system's format
 /// at `p` intervals into `storage`, [`open_engine`] opens it once, and
-/// the engine runs. `storage` goes behind `settings`' fault injector
-/// first, so preprocessing and the run both see the faults. The
-/// preprocessing outcome's device time spans the writes and the open.
+/// the engine runs. The preprocessing outcome's device time spans the
+/// writes and the open.
 pub fn run_cell(
     kind: SystemKind,
     graph: &Graph,
@@ -302,7 +301,6 @@ pub fn run_cell(
     p: u32,
     settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
-    let storage = settings.storage(storage);
     let sim_before = storage.stats().sim_time();
     let report = prepare_format(kind, graph, storage.as_ref(), p)?;
     let mut engine = open_engine(kind, storage.clone(), settings)?;

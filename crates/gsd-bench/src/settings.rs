@@ -1,7 +1,7 @@
 //! How a run is configured: one value, built by one flag parser.
 //!
-//! Prefetch sizing, checkpoint cadence, verification, fault injection and
-//! the trace sink all reach [`crate::runner`], [`crate::wall`] and
+//! Prefetch sizing, checkpoint cadence, verification and the trace sink
+//! all reach [`crate::runner`], [`crate::wall`] and
 //! [`crate::experiments`] as a [`RunSettings`] argument — never through
 //! the process environment or a global. [`RunFlags::parse`] is the only
 //! place the command-line spelling of those settings is known; `gsd run`,
@@ -13,15 +13,13 @@ use crate::trace::trace_sink;
 use gsd_core::RecoveryConfig;
 use gsd_core::{GraphSdConfig, PipelineConfig};
 use gsd_graph::VerifyPolicy;
-use gsd_integrity::{FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage};
-use gsd_io::SharedStorage;
 use gsd_trace::TraceSink;
 use std::sync::Arc;
 
 /// Everything about a run that is not the graph, the system or the
 /// algorithm. All of it is result-neutral: values, iteration counts and
-/// accounted I/O are bit-identical whatever is set here (faults are
-/// absorbed by the retry layer; detected corruption fails the run).
+/// accounted I/O are bit-identical whatever is set here (detected
+/// corruption fails the run).
 #[derive(Clone)]
 pub struct RunSettings {
     /// Prefetch pipeline sizing (GraphSD variants and Lumos); `None` for
@@ -33,44 +31,24 @@ pub struct RunSettings {
     /// Whether grid objects are checksummed as the run reads them (a
     /// mismatch fails the run).
     pub verify: VerifyPolicy,
-    /// Seeded transient I/O faults under a bounded-retry layer, or `None`
-    /// for the bare storage.
-    pub faults: Option<FaultConfig>,
-    /// Where engines (and the retry layer) emit trace events.
+    /// Where engines emit trace events.
     pub sink: Arc<dyn TraceSink>,
 }
 
 impl Default for RunSettings {
     /// What the libraries do when handed nothing: synchronous reads, no
-    /// checkpoints, no verification, no faults, no trace.
+    /// checkpoints, no verification, no trace.
     fn default() -> Self {
         RunSettings {
             prefetch: None,
             checkpoint: None,
             verify: VerifyPolicy::Off,
-            faults: None,
             sink: gsd_trace::null_sink(),
         }
     }
 }
 
 impl RunSettings {
-    /// `base`, behind the fault injector and the bounded-retry layer when
-    /// faults are set. Results are unchanged — transient faults are
-    /// retried until the operation passes — only the `retried_ops`
-    /// counter and `IoRetry` trace events appear.
-    pub fn storage(&self, base: SharedStorage) -> SharedStorage {
-        match &self.faults {
-            Some(faults) => {
-                let faulty: SharedStorage = Arc::new(FaultyStorage::new(base, faults.clone()));
-                let mut retrying = RetryingStorage::new(faulty, RetryPolicy::default());
-                retrying.set_trace(self.sink.clone());
-                Arc::new(retrying)
-            }
-            None => base,
-        }
-    }
-
     /// `config` with this run's prefetch sizing and checkpoint cadence.
     pub fn graphsd_config(&self, config: GraphSdConfig) -> GraphSdConfig {
         GraphSdConfig {
@@ -98,7 +76,6 @@ impl RunFlags {
     /// --no-prefetch | --prefetch-depth N     (N ≥ 1; default: `prefetch`)
     /// --checkpoint-every N                   (N ≥ 1; default: none)
     /// --verify off|full                      (default off)
-    /// --inject-faults SEED:RATE              (rate in [0, 1])
     /// --scale tiny|small|medium
     /// --trace FILE  --verbose            (→ `settings.sink`; flush it at exit)
     /// ```
@@ -141,12 +118,6 @@ impl RunFlags {
                     let spec = value()?;
                     settings.verify = VerifyPolicy::parse(spec)
                         .ok_or_else(|| format!("{flag}: unknown spec {spec:?} (off|full)"))?;
-                }
-                "--inject-faults" => {
-                    let spec = value()?;
-                    settings.faults = Some(FaultConfig::parse(spec).ok_or_else(|| {
-                        format!("{flag}: expected SEED:RATE with rate in [0, 1], got {spec:?}")
-                    })?);
                 }
                 "--scale" => {
                     let spec = value()?;
@@ -195,7 +166,6 @@ mod tests {
             ("--verify", "sample:4"),
             ("--checkpoint-every", "two"),
             ("--prefetch-depth", "0"),
-            ("--inject-faults", "42:1.5"),
             ("--scale", "tinny"),
         ] {
             let err = parse(&[flag, value, "fig7"]).err();
@@ -218,7 +188,6 @@ mod tests {
         assert_eq!(s.prefetch, Some(PipelineConfig::default()));
         assert_eq!(s.checkpoint, None);
         assert_eq!(s.verify, VerifyPolicy::Off);
-        assert!(s.faults.is_none());
         assert!(!s.sink.enabled());
         assert!(RunFlags::parse(&[], None)
             .unwrap()
@@ -237,8 +206,6 @@ mod tests {
             "--checkpoint-every",
             "2",
             "fig7",
-            "--inject-faults",
-            "42:0.01",
             "--verify",
             "full",
             "--verbose",
@@ -250,7 +217,6 @@ mod tests {
         assert_eq!(s.prefetch, Some(PipelineConfig::with_depth(5)));
         assert_eq!(s.checkpoint, Some(RecoveryConfig::every(2)));
         assert_eq!(s.verify, VerifyPolicy::Full);
-        assert!(s.faults.is_some());
         assert!(s.sink.enabled(), "--verbose installs a sink");
 
         let off = parse(&["--prefetch-depth", "5", "--no-prefetch"]).unwrap();

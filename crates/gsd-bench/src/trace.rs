@@ -137,8 +137,6 @@ impl TraceSink for VerboseSink {
             | TraceEvent::PrefetchStall { .. }
             | TraceEvent::CkptWritten { .. }
             | TraceEvent::CkptRestored { .. }
-            | TraceEvent::IoRetry { .. }
-            | TraceEvent::IoGaveUp { .. }
             | TraceEvent::ChecksumOk { .. }
             | TraceEvent::CorruptionDetected { .. }
             | TraceEvent::ServeStarted { .. }

@@ -17,9 +17,9 @@
 //!   the newest snapshot that decodes for their identity, producing
 //!   bit-identical final values to an uninterrupted run.
 //!
-//! The fault-injection and retry `Storage` decorators that exercise this
-//! path (`FaultyStorage`, `RetryingStorage`) need only keys and bytes and
-//! live in `gsd-integrity`.
+//! The crash injector that exercises this path (`FaultyStorage`, which
+//! hard-fails the N-th data operation) needs only keys and bytes and
+//! lives in `gsd-integrity`.
 
 mod config;
 mod snapshot;

@@ -11,13 +11,20 @@
 //! change (an untouched sub-block of a touched row) are not rewritten.
 //!
 //! Like `repair_grid`, the write-back is in-place maintenance, not a
-//! crash-atomic commit: a crash mid-pass can leave rewritten payloads
-//! next to a meta that still references the segments. That state is
-//! *detectable* (the overlay loader verifies every base payload it
-//! merges and fails loudly on mismatch) and the write order minimizes
-//! the window — payloads first, then the emptied manifest, then the
-//! resealed meta (epoch unchanged), then segment deletion. Run `gsd
-//! scrub` after a suspect interruption.
+//! crash-atomic commit, but every torn state is *detectable*. The write
+//! order is payloads, the resealed meta (epoch unchanged), the emptied
+//! manifest, then segment deletion:
+//!
+//! - a crash among the payloads leaves rewritten payloads next to the old
+//!   meta; the overlay loader checks every base payload it merges against
+//!   the meta and fails with a corruption error;
+//! - a crash after the meta leaves the old manifest over the compacted
+//!   payloads, so its ops replay onto payloads they were folded into.
+//!   That is the identity, or it grows a block (an insert not followed by
+//!   a delete of its pair lands twice), which the loader's and `ingest`'s
+//!   merged-count check reports.
+//!
+//! Run `gsd scrub` after a suspect interruption.
 //!
 //! The epoch survives compaction on purpose: checkpoints are pinned to
 //! the meta bytes, and the meta changes here anyway (new counts, new
@@ -110,19 +117,19 @@ pub fn compact(
     replace(degrees_object(&grid.load_out_degrees()?))?;
     storage.sync()?;
 
-    // --- the emptied manifest: merged now equals base ---
-    let merged = grid.meta();
-    let empty = DeltaManifest::empty(epoch, merged.num_edges, merged.block_edge_counts.clone());
-    storage.create(&manifest_key(prefix, epoch), &empty.to_bytes())?;
-    storage.sync()?;
-
     // --- the resealed meta: new counts, fresh checksums, same epoch ---
+    let merged = grid.meta();
     let mut new_meta = disk_meta;
     new_meta.num_edges = merged.num_edges;
     new_meta.block_edge_counts = merged.block_edge_counts.clone();
     new_meta.integrity = IntegritySection::new(entries.into_values().collect());
     new_meta.seal();
     storage.create(&format!("{prefix}{META_KEY}"), &new_meta.to_bytes())?;
+    storage.sync()?;
+
+    // --- the emptied manifest: merged now equals base ---
+    let empty = DeltaManifest::empty(epoch, merged.num_edges, merged.block_edge_counts.clone());
+    storage.create(&manifest_key(prefix, epoch), &empty.to_bytes())?;
     storage.sync()?;
 
     // --- cleanup: the folded segments are now unreferenced ---

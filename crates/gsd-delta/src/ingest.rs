@@ -25,8 +25,8 @@
 
 use crate::batch::MutationBatch;
 use gsd_graph::delta::{
-    apply_ops, check_base_object, encode_segment, manifest_key, read_base_block, read_live_ops,
-    read_manifest, segment_key, DeltaManifest, DeltaOp,
+    apply_ops, check_base_object, check_merged_count, encode_segment, manifest_key,
+    read_base_block, read_live_ops, read_manifest, segment_key, DeltaManifest, DeltaOp,
 };
 use gsd_graph::format::{decode_u32s, DeltaSection, GridMeta};
 use gsd_graph::{BlockOrder, Edge, DEGREES_KEY, META_KEY};
@@ -174,10 +174,12 @@ pub fn ingest(
             if let Some(prior) = prior_ops.get(&(i, j)) {
                 apply_ops(&mut edges, prior);
             }
+            let slot = (i * p + j) as usize;
+            check_merged_count(i, j, edges.len(), merged_counts[slot])?;
             count(&edges, -1)?;
             apply_ops(&mut edges, block_ops);
             count(&edges, 1)?;
-            merged_counts[(i * p + j) as usize] = edges.len() as u64;
+            merged_counts[slot] = edges.len() as u64;
         }
         for (v, change) in sources.zip(diff).filter(|&(_, change)| change != 0) {
             let current = degrees.get(&v).copied().unwrap_or(base_degrees[v as usize]);

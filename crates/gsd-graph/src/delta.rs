@@ -393,7 +393,9 @@ pub fn check_base_object(
 /// Reads base sub-block `(i, j)` of the grid `meta` (the sealed, on-disk
 /// meta) describes, checks it with [`check_base_object`] and decodes it —
 /// the one way both the overlay loader and `ingest` get the edges they
-/// replay ops over. One whole-object read; the check runs on its bytes.
+/// replay ops over. One whole-object read; the check runs on its bytes,
+/// so an object of the wrong length is a corruption error, not a short
+/// read.
 pub fn read_base_block(
     storage: &dyn Storage,
     prefix: &str,
@@ -401,12 +403,21 @@ pub fn read_base_block(
     i: u32,
     j: u32,
 ) -> std::io::Result<Vec<Edge>> {
-    let mut payload = vec![0u8; crate::narrow::to_usize(meta.block_bytes(i, j), "block size")];
-    if !payload.is_empty() {
-        storage.read_at(&block_edges_key(prefix, i, j), 0, &mut payload)?;
-    }
+    let payload = storage.read_all(&block_edges_key(prefix, i, j))?;
     check_base_object(meta, prefix, &block_edges_key("", i, j), &payload)?;
     Ok(meta.codec().decode_all(&payload))
+}
+
+/// Fails unless sub-block `(i, j)`, merged with its live ops, holds the
+/// `want` edges the delta manifest records — the check that catches
+/// ops replayed over payloads they were already folded into.
+pub fn check_merged_count(i: u32, j: u32, merged: usize, want: u64) -> std::io::Result<()> {
+    if merged as u64 != want {
+        return Err(invalid(format!(
+            "sub-block ({i}, {j}) merges to {merged} edges but the delta manifest records {want}"
+        )));
+    }
+    Ok(())
 }
 
 /// Reads, verifies and decodes every live segment `manifest` names and
@@ -478,12 +489,7 @@ pub(crate) fn load_overlay(
         // the bytes a re-preprocess of the merged edge list would write.
         let offsets = meta.order.sort(i, j, &intervals, &mut merged);
         let want = manifest.merged_block_edge_counts[(i * p + j) as usize];
-        if merged.len() as u64 != want {
-            return Err(invalid(format!(
-                "sub-block ({i}, {j}) merges to {} edges but the delta manifest records {want}",
-                merged.len()
-            )));
-        }
+        check_merged_count(i, j, merged.len(), want)?;
         let bytes = codec.encode_all(&merged);
         let index_bytes = (offsets.len() * 4) as u64;
         overlay.resident_bytes += bytes.len() as u64 + index_bytes;

@@ -17,12 +17,11 @@
 //! - [`scrub_objects`]: offline whole-grid verification (the storage-level
 //!   half of `gsd scrub`; re-deriving payloads lives in `gsd-graph`, which
 //!   owns the format).
-//! - [`FaultyStorage`] / [`RetryingStorage`]: the two [`gsd_io::Storage`]
-//!   decorators the recovery path is tested with — deterministic,
-//!   seed-driven transient faults and crash points, and bounded retry of
-//!   the retryable kinds — plus [`corrupt_object`], which plants at-rest
-//!   rot. They need only keys, bytes and [`fnv64`], so they sit here
-//!   rather than with the checkpoint store in `gsd-core`.
+//! - [`FaultyStorage`]: the [`gsd_io::Storage`] decorator the crash paths
+//!   are tested with — it hard-fails the N-th data operation — plus
+//!   [`corrupt_object`], which plants at-rest rot. They need only keys,
+//!   bytes and [`fnv64`], so they sit here rather than with the
+//!   checkpoint store in `gsd-core`.
 //!
 //! The crate deliberately sits *below* `gsd-graph`: it knows about keys,
 //! bytes, and checksums, never about edges or blocks, so both the grid
@@ -44,16 +43,14 @@ mod error;
 mod fault;
 mod hash;
 mod manifest;
-mod retry;
 mod scrub;
 mod verifier;
 mod verify;
 
 pub use error::{CorruptionError, CorruptionKind};
-pub use fault::{corrupt_object, CorruptionMode, FaultConfig, FaultyStorage};
+pub use fault::{corrupt_object, CorruptionMode, FaultyStorage};
 pub use hash::{crc32, fnv64};
 pub use manifest::{IntegritySection, ObjectEntry};
-pub use retry::{RetryPolicy, RetryingStorage};
 pub use scrub::{scrub_objects, ObjectReport, ScrubReport};
 pub use verifier::{GridVerifier, VerifyCounters};
 pub use verify::{CorruptionResponse, VerifyPolicy};

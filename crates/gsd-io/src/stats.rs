@@ -27,10 +27,6 @@ pub struct IoStats {
     /// Virtual nanoseconds charged by a [`crate::SimDisk`] backend.
     /// Always zero for real backends (their cost is wall-clock time).
     sim_nanos: Counter,
-    /// Transient I/O errors retried by a retry layer (`gsd_integrity::RetryingStorage`).
-    retried_ops: Counter,
-    /// Operations abandoned after the retry budget was exhausted.
-    gave_up_ops: Counter,
 }
 
 impl IoStats {
@@ -60,16 +56,6 @@ impl IoStats {
     /// Adds `nanos` of simulated device time to the virtual clock.
     pub fn add_sim_nanos(&self, nanos: u64) {
         self.sim_nanos.add(nanos);
-    }
-
-    /// Records one retried transient I/O error.
-    pub fn record_retry(&self) {
-        self.retried_ops.add(1);
-    }
-
-    /// Records one operation abandoned after exhausting its retry budget.
-    pub fn record_giveup(&self) {
-        self.gave_up_ops.add(1);
     }
 
     /// Total bytes read (sequential + random).
@@ -103,8 +89,6 @@ impl IoStats {
             rand_read_ops: self.rand_read_ops.get(),
             write_ops: self.write_ops.get(),
             sim_nanos: self.sim_nanos.get(),
-            retried_ops: self.retried_ops.get(),
-            gave_up_ops: self.gave_up_ops.get(),
         }
     }
 
@@ -118,17 +102,11 @@ impl IoStats {
         self.rand_read_ops.reset();
         self.write_ops.reset();
         self.sim_nanos.reset();
-        self.retried_ops.reset();
-        self.gave_up_ops.reset();
     }
 }
 
 /// A point-in-time copy of [`IoStats`], cheap to clone and serialize.
-///
-/// `Serialize`/`Deserialize` are hand-written (rather than derived) so the
-/// retry counters, added after snapshots were first persisted, default to
-/// zero when absent from older JSON.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IoStatsSnapshot {
     /// Bytes read by requests classified sequential.
     pub seq_read_bytes: u64,
@@ -144,54 +122,6 @@ pub struct IoStatsSnapshot {
     pub write_ops: u64,
     /// Simulated device nanoseconds (zero on real backends).
     pub sim_nanos: u64,
-    /// Transient errors retried by a retry layer (zero unless one is
-    /// installed — see `gsd_integrity::RetryingStorage`).
-    pub retried_ops: u64,
-    /// Operations abandoned after the retry budget was exhausted.
-    pub gave_up_ops: u64,
-}
-
-impl Serialize for IoStatsSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let u = |n: u64| serde::Value::U64(n);
-        serde::Value::Map(vec![
-            ("seq_read_bytes".to_string(), u(self.seq_read_bytes)),
-            ("rand_read_bytes".to_string(), u(self.rand_read_bytes)),
-            ("write_bytes".to_string(), u(self.write_bytes)),
-            ("seq_read_ops".to_string(), u(self.seq_read_ops)),
-            ("rand_read_ops".to_string(), u(self.rand_read_ops)),
-            ("write_ops".to_string(), u(self.write_ops)),
-            ("sim_nanos".to_string(), u(self.sim_nanos)),
-            ("retried_ops".to_string(), u(self.retried_ops)),
-            ("gave_up_ops".to_string(), u(self.gave_up_ops)),
-        ])
-    }
-}
-
-impl Deserialize for IoStatsSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let required = |name: &str| -> Result<u64, serde::DeError> {
-            u64::from_value(serde::value_field(v, name)?)
-        };
-        // Absent in snapshots serialized before the retry layer existed.
-        let optional = |name: &str| -> Result<u64, serde::DeError> {
-            match v.get(name) {
-                Some(field) => u64::from_value(field),
-                None => Ok(0),
-            }
-        };
-        Ok(IoStatsSnapshot {
-            seq_read_bytes: required("seq_read_bytes")?,
-            rand_read_bytes: required("rand_read_bytes")?,
-            write_bytes: required("write_bytes")?,
-            seq_read_ops: required("seq_read_ops")?,
-            rand_read_ops: required("rand_read_ops")?,
-            write_ops: required("write_ops")?,
-            sim_nanos: required("sim_nanos")?,
-            retried_ops: optional("retried_ops")?,
-            gave_up_ops: optional("gave_up_ops")?,
-        })
-    }
 }
 
 impl IoStatsSnapshot {
@@ -222,8 +152,6 @@ impl IoStatsSnapshot {
         debug_assert!(self.rand_read_ops >= earlier.rand_read_ops);
         debug_assert!(self.write_ops >= earlier.write_ops);
         debug_assert!(self.sim_nanos >= earlier.sim_nanos);
-        debug_assert!(self.retried_ops >= earlier.retried_ops);
-        debug_assert!(self.gave_up_ops >= earlier.gave_up_ops);
         IoStatsSnapshot {
             seq_read_bytes: self.seq_read_bytes.saturating_sub(earlier.seq_read_bytes),
             rand_read_bytes: self.rand_read_bytes.saturating_sub(earlier.rand_read_bytes),
@@ -232,8 +160,6 @@ impl IoStatsSnapshot {
             rand_read_ops: self.rand_read_ops.saturating_sub(earlier.rand_read_ops),
             write_ops: self.write_ops.saturating_sub(earlier.write_ops),
             sim_nanos: self.sim_nanos.saturating_sub(earlier.sim_nanos),
-            retried_ops: self.retried_ops.saturating_sub(earlier.retried_ops),
-            gave_up_ops: self.gave_up_ops.saturating_sub(earlier.gave_up_ops),
         }
     }
 
@@ -249,8 +175,6 @@ impl IoStatsSnapshot {
             rand_read_ops: self.rand_read_ops + other.rand_read_ops,
             write_ops: self.write_ops + other.write_ops,
             sim_nanos: self.sim_nanos + other.sim_nanos,
-            retried_ops: self.retried_ops + other.retried_ops,
-            gave_up_ops: self.gave_up_ops + other.gave_up_ops,
         }
     }
 }
@@ -304,35 +228,27 @@ mod tests {
     }
 
     #[test]
-    fn retry_counters_roundtrip() {
+    fn snapshot_roundtrips_through_serde_and_ignores_retired_fields() {
         let s = IoStats::new();
-        s.record_retry();
-        s.record_retry();
-        s.record_giveup();
-        let a = s.snapshot();
-        assert_eq!(a.retried_ops, 2);
-        assert_eq!(a.gave_up_ops, 1);
-        s.record_retry();
-        let d = s.snapshot().since(&a);
-        assert_eq!(d.retried_ops, 1);
-        assert_eq!(d.gave_up_ops, 0);
-        let sum = a.plus(&d);
-        assert_eq!(sum.retried_ops, 3);
-        assert_eq!(sum.gave_up_ops, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), IoStatsSnapshot::default());
-    }
-
-    #[test]
-    fn snapshot_deserializes_without_retry_fields() {
-        // Snapshots serialized before the retry counters existed must
-        // still load (serde defaults).
-        let legacy = r#"{"seq_read_bytes":1,"rand_read_bytes":2,"write_bytes":3,
-            "seq_read_ops":4,"rand_read_ops":5,"write_ops":6,"sim_nanos":7}"#;
-        let snap: IoStatsSnapshot = serde_json::from_str(legacy).unwrap();
-        assert_eq!(snap.retried_ops, 0);
-        assert_eq!(snap.gave_up_ops, 0);
-        assert_eq!(snap.seq_read_bytes, 1);
+        s.record_seq_read(1);
+        s.record_rand_read(2);
+        s.record_write(3);
+        s.add_sim_nanos(4);
+        let snap = s.snapshot();
+        let json = serde_json::to_string(&snap).unwrap();
+        assert_eq!(
+            serde_json::from_str::<IoStatsSnapshot>(&json).unwrap(),
+            snap
+        );
+        // Snapshots persisted while the retry counters existed still load.
+        let older = r#"{"seq_read_bytes":1,"rand_read_bytes":2,"write_bytes":3,
+            "seq_read_ops":4,"rand_read_ops":5,"write_ops":6,"sim_nanos":7,
+            "retried_ops":0,"gave_up_ops":0}"#;
+        let snap: IoStatsSnapshot = serde_json::from_str(older).unwrap();
+        assert_eq!(
+            (snap.seq_read_bytes, snap.write_ops, snap.sim_nanos),
+            (1, 6, 7)
+        );
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub trait Storage: Send + Sync {
     /// This exists for *side-channel* reads — integrity verification
     /// re-reading an object to checksum it — that must not perturb the
     /// I/O figures the paper's experiments are computed from. Decorators
-    /// (retry, fault injection) must forward this to their inner store's
+    /// (crash injection) must forward this to their inner store's
     /// `read_unaccounted`, or the default would route the side read
     /// through the accounted `read_at` path.
     fn read_unaccounted(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
@@ -749,6 +749,38 @@ mod tests {
         let mut buf = [0u8; 4];
         assert!(store.read_at("k", 8, &mut buf).is_err());
         assert!(store.write_at("k", 8, &[0u8; 4]).is_err());
+        Ok(())
+    }
+
+    #[test]
+    fn ranges_past_the_end_are_errors_on_every_backend() -> crate::Result<()> {
+        // Offsets whose end overflows `u64` (and, on files, `i64`) used to
+        // panic on the add; every backend must answer a read with
+        // `UnexpectedEof` and a write with an error, and change nothing.
+        let dir = crate::TempDir::new("gsd-io-ranges")?;
+        let backends: Vec<(&str, Box<dyn Storage>)> = vec![
+            ("mem", Box::new(MemStorage::new())),
+            ("sim", Box::new(SimDisk::new(DiskModel::hdd()))),
+            ("file", Box::new(FileStorage::open(dir.path())?)),
+        ];
+        for (name, store) in &backends {
+            store.create("k", &[1u8; 16])?;
+            let mut buf = [0u8; 8];
+            for offset in [u64::MAX, u64::MAX - 4, 1 << 63, 12] {
+                let kinds = [
+                    store.read_at("k", offset, &mut buf),
+                    store.read_unaccounted("k", offset, &mut buf),
+                    store.write_at("k", offset, &[9u8; 8]),
+                ]
+                .map(|r| r.map_err(|e| e.kind()));
+                let eof = Err(ErrorKind::UnexpectedEof);
+                assert_eq!(
+                    kinds, [eof; 3],
+                    "{name}: read, side read, write at {offset}"
+                );
+            }
+            assert_eq!(store.read_all("k")?, [1u8; 16], "{name} unchanged");
+        }
         Ok(())
     }
 

@@ -7,7 +7,6 @@ pub fn emit(sink: &dyn Sink) {
     sink.emit(TraceEvent::PrefetchStall { block: 3, wait_us: 12 });
     sink.emit(TraceEvent::CkptWritten { iteration: 2, bytes: 8192 });
     sink.emit(TraceEvent::CkptRestored { iteration: 2, bytes: 8192 });
-    sink.emit(TraceEvent::IoRetry { attempt: 1 });
     sink.emit(TraceEvent::ChecksumOk { block: 5, bytes: 4096 });
     sink.emit(TraceEvent::CorruptionDetected { block: 5, expected: 7 });
     sink.emit(TraceEvent::BlockRewritten { block: 5, bytes: 4096 });

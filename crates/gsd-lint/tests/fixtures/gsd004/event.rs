@@ -16,8 +16,6 @@ pub enum TraceEvent {
     CkptWritten { iteration: u32, bytes: u64 },
     /// A run resumed from a checkpoint.
     CkptRestored { iteration: u32, bytes: u64 },
-    /// A transient I/O failure was retried.
-    IoRetry { attempt: u32 },
     /// A grid object passed its checksum on first read.
     ChecksumOk { block: u32, bytes: u64 },
     /// A grid object failed its checksum.

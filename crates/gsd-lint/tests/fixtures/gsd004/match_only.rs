@@ -8,7 +8,6 @@ pub fn emit(sink: &dyn Sink) {
     sink.emit(TraceEvent::PrefetchStall { block: 2, wait_us: 17 });
     sink.emit(TraceEvent::CkptWritten { iteration: 4, bytes: 8192 });
     sink.emit(TraceEvent::CkptRestored { iteration: 4, bytes: 8192 });
-    sink.emit(TraceEvent::IoRetry { attempt: 3 });
     sink.emit(TraceEvent::ChecksumOk { block: 6, bytes: 4096 });
     sink.emit(TraceEvent::CorruptionDetected { block: 6, expected: 9 });
     sink.emit(TraceEvent::BlockRewritten { block: 6, bytes: 4096 });
@@ -34,7 +33,6 @@ pub fn describe(ev: &TraceEvent) -> String {
         TraceEvent::PrefetchStall { block, wait_us } => format!("stall {block} {wait_us}us"),
         TraceEvent::CkptWritten { iteration, .. } => format!("ckpt {iteration}"),
         TraceEvent::CkptRestored { iteration, .. } => format!("restored {iteration}"),
-        TraceEvent::IoRetry { attempt } => format!("retry {attempt}"),
         TraceEvent::ChecksumOk { block, .. } => format!("crc ok {block}"),
         TraceEvent::CorruptionDetected { block, expected } => {
             format!("corrupt {block} (wanted {expected:#x})")

@@ -51,7 +51,7 @@ impl Deserialize for AccessModel {
     }
 }
 
-use crate::labels::{ENGINES, IO_OPS, QUERY_OPS};
+use crate::labels::{ENGINES, QUERY_OPS};
 
 /// Decodes the required field `name` of `v`, naming it in the error.
 fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
@@ -306,21 +306,6 @@ trace_events! {
             /// Snapshot size in bytes.
             bytes: u64,
         },
-        /// A transient storage error was retried by the recovery layer.
-        IoRetry = "io_retry" {
-            /// Operation kind: `"read"`, `"write"`, `"create"` or `"sync"`.
-            op: &'static str [in IO_OPS],
-            /// 1-based attempt number that failed (the retry is attempt + 1).
-            attempt: u32,
-        },
-        /// The retry budget for one operation was exhausted; the error is
-        /// propagated to the engine as fatal.
-        IoGaveUp = "io_gave_up" {
-            /// Operation kind: `"read"`, `"write"`, `"create"` or `"sync"`.
-            op: &'static str [in IO_OPS],
-            /// Total attempts performed before giving up.
-            attempts: u32,
-        },
         /// A grid object's bytes matched its manifest checksum on first read.
         ChecksumOk = "checksum_ok" {
             /// Full storage key of the verified object.
@@ -509,23 +494,7 @@ mod tests {
             serde_json::to_string(&restored).unwrap(),
             r#"{"ev":"ckpt_restored","iteration":4,"bytes":8192}"#
         );
-        let retry = TraceEvent::IoRetry {
-            op: "read",
-            attempt: 1,
-        };
-        assert_eq!(
-            serde_json::to_string(&retry).unwrap(),
-            r#"{"ev":"io_retry","op":"read","attempt":1}"#
-        );
-        let gave_up = TraceEvent::IoGaveUp {
-            op: "read",
-            attempts: 4,
-        };
-        assert_eq!(
-            serde_json::to_string(&gave_up).unwrap(),
-            r#"{"ev":"io_gave_up","op":"read","attempts":4}"#
-        );
-        assert_eq!(gave_up.kind(), "io_gave_up");
+        assert_eq!(restored.kind(), "ckpt_restored");
     }
 
     #[test]
@@ -775,20 +744,6 @@ mod tests {
                 r#"{"ev":"ckpt_restored","iteration":4,"bytes":8192}"#,
             ),
             (
-                E::IoRetry {
-                    op: "read",
-                    attempt: 1,
-                },
-                r#"{"ev":"io_retry","op":"read","attempt":1}"#,
-            ),
-            (
-                E::IoGaveUp {
-                    op: "sync",
-                    attempts: 4,
-                },
-                r#"{"ev":"io_gave_up","op":"sync","attempts":4}"#,
-            ),
-            (
                 E::ChecksumOk {
                     key: key(),
                     bytes: 4096,
@@ -928,7 +883,7 @@ mod tests {
                 "is not one of",
             ),
             (
-                r#"{"ev":"io_retry","op":"khop","attempt":1}"#,
+                r#"{"ev":"query_accepted","query":1,"op":"read"}"#,
                 "is not one of",
             ),
             (

@@ -5,8 +5,6 @@
 
 /// `RunStart`/`RunEnd::engine`: the four `Policy::name()`s.
 pub const ENGINES: &[&str] = &["graphsd", "hus-graph", "lumos", "gridstream"];
-/// `IoRetry`/`IoGaveUp::op`: the storage operations the retry layer wraps.
-pub const IO_OPS: &[&str] = &["read", "write", "create", "sync"];
 /// `QueryAccepted`/`QueryCompleted::op`: `gsd_serve::Request::op()`.
 pub const QUERY_OPS: &[&str] = &[
     "ping",

@@ -24,11 +24,10 @@
 //! Run flags (one parser, `graphsd::bench::RunFlags`, shared by `run`,
 //! `serve`, `bench` and `experiments`): `--prefetch-depth N` /
 //! `--no-prefetch`, `--checkpoint-every N`, `--verify off|full` (a
-//! corrupt object fails the run), `--inject-faults SEED:RATE`, `--scale
-//! tiny|small|medium` (`bench` and `experiments` datasets), `--trace
-//! FILE`, `--verbose`. `bench` and `experiments` prefetch at depth 2
-//! unless told otherwise; `run` and `serve` read synchronously unless
-//! given a depth. Nothing is read from the environment, and a flag the
+//! corrupt object fails the run), `--scale tiny|small|medium` (`bench`
+//! and `experiments` datasets), `--trace FILE`, `--verbose`. `bench` and
+//! `experiments` prefetch at depth 2 unless told otherwise; `run` and
+//! `serve` read synchronously unless given a depth. Nothing is read from the environment, and a flag the
 //! verb does not read is a usage error.
 //!
 //! `run --ablation` and `bench --systems` read one table of system names,
@@ -107,7 +106,7 @@ fn usage() -> ExitCode {
          gsd scrub <data-dir> [--repair <edges.txt>]\n  \
          gsd info <data-dir>\n  \
          gsd generate <rmat|kronecker|erdos-renyi|web|grid> <vertices> <edges> <out.txt> [--seed S] [--weighted] [--symmetrized]\n\
-         run flags: [--prefetch-depth N] [--no-prefetch] [--checkpoint-every N] [--verify off|full] [--inject-faults SEED:RATE] [--trace FILE] [--verbose]"
+         run flags: [--prefetch-depth N] [--no-prefetch] [--checkpoint-every N] [--verify off|full] [--trace FILE] [--verbose]"
     );
     ExitCode::from(2)
 }
@@ -246,13 +245,15 @@ fn ingest_sink(args: &Args) -> Result<Arc<dyn TraceSink>, String> {
     trace_sink(args.flag_value::<String>("trace")?.as_deref(), false)
 }
 
-/// Opens the grid at `dir` the way `settings` say to: behind the fault
-/// injector if one is set, verified as asked.
+/// Opens the grid at `dir`, verified as `settings` ask.
 fn open_session(dir: &str, settings: &RunSettings) -> Result<GridSession, String> {
     let files = FileStorage::open(dir).map_err(|e| format!("{dir}: {e}"))?;
-    let storage = settings.storage(Arc::new(files));
-    GridSession::open(storage, settings.verify, CorruptionResponse::FailFast)
-        .map_err(|e| format!("{dir}: {e}"))
+    GridSession::open(
+        Arc::new(files),
+        settings.verify,
+        CorruptionResponse::FailFast,
+    )
+    .map_err(|e| format!("{dir}: {e}"))
 }
 
 fn cmd_run(raw: &[String]) -> Result<(), String> {

@@ -47,13 +47,11 @@ pub use gsd_runtime as runtime;
 pub use gsd_serve as serve;
 pub use gsd_trace as trace;
 
-/// Checkpoint/resume (`gsd_core::checkpoint`) and the fault-injection and
-/// retry storage decorators (`gsd_integrity`), under one path.
+/// Checkpoint/resume (`gsd_core::checkpoint`) and the crash and
+/// corruption injectors (`gsd_integrity`), under one path.
 pub mod recover {
     pub use gsd_core::checkpoint::*;
-    pub use gsd_integrity::{
-        corrupt_object, CorruptionMode, FaultConfig, FaultyStorage, RetryPolicy, RetryingStorage,
-    };
+    pub use gsd_integrity::{corrupt_object, CorruptionMode, FaultyStorage};
 }
 
 /// Convenience prelude bringing the most common types into scope.

@@ -1,5 +1,5 @@
-//! The fault-tolerance contract of `gsd_core::checkpoint` and the
-//! `gsd_integrity` storage decorators, end to end:
+//! The fault-tolerance contract of `gsd_core::checkpoint` and of the
+//! delta write paths, end to end:
 //!
 //! * **Result neutrality** — running with checkpointing enabled changes
 //!   no observable of an uninterrupted run: values, iteration structure
@@ -11,27 +11,29 @@
 //!   the same storage finishes with the *full* fingerprint of an
 //!   uninterrupted run — per-iteration I/O included — across engines,
 //!   algorithms, graph shapes, kill points and prefetch on/off.
-//! * **Fault absorption** — deterministic transient I/O faults injected
-//!   under the bounded-retry layer leave results untouched; only the
-//!   `retried_ops` counter and `IoRetry` trace events appear. A mid-run
-//!   hard kill (`kill_at_op`) recovers through checkpoints with
-//!   identical values.
+//! * **Hard kills** — a mid-run kill (`FaultyStorage`'s `kill_at_op`)
+//!   recovers through checkpoints with identical values, and a kill at
+//!   *every* data op of an `ingest` or a `compact` leaves either the
+//!   graph a reader may see or a structured error, never a different
+//!   graph.
 
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank, Sssp};
 use graphsd::baselines::{
     build_hus_format, build_lumos_format, HusFormat, HusGraphEngine, LumosEngine,
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig, RecoveryConfig};
+use graphsd::delta::{compact, ingest, MutationBatch};
 use graphsd::graph::{
-    preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig, VerifyPolicy,
+    preprocess, scrub_grid, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig,
+    VerifyPolicy,
 };
-use graphsd::io::{DiskModel, FileStorage, SharedStorage, SimDisk, TempDir};
+use graphsd::io::{DiskModel, FileStorage, MemStorage, SharedStorage, SimDisk, TempDir};
 use graphsd::recover::{
-    graph_fingerprint, CheckpointData, CheckpointStore, FaultConfig, FaultyStorage, ManifestTag,
-    RetryPolicy, RetryingStorage,
+    graph_fingerprint, CheckpointData, CheckpointStore, FaultyStorage, ManifestTag,
 };
 use graphsd::runtime::{Engine, RunOptions, RunResult, VertexProgram};
 use graphsd::trace::{RingRecorder, TraceEvent};
+use std::io::ErrorKind;
 use std::sync::Arc;
 
 /// Everything a run produces except wall-clock durations: committed
@@ -379,64 +381,6 @@ fn a_crc_valid_snapshot_that_does_not_fit_the_graph_is_not_restored() {
 }
 
 #[test]
-fn transient_faults_are_absorbed_without_changing_results() {
-    let g = GeneratorConfig::new(GraphKind::RMat, 600, 4200, 35).generate();
-    let opts = RunOptions::default();
-    let base = graphsd_on(&sim_grid(&g, 3), GraphSdConfig::full().without_checkpoint())
-        .run(&PageRank::paper(), &opts)
-        .unwrap();
-
-    let run_faulty = || {
-        let sim: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
-        let faulty: SharedStorage =
-            Arc::new(FaultyStorage::new(sim, FaultConfig::transient(42, 0.02)));
-        let recorder = Arc::new(RingRecorder::new(4096));
-        let mut retrying = RetryingStorage::new(faulty, RetryPolicy::default());
-        retrying.set_trace(recorder.clone());
-        let storage: SharedStorage = Arc::new(retrying);
-        preprocess(
-            &g,
-            storage.as_ref(),
-            &PreprocessConfig::graphsd("").with_intervals(3),
-        )
-        .unwrap();
-        let r = graphsd_on(&storage, GraphSdConfig::full().without_checkpoint())
-            .run(&PageRank::paper(), &opts)
-            .unwrap();
-        (r, recorder, storage)
-    };
-
-    let (faulty_a, recorder, storage) = run_faulty();
-    assert_eq!(base.values, faulty_a.values);
-    assert_eq!(base.stats.iterations, faulty_a.stats.iterations);
-    // `stats.io` is a run-window delta, so it only shows retries drawn
-    // during the run itself; the lifetime counters (preprocess included)
-    // are where a 2% rate over thousands of ops is guaranteed to land.
-    let lifetime = storage.stats().snapshot();
-    assert!(
-        lifetime.retried_ops > 0,
-        "a 2% transient rate over thousands of ops must trigger retries"
-    );
-    assert_eq!(lifetime.gave_up_ops, 0);
-    assert_eq!(faulty_a.stats.io.gave_up_ops, 0);
-    let retries = recorder
-        .events()
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::IoRetry { .. }))
-        .count();
-    assert!(retries > 0, "retries must be visible in the trace");
-    // Aside from the retry counter, accounting is untouched: failed
-    // attempts never reach the inner disk.
-    let mut normalized = faulty_a.stats.io;
-    normalized.retried_ops = 0;
-    assert_eq!(base.stats.io, normalized);
-
-    // Deterministic in the seed: a second faulty run is identical.
-    let (faulty_b, _, _) = run_faulty();
-    assert_eq!(fingerprint(&faulty_a), fingerprint(&faulty_b));
-}
-
-#[test]
 fn hard_kill_mid_run_recovers_through_checkpoints() {
     // `kill_at_op` fails an operation *inside* an iteration — unlike
     // `halt_after` the crash point is not a clean boundary, so only the
@@ -449,10 +393,7 @@ fn hard_kill_mid_run_recovers_through_checkpoints() {
 
     let sim: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
     // Count the ops a clean preprocess+run needs, then kill ~70% in.
-    let probe = Arc::new(FaultyStorage::new(
-        sim.clone(),
-        FaultConfig::transient(1, 0.0),
-    ));
+    let probe = Arc::new(FaultyStorage::new(sim.clone(), None));
     let probe_storage: SharedStorage = probe.clone();
     preprocess(
         &g,
@@ -468,10 +409,7 @@ fn hard_kill_mid_run_recovers_through_checkpoints() {
 
     // Fresh disk; crash the protected run partway, then resume.
     let sim: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
-    let killer: SharedStorage = Arc::new(FaultyStorage::new(
-        sim.clone(),
-        FaultConfig::transient(1, 0.0).with_kill_at_op(total_ops * 7 / 10),
-    ));
+    let killer: SharedStorage = Arc::new(FaultyStorage::new(sim.clone(), Some(total_ops * 7 / 10)));
     preprocess(
         &g,
         killer.as_ref(),
@@ -495,6 +433,174 @@ fn hard_kill_mid_run_recovers_through_checkpoints() {
     .unwrap();
     assert_eq!(base.values, resumed.values);
     assert_eq!(base.stats.iterations, resumed.stats.iterations);
+}
+
+/// A fresh in-memory grid of `graph` at `p` intervals with `batches`
+/// ingested, one epoch each.
+fn mutated_grid(graph: &Graph, p: u32, batches: &[MutationBatch]) -> SharedStorage {
+    let storage: SharedStorage = Arc::new(MemStorage::new());
+    preprocess(
+        graph,
+        storage.as_ref(),
+        &PreprocessConfig::graphsd("").with_intervals(p),
+    )
+    .unwrap();
+    let sink = graphsd::trace::null_sink();
+    for batch in batches {
+        ingest(storage.as_ref(), "", batch, sink.as_ref()).unwrap();
+    }
+    storage
+}
+
+/// The logical edge multiset a fresh, unverified open of the grid reads
+/// (base merged with any live delta overlay), sorted.
+fn logical_edges(storage: &SharedStorage) -> std::io::Result<Vec<(u32, u32)>> {
+    let grid = GridGraph::open(storage.clone())?;
+    let (mut scratch, mut block, mut edges) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..grid.p() {
+        for j in 0..grid.p() {
+            grid.read_block_into(i, j, &mut scratch, &mut block)?;
+            edges.extend(block.iter().map(|e| (e.src, e.dst)));
+        }
+    }
+    edges.sort_unstable();
+    Ok(edges)
+}
+
+/// A batch touching every sub-block of a `p`-interval grid of `graph`:
+/// first deletes of `deletes` base edges whose pair occurs once, then two
+/// inserts per sub-block, from vertices `shift` and `shift + 1` of
+/// interval `i` to vertex `shift` of interval `j`. No sub-block shrinks.
+fn batch_over_every_block(
+    graph: &Graph,
+    p: u32,
+    shift: u32,
+    deletes: std::ops::Range<usize>,
+) -> MutationBatch {
+    let intervals = GridGraph::open(mutated_grid(graph, p, &[]))
+        .unwrap()
+        .intervals()
+        .clone();
+    let pairs: Vec<(u32, u32)> = graph.edges().iter().map(|e| (e.src, e.dst)).collect();
+    let single =
+        |&&(src, dst): &&(u32, u32)| pairs.iter().filter(|&&pair| pair == (src, dst)).count() == 1;
+    let mut batch = MutationBatch::new();
+    for &(src, dst) in pairs
+        .iter()
+        .filter(single)
+        .take(deletes.end)
+        .skip(deletes.start)
+    {
+        batch.delete(src, dst);
+    }
+    for i in 0..p {
+        for j in 0..p {
+            let (src, dst) = (intervals.range(i).start, intervals.range(j).start);
+            batch.insert(src + shift, dst + shift, 1.0);
+            batch.insert(src + shift + 1, dst + shift, 1.0);
+        }
+    }
+    batch
+}
+
+/// Accepts what a reader got after a kill when it is the graph it must
+/// see or one of the structured errors a torn write leaves behind (a
+/// checksum mismatch, or an overlay whose merged counts disagree with
+/// its manifest — both `InvalidData`); otherwise says what it got.
+fn judge(read: std::io::Result<Vec<(u32, u32)>>, want: &[(u32, u32)]) -> Result<(), String> {
+    match read {
+        Ok(edges) if edges == want => Ok(()),
+        Ok(_) => Err("a different graph".into()),
+        Err(err) if err.kind() == ErrorKind::InvalidData => Ok(()),
+        Err(err) => Err(format!("an unstructured error: {err}")),
+    }
+}
+
+/// Kills every data op (`create`, `read_at`, `write_at`, `sync`) of one
+/// `ingest` in turn, on a fresh copy of the grid each time. `delete` is
+/// not a faultable op: ingest deletes the previous manifest only after
+/// its commit point (the resealed meta), as cleanup.
+#[test]
+fn every_ingest_crash_leaves_the_old_or_the_new_epoch() {
+    let g = GeneratorConfig::new(GraphKind::RMat, 200, 1200, 53).generate();
+    let prior = [batch_over_every_block(&g, 3, 0, 0..2)];
+    let batch = batch_over_every_block(&g, 3, 2, 2..4);
+    let sink = graphsd::trace::null_sink();
+
+    let storage = mutated_grid(&g, 3, &prior);
+    let old = logical_edges(&storage).unwrap();
+    let probe = FaultyStorage::new(storage.clone(), None);
+    ingest(&probe, "", &batch, sink.as_ref()).unwrap();
+    let new = logical_edges(&storage).unwrap();
+    assert_ne!(old, new, "the batch changes the graph");
+    let total = probe.ops_seen();
+    assert!(total > 10, "{total} ops");
+
+    for k in 1..=total {
+        let storage = mutated_grid(&g, 3, &prior);
+        let killer = FaultyStorage::new(storage.clone(), Some(k));
+        ingest(&killer, "", &batch, sink.as_ref())
+            .expect_err("every op of an ingest is on its error path");
+        let edges = logical_edges(&storage).unwrap();
+        assert!(
+            edges == old || edges == new,
+            "kill at op {k}/{total}: neither the old nor the new epoch"
+        );
+        let (_, scrub) = scrub_grid(storage.as_ref(), "").unwrap();
+        assert!(scrub.is_clean(), "kill at op {k}/{total}: {scrub:?}");
+        ingest(storage.as_ref(), "", &batch, sink.as_ref())
+            .unwrap_or_else(|e| panic!("kill at op {k}/{total}: the re-run fails: {e}"));
+    }
+}
+
+/// Kills every data op of one `compact` in turn, on a fresh copy of the
+/// grid each time, and reads the result twice: through an unverified
+/// `open`, and through a following `ingest` and `open`. Each must give
+/// the graph a reader must see or an `InvalidData` error. `delete` is not
+/// a faultable op: compaction deletes the folded segments only after the
+/// emptied manifest is durable, as cleanup.
+#[test]
+fn every_compaction_crash_leaves_the_same_graph_or_a_structured_error() {
+    let g = GeneratorConfig::new(GraphKind::RMat, 200, 1200, 53).generate();
+    let prior = [
+        batch_over_every_block(&g, 3, 0, 0..2),
+        batch_over_every_block(&g, 3, 2, 2..4),
+    ];
+    let follow_up = batch_over_every_block(&g, 3, 4, 4..6);
+    let sink = graphsd::trace::null_sink();
+
+    // A clean compaction, probed for its op count; then the follow-up
+    // ingest gives the graph every later reader must see.
+    let storage = mutated_grid(&g, 3, &prior);
+    let want = logical_edges(&storage).unwrap();
+    let probe = Arc::new(FaultyStorage::new(storage.clone(), None));
+    let probed: SharedStorage = probe.clone();
+    compact(&probed, "", sink.as_ref()).unwrap().unwrap();
+    assert_eq!(logical_edges(&storage).unwrap(), want);
+    let total = probe.ops_seen();
+    assert!(total > 10, "{total} ops");
+    ingest(storage.as_ref(), "", &follow_up, sink.as_ref()).unwrap();
+    let want_next = logical_edges(&storage).unwrap();
+
+    let mut violations = Vec::new();
+    for k in 1..=total {
+        let storage = mutated_grid(&g, 3, &prior);
+        let killer: SharedStorage = Arc::new(FaultyStorage::new(storage.clone(), Some(k)));
+        compact(&killer, "", sink.as_ref())
+            .expect_err("every op of a compaction is on its error path");
+        let open = judge(logical_edges(&storage), &want);
+        let next = judge(
+            ingest(storage.as_ref(), "", &follow_up, sink.as_ref())
+                .and_then(|_| logical_edges(&storage)),
+            &want_next,
+        );
+        for (reader, verdict) in [("open", open), ("a following ingest", next)] {
+            if let Err(why) = verdict {
+                violations.push(format!("kill at op {k}/{total}: {reader} gives {why}"));
+            }
+        }
+    }
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
 }
 
 #[test]

@@ -175,20 +175,26 @@ fn mem_storage_key_listing_is_sorted() {
 }
 
 // Answer pins: computed on the tree before PR 19 (request planning)
-// with this file's split fingerprint, equal after it. The traffic pins
-// of PageRank and CC are those of that tree too: PR 19 did not move them.
+// with this file's split fingerprint, equal after it.
+//
+// Traffic pins re-pinned when `IoStatsSnapshot` lost its two always-zero
+// retry counters: the traffic string hashes its `{:?}`, which no longer
+// renders `, retried_ops: 0, gave_up_ops: 0`. Each new pin is FNV-1a of
+// the previous tree's traffic string with that text removed; no count
+// moved. (Before: PageRank 9157009749462319285, BFS 13376574458534597123,
+// CC 2516963325648787409. BFS had been re-pinned once before, from
+// 15734597810668172377, when the full passes began skipping sub-blocks
+// with no active source and the on-demand runs began bridging sub-seek
+// gaps.)
 const PIN_PAGERANK: Pins = Pins {
     answer: 8609675645980343636,
-    traffic: 9157009749462319285,
+    traffic: 11042781586551055889,
 };
-// Traffic re-pinned in PR 19 (was 15734597810668172377): the full passes
-// skip sub-blocks with no active source and the on-demand runs bridge
-// sub-seek gaps.
 const PIN_BFS: Pins = Pins {
     answer: 17937542940398426127,
-    traffic: 13376574458534597123,
+    traffic: 505981175097637239,
 };
 const PIN_CC: Pins = Pins {
     answer: 12410300235809019003,
-    traffic: 2516963325648787409,
+    traffic: 8286716226498794217,
 };
