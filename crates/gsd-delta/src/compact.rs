@@ -10,19 +10,15 @@
 //! nothing is derived twice and compared. Objects whose bytes did not
 //! change (an untouched sub-block of a touched row) are not rewritten.
 //!
-//! Like `repair_grid`, the write-back is in-place maintenance, not a
-//! crash-atomic commit, but every torn state is *detectable*. The write
-//! order is payloads, the resealed meta (epoch unchanged), the emptied
-//! manifest, then segment deletion:
-//!
-//! - a crash among the payloads leaves rewritten payloads next to the old
-//!   meta; the overlay loader checks every base payload it merges against
-//!   the meta and fails with a corruption error;
-//! - a crash after the meta leaves the old manifest over the compacted
-//!   payloads, so its ops replay onto payloads they were folded into.
-//!   That is the identity, or it grows a block (an insert not followed by
-//!   a delete of its pair lands twice), which the loader's and `ingest`'s
-//!   merged-count check reports.
+//! Write order: the changed payloads, sync, the resealed meta (same
+//! epoch, no segments, the merged counts as its base counts), sync —
+//! then the folded segments are deleted, as cleanup. Like `repair_grid`,
+//! the payload write-back is in-place maintenance, not a crash-atomic
+//! commit, but every torn state is *detectable*: a crash among the
+//! payloads leaves rewritten payloads next to the old meta, and the
+//! overlay loader checks every base object it merges (sub-blocks and
+//! the degree table) against that meta and fails with a corruption
+//! error. A crash after the meta leaves only unnamed segments behind.
 //!
 //! Run `gsd scrub` after a suspect interruption.
 //!
@@ -31,8 +27,7 @@
 //! checksums), so warm state from before the pass is conservatively
 //! invalidated either way.
 
-use gsd_graph::delta::{manifest_key, read_manifest, DeltaManifest};
-use gsd_graph::format::GridMeta;
+use gsd_graph::format::DeltaSection;
 use gsd_graph::layout::{degrees_object, row_objects};
 use gsd_graph::{Edge, GridGraph, VerifyPolicy, META_KEY};
 use gsd_integrity::{fnv64, IntegritySection, ObjectEntry};
@@ -66,26 +61,33 @@ pub fn compact(
     prefix: &str,
     trace: &dyn TraceSink,
 ) -> std::io::Result<Option<CompactReport>> {
-    // The overlay-merged view (meta patched to merged counts)...
+    // The overlay-merged view: the handle's meta is the sealed one with
+    // its counts patched to the merged shape.
     let mut grid = GridGraph::open_with_prefix(storage.clone(), prefix)?;
     let Some(merged_rows) = grid.overlay().map(|overlay| overlay.merged_rows()) else {
         return Ok(None);
     };
     // Base sub-blocks of a touched row are laid out again from what is
-    // read here, so they are checked against the manifest as they arrive.
+    // read here, so they are checked against the meta as they arrive.
     grid.set_verification(VerifyPolicy::Full);
-    // ...and the raw on-disk meta (base counts, the state being replaced).
-    let disk_meta = GridMeta::from_bytes(&storage.read_all(&format!("{prefix}{META_KEY}"))?)?;
-    let manifest = read_manifest(storage.as_ref(), prefix, &disk_meta)?;
-    let epoch = manifest.epoch;
+    let mut new_meta = grid.meta().clone();
+    let epoch = grid.delta_epoch();
+    let folded = new_meta
+        .delta
+        .take()
+        .map(|delta| delta.segments)
+        .unwrap_or_default();
     trace.emit(&TraceEvent::CompactionStarted {
         epoch,
-        segments: manifest.segments.len() as u64,
-        bytes: manifest.segments.total_bytes(),
+        segments: folded.len() as u64,
+        bytes: folded.iter().map(|entry| entry.len).sum(),
     });
 
+    // The merged degree table, formed before anything is written.
+    let degrees = degrees_object(&grid.load_out_degrees()?);
+
     // --- write-back: changed payloads first, row by row ---
-    let mut entries: BTreeMap<String, ObjectEntry> = disk_meta
+    let mut entries: BTreeMap<String, ObjectEntry> = new_meta
         .integrity
         .objects
         .iter()
@@ -109,31 +111,27 @@ pub fn compact(
         for (j, block) in (0..).zip(&mut row) {
             grid.read_block_into(i, j, &mut scratch, block)?;
         }
-        row_objects(i, &mut row, disk_meta.order, grid.intervals(), grid.codec())
+        row_objects(i, &mut row, new_meta.order, grid.intervals(), grid.codec())
             .objects
             .into_iter()
             .try_for_each(&mut replace)?;
     }
-    replace(degrees_object(&grid.load_out_degrees()?))?;
+    replace(degrees)?;
     storage.sync()?;
 
-    // --- the resealed meta: new counts, fresh checksums, same epoch ---
-    let merged = grid.meta();
-    let mut new_meta = disk_meta;
-    new_meta.num_edges = merged.num_edges;
-    new_meta.block_edge_counts = merged.block_edge_counts.clone();
+    // --- the resealed meta: merged counts become base counts ---
+    new_meta.delta = Some(DeltaSection {
+        epoch,
+        segments: Vec::new(),
+        merged_block_edge_counts: new_meta.block_edge_counts.clone(),
+    });
     new_meta.integrity = IntegritySection::new(entries.into_values().collect());
     new_meta.seal();
     storage.create(&format!("{prefix}{META_KEY}"), &new_meta.to_bytes())?;
     storage.sync()?;
 
-    // --- the emptied manifest: merged now equals base ---
-    let empty = DeltaManifest::empty(epoch, merged.num_edges, merged.block_edge_counts.clone());
-    storage.create(&manifest_key(prefix, epoch), &empty.to_bytes())?;
-    storage.sync()?;
-
     // --- cleanup: the folded segments are now unreferenced ---
-    for entry in &manifest.segments.objects {
+    for entry in &folded {
         storage.delete(&format!("{prefix}{}", entry.key))?;
     }
 
@@ -144,7 +142,7 @@ pub fn compact(
     });
     Ok(Some(CompactReport {
         epoch,
-        segments_folded: manifest.segments.len() as u64,
+        segments_folded: folded.len() as u64,
         objects_rewritten,
         bytes_rewritten,
         fingerprint: fnv64(&new_meta.integrity.canonical_bytes()),

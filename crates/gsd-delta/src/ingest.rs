@@ -1,43 +1,37 @@
 //! Ingest: committing a [`MutationBatch`] as one delta epoch.
 //!
-//! Write protocol (the sealed meta is the commit point — a crash at any
-//! earlier step leaves the previous epoch fully intact). Everything the
-//! merge reads — live segments, touched base payloads, `degrees.bin` — is
+//! Write protocol — two objects and two syncs, however many sub-blocks
+//! the batch touches (the sealed meta is the commit point, so a crash at
+//! any earlier step leaves the previous epoch fully intact). Everything
+//! the merge reads — live segments and touched base payloads — is
 //! checked against its checksum first, so a corrupt object fails the
 //! batch before step 1 writes anything:
 //!
-//! 1. one segment object per touched sub-block (`Storage::create` =
-//!    write-temp + rename), then [`gsd_io::Storage::sync`] — segments are
-//!    durable before anything references them;
-//! 2. the cumulative [`DeltaManifest`] under its **epoch-keyed** name
-//!    (`delta/manifest_<epoch>.json`), then sync — a crash here leaves an
-//!    orphan manifest the committed meta never names;
-//! 3. the resealed `meta.json` carrying the new epoch in its delta
-//!    section, then sync — the commit point;
-//! 4. the previous epoch's manifest is deleted (cleanup, not
-//!    correctness).
+//! 1. the batch's one segment object, `delta/seg_<epoch>.ops`
+//!    (`Storage::create` = write-temp + rename), then
+//!    [`gsd_io::Storage::sync`] — durable before anything names it; a
+//!    crash here leaves one orphan segment the committed meta never
+//!    names, which the re-run overwrites;
+//! 2. the resealed `meta.json`, whose delta section names the new
+//!    segment and the new merged counts, then sync — the commit point.
 //!
-//! The on-disk meta keeps **base** counts (`num_edges`,
-//! `block_edge_counts` describe the base payloads, preserving the
-//! objects-match-meta invariant scrub checks); the manifest carries the
-//! merged shape, and [`gsd_graph::GridGraph`] patches its in-memory meta
-//! at open.
+//! There is no cleanup step. The on-disk meta keeps **base** counts
+//! (`num_edges`, `block_edge_counts` describe the base payloads,
+//! preserving the objects-match-meta invariant scrub checks); the delta
+//! section carries the merged counts, and [`gsd_graph::GridGraph`]
+//! patches its in-memory meta at open.
 
 use crate::batch::MutationBatch;
 use gsd_graph::delta::{
-    apply_ops, check_base_object, check_merged_count, encode_segment, manifest_key,
-    read_base_block, read_live_ops, read_manifest, segment_key, DeltaManifest, DeltaOp,
+    apply_ops, check_merged_count, encode_segment, group_ops, read_base_block, read_live_ops,
+    segment_key, BlockOps, DeltaOp,
 };
-use gsd_graph::format::{decode_u32s, DeltaSection, GridMeta};
-use gsd_graph::{BlockOrder, Edge, DEGREES_KEY, META_KEY};
-use gsd_integrity::{IntegritySection, ObjectEntry};
+use gsd_graph::format::{DeltaSection, GridMeta};
+use gsd_graph::{BlockOrder, META_KEY};
+use gsd_integrity::ObjectEntry;
 use gsd_io::Storage;
 use gsd_trace::{TraceEvent, TraceSink};
 use std::collections::BTreeMap;
-
-fn invalid(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
-}
 
 /// What one committed ingest did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +42,7 @@ pub struct IngestReport {
     pub inserts: u64,
     /// Delete ops in the batch.
     pub deletes: u64,
-    /// Segment objects written.
+    /// Segment objects written (1, or 0 for an empty batch).
     pub segments: u64,
     /// Total segment bytes written.
     pub segment_bytes: u64,
@@ -79,8 +73,9 @@ pub fn ingest(
         ));
     }
 
-    // Normalize and validate ops: weights collapse to 1 on unweighted
-    // grids (their codec stores none), and every vertex must exist.
+    // Normalize ops: weights collapse to 1 on unweighted grids (their
+    // codec stores none). Grouping them per sub-block ((src, dst)
+    // determines exactly one) checks every vertex exists.
     let mut ops = batch.ops.clone();
     if !meta.weighted {
         for op in &mut ops {
@@ -89,151 +84,72 @@ pub fn ingest(
             }
         }
     }
-    for op in &ops {
-        let (src, dst) = (op.src(), op.dst());
-        if src >= meta.num_vertices || dst >= meta.num_vertices {
-            return Err(invalid(format!(
-                "mutation touches vertex {} but the grid has {} vertices \
-                 (delta batches cannot grow the vertex set)",
-                src.max(dst),
-                meta.num_vertices
-            )));
-        }
-    }
+    let mut new_ops = BlockOps::new();
+    group_ops(&meta, &ops, &mut new_ops)?;
 
-    // Prior merged state: live segments + merged counts + degree patch
-    // (for a grid never mutated: none, the base counts, none).
-    let prior = match meta.delta {
-        Some(_) => read_manifest(storage, prefix, &meta)?,
-        None => DeltaManifest::empty(0, meta.num_edges, meta.block_edge_counts.clone()),
-    };
+    // The section this batch extends (for a grid never mutated: epoch 0,
+    // no segments, the base counts).
+    let DeltaSection {
+        epoch: prior_epoch,
+        mut segments,
+        merged_block_edge_counts: mut merged_counts,
+    } = meta.delta.clone().unwrap_or_else(|| DeltaSection {
+        epoch: 0,
+        segments: Vec::new(),
+        merged_block_edge_counts: meta.block_edge_counts.clone(),
+    });
     if batch.is_empty() {
         return Ok(IngestReport {
-            epoch: prior.epoch,
+            epoch: prior_epoch,
             inserts: 0,
             deletes: 0,
             segments: 0,
             segment_bytes: 0,
-            merged_num_edges: prior.merged_num_edges,
+            merged_num_edges: merged_counts.iter().sum(),
         });
     }
+    let epoch = prior_epoch + 1;
 
-    let intervals = meta.intervals();
+    // Merge each touched block to derive the new merged counts.
+    let prior_ops = read_live_ops(storage, prefix, &meta)?;
     let p = meta.p;
-    let epoch = prior.epoch + 1;
-
-    // Group the batch per sub-block ((src, dst) determines exactly one).
-    let mut new_ops: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
-    for op in &ops {
-        let i = intervals.interval_of(op.src());
-        let j = intervals.interval_of(op.dst());
-        new_ops.entry((i, j)).or_default().push(*op);
-    }
-
-    let prior_ops = read_live_ops(storage, prefix, &prior, p)?;
-
-    // Merge each touched block to derive the new merged counts and the
-    // out-degree diff of the batch.
-    let degrees_bytes = storage.read_all(&format!("{prefix}{DEGREES_KEY}"))?;
-    check_base_object(&meta, prefix, DEGREES_KEY, &degrees_bytes)?;
-    let base_degrees = decode_u32s(&degrees_bytes)?;
-    let mut merged_counts = prior.merged_block_edge_counts;
-    // Absolute merged out-degrees: prior patch extended by this batch.
-    let mut degrees: BTreeMap<u32, u32> = prior
-        .degree_vertices
-        .into_iter()
-        .zip(prior.degree_values)
-        .collect();
-    for i in 0..p {
-        let mut row = new_ops.range((i, 0)..(i + 1, 0)).peekable();
-        if row.peek().is_none() {
-            continue;
-        }
-        // Every source of a row-`i` sub-block lies in interval `i`: its
-        // out-degree changes are counted in an array over that interval.
-        let sources = intervals.range(i);
-        let mut diff = vec![0i64; sources.len()];
-        let mut count = |edges: &[Edge], by: i64| -> std::io::Result<()> {
-            for e in edges {
-                let slot = e
-                    .src
-                    .checked_sub(sources.start)
-                    .and_then(|k| diff.get_mut(k as usize))
-                    .ok_or_else(|| {
-                        invalid(format!(
-                            "row {i} holds an edge from vertex {} outside its interval",
-                            e.src
-                        ))
-                    })?;
-                *slot += by;
-            }
-            Ok(())
-        };
-        for (&(_, j), block_ops) in row {
-            let mut edges = read_base_block(storage, prefix, &meta, i, j)?;
-            if let Some(prior) = prior_ops.get(&(i, j)) {
-                apply_ops(&mut edges, prior);
-            }
-            let slot = (i * p + j) as usize;
-            check_merged_count(i, j, edges.len(), merged_counts[slot])?;
-            count(&edges, -1)?;
-            apply_ops(&mut edges, block_ops);
-            count(&edges, 1)?;
-            merged_counts[slot] = edges.len() as u64;
-        }
-        for (v, change) in sources.zip(diff).filter(|&(_, change)| change != 0) {
-            let current = degrees.get(&v).copied().unwrap_or(base_degrees[v as usize]);
-            let merged = i64::from(current) + change;
-            let merged = u32::try_from(merged).map_err(|_| {
-                invalid(format!("merged out-degree of vertex {v} would be {merged}"))
-            })?;
-            degrees.insert(v, merged);
-        }
-    }
-
-    // --- step 1: segments, durable before anything references them ---
-    let mut entries = prior.segments.objects;
-    let mut segment_bytes = 0u64;
-    let mut segments_written = 0u64;
+    // Ingest forms no degree: the merge counts the changes, and they go.
+    let mut degrees = BTreeMap::new();
     for (&(i, j), block_ops) in &new_ops {
-        let rel = segment_key("", epoch, i, j);
-        let payload = encode_segment(epoch, i, j, block_ops);
-        storage.create(&format!("{prefix}{rel}"), &payload)?;
-        segment_bytes += payload.len() as u64;
-        segments_written += 1;
-        entries.push(ObjectEntry::of(rel, &payload));
+        let mut edges = read_base_block(storage, prefix, &meta, i, j)?;
+        if let Some(prior) = prior_ops.get(&(i, j)) {
+            apply_ops(&mut edges, prior, &mut degrees);
+        }
+        let slot = (i * p + j) as usize;
+        check_merged_count(i, j, edges.len() as u64, merged_counts[slot])?;
+        apply_ops(&mut edges, block_ops, &mut degrees);
+        merged_counts[slot] = edges.len() as u64;
     }
-    storage.sync()?;
 
-    // --- step 2: the cumulative manifest under its epoch-keyed name ---
+    // --- step 1: the segment, durable before anything names it ---
+    let rel = segment_key("", epoch);
+    let payload = encode_segment(epoch, &ops);
+    storage.create(&format!("{prefix}{rel}"), &payload)?;
+    storage.sync()?;
+    segments.push(ObjectEntry::of(rel, &payload));
+
+    // --- step 2: the resealed meta — the commit point ---
     let merged_num_edges = merged_counts.iter().sum();
-    let manifest = DeltaManifest {
+    meta.delta = Some(DeltaSection {
         epoch,
-        segments: IntegritySection::new(entries),
-        merged_num_edges,
+        segments,
         merged_block_edge_counts: merged_counts,
-        degree_vertices: degrees.keys().copied().collect(),
-        degree_values: degrees.values().copied().collect(),
-    };
-    storage.create(&manifest_key(prefix, epoch), &manifest.to_bytes())?;
-    storage.sync()?;
-
-    // --- step 3: the resealed meta — the commit point ---
-    meta.delta = Some(DeltaSection { epoch });
+    });
     meta.seal();
     storage.create(&format!("{prefix}{META_KEY}"), &meta.to_bytes())?;
     storage.sync()?;
 
-    // --- step 4: cleanup; the old manifest is now unreferenced ---
-    if prior.epoch > 0 {
-        storage.delete(&manifest_key(prefix, prior.epoch))?;
-    }
-
+    let segment_bytes = payload.len() as u64;
     trace.emit(&TraceEvent::DeltaApplied {
         epoch,
         inserts: batch.inserts(),
         deletes: batch.deletes(),
-        segments: segments_written,
+        segments: 1,
         bytes: segment_bytes,
     });
 
@@ -241,7 +157,7 @@ pub fn ingest(
         epoch,
         inserts: batch.inserts(),
         deletes: batch.deletes(),
-        segments: segments_written,
+        segments: 1,
         segment_bytes,
         merged_num_edges,
     })

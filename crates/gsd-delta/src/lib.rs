@@ -5,9 +5,10 @@
 //!
 //! * [`batch`] — the mutation batch model and the `gsd ingest` text
 //!   format (`+ src dst [w]` / `- src dst`).
-//! * [`ingest`] — commits a batch as one atomic *epoch*: per-sub-block
-//!   delta segments (append-only, checksummed, LSM-style), an
-//!   epoch-keyed manifest, and a meta reseal as the commit point. Readers see either the whole epoch or none of it.
+//! * [`ingest`] — commits a batch as one atomic *epoch*: one delta
+//!   segment (append-only, checksummed, LSM-style), then a meta reseal
+//!   that names it — the commit point. Readers see either the whole
+//!   epoch or none of it.
 //! * [`compact`] — folds live segments back into base sub-blocks, one
 //!   grid row at a time, through the preprocessor's own row layout.
 //! * [`incremental`] — warm-starts a converged vertex program across a

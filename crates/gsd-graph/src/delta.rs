@@ -1,32 +1,35 @@
-//! Delta sub-block segments: streaming mutations layered over a base grid.
+//! Delta segments: streaming mutations layered over a base grid.
 //!
 //! A preprocessed grid is immutable; mutations arrive as **append-only
-//! delta segments** (LSM-style). One ingested batch = one *epoch*: for
-//! every sub-block `(i, j)` the batch touches, the writer appends one
-//! segment object holding that block's insert/delete records, then
-//! commits a cumulative [`DeltaManifest`] and finally rewrites the sealed
-//! `meta.json` with the new epoch (see [`crate::format::DeltaSection`]). The meta is the commit point: a
-//! crash mid-ingest leaves orphaned segment objects that no committed
-//! manifest references, never a half-applied batch.
+//! delta segments** (LSM-style). One ingested batch = one *epoch* = one
+//! segment object holding the batch's ops in batch order. The sealed
+//! `meta.json` is the only record that names a segment: its
+//! [`DeltaSection`](crate::format::DeltaSection) lists every live
+//! segment's length and CRC32 and the merged per-sub-block edge counts,
+//! and resealing it is the commit point. A crash mid-ingest leaves at most one orphaned segment the
+//! committed meta does not name, never a half-applied batch.
 //!
 //! ```text
-//! <prefix>delta/seg_<epoch>_<i>_<j>.ops   — one block's ops of one epoch
-//! <prefix>delta/manifest_<epoch>.json     — cumulative DeltaManifest
+//! <prefix>delta/seg_<epoch>.ops   — one batch's ops, in batch order
 //! ```
 //!
 //! # The merging read path
 //!
-//! [`GridGraph::open`](crate::grid::GridGraph) on a meta with a delta
-//! section loads a [`DeltaOverlay`]: every touched sub-block is
-//! materialized in memory as its **merged** form — base edges with
-//! deletes removed and inserts merged into canonical sort position —
-//! together with its recomputed per-vertex offsets. Block and edge-run
-//! reads of a merged sub-block are served from the overlay; a row-index
-//! read fetches the base span as on any grid and replaces the columns of
-//! merged sub-blocks with the overlay's offsets. So every engine, the
-//! prefetch pipeline and the serve daemon see base+delta as one logical
-//! grid without any code of their own, and untouched blocks read from
-//! storage unchanged.
+//! [`GridGraph::open`](crate::grid::GridGraph) on a meta naming live
+//! segments loads a [`DeltaOverlay`]: it reads every segment whole, groups
+//! the ops by the sub-block `(interval_of(src), interval_of(dst))` they
+//! fall in — epoch order, then batch order — and materializes each
+//! touched sub-block in memory in its **merged** form (base edges with
+//! deletes removed and inserts merged into canonical sort position)
+//! together with its recomputed per-vertex offsets. The out-degree patch
+//! is derived by the same merge ([`apply_ops`] counts what each op adds
+//! or removes against its source); nothing stores degrees. Block and
+//! edge-run reads of a merged sub-block are served from the overlay; a
+//! row-index read fetches the base span as on any grid and replaces the
+//! columns of merged sub-blocks with the overlay's offsets. So every
+//! engine, the prefetch pipeline and the serve daemon see base+delta as
+//! one logical grid without any code of their own, and untouched blocks
+//! read from storage unchanged.
 //!
 //! Because sub-blocks are sorted by a canonical total order (see
 //! [`BlockOrder::sort`](crate::layout::BlockOrder::sort)), the merged
@@ -45,31 +48,27 @@
 //! # Integrity
 //!
 //! Each segment is covered by an `ObjectEntry` (length + CRC32) in the
-//! manifest's [`IntegritySection`]; the manifest's entry list is guarded
-//! by its section CRC and pinned to the sealed meta through the epoch.
-//! Overlay loading and `ingest` check every segment and every base
-//! payload they merge ([`read_base_block`]) with `ObjectEntry::check`, so
-//! a mismatch is a `CorruptionError` naming the object, and `scrub`
-//! extends to segments (see [`crate::integrity`]).
+//! sealed meta's delta section, which the meta's own CRC covers. Overlay
+//! loading and `ingest` check every segment and every base payload they
+//! merge ([`read_base_block`]) with `ObjectEntry::check`, so a mismatch
+//! is a `CorruptionError` naming the object, and `scrub` extends to
+//! segments (see [`crate::integrity`]). A segment whose bytes match its
+//! entry is still untrusted input: [`read_live_ops`] refuses a record
+//! naming a vertex outside the grid and epochs out of order, and the
+//! decoder refuses unknown tags and counts that disagree with the length.
 
 use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION, META_KEY};
 use crate::types::{Edge, VertexId};
-use gsd_integrity::{CorruptionError, IntegritySection};
+use gsd_integrity::CorruptionError;
 use gsd_io::Storage;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Magic prefix of a delta segment payload.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"GSDS";
 
-/// Key of the delta segment holding sub-block `(i, j)`'s ops of `epoch`.
-pub fn segment_key(prefix: &str, epoch: u64, i: u32, j: u32) -> String {
-    format!("{prefix}delta/seg_{epoch:08}_{i}_{j}.ops")
-}
-
-/// Key of the cumulative delta manifest committed at `epoch`.
-pub fn manifest_key(prefix: &str, epoch: u64) -> String {
-    format!("{prefix}delta/manifest_{epoch:08}.json")
+/// Key of the delta segment holding the ops of `epoch`.
+pub fn segment_key(prefix: &str, epoch: u64) -> String {
+    format!("{prefix}delta/seg_{epoch:08}.ops")
 }
 
 fn invalid(msg: impl Into<String>) -> std::io::Error {
@@ -108,29 +107,16 @@ impl DeltaOp {
     }
 }
 
-/// Decoded header of one segment payload (whose version, once decoded, is
-/// [`FORMAT_VERSION`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentHeader {
-    /// Epoch the segment belongs to.
-    pub epoch: u64,
-    /// Source interval of the sub-block.
-    pub i: u32,
-    /// Destination interval of the sub-block.
-    pub j: u32,
-}
-
-/// Encodes one segment payload: magic, header, then 13 bytes per record
-/// (`op:u8, src:u32, dst:u32, weight-bits:u32`, all little-endian; weight
-/// bits are zero for deletes). The encoding is byte-deterministic, so a
-/// segment's manifest CRC is reproducible from its ops.
-pub fn encode_segment(epoch: u64, i: u32, j: u32, ops: &[DeltaOp]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + ops.len() * 13);
+/// Encodes one segment payload: magic, [`FORMAT_VERSION`], epoch and
+/// record count, then 13 bytes per record (`op:u8, src:u32, dst:u32,
+/// weight-bits:u32`, all little-endian; weight bits are zero for
+/// deletes). The encoding is byte-deterministic, so a segment's CRC is
+/// reproducible from its ops.
+pub fn encode_segment(epoch: u64, ops: &[DeltaOp]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(20 + ops.len() * 13);
     out.extend_from_slice(SEGMENT_MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&i.to_le_bytes());
-    out.extend_from_slice(&j.to_le_bytes());
     out.extend_from_slice(&crate::narrow::from_usize(ops.len(), "segment op count").to_le_bytes());
     for op in ops {
         match op {
@@ -166,9 +152,10 @@ fn take_u32(bytes: &[u8], pos: &mut usize, what: &str) -> std::io::Result<u32> {
     Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
 }
 
-/// Decodes one segment payload, validating magic, version and record
-/// count. Total: corrupt input is an `InvalidData` error, never a panic.
-pub fn decode_segment(bytes: &[u8]) -> std::io::Result<(SegmentHeader, Vec<DeltaOp>)> {
+/// Decodes one segment payload into its epoch and ops, validating magic,
+/// version, record count and op tags. Total: corrupt input is an
+/// `InvalidData` error, never a panic.
+pub fn decode_segment(bytes: &[u8]) -> std::io::Result<(u64, Vec<DeltaOp>)> {
     let mut pos = 0usize;
     if take(bytes, &mut pos, 4, "magic")? != SEGMENT_MAGIC {
         return Err(invalid("delta segment magic mismatch"));
@@ -184,8 +171,6 @@ pub fn decode_segment(bytes: &[u8]) -> std::io::Result<(SegmentHeader, Vec<Delta
             .try_into()
             .expect("8-byte slice"),
     );
-    let i = take_u32(bytes, &mut pos, "row")?;
-    let j = take_u32(bytes, &mut pos, "column")?;
     let count = take_u32(bytes, &mut pos, "count")? as usize;
     if bytes.len() - pos != count * 13 {
         return Err(invalid(format!(
@@ -206,93 +191,71 @@ pub fn decode_segment(bytes: &[u8]) -> std::io::Result<(SegmentHeader, Vec<Delta
             t => return Err(invalid(format!("unknown delta op tag {t}"))),
         });
     }
-    Ok((SegmentHeader { epoch, i, j }, ops))
+    Ok((epoch, ops))
 }
 
-/// The cumulative delta manifest: every live segment with its checksum,
-/// plus the **merged** shape of the grid (edge totals, per-block counts,
-/// changed out-degrees) so readers derive the logical graph without
-/// replaying ops at open just to count.
-///
-/// The manifest key carries its epoch
-/// ([`manifest_key`]) and the sealed meta names the same epoch, so a
-/// torn ingest (manifest written, meta not) leaves the previous
-/// epoch's manifest authoritative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeltaManifest {
-    /// Epoch this manifest commits (== `meta.delta.epoch`).
-    pub epoch: u64,
-    /// Checksums of every live segment (prefix-relative keys). Empty
-    /// right after a compaction.
-    pub segments: IntegritySection,
-    /// `|E|` of the merged (base + delta) graph.
-    pub merged_num_edges: u64,
-    /// Merged per-sub-block edge counts, row-major (`P × P` entries).
-    pub merged_block_edge_counts: Vec<u64>,
-    /// Vertices whose merged out-degree differs from `degrees.bin`
-    /// (ascending).
-    pub degree_vertices: Vec<u32>,
-    /// Merged absolute out-degrees, parallel to `degree_vertices`.
-    pub degree_values: Vec<u32>,
-}
+/// Ops grouped per sub-block `(i, j)`, each list in apply order.
+pub type BlockOps = BTreeMap<(u32, u32), Vec<DeltaOp>>;
 
-impl DeltaManifest {
-    /// A manifest with no live segments: merged equals base.
-    pub fn empty(epoch: u64, num_edges: u64, block_edge_counts: Vec<u64>) -> Self {
-        DeltaManifest {
-            epoch,
-            segments: IntegritySection::new(Vec::new()),
-            merged_num_edges: num_edges,
-            merged_block_edge_counts: block_edge_counts,
-            degree_vertices: Vec::new(),
-            degree_values: Vec::new(),
-        }
-    }
-
-    /// Serializes to JSON bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec_pretty(self).expect("DeltaManifest serializes")
-    }
-
-    /// Parses a manifest and validates it against the `epoch` and grid
-    /// size `p` of the sealed meta that names it (whose format version is
-    /// the manifest's too).
-    pub fn from_bytes(bytes: &[u8], epoch: u64, p: u32) -> std::io::Result<Self> {
-        let manifest: DeltaManifest = serde_json::from_slice(bytes)
-            .map_err(|e| invalid(format!("delta manifest failed to parse: {e}")))?;
-        if manifest.epoch != epoch {
+/// Appends `ops`, in order, to the sub-block of `meta`'s grid each falls
+/// in. An op naming a vertex outside the grid is an `InvalidData` error:
+/// mutations never grow the vertex set.
+pub fn group_ops(
+    meta: &GridMeta,
+    ops: &[DeltaOp],
+    per_block: &mut BlockOps,
+) -> std::io::Result<()> {
+    let intervals = meta.intervals();
+    for op in ops {
+        let v = op.src().max(op.dst());
+        if v >= meta.num_vertices {
             return Err(invalid(format!(
-                "delta manifest epoch {} does not match the sealed meta epoch {epoch}",
-                manifest.epoch
+                "mutation touches vertex {v} but the grid has {} vertices \
+                 (delta batches cannot grow the vertex set)",
+                meta.num_vertices
             )));
         }
-        manifest
-            .segments
-            .verify_section(&manifest_key("", manifest.epoch))
-            .map_err(|e| e.into_io())?;
-        if manifest.merged_block_edge_counts.len() != (p * p) as usize
-            || manifest.merged_block_edge_counts.iter().sum::<u64>() != manifest.merged_num_edges
-            || manifest.degree_vertices.len() != manifest.degree_values.len()
-        {
-            return Err(invalid("inconsistent delta manifest"));
-        }
-        Ok(manifest)
+        let block = (
+            intervals.interval_of(op.src()),
+            intervals.interval_of(op.dst()),
+        );
+        per_block.entry(block).or_default().push(*op);
     }
+    Ok(())
 }
 
-/// Reads and validates the manifest committed by `meta` (which must carry
-/// a delta section).
-pub fn read_manifest(
+/// Reads, verifies and decodes every live segment the sealed `meta`
+/// names and groups the ops per sub-block ([`group_ops`]), in epoch
+/// order. Segment epochs must rise strictly and stay within the meta's
+/// epoch; a grid with no delta section has no live ops.
+pub fn read_live_ops(
     storage: &dyn Storage,
     prefix: &str,
     meta: &GridMeta,
-) -> std::io::Result<DeltaManifest> {
-    let section = meta
-        .delta
-        .as_ref()
-        .ok_or_else(|| invalid("grid has no delta section"))?;
-    let bytes = storage.read_all(&manifest_key(prefix, section.epoch))?;
-    DeltaManifest::from_bytes(&bytes, section.epoch, meta.p)
+) -> std::io::Result<BlockOps> {
+    let mut per_block = BlockOps::new();
+    let Some(delta) = &meta.delta else {
+        return Ok(per_block);
+    };
+    let mut last = 0u64;
+    for entry in &delta.segments {
+        let key = format!("{prefix}{}", entry.key);
+        let payload = storage.read_all(&key)?;
+        entry
+            .check(&key, &payload)
+            .map_err(CorruptionError::into_io)?;
+        let (epoch, ops) = decode_segment(&payload)?;
+        if epoch <= last || epoch > delta.epoch {
+            return Err(invalid(format!(
+                "delta segment {key:?} holds epoch {epoch} after epoch {last}; \
+                 live epochs must rise strictly up to the meta's {}",
+                delta.epoch
+            )));
+        }
+        last = epoch;
+        group_ops(meta, &ops, &mut per_block)?;
+    }
+    Ok(per_block)
 }
 
 /// One merged (base + delta) sub-block held in memory by the overlay.
@@ -314,8 +277,8 @@ pub struct OverlayBlock {
 #[derive(Debug, Default)]
 pub struct DeltaOverlay {
     blocks: BTreeMap<(u32, u32), OverlayBlock>,
-    /// Sparse merged out-degree patch over `degrees.bin`.
-    degrees: BTreeMap<u32, u32>,
+    /// Out-degree change per source vertex, derived by the merge.
+    degrees: BTreeMap<u32, i64>,
     /// Bytes held across merged payloads + indexes (for cost accounting).
     resident_bytes: u64,
 }
@@ -340,12 +303,24 @@ impl DeltaOverlay {
         rows
     }
 
-    /// Applies the merged out-degree patch to a freshly loaded base
-    /// degree table.
-    pub fn patch_degrees(&self, degrees: &mut [u32]) {
-        for (&v, &d) in &self.degrees {
-            degrees[v as usize] = d;
+    /// Applies the derived out-degree changes to a freshly loaded base
+    /// degree table. A merged degree outside `u32` (or a vertex past the
+    /// table) is an `InvalidData` error: the table disagrees with the
+    /// blocks the changes were counted against.
+    pub fn patch_degrees(&self, degrees: &mut [u32]) -> std::io::Result<()> {
+        for (&v, &change) in &self.degrees {
+            let merged = degrees
+                .get(v as usize)
+                .map(|&base| i64::from(base) + change)
+                .and_then(|merged| u32::try_from(merged).ok())
+                .ok_or_else(|| {
+                    invalid(format!(
+                        "merged out-degree of vertex {v} leaves u32 (change {change})"
+                    ))
+                })?;
+            degrees[v as usize] = merged;
         }
+        Ok(())
     }
 
     /// Number of merged sub-blocks resident in memory.
@@ -361,12 +336,22 @@ impl DeltaOverlay {
 
 /// Applies `ops` in order to `edges`: an insert appends one copy, a delete
 /// removes every copy of its pair. The result is in no particular order.
-pub fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp]) {
+/// Each op's effect on its source's out-degree (+1 per insert, minus the
+/// copies a delete removed) is added to `degrees`.
+pub fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp], degrees: &mut BTreeMap<u32, i64>) {
     for op in ops {
-        match op {
-            DeltaOp::Insert(e) => edges.push(*e),
-            DeltaOp::Delete { src, dst } => edges.retain(|e| e.src != *src || e.dst != *dst),
-        }
+        let change = match op {
+            DeltaOp::Insert(e) => {
+                edges.push(*e);
+                1
+            }
+            DeltaOp::Delete { src, dst } => {
+                let before = edges.len();
+                edges.retain(|e| e.src != *src || e.dst != *dst);
+                -((before - edges.len()) as i64)
+            }
+        };
+        *degrees.entry(op.src()).or_default() += change;
     }
 }
 
@@ -409,47 +394,15 @@ pub fn read_base_block(
 }
 
 /// Fails unless sub-block `(i, j)`, merged with its live ops, holds the
-/// `want` edges the delta manifest records — the check that catches
-/// ops replayed over payloads they were already folded into.
-pub fn check_merged_count(i: u32, j: u32, merged: usize, want: u64) -> std::io::Result<()> {
-    if merged as u64 != want {
+/// `want` edges the meta's delta section records — the check that
+/// catches ops replayed over payloads they were already folded into.
+pub fn check_merged_count(i: u32, j: u32, merged: u64, want: u64) -> std::io::Result<()> {
+    if merged != want {
         return Err(invalid(format!(
-            "sub-block ({i}, {j}) merges to {merged} edges but the delta manifest records {want}"
+            "sub-block ({i}, {j}) merges to {merged} edges but the delta section records {want}"
         )));
     }
     Ok(())
-}
-
-/// Reads, verifies and decodes every live segment `manifest` names and
-/// groups the ops per sub-block of a `P × P` grid, in epoch order
-/// (manifest entries are key-sorted; the zero-padded epoch in the key
-/// makes that epoch order).
-pub fn read_live_ops(
-    storage: &dyn Storage,
-    prefix: &str,
-    manifest: &DeltaManifest,
-    p: u32,
-) -> std::io::Result<BTreeMap<(u32, u32), Vec<DeltaOp>>> {
-    let mut per_block: BTreeMap<(u32, u32), Vec<DeltaOp>> = BTreeMap::new();
-    for entry in &manifest.segments.objects {
-        let key = format!("{prefix}{}", entry.key);
-        let payload = storage.read_all(&key)?;
-        entry
-            .check(&key, &payload)
-            .map_err(CorruptionError::into_io)?;
-        let (header, ops) = decode_segment(&payload)?;
-        if header.i >= p || header.j >= p || header.epoch > manifest.epoch {
-            return Err(invalid(format!(
-                "delta segment {:?} names sub-block ({}, {}) epoch {} outside the grid",
-                entry.key, header.i, header.j, header.epoch
-            )));
-        }
-        per_block
-            .entry((header.i, header.j))
-            .or_default()
-            .extend(ops);
-    }
-    Ok(per_block)
 }
 
 /// Loads the delta overlay named by `meta` and patches the in-memory meta
@@ -459,59 +412,48 @@ pub fn read_live_ops(
 /// delta as one graph. The on-disk meta keeps base counts; only the
 /// handle's copy is patched.
 ///
-/// Returns `None` (and leaves the meta untouched) when the grid carries
-/// no delta section or no live segments.
+/// Returns `None` (and leaves the meta untouched) when the grid names no
+/// live segments.
 pub(crate) fn load_overlay(
     storage: &dyn Storage,
     prefix: &str,
     meta: &mut GridMeta,
 ) -> std::io::Result<Option<DeltaOverlay>> {
-    if meta.delta.is_none() {
+    let Some(delta) = meta.delta.as_ref().filter(|d| !d.segments.is_empty()) else {
         return Ok(None);
-    }
-    let manifest = read_manifest(storage, prefix, meta)?;
-    if manifest.segments.is_empty() {
-        // Compacted (or degenerate) state: merged equals base.
-        return Ok(None);
-    }
+    };
+    let merged_counts = delta.merged_block_edge_counts.clone();
+    let per_block = read_live_ops(storage, prefix, meta)?;
     let codec = meta.codec();
     let intervals = meta.intervals();
     let p = meta.p;
 
-    let per_block = read_live_ops(storage, prefix, &manifest, p)?;
-
     let mut overlay = DeltaOverlay::default();
-    let mut scratch_counts = meta.block_edge_counts.clone();
-    for (&(i, j), ops) in &per_block {
+    for (i, j) in (0..p).flat_map(|i| (0..p).map(move |j| (i, j))) {
+        let want = merged_counts[(i * p + j) as usize];
+        let Some(ops) = per_block.get(&(i, j)) else {
+            // No live op falls here: merged must equal base.
+            check_merged_count(i, j, meta.block_edge_count(i, j), want)?;
+            continue;
+        };
         let mut merged = read_base_block(storage, prefix, meta, i, j)?;
-        apply_ops(&mut merged, ops);
+        apply_ops(&mut merged, ops, &mut overlay.degrees);
         // Canonical order again, so the payload and its index column are
         // the bytes a re-preprocess of the merged edge list would write.
         let offsets = meta.order.sort(i, j, &intervals, &mut merged);
-        let want = manifest.merged_block_edge_counts[(i * p + j) as usize];
-        check_merged_count(i, j, merged.len(), want)?;
+        check_merged_count(i, j, merged.len() as u64, want)?;
         let bytes = codec.encode_all(&merged);
         let index_bytes = (offsets.len() * 4) as u64;
         overlay.resident_bytes += bytes.len() as u64 + index_bytes;
-        scratch_counts[(i * p + j) as usize] = want;
         overlay
             .blocks
             .insert((i, j), OverlayBlock { bytes, offsets });
     }
-
-    for (&v, &d) in manifest.degree_vertices.iter().zip(&manifest.degree_values) {
-        if v >= meta.num_vertices {
-            return Err(invalid(format!(
-                "delta manifest patches out-degree of vertex {v} beyond |V| = {}",
-                meta.num_vertices
-            )));
-        }
-        overlay.degrees.insert(v, d);
-    }
+    overlay.degrees.retain(|_, change| *change != 0);
 
     // Patch the in-memory meta to the merged shape.
-    meta.num_edges = manifest.merged_num_edges;
-    meta.block_edge_counts = scratch_counts;
+    meta.num_edges = merged_counts.iter().sum();
+    meta.block_edge_counts = merged_counts;
     Ok(Some(overlay))
 }
 
@@ -520,15 +462,16 @@ mod tests {
     use super::*;
     use crate::layout::BlockOrder;
     use crate::partition::Intervals;
-    use gsd_integrity::ObjectEntry;
 
     /// Merges as `load_overlay` does, into the only sub-block of an
-    /// 8-vertex, one-interval grid.
-    fn merge(base: &[Edge], ops: &[DeltaOp]) -> Vec<Edge> {
+    /// 8-vertex, one-interval grid; returns the edges and the degree
+    /// changes.
+    fn merge(base: &[Edge], ops: &[DeltaOp]) -> (Vec<Edge>, BTreeMap<u32, i64>) {
         let mut edges = base.to_vec();
-        apply_ops(&mut edges, ops);
+        let mut degrees = BTreeMap::new();
+        apply_ops(&mut edges, ops, &mut degrees);
         BlockOrder::BySource.sort(0, 0, &Intervals::uniform(8, 1), &mut edges);
-        edges
+        (edges, degrees)
     }
 
     #[test]
@@ -538,22 +481,14 @@ mod tests {
             DeltaOp::Delete { src: 1, dst: 2 },
             DeltaOp::Insert(Edge::new(0, 7)),
         ];
-        let bytes = encode_segment(5, 1, 2, &ops);
-        let (header, back) = decode_segment(&bytes).unwrap();
-        assert_eq!(
-            header,
-            SegmentHeader {
-                epoch: 5,
-                i: 1,
-                j: 2
-            }
-        );
-        assert_eq!(back, ops);
+        let bytes = encode_segment(5, &ops);
+        assert_eq!(bytes.len(), 20 + 3 * 13);
+        assert_eq!(decode_segment(&bytes).unwrap(), (5, ops));
     }
 
     #[test]
     fn segment_decode_rejects_corruption() {
-        let bytes = encode_segment(1, 0, 0, &[DeltaOp::Delete { src: 1, dst: 2 }]);
+        let bytes = encode_segment(1, &[DeltaOp::Delete { src: 1, dst: 2 }]);
         for cut in 0..bytes.len() {
             assert!(decode_segment(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -564,7 +499,7 @@ mod tests {
         bad[4] = 99; // version
         assert!(decode_segment(&bad).is_err());
         let mut bad = bytes;
-        bad[24] = 7; // op tag
+        bad[20] = 7; // op tag
         assert!(decode_segment(&bad).is_err());
     }
 
@@ -579,19 +514,21 @@ mod tests {
             DeltaOp::Insert(Edge::new(4, 4)),
             DeltaOp::Delete { src: 4, dst: 4 },
         ];
-        let merged = merge(&base, &ops);
+        let (merged, degrees) = merge(&base, &ops);
         assert_eq!(
             merged,
             vec![Edge::new(0, 1), Edge::new(0, 2), Edge::new(2, 1)]
         );
+        assert_eq!(degrees, BTreeMap::from([(0, 0), (4, 0)]));
     }
 
     #[test]
     fn merge_delete_removes_every_copy_and_reinsert_restores() {
         let base = vec![Edge::new(5, 6), Edge::new(5, 6)];
-        let merged = merge(&base, &[DeltaOp::Delete { src: 5, dst: 6 }]);
+        let (merged, degrees) = merge(&base, &[DeltaOp::Delete { src: 5, dst: 6 }]);
         assert!(merged.is_empty());
-        let merged = merge(
+        assert_eq!(degrees, BTreeMap::from([(5, -2)]));
+        let (merged, degrees) = merge(
             &base,
             &[
                 DeltaOp::Delete { src: 5, dst: 6 },
@@ -599,41 +536,14 @@ mod tests {
             ],
         );
         assert_eq!(merged, vec![Edge::new(5, 6)]);
-    }
-
-    #[test]
-    fn manifest_roundtrip_and_validation() {
-        let manifest = DeltaManifest {
-            epoch: 2,
-            segments: IntegritySection::new(vec![ObjectEntry::of(
-                segment_key("", 2, 0, 0),
-                b"payload",
-            )]),
-            merged_num_edges: 5,
-            merged_block_edge_counts: vec![5],
-            degree_vertices: vec![3],
-            degree_values: vec![2],
-        };
-        let back = DeltaManifest::from_bytes(&manifest.to_bytes(), 2, 1).unwrap();
-        assert_eq!(back, manifest);
-
-        // Epoch mismatch against the sealed meta: refused.
-        let mut stale = manifest.clone();
-        stale.epoch = 1;
-        let err = DeltaManifest::from_bytes(&stale.to_bytes(), 2, 1).unwrap_err();
-        assert!(err.to_string().contains("epoch"), "{err}");
-
-        // Merged counts that do not sum: refused.
-        let mut bad = manifest;
-        bad.merged_num_edges = 99;
-        assert!(DeltaManifest::from_bytes(&bad.to_bytes(), 2, 1).is_err());
+        assert_eq!(degrees, BTreeMap::from([(5, -1)]));
     }
 
     #[test]
     fn keys_sort_by_epoch() {
         // The zero-padded epoch makes lexicographic key order == epoch
-        // order, which the overlay relies on to replay ops in sequence.
-        assert!(segment_key("", 2, 0, 0) < segment_key("", 10, 0, 0));
-        assert!(manifest_key("", 9,) < manifest_key("", 11));
+        // order.
+        assert!(segment_key("", 2) < segment_key("", 10));
+        assert_eq!(segment_key("g/", 3), "g/delta/seg_00000003.ops");
     }
 }

@@ -7,7 +7,7 @@
 //! <prefix>degrees.bin             — out-degree per vertex, u32 LE
 //! <prefix>blocks/b_<i>_<j>.edges  — sub-block (i,j) edges, in the meta's BlockOrder
 //! <prefix>blocks/r_<i>.ridx       — row i's vertex-major index, u32 LE (BySource only)
-//! <prefix>delta/…                 — segments + manifest of a mutated grid (crate::delta)
+//! <prefix>delta/seg_<epoch>.ops   — one mutation batch's ops (crate::delta)
 //! ```
 //!
 //! The row index realizes the paper's `index(i, j)` structure: column `j`
@@ -21,16 +21,15 @@
 //! # Format version
 //!
 //! One [`FORMAT_VERSION`] names the layout above, the `integrity` section
-//! of `meta.json` (one CRC32 + length per data object, a CRC over the
-//! entry list and a whole-meta self-check CRC, see
-//! [`gsd_integrity::IntegritySection`]) and the delta segment and manifest
-//! encodings. Readers refuse any other value at open — re-run
-//! `gsd preprocess`; there is no migrator. A mutated grid is one whose
-//! meta carries a [`DeltaSection`].
+//! of `meta.json` (one CRC32 + length per data object and a whole-meta
+//! self-check CRC, see [`gsd_integrity::IntegritySection`]), its delta
+//! section and the delta segment encoding. Readers refuse any other
+//! value at open — re-run `gsd preprocess`; there is no migrator. A
+//! mutated grid is one whose meta carries a [`DeltaSection`].
 
 use crate::layout::BlockOrder;
 use crate::partition::Intervals;
-use gsd_integrity::{crc32, CorruptionError, IntegritySection};
+use gsd_integrity::{crc32, CorruptionError, IntegritySection, ObjectEntry};
 use serde::{Deserialize, Serialize, Value};
 
 /// Key of the metadata object.
@@ -94,23 +93,31 @@ pub struct GridMeta {
     pub delta: Option<DeltaSection>,
 }
 
-/// The format version: written into every meta, delta segment and delta
-/// manifest, and the only value readers accept.
-pub const FORMAT_VERSION: u32 = 5;
+/// The format version: written into every meta and delta segment, and
+/// the only value readers accept.
+pub const FORMAT_VERSION: u32 = 6;
 
-/// The `delta` section of a mutated grid's meta: how many mutation
-/// batches the grid has absorbed.
+/// The `delta` section of a mutated grid's meta — the only record that
+/// names a delta segment: how many mutation batches the grid has
+/// absorbed, the segments of the ones not yet compacted, and the merged
+/// (base + delta) shape they give the grid.
 ///
 /// The epoch is part of the serialized meta, so every ingest changes the
 /// meta bytes — and with them `gsd_core::checkpoint::graph_fingerprint`, which
 /// pins checkpoints to one graph state. A checkpoint taken
 /// before a mutation batch can therefore never be resumed against the
 /// mutated graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeltaSection {
     /// Mutation epoch: number of ingested batches (0 = freshly
     /// preprocessed; compaction folds segments but keeps the epoch).
     pub epoch: u64,
+    /// Length and CRC32 of every live segment (`delta/seg_<epoch>.ops`,
+    /// prefix-relative), in epoch order. Empty after a compaction.
+    pub segments: Vec<ObjectEntry>,
+    /// Merged per-sub-block edge counts, row-major (`P × P` entries).
+    /// The meta's own `block_edge_counts` stay the **base** counts.
+    pub merged_block_edge_counts: Vec<u64>,
 }
 
 fn invalid(msg: impl Into<String>) -> std::io::Error {
@@ -220,6 +227,18 @@ impl GridMeta {
                 self.num_edges
             ));
         }
+        if let Some(delta) = &self.delta {
+            let merged = delta
+                .merged_block_edge_counts
+                .iter()
+                .try_fold(0u64, |sum, &c| sum.checked_add(c));
+            if delta.merged_block_edge_counts.len() != blocks || merged.is_none() {
+                return Err(format!(
+                    "{} merged sub-block edge counts for {blocks} sub-blocks",
+                    delta.merged_block_edge_counts.len()
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -303,7 +322,7 @@ mod tests {
 
     #[test]
     fn any_other_version_is_refused_with_the_way_out() {
-        for version in [1, 2, 3, 4, FORMAT_VERSION + 1, 999] {
+        for version in [1, 2, 3, 4, 5, FORMAT_VERSION + 1, 999] {
             let mut old = sealed_meta();
             old.version = version;
             old.seal();
@@ -350,10 +369,18 @@ mod tests {
         assert!(err.to_string().contains("num_vertices"), "{err}");
     }
 
-    /// A sealed mutated meta: a delta section at some epoch.
+    /// A sealed mutated meta: a delta section at some epoch, naming one
+    /// live segment.
     fn mutated_meta(epoch: u64) -> GridMeta {
         let mut m = sealed_meta();
-        m.delta = Some(DeltaSection { epoch });
+        m.delta = Some(DeltaSection {
+            epoch,
+            segments: vec![ObjectEntry::of(
+                crate::delta::segment_key("", epoch),
+                b"ops",
+            )],
+            merged_block_edge_counts: vec![1, 2, 4, 0],
+        });
         m.seal();
         m
     }
@@ -364,6 +391,15 @@ mod tests {
         let m2 = GridMeta::from_bytes(&m.to_bytes()).unwrap();
         assert_eq!(m, m2);
         assert_eq!(m2.delta.unwrap().epoch, 3);
+
+        // Merged counts for a different number of sub-blocks: refused.
+        let mut bad = mutated_meta(3);
+        if let Some(delta) = &mut bad.delta {
+            delta.merged_block_edge_counts.pop();
+        }
+        bad.seal();
+        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("merged sub-block"), "{err}");
     }
 
     #[test]
@@ -456,11 +492,18 @@ mod tests {
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("meta self-check"), "{err}");
 
-        // A manifest entry changed: section crc.
+        // An integrity entry or a segment entry changed: the same meta
+        // crc, which covers every byte of both lists.
         let mut bad = sealed_meta();
         bad.integrity.objects[0].crc ^= 1;
         let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("section crc"), "{err}");
+        assert!(err.to_string().contains("meta self-check"), "{err}");
+        let mut bad = mutated_meta(2);
+        if let Some(delta) = &mut bad.delta {
+            delta.segments[0].len += 1;
+        }
+        let err = GridMeta::from_bytes(&bad.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("meta self-check"), "{err}");
 
         // Resealing legitimizes the change again.
         let mut ok = sealed_meta();

@@ -378,7 +378,10 @@ impl GridGraph {
         }
         let mut degrees = decode_u32s(&bytes)?;
         if let Some(overlay) = &self.overlay {
-            overlay.patch_degrees(&mut degrees);
+            // The patch is a merge over the base table: like every merge,
+            // it stands on the bytes the sealed meta records.
+            crate::delta::check_base_object(&self.meta, &self.prefix, DEGREES_KEY, &bytes)?;
+            overlay.patch_degrees(&mut degrees)?;
         }
         Ok(degrees)
     }

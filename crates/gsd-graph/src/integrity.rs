@@ -22,19 +22,18 @@ fn invalid(msg: impl Into<String>) -> std::io::Error {
 }
 
 /// Verifies every object of the grid at `prefix` against its manifest.
-/// On a mutated grid (one with a delta section) the pass also
-/// verifies every delta segment against the epoch manifest's own
-/// integrity section, so the report speaks for the whole logical grid.
+/// On a mutated grid the pass also verifies every live delta segment
+/// against its entry in the meta's delta section, so the report speaks
+/// for the whole logical grid.
 /// Read-only; reads are unaccounted (maintenance, not workload I/O).
 pub fn scrub_grid(storage: &dyn Storage, prefix: &str) -> std::io::Result<(GridMeta, ScrubReport)> {
     let bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
     let meta = GridMeta::from_bytes(&bytes)?;
-    let mut report = scrub_objects(storage, prefix, &meta.integrity);
-    if meta.delta.is_some() {
-        let manifest = crate::delta::read_manifest(storage, prefix, &meta)?;
+    let mut report = scrub_objects(storage, prefix, &meta.integrity.objects);
+    if let Some(delta) = &meta.delta {
         report
             .objects
-            .extend(scrub_objects(storage, prefix, &manifest.segments).objects);
+            .extend(scrub_objects(storage, prefix, &delta.segments).objects);
     }
     Ok((meta, report))
 }
@@ -138,7 +137,7 @@ pub fn repair_grid(
     }
     storage.sync()?;
 
-    let after = scrub_objects(storage, prefix, section);
+    let after = scrub_objects(storage, prefix, &section.objects);
     if !after.is_clean() {
         return Err(invalid(format!(
             "grid {prefix:?} still corrupt after repair ({} bad objects)",

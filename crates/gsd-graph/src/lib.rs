@@ -35,7 +35,7 @@ pub mod rng;
 pub mod types;
 
 pub use csr::Csr;
-pub use delta::{DeltaManifest, DeltaOp, DeltaOverlay};
+pub use delta::{DeltaOp, DeltaOverlay};
 pub use format::{block_edges_key, DeltaSection, GridMeta, DEGREES_KEY, FORMAT_VERSION, META_KEY};
 pub use generators::{GeneratorConfig, GraphKind};
 pub use graph::{Graph, GraphBuilder};

@@ -29,7 +29,8 @@ pub enum CorruptionKind {
     },
     /// Object listed in the manifest does not exist at all.
     Missing,
-    /// The manifest itself failed its self-check (section or meta CRC).
+    /// The manifest itself failed its self-check (meta CRC, algorithm or
+    /// entry order).
     ManifestCorrupt {
         /// Human-readable description of the self-check failure.
         reason: String,
@@ -173,7 +174,7 @@ mod tests {
         assert!(text.contains("796"), "{text}");
         let err = CorruptionError::missing("blocks/r_1.ridx");
         assert!(err.to_string().contains("missing"));
-        let err = CorruptionError::manifest("meta.json", "section crc mismatch");
-        assert!(err.to_string().contains("section crc mismatch"));
+        let err = CorruptionError::manifest("meta.json", "meta self-check crc mismatch");
+        assert!(err.to_string().contains("meta self-check crc mismatch"));
     }
 }

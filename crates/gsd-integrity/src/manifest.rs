@@ -2,12 +2,11 @@
 //!
 //! Every data object the preprocessor writes (block edges, row index,
 //! degrees) gets an [`ObjectEntry`] recording its length and
-//! CRC32. The entries themselves are guarded by `section_crc` (a CRC32
-//! over a canonical byte encoding of the sorted entry list), and the
-//! whole `meta.json` is guarded by `meta_crc` (a CRC32 of the meta
-//! serialized with `meta_crc` zeroed — computed and checked by the format
-//! layer in `gsd-graph`, which owns meta serialization). A flipped bit in
-//! the manifest is therefore as detectable as a flipped bit in a block.
+//! CRC32. The whole `meta.json`, entries included, is guarded by
+//! `meta_crc` (a CRC32 of the meta serialized with `meta_crc` zeroed —
+//! computed and checked by the format layer in `gsd-graph`, which owns
+//! meta serialization). A flipped bit in the manifest is therefore as
+//! detectable as a flipped bit in a block.
 
 use crate::error::CorruptionError;
 use crate::hash::crc32;
@@ -80,26 +79,9 @@ pub struct IntegritySection {
     pub algo: String,
     /// One entry per data object, sorted by key.
     pub objects: Vec<ObjectEntry>,
-    /// CRC32 over the canonical encoding of `objects`.
-    pub section_crc: u32,
     /// CRC32 of the whole `meta.json` serialized with this field zeroed.
     /// Set by the format layer when the meta is sealed; `0` until then.
     pub meta_crc: u32,
-}
-
-/// Canonical byte encoding the section CRC is computed over: for each
-/// entry in key order, `key` bytes, a `0x00` separator, `len` as 8 LE
-/// bytes, `crc` as 4 LE bytes. Keys never contain NUL (storage rejects
-/// them), so the encoding is unambiguous.
-fn canonical_bytes(objects: &[ObjectEntry]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(objects.iter().map(|o| o.key.len() + 13).sum());
-    for obj in objects {
-        bytes.extend_from_slice(obj.key.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&obj.len.to_le_bytes());
-        bytes.extend_from_slice(&obj.crc.to_le_bytes());
-    }
-    bytes
 }
 
 impl IntegritySection {
@@ -108,20 +90,27 @@ impl IntegritySection {
     /// filled in by the format layer once the rest of the meta is final.
     pub fn new(mut objects: Vec<ObjectEntry>) -> Self {
         objects.sort_by(|a, b| a.key.cmp(&b.key));
-        let section_crc = crc32(&canonical_bytes(&objects));
         IntegritySection {
             algo: "crc32".to_string(),
             objects,
-            section_crc,
             meta_crc: 0,
         }
     }
 
-    /// The canonical byte encoding of the entry list (what `section_crc`
-    /// covers): hashing it names every object's key, length and checksum
-    /// at once.
+    /// A canonical byte encoding of the entry list — for each entry in
+    /// key order, `key` bytes, a `0x00` separator, `len` as 8 LE bytes,
+    /// `crc` as 4 LE bytes (keys never contain NUL; storage rejects
+    /// them) — so hashing it names every object's key, length and
+    /// checksum at once.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        canonical_bytes(&self.objects)
+        let mut bytes = Vec::with_capacity(self.objects.iter().map(|o| o.key.len() + 13).sum());
+        for obj in &self.objects {
+            bytes.extend_from_slice(obj.key.as_bytes());
+            bytes.push(0);
+            bytes.extend_from_slice(&obj.len.to_le_bytes());
+            bytes.extend_from_slice(&obj.crc.to_le_bytes());
+        }
+        bytes
     }
 
     /// Looks up the entry for a prefix-relative key.
@@ -147,9 +136,10 @@ impl IntegritySection {
         self.objects.iter().map(|o| o.len).sum()
     }
 
-    /// Self-checks the section: the algorithm must be known, the entries
-    /// sorted and unique, and `section_crc` must match their canonical
-    /// encoding. `meta_key` only labels the error.
+    /// Self-checks the section: the algorithm must be known and the
+    /// entries sorted and unique ([`Self::lookup`] binary-searches them).
+    /// The entries' bytes are covered by `meta_crc`. `meta_key` only
+    /// labels the error.
     pub fn verify_section(&self, meta_key: &str) -> Result<(), CorruptionError> {
         if self.algo != "crc32" {
             return Err(CorruptionError::manifest(
@@ -167,16 +157,6 @@ impl IntegritySection {
                     ),
                 ));
             }
-        }
-        let actual = crc32(&self.canonical_bytes());
-        if actual != self.section_crc {
-            return Err(CorruptionError::manifest(
-                meta_key,
-                format!(
-                    "integrity section crc mismatch (recorded {:#010x}, computed {actual:#010x})",
-                    self.section_crc
-                ),
-            ));
         }
         Ok(())
     }
@@ -259,15 +239,6 @@ mod tests {
 
     #[test]
     fn self_check_catches_entry_tampering() {
-        let mut section = sample();
-        section.objects[1].crc ^= 1;
-        let err = section.verify_section("meta.json").unwrap_err();
-        assert!(err.to_string().contains("section crc"), "{err}");
-
-        let mut section = sample();
-        section.objects[0].len += 1;
-        assert!(section.verify_section("meta.json").is_err());
-
         let mut section = sample();
         section.objects.swap(0, 2);
         let err = section.verify_section("meta.json").unwrap_err();

@@ -1,13 +1,14 @@
 //! Offline whole-grid verification (the storage-level half of
 //! `gsd scrub`).
 //!
-//! Scrubbing walks the manifest and checks every covered object's length
-//! and CRC32, producing a per-object report. It is read-only; *repair*
+//! Scrubbing walks a list of [`ObjectEntry`]s — a meta's integrity
+//! entries, a delta section's segments — and checks every covered
+//! object's length and CRC32, producing a per-object report. It is read-only; *repair*
 //! (re-deriving corrupt objects from the source edge list) lives in
 //! `gsd-graph`, which owns the grid format and can rebuild payloads.
 
 use crate::error::CorruptionKind;
-use crate::manifest::IntegritySection;
+use crate::manifest::ObjectEntry;
 use gsd_io::Storage;
 
 /// Scrub result for one object.
@@ -55,17 +56,12 @@ impl ScrubReport {
     }
 }
 
-/// Checks every manifest-covered object of the grid at `prefix`. Reads
-/// are unaccounted: a scrub is an offline maintenance pass, not workload
-/// I/O. The manifest itself is assumed already self-checked (the format
-/// layer does that when it parses `meta.json`).
-pub fn scrub_objects(
-    storage: &dyn Storage,
-    prefix: &str,
-    section: &IntegritySection,
-) -> ScrubReport {
-    let objects = section
-        .objects
+/// Checks every object `entries` covers under `prefix`. Reads are
+/// unaccounted: a scrub is an offline maintenance pass, not workload
+/// I/O. The entries themselves are assumed already self-checked (the
+/// format layer does that when it parses `meta.json`).
+pub fn scrub_objects(storage: &dyn Storage, prefix: &str, entries: &[ObjectEntry]) -> ScrubReport {
+    let objects = entries
         .iter()
         .map(|entry| ObjectReport {
             key: entry.key.clone(),
@@ -82,10 +78,9 @@ pub fn scrub_objects(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::ObjectEntry;
     use gsd_io::MemStorage;
 
-    fn setup() -> (MemStorage, IntegritySection) {
+    fn setup() -> (MemStorage, Vec<ObjectEntry>) {
         let storage = MemStorage::new();
         let payloads: Vec<(&str, Vec<u8>)> = vec![
             ("blocks/b_0_0.edges", (0u8..50).collect()),
@@ -97,13 +92,13 @@ mod tests {
             storage.create(&format!("g/{rel}"), payload).unwrap();
             entries.push(ObjectEntry::of(rel.to_string(), payload));
         }
-        (storage, IntegritySection::new(entries))
+        (storage, entries)
     }
 
     #[test]
     fn clean_grid_scrubs_clean() {
-        let (storage, section) = setup();
-        let report = scrub_objects(&storage, "g/", &section);
+        let (storage, entries) = setup();
+        let report = scrub_objects(&storage, "g/", &entries);
         assert!(report.is_clean());
         assert_eq!(report.counts(), (3, 0));
         assert_eq!(report.bytes_checked(), 50 + 12 + 32);
@@ -111,13 +106,13 @@ mod tests {
 
     #[test]
     fn each_corruption_class_is_reported() {
-        let (storage, section) = setup();
+        let (storage, entries) = setup();
         storage
             .write_at("g/blocks/b_0_0.edges", 10, &[0xFF])
             .unwrap();
         storage.create("g/degrees.bin", &[1u8; 30]).unwrap();
         storage.delete("g/blocks/r_0.ridx").unwrap();
-        let report = scrub_objects(&storage, "g/", &section);
+        let report = scrub_objects(&storage, "g/", &entries);
         assert!(!report.is_clean());
         assert_eq!(report.counts(), (0, 3));
         let by_key = |k: &str| {
@@ -145,9 +140,9 @@ mod tests {
 
     #[test]
     fn scrub_reads_are_unaccounted() {
-        let (storage, section) = setup();
+        let (storage, entries) = setup();
         let before = storage.stats().snapshot();
-        scrub_objects(&storage, "g/", &section);
+        scrub_objects(&storage, "g/", &entries);
         assert_eq!(storage.stats().snapshot(), before);
     }
 }

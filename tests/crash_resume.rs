@@ -24,8 +24,8 @@ use graphsd::baselines::{
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig, RecoveryConfig};
 use graphsd::delta::{compact, ingest, MutationBatch};
 use graphsd::graph::{
-    preprocess, scrub_grid, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig,
-    VerifyPolicy,
+    preprocess, scrub_grid, GeneratorConfig, Graph, GraphKind, GridGraph, GridMeta,
+    PreprocessConfig, VerifyPolicy, META_KEY,
 };
 use graphsd::io::{DiskModel, FileStorage, MemStorage, SharedStorage, SimDisk, TempDir};
 use graphsd::recover::{
@@ -506,7 +506,8 @@ fn batch_over_every_block(
 /// Accepts what a reader got after a kill when it is the graph it must
 /// see or one of the structured errors a torn write leaves behind (a
 /// checksum mismatch, or an overlay whose merged counts disagree with
-/// its manifest — both `InvalidData`); otherwise says what it got.
+/// the meta's delta section — both `InvalidData`); otherwise says what
+/// it got.
 fn judge(read: std::io::Result<Vec<(u32, u32)>>, want: &[(u32, u32)]) -> Result<(), String> {
     match read {
         Ok(edges) if edges == want => Ok(()),
@@ -516,10 +517,30 @@ fn judge(read: std::io::Result<Vec<(u32, u32)>>, want: &[(u32, u32)]) -> Result<
     }
 }
 
+/// The `delta/` keys of a grid the meta does not name, and how many
+/// `delta/` keys it holds.
+fn unnamed_segments(storage: &SharedStorage) -> (Vec<String>, usize) {
+    let meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+    let named: Vec<String> = meta
+        .delta
+        .map(|delta| delta.segments.into_iter().map(|e| e.key).collect())
+        .unwrap_or_default();
+    let delta: Vec<String> = storage
+        .list_keys()
+        .into_iter()
+        .filter(|k| k.starts_with("delta/"))
+        .collect();
+    let total = delta.len();
+    (
+        delta.into_iter().filter(|k| !named.contains(k)).collect(),
+        total,
+    )
+}
+
 /// Kills every data op (`create`, `read_at`, `write_at`, `sync`) of one
-/// `ingest` in turn, on a fresh copy of the grid each time. `delete` is
-/// not a faultable op: ingest deletes the previous manifest only after
-/// its commit point (the resealed meta), as cleanup.
+/// `ingest` in turn, on a fresh copy of the grid each time. Ingest
+/// deletes nothing: a kill leaves at most the new epoch's segment
+/// unnamed, and the re-run names it.
 #[test]
 fn every_ingest_crash_leaves_the_old_or_the_new_epoch() {
     let g = GeneratorConfig::new(GraphKind::RMat, 200, 1200, 53).generate();
@@ -548,8 +569,16 @@ fn every_ingest_crash_leaves_the_old_or_the_new_epoch() {
         );
         let (_, scrub) = scrub_grid(storage.as_ref(), "").unwrap();
         assert!(scrub.is_clean(), "kill at op {k}/{total}: {scrub:?}");
+        let (unnamed, _) = unnamed_segments(&storage);
+        assert!(unnamed.len() <= 1, "kill at op {k}/{total}: {unnamed:?}");
         ingest(storage.as_ref(), "", &batch, sink.as_ref())
             .unwrap_or_else(|e| panic!("kill at op {k}/{total}: the re-run fails: {e}"));
+        // A kill at the last sync lands after the commit, so the re-run
+        // commits one more epoch: either way, one segment per epoch.
+        let (unnamed, held) = unnamed_segments(&storage);
+        assert!(unnamed.is_empty(), "kill at op {k}/{total}: {unnamed:?}");
+        let epochs = GridGraph::open(storage.clone()).unwrap().delta_epoch();
+        assert_eq!(held as u64, epochs, "kill at op {k}/{total}: one per epoch");
     }
 }
 
@@ -558,7 +587,7 @@ fn every_ingest_crash_leaves_the_old_or_the_new_epoch() {
 /// `open`, and through a following `ingest` and `open`. Each must give
 /// the graph a reader must see or an `InvalidData` error. `delete` is not
 /// a faultable op: compaction deletes the folded segments only after the
-/// emptied manifest is durable, as cleanup.
+/// resealed meta is durable, as cleanup.
 #[test]
 fn every_compaction_crash_leaves_the_same_graph_or_a_structured_error() {
     let g = GeneratorConfig::new(GraphKind::RMat, 200, 1200, 53).generate();

@@ -1,11 +1,12 @@
 //! One writer, one index: what a grid consists of on disk, that the
 //! three programs that produce rows — `preprocess`, `repair_grid` and
-//! `compact` — produce the same ones, that the counting layout writes
-//! the bytes the order's definition does, and that the grid's JSON
-//! metadata round-trips at sizes far past the benchmark's.
+//! `compact` — produce the same ones, what `ingest` and `compact` write
+//! and sync, that the counting layout writes the bytes the order's
+//! definition does, and that the grid's JSON metadata round-trips at
+//! sizes far past the benchmark's.
 
 use graphsd::delta::{compact, ingest, MutationBatch};
-use graphsd::graph::delta::{manifest_key, segment_key, DeltaManifest};
+use graphsd::graph::delta::segment_key;
 use graphsd::graph::format::row_index_key;
 use graphsd::graph::layout::{bucket_edges, row_keys, row_objects};
 use graphsd::graph::rng::Xoshiro256;
@@ -15,7 +16,8 @@ use graphsd::graph::{
     DEGREES_KEY, FORMAT_VERSION, META_KEY,
 };
 use graphsd::integrity::{IntegritySection, ObjectEntry};
-use graphsd::io::{MemStorage, SharedStorage};
+use graphsd::io::{IoStats, MemStorage, SharedStorage, Storage};
+use graphsd::trace::Counter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -106,9 +108,95 @@ fn repair_restores_a_lost_row_and_a_flipped_block_in_every_order() {
     }
 }
 
+/// Forwards every op to `inner` and counts the syncs.
+struct SyncCounting {
+    inner: SharedStorage,
+    syncs: Counter,
+}
+
+impl Storage for SyncCounting {
+    fn create(&self, key: &str, data: &[u8]) -> std::io::Result<()> {
+        self.inner.create(key, data)
+    }
+    fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        self.inner.read_at(key, offset, buf)
+    }
+    fn read_unaccounted(&self, key: &str, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        self.inner.read_unaccounted(key, offset, buf)
+    }
+    fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> std::io::Result<()> {
+        self.inner.write_at(key, offset, data)
+    }
+    fn len(&self, key: &str) -> std::io::Result<u64> {
+        self.inner.len(key)
+    }
+    fn exists(&self, key: &str) -> bool {
+        self.inner.exists(key)
+    }
+    fn delete(&self, key: &str) -> std::io::Result<()> {
+        self.inner.delete(key)
+    }
+    fn list_keys(&self) -> Vec<String> {
+        self.inner.list_keys()
+    }
+    fn stats(&self) -> Arc<IoStats> {
+        self.inner.stats()
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        self.syncs.add(1);
+        self.inner.sync()
+    }
+}
+
+fn sync_counting(inner: SharedStorage) -> Arc<SyncCounting> {
+    Arc::new(SyncCounting {
+        inner,
+        syncs: Counter::new(),
+    })
+}
+
+/// One ingest writes two objects — the batch's segment and the resealed
+/// meta — and syncs twice, however many sub-blocks the batch touches:
+/// here all `P²`. The grid then holds one `delta/` object per live epoch.
+#[test]
+fn an_ingest_writes_two_objects_and_syncs_twice() {
+    let storage = grid_in(BlockOrder::BySource, "");
+    let intervals = GridGraph::open(storage.clone())
+        .unwrap()
+        .intervals()
+        .clone();
+    let mut batch = MutationBatch::new();
+    for i in 0..P {
+        for j in 0..P {
+            batch.insert(intervals.range(i).start, intervals.range(j).start, 1.0);
+        }
+    }
+    let counting = sync_counting(storage.clone());
+    let sink = graphsd::trace::null_sink();
+    for epoch in 1..=2u64 {
+        let io_before = storage.stats().snapshot();
+        let syncs_before = counting.syncs.get();
+        let report = ingest(counting.as_ref(), "", &batch, sink.as_ref()).unwrap();
+        let io = storage.stats().snapshot().since(&io_before);
+        assert_eq!(report.segments, 1);
+        assert_eq!(io.write_ops, 2, "epoch {epoch}");
+        assert_eq!(counting.syncs.get() - syncs_before, 2, "epoch {epoch}");
+        let overlay = GridGraph::open(storage.clone()).unwrap();
+        assert_eq!(overlay.overlay().unwrap().block_count() as u32, P * P);
+        let delta: Vec<String> = storage
+            .list_keys()
+            .into_iter()
+            .filter(|k| k.starts_with("delta/"))
+            .collect();
+        let want: Vec<String> = (1..=epoch).map(|e| segment_key("", e)).collect();
+        assert_eq!(delta, want, "one segment per live epoch");
+    }
+}
+
 /// A batch confined to two rows: compaction rewrites the merged edge
-/// objects, those two rows' indexes and the degree table, and creates
-/// nothing else but the emptied manifest and the resealed meta.
+/// objects, those two rows' indexes and the degree table, creates
+/// nothing else but the resealed meta, syncs twice and leaves `delta/`
+/// empty.
 #[test]
 fn compaction_rewrites_only_the_rows_a_batch_touched() {
     let storage = grid_in(BlockOrder::BySource, "");
@@ -127,15 +215,21 @@ fn compaction_rewrites_only_the_rows_a_batch_touched() {
 
     let before = contents(&storage);
     let io_before = storage.stats().snapshot();
-    let report = compact(&storage, "", sink.as_ref()).unwrap().unwrap();
+    let counting = sync_counting(storage.clone());
+    let counted: SharedStorage = counting.clone();
+    let report = compact(&counted, "", sink.as_ref()).unwrap().unwrap();
     let io = storage.stats().snapshot().since(&io_before);
 
     // 3 merged edge objects + 2 row indexes + degrees.bin.
     assert_eq!(report.objects_rewritten, 6);
     let after = contents(&storage);
-    let commit = after[&manifest_key("", report.epoch)].len() + after[META_KEY].len();
-    assert_eq!(io.write_ops, report.objects_rewritten + 2);
-    assert_eq!(io.write_bytes, report.bytes_rewritten + commit as u64);
+    assert_eq!(io.write_ops, report.objects_rewritten + 1);
+    assert_eq!(
+        io.write_bytes,
+        report.bytes_rewritten + after[META_KEY].len() as u64
+    );
+    assert_eq!(counting.syncs.get(), 2);
+    assert!(after.keys().all(|k| !k.starts_with("delta/")));
     for i in [1, 3] {
         for key in row_keys(i, P, BlockOrder::BySource) {
             assert_eq!(after[&key], before[&key], "{key} of untouched row {i}");
@@ -268,12 +362,12 @@ fn rows_are_byte_identical_to_a_comparison_sorted_reference() {
     }
 }
 
-/// The two JSON objects every open of a mutated grid parses, at sizes far
-/// past the benchmark's: a P = 64 meta (4 161 integrity entries) and a
-/// manifest naming 20 000 live segments. Both come back equal. A parser
-/// that is quadratic in the document (one UTF-8 validation of the rest
-/// of the input per string character) takes minutes here in a debug
-/// build.
+/// The one JSON object every open of a grid parses, at sizes far past
+/// the benchmark's: a P = 64 meta (4 161 integrity entries) whose delta
+/// section names 20 000 live segments and P² merged counts. It comes
+/// back equal. A parser that is quadratic in the document (one UTF-8
+/// validation of the rest of the input per string character) takes
+/// minutes here in a debug build.
 #[test]
 fn large_metadata_roundtrips() {
     let p = 64u32;
@@ -297,28 +391,17 @@ fn large_metadata_roundtrips() {
         boundaries: (0..=p).map(|k| k * 1000).collect(),
         block_edge_counts: counts.clone(),
         integrity: IntegritySection::new(objects),
-        delta: Some(DeltaSection { epoch: 5 }),
+        delta: Some(DeltaSection {
+            epoch: 20_000,
+            segments: (1..=20_000u64)
+                .map(|epoch| ObjectEntry::of(segment_key("", epoch), &epoch.to_le_bytes()))
+                .collect(),
+            merged_block_edge_counts: counts.iter().map(|c| c + 1).collect(),
+        }),
     };
     meta.seal();
     assert_eq!(meta.integrity.len(), 64 * 64 + 64 + 1);
-    assert_eq!(GridMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
-
-    let segments = (0..20_000u64)
-        .map(|k| {
-            let (epoch, b) = (1 + k / blocks, (k % blocks) as u32);
-            ObjectEntry::of(segment_key("", epoch, b / p, b % p), &k.to_le_bytes())
-        })
-        .collect();
-    let degree_vertices: Vec<u32> = (0..num_vertices).step_by(3).collect();
-    let manifest = DeltaManifest {
-        epoch: 5,
-        segments: IntegritySection::new(segments),
-        merged_num_edges: counts.iter().sum(),
-        merged_block_edge_counts: counts,
-        degree_values: degree_vertices.iter().map(|v| v % 11).collect(),
-        degree_vertices,
-    };
-    let back = DeltaManifest::from_bytes(&manifest.to_bytes(), 5, p).unwrap();
-    assert_eq!(back.segments.len(), 20_000);
-    assert_eq!(back, manifest);
+    let back = GridMeta::from_bytes(&meta.to_bytes()).unwrap();
+    assert_eq!(back.delta.as_ref().unwrap().segments.len(), 20_000);
+    assert_eq!(back, meta);
 }

@@ -15,19 +15,22 @@
 //! 5. **Nothing built on bad bytes** — `ingest` checks every base object
 //!    it merges against the sealed meta, so a corrupt one fails the batch
 //!    before an epoch is written; opening a mutated grid checks every
-//!    delta segment the same way.
+//!    delta segment the same way, and refuses a segment whose records do
+//!    not fit the grid even when its bytes match.
 
 use graphsd::algos::{Bfs, PageRank};
 use graphsd::baselines::{
     build_hus_format, build_lumos_format, GridStreamEngine, HusGraphEngine, LumosEngine,
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
-use graphsd::delta::{ingest, MutationBatch};
+use graphsd::delta::{compact, ingest, MutationBatch};
+use graphsd::graph::delta::{encode_segment, segment_key};
 use graphsd::graph::{
-    block_edges_key, preprocess, repair_grid, scrub_grid, GeneratorConfig, Graph, GraphKind,
-    GridGraph, GridMeta, PreprocessConfig, VerifyPolicy, DEGREES_KEY, META_KEY,
+    block_edges_key, preprocess, repair_grid, scrub_grid, DeltaOp, DeltaSection, Edge,
+    GeneratorConfig, Graph, GraphKind, GridGraph, GridMeta, PreprocessConfig, VerifyPolicy,
+    DEGREES_KEY, META_KEY,
 };
-use graphsd::integrity::CorruptionError;
+use graphsd::integrity::{CorruptionError, IntegritySection, ObjectEntry};
 use graphsd::io::{DiskModel, MemStorage, SharedStorage, SimDisk};
 use graphsd::recover::{corrupt_object, CorruptionMode};
 use graphsd::runtime::{Engine, RunOptions, RunResult};
@@ -322,27 +325,40 @@ fn ingest_over_a_corrupt_base_object_fails_and_commits_nothing() {
     batch.insert(intervals.range(i).start, intervals.range(j).start, 1.0);
     drop(grid);
 
-    for key in [block.as_str(), DEGREES_KEY] {
+    let sink = graphsd::trace::null_sink();
+    {
         let (storage, _) = grid_on_fresh_disk(&g, 4);
         let meta_before = storage.read_all(META_KEY).unwrap();
-        corrupt_object(storage.as_ref(), key, CorruptionMode::BitFlip, 13).unwrap();
-        let sink = graphsd::trace::null_sink();
+        corrupt_object(storage.as_ref(), &block, CorruptionMode::BitFlip, 13).unwrap();
         let err = ingest(storage.as_ref(), "", &batch, sink.as_ref()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{key}: {err}");
-        assert!(err.to_string().contains(key), "{key}: {err}");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&block), "{err}");
         assert_eq!(
             storage.read_all(META_KEY).unwrap(),
             meta_before,
-            "{key}: the sealed meta names no new epoch"
+            "the sealed meta names no new epoch"
         );
         assert!(
             storage.list_keys().iter().all(|k| !k.starts_with("delta/")),
-            "{key}: no segment or manifest written"
+            "no segment written"
         );
         assert_eq!(GridGraph::open(storage).unwrap().delta_epoch(), 0);
     }
+    // Ingest never reads the degree table: the degree patch is derived
+    // at open, and merged over the table when a reader loads it — which
+    // checks the table first.
+    {
+        let (storage, _) = grid_on_fresh_disk(&g, 4);
+        corrupt_object(storage.as_ref(), DEGREES_KEY, CorruptionMode::BitFlip, 13).unwrap();
+        ingest(storage.as_ref(), "", &batch, sink.as_ref()).unwrap();
+        let err = GridGraph::open(storage)
+            .unwrap()
+            .load_out_degrees()
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(DEGREES_KEY), "{err}");
+    }
     // The same batch over the clean grid commits epoch 1.
-    let sink = graphsd::trace::null_sink();
     assert_eq!(
         ingest(storage.as_ref(), "", &batch, sink.as_ref())
             .unwrap()
@@ -378,4 +394,138 @@ fn a_corrupt_delta_segment_fails_open_with_a_structured_error() {
     let c = CorruptionError::from_io(&err)
         .unwrap_or_else(|| panic!("expected a structured corruption error, got {err}"));
     assert_eq!(c.key, segment);
+}
+
+/// Names `segments` — `(key epoch, payload)` — in a resealed meta of the
+/// grid in `storage` at `epoch`, with merged counts `merged`: what a
+/// buggy writer could commit, each object matching its entry.
+fn commit_segments(
+    storage: &SharedStorage,
+    epoch: u64,
+    segments: &[(u64, Vec<u8>)],
+    merged: &[u64],
+) {
+    let mut meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+    let mut entries = Vec::new();
+    for (key_epoch, payload) in segments {
+        let key = segment_key("", *key_epoch);
+        storage.create(&key, payload).unwrap();
+        entries.push(ObjectEntry::of(key, payload));
+    }
+    meta.delta = Some(DeltaSection {
+        epoch,
+        segments: entries,
+        merged_block_edge_counts: merged.to_vec(),
+    });
+    meta.seal();
+    storage.create(META_KEY, &meta.to_bytes()).unwrap();
+}
+
+/// A segment is untrusted input even when its bytes match its entry in
+/// the sealed meta. Each hostile case is an `InvalidData` error — never a
+/// panic — on `open` and on `ingest`; a merged degree that leaves `u32`
+/// can only be seen where a degree is formed (a degree load, and the
+/// compaction that rewrites the table), since ingest never reads one.
+#[test]
+fn hostile_segments_are_invalid_data_on_open_and_ingest() {
+    let g = test_graph();
+    let n = g.num_vertices();
+    let insert = |src, dst| DeltaOp::Insert(Edge::new(src, dst));
+    let patched = |at: usize, byte: u8| {
+        let mut bytes = encode_segment(1, &[insert(0, 1)]);
+        bytes[at] = byte;
+        bytes
+    };
+    type Case = (&'static str, u64, Vec<(u64, Vec<u8>)>);
+    let cases: Vec<Case> = vec![
+        (
+            "vertex >= |V|",
+            1,
+            vec![(1, encode_segment(1, &[insert(0, n)]))],
+        ),
+        ("unknown op tag", 1, vec![(1, patched(20, 7))]),
+        ("count disagrees with length", 1, vec![(1, patched(16, 2))]),
+        (
+            "epochs not strictly increasing",
+            2,
+            vec![
+                (2, encode_segment(2, &[insert(0, 1)])),
+                (1, encode_segment(1, &[insert(0, 2)])),
+            ],
+        ),
+        (
+            "epoch beyond the meta's",
+            1,
+            vec![(3, encode_segment(3, &[insert(0, 1)]))],
+        ),
+    ];
+    let sink = graphsd::trace::null_sink();
+    let mut batch = MutationBatch::new();
+    batch.insert(1, 2, 1.0);
+    let is_invalid = |what: &str, step: &str, got: std::io::Result<()>| match got {
+        Err(err) => assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{what}: {step}: {err}"
+        ),
+        Ok(()) => panic!("{what}: {step} accepted a hostile segment"),
+    };
+    for (what, epoch, segments) in cases {
+        let storage: SharedStorage = Arc::new(MemStorage::new());
+        preprocess(
+            &g,
+            storage.as_ref(),
+            &PreprocessConfig::graphsd("").with_intervals(3),
+        )
+        .unwrap();
+        let base = GridGraph::open(storage.clone())
+            .unwrap()
+            .meta()
+            .block_edge_counts
+            .clone();
+        commit_segments(&storage, epoch, &segments, &base);
+        is_invalid(what, "open", GridGraph::open(storage.clone()).map(drop));
+        is_invalid(
+            what,
+            "ingest",
+            ingest(storage.as_ref(), "", &batch, sink.as_ref()).map(drop),
+        );
+    }
+
+    // A degree table that says vertex 0 already has u32::MAX out-edges,
+    // resealed so its checksum holds, under one more insert from 0.
+    let storage: SharedStorage = Arc::new(MemStorage::new());
+    preprocess(
+        &g,
+        storage.as_ref(),
+        &PreprocessConfig::graphsd("").with_intervals(3),
+    )
+    .unwrap();
+    let mut meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+    let mut degrees = storage.read_all(DEGREES_KEY).unwrap();
+    degrees[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+    storage.create(DEGREES_KEY, &degrees).unwrap();
+    let mut objects = meta.integrity.objects.clone();
+    objects.retain(|e| e.key != DEGREES_KEY);
+    objects.push(ObjectEntry::of(DEGREES_KEY, &degrees));
+    meta.integrity = IntegritySection::new(objects);
+    meta.seal();
+    storage.create(META_KEY, &meta.to_bytes()).unwrap();
+    let mut merged = meta.block_edge_counts.clone();
+    let intervals = meta.intervals();
+    merged[(intervals.interval_of(0) * meta.p + intervals.interval_of(1)) as usize] += 1;
+    commit_segments(
+        &storage,
+        1,
+        &[(1, encode_segment(1, &[insert(0, 1)]))],
+        &merged,
+    );
+    let what = "merged degree leaves u32";
+    let grid = GridGraph::open(storage.clone()).unwrap();
+    is_invalid(what, "degree load", grid.load_out_degrees().map(drop));
+    is_invalid(
+        what,
+        "compact",
+        compact(&storage, "", sink.as_ref()).map(drop),
+    );
 }

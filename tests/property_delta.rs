@@ -114,10 +114,16 @@ fn scratch_values<P: VertexProgram>(grid: GridGraph, program: &P) -> Vec<P::Valu
 /// Every non-delta object of the mutated, fully-compacted grid must be
 /// byte-identical to the same key in a from-scratch preprocess of the
 /// final edge list over the same boundaries. (`meta.json` is excluded —
-/// it legitimately differs by the delta epoch — `delta/` holds only the
-/// emptied manifest, and `runtime/` is engine scratch from the analytic
-/// runs above, not part of the grid format.)
+/// it legitimately differs by the delta epoch — `delta/` must be empty,
+/// and `runtime/` is engine scratch from the analytic runs above, not
+/// part of the grid format.)
 fn assert_payloads_match(mutated: &SharedStorage, final_graph: &Graph, boundaries: Vec<u32>) {
+    let delta: Vec<String> = mutated
+        .list_keys()
+        .into_iter()
+        .filter(|k| k.starts_with("delta/"))
+        .collect();
+    assert!(delta.is_empty(), "compaction left {delta:?}");
     let reference: SharedStorage = Arc::new(MemStorage::new());
     let config = PreprocessConfig {
         boundaries: Some(boundaries),
