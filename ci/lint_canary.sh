@@ -7,8 +7,8 @@
 # environment ban (configuration is a value). A ban that silently stopped
 # firing (a renamed lint, a dropped `deny`, a clippy.toml entry deleted or
 # no longer picked up) would leave the tree "clean" for the wrong reason,
-# so this script drops one module holding the retired rules' former
-# positive fixtures plus one use of every banned path into a scoped crate,
+# so this script drops one module holding a violation of each retired
+# rule plus one use of every banned path into a scoped crate,
 # requires `cargo clippy -- -D warnings` to FAIL naming every lint and
 # every banned path, and restores the tree. It then drops one truncating
 # cast into each other crate whose root denies `cast_possible_truncation`
@@ -46,7 +46,7 @@ trap restore EXIT
 
 cat > "$canary" <<'EOF'
 //! ci/lint_canary.sh: one violation per toolchain-enforced ban. Each
-//! module is the former `pos.rs` fixture of the gsd-lint rule it names.
+//! module is named after the retired rule id whose ban it breaks.
 
 /// Retired GSD001 (+ the two macros its fixture never listed).
 pub mod gsd001 {

@@ -10,7 +10,7 @@
 #![expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "designated concurrency and file module: SimDisk/FileStorage interior locking (object map, head cursor), and FileStorage is the one place graph data touches std::fs"
+    reason = "designated concurrency and file module: MemStorage/FileStorage interior locking (object map, read cursors), and FileStorage is the one place graph data touches std::fs"
 )]
 
 use crate::model::DiskModel;
@@ -169,33 +169,30 @@ fn nanos(cost: Duration) -> u64 {
     u64::try_from(cost.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Tracks, per key, where the previous read and write ended, so requests can
-/// be classified sequential vs random without trusting caller hints.
-#[derive(Default)]
-struct Cursors {
-    read_end: BTreeMap<String, u64>,
-    write_end: BTreeMap<String, u64>,
-}
+/// Tracks, per key, where the previous read ended, so reads can be
+/// classified sequential vs random without trusting caller hints.
+struct Cursors(Mutex<BTreeMap<String, u64>>);
 
 impl Cursors {
-    /// Returns `true` when a read at `offset` is discontiguous (a seek).
-    fn note_read(&mut self, key: &str, offset: u64, len: u64) -> bool {
-        let end = self.read_end.entry(key.to_owned()).or_insert(u64::MAX);
-        let discontiguous = *end != offset;
-        *end = offset.saturating_add(len);
+    fn new() -> Self {
+        Cursors(Mutex::new(BTreeMap::new()))
+    }
+
+    /// Classifies a completed read of `len` bytes at `offset`, counts it
+    /// in `stats`, and returns `true` when it was discontiguous (a seek).
+    fn count_read(&self, stats: &IoStats, key: &str, offset: u64, len: u64) -> bool {
+        let end = offset.saturating_add(len);
+        let discontiguous = self.0.lock().insert(key.to_owned(), end) != Some(offset);
+        if discontiguous {
+            stats.record_rand_read(len);
+        } else {
+            stats.record_seq_read(len);
+        }
         discontiguous
     }
 
-    fn note_write(&mut self, key: &str, offset: u64, len: u64) -> bool {
-        let end = self.write_end.entry(key.to_owned()).or_insert(u64::MAX);
-        let discontiguous = *end != offset;
-        *end = offset.saturating_add(len);
-        discontiguous
-    }
-
-    fn forget(&mut self, key: &str) {
-        self.read_end.remove(key);
-        self.write_end.remove(key);
+    fn forget(&self, key: &str) {
+        self.0.lock().remove(key);
     }
 }
 
@@ -206,7 +203,7 @@ impl Cursors {
 /// Purely in-memory backend used by unit tests: full accounting, no timing.
 pub struct MemStorage {
     objects: RwLock<BTreeMap<String, Arc<Vec<u8>>>>,
-    cursors: Mutex<Cursors>,
+    cursors: Cursors,
     stats: Arc<IoStats>,
 }
 
@@ -215,7 +212,7 @@ impl MemStorage {
     pub fn new() -> Self {
         MemStorage {
             objects: RwLock::new(BTreeMap::new()),
-            cursors: Mutex::new(Cursors::default()),
+            cursors: Cursors::new(),
             stats: Arc::new(IoStats::new()),
         }
     }
@@ -227,6 +224,17 @@ impl MemStorage {
             .get(key)
             .cloned()
             .ok_or_else(|| not_found(key))
+    }
+
+    /// Reads `buf.len()` bytes at `offset` of `key` and counts the read;
+    /// `true` when it was discontiguous (a seek). A failed read counts
+    /// nothing and leaves the cursor where it was.
+    fn accounted_read(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<bool> {
+        let obj = self.object(key)?;
+        buf.copy_from_slice(&obj[span(key, offset, buf.len(), obj.len())?]);
+        Ok(self
+            .cursors
+            .count_read(&self.stats, key, offset, buf.len() as u64))
     }
 }
 
@@ -241,20 +249,13 @@ impl Storage for MemStorage {
         self.objects
             .write()
             .insert(key.to_owned(), Arc::new(data.to_vec()));
-        self.cursors.lock().forget(key);
+        self.cursors.forget(key);
         self.stats.record_write(data.len() as u64);
         Ok(())
     }
 
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
-        let obj = self.object(key)?;
-        buf.copy_from_slice(&obj[span(key, offset, buf.len(), obj.len())?]);
-        let discontiguous = self.cursors.lock().note_read(key, offset, buf.len() as u64);
-        if discontiguous {
-            self.stats.record_rand_read(buf.len() as u64);
-        } else {
-            self.stats.record_seq_read(buf.len() as u64);
-        }
+        self.accounted_read(key, offset, buf)?;
         Ok(())
     }
 
@@ -274,12 +275,8 @@ impl Storage for MemStorage {
         if obj.is_empty() {
             return Ok(Vec::new());
         }
-        let discontiguous = self.cursors.lock().note_read(key, 0, obj.len() as u64);
-        if discontiguous {
-            self.stats.record_rand_read(obj.len() as u64);
-        } else {
-            self.stats.record_seq_read(obj.len() as u64);
-        }
+        self.cursors
+            .count_read(&self.stats, key, 0, obj.len() as u64);
         Ok(obj.as_ref().clone())
     }
 
@@ -289,9 +286,6 @@ impl Storage for MemStorage {
         let range = span(key, offset, data.len(), obj.len())?;
         Arc::make_mut(obj)[range].copy_from_slice(data);
         drop(objects);
-        self.cursors
-            .lock()
-            .note_write(key, offset, data.len() as u64);
         self.stats.record_write(data.len() as u64);
         Ok(())
     }
@@ -310,7 +304,7 @@ impl Storage for MemStorage {
 
     fn delete(&self, key: &str) -> crate::Result<()> {
         self.objects.write().remove(key);
-        self.cursors.lock().forget(key);
+        self.cursors.forget(key);
         Ok(())
     }
 
@@ -334,7 +328,7 @@ impl Storage for MemStorage {
 /// directory; `/` in keys creates subdirectories.
 pub struct FileStorage {
     root: PathBuf,
-    cursors: Mutex<Cursors>,
+    cursors: Cursors,
     stats: Arc<IoStats>,
 }
 
@@ -345,7 +339,7 @@ impl FileStorage {
         fs::create_dir_all(&root)?;
         Ok(FileStorage {
             root,
-            cursors: Mutex::new(Cursors::default()),
+            cursors: Cursors::new(),
             stats: Arc::new(IoStats::new()),
         })
     }
@@ -397,7 +391,7 @@ impl Storage for FileStorage {
             f.sync_data()?;
         }
         fs::rename(&tmp, &path)?;
-        self.cursors.lock().forget(key);
+        self.cursors.forget(key);
         self.stats.record_write(data.len() as u64);
         Ok(())
     }
@@ -406,12 +400,8 @@ impl Storage for FileStorage {
         use std::os::unix::fs::FileExt;
         self.open_for_read(key, offset, buf.len())?
             .read_exact_at(buf, offset)?;
-        let discontiguous = self.cursors.lock().note_read(key, offset, buf.len() as u64);
-        if discontiguous {
-            self.stats.record_rand_read(buf.len() as u64);
-        } else {
-            self.stats.record_seq_read(buf.len() as u64);
-        }
+        self.cursors
+            .count_read(&self.stats, key, offset, buf.len() as u64);
         Ok(())
     }
 
@@ -437,9 +427,6 @@ impl Storage for FileStorage {
             return Err(out_of_range(key, offset, data.len(), size));
         }
         f.write_all_at(data, offset)?;
-        self.cursors
-            .lock()
-            .note_write(key, offset, data.len() as u64);
         self.stats.record_write(data.len() as u64);
         Ok(())
     }
@@ -462,7 +449,7 @@ impl Storage for FileStorage {
             Err(e) if e.kind() == ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        self.cursors.lock().forget(key);
+        self.cursors.forget(key);
         Ok(())
     }
 
@@ -525,15 +512,13 @@ impl Storage for FileStorage {
 /// This substitutes for the paper's hardware setup (two HDDs, page cache
 /// disabled, direct I/O): every engine's requests are counted byte-exactly
 /// and charged identical device economics, so the relative I/O behaviour the
-/// paper reports is preserved on any machine. Concurrent requests add their
-/// cost to the same clock, modeling a single saturated device.
+/// paper reports is preserved on any machine. A read is priced as the inner
+/// store classifies and counts it, so the price and [`IoStats`] agree on
+/// every request. Requests do not serialize; the clock sums every
+/// request's price, modeling a single saturated device.
 pub struct SimDisk {
     inner: MemStorage,
     disk: DiskModel,
-    /// Own continuity tracking, held across the whole request so pricing
-    /// is race-free under concurrent callers (and requests serialize, as
-    /// they would on one device).
-    cursors: Mutex<Cursors>,
 }
 
 impl SimDisk {
@@ -542,7 +527,6 @@ impl SimDisk {
         SimDisk {
             inner: MemStorage::new(),
             disk,
-            cursors: Mutex::new(Cursors::default()),
         }
     }
 
@@ -557,22 +541,12 @@ impl Storage for SimDisk {
         // Object creation streams sequentially (it replaces the object).
         let cost = self.disk.write_cost(data.len() as u64, false);
         self.inner.create(key, data)?;
-        self.cursors.lock().forget(key);
         self.inner.stats.add_sim_nanos(nanos(cost));
         Ok(())
     }
 
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
-        // Decide continuity and perform the read under one lock: requests
-        // serialize as on a single device, and pricing cannot be skewed by
-        // an interleaved reader of the same object.
-        // gsd-lint: allow(GSD003, "intentional: SimDisk models one device, so requests must serialize; the inner read is in-memory and cannot block on real I/O")
-        let mut cursors = self.cursors.lock();
-        let discontiguous = cursors.note_read(key, offset, buf.len() as u64);
-        self.inner.read_at(key, offset, buf).inspect_err(|_| {
-            // Failed reads leave the head where it was.
-            cursors.forget(key);
-        })?;
+        let discontiguous = self.inner.accounted_read(key, offset, buf)?;
         let cost = self.disk.read_cost(buf.len() as u64, discontiguous);
         self.inner.stats.add_sim_nanos(nanos(cost));
         Ok(())
@@ -601,7 +575,6 @@ impl Storage for SimDisk {
     }
 
     fn delete(&self, key: &str) -> crate::Result<()> {
-        self.cursors.lock().forget(key);
         self.inner.delete(key)
     }
 
@@ -797,6 +770,36 @@ mod tests {
         // request is large, so it streams).
         let read_secs = (t1 - t0).as_secs_f64();
         assert!((read_secs - 0.108).abs() < 0.02, "got {read_secs}");
+        Ok(())
+    }
+
+    #[test]
+    fn sim_prices_every_read_as_its_inner_store_counts_it() -> crate::Result<()> {
+        // Each request's price must follow the classification `IoStats`
+        // records for it — across a failed read, a delete and a re-create.
+        let disk = DiskModel::hdd();
+        let sim = SimDisk::new(disk);
+        let read = |offset: u64, len: usize| -> crate::Result<()> {
+            let before = sim.stats().snapshot();
+            let result = sim.read_at("k", offset, &mut vec![0u8; len]);
+            let delta = sim.stats().snapshot().since(&before);
+            let seek = delta.rand_read_ops == 1;
+            let want = result
+                .as_ref()
+                .map_or(0, |()| nanos(disk.read_cost(len as u64, seek)));
+            assert_eq!(delta.sim_nanos, want, "read of {len} at {offset}");
+            result
+        };
+        sim.create("k", &[0u8; 64])?;
+        read(0, 8)?;
+        read(8, 8)?;
+        assert!(read(60, 8).is_err(), "out of range");
+        read(16, 8)?; // contiguous with the last read that succeeded
+        sim.delete("k")?;
+        sim.create("k", &[0u8; 64])?;
+        read(24, 8)?; // a re-created object starts with the head elsewhere
+        let s = sim.stats().snapshot();
+        assert_eq!((s.rand_read_ops, s.seq_read_ops), (2, 2));
         Ok(())
     }
 
