@@ -349,7 +349,8 @@ mod tests {
     /// ROP plans from the row copy's row index, which at P = 1 is the
     /// one-offset-per-vertex array HUS-Graph describes: same requests,
     /// same bytes as when it read a per-block index (constants measured
-    /// at the commit before the switch).
+    /// at the commit before the switch, less the one 16 000-byte
+    /// value-file read per iteration a run no longer performs).
     #[test]
     fn rop_traffic_is_pinned_across_the_switch_to_the_row_index() {
         let g = GeneratorConfig::new(GraphKind::ErdosRenyi, 4000, 12000, 31).generate();
@@ -361,23 +362,23 @@ mod tests {
             .iter()
             .map(|s| (s.io.seq_read_ops + s.io.rand_read_ops, s.io.read_bytes()))
             .collect();
-        let full = (17, 112_000);
+        let full = (16, 96_000);
         assert_eq!(
             traffic,
             [
-                (3, 16_064),
-                (9, 30_528),
-                (24, 28_152),
-                (59, 32_868),
-                (171, 36_504),
+                (2, 64),
+                (8, 14_528),
+                (23, 12_152),
+                (58, 16_868),
+                (170, 20_504),
                 full,
                 full,
                 full,
                 full,
-                (168, 36_316),
-                (38, 32_000),
-                (8, 29_612),
-                (3, 16_032),
+                (167, 20_316),
+                (37, 16_000),
+                (7, 13_612),
+                (2, 32),
             ]
         );
     }

@@ -26,7 +26,7 @@
 //!
 //! That "only" is structural, not a convention: each engine here is a
 //! [`gsd_core::driver::Policy`] over the same [`gsd_core::driver`] the
-//! GraphSD engine runs — one copy of value-file streaming, prefetch,
+//! GraphSD engine runs — one copy of the resident vertex state, prefetch,
 //! checkpoint/resume, accounting and trace events — and contributes
 //! nothing but its choice of passes per round (GridGraph: stream all;
 //! Lumos: stream all with cross-iteration scatter, then the secondary

@@ -155,9 +155,9 @@ pub struct RunSection {
     pub seq_loads: u64,
     /// Selective (on-demand) `BlockLoad`s.
     pub rand_loads: u64,
-    /// `ValueFlush` read-ins and their bytes.
+    /// `ValueFlush` reads (a resume's values) and their bytes.
     pub value_reads: (u64, u64),
-    /// `ValueFlush` write-backs and their bytes.
+    /// `ValueFlush` writes (a checkpoint's values) and their bytes.
     pub value_writes: (u64, u64),
     /// `PrefetchIssued` events and their bytes.
     pub prefetch_issued: (u64, u64),
@@ -665,10 +665,6 @@ fn render_run(out: &mut String, idx: usize, run: &RunSection, top_n: usize) {
     ));
     render_hist(out, "block load size (bytes)", &run.io_size_hist);
     out.push_str(&format!(
-        "values: {} read-ins ({} B), {} write-backs ({} B)\n",
-        run.value_reads.0, run.value_reads.1, run.value_writes.0, run.value_writes.1
-    ));
-    out.push_str(&format!(
         "buffer: {} hits ({} B avoided), {} evictions ({} B)\n",
         run.counters.buffer_hits, run.counters.buffer_hit_bytes, run.evictions.0, run.evictions.1
     ));
@@ -695,8 +691,12 @@ fn render_run(out: &mut String, idx: usize, run: &RunSection, top_n: usize) {
     }
     if run.ckpt_written.0 + run.ckpt_restored.0 > 0 {
         out.push_str(&format!(
-            "recovery: {} checkpoints ({} B), {} restores\n",
-            run.ckpt_written.0, run.ckpt_written.1, run.ckpt_restored.0
+            "recovery: {} checkpoints ({} B), {} restores; values {} B written, {} B read\n",
+            run.ckpt_written.0,
+            run.ckpt_written.1,
+            run.ckpt_restored.0,
+            run.value_writes.1,
+            run.value_reads.1
         ));
     }
     if run.verify_ok.0 + run.corruptions > 0 {
@@ -820,9 +820,9 @@ mod tests {
 {"ev":"prefetch_hit","i":1,"j":1,"bytes":100}
 {"ev":"prefetch_stall","i":0,"j":1,"wait_us":250}
 {"ev":"sciu_pass","iteration":1,"edges_served":77}
-{"ev":"value_flush","bytes":800,"write":false}
-{"ev":"value_flush","bytes":800,"write":true}
 {"ev":"iteration_end","iteration":1,"model":"on_demand","frontier":14,"bytes_read":9092,"scatter_us":120,"apply_us":60,"io_wait_us":300}
+{"ev":"ckpt_written","iteration":1,"bytes":1500}
+{"ev":"value_flush","bytes":800,"write":true}
 {"ev":"iteration_end","iteration":2,"model":"full","frontier":3,"bytes_read":100,"scatter_us":20,"apply_us":10,"io_wait_us":30}
 {"ev":"run_end","engine":"graphsd","iterations":2}
 {"ev":"serve_started","vertices":100,"p":4}
@@ -866,8 +866,9 @@ mod tests {
         );
         assert_eq!(run.seq_loads, 2);
         assert_eq!(run.rand_loads, 1);
-        assert_eq!(run.value_reads, (1, 800));
+        assert_eq!(run.ckpt_written, (1, 1500));
         assert_eq!(run.value_writes, (1, 800));
+        assert_eq!(run.value_reads, (0, 0));
         assert_eq!(run.prefetch_issued, (1, 100));
         assert_eq!(run.prefetch_stall_us, 250);
         assert_eq!(run.phase_totals_us(), (140, 70, 330));
@@ -1063,6 +1064,32 @@ mod tests {
         assert!(text.contains("=== daemon · vertices=100 P=4"));
         assert!(text.contains("=== mutations ==="));
         assert!(text.contains("6 rewritten blocks (9000 B)"));
+        assert!(text.contains("recovery: 1 checkpoints (1500 B), 0 restores; values 800 B written"));
+    }
+
+    /// A resumed run reads its values back once, from the checkpoint it
+    /// restores; every later checkpoint writes them.
+    #[test]
+    fn value_flushes_ride_with_checkpoint_commits_and_restores() {
+        let trace = r#"
+{"ev":"run_start","engine":"lumos","algorithm":"CC"}
+{"ev":"ckpt_restored","iteration":3,"bytes":1500}
+{"ev":"value_flush","bytes":800,"write":false}
+{"ev":"iteration_end","iteration":4,"model":"full","frontier":9,"bytes_read":100,"scatter_us":20,"apply_us":10,"io_wait_us":30}
+{"ev":"ckpt_written","iteration":4,"bytes":1500}
+{"ev":"value_flush","bytes":800,"write":true}
+{"ev":"run_end","engine":"lumos","iterations":4}
+"#;
+        let report = TraceReport::from_reader(trace.as_bytes()).unwrap();
+        assert_eq!(report.parse_errors, 0);
+        let run = &report.runs[0];
+        assert_eq!(run.ckpt_restored, (1, 1500));
+        assert_eq!(run.value_reads, (1, 800));
+        assert_eq!(run.ckpt_written, (1, 1500));
+        assert_eq!(run.value_writes, (1, 800));
+        assert!(report.render_text(5).contains(
+            "recovery: 1 checkpoints (1500 B), 1 restores; values 800 B written, 800 B read"
+        ));
     }
 
     #[test]

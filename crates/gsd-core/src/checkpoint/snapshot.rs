@@ -154,6 +154,12 @@ impl<'a> Reader<'a> {
 }
 
 impl CheckpointData {
+    /// Length of the encoded `values` section's payload: the bytes of
+    /// vertex values a commit writes and a resume reads back.
+    pub(super) fn values_bytes(&self) -> u64 {
+        8 * self.values.len() as u64
+    }
+
     /// Serializes the snapshot of the run `tag` to its binary form.
     pub(super) fn encode(&self, tag: &ManifestTag) -> Vec<u8> {
         let tag = serde_json::to_vec(tag).unwrap_or_default();

@@ -61,7 +61,8 @@ impl CheckpointStore {
         }
     }
 
-    /// Routes `CkptWritten`/`CkptRestored` events to `trace`.
+    /// Routes `CkptWritten`/`CkptRestored` events, and the `ValueFlush`
+    /// each carries its values with, to `trace`.
     pub(crate) fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
         self.trace = trace;
     }
@@ -115,6 +116,10 @@ impl CheckpointStore {
                 iteration: data.iteration,
                 bytes: blob.len() as u64,
             });
+            self.trace.emit(&TraceEvent::ValueFlush {
+                bytes: data.values_bytes(),
+                write: true,
+            });
         }
         Ok(())
     }
@@ -136,6 +141,10 @@ impl CheckpointStore {
                 self.trace.emit(&TraceEvent::CkptRestored {
                     iteration: data.iteration,
                     bytes: blob.len() as u64,
+                });
+                self.trace.emit(&TraceEvent::ValueFlush {
+                    bytes: data.values_bytes(),
+                    write: false,
                 });
             }
             return Ok(Some(data));
@@ -246,6 +255,30 @@ mod tests {
             counting.list_keys(),
             ["ckpt/snap_0000000004.bin", "ckpt/snap_0000000005.bin"]
         );
+        Ok(())
+    }
+
+    #[test]
+    fn commits_and_restores_flush_the_values_section() -> std::io::Result<()> {
+        let storage: SharedStorage = Arc::new(MemStorage::new());
+        let recorder = Arc::new(gsd_trace::RingRecorder::new(16));
+        let mut store = store_on(storage);
+        store.set_trace(recorder.clone());
+        store.write(&data(1))?;
+        store.latest()?;
+        let flushes: Vec<(u64, bool)> = recorder
+            .events()
+            .iter()
+            .filter_map(|e| {
+                if let TraceEvent::ValueFlush { bytes, write } = e {
+                    Some((*bytes, *write))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        // Three vertices, one u64 bit pattern each.
+        assert_eq!(flushes, [(24, true), (24, false)]);
         Ok(())
     }
 

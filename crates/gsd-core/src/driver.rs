@@ -5,13 +5,13 @@
 //! out-of-core BSP run does is the same for all four, and lives here
 //! exactly once:
 //!
-//! * **open** — the double-buffered state arrays, the on-disk vertex
-//!   value file, the optional prefetch executor, the optional checkpoint
-//!   store (with resume), the `RunStart` event and the I/O / verify
-//!   snapshots the run's totals are measured from;
-//! * **per iteration** ([`Driver::iteration`]) — timers, value file in,
-//!   `val_t ← val_{t−1}`, the policy's passes, value file out, rotation,
-//!   the `IterationEnd` event and the [`IterationStats`] record;
+//! * **open** — the double-buffered state arrays, the optional prefetch
+//!   executor, the optional checkpoint store (with resume), the
+//!   `RunStart` event and the I/O / verify snapshots the run's totals are
+//!   measured from;
+//! * **per iteration** ([`Driver::iteration`]) — timers, the policy's
+//!   passes, rotation, the `IterationEnd` event and the
+//!   [`IterationStats`] record;
 //! * **round boundary** — checkpoint cadence, the simulated-crash switch,
 //!   and the folding of I/O and verify counters into what an
 //!   uninterrupted run would report;
@@ -42,6 +42,13 @@
 //! a cross-iteration update of edge `(u, v)` always reads `val_t(u)` — the
 //! value a normal iteration-`t+1` scatter would read — so committed values
 //! are schedule-identical to the reference executor's.
+//!
+//! An iteration costs what its frontier touches, not `O(|V|)`: rotation
+//! copies only the cells `apply` changed and refills nothing
+//! (`State::rotate`). The values stay resident; the paper's
+//! per-iteration value traffic (`|V|·N` in and out) is priced in the
+//! scheduler's `C_s`/`C_r`, not performed, and a checkpoint is the only
+//! place values cross storage.
 
 use crate::checkpoint::{
     graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag, RecoveryConfig,
@@ -55,7 +62,7 @@ use gsd_runtime::kernels::{
 };
 use gsd_runtime::{
     Frontier, IoAccessModel, IterationStats, ProgramContext, RunOptions, RunResult, RunStats,
-    Value, ValueArray, VertexProgram, VertexValueFile,
+    Value, ValueArray, VertexProgram,
 };
 use gsd_trace::{TraceEvent, TraceSink};
 use std::cmp::Ordering;
@@ -69,8 +76,8 @@ use std::time::Duration;
 pub struct Frame<'a> {
     /// Engine name in `RunStats`, trace events and checkpoint tags.
     pub engine: &'static str,
-    /// The grid that names the storage, the value file and the checkpoint
-    /// directory, and the one the prefetch pipeline reads.
+    /// The grid that names the storage and the checkpoint directory, and
+    /// the one the prefetch pipeline reads.
     pub grid: &'a GridGraph,
     /// Further grids the policy reads (HUS-Graph's column copy): their
     /// verify-on-read events and counters join the run's.
@@ -229,6 +236,9 @@ struct State<'a, P: VertexProgram> {
     frontier: Frontier,
     /// Vertices `apply` changed this iteration — the next frontier.
     out: Frontier,
+    /// Vertices `apply` changed this iteration whose next-iteration
+    /// scatter SCIU already performed, so they left `out`.
+    pre_served: Vec<u32>,
 }
 
 impl<P: VertexProgram> State<'_, P> {
@@ -298,11 +308,26 @@ impl<P: VertexProgram> State<'_, P> {
 
     /// End-of-iteration rotation: committed values advance, the
     /// next-iteration accumulator becomes current, and `out` becomes the
-    /// frontier.
+    /// frontier. `val_t` and `val_{t−1}` differ only where `apply`
+    /// changed a value, so only those cells are copied into the array the
+    /// next iteration's `apply` writes. `accum_cur` needs no refill: every
+    /// `combine` target is in `touched_cur`, and every pass applies every
+    /// interval, which resets each touched accumulator to zero.
     fn rotate(&mut self) {
         std::mem::swap(&mut self.values_prev, &mut self.values_cur);
+        for v in self.out.iter().chain(self.pre_served.drain(..)) {
+            self.values_cur.set(v, self.values_prev.get(v));
+        }
+        debug_assert!(
+            bits_of(&self.values_cur) == bits_of(&self.values_prev),
+            "val_t and val_(t-1) differ outside the vertices apply changed"
+        );
+        let zero = self.program.zero_accum().to_bits();
+        debug_assert!(
+            bits_of(&self.accum_cur).iter().all(|&a| a == zero),
+            "an accumulator was left unapplied"
+        );
         std::mem::swap(&mut self.accum_cur, &mut self.accum_next);
-        self.accum_next.fill(self.program.zero_accum());
         std::mem::swap(&mut self.touched_cur, &mut self.touched_next);
         self.touched_next.clear();
         std::mem::swap(&mut self.frontier, &mut self.out);
@@ -335,7 +360,6 @@ pub struct Driver<'a, P: VertexProgram> {
     next: u32,
     storage: SharedStorage,
     trace: Arc<dyn TraceSink>,
-    vfile: VertexValueFile,
     pipeline: Option<PrefetchExecutor>,
     stats: RunStats,
     tracker: Tracker,
@@ -375,12 +399,6 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
     let trace = frame.trace.clone();
     let ctx = ProgramContext::new(n, frame.degrees.clone());
     let frontier = program.initial_frontier(&ctx).build(n)?;
-    let value_bytes = program.value_bytes();
-    let vfile = VertexValueFile::ensure(
-        storage.as_ref(),
-        format!("{}runtime/values_{}.bin", grid.prefix(), value_bytes),
-        n as u64 * value_bytes,
-    )?;
     let pipeline = match frame.prefetch {
         Some(sizing) => {
             let mut exec = PrefetchExecutor::new(grid.clone(), sizing)?;
@@ -401,6 +419,7 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
             touched_next: Frontier::empty(n),
             frontier,
             out: Frontier::empty(n),
+            pre_served: Vec::new(),
             ctx,
         },
         n,
@@ -408,7 +427,6 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
         next: 1,
         storage: storage.clone(),
         trace: trace.clone(),
-        vfile,
         pipeline,
         stats,
         tracker: Tracker::default(),
@@ -433,7 +451,7 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
             let tag = ManifestTag {
                 engine: frame.engine.to_string(),
                 algorithm: program.name().to_string(),
-                value_bytes,
+                value_bytes: program.value_bytes(),
                 num_vertices: n,
                 graph_fingerprint: graph_fingerprint(storage.as_ref(), grid.prefix())?,
                 config_hash: frame.config_hash,
@@ -607,9 +625,9 @@ impl<P: VertexProgram> Driver<'_, P> {
         self.next = data.iteration.saturating_add(1);
     }
 
-    /// The frame of one BSP iteration around `passes`: stream the vertex
-    /// values in, let the policy's passes scatter and apply, stream the
-    /// values out, rotate, and record the iteration under `model`.
+    /// The frame of one BSP iteration around `passes`: let the policy's
+    /// passes scatter and apply, rotate, and record the iteration under
+    /// `model`.
     /// `cross_iteration` marks an iteration whose `i ≤ j` contributions
     /// were pre-scattered by its predecessor.
     pub fn iteration(
@@ -620,34 +638,14 @@ impl<P: VertexProgram> Driver<'_, P> {
     ) -> std::io::Result<()> {
         let iteration = self.next;
         let frontier = self.state.frontier.count();
-        let value_file_bytes = self.vfile.bytes();
         self.emit(|| TraceEvent::IterationStart { iteration });
         self.tracker = Tracker {
             io_snap: self.storage.stats().snapshot(),
             ..Tracker::default()
         };
 
-        timed(&mut self.tracker.io_wall, || {
-            self.vfile.read_all(self.storage.as_ref())
-        })?;
-        self.emit(|| TraceEvent::ValueFlush {
-            bytes: value_file_bytes,
-            write: false,
-        });
-        timed(&mut self.tracker.compute, || {
-            self.state.values_cur.copy_from(&self.state.values_prev)
-        });
-
         passes(self)?;
-
-        timed(&mut self.tracker.io_wall, || {
-            self.vfile.write_all(self.storage.as_ref())
-        })?;
-        self.emit(|| TraceEvent::ValueFlush {
-            bytes: value_file_bytes,
-            write: true,
-        });
-        self.state.rotate();
+        timed(&mut self.tracker.compute, || self.state.rotate());
         self.next += 1;
 
         let t = std::mem::take(&mut self.tracker);
@@ -932,12 +930,12 @@ impl<P: VertexProgram> Driver<'_, P> {
         }
 
         let st = &self.state;
-        let served = timed(&mut self.tracker.compute, || {
+        let (served, done) = timed(&mut self.tracker.compute, || {
             // Sources are active by construction, no filter needed.
             st.scatter(&loaded, false, false, &mut self.tracker.scatter);
             st.apply(0..self.n, &mut self.tracker.apply);
             if !cross {
-                return 0;
+                return (0, Vec::new());
             }
             // `loaded` concatenates runs across sub-blocks: not sorted.
             let served = st.scatter_ahead(&loaded, false, &mut self.tracker.scatter);
@@ -945,11 +943,12 @@ impl<P: VertexProgram> Driver<'_, P> {
             // out-edges in `loaded`: its next-iteration scatter has been
             // fully performed.
             let done: Vec<u32> = st.out.iter().filter(|&v| st.frontier.contains(v)).collect();
-            for v in done {
+            for &v in &done {
                 st.out.remove(v);
             }
-            served
+            (served, done)
         });
+        self.state.pre_served.extend(done);
         self.stats.cross_iter_edges += served;
         Ok(served)
     }

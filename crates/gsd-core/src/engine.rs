@@ -20,9 +20,9 @@
 //! The scheduler's decision log and the buffer's residency ride through
 //! checkpoints as the policy's opaque payload, so a resumed run reports
 //! the same decisions and performs the same buffered I/O as an
-//! uninterrupted one. Everything else — state arrays, value file,
-//! prefetch, checkpoint cadence, accounting, trace frame — is the
-//! driver's, shared with the baselines.
+//! uninterrupted one. Everything else — state arrays, prefetch,
+//! checkpoint cadence, accounting, trace frame — is the driver's, shared
+//! with the baselines.
 
 use crate::buffer::SubBlockBuffer;
 use crate::checkpoint::CheckpointData;

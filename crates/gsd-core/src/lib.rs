@@ -11,7 +11,7 @@
 //!   vs `C_s` to choose the on-demand or the full I/O model.
 //! * [`driver`] — the one out-of-core iteration driver every engine of
 //!   the evaluation runs (GraphSD here, the three baselines in
-//!   `gsd-baselines`): state arrays, value-file streaming, prefetch,
+//!   `gsd-baselines`): resident state arrays, prefetch,
 //!   checkpoint/resume, accounting and the trace frame, plus the two pass
 //!   primitives of §4.2 — the destination-major **stream pass** whose
 //!   cross-iteration pair covers two BSP iterations per full sweep,

@@ -12,6 +12,10 @@
 //!   lists): `C_r = S_ran/B_rr + S_seq/B_sr + 2·|V|·N/B_sr + |V|·N/B_sw`
 //!   (the `2·|V|·N` term covers reading the vertex values *and* the vertex
 //!   index needed to locate active edge ranges).
+//!
+//! The vertex-value terms are the paper's, and both formulas keep them so
+//! every scheduling decision is the paper's; the engines here keep the
+//! values resident, so that traffic is priced, not performed.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;

@@ -42,7 +42,6 @@ pub mod reference;
 pub mod stats;
 pub mod value;
 pub mod values;
-pub mod vertex_store;
 
 pub use context::ProgramContext;
 pub use engine::{Capabilities, Engine, RunOptions, RunResult};
@@ -52,4 +51,3 @@ pub use reference::ReferenceEngine;
 pub use stats::{IoAccessModel, IterationStats, RunStats};
 pub use value::{value_fingerprint, Value};
 pub use values::ValueArray;
-pub use vertex_store::VertexValueFile;

@@ -255,11 +255,13 @@ trace_events! {
             /// Bytes released.
             bytes: u64,
         },
-        /// The engine read or wrote the whole vertex-value file.
+        /// Vertex values crossed storage: a checkpoint committed them or
+        /// a resume read them back. A run keeps its values resident
+        /// between checkpoints, so this is the only value I/O it performs.
         ValueFlush = "value_flush" {
-            /// Bytes transferred.
+            /// Length of the snapshot's values section.
             bytes: u64,
-            /// `true` for a write-back, `false` for a read-in.
+            /// `true` for a checkpoint commit, `false` for a resume.
             write: bool,
         },
         /// A sub-block (or edge-run) read was handed to the prefetch pipeline.

@@ -188,13 +188,13 @@ fn mem_storage_key_listing_is_sorted() {
 // gaps.)
 const PIN_PAGERANK: Pins = Pins {
     answer: 8609675645980343636,
-    traffic: 11042781586551055889,
+    traffic: 11949479058976950195,
 };
 const PIN_BFS: Pins = Pins {
     answer: 17937542940398426127,
-    traffic: 505981175097637239,
+    traffic: 14574033794613014671,
 };
 const PIN_CC: Pins = Pins {
     answer: 12410300235809019003,
-    traffic: 8286716226498794217,
+    traffic: 9391025342219933238,
 };

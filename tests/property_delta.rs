@@ -114,9 +114,9 @@ fn scratch_values<P: VertexProgram>(grid: GridGraph, program: &P) -> Vec<P::Valu
 /// Every non-delta object of the mutated, fully-compacted grid must be
 /// byte-identical to the same key in a from-scratch preprocess of the
 /// final edge list over the same boundaries. (`meta.json` is excluded —
-/// it legitimately differs by the delta epoch — `delta/` must be empty,
-/// and `runtime/` is engine scratch from the analytic runs above, not
-/// part of the grid format.)
+/// it legitimately differs by the delta epoch — and `delta/` must be
+/// empty. The analytic runs above write nothing, so no other key may
+/// appear.)
 fn assert_payloads_match(mutated: &SharedStorage, final_graph: &Graph, boundaries: Vec<u32>) {
     let delta: Vec<String> = mutated
         .list_keys()
@@ -134,7 +134,7 @@ fn assert_payloads_match(mutated: &SharedStorage, final_graph: &Graph, boundarie
         let mut keys: Vec<String> = s
             .list_keys()
             .into_iter()
-            .filter(|k| k != "meta.json" && !k.starts_with("delta/") && !k.starts_with("runtime/"))
+            .filter(|k| k != "meta.json" && !k.starts_with("delta/"))
             .collect();
         keys.sort();
         keys
