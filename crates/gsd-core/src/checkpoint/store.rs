@@ -203,9 +203,6 @@ mod tests {
         fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
             self.inner.read_at(key, offset, buf)
         }
-        fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> std::io::Result<()> {
-            self.inner.write_at(key, offset, data)
-        }
         fn len(&self, key: &str) -> std::io::Result<u64> {
             self.inner.len(key)
         }

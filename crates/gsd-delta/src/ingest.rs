@@ -348,7 +348,9 @@ mod tests {
         assert_eq!(segment_keys.len() as u64, report.segments);
 
         // A flipped bit in a segment is caught by the same pass.
-        storage.write_at(segment_keys[0], 22, &[0xFF]).unwrap();
+        let mut rotted = storage.read_all(segment_keys[0]).unwrap();
+        rotted[22] = 0xFF;
+        storage.create(segment_keys[0], &rotted).unwrap();
         let (_, scrub) = gsd_graph::scrub_grid(storage.as_ref(), "").unwrap();
         assert_eq!(scrub.counts().1, 1);
         assert!(scrub.corrupt().next().unwrap().key.ends_with(".ops"));

@@ -156,7 +156,7 @@ mod tests {
     use super::*;
     use crate::generators::{GeneratorConfig, GraphKind};
     use crate::preprocess::{preprocess, PreprocessConfig};
-    use gsd_integrity::CorruptionKind;
+    use gsd_integrity::{corrupt_object, CorruptionKind, CorruptionMode};
     use gsd_io::MemStorage;
 
     fn source() -> Graph {
@@ -183,7 +183,7 @@ mod tests {
         let g = source();
         let store = MemStorage::new();
         preprocess(&g, &store, &PreprocessConfig::graphsd("").with_intervals(2)).unwrap();
-        store.write_at("blocks/b_1_0.edges", 5, &[0xFF]).unwrap();
+        corrupt_object(&store, "blocks/b_1_0.edges", CorruptionMode::BitFlip, 1).unwrap();
         let (_, report) = scrub_grid(&store, "").unwrap();
         let bad: Vec<&str> = report.corrupt().map(|o| o.key.as_str()).collect();
         assert_eq!(bad, vec!["blocks/b_1_0.edges"]);
@@ -200,9 +200,7 @@ mod tests {
         )
         .unwrap();
         let pristine = store.read_all("g/blocks/b_0_1.edges").unwrap();
-        store
-            .write_at("g/blocks/b_0_1.edges", 2, &[0xAA, 0xBB])
-            .unwrap();
+        corrupt_object(&store, "g/blocks/b_0_1.edges", CorruptionMode::BitFlip, 1).unwrap();
         store.delete("g/degrees.bin").unwrap();
         let outcome = repair_grid(&store, "g/", &g).unwrap();
         assert_eq!(outcome.before.counts().1, 2);
@@ -219,7 +217,7 @@ mod tests {
         let g = source();
         let store = MemStorage::new();
         preprocess(&g, &store, &PreprocessConfig::graphsd("").with_intervals(2)).unwrap();
-        store.write_at("degrees.bin", 0, &[9]).unwrap();
+        corrupt_object(&store, "degrees.bin", CorruptionMode::BitFlip, 1).unwrap();
         let wrong = GeneratorConfig::new(GraphKind::RMat, 150, 900, 6).generate();
         let err = repair_grid(&store, "", &wrong).unwrap_err();
         assert!(err.to_string().contains("not this grid's source"), "{err}");
@@ -246,9 +244,8 @@ mod tests {
             let (meta, _) = scrub_grid(&store, "x/").unwrap();
             for entry in &meta.integrity.objects {
                 if entry.len > 0 {
-                    store
-                        .write_at(&format!("x/{}", entry.key), entry.len / 2, &[0x5A])
-                        .unwrap();
+                    let key = format!("x/{}", entry.key);
+                    corrupt_object(&store, &key, CorruptionMode::BitFlip, 1).unwrap();
                 }
             }
             let outcome = repair_grid(&store, "x/", &g).unwrap();

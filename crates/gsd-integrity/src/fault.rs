@@ -1,7 +1,7 @@
 //! Deterministic crash injection.
 //!
 //! [`FaultyStorage`] wraps any [`Storage`] and counts its data operations
-//! (`create`, `read_at`, `write_at`, `sync`). With `kill_at_op = Some(n)`
+//! (`create`, `read_at`, `sync`). With `kill_at_op = Some(n)`
 //! the n-th of them fails with a hard error before it reaches the inner
 //! backend (so its accounting and cursors stay untouched), scripting a
 //! crash at an exact point: a test counts a probe run's ops with
@@ -158,11 +158,6 @@ impl Storage for FaultyStorage {
         self.inner.read_unaccounted(key, offset, buf)
     }
 
-    fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> gsd_io::Result<()> {
-        self.count("write", key)?;
-        self.inner.write_at(key, offset, data)
-    }
-
     fn sync(&self) -> gsd_io::Result<()> {
         self.count("sync", "")?;
         self.inner.sync()
@@ -211,24 +206,22 @@ mod tests {
         for _ in 0..100 {
             faulty.read_at("k", 0, &mut buf)?;
         }
-        faulty.write_at("k", 0, &[2u8; 4])?;
         faulty.sync()?;
-        assert_eq!(faulty.ops_seen(), 103);
+        assert_eq!(faulty.ops_seen(), 102);
         // The side read is forwarded: real bytes, no accounting, no count.
         let before = inner.stats().snapshot();
         faulty.read_unaccounted("k", 4, &mut buf)?;
         assert_eq!(buf, [1u8; 8]);
         assert_eq!(inner.stats().snapshot(), before);
-        assert_eq!(faulty.ops_seen(), 103);
+        assert_eq!(faulty.ops_seen(), 102);
         // Ranges past the end are the backend's errors, unchanged.
         for offset in [u64::MAX, 1 << 63, 12] {
             let kinds = [
                 faulty.read_at("k", offset, &mut buf),
                 faulty.read_unaccounted("k", offset, &mut buf),
-                faulty.write_at("k", offset, &[9u8; 8]),
             ]
             .map(|r| r.map_err(|e| e.kind()));
-            assert_eq!(kinds, [Err(ErrorKind::UnexpectedEof); 3], "at {offset}");
+            assert_eq!(kinds, [Err(ErrorKind::UnexpectedEof); 2], "at {offset}");
         }
         Ok(())
     }

@@ -78,6 +78,7 @@ pub fn scrub_objects(storage: &dyn Storage, prefix: &str, entries: &[ObjectEntry
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{corrupt_object, CorruptionMode};
     use gsd_io::MemStorage;
 
     fn setup() -> (MemStorage, Vec<ObjectEntry>) {
@@ -107,9 +108,7 @@ mod tests {
     #[test]
     fn each_corruption_class_is_reported() {
         let (storage, entries) = setup();
-        storage
-            .write_at("g/blocks/b_0_0.edges", 10, &[0xFF])
-            .unwrap();
+        corrupt_object(&storage, "g/blocks/b_0_0.edges", CorruptionMode::BitFlip, 1).unwrap();
         storage.create("g/degrees.bin", &[1u8; 30]).unwrap();
         storage.delete("g/blocks/r_0.ridx").unwrap();
         let report = scrub_objects(&storage, "g/", &entries);

@@ -189,6 +189,7 @@ impl GridVerifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{corrupt_object, CorruptionMode};
     use gsd_io::MemStorage;
     use gsd_trace::RingRecorder;
 
@@ -226,7 +227,13 @@ mod tests {
     #[test]
     fn bit_flip_fails_fast_with_structured_error() {
         let (storage, v) = setup("");
-        storage.write_at("blocks/b_0_0.edges", 50, &[0xAA]).unwrap();
+        corrupt_object(
+            storage.as_ref(),
+            "blocks/b_0_0.edges",
+            CorruptionMode::BitFlip,
+            1,
+        )
+        .unwrap();
         let mut buf = vec![0u8; 100];
         let err = v
             .read_whole_verified("blocks/b_0_0.edges", &mut buf)
@@ -279,7 +286,7 @@ mod tests {
     #[test]
     fn events_flow_to_the_sink() {
         let (storage, v) = setup("");
-        storage.write_at("degrees.bin", 0, &[7]).unwrap();
+        corrupt_object(storage.as_ref(), "degrees.bin", CorruptionMode::BitFlip, 1).unwrap();
         let recorder = Arc::new(RingRecorder::new(16));
         v.set_sink(recorder.clone());
         v.ensure_verified("blocks/r_0.ridx").unwrap();

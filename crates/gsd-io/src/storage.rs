@@ -1,11 +1,11 @@
 //! The keyed block-store abstraction and its three backends.
 //!
 //! Engines address on-disk graph data by string keys (e.g.
-//! `blocks/b_3_7.edges`) and perform positioned reads and writes. Each
-//! backend mechanically classifies every read as *sequential* (it starts
-//! exactly where the previous request on the same key ended) or *random*
-//! (the head had to move), feeding the [`IoStats`] counters that all of the
-//! paper's I/O figures are computed from.
+//! `blocks/b_3_7.edges`), write each object whole and read it at any
+//! offset. Each backend mechanically classifies every read as
+//! *sequential* (it starts exactly where the previous request on the same
+//! key ended) or *random* (the head had to move), feeding the [`IoStats`]
+//! counters that all of the paper's I/O figures are computed from.
 
 #![expect(
     clippy::disallowed_methods,
@@ -41,9 +41,16 @@ pub trait Storage: Send + Sync {
     /// Reads exactly `buf.len()` bytes starting at `offset` into `buf`.
     fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()>;
 
-    /// Overwrites `data.len()` bytes of `key` starting at `offset`.
-    /// The write must lie within the existing object.
-    fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()>;
+    /// In-place writes are not supported: every object is written whole
+    /// with [`Storage::create`], and no backend implements this. The
+    /// method stays, answering `Unsupported`, only because the frozen
+    /// `benchmark/src/timed_storage.rs` overrides it (ROADMAP 1(d)).
+    fn write_at(&self, key: &str, _offset: u64, _data: &[u8]) -> crate::Result<()> {
+        Err(Error::new(
+            ErrorKind::Unsupported,
+            format!("in-place write to {key}: objects are written whole"),
+        ))
+    }
 
     /// Size of object `key` in bytes.
     fn len(&self, key: &str) -> crate::Result<u64>;
@@ -280,16 +287,6 @@ impl Storage for MemStorage {
         Ok(obj.as_ref().clone())
     }
 
-    fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
-        let mut objects = self.objects.write();
-        let obj = objects.get_mut(key).ok_or_else(|| not_found(key))?;
-        let range = span(key, offset, data.len(), obj.len())?;
-        Arc::make_mut(obj)[range].copy_from_slice(data);
-        drop(objects);
-        self.stats.record_write(data.len() as u64);
-        Ok(())
-    }
-
     fn len(&self, key: &str) -> crate::Result<u64> {
         self.objects
             .read()
@@ -412,25 +409,6 @@ impl Storage for FileStorage {
         Ok(())
     }
 
-    fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
-        use std::os::unix::fs::FileExt;
-        let path = self.path_of(key)?;
-        let f = fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|_| not_found(key))?;
-        let size = f.metadata()?.len();
-        if offset
-            .checked_add(data.len() as u64)
-            .is_none_or(|end| end > size)
-        {
-            return Err(out_of_range(key, offset, data.len(), size));
-        }
-        f.write_all_at(data, offset)?;
-        self.stats.record_write(data.len() as u64);
-        Ok(())
-    }
-
     fn len(&self, key: &str) -> crate::Result<u64> {
         let path = self.path_of(key)?;
         fs::metadata(&path)
@@ -483,9 +461,8 @@ impl Storage for FileStorage {
 
     fn sync(&self) -> crate::Result<()> {
         // `create` already fsyncs file *data* before the rename; what can
-        // still be lost in a crash is a rename (a directory entry) or an
-        // unflushed `write_at`. Walk the tree once, `sync_all`-ing every
-        // file and directory.
+        // still be lost in a crash is a rename (a directory entry). Walk
+        // the tree once, `sync_all`-ing every file and directory.
         fn sync_tree(dir: &Path) -> crate::Result<()> {
             for entry in fs::read_dir(dir)? {
                 let path = entry?.path();
@@ -559,13 +536,6 @@ impl Storage for SimDisk {
         self.inner.read_unaccounted(key, offset, buf)
     }
 
-    fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
-        self.inner.write_at(key, offset, data)?;
-        let cost = self.disk.write_cost(data.len() as u64, false);
-        self.inner.stats.add_sim_nanos(nanos(cost));
-        Ok(())
-    }
-
     fn len(&self, key: &str) -> crate::Result<u64> {
         self.inner.len(key)
     }
@@ -611,8 +581,13 @@ mod tests {
         let mut buf = [0u8; 4];
         store.read_at("a/b.bin", 2, &mut buf)?;
         assert_eq!(buf, [3, 4, 5, 6]);
-        store.write_at("a/b.bin", 0, &[9, 9])?;
-        assert_eq!(store.read_all("a/b.bin")?, vec![9, 9, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(store.read_all("a/b.bin")?, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+        let refused = store.write_at("a/b.bin", 0, &[9, 9]).map_err(|e| e.kind());
+        assert_eq!(
+            refused,
+            Err(ErrorKind::Unsupported),
+            "objects are written whole"
+        );
         store.delete("a/b.bin")?;
         assert!(!store.exists("a/b.bin"));
         assert!(store.read_all("a/b.bin").is_err());
@@ -721,7 +696,6 @@ mod tests {
         store.create("k", &[0u8; 10])?;
         let mut buf = [0u8; 4];
         assert!(store.read_at("k", 8, &mut buf).is_err());
-        assert!(store.write_at("k", 8, &[0u8; 4]).is_err());
         Ok(())
     }
 
@@ -729,7 +703,7 @@ mod tests {
     fn ranges_past_the_end_are_errors_on_every_backend() -> crate::Result<()> {
         // Offsets whose end overflows `u64` (and, on files, `i64`) used to
         // panic on the add; every backend must answer a read with
-        // `UnexpectedEof` and a write with an error, and change nothing.
+        // `UnexpectedEof` and change nothing.
         let dir = crate::TempDir::new("gsd-io-ranges")?;
         let backends: Vec<(&str, Box<dyn Storage>)> = vec![
             ("mem", Box::new(MemStorage::new())),
@@ -743,14 +717,10 @@ mod tests {
                 let kinds = [
                     store.read_at("k", offset, &mut buf),
                     store.read_unaccounted("k", offset, &mut buf),
-                    store.write_at("k", offset, &[9u8; 8]),
                 ]
                 .map(|r| r.map_err(|e| e.kind()));
                 let eof = Err(ErrorKind::UnexpectedEof);
-                assert_eq!(
-                    kinds, [eof; 3],
-                    "{name}: read, side read, write at {offset}"
-                );
+                assert_eq!(kinds, [eof; 2], "{name}: read, side read at {offset}");
             }
             assert_eq!(store.read_all("k")?, [1u8; 16], "{name} unchanged");
         }
@@ -966,9 +936,6 @@ mod tests {
             }
             fn read_at(&self, key: &str, offset: u64, buf: &mut [u8]) -> crate::Result<()> {
                 self.0.read_at(key, offset, buf)
-            }
-            fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> crate::Result<()> {
-                self.0.write_at(key, offset, data)
             }
             fn len(&self, key: &str) -> crate::Result<u64> {
                 // As if the object had 16 more bytes when len() ran.

@@ -53,68 +53,16 @@
 //! with the programs.
 
 use crate::cache::SubBlockCache;
-use crate::wire::{MutateOp, Request, Response, StatsBody};
+use crate::wire::{Request, Response, StatsBody};
 use gsd_algos::{Bfs, Ppr, ProgramVisitor};
 use gsd_core::{GraphSdConfig, GraphSdEngine, GridSession};
 use gsd_delta::MutationBatch;
-use gsd_graph::{BlockOrder, Edge};
+use gsd_graph::{BlockOrder, DeltaOp, Edge};
 use gsd_runtime::kernels::{apply_range, scatter_edges};
 use gsd_runtime::{Engine, Frontier, ProgramContext, RunOptions, Value, ValueArray, VertexProgram};
 use gsd_trace::{TraceEvent, TraceSink};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// A bounded traversal the batching scheduler can coalesce.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Traversal {
-    /// Depths of every vertex within `k` hops of `source`.
-    KHop {
-        /// Traversal root.
-        source: u32,
-        /// Hop bound.
-        k: u32,
-    },
-    /// Personalized PageRank from `seeds`, truncated at `iterations`
-    /// propagation rounds.
-    Ppr {
-        /// Seed vertices.
-        seeds: Vec<u32>,
-        /// Damping factor.
-        alpha: f32,
-        /// Propagation rounds.
-        iterations: u32,
-    },
-}
-
-impl Traversal {
-    /// The traversal `request` asks for, or `None` for every other kind
-    /// of request.
-    pub fn from_request(request: &Request) -> Option<Traversal> {
-        match request {
-            Request::KHop { source, k } => Some(Traversal::KHop {
-                source: *source,
-                k: *k,
-            }),
-            Request::Ppr {
-                seeds,
-                alpha_bits,
-                iterations,
-            } => Some(Traversal::Ppr {
-                seeds: seeds.clone(),
-                alpha: f32::from_bits(*alpha_bits),
-                iterations: *iterations,
-            }),
-            Request::Ping
-            | Request::Stats
-            | Request::Degree { .. }
-            | Request::Neighbors { .. }
-            | Request::Run { .. }
-            | Request::Mutate { .. }
-            | Request::Compact
-            | Request::Shutdown => None,
-        }
-    }
-}
 
 /// Cumulative executor counters (all plain integers — the executor is
 /// single-threaded by design).
@@ -249,11 +197,12 @@ fn reported<V: Value>(values: &ValueArray<V>, keep: fn(V) -> Option<u32>) -> Vec
         .collect()
 }
 
-/// Validates one traversal and starts its program.
-fn start(t: &Traversal, ctx: &ProgramContext) -> Result<Box<dyn Running>, String> {
+/// Validates one traversal request and starts its program; any other
+/// request is refused.
+fn start(request: &Request, ctx: &ProgramContext) -> Result<Box<dyn Running>, String> {
     let n = ctx.num_vertices;
-    match t {
-        Traversal::KHop { source, k } => {
+    match request {
+        Request::KHop { source, k } => {
             if *source >= n {
                 return Err(format!("source {source} out of range"));
             }
@@ -261,25 +210,34 @@ fn start(t: &Traversal, ctx: &ProgramContext) -> Result<Box<dyn Running>, String
                 depths: reported(depths, |d| (d != u32::MAX).then_some(d)),
             })
         }
-        Traversal::Ppr {
+        Request::Ppr {
             seeds,
-            alpha,
+            alpha_bits,
             iterations,
         } => {
+            let alpha = f32::from_bits(*alpha_bits);
             if seeds.is_empty() {
                 return Err("ppr needs at least one seed".to_string());
             }
             if let Some(bad) = seeds.iter().find(|&&s| s >= n) {
                 return Err(format!("seed {bad} out of range"));
             }
-            if !alpha.is_finite() || *alpha <= 0.0 || *alpha >= 1.0 {
+            if !alpha.is_finite() || alpha <= 0.0 || alpha >= 1.0 {
                 return Err(format!("alpha {alpha} outside (0, 1)"));
             }
-            let program = Ppr::with_alpha(seeds.clone(), *alpha, *iterations);
+            let program = Ppr::with_alpha(seeds.clone(), alpha, *iterations);
             Query::start(program, *iterations, ctx, |ranks| Response::Scores {
                 scores: reported(ranks, |(rank, _)| (rank > 0.0).then(|| rank.to_bits())),
             })
         }
+        Request::Ping
+        | Request::Stats
+        | Request::Degree { .. }
+        | Request::Neighbors { .. }
+        | Request::Run { .. }
+        | Request::Mutate { .. }
+        | Request::Compact
+        | Request::Shutdown => Err(format!("{} is not a traversal", request.op())),
     }
 }
 
@@ -440,8 +398,7 @@ impl ServeCore {
             Request::Degree { v } => self.billed(op, |core, _| core.degree(*v)),
             Request::Neighbors { v } => self.billed(op, |core, charge| core.neighbors(*v, charge)),
             Request::KHop { .. } | Request::Ppr { .. } => {
-                let traversal = Traversal::from_request(request);
-                let mut responses = self.execute_batch(traversal.as_slice());
+                let mut responses = self.execute_batch(std::slice::from_ref(request));
                 responses.pop().unwrap_or_else(|| err("empty batch"))
             }
             Request::Run {
@@ -461,23 +418,18 @@ impl ServeCore {
     /// served handle. Because the executor is single-threaded, the commit
     /// happens strictly between queries: every query sees a whole epoch
     /// or none of it.
-    fn mutate(&mut self, ops: &[MutateOp]) -> Result<Response, String> {
-        let mut batch = MutationBatch::new();
+    fn mutate(&mut self, ops: &[DeltaOp]) -> Result<Response, String> {
         for op in ops {
-            match op.op {
-                0 => {
-                    let weight = f32::from_bits(op.weight_bits);
-                    if !weight.is_finite() {
-                        return Err(format!(
-                            "insert ({}, {}) carries a non-finite weight",
-                            op.src, op.dst
-                        ));
-                    }
-                    batch.insert(op.src, op.dst, weight)
+            if let DeltaOp::Insert(e) = op {
+                if !e.weight.is_finite() {
+                    return Err(format!(
+                        "insert ({}, {}) carries a non-finite weight",
+                        e.src, e.dst
+                    ));
                 }
-                _ => batch.delete(op.src, op.dst),
-            };
+            }
         }
+        let batch = MutationBatch { ops: ops.to_vec() };
         let grid = self.session.grid();
         let storage = grid.storage().clone();
         let prefix = grid.prefix().to_owned();
@@ -606,21 +558,19 @@ impl ServeCore {
         Ok(Response::Neighbors { neighbors })
     }
 
-    /// Runs `queries` as one batched sequence of BSP passes over the
-    /// grid. Responses are positionally aligned with `queries` and are
-    /// byte-identical to executing each query alone (see the module
-    /// docs for why).
-    pub fn execute_batch(&mut self, queries: &[Traversal]) -> Vec<Response> {
+    /// Runs the traversal requests `queries` (`KHop`, `Ppr`) as one
+    /// batched sequence of BSP passes over the grid. Responses are
+    /// positionally aligned with `queries` and are byte-identical to
+    /// executing each query alone (see the module docs for why); any
+    /// other request is answered with an error.
+    pub fn execute_batch(&mut self, queries: &[Request]) -> Vec<Response> {
         let mut ids = Vec::with_capacity(queries.len());
         let mut batch = Vec::with_capacity(queries.len());
-        for t in queries {
-            let op = match t {
-                Traversal::KHop { .. } => "khop",
-                Traversal::Ppr { .. } => "ppr",
-            };
+        for request in queries {
+            let op = request.op();
             ids.push((self.accept(op), op));
             batch.push(Active {
-                query: start(t, &self.ctx),
+                query: start(request, &self.ctx),
                 charge: Charge::default(),
             });
         }
@@ -942,13 +892,13 @@ mod tests {
     fn batched_execution_is_identical_to_solo_and_reads_less() {
         let graph = tiny();
         let queries = vec![
-            Traversal::KHop { source: 0, k: 3 },
-            Traversal::Ppr {
+            Request::KHop { source: 0, k: 3 },
+            Request::Ppr {
                 seeds: vec![5, 9],
-                alpha: 0.85,
+                alpha_bits: 0.85f32.to_bits(),
                 iterations: 3,
             },
-            Traversal::KHop { source: 31, k: 2 },
+            Request::KHop { source: 31, k: 2 },
         ];
 
         // Solo: fresh core per query so no cache effects leak between.
@@ -1013,18 +963,8 @@ mod tests {
             panic!("{resp:?}");
         };
         let ops = vec![
-            MutateOp {
-                op: 0,
-                src: 5,
-                dst: 99,
-                weight_bits: 1.0f32.to_bits(),
-            },
-            MutateOp {
-                op: 1,
-                src: 0,
-                dst: 1,
-                weight_bits: 0,
-            },
+            DeltaOp::Insert(Edge::weighted(5, 99, 1.0)),
+            DeltaOp::Delete { src: 0, dst: 1 },
         ];
         let resp = core.execute(&Request::Mutate { ops: ops.clone() });
         let Response::Mutated {
@@ -1088,12 +1028,7 @@ mod tests {
         // Out-of-range mutations are rejected without committing.
         assert!(matches!(
             core.execute(&Request::Mutate {
-                ops: vec![MutateOp {
-                    op: 0,
-                    src: 0,
-                    dst: 5_000_000,
-                    weight_bits: 1.0f32.to_bits()
-                }]
+                ops: vec![DeltaOp::Insert(Edge::weighted(0, 5_000_000, 1.0))]
             }),
             Response::Error { .. }
         ));

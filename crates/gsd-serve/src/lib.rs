@@ -47,6 +47,6 @@ pub mod server;
 pub mod wire;
 
 pub use cache::SubBlockCache;
-pub use core::{ServeCore, ServeCounters, Traversal};
+pub use core::{ServeCore, ServeCounters};
 pub use server::{serve_tcp, Client, Server, TcpClient};
-pub use wire::{MutateOp, Request, Response, StatsBody};
+pub use wire::{Request, Response, StatsBody};

@@ -29,7 +29,7 @@
     reason = "designated concurrency module: the serve daemon's executor, acceptor and connection threads and their job channel"
 )]
 
-use crate::core::{ServeCore, Traversal};
+use crate::core::ServeCore;
 use crate::wire::{read_frame, write_frame, Request, Response, HANDSHAKE};
 use std::io::{BufReader, BufWriter, Error, ErrorKind, Result};
 use std::net::{TcpListener, TcpStream};
@@ -112,15 +112,22 @@ fn executor(mut core: ServeCore, rx: Receiver<Job>) -> ServeCore {
         }
 
         let mut shutdown = false;
-        let mut traversals: Vec<Traversal> = Vec::new();
+        let mut traversals: Vec<Request> = Vec::new();
         let mut traversal_replies: Vec<Sender<Response>> = Vec::new();
         for job in jobs {
-            match Traversal::from_request(&job.request) {
-                Some(traversal) => {
-                    traversals.push(traversal);
+            match job.request {
+                Request::KHop { .. } | Request::Ppr { .. } => {
+                    traversals.push(job.request);
                     traversal_replies.push(job.reply);
                 }
-                None => {
+                Request::Ping
+                | Request::Stats
+                | Request::Degree { .. }
+                | Request::Neighbors { .. }
+                | Request::Run { .. }
+                | Request::Mutate { .. }
+                | Request::Compact
+                | Request::Shutdown => {
                     shutdown |= matches!(job.request, Request::Shutdown);
                     let response = core.execute(&job.request);
                     // A dropped reply channel just means the client went

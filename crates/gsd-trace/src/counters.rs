@@ -2,16 +2,11 @@
 //!
 //! [`Counter`] is the workspace's one atomic: every shared statistic (the
 //! I/O, verification and fault-injection counters, the ring recorder's
-//! drop count, the temp-dir sequence, each histogram cell) is one.
-//! [`Histogram`] is the shared, lock-free histogram (one counter
-//! increment per cell), named and owned by a [`CounterRegistry`];
-//! [`HistogramSnapshot`] is its point-in-time copy and, through
-//! [`HistogramSnapshot::record`], the single-owner form the trace fold
-//! accumulates into.
+//! drop count, the temp-dir sequence) is one. [`HistogramSnapshot`] is a
+//! single-owner power-of-two histogram the trace fold records its
+//! distributions into.
 
 use serde::{Serialize, Value};
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
 
 pub use counter::Counter;
 
@@ -60,12 +55,8 @@ mod counter {
     }
 }
 
-/// Number of power-of-two buckets: bucket `k` counts values whose bit
-/// length is `k`, i.e. `v == 0` lands in bucket 0 and `v` in
-/// `[2^(k-1), 2^k)` lands in bucket `k`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// The bucket a sample lands in: its bit length.
+/// The bucket a sample lands in: its bit length, so `v == 0` lands in
+/// bucket 0 and `v` in `[2^(k-1), 2^k)` in bucket `k` (65 buckets).
 fn bucket_of(value: u64) -> usize {
     (64 - value.leading_zeros()) as usize
 }
@@ -79,64 +70,7 @@ fn bucket_upper(k: usize) -> u64 {
     }
 }
 
-/// A fixed-bucket power-of-two histogram over `u64` samples.
-pub struct Histogram {
-    buckets: [Counter; HISTOGRAM_BUCKETS],
-    count: Counter,
-    sum: Counter,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| Counter::new()),
-            count: Counter::new(),
-            sum: Counter::new(),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].add(1);
-        self.count.add(1);
-        self.sum.add(value);
-    }
-
-    /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.get()
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.get()
-    }
-
-    /// A point-in-time copy of the non-empty buckets.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = Vec::new();
-        for (k, b) in self.buckets.iter().enumerate() {
-            let n = b.get();
-            if n > 0 {
-                buckets.push((bucket_upper(k), n));
-            }
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count(),
-            sum: self.sum(),
-        }
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`].
+/// A power-of-two-bucket histogram over `u64` samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// `(inclusive_upper_bound, count)` for each non-empty bucket,
@@ -149,9 +83,7 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Adds one sample: the single-owner counterpart of
-    /// [`Histogram::record`], for a fold that owns its distributions.
-    /// Recording the same samples either way gives equal snapshots.
+    /// Adds one sample.
     pub fn record(&mut self, value: u64) {
         let upper = bucket_upper(bucket_of(value));
         match self.buckets.binary_search_by_key(&upper, |&(le, _)| le) {
@@ -239,67 +171,24 @@ impl Serialize for HistogramSnapshot {
     }
 }
 
-/// A named collection of [`Histogram`]s, shared by reference with the hot
-/// paths that record into it.
-#[derive(Default)]
-pub struct CounterRegistry {
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl CounterRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns (creating on first use) the histogram named `name`.
-    /// Callers on hot paths should fetch once and cache the `Arc`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    }
-
-    /// Snapshots every histogram, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
-        let map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        map.iter()
-            .map(|(name, h)| (name.clone(), h.snapshot()))
-            .collect()
-    }
-}
-
-impl Serialize for CounterRegistry {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.snapshot()
-                .into_iter()
-                .map(|(name, snap)| (name, snap.to_value()))
-                .collect(),
-        )
-    }
-}
+/// A placeholder with no values. No backend keeps request histograms;
+/// the type stays only because the frozen `benchmark/src/timed_storage.rs`
+/// names it in its `Storage::counters` override (ROADMAP 1(d)).
+pub enum CounterRegistry {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn hist(samples: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        samples.into_iter().for_each(|v| h.record(v));
+        h
+    }
+
     #[test]
     fn histogram_buckets_by_power_of_two() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        let snap = h.snapshot();
+        let snap = hist([0, 1, 2, 3, 1024]);
         assert_eq!(snap.count, 5);
         assert_eq!(snap.sum, 1030);
         // 0 -> le 0; 1 -> le 1; 2,3 -> le 3; 1024 -> le 2047.
@@ -307,19 +196,16 @@ mod tests {
     }
 
     #[test]
-    fn recording_into_a_snapshot_equals_snapshotting_a_histogram() {
-        let h = Histogram::new();
-        let mut snap = HistogramSnapshot::default();
-        for v in [1024, 0, 3, u64::MAX, 2, 1, u64::MAX, 700] {
-            h.record(v);
-            snap.record(v);
-        }
-        assert_eq!(snap, h.snapshot());
+    fn recording_order_does_not_change_the_histogram() {
+        let samples = [1024, 0, 3, u64::MAX, 2, 1, u64::MAX, 700];
+        let mut sorted = samples;
+        sorted.sort_unstable();
+        assert_eq!(hist(samples), hist(sorted));
     }
 
     #[test]
     fn quantiles_of_empty_histogram_are_none() {
-        let snap = Histogram::new().snapshot();
+        let snap = HistogramSnapshot::default();
         assert_eq!(snap.quantile(0.5), None);
         assert_eq!(snap.p50(), None);
         assert_eq!(snap.p95(), None);
@@ -329,11 +215,9 @@ mod tests {
 
     #[test]
     fn quantiles_of_single_sample() {
-        let h = Histogram::new();
-        h.record(1000); // bucket upper bound 1023
-        let snap = h.snapshot();
         // Every quantile of a one-sample distribution is that sample's
-        // bucket, including the extremes.
+        // bucket (le 1023), including the extremes.
+        let snap = hist([1000]);
         assert_eq!(snap.quantile(0.0), Some(1023));
         assert_eq!(snap.p50(), Some(1023));
         assert_eq!(snap.p95(), Some(1023));
@@ -344,16 +228,12 @@ mod tests {
 
     #[test]
     fn quantiles_walk_cumulative_buckets() {
-        let h = Histogram::new();
         // 90 samples in the `le 15` bucket, 9 in `le 1023`, 1 at the top.
-        for _ in 0..90 {
-            h.record(10);
-        }
-        for _ in 0..9 {
-            h.record(600);
-        }
-        h.record(u64::MAX);
-        let snap = h.snapshot();
+        let snap = hist(
+            std::iter::repeat_n(10, 90)
+                .chain(std::iter::repeat_n(600, 9))
+                .chain([u64::MAX]),
+        );
         assert_eq!(snap.count, 100);
         assert_eq!(snap.p50(), Some(15));
         assert_eq!(snap.quantile(0.90), Some(15));
@@ -364,13 +244,10 @@ mod tests {
 
     #[test]
     fn top_bucket_holds_u64_max_without_overflow() {
-        let h = Histogram::new();
-        h.record(u64::MAX);
-        h.record(u64::MAX);
-        let snap = h.snapshot();
+        let snap = hist([u64::MAX, u64::MAX]);
         // The top bucket's inclusive upper bound is u64::MAX itself; the
-        // sum wraps-by-saturation is not required (relaxed adds wrap), but
-        // the quantile path must still return the sentinel bound.
+        // sum wraps, but the quantile path must still return the sentinel
+        // bound.
         assert_eq!(snap.buckets, vec![(u64::MAX, 2)]);
         assert_eq!(snap.p50(), Some(u64::MAX));
         assert_eq!(snap.p99(), Some(u64::MAX));
@@ -378,21 +255,8 @@ mod tests {
 
     #[test]
     fn out_of_range_quantiles_are_clamped() {
-        let h = Histogram::new();
-        h.record(4);
-        let snap = h.snapshot();
+        let snap = hist([4]);
         assert_eq!(snap.quantile(-1.0), snap.quantile(0.0));
         assert_eq!(snap.quantile(2.0), snap.quantile(1.0));
-    }
-
-    #[test]
-    fn registry_reuses_histograms_and_serializes() {
-        let reg = CounterRegistry::new();
-        reg.histogram("read_bytes").record(100);
-        reg.histogram("read_bytes").record(200);
-        assert_eq!(reg.histogram("read_bytes").count(), 2);
-        let json = serde_json::to_string(&reg).unwrap();
-        assert!(json.contains("\"read_bytes\""));
-        assert!(json.contains("\"count\":2"));
     }
 }

@@ -16,10 +16,10 @@
 //!   tees to several sinks.
 //! * [`Counter`] — the one shared statistics counter (the only atomic in
 //!   the workspace; `clippy.toml` bans the raw atomic types elsewhere).
-//! * [`Histogram`] / [`HistogramSnapshot`] — power-of-two histograms; the
-//!   trace fold records its I/O-size and stall distributions into
-//!   snapshots. ([`CounterRegistry`] has no in-tree user left: it stays
-//!   for the frozen `benchmark/`'s `Storage::counters` override.)
+//! * [`HistogramSnapshot`] — a power-of-two histogram; the trace fold
+//!   records its I/O-size and stall distributions into it.
+//!   ([`CounterRegistry`] is an uninhabited placeholder: it stays for the
+//!   frozen `benchmark/`'s `Storage::counters` override.)
 //! * [`Stopwatch`] / [`timed`] — the workspace's single wall-clock access
 //!   point; everything else measures elapsed time through it, and the
 //!   `clippy.toml` ban on `Instant`/`SystemTime` keeps SimDisk
@@ -38,6 +38,6 @@ pub mod labels;
 pub mod sink;
 
 pub use clock::{timed, Stopwatch};
-pub use counters::{Counter, CounterRegistry, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+pub use counters::{Counter, CounterRegistry, HistogramSnapshot};
 pub use event::{AccessModel, TraceEvent};
 pub use sink::{null_sink, FanoutSink, JsonlWriter, NullSink, RingRecorder, TraceSink};

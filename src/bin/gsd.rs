@@ -74,7 +74,6 @@ use graphsd::bench::{
 };
 use graphsd::core::{GraphSdConfig, GraphSdEngine, GridSession, PipelineConfig};
 use graphsd::delta::MutationBatch;
-use graphsd::graph::delta::DeltaOp;
 use graphsd::graph::format::object_class;
 use graphsd::graph::{
     parse_edge_list, preprocess_text, repair_grid, scrub_grid, write_edge_list, CorruptionResponse,
@@ -84,7 +83,7 @@ use graphsd::io::{FileStorage, SharedStorage};
 use graphsd::runtime::{
     value_fingerprint, Engine, RunOptions, RunResult, RunStats, Value, VertexProgram,
 };
-use graphsd::serve::{serve_tcp, MutateOp, Request, Response, ServeCore, Server, TcpClient};
+use graphsd::serve::{serve_tcp, Request, Response, ServeCore, Server, TcpClient};
 use graphsd::trace::TraceSink;
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -549,25 +548,7 @@ fn cmd_query(raw: &[String]) -> Result<(), String> {
             let path = rest.first().ok_or("query mutate needs <batch.txt>")?;
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             let batch = MutationBatch::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-            let ops = batch
-                .ops
-                .iter()
-                .map(|op| match *op {
-                    DeltaOp::Insert(e) => MutateOp {
-                        op: 0,
-                        src: e.src,
-                        dst: e.dst,
-                        weight_bits: e.weight.to_bits(),
-                    },
-                    DeltaOp::Delete { src, dst } => MutateOp {
-                        op: 1,
-                        src,
-                        dst,
-                        weight_bits: 0,
-                    },
-                })
-                .collect();
-            Request::Mutate { ops }
+            Request::Mutate { ops: batch.ops }
         }
         "compact" => Request::Compact,
         "shutdown" => Request::Shutdown,

@@ -537,7 +537,7 @@ fn unnamed_segments(storage: &SharedStorage) -> (Vec<String>, usize) {
     )
 }
 
-/// Kills every data op (`create`, `read_at`, `write_at`, `sync`) of one
+/// Kills every data op (`create`, `read_at`, `sync`) of one
 /// `ingest` in turn, on a fresh copy of the grid each time. Ingest
 /// deletes nothing: a kill leaves at most the new epoch's segment
 /// unnamed, and the re-run names it.

@@ -99,7 +99,9 @@ fn repair_restores_a_lost_row_and_a_flipped_block_in_every_order() {
             .map(|key| format!("g/{key}"))
             .find(|key| key.ends_with(".edges") && !pristine[key].is_empty())
             .unwrap();
-        storage.write_at(&flipped, 3, &[0x40]).unwrap();
+        let mut rotted = pristine[&flipped].clone();
+        rotted[3] = 0x40;
+        storage.create(&flipped, &rotted).unwrap();
 
         let outcome = repair_grid(storage.as_ref(), "g/", &graph()).unwrap();
         assert!(outcome.after.is_clean(), "{order:?}");
@@ -123,9 +125,6 @@ impl Storage for SyncCounting {
     }
     fn read_unaccounted(&self, key: &str, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
         self.inner.read_unaccounted(key, offset, buf)
-    }
-    fn write_at(&self, key: &str, offset: u64, data: &[u8]) -> std::io::Result<()> {
-        self.inner.write_at(key, offset, data)
     }
     fn len(&self, key: &str) -> std::io::Result<u64> {
         self.inner.len(key)

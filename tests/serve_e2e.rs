@@ -42,7 +42,7 @@ use graphsd::graph::{
 };
 use graphsd::io::{MemStorage, SharedStorage};
 use graphsd::runtime::{Engine, ReferenceEngine, RunOptions};
-use graphsd::serve::{Request, Response, ServeCore, Server, Traversal};
+use graphsd::serve::{Request, Response, ServeCore, Server};
 use graphsd::trace::{RingRecorder, TraceEvent};
 use std::sync::Arc;
 use std::thread;
@@ -241,11 +241,11 @@ fn concurrently_served_traversals_match_the_reference_engine() {
 fn batching_merges_concurrent_traversals_into_shared_passes() {
     let graph = graph();
     let queries = vec![
-        Traversal::KHop { source: 3, k: 3 },
-        Traversal::KHop { source: 77, k: 3 },
-        Traversal::Ppr {
+        Request::KHop { source: 3, k: 3 },
+        Request::KHop { source: 77, k: 3 },
+        Request::Ppr {
             seeds: vec![10, 120],
-            alpha: 0.85,
+            alpha_bits: 0.85f32.to_bits(),
             iterations: 3,
         },
     ];
@@ -460,5 +460,251 @@ fn ppr_with_a_non_default_alpha_matches_the_reference_engine_bit_for_bit() {
             .map(|(v, val)| (v as u32, val.0.to_bits()))
             .collect();
         assert_eq!(got, Response::Scores { scores: want }, "alpha {alpha}");
+    }
+}
+
+/// Hex with optional spaces → bytes (the pinned frames below).
+fn unhex(s: &str) -> Vec<u8> {
+    let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+    digits
+        .chunks(2)
+        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn every_message_encodes_to_its_pinned_bytes_and_no_input_panics_a_decoder() {
+    use graphsd::serve::StatsBody;
+
+    // One instance of every request variant, its op label and its exact
+    // payload bytes (tag, then little-endian fields in wire order).
+    let requests: Vec<(Option<Request>, &str, &str)> = vec![
+        (Some(Request::Ping), "ping", "01"),
+        (Some(Request::Stats), "stats", "02"),
+        (Some(Request::Degree { v: 7 }), "degree", "03 07000000"),
+        (
+            Some(Request::Neighbors { v: u32::MAX }),
+            "neighbors",
+            "04 ffffffff",
+        ),
+        (
+            Some(Request::KHop { source: 3, k: 2 }),
+            "khop",
+            "05 03000000 02000000",
+        ),
+        (
+            Some(Request::Ppr {
+                seeds: vec![1, 5],
+                alpha_bits: 0.85f32.to_bits(),
+                iterations: 4,
+            }),
+            "ppr",
+            "06 02000000 01000000 05000000 9a99593f 04000000",
+        ),
+        (
+            Some(Request::Ppr {
+                seeds: vec![],
+                alpha_bits: 0,
+                iterations: 0,
+            }),
+            "ppr",
+            "06 00000000 00000000 00000000",
+        ),
+        (
+            Some(Request::Run {
+                algo: "cc".to_string(),
+                source: 9,
+                iterations: 5,
+            }),
+            "run",
+            "07 0200 6363 09000000 05000000",
+        ),
+        (Some(Request::Shutdown), "shutdown", "08"),
+        // Mutate: one insert (1 -> 2, weight 1.5) and one delete (3 -> 4),
+        // 13 bytes per op (op code, src, dst, weight bits; 0 for deletes).
+        // Pinned by decode → encode, so the op type is not named here.
+        (
+            None,
+            "mutate",
+            "09 02000000 00 01000000 02000000 0000c03f 01 03000000 04000000 00000000",
+        ),
+        (None, "mutate", "09 00000000"),
+        (Some(Request::Compact), "compact", "0a"),
+    ];
+    let stats = StatsBody {
+        vertices: 1,
+        edges: 2,
+        p: 3,
+        queries: 4,
+        cache_hits: 5,
+        cache_misses: 6,
+        cache_bytes: 7,
+        cache_entries: 8,
+        bytes_read: 9,
+        blocks_read: 10,
+        batch_passes: 11,
+        batched_queries: 12,
+    };
+    let responses: Vec<(Response, &str)> = vec![
+        (Response::Pong, "01"),
+        (
+            Response::Stats(stats),
+            "02 0100000000000000 0200000000000000 0300000000000000 0400000000000000 \
+             0500000000000000 0600000000000000 0700000000000000 0800000000000000 \
+             0900000000000000 0a00000000000000 0b00000000000000 0c00000000000000",
+        ),
+        (Response::Degree { degree: 42 }, "03 2a000000"),
+        (
+            Response::Neighbors {
+                neighbors: vec![0, 1, 2],
+            },
+            "04 03000000 00000000 01000000 02000000",
+        ),
+        (Response::Neighbors { neighbors: vec![] }, "04 00000000"),
+        (
+            Response::Depths {
+                depths: vec![(0, 0), (3, 1)],
+            },
+            "05 02000000 00000000 00000000 03000000 01000000",
+        ),
+        (Response::Depths { depths: vec![] }, "05 00000000"),
+        (
+            Response::Scores {
+                scores: vec![(2, 0.5f32.to_bits())],
+            },
+            "06 01000000 02000000 0000003f",
+        ),
+        (Response::Scores { scores: vec![] }, "06 00000000"),
+        (
+            Response::RunSummary {
+                algorithm: "cc".to_string(),
+                iterations: 9,
+                fingerprint: 0xdead_beef,
+                bytes_read: 1 << 20,
+            },
+            "07 0200 6363 09000000 efbeadde00000000 0000100000000000",
+        ),
+        (
+            Response::Error {
+                message: "no".to_string(),
+            },
+            "08 0200 6e6f",
+        ),
+        (
+            Response::Error {
+                message: String::new(),
+            },
+            "08 0000",
+        ),
+        (Response::ShuttingDown, "09"),
+        (
+            Response::Mutated {
+                epoch: 3,
+                merged_edges: 1234,
+                segments: 2,
+            },
+            "0a 0300000000000000 d204000000000000 0200000000000000",
+        ),
+        (
+            Response::Compacted {
+                epoch: 3,
+                segments_folded: 2,
+                objects_rewritten: 5,
+                fingerprint: 0xfeed_f00d,
+            },
+            "0b 0300000000000000 0200000000000000 0500000000000000 0df0edfe00000000",
+        ),
+    ];
+
+    let mut pinned_requests = Vec::new();
+    for (request, op, hex) in &requests {
+        let bytes = unhex(hex);
+        let decoded = Request::decode(&bytes).unwrap_or_else(|e| panic!("{op} {hex}: {e}"));
+        assert_eq!(decoded.op(), *op, "{hex}");
+        assert_eq!(decoded.encode().unwrap(), bytes, "{op} re-encodes to {hex}");
+        if let Some(request) = request {
+            assert_eq!(&decoded, request, "{hex}");
+            assert_eq!(request.encode().unwrap(), bytes, "{request:?}");
+        }
+        pinned_requests.push(bytes);
+    }
+    let Request::Mutate { ops } = Request::decode(&pinned_requests[9]).unwrap() else {
+        panic!("tag 9 is a mutation batch");
+    };
+    assert_eq!(ops.len(), 2);
+    let mut pinned_responses = Vec::new();
+    for (response, hex) in &responses {
+        let bytes = unhex(hex);
+        assert_eq!(response.encode().unwrap(), bytes, "{response:?}");
+        assert_eq!(&Response::decode(&bytes).unwrap(), response, "{hex}");
+        pinned_responses.push(bytes);
+    }
+
+    // Every strict prefix of a pinned message, and the message with a
+    // byte appended, is an error for its decoder; the other decoder may
+    // accept either but must not panic.
+    let pinned: Vec<(&Vec<u8>, bool)> = pinned_requests
+        .iter()
+        .map(|b| (b, true))
+        .chain(pinned_responses.iter().map(|b| (b, false)))
+        .collect();
+    for &(bytes, is_request) in &pinned {
+        let mut longer = bytes.clone();
+        longer.push(0);
+        for input in (0..bytes.len())
+            .map(|cut| &bytes[..cut])
+            .chain([&longer[..]])
+        {
+            let (request, response) = (Request::decode(input), Response::decode(input));
+            let own_is_err = if is_request {
+                request.is_err()
+            } else {
+                response.is_err()
+            };
+            assert!(own_is_err, "{input:?} is not a whole message");
+        }
+    }
+    for tag in [0u8, 12, 99, 255] {
+        assert!(Request::decode(&[tag]).is_err(), "request tag {tag}");
+        assert!(Response::decode(&[tag]).is_err(), "response tag {tag}");
+    }
+
+    // Seeded arbitrary inputs: random strings behind a plausible tag, and
+    // pinned messages with random bytes overwritten. Neither decoder may
+    // panic, and whatever decodes re-encodes to a fixed point.
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for round in 0..6_000u32 {
+        let mut bytes = if round % 2 == 0 {
+            let len = (next() % 48) as usize;
+            let mut b: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            if let Some(first) = b.first_mut() {
+                *first %= 13;
+            }
+            b
+        } else {
+            pinned[next() as usize % pinned.len()].0.clone()
+        };
+        if !bytes.is_empty() {
+            for _ in 0..1 + next() % 3 {
+                let at = (next() % bytes.len() as u64) as usize;
+                bytes[at] = next() as u8;
+            }
+        }
+        if let Ok(request) = Request::decode(&bytes) {
+            let again = request.encode().unwrap();
+            let twice = Request::decode(&again).unwrap().encode().unwrap();
+            assert_eq!(again, twice, "{bytes:?}");
+        }
+        if let Ok(response) = Response::decode(&bytes) {
+            let again = response.encode().unwrap();
+            let twice = Response::decode(&again).unwrap().encode().unwrap();
+            assert_eq!(again, twice, "{bytes:?}");
+        }
     }
 }
