@@ -675,25 +675,32 @@ pub struct Fig10 {
     pub on_demand: Vec<Duration>,
     /// The model the adaptive scheduler picked per iteration.
     pub chosen: Vec<gsd_runtime::IoAccessModel>,
+    /// Total priced I/O times (adaptive, full, on-demand): `SimDisk`'s
+    /// virtual clock, which repeats exactly, while the per-iteration
+    /// times above add measured compute.
+    pub io_totals: (Duration, Duration, Duration),
 }
 
 /// Runs the `fig10` experiment (CC on the UKUnion stand-in in the paper).
 pub fn fig10(d: &Dataset, settings: &RunSettings) -> std::io::Result<Fig10> {
-    let per_iter = |kind| -> std::io::Result<(Vec<Duration>, Vec<_>)> {
+    let per_iter = |kind| -> std::io::Result<(Vec<Duration>, Vec<_>, Duration)> {
         let stats = run_system(kind, d, Algo::Cc, settings)?.stats;
         let iterations = stats.per_iteration.iter();
-        Ok(iterations
+        let io = iterations.clone().map(|s| s.io_time).sum();
+        let (times, models) = iterations
             .map(|s| (s.io_time + s.compute_time, s.model))
-            .unzip())
+            .unzip();
+        Ok((times, models, io))
     };
-    let (adaptive, chosen) = per_iter(SystemKind::GraphSd)?;
-    let (full, _) = per_iter(SystemKind::GraphSdB3)?;
-    let (on_demand, _) = per_iter(SystemKind::GraphSdB4)?;
+    let (adaptive, chosen, adaptive_io) = per_iter(SystemKind::GraphSd)?;
+    let (full, _, full_io) = per_iter(SystemKind::GraphSdB3)?;
+    let (on_demand, _, on_demand_io) = per_iter(SystemKind::GraphSdB4)?;
     Ok(Fig10 {
         adaptive,
         full,
         on_demand,
         chosen,
+        io_totals: (adaptive_io, full_io, on_demand_io),
     })
 }
 

@@ -8,18 +8,19 @@
 //! does not fit evicts the lowest-priority residents, but only while their
 //! priority is strictly lower than the newcomer's.
 //!
-//! That displacement rule lives once, in [`Residency`]. The run buffer
-//! here ([`SubBlockBuffer`], priority = active edges) and the serve
-//! daemon's cache (`gsd_serve::cache`, priority = demand) each wrap it
-//! with their own trace events and their own hit accounting.
+//! That displacement rule lives once, in [`Residency`], generic over the
+//! payload it keeps. The run buffer here ([`SubBlockBuffer`], decoded
+//! edges, priority = active edges) and the serve daemon's cache
+//! (`gsd_serve::cache`, encoded payload bytes, priority = demand) each
+//! wrap it with their own trace events and their own hit accounting.
 
 use gsd_graph::Edge;
 use gsd_trace::{TraceEvent, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-struct Entry {
-    edges: Arc<Vec<Edge>>,
+struct Entry<T> {
+    payload: T,
     bytes: u64,
     priority: u64,
 }
@@ -28,15 +29,16 @@ struct Entry {
 /// bytes.
 pub type Evicted = ((u32, u32), u64);
 
-/// Byte-bounded residency map of decoded sub-blocks, keyed by `(i, j)`,
-/// with the strictly-lower-priority displacement rule.
-pub struct Residency {
+/// Byte-bounded residency map of sub-block payloads `T`, keyed by
+/// `(i, j)`, with the strictly-lower-priority displacement rule. Each
+/// payload is charged the byte count its offer names.
+pub struct Residency<T> {
     capacity: u64,
     used: u64,
-    entries: BTreeMap<(u32, u32), Entry>,
+    entries: BTreeMap<(u32, u32), Entry<T>>,
 }
 
-impl Residency {
+impl<T> Residency<T> {
     /// A map holding at most `capacity` bytes of block payloads.
     pub fn new(capacity: u64) -> Self {
         Residency {
@@ -62,8 +64,8 @@ impl Residency {
     }
 
     /// Block `(i, j)`'s payload and its byte charge, if resident.
-    pub fn get(&self, i: u32, j: u32) -> Option<(&Arc<Vec<Edge>>, u64)> {
-        self.entries.get(&(i, j)).map(|e| (&e.edges, e.bytes))
+    pub fn get(&self, i: u32, j: u32) -> Option<(&T, u64)> {
+        self.entries.get(&(i, j)).map(|e| (&e.payload, e.bytes))
     }
 
     /// Whether block `(i, j)` is resident.
@@ -71,12 +73,13 @@ impl Residency {
         self.entries.contains_key(&(i, j))
     }
 
-    /// Offers block `(i, j)` with the given payload size and priority.
-    /// Returns whether the block is resident afterwards, and the
-    /// residents evicted on the way, in eviction order.
+    /// Offers block `(i, j)` with the given payload size and priority;
+    /// `payload` is called only if the block is admitted. Returns whether
+    /// the block is resident afterwards, and the residents evicted on the
+    /// way, in eviction order.
     ///
     /// A re-offer of a resident block replaces the payload and refreshes
-    /// the priority — the caller's decode is newer than what is resident,
+    /// the priority — the caller's read is newer than what is resident,
     /// and `used` must track the new size. Otherwise lower-priority
     /// residents are evicted while the block does not fit; if the
     /// remaining residents all have priority ≥ the newcomer's, the offer
@@ -86,9 +89,9 @@ impl Residency {
         &mut self,
         i: u32,
         j: u32,
-        edges: Arc<Vec<Edge>>,
         bytes: u64,
         priority: u64,
+        payload: impl FnOnce() -> T,
     ) -> (bool, Vec<Evicted>) {
         let mut evicted = Vec::new();
         if let Some(old) = self.entries.remove(&(i, j)) {
@@ -121,7 +124,7 @@ impl Residency {
         self.entries.insert(
             (i, j),
             Entry {
-                edges,
+                payload: payload(),
                 bytes,
                 priority,
             },
@@ -145,7 +148,7 @@ impl Residency {
 
 /// Priority cache of decoded secondary sub-blocks, keyed by `(i, j)`.
 pub struct SubBlockBuffer {
-    map: Residency,
+    map: Residency<Arc<Vec<Edge>>>,
     trace: Arc<dyn TraceSink>,
     /// Number of reads served from the buffer.
     pub hits: u64,
@@ -222,7 +225,7 @@ impl SubBlockBuffer {
         bytes: u64,
         priority: u64,
     ) -> bool {
-        let (resident, evicted) = self.map.offer(i, j, edges, bytes, priority);
+        let (resident, evicted) = self.map.offer(i, j, bytes, priority, || edges);
         for ((i, j), bytes) in evicted {
             self.evictions += 1;
             if self.trace.enabled() {

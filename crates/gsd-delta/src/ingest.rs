@@ -216,6 +216,19 @@ mod tests {
         let degrees = grid.load_out_degrees().unwrap();
         assert_eq!(degrees[0], g.out_degrees()[0] + 2);
         assert_eq!(degrees[1], g.out_degrees()[1] - copies_10 as u32,);
+        // Merged or not, a block's undecoded payload is as long as the
+        // patched meta says and decodes to what `read_block_into` reads.
+        let (mut buf, mut scratch, mut edges) = (Vec::new(), Vec::new(), Vec::new());
+        for i in 0..3 {
+            for j in 0..3 {
+                let payload = grid.read_block_payload(i, j, &mut buf).unwrap();
+                assert_eq!(payload.len() as u64, grid.meta().block_bytes(i, j));
+                grid.read_block_into(i, j, &mut scratch, &mut edges)
+                    .unwrap();
+                assert_eq!(grid.codec().decode_all(payload), edges);
+            }
+        }
+        assert!(grid.overlay().is_some_and(|o| o.block(0, 0).is_some()));
     }
 
     #[test]

@@ -229,8 +229,8 @@ impl GridGraph {
     }
 
     /// Streams sub-block `(i, j)` into caller-provided buffers (no
-    /// allocation when capacities suffice). Empty blocks skip the I/O
-    /// entirely (their emptiness is known from the metadata).
+    /// allocation when capacities suffice): [`Self::read_block_payload`]
+    /// into `scratch`, then one decode into `out`.
     pub fn read_block_into(
         &self,
         i: u32,
@@ -238,25 +238,42 @@ impl GridGraph {
         scratch: &mut Vec<u8>,
         out: &mut Vec<Edge>,
     ) -> std::io::Result<()> {
-        out.clear();
+        let payload = self.read_block_payload(i, j, scratch)?;
+        self.codec.decode_all_into(payload, out);
+        Ok(())
+    }
+
+    /// Sub-block `(i, j)`'s payload as [`Self::codec`] records, undecoded:
+    /// the overlay-merged bytes when a live delta touched the block (held
+    /// in memory, so no copy), otherwise the verified stored bytes, read
+    /// into the front of `buf` (grown, never shrunk) and returned as that
+    /// prefix. Its length is [`GridMeta::block_bytes`] either way (the meta
+    /// carries the merged shape). Empty blocks skip the I/O entirely
+    /// (their emptiness is known from the metadata).
+    ///
+    /// [`GridMeta::block_bytes`]: crate::format::GridMeta::block_bytes
+    pub fn read_block_payload<'a>(
+        &'a self,
+        i: u32,
+        j: u32,
+        buf: &'a mut Vec<u8>,
+    ) -> std::io::Result<&'a [u8]> {
         if let Some(block) = self.overlay.as_ref().and_then(|o| o.block(i, j)) {
-            self.codec.decode_all_into(&block.bytes, out);
-            return Ok(());
+            return Ok(&block.bytes);
         }
         let bytes = crate::narrow::to_usize(self.meta.block_bytes(i, j), "block size");
+        let out = grown_to(buf, bytes);
         if bytes == 0 {
-            return Ok(());
+            return Ok(out);
         }
-        let buf = grown_to(scratch, bytes);
         let key = self.edges_key(i, j);
         match &self.verifier {
             // Whole-object read: verified in place from the engine's own
             // accounted read — clean data costs zero extra I/O.
-            Some(v) => v.read_whole_verified(&key, buf)?,
-            None => self.storage.read_at(&key, 0, buf)?,
+            Some(v) => v.read_whole_verified(&key, out)?,
+            None => self.storage.read_at(&key, 0, out)?,
         }
-        self.codec.decode_all_into(buf, out);
-        Ok(())
+        Ok(out)
     }
 
     /// Reads the rows of interval `i`'s row index covering vertices

@@ -7,6 +7,19 @@
 //! together with the engines' fixed block visit order that fixes the
 //! float combine order, which is what keeps value fingerprints
 //! bit-identical across runs and engines.
+//!
+//! ## One walk, two views
+//!
+//! [`scatter_sorted`] is one galloping walk over any
+//! [`SourceSortedEdges`] view of a `BySource` sub-block, which answers
+//! how many edges it holds, the source of edge `k` and edge `k`, and runs
+//! the per-edge loop a dense block takes instead. The driver's stream
+//! pass hands it decoded slices ([`SortedBySource`], whose per-edge loop
+//! is [`scatter_edges`]); the serve daemon hands it the payload bytes it
+//! read ([`EncodedBySource`]), so a sparse query decodes only the edges
+//! its frontier sends and a dense one decodes each record once, in place.
+//! Both views deliver the same messages in the same order —
+//! `tests/kernel_equivalence.rs` pins that bit for bit.
 
 use crate::context::ProgramContext;
 use crate::frontier::Frontier;
@@ -54,9 +67,38 @@ pub fn scatter_edges<P: VertexProgram>(
     delivered
 }
 
-/// Edges in ascending source order — a `BySource` sub-block as the grid
-/// stores it. Only [`SortedBySource::new`] builds one, and it checks the
-/// order in debug builds.
+/// A source-sorted sub-block as [`scatter_sorted`] walks it: `len`
+/// edges, the source of edge `k` and edge `k` itself, which the gallop
+/// reads, and the per-edge loop a dense block runs instead. The gallop
+/// reads sources to find live runs and whole edges only for the messages
+/// it sends, so a view that decodes on access pays for exactly those.
+pub trait SourceSortedEdges {
+    /// Number of edges.
+    fn len(&self) -> usize;
+    /// Whether the view holds no edge.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Source of edge `k < len()`.
+    fn src(&self, k: usize) -> u32;
+    /// Edge `k < len()`.
+    fn edge(&self, k: usize) -> Edge;
+    /// [`scatter_edges`] over every edge, filtered by `source_filter`:
+    /// the per-edge loop of [`scatter_sorted`].
+    fn scatter_each<P: VertexProgram>(
+        &self,
+        program: &P,
+        ctx: &ProgramContext,
+        source_filter: &Frontier,
+        source_values: &ValueArray<P::Value>,
+        accum: &ValueArray<P::Accum>,
+        touched: &Frontier,
+    ) -> u64;
+}
+
+/// Decoded edges in ascending source order — a `BySource` sub-block as
+/// the driver's stream pass holds it. Only [`SortedBySource::new`] builds
+/// one, and it checks the order in debug builds.
 #[derive(Clone, Copy)]
 pub struct SortedBySource<'a>(&'a [Edge]);
 
@@ -71,10 +113,119 @@ impl<'a> SortedBySource<'a> {
     }
 }
 
+impl SourceSortedEdges for SortedBySource<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    #[inline]
+    fn src(&self, k: usize) -> u32 {
+        self.0[k].src
+    }
+    #[inline]
+    fn edge(&self, k: usize) -> Edge {
+        self.0[k]
+    }
+    fn scatter_each<P: VertexProgram>(
+        &self,
+        program: &P,
+        ctx: &ProgramContext,
+        source_filter: &Frontier,
+        source_values: &ValueArray<P::Value>,
+        accum: &ValueArray<P::Accum>,
+        touched: &Frontier,
+    ) -> u64 {
+        let filter = Some(source_filter);
+        scatter_edges(program, ctx, self.0, filter, source_values, accum, touched)
+    }
+}
+
+/// A `BySource` sub-block's payload as stored — [`gsd_graph::EdgeCodec`]'s
+/// little-endian `W`-byte records, 8 unweighted and 12 weighted — walked
+/// without decoding it first: a source is the record's first word, the
+/// gallop decodes an edge only when it sends it, and the per-edge
+/// fallback decodes each record in place. The width is a constant so each
+/// record sits at a fixed offset; the serve daemon picks it from its
+/// grid's codec and keeps its cached blocks in this form. Only
+/// [`EncodedBySource::new`] builds one; it checks the length always and
+/// the order in debug builds.
+#[derive(Clone, Copy)]
+pub struct EncodedBySource<'a, const W: usize>(&'a [u8]);
+
+impl<'a, const W: usize> EncodedBySource<'a, W> {
+    /// Wraps `bytes`, a whole number of `W`-byte records sorted by source.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        const { assert!(W == 8 || W == 12, "edge records are 8 or 12 bytes") };
+        assert!(
+            bytes.len().is_multiple_of(W),
+            "payload is not a whole number of edges"
+        );
+        let view = EncodedBySource(bytes);
+        debug_assert!(
+            (1..view.len()).all(|k| view.src(k - 1) <= view.src(k)),
+            "payload is not sorted by source"
+        );
+        view
+    }
+
+    #[inline]
+    fn word(&self, at: usize) -> u32 {
+        let b = &self.0[at..at + 4];
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+    }
+}
+
+impl<const W: usize> SourceSortedEdges for EncodedBySource<'_, W> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len() / W
+    }
+    #[inline]
+    fn src(&self, k: usize) -> u32 {
+        self.word(k * W)
+    }
+    #[inline]
+    fn edge(&self, k: usize) -> Edge {
+        decode::<W>(&self.0[k * W..(k + 1) * W])
+    }
+    fn scatter_each<P: VertexProgram>(
+        &self,
+        program: &P,
+        ctx: &ProgramContext,
+        source_filter: &Frontier,
+        source_values: &ValueArray<P::Value>,
+        accum: &ValueArray<P::Accum>,
+        touched: &Frontier,
+    ) -> u64 {
+        let mut delivered = 0u64;
+        for e in self.0.chunks_exact(W).map(decode::<W>) {
+            if source_filter.contains(e.src) {
+                delivered += deliver(program, ctx, &e, source_values, accum, touched);
+            }
+        }
+        delivered
+    }
+}
+
+/// One `W`-byte record.
+#[inline]
+fn decode<const W: usize>(record: &[u8]) -> Edge {
+    let word = |at: usize| {
+        let b = &record[at..at + 4];
+        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+    };
+    let weight = if W == 12 {
+        f32::from_bits(word(8))
+    } else {
+        1.0
+    };
+    Edge::weighted(word(0), word(4), weight)
+}
+
 /// A sorted block gallops over inactive sources only while it holds at
 /// least this many edges per live source in its source range; denser
-/// blocks take [`scatter_edges`]' per-edge loop. Each live source costs
-/// the walk a frontier lookup and a search, which only pays when it skips
+/// blocks take the per-edge loop. Each live source costs the walk a
+/// frontier lookup and a search, which only pays when it skips
 /// enough edges. On synthetic blocks of 10 000 sources (1–64 edges per
 /// source, 1–100 % of sources live; 2-vCPU VM) the walk took 1.1–3.8× the
 /// per-edge loop's time below 16 edges per live source, 0.8–1.2× between
@@ -88,66 +239,69 @@ impl<'a> SortedBySource<'a> {
 /// (≈ 3 % of sources live, ≈ 4 edges per source) sits far above 32.
 const GALLOP_EDGES_PER_LIVE_SOURCE: u64 = 32;
 
-/// [`scatter_edges`] filtered by `source_filter` over source-sorted
-/// edges: the same messages in the same order, so accumulators,
-/// `touched` and the returned count are bit-identical. A sparse block
-/// costs `O(live source runs · log gap)` instead of `O(edges)`: the walk
-/// jumps to each live source with [`Frontier::next_member`] and gallops
-/// (doubling, then binary search) over the runs of inactive sources in
-/// between. A block with fewer than `GALLOP_EDGES_PER_LIVE_SOURCE` (32)
+/// [`scatter_edges`] filtered by `source_filter` over a source-sorted
+/// view: the same messages in the same order, so accumulators, `touched`
+/// and the returned count are bit-identical whichever view carries the
+/// edges. A sparse block costs `O(live source runs · log gap)` instead of
+/// `O(edges)`: the walk jumps to each live source with
+/// [`Frontier::next_member`] and gallops (doubling, then binary search)
+/// over the runs of inactive sources in between, reading only their
+/// sources. A block with fewer than `GALLOP_EDGES_PER_LIVE_SOURCE` (32)
 /// edges per live source runs the per-edge loop instead.
-pub fn scatter_sorted<P: VertexProgram>(
+pub fn scatter_sorted<P: VertexProgram, E: SourceSortedEdges>(
     program: &P,
     ctx: &ProgramContext,
-    edges: SortedBySource<'_>,
+    edges: E,
     source_filter: &Frontier,
     source_values: &ValueArray<P::Value>,
     accum: &ValueArray<P::Accum>,
     touched: &Frontier,
 ) -> u64 {
-    let edges = edges.0;
-    let (Some(first), Some(last)) = (edges.first(), edges.last()) else {
+    if edges.is_empty() {
         return 0;
-    };
-    // `last.src` is a vertex id, so `last.src + 1` is at most the universe.
-    let end = last.src + 1;
-    let live = source_filter.count_range(first.src..end);
-    if live * GALLOP_EDGES_PER_LIVE_SOURCE > edges.len() as u64 {
-        return scatter_edges(
-            program,
-            ctx,
-            edges,
-            Some(source_filter),
-            source_values,
-            accum,
-            touched,
-        );
+    }
+    let len = edges.len();
+    // Sources past the universe are clipped by the frontier's searches.
+    let (first, end) = (edges.src(0), edges.src(len - 1).saturating_add(1));
+    let live = source_filter.count_range(first..end);
+    if live * GALLOP_EDGES_PER_LIVE_SOURCE > len as u64 {
+        return edges.scatter_each(program, ctx, source_filter, source_values, accum, touched);
     }
     let mut delivered = 0u64;
     let mut at = 0usize;
-    while let Some(e) = edges.get(at) {
-        let Some(u) = source_filter.next_member(e.src, end) else {
+    while at < len {
+        let Some(u) = source_filter.next_member(edges.src(at), end) else {
             break;
         };
-        at += gallop(&edges[at..], u);
-        while let Some(e) = edges.get(at).filter(|e| e.src == u) {
-            delivered += deliver(program, ctx, e, source_values, accum, touched);
+        at = gallop(&edges, at, u);
+        while at < len && edges.src(at) == u {
+            let e = edges.edge(at);
+            delivered += deliver(program, ctx, &e, source_values, accum, touched);
             at += 1;
         }
     }
     delivered
 }
 
-/// The first index of `edges` (sorted by source) whose source is at least
-/// `u`: doubling steps bracket it, a binary search inside the bracket
-/// finds it, so a gap of `g` edges costs `O(log g)` probes.
-fn gallop(edges: &[Edge], u: u32) -> usize {
-    let mut hi = 1;
-    while hi < edges.len() && edges[hi].src < u {
-        hi *= 2;
+/// The first index `≥ from` whose source is at least `u` (`len()` if
+/// none): doubling steps bracket it, a binary search inside the bracket
+/// finds it, so a gap of `g` edges costs `O(log g)` source reads.
+fn gallop<E: SourceSortedEdges>(edges: &E, from: usize, u: u32) -> usize {
+    let len = edges.len();
+    let mut step = 1;
+    while from + step < len && edges.src(from + step) < u {
+        step *= 2;
     }
-    let lo = hi / 2;
-    lo + edges[lo..hi.min(edges.len())].partition_point(|e| e.src < u)
+    let (mut lo, mut hi) = (from + step / 2, len.min(from + step));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if edges.src(mid) < u {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// One edge of a scatter: a message from the source's value, combined

@@ -17,7 +17,7 @@
 //! [`gsd_algos::Bfs`] limited to `k` rounds, `ppr(seeds, α, iterations)`
 //! is [`gsd_algos::Ppr`] with the wire's α. This module holds no
 //! algorithm: per query it keeps the program's values, accumulator and
-//! frontier and calls the runtime's [`scatter_edges`] and
+//! frontier and calls the runtime's [`scatter_sorted`] and
 //! [`apply_range`] on them. What it decides is which bytes each program
 //! runs over.
 //!
@@ -28,6 +28,12 @@
 //! private accumulator, filtered by that query's own frontier; every
 //! query applies at the end of the pass. Two traversals that would each
 //! read a block solo share a single read batched.
+//!
+//! A block is never decoded into a second buffer: the pass keeps the
+//! payload bytes it read (or found in the cache), and each query's
+//! scatter walks them as an [`EncodedBySource`] view. On a sparse
+//! frontier it gallops over the inactive runs and decodes only the edges
+//! it sends; on a dense one it decodes each record in place.
 //!
 //! ## Per-query I/O charging
 //!
@@ -57,8 +63,8 @@ use crate::wire::{Request, Response, StatsBody};
 use gsd_algos::{Bfs, Ppr, ProgramVisitor};
 use gsd_core::{GraphSdConfig, GraphSdEngine, GridSession};
 use gsd_delta::MutationBatch;
-use gsd_graph::{BlockOrder, DeltaOp, Edge};
-use gsd_runtime::kernels::{apply_range, scatter_edges};
+use gsd_graph::{BlockOrder, DeltaOp, EdgeCodec};
+use gsd_runtime::kernels::{apply_range, scatter_sorted, EncodedBySource};
 use gsd_runtime::{Engine, Frontier, ProgramContext, RunOptions, Value, ValueArray, VertexProgram};
 use gsd_trace::{TraceEvent, TraceSink};
 use std::ops::Range;
@@ -99,8 +105,9 @@ trait Running {
     fn live(&self) -> bool;
     /// Whether any frontier vertex lies in `range`.
     fn active_in(&self, range: Range<u32>) -> bool;
-    /// Scatters one sub-block, filtered by this query's own frontier.
-    fn scatter(&self, ctx: &ProgramContext, edges: &[Edge]);
+    /// Scatters one sub-block's `codec` payload, filtered by this query's
+    /// own frontier.
+    fn scatter(&self, ctx: &ProgramContext, payload: &[u8], codec: EdgeCodec);
     /// The barrier ending a pass: apply what was scattered, rotate the
     /// frontier, spend a round.
     fn apply(&mut self, ctx: &ProgramContext);
@@ -155,16 +162,17 @@ impl<P: VertexProgram> Running for Query<P> {
         self.frontier.iter_range(range).next().is_some()
     }
 
-    fn scatter(&self, ctx: &ProgramContext, edges: &[Edge]) {
-        scatter_edges(
-            &self.program,
-            ctx,
-            edges,
-            Some(&self.frontier),
-            &self.values,
-            &self.accum,
-            &self.touched,
-        );
+    fn scatter(&self, ctx: &ProgramContext, payload: &[u8], codec: EdgeCodec) {
+        let p = &self.program;
+        let (filter, values, accum, touched) =
+            (&self.frontier, &self.values, &self.accum, &self.touched);
+        if codec.is_weighted() {
+            let edges = EncodedBySource::<12>::new(payload);
+            scatter_sorted(p, ctx, edges, filter, values, accum, touched);
+        } else {
+            let edges = EncodedBySource::<8>::new(payload);
+            scatter_sorted(p, ctx, edges, filter, values, accum, touched);
+        }
     }
 
     fn apply(&mut self, ctx: &ProgramContext) {
@@ -195,6 +203,13 @@ fn reported<V: Value>(values: &ValueArray<V>, keep: fn(V) -> Option<u32>) -> Vec
     (0..values.len() as u32)
         .filter_map(|v| keep(values.get(v)).map(|x| (v, x)))
         .collect()
+}
+
+/// The records `range` (edge indexes) of an encoded `payload`, or `None`
+/// if the range runs past it.
+fn edge_run(payload: &[u8], codec: EdgeCodec, range: Range<u32>) -> Option<&[u8]> {
+    let sz = codec.edge_bytes();
+    payload.get(range.start as usize * sz..range.end as usize * sz)
 }
 
 /// Validates one traversal request and starts its program; any other
@@ -519,7 +534,7 @@ impl ServeCore {
             return Err(format!("vertex {v} out of range (graph has {n} vertices)"));
         }
         let p = meta.p;
-        let edge_bytes = grid.codec().edge_bytes() as u64;
+        let codec = grid.codec();
         let i = grid.intervals().interval_of(v);
         let mut neighbors = Vec::new();
         let mut scratch = Vec::new();
@@ -533,15 +548,21 @@ impl ServeCore {
             if meta.block_edge_count(i, j) == 0 {
                 continue;
             }
+            let range = span.edge_range(v, j);
             // Opportunistic cache use: lookups never admit (a point
             // lookup is no evidence of repeated demand), but they do
-            // ride on blocks the traversal scheduler made resident.
+            // ride on blocks the traversal scheduler made resident, and
+            // decode only `v`'s run of them.
             if let Some(block) = self.cache.get(i, j) {
                 charge.hits += 1;
-                neighbors.extend(block.iter().filter(|e| e.src == v).map(|e| e.dst));
+                let run = edge_run(&block, codec, range)
+                    .ok_or_else(|| format!("row index names edges past block ({i},{j})"))?;
+                neighbors.extend(
+                    run.chunks_exact(codec.edge_bytes())
+                        .map(|c| codec.decode(c).dst),
+                );
                 continue;
             }
-            let range = span.edge_range(v, j);
             if range.is_empty() {
                 continue;
             }
@@ -550,7 +571,7 @@ impl ServeCore {
             grid.read_edge_run(i, j, range.start, count, &mut scratch, &mut edges)
                 .map_err(|e| format!("edge run read failed: {e}"))?;
             charge.misses += 1;
-            charge.bytes += u64::from(count) * edge_bytes;
+            charge.bytes += u64::from(count) * codec.edge_bytes() as u64;
             neighbors.extend(edges.iter().map(|e| e.dst));
         }
         neighbors.sort_unstable();
@@ -595,6 +616,7 @@ impl ServeCore {
         let grid = self.session.grid().clone();
         let meta = grid.meta();
         let p = meta.p;
+        let codec = grid.codec();
         let intervals = grid.intervals().clone();
         let ctx = self.ctx.clone();
         let mut scratch = Vec::new();
@@ -639,7 +661,8 @@ impl ServeCore {
                         continue;
                     }
                     let bytes = meta.block_bytes(i, j);
-                    let block = match self.cache.get(i, j) {
+                    let hit = self.cache.get(i, j);
+                    let payload: &[u8] = match &hit {
                         Some(block) => {
                             for &idx in &users {
                                 batch[idx].charge.hits += 1;
@@ -647,14 +670,16 @@ impl ServeCore {
                             block
                         }
                         None => {
-                            let mut edges = Vec::new();
-                            if let Err(e) = grid.read_block_into(i, j, &mut scratch, &mut edges) {
-                                let message = format!("block ({i},{j}) read failed: {e}");
-                                for &idx in &users {
-                                    batch[idx].query = Err(message.clone());
+                            let payload = match grid.read_block_payload(i, j, &mut scratch) {
+                                Ok(payload) => payload,
+                                Err(e) => {
+                                    let message = format!("block ({i},{j}) read failed: {e}");
+                                    for &idx in &users {
+                                        batch[idx].query = Err(message.clone());
+                                    }
+                                    continue;
                                 }
-                                continue;
-                            }
+                            };
                             self.counters.blocks_read += 1;
                             // The read is charged once, to the
                             // lowest-numbered user; everyone else
@@ -668,15 +693,13 @@ impl ServeCore {
                                     charge.hits += 1;
                                 }
                             }
-                            let block = Arc::new(edges);
-                            self.cache
-                                .offer(i, j, block.clone(), bytes, users.len() as u64);
-                            block
+                            self.cache.offer(i, j, payload, users.len() as u64);
+                            payload
                         }
                     };
                     for &idx in &users {
                         if let Ok(q) = &batch[idx].query {
-                            q.scatter(&ctx, &block);
+                            q.scatter(&ctx, payload, codec);
                         }
                     }
                 }
@@ -751,7 +774,7 @@ impl ProgramVisitor for Summarize<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsd_graph::{preprocess, GeneratorConfig, GraphKind, PreprocessConfig, VerifyPolicy};
+    use gsd_graph::{preprocess, Edge, GeneratorConfig, GraphKind, PreprocessConfig, VerifyPolicy};
     use gsd_io::{MemStorage, SharedStorage};
     use gsd_trace::RingRecorder;
 
@@ -812,10 +835,13 @@ mod tests {
         assert_eq!(rec.count_kind("query_completed"), 4);
     }
 
+    /// `neighbors` is the graph's own sorted list for every vertex, read
+    /// cold and from a warm cache. A warm lookup decodes `v`'s run of each
+    /// resident block and is charged one hit per non-empty block of its
+    /// row.
     #[test]
     fn neighbors_are_sorted_and_match_the_graph() {
         let graph = tiny();
-        let (mut core, _) = core_over(&graph, 1 << 20);
         let mut want: Vec<Vec<u32>> = vec![Vec::new(); 120];
         for e in graph.edges() {
             want[e.src as usize].push(e.dst);
@@ -824,16 +850,36 @@ mod tests {
             w.sort_unstable();
             w.dedup();
         }
-        for v in [0u32, 1, 7, 63, 119] {
-            let got = core.execute(&Request::Neighbors { v });
-            assert_eq!(
-                got,
-                Response::Neighbors {
-                    neighbors: want[v as usize].clone()
-                },
-                "vertex {v}"
-            );
+        let (mut cold, _) = core_over(&graph, 0);
+        let (mut warm, _) = core_over(&graph, 1 << 20);
+        // Every vertex is a source: each pass reads every non-empty block,
+        // and the 1 MiB cache keeps them all.
+        warm.execute(&Request::Ppr {
+            seeds: (0..120).collect(),
+            alpha_bits: 0.85f32.to_bits(),
+            iterations: 1,
+        });
+        let meta = warm.session().meta().clone();
+        let resident = (0..meta.p)
+            .flat_map(|j| (0..meta.p).map(move |i| (i, j)))
+            .filter(|&(i, j)| meta.block_edge_count(i, j) > 0)
+            .count();
+        assert_eq!(warm.cache().len(), resident, "every block is resident");
+        for v in 0..120u32 {
+            let hits = warm.counters().cache_hits;
+            let got = warm.execute(&Request::Neighbors { v });
+            let row = warm.session().grid().intervals().interval_of(v);
+            let row_blocks = (0..meta.p)
+                .filter(|&j| meta.block_edge_count(row, j) > 0)
+                .count() as u64;
+            assert_eq!(warm.counters().cache_hits - hits, row_blocks, "vertex {v}");
+            let want = Response::Neighbors {
+                neighbors: want[v as usize].clone(),
+            };
+            assert_eq!(got, want, "vertex {v}");
+            assert_eq!(cold.execute(&Request::Neighbors { v }), want, "vertex {v}");
         }
+        assert_eq!(cold.counters().cache_hits, 0);
     }
 
     #[test]

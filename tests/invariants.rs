@@ -24,8 +24,8 @@ const STORAGE_FILE: &str = "crates/gsd-io/src/storage.rs";
 /// `Storage`'s methods but `len` (every collection has one), `GridGraph`'s
 /// read surface and the vertex store's flush.
 const IO_METHODS: &str = "create read_at write_at exists delete list_keys read_unaccounted \
-     read_all sync read_block read_block_into read_row_index_span read_index read_edge_run \
-     load_out_degrees write_all";
+     read_all sync read_block read_block_into read_block_payload read_row_index_span read_index \
+     read_edge_run load_out_degrees write_all";
 
 const GUARD_METHODS: &str = "lock read write";
 

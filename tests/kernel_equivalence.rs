@@ -8,15 +8,18 @@
 //! repeated records, empty and single-source lists, sources at 64-bit
 //! word edges, and filters from empty to full, so both the galloping walk
 //! and its per-edge fallback run. Everything the two deliver must be
-//! bit-identical. Beyond this file, `SortedBySource::new` asserts
-//! sortedness in debug builds on every block a stream pass hands the
+//! bit-identical, and so must the same walk over the block's encoded
+//! payload (`EncodedBySource`, unweighted and weighted codecs). Beyond
+//! this file, `SortedBySource::new` asserts sortedness in debug builds on every block a stream pass hands the
 //! kernel, so the debug property suites check it on real blocks:
 //! `property_delta` on overlay-merged blocks, `prefetch_equivalence` on
 //! prefetched ones and `crash_resume` on blocks re-read into the priority
 //! buffer at restore.
 
-use gsd_graph::Edge;
-use gsd_runtime::kernels::{apply_range, scatter_edges, scatter_sorted, SortedBySource};
+use gsd_graph::{Edge, EdgeCodec};
+use gsd_runtime::kernels::{
+    apply_range, scatter_edges, scatter_sorted, EncodedBySource, SortedBySource,
+};
 use gsd_runtime::{Frontier, InitialFrontier, ProgramContext, ValueArray, VertexProgram};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -169,11 +172,16 @@ fn in_filter(v: u32, density: u64, seed: u64) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// The per-edge loop, the sorted walk over decoded edges and the same
+    /// walk over the block's encoded payload (unweighted and weighted
+    /// codecs) deliver the same count, accumulators bit for bit and the
+    /// same `touched`.
     #[test]
     fn sorted_scatter_matches_per_edge_scatter(
         raw_edges in proptest::collection::vec((0..N, 0usize..16, 0..N, 1u32..4), 0..300),
         repeats in proptest::collection::vec(0usize..300, 0..40),
         single_source in any::<bool>(),
+        weighted in any::<bool>(),
         density_log in 0u32..8,
         seed in any::<u64>(),
         already_touched in proptest::collection::btree_set(0..N, 0..10),
@@ -200,6 +208,11 @@ proptest! {
         // Stable: records of one source keep their generated order, which
         // decides the float combine order.
         edges.sort_by_key(|e| e.src);
+        // The block as stored, and as a reader decodes it (unit weights
+        // when the codec stores none).
+        let codec = EdgeCodec::new(weighted);
+        let payload = codec.encode_all(&edges);
+        let edges = codec.decode_all(&payload);
         // 0, 1, 2, 4, …, 64 in 64ths: empty, sparse enough to gallop, full.
         let density = (1u64 << density_log) >> 1;
         let filter: Vec<u32> = (0..N).filter(|&v| in_filter(v, density, seed)).collect();
@@ -207,17 +220,32 @@ proptest! {
         let already_touched: Vec<u32> = already_touched.into_iter().collect();
 
         let values = ValueArray::from_fn(N as usize, |v| p.init_value(v, &ctx));
-        let run = |sorted: bool| {
+        let run = |walk: Walk| {
             let accum = ValueArray::new(N as usize, p.zero_accum());
             let touched = Frontier::from_seeds(N, &already_touched);
-            let delivered = if sorted {
-                let edges = SortedBySource::new(&edges);
-                scatter_sorted(&p, &ctx, edges, &filter, &values, &accum, &touched)
-            } else {
-                scatter_edges(&p, &ctx, &edges, Some(&filter), &values, &accum, &touched)
+            let (f, v, a, t) = (&filter, &values, &accum, &touched);
+            let delivered = match walk {
+                Walk::PerEdge => scatter_edges(&p, &ctx, &edges, Some(f), v, a, t),
+                Walk::Decoded => scatter_sorted(&p, &ctx, SortedBySource::new(&edges), f, v, a, t),
+                Walk::Encoded if weighted => {
+                    scatter_sorted(&p, &ctx, EncodedBySource::<12>::new(&payload), f, v, a, t)
+                }
+                Walk::Encoded => {
+                    scatter_sorted(&p, &ctx, EncodedBySource::<8>::new(&payload), f, v, a, t)
+                }
             };
             (delivered, bits(&accum.snapshot()), members(&touched))
         };
-        prop_assert_eq!(run(true), run(false));
+        let per_edge = run(Walk::PerEdge);
+        prop_assert_eq!(run(Walk::Decoded), per_edge.clone());
+        prop_assert_eq!(run(Walk::Encoded), per_edge);
     }
+}
+
+/// Which scatter `sorted_scatter_matches_per_edge_scatter` runs.
+#[derive(Clone, Copy)]
+enum Walk {
+    PerEdge,
+    Decoded,
+    Encoded,
 }
