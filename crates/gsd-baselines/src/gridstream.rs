@@ -3,77 +3,27 @@
 //! The 2-D grid layout eliminates random accesses (Table 1's first
 //! column), but the engine is oblivious to vertex state and dependencies:
 //! each BSP iteration reads all `P × P` sub-blocks front to back, scatters
-//! from frontier sources, and applies per destination interval. As a
-//! policy over the shared driver that is one line — a stream round
-//! without cross-iteration propagation.
+//! from frontier sources, and applies per destination interval. That is
+//! GraphSD with selective loading, the sub-block buffer and
+//! cross-iteration propagation switched off ([`GraphSdConfig::gridgraph`]).
 
-use gsd_core::driver::{self, Driver, Frame};
+use gsd_core::{GraphSdConfig, GraphSdEngine};
 use gsd_graph::GridGraph;
-use gsd_runtime::{Capabilities, Engine, RunOptions, RunResult, VertexProgram};
-use gsd_trace::TraceSink;
-use std::sync::Arc;
 
-/// Plain full-streaming engine over a grid graph.
-pub struct GridStreamEngine {
-    grid: GridGraph,
-    degrees: Arc<Vec<u32>>,
-    trace: Arc<dyn TraceSink>,
-}
+/// Plain full-streaming engine over a grid graph: a name for
+/// [`GraphSdConfig::gridgraph`].
+pub struct GridStreamEngine;
 
 impl GridStreamEngine {
-    /// Opens the engine over a preprocessed grid (any layout works; no
-    /// indexes are needed).
-    pub fn new(grid: GridGraph) -> std::io::Result<Self> {
-        let degrees = Arc::new(grid.load_out_degrees()?);
-        Ok(GridStreamEngine {
-            grid,
-            degrees,
-            trace: gsd_trace::null_sink(),
-        })
-    }
-
-    /// Routes the engine's trace events to `trace`. The default is a
-    /// disabled [`gsd_trace::NullSink`].
-    pub fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
-        self.trace = trace;
-    }
-
-    /// The underlying grid.
-    pub fn grid(&self) -> &GridGraph {
-        &self.grid
-    }
-}
-
-impl Engine for GridStreamEngine {
-    fn name(&self) -> &'static str {
-        "gridstream"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            eliminates_random_accesses: true,
-            avoids_inactive_data: false,
-            future_value_computation: false,
-        }
-    }
-
-    fn run<P: VertexProgram>(
-        &mut self,
-        program: &P,
-        options: &RunOptions,
-    ) -> std::io::Result<RunResult<P::Value>> {
-        let frame = Frame {
-            engine: self.name(),
-            grid: &self.grid,
-            also_verified: &[],
-            degrees: &self.degrees,
-            trace: &self.trace,
-            prefetch: None,
-            checkpoint: None,
-            config_hash: 0,
-        };
-        let mut policy = |d: &mut Driver<'_, P>| d.stream_round(&self.grid, false, false, &mut ());
-        driver::run(frame, program, options, &mut policy)
+    /// Opens GraphSD as GridGraph over a preprocessed grid (any layout
+    /// works; no indexes are needed), with synchronous reads and no
+    /// checkpoints.
+    #[expect(
+        clippy::new_ret_no_self,
+        reason = "GridGraph is a GraphSD configuration; the name stays for callers that construct it by name"
+    )]
+    pub fn new(grid: GridGraph) -> std::io::Result<GraphSdEngine> {
+        GraphSdEngine::new(grid, GraphSdConfig::gridgraph())
     }
 }
 
@@ -83,7 +33,8 @@ mod tests {
     use gsd_algos::{ConnectedComponents, PageRank};
     use gsd_graph::{preprocess, GeneratorConfig, GraphKind, PreprocessConfig};
     use gsd_io::{DiskModel, SharedStorage, SimDisk};
-    use gsd_runtime::ReferenceEngine;
+    use gsd_runtime::{Engine, ReferenceEngine, RunOptions};
+    use std::sync::Arc;
 
     #[test]
     fn matches_reference_on_cc() {

@@ -20,12 +20,13 @@
 //! Figures 5/7 measure.
 //!
 //! As a policy over the shared driver: ROP is a selective pass over runs
-//! planned from the row copy's row index, without cross-iteration
-//! serving; COP is a stream round over the column copy's sub-blocks with
-//! an active source, without cross-iteration propagation.
+//! planned from the row copy's row index by GraphSD's planner, with no
+//! edge gap bridged and without cross-iteration serving; COP is a stream
+//! round over the column copy's sub-blocks with an active source, without
+//! cross-iteration propagation and with a zero-capacity sub-block buffer.
 
-use gsd_core::driver::{self, coalesce_runs, Driver, Frame, SelectiveRun};
-use gsd_core::RecoveryConfig;
+use gsd_core::driver::{self, index_gap, Driver, Frame};
+use gsd_core::{RecoveryConfig, SubBlockBuffer};
 use gsd_graph::{preprocess, BlockOrder, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::Storage;
 use gsd_runtime::{
@@ -118,11 +119,10 @@ impl HusGraphEngine {
     pub fn new(format: HusFormat) -> std::io::Result<Self> {
         let degrees = Arc::new(format.row.load_out_degrees()?);
         let disk = format.row.storage().disk_model().unwrap_or_default();
-        let index_gap = disk.bridge_gap(4 * u64::from(format.row.p()));
         Ok(HusGraphEngine {
+            index_gap: index_gap(&disk, format.row.p()),
             format,
             degrees,
-            index_gap,
             trace: gsd_trace::null_sink(),
             checkpoint: None,
         })
@@ -147,32 +147,6 @@ impl HusGraphEngine {
             .iter()
             .map(|v| self.degrees[v as usize] as u64 * per_edge)
             .sum()
-    }
-
-    /// The coalesced runs of the active edge lists in the row copy, one
-    /// index request per row and active cluster. Adjacent lists merge and
-    /// nothing is bridged (gap 0): as published, ROP reads each active
-    /// vertex's list with an access of its own.
-    fn plan_rop_runs<P: VertexProgram>(
-        &self,
-        d: &mut Driver<'_, P>,
-    ) -> std::io::Result<Vec<SelectiveRun>> {
-        let row = &self.format.row;
-        let mut runs = Vec::new();
-        for i in 0..row.p() {
-            let active: Vec<u32> = d.frontier().iter_range(row.intervals().range(i)).collect();
-            let clusters = d.read_index_clusters(row, i, &active, self.index_gap)?;
-            for j in 0..row.p() {
-                if row.meta().block_edge_count(i, j) == 0 {
-                    continue;
-                }
-                for (cluster, index) in &clusters {
-                    let ranges = cluster.iter().map(|&v| index.edge_range(v, j));
-                    coalesce_runs(i, j, ranges, 0, &mut runs);
-                }
-            }
-        }
-        Ok(runs)
     }
 }
 
@@ -207,15 +181,19 @@ impl Engine for HusGraphEngine {
             // Baselines have no result-relevant configuration.
             config_hash: 0,
         };
+        // HUS-Graph keeps no sub-blocks between passes.
+        let mut no_buffer = SubBlockBuffer::new(0);
         let mut policy = |d: &mut Driver<'_, P>| {
             // Hybrid decision: coarse volume threshold (no seq/ran split,
             // no calibrated bandwidths — GraphSD's refinement over this).
             let active_bytes = self.active_edge_bytes(d.frontier());
             if active_bytes.saturating_mul(ROP_AMPLIFICATION) >= total_edge_bytes {
-                return d.stream_round(col, false, true, &mut ());
+                return d.stream_round(col, false, true, &mut no_buffer);
             }
             d.iteration(IoAccessModel::OnDemand, false, |d| {
-                let runs = self.plan_rop_runs(d)?;
+                // As published, ROP reads each active vertex's list with an
+                // access of its own: adjacent lists merge, no gap is bridged.
+                let runs = d.plan_runs(row, self.index_gap, 0)?;
                 d.selective_pass(row, runs, false)?;
                 Ok(())
             })

@@ -24,14 +24,15 @@
 //! [`gsd_runtime::ReferenceEngine`]; they differ from GraphSD only in
 //! *which bytes they read* — which is precisely what the paper measures.
 //!
-//! That "only" is structural, not a convention: each engine here is a
-//! [`gsd_core::driver::Policy`] over the same [`gsd_core::driver`] the
-//! GraphSD engine runs — one copy of the resident vertex state, prefetch,
-//! checkpoint/resume, accounting and trace events — and contributes
-//! nothing but its choice of passes per round (GridGraph: stream all;
-//! Lumos: stream all with cross-iteration scatter, then the secondary
-//! sub-blocks; HUS-Graph: volume threshold → its own ROP run planner plus
-//! a selective pass, or a stream pass over its column copy).
+//! That "only" is structural, not a convention. Lumos and GridGraph are
+//! GraphSD configurations ([`gsd_core::GraphSdConfig::lumos`],
+//! [`gsd_core::GraphSdConfig::gridgraph`]): their `new` returns a
+//! [`gsd_core::GraphSdEngine`] with Table 1's bits switched off.
+//! HUS-Graph, with its two formats and its volume threshold, is a
+//! [`gsd_core::driver::Policy`] of its own over the same
+//! [`gsd_core::driver`] — one copy of the resident vertex state,
+//! prefetch, checkpoint/resume, accounting and trace events, and GraphSD's
+//! selective planner ([`gsd_core::driver::Driver::plan_runs`]).
 
 // Hot-path crate: errors propagate as typed `Result`s; a panic mid-run can
 // leave partially-flushed vertex state behind (retired GSD001 — DESIGN.md §11).

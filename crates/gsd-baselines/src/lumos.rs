@@ -10,18 +10,14 @@
 //! and its on-disk format is a single **unsorted** copy without per-vertex
 //! indexes, giving it the cheapest preprocessing in Figure 8.
 //!
-//! As a policy over the shared driver, Lumos is the stream round with
-//! cross-iteration propagation — the same two passes GraphSD's FCIU
-//! runs, with no scheduler in front and no sub-block buffer between them.
+//! Lumos is therefore GraphSD with selective loading and the sub-block
+//! buffer switched off ([`GraphSdConfig::lumos`]): the stream round with
+//! cross-iteration propagation — the same two passes GraphSD's FCIU runs,
+//! with no scheduler in front and no buffer between them.
 
-use gsd_core::driver::{self, Driver, Frame};
-use gsd_core::PipelineConfig;
-use gsd_core::RecoveryConfig;
+use gsd_core::{GraphSdConfig, GraphSdEngine};
 use gsd_graph::{preprocess, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::Storage;
-use gsd_runtime::{Capabilities, Engine, RunOptions, RunResult, VertexProgram};
-use gsd_trace::TraceSink;
-use std::sync::Arc;
 
 /// Builds the Lumos on-disk layout (unsorted, unindexed grid) under
 /// `prefix` and returns its handle plus the preprocessing breakdown.
@@ -39,88 +35,18 @@ pub fn build_lumos_format(
     Ok((grid, report))
 }
 
-/// The Lumos-like engine.
-pub struct LumosEngine {
-    grid: GridGraph,
-    degrees: Arc<Vec<u32>>,
-    trace: Arc<dyn TraceSink>,
-    prefetch: Option<PipelineConfig>,
-    checkpoint: Option<RecoveryConfig>,
-}
+/// The Lumos-like engine: a name for [`GraphSdConfig::lumos`].
+pub struct LumosEngine;
 
 impl LumosEngine {
-    /// Opens the engine over any grid layout (indexes are ignored), with
-    /// synchronous reads and no checkpoints, matching the GraphSD
-    /// engine's default.
-    pub fn new(grid: GridGraph) -> std::io::Result<Self> {
-        let degrees = Arc::new(grid.load_out_degrees()?);
-        Ok(LumosEngine {
-            grid,
-            degrees,
-            trace: gsd_trace::null_sink(),
-            prefetch: None,
-            checkpoint: None,
-        })
-    }
-
-    /// Routes the engine's trace events to `trace`. The default is a
-    /// disabled [`gsd_trace::NullSink`].
-    pub fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
-        self.trace = trace;
-    }
-
-    /// Overrides the prefetch pipeline sizing (`None` forces fully
-    /// synchronous reads). Results are bit-identical either way.
-    pub fn set_prefetch(&mut self, prefetch: Option<PipelineConfig>) {
-        self.prefetch = prefetch;
-    }
-
-    /// Overrides the checkpoint/recovery options (`None` runs
-    /// unprotected, the default). Like prefetching, checkpointing is
-    /// result-neutral: resumed runs commit bit-identical values and I/O
-    /// accounting.
-    pub fn set_checkpoint(&mut self, checkpoint: Option<RecoveryConfig>) {
-        self.checkpoint = checkpoint;
-    }
-
-    /// The underlying grid.
-    pub fn grid(&self) -> &GridGraph {
-        &self.grid
-    }
-}
-
-impl Engine for LumosEngine {
-    fn name(&self) -> &'static str {
-        "lumos"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            eliminates_random_accesses: true,
-            avoids_inactive_data: false,
-            future_value_computation: true,
-        }
-    }
-
-    fn run<P: VertexProgram>(
-        &mut self,
-        program: &P,
-        options: &RunOptions,
-    ) -> std::io::Result<RunResult<P::Value>> {
-        let frame = Frame {
-            engine: self.name(),
-            grid: &self.grid,
-            also_verified: &[],
-            degrees: &self.degrees,
-            trace: &self.trace,
-            prefetch: self.prefetch,
-            checkpoint: self.checkpoint.as_ref(),
-            // Baselines have no result-relevant configuration.
-            config_hash: 0,
-        };
-        // State-oblivious: every non-empty block streams, every round.
-        let mut policy = |d: &mut Driver<'_, P>| d.stream_round(&self.grid, true, false, &mut ());
-        driver::run(frame, program, options, &mut policy)
+    /// Opens GraphSD as Lumos over any grid layout (indexes are ignored),
+    /// with synchronous reads and no checkpoints.
+    #[expect(
+        clippy::new_ret_no_self,
+        reason = "Lumos is a GraphSD configuration; the name stays for callers that construct it by name"
+    )]
+    pub fn new(grid: GridGraph) -> std::io::Result<GraphSdEngine> {
+        GraphSdEngine::new(grid, GraphSdConfig::lumos())
     }
 }
 
@@ -130,10 +56,11 @@ mod tests {
     use gsd_algos::{Bfs, ConnectedComponents, PageRank, Sssp};
     use gsd_graph::{GeneratorConfig, GraphKind};
     use gsd_io::{DiskModel, SharedStorage, SimDisk};
-    use gsd_runtime::ReferenceEngine;
+    use gsd_runtime::{Engine, ReferenceEngine, RunOptions};
+    use std::sync::Arc;
     use std::time::Duration;
 
-    fn setup(g: &Graph, p: u32) -> LumosEngine {
+    fn setup(g: &Graph, p: u32) -> GraphSdEngine {
         let storage: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
         let (grid, report) = build_lumos_format(g, &storage, "", Some(p)).unwrap();
         assert_eq!(report.sort, Duration::ZERO, "Lumos does not sort");

@@ -6,7 +6,7 @@
 use crate::datasets::Dataset;
 use crate::settings::RunSettings;
 use gsd_algos::{ConnectedComponents, PageRank, PageRankDelta, Sssp};
-use gsd_baselines::{write_hus_format, GridStreamEngine, HusFormat, HusGraphEngine, LumosEngine};
+use gsd_baselines::{write_hus_format, HusFormat, HusGraphEngine};
 use gsd_core::{GraphSdConfig, GraphSdEngine, SchedulerDecision};
 use gsd_graph::{preprocess, EdgeCodec, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::{DiskModel, SharedStorage, SimDisk, Storage};
@@ -353,15 +353,10 @@ pub(crate) fn open_engine(
     storage: SharedStorage,
     settings: &RunSettings,
 ) -> std::io::Result<AnyEngine> {
-    let open = |storage| -> std::io::Result<GridGraph> {
-        let mut grid = GridGraph::open(storage)?;
-        grid.set_verification(settings.verify);
-        Ok(grid)
-    };
     let sink = settings.sink.clone();
-    // A GraphSD engine takes prefetch sizing and checkpoint cadence in its
-    // config; the baselines take them after construction.
-    Ok(match kind {
+    // Lumos and GridGraph are GraphSD configurations; HUS-Graph is its own
+    // engine over its two copies.
+    let config = match kind {
         SystemKind::HusGraph => {
             let mut format = HusFormat::open(storage, "")?;
             format.row.set_verification(settings.verify);
@@ -369,40 +364,31 @@ pub(crate) fn open_engine(
             let mut engine = HusGraphEngine::new(format)?;
             engine.set_trace(sink);
             engine.set_checkpoint(settings.checkpoint.clone());
-            AnyEngine::Hus(engine)
+            return Ok(AnyEngine::Hus(engine));
         }
-        SystemKind::Lumos => {
-            let mut engine = LumosEngine::new(open(storage)?)?;
-            engine.set_trace(sink);
-            engine.set_prefetch(settings.prefetch);
-            engine.set_checkpoint(settings.checkpoint.clone());
-            AnyEngine::Lumos(engine)
-        }
-        SystemKind::GridStream => {
-            let mut engine = GridStreamEngine::new(open(storage)?)?;
-            engine.set_trace(sink);
-            AnyEngine::Grid(engine)
-        }
+        // GridGraph has never had a prefetch pipeline or checkpoints.
+        SystemKind::GridStream => GraphSdConfig::gridgraph(),
+        SystemKind::Lumos => settings.graphsd_config(GraphSdConfig::lumos()),
         SystemKind::GraphSd
         | SystemKind::GraphSdB1
         | SystemKind::GraphSdB2
         | SystemKind::GraphSdB3
         | SystemKind::GraphSdB4
         | SystemKind::GraphSdNoBuffer => {
-            let config = settings.graphsd_config(kind.graphsd_config().unwrap_or_default());
-            let mut engine = GraphSdEngine::new(open(storage)?, config)?;
-            engine.set_trace(sink);
-            AnyEngine::Gsd(engine)
+            settings.graphsd_config(kind.graphsd_config().unwrap_or_default())
         }
-    })
+    };
+    let mut grid = GridGraph::open(storage)?;
+    grid.set_verification(settings.verify);
+    let mut engine = GraphSdEngine::new(grid, config)?;
+    engine.set_trace(sink);
+    Ok(AnyEngine::Gsd(engine))
 }
 
 /// Type-erased engine wrapper.
 pub(crate) enum AnyEngine {
     Gsd(GraphSdEngine),
     Hus(HusGraphEngine),
-    Lumos(LumosEngine),
-    Grid(GridStreamEngine),
 }
 
 impl AnyEngine {
@@ -411,8 +397,6 @@ impl AnyEngine {
         match self {
             AnyEngine::Gsd(e) => e.capabilities(),
             AnyEngine::Hus(e) => e.capabilities(),
-            AnyEngine::Lumos(e) => e.capabilities(),
-            AnyEngine::Grid(e) => e.capabilities(),
         }
     }
 
@@ -427,8 +411,6 @@ impl AnyEngine {
                 Ok((r.stats, e.last_decisions().to_vec()))
             }
             AnyEngine::Hus(e) => Ok((e.run(program, &options)?.stats, Vec::new())),
-            AnyEngine::Lumos(e) => Ok((e.run(program, &options)?.stats, Vec::new())),
-            AnyEngine::Grid(e) => Ok((e.run(program, &options)?.stats, Vec::new())),
         }
     }
 

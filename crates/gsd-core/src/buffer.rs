@@ -202,13 +202,8 @@ impl SubBlockBuffer {
         Some(edges.clone())
     }
 
-    /// Looks up without counting a hit (used by tests/diagnostics).
-    pub fn peek(&self, i: u32, j: u32) -> Option<Arc<Vec<Edge>>> {
-        self.map.get(i, j).map(|(edges, _)| edges.clone())
-    }
-
     /// Whether block `(i, j)` is resident, without counting a hit (used
-    /// by the engine to plan a pass's prefetch schedule).
+    /// by the stream pass to plan its prefetch schedule).
     pub fn contains(&self, i: u32, j: u32) -> bool {
         self.map.contains(i, j)
     }
@@ -284,9 +279,9 @@ mod tests {
         // 100 bytes free; newcomer needs 200: must evict the prio-5 block,
         // and the prio-10 block survives only if it doesn't need to go.
         assert!(b.offer(3, 0, block(1), 150, 8));
-        assert!(b.peek(1, 0).is_none(), "prio 5 evicted");
-        assert!(b.peek(2, 0).is_some(), "prio 10 kept");
-        assert!(b.peek(3, 0).is_some());
+        assert!(b.map.get(1, 0).is_none(), "prio 5 evicted");
+        assert!(b.map.get(2, 0).is_some(), "prio 10 kept");
+        assert!(b.map.get(3, 0).is_some());
         assert_eq!(b.evictions, 1);
         assert_eq!(b.used(), 250);
     }
@@ -322,7 +317,7 @@ mod tests {
         // byte charge must both update, not just the priority.
         assert!(b.offer(1, 0, block(3), 150, 7));
         assert_eq!(b.used(), 150, "used tracks the new size");
-        let resident = b.peek(1, 0).expect("still resident");
+        let (resident, _) = b.map.get(1, 0).expect("still resident");
         assert_eq!(resident.len(), 3, "payload is the latest decode");
         // A shrink hands capacity back.
         assert!(b.offer(1, 0, block(1), 50, 7));
@@ -338,8 +333,8 @@ mod tests {
         // outranks the re-offer, so the block leaves the buffer entirely
         // instead of staying resident with a stale payload.
         assert!(!b.offer(1, 0, block(4), 150, 5));
-        assert!(b.peek(1, 0).is_none());
-        assert!(b.peek(2, 0).is_some());
+        assert!(b.map.get(1, 0).is_none());
+        assert!(b.map.get(2, 0).is_some());
         assert_eq!(b.used(), 100);
     }
 
@@ -364,8 +359,8 @@ mod tests {
         // 250 bytes only fit after all three 100-byte residents are gone
         // (100 + 250 > 300).
         assert_eq!(b.evictions, 3);
-        assert!(b.peek(3, 0).is_none());
-        assert!(b.peek(4, 0).is_some());
+        assert!(b.map.get(3, 0).is_none());
+        assert!(b.map.get(4, 0).is_some());
         assert_eq!(b.used(), 250);
     }
 }

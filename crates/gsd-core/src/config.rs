@@ -8,14 +8,17 @@ use gsd_runtime::IoAccessModel;
 /// GraphSD engine options.
 ///
 /// The defaults are the full system as published. The §5.4 baselines are
-/// single-switch ablations:
+/// single-switch ablations, and two of the systems Table 1 compares
+/// against are GraphSD with capability bits switched off:
 ///
-/// | Paper id | Meaning                       | Constructor |
-/// |----------|-------------------------------|-------------|
-/// | b1       | no cross-iteration update     | [`GraphSdConfig::b1_no_cross_iteration`] |
-/// | b2       | no selective update           | [`GraphSdConfig::b2_no_selective`] |
-/// | b3       | full I/O model always         | [`GraphSdConfig::b3_always_full`] |
-/// | b4       | on-demand I/O model always    | [`GraphSdConfig::b4_always_on_demand`] |
+/// | Paper id  | Meaning                              | Constructor |
+/// |-----------|--------------------------------------|-------------|
+/// | b1        | no cross-iteration update            | [`GraphSdConfig::b1_no_cross_iteration`] |
+/// | b2        | no selective update                  | [`GraphSdConfig::b2_no_selective`] |
+/// | b3        | full I/O model always                | [`GraphSdConfig::b3_always_full`] |
+/// | b4        | on-demand I/O model always           | [`GraphSdConfig::b4_always_on_demand`] |
+/// | Lumos     | b2 without the sub-block buffer      | [`GraphSdConfig::lumos`] |
+/// | GridGraph | Lumos without cross-iteration update | [`GraphSdConfig::gridgraph`] |
 #[derive(Debug, Clone)]
 pub struct GraphSdConfig {
     /// Memory budget in bytes for buffering; `None` uses the paper's
@@ -110,6 +113,26 @@ impl GraphSdConfig {
         }
     }
 
+    /// Lumos (Vora, ATC'19): future-value computation without active-vertex
+    /// awareness — every round streams the whole grid, then the secondary
+    /// sub-blocks, with no sub-block buffer between the two passes.
+    pub fn lumos() -> Self {
+        GraphSdConfig {
+            enable_selective: false,
+            enable_buffering: false,
+            ..Self::default()
+        }
+    }
+
+    /// GridGraph: plain streaming of every sub-block, every iteration —
+    /// Lumos without cross-iteration propagation.
+    pub fn gridgraph() -> Self {
+        GraphSdConfig {
+            enable_cross_iter: false,
+            ..Self::lumos()
+        }
+    }
+
     /// Sets the memory budget in bytes.
     pub fn with_memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = Some(bytes);
@@ -199,6 +222,15 @@ mod tests {
             Some(IoAccessModel::OnDemand)
         );
         assert!(!GraphSdConfig::without_buffering().enable_buffering);
+    }
+
+    #[test]
+    fn baselines_switch_capability_bits_off() {
+        let lumos = GraphSdConfig::lumos();
+        assert!(!lumos.enable_selective && !lumos.enable_buffering && lumos.enable_cross_iter);
+        let grid = GraphSdConfig::gridgraph();
+        assert!(!grid.enable_selective && !grid.enable_buffering && !grid.enable_cross_iter);
+        assert!(lumos.force_model.is_none() && grid.force_model.is_none());
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! The one out-of-core iteration driver every engine runs.
+//! The one out-of-core iteration driver both engines run.
 //!
 //! The paper tells GraphSD, Lumos, HUS-Graph and GridGraph apart by three
 //! capability bits (Table 1) and the §5.4 ablations; everything else an
 //! out-of-core BSP run does is the same for all four, and lives here
-//! exactly once:
+//! exactly once. Lumos and GridGraph are GraphSD configurations
+//! ([`crate::GraphSdConfig::lumos`], [`crate::GraphSdConfig::gridgraph`]),
+//! so two policies run here: GraphSD's and HUS-Graph's.
 //!
 //! * **open** — the double-buffered state arrays, the optional prefetch
 //!   executor, the optional checkpoint store (with resume), the
@@ -23,12 +25,11 @@
 //!   their requests from the frontier: the stream pass can leave out the
 //!   sub-blocks no active vertex sends through, the selective pass
 //!   fetches wanted ranges a sub-seek gap apart as one request
-//!   ([`coalesce_runs`]).
+//!   ([`Driver::plan_runs`], the one selective planner).
 //!
 //! An engine is a [`Policy`]: per round it looks at the frontier and
-//! composes those passes. The driver is generic over program, policy and
-//! [`BlockHook`], so the per-block and per-edge paths are statically
-//! dispatched.
+//! composes those passes. The driver is generic over program and policy,
+//! so the per-block and per-edge paths are statically dispatched.
 //!
 //! ## State layout
 //!
@@ -50,13 +51,14 @@
 //! scheduler's `C_s`/`C_r`, not performed, and a checkpoint is the only
 //! place values cross storage.
 
+use crate::buffer::SubBlockBuffer;
 use crate::checkpoint::{
     graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag, RecoveryConfig,
 };
 use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched, TakeOutcome};
 use gsd_graph::grid::RowIndexSpan;
 use gsd_graph::{BlockOrder, Edge, GridGraph};
-use gsd_io::{IoStatsSnapshot, SharedStorage};
+use gsd_io::{DiskModel, IoStatsSnapshot, SharedStorage};
 use gsd_runtime::kernels::{
     apply_range_timed, scatter_edges, scatter_sorted, timed, SortedBySource,
 };
@@ -131,37 +133,6 @@ where
     }
 }
 
-/// What a policy may do around the secondary (`i > j`) sub-blocks of a
-/// stream pass — the ones a cross-iteration pair reads twice. The unit
-/// hook does nothing; GraphSD plugs in its priority buffer (§4.3).
-pub trait BlockHook {
-    /// Whether [`BlockHook::lookup`] would serve `(i, j)`, so the pass
-    /// need not schedule a prefetch for it.
-    fn resident(&self, _i: u32, _j: u32) -> bool {
-        false
-    }
-
-    /// The decoded edges of `(i, j)` if held in memory, sparing the read.
-    fn lookup(&mut self, _i: u32, _j: u32) -> Option<Arc<Vec<Edge>>> {
-        None
-    }
-
-    /// Called by the first pass of a cross-iteration pair after it
-    /// scattered `(i, j)` (`bytes` on disk, `active_edges` messages
-    /// delivered): the second pass will want these edges again.
-    fn scattered(
-        &mut self,
-        _i: u32,
-        _j: u32,
-        _edges: Arc<Vec<Edge>>,
-        _bytes: u64,
-        _active_edges: u64,
-    ) {
-    }
-}
-
-impl BlockHook for () {}
-
 /// One storage request of a selective pass: the edge-index range
 /// `edges` of sub-block `(i, j)` is fetched, the sub-ranges `keep`
 /// (ascending, inside `edges`, first and last touching its ends) are
@@ -187,6 +158,12 @@ impl SelectiveRun {
             edge_count: self.edges.end - self.edges.start,
         }
     }
+}
+
+/// Vertex ids one row-index request bridges rather than seek over on
+/// `disk`: a vertex of a `P`-interval row index costs `4·P` bytes.
+pub fn index_gap(disk: &DiskModel, p: u32) -> u32 {
+    disk.bridge_gap(4 * u64::from(p))
 }
 
 /// Plans the requests for the non-empty per-vertex edge `ranges` of one
@@ -608,6 +585,37 @@ impl<P: VertexProgram> Driver<'_, P> {
         Ok(clusters)
     }
 
+    /// The requests for the active edge lists in `grid`, in the order a
+    /// synchronous reader visits them: row by row, sub-block by
+    /// sub-block, vertex by vertex. One row-index request per active
+    /// cluster (ids at most `index_gap` apart) resolves the cluster's edge
+    /// ranges in every sub-block of the row; ranges at most `run_gap`
+    /// edges apart share a request ([`coalesce_runs`]). The index spans
+    /// are read here, before any run — a run cannot be known before its
+    /// index arrives.
+    pub fn plan_runs(
+        &mut self,
+        grid: &GridGraph,
+        index_gap: u32,
+        run_gap: u32,
+    ) -> std::io::Result<Vec<SelectiveRun>> {
+        let mut runs = Vec::new();
+        for i in 0..grid.p() {
+            let range = grid.intervals().range(i);
+            let active: Vec<u32> = self.frontier().iter_range(range).collect();
+            let clusters = self.read_index_clusters(grid, i, &active, index_gap)?;
+            for j in 0..grid.p() {
+                if grid.meta().block_edge_count(i, j) > 0 {
+                    let ranges = clusters.iter().flat_map(|(cluster, index)| {
+                        cluster.iter().map(move |&v| index.edge_range(v, j))
+                    });
+                    coalesce_runs(i, j, ranges, run_gap, &mut runs);
+                }
+            }
+        }
+        Ok(runs)
+    }
+
     /// Rebuilds the vertex state from a checkpoint taken at a round
     /// boundary, as if the preceding iterations had just run.
     fn restore(&mut self, data: &CheckpointData) {
@@ -710,22 +718,24 @@ impl<P: VertexProgram> Driver<'_, P> {
     /// following iteration, which a second sweep over only the secondary
     /// (`i > j`) sub-blocks then commits — two iterations for one and a
     /// half reads of the grid (Algorithm 3; Lumos's future-value
-    /// computation). `hook` sees the secondary sub-blocks.
+    /// computation). The first sweep offers the secondary sub-blocks it
+    /// scattered to `buffer` (§4.3), the second is served from it where it
+    /// can be; a zero-capacity buffer declines every offer.
     ///
     /// `avoids_inactive_data` is the caller's Table 1 bit: when set, a
     /// sweep reads only the sub-blocks that can deliver a message given
     /// the frontier at its start; a state-oblivious engine passes `false`
     /// and streams every non-empty sub-block.
-    pub fn stream_round<H: BlockHook>(
+    pub fn stream_round(
         &mut self,
         grid: &GridGraph,
         cross: bool,
         avoids_inactive_data: bool,
-        hook: &mut H,
+        buffer: &mut SubBlockBuffer,
     ) -> std::io::Result<()> {
         let two_pass = cross && self.next < self.limit;
         self.iteration(IoAccessModel::Full, false, |d| {
-            d.stream_pass(grid, false, two_pass, avoids_inactive_data, hook)
+            d.stream_pass(grid, false, two_pass, avoids_inactive_data, buffer)
         })?;
         if !two_pass || self.state.frontier.is_empty() {
             // Converged (or single-pass mode): any pre-scattered
@@ -736,7 +746,7 @@ impl<P: VertexProgram> Driver<'_, P> {
         // Contributions along `i ≤ j` edges were pre-scattered and live
         // in `accum_cur` after the rotation.
         self.iteration(IoAccessModel::Full, true, |d| {
-            d.stream_pass(grid, true, false, avoids_inactive_data, hook)
+            d.stream_pass(grid, true, false, avoids_inactive_data, buffer)
         })
     }
 
@@ -770,19 +780,19 @@ impl<P: VertexProgram> Driver<'_, P> {
         (act, ahead)
     }
 
-    fn stream_pass<H: BlockHook>(
+    fn stream_pass(
         &mut self,
         grid: &GridGraph,
         secondary_only: bool,
         cross: bool,
         skip_inactive: bool,
-        hook: &mut H,
+        buffer: &mut SubBlockBuffer,
     ) -> std::io::Result<()> {
         let p = grid.p();
         let rows = |j: u32| if secondary_only { j + 1..p } else { 0..p };
         let (act, ahead) = self.needed_rows(grid, cross, skip_inactive);
         // Every block of a `BySource` grid reaches the scatters sorted by
-        // source — read, prefetched, held by the hook, or merged from the
+        // source — read, prefetched, buffered, or merged from the
         // delta overlay (canonically re-sorted) — so they may gallop.
         let by_source = grid.meta().order == BlockOrder::BySource;
         let streams = |i: u32, j: u32| {
@@ -791,7 +801,7 @@ impl<P: VertexProgram> Driver<'_, P> {
         };
 
         // Prefetch plan for the pass: every sub-block that will stream
-        // from storage, in visit order. Blocks the hook holds are skipped
+        // from storage, in visit order. Buffered blocks are skipped
         // — it may still drop them mid-pass, so consumption matches
         // against the schedule front and a dropped block (never
         // scheduled) falls back to a synchronous load.
@@ -799,7 +809,7 @@ impl<P: VertexProgram> Driver<'_, P> {
         if let Some(exec) = self.pipeline.as_mut() {
             for j in 0..p {
                 for i in rows(j) {
-                    if streams(i, j) && !(i > j && hook.resident(i, j)) {
+                    if streams(i, j) && !(i > j && buffer.contains(i, j)) {
                         plan.push_back((i, j));
                     }
                 }
@@ -826,7 +836,7 @@ impl<P: VertexProgram> Driver<'_, P> {
                         seq: true,
                     });
                     Arc::new(taken.edges)
-                } else if let Some(held) = (i > j).then(|| hook.lookup(i, j)).flatten() {
+                } else if let Some(held) = (i > j).then(|| buffer.get(i, j)).flatten() {
                     held
                 } else {
                     let mut edges = Vec::new();
@@ -860,7 +870,10 @@ impl<P: VertexProgram> Driver<'_, P> {
                         }
                         // Held in memory until interval j is applied.
                         Ordering::Equal => diagonal = Some(edges),
-                        Ordering::Greater => hook.scattered(i, j, edges, bytes, delivered),
+                        // The second pass wants these edges again.
+                        Ordering::Greater => {
+                            buffer.offer(i, j, edges, bytes, delivered);
+                        }
                     }
                 });
             }
@@ -887,7 +900,7 @@ impl<P: VertexProgram> Driver<'_, P> {
 
     /// The on-demand pass (Algorithm 2; HUS-Graph's row-oriented push):
     /// fetches only `runs` — the active vertices' edge lists in `grid`,
-    /// as planned by [`coalesce_runs`], through the prefetch pipeline or
+    /// as planned by [`Driver::plan_runs`], through the prefetch pipeline or
     /// synchronously — scatters the kept ranges and applies every
     /// interval at once. The loaded edges stay in memory, so with `cross`
     /// the re-activated vertices' next-iteration messages are scattered

@@ -13,23 +13,29 @@
 //!   leave the next frontier;
 //! * **full → FCIU**: the driver's stream round with cross-iteration
 //!   propagation over the sub-blocks the frontier can send through, with
-//!   the [`SubBlockBuffer`] plugged in as the [`BlockHook`] so secondary
-//!   sub-blocks read by the first pass can be served from memory in the
-//!   second.
+//!   the [`SubBlockBuffer`] between its passes so secondary sub-blocks read
+//!   by the first pass can be served from memory in the second.
+//!
+//! Lumos and GridGraph are this engine with capability bits switched off
+//! ([`GraphSdConfig::lumos`], [`GraphSdConfig::gridgraph`]): no selective
+//! pass and a zero-capacity buffer, plus, for GridGraph, no
+//! cross-iteration propagation. [`Engine::name`] reports which of the
+//! three a configuration is.
 //!
 //! The scheduler's decision log and the buffer's residency ride through
 //! checkpoints as the policy's opaque payload, so a resumed run reports
 //! the same decisions and performs the same buffered I/O as an
 //! uninterrupted one. Everything else — state arrays, prefetch,
 //! checkpoint cadence, accounting, trace frame — is the driver's, shared
-//! with the baselines.
+//! with HUS-Graph.
 
 use crate::buffer::SubBlockBuffer;
-use crate::checkpoint::CheckpointData;
+use crate::checkpoint::{CheckpointData, RecoveryConfig};
 use crate::config::GraphSdConfig;
-use crate::driver::{self, coalesce_runs, BlockHook, Driver, Frame, Policy, SelectiveRun};
+use crate::driver::{self, index_gap, Driver, Frame, Policy};
+use crate::pipeline::PipelineConfig;
 use crate::scheduler::{Scheduler, SchedulerDecision};
-use gsd_graph::{Edge, GridGraph};
+use gsd_graph::GridGraph;
 use gsd_io::DiskModel;
 use gsd_runtime::{
     Capabilities, Engine, IoAccessModel, RunOptions, RunResult, RunStats, VertexProgram,
@@ -94,6 +100,18 @@ impl GraphSdEngine {
         &self.config
     }
 
+    /// Overrides the prefetch pipeline sizing (`None` forces fully
+    /// synchronous reads). Results are bit-identical either way.
+    pub fn set_prefetch(&mut self, prefetch: Option<PipelineConfig>) {
+        self.config.prefetch = prefetch;
+    }
+
+    /// Overrides the checkpoint/recovery options (`None` runs
+    /// unprotected). Like prefetching, checkpointing is result-neutral.
+    pub fn set_checkpoint(&mut self, checkpoint: Option<RecoveryConfig>) {
+        self.config.checkpoint = checkpoint;
+    }
+
     /// Scheduler decisions of the most recent run (Figure 10/11 detail).
     pub fn last_decisions(&self) -> &[SchedulerDecision] {
         &self.last_decisions
@@ -101,8 +119,15 @@ impl GraphSdEngine {
 }
 
 impl Engine for GraphSdEngine {
+    /// `"lumos"` and `"gridstream"` for the two baseline configurations,
+    /// `"graphsd"` for every other.
     fn name(&self) -> &'static str {
-        "graphsd"
+        let c = &self.config;
+        match (c.enable_selective, c.enable_buffering, c.enable_cross_iter) {
+            (false, false, true) => "lumos",
+            (false, false, false) => "gridstream",
+            _ => "graphsd",
+        }
     }
 
     fn capabilities(&self) -> Capabilities {
@@ -162,7 +187,7 @@ impl Engine for GraphSdEngine {
             run_gap: self.disk.bridge_gap(per_edge),
         };
         let frame = Frame {
-            engine: "graphsd",
+            engine: self.name(),
             grid,
             also_verified: &[],
             degrees: &self.degrees,
@@ -200,23 +225,6 @@ struct CkptExtra {
     residents: Vec<ResidentBlock>,
 }
 
-/// The priority buffer of §4.3 as the stream pass's hook: secondary
-/// sub-blocks scattered by the first FCIU pass are offered with priority =
-/// active edges seen, and looked up again by the second.
-impl BlockHook for SubBlockBuffer {
-    fn resident(&self, i: u32, j: u32) -> bool {
-        self.contains(i, j)
-    }
-
-    fn lookup(&mut self, i: u32, j: u32) -> Option<Arc<Vec<Edge>>> {
-        self.get(i, j)
-    }
-
-    fn scattered(&mut self, i: u32, j: u32, edges: Arc<Vec<Edge>>, bytes: u64, active_edges: u64) {
-        self.offer(i, j, edges, bytes, active_edges);
-    }
-}
-
 /// State-aware choice between SCIU and FCIU, per round.
 struct GraphSdPolicy<'a> {
     grid: &'a GridGraph,
@@ -229,42 +237,6 @@ struct GraphSdPolicy<'a> {
     index_gap: u32,
     /// Max edge gap bridged within one edge-run request.
     run_gap: u32,
-}
-
-/// Vertex ids one row-index request bridges rather than seek over: a
-/// vertex of the row index costs `4·P` bytes.
-fn index_gap(disk: &DiskModel, p: u32) -> u32 {
-    disk.bridge_gap(4 * p as u64)
-}
-
-impl GraphSdPolicy<'_> {
-    /// The requests for the active edge lists, in the order a synchronous
-    /// reader visits them: row by row, sub-block by sub-block, vertex by
-    /// vertex. The index spans are read here, before any run — a run
-    /// cannot be known before its index arrives.
-    fn plan_runs<P: VertexProgram>(
-        &self,
-        d: &mut Driver<'_, P>,
-    ) -> std::io::Result<Vec<SelectiveRun>> {
-        let grid = self.grid;
-        let mut runs = Vec::new();
-        for i in 0..grid.p() {
-            let range = grid.intervals().range(i);
-            let active: Vec<u32> = d.frontier().iter_range(range).collect();
-            // ONE index request per active cluster resolves the cluster's
-            // edge ranges in every sub-block of the row.
-            let clusters = d.read_index_clusters(grid, i, &active, self.index_gap)?;
-            for j in 0..grid.p() {
-                if grid.meta().block_edge_count(i, j) > 0 {
-                    let ranges = clusters.iter().flat_map(|(cluster, index)| {
-                        cluster.iter().map(move |&v| index.edge_range(v, j))
-                    });
-                    coalesce_runs(i, j, ranges, self.run_gap, &mut runs);
-                }
-            }
-        }
-        Ok(runs)
-    }
 }
 
 impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
@@ -285,7 +257,7 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
         }
         let cross = self.config.enable_cross_iter && iteration < d.limit();
         d.iteration(IoAccessModel::OnDemand, false, |d| {
-            let runs = self.plan_runs(d)?;
+            let runs = d.plan_runs(self.grid, self.index_gap, self.run_gap)?;
             let edges_served = d.selective_pass(self.grid, runs, cross)?;
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::SciuPass {

@@ -9,9 +9,10 @@
 //!   per iteration it computes the sequential/random split of the active
 //!   edge lists in `O(|A|)` and compares the paper's cost estimates `C_r`
 //!   vs `C_s` to choose the on-demand or the full I/O model.
-//! * [`driver`] — the one out-of-core iteration driver every engine of
-//!   the evaluation runs (GraphSD here, the three baselines in
-//!   `gsd-baselines`): resident state arrays, prefetch,
+//! * [`driver`] — the one out-of-core iteration driver both engines of
+//!   the evaluation run (GraphSD here, whose configurations include Lumos
+//!   and GridGraph, and HUS-Graph in `gsd-baselines`): resident state
+//!   arrays, prefetch,
 //!   checkpoint/resume, accounting and the trace frame, plus the two pass
 //!   primitives of §4.2 — the destination-major **stream pass** whose
 //!   cross-iteration pair covers two BSP iterations per full sweep,

@@ -110,56 +110,59 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Minimal flag parser: positional args plus `--flag [value]` pairs. A
-/// verb names the flags it reads; any other flag is an error, so a typo or
-/// a retired flag fails the command instead of being ignored.
+/// Minimal flag parser: positional args, `--flag value` pairs and
+/// `--switch`es. A verb names the flags it reads and which of them are
+/// switches; any other flag is an error, so a typo or a retired flag fails
+/// the command instead of being ignored. A switch never takes the next
+/// argument, and the last occurrence of a repeated flag wins.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
-    known: &'static [&'static str],
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
 }
 
 impl Args {
-    fn parse(verb: &str, raw: &[String], known: &'static [&'static str]) -> Result<Args, String> {
+    fn parse(
+        verb: &str,
+        raw: &[String],
+        values: &'static [&'static str],
+        switches: &'static [&'static str],
+    ) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let takes_value = it.peek().map(|v| !v.starts_with("--")).unwrap_or(false);
-                let value = if takes_value {
-                    Some(it.next().unwrap().clone())
-                } else {
-                    None
-                };
-                flags.push((name.to_owned(), value));
-            } else {
+            let Some(name) = a.strip_prefix("--") else {
                 positional.push(a.clone());
-            }
-        }
-        if let Some((name, _)) = flags.iter().find(|(n, _)| !known.contains(&n.as_str())) {
-            return Err(format!("unknown flag --{name} for {verb}"));
+                continue;
+            };
+            let value = if switches.contains(&name) {
+                None
+            } else if values.contains(&name) {
+                it.next_if(|v| !v.starts_with("--")).cloned()
+            } else {
+                return Err(format!("unknown flag --{name} for {verb}"));
+            };
+            flags.push((name.to_owned(), value));
         }
         Ok(Args {
             positional,
             flags,
-            known,
+            values,
+            switches,
         })
     }
 
-    fn flag(&self, name: &str) -> Option<&Option<String>> {
+    fn flag_value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
         debug_assert!(
-            self.known.contains(&name),
+            self.values.contains(&name),
             "--{name} is read but not declared"
         );
-        self.flags.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
-    fn flag_value<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.flag(name) {
+        match self.flags.iter().rev().find(|(n, _)| n == name) {
             None => Ok(None),
-            Some(None) => Err(format!("--{name} needs a value")),
-            Some(Some(v)) => v
+            Some((_, None)) => Err(format!("--{name} needs a value")),
+            Some((_, Some(v))) => v
                 .parse()
                 .map(Some)
                 .map_err(|_| format!("--{name}: cannot parse {v:?}")),
@@ -167,7 +170,11 @@ impl Args {
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flag(name).is_some()
+        debug_assert!(
+            self.switches.contains(&name),
+            "--{name} is read but not declared a switch"
+        );
+        self.flags.iter().any(|(n, _)| n == name)
     }
 }
 
@@ -205,7 +212,8 @@ fn cmd_preprocess(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(
         "preprocess",
         raw,
-        &["intervals", "budget-mb", "degree-balanced"],
+        &["intervals", "budget-mb"],
+        &["degree-balanced"],
     )?;
     let [input, dir] = args.positional.as_slice() else {
         return Err("preprocess needs <edges.txt> <data-dir>".into());
@@ -261,6 +269,7 @@ fn cmd_run(raw: &[String]) -> Result<(), String> {
         "run",
         &flags.rest,
         &["ablation", "iterations", "source", "top"],
+        &[],
     )?;
     let settings = &flags.settings;
     let [dir, algorithm] = args.positional.as_slice() else {
@@ -326,6 +335,7 @@ fn cmd_ingest(raw: &[String]) -> Result<(), String> {
         "ingest",
         raw,
         &["recompute", "source", "iterations", "trace"],
+        &[],
     )?;
     let [dir, batch_path] = args.positional.as_slice() else {
         return Err("ingest needs <data-dir> <batch.txt>".into());
@@ -431,7 +441,7 @@ impl ProgramVisitor for IngestRecompute<'_> {
 }
 
 fn cmd_compact(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse("compact", raw, &["trace"])?;
+    let args = Args::parse("compact", raw, &["trace"], &[])?;
     let [dir] = args.positional.as_slice() else {
         return Err("compact needs <data-dir>".into());
     };
@@ -455,7 +465,7 @@ fn cmd_compact(raw: &[String]) -> Result<(), String> {
 
 fn cmd_serve(raw: &[String]) -> Result<(), String> {
     let flags = RunFlags::parse(raw, None)?;
-    let args = Args::parse("serve", &flags.rest, &["port", "cache-mb"])?;
+    let args = Args::parse("serve", &flags.rest, &["port", "cache-mb"], &[])?;
     let settings = &flags.settings;
     let [dir] = args.positional.as_slice() else {
         return Err("serve needs <data-dir>".into());
@@ -501,7 +511,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse("query", raw, &["alpha", "iterations", "source"])?;
+    let args = Args::parse("query", raw, &["alpha", "iterations", "source"], &[])?;
     let (addr, op, rest) = match args.positional.as_slice() {
         [addr, op, rest @ ..] => (addr, op.as_str(), rest),
         _ => return Err("query needs <host:port> <op> [args...]".into()),
@@ -720,6 +730,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
         "bench",
         &flags.rest,
         &["check", "systems", "algos", "datasets", "out", "baseline"],
+        &[],
     )?;
     if let Some(path) = args.flag_value::<String>("check")? {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
@@ -793,7 +804,7 @@ fn cmd_bench(raw: &[String]) -> Result<(), String> {
 /// before anything runs; a failed one does not stop the rest.
 fn cmd_experiments(raw: &[String]) -> Result<(), String> {
     let flags = RunFlags::parse(raw, Some(PipelineConfig::default()))?;
-    let args = Args::parse("experiments", &flags.rest, &[])?;
+    let args = Args::parse("experiments", &flags.rest, &[], &[])?;
     let mut ids: Vec<&str> = args.positional.iter().map(String::as_str).collect();
     if ids.is_empty() {
         ids = experiments::ids().collect();
@@ -824,7 +835,7 @@ fn cmd_experiments(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_report(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse("report", raw, &["top"])?;
+    let args = Args::parse("report", raw, &["top"], &[])?;
     let [path] = args.positional.as_slice() else {
         return Err("report needs <trace.jsonl>".into());
     };
@@ -834,7 +845,7 @@ fn cmd_report(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_scrub(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse("scrub", raw, &["repair"])?;
+    let args = Args::parse("scrub", raw, &["repair"], &[])?;
     let [dir] = args.positional.as_slice() else {
         return Err("scrub needs <data-dir>".into());
     };
@@ -894,7 +905,7 @@ fn inventory<'a>(
 }
 
 fn cmd_info(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse("info", raw, &[])?;
+    let args = Args::parse("info", raw, &[], &[])?;
     let [dir] = args.positional.as_slice() else {
         return Err("info needs <data-dir>".into());
     };
@@ -946,7 +957,7 @@ fn cmd_info(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse("generate", raw, &["seed", "weighted", "symmetrized"])?;
+    let args = Args::parse("generate", raw, &["seed"], &["weighted", "symmetrized"])?;
     let [kind, vertices, edges, out] = args.positional.as_slice() else {
         return Err("generate needs <kind> <vertices> <edges> <out.txt>".into());
     };

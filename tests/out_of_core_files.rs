@@ -5,7 +5,7 @@
 use gsd_algos::{ConnectedComponents, PageRank, Sssp};
 use gsd_core::{GraphSdConfig, GraphSdEngine};
 use gsd_graph::{parse_edge_list, preprocess, preprocess_text, GridGraph, PreprocessConfig};
-use gsd_io::{FileStorage, SharedStorage, TempDir};
+use gsd_io::{FileStorage, SharedStorage, Storage, TempDir};
 use gsd_runtime::{Engine, ReferenceEngine, RunOptions};
 use std::sync::Arc;
 
@@ -251,4 +251,29 @@ fn experiments_verb_runs_known_ids_and_rejects_the_rest() {
         stderr.contains("unknown flag --bogus for experiments"),
         "{stderr}"
     );
+}
+
+/// A switch never takes the next argument: `generate --weighted grid …`
+/// used to read `grid` as the switch's value and fail for want of a
+/// kind, and `preprocess --degree-balanced <edges> <dir>` failed the same
+/// way. Where a switch stands does not change what the command does.
+#[test]
+fn a_switch_does_not_swallow_the_next_positional() {
+    let dir = TempDir::new("gsd-switches").unwrap();
+    let gsd = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsd"))
+            .current_dir(dir.path())
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    };
+    gsd(&["generate", "--weighted", "grid", "100", "200", "first.txt"]);
+    gsd(&["generate", "grid", "100", "200", "last.txt", "--weighted"]);
+    let files = FileStorage::open(dir.path()).unwrap();
+    let first = files.read_all("first.txt").unwrap();
+    assert!(!first.is_empty());
+    assert_eq!(first, files.read_all("last.txt").unwrap());
+    gsd(&["preprocess", "--degree-balanced", "first.txt", "data"]);
 }
