@@ -54,6 +54,12 @@ impl VertexProgram for Bfs {
         (accum < old).then_some(accum)
     }
 
+    /// A message no larger than the target may have derived it, unless
+    /// the target is the vertex's initial value, which depends on nothing.
+    fn supports(&self, v: u32, message: u32, target: u32, ctx: &ProgramContext) -> bool {
+        message <= target && target != self.init_value(v, ctx)
+    }
+
     fn initial_frontier(&self, _ctx: &ProgramContext) -> InitialFrontier {
         InitialFrontier::Seeds(vec![self.source])
     }
@@ -93,5 +99,16 @@ mod tests {
         let result = engine.run_default(&Bfs::new(0)).unwrap();
         // Farthest vertex is 6 hops away; one extra iteration finds nothing.
         assert_eq!(result.stats.iterations, 7);
+    }
+
+    #[test]
+    fn supports_tight_and_lower_messages_but_no_initial_value() {
+        let bfs = Bfs::new(0);
+        let ctx = ProgramContext::new(3, std::sync::Arc::new(vec![1; 3]));
+        assert!(bfs.supports(1, 2, 2, &ctx), "tight");
+        assert!(bfs.supports(1, 1, 2, &ctx), "undercutting");
+        assert!(!bfs.supports(1, 3, 2, &ctx), "slack");
+        assert!(!bfs.supports(1, u32::MAX, u32::MAX, &ctx), "unreached");
+        assert!(!bfs.supports(0, 0, 0, &ctx), "the source");
     }
 }

@@ -41,6 +41,12 @@ impl VertexProgram for ConnectedComponents {
         (accum < old).then_some(accum)
     }
 
+    /// A message no larger than the target may have derived it, unless
+    /// the target is the vertex's initial value, which depends on nothing.
+    fn supports(&self, v: u32, message: u32, target: u32, ctx: &ProgramContext) -> bool {
+        message <= target && target != self.init_value(v, ctx)
+    }
+
     fn initial_frontier(&self, _ctx: &ProgramContext) -> InitialFrontier {
         InitialFrontier::All
     }
@@ -99,5 +105,15 @@ mod tests {
         assert_eq!(got[3], 3);
         assert_eq!(got[5], 3);
         assert_eq!(got[7], 3);
+    }
+
+    #[test]
+    fn supports_a_label_it_carries_but_not_a_vertex_own() {
+        let ctx = ProgramContext::new(6, std::sync::Arc::new(vec![1; 6]));
+        let cc = ConnectedComponents;
+        assert!(cc.supports(5, 2, 2, &ctx), "tight");
+        assert!(cc.supports(5, 1, 2, &ctx), "undercutting");
+        assert!(!cc.supports(5, 3, 2, &ctx), "slack");
+        assert!(!cc.supports(5, 5, 5, &ctx), "its own label");
     }
 }

@@ -56,6 +56,12 @@ impl VertexProgram for Sssp {
         (accum < old).then_some(accum)
     }
 
+    /// A message no larger than the target may have derived it, unless
+    /// the target is the vertex's initial value, which depends on nothing.
+    fn supports(&self, v: u32, message: f32, target: f32, ctx: &ProgramContext) -> bool {
+        message <= target && target != self.init_value(v, ctx)
+    }
+
     fn initial_frontier(&self, _ctx: &ProgramContext) -> InitialFrontier {
         InitialFrontier::Seeds(vec![self.source])
     }
@@ -147,5 +153,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn supports_tight_and_lower_messages_but_no_initial_value() {
+        let sssp = Sssp::new(0);
+        let ctx = ProgramContext::new(3, std::sync::Arc::new(vec![1; 3]));
+        assert!(sssp.supports(1, 1.5, 1.5, &ctx), "tight");
+        assert!(sssp.supports(1, 1.0, 1.5, &ctx), "undercutting");
+        assert!(!sssp.supports(1, 2.0, 1.5, &ctx), "slack");
+        assert!(
+            !sssp.supports(1, f32::INFINITY, f32::INFINITY, &ctx),
+            "unreached"
+        );
+        assert!(!sssp.supports(0, 0.0, 0.0, &ctx), "the source");
     }
 }

@@ -16,27 +16,72 @@
 //!   edges' influence down to exactness.
 //! * **Deletes can raise values**, which min-combine cannot do — so every
 //!   vertex whose warm value might have depended on a deleted edge is
-//!   *reset* to its initial value. The dependent set is the forward
-//!   closure of the deleted edges' destinations over the union of the
-//!   new grid and the deleted edges themselves (the old edge set is a
-//!   subset of that union, so every stale propagation path is covered).
-//!   The deleted edges themselves need no traversal: their heads are the
-//!   closure's seeds, so only the merged grid is swept.
-//!   Sources of surviving edges entering the reset region are seeded so
-//!   their still-valid values flow back in.
+//!   *reset*. The dependent set (the *region*) is a forward closure from
+//!   the deleted edges' heads over the union of the new grid and the
+//!   deleted edges themselves (the old edge set is a subset of that
+//!   union, so every stale propagation path is covered). The deleted
+//!   edges themselves need no traversal: their heads are the closure's
+//!   seeds, so only the merged grid is swept, and only its rows that
+//!   hold a region vertex.
+//!
+//! **The closure follows support only**
+//! ([`VertexProgram::supports`]). The warm values are the fixpoint a
+//! from-scratch run on the old grid reaches, so take that run. A warm
+//! value `val(v)` is either `v`'s initial value, which depends on
+//! nothing, or was committed from the last message `v` accepted,
+//! `scatter(u, x, w)` over an old edge `u → v`, with `x` a value `u` held
+//! then. At the fixpoint `val(v) ≤ scatter(u, val(u), w)` for every edge,
+//! and `val(u) ≤ x`, so (scatter being monotone) `scatter(u, val(u), w) =
+//! val(v)`: the edge is *tight*, and its message supports the target. A
+//! deleted edge's head is therefore a seed only if the edge's message
+//! supports it, and the closure crosses an edge `u → v` only if
+//! `scatter(u, val(u), w)` supports `val(v)`. A program that does not opt
+//! in supports everything (the unrestricted closure), and a scatter that
+//! sends nothing is tested as [`VertexProgram::zero_accum`]. A delete
+//! carries no weight: on an unweighted grid every edge weighs 1.0 and the
+//! head test is exact; on a weighted grid every deleted edge's head is a
+//! seed.
+//!
+//! Outside the closure, the warm value is still *achievable* — derivable
+//! along the new grid from initial values, hence no better than the new
+//! fixpoint. Take a vertex `v` outside it that accepted a message: its
+//! last accepted edge `u → v` is tight, so it is not deleted (or `v`
+//! would be a seed), and `u` is outside the closure (or `v` would be in
+//! it). For programs whose scatter never lowers a value (BFS adds 1,
+//! SSSP a non-negative weight, CC copies) `val(u) ≤ val(v)`, and where
+//! they are equal `u` held `val(u)` when it sent it and so committed it
+//! before `v` did. So induction on (warm value, commit time) derives
+//! `val(u)`, and then `val(v) = scatter(u, val(u), w)`, along surviving
+//! edges only. Inserted edges the closure crosses only make it larger,
+//! which keeps the argument.
+//!
+//! **The region restarts from a pull, not from its initial values
+//! alone.** One pass over the sub-blocks whose column holds a region
+//! vertex combines `scatter(u, val(u), w)` into `v` for every surviving
+//! edge `u → v` from outside the region; each region vertex restarts at
+//! `apply(v, init(v), pulled)`, or at `init(v)` if nothing was pulled. A
+//! pulled value is the scatter of an achievable value along an edge of
+//! the new grid, so it is achievable too. With min-combine, the run from
+//! achievable upper bounds reaches the from-scratch fixpoint bit for bit
+//! once every edge that could still lower a value has its source in the
+//! frontier: edges between vertices outside the region held at the old
+//! fixpoint and edges into the region were pulled, so the seeds are the
+//! region and the insert sources — the region's in-boundary is not.
 //!
 //! Programs outside the gate (PageRank's dense fixed-iteration recurrence,
 //! PPR) fall back to a full run — correct, just not incremental — and the
 //! report says so.
 //!
-//! The region closure is computed with whole-grid sweeps through the
-//! overlay-merged read path rather than an in-memory adjacency list, so
-//! the pass stays out-of-core like everything else.
+//! The closure and the pull read through the overlay-merged read path
+//! rather than an in-memory adjacency list, so the pass stays out-of-core
+//! like everything else; the report carries the storage traffic they
+//! caused.
 
 use crate::batch::MutationBatch;
 use gsd_core::{GraphSdConfig, GraphSdEngine};
 use gsd_graph::delta::DeltaOp;
 use gsd_graph::GridGraph;
+use gsd_io::IoStatsSnapshot;
 use gsd_runtime::{Engine, InitialFrontier, ProgramContext, RunOptions, RunResult, VertexProgram};
 use gsd_trace::{TraceEvent, TraceSink};
 use std::sync::Arc;
@@ -46,8 +91,15 @@ use std::sync::Arc;
 pub struct IncrementalReport {
     /// Vertices in the initial frontier.
     pub seeds: u64,
-    /// Vertices reset to their initial value (delete-dependent region).
+    /// Vertices whose warm value was discarded: the size of the region a
+    /// deleted edge supported.
     pub resets: u64,
+    /// Region vertices that restarted from a value pulled over an edge
+    /// from outside the region rather than from their initial value.
+    pub pulled: u64,
+    /// Storage traffic of the closure sweeps and the pull (merged
+    /// sub-blocks are served from memory and cost none).
+    pub region_io: IoStatsSnapshot,
     /// The program failed the monotone-frontier gate and was rerun from
     /// scratch instead.
     pub full_fallback: bool,
@@ -116,57 +168,100 @@ impl<P: VertexProgram> VertexProgram for SeededProgram<'_, P> {
     fn max_iterations(&self) -> Option<u32> {
         self.inner.max_iterations()
     }
+    fn supports(&self, v: u32, message: P::Accum, target: P::Value, ctx: &ProgramContext) -> bool {
+        self.inner.supports(v, message, target, ctx)
+    }
     fn value_bytes(&self) -> u64 {
         self.inner.value_bytes()
     }
 }
 
-/// Forward closure of the deleted edges' destinations over the merged
-/// grid, via repeated whole-grid sweeps. Also returns the in-boundary:
-/// sources of surviving edges entering the region from outside it.
-fn affected_region(
+/// The region the batch's deletes supported: the closure, from the heads
+/// of supporting deleted edges, over the merged grid's edges whose
+/// message supports their destination's `warm` value. Only rows holding
+/// a region vertex whose out-edges have not been followed are swept.
+fn affected_region<P: VertexProgram>(
     grid: &GridGraph,
+    program: &P,
+    warm: &[P::Value],
     deletes: &[(u32, u32)],
-) -> std::io::Result<(Vec<bool>, Vec<u32>)> {
-    let n = grid.num_vertices() as usize;
-    let mut in_region = vec![false; n];
-    for &(_, d) in deletes {
-        in_region[d as usize] = true;
+    ctx: &ProgramContext,
+) -> std::io::Result<Vec<bool>> {
+    let intervals = grid.intervals();
+    let supports = |u: u32, v: u32, weight: f32| {
+        let message = program
+            .scatter(u, warm[u as usize], weight, ctx)
+            .unwrap_or_else(|| program.zero_accum());
+        program.supports(v, message, warm[v as usize], ctx)
+    };
+    let mut in_region = vec![false; grid.num_vertices() as usize];
+    // Rows holding a region vertex whose out-edges are still to follow.
+    let mut pending = vec![false; grid.p() as usize];
+    let enter = |v: u32, in_region: &mut [bool], pending: &mut [bool]| {
+        in_region[v as usize] = true;
+        pending[intervals.interval_of(v) as usize] = true;
+    };
+    let weighted = grid.meta().weighted;
+    for &(src, dst) in deletes {
+        if weighted || supports(src, dst, 1.0) {
+            enter(dst, &mut in_region, &mut pending);
+        }
     }
-    let p = grid.p();
-    let mut scratch = Vec::new();
-    let mut block = Vec::new();
-    let mut grew = true;
-    while grew {
-        grew = false;
-        for i in 0..p {
-            for j in 0..p {
+    let (mut scratch, mut block) = (Vec::new(), Vec::new());
+    // Passes in row order, so a pass follows the closure into later rows.
+    while pending.contains(&true) {
+        for i in 0..grid.p() {
+            if !std::mem::take(&mut pending[i as usize]) {
+                continue;
+            }
+            for j in 0..grid.p() {
                 grid.read_block_into(i, j, &mut scratch, &mut block)?;
                 for e in &block {
-                    if in_region[e.src as usize] && !in_region[e.dst as usize] {
-                        in_region[e.dst as usize] = true;
-                        grew = true;
+                    if in_region[e.src as usize]
+                        && !in_region[e.dst as usize]
+                        && supports(e.src, e.dst, e.weight)
+                    {
+                        enter(e.dst, &mut in_region, &mut pending);
                     }
                 }
             }
         }
     }
-    // One more sweep for the in-boundary of the now-stable region.
-    let mut boundary = Vec::new();
-    let mut seen = vec![false; n];
-    for i in 0..p {
-        for j in 0..p {
+    Ok(in_region)
+}
+
+/// Combines `scatter(u, warm(u), w)` into `v` for every edge `u → v` of
+/// the merged grid from outside the region into it, reading only the
+/// sub-blocks whose column holds a region vertex. Returns the combined
+/// messages, indexed by vertex (`zero_accum` outside the region).
+fn pull_into_region<P: VertexProgram>(
+    grid: &GridGraph,
+    program: &P,
+    warm: &[P::Value],
+    in_region: &[bool],
+    ctx: &ProgramContext,
+) -> std::io::Result<Vec<P::Accum>> {
+    let intervals = grid.intervals();
+    let mut columns = vec![false; grid.p() as usize];
+    for (v, _) in (0..).zip(in_region).filter(|(_, &region)| region) {
+        columns[intervals.interval_of(v) as usize] = true;
+    }
+    let mut pulled = vec![program.zero_accum(); in_region.len()];
+    let (mut scratch, mut block) = (Vec::new(), Vec::new());
+    for j in (0..grid.p()).filter(|&j| columns[j as usize]) {
+        for i in 0..grid.p() {
             grid.read_block_into(i, j, &mut scratch, &mut block)?;
             for e in &block {
-                if in_region[e.dst as usize] && !in_region[e.src as usize] && !seen[e.src as usize]
-                {
-                    seen[e.src as usize] = true;
-                    boundary.push(e.src);
+                let (u, v) = (e.src as usize, e.dst as usize);
+                if in_region[v] && !in_region[u] {
+                    if let Some(message) = program.scatter(e.src, warm[u], e.weight, ctx) {
+                        pulled[v] = program.combine(pulled[v], message);
+                    }
                 }
             }
         }
     }
-    Ok((in_region, boundary))
+    Ok(pulled)
 }
 
 /// Continues a converged run of `program` across the mutation batch that
@@ -206,6 +301,8 @@ pub fn incremental_run<P: VertexProgram>(
             IncrementalReport {
                 seeds: 0,
                 resets: 0,
+                pulled: 0,
+                region_io: IoStatsSnapshot::default(),
                 full_fallback: true,
             },
         ));
@@ -219,34 +316,37 @@ pub fn incremental_run<P: VertexProgram>(
             DeltaOp::Insert(_) => None,
         })
         .collect();
-    let (in_region, boundary) = affected_region(&grid, &deletes)?;
-
     let degrees = Arc::new(grid.load_out_degrees()?);
     let ctx = ProgramContext::new(grid.num_vertices(), degrees);
 
+    let io = grid.storage().stats();
+    let before = io.snapshot();
+    let in_region = affected_region(&grid, program, &prev_values, &deletes, &ctx)?;
+    let pulled = pull_into_region(&grid, program, &prev_values, &in_region, &ctx)?;
+    let region_io = io.snapshot().since(&before);
+
     let mut values = prev_values;
-    let mut resets = 0u64;
-    let mut seed_mark = vec![false; n];
+    let mut restarted = 0u64;
+    let mut seed_mark = in_region.clone();
     let mut seeds = Vec::new();
-    let seed = |v: u32, mark: &mut Vec<bool>, seeds: &mut Vec<u32>| {
-        if !mark[v as usize] {
-            mark[v as usize] = true;
-            seeds.push(v);
-        }
-    };
-    for (v, reset) in in_region.iter().enumerate() {
-        if *reset {
-            values[v] = program.init_value(v as u32, &ctx);
-            resets += 1;
-            seed(v as u32, &mut seed_mark, &mut seeds);
-        }
+    for (v, _) in (0u32..).zip(&in_region).filter(|(_, &region)| region) {
+        let init = program.init_value(v, &ctx);
+        values[v as usize] = match program.apply(v, init, pulled[v as usize], &ctx) {
+            Some(value) => {
+                restarted += 1;
+                value
+            }
+            None => init,
+        };
+        seeds.push(v);
     }
-    for &src in &boundary {
-        seed(src, &mut seed_mark, &mut seeds);
-    }
+    let resets = seeds.len() as u64;
     for op in &batch.ops {
         if let DeltaOp::Insert(e) = op {
-            seed(e.src, &mut seed_mark, &mut seeds);
+            if !seed_mark[e.src as usize] {
+                seed_mark[e.src as usize] = true;
+                seeds.push(e.src);
+            }
         }
     }
     seeds.sort_unstable();
@@ -258,6 +358,8 @@ pub fn incremental_run<P: VertexProgram>(
     let report = IncrementalReport {
         seeds: seeds.len() as u64,
         resets,
+        pulled: restarted,
+        region_io,
         full_fallback: false,
     };
     let seeded = SeededProgram::new(program, values, seeds);

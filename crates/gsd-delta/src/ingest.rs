@@ -23,11 +23,11 @@
 
 use crate::batch::MutationBatch;
 use gsd_graph::delta::{
-    apply_ops, check_merged_count, encode_segment, group_ops, read_base_block, read_live_ops,
+    check_merged_count, encode_segment, group_ops, merge_block, read_base_block, read_live_ops,
     segment_key, BlockOps, DeltaOp,
 };
 use gsd_graph::format::{DeltaSection, GridMeta};
-use gsd_graph::{BlockOrder, META_KEY};
+use gsd_graph::{BlockOrder, Edge, META_KEY};
 use gsd_integrity::ObjectEntry;
 use gsd_io::Storage;
 use gsd_trace::{TraceEvent, TraceSink};
@@ -113,17 +113,20 @@ pub fn ingest(
     // Merge each touched block to derive the new merged counts.
     let prior_ops = read_live_ops(storage, prefix, &meta)?;
     let p = meta.p;
+    let intervals = meta.intervals();
     // Ingest forms no degree: the merge counts the changes, and they go.
     let mut degrees = BTreeMap::new();
     for (&(i, j), block_ops) in &new_ops {
         let mut edges = read_base_block(storage, prefix, &meta, i, j)?;
+        let mut merge = |edges: &[Edge], ops: &[DeltaOp]| {
+            merge_block(edges, ops, meta.order, intervals.range(i), &mut degrees).0
+        };
         if let Some(prior) = prior_ops.get(&(i, j)) {
-            apply_ops(&mut edges, prior, &mut degrees);
+            edges = merge(&edges, prior);
         }
         let slot = (i * p + j) as usize;
         check_merged_count(i, j, edges.len() as u64, merged_counts[slot])?;
-        apply_ops(&mut edges, block_ops, &mut degrees);
-        merged_counts[slot] = edges.len() as u64;
+        merged_counts[slot] = merge(&edges, block_ops).len() as u64;
     }
 
     // --- step 1: the segment, durable before anything names it ---

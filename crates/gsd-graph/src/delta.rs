@@ -21,9 +21,12 @@
 //! fall in — epoch order, then batch order — and materializes each
 //! touched sub-block in memory in its **merged** form (base edges with
 //! deletes removed and inserts merged into canonical sort position)
-//! together with its recomputed per-vertex offsets. The out-degree patch
-//! is derived by the same merge ([`apply_ops`] counts what each op adds
-//! or removes against its source); nothing stores degrees. Block and
+//! together with its recomputed per-vertex offsets. [`merge_block`] is
+//! that merge: one walk over the base payload, which is already in
+//! canonical order, so nothing is sorted again but the block's surviving
+//! inserts. The out-degree patch is derived by the same merge (it counts
+//! what each op adds or removes against its source); nothing stores
+//! degrees. Block and
 //! edge-run reads of a merged sub-block are served from the overlay; a
 //! row-index read fetches the base span as on any grid and replaces the
 //! columns of merged sub-blocks with the overlay's offsets. So every
@@ -32,7 +35,7 @@
 //! read from storage unchanged.
 //!
 //! Because sub-blocks are sorted by a canonical total order (see
-//! [`BlockOrder::sort`](crate::layout::BlockOrder::sort)), the merged
+//! [`BlockOrder::key`]), the merged
 //! payload is **byte-identical** to what a full re-preprocess of the
 //! merged edge list would write — what makes compaction a row-by-row
 //! rewrite, and the reason analytic results on base+delta match a
@@ -58,6 +61,7 @@
 //! decoder refuses unknown tags and counts that disagree with the length.
 
 use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION, META_KEY};
+use crate::layout::BlockOrder;
 use crate::types::{Edge, VertexId};
 use gsd_integrity::CorruptionError;
 use gsd_io::Storage;
@@ -334,25 +338,114 @@ impl DeltaOverlay {
     }
 }
 
-/// Applies `ops` in order to `edges`: an insert appends one copy, a delete
-/// removes every copy of its pair. The result is in no particular order.
-/// Each op's effect on its source's out-degree (+1 per insert, minus the
-/// copies a delete removed) is added to `degrees`.
-pub fn apply_ops(edges: &mut Vec<Edge>, ops: &[DeltaOp], degrees: &mut BTreeMap<u32, i64>) {
-    for op in ops {
-        let change = match op {
-            DeltaOp::Insert(e) => {
-                edges.push(*e);
-                1
-            }
-            DeltaOp::Delete { src, dst } => {
-                let before = edges.len();
-                edges.retain(|e| e.src != *src || e.dst != *dst);
-                -((before - edges.len()) as i64)
-            }
-        };
-        *degrees.entry(op.src()).or_default() += change;
+/// Merges a sub-block's live `ops`, in batch order, into `base`, which
+/// holds the block in `order`'s canonical order ([`BlockOrder::key`]),
+/// and returns the merged block in the same order with its column of its
+/// row's index over the row's `sources` (empty where `order` has none) —
+/// the bytes a re-preprocess of the merged edge list would write.
+///
+/// Only the net effect per `(src, dst)` pair matters: a delete drops the
+/// pair's base copies and every earlier insert of it, and an insert adds
+/// one copy. So the surviving inserts are sorted alone, binary search
+/// finds each deleted pair's base run and where each insert lands, and
+/// one walk copies the runs of `base` between those cut points. Each
+/// op's source gets an entry in `degrees`, to which the op's net change
+/// to its out-degree is added: +1 for a surviving insert, minus the base
+/// copies for a pair's last delete, nothing for an op a later delete
+/// cancels.
+pub fn merge_block(
+    base: &[Edge],
+    ops: &[DeltaOp],
+    order: BlockOrder,
+    sources: std::ops::Range<u32>,
+    degrees: &mut BTreeMap<u32, i64>,
+) -> (Vec<Edge>, Vec<u32>) {
+    // The key's first two fields name the pair, whose copies are one run
+    // of `base`.
+    let pair_of = |e: &Edge| {
+        let (a, b, _) = order.key(e);
+        (a, b)
+    };
+    // Each deleted pair's last delete, by position in `ops`, and its run
+    // of `base`; the map visits the pairs in key order.
+    let mut deleted = BTreeMap::new();
+    for (at, op) in ops.iter().enumerate() {
+        if let DeltaOp::Delete { src, dst } = *op {
+            deleted.insert(pair_of(&Edge::new(src, dst)), (at, 0..0));
+        }
     }
+    let mut from = 0;
+    for (pair, (_, run)) in &mut deleted {
+        let lo = from + base[from..].partition_point(|e| pair_of(e) < *pair);
+        let hi = lo + base[lo..].partition_point(|e| pair_of(e) == *pair);
+        *run = lo..hi;
+        from = hi;
+    }
+
+    let mut inserts = Vec::new();
+    for (at, op) in ops.iter().enumerate() {
+        let change = match *op {
+            DeltaOp::Insert(e) => match deleted.get(&pair_of(&e)) {
+                Some(&(last, _)) if last > at => 0,
+                _ => {
+                    inserts.push(e);
+                    1
+                }
+            },
+            DeltaOp::Delete { src, dst } => match deleted.get(&pair_of(&Edge::new(src, dst))) {
+                Some((last, run)) if *last == at => -(run.len() as i64),
+                _ => 0,
+            },
+        };
+        *degrees.entry(op.src()).or_insert(0) += change;
+    }
+    inserts.sort_unstable_by_key(|e| order.key(e));
+
+    // The runs of `base` that survive: the gaps between deleted runs.
+    let mut keep = Vec::with_capacity(deleted.len() + 1);
+    let mut from = 0;
+    for (_, run) in deleted.values() {
+        keep.push(from..run.start);
+        from = run.end;
+    }
+    keep.push(from..base.len());
+
+    let mut merged = Vec::with_capacity(base.len() + inserts.len());
+    let mut pending = inserts.iter().peekable();
+    for run in keep.into_iter().filter(|run| !run.is_empty()) {
+        let mut at = run.start;
+        while let Some(e) = pending.peek() {
+            let cut = at + base[at..run.end].partition_point(|b| order.key(b) <= order.key(e));
+            if cut == run.end {
+                break;
+            }
+            merged.extend_from_slice(&base[at..cut]);
+            merged.push(**e);
+            pending.next();
+            at = cut;
+        }
+        merged.extend_from_slice(&base[at..run.end]);
+    }
+    merged.extend(pending);
+
+    let offsets = if order.has_row_index() {
+        source_offsets(&merged, sources)
+    } else {
+        Vec::new()
+    };
+    (merged, offsets)
+}
+
+/// CSR offsets of source-sorted `edges` over the sources in `range`.
+fn source_offsets(edges: &[Edge], range: std::ops::Range<u32>) -> Vec<u32> {
+    let mut offsets = vec![0u32; range.len() + 1];
+    for e in edges {
+        offsets[(e.src - range.start) as usize + 1] += 1;
+    }
+    for k in 1..offsets.len() {
+        offsets[k] += offsets[k - 1];
+    }
+    offsets
 }
 
 /// Checks `payload`, just read from the base object `rel_key` of the grid
@@ -422,6 +515,11 @@ pub(crate) fn load_overlay(
     let Some(delta) = meta.delta.as_ref().filter(|d| !d.segments.is_empty()) else {
         return Ok(None);
     };
+    if meta.order == BlockOrder::Unsorted {
+        return Err(invalid(
+            "an unsorted grid names delta segments, but its blocks have no canonical order to merge into",
+        ));
+    }
     let merged_counts = delta.merged_block_edge_counts.clone();
     let per_block = read_live_ops(storage, prefix, meta)?;
     let codec = meta.codec();
@@ -436,11 +534,14 @@ pub(crate) fn load_overlay(
             check_merged_count(i, j, meta.block_edge_count(i, j), want)?;
             continue;
         };
-        let mut merged = read_base_block(storage, prefix, meta, i, j)?;
-        apply_ops(&mut merged, ops, &mut overlay.degrees);
-        // Canonical order again, so the payload and its index column are
-        // the bytes a re-preprocess of the merged edge list would write.
-        let offsets = meta.order.sort(i, j, &intervals, &mut merged);
+        // The base goes before the encode allocates, so it can reuse it.
+        let (merged, offsets) = merge_block(
+            &read_base_block(storage, prefix, meta, i, j)?,
+            ops,
+            meta.order,
+            intervals.range(i),
+            &mut overlay.degrees,
+        );
         check_merged_count(i, j, merged.len() as u64, want)?;
         let bytes = codec.encode_all(&merged);
         let index_bytes = (offsets.len() * 4) as u64;
@@ -460,17 +561,14 @@ pub(crate) fn load_overlay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::BlockOrder;
-    use crate::partition::Intervals;
 
     /// Merges as `load_overlay` does, into the only sub-block of an
     /// 8-vertex, one-interval grid; returns the edges and the degree
     /// changes.
     fn merge(base: &[Edge], ops: &[DeltaOp]) -> (Vec<Edge>, BTreeMap<u32, i64>) {
-        let mut edges = base.to_vec();
         let mut degrees = BTreeMap::new();
-        apply_ops(&mut edges, ops, &mut degrees);
-        BlockOrder::BySource.sort(0, 0, &Intervals::uniform(8, 1), &mut edges);
+        let (edges, offsets) = merge_block(base, ops, BlockOrder::BySource, 0..8, &mut degrees);
+        assert_eq!(offsets.len(), 9);
         (edges, degrees)
     }
 

@@ -30,21 +30,36 @@ pub enum BlockOrder {
 }
 
 impl BlockOrder {
-    /// Sorts sub-block `(i, j)` into this order and returns its column of
-    /// row `i`'s index (empty where the order has none).
-    ///
-    /// The order is `(primary, secondary, weight bits)` with the primary
-    /// key `src` for `BySource` and `dst` for `ByDest`. The weight-bits
-    /// tiebreak makes it a *canonical total order* on edge records: the
-    /// sorted payload depends only on the edge multiset, never on input
-    /// order or sort stability, which is what lets a delta merge reproduce
-    /// the bytes a full re-preprocess of the merged edge list would write.
+    /// The canonical key of an edge record under this order:
+    /// `(primary, secondary, weight bits)`, with the primary key `src` for
+    /// `BySource` and `dst` for `ByDest`. The weight-bits tiebreak makes
+    /// it a *total* order on edge records: a block sorted by it depends
+    /// only on its edge multiset, never on input order or sort stability,
+    /// which is what lets a delta merge reproduce the bytes a full
+    /// re-preprocess of the merged edge list would write. `Unsorted`
+    /// blocks keep input order and carry no delta; their key is
+    /// `BySource`'s.
+    #[inline]
+    pub fn key(self, e: &Edge) -> (u32, u32, u32) {
+        match self {
+            BlockOrder::BySource | BlockOrder::Unsorted => (e.src, e.dst, e.weight.to_bits()),
+            BlockOrder::ByDest => (e.dst, e.src, e.weight.to_bits()),
+        }
+    }
+
+    /// Sorts sub-block `(i, j)` into this order's [`key`](Self::key) and
+    /// returns its column of row `i`'s index (empty where the order has
+    /// none).
     pub fn sort(self, i: u32, j: u32, intervals: &Intervals, edges: &mut Vec<Edge>) -> Vec<u32> {
+        // Each arm passes a key its order is constant in, so each sort is
+        // compiled for its own order.
         match self {
             BlockOrder::Unsorted => Vec::new(),
-            BlockOrder::BySource => counting_sort(edges, intervals.range(i), |e| e.src, |e| e.dst),
+            BlockOrder::BySource => {
+                counting_sort(edges, intervals.range(i), |e| BlockOrder::BySource.key(e))
+            }
             BlockOrder::ByDest => {
-                counting_sort(edges, intervals.range(j), |e| e.dst, |e| e.src);
+                counting_sort(edges, intervals.range(j), |e| BlockOrder::ByDest.key(e));
                 Vec::new()
             }
         }
@@ -57,19 +72,18 @@ impl BlockOrder {
     }
 }
 
-/// Sorts `edges` by `(primary, secondary, weight bits)` in time linear in
-/// `edges.len() + range.len()` and returns the CSR offsets (edge indexes,
-/// not bytes) of the primary key over `range`, which must contain it:
-/// count, prefix-sum, scatter, then order the edges that share a primary
-/// key — the only comparisons made.
+/// Sorts `edges` by `key` in time linear in `edges.len() + range.len()`
+/// and returns the CSR offsets (edge indexes, not bytes) of the key's
+/// first field over `range`, which must contain it: count, prefix-sum,
+/// scatter, then order the edges that share a first field by the rest
+/// of the key — the only comparisons made.
 fn counting_sort(
     edges: &mut Vec<Edge>,
     range: std::ops::Range<u32>,
-    primary: impl Fn(&Edge) -> u32,
-    secondary: impl Fn(&Edge) -> u32,
+    key: impl Fn(&Edge) -> (u32, u32, u32),
 ) -> Vec<u32> {
     let len = range.len();
-    let slot = |e: &Edge| (primary(e) - range.start) as usize;
+    let slot = |e: &Edge| (key(e).0 - range.start) as usize;
     // `offsets[k + 1]` is key `k`'s write cursor: it starts where the
     // key's run starts and ends where the next one does, so once every
     // edge is placed `offsets[..=len]` are the run starts.
@@ -90,7 +104,10 @@ fn counting_sort(
     for run in offsets.windows(2) {
         let run = &mut sorted[run[0] as usize..run[1] as usize];
         if run.len() > 1 {
-            run.sort_unstable_by_key(|e| (secondary(e), e.weight.to_bits()));
+            run.sort_unstable_by_key(|e| {
+                let (_, secondary, weight) = key(e);
+                (secondary, weight)
+            });
         }
     }
     *edges = sorted;

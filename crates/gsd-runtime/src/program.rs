@@ -111,6 +111,23 @@ pub trait VertexProgram: Send + Sync {
         None
     }
 
+    /// Whether `message`, the scatter of a source's committed value along
+    /// an edge into `v`, *supports* `target`, `v`'s committed value: could
+    /// `target` have been derived from it? Incremental recompute
+    /// (`gsd-delta`) resets only what a deleted edge supported, so a
+    /// program answers `false` only where `target` is sure not to depend
+    /// on the message. The default, `true`, resets everything a deleted
+    /// edge reaches.
+    fn supports(
+        &self,
+        _v: u32,
+        _message: Self::Accum,
+        _target: Self::Value,
+        _ctx: &ProgramContext,
+    ) -> bool {
+        true
+    }
+
     /// Size in bytes of one on-disk vertex value (`N` in the paper's cost
     /// model). Defaults to the packed size of [`Self::Value`] capped at 8.
     fn value_bytes(&self) -> u64 {
@@ -166,6 +183,8 @@ mod tests {
         assert!(!p.apply_all());
         assert_eq!(p.value_bytes(), 4);
         assert_eq!(p.max_iterations(), Some(1));
+        let ctx = ProgramContext::new(1, Arc::new(vec![0]));
+        assert!(p.supports(0, 9, 0, &ctx));
     }
 
     #[test]

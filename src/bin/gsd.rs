@@ -5,7 +5,7 @@
 //! gsd run <data-dir> <algorithm> [--source V] [--iterations N] [--ablation full|b1|b2|b3|b4|nobuf]
 //!         [run flags]
 //! gsd ingest <data-dir> <batch.txt> [--recompute <algorithm>] [--source V]
-//!            [--iterations N] [--trace FILE]
+//!            [--trace FILE]
 //! gsd compact <data-dir> [--trace FILE]
 //! gsd bench [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b]
 //!           [--baseline FILE] [run flags]
@@ -50,9 +50,10 @@
 //! `ingest` commits a mutation batch (`+ src dst [w]` / `- src dst`,
 //! one op per line) against a preprocessed grid as one delta epoch;
 //! `--recompute` then warm-starts the named algorithm from the batch's
-//! footprint and prints the incremental value fingerprint. `compact`
-//! folds the live delta segments back into the base sub-blocks, one
-//! grid row at a time.
+//! footprint and prints the incremental value fingerprint. The warm
+//! start needs a converged run, so `ingest` takes no `--iterations`.
+//! `compact` folds the live delta segments back into the base
+//! sub-blocks, one grid row at a time.
 //!
 //! `serve` opens the grid once and answers queries from many clients
 //! until one sends `shutdown`; `query` is the matching client. Query
@@ -94,7 +95,7 @@ fn usage() -> ExitCode {
         "usage:\n  \
          gsd preprocess <edges.txt> <data-dir> [--intervals N] [--budget-mb M] [--degree-balanced]\n  \
          gsd run <data-dir> <pagerank|pagerank-delta|cc|sssp|bfs> [--source V] [--iterations N] [--ablation full|b1|b2|b3|b4|nobuf] [--top K] [run flags]\n  \
-         gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|pagerank-delta|cc|sssp|bfs>] [--source V] [--iterations N] [--trace FILE]\n  \
+         gsd ingest <data-dir> <batch.txt> [--recompute <pagerank|pagerank-delta|cc|sssp|bfs>] [--source V] [--trace FILE]\n  \
          gsd compact <data-dir> [--trace FILE]\n  \
          gsd bench [--out FILE] [--systems a,b] [--algos a,b] [--datasets a,b] [--baseline FILE] [--scale tiny|small|medium] [run flags]\n  \
          gsd bench --check FILE\n  \
@@ -331,12 +332,7 @@ fn cmd_run(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_ingest(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(
-        "ingest",
-        raw,
-        &["recompute", "source", "iterations", "trace"],
-        &[],
-    )?;
+    let args = Args::parse("ingest", raw, &["recompute", "source", "trace"], &[])?;
     let [dir, batch_path] = args.positional.as_slice() else {
         return Err("ingest needs <data-dir> <batch.txt>".into());
     };
@@ -353,17 +349,12 @@ fn cmd_ingest(raw: &[String]) -> Result<(), String> {
         }
         Some(algo) => {
             let source: u32 = args.flag_value("source")?.unwrap_or(0);
-            let options = RunOptions {
-                max_iterations: args.flag_value("iterations")?,
-                iteration_cap: None,
-            };
             graphsd::algos::with_program(
                 algo,
                 source,
                 IngestRecompute {
                     storage,
                     batch: &batch,
-                    options: &options,
                     sink: sink.clone(),
                 },
             )??;
@@ -391,7 +382,6 @@ fn print_ingest(report: &graphsd::delta::IngestReport) -> Result<(), String> {
 struct IngestRecompute<'a> {
     storage: SharedStorage,
     batch: &'a MutationBatch,
-    options: &'a RunOptions,
     sink: Arc<dyn TraceSink>,
 }
 
@@ -402,14 +392,15 @@ impl ProgramVisitor for IngestRecompute<'_> {
         let IngestRecompute {
             storage,
             batch,
-            options,
             sink,
         } = self;
         let grid = GridGraph::open(storage.clone()).map_err(|e| e.to_string())?;
         let mut engine =
             GraphSdEngine::new(grid, GraphSdConfig::full()).map_err(|e| e.to_string())?;
         engine.set_trace(sink.clone());
-        let warm = engine.run(program, options).map_err(|e| e.to_string())?;
+        let warm = engine
+            .run(program, &RunOptions::default())
+            .map_err(|e| e.to_string())?;
 
         let report = graphsd::delta::ingest(storage.as_ref(), "", batch, sink.as_ref())
             .map_err(|e| e.to_string())?;
@@ -427,9 +418,12 @@ impl ProgramVisitor for IngestRecompute<'_> {
         .map_err(|e| e.to_string())?;
         print_stats(&result.stats)?;
         out!(
-            "incremental recompute: {} seed(s), {} reset(s){}; value fingerprint {:016x}",
+            "incremental recompute: {} seed(s), {} reset(s) ({} pulled), region pass read {} B in {} request(s){}; value fingerprint {:016x}",
             inc.seeds,
             inc.resets,
+            inc.pulled,
+            inc.region_io.read_bytes(),
+            inc.region_io.seq_read_ops + inc.region_io.rand_read_ops,
             if inc.full_fallback {
                 " (program is not incremental-safe; reran from scratch)"
             } else {

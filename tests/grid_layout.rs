@@ -6,7 +6,7 @@
 //! sizes far past the benchmark's.
 
 use graphsd::delta::{compact, ingest, MutationBatch};
-use graphsd::graph::delta::segment_key;
+use graphsd::graph::delta::{encode_segment, merge_block, segment_key, DeltaOp};
 use graphsd::graph::format::row_index_key;
 use graphsd::graph::layout::{bucket_edges, row_keys, row_objects};
 use graphsd::graph::rng::Xoshiro256;
@@ -359,6 +359,146 @@ fn rows_are_byte_identical_to_a_comparison_sorted_reference() {
             }
         }
     }
+}
+
+/// Ops over sub-block `(i, j)` of `intervals` that hit every case of the
+/// merge's net-effect rule: duplicate inserts of one pair, a delete then
+/// a reinsert, an insert then a delete, a delete of a pair the block
+/// does not hold, and plain inserts and deletes, half of them on pairs
+/// `block` holds.
+fn hostile_ops(
+    rng: &mut Xoshiro256,
+    block: &[Edge],
+    intervals: &Intervals,
+    (i, j): (u32, u32),
+) -> Vec<DeltaOp> {
+    let weights = [0.5f32, 1.0, -2.0, 0.0, -0.0];
+    let (rows, cols) = (intervals.range(i), intervals.range(j));
+    let pair = |rng: &mut Xoshiro256| {
+        if !block.is_empty() && rng.gen_range(0..2) == 0 {
+            let e = block[rng.gen_range(0..block.len() as u32) as usize];
+            (e.src, e.dst)
+        } else {
+            (
+                rng.gen_range(rows.start..rows.end),
+                rng.gen_range(cols.start..cols.end),
+            )
+        }
+    };
+    let mut ops = Vec::new();
+    for _ in 0..16 {
+        let (src, dst) = pair(rng);
+        let insert = |rng: &mut Xoshiro256| {
+            let weight = weights[rng.gen_range(0..5) as usize];
+            DeltaOp::Insert(Edge::weighted(src, dst, weight))
+        };
+        let delete = DeltaOp::Delete { src, dst };
+        match rng.gen_range(0..5) {
+            0 => ops.extend([insert(rng), insert(rng)]),
+            1 => ops.extend([delete, insert(rng)]),
+            2 => ops.extend([insert(rng), delete]),
+            3 => ops.push(insert(rng)),
+            _ => ops.push(delete),
+        }
+    }
+    let held = |src: u32, dst: u32| block.iter().any(|e| (e.src, e.dst) == (src, dst));
+    if let Some((src, dst)) = (rows.start..rows.end)
+        .flat_map(|src| (cols.start..cols.end).map(move |dst| (src, dst)))
+        .find(|&(src, dst)| !held(src, dst))
+    {
+        ops.insert(ops.len() / 2, DeltaOp::Delete { src, dst });
+    }
+    ops
+}
+
+/// A merged sub-block is the bytes of the definition: `merge_block` over
+/// a canonically ordered block equals the ops applied one by one to the
+/// block's edges and laid out by `reference_row`, index included, in
+/// both sorted orders and both codecs; and the out-degree changes it
+/// counts are the ones the naive replay makes.
+#[test]
+fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
+    for seed in 0..8 {
+        let (edges, intervals) = hostile_edges(seed);
+        let p = intervals.count();
+        let blocks = bucket_edges(&edges, &intervals);
+        for order in [BlockOrder::BySource, BlockOrder::ByDest] {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            for i in 0..p {
+                let row = &blocks[(i * p) as usize..][..p as usize];
+                let (mut naive_row, mut merged_row, mut columns) =
+                    (Vec::new(), Vec::new(), Vec::new());
+                for (j, block) in (0..p).zip(row) {
+                    let ops = hostile_ops(&mut rng, block, &intervals, (i, j));
+                    let mut naive = block.clone();
+                    let mut naive_degrees = BTreeMap::<u32, i64>::new();
+                    for op in &ops {
+                        let before = naive.len() as i64;
+                        match *op {
+                            DeltaOp::Insert(e) => naive.push(e),
+                            DeltaOp::Delete { src, dst } => {
+                                naive.retain(|e| (e.src, e.dst) != (src, dst));
+                            }
+                        }
+                        *naive_degrees.entry(op.src()).or_default() += naive.len() as i64 - before;
+                    }
+                    let mut base = block.clone();
+                    base.sort_by_key(|e| order.key(e));
+                    let mut degrees = BTreeMap::new();
+                    let (merged, offsets) =
+                        merge_block(&base, &ops, order, intervals.range(i), &mut degrees);
+                    assert_eq!(
+                        degrees, naive_degrees,
+                        "seed {seed} {order:?}: degree changes of ({i}, {j})"
+                    );
+                    naive_row.push(naive);
+                    merged_row.push(merged);
+                    columns.push(offsets);
+                }
+                for weighted in [false, true] {
+                    let codec = EdgeCodec::new(weighted);
+                    let mut payloads: Vec<Vec<u8>> =
+                        merged_row.iter().map(|b| codec.encode_all(b)).collect();
+                    if order.has_row_index() {
+                        let len = intervals.range(i).len() + 1;
+                        let index: Vec<u8> = (0..len)
+                            .flat_map(|k| columns.iter().map(move |column| column[k]))
+                            .flat_map(u32::to_le_bytes)
+                            .collect();
+                        payloads.push(index);
+                    }
+                    let got: Vec<(String, Vec<u8>)> =
+                        row_keys(i, p, order).into_iter().zip(payloads).collect();
+                    let want = reference_row(i, &naive_row, order, &intervals, weighted);
+                    assert_eq!(
+                        got, want,
+                        "seed {seed} {order:?} weighted {weighted}: row {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A meta that names delta segments over an unsorted (Lumos-layout) grid
+/// is refused at open: its blocks have no canonical order to merge ops
+/// into. `ingest` never commits one, so only a forged meta can.
+#[test]
+fn an_unsorted_grid_naming_delta_segments_is_refused_at_open() {
+    let storage = grid_in(BlockOrder::Unsorted, "");
+    let mut meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+    let payload = encode_segment(1, &[DeltaOp::Delete { src: 0, dst: 1 }]);
+    storage.create(&segment_key("", 1), &payload).unwrap();
+    meta.delta = Some(DeltaSection {
+        epoch: 1,
+        segments: vec![ObjectEntry::of(segment_key("", 1), &payload)],
+        merged_block_edge_counts: meta.block_edge_counts.clone(),
+    });
+    meta.seal();
+    storage.create(META_KEY, &meta.to_bytes()).unwrap();
+    let err = GridGraph::open(storage).err().expect("the open fails");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("unsorted grid"), "{err}");
 }
 
 /// The one JSON object every open of a grid parses, at sizes far past

@@ -193,6 +193,85 @@ fn a_flag_the_verb_does_not_read_is_rejected() {
     }
 }
 
+/// `ingest --recompute` warm-starts from a converged run, so it takes no
+/// `--iterations`: a capped warm run is not a state an incremental run
+/// can finish from, and the flag used to cap it silently. Uncapped, the
+/// incremental fingerprint is the one an empty-batch re-run of the
+/// compacted grid prints.
+#[test]
+fn ingest_recompute_takes_no_iteration_cap_and_matches_a_rerun() {
+    let dir = TempDir::new("gsd-ingest-recompute").unwrap();
+    let gsd = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_gsd"))
+            .current_dir(dir.path())
+            .args(args)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.code(), stdout, stderr)
+    };
+    let ok = |args: &[&str]| {
+        let (code, stdout, stderr) = gsd(args);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        stdout
+    };
+    let fingerprint = |stdout: &str| {
+        let at = stdout
+            .find("value fingerprint ")
+            .expect("a fingerprint line");
+        stdout[at..].lines().next().unwrap().to_string()
+    };
+    ok(&[
+        "generate",
+        "rmat",
+        "2000",
+        "16000",
+        "edges.txt",
+        "--seed",
+        "11",
+    ]);
+    ok(&["preprocess", "edges.txt", "grid"]);
+    let files = FileStorage::open(dir.path()).unwrap();
+    files
+        .create(
+            "batch.txt",
+            b"+ 0 1990\n+ 0 1991 0.5\n+ 17 1992\n- 3 1\n- 10 4\n",
+        )
+        .unwrap();
+    files.create("empty.txt", b"").unwrap();
+
+    let recompute = [
+        "ingest",
+        "grid",
+        "batch.txt",
+        "--recompute",
+        "bfs",
+        "--source",
+        "0",
+    ];
+    let (code, stdout, stderr) = gsd(&[&recompute[..], &["--iterations", "1"]].concat());
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown flag --iterations for ingest"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "ingest did work before failing");
+
+    let incremental = fingerprint(&ok(&recompute));
+    ok(&["compact", "grid"]);
+    let rerun = ok(&[
+        "ingest",
+        "grid",
+        "empty.txt",
+        "--recompute",
+        "bfs",
+        "--source",
+        "0",
+    ]);
+    assert_eq!(incremental, fingerprint(&rerun));
+}
+
 /// A `--datasets` name that matches no stand-in is a usage error naming
 /// the five; it used to run zero cells, write an empty report and exit 0.
 #[test]

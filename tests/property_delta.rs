@@ -201,21 +201,122 @@ fn check_stream((base, batches, config): Scenario) -> Result<(), TestCaseError> 
     Ok(())
 }
 
-/// Warm-started recompute reaches the from-scratch fixpoint for
-/// every min-combine program, across every batch of the stream.
+/// Continues `program` from `warm` across `batch`, just ingested into
+/// `storage`, and checks it reaches the fixpoint a from-scratch run on
+/// `final_graph` (at `p` intervals) reaches; returns the new values.
+fn continued<P: VertexProgram>(
+    storage: &SharedStorage,
+    program: &P,
+    warm: Vec<P::Value>,
+    batch: &MutationBatch,
+    config: &GraphSdConfig,
+    (final_graph, p): (&Graph, u32),
+) -> Result<Vec<P::Value>, TestCaseError> {
+    let (run, report) = incremental_run(
+        GridGraph::open(storage.clone()).unwrap(),
+        program,
+        warm,
+        batch,
+        config.clone(),
+        graphsd::trace::null_sink(),
+    )
+    .unwrap();
+    prop_assert!(
+        !report.full_fallback,
+        "{} is incremental-safe",
+        program.name()
+    );
+    let scratch = scratch_values(fresh_grid(final_graph, p).1, program);
+    prop_assert_eq!(
+        fingerprint(&run.values),
+        fingerprint(&scratch),
+        "{}",
+        program.name()
+    );
+    Ok(run.values)
+}
+
+/// Warm-started recompute reaches the from-scratch fixpoint for every
+/// min-combine program, across every batch of the stream, on the
+/// weighted grid (every deleted edge's head seeds the region) and on its
+/// unweighted twin (only heads the deleted edge supported do).
 fn check_incremental((base, batches, config): Scenario) -> Result<(), TestCaseError> {
     let n = base.num_vertices();
     let p = 3u32.min(n);
-    let (storage, grid) = fresh_grid(&base, p);
     let source = n / 2;
-    let bfs = Bfs::new(source);
-    let sssp = Sssp::new(source);
-    let mut warm_bfs = scratch_values(grid, &bfs);
-    let mut warm_sssp = scratch_values(GridGraph::open(storage.clone()).unwrap(), &sssp);
+    let (bfs, sssp) = (Bfs::new(source), Sssp::new(source));
+    for weighted in [true, false] {
+        let base = Graph::from_edges(n, base.edges().to_vec(), weighted);
+        let (storage, _) = fresh_grid(&base, p);
+        let open = || GridGraph::open(storage.clone()).unwrap();
+        let mut warm_bfs = scratch_values(open(), &bfs);
+        let mut warm_cc = scratch_values(open(), &ConnectedComponents);
+        let mut warm_sssp = scratch_values(open(), &sssp);
 
+        let mut mirror = base.edges().to_vec();
+        for (ops, compact_after) in &batches {
+            let batch = to_batch(ops);
+            ingest(
+                storage.as_ref(),
+                "",
+                &batch,
+                graphsd::trace::null_sink().as_ref(),
+            )
+            .unwrap();
+            apply_ops(&mut mirror, ops);
+            let merged = Graph::from_edges(n, mirror.clone(), weighted);
+            let after = (&merged, p);
+            warm_bfs = continued(&storage, &bfs, warm_bfs, &batch, &config, after)?;
+            warm_cc = continued(
+                &storage,
+                &ConnectedComponents,
+                warm_cc,
+                &batch,
+                &config,
+                after,
+            )?;
+            warm_sssp = continued(&storage, &sssp, warm_sssp, &batch, &config, after)?;
+
+            if *compact_after {
+                compact(&storage, "", graphsd::trace::null_sink().as_ref()).unwrap();
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A delete whose region holds a vertex with an inserted out-edge that
+/// undercuts a warm value: `0 → 1` goes, so 1 falls from depth 1 to 3
+/// (via 9, 10), and the new `1 → 8` offers 8 depth 2 from 1's stale
+/// warm value, below its depth 4. The region is only what the deleted
+/// edge supported — 1, 2, and 8 through the undercutting insert, not 6
+/// and 7, which `2 → 6` reaches without supporting — and both programs
+/// still land on the from-scratch fixpoint.
+#[test]
+fn an_insert_out_of_the_region_cannot_undercut_with_a_stale_value() {
+    let edges = [
+        (0, 1),
+        (1, 2),
+        (0, 5),
+        (5, 6),
+        (6, 7),
+        (7, 8),
+        (0, 9),
+        (9, 10),
+        (10, 1),
+        (2, 6),
+    ];
+    let base = Graph::from_edges(11, edges.map(|(s, d)| Edge::new(s, d)).to_vec(), false);
+    let mut batch = MutationBatch::new();
+    batch.delete(0, 1).insert(1, 8, 1.0);
     let mut mirror = base.edges().to_vec();
-    for (ops, compact_after) in &batches {
-        let batch = to_batch(ops);
+    apply_ops(&mut mirror, &[Err((0, 1)), Ok((1, 8, 16))]);
+    let merged = Graph::from_edges(11, mirror, false);
+    for p in [1, 3] {
+        let (storage, grid) = fresh_grid(&base, p);
+        let warm = scratch_values(grid, &Bfs::new(0));
+        assert_eq!(warm[8], 4);
+        let warm_sssp = scratch_values(GridGraph::open(storage.clone()).unwrap(), &Sssp::new(0));
         ingest(
             storage.as_ref(),
             "",
@@ -223,41 +324,33 @@ fn check_incremental((base, batches, config): Scenario) -> Result<(), TestCaseEr
             graphsd::trace::null_sink().as_ref(),
         )
         .unwrap();
-        apply_ops(&mut mirror, ops);
-
-        let (bfs_run, bfs_report) = incremental_run(
+        let (run, report) = incremental_run(
             GridGraph::open(storage.clone()).unwrap(),
-            &bfs,
-            warm_bfs,
+            &Bfs::new(0),
+            warm,
             &batch,
-            config.clone(),
+            GraphSdConfig::full(),
             graphsd::trace::null_sink(),
         )
         .unwrap();
-        prop_assert!(!bfs_report.full_fallback, "BFS is incremental-safe");
-        let (sssp_run, _) = incremental_run(
-            GridGraph::open(storage.clone()).unwrap(),
-            &sssp,
+        assert_eq!((report.resets, report.pulled), (3, 2), "p = {p}");
+        assert_eq!(run.values[1], 3);
+        assert_eq!(run.values[8], 4);
+        assert_eq!(
+            fingerprint(&run.values),
+            fingerprint(&scratch_values(fresh_grid(&merged, p).1, &Bfs::new(0)))
+        );
+        let config = GraphSdConfig::full();
+        continued(
+            &storage,
+            &Sssp::new(0),
             warm_sssp,
             &batch,
-            config.clone(),
-            graphsd::trace::null_sink(),
+            &config,
+            (&merged, p),
         )
         .unwrap();
-
-        let final_graph = Graph::from_edges(n, mirror.clone(), true);
-        let scratch_bfs = scratch_values(fresh_grid(&final_graph, p).1, &bfs);
-        let scratch_sssp = scratch_values(fresh_grid(&final_graph, p).1, &sssp);
-        prop_assert_eq!(fingerprint(&bfs_run.values), fingerprint(&scratch_bfs));
-        prop_assert_eq!(fingerprint(&sssp_run.values), fingerprint(&scratch_sssp));
-
-        if *compact_after {
-            compact(&storage, "", graphsd::trace::null_sink().as_ref()).unwrap();
-        }
-        warm_bfs = bfs_run.values;
-        warm_sssp = sssp_run.values;
     }
-    Ok(())
 }
 
 /// The patch-at-read path: a row-index span read through the overlay
