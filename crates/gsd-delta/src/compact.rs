@@ -1,14 +1,17 @@
 //! Compaction: folding live delta segments into rewritten base sub-blocks.
 //!
 //! Only rows that hold a merged sub-block change, so the pass walks those
-//! rows one at a time: it reads the row's `P` sub-blocks through the
-//! overlay (merged where segments apply, verified base bytes elsewhere)
-//! and lays the row out again with [`gsd_graph::layout::row_objects`] —
-//! the function `preprocess` writes every row with. There is one
-//! implementation of the layout, so a compacted row *is* what a
-//! from-scratch preprocess of the merged edge list would write for it;
-//! nothing is derived twice and compared. Objects whose bytes did not
-//! change (an untouched sub-block of a touched row) are not rewritten.
+//! rows one at a time. Each merged sub-block's overlay payload already is
+//! the bytes a from-scratch preprocess of the merged edge list would
+//! write for it (`merge_block` produces canonical order), so it is
+//! written as it stands: nothing is decoded, sorted or re-encoded. The
+//! row index is laid out by [`gsd_graph::layout::row_index_object`], the
+//! function `preprocess` writes every row index with, from the overlay's
+//! columns; on a `BySource` grid an untouched sub-block of a touched row
+//! is read (verified against the meta) only to count its column. An
+//! untouched sub-block is not rewritten and not checksummed again; a
+//! merged one, the row index and the degree table are rewritten only
+//! when their bytes changed.
 //!
 //! Write order: the changed payloads, sync, the resealed meta (same
 //! epoch, no segments, the merged counts as its base counts), sync —
@@ -28,11 +31,12 @@
 //! invalidated either way.
 
 use gsd_graph::format::DeltaSection;
-use gsd_graph::layout::{degrees_object, row_objects};
-use gsd_graph::{Edge, GridGraph, VerifyPolicy, META_KEY};
+use gsd_graph::layout::{degrees_object, index_column, row_index_object};
+use gsd_graph::{block_edges_key, GridGraph, VerifyPolicy, META_KEY};
 use gsd_integrity::{fnv64, IntegritySection, ObjectEntry};
 use gsd_io::SharedStorage;
 use gsd_trace::{TraceEvent, TraceSink};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// What one compaction pass did.
@@ -64,11 +68,11 @@ pub fn compact(
     // The overlay-merged view: the handle's meta is the sealed one with
     // its counts patched to the merged shape.
     let mut grid = GridGraph::open_with_prefix(storage.clone(), prefix)?;
-    let Some(merged_rows) = grid.overlay().map(|overlay| overlay.merged_rows()) else {
+    let Some(overlay) = grid.overlay().cloned() else {
         return Ok(None);
     };
-    // Base sub-blocks of a touched row are laid out again from what is
-    // read here, so they are checked against the meta as they arrive.
+    // Untouched sub-blocks of a touched row give the row index their
+    // columns, so they are checked against the meta as they arrive.
     grid.set_verification(VerifyPolicy::Full);
     let mut new_meta = grid.meta().clone();
     let epoch = grid.delta_epoch();
@@ -95,28 +99,40 @@ pub fn compact(
         .collect();
     let mut objects_rewritten = 0u64;
     let mut bytes_rewritten = 0u64;
-    let mut replace = |(rel, payload): (String, Vec<u8>)| {
-        let entry = ObjectEntry::of(rel.as_str(), &payload);
+    let mut replace = |rel: String, payload: &[u8]| {
+        let entry = ObjectEntry::of(rel.as_str(), payload);
         if entries.get(&rel) != Some(&entry) {
-            storage.create(&format!("{prefix}{rel}"), &payload)?;
+            storage.create(&format!("{prefix}{rel}"), payload)?;
             objects_rewritten += 1;
             bytes_rewritten += payload.len() as u64;
             entries.insert(rel, entry);
         }
         std::io::Result::Ok(())
     };
+    let (order, codec) = (new_meta.order, grid.codec());
     let mut scratch = Vec::new();
-    for i in merged_rows {
-        let mut row: Vec<Vec<Edge>> = vec![Vec::new(); grid.p() as usize];
-        for (j, block) in (0..).zip(&mut row) {
-            grid.read_block_into(i, j, &mut scratch, block)?;
+    for i in overlay.merged_rows() {
+        let mut columns: Vec<Cow<[u32]>> = Vec::new();
+        for j in 0..grid.p() {
+            match overlay.block(i, j) {
+                Some(block) => {
+                    replace(block_edges_key("", i, j), &block.bytes)?;
+                    columns.push(Cow::Borrowed(&block.offsets));
+                }
+                None if order.has_row_index() => {
+                    let payload = grid.read_block_payload(i, j, &mut scratch)?;
+                    let sources = grid.intervals().range(i);
+                    columns.push(Cow::Owned(index_column(payload, codec, sources)));
+                }
+                None => {}
+            }
         }
-        row_objects(i, &mut row, new_meta.order, grid.intervals(), grid.codec())
-            .objects
-            .into_iter()
-            .try_for_each(&mut replace)?;
+        if order.has_row_index() {
+            let (rel, index) = row_index_object(i, &columns);
+            replace(rel, &index)?;
+        }
     }
-    replace(degrees)?;
+    replace(degrees.0, &degrees.1)?;
     storage.sync()?;
 
     // --- the resealed meta: merged counts become base counts ---

@@ -1,11 +1,20 @@
 //! Ingest: committing a [`MutationBatch`] as one delta epoch.
 //!
+//! Before anything is written, ingest derives the merged edge count of
+//! each sub-block the batch touches — the delta section's
+//! `merged_block_edge_counts` — from the block's base payload and its
+//! ops alone: [`merged_count`] applies the overlay merge's net-effect
+//! rule by binary search over the encoded base records, without
+//! building the merged edge list or its index column. Everything it
+//! reads is checked first: the live segments against their entries,
+//! each touched base payload against the sealed meta
+//! ([`read_base_block`]), and the prior ops' count against the count the
+//! section records ([`check_merged_count`]), so a corrupt object or a
+//! forged section fails the batch before step 1 writes anything.
+//!
 //! Write protocol — two objects and two syncs, however many sub-blocks
 //! the batch touches (the sealed meta is the commit point, so a crash at
-//! any earlier step leaves the previous epoch fully intact). Everything
-//! the merge reads — live segments and touched base payloads — is
-//! checked against its checksum first, so a corrupt object fails the
-//! batch before step 1 writes anything:
+//! any earlier step leaves the previous epoch fully intact):
 //!
 //! 1. the batch's one segment object, `delta/seg_<epoch>.ops`
 //!    (`Storage::create` = write-temp + rename), then
@@ -23,15 +32,14 @@
 
 use crate::batch::MutationBatch;
 use gsd_graph::delta::{
-    check_merged_count, encode_segment, group_ops, merge_block, read_base_block, read_live_ops,
+    check_merged_count, encode_segment, group_ops, merged_count, read_base_block, read_live_ops,
     segment_key, BlockOps, DeltaOp,
 };
 use gsd_graph::format::{DeltaSection, GridMeta};
-use gsd_graph::{BlockOrder, Edge, META_KEY};
+use gsd_graph::{BlockOrder, META_KEY};
 use gsd_integrity::ObjectEntry;
 use gsd_io::Storage;
 use gsd_trace::{TraceEvent, TraceSink};
-use std::collections::BTreeMap;
 
 /// What one committed ingest did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,23 +118,18 @@ pub fn ingest(
     }
     let epoch = prior_epoch + 1;
 
-    // Merge each touched block to derive the new merged counts.
+    // Count each touched block's new merged edges from its checked base
+    // payload: the prior ops must give the count the section records,
+    // and the prior ops followed by the batch's give the new one.
     let prior_ops = read_live_ops(storage, prefix, &meta)?;
-    let p = meta.p;
-    let intervals = meta.intervals();
-    // Ingest forms no degree: the merge counts the changes, and they go.
-    let mut degrees = BTreeMap::new();
+    let (p, codec) = (meta.p, meta.codec());
     for (&(i, j), block_ops) in &new_ops {
-        let mut edges = read_base_block(storage, prefix, &meta, i, j)?;
-        let mut merge = |edges: &[Edge], ops: &[DeltaOp]| {
-            merge_block(edges, ops, meta.order, intervals.range(i), &mut degrees).0
-        };
-        if let Some(prior) = prior_ops.get(&(i, j)) {
-            edges = merge(&edges, prior);
-        }
+        let base = read_base_block(storage, prefix, &meta, i, j)?;
+        let prior = prior_ops.get(&(i, j)).map_or(&[][..], Vec::as_slice);
         let slot = (i * p + j) as usize;
-        check_merged_count(i, j, edges.len() as u64, merged_counts[slot])?;
-        merged_counts[slot] = merge(&edges, block_ops).len() as u64;
+        let count = |ops: &[DeltaOp]| merged_count(&base, ops, meta.order, codec);
+        check_merged_count(i, j, count(prior), merged_counts[slot])?;
+        merged_counts[slot] = count(&[prior, block_ops].concat());
     }
 
     // --- step 1: the segment, durable before anything names it ---
@@ -172,6 +175,7 @@ mod tests {
     use gsd_graph::preprocess::{preprocess, PreprocessConfig};
     use gsd_graph::{GeneratorConfig, GraphKind, GridGraph};
     use gsd_io::{MemStorage, SharedStorage};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn setup(p: u32) -> (gsd_graph::Graph, SharedStorage) {
@@ -259,6 +263,92 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Epoch 2 deletes pairs epoch 1 inserted (one with base copies, one
+    /// without) and re-inserts them, while a third pair epoch 1 inserted
+    /// into the same block survives: the counts ingest records from the
+    /// base payloads equal the blocks an open merges.
+    #[test]
+    fn cross_epoch_counts_match_the_merged_blocks() {
+        let (g, storage) = setup(3);
+        let e = g.edges()[0];
+        let meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+        let column = meta.intervals().range(meta.intervals().interval_of(e.dst));
+        let mut absent = column
+            .map(|dst| (e.src, dst))
+            .filter(|&(src, dst)| !g.edges().iter().any(|x| (x.src, x.dst) == (src, dst)));
+        let (fresh, kept) = (absent.next().unwrap(), absent.next().unwrap());
+        let sink = gsd_trace::null_sink();
+        let mut b1 = MutationBatch::new();
+        b1.insert(e.src, e.dst, 1.0)
+            .insert(fresh.0, fresh.1, 1.0)
+            .insert(kept.0, kept.1, 1.0);
+        let mut b2 = MutationBatch::new();
+        b2.delete(e.src, e.dst)
+            .delete(fresh.0, fresh.1)
+            .insert(e.src, e.dst, 1.0)
+            .insert(fresh.0, fresh.1, 1.0);
+        ingest(storage.as_ref(), "", &b1, sink.as_ref()).unwrap();
+        let report = ingest(storage.as_ref(), "", &b2, sink.as_ref()).unwrap();
+
+        let meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+        let recorded = meta.delta.unwrap().merged_block_edge_counts;
+        assert_eq!(report.merged_num_edges, recorded.iter().sum::<u64>());
+        let grid = GridGraph::open(storage.clone()).unwrap();
+        let (mut scratch, mut edges) = (Vec::new(), Vec::new());
+        for i in 0..3 {
+            for j in 0..3 {
+                grid.read_block_into(i, j, &mut scratch, &mut edges)
+                    .unwrap();
+                assert_eq!(
+                    edges.len() as u64,
+                    recorded[(i * 3 + j) as usize],
+                    "({i}, {j})"
+                );
+                for pair in [(e.src, e.dst), fresh, kept] {
+                    let copies = edges.iter().filter(|x| (x.src, x.dst) == pair).count();
+                    assert!(copies <= 1, "{pair:?} holds {copies} copies in ({i}, {j})");
+                }
+            }
+        }
+        assert_eq!(grid.num_edges(), report.merged_num_edges);
+        assert!(grid.overlay().is_some_and(|o| o.block_count() >= 1));
+    }
+
+    /// A meta whose delta section records a wrong merged count for a
+    /// block the batch touches is refused, and nothing is written.
+    #[test]
+    fn a_forged_prior_count_is_refused_before_anything_is_written() {
+        let (_, storage) = setup(2);
+        let sink = gsd_trace::null_sink();
+        let mut b1 = MutationBatch::new();
+        b1.insert(0, 1, 1.0);
+        ingest(storage.as_ref(), "", &b1, sink.as_ref()).unwrap();
+        let mut meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+        let intervals = meta.intervals();
+        let slot = (intervals.interval_of(0) * 2 + intervals.interval_of(1)) as usize;
+        if let Some(delta) = meta.delta.as_mut() {
+            delta.merged_block_edge_counts[slot] += 1;
+        }
+        meta.seal();
+        storage.create(META_KEY, &meta.to_bytes()).unwrap();
+
+        let contents = |storage: &SharedStorage| -> BTreeMap<String, Vec<u8>> {
+            let keys = storage.list_keys();
+            keys.into_iter()
+                .map(|key| (key.clone(), storage.read_all(&key).unwrap()))
+                .collect()
+        };
+        let before = contents(&storage);
+        let writes = storage.stats().snapshot().write_ops;
+        let mut b2 = MutationBatch::new();
+        b2.insert(0, 1, 1.0);
+        let err = ingest(storage.as_ref(), "", &b2, sink.as_ref()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("delta section records"), "{err}");
+        assert_eq!(storage.stats().snapshot().write_ops, writes);
+        assert_eq!(contents(&storage), before);
     }
 
     #[test]

@@ -22,11 +22,13 @@
 //! touched sub-block in memory in its **merged** form (base edges with
 //! deletes removed and inserts merged into canonical sort position)
 //! together with its recomputed per-vertex offsets. [`merge_block`] is
-//! that merge: one walk over the base payload, which is already in
-//! canonical order, so nothing is sorted again but the block's surviving
-//! inserts. The out-degree patch is derived by the same merge (it counts
-//! what each op adds or removes against its source); nothing stores
-//! degrees. Block and
+//! that merge: one walk over the encoded base records, which are already
+//! in canonical order, so nothing is decoded into edges, re-encoded or
+//! sorted again but the block's surviving inserts. `ingest` counts the
+//! merged block with [`merged_count`], which applies the same net-effect
+//! rule without building it. The out-degree patch is derived by the
+//! same merge (it counts what each op adds or removes against its
+//! source); nothing stores degrees. Block and
 //! edge-run reads of a merged sub-block are served from the overlay; a
 //! row-index read fetches the base span as on any grid and replaces the
 //! columns of merged sub-blocks with the overlay's offsets. So every
@@ -61,11 +63,12 @@
 //! decoder refuses unknown tags and counts that disagree with the length.
 
 use crate::format::{block_edges_key, GridMeta, FORMAT_VERSION, META_KEY};
-use crate::layout::BlockOrder;
-use crate::types::{Edge, VertexId};
+use crate::layout::{index_column, BlockOrder};
+use crate::types::{Edge, EdgeCodec, VertexId};
 use gsd_integrity::CorruptionError;
 use gsd_io::Storage;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Magic prefix of a delta segment payload.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"GSDS";
@@ -338,114 +341,212 @@ impl DeltaOverlay {
     }
 }
 
-/// Merges a sub-block's live `ops`, in batch order, into `base`, which
-/// holds the block in `order`'s canonical order ([`BlockOrder::key`]),
-/// and returns the merged block in the same order with its column of its
-/// row's index over the row's `sources` (empty where `order` has none) —
-/// the bytes a re-preprocess of the merged edge list would write.
-///
-/// Only the net effect per `(src, dst)` pair matters: a delete drops the
-/// pair's base copies and every earlier insert of it, and an insert adds
-/// one copy. So the surviving inserts are sorted alone, binary search
-/// finds each deleted pair's base run and where each insert lands, and
-/// one walk copies the runs of `base` between those cut points. Each
-/// op's source gets an entry in `degrees`, to which the op's net change
-/// to its out-degree is added: +1 for a surviving insert, minus the base
-/// copies for a pair's last delete, nothing for an op a later delete
-/// cancels.
-pub fn merge_block(
-    base: &[Edge],
-    ops: &[DeltaOp],
+/// A block payload as its codec's fixed-width records, keyed by `order`
+/// ([`BlockOrder::key`]); a base payload is sorted by that key.
+struct Records<'a> {
+    bytes: &'a [u8],
+    codec: EdgeCodec,
     order: BlockOrder,
-    sources: std::ops::Range<u32>,
-    degrees: &mut BTreeMap<u32, i64>,
-) -> (Vec<Edge>, Vec<u32>) {
-    // The key's first two fields name the pair, whose copies are one run
-    // of `base`.
-    let pair_of = |e: &Edge| {
-        let (a, b, _) = order.key(e);
-        (a, b)
-    };
-    // Each deleted pair's last delete, by position in `ops`, and its run
-    // of `base`; the map visits the pairs in key order.
-    let mut deleted = BTreeMap::new();
-    for (at, op) in ops.iter().enumerate() {
-        if let DeltaOp::Delete { src, dst } = *op {
-            deleted.insert(pair_of(&Edge::new(src, dst)), (at, 0..0));
-        }
-    }
-    let mut from = 0;
-    for (pair, (_, run)) in &mut deleted {
-        let lo = from + base[from..].partition_point(|e| pair_of(e) < *pair);
-        let hi = lo + base[lo..].partition_point(|e| pair_of(e) == *pair);
-        *run = lo..hi;
-        from = hi;
+}
+
+impl Records<'_> {
+    fn len(&self) -> usize {
+        self.bytes.len() / self.codec.edge_bytes()
     }
 
+    /// The bytes of records `range`.
+    fn slice(&self, range: Range<usize>) -> &[u8] {
+        let w = self.codec.edge_bytes();
+        &self.bytes[range.start * w..range.end * w]
+    }
+
+    fn key(&self, k: usize) -> (u32, u32, u32) {
+        self.order.key(&self.codec.decode(self.slice(k..k + 1)))
+    }
+
+    /// The first record of `range` whose key fails `below`, which holds
+    /// on a prefix of it (binary search).
+    fn partition_point(
+        &self,
+        range: Range<usize>,
+        below: impl Fn((u32, u32, u32)) -> bool,
+    ) -> usize {
+        let (mut lo, mut hi) = (range.start, range.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(self.key(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+}
+
+/// What a sub-block's ops, in batch order, do to its base: the one
+/// statement of the net-effect rule that both [`merged_count`] and
+/// [`merge_block`] apply. Only the net effect per `(src, dst)` pair
+/// matters: a delete drops the pair's base copies and every earlier
+/// insert of it, and an insert adds one copy unless a later delete of
+/// its pair cancels it.
+struct NetEffect {
+    order: BlockOrder,
+    /// Each deleted pair (the key's first two fields, whose copies are
+    /// one run of the base), in key order: its last delete's position in
+    /// the ops and its run of base records.
+    deleted: BTreeMap<(u32, u32), (usize, Range<usize>)>,
+}
+
+impl NetEffect {
+    fn of(base: &Records, ops: &[DeltaOp]) -> Self {
+        let order = base.order;
+        let mut deleted = BTreeMap::new();
+        for (at, op) in ops.iter().enumerate() {
+            if let DeltaOp::Delete { src, dst } = *op {
+                deleted.insert(pair_of(order, &Edge::new(src, dst)), (at, 0..0));
+            }
+        }
+        let mut from = 0;
+        for (&pair, (_, run)) in &mut deleted {
+            let lo = base.partition_point(from..base.len(), |(a, b, _)| (a, b) < pair);
+            let hi = base.partition_point(lo..base.len(), |(a, b, _)| (a, b) == pair);
+            *run = lo..hi;
+            from = hi;
+        }
+        NetEffect { order, deleted }
+    }
+
+    /// The change op `at` makes to the block's edge count (and its
+    /// source's out-degree): +1 for a surviving insert, minus the base
+    /// copies for a pair's last delete, nothing for an op a later delete
+    /// cancels.
+    fn change(&self, at: usize, op: &DeltaOp) -> i64 {
+        match *op {
+            DeltaOp::Insert(e) => match self.deleted.get(&pair_of(self.order, &e)) {
+                Some(&(last, _)) if last > at => 0,
+                _ => 1,
+            },
+            DeltaOp::Delete { src, dst } => {
+                match self.deleted.get(&pair_of(self.order, &Edge::new(src, dst))) {
+                    Some((last, run)) if *last == at => -(run.len() as i64),
+                    _ => 0,
+                }
+            }
+        }
+    }
+
+    /// The runs of a `len`-record base that survive: the gaps between
+    /// deleted runs, in order.
+    fn kept_runs(&self, len: usize) -> Vec<Range<usize>> {
+        let mut keep = Vec::with_capacity(self.deleted.len() + 1);
+        let mut from = 0;
+        for (_, run) in self.deleted.values() {
+            keep.push(from..run.start);
+            from = run.end;
+        }
+        keep.push(from..len);
+        keep
+    }
+}
+
+/// The pair an edge's key names: its first two fields.
+fn pair_of(order: BlockOrder, e: &Edge) -> (u32, u32) {
+    let (a, b, _) = order.key(e);
+    (a, b)
+}
+
+/// The number of edges sub-block payload `base` — checked, of `codec`
+/// records in `order`'s canonical order — holds once its live `ops` are
+/// merged in batch order: the length of [`merge_block`]'s payload, in
+/// records, derived from the same net-effect rule by binary search over
+/// the base records alone. What `ingest` records as a block's merged
+/// count; it builds no edge list and no index column.
+pub fn merged_count(base: &[u8], ops: &[DeltaOp], order: BlockOrder, codec: EdgeCodec) -> u64 {
+    let base = Records {
+        bytes: base,
+        codec,
+        order,
+    };
+    let net = NetEffect::of(&base, ops);
+    let change: i64 = ops
+        .iter()
+        .enumerate()
+        .map(|(at, op)| net.change(at, op))
+        .sum();
+    (base.len() as i64 + change) as u64
+}
+
+/// Merges a sub-block's live `ops`, in batch order, into its checked base
+/// payload `base` (`codec` records in `order`'s canonical order,
+/// [`BlockOrder::key`]) and returns the merged payload in the same order
+/// with its column of its row's index over the row's `sources` (empty
+/// where `order` has none) — the bytes a re-preprocess of the merged
+/// edge list would write. Nothing is decoded into edges or re-encoded
+/// but the surviving inserts.
+///
+/// The net-effect rule ([`merged_count`] applies the same one) picks the
+/// surviving inserts, which are sorted alone; binary search over the
+/// base records finds each deleted pair's run and where each insert
+/// lands, and one walk copies the bytes of the base runs between those
+/// cut points. Each op's source gets an entry in `degrees`, to which the
+/// op's net change to its out-degree is added: +1 for a surviving
+/// insert, minus the base copies for a pair's last delete, nothing for
+/// an op a later delete cancels.
+pub fn merge_block(
+    base: &[u8],
+    ops: &[DeltaOp],
+    order: BlockOrder,
+    codec: EdgeCodec,
+    sources: Range<u32>,
+    degrees: &mut BTreeMap<u32, i64>,
+) -> (Vec<u8>, Vec<u32>) {
+    let base = Records {
+        bytes: base,
+        codec,
+        order,
+    };
+    let net = NetEffect::of(&base, ops);
     let mut inserts = Vec::new();
     for (at, op) in ops.iter().enumerate() {
-        let change = match *op {
-            DeltaOp::Insert(e) => match deleted.get(&pair_of(&e)) {
-                Some(&(last, _)) if last > at => 0,
-                _ => {
-                    inserts.push(e);
-                    1
-                }
-            },
-            DeltaOp::Delete { src, dst } => match deleted.get(&pair_of(&Edge::new(src, dst))) {
-                Some((last, run)) if *last == at => -(run.len() as i64),
-                _ => 0,
-            },
-        };
+        let change = net.change(at, op);
+        if let (DeltaOp::Insert(e), 1) = (op, change) {
+            inserts.push(*e);
+        }
         *degrees.entry(op.src()).or_insert(0) += change;
     }
     inserts.sort_unstable_by_key(|e| order.key(e));
+    let inserted = Records {
+        bytes: &codec.encode_all(&inserts),
+        codec,
+        order,
+    };
 
-    // The runs of `base` that survive: the gaps between deleted runs.
-    let mut keep = Vec::with_capacity(deleted.len() + 1);
-    let mut from = 0;
-    for (_, run) in deleted.values() {
-        keep.push(from..run.start);
-        from = run.end;
-    }
-    keep.push(from..base.len());
-
-    let mut merged = Vec::with_capacity(base.len() + inserts.len());
-    let mut pending = inserts.iter().peekable();
-    for run in keep.into_iter().filter(|run| !run.is_empty()) {
+    let mut merged = Vec::with_capacity(base.bytes.len() + inserted.bytes.len());
+    let mut next = 0;
+    for run in net.kept_runs(base.len()) {
         let mut at = run.start;
-        while let Some(e) = pending.peek() {
-            let cut = at + base[at..run.end].partition_point(|b| order.key(b) <= order.key(e));
+        while let Some(e) = inserts.get(next) {
+            let key = order.key(e);
+            let cut = base.partition_point(at..run.end, |k| k <= key);
             if cut == run.end {
                 break;
             }
-            merged.extend_from_slice(&base[at..cut]);
-            merged.push(**e);
-            pending.next();
+            merged.extend_from_slice(base.slice(at..cut));
+            merged.extend_from_slice(inserted.slice(next..next + 1));
+            next += 1;
             at = cut;
         }
-        merged.extend_from_slice(&base[at..run.end]);
+        merged.extend_from_slice(base.slice(at..run.end));
     }
-    merged.extend(pending);
+    merged.extend_from_slice(inserted.slice(next..inserts.len()));
 
     let offsets = if order.has_row_index() {
-        source_offsets(&merged, sources)
+        index_column(&merged, codec, sources)
     } else {
         Vec::new()
     };
     (merged, offsets)
-}
-
-/// CSR offsets of source-sorted `edges` over the sources in `range`.
-fn source_offsets(edges: &[Edge], range: std::ops::Range<u32>) -> Vec<u32> {
-    let mut offsets = vec![0u32; range.len() + 1];
-    for e in edges {
-        offsets[(e.src - range.start) as usize + 1] += 1;
-    }
-    for k in 1..offsets.len() {
-        offsets[k] += offsets[k - 1];
-    }
-    offsets
 }
 
 /// Checks `payload`, just read from the base object `rel_key` of the grid
@@ -469,21 +570,22 @@ pub fn check_base_object(
 }
 
 /// Reads base sub-block `(i, j)` of the grid `meta` (the sealed, on-disk
-/// meta) describes, checks it with [`check_base_object`] and decodes it —
-/// the one way both the overlay loader and `ingest` get the edges they
-/// replay ops over. One whole-object read; the check runs on its bytes,
-/// so an object of the wrong length is a corruption error, not a short
-/// read.
+/// meta) describes and checks it with [`check_base_object`]: the one way
+/// both the overlay loader and `ingest` get the payload they merge or
+/// count ops over. It stays encoded — [`merge_block`] and
+/// [`merged_count`] work on the records. One whole-object read; the
+/// check runs on its bytes, so an object of the wrong length is a
+/// corruption error, not a short read.
 pub fn read_base_block(
     storage: &dyn Storage,
     prefix: &str,
     meta: &GridMeta,
     i: u32,
     j: u32,
-) -> std::io::Result<Vec<Edge>> {
+) -> std::io::Result<Vec<u8>> {
     let payload = storage.read_all(&block_edges_key(prefix, i, j))?;
     check_base_object(meta, prefix, &block_edges_key("", i, j), &payload)?;
-    Ok(meta.codec().decode_all(&payload))
+    Ok(payload)
 }
 
 /// Fails unless sub-block `(i, j)`, merged with its live ops, holds the
@@ -534,16 +636,15 @@ pub(crate) fn load_overlay(
             check_merged_count(i, j, meta.block_edge_count(i, j), want)?;
             continue;
         };
-        // The base goes before the encode allocates, so it can reuse it.
-        let (merged, offsets) = merge_block(
+        let (bytes, offsets) = merge_block(
             &read_base_block(storage, prefix, meta, i, j)?,
             ops,
             meta.order,
+            codec,
             intervals.range(i),
             &mut overlay.degrees,
         );
-        check_merged_count(i, j, merged.len() as u64, want)?;
-        let bytes = codec.encode_all(&merged);
+        check_merged_count(i, j, (bytes.len() / codec.edge_bytes()) as u64, want)?;
         let index_bytes = (offsets.len() * 4) as u64;
         overlay.resident_bytes += bytes.len() as u64 + index_bytes;
         overlay
@@ -564,12 +665,18 @@ mod tests {
 
     /// Merges as `load_overlay` does, into the only sub-block of an
     /// 8-vertex, one-interval grid; returns the edges and the degree
-    /// changes.
+    /// changes, and checks that the count agrees.
     fn merge(base: &[Edge], ops: &[DeltaOp]) -> (Vec<Edge>, BTreeMap<u32, i64>) {
+        let (codec, order) = (EdgeCodec::unweighted(), BlockOrder::BySource);
+        let base = codec.encode_all(base);
         let mut degrees = BTreeMap::new();
-        let (edges, offsets) = merge_block(base, ops, BlockOrder::BySource, 0..8, &mut degrees);
+        let (bytes, offsets) = merge_block(&base, ops, order, codec, 0..8, &mut degrees);
         assert_eq!(offsets.len(), 9);
-        (edges, degrees)
+        assert_eq!(
+            merged_count(&base, ops, order, codec),
+            bytes.len() as u64 / 8
+        );
+        (codec.decode_all(&bytes), degrees)
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //! of, under which keys, in which bytes.
 //!
 //! [`preprocess`](crate::preprocess) loops [`row_objects`] over every
-//! row, [`repair_grid`](crate::integrity::repair_grid) calls it for the
-//! rows that hold a corrupt object and compaction (`gsd-delta`) for the
-//! rows that hold a merged sub-block. Because nothing else decides a key
-//! or encodes a payload, a repaired or compacted row is byte-identical to
-//! what a from-scratch preprocess of the same edges writes.
+//! row and [`repair_grid`](crate::integrity::repair_grid) calls it for
+//! the rows that hold a corrupt object. Because nothing else decides a
+//! key or encodes a payload, a repaired row is byte-identical to what a
+//! from-scratch preprocess of the same edges writes. Compaction
+//! (`gsd-delta`) writes the overlay's merged payloads, which are that
+//! layout already, and lays their row's index out with the same
+//! [`row_index_object`] from [`index_column`]s.
 
 use crate::format::{block_edges_key, encode_u32s, row_index_key, DEGREES_KEY};
 use crate::partition::Intervals;
@@ -167,22 +169,11 @@ pub fn row_objects(
     intervals: &Intervals,
     codec: EdgeCodec,
 ) -> RowObjects {
-    let p = blocks.len();
-    // Vertex-major: `(len_i + 1) × P` offsets, filled column by column as
-    // each block's sort returns its own.
-    let index_len = if order.has_row_index() {
-        (intervals.range(i).len() + 1) * p
-    } else {
-        0
-    };
-    let mut row_index = vec![0u32; index_len];
     let t = Stopwatch::start();
-    for (j, block) in (0..).zip(blocks.iter_mut()) {
-        let column = order.sort(i, j, intervals, block);
-        for (k, off) in column.into_iter().enumerate() {
-            row_index[k * p + j as usize] = off;
-        }
-    }
+    let columns: Vec<Vec<u32>> = (0..)
+        .zip(blocks.iter_mut())
+        .map(|(j, block)| order.sort(i, j, intervals, block))
+        .collect();
     let sort = if order == BlockOrder::Unsorted {
         Duration::ZERO
     } else {
@@ -190,13 +181,47 @@ pub fn row_objects(
     };
     let mut payloads: Vec<Vec<u8>> = blocks.iter().map(|b| codec.encode_all(b)).collect();
     if order.has_row_index() {
-        payloads.push(encode_u32s(&row_index));
+        payloads.push(row_index_object(i, &columns).1);
     }
-    let keys = row_keys(i, crate::narrow::from_usize(p, "interval count"), order);
+    let p = crate::narrow::from_usize(blocks.len(), "interval count");
     RowObjects {
-        objects: keys.into_iter().zip(payloads).collect(),
+        objects: row_keys(i, p, order).into_iter().zip(payloads).collect(),
         sort,
     }
+}
+
+/// Row `i`'s index object from its `P` columns: `columns[j]` holds
+/// sub-block `(i, j)`'s per-source edge offsets over interval `i`
+/// (`len_i + 1` entries), and the object interleaves them vertex-major,
+/// as [`row_index_key`] lays it out.
+pub fn row_index_object(i: u32, columns: &[impl AsRef<[u32]>]) -> (String, Vec<u8>) {
+    let rows = columns.first().map_or(0, |column| column.as_ref().len());
+    let mut bytes = Vec::with_capacity(rows * columns.len() * 4);
+    for k in 0..rows {
+        for column in columns {
+            bytes.extend_from_slice(&column.as_ref()[k].to_le_bytes());
+        }
+    }
+    (row_index_key("", i), bytes)
+}
+
+/// The row-index column of a source-sorted block payload of `codec`
+/// records: the offset of each source's first record over `sources`,
+/// which must hold every record's source, then the record count. The
+/// walk stores one past each record's index in the entry after its
+/// source's, so each such entry ends one past the source's last record,
+/// and a running maximum carries those ends over the sources without
+/// records. No store depends on the one before it.
+pub fn index_column(payload: &[u8], codec: EdgeCodec, sources: std::ops::Range<u32>) -> Vec<u32> {
+    let mut offsets = vec![0u32; sources.len() + 1];
+    for (end, record) in (1..).zip(payload.chunks_exact(codec.edge_bytes())) {
+        let src = u32::from_le_bytes([record[0], record[1], record[2], record[3]]);
+        offsets[(src - sources.start) as usize + 1] = end;
+    }
+    for k in 1..offsets.len() {
+        offsets[k] = offsets[k].max(offsets[k - 1]);
+    }
+    offsets
 }
 
 /// The out-degree table as `(prefix-relative key, payload)`.

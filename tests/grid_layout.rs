@@ -6,7 +6,7 @@
 //! sizes far past the benchmark's.
 
 use graphsd::delta::{compact, ingest, MutationBatch};
-use graphsd::graph::delta::{encode_segment, merge_block, segment_key, DeltaOp};
+use graphsd::graph::delta::{encode_segment, merge_block, merged_count, segment_key, DeltaOp};
 use graphsd::graph::format::row_index_key;
 use graphsd::graph::layout::{bucket_edges, row_keys, row_objects};
 use graphsd::graph::rng::Xoshiro256;
@@ -412,10 +412,11 @@ fn hostile_ops(
 }
 
 /// A merged sub-block is the bytes of the definition: `merge_block` over
-/// a canonically ordered block equals the ops applied one by one to the
-/// block's edges and laid out by `reference_row`, index included, in
-/// both sorted orders and both codecs; and the out-degree changes it
-/// counts are the ones the naive replay makes.
+/// a canonically ordered block's payload equals the ops applied one by
+/// one to the block's edges and laid out by `reference_row`, index
+/// included, in both sorted orders and both codecs; the out-degree
+/// changes it counts are the ones the naive replay makes; and the count
+/// `ingest` records, `merged_count`, is the merged payload's length.
 #[test]
 fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
     for seed in 0..8 {
@@ -426,8 +427,11 @@ fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
             let mut rng = Xoshiro256::seed_from_u64(seed);
             for i in 0..p {
                 let row = &blocks[(i * p) as usize..][..p as usize];
-                let (mut naive_row, mut merged_row, mut columns) =
-                    (Vec::new(), Vec::new(), Vec::new());
+                let (mut naive_row, mut merged_row, mut columns) = (
+                    Vec::new(),
+                    [Vec::new(), Vec::new()],
+                    [Vec::new(), Vec::new()],
+                );
                 for (j, block) in (0..p).zip(row) {
                     let ops = hostile_ops(&mut rng, block, &intervals, (i, j));
                     let mut naive = block.clone();
@@ -444,21 +448,38 @@ fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
                     }
                     let mut base = block.clone();
                     base.sort_by_key(|e| order.key(e));
-                    let mut degrees = BTreeMap::new();
-                    let (merged, offsets) =
-                        merge_block(&base, &ops, order, intervals.range(i), &mut degrees);
-                    assert_eq!(
-                        degrees, naive_degrees,
-                        "seed {seed} {order:?}: degree changes of ({i}, {j})"
-                    );
+                    for weighted in [false, true] {
+                        let codec = EdgeCodec::new(weighted);
+                        let base = codec.encode_all(&base);
+                        let mut degrees = BTreeMap::new();
+                        let (merged, offsets) = merge_block(
+                            &base,
+                            &ops,
+                            order,
+                            codec,
+                            intervals.range(i),
+                            &mut degrees,
+                        );
+                        assert_eq!(
+                            degrees, naive_degrees,
+                            "seed {seed} {order:?}: degree changes of ({i}, {j})"
+                        );
+                        assert_eq!(
+                            merged_count(&base, &ops, order, codec),
+                            (merged.len() / codec.edge_bytes()) as u64,
+                            "seed {seed} {order:?} weighted {weighted}: ingest's count of ({i}, {j})"
+                        );
+                        merged_row[usize::from(weighted)].push(merged);
+                        columns[usize::from(weighted)].push(offsets);
+                    }
                     naive_row.push(naive);
-                    merged_row.push(merged);
-                    columns.push(offsets);
                 }
                 for weighted in [false, true] {
-                    let codec = EdgeCodec::new(weighted);
-                    let mut payloads: Vec<Vec<u8>> =
-                        merged_row.iter().map(|b| codec.encode_all(b)).collect();
+                    let (merged_row, columns) = (
+                        &merged_row[usize::from(weighted)],
+                        &columns[usize::from(weighted)],
+                    );
+                    let mut payloads: Vec<Vec<u8>> = merged_row.clone();
                     if order.has_row_index() {
                         let len = intervals.range(i).len() + 1;
                         let index: Vec<u8> = (0..len)
