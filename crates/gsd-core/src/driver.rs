@@ -7,10 +7,9 @@
 //! ([`crate::GraphSdConfig::lumos`], [`crate::GraphSdConfig::gridgraph`]),
 //! so two policies run here: GraphSD's and HUS-Graph's.
 //!
-//! * **open** — the double-buffered state arrays, the optional prefetch
-//!   executor, the optional checkpoint store (with resume), the
-//!   `RunStart` event and the I/O / verify snapshots the run's totals are
-//!   measured from;
+//! * **open** — the double-buffered state arrays, the read executor, the
+//!   optional checkpoint store (with resume), the `RunStart` event and
+//!   the I/O / verify snapshots the run's totals are measured from;
 //! * **per iteration** ([`Driver::iteration`]) — timers, the policy's
 //!   passes, rotation, the `IterationEnd` event and the
 //!   [`IterationStats`] record;
@@ -22,10 +21,11 @@
 //!   with optional cross-iteration scatter ([`Driver::stream_round`]), and
 //!   a *selective pass* over coalesced edge runs with optional
 //!   cross-iteration serving ([`Driver::selective_pass`]). Both plan
-//!   their requests from the frontier: the stream pass can leave out the
-//!   sub-blocks no active vertex sends through, the selective pass
-//!   fetches wanted ranges a sub-seek gap apart as one request
-//!   ([`Driver::plan_runs`], the one selective planner).
+//!   their requests from the frontier before the first read: the stream
+//!   pass leaves out the sub-blocks no active vertex sends through
+//!   ([`Driver::stream_plan`]), the selective pass fetches wanted ranges
+//!   a sub-seek gap apart as one request ([`Driver::plan_runs`]). One
+//!   executor runs every plan, inline or on the prefetch readers.
 //!
 //! An engine is a [`Policy`]: per round it looks at the frontier and
 //! composes those passes. The driver is generic over program and policy,
@@ -55,7 +55,7 @@ use crate::buffer::SubBlockBuffer;
 use crate::checkpoint::{
     graph_fingerprint, CheckpointData, CheckpointStore, ManifestTag, RecoveryConfig,
 };
-use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, Prefetched, TakeOutcome};
+use crate::pipeline::{PipelineConfig, PrefetchExecutor, PrefetchRequest, TakeOutcome};
 use gsd_graph::grid::RowIndexSpan;
 use gsd_graph::{BlockOrder, Edge, GridGraph};
 use gsd_io::{DiskModel, IoStatsSnapshot, SharedStorage};
@@ -68,7 +68,6 @@ use gsd_runtime::{
 };
 use gsd_trace::{TraceEvent, TraceSink};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,7 +87,7 @@ pub struct Frame<'a> {
     pub degrees: &'a Arc<Vec<u32>>,
     /// Sink for the run's trace events.
     pub trace: &'a Arc<dyn TraceSink>,
-    /// Prefetch pipeline sizing, or `None` for synchronous reads.
+    /// Prefetch pipeline sizing, or `None` to read each request inline.
     pub prefetch: Option<PipelineConfig>,
     /// Checkpoint/recovery options, or `None` to run unprotected.
     pub checkpoint: Option<&'a RecoveryConfig>,
@@ -147,17 +146,6 @@ pub struct SelectiveRun {
     pub edges: Range<u32>,
     /// The wanted edge indexes within the request.
     pub keep: Vec<Range<u32>>,
-}
-
-impl SelectiveRun {
-    fn request(&self) -> PrefetchRequest {
-        PrefetchRequest::Run {
-            i: self.i,
-            j: self.j,
-            edge_start: self.edges.start,
-            edge_count: self.edges.end - self.edges.start,
-        }
-    }
 }
 
 /// Vertex ids one row-index request bridges rather than seek over on
@@ -337,10 +325,10 @@ pub struct Driver<'a, P: VertexProgram> {
     next: u32,
     storage: SharedStorage,
     trace: Arc<dyn TraceSink>,
-    pipeline: Option<PrefetchExecutor>,
+    /// Runs every pass's plan.
+    reads: PrefetchExecutor,
     stats: RunStats,
     tracker: Tracker,
-    scratch: Vec<u8>,
 }
 
 /// Checkpoints a protected run keeps: the newest, plus one to fall back
@@ -376,14 +364,11 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
     let trace = frame.trace.clone();
     let ctx = ProgramContext::new(n, frame.degrees.clone());
     let frontier = program.initial_frontier(&ctx).build(n)?;
-    let pipeline = match frame.prefetch {
-        Some(sizing) => {
-            let mut exec = PrefetchExecutor::new(grid.clone(), sizing)?;
-            exec.set_trace(trace.clone());
-            Some(exec)
-        }
-        None => None,
+    let mut reads = match frame.prefetch {
+        Some(sizing) => PrefetchExecutor::new(grid.clone(), sizing)?,
+        None => PrefetchExecutor::inline(grid.clone()),
     };
+    reads.set_trace(trace.clone());
     let zero = program.zero_accum();
     let mut driver = Driver {
         state: State {
@@ -404,10 +389,9 @@ pub fn run<P: VertexProgram, Y: Policy<P>>(
         next: 1,
         storage: storage.clone(),
         trace: trace.clone(),
-        pipeline,
+        reads,
         stats,
         tracker: Tracker::default(),
-        scratch: Vec::new(),
     };
 
     let grids = || std::iter::once(grid).chain(frame.also_verified.iter().copied());
@@ -585,20 +569,20 @@ impl<P: VertexProgram> Driver<'_, P> {
         Ok(clusters)
     }
 
-    /// The requests for the active edge lists in `grid`, in the order a
-    /// synchronous reader visits them: row by row, sub-block by
-    /// sub-block, vertex by vertex. One row-index request per active
-    /// cluster (ids at most `index_gap` apart) resolves the cluster's edge
-    /// ranges in every sub-block of the row; ranges at most `run_gap`
-    /// edges apart share a request ([`coalesce_runs`]). The index spans
-    /// are read here, before any run — a run cannot be known before its
-    /// index arrives.
+    /// A selective pass's plan: the requests for the active edge lists in
+    /// `grid`, row by row, sub-block by sub-block, vertex by vertex, each
+    /// with the ranges of its edges the pass scatters (ascending offsets
+    /// into the request). One row-index request per active cluster (ids at
+    /// most `index_gap` apart) resolves the cluster's edge ranges in every
+    /// sub-block of the row; ranges at most `run_gap` edges apart share a
+    /// request ([`coalesce_runs`]). The index spans are read here, before
+    /// any run — a run cannot be known before its index arrives.
     pub fn plan_runs(
         &mut self,
         grid: &GridGraph,
         index_gap: u32,
         run_gap: u32,
-    ) -> std::io::Result<Vec<SelectiveRun>> {
+    ) -> std::io::Result<Vec<(PrefetchRequest, Vec<Range<u32>>)>> {
         let mut runs = Vec::new();
         for i in 0..grid.p() {
             let range = grid.intervals().range(i);
@@ -613,7 +597,21 @@ impl<P: VertexProgram> Driver<'_, P> {
                 }
             }
         }
-        Ok(runs)
+        let planned = runs.into_iter().map(|mut run| {
+            let start = run.edges.start;
+            for kept in &mut run.keep {
+                *kept = kept.start - start..kept.end - start;
+            }
+            let (i, j, edge_count) = (run.i, run.j, run.edges.end - start);
+            let request = PrefetchRequest::Run {
+                i,
+                j,
+                edge_start: start,
+                edge_count,
+            };
+            (request, run.keep)
+        });
+        Ok(planned.collect())
     }
 
     /// Rebuilds the vertex state from a checkpoint taken at a round
@@ -687,28 +685,31 @@ impl<P: VertexProgram> Driver<'_, P> {
         Ok(())
     }
 
-    /// Consumes the next scheduled request from the prefetch pipeline,
-    /// folding its wait into the iteration's I/O wall time and its
-    /// hit/stall outcome into the counters. Only called while a schedule
-    /// is active.
-    fn take_prefetched(&mut self) -> std::io::Result<Prefetched> {
-        let Some(exec) = self.pipeline.as_mut() else {
-            // Unreachable by construction (schedules are only installed
-            // when the pipeline exists); surfaced as an error, not a
-            // panic.
-            return Err(std::io::Error::other(
-                "prefetch consume without an executor",
-            ));
-        };
-        let taken = timed(&mut self.tracker.io_wall, || exec.take())?;
-        match taken.outcome {
+    /// Reads `request` of `grid` into `out` through the executor — the
+    /// pass's next planned request, or one its plan left out — timing it
+    /// into the iteration's I/O wait, folding a prefetch hit or stall into
+    /// the counters, and emitting its `block_load`.
+    fn load(
+        &mut self,
+        grid: &GridGraph,
+        request: PrefetchRequest,
+        out: &mut Vec<Edge>,
+    ) -> std::io::Result<()> {
+        let (bytes, outcome) = timed(&mut self.tracker.io_wall, || {
+            self.reads.fetch(Some(grid), request, out)
+        })?;
+        match outcome {
+            TakeOutcome::Inline => {}
             TakeOutcome::Hit => self.stats.prefetch_hits += 1,
             TakeOutcome::Stalled(wait) => {
                 self.stats.prefetch_misses += 1;
                 self.tracker.stall += wait;
             }
         }
-        Ok(taken)
+        let (i, j) = request.coords();
+        let seq = matches!(request, PrefetchRequest::Block { .. });
+        self.emit(|| TraceEvent::BlockLoad { i, j, bytes, seq });
+        Ok(())
     }
 
     /// One full-model round over `grid`: a destination-major sweep of
@@ -750,21 +751,23 @@ impl<P: VertexProgram> Driver<'_, P> {
         })
     }
 
-    /// Which grid rows a stream pass starting now has to read: `.0[i]`,
-    /// every sub-block of row `i`; `.1[i]`, its `i ≤ j` sub-blocks too.
-    ///
-    /// Sub-block `(i, j)` holds the edges out of interval `i`. Its
-    /// scatter delivers only from frontier members, so it is needed when
-    /// the frontier has a vertex in interval `i`. With `cross` it is also
-    /// read (for `i ≤ j`) to scatter ahead from the vertices `apply`
-    /// changes in interval `i`, and `apply` visits only vertices that were
-    /// sent to: those already in `touched_cur`, those an active interval
-    /// `k` reaches through a non-empty `(k, i)`, or all of them under
-    /// `apply_all`. A row that fails both tests has no sender in either
-    /// scatter, so leaving it out drops no message. Everything consulted
-    /// is state a checkpoint restores, so the prefetch plan, the
-    /// synchronous loop and a resumed run agree request for request.
-    fn needed_rows(&self, grid: &GridGraph, cross: bool, skip: bool) -> (Vec<bool>, Vec<bool>) {
+    /// A stream pass's plan over `grid`, starting now: the sub-blocks it
+    /// visits, in visit order (column by column; every row, or only
+    /// `i > j` if `secondary_only`), and the requests for those `buffer`
+    /// does not hold. With `skip`, row `i` is visited only if the
+    /// frontier has a vertex in interval `i` — or, with `cross`, for
+    /// `i ≤ j`, if `apply` can change one there: it is in `touched_cur`,
+    /// an active interval reaches it, or the program applies all. Leaving
+    /// out any other row drops no message (DESIGN.md §2). Everything
+    /// consulted is state a checkpoint restores.
+    pub fn stream_plan(
+        &self,
+        grid: &GridGraph,
+        secondary_only: bool,
+        cross: bool,
+        skip: bool,
+        buffer: &SubBlockBuffer,
+    ) -> (Vec<(u32, u32)>, Vec<PrefetchRequest>) {
         let p = grid.p();
         let st = &self.state;
         let live = |set: &Frontier, i: u32| {
@@ -774,10 +777,23 @@ impl<P: VertexProgram> Driver<'_, P> {
         let act: Vec<bool> = (0..p).map(|i| !skip || live(&st.frontier, i)).collect();
         let sent_to =
             |i: u32| (0..p).any(|k| act[k as usize] && grid.meta().block_edge_count(k, i) > 0);
-        let ahead = (0..p)
+        let ahead: Vec<bool> = (0..p)
             .map(|i| cross && (st.program.apply_all() || live(&st.touched_cur, i) || sent_to(i)))
             .collect();
-        (act, ahead)
+        let rows = |j: u32| if secondary_only { j + 1..p } else { 0..p };
+        let visits: Vec<(u32, u32)> = (0..p)
+            .flat_map(|j| rows(j).map(move |i| (i, j)))
+            .filter(|&(i, j)| {
+                grid.meta().block_edge_count(i, j) > 0
+                    && (act[i as usize] || (i <= j && ahead[i as usize]))
+            })
+            .collect();
+        let requests = visits
+            .iter()
+            .filter(|&&(i, j)| !(i > j && buffer.contains(i, j)))
+            .map(|&(i, j)| PrefetchRequest::Block { i, j })
+            .collect();
+        (visits, requests)
     }
 
     fn stream_pass(
@@ -788,68 +804,28 @@ impl<P: VertexProgram> Driver<'_, P> {
         skip_inactive: bool,
         buffer: &mut SubBlockBuffer,
     ) -> std::io::Result<()> {
-        let p = grid.p();
-        let rows = |j: u32| if secondary_only { j + 1..p } else { 0..p };
-        let (act, ahead) = self.needed_rows(grid, cross, skip_inactive);
+        let (visits, requests) =
+            self.stream_plan(grid, secondary_only, cross, skip_inactive, buffer);
+        self.reads.begin_schedule(requests);
         // Every block of a `BySource` grid reaches the scatters sorted by
         // source — read, prefetched, buffered, or merged from the
         // delta overlay (canonically re-sorted) — so they may gallop.
         let by_source = grid.meta().order == BlockOrder::BySource;
-        let streams = |i: u32, j: u32| {
-            grid.meta().block_edge_count(i, j) > 0
-                && (act[i as usize] || (i <= j && ahead[i as usize]))
-        };
-
-        // Prefetch plan for the pass: every sub-block that will stream
-        // from storage, in visit order. Buffered blocks are skipped
-        // — it may still drop them mid-pass, so consumption matches
-        // against the schedule front and a dropped block (never
-        // scheduled) falls back to a synchronous load.
-        let mut plan: VecDeque<(u32, u32)> = VecDeque::new();
-        if let Some(exec) = self.pipeline.as_mut() {
-            for j in 0..p {
-                for i in rows(j) {
-                    if streams(i, j) && !(i > j && buffer.contains(i, j)) {
-                        plan.push_back((i, j));
-                    }
-                }
-            }
-            let schedule = plan.iter().map(|&(i, j)| PrefetchRequest::Block { i, j });
-            exec.begin_schedule(schedule.collect());
-        }
-
+        let mut visits = visits.into_iter().peekable();
         let mut served = 0u64;
-        for j in 0..p {
+        for j in 0..grid.p() {
             let mut diagonal: Option<Arc<Vec<Edge>>> = None;
-            for i in rows(j) {
-                if !streams(i, j) {
-                    continue;
-                }
+            while let Some((i, _)) = visits.next_if(|&(_, col)| col == j) {
                 let bytes = grid.meta().block_bytes(i, j);
-                let edges = if plan.front() == Some(&(i, j)) {
-                    plan.pop_front();
-                    let taken = self.take_prefetched()?;
-                    self.emit(|| TraceEvent::BlockLoad {
-                        i,
-                        j,
-                        bytes: taken.bytes,
-                        seq: true,
-                    });
-                    Arc::new(taken.edges)
-                } else if let Some(held) = (i > j).then(|| buffer.get(i, j)).flatten() {
-                    held
-                } else {
-                    let mut edges = Vec::new();
-                    timed(&mut self.tracker.io_wall, || {
-                        grid.read_block_into(i, j, &mut self.scratch, &mut edges)
-                    })?;
-                    self.emit(|| TraceEvent::BlockLoad {
-                        i,
-                        j,
-                        bytes,
-                        seq: true,
-                    });
-                    Arc::new(edges)
+                // A buffered block the plan left out is read here only if
+                // an offer earlier in the pass evicted it.
+                let edges = match (i > j).then(|| buffer.get(i, j)).flatten() {
+                    Some(held) => held,
+                    None => {
+                        let mut edges = Vec::new();
+                        self.load(grid, PrefetchRequest::Block { i, j }, &mut edges)?;
+                        Arc::new(edges)
+                    }
                 };
 
                 timed(&mut self.tracker.compute, || {
@@ -900,45 +876,26 @@ impl<P: VertexProgram> Driver<'_, P> {
 
     /// The on-demand pass (Algorithm 2; HUS-Graph's row-oriented push):
     /// fetches only `runs` — the active vertices' edge lists in `grid`,
-    /// as planned by [`Driver::plan_runs`], through the prefetch pipeline or
-    /// synchronously — scatters the kept ranges and applies every
-    /// interval at once. The loaded edges stay in memory, so with `cross`
-    /// the re-activated vertices' next-iteration messages are scattered
-    /// right away and those vertices leave the next frontier: their edges
-    /// need not be read again. Returns the edges so served.
+    /// as planned by [`Driver::plan_runs`] — scatters the kept ranges and
+    /// applies every interval at once. The loaded edges stay in memory, so
+    /// with `cross` the re-activated vertices' next-iteration messages are
+    /// scattered right away and those vertices leave the next frontier:
+    /// their edges need not be read again. Returns the edges so served.
     pub fn selective_pass(
         &mut self,
         grid: &GridGraph,
-        runs: Vec<SelectiveRun>,
+        runs: Vec<(PrefetchRequest, Vec<Range<u32>>)>,
         cross: bool,
     ) -> std::io::Result<u64> {
-        let per_edge = grid.codec().edge_bytes() as u64;
         let mut loaded: Vec<Edge> = Vec::new();
         // The edges of one request, bridged gaps included.
         let mut fetched: Vec<Edge> = Vec::new();
-        if let Some(exec) = self.pipeline.as_mut() {
-            exec.begin_schedule(runs.iter().map(SelectiveRun::request).collect());
-        }
-        for run in &runs {
-            let (i, j, edges) = (run.i, run.j, &run.edges);
-            let count = edges.end - edges.start;
-            if self.pipeline.is_some() {
-                fetched = self.take_prefetched()?.edges;
-            } else {
-                fetched.clear();
-                timed(&mut self.tracker.io_wall, || {
-                    grid.read_edge_run(i, j, edges.start, count, &mut self.scratch, &mut fetched)
-                })?;
-            }
-            self.emit(|| TraceEvent::BlockLoad {
-                i,
-                j,
-                bytes: count as u64 * per_edge,
-                seq: false,
-            });
-            for keep in &run.keep {
-                let at = |edge: u32| (edge - edges.start) as usize;
-                loaded.extend_from_slice(&fetched[at(keep.start)..at(keep.end)]);
+        self.reads
+            .begin_schedule(runs.iter().map(|&(request, _)| request).collect());
+        for (request, keep) in &runs {
+            self.load(grid, *request, &mut fetched)?;
+            for kept in keep {
+                loaded.extend_from_slice(&fetched[kept.start as usize..kept.end as usize]);
             }
         }
 

@@ -1,23 +1,26 @@
-//! The scheduler-driven prefetch executor.
+//! The one read executor of the driver's passes.
 //!
 //! GraphSD's scheduler fixes each iteration's reads — sub-blocks (FCIU)
-//! or coalesced edge runs (SCIU) — before the iteration starts, so they
-//! can run ahead of compute on background threads. This module, next to
-//! its one caller [`crate::driver`], does so without changing what is
-//! read, in what per-key order, or in what order results are consumed.
+//! or coalesced edge runs (SCIU) — before the iteration starts. Every
+//! pass of the one caller, [`crate::driver`], hands that plan to
+//! [`PrefetchExecutor::begin_schedule`] and takes the requests back in
+//! plan order, read by one function without changing what is read, in
+//! what per-key order, or in what order results are consumed:
 //!
-//! [`PrefetchExecutor::begin_schedule`] takes one iteration's schedule —
-//! the exact request sequence the synchronous path would issue — and
-//! routes each request to one of `READERS` reader threads by a hash of
-//! its block coordinates. Each reader reads its share front to back into
-//! its own `sync_channel(depth)`, and [`PrefetchExecutor::take`] receives
-//! from the channel of the reader that owns the next request. Memory is
-//! bounded by `READERS × (depth + 1)` decoded requests: `depth` in each
-//! channel plus one held by a reader blocked on a full channel.
+//! * **inline** ([`PrefetchExecutor::inline`]): a request is read on the
+//!   calling thread when taken ([`TakeOutcome::Inline`]) — as, in either
+//!   mode, is one the plan left out (a buffered block evicted since);
+//! * **on the prefetch readers** ([`PrefetchExecutor::new`]): each request
+//!   is routed to one of `READERS` reader threads by a hash of its block
+//!   coordinates. Each reader reads its share front to back into its own
+//!   `sync_channel(depth)`, and [`PrefetchExecutor::take`] receives from
+//!   the channel of the reader that owns the next request. Memory is
+//!   bounded by `READERS × (depth + 1)` decoded requests: `depth` in each
+//!   channel plus one held by a reader blocked on a full channel.
 //!
 //! ## Determinism
 //!
-//! Values are bit-identical with the pipeline on or off, and
+//! Values are bit-identical in both modes, and
 //! [`gsd_io::SimDisk`]'s virtual-clock accounting does not move:
 //!
 //! 1. **Consumption order** is schedule order, so scatter sees edges in
@@ -132,14 +135,17 @@ impl PrefetchRequest {
             h ^= byte as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        // The remainder is below `readers`, so the conversion cannot fail.
-        usize::try_from(h % readers as u64).unwrap_or(0)
+        // The remainder is below `readers` (0 without readers), so the
+        // conversion cannot fail.
+        usize::try_from(h.checked_rem(readers as u64).unwrap_or(0)).unwrap_or(0)
     }
 }
 
 /// How [`PrefetchExecutor::take`] obtained the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TakeOutcome {
+    /// Read on the calling thread when taken.
+    Inline,
     /// The request was decoded and waiting: latency fully hidden.
     Hit,
     /// The consumer blocked this long for its reader to deliver it.
@@ -170,22 +176,23 @@ pub struct Prefetched {
 /// driver"). 128 edges are 1 536 bytes: such a buffer goes home.
 const MIN_HANDOFF_EDGES: usize = 128;
 
+/// Reads `request` of `grid` into `out`, replacing its contents.
 fn read_request(
     grid: &GridGraph,
     request: &PrefetchRequest,
     scratch: &mut Vec<u8>,
-) -> std::io::Result<Vec<Edge>> {
-    let mut edges = Vec::with_capacity(MIN_HANDOFF_EDGES);
+    out: &mut Vec<Edge>,
+) -> std::io::Result<()> {
+    out.clear();
     match *request {
-        PrefetchRequest::Block { i, j } => grid.read_block_into(i, j, scratch, &mut edges)?,
+        PrefetchRequest::Block { i, j } => grid.read_block_into(i, j, scratch, out),
         PrefetchRequest::Run {
             i,
             j,
             edge_start,
             edge_count,
-        } => grid.read_edge_run(i, j, edge_start, edge_count, scratch, &mut edges)?,
+        } => grid.read_edge_run(i, j, edge_start, edge_count, scratch, out),
     }
-    Ok(edges)
 }
 
 /// One reader's share of a schedule, and the channel it delivers through.
@@ -198,7 +205,8 @@ fn read_jobs(grid: &GridGraph, jobs: Receiver<Job>) {
     let mut scratch = Vec::new();
     for (requests, results) in jobs {
         for request in &requests {
-            let result = read_request(grid, request, &mut scratch);
+            let mut edges = Vec::with_capacity(MIN_HANDOFF_EDGES);
+            let result = read_request(grid, request, &mut scratch, &mut edges).map(|()| edges);
             if results.send(result).is_err() {
                 break;
             }
@@ -206,34 +214,30 @@ fn read_jobs(grid: &GridGraph, jobs: Receiver<Job>) {
     }
 }
 
-/// The background prefetch executor: reader threads reading one
-/// iteration's schedule ahead of the consumer (see the module docs).
+/// The read executor: one schedule at a time, run inline or by reader
+/// threads ahead of the consumer (see the module docs).
 pub struct PrefetchExecutor {
     grid: GridGraph,
     depth: usize,
     trace: Arc<dyn TraceSink>,
-    /// Per reader: where its jobs go, and its thread.
+    /// Per reader: where its jobs go, and its thread (none when inline).
     readers: Vec<(Sender<Job>, std::thread::JoinHandle<()>)>,
     /// Per reader: the current schedule's result channel.
     results: Vec<Receiver<std::io::Result<Vec<Edge>>>>,
     /// Scheduled requests not yet taken, each with its reader.
     pending: VecDeque<(PrefetchRequest, usize)>,
+    /// Read buffer of the requests read on the calling thread.
+    scratch: Vec<u8>,
 }
 
 impl PrefetchExecutor {
-    /// Spawns the reader threads over a cloned grid handle.
+    /// Spawns the reader threads over cloned grid handles.
     pub fn new(grid: GridGraph, config: PipelineConfig) -> std::io::Result<Self> {
-        let mut exec = PrefetchExecutor {
-            grid: grid.clone(),
-            depth: config.depth.max(1),
-            trace: gsd_trace::null_sink(),
-            readers: Vec::with_capacity(READERS),
-            results: Vec::new(),
-            pending: VecDeque::new(),
-        };
+        let mut exec = PrefetchExecutor::inline(grid);
+        exec.depth = config.depth.max(1);
         for r in 0..READERS {
             let (jobs, inbox) = mpsc::channel();
-            let grid = grid.clone();
+            let grid = exec.grid.clone();
             // On failure, dropping `exec` stops the readers already started.
             let handle = std::thread::Builder::new()
                 .name(format!("gsd-prefetch-{r}"))
@@ -243,26 +247,42 @@ impl PrefetchExecutor {
         Ok(exec)
     }
 
+    /// An executor without readers: each request of `grid` is read on the
+    /// calling thread when it is taken.
+    pub fn inline(grid: GridGraph) -> Self {
+        PrefetchExecutor {
+            grid,
+            depth: 1,
+            trace: gsd_trace::null_sink(),
+            readers: Vec::new(),
+            results: Vec::new(),
+            pending: VecDeque::new(),
+            scratch: Vec::new(),
+        }
+    }
+
     /// Routes the `prefetch_issued` / `_hit` / `_stall` events to `trace`.
     pub(crate) fn set_trace(&mut self, trace: Arc<dyn TraceSink>) {
         self.trace = trace;
     }
 
-    /// Installs one iteration's request schedule and starts the readers on
-    /// it. An unconsumed previous schedule is abandoned — its channels are
-    /// dropped, so its reader's next delivery fails and it moves on — which
-    /// the engine only does on an error path.
+    /// Installs one pass's request schedule and starts the readers, if
+    /// any, on it. An unconsumed previous schedule is abandoned — its
+    /// channels are dropped, so its reader's next delivery fails and it
+    /// moves on — which the engine only does on an error path.
     pub fn begin_schedule(&mut self, requests: Vec<PrefetchRequest>) {
-        let mut shares = vec![Vec::new(); READERS];
+        let mut shares = vec![Vec::new(); self.readers.len()];
         self.pending.clear();
         for request in requests {
-            if self.trace.enabled() {
-                let (i, j) = request.coords();
-                let bytes = request.bytes(&self.grid);
-                self.trace.emit(&TraceEvent::PrefetchIssued { i, j, bytes });
+            let reader = request.route(shares.len());
+            if let Some(share) = shares.get_mut(reader) {
+                if self.trace.enabled() {
+                    let (i, j) = request.coords();
+                    let bytes = request.bytes(&self.grid);
+                    self.trace.emit(&TraceEvent::PrefetchIssued { i, j, bytes });
+                }
+                share.push(request);
             }
-            let reader = request.route(READERS);
-            shares[reader].push(request);
             self.pending.push_back((request, reader));
         }
         self.results.clear();
@@ -274,38 +294,20 @@ impl PrefetchExecutor {
         }
     }
 
-    /// Returns the next scheduled request's data, in schedule order: at
-    /// once if its reader has delivered it ([`TakeOutcome::Hit`]), else
-    /// after blocking until it does ([`TakeOutcome::Stalled`]). A failed
-    /// read is an `Err` at its own take; a take past the end of the
-    /// schedule is an `InvalidInput` error (an engine bug), not a panic.
+    /// Returns the next scheduled request's data, in schedule order: read
+    /// now without readers, else as its reader delivers it. A failed read
+    /// is an `Err` at its own take; a take past the end of the schedule
+    /// is an `InvalidInput` error (an engine bug), not a panic.
     pub fn take(&mut self) -> std::io::Result<Prefetched> {
-        use std::io::{Error, ErrorKind};
-        let sw = Stopwatch::start();
-        let Some((request, reader)) = self.pending.pop_front() else {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
+        let Some(&(request, _)) = self.pending.front() else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
                 "prefetch schedule exhausted",
             ));
         };
-        let inbox = &self.results[reader];
-        let (result, outcome) = match inbox.try_recv() {
-            Ok(result) => (Ok(result), TakeOutcome::Hit),
-            Err(_) => (inbox.recv(), TakeOutcome::Stalled(sw.elapsed())),
-        };
-        let edges = result.map_err(|_| Error::other("prefetch reader exited"))??;
+        let mut edges = Vec::new();
+        let (bytes, outcome) = self.fetch(None, request, &mut edges)?;
         let (i, j) = request.coords();
-        let bytes = request.bytes(&self.grid);
-        if self.trace.enabled() {
-            self.trace.emit(&match outcome {
-                TakeOutcome::Hit => TraceEvent::PrefetchHit { i, j, bytes },
-                TakeOutcome::Stalled(wait) => TraceEvent::PrefetchStall {
-                    i,
-                    j,
-                    wait_us: crate::driver::micros(wait),
-                },
-            });
-        }
         Ok(Prefetched {
             i,
             j,
@@ -313,6 +315,50 @@ impl PrefetchExecutor {
             bytes,
             outcome,
         })
+    }
+
+    /// Fills `out` with `request`'s edges from `grid` (the executor's own
+    /// if `None`; readers serve only that one) and returns the bytes
+    /// requested and how they were obtained. The schedule's next request
+    /// is taken as [`Self::take`] takes it; any other is read inline.
+    pub(crate) fn fetch(
+        &mut self,
+        grid: Option<&GridGraph>,
+        request: PrefetchRequest,
+        out: &mut Vec<Edge>,
+    ) -> std::io::Result<(u64, TakeOutcome)> {
+        let grid = grid.unwrap_or(&self.grid);
+        let taken = self.pending.pop_front_if(|(next, _)| *next == request);
+        let inbox = taken.and_then(|(_, reader)| self.results.get(reader));
+        let bytes = request.bytes(grid);
+        let Some(inbox) = inbox else {
+            read_request(grid, &request, &mut self.scratch, out)?;
+            return Ok((bytes, TakeOutcome::Inline));
+        };
+        debug_assert_eq!(
+            grid.prefix(),
+            self.grid.prefix(),
+            "readers serve only their grid"
+        );
+        let sw = Stopwatch::start();
+        let (result, outcome) = match inbox.try_recv() {
+            Ok(result) => (Ok(result), TakeOutcome::Hit),
+            Err(_) => (inbox.recv(), TakeOutcome::Stalled(sw.elapsed())),
+        };
+        *out = result.map_err(|_| std::io::Error::other("prefetch reader exited"))??;
+        if self.trace.enabled() {
+            let (i, j) = request.coords();
+            self.trace.emit(&match outcome {
+                TakeOutcome::Stalled(wait) => TraceEvent::PrefetchStall {
+                    i,
+                    j,
+                    wait_us: crate::driver::micros(wait),
+                },
+                // A delivered request is never `Inline`.
+                TakeOutcome::Hit | TakeOutcome::Inline => TraceEvent::PrefetchHit { i, j, bytes },
+            });
+        }
+        Ok((bytes, outcome))
     }
 }
 
@@ -360,9 +406,26 @@ mod tests {
     }
 
     fn sync_read(grid: &GridGraph, r: &PrefetchRequest) -> Vec<Edge> {
-        let mut scratch = Vec::new();
-        read_request(grid, r, &mut scratch).unwrap()
+        let mut edges = Vec::new();
+        read_request(grid, r, &mut Vec::new(), &mut edges).unwrap();
+        edges
     }
+
+    /// The executor on the prefetch readers, or inline for `None`.
+    fn executor(grid: &GridGraph, sizing: Option<PipelineConfig>) -> PrefetchExecutor {
+        match sizing {
+            Some(sizing) => PrefetchExecutor::new(grid.clone(), sizing).unwrap(),
+            None => PrefetchExecutor::inline(grid.clone()),
+        }
+    }
+
+    /// Both modes: the readers at the default depth, and inline.
+    const MODES: [Option<PipelineConfig>; 2] = [
+        Some(PipelineConfig {
+            depth: PipelineConfig::DEFAULT_DEPTH,
+        }),
+        None,
+    ];
 
     fn drain(
         exec: &mut PrefetchExecutor,
@@ -379,10 +442,10 @@ mod tests {
                 "payload must match sync read"
             );
             assert_eq!(got.bytes, r.bytes(grid));
-            if got.outcome == TakeOutcome::Hit {
-                hits += 1;
-            } else {
-                misses += 1;
+            match got.outcome {
+                TakeOutcome::Inline => assert!(exec.readers.is_empty(), "only inline reads inline"),
+                TakeOutcome::Hit => hits += 1,
+                TakeOutcome::Stalled(_) => misses += 1,
             }
         }
         (hits, misses)
@@ -393,11 +456,14 @@ mod tests {
         let grid = sim_grid(7, 4);
         let schedule = full_schedule(&grid);
         assert!(schedule.len() > 4);
-        let mut exec = PrefetchExecutor::new(grid.clone(), PipelineConfig::default()).unwrap();
-        exec.begin_schedule(schedule.clone());
-        let (hits, misses) = drain(&mut exec, &schedule, &grid);
-        assert_eq!(hits + misses, schedule.len() as u64);
-        assert!(exec.pending.is_empty());
+        for sizing in MODES {
+            let mut exec = executor(&grid, sizing);
+            exec.begin_schedule(schedule.clone());
+            let (hits, misses) = drain(&mut exec, &schedule, &grid);
+            let threaded = if sizing.is_some() { schedule.len() } else { 0 };
+            assert_eq!(hits + misses, threaded as u64);
+            assert!(exec.pending.is_empty());
+        }
     }
 
     #[test]
@@ -461,10 +527,11 @@ mod tests {
     }
 
     /// The determinism contract: on a SimDisk, running the whole
-    /// schedule through the concurrent pipeline must charge exactly the
-    /// same virtual-clock time and the same sequential/random split as
-    /// issuing the same requests synchronously — per-key order is what
-    /// the pricing depends on, and the pipeline preserves it.
+    /// schedule through the executor, on the readers at any depth or
+    /// inline, must charge exactly the same virtual-clock time and the
+    /// same sequential/random split as issuing the same requests one by
+    /// one — per-key order is what the pricing depends on, and both modes
+    /// preserve it.
     #[test]
     fn sim_disk_accounting_matches_synchronous_reads() {
         let sync_stats: IoStatsSnapshot = {
@@ -476,12 +543,12 @@ mod tests {
             }
             grid.storage().stats().snapshot().since(&before)
         };
-        for depth in [1usize, 2, 4] {
+        let depths = [1usize, 2, 4].map(|depth| Some(PipelineConfig::with_depth(depth)));
+        for sizing in depths.into_iter().chain([None]) {
             let grid = sim_grid(23, 4);
             let schedule = mixed_schedule(&grid);
             let before = grid.storage().stats().snapshot();
-            let mut exec =
-                PrefetchExecutor::new(grid.clone(), PipelineConfig::with_depth(depth)).unwrap();
+            let mut exec = executor(&grid, sizing);
             exec.begin_schedule(schedule.clone());
             for r in &schedule {
                 // No payload re-read here: an extra verification read
@@ -490,7 +557,7 @@ mod tests {
                 assert_eq!((got.i, got.j), r.coords());
             }
             let piped = grid.storage().stats().snapshot().since(&before);
-            assert_eq!(piped, sync_stats, "depth = {depth}");
+            assert_eq!(piped, sync_stats, "{sizing:?}");
         }
     }
 
@@ -526,34 +593,42 @@ mod tests {
         let lost = 3;
         let (i, j) = schedule[lost].coords();
         grid.storage().delete(&grid.edges_key(i, j)).unwrap();
-        let mut exec = PrefetchExecutor::new(grid.clone(), PipelineConfig::default()).unwrap();
-        exec.begin_schedule(schedule.clone());
-        drain(&mut exec, &schedule[..lost], &grid);
-        assert!(exec.take().is_err(), "the missing block fails its own take");
-        // The executor recovers: a fresh schedule without the lost block
-        // drains completely.
-        let rest: Vec<_> = schedule
-            .iter()
-            .filter(|r| r.coords() != (i, j))
-            .copied()
-            .collect();
-        exec.begin_schedule(rest.clone());
-        drain(&mut exec, &rest, &grid);
-        assert!(exec.pending.is_empty());
+        for sizing in MODES {
+            let mut exec = executor(&grid, sizing);
+            exec.begin_schedule(schedule.clone());
+            drain(&mut exec, &schedule[..lost], &grid);
+            assert!(exec.take().is_err(), "the missing block fails its own take");
+            // The executor recovers: a fresh schedule without the lost
+            // block drains completely.
+            let rest: Vec<_> = schedule
+                .iter()
+                .filter(|r| r.coords() != (i, j))
+                .copied()
+                .collect();
+            exec.begin_schedule(rest.clone());
+            drain(&mut exec, &rest, &grid);
+            assert!(exec.pending.is_empty());
+        }
     }
 
     #[test]
     fn trace_events_cover_every_take() {
         let grid = sim_grid(13, 4);
         let schedule = full_schedule(&grid);
-        let ring = Arc::new(gsd_trace::RingRecorder::new(1 << 14));
-        let mut exec = PrefetchExecutor::new(grid.clone(), PipelineConfig::default()).unwrap();
-        exec.set_trace(ring.clone());
-        exec.begin_schedule(schedule.clone());
-        let (hits, misses) = drain(&mut exec, &schedule, &grid);
-        assert_eq!(ring.count_kind("prefetch_issued"), schedule.len());
-        assert_eq!(ring.count_kind("prefetch_hit") as u64, hits);
-        assert_eq!(ring.count_kind("prefetch_stall") as u64, misses);
+        for sizing in MODES {
+            let ring = Arc::new(gsd_trace::RingRecorder::new(1 << 14));
+            let mut exec = executor(&grid, sizing);
+            exec.set_trace(ring.clone());
+            exec.begin_schedule(schedule.clone());
+            let (hits, misses) = drain(&mut exec, &schedule, &grid);
+            // Inline takes count neither a hit nor a stall (`drain`
+            // checks their outcome) and emit no `prefetch_*` event.
+            let issued = if sizing.is_some() { schedule.len() } else { 0 };
+            assert_eq!(ring.count_kind("prefetch_issued"), issued);
+            assert_eq!(ring.count_kind("prefetch_hit") as u64, hits);
+            assert_eq!(ring.count_kind("prefetch_stall") as u64, misses);
+            assert_eq!(ring.len() as u64, issued as u64 + hits + misses);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Compressed sparse row adjacency, used by the in-memory BSP reference
-//! executor (the oracle every out-of-core engine is validated against) and
-//! by the HUS-Graph baseline's in-memory row format.
+//! executor (`ReferenceEngine`, the oracle every out-of-core engine is
+//! validated against), its only user.
 
 use crate::graph::Graph;
 use crate::types::VertexId;

@@ -42,17 +42,6 @@ fn grown_to(scratch: &mut Vec<u8>, len: usize) -> &mut [u8] {
     &mut scratch[..len]
 }
 
-/// One loaded sub-block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubBlock {
-    /// Source interval.
-    pub i: u32,
-    /// Destination interval.
-    pub j: u32,
-    /// The edges (sorted by `(src, dst)` in indexed formats).
-    pub edges: Vec<Edge>,
-}
-
 /// A span of row `i`'s vertex-major index: resolves the edge range of any
 /// covered vertex in **every** sub-block of the row from a single storage
 /// request (see [`crate::format::row_index_key`]). Column `j` is the
@@ -221,13 +210,6 @@ impl GridGraph {
         block_edges_key(&self.prefix, i, j)
     }
 
-    /// Streams the whole sub-block `(i, j)` from storage.
-    pub fn read_block(&self, i: u32, j: u32) -> std::io::Result<SubBlock> {
-        let mut edges = Vec::new();
-        self.read_block_into(i, j, &mut Vec::new(), &mut edges)?;
-        Ok(SubBlock { i, j, edges })
-    }
-
     /// Streams sub-block `(i, j)` into caller-provided buffers (no
     /// allocation when capacities suffice): [`Self::read_block_payload`]
     /// into `scratch`, then one decode into `out`.
@@ -359,30 +341,22 @@ impl GridGraph {
         if edge_count == 0 {
             return Ok(());
         }
-        if let Some(block) = self.overlay.as_ref().and_then(|o| o.block(i, j)) {
-            let sz = self.codec.edge_bytes();
-            let lo = edge_start as usize * sz;
-            let hi = lo + edge_count as usize * sz;
-            out.reserve(edge_count as usize);
-            for chunk in block.bytes[lo..hi].chunks_exact(sz) {
-                out.push(self.codec.decode(chunk));
-            }
-            return Ok(());
-        }
-        let key = self.edges_key(i, j);
-        if let Some(v) = &self.verifier {
-            v.ensure_verified(&key)?;
-        }
         let sz = self.codec.edge_bytes();
-        let buf = grown_to(scratch, edge_count as usize * sz);
-        self.storage
-            .read_at(&key, u64::from(edge_start) * sz as u64, buf)?;
-        let base = out.len();
-        out.reserve(edge_count as usize);
-        for chunk in buf.chunks_exact(sz) {
-            out.push(self.codec.decode(chunk));
-        }
-        debug_assert_eq!(out.len() - base, edge_count as usize);
+        let (lo, len) = (edge_start as usize * sz, edge_count as usize * sz);
+        let bytes = match self.overlay.as_ref().and_then(|o| o.block(i, j)) {
+            Some(block) => &block.bytes[lo..lo + len],
+            None => {
+                let key = self.edges_key(i, j);
+                if let Some(v) = &self.verifier {
+                    v.ensure_verified(&key)?;
+                }
+                let buf = grown_to(scratch, len);
+                let offset = u64::from(edge_start) * sz as u64;
+                self.storage.read_at(&key, offset, buf)?;
+                buf
+            }
+        };
+        out.extend(bytes.chunks_exact(sz).map(|chunk| self.codec.decode(chunk)));
         Ok(())
     }
 
@@ -440,9 +414,11 @@ mod tests {
         let mut all: Vec<(u32, u32)> = Vec::new();
         for i in 0..4 {
             for j in 0..4 {
-                let block = grid.read_block(i, j).unwrap();
-                total += block.edges.len() as u64;
-                all.extend(block.edges.iter().map(|e| (e.src, e.dst)));
+                let mut edges = Vec::new();
+                grid.read_block_into(i, j, &mut Vec::new(), &mut edges)
+                    .unwrap();
+                total += edges.len() as u64;
+                all.extend(edges.iter().map(|e| (e.src, e.dst)));
             }
         }
         assert_eq!(total, g.num_edges());
@@ -508,8 +484,10 @@ mod tests {
         .unwrap();
         let grid = GridGraph::open(storage.clone()).unwrap();
         storage.stats().reset();
-        let block = grid.read_block(1, 1).unwrap();
-        assert!(block.edges.is_empty());
+        let mut edges = Vec::new();
+        grid.read_block_into(1, 1, &mut Vec::new(), &mut edges)
+            .unwrap();
+        assert!(edges.is_empty());
         assert_eq!(
             storage.stats().read_bytes(),
             0,
@@ -528,8 +506,10 @@ mod tests {
         grid.read_edge_run(0, 0, total / 2, total - total / 2, &mut scratch, &mut out)
             .unwrap();
         assert_eq!(out.len(), total as usize);
-        let whole = grid.read_block(0, 0).unwrap();
-        assert_eq!(out, whole.edges);
+        let mut whole = Vec::new();
+        grid.read_block_into(0, 0, &mut scratch, &mut whole)
+            .unwrap();
+        assert_eq!(out, whole);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use delta::{DeltaOp, DeltaOverlay};
 pub use format::{block_edges_key, DeltaSection, GridMeta, DEGREES_KEY, FORMAT_VERSION, META_KEY};
 pub use generators::{GeneratorConfig, GraphKind};
 pub use graph::{Graph, GraphBuilder};
-pub use grid::{cluster_vertex_spans, GridGraph, SubBlock};
+pub use grid::{cluster_vertex_spans, GridGraph};
 pub use gsd_integrity::{CorruptionResponse, VerifyCounters, VerifyPolicy};
 pub use integrity::{repair_grid, scrub_grid, RepairOutcome};
 pub use layout::BlockOrder;

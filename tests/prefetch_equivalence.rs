@@ -3,7 +3,9 @@
 //! the same iteration count and model choices, and — on the simulated
 //! disk — byte-for-byte identical I/O accounting per iteration (request
 //! order is preserved per storage key, so `SimDisk`'s seq/rand
-//! classification and virtual clock cannot move).
+//! classification and virtual clock cannot move). The trace a reader of
+//! the run sees (`gsd report`) is the same too: the same `block_load`
+//! sequence, and no `prefetch_*` event from a synchronous run.
 //!
 //! Shapes mirror the e1–e10 experiment regimes: FCIU-heavy dense runs
 //! (PR), SCIU-heavy tiny-frontier runs (BFS on a web-locality graph),
@@ -15,6 +17,7 @@ use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::graph::{preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig};
 use graphsd::io::{DiskModel, FileStorage, SharedStorage, SimDisk, TempDir};
 use graphsd::runtime::{Engine, RunOptions, RunResult, VertexProgram};
+use graphsd::trace::{RingRecorder, TraceEvent};
 use std::sync::Arc;
 
 /// Everything a run produces except wall-clock durations (which differ
@@ -49,29 +52,63 @@ fn graphsd_engine(graph: &Graph, p: u32, config: GraphSdConfig) -> GraphSdEngine
     GraphSdEngine::new(GridGraph::open(storage).unwrap(), config).unwrap()
 }
 
+/// One `block_load` event: `(i, j, bytes, seq)`.
+type BlockLoad = (u32, u32, u64, bool);
+
+/// Runs `program` on `engine` with a recorder attached. Returns the
+/// result, every `block_load` the run emitted in order, and how many
+/// `prefetch_*` events it emitted.
+fn traced_run<P: VertexProgram>(
+    engine: &mut GraphSdEngine,
+    program: &P,
+) -> (RunResult<P::Value>, Vec<BlockLoad>, usize) {
+    let ring = Arc::new(RingRecorder::new(1 << 20));
+    engine.set_trace(ring.clone());
+    let result = engine.run(program, &RunOptions::default()).unwrap();
+    assert_eq!(ring.dropped(), 0, "the recorder must hold the whole run");
+    let events = ring.events();
+    let loads = events.iter().filter_map(|event| {
+        if let TraceEvent::BlockLoad { i, j, bytes, seq } = *event {
+            Some((i, j, bytes, seq))
+        } else {
+            None
+        }
+    });
+    let prefetch = events.iter().filter(|e| e.kind().starts_with("prefetch_"));
+    (result, loads.collect(), prefetch.count())
+}
+
 /// Runs `program` under `config` with the pipeline off and with two
-/// pipeline sizings, asserting identical fingerprints and that the
-/// pipeline actually engaged.
+/// pipeline sizings, asserting identical fingerprints and `block_load`
+/// sequences, that the pipeline actually engaged, and that the
+/// synchronous run emitted no `prefetch_*` event.
 fn assert_equivalent<P: VertexProgram>(graph: &Graph, p: u32, config: GraphSdConfig, program: &P)
 where
     P::Value: Clone + PartialEq + std::fmt::Debug,
 {
-    let opts = RunOptions::default();
     let mut sync_engine = graphsd_engine(graph, p, config.clone().without_prefetch());
-    let sync = sync_engine.run(program, &opts).unwrap();
+    let (sync, sync_loads, sync_prefetch) = traced_run(&mut sync_engine, program);
     assert_eq!(
         sync.stats.prefetch_hits + sync.stats.prefetch_misses,
         0,
         "synchronous run must not touch the pipeline"
     );
+    assert_eq!(
+        sync_prefetch, 0,
+        "synchronous run must emit no prefetch event"
+    );
 
     for sizing in [PipelineConfig::with_depth(2), PipelineConfig::with_depth(4)] {
         let mut piped_engine = graphsd_engine(graph, p, config.clone().with_prefetch(sizing));
-        let piped = piped_engine.run(program, &opts).unwrap();
+        let (piped, piped_loads, _) = traced_run(&mut piped_engine, program);
         assert_eq!(
             fingerprint(&sync),
             fingerprint(&piped),
             "prefetch {sizing:?} must not change the run"
+        );
+        assert_eq!(
+            sync_loads, piped_loads,
+            "prefetch {sizing:?} must not change the block_load sequence"
         );
         if piped.stats.io.read_bytes() > 0 {
             assert!(

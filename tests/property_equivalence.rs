@@ -188,7 +188,9 @@ proptest! {
         let mut recovered: Vec<(u32, u32, u32)> = Vec::new();
         for i in 0..meta.p {
             for j in 0..meta.p {
-                for e in grid.read_block(i, j).unwrap().edges {
+                let mut edges = Vec::new();
+                grid.read_block_into(i, j, &mut Vec::new(), &mut edges).unwrap();
+                for e in edges {
                     recovered.push((e.src, e.dst, (e.weight * 16.0) as u32));
                 }
             }
