@@ -852,6 +852,10 @@ pub struct Fig12Row {
     pub with_buffer: Duration,
     /// Execution time without it.
     pub without_buffer: Duration,
+    /// Priced I/O time (SimDisk's virtual clock) with the buffer.
+    pub with_buffer_io: Duration,
+    /// Priced I/O time without it.
+    pub without_buffer_io: Duration,
     /// Bytes served from the buffer.
     pub buffer_hit_bytes: u64,
 }
@@ -859,8 +863,19 @@ pub struct Fig12Row {
 impl Fig12Row {
     /// Relative improvement from buffering.
     pub fn improvement(&self) -> f64 {
-        1.0 - self.with_buffer.as_secs_f64() / self.without_buffer.as_secs_f64().max(1e-12)
+        improvement(self.with_buffer, self.without_buffer)
     }
+
+    /// Relative improvement of the priced I/O time alone: deterministic,
+    /// since it leaves out wall-clock compute.
+    pub fn io_improvement(&self) -> f64 {
+        improvement(self.with_buffer_io, self.without_buffer_io)
+    }
+}
+
+/// `1 − with / without`.
+fn improvement(with: Duration, without: Duration) -> f64 {
+    1.0 - with.as_secs_f64() / without.as_secs_f64().max(1e-12)
 }
 
 /// Figure 12 result (UKUnion stand-in).
@@ -883,6 +898,8 @@ pub fn fig12(datasets: &[&Dataset], settings: &RunSettings) -> std::io::Result<F
                 algo: algo.label(),
                 with_buffer: with_buffer.execution_time(),
                 without_buffer: without.execution_time(),
+                with_buffer_io: with_buffer.stats.io_time,
+                without_buffer_io: without.stats.io_time,
                 buffer_hit_bytes: with_buffer.stats.buffer_hit_bytes,
             });
         }
@@ -955,8 +972,9 @@ pub fn ext_storage(d: &Dataset, settings: &RunSettings) -> std::io::Result<ExtSt
             let g = algo.input(d);
             let mut times = [Duration::ZERO; 3];
             for (k, kind) in SystemKind::main_three().into_iter().enumerate() {
-                let disk = Arc::new(SimDisk::new(scaled_disk_from(model, g)));
-                let outcome = run_cell(kind, g, algo, d.root(), disk, paper_p(g), settings)?;
+                let p = paper_p(g);
+                let disk = Arc::new(SimDisk::new(scaled_disk_from(model, g, p)));
+                let outcome = run_cell(kind, g, algo, d.root(), disk, p, settings)?;
                 times[k] = outcome.execution_time();
             }
             rows.push(ExtStorageRow {
@@ -1024,7 +1042,7 @@ pub struct ExtPsweep {
 pub fn ext_psweep(d: &Dataset, settings: &RunSettings) -> std::io::Result<ExtPsweep> {
     let run = |algo: Algo, p: u32| {
         let g = algo.input(d);
-        let disk = Arc::new(SimDisk::new(scaled_disk_for(g)));
+        let disk = Arc::new(SimDisk::new(scaled_disk_for(g, p)));
         run_cell(SystemKind::GraphSd, g, algo, d.root(), disk, p, settings)
     };
     let mut rows = Vec::new();

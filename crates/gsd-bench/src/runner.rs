@@ -8,7 +8,10 @@ use crate::settings::RunSettings;
 use gsd_algos::{ConnectedComponents, PageRank, PageRankDelta, Sssp};
 use gsd_baselines::{write_hus_format, HusFormat, HusGraphEngine};
 use gsd_core::{GraphSdConfig, GraphSdEngine, SchedulerDecision};
-use gsd_graph::{preprocess, EdgeCodec, Graph, GridGraph, PreprocessConfig, PreprocessReport};
+use gsd_graph::format::id_bytes_for;
+use gsd_graph::{
+    preprocess, EdgeCodec, Graph, GridGraph, Intervals, PreprocessConfig, PreprocessReport,
+};
 use gsd_io::{DiskModel, SharedStorage, SimDisk, Storage};
 use gsd_runtime::{Capabilities, Engine, RunOptions, RunStats, VertexProgram};
 use std::sync::Arc;
@@ -222,13 +225,25 @@ const CROSSOVER_FRACTION: f64 = 0.10;
 const BANDWIDTH_SLOWDOWN: f64 = 8.0;
 
 /// Builds the simulated disk the experiments run on: the HDD preset scaled
-/// to the graph's size (see [`scaled_disk_from`] for the argument).
-pub fn scaled_disk_for(graph: &Graph) -> DiskModel {
-    scaled_disk_from(DiskModel::hdd(), graph)
+/// to the size of the grid [`prepare_format`] writes for `graph` at `p`
+/// intervals (see [`scaled_disk_from`] for the argument).
+pub fn scaled_disk_for(graph: &Graph, p: u32) -> DiskModel {
+    scaled_disk_from(DiskModel::hdd(), graph, p)
 }
 
-/// The `base` device scaled to `graph`'s size (`ext_storage` passes the
-/// SSD and NVMe presets: how do the gains change on faster devices?).
+/// Bytes of the edge records of the grid [`prepare_format`] writes for
+/// `graph` at `p` intervals: the record size follows the widest of its
+/// degree-balanced intervals.
+fn grid_edge_bytes(graph: &Graph, p: u32) -> u64 {
+    let intervals = Intervals::degree_balanced(&graph.out_degrees(), p);
+    let id_bytes = id_bytes_for(intervals.boundaries()) as usize;
+    let codec = EdgeCodec::new(graph.is_weighted()).with_id_bytes(id_bytes);
+    graph.num_edges() * codec.edge_bytes() as u64
+}
+
+/// The `base` device scaled to the size of `graph`'s grid at `p`
+/// intervals (`ext_storage` passes the SSD and NVMe presets: how do the
+/// gains change on faster devices?).
 ///
 /// Experiments run on graphs ~10⁴–10⁵× smaller than the paper's, but a
 /// real HDD's 8 ms seek does not shrink with them — with it, *every*
@@ -242,11 +257,10 @@ pub fn scaled_disk_for(graph: &Graph) -> DiskModel {
 /// is derived consistently as the effective bandwidth of reading one
 /// average vertex's edge list, so the scheduler's `C_r` estimates match
 /// what the simulator charges.
-pub fn scaled_disk_from(base: DiskModel, graph: &Graph) -> DiskModel {
+pub fn scaled_disk_from(base: DiskModel, graph: &Graph, p: u32) -> DiskModel {
     let seq_read_bps = base.seq_read_bps / BANDWIDTH_SLOWDOWN;
     let seq_write_bps = base.seq_write_bps / BANDWIDTH_SLOWDOWN;
-    let edge_bytes =
-        (graph.num_edges() * EdgeCodec::new(graph.is_weighted()).edge_bytes() as u64) as f64;
+    let edge_bytes = grid_edge_bytes(graph, p) as f64;
     let v = graph.num_vertices().max(1) as f64;
     let sweep_secs = edge_bytes / seq_read_bps;
     // Faster devices keep their proportionally cheaper seeks: the HDD maps
@@ -275,16 +289,9 @@ pub fn run_system(
     settings: &RunSettings,
 ) -> std::io::Result<RunOutcome> {
     let graph = algo.input(dataset);
-    let disk = Arc::new(SimDisk::new(scaled_disk_for(graph)));
-    run_cell(
-        kind,
-        graph,
-        algo,
-        dataset.root(),
-        disk,
-        paper_p(graph),
-        settings,
-    )
+    let p = paper_p(graph);
+    let disk = Arc::new(SimDisk::new(scaled_disk_for(graph, p)));
+    run_cell(kind, graph, algo, dataset.root(), disk, p, settings)
 }
 
 /// Runs `algo` from `root` on `graph` under `kind`, the one way every

@@ -109,7 +109,7 @@ pub fn compact(
         }
         std::io::Result::Ok(())
     };
-    let (order, codec) = (new_meta.order, grid.codec());
+    let order = new_meta.order;
     let mut scratch = Vec::new();
     for i in overlay.merged_rows() {
         let mut columns: Vec<Cow<[u32]>> = Vec::new();
@@ -122,6 +122,7 @@ pub fn compact(
                 None if order.has_row_index() => {
                     let payload = grid.read_block_payload(i, j, &mut scratch)?;
                     let sources = grid.intervals().range(i);
+                    let codec = grid.block_codec(i, j);
                     columns.push(Cow::Owned(index_column(payload, codec, sources)));
                 }
                 None => {}

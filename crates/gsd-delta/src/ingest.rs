@@ -122,11 +122,12 @@ pub fn ingest(
     // payload: the prior ops must give the count the section records,
     // and the prior ops followed by the batch's give the new one.
     let prior_ops = read_live_ops(storage, prefix, &meta)?;
-    let (p, codec) = (meta.p, meta.codec());
+    let p = meta.p;
     for (&(i, j), block_ops) in &new_ops {
         let base = read_base_block(storage, prefix, &meta, i, j)?;
         let prior = prior_ops.get(&(i, j)).map_or(&[][..], Vec::as_slice);
         let slot = (i * p + j) as usize;
+        let codec = meta.block_codec(i, j);
         let count = |ops: &[DeltaOp]| merged_count(&base, ops, meta.order, codec);
         check_merged_count(i, j, count(prior), merged_counts[slot])?;
         merged_counts[slot] = count(&[prior, block_ops].concat());
@@ -232,7 +233,7 @@ mod tests {
                 assert_eq!(payload.len() as u64, grid.meta().block_bytes(i, j));
                 grid.read_block_into(i, j, &mut scratch, &mut edges)
                     .unwrap();
-                assert_eq!(grid.codec().decode_all(payload), edges);
+                assert_eq!(grid.block_codec(i, j).decode_all(payload), edges);
             }
         }
         assert!(grid.overlay().is_some_and(|o| o.block(0, 0).is_some()));

@@ -342,7 +342,9 @@ impl DeltaOverlay {
 }
 
 /// A block payload as its codec's fixed-width records, keyed by `order`
-/// ([`BlockOrder::key`]); a base payload is sorted by that key.
+/// ([`BlockOrder::key`]) over the absolute ids the block's codec decodes;
+/// a base payload is sorted by that key (an interval-relative id orders
+/// as its absolute one does).
 struct Records<'a> {
     bytes: &'a [u8],
     codec: EdgeCodec,
@@ -457,10 +459,10 @@ fn pair_of(order: BlockOrder, e: &Edge) -> (u32, u32) {
 }
 
 /// The number of edges sub-block payload `base` — checked, of `codec`
-/// records in `order`'s canonical order — holds once its live `ops` are
-/// merged in batch order: the length of [`merge_block`]'s payload, in
-/// records, derived from the same net-effect rule by binary search over
-/// the base records alone. What `ingest` records as a block's merged
+/// records (the block's codec) in `order`'s canonical order — holds once
+/// its live `ops` are merged in batch order: the length of
+/// [`merge_block`]'s payload, in records, derived from the same
+/// net-effect rule by binary search over the base records alone. What `ingest` records as a block's merged
 /// count; it builds no edge list and no index column.
 pub fn merged_count(base: &[u8], ops: &[DeltaOp], order: BlockOrder, codec: EdgeCodec) -> u64 {
     let base = Records {
@@ -478,11 +480,11 @@ pub fn merged_count(base: &[u8], ops: &[DeltaOp], order: BlockOrder, codec: Edge
 }
 
 /// Merges a sub-block's live `ops`, in batch order, into its checked base
-/// payload `base` (`codec` records in `order`'s canonical order,
-/// [`BlockOrder::key`]) and returns the merged payload in the same order
-/// with its column of its row's index over the row's `sources` (empty
-/// where `order` has none) — the bytes a re-preprocess of the merged
-/// edge list would write. Nothing is decoded into edges or re-encoded
+/// payload `base` (`codec` records — the block's codec — in `order`'s
+/// canonical order, [`BlockOrder::key`]) and returns the merged payload
+/// in the same order with its column of its row's index over the row's
+/// `sources` (empty where `order` has none) — the bytes a re-preprocess
+/// of the merged edge list would write. Nothing is decoded into edges or re-encoded
 /// but the surviving inserts.
 ///
 /// The net-effect rule ([`merged_count`] applies the same one) picks the
@@ -624,7 +626,6 @@ pub(crate) fn load_overlay(
     }
     let merged_counts = delta.merged_block_edge_counts.clone();
     let per_block = read_live_ops(storage, prefix, meta)?;
-    let codec = meta.codec();
     let intervals = meta.intervals();
     let p = meta.p;
 
@@ -636,6 +637,7 @@ pub(crate) fn load_overlay(
             check_merged_count(i, j, meta.block_edge_count(i, j), want)?;
             continue;
         };
+        let codec = meta.block_codec(i, j);
         let (bytes, offsets) = merge_block(
             &read_base_block(storage, prefix, meta, i, j)?,
             ops,

@@ -5,7 +5,7 @@
 //! ```text
 //! <prefix>meta.json               — GridMeta (JSON)
 //! <prefix>degrees.bin             — out-degree per vertex, u32 LE
-//! <prefix>blocks/b_<i>_<j>.edges  — sub-block (i,j) edges, in the meta's BlockOrder
+//! <prefix>blocks/b_<i>_<j>.edges  — sub-block (i,j) edge records, in the meta's BlockOrder
 //! <prefix>blocks/r_<i>.ridx       — row i's vertex-major index, u32 LE (BySource only)
 //! <prefix>delta/seg_<epoch>.ops   — one mutation batch's ops (crate::delta)
 //! ```
@@ -18,12 +18,18 @@
 //! resolves it in every sub-block of the row. Which objects a row
 //! consists of is decided in one place, [`crate::layout`].
 //!
+//! An edge record stores interval-relative ids: `src − start(i)`, then
+//! `dst − start(j)`, each [`GridMeta::id_bytes`] wide (2 when every
+//! interval holds at most 65 536 vertices, else 4: [`id_bytes_for`]),
+//! then the `f32` weight on a weighted grid ([`crate::types::EdgeCodec`]).
+//!
 //! # Format version
 //!
-//! One [`FORMAT_VERSION`] names the layout above, the `integrity` section
-//! of `meta.json` (one CRC32 + length per data object and a whole-meta
-//! self-check CRC, see [`gsd_integrity::IntegritySection`]), its delta
-//! section and the delta segment encoding. Readers refuse any other
+//! One [`FORMAT_VERSION`] (7) names the layout and the record above, the
+//! `integrity` section of `meta.json` (one CRC32 + length per data object
+//! and a whole-meta self-check CRC, see
+//! [`gsd_integrity::IntegritySection`]), its delta section and the delta
+//! segment encoding. Readers refuse any other
 //! value at open — re-run `gsd preprocess`; there is no migrator. A
 //! mutated grid is one whose meta carries a [`DeltaSection`].
 
@@ -79,6 +85,9 @@ pub struct GridMeta {
     pub p: u32,
     /// Whether edges carry 4-byte weights on disk.
     pub weighted: bool,
+    /// Bytes per stored id, 2 or 4: [`id_bytes_for`] of the boundaries
+    /// (see [`crate::types::EdgeCodec`] for the record layout).
+    pub id_bytes: u32,
     /// How each sub-block's edges are ordered; rows carry a row index
     /// exactly when this is [`BlockOrder::BySource`].
     pub order: BlockOrder,
@@ -95,7 +104,22 @@ pub struct GridMeta {
 
 /// The format version: written into every meta and delta segment, and
 /// the only value readers accept.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
+
+/// Widest interval a 2-byte id can address: its offsets run 0..=65 535.
+const NARROW_INTERVAL: u32 = 1 << 16;
+
+/// The id width of a grid with interval `boundaries`: 2 bytes when every
+/// interval holds at most 65 536 vertices, 4 otherwise. The one rule;
+/// preprocessing records its result and open refuses any other value.
+pub fn id_bytes_for(boundaries: &[u32]) -> u32 {
+    let widest = boundaries.windows(2).map(|w| w[1] - w[0]).max();
+    if widest.unwrap_or(0) <= NARROW_INTERVAL {
+        2
+    } else {
+        4
+    }
+}
 
 /// The `delta` section of a mutated grid's meta — the only record that
 /// names a delta segment: how many mutation batches the grid has
@@ -134,9 +158,17 @@ impl GridMeta {
         Intervals::from_boundaries(self.boundaries.clone())
     }
 
-    /// The edge codec for this graph.
+    /// The edge codec for this graph, at base 0 (it decodes the stored,
+    /// interval-relative ids).
     pub fn codec(&self) -> crate::types::EdgeCodec {
-        crate::types::EdgeCodec::new(self.weighted)
+        crate::types::EdgeCodec::new(self.weighted).with_id_bytes(self.id_bytes as usize)
+    }
+
+    /// The codec sub-block `(i, j)` is read and written with: the grid's,
+    /// based at the starts of intervals `i` and `j`.
+    pub fn block_codec(&self, i: u32, j: u32) -> crate::types::EdgeCodec {
+        let start = |k: u32| self.boundaries[k as usize];
+        self.codec().at(start(i), start(j))
     }
 
     /// Edge count of sub-block `(i, j)`.
@@ -214,6 +246,13 @@ impl GridMeta {
             return Err(format!(
                 "boundaries do not rise from 0 to {} vertices",
                 self.num_vertices
+            ));
+        }
+        let fits = id_bytes_for(&self.boundaries);
+        if self.id_bytes != fits {
+            return Err(format!(
+                "{}-byte ids do not fit intervals of these boundaries, which take {fits}-byte ids",
+                self.id_bytes
             ));
         }
         let counted = self
@@ -307,6 +346,7 @@ mod tests {
             num_edges: 6,
             p: 2,
             weighted: false,
+            id_bytes: 2,
             order: BlockOrder::BySource,
             boundaries: vec![0, 5, 10],
             block_edge_counts: vec![1, 2, 3, 0],
@@ -322,7 +362,7 @@ mod tests {
 
     #[test]
     fn any_other_version_is_refused_with_the_way_out() {
-        for version in [1, 2, 3, 4, 5, FORMAT_VERSION + 1, 999] {
+        for version in [1, 2, 3, 4, 5, 6, FORMAT_VERSION + 1, 999] {
             let mut old = sealed_meta();
             old.version = version;
             old.seal();
@@ -517,9 +557,27 @@ mod tests {
         let m = sealed_meta();
         assert_eq!(m.block_edge_count(0, 1), 2);
         assert_eq!(m.block_edge_count(1, 0), 3);
-        assert_eq!(m.block_bytes(1, 0), 24);
-        assert_eq!(m.total_edge_bytes(), 48);
+        // 2-byte ids: 4-byte unweighted records.
+        assert_eq!(m.block_bytes(1, 0), 12);
+        assert_eq!(m.total_edge_bytes(), 24);
         assert_eq!(m.vertex_value_bytes(4), 40);
+        assert_eq!(m.block_codec(1, 0), m.codec().at(5, 0));
+    }
+
+    #[test]
+    fn the_id_width_follows_the_widest_interval() {
+        assert_eq!(id_bytes_for(&[0, 65_536, 100_000]), 2);
+        assert_eq!(id_bytes_for(&[0, 65_537]), 4);
+        assert_eq!(id_bytes_for(&[0, 0]), 2);
+        // A meta recording any other width is refused as inconsistent.
+        for forged in [0, 1, 3, 4, 8] {
+            let mut m = sealed_meta();
+            m.id_bytes = forged;
+            m.seal();
+            let err = GridMeta::from_bytes(&m.to_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("ids do not fit"), "{err}");
+        }
     }
 
     #[test]

@@ -180,9 +180,16 @@ impl GridGraph {
         &self.intervals
     }
 
-    /// The edge codec.
+    /// The grid's edge codec, at base 0: its record size prices an edge,
+    /// and it decodes the stored, interval-relative ids.
     pub fn codec(&self) -> EdgeCodec {
         self.codec
+    }
+
+    /// The codec sub-block `(i, j)` is read with: [`Self::codec`] based
+    /// at the starts of intervals `i` and `j`, so it decodes absolute ids.
+    pub fn block_codec(&self, i: u32, j: u32) -> EdgeCodec {
+        self.meta.block_codec(i, j)
     }
 
     /// Interval count `P`.
@@ -221,17 +228,17 @@ impl GridGraph {
         out: &mut Vec<Edge>,
     ) -> std::io::Result<()> {
         let payload = self.read_block_payload(i, j, scratch)?;
-        self.codec.decode_all_into(payload, out);
+        self.block_codec(i, j).decode_all_into(payload, out);
         Ok(())
     }
 
-    /// Sub-block `(i, j)`'s payload as [`Self::codec`] records, undecoded:
-    /// the overlay-merged bytes when a live delta touched the block (held
-    /// in memory, so no copy), otherwise the verified stored bytes, read
-    /// into the front of `buf` (grown, never shrunk) and returned as that
-    /// prefix. Its length is [`GridMeta::block_bytes`] either way (the meta
-    /// carries the merged shape). Empty blocks skip the I/O entirely
-    /// (their emptiness is known from the metadata).
+    /// Sub-block `(i, j)`'s payload as [`Self::block_codec`] records,
+    /// undecoded: the overlay-merged bytes when a live delta touched the
+    /// block (held in memory, so no copy), otherwise the verified stored
+    /// bytes, read into the front of `buf` (grown, never shrunk) and
+    /// returned as that prefix. Its length is [`GridMeta::block_bytes`]
+    /// either way (the meta carries the merged shape). Empty blocks skip
+    /// the I/O entirely (their emptiness is known from the metadata).
     ///
     /// [`GridMeta::block_bytes`]: crate::format::GridMeta::block_bytes
     pub fn read_block_payload<'a>(
@@ -356,7 +363,7 @@ impl GridGraph {
                 buf
             }
         };
-        out.extend(bytes.chunks_exact(sz).map(|chunk| self.codec.decode(chunk)));
+        self.block_codec(i, j).decode_append(bytes, out);
         Ok(())
     }
 

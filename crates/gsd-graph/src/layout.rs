@@ -12,7 +12,7 @@
 
 use crate::format::{block_edges_key, encode_u32s, row_index_key, DEGREES_KEY};
 use crate::partition::Intervals;
-use crate::types::{Edge, EdgeCodec};
+use crate::types::{Edge, EdgeCodec, Records};
 use gsd_trace::Stopwatch;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -161,7 +161,8 @@ pub struct RowObjects {
 /// Lays out row `i` from its `P` sub-blocks (`blocks[j]` holds the edges
 /// of sub-block `(i, j)`, in any order): sorts each block in place into
 /// `order`, which yields its column of the row index where the order has
-/// one, and encodes it.
+/// one, and encodes it with the grid's `codec` based at the starts of
+/// intervals `i` and `j`.
 pub fn row_objects(
     i: u32,
     blocks: &mut [Vec<Edge>],
@@ -179,7 +180,11 @@ pub fn row_objects(
     } else {
         t.elapsed()
     };
-    let mut payloads: Vec<Vec<u8>> = blocks.iter().map(|b| codec.encode_all(b)).collect();
+    let src_base = intervals.range(i).start;
+    let mut payloads: Vec<Vec<u8>> = (0..)
+        .zip(blocks.iter())
+        .map(|(j, b)| codec.at(src_base, intervals.range(j).start).encode_all(b))
+        .collect();
     if order.has_row_index() {
         payloads.push(row_index_object(i, &columns).1);
     }
@@ -206,18 +211,20 @@ pub fn row_index_object(i: u32, columns: &[impl AsRef<[u32]>]) -> (String, Vec<u
 }
 
 /// The row-index column of a source-sorted block payload of `codec`
-/// records: the offset of each source's first record over `sources`,
-/// which must hold every record's source, then the record count. The
-/// walk stores one past each record's index in the entry after its
-/// source's, so each such entry ends one past the source's last record,
-/// and a running maximum carries those ends over the sources without
-/// records. No store depends on the one before it.
+/// records (the block's codec): the offset of each source's first record
+/// over `sources`, which must hold every record's source, then the record
+/// count. The walk stores one past each record's index in the entry after
+/// its source's, so each such entry ends one past the source's last
+/// record, and a running maximum carries those ends over the sources
+/// without records. No store depends on the one before it.
 pub fn index_column(payload: &[u8], codec: EdgeCodec, sources: std::ops::Range<u32>) -> Vec<u32> {
     let mut offsets = vec![0u32; sources.len() + 1];
-    for (end, record) in (1..).zip(payload.chunks_exact(codec.edge_bytes())) {
-        let src = u32::from_le_bytes([record[0], record[1], record[2], record[3]]);
-        offsets[(src - sources.start) as usize + 1] = end;
-    }
+    crate::with_layout!(codec, <ID, WEIGHTED> => {
+        let records = Records::<ID, WEIGHTED>::new(payload, codec);
+        for (k, end) in (0..records.len()).zip(1..) {
+            offsets[(records.src(k) - sources.start) as usize + 1] = end;
+        }
+    });
     for k in 1..offsets.len() {
         offsets[k] = offsets[k].max(offsets[k - 1]);
     }

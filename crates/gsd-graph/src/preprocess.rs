@@ -8,7 +8,7 @@
 //! layout runs the routine twice (row copy + destination-sorted column
 //! copy — the most expensive preprocessing, as in Figure 8).
 
-use crate::format::{GridMeta, FORMAT_VERSION, META_KEY};
+use crate::format::{id_bytes_for, GridMeta, FORMAT_VERSION, META_KEY};
 use crate::graph::Graph;
 use crate::layout::{bucket_edges, degrees_object, row_objects, BlockOrder};
 use crate::partition::Intervals;
@@ -127,6 +127,7 @@ fn choose_p(graph: &Graph, config: &PreprocessConfig) -> u32 {
         assert!(p >= 1, "P must be positive");
         return p;
     }
+    // Priced at the widest record: the id width follows from P.
     let edge_bytes = graph.num_edges() * EdgeCodec::new(graph.is_weighted()).edge_bytes() as u64;
     let p = match config.memory_budget_bytes {
         // One grid row must fit in the budget: P >= edge_bytes / budget.
@@ -145,7 +146,6 @@ pub fn preprocess(
     let mut report = PreprocessReport::default();
     let p = choose_p(graph, config);
     report.p = p;
-    let codec = EdgeCodec::new(graph.is_weighted());
 
     // --- partition: bucket every edge into its (i, j) sub-block ---
     let t = Stopwatch::start();
@@ -157,6 +157,8 @@ pub fn preprocess(
     } else {
         Intervals::uniform(graph.num_vertices(), p)
     };
+    let id_bytes = id_bytes_for(intervals.boundaries());
+    let codec = EdgeCodec::new(graph.is_weighted()).with_id_bytes(id_bytes as usize);
     let mut blocks = bucket_edges(graph.edges(), &intervals);
     report.partition = t.elapsed();
     let block_edge_counts: Vec<u64> = blocks.iter().map(|b| b.len() as u64).collect();
@@ -186,6 +188,7 @@ pub fn preprocess(
         num_edges: graph.num_edges(),
         p,
         weighted: graph.is_weighted(),
+        id_bytes,
         order: config.order,
         boundaries: intervals.boundaries().to_vec(),
         block_edge_counts,
@@ -254,12 +257,11 @@ mod tests {
         let config = PreprocessConfig::graphsd("").with_intervals(3);
         let (meta, _) = preprocess(&g, &store, &config).unwrap();
         let intervals = meta.intervals();
-        let codec = meta.codec();
         let mut seen = 0u64;
         for i in 0..3 {
             for j in 0..3 {
                 let bytes = store.read_all(&block_edges_key("", i, j)).unwrap();
-                let edges = codec.decode_all(&bytes);
+                let edges = meta.block_codec(i, j).decode_all(&bytes);
                 assert_eq!(edges.len() as u64, meta.block_edge_count(i, j));
                 seen += edges.len() as u64;
                 for e in &edges {
@@ -281,13 +283,13 @@ mod tests {
         let config = PreprocessConfig::graphsd("").with_intervals(2);
         let (meta, _) = preprocess(&g, &store, &config).unwrap();
         let intervals = meta.intervals();
-        let codec = meta.codec();
         for i in 0..2 {
             let row = crate::format::decode_u32s(&store.read_all(&row_index_key("", i)).unwrap())
                 .unwrap();
             let range = intervals.range(i);
             assert_eq!(row.len(), (range.len() + 1) * 2);
             for j in 0..2 {
+                let codec = meta.block_codec(i, j);
                 let edges = codec.decode_all(&store.read_all(&block_edges_key("", i, j)).unwrap());
                 // Column j of the row index is sub-block (i, j)'s index.
                 let idx: Vec<u32> = row.iter().skip(j as usize).step_by(2).copied().collect();
@@ -322,12 +324,12 @@ mod tests {
             ..PreprocessConfig::graphsd("col/")
         }
         .with_intervals(2);
-        preprocess(&g, &store, &config).unwrap();
-        let codec = EdgeCodec::new(false);
+        let (meta, _) = preprocess(&g, &store, &config).unwrap();
         for i in 0..2 {
             for j in 0..2 {
-                let edges =
-                    codec.decode_all(&store.read_all(&block_edges_key("col/", i, j)).unwrap());
+                let edges = meta
+                    .block_codec(i, j)
+                    .decode_all(&store.read_all(&block_edges_key("col/", i, j)).unwrap());
                 assert!(edges
                     .windows(2)
                     .all(|w| (w[0].dst, w[0].src) <= (w[1].dst, w[1].src)));
@@ -339,7 +341,8 @@ mod tests {
     #[test]
     fn auto_p_respects_memory_budget() {
         let g = GeneratorConfig::new(GraphKind::ErdosRenyi, 1000, 10_000, 1).generate();
-        // 10k edges x 8B = 80kB; budget 10kB => P >= 8.
+        // 10k edges x 8B (priced at the widest record) = 80kB; budget
+        // 10kB => P >= 8.
         let store = MemStorage::new();
         let config = PreprocessConfig::graphsd("").with_memory_budget(10_000);
         let (meta, _) = preprocess(&g, &store, &config).unwrap();
@@ -379,11 +382,11 @@ mod tests {
         let (meta, _) =
             preprocess(&g, &store, &PreprocessConfig::graphsd("").with_intervals(2)).unwrap();
         assert!(meta.weighted);
-        let codec = meta.codec();
         let mut total = 0;
         for i in 0..2 {
             for j in 0..2 {
-                let edges = codec.decode_all(&store.read_all(&block_edges_key("", i, j)).unwrap());
+                let bytes = store.read_all(&block_edges_key("", i, j)).unwrap();
+                let edges = meta.block_codec(i, j).decode_all(&bytes);
                 assert!(edges.iter().all(|e| e.weight > 0.0));
                 total += edges.len();
             }

@@ -25,7 +25,8 @@ use crate::context::ProgramContext;
 use crate::frontier::Frontier;
 use crate::program::VertexProgram;
 use crate::values::ValueArray;
-use gsd_graph::Edge;
+use gsd_graph::types::Records;
+use gsd_graph::{Edge, EdgeCodec};
 
 /// Re-exported clock primitives: this module is the timing module of the
 /// engine layer — engines route every elapsed-time measurement through
@@ -140,53 +141,46 @@ impl SourceSortedEdges for SortedBySource<'_> {
     }
 }
 
-/// A `BySource` sub-block's payload as stored — [`gsd_graph::EdgeCodec`]'s
-/// little-endian `W`-byte records, 8 unweighted and 12 weighted — walked
-/// without decoding it first: a source is the record's first word, the
+/// A `BySource` sub-block's payload as stored — its codec's records,
+/// `ID`-byte interval-relative ids then a weight if `WEIGHTED`
+/// ([`gsd_graph::types::Records`]) — walked without decoding it first: a
+/// source is the record's first id plus the block's source base, the
 /// gallop decodes an edge only when it sends it, and the per-edge
-/// fallback decodes each record in place. The width is a constant so each
-/// record sits at a fixed offset; the serve daemon picks it from its
+/// fallback decodes each record in place. The layout is a constant so
+/// each record sits at a fixed offset; the serve daemon picks it from its
 /// grid's codec and keeps its cached blocks in this form. Only
 /// [`EncodedBySource::new`] builds one; it checks the length always and
 /// the order in debug builds.
 #[derive(Clone, Copy)]
-pub struct EncodedBySource<'a, const W: usize>(&'a [u8]);
+pub struct EncodedBySource<'a, const ID: usize, const WEIGHTED: bool>(Records<'a, ID, WEIGHTED>);
 
-impl<'a, const W: usize> EncodedBySource<'a, W> {
-    /// Wraps `bytes`, a whole number of `W`-byte records sorted by source.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        const { assert!(W == 8 || W == 12, "edge records are 8 or 12 bytes") };
-        assert!(
-            bytes.len().is_multiple_of(W),
-            "payload is not a whole number of edges"
-        );
-        let view = EncodedBySource(bytes);
+impl<'a, const ID: usize, const WEIGHTED: bool> EncodedBySource<'a, ID, WEIGHTED> {
+    /// Wraps `bytes`, a whole number of records of `codec` (the block's
+    /// codec, of this layout) sorted by source.
+    pub fn new(bytes: &'a [u8], codec: EdgeCodec) -> Self {
+        let view = EncodedBySource(Records::new(bytes, codec));
         debug_assert!(
             (1..view.len()).all(|k| view.src(k - 1) <= view.src(k)),
             "payload is not sorted by source"
         );
         view
     }
-
-    #[inline]
-    fn word(&self, at: usize) -> u32 {
-        let b = &self.0[at..at + 4];
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    }
 }
 
-impl<const W: usize> SourceSortedEdges for EncodedBySource<'_, W> {
+impl<const ID: usize, const WEIGHTED: bool> SourceSortedEdges
+    for EncodedBySource<'_, ID, WEIGHTED>
+{
     #[inline]
     fn len(&self) -> usize {
-        self.0.len() / W
+        self.0.len()
     }
     #[inline]
     fn src(&self, k: usize) -> u32 {
-        self.word(k * W)
+        self.0.src(k)
     }
     #[inline]
     fn edge(&self, k: usize) -> Edge {
-        decode::<W>(&self.0[k * W..(k + 1) * W])
+        self.0.edge(k)
     }
     fn scatter_each<P: VertexProgram>(
         &self,
@@ -198,28 +192,13 @@ impl<const W: usize> SourceSortedEdges for EncodedBySource<'_, W> {
         touched: &Frontier,
     ) -> u64 {
         let mut delivered = 0u64;
-        for e in self.0.chunks_exact(W).map(decode::<W>) {
+        for e in self.0.iter() {
             if source_filter.contains(e.src) {
                 delivered += deliver(program, ctx, &e, source_values, accum, touched);
             }
         }
         delivered
     }
-}
-
-/// One `W`-byte record.
-#[inline]
-fn decode<const W: usize>(record: &[u8]) -> Edge {
-    let word = |at: usize| {
-        let b = &record[at..at + 4];
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    };
-    let weight = if W == 12 {
-        f32::from_bits(word(8))
-    } else {
-        1.0
-    };
-    Edge::weighted(word(0), word(4), weight)
 }
 
 /// A sorted block gallops over inactive sources only while it holds at

@@ -105,8 +105,8 @@ trait Running {
     fn live(&self) -> bool;
     /// Whether any frontier vertex lies in `range`.
     fn active_in(&self, range: Range<u32>) -> bool;
-    /// Scatters one sub-block's `codec` payload, filtered by this query's
-    /// own frontier.
+    /// Scatters one sub-block's payload of `codec` records (the block's
+    /// codec), filtered by this query's own frontier.
     fn scatter(&self, ctx: &ProgramContext, payload: &[u8], codec: EdgeCodec);
     /// The barrier ending a pass: apply what was scattered, rotate the
     /// frontier, spend a round.
@@ -166,13 +166,10 @@ impl<P: VertexProgram> Running for Query<P> {
         let p = &self.program;
         let (filter, values, accum, touched) =
             (&self.frontier, &self.values, &self.accum, &self.touched);
-        if codec.is_weighted() {
-            let edges = EncodedBySource::<12>::new(payload);
+        gsd_graph::with_layout!(codec, <ID, WEIGHTED> => {
+            let edges = EncodedBySource::<ID, WEIGHTED>::new(payload, codec);
             scatter_sorted(p, ctx, edges, filter, values, accum, touched);
-        } else {
-            let edges = EncodedBySource::<8>::new(payload);
-            scatter_sorted(p, ctx, edges, filter, values, accum, touched);
-        }
+        });
     }
 
     fn apply(&mut self, ctx: &ProgramContext) {
@@ -534,7 +531,6 @@ impl ServeCore {
             return Err(format!("vertex {v} out of range (graph has {n} vertices)"));
         }
         let p = meta.p;
-        let codec = grid.codec();
         let i = grid.intervals().interval_of(v);
         let mut neighbors = Vec::new();
         let mut scratch = Vec::new();
@@ -549,6 +545,7 @@ impl ServeCore {
                 continue;
             }
             let range = span.edge_range(v, j);
+            let codec = grid.block_codec(i, j);
             // Opportunistic cache use: lookups never admit (a point
             // lookup is no evidence of repeated demand), but they do
             // ride on blocks the traversal scheduler made resident, and
@@ -616,7 +613,6 @@ impl ServeCore {
         let grid = self.session.grid().clone();
         let meta = grid.meta();
         let p = meta.p;
-        let codec = grid.codec();
         let intervals = grid.intervals().clone();
         let ctx = self.ctx.clone();
         let mut scratch = Vec::new();
@@ -697,6 +693,7 @@ impl ServeCore {
                             payload
                         }
                     };
+                    let codec = grid.block_codec(i, j);
                     for &idx in &users {
                         if let Ok(q) = &batch[idx].query {
                             q.scatter(&ctx, payload, codec);

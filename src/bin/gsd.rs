@@ -936,6 +936,12 @@ fn cmd_info(raw: &[String]) -> Result<(), String> {
         "    bytes/edge {:.1}",
         meta.integrity.total_bytes() as f64 / meta.num_edges.max(1) as f64
     )?;
+    out!(
+        "    record     id_bytes {}, {} B per edge (interval-relative ids{})",
+        meta.id_bytes,
+        meta.codec().edge_bytes(),
+        if meta.weighted { ", f32 weight" } else { "" }
+    )?;
     if let Some(delta) = &meta.delta {
         match grid.overlay() {
             Some(overlay) => out!(

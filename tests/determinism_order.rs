@@ -16,13 +16,19 @@
 //!
 //! The shapes deliberately run under a tight memory budget so the
 //! sub-block buffer admits *and evicts* through the converted map, and
-//! with the prefetch pipeline both off and on.
+//! with the prefetch pipeline both off and on. One more shape checks the
+//! stream pass's one unplanned read — a buffered block that an offer
+//! earlier in the pass evicted before its visit — by its answer.
 
 use graphsd::algos::{Bfs, ConnectedComponents, PageRank};
 use graphsd::core::{GraphSdConfig, GraphSdEngine, PipelineConfig};
 use graphsd::graph::{preprocess, GeneratorConfig, Graph, GraphKind, GridGraph, PreprocessConfig};
 use graphsd::io::{DiskModel, SharedStorage, SimDisk, Storage};
-use graphsd::runtime::{Engine, RunOptions, RunResult, VertexProgram};
+use graphsd::runtime::{
+    value_fingerprint, Engine, ReferenceEngine, RunOptions, RunResult, VertexProgram,
+};
+use graphsd::trace::{RingRecorder, TraceEvent};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The two pins of one shape.
@@ -69,10 +75,47 @@ fn fingerprint<V: Clone + PartialEq + std::fmt::Debug>(r: &RunResult<V>) -> Pins
     }
 }
 
-fn run<P: VertexProgram>(graph: &Graph, p: u32, config: GraphSdConfig, program: &P) -> Pins
-where
-    P::Value: Clone + PartialEq + std::fmt::Debug,
-{
+/// What the sub-block buffer did in a traced run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BufferTrace {
+    /// Residents evicted.
+    evictions: usize,
+    /// Loads of a block evicted earlier in the same pass. A pass visits
+    /// a block once, and only a resident can be evicted, so such a block
+    /// was resident when the pass was planned: the plan left it to the
+    /// buffer, and the pass read it after all.
+    fallback_loads: usize,
+}
+
+fn buffer_trace(events: &[TraceEvent]) -> BufferTrace {
+    let mut evicted = BTreeSet::new();
+    let mut trace = BufferTrace {
+        evictions: 0,
+        fallback_loads: 0,
+    };
+    for event in events {
+        if let TraceEvent::IterationStart { .. } = event {
+            // Every stream pass is an iteration of its own.
+            evicted.clear();
+        } else if let TraceEvent::BufferEviction { i, j, .. } = *event {
+            trace.evictions += 1;
+            evicted.insert((i, j));
+        } else if let TraceEvent::BlockLoad { i, j, .. } = *event {
+            trace.fallback_loads += usize::from(evicted.contains(&(i, j)));
+        }
+    }
+    trace
+}
+
+/// Runs `program` on `graph` at `p` intervals on the HDD model, under
+/// `config` with a budget of `budget(edge bytes of the grid)`, traced.
+fn traced_run<P: VertexProgram>(
+    graph: &Graph,
+    p: u32,
+    config: GraphSdConfig,
+    budget: impl Fn(u64) -> u64,
+    program: &P,
+) -> (RunResult<P::Value>, BufferTrace) {
     let storage: SharedStorage = Arc::new(SimDisk::new(DiskModel::hdd()));
     preprocess(
         graph,
@@ -80,30 +123,58 @@ where
         &PreprocessConfig::graphsd("").with_intervals(p),
     )
     .unwrap();
-    let mut engine = GraphSdEngine::new(GridGraph::open(storage).unwrap(), config).unwrap();
-    fingerprint(&engine.run(program, &RunOptions::default()).unwrap())
+    let grid = GridGraph::open(storage).unwrap();
+    let config = config.with_memory_budget(budget(grid.meta().total_edge_bytes()));
+    let mut engine = GraphSdEngine::new(grid, config).unwrap();
+    let ring = Arc::new(RingRecorder::new(1 << 20));
+    engine.set_trace(ring.clone());
+    let result = engine.run(program, &RunOptions::default()).unwrap();
+    assert_eq!(ring.dropped(), 0, "the ring holds the whole run");
+    (result, buffer_trace(&ring.events()))
 }
 
-/// One shape, prefetch off and on: both pins must hold, and the two
-/// configurations must also agree with each other on both.
+fn run<P: VertexProgram>(
+    graph: &Graph,
+    p: u32,
+    config: GraphSdConfig,
+    budget: u64,
+    program: &P,
+) -> (Pins, BufferTrace)
+where
+    P::Value: Clone + PartialEq + std::fmt::Debug,
+{
+    let (result, trace) = traced_run(graph, p, config, |_| budget, program);
+    (fingerprint(&result), trace)
+}
+
+/// One shape, prefetch off and on under a `budget`-byte memory budget:
+/// both pins must hold, and the two configurations must also agree with
+/// each other on both and on what the buffer did, which is returned.
 fn assert_pinned<P: VertexProgram>(
     name: &str,
     graph: &Graph,
     p: u32,
-    config: GraphSdConfig,
+    budget: u64,
     program: &P,
     want: Pins,
-) where
+) -> BufferTrace
+where
     P::Value: Clone + PartialEq + std::fmt::Debug,
 {
-    let sync = run(graph, p, config.clone().without_prefetch(), program);
+    let config = GraphSdConfig::full();
+    let (sync, trace) = run(graph, p, config.clone().without_prefetch(), budget, program);
     let piped = run(
         graph,
         p,
         config.with_prefetch(PipelineConfig::with_depth(2)),
+        budget,
         program,
     );
-    assert_eq!(sync, piped, "{name}: prefetch must not change the run");
+    assert_eq!(
+        (sync, trace),
+        piped,
+        "{name}: prefetch must not change the run"
+    );
     assert_eq!(
         sync.answer, want.answer,
         "{name}: answer moved — iteration order leaked into results \
@@ -114,34 +185,31 @@ fn assert_pinned<P: VertexProgram>(
         "{name}: traffic moved — the run reads differently (re-pin with \
          the reason if that is what the change intends)"
     );
+    trace
 }
 
 #[test]
 fn pagerank_fingerprint_is_pinned_under_eviction_pressure() {
     let g = GeneratorConfig::new(GraphKind::RMat, 900, 9000, 31).generate();
-    // ~6KB budget: small enough that sub-blocks are admitted and evicted
-    // through the buffer's residency map every iteration.
-    assert_pinned(
+    // The FCIU pass's working block takes the largest block (12 092 B of
+    // the grid's 36 000) off the budget; 18 KiB leaves the buffer about
+    // 6 KiB, small enough that sub-blocks are admitted and evicted
+    // through the buffer's residency map.
+    let trace = assert_pinned(
         "pagerank",
         &g,
         4,
-        GraphSdConfig::full().with_memory_budget(6 * 1024),
+        18 * 1024,
         &PageRank::paper(),
         PIN_PAGERANK,
     );
+    assert!(trace.evictions > 0, "{trace:?}");
 }
 
 #[test]
 fn bfs_fingerprint_is_pinned_on_web_locality() {
     let g = GeneratorConfig::new(GraphKind::WebLocality, 1500, 12_000, 7).generate();
-    assert_pinned(
-        "bfs",
-        &g,
-        4,
-        GraphSdConfig::full().with_memory_budget(16 * 1024),
-        &Bfs::new(0),
-        PIN_BFS,
-    );
+    assert_pinned("bfs", &g, 4, 16 * 1024, &Bfs::new(0), PIN_BFS);
 }
 
 #[test]
@@ -149,14 +217,40 @@ fn cc_fingerprint_is_pinned_on_symmetrized_rmat() {
     let g = GeneratorConfig::new(GraphKind::RMat, 700, 5600, 13)
         .generate()
         .symmetrized();
-    assert_pinned(
-        "cc",
-        &g,
-        3,
-        GraphSdConfig::full().with_memory_budget(8 * 1024),
-        &ConnectedComponents,
-        PIN_CC,
-    );
+    assert_pinned("cc", &g, 3, 8 * 1024, &ConnectedComponents, PIN_CC);
+}
+
+/// The stream pass plans no read for a secondary block the buffer holds;
+/// if an offer earlier in the pass evicts it, the pass reads it when it
+/// gets there. On this shape that happens, and the run still reaches the
+/// in-memory oracle's components, with the prefetch pipeline off and on.
+#[test]
+fn a_block_evicted_before_its_visit_is_read_and_the_answer_holds() {
+    let g = GeneratorConfig::new(GraphKind::RMat, 2000, 20_000, 5)
+        .generate()
+        .symmetrized();
+    let want = ReferenceEngine::new(&g)
+        .run(&ConnectedComponents, &RunOptions::default())
+        .unwrap();
+    for config in [
+        GraphSdConfig::full().without_prefetch(),
+        GraphSdConfig::full().with_prefetch(PipelineConfig::with_depth(2)),
+    ] {
+        // A third of the edge bytes: the buffer holds some secondary
+        // blocks, and later offers displace some of them.
+        let (got, trace) = traced_run(
+            &g,
+            6,
+            config,
+            |edge_bytes| edge_bytes / 3,
+            &ConnectedComponents,
+        );
+        assert!(trace.fallback_loads > 0, "{trace:?}");
+        assert_eq!(
+            value_fingerprint(&got.values),
+            value_fingerprint(&want.values)
+        );
+    }
 }
 
 /// `MemStorage::list_keys` must come back sorted: scrub/recovery walk
@@ -186,15 +280,29 @@ fn mem_storage_key_listing_is_sorted() {
 // 15734597810668172377, when the full passes began skipping sub-blocks
 // with no active source and the on-demand runs began bridging sub-seek
 // gaps.)
+//
+// Traffic pins re-pinned again when edge records began storing
+// interval-relative ids, 2 bytes wide on these grids: every block is half
+// as long, so every byte count moves (before: PageRank
+// 11949479058976950195, BFS 14574033794613014671, CC
+// 9391025342219933238). PageRank's budget moved from 6 KiB to 18 KiB at
+// the same time: 6 KiB was below its largest block even at 8 bytes per
+// edge, so its buffer had held nothing; at 18 KiB it admits and evicts.
+// BFS's answer pin moved with it (before: 17937542940398426127), because
+// it hashes the cross-iteration edge count: with half the bytes to
+// stream, the scheduler runs iterations 5 and 6 under the full model
+// instead of on demand, and their FCIU passes serve 73 edges across
+// iterations where the on-demand passes served 24. The values, the
+// iteration count and every iteration's frontier are unchanged.
 const PIN_PAGERANK: Pins = Pins {
     answer: 8609675645980343636,
-    traffic: 11949479058976950195,
+    traffic: 8878452615095500408,
 };
 const PIN_BFS: Pins = Pins {
-    answer: 17937542940398426127,
-    traffic: 14574033794613014671,
+    answer: 2099908315445181259,
+    traffic: 7863062781661747504,
 };
 const PIN_CC: Pins = Pins {
     answer: 12410300235809019003,
-    traffic: 9391025342219933238,
+    traffic: 330061156262299469,
 };

@@ -212,12 +212,14 @@ fn fig12_buffering_never_hurts_much_and_hits_on_rmat() {
     let ds = datasets();
     let targets = [ds.get("kron_sim").unwrap()];
     let f = experiments::fig12(&targets, &plain()).unwrap();
+    // Compared on the priced I/O time, as fig5 and fig10 are: the
+    // execution time adds wall-clock compute, which host load moves.
     for row in &f.rows {
         assert!(
-            row.improvement() > -0.05,
-            "{}: buffering should not cost >5% ({:.1}%)",
+            row.io_improvement() > -0.05,
+            "{}: buffering should not cost >5% of I/O time ({:.1}%)",
             row.algo,
-            row.improvement() * 100.0
+            row.io_improvement() * 100.0
         );
     }
     // On the R-MAT dataset the buffer actually serves blocks.

@@ -2,9 +2,12 @@
 //! three programs that produce rows — `preprocess`, `repair_grid` and
 //! `compact` — produce the same ones, what `ingest` and `compact` write
 //! and sync, that the counting layout writes the bytes the order's
-//! definition does, and that the grid's JSON metadata round-trips at
-//! sizes far past the benchmark's.
+//! definition does, that the grid's JSON metadata round-trips at sizes
+//! far past the benchmark's, and that a record's id width follows its
+//! widest interval.
 
+use graphsd::algos::{Bfs, PageRank};
+use graphsd::core::{GraphSdConfig, GraphSdEngine};
 use graphsd::delta::{compact, ingest, MutationBatch};
 use graphsd::graph::delta::{encode_segment, merge_block, merged_count, segment_key, DeltaOp};
 use graphsd::graph::format::row_index_key;
@@ -17,6 +20,7 @@ use graphsd::graph::{
 };
 use graphsd::integrity::{IntegritySection, ObjectEntry};
 use graphsd::io::{IoStats, MemStorage, SharedStorage, Storage};
+use graphsd::runtime::{Engine, ReferenceEngine, RunOptions};
 use graphsd::trace::Counter;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -264,19 +268,24 @@ fn hostile_edges(seed: u64) -> (Vec<Edge>, Intervals) {
     (edges, Intervals::from_boundaries(vec![0, 1, 30, 64]))
 }
 
+/// The four record layouts: `(id_bytes, weighted)`.
+const LAYOUTS: [(usize, bool); 4] = [(2, false), (2, true), (4, false), (4, true)];
+
 /// Row `i` by definition: a comparison sort on the order's full key, the
-/// codec's field order written out, and an index counted edge by edge.
+/// record's fields written out (each id as its `id_bytes`-wide offset
+/// from its interval's start), and an index counted edge by edge.
 fn reference_row(
     i: u32,
     blocks: &[Vec<Edge>],
     order: BlockOrder,
     intervals: &Intervals,
-    weighted: bool,
+    (id_bytes, weighted): (usize, bool),
 ) -> Vec<(String, Vec<u8>)> {
     let p = blocks.len();
     let mut payloads = Vec::new();
     let mut sorted_blocks = Vec::new();
-    for block in blocks {
+    for (j, block) in (0..).zip(blocks) {
+        let (src_base, dst_base) = (intervals.range(i).start, intervals.range(j).start);
         let mut sorted = block.clone();
         match order {
             BlockOrder::Unsorted => {}
@@ -285,8 +294,8 @@ fn reference_row(
         }
         let mut bytes = Vec::new();
         for e in &sorted {
-            bytes.extend_from_slice(&e.src.to_le_bytes());
-            bytes.extend_from_slice(&e.dst.to_le_bytes());
+            bytes.extend_from_slice(&(e.src - src_base).to_le_bytes()[..id_bytes]);
+            bytes.extend_from_slice(&(e.dst - dst_base).to_le_bytes()[..id_bytes]);
             if weighted {
                 bytes.extend_from_slice(&e.weight.to_bits().to_le_bytes());
             }
@@ -315,7 +324,8 @@ fn reference_row(
 
 /// `bucket_edges` keeps input order inside every bucket (the `Unsorted`
 /// layout is that order), and `row_objects` lays each row out to the bytes
-/// of the definition, index included, in every order and both codecs.
+/// of the definition, index included, in every order and every record
+/// layout.
 #[test]
 fn rows_are_byte_identical_to_a_comparison_sorted_reference() {
     for seed in 0..8 {
@@ -340,20 +350,21 @@ fn rows_are_byte_identical_to_a_comparison_sorted_reference() {
         );
 
         for order in ORDERS {
-            for weighted in [false, true] {
+            for layout in LAYOUTS {
                 let mut laid_out = blocks.clone();
+                let codec = EdgeCodec::new(layout.1).with_id_bytes(layout.0);
                 for (i, row) in (0..p).zip(laid_out.chunks_mut(p as usize)) {
                     let want = reference_row(
                         i,
                         &blocks[(i * p) as usize..][..p as usize],
                         order,
                         &intervals,
-                        weighted,
+                        layout,
                     );
-                    let got = row_objects(i, row, order, &intervals, EdgeCodec::new(weighted));
+                    let got = row_objects(i, row, order, &intervals, codec);
                     assert_eq!(
                         got.objects, want,
-                        "seed {seed} {order:?} weighted {weighted}: row {i}"
+                        "seed {seed} {order:?} layout {layout:?}: row {i}"
                     );
                 }
             }
@@ -414,7 +425,7 @@ fn hostile_ops(
 /// A merged sub-block is the bytes of the definition: `merge_block` over
 /// a canonically ordered block's payload equals the ops applied one by
 /// one to the block's edges and laid out by `reference_row`, index
-/// included, in both sorted orders and both codecs; the out-degree
+/// included, in both sorted orders and every record layout; the out-degree
 /// changes it counts are the ones the naive replay makes; and the count
 /// `ingest` records, `merged_count`, is the merged payload's length.
 #[test]
@@ -429,8 +440,8 @@ fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
                 let row = &blocks[(i * p) as usize..][..p as usize];
                 let (mut naive_row, mut merged_row, mut columns) = (
                     Vec::new(),
-                    [Vec::new(), Vec::new()],
-                    [Vec::new(), Vec::new()],
+                    [(); 4].map(|()| Vec::new()),
+                    [(); 4].map(|()| Vec::new()),
                 );
                 for (j, block) in (0..p).zip(row) {
                     let ops = hostile_ops(&mut rng, block, &intervals, (i, j));
@@ -448,8 +459,10 @@ fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
                     }
                     let mut base = block.clone();
                     base.sort_by_key(|e| order.key(e));
-                    for weighted in [false, true] {
-                        let codec = EdgeCodec::new(weighted);
+                    for (at, layout) in LAYOUTS.into_iter().enumerate() {
+                        let codec = EdgeCodec::new(layout.1)
+                            .with_id_bytes(layout.0)
+                            .at(intervals.range(i).start, intervals.range(j).start);
                         let base = codec.encode_all(&base);
                         let mut degrees = BTreeMap::new();
                         let (merged, offsets) = merge_block(
@@ -467,18 +480,15 @@ fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
                         assert_eq!(
                             merged_count(&base, &ops, order, codec),
                             (merged.len() / codec.edge_bytes()) as u64,
-                            "seed {seed} {order:?} weighted {weighted}: ingest's count of ({i}, {j})"
+                            "seed {seed} {order:?} layout {layout:?}: ingest's count of ({i}, {j})"
                         );
-                        merged_row[usize::from(weighted)].push(merged);
-                        columns[usize::from(weighted)].push(offsets);
+                        merged_row[at].push(merged);
+                        columns[at].push(offsets);
                     }
                     naive_row.push(naive);
                 }
-                for weighted in [false, true] {
-                    let (merged_row, columns) = (
-                        &merged_row[usize::from(weighted)],
-                        &columns[usize::from(weighted)],
-                    );
+                for (at, layout) in LAYOUTS.into_iter().enumerate() {
+                    let (merged_row, columns) = (&merged_row[at], &columns[at]);
                     let mut payloads: Vec<Vec<u8>> = merged_row.clone();
                     if order.has_row_index() {
                         let len = intervals.range(i).len() + 1;
@@ -490,10 +500,10 @@ fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
                     }
                     let got: Vec<(String, Vec<u8>)> =
                         row_keys(i, p, order).into_iter().zip(payloads).collect();
-                    let want = reference_row(i, &naive_row, order, &intervals, weighted);
+                    let want = reference_row(i, &naive_row, order, &intervals, layout);
                     assert_eq!(
                         got, want,
-                        "seed {seed} {order:?} weighted {weighted}: row {i}"
+                        "seed {seed} {order:?} layout {layout:?}: row {i}"
                     );
                 }
             }
@@ -547,6 +557,7 @@ fn large_metadata_roundtrips() {
         num_edges: counts.iter().sum(),
         p,
         weighted: true,
+        id_bytes: 2,
         order: BlockOrder::BySource,
         boundaries: (0..=p).map(|k| k * 1000).collect(),
         block_edge_counts: counts.clone(),
@@ -564,4 +575,99 @@ fn large_metadata_roundtrips() {
     let back = GridMeta::from_bytes(&meta.to_bytes()).unwrap();
     assert_eq!(back.delta.as_ref().unwrap().segments.len(), 20_000);
     assert_eq!(back, meta);
+}
+
+/// BFS and PageRank over `storage`'s grid against the in-memory oracle
+/// on `graph`: BFS bit for bit, PageRank to the tolerance the engines
+/// share (their fold orders differ).
+fn assert_runs_match(storage: &SharedStorage, graph: &Graph, when: &str) {
+    let runs = |grid: GridGraph| {
+        let mut engine = GraphSdEngine::new(grid, GraphSdConfig::full()).unwrap();
+        let bfs = engine.run(&Bfs::new(0), &RunOptions::default()).unwrap();
+        let pr = engine.run(&PageRank::with_iterations(3), &RunOptions::default());
+        (bfs.values, pr.unwrap().values)
+    };
+    let (bfs, pr) = runs(GridGraph::open(storage.clone()).unwrap());
+    let mut oracle = ReferenceEngine::new(graph);
+    let want_bfs = oracle.run(&Bfs::new(0), &RunOptions::default()).unwrap();
+    let want_pr = oracle.run(&PageRank::with_iterations(3), &RunOptions::default());
+    assert_eq!(bfs, want_bfs.values, "{when}: BFS");
+    for (v, (a, b)) in pr.iter().zip(&want_pr.unwrap().values).enumerate() {
+        assert!(
+            (a - b).abs() <= 1e-3 * b.abs().max(1.0),
+            "{when}: PageRank of {v}: {a} vs {b}"
+        );
+    }
+}
+
+/// A grid whose widest interval holds more than 65 536 vertices stores
+/// 4-byte offsets, and reads back the answers of the in-memory oracle:
+/// fresh, through a delta overlay, and after compaction.
+#[test]
+fn a_grid_with_an_interval_past_65_536_vertices_stores_4_byte_ids() {
+    let n = 140_000;
+    let base = GeneratorConfig::new(GraphKind::ErdosRenyi, n, 200_000, 3).generate();
+    let storage: SharedStorage = Arc::new(MemStorage::new());
+    let config = PreprocessConfig::graphsd("").with_intervals(2);
+    let (meta, _) = preprocess(&base, storage.as_ref(), &config).unwrap();
+    assert!(meta.boundaries.windows(2).any(|w| w[1] - w[0] > 65_536));
+    assert_eq!((meta.id_bytes, meta.codec().edge_bytes()), (4, 8));
+    assert_runs_match(&storage, &base, "fresh");
+
+    // Ops in every sub-block, at both ends of each interval.
+    let mid = meta.boundaries[1];
+    let mut batch = MutationBatch::new();
+    let mut edges = base.edges().to_vec();
+    for (src, dst) in [
+        (0, n - 1),
+        (n - 1, 0),
+        (mid - 1, mid),
+        (mid, mid - 1),
+        (0, 1),
+    ] {
+        batch.insert(src, dst, 1.0);
+        edges.push(Edge::new(src, dst));
+    }
+    for e in base.edges().iter().step_by(997).take(40) {
+        batch.delete(e.src, e.dst);
+        edges.retain(|kept| (kept.src, kept.dst) != (e.src, e.dst));
+    }
+    let mutated = Graph::from_edges(n, edges, false);
+    let sink = graphsd::trace::null_sink();
+    ingest(storage.as_ref(), "", &batch, sink.as_ref()).unwrap();
+    assert!(GridGraph::open(storage.clone())
+        .unwrap()
+        .overlay()
+        .is_some());
+    assert_runs_match(&storage, &mutated, "overlay");
+
+    compact(&storage, "", sink.as_ref()).unwrap().unwrap();
+    let grid = GridGraph::open(storage.clone()).unwrap();
+    assert!(grid.overlay().is_none());
+    assert_eq!(grid.meta().id_bytes, 4);
+    assert_runs_match(&storage, &mutated, "compacted");
+}
+
+/// A meta recording an id width its boundaries do not take — sealed, so
+/// only the shape check can catch it — is refused at open as invalid
+/// data; so is a format-6 meta, which records no width.
+#[test]
+fn a_meta_whose_id_width_does_not_fit_its_boundaries_is_refused_at_open() {
+    for (forged, version) in [(4, FORMAT_VERSION), (3, FORMAT_VERSION), (2, 6)] {
+        let storage = grid_in(BlockOrder::BySource, "");
+        let mut meta = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+        assert_eq!(meta.id_bytes, 2);
+        meta.id_bytes = forged;
+        meta.version = version;
+        meta.seal();
+        storage.create(META_KEY, &meta.to_bytes()).unwrap();
+        let err = GridGraph::open(storage).err().expect("the open fails");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let why = if version == 6 {
+            "unsupported grid format version 6"
+        } else {
+            "ids do not fit"
+        };
+        assert!(err.to_string().contains(why), "{err}");
+    }
 }

@@ -9,7 +9,7 @@
 //! word edges, and filters from empty to full, so both the galloping walk
 //! and its per-edge fallback run. Everything the two deliver must be
 //! bit-identical, and so must the same walk over the block's encoded
-//! payload (`EncodedBySource`, unweighted and weighted codecs). Beyond
+//! payload (`EncodedBySource`, in all four record layouts). Beyond
 //! this file, `SortedBySource::new` asserts sortedness in debug builds on every block a stream pass hands the
 //! kernel, so the debug property suites check it on real blocks:
 //! `property_delta` on overlay-merged blocks, `prefetch_equivalence` on
@@ -173,8 +173,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The per-edge loop, the sorted walk over decoded edges and the same
-    /// walk over the block's encoded payload (unweighted and weighted
-    /// codecs) deliver the same count, accumulators bit for bit and the
+    /// walk over the block's encoded payload (2- and 4-byte ids,
+    /// unweighted and weighted) deliver the same count, accumulators bit for bit and the
     /// same `touched`.
     #[test]
     fn sorted_scatter_matches_per_edge_scatter(
@@ -182,6 +182,7 @@ proptest! {
         repeats in proptest::collection::vec(0usize..300, 0..40),
         single_source in any::<bool>(),
         weighted in any::<bool>(),
+        narrow in any::<bool>(),
         density_log in 0u32..8,
         seed in any::<u64>(),
         already_touched in proptest::collection::btree_set(0..N, 0..10),
@@ -210,7 +211,7 @@ proptest! {
         edges.sort_by_key(|e| e.src);
         // The block as stored, and as a reader decodes it (unit weights
         // when the codec stores none).
-        let codec = EdgeCodec::new(weighted);
+        let codec = EdgeCodec::new(weighted).with_id_bytes(if narrow { 2 } else { 4 });
         let payload = codec.encode_all(&edges);
         let edges = codec.decode_all(&payload);
         // 0, 1, 2, 4, …, 64 in 64ths: empty, sparse enough to gallop, full.
@@ -227,12 +228,10 @@ proptest! {
             let delivered = match walk {
                 Walk::PerEdge => scatter_edges(&p, &ctx, &edges, Some(f), v, a, t),
                 Walk::Decoded => scatter_sorted(&p, &ctx, SortedBySource::new(&edges), f, v, a, t),
-                Walk::Encoded if weighted => {
-                    scatter_sorted(&p, &ctx, EncodedBySource::<12>::new(&payload), f, v, a, t)
-                }
-                Walk::Encoded => {
-                    scatter_sorted(&p, &ctx, EncodedBySource::<8>::new(&payload), f, v, a, t)
-                }
+                Walk::Encoded => gsd_graph::with_layout!(codec, <ID, W> => {
+                    let encoded = EncodedBySource::<ID, W>::new(&payload, codec);
+                    scatter_sorted(&p, &ctx, encoded, f, v, a, t)
+                }),
             };
             (delivered, bits(&accum.snapshot()), members(&touched))
         };
