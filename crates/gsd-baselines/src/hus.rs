@@ -25,7 +25,7 @@
 //! round over the column copy's sub-blocks with an active source, without
 //! cross-iteration propagation and with a zero-capacity sub-block buffer.
 
-use gsd_core::driver::{self, index_gap, Driver, Frame};
+use gsd_core::driver::{self, index_gaps, Driver, Frame};
 use gsd_core::{RecoveryConfig, SubBlockBuffer};
 use gsd_graph::{preprocess, BlockOrder, Graph, GridGraph, PreprocessConfig, PreprocessReport};
 use gsd_io::Storage;
@@ -107,9 +107,9 @@ pub fn build_hus_format(
 pub struct HusGraphEngine {
     format: HusFormat,
     degrees: Arc<Vec<u32>>,
-    /// Max id gap bridged within one index-span request (a vertex of the
-    /// row copy's index costs `4·P` bytes).
-    index_gap: u32,
+    /// Max id gap bridged within one index-span request, per row (a
+    /// vertex of a row copy's index costs the bytes that row stores).
+    index_gaps: Vec<u32>,
     trace: Arc<dyn TraceSink>,
     checkpoint: Option<RecoveryConfig>,
 }
@@ -120,7 +120,7 @@ impl HusGraphEngine {
         let degrees = Arc::new(format.row.load_out_degrees()?);
         let disk = format.row.storage().disk_model().unwrap_or_default();
         Ok(HusGraphEngine {
-            index_gap: index_gap(&disk, format.row.p()),
+            index_gaps: index_gaps(&disk, &format.row),
             format,
             degrees,
             trace: gsd_trace::null_sink(),
@@ -193,7 +193,7 @@ impl Engine for HusGraphEngine {
             d.iteration(IoAccessModel::OnDemand, false, |d| {
                 // As published, ROP reads each active vertex's list with an
                 // access of its own: adjacent lists merge, no gap is bridged.
-                let runs = d.plan_runs(row, self.index_gap, 0)?;
+                let runs = d.plan_runs(row, &self.index_gaps, 0)?;
                 d.selective_pass(row, runs, false)?;
                 Ok(())
             })
@@ -287,8 +287,9 @@ mod tests {
         .unwrap();
         // Two full edge copies, each as large as GraphSD's one. The
         // totals are not compared: index overhead differs per layout
-        // (GraphSD's row index is P x 4 bytes per vertex, HUS's CSR-like
-        // row copy only 4), and with 2-byte ids it is a large share.
+        // (GraphSD's row index stores a column per non-empty block of the
+        // row, HUS's CSR-like row copy one), and with 2-byte ids it is a
+        // large share.
         let copy = gsd_meta.total_edge_bytes();
         assert_eq!(format.row.meta().total_edge_bytes(), copy);
         assert_eq!(format.col.meta().total_edge_bytes(), copy);
@@ -335,7 +336,9 @@ mod tests {
     /// at the commit before the switch, less the one 16 000-byte
     /// value-file read per iteration a run no longer performs). Bytes
     /// re-pinned when records went to 2-byte interval-relative ids (4 B
-    /// per edge instead of 8); the requests did not move.
+    /// per edge instead of 8), and again when the row index went to
+    /// 2-byte offsets (its one block holds 12 000 edges, so a vertex's
+    /// index row is 2 B instead of 4); the requests did not move.
     #[test]
     fn rop_traffic_is_pinned_across_the_switch_to_the_row_index() {
         let g = GeneratorConfig::new(GraphKind::ErdosRenyi, 4000, 12000, 31).generate();
@@ -351,19 +354,19 @@ mod tests {
         assert_eq!(
             traffic,
             [
-                (2, 36),
-                (8, 14_436),
-                (23, 11_896),
-                (58, 16_084),
-                (170, 18_216),
+                (2, 32),
+                (8, 7_264),
+                (23, 6_076),
+                (58, 8_434),
+                (170, 10_252),
                 full,
                 full,
                 full,
                 full,
-                (167, 18_104),
-                (37, 15_496),
-                (7, 13_544),
-                (2, 20),
+                (167, 10_158),
+                (37, 8_000),
+                (7, 6_806),
+                (2, 16),
             ]
         );
     }

@@ -148,10 +148,14 @@ pub struct SelectiveRun {
     pub keep: Vec<Range<u32>>,
 }
 
-/// Vertex ids one row-index request bridges rather than seek over on
-/// `disk`: a vertex of a `P`-interval row index costs `4·P` bytes.
-pub fn index_gap(disk: &DiskModel, p: u32) -> u32 {
-    disk.bridge_gap(4 * u64::from(p))
+/// Per row of `grid`, the vertex ids one row-index request bridges
+/// rather than seek over on `disk`: a vertex of row `i`'s index costs the
+/// bytes the row stores per vertex
+/// ([`gsd_graph::format::RowIndexLayout::bytes_per_vertex`]).
+pub fn index_gaps(disk: &DiskModel, grid: &GridGraph) -> Vec<u32> {
+    (0..grid.p())
+        .map(|i| disk.bridge_gap(grid.row_index_layout(i).bytes_per_vertex() as u64))
+        .collect()
 }
 
 /// Plans the requests for the non-empty per-vertex edge `ranges` of one
@@ -573,18 +577,18 @@ impl<P: VertexProgram> Driver<'_, P> {
     /// `grid`, row by row, sub-block by sub-block, vertex by vertex, each
     /// with the ranges of its edges the pass scatters (ascending offsets
     /// into the request). One row-index request per active cluster (ids at
-    /// most `index_gap` apart) resolves the cluster's edge ranges in every
-    /// sub-block of the row; ranges at most `run_gap` edges apart share a
+    /// most `index_gaps[i]` apart in row `i`, see [`index_gaps`]) resolves
+    /// the cluster's edge ranges in every sub-block of the row; ranges at most `run_gap` edges apart share a
     /// request ([`coalesce_runs`]). The index spans are read here, before
     /// any run — a run cannot be known before its index arrives.
     pub fn plan_runs(
         &mut self,
         grid: &GridGraph,
-        index_gap: u32,
+        index_gaps: &[u32],
         run_gap: u32,
     ) -> std::io::Result<Vec<(PrefetchRequest, Vec<Range<u32>>)>> {
         let mut runs = Vec::new();
-        for i in 0..grid.p() {
+        for (i, &index_gap) in (0..grid.p()).zip(index_gaps) {
             let range = grid.intervals().range(i);
             let active: Vec<u32> = self.frontier().iter_range(range).collect();
             let clusters = self.read_index_clusters(grid, i, &active, index_gap)?;

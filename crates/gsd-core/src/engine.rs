@@ -32,7 +32,7 @@
 use crate::buffer::SubBlockBuffer;
 use crate::checkpoint::{CheckpointData, RecoveryConfig};
 use crate::config::GraphSdConfig;
-use crate::driver::{self, index_gap, Driver, Frame, Policy};
+use crate::driver::{self, index_gaps, Driver, Frame, Policy};
 use crate::pipeline::PipelineConfig;
 use crate::scheduler::{Scheduler, SchedulerDecision};
 use gsd_graph::GridGraph;
@@ -183,7 +183,7 @@ impl Engine for GraphSdEngine {
             trace: &self.trace,
             scheduler,
             buffer,
-            index_gap: index_gap(&self.disk, p),
+            index_gaps: index_gaps(&self.disk, grid),
             run_gap: self.disk.bridge_gap(per_edge),
         };
         let frame = Frame {
@@ -233,8 +233,8 @@ struct GraphSdPolicy<'a> {
     trace: &'a Arc<dyn TraceSink>,
     scheduler: Scheduler,
     buffer: SubBlockBuffer,
-    /// Max id gap bridged within one index-span request.
-    index_gap: u32,
+    /// Max id gap bridged within one index-span request, per row.
+    index_gaps: Vec<u32>,
     /// Max edge gap bridged within one edge-run request.
     run_gap: u32,
 }
@@ -257,7 +257,7 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
         }
         let cross = self.config.enable_cross_iter && iteration < d.limit();
         d.iteration(IoAccessModel::OnDemand, false, |d| {
-            let runs = d.plan_runs(self.grid, self.index_gap, self.run_gap)?;
+            let runs = d.plan_runs(self.grid, &self.index_gaps, self.run_gap)?;
             let edges_served = d.selective_pass(self.grid, runs, cross)?;
             if self.trace.enabled() {
                 self.trace.emit(&TraceEvent::SciuPass {
@@ -330,13 +330,14 @@ impl<P: VertexProgram> Policy<P> for GraphSdPolicy<'_> {
 mod tests {
     use super::*;
 
-    /// One row-index request per cluster: 10 000 ids of the P = 20 row
-    /// index are 800 KB — under one HDD seek (1.28 MB), far over one NVMe
-    /// access (45 KB).
+    /// One row-index request per cluster: 10 000 ids of a row index that
+    /// stores 20 columns of 4-byte offsets (80 B per vertex) are 800 KB —
+    /// under one HDD seek (1.28 MB), far over one NVMe access (45 KB).
     #[test]
     fn index_requests_split_where_the_device_seeks_cheaper_than_it_streams() {
         let active = [100, 10_100];
-        let requests = |disk| gsd_graph::cluster_vertex_spans(&active, index_gap(&disk, 20)).len();
+        let requests =
+            |disk: DiskModel| gsd_graph::cluster_vertex_spans(&active, disk.bridge_gap(80)).len();
         assert_eq!(requests(DiskModel::hdd()), 1);
         assert_eq!(requests(DiskModel::nvme()), 2);
     }

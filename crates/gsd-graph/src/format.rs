@@ -6,7 +6,7 @@
 //! <prefix>meta.json               — GridMeta (JSON)
 //! <prefix>degrees.bin             — out-degree per vertex, u32 LE
 //! <prefix>blocks/b_<i>_<j>.edges  — sub-block (i,j) edge records, in the meta's BlockOrder
-//! <prefix>blocks/r_<i>.ridx       — row i's vertex-major index, u32 LE (BySource only)
+//! <prefix>blocks/r_<i>.ridx       — row i's vertex-major index, non-empty columns (BySource only)
 //! <prefix>delta/seg_<epoch>.ops   — one mutation batch's ops (crate::delta)
 //! ```
 //!
@@ -25,7 +25,8 @@
 //!
 //! # Format version
 //!
-//! One [`FORMAT_VERSION`] (7) names the layout and the record above, the
+//! One [`FORMAT_VERSION`] (8) names the layout, the row index
+//! ([`RowIndexLayout`]) and the record above, the
 //! `integrity` section of `meta.json` (one CRC32 + length per data object
 //! and a whole-meta self-check CRC, see
 //! [`gsd_integrity::IntegritySection`]), its delta section and the delta
@@ -51,8 +52,12 @@ pub fn block_edges_key(prefix: &str, i: u32, j: u32) -> String {
 /// Key of row `i`'s combined vertex-major index under `prefix`.
 ///
 /// Layout: for each vertex `v` of interval `i` (plus one terminator row),
-/// `P` little-endian `u32`s — entry `j` is the edge offset of `v`'s first
-/// edge inside sub-block `(i, j)`. One span read of rows `lo ..= hi+1`
+/// one little-endian offset per column `j` the row's
+/// [`RowIndexLayout`] stores, ascending — the edge offset of `v`'s first
+/// edge inside sub-block `(i, j)`. A column is stored when sub-block
+/// `(i, j)` holds an edge, and every offset is 2 bytes wide when every
+/// block of the row holds at most 65 535 edges, 4 otherwise; an
+/// unstored column reads as zero. One span read of rows `lo ..= hi+1`
 /// resolves the edge ranges of vertices `lo..=hi` in **every** block of the
 /// row, so a selective reader pays a single index request per active
 /// cluster instead of one per sub-block.
@@ -104,7 +109,7 @@ pub struct GridMeta {
 
 /// The format version: written into every meta and delta segment, and
 /// the only value readers accept.
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Widest interval a 2-byte id can address: its offsets run 0..=65 535.
 const NARROW_INTERVAL: u32 = 1 << 16;
@@ -118,6 +123,65 @@ pub fn id_bytes_for(boundaries: &[u32]) -> u32 {
         2
     } else {
         4
+    }
+}
+
+/// Most edges a sub-block may hold for its row-index offsets to be
+/// 2 bytes wide: its offsets then run 0..=65 535.
+const NARROW_BLOCK: u64 = u16::MAX as u64;
+
+/// How row `i`'s index object stores its columns: the one rule, a pure
+/// function of the row's sealed sub-block edge counts (so it needs no
+/// meta field of its own). A column `j` is stored exactly when sub-block
+/// `(i, j)` holds an edge; every stored offset is [`Self::width`] bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowIndexLayout {
+    /// The stored columns, ascending.
+    pub columns: Vec<u32>,
+    /// Bytes per stored offset: 2 when every sub-block of the row holds
+    /// at most 65 535 edges, 4 otherwise.
+    pub width: usize,
+}
+
+impl RowIndexLayout {
+    /// The layout of a row whose `P` sub-blocks hold `counts` edges, by
+    /// column.
+    pub fn of(counts: &[u64]) -> Self {
+        let columns = (0u32..).zip(counts).filter(|&(_, &c)| c > 0);
+        let width = if counts.iter().all(|&c| c <= NARROW_BLOCK) {
+            2
+        } else {
+            4
+        };
+        RowIndexLayout {
+            columns: columns.map(|(j, _)| j).collect(),
+            width,
+        }
+    }
+
+    /// Bytes one vertex's index row takes (`L_i · w_i`).
+    pub fn bytes_per_vertex(&self) -> usize {
+        self.columns.len() * self.width
+    }
+
+    /// Expands stored index rows into dense `P`-wide rows: `dense` holds
+    /// one row of `P` offsets per stored row of `bytes`, and each stored
+    /// column is written into its place. The other columns are left as
+    /// they are (zero in a fresh buffer: an unstored sub-block is empty).
+    pub fn expand(&self, bytes: &[u8], p: usize, dense: &mut [u32]) {
+        let stored = self.bytes_per_vertex();
+        if stored == 0 {
+            return;
+        }
+        for (row, entries) in dense.chunks_exact_mut(p).zip(bytes.chunks_exact(stored)) {
+            for (&j, entry) in self.columns.iter().zip(entries.chunks_exact(self.width)) {
+                row[j as usize] = match *entry {
+                    [a, b] => u32::from(u16::from_le_bytes([a, b])),
+                    [a, b, c, d] => u32::from_le_bytes([a, b, c, d]),
+                    _ => 0, // chunks of a width of 2 or 4
+                };
+            }
+        }
     }
 }
 
@@ -362,7 +426,7 @@ mod tests {
 
     #[test]
     fn any_other_version_is_refused_with_the_way_out() {
-        for version in [1, 2, 3, 4, 5, 6, FORMAT_VERSION + 1, 999] {
+        for version in [1, 2, 3, 4, 5, 6, 7, FORMAT_VERSION + 1, 999] {
             let mut old = sealed_meta();
             old.version = version;
             old.seal();
@@ -578,6 +642,27 @@ mod tests {
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("ids do not fit"), "{err}");
         }
+    }
+
+    /// The rule: a column per non-empty block, 2-byte offsets up to
+    /// 65 535 edges in every block of the row; expansion puts each stored
+    /// column in its place and leaves the rest zero.
+    #[test]
+    fn a_row_index_layout_stores_non_empty_columns_at_the_width_they_take() {
+        let narrow = RowIndexLayout::of(&[0, 3, 0, 65_535]);
+        assert_eq!((narrow.columns.as_slice(), narrow.width), (&[1, 3][..], 2));
+        assert_eq!(narrow.bytes_per_vertex(), 4);
+        let wide = RowIndexLayout::of(&[65_536, 0]);
+        assert_eq!((wide.columns.as_slice(), wide.width), (&[0][..], 4));
+        assert_eq!(RowIndexLayout::of(&[0, 0]).bytes_per_vertex(), 0);
+
+        let stored = [1, 0, 0xff, 0xff, 2, 0, 0, 1];
+        let mut dense = vec![0u32; 8];
+        narrow.expand(&stored, 4, &mut dense);
+        assert_eq!(dense, [0, 1, 0, 65_535, 0, 2, 0, 256]);
+        let mut dense = vec![0u32; 2];
+        wide.expand(&[0, 0, 1, 0], 2, &mut dense);
+        assert_eq!(dense, [65_536, 0]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! the on-demand I/O model.
 
 use crate::delta::DeltaOverlay;
-use crate::format::{block_edges_key, decode_u32s, row_index_key, GridMeta, DEGREES_KEY, META_KEY};
+use crate::format::{
+    block_edges_key, decode_u32s, row_index_key, GridMeta, RowIndexLayout, DEGREES_KEY, META_KEY,
+};
 use crate::partition::Intervals;
 use crate::types::{Edge, EdgeCodec, VertexId};
 use gsd_integrity::{GridVerifier, VerifyPolicy};
@@ -13,8 +15,9 @@ use std::sync::Arc;
 /// Groups a sorted vertex list into clusters whose internal gaps are at
 /// most `max_gap` ids. Selective readers issue one index-span request per
 /// cluster: bridging a gap of `g` vertices costs `g` extra index rows of
-/// `4·P` bytes each, so `max_gap` should be
-/// [`gsd_io::DiskModel::bridge_gap`] of the row size — the point where
+/// the row's stored bytes per vertex
+/// ([`RowIndexLayout::bytes_per_vertex`]) each, so `max_gap` should be
+/// [`gsd_io::DiskModel::bridge_gap`] of that size — the point where
 /// bridging stops beating a seek.
 pub fn cluster_vertex_spans(sorted: &[VertexId], max_gap: u32) -> Vec<std::ops::Range<usize>> {
     let mut spans = Vec::new();
@@ -45,7 +48,9 @@ fn grown_to(scratch: &mut Vec<u8>, len: usize) -> &mut [u8] {
 /// A span of row `i`'s vertex-major index: resolves the edge range of any
 /// covered vertex in **every** sub-block of the row from a single storage
 /// request (see [`crate::format::row_index_key`]). Column `j` is the
-/// paper's `index(i, j)`.
+/// paper's `index(i, j)`. The span is dense whatever the row stores: a
+/// column the row's [`RowIndexLayout`] leaves out (an empty sub-block)
+/// reads as zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowIndexSpan {
     /// First covered vertex.
@@ -67,6 +72,37 @@ impl RowIndexSpan {
     }
 }
 
+/// Each row's [`RowIndexLayout`] from `meta`'s sealed (base) sub-block
+/// counts. On a source-sorted grid the manifest must record each row
+/// index at the length its layout gives, `(len_i + 1) · L_i · w_i`
+/// bytes; a meta whose counts disagree with its row indexes is refused
+/// (`InvalidData`) before anything is read by the wrong layout.
+fn stored_row_layouts(meta: &GridMeta) -> std::io::Result<Vec<RowIndexLayout>> {
+    let intervals = meta.intervals();
+    let rows = meta.block_edge_counts.chunks(meta.p as usize);
+    (0..meta.p)
+        .zip(rows)
+        .map(|(i, counts)| {
+            let layout = RowIndexLayout::of(counts);
+            if meta.order.has_row_index() {
+                let key = row_index_key("", i);
+                let want = (intervals.range(i).len() + 1) * layout.bytes_per_vertex();
+                let recorded = meta.integrity.lookup(&key).map(|entry| entry.len);
+                if recorded != Some(want as u64) {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!(
+                            "row index {key} is recorded at {recorded:?} bytes, but its \
+                             sub-block counts lay it out in {want}"
+                        ),
+                    ));
+                }
+            }
+            Ok(layout)
+        })
+        .collect()
+}
+
 /// Handle over a preprocessed grid graph stored behind a [`Storage`].
 #[derive(Clone)]
 pub struct GridGraph {
@@ -84,6 +120,10 @@ pub struct GridGraph {
     /// pipeline and the serve daemon see base+delta as one logical
     /// sub-block. `meta` is patched to the merged shape at open.
     overlay: Option<Arc<DeltaOverlay>>,
+    /// Each row's stored index layout, by row: from the sealed base
+    /// counts, which the stored row indexes were written from, and not
+    /// from `meta`'s, which an overlay patches to the merged shape.
+    row_layouts: Arc<Vec<RowIndexLayout>>,
 }
 
 impl GridGraph {
@@ -96,6 +136,7 @@ impl GridGraph {
     pub fn open_with_prefix(storage: SharedStorage, prefix: &str) -> std::io::Result<Self> {
         let meta_bytes = storage.read_all(&format!("{prefix}{META_KEY}"))?;
         let mut meta = GridMeta::from_bytes(&meta_bytes)?;
+        let row_layouts = Arc::new(stored_row_layouts(&meta)?);
         // A mutated grid: materialize the merged delta sub-blocks and patch the
         // in-memory meta to the merged shape. Every segment and every base
         // payload the merge touches is checksum-verified here, once, so
@@ -112,7 +153,14 @@ impl GridGraph {
             codec,
             verifier: None,
             overlay,
+            row_layouts,
         })
+    }
+
+    /// How row `i`'s index object is stored (its columns and offset
+    /// width), by the base counts it was written from.
+    pub fn row_index_layout(&self, i: u32) -> &RowIndexLayout {
+        &self.row_layouts[i as usize]
     }
 
     /// The merged delta overlay, if this grid has live delta segments.
@@ -311,13 +359,18 @@ impl GridGraph {
         }
         let p = self.meta.p as usize;
         let first_row = (first - self.intervals.range(i).start) as usize;
-        let mut bytes = vec![0u8; rows * p * 4];
-        self.storage
-            .read_at(&key, (first_row * p * 4) as u64, &mut bytes)?;
-        let mut offsets = decode_u32s(&bytes)?;
+        let layout = self.row_index_layout(i);
+        let stored = layout.bytes_per_vertex();
+        let mut offsets = vec![0u32; rows * p];
+        if stored > 0 {
+            let mut bytes = vec![0u8; rows * stored];
+            self.storage
+                .read_at(&key, (first_row * stored) as u64, &mut bytes)?;
+            layout.expand(&bytes, p, &mut offsets);
+        }
         if let Some(overlay) = &self.overlay {
             // The stored index describes the base sub-blocks; a merged
-            // sub-block's own offsets replace its column.
+            // sub-block's own offsets replace its column, stored or not.
             for (j, block) in overlay.row_blocks(i) {
                 let merged = &block.offsets[first_row..first_row + rows];
                 for (k, &off) in merged.iter().enumerate() {
@@ -565,7 +618,9 @@ mod tests {
         let _ = grid.read_row_index_span(0, lo, lo + 5).unwrap();
         let s = stats.snapshot();
         assert_eq!(s.seq_read_ops + s.rand_read_ops, 1);
-        assert_eq!(s.read_bytes(), 7 * 4 * 4); // 7 rows x P=4 x 4 bytes
+        let stored = grid.row_index_layout(0).bytes_per_vertex() as u64;
+        assert_eq!(stored, 4 * 2, "four live blocks of at most 65 535 edges");
+        assert_eq!(s.read_bytes(), 7 * stored); // 7 rows x 4 columns x 2 bytes
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! layout already, and lays their row's index out with the same
 //! [`row_index_object`] from [`index_column`]s.
 
-use crate::format::{block_edges_key, encode_u32s, row_index_key, DEGREES_KEY};
+use crate::format::{block_edges_key, encode_u32s, row_index_key, RowIndexLayout, DEGREES_KEY};
 use crate::partition::Intervals;
 use crate::types::{Edge, EdgeCodec, Records};
 use gsd_trace::Stopwatch;
@@ -197,14 +197,23 @@ pub fn row_objects(
 
 /// Row `i`'s index object from its `P` columns: `columns[j]` holds
 /// sub-block `(i, j)`'s per-source edge offsets over interval `i`
-/// (`len_i + 1` entries), and the object interleaves them vertex-major,
-/// as [`row_index_key`] lays it out.
+/// (`len_i + 1` entries, the last one the block's edge count), and the
+/// object interleaves the columns its [`RowIndexLayout`] stores
+/// vertex-major, at that layout's width, as [`row_index_key`] lays it
+/// out. The layout is the rule's, from the counts the columns end on.
 pub fn row_index_object(i: u32, columns: &[impl AsRef<[u32]>]) -> (String, Vec<u8>) {
     let rows = columns.first().map_or(0, |column| column.as_ref().len());
-    let mut bytes = Vec::with_capacity(rows * columns.len() * 4);
+    let counts: Vec<u64> = columns
+        .iter()
+        .map(|column| column.as_ref().last().map_or(0, |&end| u64::from(end)))
+        .collect();
+    let layout = RowIndexLayout::of(&counts);
+    let mut bytes = Vec::with_capacity(rows * layout.bytes_per_vertex());
     for k in 0..rows {
-        for column in columns {
-            bytes.extend_from_slice(&column.as_ref()[k].to_le_bytes());
+        for &j in &layout.columns {
+            // Fits the width: a 2-byte row's offsets are at most 65 535.
+            let offset = columns[j as usize].as_ref()[k].to_le_bytes();
+            bytes.extend_from_slice(&offset[..layout.width]);
         }
     }
     (row_index_key("", i), bytes)

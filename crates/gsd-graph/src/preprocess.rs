@@ -230,7 +230,8 @@ mod tests {
     use super::*;
     use crate::format::{block_edges_key, row_index_key};
     use crate::generators::{GeneratorConfig, GraphKind};
-    use gsd_io::MemStorage;
+    use gsd_io::{MemStorage, SharedStorage};
+    use std::sync::Arc;
 
     fn small_graph() -> Graph {
         GeneratorConfig::new(GraphKind::ErdosRenyi, 100, 500, 7).generate()
@@ -279,27 +280,27 @@ mod tests {
     #[test]
     fn index_locates_every_vertexs_edges() {
         let g = small_graph();
-        let store = MemStorage::new();
+        let store: SharedStorage = Arc::new(MemStorage::new());
         let config = PreprocessConfig::graphsd("").with_intervals(2);
-        let (meta, _) = preprocess(&g, &store, &config).unwrap();
+        let (meta, _) = preprocess(&g, store.as_ref(), &config).unwrap();
+        let grid = crate::grid::GridGraph::open(store.clone()).unwrap();
         let intervals = meta.intervals();
         for i in 0..2 {
-            let row = crate::format::decode_u32s(&store.read_all(&row_index_key("", i)).unwrap())
-                .unwrap();
             let range = intervals.range(i);
-            assert_eq!(row.len(), (range.len() + 1) * 2);
+            let index = grid.read_index(i, 0).unwrap();
+            let stored = store.read_all(&row_index_key("", i)).unwrap();
+            let layout = grid.row_index_layout(i);
+            assert_eq!(stored.len(), (range.len() + 1) * layout.bytes_per_vertex());
             for j in 0..2 {
                 let codec = meta.block_codec(i, j);
                 let edges = codec.decode_all(&store.read_all(&block_edges_key("", i, j)).unwrap());
-                // Column j of the row index is sub-block (i, j)'s index.
-                let idx: Vec<u32> = row.iter().skip(j as usize).step_by(2).copied().collect();
                 for v in range.clone() {
-                    let k = (v - range.start) as usize;
-                    let slice = &edges[idx[k] as usize..idx[k + 1] as usize];
+                    let run = index.edge_range(v, j);
+                    let slice = &edges[run.start as usize..run.end as usize];
                     assert!(slice.iter().all(|e| e.src == v));
                 }
                 // Index covers all edges.
-                assert_eq!(*idx.last().unwrap() as usize, edges.len());
+                assert_eq!(index.edge_range(range.end - 1, j).end as usize, edges.len());
             }
         }
     }

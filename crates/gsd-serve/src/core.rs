@@ -538,8 +538,8 @@ impl ServeCore {
         let span = grid
             .read_row_index_span(i, v, v)
             .map_err(|e| format!("row index read failed: {e}"))?;
-        // Two index rows of p u32 entries each.
-        charge.bytes += 2 * u64::from(p) * 4;
+        // Two index rows of the bytes row `i` stores per vertex.
+        charge.bytes += 2 * grid.row_index_layout(i).bytes_per_vertex() as u64;
         for j in 0..p {
             if meta.block_edge_count(i, j) == 0 {
                 continue;

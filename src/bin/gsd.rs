@@ -942,6 +942,26 @@ fn cmd_info(raw: &[String]) -> Result<(), String> {
         meta.codec().edge_bytes(),
         if meta.weighted { ", f32 weight" } else { "" }
     )?;
+    if meta.order.has_row_index() {
+        let layouts: Vec<_> = (0..meta.p).map(|i| grid.row_index_layout(i)).collect();
+        let stored = layouts.iter().map(|layout| layout.columns.len());
+        let (fewest, most) = (stored.clone().min(), stored.max());
+        let wide = layouts.iter().filter(|layout| layout.width == 4).count();
+        let widths = match wide {
+            0 => "2-byte offsets".to_string(),
+            n if n == layouts.len() => "4-byte offsets".to_string(),
+            n => format!(
+                "2-byte offsets in {} rows, 4-byte in {n}",
+                layouts.len() - n
+            ),
+        };
+        out!(
+            "    index      columns {}-{} of {} per row, {widths}",
+            fewest.unwrap_or(0),
+            most.unwrap_or(0),
+            meta.p
+        )?;
+    }
     if let Some(delta) = &meta.delta {
         match grid.overlay() {
             Some(overlay) => out!(

@@ -3,15 +3,18 @@
 //! `compact` — produce the same ones, what `ingest` and `compact` write
 //! and sync, that the counting layout writes the bytes the order's
 //! definition does, that the grid's JSON metadata round-trips at sizes
-//! far past the benchmark's, and that a record's id width follows its
-//! widest interval.
+//! far past the benchmark's, that a record's id width follows its
+//! widest interval, and that a row index stores the columns of its
+//! non-empty blocks at the offset width they take, fresh, through a
+//! delta overlay and after compaction.
 
 use graphsd::algos::{Bfs, PageRank};
 use graphsd::core::{GraphSdConfig, GraphSdEngine};
 use graphsd::delta::{compact, ingest, MutationBatch};
 use graphsd::graph::delta::{encode_segment, merge_block, merged_count, segment_key, DeltaOp};
 use graphsd::graph::format::row_index_key;
-use graphsd::graph::layout::{bucket_edges, row_keys, row_objects};
+use graphsd::graph::grid::RowIndexSpan;
+use graphsd::graph::layout::{bucket_edges, index_column, row_index_object, row_keys, row_objects};
 use graphsd::graph::rng::Xoshiro256;
 use graphsd::graph::{
     block_edges_key, preprocess, repair_grid, BlockOrder, DeltaSection, Edge, EdgeCodec,
@@ -305,13 +308,20 @@ fn reference_row(
     }
     if order == BlockOrder::BySource {
         // Vertex-major: for each vertex of the interval and then its end,
-        // per column, the edges of that sub-block from smaller sources.
+        // per column of a non-empty sub-block, the edges of that sub-block
+        // from smaller sources, 2 bytes wide unless a block of the row
+        // holds more than 65 535 edges.
         let mut index = Vec::new();
         let range = intervals.range(i);
+        let width = if sorted_blocks.iter().all(|b| b.len() <= 65_535) {
+            2
+        } else {
+            4
+        };
         for v in range.start..=range.end {
-            for block in &sorted_blocks {
+            for block in sorted_blocks.iter().filter(|b| !b.is_empty()) {
                 let before = block.iter().filter(|e| e.src < v).count() as u32;
-                index.extend_from_slice(&before.to_le_bytes());
+                index.extend_from_slice(&before.to_le_bytes()[..width]);
             }
         }
         payloads.push(index);
@@ -491,12 +501,7 @@ fn merged_blocks_are_byte_identical_to_a_comparison_sorted_reference() {
                     let (merged_row, columns) = (&merged_row[at], &columns[at]);
                     let mut payloads: Vec<Vec<u8>> = merged_row.clone();
                     if order.has_row_index() {
-                        let len = intervals.range(i).len() + 1;
-                        let index: Vec<u8> = (0..len)
-                            .flat_map(|k| columns.iter().map(move |column| column[k]))
-                            .flat_map(u32::to_le_bytes)
-                            .collect();
-                        payloads.push(index);
+                        payloads.push(row_index_object(i, columns).1);
                     }
                     let got: Vec<(String, Vec<u8>)> =
                         row_keys(i, p, order).into_iter().zip(payloads).collect();
@@ -670,4 +675,227 @@ fn a_meta_whose_id_width_does_not_fit_its_boundaries_is_refused_at_open() {
         };
         assert!(err.to_string().contains(why), "{err}");
     }
+}
+
+/// The two grids the row-index rule is read on: a weighted road grid at
+/// P = 20, whose rows hold two or three of their twenty sub-blocks, and
+/// a P = 1 grid whose one sub-block holds more than 65 535 edges.
+fn index_rule_grids() -> Vec<(&'static str, SharedStorage)> {
+    let road = GeneratorConfig::new(GraphKind::Grid2d, 10_000, 0, 1)
+        .weighted()
+        .generate();
+    let dense = GeneratorConfig::new(GraphKind::RMat, 20_000, 70_000, 5).generate();
+    [("road", road, 20), ("one block", dense, 1)]
+        .into_iter()
+        .map(|(name, graph, p)| {
+            let storage: SharedStorage = Arc::new(MemStorage::new());
+            let config = PreprocessConfig::graphsd("").with_intervals(p);
+            preprocess(&graph, storage.as_ref(), &config).unwrap();
+            (name, storage)
+        })
+        .collect()
+}
+
+/// Row `i` of `grid`'s index by definition: sub-block `(i, j)`'s column
+/// counted from its payload, `index_column`, for every `j` (an empty
+/// block's column is all zeros), laid out dense and vertex-major over
+/// `rows` rows from vertex `first`.
+fn dense_reference(grid: &GridGraph, i: u32, first: u32, rows: usize) -> RowIndexSpan {
+    let p = grid.p();
+    let range = grid.intervals().range(i);
+    let mut scratch = Vec::new();
+    let columns: Vec<Vec<u32>> = (0..p)
+        .map(|j| {
+            let payload = grid.read_block_payload(i, j, &mut scratch).unwrap();
+            index_column(payload, grid.block_codec(i, j), range.clone())
+        })
+        .collect();
+    let skip = (first - range.start) as usize;
+    let offsets = (skip..skip + rows)
+        .flat_map(|k| columns.iter().map(move |column| column[k]))
+        .collect();
+    RowIndexSpan {
+        start_vertex: first,
+        p,
+        offsets,
+    }
+}
+
+/// Every span of every row of `grid` this test reads — the whole row,
+/// its first and last vertex, and seeded random spans — equals the dense
+/// reference.
+fn assert_spans_match_the_reference(grid: &GridGraph, seed: u64, what: &str) {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    for i in 0..grid.p() {
+        let range = grid.intervals().range(i);
+        let last = range.end - 1;
+        let mut spans = vec![
+            (range.start, last),
+            (range.start, range.start),
+            (last, last),
+        ];
+        for _ in 0..8 {
+            let lo = rng.gen_range(range.clone());
+            spans.push((lo, rng.gen_range(lo..range.end)));
+        }
+        for (lo, hi) in spans {
+            let rows = (hi - lo + 2) as usize;
+            assert_eq!(
+                grid.read_row_index_span(i, lo, hi).unwrap(),
+                dense_reference(grid, i, lo, rows),
+                "{what}: row {i} span {lo}..={hi}"
+            );
+        }
+    }
+}
+
+/// The row-index rule on disk: row `i`'s object is `(len_i + 1) · L_i ·
+/// w_i` bytes, where `L_i` counts its non-empty sub-blocks and `w_i` is 2
+/// unless one of them holds more than 65 535 edges; and every span read
+/// through it equals the dense index counted from the block payloads,
+/// empty blocks included.
+#[test]
+fn a_row_index_stores_the_columns_of_non_empty_blocks_at_the_width_they_take() {
+    for (name, storage) in index_rule_grids() {
+        let grid = GridGraph::open(storage.clone()).unwrap();
+        let meta = grid.meta();
+        let mut widths = Vec::new();
+        for i in 0..grid.p() {
+            let counts: Vec<u64> = (0..grid.p()).map(|j| meta.block_edge_count(i, j)).collect();
+            let live = counts.iter().filter(|&&c| c > 0).count();
+            let width = if counts.iter().all(|&c| c <= 65_535) {
+                2
+            } else {
+                4
+            };
+            let rows = grid.intervals().range(i).len() + 1;
+            let stored = storage.read_all(&row_index_key("", i)).unwrap();
+            assert_eq!(stored.len(), rows * live * width, "{name}: row {i}");
+            assert_eq!(grid.row_index_layout(i).bytes_per_vertex(), live * width);
+            widths.push((live, width));
+        }
+        match name {
+            "road" => assert!(widths.iter().all(|&(live, w)| live <= 3 && w == 2)),
+            _ => assert_eq!(widths, [(1, 4)], "{name}: {} edges", meta.num_edges),
+        }
+        assert_spans_match_the_reference(&grid, 11, name);
+    }
+}
+
+/// A format-7 meta is refused by its version, and a meta whose sealed
+/// sub-block counts lay out a row index other than the one its manifest
+/// records (one edge moved from a live block into an empty one of the
+/// same row) is refused before anything is read by the wrong layout:
+/// both `InvalidData` at open.
+#[test]
+fn a_v7_meta_and_counts_that_disagree_with_the_row_index_are_refused_at_open() {
+    let (_, storage) = index_rule_grids().swap_remove(0);
+    let pristine = GridMeta::from_bytes(&storage.read_all(META_KEY).unwrap()).unwrap();
+    let mut v7 = pristine.clone();
+    v7.version = 7;
+    let mut forged = pristine.clone();
+    let row: Vec<u64> = forged.block_edge_counts[..forged.p as usize].to_vec();
+    let live = row.iter().position(|&c| c > 1).unwrap();
+    let empty = row.iter().position(|&c| c == 0).unwrap();
+    forged.block_edge_counts[live] -= 1;
+    forged.block_edge_counts[empty] += 1;
+    for (mut meta, why) in [
+        (v7, "unsupported grid format version 7"),
+        (forged, "row index blocks/r_0.ridx"),
+    ] {
+        meta.seal();
+        storage.create(META_KEY, &meta.to_bytes()).unwrap();
+        let err = GridGraph::open(storage.clone())
+            .err()
+            .expect("the open fails");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(why), "{err}");
+    }
+}
+
+/// Two batches move a row's index layout: the first inserts into the
+/// base-empty sub-block (0, 1), which gains a column, and the second
+/// takes sub-block (0, 0) from 65 000 edges past 65 535, which widens row
+/// 0's offsets to 4 bytes. Spans read through the overlay equal those of
+/// the merged edge list preprocessed from scratch after each batch, and
+/// the compacted row index is byte-identical to the re-preprocessed one.
+#[test]
+fn a_delta_that_fills_an_empty_block_and_widens_a_row_compacts_to_the_reprocessed_index() {
+    let n = 2_000u32;
+    let boundaries = vec![0, 1_000, n];
+    // (0, 0): 65 000 distinct pairs, each source to 65 destinations from
+    // itself on; (1, 1): a ring; (1, 0): a hundred edges; (0, 1): empty.
+    let mut edges: Vec<Edge> = (0..65_000u32)
+        .map(|k| Edge::new(k % 1_000, (k / 1_000 + k % 1_000) % 1_000))
+        .collect();
+    edges.extend((0..1_000).map(|v| Edge::new(1_000 + v, 1_000 + (v + 1) % 1_000)));
+    edges.extend((0..100).map(|v| Edge::new(1_000 + v, v)));
+    let config = PreprocessConfig::graphsd("").with_boundaries(boundaries);
+    let storage: SharedStorage = Arc::new(MemStorage::new());
+    preprocess(
+        &Graph::from_edges(n, edges.clone(), false),
+        storage.as_ref(),
+        &config,
+    )
+    .unwrap();
+    let layout = |grid: &GridGraph| {
+        let layout = grid.row_index_layout(0);
+        (layout.columns.clone(), layout.width)
+    };
+    assert_eq!(
+        layout(&GridGraph::open(storage.clone()).unwrap()),
+        (vec![0], 2)
+    );
+
+    let mut fill = MutationBatch::new();
+    for (src, dst) in [(3, 1_500), (3, 1_501), (999, 1_999)] {
+        fill.insert(src, dst, 1.0);
+    }
+    // Destinations 900–999 lie outside every base source's 65.
+    let mut widen = MutationBatch::new();
+    for src in 0..600u32 {
+        widen.insert(src, 900 + src % 100, 1.0);
+    }
+    let sink = graphsd::trace::null_sink();
+    let mut reference = storage.clone();
+    for (batch, added) in [
+        (&fill, vec![(3, 1_500), (3, 1_501), (999, 1_999)]),
+        (&widen, (0..600).map(|s| (s, 900 + s % 100)).collect()),
+    ] {
+        ingest(storage.as_ref(), "", batch, sink.as_ref()).unwrap();
+        edges.extend(added.into_iter().map(|(s, d)| Edge::new(s, d)));
+        reference = Arc::new(MemStorage::new());
+        let merged = Graph::from_edges(n, edges.clone(), false);
+        preprocess(&merged, reference.as_ref(), &config).unwrap();
+        let through = GridGraph::open(storage.clone()).unwrap();
+        let scratch = GridGraph::open(reference.clone()).unwrap();
+        assert!(through.overlay().is_some());
+        for i in 0..2 {
+            let range = through.intervals().range(i);
+            for (lo, hi) in [(range.start, range.end - 1), (3, 3), (990, 999)] {
+                if range.contains(&lo) {
+                    assert_eq!(
+                        through.read_row_index_span(i, lo, hi).unwrap(),
+                        scratch.read_row_index_span(i, lo, hi).unwrap(),
+                        "row {i} span {lo}..={hi}"
+                    );
+                }
+            }
+        }
+    }
+    let scratch = GridGraph::open(reference.clone()).unwrap();
+    assert_eq!(layout(&scratch), (vec![0, 1], 4));
+
+    compact(&storage, "", sink.as_ref()).unwrap().unwrap();
+    let compacted = GridGraph::open(storage.clone()).unwrap();
+    assert_eq!(layout(&compacted), (vec![0, 1], 4));
+    for i in 0..2 {
+        let key = row_index_key("", i);
+        assert_eq!(
+            storage.read_all(&key).unwrap(),
+            reference.read_all(&key).unwrap(),
+            "{key}"
+        );
+    }
+    assert_spans_match_the_reference(&compacted, 5, "compacted");
 }
